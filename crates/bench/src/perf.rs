@@ -717,6 +717,8 @@ mod tests {
     /// Timing under a loaded test runner is noisy, so the gate re-measures
     /// with more rounds before declaring a regression.
     #[test]
+    #[ignore = "wall-clock ratio gate: the noise floor under a parallel `cargo test` is 2-9 %, \
+                wider than the 5 % it asserts; CI's bench-smoke job runs it alone, in release"]
     fn instrumentation_overhead_stays_under_five_percent() {
         let mut ratio = 0.0;
         for rounds in [2, 3, 4] {

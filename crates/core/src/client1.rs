@@ -97,6 +97,14 @@ impl Client1 {
         self.gctr
     }
 
+    /// Does the message-independent half of the next signature now (see
+    /// [`Keyring::prepare`]). The deposit holds every other user's request
+    /// at the server, so a transport calls this once the deposit is on its
+    /// way — never between receiving a response and depositing.
+    pub fn prepare_signature(&mut self) {
+        self.keyring.prepare();
+    }
+
     /// Initialization step: the elected user signs `h(M(D₀) ‖ 0)` for
     /// deposit at the server before any operation (protocol line 2).
     pub fn sign_initial(&mut self, root0: &Digest) -> Result<SignedState, Deviation> {

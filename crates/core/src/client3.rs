@@ -125,6 +125,13 @@ impl Client3 {
         self.cur_epoch
     }
 
+    /// Does the message-independent half of the next signature now (see
+    /// [`Keyring::prepare`]), so the next epoch-state or checkpoint deposit
+    /// signs from a ready key.
+    pub fn prepare_signature(&mut self) {
+        self.keyring.prepare();
+    }
+
     /// Signs the epoch snapshot for deposit.
     fn sign_epoch_state(
         &mut self,

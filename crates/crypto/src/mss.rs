@@ -11,7 +11,10 @@
 
 use crate::digest::Digest;
 use crate::sha256::hash_parts;
-use crate::wots::{wots_keygen_at, wots_pk_from_sig, wots_sign, WotsSignature};
+use crate::wots::{
+    wots_pk_from_sig, wots_public_key_at, wots_secret_key_at, wots_sign, WotsSecretKey,
+    WotsSignature,
+};
 
 /// Combines two child node digests into a parent digest (domain separated).
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
@@ -65,30 +68,35 @@ impl std::fmt::Display for MssError {
 impl std::error::Error for MssError {}
 
 /// A stateful MSS signer. Tracks which one-time key to use next; the full
-/// node set of the Merkle tree is retained so authentication paths are O(H)
-/// lookups (fine at the heights used here; a production signer would use the
-/// BDS traversal algorithm).
+/// node set of the Merkle tree is retained (`2^(height+1)` digests, 1 MiB at
+/// height 14) so authentication paths are O(H) lookups.
+///
+/// Signing is split into an *offline* half that does not depend on the
+/// message — [`MssSigner::prepare`] builds the next leaf's chain table —
+/// and an *online* half, [`MssSigner::sign`], that reads 67 values out of
+/// it. At most one leaf is prepared at a time, and `sign` consumes it.
 pub struct MssSigner {
     master_seed: [u8; 32],
     height: u32,
     /// `levels[0]` = leaves, `levels[height]` = `[root]`.
     levels: Vec<Vec<Digest>>,
     next_leaf: u64,
+    /// Leaf `next_leaf`'s one-time key, when prepared ahead of its use.
+    prepared: Option<WotsSecretKey>,
 }
 
 impl MssSigner {
     /// Generates a signer with capacity for `2^height` signatures.
     ///
-    /// Key generation computes every one-time public key, so it costs
-    /// `O(2^height)` WOTS keygens; heights 4–10 are instantaneous-to-fast.
+    /// Key generation computes every one-time public key: `2^height` leaves
+    /// of ~1,040 SHA-256 compressions each (about 0.8 s per signer at
+    /// height 14 on SHA-NI hardware; experiment E8 has the table).
     pub fn generate(master_seed: [u8; 32], height: u32) -> MssSigner {
         assert!(height <= 20, "MSS height {height} unreasonably large");
         let n_leaves = 1u64 << height;
-        let mut leaves = Vec::with_capacity(n_leaves as usize);
-        for i in 0..n_leaves {
-            let (_, pk) = wots_keygen_at(&master_seed, i);
-            leaves.push(pk.compress());
-        }
+        let leaves: Vec<Digest> = (0..n_leaves)
+            .map(|i| wots_public_key_at(&master_seed, i).compress())
+            .collect();
         let mut levels = vec![leaves];
         for h in 0..height {
             let below = &levels[h as usize];
@@ -103,6 +111,7 @@ impl MssSigner {
             height,
             levels,
             next_leaf: 0,
+            prepared: None,
         }
     }
 
@@ -119,15 +128,22 @@ impl MssSigner {
         (1u64 << self.height) - self.next_leaf
     }
 
-    /// Signs a message digest with the next unused one-time key.
-    pub fn sign(&mut self, msg: &Digest) -> Result<MssSignature, MssError> {
-        let idx = self.next_leaf;
-        if idx >= (1u64 << self.height) {
-            return Err(MssError::KeyExhausted);
+    /// Builds the next leaf's one-time key now, so that the next
+    /// [`MssSigner::sign`] only looks values up. Idempotent; a no-op once
+    /// the key is exhausted.
+    pub fn prepare(&mut self) {
+        if self.prepared.is_none() && self.remaining() > 0 {
+            self.prepared = Some(wots_secret_key_at(&self.master_seed, self.next_leaf));
         }
-        self.next_leaf += 1;
+    }
 
-        let (mut sk, _) = wots_keygen_at(&self.master_seed, idx);
+    /// Signs a message digest with the next unused one-time key, preparing
+    /// it first if [`MssSigner::prepare`] has not.
+    pub fn sign(&mut self, msg: &Digest) -> Result<MssSignature, MssError> {
+        self.prepare();
+        let mut sk = self.prepared.take().ok_or(MssError::KeyExhausted)?;
+        let idx = self.next_leaf;
+        self.next_leaf += 1;
         let wots = wots_sign(&mut sk, msg).expect("fresh one-time key");
 
         let mut auth_path = Vec::with_capacity(self.height as usize);
@@ -171,6 +187,7 @@ pub fn mss_verify(pk: &MssPublicKey, msg: &Digest, sig: &MssSignature) -> bool {
 mod tests {
     use super::*;
     use crate::sha256::sha256;
+    use crate::wots::OtsError;
 
     fn signer(h: u32) -> MssSigner {
         MssSigner::generate([7u8; 32], h)
@@ -196,6 +213,47 @@ mod tests {
         }
         assert_eq!(s.remaining(), 0);
         assert_eq!(s.sign(&sha256(b"x")), Err(MssError::KeyExhausted));
+    }
+
+    #[test]
+    fn prepared_signature_equals_on_demand_signature() {
+        let (mut ahead, mut lazy) = (signer(3), signer(3));
+        for i in 0..8u32 {
+            let msg = sha256(&i.to_be_bytes());
+            ahead.prepare();
+            assert_eq!(ahead.sign(&msg), lazy.sign(&msg), "leaf {i}");
+        }
+    }
+
+    #[test]
+    fn prepared_leaf_is_consumed_once_and_by_its_own_index() {
+        let mut s = signer(2);
+        let pk = s.public_key();
+        s.prepare();
+        s.prepare(); // idempotent: still leaf 0's key
+        let (m0, m1) = (sha256(b"zero"), sha256(b"one"));
+        let sig0 = s.sign(&m0).unwrap();
+        // The prepared key went with that signature: the next one comes
+        // from the next leaf, never a second time from leaf 0.
+        let sig1 = s.sign(&m1).unwrap();
+        assert_eq!((sig0.leaf_index, sig1.leaf_index), (0, 1));
+        assert!(mss_verify(&pk, &m0, &sig0) && mss_verify(&pk, &m1, &sig1));
+        assert_eq!(s.remaining(), 2);
+        // Below the signer, the one-time key itself refuses a second use.
+        let mut sk = wots_secret_key_at(&[7u8; 32], 0);
+        wots_sign(&mut sk, &m0).unwrap();
+        assert_eq!(wots_sign(&mut sk, &m1), Err(OtsError::KeyReused));
+    }
+
+    #[test]
+    fn preparing_past_the_last_leaf_is_a_no_op() {
+        let mut s = signer(1);
+        s.sign(&sha256(b"a")).unwrap();
+        s.prepare();
+        s.sign(&sha256(b"b")).unwrap();
+        s.prepare();
+        assert_eq!(s.remaining(), 0);
+        assert_eq!(s.sign(&sha256(b"c")), Err(MssError::KeyExhausted));
     }
 
     #[test]

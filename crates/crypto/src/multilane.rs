@@ -210,6 +210,24 @@ pub fn sha256_many_portable(msgs: &[&[u8]]) -> Vec<Digest> {
     out
 }
 
+/// Advances two independent states by one block each: interleaved on
+/// SHA-NI hardware, two portable compressions anywhere else.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn compress_x2(s0: &mut [u32; 8], b0: &[u8; 64], s1: &mut [u32; 8], b1: &[u8; 64]) {
+    if crate::sha256::shani::available() {
+        // SAFETY: the `sha`, `ssse3` and `sse4.1` CPU features were just
+        // verified at runtime; the kernel touches nothing but its arguments.
+        #[allow(unsafe_code)]
+        unsafe {
+            shani_x2::compress_x2(s0, b0, s1, b1)
+        };
+    } else {
+        compress_portable(s0, b0);
+        compress_portable(s1, b1);
+    }
+}
+
 /// Multi-buffer driver for the 2-lane SHA-NI backend.
 #[cfg(target_arch = "x86_64")]
 fn many_shani(msgs: &[&[u8]]) -> Vec<Digest> {
@@ -223,12 +241,7 @@ fn many_shani(msgs: &[&[u8]]) -> Vec<Digest> {
         for blk in 0..shared {
             let b0 = padded_block(pair[0], blk, nb[0]);
             let b1 = padded_block(pair[1], blk, nb[1]);
-            // SAFETY: `sha256_many` only routes here after
-            // `shani::available()` confirmed the CPU features.
-            #[allow(unsafe_code)]
-            unsafe {
-                shani_x2::compress_x2(&mut s0, &b0, &mut s1, &b1)
-            };
+            compress_x2(&mut s0, &b0, &mut s1, &b1);
         }
         for (state, (msg, n)) in [&mut s0, &mut s1]
             .into_iter()
@@ -244,6 +257,59 @@ fn many_shani(msgs: &[&[u8]]) -> Vec<Digest> {
         out.push(hash_scalar(msg));
     }
     out
+}
+
+/// Digests of pre-padded single-block messages: exactly one compression
+/// from the initial state per block, blocks advancing in lockstep through
+/// the same lanes [`sha256_many`] uses. `blocks[i]` must already carry its
+/// FIPS 180-4 padding (the caller owns a fixed layout and pads once);
+/// `out[i]` receives its digest. This is the WOTS chain-step kernel.
+pub(crate) fn sha256_blocks(blocks: &[[u8; 64]], out: &mut [Digest]) {
+    assert_eq!(blocks.len(), out.len(), "one digest slot per block");
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256::shani::available() {
+        let mut pairs = blocks.chunks_exact(2);
+        let mut outs = out.chunks_exact_mut(2);
+        for (b, o) in (&mut pairs).zip(&mut outs) {
+            let (mut s0, mut s1) = (H0, H0);
+            compress_x2(&mut s0, &b[0], &mut s1, &b[1]);
+            o[0] = digest_from_state(&s0);
+            o[1] = digest_from_state(&s1);
+        }
+        for (b, o) in pairs.remainder().iter().zip(outs.into_remainder()) {
+            *o = sha256_block(b);
+        }
+        return;
+    }
+    sha256_blocks_portable(blocks, out)
+}
+
+/// One pre-padded block through the scalar compression (lane remainders,
+/// and the reference the lane kernels are tested against).
+pub(crate) fn sha256_block(block: &[u8; 64]) -> Digest {
+    let mut state = H0;
+    crate::sha256::compress(&mut state, block);
+    digest_from_state(&state)
+}
+
+/// [`sha256_blocks`] pinned to the portable 4-lane backend (the dispatch
+/// target off SHA-NI hardware; tests call it directly everywhere).
+pub(crate) fn sha256_blocks_portable(blocks: &[[u8; 64]], out: &mut [Digest]) {
+    assert_eq!(blocks.len(), out.len(), "one digest slot per block");
+    let mut groups = blocks.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (b, o) in (&mut groups).zip(&mut outs) {
+        let mut states = [H0; 4];
+        compress_portable_x4(&mut states, b.try_into().expect("chunk of 4"));
+        for (d, s) in o.iter_mut().zip(&states) {
+            *d = digest_from_state(s);
+        }
+    }
+    for (b, o) in groups.remainder().iter().zip(outs.into_remainder()) {
+        let mut s = H0;
+        compress_portable(&mut s, b);
+        *o = digest_from_state(&s);
+    }
 }
 
 /// Two-lane interleaved SHA-NI compression: the canonical Intel

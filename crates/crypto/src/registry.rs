@@ -94,6 +94,12 @@ impl Keyring {
         self.signer.public_key()
     }
 
+    /// Does the message-independent part of the next signature now (see
+    /// [`MssSigner::prepare`]), off whatever path the next `sign` is on.
+    pub fn prepare(&mut self) {
+        self.signer.prepare();
+    }
+
     /// Signs a message digest.
     pub fn sign(&mut self, msg: &Digest) -> Result<MssSignature, MssError> {
         self.signer.sign(msg)

@@ -97,7 +97,9 @@ impl NetClient1 {
                 signed: init,
                 ctx: None,
             },
-        )
+        )?;
+        self.inner.prepare_signature();
+        Ok(())
     }
 
     /// Executes one verified operation. The whole exchange — request,
@@ -147,6 +149,9 @@ impl NetClient1 {
                 ctx: Some(ctx),
             },
         )?;
+        // The server is released; build the next one-time key while it
+        // serves the other users.
+        self.inner.prepare_signature();
         Ok(result)
     }
 
@@ -497,6 +502,7 @@ impl NetClient3 {
             let cp = self.inner.audit(epoch, &states, prev.as_ref())?;
             send_deposit(&self.tx, Request::Checkpoint(cp))?;
         }
+        self.inner.prepare_signature();
         Ok(result)
     }
 
