@@ -79,7 +79,7 @@ impl BatchProof {
         self.tree.materialized_nodes()
     }
 
-    /// Proof size estimate in bytes.
+    /// Proof size in bytes: exactly `to_bytes().len()`.
     pub fn encoded_size(&self) -> usize {
         self.tree.encoded_size()
     }
@@ -112,6 +112,48 @@ pub struct BatchStep {
     pub new_root: Digest,
 }
 
+/// The checks every batch verifier starts with: agreed order, one claimed
+/// result per op, and one read-only fold recomputing every materialized
+/// digest from the proof's content. Returns the root that content commits
+/// to.
+fn folded_root(
+    expected_order: usize,
+    proof: &BatchProof,
+    ops: &[Op],
+    claimed: Option<&[OpResult]>,
+) -> Result<Digest, VerifyError> {
+    if proof.order() != expected_order {
+        return Err(VerifyError::OrderMismatch);
+    }
+    if claimed.is_some_and(|c| c.len() != ops.len()) {
+        return Err(VerifyError::BatchLengthMismatch);
+    }
+    proof.tree.verified_root()
+}
+
+/// Replays the window sequentially on one copy-on-write handle of the
+/// folded proof (the proof itself is never written through; each node an
+/// update touches is copied once for the whole window).
+fn replay_window(
+    proof: &BatchProof,
+    ops: &[Op],
+    claimed: Option<&[OpResult]>,
+) -> Result<Vec<BatchStep>, VerifyError> {
+    let mut replay = proof.tree.clone();
+    let mut steps = Vec::with_capacity(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let result = apply_op(&mut replay, op)?;
+        if claimed.is_some_and(|c| c[i] != result) {
+            return Err(VerifyError::AnswerMismatch);
+        }
+        steps.push(BatchStep {
+            result,
+            new_root: replay.root_digest(),
+        });
+    }
+    Ok(steps)
+}
+
 /// Replays the window `ops` against `proof` **without** an
 /// independently-known root digest (the Protocol II/III trust model; see
 /// [`crate::replay_unanchored`]). Materialized digests are recomputed once
@@ -128,31 +170,8 @@ pub fn replay_batch_unanchored(
     ops: &[Op],
     claimed: Option<&[OpResult]>,
 ) -> Result<(Digest, Vec<BatchStep>), VerifyError> {
-    if proof.order() != expected_order {
-        return Err(VerifyError::OrderMismatch);
-    }
-    if let Some(c) = claimed {
-        if c.len() != ops.len() {
-            return Err(VerifyError::BatchLengthMismatch);
-        }
-    }
-    let mut replay = proof.tree.clone();
-    replay.recompute_all_digests();
-    let old_root = replay.root_digest();
-    let mut steps = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let result = apply_op(&mut replay, op)?;
-        if let Some(c) = claimed {
-            if c[i] != result {
-                return Err(VerifyError::AnswerMismatch);
-            }
-        }
-        steps.push(BatchStep {
-            result,
-            new_root: replay.root_digest(),
-        });
-    }
-    Ok((old_root, steps))
+    let old_root = folded_root(expected_order, proof, ops, claimed)?;
+    Ok((old_root, replay_window(proof, ops, claimed)?))
 }
 
 /// Verifies a batched response against a known root and replays the whole
@@ -165,36 +184,13 @@ pub fn verify_batch_response(
     claimed: Option<&[OpResult]>,
     claimed_new_root: Option<&Digest>,
 ) -> Result<Vec<BatchStep>, VerifyError> {
-    if proof.order() != expected_order {
-        return Err(VerifyError::OrderMismatch);
-    }
-    if let Some(c) = claimed {
-        if c.len() != ops.len() {
-            return Err(VerifyError::BatchLengthMismatch);
-        }
-    }
-    let mut replay = proof.tree.clone();
-    replay.recompute_all_digests();
-    if replay.root_digest() != *known_root {
+    if folded_root(expected_order, proof, ops, claimed)? != *known_root {
         return Err(VerifyError::RootMismatch);
     }
-    let mut steps = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let result = apply_op(&mut replay, op)?;
-        if let Some(c) = claimed {
-            if c[i] != result {
-                return Err(VerifyError::AnswerMismatch);
-            }
-        }
-        steps.push(BatchStep {
-            result,
-            new_root: replay.root_digest(),
-        });
-    }
-    if let Some(nr) = claimed_new_root {
-        if steps.last().map(|s| s.new_root).unwrap_or(*known_root) != *nr {
-            return Err(VerifyError::NewRootMismatch);
-        }
+    let steps = replay_window(proof, ops, claimed)?;
+    let new_root = steps.last().map_or(*known_root, |s| s.new_root);
+    if claimed_new_root.is_some_and(|nr| *nr != new_root) {
+        return Err(VerifyError::NewRootMismatch);
     }
     Ok(steps)
 }
@@ -202,7 +198,7 @@ pub fn verify_batch_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::u64_key;
+    use crate::node::{u64_key, Child};
 
     fn tree_with(n: u64, order: usize) -> MerkleTree {
         let mut t = MerkleTree::with_order(order);
@@ -330,5 +326,58 @@ mod tests {
         let (old_root, steps) = replay_batch_unanchored(8, &proof, &[], Some(&[])).unwrap();
         assert_eq!(old_root, server.root_digest());
         assert!(steps.is_empty());
+    }
+
+    #[test]
+    fn forged_caches_are_a_typed_deviation() {
+        let mut server = tree_with(200, 8);
+        let root0 = server.root_digest();
+        let ops = window(3, 24);
+        let (honest, results, new_root) = serve_batch(&mut server, &ops);
+        let Op::Put(key, _) = &ops[0] else {
+            panic!("window opens with a Put")
+        };
+
+        // A forged value under the honest pair digest.
+        let mut proof = honest.clone();
+        proof.tree.root_mut().forge_leaf(key, |es, _| {
+            let i = es.iter().position(|e| &e.key == key).unwrap();
+            es[i] = Child::forged_entry(&es[i], b"evil");
+        });
+        assert_eq!(proof.root_digest(), root0);
+        assert_eq!(
+            replay_batch_unanchored(8, &proof, &ops, None).unwrap_err(),
+            VerifyError::CachedDigestMismatch
+        );
+        assert_eq!(
+            verify_batch_response(&root0, 8, &proof, &ops, Some(&results), Some(&new_root))
+                .unwrap_err(),
+            VerifyError::CachedDigestMismatch
+        );
+
+        // A forged node digest over honest content.
+        let mut proof = honest.clone();
+        proof
+            .tree
+            .root_mut()
+            .forge_leaf(key, |_, digest| *digest = Digest::ZERO);
+        assert_eq!(
+            replay_batch_unanchored(8, &proof, &ops, None).unwrap_err(),
+            VerifyError::CachedDigestMismatch
+        );
+
+        // Forged content under recomputed caches: a different root.
+        let mut proof = honest.clone();
+        proof.tree.insert(key.clone(), b"evil".to_vec()).unwrap();
+        assert_eq!(
+            verify_batch_response(&root0, 8, &proof, &ops, None, None).unwrap_err(),
+            VerifyError::RootMismatch
+        );
+        assert_ne!(
+            replay_batch_unanchored(8, &proof, &ops, None).unwrap().0,
+            root0
+        );
+        // The honest proof the forgeries were copied from still verifies.
+        verify_batch_response(&root0, 8, &honest, &ops, Some(&results), Some(&new_root)).unwrap();
     }
 }

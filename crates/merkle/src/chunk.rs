@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use tcvs_crypto::Digest;
 
-use crate::codec::{CodecError, Cursor};
-use crate::node::{Key, Node};
+use crate::codec::{encode_node, ByteCount, CodecError, Cursor};
+use crate::node::{Child, Key, Node};
 use crate::tree::{MerkleTree, MIN_ORDER};
 
 /// Wire magic for serialized chunk manifests ("Trusted CVS Bootstrap").
@@ -259,7 +259,7 @@ impl ChunkSource {
             return Err(ChunkError::BadManifest("source tree is pruned"));
         }
         let mut leaves = Vec::new();
-        collect_leaf_spans(tree.root_ref(), &mut leaves);
+        collect_leaf_spans(tree.root(), &mut leaves);
         let mut ranges = Vec::new();
         let mut i = 0;
         while i < leaves.len() {
@@ -282,7 +282,7 @@ impl ChunkSource {
         let manifest = ChunkManifest {
             anchor: tree.root_digest(),
             order: tree.order() as u32,
-            entry_count: tree.root_ref().entry_count() as u64,
+            entry_count: tree.root().entry_count() as u64,
             ranges,
         };
         manifest.validate()?;
@@ -316,7 +316,7 @@ impl ChunkSource {
 }
 
 /// One leaf's span during slicing: its key interval, entry count, and
-/// approximate encoded size.
+/// encoded size.
 struct LeafSpan {
     lo: Key,
     hi: Key,
@@ -324,20 +324,22 @@ struct LeafSpan {
     bytes: usize,
 }
 
-fn collect_leaf_spans(node: &Node, out: &mut Vec<LeafSpan>) {
-    match node {
-        Node::Stub(_) => {}
-        Node::Leaf { entries, .. } => {
+fn collect_leaf_spans(child: &Child, out: &mut Vec<LeafSpan>) {
+    match child.node() {
+        Err(_) => {}
+        Ok(Node::Leaf { entries, .. }) => {
             if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+                let mut bytes = ByteCount::default();
+                encode_node(child, &mut bytes);
                 out.push(LeafSpan {
                     lo: first.key.clone(),
                     hi: last.key.clone(),
                     entries: entries.len() as u32,
-                    bytes: node.encoded_size(),
+                    bytes: bytes.0,
                 });
             }
         }
-        Node::Internal { children, .. } => {
+        Ok(Node::Internal { children, .. }) => {
             for c in children {
                 collect_leaf_spans(c, out);
             }
@@ -363,7 +365,7 @@ pub enum AdmitOutcome {
 pub struct ChunkAssembler {
     manifest: ChunkManifest,
     admitted: Vec<bool>,
-    root: Arc<Node>,
+    root: Child,
 }
 
 impl ChunkAssembler {
@@ -372,7 +374,7 @@ impl ChunkAssembler {
     pub fn new(manifest: ChunkManifest) -> Result<ChunkAssembler, ChunkError> {
         manifest.validate()?;
         let admitted = vec![false; manifest.ranges.len()];
-        let root = Arc::new(Node::Stub(manifest.anchor));
+        let root = Child::Stub(manifest.anchor);
         Ok(ChunkAssembler {
             manifest,
             admitted,
@@ -429,7 +431,7 @@ impl ChunkAssembler {
         // *true* data; this pins them to the *right chunk index*, so a valid
         // chunk replayed under another index is rejected.
         let mut keys = Vec::with_capacity(range.entries as usize);
-        materialized_keys(chunk.root_ref(), &mut keys);
+        materialized_keys(chunk.root(), &mut keys);
         if keys.len() != range.entries as usize {
             return Err(ChunkError::RangeMismatch {
                 index,
@@ -461,14 +463,15 @@ impl ChunkAssembler {
         if self.admitted[index as usize] {
             return Ok(AdmitOutcome::Duplicate);
         }
-        self.root = graft(&self.root, chunk.root_arc())?;
+        self.root = graft(&self.root, chunk.root())?;
         self.admitted[index as usize] = true;
         Ok(AdmitOutcome::Admitted)
     }
 
     /// Finishes the assembly: every chunk admitted, no stub left, entry
     /// count as promised, and — the final gate — a full bottom-up digest
-    /// recomputation of the assembled tree must reproduce the anchor.
+    /// recomputation of the assembled tree (read-only: nothing is copied)
+    /// must find every cached digest honest and reproduce the anchor.
     /// Returns the complete tree, byte-identical to the source snapshot.
     pub fn finish(self) -> Result<MerkleTree, ChunkError> {
         let missing = self.admitted.iter().filter(|a| !**a).count();
@@ -494,31 +497,30 @@ impl ChunkAssembler {
                 "assembled entry count differs from manifest",
             ));
         }
-        let mut tree = MerkleTree::from_parts((*self.root).clone(), order, Some(entry_count));
-        tree.recompute_all_digests();
-        if tree.root_digest() != self.manifest.anchor {
+        if self.root.verified_digest() != Ok(self.manifest.anchor) {
             return Err(ChunkError::GraftConflict(
                 "assembled root does not reproduce the anchor",
             ));
         }
-        Ok(tree)
+        Ok(MerkleTree::from_parts(self.root, order, Some(entry_count)))
     }
 }
 
 /// Merges two digest-equal views of the same subtree, preferring
 /// materialized content over stubs. Every overlapping node is digest-checked
 /// — a disagreement is a [`ChunkError::GraftConflict`].
-fn graft(a: &Arc<Node>, b: &Arc<Node>) -> Result<Arc<Node>, ChunkError> {
+fn graft(a: &Child, b: &Child) -> Result<Child, ChunkError> {
     if a.digest() != b.digest() {
         return Err(ChunkError::GraftConflict("overlapping digests differ"));
     }
-    if Arc::ptr_eq(a, b) {
-        return Ok(Arc::clone(a));
-    }
-    match (&**a, &**b) {
-        (Node::Stub(_), _) => Ok(Arc::clone(b)),
-        (_, Node::Stub(_)) => Ok(Arc::clone(a)),
-        (Node::Leaf { .. }, Node::Leaf { .. }) => Ok(Arc::clone(a)),
+    let (x, y) = match (a, b) {
+        (Child::Stub(_), _) => return Ok(b.clone()),
+        (_, Child::Stub(_)) => return Ok(a.clone()),
+        (Child::Node(x), Child::Node(y)) if Arc::ptr_eq(x, y) => return Ok(a.clone()),
+        (Child::Node(x), Child::Node(y)) => (&**x, &**y),
+    };
+    match (x, y) {
+        (Node::Leaf { .. }, Node::Leaf { .. }) => Ok(a.clone()),
         (
             Node::Internal {
                 keys: ka,
@@ -539,22 +541,18 @@ fn graft(a: &Arc<Node>, b: &Arc<Node>) -> Result<Arc<Node>, ChunkError> {
                 .zip(cb.iter())
                 .map(|(x, y)| graft(x, y))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(Arc::new(Node::Internal {
-                keys: ka.clone(),
-                children,
-                digest: *digest,
-            }))
+            Ok(Child::spine(ka, children, *digest))
         }
         _ => Err(ChunkError::GraftConflict("node kinds differ")),
     }
 }
 
 /// Collects the keys of all materialized leaf entries, in tree order.
-fn materialized_keys<'a>(node: &'a Node, out: &mut Vec<&'a [u8]>) {
-    match node {
-        Node::Stub(_) => {}
-        Node::Leaf { entries, .. } => out.extend(entries.iter().map(|e| e.key.as_slice())),
-        Node::Internal { children, .. } => {
+fn materialized_keys<'a>(child: &'a Child, out: &mut Vec<&'a [u8]>) {
+    match child.node() {
+        Err(_) => {}
+        Ok(Node::Leaf { entries, .. }) => out.extend(entries.iter().map(|e| e.key.as_slice())),
+        Ok(Node::Internal { children, .. }) => {
             for c in children {
                 materialized_keys(c, out);
             }
@@ -863,5 +861,40 @@ mod tests {
         let t = tree(60, 4);
         let pruned = t.prune_for_range(Some(&u64_key(0)), Some(&u64_key(5)));
         assert!(ChunkSource::new(&pruned, 512).is_err());
+    }
+
+    /// The final gate folds the assembled tree read-only: a cached digest
+    /// that disagrees with the content under it (reachable only by forging
+    /// the in-memory assembly — decoding computes every digest itself) is
+    /// rejected, never healed.
+    #[test]
+    fn forged_cache_in_the_assembly_fails_the_final_gate() {
+        let t = tree(120, 4);
+        let src = ChunkSource::new(&t, 512).unwrap();
+        let key = u64_key(11);
+        let assembled = |forge: &dyn Fn(&mut Child)| {
+            let mut asm = ChunkAssembler::new(src.manifest().clone()).unwrap();
+            for i in 0..src.num_chunks() {
+                asm.admit(i, &src.chunk(i).unwrap()).unwrap();
+            }
+            forge(&mut asm.root);
+            asm.finish()
+        };
+        assert_eq!(
+            assembled(&|_| {}).unwrap().to_bytes(),
+            t.to_bytes(),
+            "the unforged assembly is the source tree"
+        );
+        let forged_value = assembled(&|root| {
+            root.forge_leaf(&key, |es, _| {
+                let i = es.iter().position(|e| e.key == key).unwrap();
+                es[i] = Child::forged_entry(&es[i], b"evil");
+            })
+        });
+        let forged_digest =
+            assembled(&|root| root.forge_leaf(&key, |_, digest| *digest = Digest::ZERO));
+        for outcome in [forged_value, forged_digest] {
+            assert!(matches!(outcome, Err(ChunkError::GraftConflict(_))));
+        }
     }
 }

@@ -9,9 +9,11 @@
 //! Decoding recomputes and verifies every materialized digest: a corrupted
 //! or tampered byte stream is rejected rather than trusted.
 
+use std::sync::Arc;
+
 use tcvs_crypto::Digest;
 
-use crate::node::{LeafEntry, Node};
+use crate::node::{Child, LeafEntry, Node};
 use crate::tree::MerkleTree;
 
 /// Errors from decoding a serialized tree.
@@ -101,42 +103,69 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn encode_node(node: &Node, out: &mut Vec<u8>) {
-    match node {
-        Node::Stub(d) => {
-            out.push(TAG_STUB);
-            out.extend_from_slice(d.as_bytes());
-        }
-        Node::Leaf { entries, .. } => {
-            out.push(TAG_LEAF);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for e in entries {
-                out.extend_from_slice(&(e.key.len() as u32).to_le_bytes());
-                out.extend_from_slice(&e.key);
-                out.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-                out.extend_from_slice(&e.value);
-            }
-        }
-        Node::Internal { keys, children, .. } => {
-            out.push(TAG_INTERNAL);
-            out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-            for k in keys {
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-            }
-            for c in children {
-                encode_node(c, out);
-            }
-        }
+/// Where the encoder writes: real bytes, or only their count. Both run the
+/// one routine below, so `encoded_size() == to_bytes().len()` by
+/// construction.
+pub(crate) trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Node, CodecError> {
+/// Counts the bytes an encoding would take without writing them.
+#[derive(Default)]
+pub(crate) struct ByteCount(pub(crate) usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_bytes(out: &mut impl Sink, bytes: &[u8]) {
+    out.put(&(bytes.len() as u32).to_le_bytes());
+    out.put(bytes);
+}
+
+pub(crate) fn encode_node(child: &Child, out: &mut impl Sink) {
+    match child {
+        Child::Stub(d) => {
+            out.put(&[TAG_STUB]);
+            out.put(d.as_bytes());
+        }
+        Child::Node(node) => match &**node {
+            Node::Leaf { entries, .. } => {
+                out.put(&[TAG_LEAF]);
+                out.put(&(entries.len() as u32).to_le_bytes());
+                for e in entries {
+                    put_bytes(out, &e.key);
+                    put_bytes(out, &e.value);
+                }
+            }
+            Node::Internal { keys, children, .. } => {
+                out.put(&[TAG_INTERNAL]);
+                out.put(&(keys.len() as u32).to_le_bytes());
+                for k in keys.iter() {
+                    put_bytes(out, k);
+                }
+                for c in children {
+                    encode_node(c, out);
+                }
+            }
+        },
+    }
+}
+
+fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, CodecError> {
     if depth > 64 {
         return Err(CodecError::Malformed("tree too deep"));
     }
-    match c.u8()? {
-        TAG_STUB => Ok(Node::Stub(c.digest()?)),
+    let node = match c.u8()? {
+        TAG_STUB => return Ok(Child::Stub(c.digest()?)),
         TAG_LEAF => {
             let n = c.u32()? as usize;
             if n > order {
@@ -150,12 +179,7 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Node, C
                 // from the wire (they are not even serialized).
                 entries.push(LeafEntry::new(k, v));
             }
-            let mut node = Node::Leaf {
-                entries,
-                digest: Digest::ZERO,
-            };
-            node.recompute_digest();
-            Ok(node)
+            Node::leaf(entries)
         }
         TAG_INTERNAL => {
             let nk = c.u32()? as usize;
@@ -168,33 +192,41 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Node, C
             }
             let mut children = Vec::with_capacity(nk + 1);
             for _ in 0..=nk {
-                children.push(std::sync::Arc::new(decode_node(c, order, depth + 1)?));
+                children.push(decode_node(c, order, depth + 1)?);
             }
-            let mut node = Node::Internal {
-                keys,
-                children,
-                digest: Digest::ZERO,
-            };
-            node.recompute_digest();
-            Ok(node)
+            Node::internal(keys.into(), children)
         }
-        t => Err(CodecError::BadTag(t)),
-    }
+        t => return Err(CodecError::BadTag(t)),
+    };
+    Ok(Child::Node(Arc::new(node)))
 }
 
 impl MerkleTree {
+    /// The one encoding routine, for bytes and for their count alike.
+    fn encode(&self, out: &mut impl Sink) {
+        out.put(MAGIC);
+        out.put(&[VERSION]);
+        out.put(&(self.order() as u32).to_le_bytes());
+        let len = self.len().map_or(LEN_UNKNOWN, |l| l as u64);
+        out.put(&len.to_le_bytes());
+        out.put(self.root_digest().as_bytes());
+        encode_node(self.root(), out);
+    }
+
+    /// Exact size in bytes of this tree's encoding: `to_bytes().len()`,
+    /// counted by the encoder itself without writing anything.
+    pub fn encoded_size(&self) -> usize {
+        let mut count = ByteCount::default();
+        self.encode(&mut count);
+        count.0
+    }
+
     /// Serializes the tree (full or pruned) to bytes, digests implicit.
     /// Pruned trees carry no authenticated entry count; their header
     /// records the `LEN_UNKNOWN` sentinel.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.encoded_size());
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&(self.order() as u32).to_le_bytes());
-        let len = self.len().map_or(LEN_UNKNOWN, |l| l as u64);
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(self.root_digest().as_bytes());
-        encode_node(self.root_ref(), &mut out);
+        let mut out = Vec::with_capacity(self.encoded_size());
+        self.encode(&mut out);
         out
     }
 

@@ -45,6 +45,10 @@ pub enum VerifyError {
     /// A batched response's claimed result list does not match the window
     /// length — an op was dropped from (or spliced into) the window.
     BatchLengthMismatch,
+    /// A digest cached inside an in-memory proof (a node's, or a leaf
+    /// entry's pair digest) disagrees with the digest recomputed from the
+    /// proof's own content — the server tried to decouple the two.
+    CachedDigestMismatch,
 }
 
 impl fmt::Display for VerifyError {
@@ -56,6 +60,7 @@ impl fmt::Display for VerifyError {
             VerifyError::NewRootMismatch => "server new-root disagrees with replay",
             VerifyError::OrderMismatch => "verification object branching order mismatch",
             VerifyError::BatchLengthMismatch => "batched result count disagrees with window",
+            VerifyError::CachedDigestMismatch => "proof caches a digest its content does not have",
         };
         f.write_str(s)
     }

@@ -6,20 +6,32 @@
 //! digests. We additionally bind the separator keys into internal digests so
 //! a proof also authenticates the *search structure*, not just the data.
 //!
-//! Two representation choices make the hot path cheap:
+//! The layout is chosen so that building, verifying, replaying and dropping
+//! a proof allocate per *materialized node*, never per sibling, key or
+//! value:
 //!
-//! * children are [`Arc<Node>`], so trees share structure: cloning a tree is
-//!   an O(1) root-pointer copy, a mutation copies only the O(log n) spine
-//!   (see [`std::sync::Arc::make_mut`]), and pruning shares whole subtrees
-//!   with the live tree instead of deep-cloning entries;
+//! * a child is a [`Child`]: either a materialized `Arc<Node>` or an
+//!   **inline** stub digest in the parent's vector — pruning a sibling away
+//!   allocates nothing;
+//! * an internal node's separator keys are one shared `Arc<[Key]>` and a
+//!   leaf's entries are `Arc<LeafEntry>`s, so pruning, the copy-on-write
+//!   spine copy of an update, and a client's replay bump reference counts
+//!   instead of cloning keys and values;
 //! * each leaf entry caches its `kv_hash` (the digest of the key/value
 //!   pair), and the leaf digest hashes those fixed-width digests — so
 //!   updating one value rehashes that one pair plus 32-byte digests, not
 //!   every value in the leaf.
+//!
+//! Entries are immutable once built (replacing a value builds a new entry),
+//! so a cached digest can only disagree with its content if somebody forged
+//! it: [`Child::verified_digest`] recomputes everything read-only and
+//! reports a disagreement instead of silently overwriting it.
 
 use std::sync::Arc;
 
 use tcvs_crypto::{Digest, Sha256};
+
+use crate::error::{TreeError, VerifyError};
 
 /// A key stored in the tree (arbitrary bytes, ordered lexicographically).
 pub type Key = Vec<u8>;
@@ -31,8 +43,8 @@ pub fn u64_key(x: u64) -> Key {
     x.to_be_bytes().to_vec()
 }
 
-/// One `(key, value)` pair in a leaf, with its cached pair digest.
-#[derive(Clone, Debug)]
+/// One immutable `(key, value)` pair in a leaf, with its cached pair digest.
+#[derive(Debug)]
 pub(crate) struct LeafEntry {
     pub(crate) key: Key,
     pub(crate) value: Value,
@@ -42,7 +54,7 @@ pub(crate) struct LeafEntry {
 }
 
 /// The pair digest an entry caches (length-prefixed, so entry boundaries
-/// are unambiguous).
+/// are unambiguous). Streams the key and value in place — no copy.
 pub(crate) fn kv_hash(key: &[u8], value: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(b"tcvs-merkle-kv");
@@ -53,108 +65,96 @@ pub(crate) fn kv_hash(key: &[u8], value: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// The exact byte stream [`kv_hash`] feeds to SHA-256, materialized as one
-/// message so a whole leaf's entries can be rehashed through the
-/// multi-lane backend ([`tcvs_crypto::sha256_many`]) in interleaved lanes.
-fn kv_message(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut m = Vec::with_capacity(30 + key.len() + value.len());
-    m.extend_from_slice(b"tcvs-merkle-kv");
-    m.extend_from_slice(&(key.len() as u64).to_be_bytes());
-    m.extend_from_slice(key);
-    m.extend_from_slice(&(value.len() as u64).to_be_bytes());
-    m.extend_from_slice(value);
-    m
-}
-
 impl LeafEntry {
-    /// Builds an entry, computing its pair digest.
-    pub(crate) fn new(key: Key, value: Value) -> LeafEntry {
+    /// Builds a shareable entry, computing its pair digest.
+    pub(crate) fn new(key: Key, value: Value) -> Arc<LeafEntry> {
         let kv_hash = kv_hash(&key, &value);
-        LeafEntry {
+        Arc::new(LeafEntry {
             key,
             value,
             kv_hash,
-        }
+        })
     }
 
-    /// Replaces the value (and pair digest), returning the old value.
-    pub(crate) fn replace_value(&mut self, value: Value) -> Value {
-        self.kv_hash = kv_hash(&self.key, &value);
-        std::mem::replace(&mut self.value, value)
-    }
-
-    /// Recomputes the cached pair digest from the stored key and value.
-    /// Clients run this on received proofs — a cached digest from the wire
-    /// is never trusted.
-    pub(crate) fn rehash(&mut self) {
-        self.kv_hash = kv_hash(&self.key, &self.value);
+    /// The value of an entry leaving its leaf: moved out when this was the
+    /// last handle, copied when a snapshot or proof still shares the entry.
+    pub(crate) fn into_value(entry: Arc<LeafEntry>) -> Value {
+        Arc::try_unwrap(entry).map_or_else(|shared| shared.value.clone(), |e| e.value)
     }
 }
 
-/// A node of the Merkle B+-tree.
+/// One slot of an internal node (or the root slot of a tree).
 ///
-/// `Stub` nodes appear only in *pruned* trees (verification objects): they
-/// stand for an entire subtree, represented solely by its digest. Full
-/// server-side trees contain no stubs.
+/// `Stub`s appear only in *pruned* trees (verification objects): they stand
+/// for an entire subtree, represented solely by its digest, stored inline.
+/// Full server-side trees contain no stubs.
 #[derive(Clone, Debug)]
-pub(crate) enum Node {
+pub(crate) enum Child {
     /// A pruned-away subtree, known only by its digest.
     Stub(Digest),
+    /// A materialized subtree, shared copy-on-write.
+    Node(Arc<Node>),
+}
+
+/// A materialized node of the Merkle B+-tree.
+#[derive(Clone, Debug)]
+pub(crate) enum Node {
     /// A leaf holding sorted `(key, value)` entries.
     Leaf {
-        entries: Vec<LeafEntry>,
+        entries: Vec<Arc<LeafEntry>>,
         digest: Digest,
     },
     /// An internal node with `keys.len() + 1` children; subtree `i` holds
     /// keys `k` with `keys[i-1] <= k < keys[i]` (lexicographic).
     Internal {
-        keys: Vec<Key>,
-        children: Vec<Arc<Node>>,
+        keys: Arc<[Key]>,
+        children: Vec<Child>,
         digest: Digest,
     },
 }
 
 impl Node {
-    /// Creates an empty leaf (the root of an empty tree).
-    pub(crate) fn empty_leaf() -> Node {
+    /// A leaf over `entries`, digest computed.
+    pub(crate) fn leaf(entries: Vec<Arc<LeafEntry>>) -> Node {
         let mut leaf = Node::Leaf {
-            entries: Vec::new(),
+            entries,
             digest: Digest::ZERO,
         };
         leaf.recompute_digest();
         leaf
     }
 
+    /// An internal node over `keys` and `children`, digest computed.
+    pub(crate) fn internal(keys: Arc<[Key]>, children: Vec<Child>) -> Node {
+        let mut node = Node::Internal {
+            keys,
+            children,
+            digest: Digest::ZERO,
+        };
+        node.recompute_digest();
+        node
+    }
+
     /// The cached digest of this node.
     pub(crate) fn digest(&self) -> Digest {
         match self {
-            Node::Stub(d) => *d,
-            Node::Leaf { digest, .. } => *digest,
-            Node::Internal { digest, .. } => *digest,
+            Node::Leaf { digest, .. } | Node::Internal { digest, .. } => *digest,
         }
     }
 
-    /// Recomputes and caches this node's digest from its (already-correct)
-    /// children digests / entry pair digests. Stubs keep their stored
-    /// digest.
-    pub(crate) fn recompute_digest(&mut self) {
+    /// This node's digest computed from its children's cached digests /
+    /// its entries' cached pair digests.
+    fn compute_digest(&self) -> Digest {
+        let mut h = Sha256::new();
         match self {
-            Node::Stub(_) => {}
-            Node::Leaf { entries, digest } => {
-                let mut h = Sha256::new();
+            Node::Leaf { entries, .. } => {
                 h.update(b"tcvs-merkle-leaf");
                 h.update(&(entries.len() as u64).to_be_bytes());
                 for e in entries.iter() {
                     h.update(e.kv_hash.as_bytes());
                 }
-                *digest = h.finalize();
             }
-            Node::Internal {
-                keys,
-                children,
-                digest,
-            } => {
-                let mut h = Sha256::new();
+            Node::Internal { keys, children, .. } => {
                 h.update(b"tcvs-merkle-int");
                 h.update(&(keys.len() as u64).to_be_bytes());
                 for k in keys.iter() {
@@ -165,133 +165,198 @@ impl Node {
                 for c in children.iter() {
                     h.update(c.digest().as_bytes());
                 }
-                *digest = h.finalize();
             }
+        }
+        h.finalize()
+    }
+
+    /// Recomputes and caches this node's digest after an edit.
+    pub(crate) fn recompute_digest(&mut self) {
+        let fresh = self.compute_digest();
+        match self {
+            Node::Leaf { digest, .. } | Node::Internal { digest, .. } => *digest = fresh,
         }
     }
 
-    /// True iff this node is a stub.
-    #[allow(dead_code)] // used by tests and kept for API symmetry
-    pub(crate) fn is_stub(&self) -> bool {
-        matches!(self, Node::Stub(_))
+    /// Checks this node's own caches against its content: every entry's
+    /// pair digest, and the node digest over them (children's cached
+    /// digests are taken as given — [`Child::verified_digest`] recurses).
+    pub(crate) fn check_digest(&self) -> Result<(), VerifyError> {
+        let pairs_hold = match self {
+            Node::Leaf { entries, .. } => entries
+                .iter()
+                .all(|e| kv_hash(&e.key, &e.value) == e.kv_hash),
+            Node::Internal { .. } => true,
+        };
+        if pairs_hold && self.compute_digest() == self.digest() {
+            Ok(())
+        } else {
+            Err(VerifyError::CachedDigestMismatch)
+        }
+    }
+}
+
+impl Child {
+    /// The digest of the subtree in this slot.
+    pub(crate) fn digest(&self) -> Digest {
+        match self {
+            Child::Stub(d) => *d,
+            Child::Node(n) => n.digest(),
+        }
+    }
+
+    /// The materialized node, or `IncompleteProof` for a stub.
+    pub(crate) fn node(&self) -> Result<&Node, TreeError> {
+        match self {
+            Child::Stub(_) => Err(TreeError::IncompleteProof),
+            Child::Node(n) => Ok(n),
+        }
+    }
+
+    /// The materialized node for editing, or `IncompleteProof` for a stub.
+    /// Copy-on-write: a node still shared with a snapshot or proof is
+    /// copied first (one `Arc` and one vector; its keys, entries and
+    /// children stay shared), so other handles never see the edit.
+    pub(crate) fn node_mut(&mut self) -> Result<&mut Node, TreeError> {
+        match self {
+            Child::Stub(_) => Err(TreeError::IncompleteProof),
+            Child::Node(n) => Ok(Arc::make_mut(n)),
+        }
+    }
+
+    /// This subtree pruned away: an inline stub carrying its digest.
+    pub(crate) fn to_stub(&self) -> Child {
+        Child::Stub(self.digest())
     }
 
     /// True iff this subtree contains a stub anywhere.
     pub(crate) fn contains_stub(&self) -> bool {
-        match self {
-            Node::Stub(_) => true,
-            Node::Leaf { .. } => false,
-            Node::Internal { children, .. } => children.iter().any(|c| c.contains_stub()),
+        match self.node() {
+            Err(_) => true,
+            Ok(Node::Leaf { .. }) => false,
+            Ok(Node::Internal { children, .. }) => children.iter().any(Child::contains_stub),
         }
-    }
-
-    /// Replaces this node with a stub carrying its digest.
-    pub(crate) fn to_stub(&self) -> Node {
-        Node::Stub(self.digest())
     }
 
     /// Number of entries stored in materialized leaves of this subtree.
     pub(crate) fn entry_count(&self) -> usize {
-        match self {
-            Node::Stub(_) => 0,
-            Node::Leaf { entries, .. } => entries.len(),
-            Node::Internal { children, .. } => children.iter().map(|c| c.entry_count()).sum(),
+        match self.node() {
+            Err(_) => 0,
+            Ok(Node::Leaf { entries, .. }) => entries.len(),
+            Ok(Node::Internal { children, .. }) => children.iter().map(Child::entry_count).sum(),
         }
     }
 
     /// Number of materialized (non-stub) nodes in this subtree.
     pub(crate) fn materialized_nodes(&self) -> usize {
-        match self {
-            Node::Stub(_) => 0,
-            Node::Leaf { .. } => 1,
-            Node::Internal { children, .. } => {
+        match self.node() {
+            Err(_) => 0,
+            Ok(Node::Leaf { .. }) => 1,
+            Ok(Node::Internal { children, .. }) => {
                 1 + children
                     .iter()
-                    .map(|c| c.materialized_nodes())
+                    .map(Child::materialized_nodes)
                     .sum::<usize>()
             }
         }
     }
 
-    /// Wire-size estimate in bytes of this subtree's encoding (used for the
-    /// verification-object size experiments).
-    pub(crate) fn encoded_size(&self) -> usize {
-        match self {
-            Node::Stub(_) => 1 + Digest::LEN,
-            Node::Leaf { entries, .. } => {
-                1 + 8
-                    + entries
-                        .iter()
-                        .map(|e| 16 + e.key.len() + e.value.len())
-                        .sum::<usize>()
-            }
-            Node::Internal { keys, children, .. } => {
-                1 + 8
-                    + keys.iter().map(|k| 8 + k.len()).sum::<usize>()
-                    + 8
-                    + children.iter().map(|c| c.encoded_size()).sum::<usize>()
-            }
-        }
-    }
-}
-
-/// Shallow copy for proof construction: a leaf is *shared* (the Arc is
-/// cloned, zero-copy); an internal node keeps its keys but its children
-/// become stubs. Used to materialize the siblings a delete may need for
-/// borrow/merge.
-pub(crate) fn shallow_copy(node: &Arc<Node>) -> Arc<Node> {
-    match &**node {
-        Node::Stub(_) | Node::Leaf { .. } => Arc::clone(node),
-        Node::Internal {
-            keys,
+    /// A proof's copy of an internal node: the separator keys shared with
+    /// the source, the cached digest kept, `children` as the pruner chose
+    /// them. Two allocations — the node and its child vector.
+    pub(crate) fn spine(keys: &Arc<[Key]>, children: Vec<Child>, digest: Digest) -> Child {
+        Child::Node(Arc::new(Node::Internal {
+            keys: Arc::clone(keys),
             children,
             digest,
-        } => Arc::new(Node::Internal {
-            keys: keys.clone(),
-            children: children.iter().map(|c| Arc::new(c.to_stub())).collect(),
-            digest: *digest,
-        }),
+        }))
+    }
+
+    /// Shallow copy for proof construction: a leaf is *shared*; an internal
+    /// node shares its keys but its children become inline stubs. Used to
+    /// materialize the siblings a delete may need for borrow/merge.
+    pub(crate) fn shallow_copy(&self) -> Child {
+        match self.node() {
+            Ok(Node::Internal {
+                keys,
+                children,
+                digest,
+            }) => Child::spine(keys, children.iter().map(Child::to_stub).collect(), *digest),
+            _ => self.clone(),
+        }
+    }
+
+    /// Recomputes every materialized digest of this subtree from content,
+    /// bottom-up and **read-only** — pair digests included; stub digests
+    /// are taken as given — and returns the digest the content commits to.
+    ///
+    /// Clients run this on received proofs, so the root digest provably
+    /// commits to the *materialized content*, not to whatever cached
+    /// digests the server chose to send: a cached digest that disagrees is
+    /// a typed deviation ([`VerifyError::CachedDigestMismatch`]), never
+    /// silently healed. Nothing is copied, so a proof that shares nodes
+    /// with a live tree verifies without a single allocation.
+    pub(crate) fn verified_digest(&self) -> Result<Digest, VerifyError> {
+        if let Child::Node(node) = self {
+            if let Node::Internal { children, .. } = &**node {
+                for c in children {
+                    c.verified_digest()?;
+                }
+            }
+            node.check_digest()?;
+        }
+        Ok(self.digest())
+    }
+
+    /// This subtree rebuilt from its content alone: same keys, values and
+    /// stubs, every cached digest computed afresh.
+    pub(crate) fn rebuilt(&self) -> Child {
+        match self.node() {
+            Err(_) => self.clone(),
+            Ok(Node::Leaf { entries, .. }) => Child::Node(Arc::new(Node::leaf(
+                entries
+                    .iter()
+                    .map(|e| LeafEntry::new(e.key.clone(), e.value.clone()))
+                    .collect(),
+            ))),
+            Ok(Node::Internal { keys, children, .. }) => Child::Node(Arc::new(Node::internal(
+                Arc::clone(keys),
+                children.iter().map(Child::rebuilt).collect(),
+            ))),
+        }
     }
 }
 
-/// Recomputes every materialized digest in the subtree bottom-up —
-/// including the per-entry pair digests (stub digests are taken as given).
-/// Clients run this on received proofs so the root digest provably commits
-/// to the *materialized content*, not to whatever cached digests the server
-/// chose to send.
-///
-/// Copy-on-write: shared nodes are cloned before being rehashed, so a tree
-/// this proof shares structure with is never written through.
-pub(crate) fn recompute_all(node: &mut Arc<Node>) {
-    let n = Arc::make_mut(node);
-    match n {
-        Node::Stub(_) => {}
-        Node::Leaf { entries, .. } => {
-            if entries.len() < 2 {
-                for e in entries.iter_mut() {
-                    e.rehash();
-                }
-            } else {
-                // The leaf's pair digests are independent hashes, so feed
-                // them through the interleaved multi-lane backend; the
-                // per-entry byte stream is identical to `kv_hash`.
-                let msgs: Vec<Vec<u8>> = entries
-                    .iter()
-                    .map(|e| kv_message(&e.key, &e.value))
-                    .collect();
-                let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-                for (e, d) in entries.iter_mut().zip(tcvs_crypto::sha256_many(&refs)) {
-                    e.kv_hash = d;
-                }
-            }
-        }
-        Node::Internal { children, .. } => {
-            for c in children.iter_mut() {
-                recompute_all(c);
+#[cfg(test)]
+impl Child {
+    /// Test-only forgery: hands the entries and the cached digest of the
+    /// leaf on `key`'s path to `f` for editing and rehashes *nothing* — what
+    /// a server does that ships content its cached digests do not commit
+    /// to. Copy-on-write like any edit, so trees sharing the path keep
+    /// their honest state.
+    pub(crate) fn forge_leaf(
+        &mut self,
+        key: &[u8],
+        f: impl FnOnce(&mut Vec<Arc<LeafEntry>>, &mut Digest),
+    ) {
+        match self.node_mut().expect("path is materialized") {
+            Node::Leaf { entries, digest } => f(entries, digest),
+            Node::Internal { keys, children, .. } => {
+                let idx = keys.partition_point(|k| k.as_slice() <= key);
+                children[idx].forge_leaf(key, f)
             }
         }
     }
-    n.recompute_digest();
+
+    /// Test-only forgery: a copy of `honest` carrying `value` under the
+    /// *honest* pair digest.
+    pub(crate) fn forged_entry(honest: &LeafEntry, value: &[u8]) -> Arc<LeafEntry> {
+        Arc::new(LeafEntry {
+            key: honest.key.clone(),
+            value: value.to_vec(),
+            kv_hash: honest.kv_hash,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -299,21 +364,27 @@ mod tests {
     use super::*;
 
     pub(crate) fn leaf(entries: Vec<(Key, Value)>) -> Node {
-        let mut l = Node::Leaf {
-            entries: entries
+        Node::leaf(
+            entries
                 .into_iter()
                 .map(|(k, v)| LeafEntry::new(k, v))
                 .collect(),
-            digest: Digest::ZERO,
-        };
-        l.recompute_digest();
-        l
+        )
+    }
+
+    fn two_leaf_parent() -> Child {
+        let a = Child::Node(Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())])));
+        let b = Child::Node(Arc::new(leaf(vec![(b"m".to_vec(), b"2".to_vec())])));
+        Child::Node(Arc::new(Node::internal(
+            vec![b"m".to_vec()].into(),
+            vec![a, b],
+        )))
     }
 
     #[test]
     fn empty_leaf_has_stable_digest() {
-        let a = Node::empty_leaf();
-        let b = Node::empty_leaf();
+        let a = Node::leaf(Vec::new());
+        let b = Node::leaf(Vec::new());
         assert_eq!(a.digest(), b.digest());
         assert!(!a.digest().is_zero());
     }
@@ -336,12 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn replace_value_updates_pair_digest() {
+    fn replacing_an_entry_updates_the_leaf_digest() {
         let mut l = leaf(vec![(b"k".to_vec(), b"v1".to_vec())]);
         let before = l.digest();
         if let Node::Leaf { entries, .. } = &mut l {
-            let old = entries[0].replace_value(b"v2".to_vec());
-            assert_eq!(old, b"v1".to_vec());
+            let new = LeafEntry::new(b"k".to_vec(), b"v2".to_vec());
+            let old = std::mem::replace(&mut entries[0], new);
+            assert_eq!(LeafEntry::into_value(old), b"v1".to_vec());
         }
         l.recompute_digest();
         assert_ne!(l.digest(), before);
@@ -353,71 +425,144 @@ mod tests {
     }
 
     #[test]
-    fn internal_digest_binds_children_order() {
-        let a = Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())]));
-        let b = Arc::new(leaf(vec![(b"b".to_vec(), b"2".to_vec())]));
+    fn into_value_copies_only_when_shared() {
+        let e = LeafEntry::new(b"k".to_vec(), b"v".to_vec());
+        let shared = Arc::clone(&e);
+        assert_eq!(LeafEntry::into_value(shared), b"v".to_vec());
+        assert_eq!(e.value, b"v".to_vec(), "the other handle keeps its value");
+        assert_eq!(LeafEntry::into_value(e), b"v".to_vec());
+    }
 
-        let mut n1 = Node::Internal {
-            keys: vec![b"b".to_vec()],
-            children: vec![Arc::clone(&a), Arc::clone(&b)],
-            digest: Digest::ZERO,
-        };
-        let mut n2 = Node::Internal {
-            keys: vec![b"b".to_vec()],
-            children: vec![b, a],
-            digest: Digest::ZERO,
-        };
-        n1.recompute_digest();
-        n2.recompute_digest();
+    #[test]
+    fn internal_digest_binds_children_order() {
+        let a = Child::Node(Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())])));
+        let b = Child::Node(Arc::new(leaf(vec![(b"b".to_vec(), b"2".to_vec())])));
+        let keys: Arc<[Key]> = vec![b"b".to_vec()].into();
+        let n1 = Node::internal(Arc::clone(&keys), vec![a.clone(), b.clone()]);
+        let n2 = Node::internal(keys, vec![b, a]);
         assert_ne!(n1.digest(), n2.digest());
     }
 
     #[test]
-    fn stub_preserves_digest() {
-        let l = leaf(vec![(b"k".to_vec(), b"v".to_vec())]);
+    fn stub_preserves_digest_inline() {
+        let l = Child::Node(Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())])));
         let s = l.to_stub();
         assert_eq!(s.digest(), l.digest());
-        assert!(s.is_stub());
+        assert!(matches!(s, Child::Stub(_)));
+        assert!(s.contains_stub());
         assert_eq!(s.materialized_nodes(), 0);
+        assert_eq!(s.node().unwrap_err(), TreeError::IncompleteProof);
     }
 
     #[test]
-    fn shallow_copy_of_internal_keeps_digest() {
-        let a = Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())]));
-        let b = Arc::new(leaf(vec![(b"m".to_vec(), b"2".to_vec())]));
-        let mut n = Node::Internal {
-            keys: vec![b"m".to_vec()],
-            children: vec![a, b],
-            digest: Digest::ZERO,
-        };
-        n.recompute_digest();
-        let n = Arc::new(n);
-        let s = shallow_copy(&n);
+    fn shallow_copy_of_internal_keeps_digest_and_shares_keys() {
+        let n = two_leaf_parent();
+        let s = n.shallow_copy();
         assert_eq!(s.digest(), n.digest());
         assert_eq!(s.materialized_nodes(), 1);
+        match (n.node().unwrap(), s.node().unwrap()) {
+            (Node::Internal { keys: a, .. }, Node::Internal { keys: b, .. }) => {
+                assert!(Arc::ptr_eq(a, b), "separator keys are shared, not cloned")
+            }
+            _ => panic!("internal nodes expected"),
+        }
+        // Stub children are inline: the copy still folds to the same digest.
+        assert_eq!(s.verified_digest().unwrap(), n.digest());
     }
 
     #[test]
     fn shallow_copy_of_leaf_is_shared() {
-        let l = Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())]));
-        let s = shallow_copy(&l);
-        assert!(Arc::ptr_eq(&l, &s), "leaf shallow copies share the Arc");
+        let l = Child::Node(Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())])));
+        match (&l, &l.shallow_copy()) {
+            (Child::Node(a), Child::Node(b)) => {
+                assert!(Arc::ptr_eq(a, b), "leaf shallow copies share the Arc")
+            }
+            _ => panic!("leaves expected"),
+        }
     }
 
     #[test]
-    fn recompute_all_restores_tampered_caches() {
-        // Corrupt a cached kv_hash; recompute_all must heal it so the root
-        // commits to the actual content.
-        let honest = Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())]));
-        let mut tampered = (*honest).clone();
-        if let Node::Leaf { entries, .. } = &mut tampered {
-            entries[0].kv_hash = Digest::ZERO;
+    fn copy_on_write_shares_entries_and_keys() {
+        let original = two_leaf_parent();
+        let mut copy = original.clone();
+        // Un-sharing the parent copies one node and one child vector; the
+        // keys and both leaves stay shared with the original.
+        let Node::Internal { keys, children, .. } = copy.node_mut().unwrap() else {
+            panic!("internal node expected")
+        };
+        let Node::Internal {
+            keys: okeys,
+            children: ochildren,
+            ..
+        } = original.node().unwrap()
+        else {
+            panic!("internal node expected")
+        };
+        assert!(Arc::ptr_eq(keys, okeys));
+        // Editing one leaf of the copy never reaches the original.
+        let before = ochildren[0].digest();
+        if let Node::Leaf { entries, .. } = children[0].node_mut().unwrap() {
+            entries[0] = LeafEntry::new(b"a".to_vec(), b"changed".to_vec());
         }
-        tampered.recompute_digest();
-        assert_ne!(tampered.digest(), honest.digest());
-        let mut t = Arc::new(tampered);
-        recompute_all(&mut t);
-        assert_eq!(t.digest(), honest.digest());
+        children[0].node_mut().unwrap().recompute_digest();
+        assert_ne!(children[0].digest(), before);
+        assert_eq!(ochildren[0].digest(), before);
+        assert_eq!(original.verified_digest().unwrap(), original.digest());
+    }
+
+    /// A forged cache is a typed deviation, at either level, and is never
+    /// written through; honest content under an honest cache folds to the
+    /// digest it always had.
+    #[test]
+    fn verified_digest_rejects_forged_caches() {
+        let honest = two_leaf_parent();
+        assert_eq!(honest.verified_digest().unwrap(), honest.digest());
+
+        // Forged pair digest under a leaf digest recomputed to match it.
+        let forged_pair = |evil: Digest| {
+            let mut t = honest.clone();
+            let Node::Internal { children, .. } = t.node_mut().unwrap() else {
+                panic!("internal node expected")
+            };
+            if let Node::Leaf { entries, .. } = children[1].node_mut().unwrap() {
+                entries[0] = Arc::new(LeafEntry {
+                    key: entries[0].key.clone(),
+                    value: entries[0].value.clone(),
+                    kv_hash: evil,
+                });
+            }
+            children[1].node_mut().unwrap().recompute_digest();
+            t.node_mut().unwrap().recompute_digest();
+            t
+        };
+        let t = forged_pair(Digest::ZERO);
+        assert_ne!(t.digest(), honest.digest());
+        assert_eq!(
+            t.verified_digest().unwrap_err(),
+            VerifyError::CachedDigestMismatch
+        );
+
+        // Forged node digest: honest content under a lying cache.
+        let mut t = honest.clone();
+        if let Node::Internal { digest, .. } = t.node_mut().unwrap() {
+            *digest = Digest::ZERO;
+        }
+        assert_eq!(
+            t.verified_digest().unwrap_err(),
+            VerifyError::CachedDigestMismatch
+        );
+        // ...while the shared original was never written through.
+        assert_eq!(honest.verified_digest().unwrap(), honest.digest());
+
+        // Rebuilding from content restores exactly the honest digests.
+        assert_eq!(t.rebuilt().verified_digest().unwrap(), honest.digest());
+        assert_eq!(
+            forged_pair(Digest::ZERO)
+                .rebuilt()
+                .verified_digest()
+                .unwrap(),
+            honest.digest()
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * the **server** holds a *full* tree (no stubs) and answers queries;
 //! * the **client** receives a *pruned* tree — the verification object — in
-//!   which every subtree irrelevant to the operation is replaced by a
-//!   [`Stub`](crate::node::Node) carrying only its digest.
+//!   which every subtree irrelevant to the operation is replaced by an
+//!   inline stub carrying only its digest.
 //!
 //! Because both trees run exactly the same operation code, the client
 //! *replays* the server's operation on the pruned tree: if the pruned tree's
@@ -19,12 +19,15 @@
 //! Nodes are held behind [`Arc`], so trees *share structure*:
 //!
 //! * `Clone` is an O(1) root-pointer copy — a clone is a snapshot;
-//! * a mutation clones only the root-to-leaf spine it touches
-//!   ([`Arc::make_mut`]); untouched siblings stay shared with every
-//!   snapshot taken earlier;
+//! * a mutation copies only the root-to-leaf spine it touches
+//!   ([`Arc::make_mut`]) — per node one `Arc` and one child (or entry)
+//!   vector, the separator keys and leaf entries themselves staying
+//!   shared; untouched siblings stay shared with every snapshot taken
+//!   earlier;
 //! * pruning shares the materialized leaves and in-range subtrees with the
-//!   live tree instead of deep-cloning their entries — proof construction
-//!   allocates only the spine of stub-filled internal nodes.
+//!   live tree, shares each spine node's separator keys, and writes pruned
+//!   siblings as inline stubs — proof construction allocates two blocks
+//!   per materialized internal node and nothing else.
 //!
 //! Sharing is never observable through the API: any mutation of one tree
 //! first un-shares the affected nodes, so other handles keep their exact
@@ -34,8 +37,8 @@ use std::sync::Arc;
 
 use tcvs_crypto::Digest;
 
-use crate::error::TreeError;
-use crate::node::{recompute_all, shallow_copy, Key, LeafEntry, Node, Value};
+use crate::error::{TreeError, VerifyError};
+use crate::node::{Child, Key, LeafEntry, Node, Value};
 
 /// Minimum supported branching order.
 pub const MIN_ORDER: usize = 4;
@@ -46,7 +49,7 @@ pub const DEFAULT_ORDER: usize = 16;
 /// A Merkle B+-tree over byte keys and values.
 #[derive(Clone, Debug)]
 pub struct MerkleTree {
-    root: Arc<Node>,
+    root: Child,
     order: usize,
     /// Entry count: `Some` for full trees, `None` for pruned trees, where
     /// the count is not authenticated and must not be relied upon.
@@ -59,6 +62,12 @@ fn child_index(keys: &[Key], key: &[u8]) -> usize {
     keys.partition_point(|k| k.as_slice() <= key)
 }
 
+/// Position of `key` in a leaf's sorted entries (`Err` = insertion point).
+#[inline]
+fn entry_index(entries: &[Arc<LeafEntry>], key: &[u8]) -> Result<usize, usize> {
+    entries.binary_search_by(|e| e.key.as_slice().cmp(key))
+}
+
 impl MerkleTree {
     /// Creates an empty tree with the default branching order.
     pub fn new() -> MerkleTree {
@@ -69,7 +78,7 @@ impl MerkleTree {
     pub fn with_order(order: usize) -> MerkleTree {
         assert!(order >= MIN_ORDER, "order {order} < minimum {MIN_ORDER}");
         MerkleTree {
-            root: Arc::new(Node::empty_leaf()),
+            root: Child::Node(Arc::new(Node::leaf(Vec::new()))),
             order,
             len: Some(0),
         }
@@ -109,29 +118,20 @@ impl MerkleTree {
         self.root.materialized_nodes()
     }
 
-    /// Wire-size estimate of this tree's encoding in bytes.
-    pub fn encoded_size(&self) -> usize {
-        self.root.encoded_size()
-    }
-
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
     /// Point lookup. `Err(IncompleteProof)` if the search hits a stub.
     pub fn get(&self, key: &[u8]) -> Result<Option<&Value>, TreeError> {
-        let mut node: &Node = &self.root;
+        let mut child = &self.root;
         loop {
-            match node {
-                Node::Stub(_) => return Err(TreeError::IncompleteProof),
+            match child.node()? {
                 Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|e| e.key.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| &entries[i].value));
+                    return Ok(entry_index(entries, key).ok().map(|i| &entries[i].value));
                 }
                 Node::Internal { keys, children, .. } => {
-                    node = &children[child_index(keys, key)];
+                    child = &children[child_index(keys, key)];
                 }
             }
         }
@@ -163,14 +163,9 @@ impl MerkleTree {
     pub fn insert(&mut self, key: Key, value: Value) -> Result<Option<Value>, TreeError> {
         let (old, split) = insert_rec(&mut self.root, key, value, self.order)?;
         if let Some((sep, right)) = split {
-            let old_root = std::mem::replace(&mut self.root, Arc::new(Node::empty_leaf()));
-            let mut new_root = Node::Internal {
-                keys: vec![sep],
-                children: vec![old_root, right],
-                digest: Digest::ZERO,
-            };
-            new_root.recompute_digest();
-            self.root = Arc::new(new_root);
+            let left = std::mem::replace(&mut self.root, Child::Stub(Digest::ZERO));
+            let root = Node::internal(vec![sep].into(), vec![left, right]);
+            self.root = Child::Node(Arc::new(root));
         }
         if old.is_none() {
             if let Some(len) = &mut self.len {
@@ -184,10 +179,8 @@ impl MerkleTree {
     pub fn delete(&mut self, key: &[u8]) -> Result<Option<Value>, TreeError> {
         let old = delete_rec(&mut self.root, key, self.order)?;
         // Collapse a root that shrank to a single child.
-        let collapsed = match &*self.root {
-            Node::Internal { children, .. } if children.len() == 1 => {
-                Some(Arc::clone(&children[0]))
-            }
+        let collapsed = match self.root.node() {
+            Ok(Node::Internal { children, .. }) if children.len() == 1 => Some(children[0].clone()),
             _ => None,
         };
         if let Some(child) = collapsed {
@@ -201,22 +194,33 @@ impl MerkleTree {
         Ok(old)
     }
 
-    /// Recomputes every materialized digest bottom-up — including per-entry
-    /// pair digests — replacing any cached digests. Run on *received* pruned
-    /// trees before trusting their root digest.
+    /// Rebuilds the tree from its content alone, computing every
+    /// materialized digest afresh (per-entry pair digests included). The
+    /// verifiers do not need this — they fold received proofs read-only and
+    /// *reject* a cached digest that disagrees with its content — and no
+    /// tree built through this API can hold a stale digest.
     pub fn recompute_all_digests(&mut self) {
-        recompute_all(&mut self.root);
+        self.root = self.root.rebuilt();
     }
 
-    /// Borrow of the root node (crate-internal, for the codec).
-    pub(crate) fn root_ref(&self) -> &Node {
+    /// The root digest this tree's *content* commits to: every materialized
+    /// digest recomputed bottom-up, read-only, no node copied. Clients run
+    /// this on a received proof before trusting [`Self::root_digest`]; a
+    /// cached digest that disagrees is
+    /// [`VerifyError::CachedDigestMismatch`].
+    pub(crate) fn verified_root(&self) -> Result<Digest, VerifyError> {
+        self.root.verified_digest()
+    }
+
+    /// The root slot (crate-internal, for the codec and chunk grafting).
+    pub(crate) fn root(&self) -> &Child {
         &self.root
     }
 
-    /// The shared root pointer (crate-internal). Lets [`crate::chunk`] graft
-    /// subtrees with O(1) `Arc` sharing instead of deep clones.
-    pub(crate) fn root_arc(&self) -> &Arc<Node> {
-        &self.root
+    /// The root slot for editing behind the API's back (forgery tests).
+    #[cfg(test)]
+    pub(crate) fn root_mut(&mut self) -> &mut Child {
+        &mut self.root
     }
 
     /// Erases the cached entry count (crate-internal). Proofs decode
@@ -229,12 +233,8 @@ impl MerkleTree {
 
     /// Reassembles a tree from decoded parts (crate-internal, for the
     /// codec; the caller has already verified digests and structure).
-    pub(crate) fn from_parts(root: Node, order: usize, len: Option<usize>) -> MerkleTree {
-        MerkleTree {
-            root: Arc::new(root),
-            order,
-            len,
-        }
+    pub(crate) fn from_parts(root: Child, order: usize, len: Option<usize>) -> MerkleTree {
+        MerkleTree { root, order, len }
     }
 
     // ------------------------------------------------------------------
@@ -292,7 +292,7 @@ impl MerkleTree {
         sorted.sort_unstable();
         sorted.dedup();
         let root = if sorted.is_empty() {
-            Arc::new(self.root.to_stub())
+            self.root.to_stub()
         } else {
             prune_points_rec(&self.root, &sorted)
         };
@@ -332,99 +332,96 @@ impl Default for MerkleTree {
 // Recursive workers
 // ----------------------------------------------------------------------
 
-type SplitInfo = Option<(Key, Arc<Node>)>;
+type SplitInfo = Option<(Key, Child)>;
 
 fn insert_rec(
-    node: &mut Arc<Node>,
+    child: &mut Child,
     key: Key,
     value: Value,
     order: usize,
 ) -> Result<(Option<Value>, SplitInfo), TreeError> {
-    if matches!(&**node, Node::Stub(_)) {
-        return Err(TreeError::IncompleteProof);
-    }
-    // Copy-on-write: un-share this node before mutating it, so snapshots
-    // and proofs holding the old version are unaffected.
-    let node = Arc::make_mut(node);
-    match node {
-        Node::Stub(_) => unreachable!("checked above"),
+    // Copy-on-write: `node_mut` un-shares this node before it is edited, so
+    // snapshots and proofs holding the old version are unaffected.
+    let node = child.node_mut()?;
+    let (old, split) = match node {
         Node::Leaf { entries, .. } => {
-            let old = match entries.binary_search_by(|e| e.key.as_slice().cmp(&key)) {
-                Ok(i) => Some(entries[i].replace_value(value)),
+            let old = match entry_index(entries, &key) {
+                Ok(i) => {
+                    let new = LeafEntry::new(key, value);
+                    Some(LeafEntry::into_value(std::mem::replace(
+                        &mut entries[i],
+                        new,
+                    )))
+                }
                 Err(i) => {
                     entries.insert(i, LeafEntry::new(key, value));
                     None
                 }
             };
-            let split = if entries.len() > order {
-                let right_entries = entries.split_off(entries.len() / 2);
-                let sep = right_entries[0].key.clone();
-                let mut right = Node::Leaf {
-                    entries: right_entries,
-                    digest: Digest::ZERO,
-                };
-                right.recompute_digest();
-                Some((sep, Arc::new(right)))
-            } else {
-                None
-            };
-            node.recompute_digest();
-            Ok((old, split))
+            let split = (entries.len() > order).then(|| {
+                let right = entries.split_off(entries.len() / 2);
+                (right[0].key.clone(), Node::leaf(right))
+            });
+            (old, split)
         }
         Node::Internal { keys, children, .. } => {
             let idx = child_index(keys, &key);
             let (old, child_split) = insert_rec(&mut children[idx], key, value, order)?;
+            let mut split = None;
             if let Some((sep, right)) = child_split {
-                keys.insert(idx, sep);
+                let mut seps = take_keys(keys);
+                seps.insert(idx, sep);
                 children.insert(idx + 1, right);
+                if children.len() > order {
+                    let mid = children.len() / 2;
+                    let right_children = children.split_off(mid);
+                    let right_seps = seps.split_off(mid);
+                    // `seps` now holds `seps[..mid]`; its last entry is
+                    // promoted as the separator between the two halves.
+                    let promote = seps.pop().expect("non-empty separator set");
+                    split = Some((promote, Node::internal(right_seps.into(), right_children)));
+                }
+                *keys = seps.into();
             }
-            let split = if children.len() > order {
-                let mid = children.len() / 2;
-                let right_children = children.split_off(mid);
-                let right_keys = keys.split_off(mid);
-                // keys now holds `keys[..mid]`; its last entry is promoted
-                // as the separator between the two halves.
-                let promote = keys.pop().expect("non-empty separator set");
-                let mut right = Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                    digest: Digest::ZERO,
-                };
-                right.recompute_digest();
-                Some((promote, Arc::new(right)))
-            } else {
-                None
-            };
-            node.recompute_digest();
-            Ok((old, split))
+            (old, split)
         }
-    }
+    };
+    node.recompute_digest();
+    Ok((
+        old,
+        split.map(|(sep, right)| (sep, Child::Node(Arc::new(right)))),
+    ))
 }
 
-fn delete_rec(node: &mut Arc<Node>, key: &[u8], order: usize) -> Result<Option<Value>, TreeError> {
-    if matches!(&**node, Node::Stub(_)) {
-        return Err(TreeError::IncompleteProof);
-    }
-    let node = Arc::make_mut(node);
-    match node {
-        Node::Stub(_) => unreachable!("checked above"),
-        Node::Leaf { entries, .. } => {
-            let old = entries
-                .binary_search_by(|e| e.key.as_slice().cmp(key))
-                .ok()
-                .map(|i| entries.remove(i).value);
-            node.recompute_digest();
-            Ok(old)
-        }
+fn delete_rec(child: &mut Child, key: &[u8], order: usize) -> Result<Option<Value>, TreeError> {
+    let node = child.node_mut()?;
+    let old = match node {
+        Node::Leaf { entries, .. } => entry_index(entries, key)
+            .ok()
+            .map(|i| LeafEntry::into_value(entries.remove(i))),
         Node::Internal { keys, children, .. } => {
             let idx = child_index(keys, key);
             let old = delete_rec(&mut children[idx], key, order)?;
-            if old.is_some() && is_underfull(&children[idx], order)? {
-                rebalance(keys, children, idx, order)?;
+            if old.is_some() && fill(children[idx].node()?) < min_fill(order) {
+                let mut seps = take_keys(keys);
+                let repaired = rebalance(&mut seps, children, idx, order);
+                *keys = seps.into();
+                repaired?;
             }
-            node.recompute_digest();
-            Ok(old)
+            old
         }
+    };
+    node.recompute_digest();
+    Ok(old)
+}
+
+/// A node's separators as an editable vector, to be shared again with
+/// `.into()` once edited: moved out when no snapshot or proof shares them
+/// (the slice is left holding empty keys until then), copied otherwise.
+fn take_keys(keys: &mut Arc<[Key]>) -> Vec<Key> {
+    match Arc::get_mut(keys) {
+        Some(unique) => unique.iter_mut().map(std::mem::take).collect(),
+        None => keys.to_vec(),
     }
 }
 
@@ -435,35 +432,28 @@ fn min_fill(order: usize) -> usize {
     order / 2
 }
 
-fn is_underfull(node: &Node, order: usize) -> Result<bool, TreeError> {
+/// Entries of a leaf / children of an internal node.
+fn fill(node: &Node) -> usize {
     match node {
-        Node::Stub(_) => Err(TreeError::IncompleteProof),
-        Node::Leaf { entries, .. } => Ok(entries.len() < min_fill(order)),
-        Node::Internal { children, .. } => Ok(children.len() < min_fill(order)),
-    }
-}
-
-fn has_spare(node: &Node, order: usize) -> Result<bool, TreeError> {
-    match node {
-        Node::Stub(_) => Err(TreeError::IncompleteProof),
-        Node::Leaf { entries, .. } => Ok(entries.len() > min_fill(order)),
-        Node::Internal { children, .. } => Ok(children.len() > min_fill(order)),
+        Node::Leaf { entries, .. } => entries.len(),
+        Node::Internal { children, .. } => children.len(),
     }
 }
 
 /// Repairs an underfull `children[idx]` by borrowing from or merging with an
 /// adjacent sibling. Borrowing is preferred (left first), matching classic
 /// B+-tree deletion; the choice order is part of the protocol: server and
-/// client must transform state identically.
+/// client must transform state identically. A stub sibling means the proof
+/// cannot support the repair (`IncompleteProof`).
 fn rebalance(
     keys: &mut Vec<Key>,
-    children: &mut Vec<Arc<Node>>,
+    children: &mut Vec<Child>,
     idx: usize,
     order: usize,
 ) -> Result<(), TreeError> {
-    if idx > 0 && has_spare(&children[idx - 1], order)? {
+    if idx > 0 && fill(children[idx - 1].node()?) > min_fill(order) {
         borrow_from_left(keys, children, idx)
-    } else if idx + 1 < children.len() && has_spare(&children[idx + 1], order)? {
+    } else if idx + 1 < children.len() && fill(children[idx + 1].node()?) > min_fill(order) {
         borrow_from_right(keys, children, idx)
     } else if idx > 0 {
         merge_into_left(keys, children, idx - 1)
@@ -472,19 +462,14 @@ fn rebalance(
     }
 }
 
-fn borrow_from_left(
-    keys: &mut [Key],
-    children: &mut [Arc<Node>],
-    idx: usize,
-) -> Result<(), TreeError> {
+fn borrow_from_left(keys: &mut [Key], children: &mut [Child], idx: usize) -> Result<(), TreeError> {
     let (l, r) = children.split_at_mut(idx);
-    let left = Arc::make_mut(&mut l[idx - 1]);
-    let cur = Arc::make_mut(&mut r[0]);
-    match (left, cur) {
+    let (left, cur) = (l[idx - 1].node_mut()?, r[0].node_mut()?);
+    match (&mut *left, &mut *cur) {
         (Node::Leaf { entries: le, .. }, Node::Leaf { entries: ce, .. }) => {
             let moved = le.pop().ok_or(TreeError::IncompleteProof)?;
+            keys[idx - 1] = moved.key.clone();
             ce.insert(0, moved);
-            keys[idx - 1] = ce[0].key.clone();
         }
         (
             Node::Internal {
@@ -498,36 +483,32 @@ fn borrow_from_left(
                 ..
             },
         ) => {
-            let sep = std::mem::replace(
-                &mut keys[idx - 1],
-                lk.pop().ok_or(TreeError::IncompleteProof)?,
-            );
-            ck.insert(0, sep);
+            let (up, rest) = lk.split_last().ok_or(TreeError::IncompleteProof)?;
+            let sep = std::mem::replace(&mut keys[idx - 1], up.clone());
+            *ck = std::iter::once(sep).chain(ck.iter().cloned()).collect();
+            *lk = rest.into();
             cc.insert(0, lc.pop().ok_or(TreeError::IncompleteProof)?);
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    // Both nodes are unique after make_mut above, so these are in-place.
-    Arc::make_mut(&mut children[idx - 1]).recompute_digest();
-    Arc::make_mut(&mut children[idx]).recompute_digest();
+    left.recompute_digest();
+    cur.recompute_digest();
     Ok(())
 }
 
 fn borrow_from_right(
     keys: &mut [Key],
-    children: &mut [Arc<Node>],
+    children: &mut [Child],
     idx: usize,
 ) -> Result<(), TreeError> {
     let (l, r) = children.split_at_mut(idx + 1);
-    let cur = Arc::make_mut(&mut l[idx]);
-    let right = Arc::make_mut(&mut r[0]);
-    match (cur, right) {
+    let (cur, right) = (l[idx].node_mut()?, r[0].node_mut()?);
+    match (&mut *cur, &mut *right) {
         (Node::Leaf { entries: ce, .. }, Node::Leaf { entries: re, .. }) => {
-            if re.is_empty() {
+            if re.len() < 2 {
                 return Err(TreeError::IncompleteProof);
             }
-            let moved = re.remove(0);
-            ce.push(moved);
+            ce.push(re.remove(0));
             keys[idx] = re[0].key.clone();
         }
         (
@@ -542,17 +523,19 @@ fn borrow_from_right(
                 ..
             },
         ) => {
-            if rk.is_empty() || rc.is_empty() {
+            let (up, rest) = rk.split_first().ok_or(TreeError::IncompleteProof)?;
+            if rc.is_empty() {
                 return Err(TreeError::IncompleteProof);
             }
-            let sep = std::mem::replace(&mut keys[idx], rk.remove(0));
-            ck.push(sep);
+            let sep = std::mem::replace(&mut keys[idx], up.clone());
+            *ck = ck.iter().cloned().chain(std::iter::once(sep)).collect();
+            *rk = rest.into();
             cc.push(rc.remove(0));
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    Arc::make_mut(&mut children[idx]).recompute_digest();
-    Arc::make_mut(&mut children[idx + 1]).recompute_digest();
+    cur.recompute_digest();
+    right.recompute_digest();
     Ok(())
 }
 
@@ -560,16 +543,18 @@ fn borrow_from_right(
 /// `keys[li]`.
 fn merge_into_left(
     keys: &mut Vec<Key>,
-    children: &mut Vec<Arc<Node>>,
+    children: &mut Vec<Child>,
     li: usize,
 ) -> Result<(), TreeError> {
-    let right = children.remove(li + 1);
+    let Child::Node(right) = children.remove(li + 1) else {
+        return Err(TreeError::IncompleteProof);
+    };
     let sep = keys.remove(li);
-    // Take the right node by value, cloning only if a snapshot still
+    // Take the right node by value, copying only if a snapshot still
     // shares it.
     let right = Arc::try_unwrap(right).unwrap_or_else(|shared| (*shared).clone());
-    let left = Arc::make_mut(&mut children[li]);
-    match (left, right) {
+    let left = children[li].node_mut()?;
+    match (&mut *left, right) {
         (Node::Leaf { entries: le, .. }, Node::Leaf { entries: re, .. }) => {
             le.extend(re);
         }
@@ -585,24 +570,22 @@ fn merge_into_left(
                 ..
             },
         ) => {
-            lk.push(sep);
-            lk.extend(rk);
+            *lk = [&lk[..], &[sep], &rk[..]].concat().into();
             lc.extend(rc);
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    Arc::make_mut(&mut children[li]).recompute_digest();
+    left.recompute_digest();
     Ok(())
 }
 
 fn range_rec(
-    node: &Node,
+    child: &Child,
     lo: Option<&[u8]>,
     hi: Option<&[u8]>,
     out: &mut Vec<(Key, Value)>,
 ) -> Result<(), TreeError> {
-    match node {
-        Node::Stub(_) => Err(TreeError::IncompleteProof),
+    match child.node()? {
         Node::Leaf { entries, .. } => {
             for e in entries {
                 let above_lo = lo.is_none_or(|l| e.key.as_slice() >= l);
@@ -634,116 +617,89 @@ fn range_rec(
 
 /// Materializes exactly the subtrees whose key interval intersects the
 /// closed interval `[lo, hi]` (`None` = unbounded), *sharing* them with the
-/// source tree: leaves and fully-in-range subtrees are `Arc`-cloned whole;
-/// only the boundary spine of internal nodes (with out-of-range children
-/// stubbed) is freshly allocated.
-fn prune_interval_rec(node: &Arc<Node>, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Arc<Node> {
-    match &**node {
-        Node::Stub(_) | Node::Leaf { .. } => Arc::clone(node),
-        Node::Internal {
-            keys,
-            children,
-            digest,
-        } => {
-            let start = lo.map_or(0, |l| child_index(keys, l));
-            let end = hi.map_or(children.len() - 1, |h| child_index(keys, h));
-            let new_children: Vec<Arc<Node>> = children
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i < start || i > end {
-                        Arc::new(c.to_stub())
-                    } else if (i > start || lo.is_none()) && (i < end || hi.is_none()) {
-                        // The child's whole key interval lies inside
-                        // [lo, hi]: recursing would materialize every
-                        // node, so share the subtree as-is.
-                        Arc::clone(c)
-                    } else {
-                        prune_interval_rec(c, lo, hi)
-                    }
-                })
-                .collect();
-            Arc::new(Node::Internal {
-                keys: keys.clone(),
-                children: new_children,
-                digest: *digest,
-            })
+/// source tree: leaves and fully-in-range subtrees are shared whole; only
+/// the boundary spine of internal nodes (sharing their separator keys, with
+/// out-of-range children as inline stubs) is freshly allocated.
+fn prune_interval_rec(child: &Child, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Child {
+    let Ok(Node::Internal {
+        keys,
+        children,
+        digest,
+    }) = child.node()
+    else {
+        return child.clone();
+    };
+    let start = lo.map_or(0, |l| child_index(keys, l));
+    let end = hi.map_or(children.len() - 1, |h| child_index(keys, h));
+    let slots = children.iter().enumerate().map(|(i, c)| {
+        if i < start || i > end {
+            c.to_stub()
+        } else if (i > start || lo.is_none()) && (i < end || hi.is_none()) {
+            // The child's whole key interval lies inside [lo, hi]:
+            // recursing would materialize every node, so share the subtree
+            // as-is.
+            c.clone()
+        } else {
+            prune_interval_rec(c, lo, hi)
         }
-    }
+    });
+    Child::spine(keys, slots.collect(), *digest)
 }
 
 /// Materializes the union of the root-to-leaf paths for a **sorted,
 /// deduplicated, non-empty** slice of keys. Each internal node partitions
 /// the sorted keys into contiguous per-child groups; children covering no
 /// key become stubs, the rest recurse with their group.
-fn prune_points_rec(node: &Arc<Node>, keys: &[&[u8]]) -> Arc<Node> {
+fn prune_points_rec(child: &Child, keys: &[&[u8]]) -> Child {
     debug_assert!(!keys.is_empty());
-    match &**node {
-        Node::Stub(_) | Node::Leaf { .. } => Arc::clone(node),
-        Node::Internal {
-            keys: seps,
-            children,
-            digest,
-        } => {
-            let mut at = 0usize;
-            let new_children: Vec<Arc<Node>> = children
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let start = at;
-                    while at < keys.len() && child_index(seps, keys[at]) == i {
-                        at += 1;
-                    }
-                    if start == at {
-                        Arc::new(c.to_stub())
-                    } else {
-                        prune_points_rec(c, &keys[start..at])
-                    }
-                })
-                .collect();
-            Arc::new(Node::Internal {
-                keys: seps.clone(),
-                children: new_children,
-                digest: *digest,
-            })
+    let Ok(Node::Internal {
+        keys: seps,
+        children,
+        digest,
+    }) = child.node()
+    else {
+        return child.clone();
+    };
+    let mut at = 0usize;
+    let slots = children.iter().enumerate().map(|(i, c)| {
+        let start = at;
+        while at < keys.len() && child_index(seps, keys[at]) == i {
+            at += 1;
         }
-    }
+        if start == at {
+            c.to_stub()
+        } else {
+            prune_points_rec(c, &keys[start..at])
+        }
+    });
+    Child::spine(seps, slots.collect(), *digest)
 }
 
-fn prune_delete_rec(node: &Arc<Node>, key: &[u8]) -> Arc<Node> {
-    match &**node {
-        Node::Stub(_) | Node::Leaf { .. } => Arc::clone(node),
-        Node::Internal {
-            keys,
-            children,
-            digest,
-        } => {
-            let idx = child_index(keys, key);
-            let new_children: Vec<Arc<Node>> = children
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i == idx {
-                        prune_delete_rec(c, key)
-                    } else if i + 1 == idx || i == idx + 1 {
-                        shallow_copy(c)
-                    } else {
-                        Arc::new(c.to_stub())
-                    }
-                })
-                .collect();
-            Arc::new(Node::Internal {
-                keys: keys.clone(),
-                children: new_children,
-                digest: *digest,
-            })
+fn prune_delete_rec(child: &Child, key: &[u8]) -> Child {
+    let Ok(Node::Internal {
+        keys,
+        children,
+        digest,
+    }) = child.node()
+    else {
+        return child.clone();
+    };
+    let idx = child_index(keys, key);
+    let slots = children.iter().enumerate().map(|(i, c)| {
+        if i == idx {
+            prune_delete_rec(c, key)
+        } else if i + 1 == idx || i == idx + 1 {
+            c.shallow_copy()
+        } else {
+            c.to_stub()
         }
-    }
+    });
+    Child::spine(keys, slots.collect(), *digest)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn check_rec(
-    node: &Node,
+    child: &Child,
     lo: Option<&[u8]>,
     hi: Option<&[u8]>,
     order: usize,
@@ -751,8 +707,8 @@ fn check_rec(
     depth: usize,
     leaf_depth: &mut Option<usize>,
 ) -> Result<(), String> {
+    let node = child.node().map_err(|_| "full tree contains a stub")?;
     match node {
-        Node::Stub(_) => Err("full tree contains a stub".into()),
         Node::Leaf { entries, .. } => {
             match leaf_depth {
                 Some(d) if *d != depth => {
@@ -784,19 +740,6 @@ fn check_rec(
                     }
                 }
             }
-            // Recompute both the per-entry pair digests and the leaf digest
-            // to catch a stale cache at either level.
-            let mut copy = node.clone();
-            if let Node::Leaf { entries, .. } = &mut copy {
-                for e in entries.iter_mut() {
-                    e.rehash();
-                }
-            }
-            copy.recompute_digest();
-            if copy.digest() != node.digest() {
-                return Err("stale leaf digest".into());
-            }
-            Ok(())
         }
         Node::Internal { keys, children, .. } => {
             if children.len() != keys.len() + 1 {
@@ -827,12 +770,10 @@ fn check_rec(
                 };
                 check_rec(child, clo, chi, order, false, depth + 1, leaf_depth)?;
             }
-            let mut copy = node.clone();
-            copy.recompute_digest();
-            if copy.digest() != node.digest() {
-                return Err("stale internal digest".into());
-            }
-            Ok(())
         }
     }
+    // Recompute the node's digest (for a leaf, its per-entry pair digests
+    // too) to catch a stale cache at either level.
+    node.check_digest()
+        .map_err(|_| "stale cached digest".into())
 }

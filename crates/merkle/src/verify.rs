@@ -41,7 +41,7 @@ impl VerificationObject {
         self.tree.materialized_nodes()
     }
 
-    /// Proof size estimate in bytes.
+    /// Proof size in bytes: exactly `to_bytes().len()`.
     pub fn encoded_size(&self) -> usize {
         self.tree.encoded_size()
     }
@@ -80,13 +80,37 @@ pub struct Verified {
     pub new_root: Digest,
 }
 
+/// Replays `op` on a copy-on-write handle of an already-folded proof and
+/// checks the server's claims against the replay. The handle is an O(1)
+/// root copy: a read touches nothing, an update copies only the path it
+/// rewrites, and `proof` itself is never written through.
+fn replay(
+    proof: &MerkleTree,
+    op: &Op,
+    claimed: Option<&OpResult>,
+    claimed_new_root: Option<&Digest>,
+) -> Result<Verified, VerifyError> {
+    let mut replay = proof.clone();
+    let result = apply_op(&mut replay, op)?;
+    if claimed.is_some_and(|c| c != &result) {
+        return Err(VerifyError::AnswerMismatch);
+    }
+    let new_root = replay.root_digest();
+    if claimed_new_root.is_some_and(|nr| nr != &new_root) {
+        return Err(VerifyError::NewRootMismatch);
+    }
+    Ok(Verified { result, new_root })
+}
+
 /// Replays `op` against a proof **without** an independently-known root
 /// digest, as Protocol II/III clients must (they keep no root between
 /// operations; trust flows through the XOR accumulators instead).
 ///
-/// All materialized digests are recomputed from the proof's content first,
-/// so the returned `old_root` genuinely commits to the materialized data —
-/// the server cannot decouple content from digests.
+/// All materialized digests are first recomputed from the proof's content
+/// — one read-only fold, no node copied — so the returned `old_root`
+/// genuinely commits to the materialized data: a proof whose cached
+/// digests disagree with its content is
+/// [`VerifyError::CachedDigestMismatch`].
 ///
 /// Returns `(old_root, verified)` where `old_root` is the pre-state root the
 /// proof commits to.
@@ -99,17 +123,8 @@ pub fn replay_unanchored(
     if vo.order() != expected_order {
         return Err(VerifyError::OrderMismatch);
     }
-    let mut replay = vo.tree.clone();
-    replay.recompute_all_digests();
-    let old_root = replay.root_digest();
-    let result = apply_op(&mut replay, op)?;
-    if let Some(c) = claimed {
-        if c != &result {
-            return Err(VerifyError::AnswerMismatch);
-        }
-    }
-    let new_root = replay.root_digest();
-    Ok((old_root, Verified { result, new_root }))
+    let old_root = vo.tree.verified_root()?;
+    Ok((old_root, replay(&vo.tree, op, claimed, None)?))
 }
 
 /// Verifies a server response against a known root and replays the
@@ -132,32 +147,18 @@ pub fn verify_response(
     if vo.order() != expected_order {
         return Err(VerifyError::OrderMismatch);
     }
-    let mut replay = vo.tree.clone();
-    replay.recompute_all_digests();
     // Root check comes before replay so a stale proof reports RootMismatch
     // rather than whatever the replay happens to hit.
-    if replay.root_digest() != *known_root {
+    if vo.tree.verified_root()? != *known_root {
         return Err(VerifyError::RootMismatch);
     }
-    let result = apply_op(&mut replay, op)?;
-    if let Some(c) = claimed {
-        if c != &result {
-            return Err(VerifyError::AnswerMismatch);
-        }
-    }
-    let new_root = replay.root_digest();
-    if let Some(nr) = claimed_new_root {
-        if nr != &new_root {
-            return Err(VerifyError::NewRootMismatch);
-        }
-    }
-    Ok(Verified { result, new_root })
+    replay(&vo.tree, op, claimed, claimed_new_root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::u64_key;
+    use crate::node::{u64_key, Child};
     use crate::op::prune_for_op;
 
     fn tree_with(n: u64, order: usize) -> MerkleTree {
@@ -267,5 +268,61 @@ mod tests {
         assert_eq!(result, OpResult::Value(None));
         let v = verify_response(&root0, 8, &vo, &op, Some(&result), None).unwrap();
         assert_eq!(v.result, OpResult::Value(None));
+    }
+
+    /// The in-memory wire carries cached digests. Content that its caches
+    /// do not commit to is a typed deviation — anchored or not, read or
+    /// update — and is never healed into a verdict about some other root.
+    #[test]
+    fn forged_caches_are_a_typed_deviation() {
+        let mut server = tree_with(200, 8);
+        let root0 = server.root_digest();
+        let key = u64_key(42);
+        for op in [Op::Get(key.clone()), Op::Put(key.clone(), b"w".to_vec())] {
+            let (honest, _, _) = serve(&mut server.clone(), &op);
+
+            // A forged value under the honest pair digest: every cached
+            // digest up to the root still reads as the state the client
+            // expects.
+            let mut vo = honest.clone();
+            vo.tree.root_mut().forge_leaf(&key, |es, _| {
+                let i = es.iter().position(|e| e.key == key).unwrap();
+                es[i] = Child::forged_entry(&es[i], b"evil");
+            });
+            assert_eq!(vo.root_digest(), root0);
+            assert_eq!(
+                verify_response(&root0, 8, &vo, &op, None, None).unwrap_err(),
+                VerifyError::CachedDigestMismatch
+            );
+            assert_eq!(
+                replay_unanchored(8, &vo, &op, None).unwrap_err(),
+                VerifyError::CachedDigestMismatch
+            );
+
+            // A forged node digest over honest content.
+            let mut vo = honest.clone();
+            vo.tree
+                .root_mut()
+                .forge_leaf(&key, |_, digest| *digest = Digest::ZERO);
+            assert_eq!(
+                replay_unanchored(8, &vo, &op, None).unwrap_err(),
+                VerifyError::CachedDigestMismatch
+            );
+
+            // Forging never wrote through to the proof it was copied from.
+            verify_response(&root0, 8, &honest, &op, None, None).unwrap();
+        }
+        // Forged content with every cache recomputed to match it is
+        // self-consistent — and commits to a different root, as ever.
+        let op = Op::Get(key.clone());
+        let (mut vo, _, _) = serve(&mut server, &op);
+        vo.tree.insert(key, b"evil".to_vec()).unwrap();
+        assert_eq!(
+            verify_response(&root0, 8, &vo, &op, None, None).unwrap_err(),
+            VerifyError::RootMismatch
+        );
+        let (old_root, v) = replay_unanchored(8, &vo, &op, None).unwrap();
+        assert_ne!(old_root, root0);
+        assert_eq!(v.result, OpResult::Value(Some(b"evil".to_vec())));
     }
 }

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use tcvs_merkle::{
-    apply_op, prune_for_op, verify_response, MerkleTree, Op, OpResult, VerificationObject,
+    apply_op, batchable, prune_for_op, prune_for_ops, verify_response, BatchProof, MerkleTree, Op,
+    OpResult, VerificationObject,
 };
 
 /// A compact operation description for proptest generation.
@@ -187,6 +188,31 @@ proptest! {
             prop_assert!(t.delete(&key(*k)).unwrap().is_some());
         }
         prop_assert_eq!(t.root_digest(), MerkleTree::with_order(4).root_digest());
+    }
+
+    /// `encoded_size` is counted by the encoder itself: it equals
+    /// `to_bytes().len()` for full trees and for every proof shape —
+    /// point, range, delete and batch — through splits and merges.
+    #[test]
+    fn encoded_size_is_the_encoded_length(
+        setup in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..160),
+        actions in proptest::collection::vec(action_strategy(), 1..40),
+        order in prop_oneof![Just(4usize), Just(16)],
+    ) {
+        let mut server = MerkleTree::with_order(order);
+        for (k, v) in &setup {
+            server.insert(key(k % 512), vec![*v; (*v % 40) as usize]).unwrap();
+        }
+        let ops: Vec<Op> = actions.iter().map(to_op).collect();
+        let window: Vec<Op> = ops.iter().filter(|op| batchable(op)).cloned().collect();
+        let batch = BatchProof::new(prune_for_ops(&server, &window));
+        prop_assert_eq!(batch.encoded_size(), batch.to_bytes().len());
+        for op in &ops {
+            let vo = VerificationObject::new(prune_for_op(&server, op));
+            prop_assert_eq!(vo.encoded_size(), vo.to_bytes().len(), "{:?}", op);
+            apply_op(&mut server, op).unwrap();
+            prop_assert_eq!(server.encoded_size(), server.to_bytes().len());
+        }
     }
 
     /// An `O(1)` Arc-sharing clone and an eager deep copy (codec round-trip,

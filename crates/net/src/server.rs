@@ -494,7 +494,7 @@ impl NetServer {
                         // so a durable backend can log it and recover its own
                         // copy of the reply journal.
                         let resp = inner.handle_op_seq(user, seq, &op, round);
-                        journal_insert(
+                        let displaced = journal_insert(
                             &mut journal,
                             &stats,
                             user,
@@ -510,6 +510,7 @@ impl NetServer {
                         // The reply channel may be dropped if the client
                         // detected deviation and bailed; that's fine.
                         let _ = reply.send(resp);
+                        drop(displaced);
                         stats.ops_served.inc();
                         stats
                             .op_micros
@@ -555,7 +556,7 @@ impl NetServer {
                         let started = Instant::now();
                         match inner.handle_op_batch(user, seq, &ops, round) {
                             Some(resp) => {
-                                journal_insert(
+                                let displaced = journal_insert(
                                     &mut journal,
                                     &stats,
                                     user,
@@ -566,6 +567,7 @@ impl NetServer {
                                 publisher.record(inner.as_mut(), n);
                                 let ctr = resp.ctr;
                                 let _ = reply.send(Some(resp));
+                                drop(displaced);
                                 stats.batch_windows.inc();
                                 stats.batch_ops.add(n);
                                 stats.ops_served.add(n);
@@ -604,7 +606,7 @@ impl NetServer {
                             None
                         };
                         if let Some(presp) = pipelined {
-                            journal_insert(
+                            let displaced = journal_insert(
                                 &mut journal,
                                 &stats,
                                 user,
@@ -615,6 +617,7 @@ impl NetServer {
                             let ctr = presp.resp.ctr;
                             let lag = presp.backfill.len() as u64;
                             let _ = reply.send(PipelinedReply::Pipelined(presp));
+                            drop(displaced);
                             stats.pipelined_served.inc();
                             stats.pipeline_backfill.observe(lag);
                             stats.ops_served.inc();
@@ -656,7 +659,7 @@ impl NetServer {
                                 }
                             }
                             let resp = inner.handle_op_seq(user, seq, &op, round);
-                            journal_insert(
+                            let displaced = journal_insert(
                                 &mut journal,
                                 &stats,
                                 user,
@@ -666,6 +669,7 @@ impl NetServer {
                             publisher.record(inner.as_mut(), 1);
                             let ctr = resp.ctr;
                             let _ = reply.send(PipelinedReply::Legacy(resp));
+                            drop(displaced);
                             stats.ops_served.inc();
                             stats
                                 .op_micros
@@ -953,18 +957,24 @@ fn serve_from_journal(journal: &ReplyJournal, stats: &NetStats, req: Request) ->
 /// ack of every older one (the client retries strictly in order), so the
 /// journal stays bounded at one entry per user; each displaced entry is
 /// counted so deployments can see the eviction rate.
+///
+/// The displaced reply is *returned*, not dropped: it owns a whole proof,
+/// and freeing that is work the client should not wait behind. Callers
+/// hold it across `reply.send` and let it drop once the new reply is on
+/// its way.
+#[must_use = "drop the displaced reply after the new one has been sent"]
 fn journal_insert(
     journal: &mut ReplyJournal,
     stats: &NetStats,
     user: UserId,
     seq: u64,
     resp: JournaledReply,
-) {
-    if let Some((old_seq, _)) = journal.insert(user, (seq, resp)) {
-        if old_seq < seq {
-            stats.journal_evictions.inc();
-        }
+) -> Option<JournaledReply> {
+    let (old_seq, displaced) = journal.insert(user, (seq, resp))?;
+    if old_seq < seq {
+        stats.journal_evictions.inc();
     }
+    Some(displaced)
 }
 
 /// Re-seeds the transport journal from whatever the inner server recovered
@@ -1208,9 +1218,11 @@ fn drain(
                 reply,
             } => {
                 let r = inner.handle_op_seq(user, seq, &op, round);
-                journal_insert(journal, stats, user, seq, JournaledReply::Op(r.clone()));
+                let displaced =
+                    journal_insert(journal, stats, user, seq, JournaledReply::Op(r.clone()));
                 publisher.record(inner, 1);
                 let _ = reply.send(r);
+                drop(displaced);
             }
             Request::OpBatch {
                 user,
@@ -1221,7 +1233,7 @@ fn drain(
                 reply,
             } => match inner.handle_op_batch(user, seq, &ops, round) {
                 Some(resp) => {
-                    journal_insert(
+                    let displaced = journal_insert(
                         journal,
                         stats,
                         user,
@@ -1230,6 +1242,7 @@ fn drain(
                     );
                     publisher.record(inner, resp.window_len() as u64);
                     let _ = reply.send(Some(resp));
+                    drop(displaced);
                 }
                 None => {
                     let _ = reply.send(None);
@@ -1246,7 +1259,7 @@ fn drain(
                 reply,
             } => {
                 let r = inner.handle_op_seq(user, seq, &op, round);
-                journal_insert(
+                let displaced = journal_insert(
                     journal,
                     stats,
                     user,
@@ -1255,6 +1268,7 @@ fn drain(
                 );
                 publisher.record(inner, 1);
                 let _ = reply.send(PipelinedReply::Legacy(r));
+                drop(displaced);
             }
             Request::Signature {
                 user,
@@ -1572,6 +1586,39 @@ mod tests {
         // New work continues exactly where the acknowledged history ended.
         let next = send_op(&tx2, 7, 2, Op::Get(u64_key(2)), 2);
         assert_eq!(next.ctr, acked.ctr + 1);
+    }
+
+    /// The displaced journal entry is dropped only after the new reply has
+    /// been sent; the journal itself is updated before the send, exactly as
+    /// when the drop sat on the reply's critical path: a retry of the
+    /// newest `seq` is a journal hit with the byte-identical reply, it is
+    /// not re-executed, and evictions count one per displaced entry.
+    #[test]
+    fn retry_is_served_from_the_journal_after_the_displaced_entry_is_dropped() {
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(open_durable(MemMedium::new())),
+            NetServerOptions::default(),
+            stats.clone(),
+        );
+        let tx = server.wire().0;
+        let mut acked = None;
+        for seq in 0..4u64 {
+            let op = Op::Put(u64_key(seq), vec![seq as u8; 64]);
+            acked = Some(send_op(&tx, 7, seq, op, seq));
+        }
+        let acked = acked.expect("four ops acknowledged");
+        let retry = send_op(&tx, 7, 3, Op::Put(u64_key(3), vec![3; 64]), 3);
+        assert_eq!(response_bytes(&retry), response_bytes(&acked));
+        // Another user's first op displaces nothing.
+        send_op(&tx, 8, 0, Op::Get(u64_key(3)), 4);
+        // The server counts an op after replying to it: join the thread
+        // before reading the counters.
+        drop(server);
+        let snap = stats.snapshot();
+        assert_eq!(snap.counter("net.server.journal_hits"), Some(1));
+        assert_eq!(snap.counter("net.server.ops_served"), Some(5));
+        assert_eq!(snap.counter("net.server.journal_evictions"), Some(3));
     }
 
     /// An in-place crash (`Request::Crash`) over a durable inner server:

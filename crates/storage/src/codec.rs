@@ -204,7 +204,7 @@ pub struct DurableState {
 impl DurableState {
     /// Encodes the state for a checkpoint file.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(crate::log::LARGE_ENCODING_SEED);
         w.raw(STATE_MAGIC);
         w.u32(STATE_VERSION);
         w.u64(self.snapshot.ctr());

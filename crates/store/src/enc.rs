@@ -64,6 +64,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// New empty writer over a buffer allocated for `bytes` up front.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Finishes and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
