@@ -1,37 +1,28 @@
-//! `expgen` — regenerates every experiment table of `EXPERIMENTS.md` and
-//! writes machine-readable results to `BENCH_results.json`.
+//! `expgen` — regenerates every experiment table of `EXPERIMENTS.md`.
 //!
 //! ```text
-//! expgen                    # run all experiments + perf probes, full parameters
+//! expgen                    # run all experiments, full parameters
 //! expgen --quick            # reduced parameters
 //! expgen e3 e5              # run selected experiments
-//! expgen perf               # run only the perf probe suite
-//! expgen --json out.json    # write results somewhere else
-//! expgen --no-json          # skip the results file
-//! expgen --validate f.json  # validate an existing artifact and exit
+//! expgen --validate f       # validate an exported artifact and exit
 //! expgen trace              # export a seeded fork-attack run: Perfetto
 //!                           # JSON (BENCH_trace.json) + OpenMetrics
 //!                           # (BENCH_metrics.prom)
 //! ```
 //!
-//! `--validate` dispatches on artifact shape: `tcvs-bench-results/v1`
-//! JSON, Chrome-trace/Perfetto JSON, or OpenMetrics text exposition.
+//! `--validate` dispatches on artifact shape: Chrome-trace/Perfetto JSON or
+//! OpenMetrics text exposition.
 //!
 //! Run with `--release` — the numbers are meaningless in debug builds.
 
 use std::time::Instant;
 
-use tcvs_bench::durability::run_durability_suite;
 use tcvs_bench::experiments::{e12, run_by_id, ALL};
-use tcvs_bench::forensics::forensics_suite;
-use tcvs_bench::perf::{batching_suite, bootstrap_suite, run_suite_observed, sharding_suite};
-use tcvs_bench::results::{render_json_with_metrics, validate, validate_artifact, validate_schema};
-use tcvs_bench::Table;
+use tcvs_bench::results::validate_artifact;
 
-/// `expgen --validate <file>`: check an emitted artifact (results JSON,
-/// Perfetto trace, or OpenMetrics exposition). Exit 0 on success, 2 on any
-/// failure — this is what the CI bench-smoke job runs on the artifacts it
-/// uploads.
+/// `expgen --validate <file>`: check an emitted artifact (Perfetto trace or
+/// OpenMetrics exposition). Exit 0 on success, 2 on any failure — this is
+/// what the CI trace-smoke job runs on the artifacts it uploads.
 fn validate_file(path: &str) -> ! {
     let content = match std::fs::read_to_string(path) {
         Ok(j) => j,
@@ -50,8 +41,7 @@ fn validate_file(path: &str) -> ! {
 
 /// `expgen trace`: runs the seeded E12 fork-attack simulation once and
 /// writes its two exporter artifacts, self-validating each before writing
-/// (exit 3 on an internally-invalid artifact, the same contract as the
-/// results file).
+/// (exit 3 on an internally-invalid artifact).
 fn emit_trace_artifacts(quick: bool) {
     let (trace_json, openmetrics, dump, _) = e12::artifacts(quick);
     for (path, content) in [
@@ -85,46 +75,24 @@ fn main() {
         }
     }
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_results.json".to_string());
-    let mut skip_next = false;
     let ids: Vec<String> = args
         .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" {
-                skip_next = true;
-            }
-            !a.starts_with('-') && !skip_next
-        })
+        .filter(|a| !a.starts_with('-'))
         .map(|a| a.to_lowercase())
         .collect();
     let run_trace = ids.iter().any(|i| i == "trace");
-    let ids: Vec<String> = ids.into_iter().filter(|i| i != "trace").collect();
+    let ids: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|i| *i != "trace")
+        .collect();
     if run_trace {
         emit_trace_artifacts(quick);
         if ids.is_empty() {
             return;
         }
     }
-    let perf_only = ids.iter().all(|i| i == "perf") && !ids.is_empty();
-    let run_perf = ids.is_empty() && !run_trace || ids.iter().any(|i| i == "perf");
-    let ids: Vec<&str> = if ids.is_empty() && !run_trace {
-        ALL.to_vec()
-    } else {
-        ids.iter()
-            .filter(|i| *i != "perf")
-            .map(String::as_str)
-            .collect()
-    };
+    let ids = if ids.is_empty() { ALL.to_vec() } else { ids };
 
     if cfg!(debug_assertions) {
         eprintln!("warning: debug build — timings will be wildly off; use --release");
@@ -136,121 +104,27 @@ fn main() {
     );
 
     let mut failed = false;
-    let mut all_tables: Vec<Table> = Vec::new();
-    if !perf_only {
-        for id in ids {
-            let start = Instant::now();
-            match run_by_id(id, quick) {
-                Some(tables) => {
-                    for t in &tables {
-                        println!("{}", t.render());
-                    }
-                    all_tables.extend(tables);
-                    println!(
-                        "[{} completed in {:.1}s]\n",
-                        id,
-                        start.elapsed().as_secs_f64()
-                    );
+    for id in ids {
+        let start = Instant::now();
+        match run_by_id(id, quick) {
+            Some(tables) => {
+                for t in &tables {
+                    println!("{}", t.render());
                 }
-                None => {
-                    eprintln!(
-                        "unknown experiment id: {id} (known: {}, perf)",
-                        ALL.join(", ")
-                    );
-                    failed = true;
-                }
+                println!(
+                    "[{} completed in {:.1}s]\n",
+                    id,
+                    start.elapsed().as_secs_f64()
+                );
+            }
+            None => {
+                eprintln!(
+                    "unknown experiment id: {id} (known: {}, trace)",
+                    ALL.join(", ")
+                );
+                failed = true;
             }
         }
-    }
-
-    let (probes, durability, batching, sharding, bootstrap, forensics, metrics) = if run_perf {
-        let start = Instant::now();
-        let (probes, metrics) = run_suite_observed(quick);
-        let durability = run_durability_suite(quick);
-        let batching = batching_suite(quick);
-        let sharding = sharding_suite(quick);
-        let bootstrap = bootstrap_suite(quick);
-        let forensics = forensics_suite(quick);
-        let mut t = Table::new(
-            "PERF",
-            "hot-path probes (recorded in BENCH_results.json; \
-             [batching] rows are the same-run before/after family; \
-             [sharding] rows are the 1/2/4/8-shard grove scaling family; \
-             [bootstrap] rows are chunked verified state sync vs db size \
-             and chunk budget; [forensics] rows are evidence-bundle \
-             capture/audit cost and the honest-path instrumented ratio)",
-            &[
-                "probe",
-                "ops/s",
-                "proof bytes",
-                "p50 µs",
-                "p99 µs",
-                "p99.9 µs",
-            ],
-        );
-        for (p, family) in probes
-            .iter()
-            .chain(&durability)
-            .map(|p| (p, ""))
-            .chain(batching.iter().map(|p| (p, "[batching] ")))
-            .chain(sharding.iter().map(|p| (p, "[sharding] ")))
-            .chain(bootstrap.iter().map(|p| (p, "[bootstrap] ")))
-            .chain(forensics.iter().map(|p| (p, "[forensics] ")))
-        {
-            t.row(vec![
-                format!("{family}{}", p.name),
-                format!("{:.0}", p.ops_per_sec),
-                p.proof_bytes.map_or("-".into(), |v| format!("{v:.0}")),
-                p.p50_us.map_or("-".into(), |v| format!("{v:.2}")),
-                p.p99_us.map_or("-".into(), |v| format!("{v:.2}")),
-                p.p999_us.map_or("-".into(), |v| format!("{v:.2}")),
-            ]);
-        }
-        println!("{}", t.render());
-        println!(
-            "[perf completed in {:.1}s]\n",
-            start.elapsed().as_secs_f64()
-        );
-        (
-            probes, durability, batching, sharding, bootstrap, forensics, metrics,
-        )
-    } else {
-        (
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Default::default(),
-        )
-    };
-
-    // Only (re)write the results file when the perf suite actually ran:
-    // a selective `expgen e6` run must not clobber the recorded perf
-    // trajectory with an empty probe list.
-    if !no_json && run_perf && !failed {
-        let mode = if quick { "quick" } else { "full" };
-        let json = render_json_with_metrics(
-            mode,
-            &probes,
-            &durability,
-            &batching,
-            &sharding,
-            &bootstrap,
-            &forensics,
-            &all_tables,
-            &metrics,
-        );
-        if let Err(e) = validate(&json).and_then(|()| validate_schema(&json)) {
-            eprintln!("internal error: generated results JSON is invalid: {e}");
-            std::process::exit(3);
-        }
-        if let Err(e) = std::fs::write(&json_path, &json) {
-            eprintln!("cannot write {json_path}: {e}");
-            std::process::exit(3);
-        }
-        println!("results written to {json_path}");
     }
     if failed {
         std::process::exit(2);

@@ -1,6 +1,5 @@
-//! A minimal recursive-descent JSON parser — just enough to let the
-//! `--validate` subcommand and the CI bench-smoke job check a results file
-//! against the `tcvs-bench-results/v1` schema without pulling in a
+//! A minimal recursive-descent JSON parser — just enough to let
+//! `expgen --validate` check a Chrome-trace artifact without pulling in a
 //! serialization dependency (the build environment is offline).
 
 /// A parsed JSON value.
@@ -43,11 +42,6 @@ impl Value {
             Value::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// True for numbers and `null` — the schema's "nullable number".
-    pub fn is_num_or_null(&self) -> bool {
-        matches!(self, Value::Num(_) | Value::Null)
     }
 }
 

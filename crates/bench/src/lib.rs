@@ -22,11 +22,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod durability;
 pub mod experiments;
-pub mod forensics;
 pub mod json;
-pub mod perf;
 pub mod results;
 pub mod table;
 

@@ -1,486 +1,9 @@
-//! Machine-readable benchmark results: `BENCH_results.json`.
-//!
-//! Every `expgen` run writes the perf-probe suite (ops/sec, proof bytes,
-//! p50/p99 latency) plus any experiment tables it produced, and compares
-//! the probes against the recorded pre-PR baselines so the perf trajectory
-//! is tracked across PRs. The format is plain JSON, hand-rolled (the build
-//! environment has no serde); [`validate`] round-checks the emitted bytes.
-
-use std::fmt::Write as _;
-
-use tcvs_obs::{MetricValue, MetricsSnapshot};
+//! Validators for the exporter artifacts `expgen trace` writes:
+//! `BENCH_trace.json` (Chrome-trace/Perfetto JSON) and `BENCH_metrics.prom`
+//! (OpenMetrics text). `expgen --validate` and the CI trace-smoke job run
+//! [`validate_artifact`] on both.
 
 use crate::json::{parse, Value};
-use crate::perf::PerfResult;
-use crate::table::Table;
-
-/// Schema identifier written into every results file.
-pub const SCHEMA: &str = "tcvs-bench-results/v1";
-
-/// Perf-probe numbers recorded on the commit *before* the copy-on-write
-/// Merkle refactor (PR 2), measured with `expgen perf` on the same
-/// machine class the current run uses. Comparisons in the JSON divide
-/// current ops/sec by these.
-pub fn recorded_baselines() -> Vec<PerfResult> {
-    // Measured at seed+PR1 (commit 34d6110, eager-clone tree, serialized
-    // reads), full mode, single-core container; best of two runs.
-    //
-    // The baselines predate the p999 column (PR 7), so the p999 values
-    // here are backfilled reconstructions, not seed-era measurements: each
-    // is the current untuned rig's p999/p99 tail ratio applied to the
-    // recorded seed-era p99 — conservative in that the seed-era rig
-    // (eager-clone, serialized reads) had *heavier* tails than today's, so
-    // a regression gate against these values fires early, not late. The
-    // crash_snapshot rows never measured per-op latency and stay null.
-    let p = |name: &str,
-             ops: f64,
-             bytes: Option<f64>,
-             p50: Option<f64>,
-             p99: Option<f64>,
-             p999: Option<f64>| PerfResult {
-        name: name.into(),
-        ops_per_sec: ops,
-        proof_bytes: bytes,
-        p50_us: p50,
-        p99_us: p99,
-        p999_us: p999,
-    };
-    vec![
-        p(
-            "point_update_proof_gen/n16384_order16_val24",
-            65943.0,
-            Some(1779.0),
-            Some(13.14),
-            Some(29.13),
-            Some(43.7),
-        ),
-        p(
-            "point_update_proof_gen/n16384_order16_val256",
-            41615.0,
-            Some(3635.0),
-            Some(21.68),
-            Some(46.75),
-            Some(70.1),
-        ),
-        p(
-            "throughput/trusted_4clients_10pct_updates",
-            112904.0,
-            None,
-            Some(32.09),
-            Some(81.59),
-            Some(163.2),
-        ),
-        p(
-            "throughput/protocol-2_4clients_10pct_updates",
-            51068.0,
-            None,
-            Some(71.85),
-            Some(172.06),
-            Some(344.1),
-        ),
-        p(
-            "throughput/protocol-2_4clients_90pct_updates",
-            28737.0,
-            None,
-            Some(138.25),
-            Some(228.99),
-            Some(458.0),
-        ),
-        p(
-            "crash_snapshot_capture/n16384",
-            3390.0,
-            None,
-            None,
-            None,
-            None,
-        ),
-        p(
-            "crash_snapshot_capture/n65536",
-            730.0,
-            None,
-            None,
-            None,
-            None,
-        ),
-    ]
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
-fn opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".into(), num)
-}
-
-fn probe_json(p: &PerfResult, indent: &str) -> String {
-    format!(
-        "{indent}{{\"name\": \"{}\", \"ops_per_sec\": {}, \"proof_bytes\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}}}",
-        esc(&p.name),
-        num(p.ops_per_sec),
-        opt(p.proof_bytes),
-        opt(p.p50_us),
-        opt(p.p99_us),
-        opt(p.p999_us),
-    )
-}
-
-/// Renders the full results document with no metrics, durability, or
-/// batching section content.
-///
-/// `mode` records how the numbers were produced (`"full"` / `"quick"`);
-/// comparisons are emitted for every probe with a recorded baseline.
-pub fn render_json(mode: &str, probes: &[PerfResult], tables: &[Table]) -> String {
-    render_json_with_metrics(
-        mode,
-        probes,
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        tables,
-        &MetricsSnapshot::default(),
-    )
-}
-
-/// [`render_json`] plus the `"durability"` section (the storage-engine
-/// probe suite from [`crate::durability`]), the `"batching"` section
-/// (before/after rows for the tuned verified paths with a same-run trusted
-/// reference, from [`crate::perf::batching_suite`]), the `"sharding"`
-/// section (grove scaling at 1/2/4/8 shards plus the fork-detection
-/// counts, from [`crate::perf::sharding_suite`]), the `"bootstrap"`
-/// section (chunked verified state sync cost vs database size and chunk
-/// budget plus the storm/forgery count rows, from
-/// [`crate::perf::bootstrap_suite`]), the `"forensics"` section (evidence
-/// bundle capture cost, cold-audit verify rate vs history size, and the
-/// honest-path instrumented/dark throughput ratio, from
-/// [`crate::forensics::forensics_suite`]), and a `"metrics"` section
-/// serializing a point-in-time [`MetricsSnapshot`] (the instrumented
-/// throughput probe's counters and histograms) so dashboards can track
-/// them per PR alongside the probes.
-#[allow(clippy::too_many_arguments)]
-pub fn render_json_with_metrics(
-    mode: &str,
-    probes: &[PerfResult],
-    durability: &[PerfResult],
-    batching: &[PerfResult],
-    sharding: &[PerfResult],
-    bootstrap: &[PerfResult],
-    forensics: &[PerfResult],
-    tables: &[Table],
-    metrics: &MetricsSnapshot,
-) -> String {
-    let baselines = recorded_baselines();
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", esc(mode));
-
-    out.push_str("  \"probes\": [\n");
-    let rows: Vec<String> = probes.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"baselines\": [\n");
-    let rows: Vec<String> = baselines.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"durability\": [\n");
-    let rows: Vec<String> = durability.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"batching\": [\n");
-    let rows: Vec<String> = batching.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"sharding\": [\n");
-    let rows: Vec<String> = sharding.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"bootstrap\": [\n");
-    let rows: Vec<String> = bootstrap.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"forensics\": [\n");
-    let rows: Vec<String> = forensics.iter().map(|p| probe_json(p, "    ")).collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"comparisons\": [\n");
-    let mut comps = Vec::new();
-    for b in &baselines {
-        if let Some(cur) = probes.iter().find(|p| p.name == b.name) {
-            let speedup = if b.ops_per_sec > 0.0 {
-                cur.ops_per_sec / b.ops_per_sec
-            } else {
-                f64::NAN
-            };
-            comps.push(format!(
-                "    {{\"name\": \"{}\", \"baseline_ops_per_sec\": {}, \"current_ops_per_sec\": {}, \"speedup\": {}}}",
-                esc(&b.name),
-                num(b.ops_per_sec),
-                num(cur.ops_per_sec),
-                num(speedup),
-            ));
-        }
-    }
-    out.push_str(&comps.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"metrics\": [\n");
-    let rows: Vec<String> = metrics
-        .entries
-        .iter()
-        .map(|e| match &e.value {
-            MetricValue::Counter(v) => format!(
-                "    {{\"name\": \"{}\", \"kind\": \"counter\", \"value\": {v}}}",
-                esc(&e.name)
-            ),
-            MetricValue::Gauge(v) => format!(
-                "    {{\"name\": \"{}\", \"kind\": \"gauge\", \"value\": {v}}}",
-                esc(&e.name)
-            ),
-            MetricValue::Histogram {
-                count,
-                sum,
-                p50,
-                p99,
-            } => format!(
-                "    {{\"name\": \"{}\", \"kind\": \"histogram\", \"count\": {count}, \"sum\": {sum}, \"p50\": {p50}, \"p99\": {p99}}}",
-                esc(&e.name)
-            ),
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ],\n");
-
-    out.push_str("  \"experiments\": [\n");
-    let mut exps = Vec::new();
-    for t in tables {
-        let headers: Vec<String> = t
-            .headers
-            .iter()
-            .map(|h| format!("\"{}\"", esc(h)))
-            .collect();
-        let rows: Vec<String> = t
-            .rows
-            .iter()
-            .map(|r| {
-                let cells: Vec<String> = r.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-                format!("[{}]", cells.join(", "))
-            })
-            .collect();
-        exps.push(format!(
-            "    {{\"id\": \"{}\", \"caption\": \"{}\", \"headers\": [{}], \"rows\": [{}]}}",
-            esc(&t.id),
-            esc(&t.caption),
-            headers.join(", "),
-            rows.join(", "),
-        ));
-    }
-    out.push_str(&exps.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Minimal structural validation of an emitted document: balanced braces
-/// and brackets outside strings, correct string escaping, and presence of
-/// the schema marker. `expgen` refuses to write a file that fails this, and
-/// the CI bench-smoke job re-checks the file it produced.
-pub fn validate(json: &str) -> Result<(), String> {
-    if !json.contains(SCHEMA) {
-        return Err("missing schema marker".into());
-    }
-    let mut depth_obj = 0i64;
-    let mut depth_arr = 0i64;
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth_obj += 1,
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err("unbalanced brackets".into());
-        }
-    }
-    if in_str {
-        return Err("unterminated string".into());
-    }
-    if depth_obj != 0 || depth_arr != 0 {
-        return Err("unbalanced brackets".into());
-    }
-    Ok(())
-}
-
-fn require_arr<'a>(doc: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    // Name the failure precisely: an absent section (stale generator, new
-    // schema) reads very differently from a present-but-mistyped one, and
-    // the CI grep gates key off the "missing required section" phrasing.
-    match doc.get(key) {
-        None => Err(format!("missing required section '{key}'")),
-        Some(v) => v
-            .as_arr()
-            .ok_or_else(|| format!("'{key}' must be an array")),
-    }
-}
-
-fn check_probe(p: &Value, section: &str) -> Result<(), String> {
-    let name = p
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{section}: probe missing string 'name'"))?;
-    if !matches!(p.get("ops_per_sec"), Some(Value::Num(_))) {
-        return Err(format!("{section}/{name}: 'ops_per_sec' must be a number"));
-    }
-    for field in ["proof_bytes", "p50_us", "p99_us", "p999_us"] {
-        if !p.get(field).is_some_and(Value::is_num_or_null) {
-            return Err(format!("{section}/{name}: '{field}' must be number|null"));
-        }
-    }
-    Ok(())
-}
-
-/// Full structural validation of a `tcvs-bench-results/v1` document: the
-/// file must parse as JSON, carry the exact schema id, and every section
-/// must have the shape `render_json` produces — probes/baselines with
-/// numeric fields, comparisons keyed by name, experiment tables whose rows
-/// are as wide as their headers, and metrics entries typed by `kind`.
-///
-/// This is what `expgen --validate` (and the CI bench-smoke job) runs
-/// against the artifact it just produced.
-pub fn validate_schema(json: &str) -> Result<(), String> {
-    let doc = parse(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema is '{s}', expected '{SCHEMA}'")),
-        None => return Err("missing string 'schema'".into()),
-    }
-    if doc.get("mode").and_then(Value::as_str).is_none() {
-        return Err("missing string 'mode'".into());
-    }
-    for section in [
-        "probes",
-        "baselines",
-        "durability",
-        "batching",
-        "sharding",
-        "bootstrap",
-        "forensics",
-    ] {
-        for p in require_arr(&doc, section)? {
-            check_probe(p, section)?;
-        }
-    }
-    for c in require_arr(&doc, "comparisons")? {
-        let name = c
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("comparisons: entry missing string 'name'")?;
-        for field in ["baseline_ops_per_sec", "current_ops_per_sec", "speedup"] {
-            if !c.get(field).is_some_and(Value::is_num_or_null) {
-                return Err(format!("comparisons/{name}: '{field}' must be number|null"));
-            }
-        }
-    }
-    for m in require_arr(&doc, "metrics")? {
-        let name = m
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("metrics: entry missing string 'name'")?;
-        let fields: &[&str] = match m.get("kind").and_then(Value::as_str) {
-            Some("counter") | Some("gauge") => &["value"],
-            Some("histogram") => &["count", "sum", "p50", "p99"],
-            other => {
-                return Err(format!("metrics/{name}: unknown kind {other:?}"));
-            }
-        };
-        for field in fields {
-            if !matches!(m.get(field), Some(Value::Num(_))) {
-                return Err(format!("metrics/{name}: '{field}' must be a number"));
-            }
-        }
-    }
-    for e in require_arr(&doc, "experiments")? {
-        let id = e
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("experiments: entry missing string 'id'")?;
-        if e.get("caption").and_then(Value::as_str).is_none() {
-            return Err(format!("experiments/{id}: missing string 'caption'"));
-        }
-        let headers = e
-            .get("headers")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("experiments/{id}: 'headers' must be an array"))?;
-        if headers.iter().any(|h| h.as_str().is_none()) {
-            return Err(format!("experiments/{id}: headers must be strings"));
-        }
-        for (i, row) in e
-            .get("rows")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("experiments/{id}: 'rows' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let cells = row
-                .as_arr()
-                .ok_or_else(|| format!("experiments/{id}: row {i} must be an array"))?;
-            if cells.len() != headers.len() {
-                return Err(format!(
-                    "experiments/{id}: row {i} has {} cells for {} headers",
-                    cells.len(),
-                    headers.len()
-                ));
-            }
-            if cells.iter().any(|c| c.as_str().is_none()) {
-                return Err(format!("experiments/{id}: row {i} cells must be strings"));
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Structural validation of a Chrome-trace/Perfetto JSON artifact (what
 /// [`tcvs_obs::render_chrome_trace`] emits): a JSON object with a
@@ -555,19 +78,14 @@ pub fn validate_openmetrics(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates any artifact the bench pipeline emits, dispatching on shape:
-/// Chrome-trace JSON (has `traceEvents`), OpenMetrics text (starts with a
-/// `#` comment line), or a `tcvs-bench-results/v1` document (everything
-/// else). This is what `expgen --validate` runs, so the CI bench-smoke job
-/// can check all three artifact kinds with one command.
+/// Validates either exporter artifact, dispatching on shape: OpenMetrics
+/// text starts with a `#` comment line, anything else must be a Chrome
+/// trace.
 pub fn validate_artifact(content: &str) -> Result<(), String> {
-    let trimmed = content.trim_start();
-    if trimmed.starts_with('{') && content.contains("\"traceEvents\"") {
-        validate_chrome_trace(content)
-    } else if trimmed.starts_with('#') {
+    if content.trim_start().starts_with('#') {
         validate_openmetrics(content)
     } else {
-        validate(content).and_then(|()| validate_schema(content))
+        validate_chrome_trace(content)
     }
 }
 
@@ -575,241 +93,27 @@ pub fn validate_artifact(content: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn probe(name: &str, ops: f64) -> PerfResult {
-        PerfResult {
-            name: name.into(),
-            ops_per_sec: ops,
-            proof_bytes: Some(123.0),
-            p50_us: Some(1.5),
-            p99_us: None,
-            p999_us: Some(9.75),
-        }
-    }
-
-    #[test]
-    fn render_validates() {
-        let mut t = Table::new("E1", "demo \"quoted\"", &["a", "b"]);
-        t.row(vec!["1".into(), "x\ny".into()]);
-        let json = render_json("quick", &[probe("p/one", 1000.0)], &[t]);
-        validate(&json).unwrap();
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"p/one\""));
-        assert!(json.contains("\"p999_us\": 9.750"));
-        assert!(json.contains("\\n"));
-    }
-
-    #[test]
-    fn batching_section_round_trips_through_the_validator() {
-        let rows = [
-            probe("throughput/protocol-2_4clients_10pct_updates", 250_000.0),
-            probe("throughput/trusted_4clients_10pct_updates", 400_000.0),
-        ];
-        let json = render_json_with_metrics(
-            "quick",
-            &[],
-            &[],
-            &rows,
-            &[],
-            &[],
-            &[],
-            &[],
-            &tcvs_obs::MetricsRegistry::new().snapshot(),
-        );
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"batching\": ["));
-        assert!(json.contains("throughput/protocol-2_4clients_10pct_updates"));
-    }
-
-    #[test]
-    fn sharding_section_round_trips_and_is_required() {
-        let rows = [
-            probe(
-                "sharding/trusted_4shards_8clients_10pct_updates_wire200us",
-                180_000.0,
-            ),
-            probe("sharding/fork_1of4_false_alarms", 0.0),
-        ];
-        let json = render_json_with_metrics(
-            "quick",
-            &[],
-            &[],
-            &[],
-            &rows,
-            &[],
-            &[],
-            &[],
-            &tcvs_obs::MetricsRegistry::new().snapshot(),
-        );
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"sharding\": ["));
-        assert!(json.contains("sharding/fork_1of4_false_alarms"));
-        // A document without the section (the pre-PR-8 shape) is rejected.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \"probes\": [], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"bootstrap\": [], \
-             \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(err.contains("missing required section 'sharding'"), "{err}");
-    }
-
-    #[test]
-    fn bootstrap_section_round_trips_and_is_required() {
-        let rows = [
-            probe("bootstrap/1024keys_16384b_chunks", 90_000.0),
-            probe("bootstrap/forge_detection_misses", 0.0),
-        ];
-        let json = render_json_with_metrics(
-            "quick",
-            &[],
-            &[],
-            &[],
-            &[],
-            &rows,
-            &[],
-            &[],
-            &tcvs_obs::MetricsRegistry::new().snapshot(),
-        );
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"bootstrap\": ["));
-        assert!(json.contains("bootstrap/forge_detection_misses"));
-        // A document without the section (the pre-PR-9 shape) is rejected,
-        // and the error names the missing section rather than the generic
-        // type complaint.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \"probes\": [], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \
-             \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(
-            err.contains("missing required section 'bootstrap'"),
-            "{err}"
-        );
-        // Present but mistyped still gets the array complaint.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \"probes\": [], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \"bootstrap\": 7, \
-             \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(err.contains("'bootstrap' must be an array"), "{err}");
-    }
-
-    #[test]
-    fn forensics_section_round_trips_and_is_required() {
-        let rows = [
-            probe("forensics/capture_localization_bundle", 5_000.0),
-            probe("forensics/honest_instrumented_ratio", 0.99),
-        ];
-        let json = render_json_with_metrics(
-            "quick",
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &rows,
-            &[],
-            &tcvs_obs::MetricsRegistry::new().snapshot(),
-        );
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"forensics\": ["));
-        assert!(json.contains("forensics/honest_instrumented_ratio"));
-        // A document without the section (the pre-PR-10 shape) is rejected.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \"probes\": [], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \"bootstrap\": [], \
-             \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(
-            err.contains("missing required section 'forensics'"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn metrics_section_round_trips_through_the_validator() {
-        let registry = tcvs_obs::MetricsRegistry::new();
-        registry.counter("net.server.ops_served").add(7);
-        registry.gauge("net.depth").set(-2);
-        registry.histogram("net.server.op_micros").observe(100);
-        let json = render_json_with_metrics(
-            "quick",
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &registry.snapshot(),
-        );
-        validate_schema(&json).unwrap();
-        assert!(json.contains("\"kind\": \"counter\", \"value\": 7"));
-        assert!(json.contains("\"kind\": \"gauge\", \"value\": -2"));
-        assert!(json.contains("\"kind\": \"histogram\""));
-    }
-
     #[test]
     fn schema_validator_pinpoints_shape_errors() {
-        // Well-formed JSON that is not a results document.
-        let err = validate_schema("{\"schema\": \"nope\"}").unwrap_err();
-        assert!(err.contains("expected"), "{err}");
-        // A row narrower than its headers.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \"probes\": [], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \"bootstrap\": [], \"forensics\": [], \"comparisons\": [], \"metrics\": [], \
-             \"experiments\": [{{\"id\": \"E1\", \"caption\": \"c\", \
-             \"headers\": [\"a\", \"b\"], \"rows\": [[\"1\"]]}}]}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(err.contains("1 cells for 2 headers"), "{err}");
-        // A probe with a string where a number belongs.
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \
-             \"probes\": [{{\"name\": \"p\", \"ops_per_sec\": \"fast\", \
-             \"proof_bytes\": null, \"p50_us\": null, \"p99_us\": null, \
-             \"p999_us\": null}}], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \"bootstrap\": [], \"forensics\": [], \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(err.contains("ops_per_sec"), "{err}");
-        // A probe without the p999 tail-latency field (pre-PR-7 shape).
-        let bad = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"mode\": \"full\", \
-             \"probes\": [{{\"name\": \"p\", \"ops_per_sec\": 1.0, \
-             \"proof_bytes\": null, \"p50_us\": null, \"p99_us\": null}}], \
-             \"baselines\": [], \"durability\": [], \"batching\": [], \
-             \"sharding\": [], \"bootstrap\": [], \"forensics\": [], \"comparisons\": [], \"metrics\": [], \"experiments\": []}}"
-        );
-        let err = validate_schema(&bad).unwrap_err();
-        assert!(err.contains("p999_us"), "{err}");
-    }
-
-    #[test]
-    fn comparisons_match_baselines_by_name() {
-        let names: Vec<String> = recorded_baselines().into_iter().map(|b| b.name).collect();
-        assert!(!names.is_empty());
-        // Every baseline name keys a probe the standard suite produces in
-        // full mode (quick mode shrinks n, producing different names).
-        for n in &names {
-            assert!(n.contains('/'), "probe names are namespaced: {n}");
-        }
+        let err = validate_artifact(r#"{"traceEvents": 7}"#).unwrap_err();
+        assert!(err.contains("'traceEvents' must be an array"), "{err}");
+        let err = validate_artifact(
+            r#"{"traceEvents": [{"name": "op", "ph": "X", "cat": "net", "ts": "0", "pid": 1, "tid": 1}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("traceEvents[0]: 'ts'"), "{err}");
+        let err = validate_artifact("# TYPE ops counter\nops many\n# EOF\n").unwrap_err();
+        assert!(err.contains("line 2: non-numeric value"), "{err}");
+        let err = validate_artifact("# TYPE ops histogram\n# EOF\n").unwrap_err();
+        assert!(err.contains("line 1: bad comment"), "{err}");
     }
 
     #[test]
     fn validator_rejects_garbage() {
-        assert!(validate("{").is_err());
-        assert!(validate("{}").is_err()); // no schema marker
-        let ok = format!("{{\"schema\": \"{SCHEMA}\"}}");
-        validate(&ok).unwrap();
+        assert!(validate_artifact("{").is_err());
+        assert!(validate_artifact("{}").is_err()); // no traceEvents
+        assert!(validate_artifact("# TYPE ops counter\nops 1\n").is_err()); // no EOF
+        validate_artifact(r#"{"traceEvents": []}"#).unwrap();
+        validate_artifact("# TYPE ops counter\nops 1\n# EOF\n").unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! # tcvs-crypto
 //!
 //! Cryptographic substrate for the trusted-cvs reproduction of
-//! *"Trusted CVS"* (ICDE 2006): a from-scratch SHA-256, HMAC, a deterministic
+//! *"Trusted CVS"* (ICDE 2006): a from-scratch SHA-256, a deterministic
 //! ChaCha20-based RNG, hash-based one-time signatures (Lamport, Winternitz),
 //! the Merkle Signature Scheme, and a key registry standing in for the
 //! paper's PKI assumption.
@@ -28,7 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod digest;
-pub mod hmac;
 pub mod lamport;
 pub mod mss;
 pub mod multilane;
@@ -38,7 +37,6 @@ pub mod sha256;
 pub mod wots;
 
 pub use digest::Digest;
-pub use hmac::{hmac_sha256, verify_mac};
 pub use mss::{mss_verify, MssError, MssPublicKey, MssSignature, MssSigner};
 pub use multilane::{lanes as sha_lanes, sha256_many};
 pub use registry::{setup_users, KeyRegistry, Keyring, UserId, NO_USER};

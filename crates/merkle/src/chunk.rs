@@ -725,13 +725,11 @@ mod tests {
 
     #[test]
     fn cross_snapshot_splice_rejected_at_offending_chunk() {
-        let mut a = tree(120, 4);
+        let a = tree(120, 4);
         let mut b = a.clone();
         // Same keys, one divergent value: different snapshots, near-identical
         // chunking.
         b.insert(u64_key(11), b"divergent".to_vec()).unwrap();
-        a.recompute_all_digests();
-        b.recompute_all_digests();
         let src_a = ChunkSource::new(&a, 512).unwrap();
         let src_b = ChunkSource::new(&b, 512).unwrap();
         assert_ne!(src_a.manifest().anchor, src_b.manifest().anchor);

@@ -310,6 +310,7 @@ impl Child {
 
     /// This subtree rebuilt from its content alone: same keys, values and
     /// stubs, every cached digest computed afresh.
+    #[cfg(test)]
     pub(crate) fn rebuilt(&self) -> Child {
         match self.node() {
             Err(_) => self.clone(),

@@ -194,15 +194,6 @@ impl MerkleTree {
         Ok(old)
     }
 
-    /// Rebuilds the tree from its content alone, computing every
-    /// materialized digest afresh (per-entry pair digests included). The
-    /// verifiers do not need this — they fold received proofs read-only and
-    /// *reject* a cached digest that disagrees with its content — and no
-    /// tree built through this API can hold a stale digest.
-    pub fn recompute_all_digests(&mut self) {
-        self.root = self.root.rebuilt();
-    }
-
     /// The root digest this tree's *content* commits to: every materialized
     /// digest recomputed bottom-up, read-only, no node copied. Clients run
     /// this on a received proof before trusting [`Self::root_digest`]; a

@@ -1,9 +1,8 @@
 //! # tcvs-net
 //!
 //! A threaded deployment of the trusted-cvs protocols: one server thread
-//! serving crossbeam channels, client handles per user, a deterministic
-//! fault-injection link, and a throughput rig for the wall-clock
-//! experiments.
+//! serving crossbeam channels, client handles per user, and a
+//! deterministic fault-injection link.
 //!
 //! Protocol I's blocking signature deposit is reproduced physically: the
 //! server thread refuses to take the next operation until the previous
@@ -66,13 +65,11 @@
 //! shard roots into one top-level **grove root**, so every verified answer
 //! becomes shard proof + grove spine and clients still check a single
 //! digest. [`ShardedClient2`], [`ShardedClientTrusted`], and
-//! [`GroveReader`] route per key; [`PacedServer`] models per-op service
-//! latency for the scaling experiments. See DESIGN.md §"Sharded grove".
+//! [`GroveReader`] route per key. See DESIGN.md §"Sharded grove".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bench_rig;
 mod bootstrap;
 mod client;
 mod error;
@@ -81,16 +78,10 @@ mod obs;
 mod server;
 mod shard;
 
-pub use bench_rig::{
-    run_sharded_throughput, run_throughput, run_throughput_observed, run_throughput_tuned,
-    ThroughputOptions, ThroughputReport,
-};
 pub use bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 pub use client::{NetClient1, NetClient2, NetClient3, NetClientTrusted, NetSnapshotReader};
 pub use error::{NetError, RetryPolicy};
 pub use fault::FaultLink;
 pub use obs::NetStats;
 pub use server::{Endpoint, NetServer, NetServerOptions, ReadWireHandle, WireHandle};
-pub use shard::{
-    GroveEpoch, GroveReader, PacedServer, ShardedClient2, ShardedClientTrusted, ShardedServer,
-};
+pub use shard::{GroveEpoch, GroveReader, ShardedClient2, ShardedClientTrusted, ShardedServer};

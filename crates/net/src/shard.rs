@@ -23,21 +23,14 @@
 //! [`ShardedClient2`] (verified, with per-shard batch windows), and
 //! [`GroveReader`] (snapshot reads verified against the grove root).
 //! Cross-shard `Range` queries scatter-gather and merge by key.
-//!
-//! [`PacedServer`] models a fixed per-operation service latency (a stand-in
-//! for wire + commit time) so the scaling experiments measure what sharding
-//! actually buys — N independent serialized resources — rather than raw
-//! single-host CPU, which does not multiply with shard count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use tcvs_core::{
-    BatchResponse, Ctr, Deviation, Digest, Epoch, EvidenceBuilder, EvidenceBundle, EvidenceKind,
-    FaultPlan, FaultRates, GroveEvidence, Op, OpResult, PipelinedResponse, ProtocolConfig,
-    ReadSnapshot, ServerApi, ServerMetrics, ServerResponse, ShardRouter, SignedCheckpoint,
-    SignedEpochState, SignedState, SyncShare, TriggerInfo, UserId,
+    Ctr, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, FaultPlan, FaultRates,
+    GroveEvidence, Op, OpResult, ProtocolConfig, ServerApi, ShardRouter, SyncShare, TriggerInfo,
+    UserId,
 };
 use tcvs_merkle::{grove_root, verify_grove_response, GroveSpine, Key, Value};
 use tcvs_obs::Counter;
@@ -47,118 +40,6 @@ use crate::error::{NetError, RetryPolicy};
 use crate::fault::FaultLink;
 use crate::obs::NetStats;
 use crate::server::{remote_read, Endpoint, NetServer, NetServerOptions, ReadWireHandle};
-
-/// A [`ServerApi`] wrapper that charges a fixed service latency per
-/// operation on the serialized write path.
-///
-/// Used by the sharding throughput probes: on a host with fewer cores than
-/// shards, raw CPU throughput cannot scale with N, but the quantity
-/// sharding buys in production — *serialized-resource capacity* — still
-/// does, because N paced shard threads wait concurrently. The pacing is
-/// per *operation* (a batch of `n` costs `n` sleeps), so splitting a window
-/// across shards never multiplies the modeled cost. Snapshot reads are
-/// deliberately unpaced: they never touch the serialized resource.
-pub struct PacedServer<S> {
-    inner: S,
-    per_op: Duration,
-}
-
-impl<S: ServerApi> PacedServer<S> {
-    /// Wraps `inner`, charging `per_op` of service latency to every
-    /// operation served on the serialized path.
-    pub fn new(inner: S, per_op: Duration) -> PacedServer<S> {
-        PacedServer { inner, per_op }
-    }
-
-    fn pace(&self, ops: u64) {
-        if !self.per_op.is_zero() && ops > 0 {
-            std::thread::sleep(self.per_op * ops as u32);
-        }
-    }
-}
-
-impl<S: ServerApi> ServerApi for PacedServer<S> {
-    fn handle_op(&mut self, user: UserId, op: &Op, round: u64) -> ServerResponse {
-        self.pace(1);
-        self.inner.handle_op(user, op, round)
-    }
-
-    fn handle_op_seq(&mut self, user: UserId, seq: u64, op: &Op, round: u64) -> ServerResponse {
-        self.pace(1);
-        self.inner.handle_op_seq(user, seq, op, round)
-    }
-
-    fn handle_op_batch(
-        &mut self,
-        user: UserId,
-        seq: u64,
-        ops: &[Op],
-        round: u64,
-    ) -> Option<BatchResponse> {
-        let resp = self.inner.handle_op_batch(user, seq, ops, round);
-        // A declined window is side-effect free and costs nothing; a served
-        // one is n operations' worth of the modeled resource.
-        if resp.is_some() {
-            self.pace(ops.len() as u64);
-        }
-        resp
-    }
-
-    fn handle_op_pipelined(
-        &mut self,
-        user: UserId,
-        seq: u64,
-        op: &Op,
-        round: u64,
-        depth: usize,
-    ) -> Option<PipelinedResponse> {
-        let resp = self.inner.handle_op_pipelined(user, seq, op, round, depth);
-        if resp.is_some() {
-            self.pace(1);
-        }
-        resp
-    }
-
-    fn deposit_lag(&self) -> u64 {
-        self.inner.deposit_lag()
-    }
-
-    fn deposit_signature(&mut self, user: UserId, s: SignedState) {
-        self.inner.deposit_signature(user, s)
-    }
-
-    fn deposit_epoch_state(&mut self, s: SignedEpochState) {
-        self.inner.deposit_epoch_state(s)
-    }
-
-    fn fetch_epoch_states(&mut self, requester: UserId, epoch: Epoch) -> Vec<SignedEpochState> {
-        self.inner.fetch_epoch_states(requester, epoch)
-    }
-
-    fn deposit_checkpoint(&mut self, c: SignedCheckpoint) {
-        self.inner.deposit_checkpoint(c)
-    }
-
-    fn fetch_checkpoint(&mut self, requester: UserId, epoch: Epoch) -> Option<SignedCheckpoint> {
-        self.inner.fetch_checkpoint(requester, epoch)
-    }
-
-    fn metrics(&self) -> ServerMetrics {
-        self.inner.metrics()
-    }
-
-    fn crash_restart(&mut self) {
-        self.inner.crash_restart()
-    }
-
-    fn read_snapshot(&self) -> Option<ReadSnapshot> {
-        self.inner.read_snapshot()
-    }
-
-    fn recovered_journal(&self) -> Option<Vec<(UserId, u64, ServerResponse)>> {
-        self.inner.recovered_journal()
-    }
-}
 
 /// One sampled grove epoch: every shard's published root and counter, and
 /// the grove root they fold into.
@@ -971,7 +852,6 @@ impl GroveReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_core::HonestServer;
     use tcvs_merkle::{u64_key, MerkleTree};
 
     fn config() -> ProtocolConfig {
@@ -984,22 +864,6 @@ mod tests {
 
     fn root0s(n: usize, config: &ProtocolConfig) -> Vec<Digest> {
         vec![MerkleTree::with_order(config.order).root_digest(); n]
-    }
-
-    #[test]
-    fn paced_server_charges_the_serialized_path_only() {
-        let cfg = config();
-        let per_op = Duration::from_millis(5);
-        let mut paced = PacedServer::new(HonestServer::new(&cfg), per_op);
-        let t = std::time::Instant::now();
-        let resp = paced.handle_op(0, &Op::Put(u64_key(1), b"v".to_vec()), 0);
-        assert!(t.elapsed() >= per_op, "write paid the modeled latency");
-        assert_eq!(resp.ctr, 0, "pre-op counter of the first op");
-        // The snapshot path is untouched: capturing costs nothing modeled.
-        let t = std::time::Instant::now();
-        let snap = paced.read_snapshot().expect("honest server publishes");
-        assert!(t.elapsed() < per_op);
-        assert_eq!(snap.ctr(), 1);
     }
 
     #[test]

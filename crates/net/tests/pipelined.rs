@@ -6,12 +6,11 @@
 use std::time::Duration;
 
 use tcvs_core::adversary::{TamperServer, Trigger};
-use tcvs_core::{FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, ProtocolKind, SyncShare};
+use tcvs_core::{FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, SyncShare};
 use tcvs_crypto::setup_users;
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{
-    run_throughput_tuned, FaultLink, NetClient1, NetClient2, NetError, NetServer, NetServerOptions,
-    NetStats, RetryPolicy, ThroughputOptions,
+    FaultLink, NetClient1, NetClient2, NetError, NetServer, NetServerOptions, NetStats, RetryPolicy,
 };
 
 fn config() -> ProtocolConfig {
@@ -275,43 +274,4 @@ fn fault_storms_do_not_mask_tampering_under_pipelining() {
         None => panic!("tampering server escaped detection under faults"),
     }
     server.shutdown();
-}
-
-/// The tuned rig end-to-end: a pipelined Protocol I run and a batched
-/// Protocol II run both complete with zero failed ops, and the tuned
-/// Protocol II configuration is not slower than its per-op twin on the
-/// same machine (sanity, not a benchmark).
-#[test]
-fn tuned_rig_runs_clean() {
-    let cfg = config();
-    let p1 = run_throughput_tuned(
-        ProtocolKind::One,
-        2,
-        60,
-        10,
-        &cfg,
-        ThroughputOptions {
-            pipeline_depth: 8,
-            ..ThroughputOptions::default()
-        },
-        NetStats::disabled(),
-    );
-    assert_eq!(p1.failed_ops, 0);
-    assert_eq!(p1.ops, 120);
-
-    let p2 = run_throughput_tuned(
-        ProtocolKind::Two,
-        2,
-        60,
-        10,
-        &cfg,
-        ThroughputOptions {
-            batch_window: 8,
-            publish_every_ops: 8,
-            ..ThroughputOptions::default()
-        },
-        NetStats::disabled(),
-    );
-    assert_eq!(p2.failed_ops, 0);
-    assert_eq!(p2.ops, 120);
 }

@@ -2,19 +2,20 @@
 //! blocking semantics, adversary detection over channels, and resilience —
 //! benign faults, crash-restarts, and graceful shutdown.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use tcvs_core::adversary::{LieServer, TamperServer, Trigger};
 use tcvs_core::{
-    Deviation, FaultKind, FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, ProtocolKind,
-    SyncShare,
+    Deviation, FaultKind, FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, SyncShare,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{
-    run_throughput, FaultLink, NetClient1, NetClient2, NetClient3, NetError, NetServer,
-    NetServerOptions, RetryPolicy,
+    FaultLink, NetClient1, NetClient2, NetClient3, NetClientTrusted, NetError, NetServer,
+    NetServerOptions, NetStats, RetryPolicy,
 };
+use tcvs_obs::{MetricsRegistry, Tracer};
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -167,17 +168,44 @@ fn protocol3_runs_over_the_wire_with_audits() {
     server.shutdown();
 }
 
+/// Every instrumented trusted-client op lands on exactly one counted path:
+/// reads answered from the published snapshot (`reads_served`), everything
+/// else on the serialized wire (`ops_served`).
 #[test]
-fn throughput_rig_runs_all_protocols() {
+fn instrumented_trusted_clients_count_every_op_once() {
     let cfg = config();
-    for p in [ProtocolKind::Trusted, ProtocolKind::One, ProtocolKind::Two] {
-        let r = run_throughput(p, 2, 20, 50, &cfg);
-        assert_eq!(r.ops, 40, "{p:?}");
-        assert_eq!(r.failed_ops, 0, "{p:?}");
-        assert!(r.ops_per_sec() > 0.0);
-        assert_eq!(r.latencies_ns.len(), 40);
-        assert!(r.latency_quantile(0.5) <= r.latency_quantile(0.99));
+    let stats = NetStats::new(Arc::new(MetricsRegistry::new()), Tracer::disabled());
+    let server = NetServer::spawn_observed(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+        stats.clone(),
+    );
+    let handles: Vec<_> = (0..2u32)
+        .map(|u| {
+            let mut c = NetClientTrusted::new(u, &server);
+            c.set_stats(stats.clone());
+            std::thread::spawn(move || {
+                for i in 0..50u64 {
+                    let key = u64_key(u as u64 * 64 + i % 16);
+                    let op = if i % 10 == 0 {
+                        Op::Put(key, vec![i as u8])
+                    } else {
+                        Op::Get(key)
+                    };
+                    c.execute(&op).expect("honest server");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
+    server.shutdown();
+    let snap = stats.snapshot();
+    let reads = snap.counter("net.server.reads_served").unwrap_or(0);
+    let ops = snap.counter("net.server.ops_served").unwrap_or(0);
+    assert_eq!(reads + ops, 100, "reads={reads} ops={ops}");
+    assert!(ops >= 10, "every update took the serialized wire");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,9 @@
 use std::sync::Arc;
 
 use tcvs_core::adversary::{CounterSkipServer, ForkServer, Trigger};
-use tcvs_core::{
-    Deviation, FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, ProtocolKind, SyncShare,
-};
+use tcvs_core::{Deviation, FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, SyncShare};
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{run_throughput, FaultLink, NetClient1, NetClient2, NetError, NetServer};
+use tcvs_net::{FaultLink, NetClient1, NetClient2, NetError, NetServer};
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -138,14 +136,4 @@ fn concurrent_clients_through_a_faulty_link_raise_no_false_alarms() {
     assert!(clients.iter().any(|c| c.sync_succeeds(&shares)));
     assert!(link.applied().total() > 0, "faults actually fired");
     server.shutdown();
-}
-
-#[test]
-fn throughput_rig_scales_and_orders() {
-    let cfg = config();
-    let trusted = run_throughput(ProtocolKind::Trusted, 4, 50, 90, &cfg);
-    let p2 = run_throughput(ProtocolKind::Two, 4, 50, 90, &cfg);
-    assert_eq!(trusted.ops, 200);
-    assert_eq!(p2.ops, 200);
-    assert!(trusted.ops_per_sec() > 0.0 && p2.ops_per_sec() > 0.0);
 }
