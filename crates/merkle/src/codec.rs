@@ -226,8 +226,14 @@ impl MerkleTree {
     /// records the `LEN_UNKNOWN` sentinel.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_size());
-        self.encode(&mut out);
+        self.write_to(&mut out);
         out
+    }
+
+    /// Appends the [`MerkleTree::to_bytes`] encoding to `out`, so an
+    /// enclosing encoding can embed the tree without an intermediate copy.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        self.encode(out);
     }
 
     /// Decodes a tree serialized by [`MerkleTree::to_bytes`], recomputing

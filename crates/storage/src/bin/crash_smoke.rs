@@ -10,7 +10,10 @@
 //! Worker mode (`crash_smoke worker <dir>`) recovers the store, then
 //! applies ops `f(ctr), f(ctr+1), …` forever — the op stream is a pure
 //! function of the op index, so the oracle can reconstruct the full history
-//! from the recovered counter alone.
+//! from the recovered counter alone. Its puts are 4 KiB, so once the tree
+//! holds a few dozen keys every checkpoint streams out in several slices
+//! and a kill often lands mid-stream; each round reports whether recovery
+//! found such an interrupted checkpoint.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -30,13 +33,16 @@ fn config() -> ProtocolConfig {
     }
 }
 
+/// Bytes of a put's value: enough that a checkpoint spans several slices.
+const VALUE_BYTES: usize = 4 << 10;
+
 /// The deterministic op stream: op index → (user, seq, op, round).
 fn scripted(j: u64) -> (u32, u64, Op, u64) {
     let user = (j % 3) as u32;
     let op = match j % 4 {
-        0 => Op::Put(u64_key(j % 97), vec![(j % 251) as u8; 5]),
+        0 => Op::Put(u64_key(j % 97), vec![(j % 251) as u8; VALUE_BYTES]),
         1 => Op::Get(u64_key((j + 13) % 97)),
-        2 => Op::Put(u64_key((j + 31) % 97), vec![(j % 13) as u8]),
+        2 => Op::Put(u64_key((j + 31) % 97), vec![(j % 13) as u8; VALUE_BYTES]),
         _ => Op::Delete(u64_key((j + 7) % 97)),
     };
     (user, j, op, j)
@@ -79,6 +85,7 @@ fn worker(dir: &str) -> Result<(), String> {
 fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut max_ctr = 0u64;
+    let mut interrupted = 0u64;
     for round in 0..rounds {
         let mut child = Command::new(&exe)
             .arg("worker")
@@ -136,13 +143,18 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
                 ));
             }
         }
+        interrupted += u64::from(report.interrupted_checkpoints > 0);
         println!(
-            "round {round}: recovered ctr={ctr} replayed={} torn_tail={} — ok",
+            "round {round}: recovered ctr={ctr} replayed={} torn_tail={} interrupted_ckpt={} — ok",
             report.records_replayed,
             report.torn_tail.is_some(),
+            report.interrupted_checkpoints > 0,
         );
     }
-    println!("crash-smoke: {rounds} kill -9 rounds survived, final ctr {max_ctr}");
+    println!(
+        "crash-smoke: {rounds} kill -9 rounds survived, final ctr {max_ctr}, \
+         {interrupted} recoveries found an interrupted checkpoint"
+    );
     Ok(())
 }
 

@@ -202,9 +202,12 @@ pub struct DurableState {
 }
 
 impl DurableState {
-    /// Encodes the state for a checkpoint file.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(crate::log::LARGE_ENCODING_SEED);
+    /// Encodes the state for a checkpoint file into `buf`, replacing its
+    /// contents. A buffer kept from one checkpoint to the next reuses its
+    /// pages instead of growing a fresh multi-megabyte allocation each time.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        let mut w = Writer::from(std::mem::take(buf));
         w.raw(STATE_MAGIC);
         w.u32(STATE_VERSION);
         w.u64(self.snapshot.ctr());
@@ -249,8 +252,11 @@ impl DurableState {
         for e in &self.evidence {
             w.bytes(e);
         }
-        w.bytes(&self.snapshot.db().to_bytes());
-        w.into_bytes()
+        // `Writer::bytes` framing, with the tree encoded in place.
+        let db = self.snapshot.db();
+        w.u64(db.encoded_size() as u64);
+        *buf = w.into_bytes();
+        db.write_to(buf);
     }
 
     /// Decodes a checkpoint file body; the database's digests are fully
@@ -434,7 +440,12 @@ mod tests {
             journal,
             evidence: vec![b"TCVSEVB1-bundle-bytes".to_vec()],
         };
-        let bytes = state.to_bytes();
+        let mut bytes = Vec::new();
+        state.encode_into(&mut bytes);
+        // A reused buffer's old contents leave no trace in the encoding.
+        let mut reused = vec![0xAA; bytes.len() + 17];
+        state.encode_into(&mut reused);
+        assert_eq!(reused, bytes);
         let back = DurableState::from_bytes(&bytes).unwrap();
         assert_eq!(back.snapshot.root_digest(), state.snapshot.root_digest());
         assert_eq!(back.snapshot.ctr(), state.snapshot.ctr());

@@ -8,6 +8,11 @@
 //! response leaves the process. A crash at any instant therefore loses at
 //! most work that was never acknowledged.
 //!
+//! Every [`DurabilityOptions::checkpoint_every`] operations the op that
+//! reaches the count also encodes the durable world and hands it to
+//! [`Storage::checkpoint`]; a streaming storage writes it out across the
+//! commits that follow, so no single request waits for a whole-tree write.
+//!
 //! Because the core is deterministic, the log carries only inputs (see
 //! [`Record`]): recovery restores the newest checkpoint and replays the
 //! tail through the same [`ServerCore::process`] path, regenerating every
@@ -121,6 +126,9 @@ pub struct DurableServer<S: Storage> {
     /// Every persisted deviation evidence bundle (checkpoint + log tail +
     /// bundles persisted this incarnation), opaque canonical bytes.
     evidence: Vec<Vec<u8>>,
+    /// The last checkpoint's encoding, kept so the next one encodes into
+    /// pages already resident instead of growing a fresh buffer.
+    ckpt_buf: Vec<u8>,
 }
 
 impl<S: Storage> DurableServer<S> {
@@ -144,6 +152,7 @@ impl<S: Storage> DurableServer<S> {
             last_report: RecoveryReport::default(),
             recovered_flight: Vec::new(),
             evidence: Vec::new(),
+            ckpt_buf: Vec::new(),
         };
         server.recover()?;
         Ok(server)
@@ -209,6 +218,7 @@ impl<S: Storage> DurableServer<S> {
             last_report: RecoveryReport::default(),
             recovered_flight: Vec::new(),
             evidence: Vec::new(),
+            ckpt_buf: Vec::new(),
         };
         let found = server.storage.recover()?;
         if found.checkpoint.is_some()
@@ -310,10 +320,11 @@ impl<S: Storage> DurableServer<S> {
             .add(report.stale_segments_quarantined);
         self.obs.tracer.emit(|| {
             Event::new(self.core.ctr(), EventKind::Recovery, self.core.last_user()).detail(format!(
-                "replayed={} torn={} corrupt_ckpts={}",
+                "replayed={} torn={} corrupt_ckpts={} interrupted_ckpts={}",
                 report.records_replayed,
                 report.torn_tail.is_some(),
-                report.corrupt_checkpoints
+                report.corrupt_checkpoints,
+                report.interrupted_checkpoints
             ))
         });
         self.last_report = report;
@@ -428,15 +439,25 @@ impl<S: Storage> DurableServer<S> {
         self.ops_since_checkpoint += 1;
         if self.opts.checkpoint_every > 0 && self.ops_since_checkpoint >= self.opts.checkpoint_every
         {
-            self.checkpoint_now()?;
+            // Streams: the next commits carry it to the medium.
+            self.start_checkpoint()?;
         }
         Ok(resp)
     }
 
     /// Takes a checkpoint immediately: persists the full durable world
-    /// (server snapshot + reply journal) and lets the storage prune the log
-    /// behind it.
+    /// (server snapshot + reply journal) before returning, and lets the
+    /// storage prune the log behind it.
     pub fn checkpoint_now(&mut self) -> Result<u64, StorageError> {
+        let lsn = self.start_checkpoint()?;
+        // An empty commit finishes the stream.
+        self.storage.commit(WriteBatch::new())?;
+        Ok(lsn)
+    }
+
+    /// Encodes the durable world and hands it to the storage, which copies
+    /// it and streams it out across the following commits.
+    fn start_checkpoint(&mut self) -> Result<u64, StorageError> {
         let mut journal: Vec<JournalEntry> = self
             .journal
             .iter()
@@ -448,7 +469,8 @@ impl<S: Storage> DurableServer<S> {
             journal,
             evidence: self.evidence.clone(),
         };
-        let lsn = self.storage.checkpoint(&state.to_bytes())?;
+        state.encode_into(&mut self.ckpt_buf);
+        let lsn = self.storage.checkpoint(&self.ckpt_buf)?;
         self.obs.checkpoints.inc();
         self.ops_since_checkpoint = 0;
         Ok(lsn)
@@ -524,6 +546,7 @@ impl<S: Storage> ServerApi for DurableServer<S> {
 mod tests {
     use super::*;
     use crate::codec::response_bytes;
+    use crate::log::{scan_checkpoint, CheckpointScan};
     use crate::medium::{Medium, MemMedium};
     use crate::storage::{DurableOptions, DurableStorage, MemStorage};
     use tcvs_merkle::u64_key;
@@ -708,6 +731,89 @@ mod tests {
             "checkpoint bounds the tail: {:?}",
             s2.last_recovery()
         );
+    }
+
+    /// 20 KiB puts over 17 keys: a checkpoint of them spans several slices.
+    fn big_puts(s: &mut DurableServer<DurableStorage<MemMedium>>, ops: std::ops::Range<u64>) {
+        for i in ops {
+            let put = Op::Put(u64_key(i % 17), vec![i as u8; 20 << 10]);
+            s.handle_op_seq((i % 3) as u32, i, &put, i);
+        }
+    }
+
+    fn ckpt_file(mem: &MemMedium, lsn: u64) -> Option<Vec<u8>> {
+        mem.read(&crate::log::checkpoint_name(lsn)).unwrap()
+    }
+
+    #[test]
+    fn empty_commit_finishes_a_stream_byte_identical_to_one_frame() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 17);
+        big_puts(&mut s, 0..17); // the 17th op starts a checkpoint at lsn 17
+        assert_eq!(ckpt_file(&mem, 17), None, "starting one writes nothing");
+        big_puts(&mut s, 17..19); // two commits carry two slices
+        let partial = ckpt_file(&mem, 17).unwrap();
+        assert_eq!(scan_checkpoint(&partial), CheckpointScan::Interrupted);
+        s.storage.commit(WriteBatch::new()).unwrap();
+        let file = ckpt_file(&mem, 17).unwrap();
+        let mut payload = 17u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&s.ckpt_buf);
+        assert_eq!(
+            file,
+            crate::log::frame(&payload),
+            "one `log::frame`, byte for byte"
+        );
+        assert_eq!(partial, file[..2 * crate::log::MIN_SLICE], "two slices");
+        assert!(
+            file.len() > 4 * crate::log::MIN_SLICE,
+            "at least five slices"
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_requested_mid_stream_completes_the_first() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 0);
+        big_puts(&mut s, 0..17);
+        let first = s.start_checkpoint().unwrap();
+        big_puts(&mut s, 17..18); // one slice out
+        let partial = ckpt_file(&mem, first).unwrap();
+        assert_eq!(scan_checkpoint(&partial), CheckpointScan::Interrupted);
+        let second = s.start_checkpoint().unwrap();
+        assert!(matches!(
+            scan_checkpoint(&ckpt_file(&mem, first).unwrap()),
+            CheckpointScan::Valid(lsn, _) if lsn == first
+        ));
+        assert_eq!(ckpt_file(&mem, second), None, "the second has only started");
+    }
+
+    #[test]
+    fn crash_restart_mid_stream_recovers_from_the_previous_checkpoint() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 0);
+        big_puts(&mut s, 0..17);
+        let previous = s.checkpoint_now().unwrap();
+        big_puts(&mut s, 17..20);
+        let streaming = s.start_checkpoint().unwrap();
+        big_puts(&mut s, 20..22); // two slices of it out
+        assert!(ckpt_file(&mem, streaming).is_some());
+        let root = s.core().root_digest();
+        s.crash_restart();
+        let report = s.last_recovery();
+        assert_eq!(report.interrupted_checkpoints, 1, "{report:?}");
+        assert_eq!(report.corrupt_checkpoints, 0);
+        assert_eq!(
+            report.records_replayed,
+            22 - previous,
+            "replayed from lsn {previous}"
+        );
+        assert_eq!(
+            ckpt_file(&mem, streaming),
+            None,
+            "the partial file is removed"
+        );
+        assert_eq!(s.core().root_digest(), root);
+        assert_eq!(s.core().ctr(), 22);
     }
 
     #[test]

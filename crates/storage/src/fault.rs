@@ -2,18 +2,21 @@
 //!
 //! [`FaultMedium`] sits between the engine and a real medium and applies
 //! [`StorageFault`]s from a [`tcvs_core::FaultPlan`]-style schedule, keyed
-//! by *append index* (the n-th `append` call — one per committed batch, so
-//! under a pure op workload append index = op index):
+//! by *append index* (the n-th `append` call — one per committed batch plus
+//! one per slice of a streaming checkpoint, which rides in front of a
+//! commit's records; so under a pure op workload without checkpoints,
+//! append index = op index):
 //!
-//! * `TornWrite` — only a prefix of the batch reaches the medium, then the
-//!   medium goes dead (the process would have lost power mid-write). The
-//!   engine sees an error; recovery must detect and discard the torn tail.
+//! * `TornWrite` — only a prefix of the batch or slice reaches the medium,
+//!   then the medium goes dead (the process would have lost power
+//!   mid-write). The engine sees an error; recovery must detect and discard
+//!   the torn tail, or skip the interrupted checkpoint.
 //! * `FsyncLost` — the sync after the faulted append silently succeeds
 //!   without making anything durable: the classic lying-fsync. Harmless
 //!   unless a crash follows before the next real sync.
-//! * `BitFlip` — one bit of the appended batch flips on the way down
-//!   (latent sector corruption). The record checksum must catch it at
-//!   recovery; until then reads return the corrupted bytes.
+//! * `BitFlip` — one bit of the appended batch or slice flips on the way
+//!   down (latent sector corruption). The record or checkpoint checksum must
+//!   catch it at recovery; until then reads return the corrupted bytes.
 //! * `ShortRead` — the next `read` of each file returns a prefix; a retry
 //!   sees the full contents. Recovery must re-read rather than mistake the
 //!   transient truncation for a torn tail.

@@ -21,8 +21,13 @@
 //! * **LSN discontinuity** — a *splice* (duplicated or dropped record,
 //!   e.g. a misdirected block landing twice). Also corruption: recovery
 //!   stops and reports.
+//!
+//! A checkpoint file is one frame whose payload is `[lsn: u64 LE]
+//! [state…]`, appended in slices across several commits
+//! (`SlicedFrame`). A file shorter than its length header announces is an
+//! *interrupted* checkpoint, not a corrupt one ([`scan_checkpoint`]).
 
-use tcvs_crypto::sha256;
+use tcvs_crypto::{sha256, Sha256};
 use tcvs_store::enc::{Reader, Writer};
 
 /// Bytes of `sha256(payload)` stored per record.
@@ -35,16 +40,12 @@ pub const HEADER_LEN: usize = 4;
 /// header is treated as corruption, not an allocation request.
 pub const MAX_PAYLOAD: usize = 1 << 30;
 
-/// First allocation of a buffer that may grow to megabytes (a checkpoint
-/// and its frame): larger than any size the allocator's per-thread cache
-/// recycles. Growth is `realloc`, and glibc grows a chunk inside the arena
-/// that *owns* it; a buffer started from nothing gets a cached 24-byte
-/// chunk that — on the server thread, which mostly frees what its clients
-/// allocated — usually belongs to a client thread's arena, and the
-/// checkpoint then parks megabytes of slack there (cvs-durable-team
-/// `peak_rss_mb` +31 %). Seeded, it grows in this thread's own arena and
-/// reuses the pages the last checkpoint left resident.
-pub(crate) const LARGE_ENCODING_SEED: usize = 4096;
+/// Smallest slice a checkpoint frame is written in: each slice costs its
+/// commit one more append and fsync, not worth paying for fewer bytes.
+pub(crate) const MIN_SLICE: usize = 64 << 10;
+
+/// Most slices a checkpoint frame is written in.
+pub(crate) const MAX_SLICES: usize = 16;
 
 /// Frames a record payload: length prefix + payload + truncated checksum.
 ///
@@ -61,7 +62,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
         "payload of {} bytes exceeds the maximum frame size",
         payload.len()
     );
-    let mut w = Writer::with_capacity(LARGE_ENCODING_SEED);
+    let mut w = Writer::new();
     w.u32(payload.len() as u32);
     w.raw(payload);
     w.raw(&sha256(payload).0[..CHECK_LEN]);
@@ -212,23 +213,102 @@ pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
     }
 }
 
+/// What a checkpoint file holds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointScan {
+    /// A verified frame: the checkpoint's LSN and state bytes.
+    Valid(u64, Vec<u8>),
+    /// Fewer bytes than the length header announces: a checkpoint whose
+    /// streaming a crash cut short. Nothing was pruned on its account.
+    Interrupted,
+    /// Any other damage: too long, a failed checksum, a bad payload.
+    Corrupt,
+}
+
 /// Verifies and unpacks a checkpoint file: a single [`frame`] whose payload
-/// is `[lsn: u64 LE][state bytes]`. Returns `None` on any damage — the
-/// caller falls back to an older checkpoint.
-pub fn scan_checkpoint(buf: &[u8]) -> Option<(u64, Vec<u8>)> {
+/// is `[lsn: u64 LE][state bytes]`. On anything but [`CheckpointScan::Valid`]
+/// the caller falls back to an older checkpoint.
+pub fn scan_checkpoint(buf: &[u8]) -> CheckpointScan {
     let mut r = Reader::new(buf);
-    let len = r.u32().ok()? as usize;
-    if len > MAX_PAYLOAD || r.remaining() != len + CHECK_LEN {
-        return None;
+    let Ok(len) = r.u32() else {
+        return CheckpointScan::Interrupted;
+    };
+    let len = len as usize;
+    if len > MAX_PAYLOAD || r.remaining() > len + CHECK_LEN {
+        return CheckpointScan::Corrupt;
     }
-    let payload = r.raw(len).ok()?;
-    let check = r.raw(CHECK_LEN).ok()?;
+    if r.remaining() < len + CHECK_LEN {
+        return CheckpointScan::Interrupted;
+    }
+    let payload = r.raw(len).expect("length just checked");
+    let check = r.raw(CHECK_LEN).expect("length just checked");
     if &sha256(payload).0[..CHECK_LEN] != check {
-        return None;
+        return CheckpointScan::Corrupt;
     }
     let mut pr = Reader::new(payload);
-    let lsn = pr.u64().ok()?;
-    Some((lsn, payload[pr.position()..].to_vec()))
+    match pr.u64() {
+        Ok(lsn) => CheckpointScan::Valid(lsn, payload[pr.position()..].to_vec()),
+        Err(_) => CheckpointScan::Corrupt,
+    }
+}
+
+/// A checkpoint [`frame`] handed out in slices for a streamed write,
+/// hashing the payload as the slices go; the last slice carries the
+/// checksum. The slices concatenate to exactly what [`frame`] builds for
+/// `[lsn][state]`. One buffer serves every checkpoint, so each reuses the
+/// pages of the last.
+#[derive(Default)]
+pub(crate) struct SlicedFrame {
+    /// Header and payload; the checksum is appended by the last slice.
+    buf: Vec<u8>,
+    /// End of the payload in `buf`.
+    payload_end: usize,
+    /// Bytes already handed out.
+    cut: usize,
+    /// SHA-256 of the payload bytes handed out so far.
+    hasher: Sha256,
+}
+
+impl SlicedFrame {
+    /// Starts the frame of a checkpoint at `lsn` holding `state` (copied),
+    /// dropping whatever was left of the previous one. The caller has
+    /// checked `8 + state.len()` against [`MAX_PAYLOAD`].
+    pub(crate) fn start(&mut self, lsn: u64, state: &[u8]) {
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&((8 + state.len()) as u32).to_le_bytes());
+        self.buf.extend_from_slice(&lsn.to_le_bytes());
+        self.buf.extend_from_slice(state);
+        self.payload_end = self.buf.len();
+        self.cut = 0;
+        self.hasher = Sha256::new();
+    }
+
+    /// The next slice: `max(MIN_SLICE, ⌈(header + payload) / MAX_SLICES⌉)`
+    /// bytes, the last one shorter and followed by the checksum. `None` once
+    /// the whole frame is handed out.
+    pub(crate) fn next_slice(&mut self) -> Option<&[u8]> {
+        let from = self.cut;
+        if from == self.buf.len() {
+            return None;
+        }
+        let slice = MIN_SLICE.max(self.payload_end.div_ceil(MAX_SLICES));
+        let to = self.payload_end.min(from + slice);
+        self.hasher.update(&self.buf[from.max(HEADER_LEN)..to]);
+        if to == self.payload_end {
+            let check = std::mem::take(&mut self.hasher).finalize();
+            self.buf.extend_from_slice(&check.0[..CHECK_LEN]);
+            self.cut = self.buf.len();
+        } else {
+            self.cut = to;
+        }
+        Some(&self.buf[from..self.cut])
+    }
+
+    /// True once the last slice (the one with the checksum) is handed out.
+    pub(crate) fn is_done(&self) -> bool {
+        self.cut == self.buf.len()
+    }
 }
 
 /// Segment file name for the segment whose first record carries `lsn`.
@@ -349,6 +429,64 @@ mod tests {
         w.raw(&[0u8; 16]);
         let scan = scan(&w.into_bytes(), 0);
         assert!(matches!(scan.tail, TailStatus::Corrupt { .. }));
+    }
+
+    /// Every slice ends at a prefix of the frame: the streamed file is
+    /// byte-identical to `frame`, and each prefix scans as interrupted.
+    #[test]
+    fn sliced_frame_streams_exactly_the_frame() {
+        let mut sliced = SlicedFrame::default();
+        assert!(sliced.is_done() && sliced.next_slice().is_none());
+        for state_len in [
+            0usize,
+            5,
+            MIN_SLICE - 12,
+            MIN_SLICE,
+            3 * MIN_SLICE + 1,
+            2 << 20,
+        ] {
+            let state: Vec<u8> = (0..state_len).map(|i| (i * 7 % 251) as u8).collect();
+            let mut payload = 42u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&state);
+            let whole = frame(&payload);
+            sliced.start(42, &state);
+            let mut streamed = Vec::new();
+            let mut slices = 0;
+            while let Some(slice) = sliced.next_slice() {
+                streamed.extend_from_slice(slice);
+                slices += 1;
+                if !sliced.is_done() {
+                    assert_eq!(scan_checkpoint(&streamed), CheckpointScan::Interrupted);
+                }
+            }
+            assert_eq!(streamed, whole, "state_len={state_len}");
+            let body = whole.len() - CHECK_LEN;
+            let expected = body.div_ceil(MIN_SLICE.max(body.div_ceil(MAX_SLICES)));
+            assert_eq!(slices, expected, "state_len={state_len}");
+            assert!(slices <= MAX_SLICES);
+            assert_eq!(scan_checkpoint(&streamed), CheckpointScan::Valid(42, state));
+        }
+    }
+
+    #[test]
+    fn checkpoint_scan_tells_interrupted_from_corrupt() {
+        let mut payload = 9u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"state");
+        let whole = frame(&payload);
+        for cut in 0..whole.len() {
+            assert_eq!(
+                scan_checkpoint(&whole[..cut]),
+                CheckpointScan::Interrupted,
+                "cut={cut}"
+            );
+        }
+        let mut longer = whole.clone();
+        longer.push(0);
+        assert_eq!(scan_checkpoint(&longer), CheckpointScan::Corrupt);
+        let mut flipped = whole.clone();
+        flipped[HEADER_LEN + 9] ^= 0x01;
+        assert_eq!(scan_checkpoint(&flipped), CheckpointScan::Corrupt);
+        assert_eq!(scan_checkpoint(&frame(b"short")), CheckpointScan::Corrupt);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! operations the log engine needs — append, fsync, atomic whole-file
 //! replace, delete — and nothing more. Two implementations:
 //!
-//! * [`FileMedium`] — a real directory. `sync` is `fsync`; `write_atomic`
-//!   is write-to-temp + `fsync` + `rename` + directory `fsync`, so a
-//!   replace is all-or-nothing across a crash.
+//! * [`FileMedium`] — a real directory. `sync` is `fsync`, plus a directory
+//!   `fsync` when a file was created or removed since the last one;
+//!   `write_atomic` is write-to-temp + `fsync` + `rename` + directory
+//!   `fsync`, so a replace is all-or-nothing across a crash.
 //! * [`MemMedium`] — an in-memory directory that *models fsync*: every
 //!   file tracks how many bytes a successful `sync` has made durable, and
 //!   [`MemMedium::crash`] discards everything after that point — the exact
@@ -137,6 +138,12 @@ impl Medium for MemMedium {
 /// A real directory on disk.
 pub struct FileMedium {
     root: PathBuf,
+    /// A file was created or removed since the last directory fsync: the
+    /// next `sync` must make the directory entry durable too.
+    dir_dirty: bool,
+    /// Directory fsyncs issued (unit tests count them).
+    #[cfg(test)]
+    dir_syncs: u64,
 }
 
 impl FileMedium {
@@ -144,16 +151,26 @@ impl FileMedium {
     pub fn open(root: impl Into<PathBuf>) -> Result<FileMedium, StorageError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(FileMedium { root })
+        Ok(FileMedium {
+            root,
+            dir_dirty: false,
+            #[cfg(test)]
+            dir_syncs: 0,
+        })
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
 
-    /// fsync the directory itself so renames/creates are durable.
-    fn sync_dir(&self) -> Result<(), StorageError> {
+    /// fsync the directory itself so renames/creates/removals are durable.
+    fn sync_dir(&mut self) -> Result<(), StorageError> {
         std::fs::File::open(&self.root)?.sync_all()?;
+        self.dir_dirty = false;
+        #[cfg(test)]
+        {
+            self.dir_syncs += 1;
+        }
         Ok(())
     }
 }
@@ -183,10 +200,18 @@ impl Medium for FileMedium {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
+        let path = self.path(name);
+        let mut f = match std::fs::OpenOptions::new().append(true).open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                self.dir_dirty = true;
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)?
+            }
+            Err(e) => return Err(e.into()),
+        };
         f.write_all(data)?;
         Ok(())
     }
@@ -196,10 +221,14 @@ impl Medium for FileMedium {
             .append(true)
             .open(self.path(name))?
             .sync_all()?;
-        // The file's directory entry must also be durable the first time.
-        // Syncing the directory on every sync is redundant but cheap at the
-        // per-batch rate the engine calls this.
-        self.sync_dir()
+        // A created file's directory entry must be durable too, and so must
+        // a removal (a quarantined segment must not reappear after a crash
+        // once new records reuse its LSNs). Only then is the directory
+        // synced: it costs about a quarter of a small commit.
+        if self.dir_dirty {
+            self.sync_dir()?;
+        }
+        Ok(())
     }
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
@@ -214,7 +243,10 @@ impl Medium for FileMedium {
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
         match std::fs::remove_file(self.path(name)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.dir_dirty = true;
+                Ok(())
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
@@ -270,6 +302,30 @@ mod tests {
         m.remove("seg").unwrap();
         assert_eq!(m.read("seg").unwrap(), None);
         m.remove("seg").unwrap(); // idempotent
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_medium_syncs_the_directory_only_after_it_changed() {
+        let dir = std::env::temp_dir().join(format!("tcvs-dirsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut m = FileMedium::open(&dir).unwrap();
+        fn commits(m: &mut FileMedium, seg: &str) {
+            for _ in 0..50 {
+                m.append(seg, b"record").unwrap();
+                m.sync(seg).unwrap();
+            }
+        }
+        commits(&mut m, "seg-0");
+        assert_eq!(
+            m.dir_syncs, 1,
+            "one directory fsync for the segment's creation"
+        );
+        commits(&mut m, "seg-1");
+        assert_eq!(m.dir_syncs, 2, "a rotation costs exactly one more");
+        m.remove("seg-0").unwrap();
+        commits(&mut m, "seg-1");
+        assert_eq!(m.dir_syncs, 3, "the next sync makes a removal durable");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,11 +16,25 @@
 //!   checkpoint files, segment rotation, and log truncation after
 //!   checkpoint.
 //!
+//! ## Streamed checkpoints
+//!
+//! [`Storage::checkpoint`] on [`DurableStorage`] only copies the state.
+//! Each following commit appends and fsyncs one more slice of the
+//! checkpoint's frame (at most `log::MAX_SLICES` of them) before
+//! its own records, so no single request writes the whole tree. The last
+//! slice carries the checksum; only once it is synced are the log segments
+//! and old checkpoints the new one subsumes removed, again one per commit.
+//! A commit with an empty batch finishes all of it, and a new checkpoint
+//! finishes the previous one first. A crash mid-stream leaves an
+//! *interrupted* checkpoint file that recovery skips and removes; the
+//! previous checkpoint and the log behind it are still there.
+//!
 //! ## Recovery state machine ([`DurableStorage::recover`])
 //!
 //! 1. **Pick a checkpoint**: try checkpoint files newest-first; the first
 //!    one whose frame checksum and body decode verify wins. Corrupt ones
-//!    are counted and skipped (that is why two are retained).
+//!    are counted and skipped (that is why two are retained); an
+//!    interrupted one is counted apart and removed (unless recovery halts).
 //! 2. **Scan the log**: segments in LSN order, each record's checksum and
 //!    LSN continuity verified. A *torn* tail (incomplete frame) in the
 //!    last segment is the expected crash shape: discard it, note it,
@@ -32,7 +46,7 @@
 //!    to its valid prefix, so the discarded bytes can never resurface.
 
 use crate::error::StorageError;
-use crate::log::{self, SegmentScan, TailStatus};
+use crate::log::{self, CheckpointScan, SegmentScan, SlicedFrame, TailStatus};
 use crate::medium::Medium;
 use crate::record::Record;
 
@@ -74,6 +88,9 @@ pub struct RecoveryReport {
     pub records_replayed: u64,
     /// Checkpoint files that failed verification and were skipped.
     pub corrupt_checkpoints: u64,
+    /// Checkpoint files shorter than their length header — streams a crash
+    /// cut short — skipped and (unless recovery halts) removed.
+    pub interrupted_checkpoints: u64,
     /// A torn tail that was detected and discarded, if any.
     pub torn_tail: Option<TornTail>,
     /// Set when the scan stopped at interior corruption (checksum or LSN
@@ -115,11 +132,25 @@ pub struct Recovered {
 pub trait Storage: Send {
     /// Commits a batch atomically: all records become durable (one fsync)
     /// or none do. Returns the LSN after the last committed record.
+    ///
+    /// A backend that streams checkpoints ([`DurableStorage`]) first does
+    /// one step of the pending checkpoint work — one appended and fsynced
+    /// slice, or one removed file the finished checkpoint subsumes — and an
+    /// error there fails the commit before any of its records is written.
+    /// An **empty batch** does all of the pending work: on return the last
+    /// checkpoint is durable and pruning is done.
     fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError>;
 
-    /// Persists a checkpoint covering every committed record, then prunes
-    /// log segments and old checkpoints it subsumes. Returns the
-    /// checkpoint's LSN.
+    /// Starts a checkpoint covering every committed record and returns its
+    /// LSN. The state is copied; it need not outlive the call.
+    ///
+    /// A streaming backend ([`DurableStorage`]) writes nothing here beyond
+    /// what a previous checkpoint still had pending, which it finishes
+    /// first. The new checkpoint reaches the medium in slices carried by
+    /// the following commits, and the log segments and old checkpoints it
+    /// subsumes are pruned only after its last slice is synced — until then
+    /// a crash recovers from the previous checkpoint plus the log. Commit an
+    /// empty batch to make it durable at once.
     fn checkpoint(&mut self, state: &[u8]) -> Result<u64, StorageError>;
 
     /// Re-reads durable state: newest valid checkpoint + replay tail.
@@ -235,6 +266,16 @@ pub struct DurableStorage<M: Medium> {
     /// Set when the last recovery stopped at interior corruption without
     /// repairing it: commits stay refused until [`Storage::salvage`].
     halted: Option<String>,
+    /// Frame of the newest checkpoint, handed out one slice per commit.
+    frame: SlicedFrame,
+    /// LSN of the checkpoint that frame is streaming out, until its last
+    /// slice is synced.
+    streaming: Option<u64>,
+    /// LSN of the newest checkpoint known to be complete on the medium.
+    complete: Option<u64>,
+    /// Files the newest complete checkpoint subsumes, removed one per
+    /// commit.
+    doomed: Vec<String>,
 }
 
 impl<M: Medium> DurableStorage<M> {
@@ -253,6 +294,10 @@ impl<M: Medium> DurableStorage<M> {
             seg_bytes: 0,
             recovered: false,
             halted: None,
+            frame: SlicedFrame::default(),
+            streaming: None,
+            complete: None,
+            doomed: Vec::new(),
         }
     }
 
@@ -304,14 +349,13 @@ impl<M: Medium> DurableStorage<M> {
         Ok(scan)
     }
 
-    /// Drops log segments fully covered by the oldest retained checkpoint
-    /// and checkpoints beyond the retention count.
-    fn prune(&mut self) -> Result<(), StorageError> {
+    /// Queues for removal the checkpoints beyond the retention count and the
+    /// log segments fully covered by the oldest retained checkpoint.
+    fn plan_prune(&mut self) -> Result<(), StorageError> {
         let mut ckpts = self.checkpoint_lsns()?;
-        while ckpts.len() > self.opts.retain_checkpoints {
-            let oldest = ckpts.remove(0);
-            self.medium.remove(&log::checkpoint_name(oldest))?;
-        }
+        let excess = ckpts.len().saturating_sub(self.opts.retain_checkpoints);
+        self.doomed
+            .extend(ckpts.drain(..excess).map(log::checkpoint_name));
         let Some(&cutoff) = ckpts.first() else {
             return Ok(());
         };
@@ -321,8 +365,62 @@ impl<M: Medium> DurableStorage<M> {
         // never removed.
         for pair in segs.windows(2) {
             if pair[1] <= cutoff && log::segment_name(pair[0]) != self.seg_name {
-                self.medium.remove(&log::segment_name(pair[0]))?;
+                self.doomed.push(log::segment_name(pair[0]));
             }
+        }
+        Ok(())
+    }
+
+    /// One step of pending checkpoint work: the next slice of the streaming
+    /// checkpoint, else one subsumed file. False when nothing was pending.
+    fn step(&mut self) -> Result<bool, StorageError> {
+        if let Some(lsn) = self.streaming {
+            let name = log::checkpoint_name(lsn);
+            let slice = self
+                .frame
+                .next_slice()
+                .expect("a streaming frame has a slice left");
+            let written = self
+                .medium
+                .append(&name, slice)
+                .and_then(|()| self.medium.sync(&name));
+            if let Err(e) = written {
+                // The partial file is dead: the next checkpoint at this LSN
+                // starts over, and recovery removes it.
+                self.streaming = None;
+                return Err(e);
+            }
+            if self.frame.is_done() {
+                // The checkpoint is durable; only now may what it subsumes go.
+                self.complete = Some(lsn);
+                self.streaming = None;
+                self.plan_prune()?;
+            }
+        } else if let Some(name) = self.doomed.pop() {
+            self.medium.remove(&name)?;
+        } else {
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// Does all pending checkpoint work.
+    fn flush(&mut self) -> Result<(), StorageError> {
+        while self.step()? {}
+        Ok(())
+    }
+
+    /// The refusal every write gets while a corrupt stop is unresolved or
+    /// before the first recovery.
+    fn check_writable(&self, what: &str) -> Result<(), StorageError> {
+        if let Some(stop) = &self.halted {
+            return Err(StorageError::Unrecoverable(format!(
+                "{what} refused: recovery stopped at interior corruption ({stop}); \
+                 salvage() makes the discard explicit"
+            )));
+        }
+        if !self.recovered {
+            return Err(StorageError::io(format!("{what} before recovery")));
         }
         Ok(())
     }
@@ -330,16 +428,9 @@ impl<M: Medium> DurableStorage<M> {
 
 impl<M: Medium> Storage for DurableStorage<M> {
     fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError> {
-        if let Some(stop) = &self.halted {
-            return Err(StorageError::Unrecoverable(format!(
-                "commits refused: recovery stopped at interior corruption ({stop}); \
-                 salvage() makes the discard explicit"
-            )));
-        }
-        if !self.recovered {
-            return Err(StorageError::io("commit before recovery"));
-        }
+        self.check_writable("commit")?;
         if batch.is_empty() {
+            self.flush()?;
             return Ok(self.next_lsn);
         }
         let mut buf = Vec::new();
@@ -357,6 +448,9 @@ impl<M: Medium> Storage for DurableStorage<M> {
             buf.extend_from_slice(&log::frame(&log::payload(lsn, rec.tag(), &body)));
             lsn += 1;
         }
+        // Pending checkpoint work rides along, ahead of the records: if it
+        // fails, the commit fails with nothing of the batch on the medium.
+        self.step()?;
         if self.seg_bytes > 0 && self.seg_bytes + buf.len() > self.opts.segment_bytes {
             self.seg_name = log::segment_name(self.next_lsn);
             self.seg_bytes = 0;
@@ -371,34 +465,31 @@ impl<M: Medium> Storage for DurableStorage<M> {
     }
 
     fn checkpoint(&mut self, state: &[u8]) -> Result<u64, StorageError> {
-        if let Some(stop) = &self.halted {
-            return Err(StorageError::Unrecoverable(format!(
-                "checkpoint refused: recovery stopped at interior corruption ({stop}); \
-                 salvage() makes the discard explicit"
-            )));
-        }
-        if !self.recovered {
-            return Err(StorageError::io("checkpoint before recovery"));
-        }
-        let lsn = self.next_lsn;
+        self.check_writable("checkpoint")?;
         if 8 + state.len() > log::MAX_PAYLOAD {
             return Err(StorageError::TooLarge {
                 what: "checkpoint",
                 bytes: state.len(),
             });
         }
-        let mut body = Vec::with_capacity(8 + state.len());
-        body.extend_from_slice(&lsn.to_le_bytes());
-        body.extend_from_slice(state);
-        self.medium
-            .write_atomic(&log::checkpoint_name(lsn), &log::frame(&body))?;
+        self.flush()?;
+        let lsn = self.next_lsn;
+        if self.complete == Some(lsn) {
+            // Already on the medium, covering every committed record. A
+            // second stream under the same name could only destroy it.
+            return Ok(lsn);
+        }
+        // A stream appends from an empty file; clear whatever a failed
+        // stream or a corrupt checkpoint left under this name.
+        self.medium.remove(&log::checkpoint_name(lsn))?;
+        self.frame.start(lsn, state);
+        self.streaming = Some(lsn);
         // Rotate so the pre-checkpoint segment becomes prunable once the
-        // *next* checkpoint lands.
+        // *next* checkpoint completes.
         if self.seg_bytes > 0 {
             self.seg_name = log::segment_name(lsn);
             self.seg_bytes = 0;
         }
-        self.prune()?;
         Ok(lsn)
     }
 
@@ -424,29 +515,39 @@ impl<M: Medium> DurableStorage<M> {
     fn recover_impl(&mut self, repair: bool) -> Result<Recovered, StorageError> {
         let mut report = RecoveryReport::default();
         self.halted = None;
+        // Whatever checkpoint work this incarnation had pending is void: the
+        // medium is re-read from scratch.
+        self.streaming = None;
+        self.doomed.clear();
 
         // 1. Newest checkpoint that verifies.
         let mut checkpoint: Option<(u64, Vec<u8>)> = None;
+        let mut interrupted = Vec::new();
         for lsn in self.checkpoint_lsns()?.into_iter().rev() {
             let name = log::checkpoint_name(lsn);
             let Some(buf) = self.medium.read(&name)? else {
                 continue;
             };
-            let scan = log::scan_checkpoint(&buf);
-            match scan {
-                Some((stored_lsn, state)) if stored_lsn == lsn => {
+            match log::scan_checkpoint(&buf) {
+                CheckpointScan::Valid(stored_lsn, state) if stored_lsn == lsn => {
                     checkpoint = Some((lsn, state));
                     break;
+                }
+                CheckpointScan::Interrupted => {
+                    report.interrupted_checkpoints += 1;
+                    interrupted.push(name);
                 }
                 _ => report.corrupt_checkpoints += 1,
             }
         }
-        let base = checkpoint.as_ref().map_or(0, |(lsn, _)| *lsn);
+        self.complete = checkpoint.as_ref().map(|(lsn, _)| *lsn);
+        let base = self.complete.unwrap_or(0);
 
-        // 2. Scan segments in LSN order.
+        // 2. Scan segments in LSN order. The scan starts at the base at the
+        // latest: a log that begins above it has lost the records between.
         let segs = self.segment_lsns()?;
         let mut tail: Vec<(u64, Record)> = Vec::new();
-        let mut expected = segs.first().copied().unwrap_or(0);
+        let mut expected = segs.first().map_or(0, |&first| first.min(base));
         let mut last_valid: Option<(String, u64)> = None; // (name, valid_len)
         let mut stopped = false;
         // First segment index the scan never reached; everything from here
@@ -567,9 +668,13 @@ impl<M: Medium> DurableStorage<M> {
             }
         }
 
-        // 5. Make the discard permanent: truncate the last scanned segment
-        // to its valid prefix so torn bytes can never resurface, and point
-        // appends at it.
+        // 5. Make the discard permanent: drop interrupted checkpoints, so no
+        // stream appends to one and no retention count includes one;
+        // truncate the last scanned segment to its valid prefix so torn
+        // bytes can never resurface, and point appends at it.
+        for name in &interrupted {
+            self.medium.remove(name)?;
+        }
         self.next_lsn = expected.max(base);
         if let Some((name, valid_len)) = &last_valid {
             let buf = self.medium.read(name)?.unwrap_or_default();
@@ -605,7 +710,9 @@ impl<M: Medium> DurableStorage<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultMedium;
     use crate::medium::MemMedium;
+    use tcvs_core::StorageFault;
     use tcvs_merkle::{u64_key, Op};
 
     fn op_record(i: u64) -> Record {
@@ -733,6 +840,9 @@ mod tests {
             commit_one(&mut s, i);
         }
         s.checkpoint(b"state@15").unwrap();
+        // The earlier checkpoints streamed out in the commits after them;
+        // an empty commit finishes the last one and the pruning behind it.
+        s.commit(WriteBatch::new()).unwrap();
         let names = mem.list().unwrap();
         let ckpts: Vec<_> = names
             .iter()
@@ -755,6 +865,82 @@ mod tests {
         assert_eq!(rec.report.corrupt_checkpoints, 1);
         assert_eq!(rec.checkpoint.as_ref().unwrap().0, 12);
         assert_eq!(rec.tail.len(), 3, "records 12..15 replay from the log");
+    }
+
+    /// A checkpoint at the LSN of the newest complete one, in the same
+    /// incarnation or after a recovery, leaves that file alone: a second
+    /// stream under its name could only destroy it.
+    #[test]
+    fn checkpoint_at_a_completed_lsn_keeps_the_complete_file() {
+        let mem = MemMedium::new();
+        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
+        s.recover().unwrap();
+        commit_one(&mut s, 0);
+        s.checkpoint(b"state@1").unwrap();
+        s.commit(WriteBatch::new()).unwrap();
+        assert_eq!(s.checkpoint(b"again@1").unwrap(), 1);
+        s.commit(WriteBatch::new()).unwrap();
+        let mut s2 = DurableStorage::open(mem.clone(), DurableOptions::default());
+        s2.recover().unwrap();
+        assert_eq!(s2.checkpoint(b"reopened@1").unwrap(), 1);
+        s2.commit(WriteBatch::new()).unwrap();
+        let rec = DurableStorage::open(mem, DurableOptions::default())
+            .recover()
+            .unwrap();
+        assert_eq!(rec.checkpoint, Some((1, b"state@1".to_vec())));
+    }
+
+    /// A failed stream leaves a partial file behind; the next checkpoint
+    /// under the same name starts from an empty file, not after the debris.
+    #[test]
+    fn a_failed_stream_restarts_from_an_empty_file() {
+        let mem = MemMedium::new();
+        let mut fm = FaultMedium::new(mem.clone());
+        fm.schedule(1, StorageFault::TornWrite); // the first slice
+        let mut s = DurableStorage::open(fm, DurableOptions::default());
+        s.recover().unwrap();
+        commit_one(&mut s, 0);
+        s.checkpoint(b"state@1").unwrap();
+        assert!(s.commit(WriteBatch::new()).is_err());
+        assert!(mem.read(&log::checkpoint_name(1)).unwrap().is_some());
+        s.medium.heal();
+        s.checkpoint(b"state@1").unwrap();
+        s.commit(WriteBatch::new()).unwrap();
+        let rec = DurableStorage::open(mem, DurableOptions::default())
+            .recover()
+            .unwrap();
+        assert_eq!(rec.checkpoint, Some((1, b"state@1".to_vec())));
+    }
+
+    /// With every checkpoint damaged, a log pruned below them is not
+    /// replayed onto an empty state: the pruned records are a hole.
+    #[test]
+    fn log_pruned_below_damaged_checkpoints_is_a_hole() {
+        let mem = MemMedium::new();
+        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
+        s.recover().unwrap();
+        for i in 0..6 {
+            commit_one(&mut s, i);
+            if i == 2 || i == 4 {
+                s.checkpoint(b"state").unwrap();
+                s.commit(WriteBatch::new()).unwrap();
+            }
+        }
+        assert_eq!(s.segment_lsns().unwrap(), vec![3, 5], "pruned below 3");
+        let mut raw = mem.clone();
+        for lsn in [3, 5] {
+            let name = log::checkpoint_name(lsn);
+            let mut buf = mem.read(&name).unwrap().unwrap();
+            let last = buf.len() - 1;
+            buf[last] ^= 0x01;
+            raw.write_atomic(&name, &buf).unwrap();
+        }
+        let rec = DurableStorage::open(mem, DurableOptions::default())
+            .recover()
+            .unwrap();
+        assert_eq!(rec.report.corrupt_checkpoints, 2);
+        assert!(rec.report.corrupt_stop.is_some(), "{:?}", rec.report);
+        assert!(rec.tail.is_empty());
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //! exactly the acknowledged prefix — nothing acknowledged is lost, and
 //! nothing unacknowledged is half-applied.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 use tcvs_core::{
     FaultKind, FaultPlan, FaultRates, ProtocolConfig, ServerApi, ServerCore, StorageFault,
 };
 use tcvs_merkle::{u64_key, Op};
 use tcvs_storage::{
-    response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage, FaultMedium,
-    MemMedium, Storage, StorageObs,
+    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
+    FaultMedium, Medium, MemMedium, Storage, StorageError, StorageObs,
 };
 
 const USERS: u64 = 3;
@@ -42,22 +44,22 @@ fn scripted(j: u64) -> (u32, u64, Op, u64) {
     (user, j, op, j)
 }
 
-/// Replays ops `0..n` on a fresh in-memory core, returning it plus every
-/// response's canonical bytes.
-fn oracle(n: u64) -> (ServerCore, Vec<Vec<u8>>) {
+/// An op stream: op index → (user, seq, op, round).
+type Script = fn(u64) -> (u32, u64, Op, u64);
+
+/// Replays ops `0..n` of `script` on a fresh in-memory core, returning it
+/// plus every response's canonical bytes.
+fn oracle(script: Script, n: u64) -> (ServerCore, Vec<Vec<u8>>) {
     let mut core = ServerCore::new(&config());
     let mut replies = Vec::new();
     for j in 0..n {
-        let (user, _seq, op, round) = scripted(j);
+        let (user, _seq, op, round) = script(j);
         replies.push(response_bytes(&core.process(user, &op, round)));
     }
     (core, replies)
 }
 
-fn open<M: tcvs_storage::Medium + Clone>(
-    medium: M,
-    checkpoint_every: u64,
-) -> DurableServer<DurableStorage<M>> {
+fn open<M: Medium>(medium: M, checkpoint_every: u64) -> DurableServer<DurableStorage<M>> {
     let opts = DurableOptions {
         segment_bytes: 256, // tiny: crashes land across many segments
         retain_checkpoints: 2,
@@ -78,14 +80,15 @@ fn open<M: tcvs_storage::Medium + Clone>(
     .expect("open server")
 }
 
-/// Asserts the recovered world equals the oracle at `acked` ops: root
-/// digest, counter, and a byte-identical reply journal.
-fn assert_recovered_equals_oracle<M: tcvs_storage::Medium + Clone>(
+/// Asserts the recovered world equals the oracle of `script` at `acked`
+/// ops: root digest, counter, and a byte-identical reply journal.
+fn assert_recovered_equals_oracle<M: Medium>(
     server: &DurableServer<DurableStorage<M>>,
+    script: Script,
     acked: u64,
     what: &str,
 ) {
-    let (oracle_core, replies) = oracle(acked);
+    let (oracle_core, replies) = oracle(script, acked);
     assert_eq!(server.core().ctr(), acked, "{what}: counter");
     assert_eq!(
         server.core().root_digest(),
@@ -129,17 +132,26 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
             "crash_at={crash_at}: {:?}",
             server.last_recovery()
         );
-        assert_recovered_equals_oracle(&server, crash_at, &format!("crash_at={crash_at}"));
+        assert_recovered_equals_oracle(
+            &server,
+            scripted,
+            crash_at,
+            &format!("crash_at={crash_at}"),
+        );
     }
 }
 
-/// A torn write at every op index: the faulted op is never acknowledged,
-/// and recovery lands exactly on the prefix before it — whether the torn
-/// bytes survived in the page cache (process restart) or not (power loss).
+/// A torn write at every append — each op's records, and each slice of the
+/// checkpoints streaming behind them: the op whose commit it tears is never
+/// acknowledged, and recovery lands exactly on the prefix before it —
+/// whether the torn bytes survived in the page cache (process restart) or
+/// not (power loss).
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
     const N: u64 = 24;
-    for torn_at in 0..N {
+    let mut torn_at = 0;
+    loop {
+        let mut tore = false;
         for power_loss in [false, true] {
             let mem = MemMedium::new();
             let mut fm = FaultMedium::new(mem.clone());
@@ -159,27 +171,35 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
                 StorageObs::disabled(),
             )
             .expect("open");
-            for j in 0..N {
+            // The torn write fails the op whose commit issued it.
+            let unacked = (0..N).find(|&j| {
                 let (user, seq, op, round) = scripted(j);
-                let result = server.apply(user, seq, &op, round);
-                if j == torn_at {
-                    result.expect_err("torn write must not acknowledge");
-                    break;
-                }
-                result.expect("healthy op");
-            }
+                server.apply(user, seq, &op, round).is_err()
+            });
             drop(server);
+            let Some(unacked) = unacked else {
+                continue; // `torn_at` lies past the run's last append
+            };
+            tore = true;
             if power_loss {
                 mem.crash();
             }
             let server = open(mem, 7);
             assert_recovered_equals_oracle(
                 &server,
-                torn_at,
-                &format!("torn_at={torn_at} power_loss={power_loss}"),
+                scripted,
+                unacked,
+                &format!("torn_at={torn_at} unacked={unacked} power_loss={power_loss}"),
             );
         }
+        if !tore {
+            break;
+        }
+        torn_at += 1;
     }
+    // One append per op, plus one slice for each of the (small)
+    // checkpoints at 7, 14 and 21.
+    assert_eq!(torn_at, N + 3, "every append of the run was torn once");
 }
 
 /// A lying fsync at every op index, with the power failing right after:
@@ -218,7 +238,7 @@ fn lost_fsync_then_power_loss_recovers_a_clean_prefix() {
             server.last_recovery().corrupt_stop.is_none(),
             "lost_at={lost_at}"
         );
-        assert_recovered_equals_oracle(&server, lost_at, &format!("lost_at={lost_at}"));
+        assert_recovered_equals_oracle(&server, scripted, lost_at, &format!("lost_at={lost_at}"));
     }
 }
 
@@ -261,7 +281,7 @@ fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
             report.corrupt_stop.is_some() || report.torn_tail.is_some(),
             "flip_at={flip_at}: the flip must be reported: {report:?}"
         );
-        assert_recovered_equals_oracle(&server, flip_at, &format!("flip_at={flip_at}"));
+        assert_recovered_equals_oracle(&server, scripted, flip_at, &format!("flip_at={flip_at}"));
     }
 }
 
@@ -300,7 +320,7 @@ fn crash_restart_at_every_op_index_is_transparent() {
     const N: u64 = 30;
     let mem = MemMedium::new();
     let mut server = open(mem, 5);
-    let (_, replies) = oracle(N);
+    let (_, replies) = oracle(scripted, N);
     for j in 0..N {
         let (user, seq, op, round) = scripted(j);
         let resp = server.handle_op_seq(user, seq, &op, round);
@@ -310,7 +330,7 @@ fn crash_restart_at_every_op_index_is_transparent() {
             "op {j}: live reply matches oracle"
         );
         server.crash_restart(); // crash after *every* op
-        assert_recovered_equals_oracle(&server, j + 1, &format!("after op {j}"));
+        assert_recovered_equals_oracle(&server, scripted, j + 1, &format!("after op {j}"));
     }
 }
 
@@ -370,7 +390,223 @@ fn seeded_fault_plans_drive_storage_faults_end_to_end() {
     // Bit flips may truncate the usable prefix; whatever prefix recovery
     // lands on must be internally consistent with the oracle.
     let acked = server.core().ctr();
-    assert_recovered_equals_oracle(&server, acked, "seeded plan");
+    assert_recovered_equals_oracle(&server, scripted, acked, "seeded plan");
+}
+
+/// `scripted` with every put's value blown up to 24 KiB, so that a
+/// checkpoint of its world streams out in several slices.
+fn scripted_large(j: u64) -> (u32, u64, Op, u64) {
+    let (user, seq, op, round) = scripted(j);
+    let op = match op {
+        Op::Put(k, v) => Op::Put(k, vec![v[0]; 24 << 10]),
+        op => op,
+    };
+    (user, seq, op, round)
+}
+
+/// Every mutating medium operation of a run, in order: `(kind, file)`.
+type OpLog = Arc<Mutex<Vec<(&'static str, String)>>>;
+
+/// A medium that logs its mutating operations and loses power at the
+/// `cut`-th: that operation and every later one fail.
+struct PowerCut<M> {
+    inner: M,
+    log: OpLog,
+    cut: usize,
+}
+
+impl<M: Medium> PowerCut<M> {
+    fn op(&self, kind: &'static str, name: &str) -> Result<(), StorageError> {
+        let mut log = self.log.lock().unwrap();
+        if log.len() >= self.cut {
+            return Err(StorageError::io("power lost"));
+        }
+        log.push((kind, name.to_string()));
+        Ok(())
+    }
+}
+
+impl<M: Medium> Medium for PowerCut<M> {
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.inner.list()
+    }
+
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
+        self.inner.read(name)
+    }
+
+    fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.op("append", name)?;
+        self.inner.append(name, data)
+    }
+
+    fn sync(&mut self, name: &str) -> Result<(), StorageError> {
+        self.op("sync", name)?;
+        self.inner.sync(name)
+    }
+
+    fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.op("write_atomic", name)?;
+        self.inner.write_atomic(name, data)
+    }
+
+    fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+        self.op("remove", name)?;
+        self.inner.remove(name)
+    }
+}
+
+/// Applies `scripted_large` ops `0..n` until one fails; returns how many
+/// were acknowledged.
+fn run_large<M: Medium>(server: &mut DurableServer<DurableStorage<M>>, n: u64) -> u64 {
+    (0..n)
+        .find(|&j| {
+            let (user, seq, op, round) = scripted_large(j);
+            server.apply(user, seq, &op, round).is_err()
+        })
+        .unwrap_or(n)
+}
+
+/// A checkpoint streams out in slices across the commits after it, and
+/// its pruning follows one file per commit. Power loss, a torn write, a
+/// lost fsync (then power loss) and a bit flip, each injected at every
+/// medium operation from the stream's start to the end of the run: the
+/// recovered world is always the oracle's, at exactly the prefix the fault
+/// allows.
+#[test]
+fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
+    const N: u64 = 50;
+    const EVERY: u64 = 10;
+    // The third checkpoint: its completion prunes the first one and the
+    // log below the second, the fallback a damaged third one needs.
+    const STREAMED: u64 = 30;
+
+    // A fault-free run maps every medium operation to the op issuing it.
+    let log = OpLog::default();
+    let dry = MemMedium::new();
+    let mut server = open(
+        PowerCut {
+            inner: dry.clone(),
+            log: Arc::clone(&log),
+            cut: usize::MAX,
+        },
+        EVERY,
+    );
+    let mut op_start = Vec::new();
+    for j in 0..N {
+        op_start.push(log.lock().unwrap().len());
+        let (user, seq, op, round) = scripted_large(j);
+        server.apply(user, seq, &op, round).expect("fault-free run");
+    }
+    drop(server);
+    // The newest checkpoint complete when the run ends subsumes every
+    // record below it, damaged or not.
+    let (last_complete, _) = DurableStorage::open(dry, DurableOptions::default())
+        .recover()
+        .unwrap()
+        .checkpoint
+        .unwrap();
+    assert!(last_complete > STREAMED);
+    let ops = log.lock().unwrap().clone();
+    op_start.push(ops.len());
+    let op_of = |m: usize| (op_start.partition_point(|&s| s <= m) - 1) as u64;
+    // Ops durable when medium operation m fails: those before its op, and
+    // its op too once its records were synced (a failure in the checkpoint
+    // work after that fails an op that is already durable).
+    let durable_before = |m: usize| {
+        let j = op_of(m);
+        let synced = (op_start[j as usize]..m)
+            .any(|i| ops[i].0 == "sync" && log::parse_segment_name(&ops[i].1).is_some());
+        j + u64::from(synced)
+    };
+    let is_ckpt = |m: usize| log::parse_checkpoint_name(&ops[m].1).is_some();
+    let streamed = log::checkpoint_name(STREAMED);
+    let first = ops.iter().position(|(_, f)| *f == streamed).unwrap();
+    let slices = ops
+        .iter()
+        .filter(|(kind, f)| *kind == "append" && *f == streamed)
+        .count();
+    assert!(slices >= 4, "{slices} slices");
+    let removed: Vec<&String> = ops[first..]
+        .iter()
+        .filter(|(kind, _)| *kind == "remove")
+        .map(|(_, f)| f)
+        .collect();
+    assert!(
+        removed.contains(&&log::checkpoint_name(EVERY))
+            && removed.iter().any(|f| log::parse_segment_name(f).is_some()),
+        "the stream's pruning lies inside the run: {removed:?}"
+    );
+    // Medium operation index of every append; the first one at or after
+    // the stream's start.
+    let appends: Vec<usize> = (0..ops.len()).filter(|&m| ops[m].0 == "append").collect();
+    let first_append = appends.iter().position(|&m| m >= first).unwrap();
+
+    // Power lost just before medium operation m: the op issuing it is
+    // unacknowledged.
+    let mut interrupted = 0;
+    for m in first..ops.len() {
+        let j = op_of(m);
+        let mem = MemMedium::new();
+        let mut server = open(
+            PowerCut {
+                inner: mem.clone(),
+                log: OpLog::default(),
+                cut: m,
+            },
+            EVERY,
+        );
+        assert_eq!(run_large(&mut server, N), j, "power cut at medium op {m}");
+        drop(server);
+        mem.crash();
+        let server = open(mem, EVERY);
+        let report = server.last_recovery();
+        assert!(report.corrupt_stop.is_none(), "m={m}: {report:?}");
+        interrupted += u64::from(report.interrupted_checkpoints > 0);
+        let expected = durable_before(m);
+        assert_recovered_equals_oracle(&server, scripted_large, expected, &format!("m={m}"));
+    }
+    assert!(interrupted > 0, "some power cut interrupted a stream");
+
+    for (a, &m) in appends.iter().enumerate().skip(first_append) {
+        let j = op_of(m);
+        for fault in [
+            StorageFault::TornWrite,
+            StorageFault::FsyncLost,
+            StorageFault::BitFlip,
+        ] {
+            let what = format!("{fault:?} at append {a} ({} of op {j})", ops[m].1);
+            let mem = MemMedium::new();
+            let mut fm = FaultMedium::new(mem.clone());
+            fm.schedule(a as u64, fault);
+            let mut server = open(fm, EVERY);
+            // (ops run, ops acknowledged, ops recovered)
+            let (run, acked, expected) = match fault {
+                // The torn append fails its op.
+                StorageFault::TornWrite => (N, j, durable_before(m)),
+                // Power fails right after the op whose sync was lost: a
+                // slice's loss costs nothing, a record's costs its op.
+                StorageFault::FsyncLost => (j + 1, j + 1, j + u64::from(is_ckpt(m))),
+                // A flipped slice spoils its checkpoint, and recovery falls
+                // back to the previous one. A flipped record stops replay
+                // at it, unless a complete checkpoint subsumes it.
+                _ if is_ckpt(m) || j < last_complete => (N, N, N),
+                _ => (N, N, j),
+            };
+            assert_eq!(run_large(&mut server, run), acked, "{what}");
+            drop(server);
+            if fault != StorageFault::BitFlip {
+                mem.crash();
+            }
+            let server = open(mem, EVERY);
+            // Only a flipped record replay depends on is interior damage.
+            if fault != StorageFault::BitFlip || expected == N {
+                let report = server.last_recovery();
+                assert!(report.corrupt_stop.is_none(), "{what}: {report:?}");
+            }
+            assert_recovered_equals_oracle(&server, scripted_large, expected, &what);
+        }
+    }
 }
 
 proptest! {
@@ -395,7 +631,7 @@ proptest! {
         mem.crash();
         let server = open(mem, every);
         prop_assert!(server.last_recovery().corrupt_stop.is_none());
-        let (oracle_core, _) = oracle(crash_at);
+        let (oracle_core, _) = oracle(scripted, crash_at);
         prop_assert_eq!(server.core().ctr(), crash_at);
         prop_assert_eq!(server.core().root_digest(), oracle_core.root_digest());
     }

@@ -64,13 +64,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// New empty writer over a buffer allocated for `bytes` up front.
-    pub fn with_capacity(bytes: usize) -> Writer {
-        Writer {
-            buf: Vec::with_capacity(bytes),
-        }
-    }
-
     /// Finishes and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -116,6 +109,14 @@ impl Writer {
     /// True when nothing has been written yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+/// A writer that appends to `buf`: a buffer kept across encodings keeps
+/// its capacity.
+impl From<Vec<u8>> for Writer {
+    fn from(buf: Vec<u8>) -> Writer {
+        Writer { buf }
     }
 }
 
