@@ -24,7 +24,7 @@ use tcvs_merkle::{ChunkAssembler, ChunkError, ChunkManifest, MerkleTree};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{remote_fetch, Endpoint, Request};
+use crate::server::{round_trip, Endpoint, Request};
 
 /// Why a bootstrap attempt failed.
 #[derive(Debug)]
@@ -352,10 +352,11 @@ impl BootstrapClient {
 
     fn fetch_manifest_raw(&mut self) -> Result<(Vec<u8>, Ctr), BootstrapError> {
         self.seq += 1;
-        remote_fetch(
+        round_trip(
             &self.tx,
             self.user,
             self.seq,
+            None,
             &self.policy,
             &self.stats,
             |reply| Request::BootstrapManifest { reply },
@@ -396,10 +397,11 @@ impl BootstrapClient {
             }
             for index in missing {
                 self.seq += 1;
-                let bytes = remote_fetch(
+                let bytes = round_trip(
                     &self.tx,
                     self.user,
                     self.seq,
+                    None,
                     &self.policy,
                     &self.stats,
                     |reply| Request::BootstrapChunk {

@@ -20,8 +20,8 @@ use crate::bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
 use crate::server::{
-    remote_batch, remote_fetch, remote_op, remote_pipelined, remote_read, Endpoint, PipelinedReply,
-    ReadRequest, Request, SnapshotSlot,
+    remote_call, round_trip, Body, Endpoint, Head, PipelinedReply, ReadRequest, Request,
+    SnapshotSlot,
 };
 use std::sync::Arc;
 
@@ -107,19 +107,12 @@ impl NetClient1 {
     /// one trace rooted at this client's `(user, seq)`.
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
         self.seq += 1;
-        let ctx = SpanContext::root(self.inner.user(), self.seq);
-        self.inner.set_current_span(Some(ctx));
+        let head = Head::root(self.inner.user(), self.seq, self.ops);
+        self.inner.set_current_span(head.ctx);
         let (result, deposit) = if self.pipelined {
-            let reply = remote_pipelined(
-                &self.tx,
-                self.inner.user(),
-                self.seq,
-                op,
-                self.ops,
-                Some(ctx),
-                &self.policy,
-                &self.stats,
-            )?;
+            let reply = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+                Body::Pipelined(op.clone(), reply)
+            })?;
             self.ops += 1;
             match reply {
                 PipelinedReply::Pipelined(presp) => {
@@ -128,16 +121,9 @@ impl NetClient1 {
                 PipelinedReply::Legacy(resp) => self.inner.handle_response(op, &resp)?,
             }
         } else {
-            let resp = remote_op(
-                &self.tx,
-                self.inner.user(),
-                self.seq,
-                op,
-                self.ops,
-                Some(ctx),
-                &self.policy,
-                &self.stats,
-            )?;
+            let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+                Body::Op(op.clone(), reply)
+            })?;
             self.ops += 1;
             self.inner.handle_response(op, &resp)?
         };
@@ -146,7 +132,7 @@ impl NetClient1 {
             Request::Signature {
                 user: self.inner.user(),
                 signed: deposit,
-                ctx: Some(ctx),
+                ctx: head.ctx,
             },
         )?;
         // The server is released; build the next one-time key while it
@@ -308,18 +294,11 @@ impl NetClient2 {
     /// [`NetClient2::take_evidence`].
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
         self.seq += 1;
-        let ctx = SpanContext::root(self.inner.user(), self.seq);
-        self.inner.set_current_span(Some(ctx));
-        let resp = remote_op(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            op,
-            self.ops,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )?;
+        let head = Head::root(self.inner.user(), self.seq, self.ops);
+        self.inner.set_current_span(head.ctx);
+        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Op(op.clone(), reply)
+        })?;
         self.ops += 1;
         match self.inner.handle_response(op, &resp) {
             Ok(result) => Ok(result),
@@ -347,18 +326,11 @@ impl NetClient2 {
             return self.execute_each(ops);
         }
         self.seq += 1;
-        let ctx = SpanContext::root(self.inner.user(), self.seq);
-        self.inner.set_current_span(Some(ctx));
-        match remote_batch(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            ops,
-            self.ops,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )? {
+        let head = Head::root(self.inner.user(), self.seq, self.ops);
+        self.inner.set_current_span(head.ctx);
+        match remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Batch(ops.to_vec(), reply)
+        })? {
             Some(resp) => {
                 self.ops += ops.len() as u64;
                 match self.inner.handle_batch_response(ops, &resp) {
@@ -454,18 +426,11 @@ impl NetClient3 {
     pub fn execute_at(&mut self, op: &Op, round: u64) -> Result<OpResult, NetError> {
         self.round = round;
         self.seq += 1;
-        let ctx = SpanContext::root(self.inner.user(), self.seq);
-        self.inner.set_current_span(Some(ctx));
-        let resp = remote_op(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            op,
-            round,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )?;
+        let head = Head::root(self.inner.user(), self.seq, round);
+        self.inner.set_current_span(head.ctx);
+        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Op(op.clone(), reply)
+        })?;
         self.ops += 1;
         let (result, deposits) = self.inner.handle_response(op, &resp, round)?;
         for d in deposits {
@@ -474,10 +439,11 @@ impl NetClient3 {
         if let Some(epoch) = self.inner.pending_audit() {
             let user = self.inner.user();
             self.seq += 1;
-            let states = remote_fetch(
+            let states = round_trip(
                 &self.tx,
                 user,
                 self.seq,
+                None,
                 &self.policy,
                 &self.stats,
                 |reply| Request::FetchEpochStates { user, epoch, reply },
@@ -486,10 +452,11 @@ impl NetClient3 {
                 None
             } else {
                 self.seq += 1;
-                remote_fetch(
+                round_trip(
                     &self.tx,
                     user,
                     self.seq,
+                    None,
                     &self.policy,
                     &self.stats,
                     |reply| Request::FetchCheckpoint {
@@ -581,16 +548,10 @@ impl NetClientTrusted {
                 }
             }
         }
-        let resp = remote_op(
-            &self.tx,
-            self.user,
-            self.seq,
-            op,
-            self.ops,
-            Some(SpanContext::root(self.user, self.seq)),
-            &self.policy,
-            &self.stats,
-        )?;
+        let head = Head::root(self.user, self.seq, self.ops);
+        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Op(op.clone(), reply)
+        })?;
         self.ops += 1;
         Ok(resp.result)
     }
@@ -698,14 +659,19 @@ impl NetSnapshotReader {
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
         assert!(!op.is_update(), "snapshot readers serve reads only");
         self.seq += 1;
-        let resp = remote_read(
+        let ctx = Some(SpanContext::root(self.user, self.seq));
+        let resp = round_trip(
             &self.read_tx,
             self.user,
             self.seq,
-            op,
-            Some(SpanContext::root(self.user, self.seq)),
+            ctx,
             &self.policy,
             &self.stats,
+            |reply| ReadRequest {
+                op: op.clone(),
+                ctx,
+                reply,
+            },
         )?;
         // Replay the proof from scratch (every cached digest recomputed) and
         // check the claimed answer against the replayed one.

@@ -25,8 +25,9 @@
 //!   the server and waits for the restart to complete.
 //!
 //! Deposits and fetches are never faulted: the plan's unit is the operation,
-//! matching [`FaultPlan`]'s simulator semantics. All three operation shapes
-//! — plain, batched windows, and pipelined — are faulted uniformly.
+//! matching [`FaultPlan`]'s simulator semantics. Every operation — plain,
+//! batched window or pipelined — travels as one call shape and is faulted
+//! the same way.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -35,7 +36,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use tcvs_core::{FaultCounts, FaultKind, FaultPlan, UserId};
-use tcvs_obs::{stage, Event, EventKind, SpanContext};
+use tcvs_obs::{stage, Event, EventKind};
 
 use crate::obs::NetStats;
 use crate::server::{sealed, Endpoint, Request, WireHandle};
@@ -86,19 +87,19 @@ impl FaultLink {
             let mut stash: Option<Request> = None;
             while let Ok(req) = rx.recv() {
                 let mut stashed_now = false;
-                let delivered = match op_meta(&req) {
-                    Some((user, seq, ctx)) if seen.insert((user, seq)) => {
+                let delivered = match req {
+                    Request::Call(call) if seen.insert((call.head.user, call.head.seq)) => {
                         let fault = plan.fault_at(op_index);
                         if let Some(kind) = fault {
                             stats.tracer.emit(|| {
-                                Event::new(op_index, EventKind::FaultInjected, user)
+                                Event::new(op_index, EventKind::FaultInjected, call.head.user)
                                     .detail(format!("{kind:?}"))
-                                    .span_opt(ctx.map(|c| c.child(stage::FAULT)))
+                                    .span_opt(call.head.ctx.map(|c| c.child(stage::FAULT)))
                             });
                         }
                         op_index += 1;
                         match fault {
-                            None => down.send(req).is_ok(),
+                            None => down.send(call.into()).is_ok(),
                             Some(FaultKind::DropRequest) => {
                                 counts.lock().drops += 1;
                                 // Dropping the request (and its reply sender
@@ -108,17 +109,20 @@ impl FaultLink {
                             }
                             Some(FaultKind::DropReply) => {
                                 counts.lock().drops += 1;
-                                down.send(sever_reply(req)).is_ok()
+                                down.send(call.severed().into()).is_ok()
                             }
                             Some(FaultKind::Delay(rounds)) => {
                                 counts.lock().delays += 1;
                                 std::thread::sleep(ROUND * rounds.min(1000) as u32);
-                                down.send(req).is_ok()
+                                down.send(call.into()).is_ok()
                             }
                             Some(FaultKind::Duplicate) => {
                                 counts.lock().duplicates += 1;
-                                let copy = clone_op(&req);
-                                down.send(req).is_ok() && down.send(copy).is_ok()
+                                // The copy shares the reply sender: the
+                                // server's journal absorbs whichever copy
+                                // arrives second.
+                                down.send(call.clone().into()).is_ok()
+                                    && down.send(call.into()).is_ok()
                             }
                             Some(FaultKind::ReorderNext) => {
                                 counts.lock().reorders += 1;
@@ -127,7 +131,7 @@ impl FaultLink {
                                 if let Some(prev) = stash.take() {
                                     let _ = down.send(prev);
                                 }
-                                stash = Some(req);
+                                stash = Some(call.into());
                                 stashed_now = true;
                                 true
                             }
@@ -136,11 +140,11 @@ impl FaultLink {
                                 // and its medium, not on the wire; the link
                                 // counts them and passes the request clean.
                                 counts.lock().storage += 1;
-                                down.send(req).is_ok()
+                                down.send(call.into()).is_ok()
                             }
                             Some(FaultKind::CrashRestart) => {
                                 counts.lock().crashes += 1;
-                                down.send(req).is_ok() && {
+                                down.send(call.into()).is_ok() && {
                                     let (ack_tx, ack_rx) = bounded(1);
                                     down.send(Request::Crash { ack: ack_tx }).is_ok()
                                         && ack_rx.recv().is_ok()
@@ -149,7 +153,7 @@ impl FaultLink {
                         }
                     }
                     // Retries, deposits, fetches, shutdown: pass through.
-                    _ => down.send(req).is_ok(),
+                    other => down.send(other).is_ok(),
                 };
                 if !delivered {
                     return;
@@ -174,133 +178,5 @@ impl FaultLink {
     /// shorter than the plan).
     pub fn applied(&self) -> FaultCounts {
         *self.applied.lock()
-    }
-}
-
-/// The fault-relevant identity of an operation-shaped request — plain,
-/// batched window, or pipelined. Everything else (deposits, fetches,
-/// control messages) is never faulted.
-fn op_meta(req: &Request) -> Option<(UserId, u64, Option<SpanContext>)> {
-    match req {
-        Request::Op { user, seq, ctx, .. }
-        | Request::OpBatch { user, seq, ctx, .. }
-        | Request::OpPipelined { user, seq, ctx, .. } => Some((*user, *seq, *ctx)),
-        _ => None,
-    }
-}
-
-/// A second delivery of the same operation, sharing the original's reply
-/// sender: the server's journal absorbs whichever copy arrives second.
-fn clone_op(req: &Request) -> Request {
-    match req {
-        Request::Op {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            reply,
-        } => Request::Op {
-            user: *user,
-            seq: *seq,
-            op: op.clone(),
-            round: *round,
-            ctx: *ctx,
-            reply: reply.clone(),
-        },
-        Request::OpBatch {
-            user,
-            seq,
-            ops,
-            round,
-            ctx,
-            reply,
-        } => Request::OpBatch {
-            user: *user,
-            seq: *seq,
-            ops: ops.clone(),
-            round: *round,
-            ctx: *ctx,
-            reply: reply.clone(),
-        },
-        Request::OpPipelined {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            reply,
-        } => Request::OpPipelined {
-            user: *user,
-            seq: *seq,
-            op: op.clone(),
-            round: *round,
-            ctx: *ctx,
-            reply: reply.clone(),
-        },
-        _ => unreachable!("only operation-shaped requests are duplicated"),
-    }
-}
-
-/// The same request with its reply sender swapped for a dead end: the
-/// server executes and journals, the client's wait disconnects, and its
-/// retry is answered from the journal.
-fn sever_reply(req: Request) -> Request {
-    match req {
-        Request::Op {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::Op {
-                user,
-                seq,
-                op,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
-        Request::OpBatch {
-            user,
-            seq,
-            ops,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::OpBatch {
-                user,
-                seq,
-                ops,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
-        Request::OpPipelined {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::OpPipelined {
-                user,
-                seq,
-                op,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
-        other => other,
     }
 }

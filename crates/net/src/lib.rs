@@ -35,15 +35,20 @@
 //! ## Resilience
 //!
 //! Clients return `Result<_, NetError>` on every request path and retry
-//! with exponential backoff and deterministic jitter ([`RetryPolicy`]).
-//! Operations carry per-user sequence numbers; the server journals its last
-//! reply per user, so retries after a dropped reply are answered without
-//! re-executing (exactly-once semantics). A [`FaultLink`] interposed
-//! between clients and server replays a seeded [`tcvs_core::FaultPlan`]
-//! against live traffic; benign faults must never raise a deviation alarm.
+//! with exponential backoff and deterministic jitter ([`RetryPolicy`]),
+//! through one retry loop shared by every request kind. Every operation —
+//! plain, batched window or pipelined — travels in one call shape with the
+//! header `(user, seq, round, trace context)`. The server journals its last
+//! reply per user and answers a retry of the same `(user, seq)` from the
+//! journal, in the shape the retry asks for, without re-executing
+//! (exactly-once semantics). A [`FaultLink`] interposed between clients and
+//! server replays a seeded [`tcvs_core::FaultPlan`] against the first
+//! delivery of each call; benign faults must never raise a deviation alarm.
 //! [`NetServer::crash_restart`] crash-restarts the inner server from its
-//! persisted state, and shutdown drains backlogged requests before the
-//! thread exits.
+//! persisted state. Shutdown drains: every backlogged and queued request is
+//! served exactly as the running server would serve it — counted, traced, a
+//! queued crash-restart really performed — only without deposit waits, and
+//! then the thread exits.
 //!
 //! ## Concurrent read path
 //!

@@ -1,6 +1,15 @@
 //! The threaded server: one thread owning a [`ServerApi`] implementation,
 //! serving requests over crossbeam channels.
 //!
+//! Every operation travels in one request shape, a `Call`: the header
+//! `(user, seq, round, ctx)` and a body — a plain op, a Protocol II batch
+//! window, or a pipelined Protocol I op — whose reply slot is typed by that
+//! shape, so a client can only receive the reply shape it asked for. The
+//! thread's state (the inner server, the reply journal, the snapshot
+//! publisher, the backlog, the bootstrap cache, the missed-deposit count)
+//! lives in one `ServerLoop` with a single code path per request kind: one
+//! `serve` for calls, one deposit, one crash-restart and one deposit wait.
+//!
 //! Protocol I's blocking step is *physically* reproduced: in blocking mode
 //! the server thread will not take the next operation until the previous
 //! client's signature deposit has arrived — this is what experiment E6's
@@ -23,15 +32,19 @@
 //!   server goes idle, so staleness is bounded by `min(W ops, T)` under
 //!   load and zero at idle.
 //!
-//! Protocol II windows travel as [`Request::OpBatch`] and are verified by
-//! the client as one exchange over a shared [`tcvs_core::BatchResponse`].
-//!
 //! Every operation carries a per-user sequence number; the thread keeps the
 //! last reply per user in a *reply journal* so a retried request (after a
 //! dropped reply) is answered from the journal instead of re-executing —
-//! exactly-once semantics over an at-least-once transport. The journal is
-//! part of the server's durable state: it survives [`NetServer::crash_restart`]
-//! along with whatever the inner [`ServerApi`] chooses to persist.
+//! exactly-once semantics over an at-least-once transport. One shape table
+//! (`answer`) decides which journaled reply may answer which request shape,
+//! for retries and fresh replies alike. The journal is part of the server's
+//! durable state: it survives [`NetServer::crash_restart`] along with
+//! whatever the inner [`ServerApi`] chooses to persist.
+//!
+//! Shutdown (and `Drop`) switches the loop into a *drain*: every backlogged
+//! and queued request is served exactly as in the main loop — counted and
+//! traced, a crash really restarting the inner server, bootstrap chunks cut
+//! from the configured slicing — except that no deposit wait runs.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +52,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use tcvs_core::{
     BatchResponse, Ctr, Digest, Epoch, Op, OpResult, PipelinedResponse, ReadSnapshot, ServerApi,
@@ -53,43 +66,8 @@ use crate::obs::NetStats;
 
 /// A request to the server thread.
 pub(crate) enum Request {
-    Op {
-        user: UserId,
-        /// Per-user sequence number; retries of the same operation reuse it.
-        seq: u64,
-        op: Op,
-        round: u64,
-        /// Wire-propagated trace context: the client's root span for this
-        /// logical operation. Every event the server (or an interposed
-        /// fault link) emits while handling the request is a child of it.
-        ctx: Option<SpanContext>,
-        reply: Sender<ServerResponse>,
-    },
-    /// A Protocol II window of operations verified as one exchange against
-    /// one pre-state root. The server may decline (`None`) — e.g. the
-    /// window mixes non-batchable structural ops, or the deployment does
-    /// not implement batching — in which case the client falls back to
-    /// per-operation execution with fresh sequence numbers.
-    OpBatch {
-        user: UserId,
-        seq: u64,
-        ops: Vec<Op>,
-        round: u64,
-        ctx: Option<SpanContext>,
-        reply: Sender<Option<BatchResponse>>,
-    },
-    /// A Protocol I operation the client is willing to verify against its
-    /// own last *deposited* signature (its frontier) instead of a
-    /// signature over the immediately preceding state — letting the server
-    /// skip the blocking deposit wait when the pipeline is shallow enough.
-    OpPipelined {
-        user: UserId,
-        seq: u64,
-        op: Op,
-        round: u64,
-        ctx: Option<SpanContext>,
-        reply: Sender<PipelinedReply>,
-    },
+    /// An operation, in any of its three shapes.
+    Call(Call),
     Signature {
         user: UserId,
         signed: SignedState,
@@ -131,10 +109,81 @@ pub(crate) enum Request {
     Shutdown,
 }
 
+/// One operation request. Retries resend the same header with a fresh
+/// reply slot.
+#[derive(Clone)]
+pub(crate) struct Call {
+    pub(crate) head: Head,
+    pub(crate) body: Body,
+}
+
+/// The header every operation request carries.
+#[derive(Clone, Copy)]
+pub(crate) struct Head {
+    pub(crate) user: UserId,
+    /// Per-user sequence number; retries of the same operation reuse it.
+    pub(crate) seq: u64,
+    pub(crate) round: u64,
+    /// Wire-propagated trace context: the client's root span for this
+    /// logical operation. Every event the server (or an interposed fault
+    /// link) emits while handling the request is a child of it.
+    pub(crate) ctx: Option<SpanContext>,
+}
+
+/// What an operation request asks for, with its reply slot typed by shape.
+#[derive(Clone)]
+pub(crate) enum Body {
+    /// One operation, answered with a blocking-path response.
+    Op(Op, Sender<ServerResponse>),
+    /// A Protocol II window of operations verified as one exchange against
+    /// one pre-state root. The server may decline (`None`) — e.g. the
+    /// window mixes non-batchable structural ops, or the deployment does
+    /// not implement batching — in which case the client falls back to
+    /// per-operation execution with fresh sequence numbers.
+    Batch(Vec<Op>, Sender<Option<BatchResponse>>),
+    /// A Protocol I operation the client is willing to verify against its
+    /// own last *deposited* signature (its frontier) instead of a
+    /// signature over the immediately preceding state — letting the server
+    /// skip the blocking deposit wait when the pipeline is shallow enough.
+    Pipelined(Op, Sender<PipelinedReply>),
+}
+
+impl Head {
+    /// The header of `user`'s operation `seq`, traced under that
+    /// operation's root span.
+    pub(crate) fn root(user: UserId, seq: u64, round: u64) -> Head {
+        Head {
+            user,
+            seq,
+            round,
+            ctx: Some(SpanContext::root(user, seq)),
+        }
+    }
+}
+
+impl From<Call> for Request {
+    fn from(call: Call) -> Request {
+        Request::Call(call)
+    }
+}
+
+impl Call {
+    /// The same call with its reply sender swapped for a dead end: the
+    /// server executes and journals, the client's wait disconnects, and its
+    /// retry is answered from the journal.
+    pub(crate) fn severed(mut self) -> Call {
+        match &mut self.body {
+            Body::Op(_, reply) => *reply = bounded(1).0,
+            Body::Batch(_, reply) => *reply = bounded(1).0,
+            Body::Pipelined(_, reply) => *reply = bounded(1).0,
+        }
+        self
+    }
+}
+
 /// Reply to a pipelined Protocol I request: the anchored fast-path shape
 /// when the server could serve without waiting, or an ordinary blocking-path
 /// response (signature current as of the reply) when it fell back.
-#[derive(Clone)]
 pub(crate) enum PipelinedReply {
     Pipelined(PipelinedResponse),
     Legacy(ServerResponse),
@@ -266,20 +315,15 @@ impl Default for NetServerOptions {
 /// either sees the tree before an update or after it, never a mix.
 pub(crate) type SnapshotSlot = Arc<Mutex<Arc<ReadSnapshot>>>;
 
-/// What the journal remembers about a served request: the reply in the
-/// shape it went out. Retries are answered in a compatible shape — a plain
-/// retry of a pipelined op gets the embedded plain response, a pipelined
-/// retry of a plain op (or of a durable server's recovered reply) gets it
-/// wrapped as a legacy reply. Batch replies only answer batch retries.
-#[derive(Clone)]
+/// What the journal remembers about a served call: its reply in the shape
+/// it was produced in. `answer` maps it to the shape a request asks for.
 enum JournaledReply {
-    Op(ServerResponse),
+    /// A blocking-path response: a plain op's, a pipelined op's that fell
+    /// back, or one a durable server recovered.
+    Plain(ServerResponse),
+    Pipelined(PipelinedResponse),
     Batch(BatchResponse),
-    Pipelined(PipelinedReply),
 }
-
-/// The per-user reply journal: last `(seq, reply)` served to each user.
-type ReplyJournal = HashMap<UserId, (u64, JournaledReply)>;
 
 /// Write-batched publication of the concurrent-read snapshot. With the
 /// default `publish_every_ops = 1` every committed operation republishes
@@ -391,13 +435,12 @@ impl NetServer {
     /// the snapshot-slot critical section, so attaching stats does not
     /// lengthen the serialized region the concurrent readers contend on.
     pub fn spawn_observed(
-        mut inner: Box<dyn ServerApi + Send>,
+        inner: Box<dyn ServerApi + Send>,
         opts: NetServerOptions,
         stats: NetStats,
     ) -> NetServer {
-        let (tx, rx): (Sender<Request>, Receiver<Request>) = unbounded();
+        let (tx, rx) = unbounded();
         let missed = Arc::new(AtomicU64::new(0));
-        let missed_in = Arc::clone(&missed);
         // Probe for a read path before `inner` moves into the write thread.
         // Adversaries keep the default `None` and never get reader threads:
         // every answer they give stays on the serialized, countered path.
@@ -408,379 +451,22 @@ impl NetServer {
             (slot, read_tx)
         });
         let slot = read.as_ref().map(|(slot, _)| Arc::clone(slot));
-        let join = std::thread::spawn(move || {
-            // Requests that arrived while the server was blocked waiting for
-            // a Protocol I signature deposit; replayed in arrival order.
-            let mut backlog: VecDeque<Request> = VecDeque::new();
-            let mut journal = ReplyJournal::new();
-            let mut publisher = SnapshotPublisher::new(slot, &opts, stats.clone());
-            // Lazily-built chunk source for the bootstrap path, keyed by the
-            // snapshot anchor it was sliced from. Kept across crash/restart:
-            // serving a consistent *stale* snapshot is exactly what lets a
-            // client resume an interrupted bootstrap.
-            let mut bootstrap: BootstrapCache = None;
-            // A durable inner server may already hold recovered replies from
-            // a previous process; a retry arriving over the wire must hit
-            // them, not re-execute.
-            seed_journal(inner.as_ref(), &mut journal);
-            loop {
-                let req = match backlog.pop_front() {
-                    Some(r) => r,
-                    None => match rx.try_recv() {
-                        Ok(r) => r,
-                        Err(crossbeam::channel::TryRecvError::Empty) => {
-                            // About to block idle: make every acknowledged
-                            // write visible to readers first, so batched
-                            // publication never leaves a stale snapshot
-                            // standing while nothing else is happening.
-                            publisher.flush(inner.as_mut());
-                            match rx.recv() {
-                                Ok(r) => r,
-                                Err(_) => return,
-                            }
-                        }
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => return,
-                    },
-                };
-                // A retry of an already-executed operation: serve the
-                // journaled reply, never re-execute (and never re-enter the
-                // blocking wait — the first delivery already did).
-                let req = match serve_from_journal(&journal, &stats, req) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                match req {
-                    Request::Op {
-                        user,
-                        seq,
-                        op,
-                        round,
-                        ctx,
-                        reply,
-                    } => {
-                        // In pipelined mode the deposit wait moves *before*
-                        // the operation: drain the outstanding deposits so
-                        // the signature attached to this plain (blocking-
-                        // path) response is current, instead of stalling
-                        // after it.
-                        if opts.pipeline_depth > 0
-                            && !catch_up(
-                                inner.as_mut(),
-                                &rx,
-                                &mut backlog,
-                                &mut journal,
-                                opts.deposit_timeout,
-                                &missed_in,
-                                &mut publisher,
-                                &stats,
-                            )
-                        {
-                            drain(
-                                inner.as_mut(),
-                                &rx,
-                                backlog,
-                                &mut journal,
-                                &mut publisher,
-                                &stats,
-                            );
-                            return;
-                        }
-                        // The op timestamp opens before the serialized region
-                        // and closes after it; the histogram/tracer updates
-                        // happen strictly after the publisher released the
-                        // slot lock (and after the reply is on its way).
-                        let started = Instant::now();
-                        // The sequence number rides down to the inner server
-                        // so a durable backend can log it and recover its own
-                        // copy of the reply journal.
-                        let resp = inner.handle_op_seq(user, seq, &op, round);
-                        let displaced = journal_insert(
-                            &mut journal,
-                            &stats,
-                            user,
-                            seq,
-                            JournaledReply::Op(resp.clone()),
-                        );
-                        // Publish before replying: a client that sees its
-                        // write acknowledged must find it in the snapshot
-                        // (read-your-writes across the two paths, relaxed to
-                        // a bounded window when `publish_every_ops > 1`).
-                        publisher.record(inner.as_mut(), 1);
-                        let ctr = resp.ctr;
-                        // The reply channel may be dropped if the client
-                        // detected deviation and bailed; that's fine.
-                        let _ = reply.send(resp);
-                        drop(displaced);
-                        stats.ops_served.inc();
-                        stats
-                            .op_micros
-                            .observe(started.elapsed().as_micros() as u64);
-                        stats.tracer.emit(|| {
-                            Event::new(ctr, EventKind::OpServed, user)
-                                .detail(format!("seq={seq} round={round}"))
-                                .span_opt(ctx.map(|c| c.child(stage::SERVER)))
-                        });
-                        if opts.blocking_signatures
-                            && opts.pipeline_depth == 0
-                            && !blocking_wait(
-                                inner.as_mut(),
-                                &rx,
-                                &mut backlog,
-                                &mut journal,
-                                user,
-                                opts.deposit_timeout,
-                                &missed_in,
-                                &mut publisher,
-                                &stats,
-                            )
-                        {
-                            drain(
-                                inner.as_mut(),
-                                &rx,
-                                backlog,
-                                &mut journal,
-                                &mut publisher,
-                                &stats,
-                            );
-                            return;
-                        }
-                    }
-                    Request::OpBatch {
-                        user,
-                        seq,
-                        ops,
-                        round,
-                        ctx,
-                        reply,
-                    } => {
-                        let started = Instant::now();
-                        match inner.handle_op_batch(user, seq, &ops, round) {
-                            Some(resp) => {
-                                let displaced = journal_insert(
-                                    &mut journal,
-                                    &stats,
-                                    user,
-                                    seq,
-                                    JournaledReply::Batch(resp.clone()),
-                                );
-                                let n = resp.window_len() as u64;
-                                publisher.record(inner.as_mut(), n);
-                                let ctr = resp.ctr;
-                                let _ = reply.send(Some(resp));
-                                drop(displaced);
-                                stats.batch_windows.inc();
-                                stats.batch_ops.add(n);
-                                stats.ops_served.add(n);
-                                stats
-                                    .op_micros
-                                    .observe(started.elapsed().as_micros() as u64);
-                                stats.tracer.emit(|| {
-                                    Event::new(ctr, EventKind::OpServed, user)
-                                        .detail(format!("seq={seq} round={round} batch={n}"))
-                                        .span_opt(ctx.map(|c| c.child(stage::SERVER)))
-                                });
-                            }
-                            // Declined: side-effect free by contract, so not
-                            // journaled — a retry may legitimately decline
-                            // again or (after a crash-restart) succeed.
-                            None => {
-                                stats.batch_declined.inc();
-                                let _ = reply.send(None);
-                            }
-                        }
-                        // No blocking wait: batch windows are a Protocol II
-                        // path, deposits are asynchronous state tokens.
-                    }
-                    Request::OpPipelined {
-                        user,
-                        seq,
-                        op,
-                        round,
-                        ctx,
-                        reply,
-                    } => {
-                        let started = Instant::now();
-                        let pipelined = if opts.pipeline_depth > 0 {
-                            inner.handle_op_pipelined(user, seq, &op, round, opts.pipeline_depth)
-                        } else {
-                            None
-                        };
-                        if let Some(presp) = pipelined {
-                            let displaced = journal_insert(
-                                &mut journal,
-                                &stats,
-                                user,
-                                seq,
-                                JournaledReply::Pipelined(PipelinedReply::Pipelined(presp.clone())),
-                            );
-                            publisher.record(inner.as_mut(), 1);
-                            let ctr = presp.resp.ctr;
-                            let lag = presp.backfill.len() as u64;
-                            let _ = reply.send(PipelinedReply::Pipelined(presp));
-                            drop(displaced);
-                            stats.pipelined_served.inc();
-                            stats.pipeline_backfill.observe(lag);
-                            stats.ops_served.inc();
-                            stats
-                                .op_micros
-                                .observe(started.elapsed().as_micros() as u64);
-                            stats.tracer.emit(|| {
-                                Event::new(ctr, EventKind::OpServed, user)
-                                    .detail(format!("seq={seq} round={round} backfill={lag}"))
-                                    .span_opt(ctx.map(|c| c.child(stage::SERVER)))
-                            });
-                        } else {
-                            // Fallback to the blocking path: catch up on the
-                            // outstanding deposits first so the attached
-                            // signature is current, then serve and (in
-                            // blocking deployments with pipelining off) wait
-                            // for this op's deposit as usual.
-                            if opts.pipeline_depth > 0 {
-                                stats.pipeline_fallbacks.inc();
-                                if !catch_up(
-                                    inner.as_mut(),
-                                    &rx,
-                                    &mut backlog,
-                                    &mut journal,
-                                    opts.deposit_timeout,
-                                    &missed_in,
-                                    &mut publisher,
-                                    &stats,
-                                ) {
-                                    drain(
-                                        inner.as_mut(),
-                                        &rx,
-                                        backlog,
-                                        &mut journal,
-                                        &mut publisher,
-                                        &stats,
-                                    );
-                                    return;
-                                }
-                            }
-                            let resp = inner.handle_op_seq(user, seq, &op, round);
-                            let displaced = journal_insert(
-                                &mut journal,
-                                &stats,
-                                user,
-                                seq,
-                                JournaledReply::Pipelined(PipelinedReply::Legacy(resp.clone())),
-                            );
-                            publisher.record(inner.as_mut(), 1);
-                            let ctr = resp.ctr;
-                            let _ = reply.send(PipelinedReply::Legacy(resp));
-                            drop(displaced);
-                            stats.ops_served.inc();
-                            stats
-                                .op_micros
-                                .observe(started.elapsed().as_micros() as u64);
-                            stats.tracer.emit(|| {
-                                Event::new(ctr, EventKind::OpServed, user)
-                                    .detail(format!("seq={seq} round={round} fallback"))
-                                    .span_opt(ctx.map(|c| c.child(stage::SERVER)))
-                            });
-                            if opts.blocking_signatures
-                                && opts.pipeline_depth == 0
-                                && !blocking_wait(
-                                    inner.as_mut(),
-                                    &rx,
-                                    &mut backlog,
-                                    &mut journal,
-                                    user,
-                                    opts.deposit_timeout,
-                                    &missed_in,
-                                    &mut publisher,
-                                    &stats,
-                                )
-                            {
-                                drain(
-                                    inner.as_mut(),
-                                    &rx,
-                                    backlog,
-                                    &mut journal,
-                                    &mut publisher,
-                                    &stats,
-                                );
-                                return;
-                            }
-                        }
-                    }
-                    Request::Signature { user, signed, ctx } => {
-                        let ctr = signed.ctr;
-                        inner.deposit_signature(user, signed);
-                        stats.tracer.emit(|| {
-                            Event::new(ctr, EventKind::Deposit, user)
-                                .span_opt(ctx.map(|c| c.child(stage::DEPOSIT)))
-                        });
-                    }
-                    Request::EpochState(s) => inner.deposit_epoch_state(s),
-                    Request::FetchEpochStates { user, epoch, reply } => {
-                        let _ = reply.send(inner.fetch_epoch_states(user, epoch));
-                    }
-                    Request::Checkpoint(c) => inner.deposit_checkpoint(c),
-                    Request::FetchCheckpoint { user, epoch, reply } => {
-                        let _ = reply.send(inner.fetch_checkpoint(user, epoch));
-                    }
-                    Request::BootstrapManifest { reply } => {
-                        // Publish pending writes first so the manifest
-                        // reflects every acknowledged operation.
-                        publisher.flush(inner.as_mut());
-                        let _ = reply.send(serve_bootstrap_manifest(
-                            inner.as_mut(),
-                            &mut bootstrap,
-                            opts.bootstrap_chunk_bytes,
-                        ));
-                    }
-                    Request::BootstrapChunk {
-                        anchor,
-                        index,
-                        reply,
-                    } => {
-                        let _ = reply.send(serve_bootstrap_chunk(
-                            inner.as_mut(),
-                            &mut bootstrap,
-                            opts.bootstrap_chunk_bytes,
-                            &anchor,
-                            index,
-                        ));
-                    }
-                    Request::Crash { ack } => {
-                        stats.crashes.inc();
-                        stats
-                            .tracer
-                            .emit(|| Event::new(0, EventKind::Crash, NO_ACTOR));
-                        // The reply journal is durable transport state: a
-                        // durable inner server recovers its own copy, which
-                        // replaces ours; otherwise the in-memory journal
-                        // survives alongside whatever the inner server keeps.
-                        inner.crash_restart();
-                        seed_journal(inner.as_ref(), &mut journal);
-                        // Readers must see the restored state, not a
-                        // pre-crash root the restarted server no longer has.
-                        publisher.force(inner.as_mut());
-                        let _ = ack.send(());
-                        stats
-                            .tracer
-                            .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
-                    }
-                    Request::Shutdown => {
-                        drain(
-                            inner.as_mut(),
-                            &rx,
-                            backlog,
-                            &mut journal,
-                            &mut publisher,
-                            &stats,
-                        );
-                        return;
-                    }
-                }
-            }
-        });
+        let server = ServerLoop {
+            inner,
+            rx,
+            opts,
+            journal: HashMap::new(),
+            publisher: SnapshotPublisher::new(slot, &opts, stats.clone()),
+            stats,
+            backlog: VecDeque::new(),
+            bootstrap: None,
+            missed: Arc::clone(&missed),
+            draining: false,
+        };
         NetServer {
             tx,
             read,
-            join: Some(join),
+            join: Some(std::thread::spawn(move || server.run())),
             missed,
         }
     }
@@ -878,535 +564,465 @@ fn spawn_readers(
     }
 }
 
-/// Answers `req` from the reply journal when its `(user, seq)` matches the
-/// journaled entry and the reply shapes are compatible, emitting the
-/// journal-hit event. Returns the request back when it must be executed.
-///
-/// Shape conversions: a plain retry of a pipelined reply gets the embedded
-/// plain response; a pipelined retry of a plain journaled reply (the only
-/// shape a durable server recovers) gets it wrapped as `Legacy`. A batch
-/// reply answers only a batch retry with the same `(user, seq)` — any other
-/// pairing falls through to execution, where the per-user sequence check in
-/// the inner server still guards against double execution.
-fn serve_from_journal(journal: &ReplyJournal, stats: &NetStats, req: Request) -> Option<Request> {
-    let (user, seq) = match &req {
-        Request::Op { user, seq, .. }
-        | Request::OpBatch { user, seq, .. }
-        | Request::OpPipelined { user, seq, .. } => (*user, *seq),
-        _ => return Some(req),
-    };
-    let entry = match journal.get(&user) {
-        Some((s, entry)) if *s == seq => entry,
-        _ => return Some(req),
-    };
-    let compatible = matches!(
-        (&req, entry),
-        (
-            Request::Op { .. } | Request::OpPipelined { .. },
-            JournaledReply::Op(_) | JournaledReply::Pipelined(_)
-        ) | (Request::OpBatch { .. }, JournaledReply::Batch(_))
-    );
-    if !compatible {
-        return Some(req);
-    }
-    stats.journal_hits.inc();
-    match req {
-        Request::Op { ctx, reply, .. } => {
-            let resp = match entry {
-                JournaledReply::Op(r) => r.clone(),
-                JournaledReply::Pipelined(PipelinedReply::Legacy(r)) => r.clone(),
-                JournaledReply::Pipelined(PipelinedReply::Pipelined(p)) => p.resp.clone(),
-                JournaledReply::Batch(_) => unreachable!("shape checked above"),
-            };
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::JournalHit, user)
-                    .span_opt(ctx.map(|c| c.child(stage::JOURNAL)))
-            });
-            let _ = reply.send(resp);
-        }
-        Request::OpPipelined { ctx, reply, .. } => {
-            let resp = match entry {
-                JournaledReply::Op(r) => PipelinedReply::Legacy(r.clone()),
-                JournaledReply::Pipelined(p) => p.clone(),
-                JournaledReply::Batch(_) => unreachable!("shape checked above"),
-            };
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::JournalHit, user)
-                    .span_opt(ctx.map(|c| c.child(stage::JOURNAL)))
-            });
-            let _ = reply.send(resp);
-        }
-        Request::OpBatch { ctx, reply, .. } => {
-            let resp = match entry {
-                JournaledReply::Batch(b) => b.clone(),
-                _ => unreachable!("shape checked above"),
-            };
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::JournalHit, user)
-                    .span_opt(ctx.map(|c| c.child(stage::JOURNAL)))
-            });
-            let _ = reply.send(Some(resp));
-        }
-        _ => unreachable!("only op-shaped requests reach here"),
-    }
-    None
-}
-
-/// Installs `user`'s newest reply, evicting the entry below the freshly
-/// acknowledged watermark. A new sequence number from a user is an implicit
-/// ack of every older one (the client retries strictly in order), so the
-/// journal stays bounded at one entry per user; each displaced entry is
-/// counted so deployments can see the eviction rate.
-///
-/// The displaced reply is *returned*, not dropped: it owns a whole proof,
-/// and freeing that is work the client should not wait behind. Callers
-/// hold it across `reply.send` and let it drop once the new reply is on
-/// its way.
-#[must_use = "drop the displaced reply after the new one has been sent"]
-fn journal_insert(
-    journal: &mut ReplyJournal,
-    stats: &NetStats,
-    user: UserId,
-    seq: u64,
-    resp: JournaledReply,
-) -> Option<JournaledReply> {
-    let (old_seq, displaced) = journal.insert(user, (seq, resp))?;
-    if old_seq < seq {
-        stats.journal_evictions.inc();
-    }
-    Some(displaced)
-}
-
-/// Re-seeds the transport journal from whatever the inner server recovered
-/// durably, so a retry of a pre-crash operation is still answered from the
-/// journal instead of re-executing. An inner server with no durable journal
-/// (`None`) keeps the transport thread's in-memory journal as before.
-/// The server thread's cached chunk source: the slicing of one snapshot,
-/// with the counter that snapshot was current as of.
-type BootstrapCache = Option<(ChunkSource, Ctr)>;
-
-/// Serves the bootstrap manifest for the server's *current* snapshot,
-/// (re)slicing when the snapshot has moved since the cache was built.
-/// `None` when the inner server exposes no read snapshot (adversaries) or
-/// its snapshot cannot be sliced.
-fn serve_bootstrap_manifest(
-    inner: &mut dyn ServerApi,
-    cache: &mut BootstrapCache,
-    budget: usize,
-) -> Option<(Vec<u8>, Ctr)> {
-    let snap = inner.read_snapshot()?;
-    let stale = cache
-        .as_ref()
-        .is_none_or(|(src, _)| src.manifest().anchor != snap.root_digest());
-    if stale {
-        let src = ChunkSource::new(snap.db(), budget).ok()?;
-        *cache = Some((src, snap.ctr()));
-    }
-    cache
-        .as_ref()
-        .map(|(src, ctr)| (src.manifest().to_bytes(), *ctr))
-}
-
-/// Serves one chunk of the snapshot identified by `anchor`. The cached
-/// slicing answers requests for *its* snapshot even after the live tree has
-/// moved on (that is what makes an in-flight bootstrap resumable); a request
-/// for any other anchor is answered only if the current snapshot matches,
-/// otherwise declined so the client refetches the manifest.
-fn serve_bootstrap_chunk(
-    inner: &mut dyn ServerApi,
-    cache: &mut BootstrapCache,
-    budget: usize,
-    anchor: &Digest,
-    index: u32,
-) -> Option<Vec<u8>> {
-    let cached = cache
-        .as_ref()
-        .is_some_and(|(src, _)| src.manifest().anchor == *anchor);
-    if !cached {
-        let snap = inner.read_snapshot()?;
-        if snap.root_digest() != *anchor {
-            return None;
-        }
-        let src = ChunkSource::new(snap.db(), budget).ok()?;
-        *cache = Some((src, snap.ctr()));
-    }
-    cache.as_ref().and_then(|(src, _)| src.chunk(index))
-}
-
-fn seed_journal(inner: &dyn ServerApi, journal: &mut ReplyJournal) {
-    if let Some(entries) = inner.recovered_journal() {
-        journal.clear();
-        for (user, seq, resp) in entries {
-            journal.insert(user, (seq, JournaledReply::Op(resp)));
-        }
-    }
-}
-
-/// Pipelined mode's replacement for the post-op blocking wait: before the
-/// server serves any response whose signature must be *current* (a plain
-/// blocking-path op, or a pipelined fallback), drain the in-flight deposits
-/// until none is outstanding. Each wait leg is bounded by `deposit_timeout`;
-/// on timeout the remaining lag is recorded as missed deposits and the
-/// server proceeds — the stale signature then surfaces at the client exactly
-/// as a blocking-mode miss would. Returns `false` iff the server must shut
-/// down.
-#[allow(clippy::too_many_arguments)]
-fn catch_up(
-    inner: &mut dyn ServerApi,
-    rx: &Receiver<Request>,
-    backlog: &mut VecDeque<Request>,
-    journal: &mut ReplyJournal,
-    deposit_timeout: Duration,
-    missed: &AtomicU64,
-    publisher: &mut SnapshotPublisher,
-    stats: &NetStats,
-) -> bool {
-    loop {
-        let lag = inner.deposit_lag();
-        if lag == 0 {
-            return true;
-        }
-        match rx.recv_timeout(deposit_timeout) {
-            Ok(Request::Signature { user, signed, ctx }) => {
-                let ctr = signed.ctr;
-                inner.deposit_signature(user, signed);
-                stats.tracer.emit(|| {
-                    Event::new(ctr, EventKind::Deposit, user)
-                        .span_opt(ctx.map(|c| c.child(stage::DEPOSIT)))
-                });
-            }
-            Ok(Request::Crash { ack }) => {
-                // The crash abandons the whole pipeline (the restarted
-                // server re-arms on the next deposit); absorb it here so the
-                // caller's op runs against the restored state.
-                stats.crashes.inc();
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::Crash, NO_ACTOR));
-                inner.crash_restart();
-                seed_journal(inner, journal);
-                publisher.force(inner);
-                let _ = ack.send(());
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
-            }
-            Ok(Request::Shutdown) => return false,
-            Ok(other) => {
-                // Retries of already-served ops are answered in place (their
-                // clients may be the very ones whose deposits we are waiting
-                // on); everything else queues behind the catch-up.
-                if let Some(r) = serve_from_journal(journal, stats, other) {
-                    backlog.push_back(r);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return false,
-            Err(RecvTimeoutError::Timeout) => {
-                // The outstanding deposits are lost or their clients died;
-                // count every missing one and move on rather than deadlock.
-                missed.fetch_add(lag, Ordering::Relaxed);
-                stats.missed_deposits.add(lag);
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::MissedDeposit, NO_ACTOR).detail("timeout"));
-                return true;
-            }
-        }
-    }
-}
-
-/// Protocol I: wait (bounded) for `user`'s signature deposit before serving
-/// the next operation. Other users' requests queue up behind the block —
-/// that latency is the measured cost. Returns `false` iff the server must
-/// shut down.
-#[allow(clippy::too_many_arguments)]
-fn blocking_wait(
-    inner: &mut dyn ServerApi,
-    rx: &Receiver<Request>,
-    backlog: &mut VecDeque<Request>,
-    journal: &mut ReplyJournal,
-    user: UserId,
-    deposit_timeout: Duration,
-    missed: &AtomicU64,
-    publisher: &mut SnapshotPublisher,
-    stats: &NetStats,
-) -> bool {
-    loop {
-        match rx.recv_timeout(deposit_timeout) {
-            Ok(Request::Signature {
-                user: su,
-                signed,
-                ctx,
-            }) if su == user => {
-                let ctr = signed.ctr;
-                inner.deposit_signature(su, signed);
-                stats.tracer.emit(|| {
-                    Event::new(ctr, EventKind::Deposit, su)
-                        .span_opt(ctx.map(|c| c.child(stage::DEPOSIT)))
-                });
-                return true;
-            }
-            Ok(Request::Crash { ack }) => {
-                // A crash wipes the pending wait: the deposit (if it ever
-                // arrives) will be absorbed by the main loop.
-                stats.crashes.inc();
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::Crash, NO_ACTOR));
-                inner.crash_restart();
-                seed_journal(inner, journal);
-                publisher.force(inner);
-                let _ = ack.send(());
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
-                missed.fetch_add(1, Ordering::Relaxed);
-                stats.missed_deposits.inc();
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail("crash"));
-                return true;
-            }
-            Ok(Request::Shutdown) => return false,
-            Err(RecvTimeoutError::Disconnected) => return false,
-            Ok(other) => {
-                // A retry of an already-served op (notably the blocked
-                // user's own, whose deposit is still owed for this very
-                // operation) is answered from the journal while staying
-                // blocked; everything else queues behind the block.
-                if let Some(r) = serve_from_journal(journal, stats, other) {
-                    backlog.push_back(r);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // The deposit is lost or its client died; record the miss
-                // and unblock rather than deadlock the whole deployment.
-                missed.fetch_add(1, Ordering::Relaxed);
-                stats.missed_deposits.inc();
-                stats
-                    .tracer
-                    .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail("timeout"));
-                return true;
-            }
-        }
-    }
-}
-
-/// Graceful-shutdown drain: serve every backlogged and already-queued
-/// request without any further blocking waits, then let the thread exit.
-fn drain(
-    inner: &mut dyn ServerApi,
-    rx: &Receiver<Request>,
+/// The server thread: everything it owns, and one code path per request
+/// kind, shared by the main loop and the shutdown drain.
+struct ServerLoop {
+    inner: Box<dyn ServerApi + Send>,
+    rx: Receiver<Request>,
+    opts: NetServerOptions,
+    stats: NetStats,
+    /// The per-user reply journal: the last `(seq, reply)` served to each
+    /// user.
+    journal: HashMap<UserId, (u64, JournaledReply)>,
+    publisher: SnapshotPublisher,
+    /// Requests that arrived while the server was blocked waiting for a
+    /// deposit; replayed in arrival order.
     backlog: VecDeque<Request>,
-    journal: &mut ReplyJournal,
-    publisher: &mut SnapshotPublisher,
-    stats: &NetStats,
-) {
-    let queued = std::iter::from_fn(|| rx.try_recv().ok());
-    for req in backlog.into_iter().chain(queued) {
-        let req = match serve_from_journal(journal, stats, req) {
-            Some(r) => r,
-            None => continue,
-        };
+    /// Lazily-built chunk source for the bootstrap path: the slicing of one
+    /// snapshot, with the counter that snapshot was current as of. Kept
+    /// across crash/restart: serving a consistent *stale* snapshot is
+    /// exactly what lets a client resume an interrupted bootstrap.
+    bootstrap: Option<(ChunkSource, Ctr)>,
+    missed: Arc<AtomicU64>,
+    /// Set once shutdown is requested (or every sender is gone): serve what
+    /// is already queued, with no deposit waits, then exit.
+    draining: bool,
+}
+
+impl ServerLoop {
+    fn run(mut self) {
+        // A durable inner server may already hold recovered replies from a
+        // previous process; a retry arriving over the wire must hit them,
+        // not re-execute.
+        self.seed_journal();
+        while let Some(req) = self.next() {
+            self.dispatch(req);
+        }
+        // Leave the final state visible to any reader that outlives the
+        // writer.
+        self.publisher.flush(self.inner.as_mut());
+    }
+
+    /// The next request to handle: the backlog first, then the queue.
+    /// `None` once a drain has emptied both, or every sender is gone.
+    fn next(&mut self) -> Option<Request> {
+        if let Some(req) = self.backlog.pop_front() {
+            return Some(req);
+        }
+        match self.rx.try_recv() {
+            Ok(req) => Some(req),
+            Err(TryRecvError::Empty) if !self.draining => {
+                // About to block idle: make every acknowledged write visible
+                // to readers first, so batched publication never leaves a
+                // stale snapshot standing while nothing else is happening.
+                self.publisher.flush(self.inner.as_mut());
+                self.rx.recv().ok()
+            }
+            Err(_) => None,
+        }
+    }
+
+    fn dispatch(&mut self, req: Request) {
         match req {
-            Request::Op {
-                user,
-                seq,
-                op,
-                round,
-                ctx: _,
-                reply,
-            } => {
-                let r = inner.handle_op_seq(user, seq, &op, round);
-                let displaced =
-                    journal_insert(journal, stats, user, seq, JournaledReply::Op(r.clone()));
-                publisher.record(inner, 1);
-                let _ = reply.send(r);
-                drop(displaced);
-            }
-            Request::OpBatch {
-                user,
-                seq,
-                ops,
-                round,
-                ctx: _,
-                reply,
-            } => match inner.handle_op_batch(user, seq, &ops, round) {
-                Some(resp) => {
-                    let displaced = journal_insert(
-                        journal,
-                        stats,
-                        user,
-                        seq,
-                        JournaledReply::Batch(resp.clone()),
-                    );
-                    publisher.record(inner, resp.window_len() as u64);
-                    let _ = reply.send(Some(resp));
-                    drop(displaced);
-                }
-                None => {
-                    let _ = reply.send(None);
-                }
-            },
-            // Shutdown drains serve the blocking-path shape without waits
-            // (same semantics as plain ops during a drain).
-            Request::OpPipelined {
-                user,
-                seq,
-                op,
-                round,
-                ctx: _,
-                reply,
-            } => {
-                let r = inner.handle_op_seq(user, seq, &op, round);
-                let displaced = journal_insert(
-                    journal,
-                    stats,
-                    user,
-                    seq,
-                    JournaledReply::Pipelined(PipelinedReply::Legacy(r.clone())),
-                );
-                publisher.record(inner, 1);
-                let _ = reply.send(PipelinedReply::Legacy(r));
-                drop(displaced);
-            }
-            Request::Signature {
-                user,
-                signed,
-                ctx: _,
-            } => inner.deposit_signature(user, signed),
-            Request::EpochState(s) => inner.deposit_epoch_state(s),
+            Request::Call(call) => self.serve(call),
+            Request::Signature { user, signed, ctx } => self.deposit(user, signed, ctx),
+            Request::EpochState(s) => self.inner.deposit_epoch_state(s),
             Request::FetchEpochStates { user, epoch, reply } => {
-                let _ = reply.send(inner.fetch_epoch_states(user, epoch));
+                let _ = reply.send(self.inner.fetch_epoch_states(user, epoch));
             }
-            Request::Checkpoint(c) => inner.deposit_checkpoint(c),
+            Request::Checkpoint(c) => self.inner.deposit_checkpoint(c),
             Request::FetchCheckpoint { user, epoch, reply } => {
-                let _ = reply.send(inner.fetch_checkpoint(user, epoch));
+                let _ = reply.send(self.inner.fetch_checkpoint(user, epoch));
             }
-            // Best-effort during a drain: served from the current snapshot
-            // with a throwaway cache (the thread is about to exit anyway).
             Request::BootstrapManifest { reply } => {
-                let mut cache: BootstrapCache = None;
-                let _ = reply.send(serve_bootstrap_manifest(inner, &mut cache, 64 * 1024));
+                let _ = reply.send(self.serve_bootstrap_manifest());
             }
             Request::BootstrapChunk {
                 anchor,
                 index,
                 reply,
             } => {
-                let mut cache: BootstrapCache = None;
-                let _ = reply.send(serve_bootstrap_chunk(
-                    inner,
-                    &mut cache,
-                    64 * 1024,
-                    &anchor,
-                    index,
-                ));
+                let _ = reply.send(self.serve_bootstrap_chunk(&anchor, index));
             }
-            Request::Crash { ack } => {
-                let _ = ack.send(());
-            }
-            Request::Shutdown => {}
+            Request::Crash { ack } => self.crash(ack),
+            Request::Shutdown => self.draining = true,
         }
     }
-    // Leave the final state visible to any reader that outlives the writer.
-    publisher.flush(inner);
-}
 
-/// Performs one remote operation: request → reply, with bounded retry.
-///
-/// Each attempt uses a fresh one-shot reply channel and waits
-/// [`RetryPolicy::attempt_timeout`] for it. A failed *send* means the server
-/// thread (or the link to it) is gone — that is terminal. A disconnected
-/// reply channel means the request was consumed but no reply will come (a
-/// dropped request or reply in flight) — retry immediately. A timeout backs
-/// off exponentially before the retry. Retries reuse the same `seq`, so the
-/// server's reply journal guarantees the operation executes at most once —
-/// and reuse the same trace context (the retry is a new span in the *same*
-/// trace, not a new trace).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn remote_op(
-    tx: &Sender<Request>,
-    user: UserId,
-    seq: u64,
-    op: &Op,
-    round: u64,
-    ctx: Option<SpanContext>,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-) -> Result<ServerResponse, NetError> {
-    remote_roundtrip(tx, user, seq, ctx, policy, stats, |reply| Request::Op {
-        user,
-        seq,
-        op: op.clone(),
-        round,
-        ctx,
-        reply,
-    })
-}
-
-/// One batched Protocol II window over the wire; `Ok(None)` means the
-/// server declined the window (side-effect free) and the caller should fall
-/// back to per-op execution. Transport semantics match [`remote_op`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn remote_batch(
-    tx: &Sender<Request>,
-    user: UserId,
-    seq: u64,
-    ops: &[Op],
-    round: u64,
-    ctx: Option<SpanContext>,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-) -> Result<Option<BatchResponse>, NetError> {
-    remote_roundtrip(tx, user, seq, ctx, policy, stats, |reply| {
-        Request::OpBatch {
+    /// Serves one call: from the journal if it retries a served one,
+    /// otherwise by executing it. A fresh reply goes journal insert →
+    /// publish → reply → drop of the displaced reply → stats and tracer, and
+    /// a blocking Protocol I deployment then waits for the op's deposit.
+    fn serve(&mut self, call: Call) {
+        if self.replay(&call) {
+            return;
+        }
+        let Head {
             user,
             seq,
-            ops: ops.to_vec(),
             round,
             ctx,
-            reply,
+        } = call.head;
+        let started = Instant::now();
+        let Some(entry) = self.execute(&call) else {
+            return;
+        };
+        let (ctr, ops, backfill) = match &entry {
+            JournaledReply::Plain(r) => (r.ctr, 1, None),
+            JournaledReply::Pipelined(p) => (p.resp.ctr, 1, Some(p.backfill.len() as u64)),
+            JournaledReply::Batch(b) => (b.ctr, b.window_len() as u64, None),
+        };
+        let batch = matches!(entry, JournaledReply::Batch(_));
+        let fallback =
+            matches!(entry, JournaledReply::Plain(_)) && matches!(call.body, Body::Pipelined(..));
+        let displaced = self.journal_insert(user, seq, entry);
+        // Publish before replying: a client that sees its write acknowledged
+        // must find it in the snapshot (read-your-writes across the two
+        // paths, relaxed to a bounded window when `publish_every_ops > 1`).
+        self.publisher.record(self.inner.as_mut(), ops);
+        if let Some((_, entry)) = self.journal.get(&user) {
+            answer(&call.body, entry, || {});
         }
+        // Freeing the displaced proof is work the client need not wait for.
+        drop(displaced);
+        self.stats.ops_served.add(ops);
+        self.stats
+            .op_micros
+            .observe(started.elapsed().as_micros() as u64);
+        if batch {
+            self.stats.batch_windows.inc();
+            self.stats.batch_ops.add(ops);
+        }
+        if let Some(lag) = backfill {
+            self.stats.pipelined_served.inc();
+            self.stats.pipeline_backfill.observe(lag);
+        }
+        self.stats.tracer.emit(|| {
+            let shape = match backfill {
+                Some(lag) => format!(" backfill={lag}"),
+                None if batch => format!(" batch={ops}"),
+                None if fallback => " fallback".to_string(),
+                None => String::new(),
+            };
+            Event::new(ctr, EventKind::OpServed, user)
+                .detail(format!("seq={seq} round={round}{shape}"))
+                .span_opt(ctx.map(|c| c.child(stage::SERVER)))
+        });
+        // Batch windows are a Protocol II path: deposits are asynchronous
+        // state tokens there, so no wait.
+        if self.opts.blocking_signatures && self.opts.pipeline_depth == 0 && !batch {
+            self.wait(Some(user));
+        }
+    }
+
+    /// Executes `call` on the inner server and returns the reply to
+    /// journal. `None` for a declined batch window, answered here: a
+    /// decline is side-effect free by contract, so it is not journaled — a
+    /// retry may legitimately decline again or (after a crash-restart)
+    /// succeed.
+    fn execute(&mut self, call: &Call) -> Option<JournaledReply> {
+        let Head {
+            user, seq, round, ..
+        } = call.head;
+        let depth = self.opts.pipeline_depth;
+        let op = match &call.body {
+            Body::Batch(ops, reply) => {
+                let resp = self.inner.handle_op_batch(user, seq, ops, round);
+                if resp.is_none() {
+                    self.stats.batch_declined.inc();
+                    let _ = reply.send(None);
+                }
+                return resp.map(JournaledReply::Batch);
+            }
+            Body::Pipelined(op, _) if depth > 0 => {
+                if let Some(resp) = self.inner.handle_op_pipelined(user, seq, op, round, depth) {
+                    return Some(JournaledReply::Pipelined(resp));
+                }
+                self.stats.pipeline_fallbacks.inc();
+                op
+            }
+            Body::Op(op, _) | Body::Pipelined(op, _) => op,
+        };
+        // A blocking-path reply carries a signature that must be current: in
+        // pipelined mode the deposit wait moves before the op and drains the
+        // outstanding deposits, instead of stalling after it.
+        if depth > 0 {
+            self.wait(None);
+        }
+        // The sequence number rides down to the inner server so a durable
+        // backend can log it and recover its own copy of the reply journal.
+        Some(JournaledReply::Plain(
+            self.inner.handle_op_seq(user, seq, op, round),
+        ))
+    }
+
+    /// Answers a retry of an already-served call from the journal — never
+    /// re-executing it, and never re-entering a deposit wait (the first
+    /// delivery already did). `false` when the call must be executed.
+    fn replay(&self, call: &Call) -> bool {
+        let Head { user, seq, ctx, .. } = call.head;
+        let Some((served, entry)) = self.journal.get(&user) else {
+            return false;
+        };
+        *served == seq
+            && answer(&call.body, entry, || {
+                self.stats.journal_hits.inc();
+                self.stats.tracer.emit(|| {
+                    Event::new(seq, EventKind::JournalHit, user)
+                        .span_opt(ctx.map(|c| c.child(stage::JOURNAL)))
+                });
+            })
+    }
+
+    /// Installs `user`'s newest reply, evicting the entry below the freshly
+    /// acknowledged watermark. A new sequence number from a user is an
+    /// implicit ack of every older one (the client retries strictly in
+    /// order), so the journal stays bounded at one entry per user; each
+    /// displaced entry is counted so deployments can see the eviction rate.
+    ///
+    /// The displaced reply is *returned*, not dropped: it owns a whole
+    /// proof, and freeing that is work the client should not wait behind.
+    #[must_use = "drop the displaced reply after the new one has been sent"]
+    fn journal_insert(
+        &mut self,
+        user: UserId,
+        seq: u64,
+        resp: JournaledReply,
+    ) -> Option<JournaledReply> {
+        let (old_seq, displaced) = self.journal.insert(user, (seq, resp))?;
+        if old_seq < seq {
+            self.stats.journal_evictions.inc();
+        }
+        Some(displaced)
+    }
+
+    /// Re-seeds the journal from whatever the inner server recovered
+    /// durably, so a retry of a pre-crash operation is still answered from
+    /// the journal instead of re-executing. An inner server with no durable
+    /// journal (`None`) keeps the in-memory journal as it is.
+    fn seed_journal(&mut self) {
+        if let Some(entries) = self.inner.recovered_journal() {
+            self.journal.clear();
+            for (user, seq, resp) in entries {
+                self.journal
+                    .insert(user, (seq, JournaledReply::Plain(resp)));
+            }
+        }
+    }
+
+    fn deposit(&mut self, user: UserId, signed: SignedState, ctx: Option<SpanContext>) {
+        let ctr = signed.ctr;
+        self.inner.deposit_signature(user, signed);
+        self.stats.tracer.emit(|| {
+            Event::new(ctr, EventKind::Deposit, user).span_opt(ctx.map(|c| c.child(stage::DEPOSIT)))
+        });
+    }
+
+    /// Crash-restarts the inner server, then acknowledges. The reply journal
+    /// is durable transport state: a durable inner server recovers its own
+    /// copy, which replaces ours; otherwise the in-memory journal survives
+    /// alongside whatever the inner server keeps.
+    fn crash(&mut self, ack: Sender<()>) {
+        self.stats.crashes.inc();
+        self.stats
+            .tracer
+            .emit(|| Event::new(0, EventKind::Crash, NO_ACTOR));
+        self.inner.crash_restart();
+        self.seed_journal();
+        // Readers must see the restored state, not a pre-crash root the
+        // restarted server no longer has.
+        self.publisher.force(self.inner.as_mut());
+        let _ = ack.send(());
+        self.stats
+            .tracer
+            .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
+    }
+
+    /// The deposit wait. `Some(user)` is Protocol I's blocking step: wait
+    /// for `user`'s deposit of the op just served, while other users'
+    /// requests queue up behind the block — that latency is the measured
+    /// cost. `None` is pipelined mode's catch-up before a blocking-path
+    /// reply: wait until no deposit is outstanding.
+    ///
+    /// Each leg is bounded by `deposit_timeout`; on timeout the owed
+    /// deposits are counted as missed and the server moves on rather than
+    /// deadlock — a stale signature then surfaces at the client. Retries of
+    /// served calls are answered in place (their clients may be the very
+    /// ones whose deposits are owed) and a crash is handled at once;
+    /// everything else queues in the backlog. A drain never waits.
+    fn wait(&mut self, owed: Option<UserId>) {
+        let mut settled = false;
+        loop {
+            let lag = match owed {
+                Some(_) => u64::from(!settled),
+                None => self.inner.deposit_lag(),
+            };
+            if lag == 0 || self.draining {
+                return;
+            }
+            match self.rx.recv_timeout(self.opts.deposit_timeout) {
+                Ok(Request::Signature { user, signed, ctx })
+                    if owed.is_none_or(|owed| owed == user) =>
+                {
+                    self.deposit(user, signed, ctx);
+                    settled = true;
+                }
+                Ok(Request::Crash { ack }) => {
+                    // The crash abandons the pipeline (the restarted server
+                    // re-arms on the next deposit) or the blocked op's
+                    // deposit (absorbed by the main loop if it arrives).
+                    self.crash(ack);
+                    if let Some(user) = owed {
+                        self.miss(1, user, "crash");
+                        return;
+                    }
+                }
+                Ok(Request::Call(call)) => {
+                    if !self.replay(&call) {
+                        self.backlog.push_back(call.into());
+                    }
+                }
+                Ok(Request::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                    self.draining = true;
+                }
+                Ok(other) => self.backlog.push_back(other),
+                Err(RecvTimeoutError::Timeout) => {
+                    self.miss(lag, owed.unwrap_or(NO_ACTOR), "timeout");
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Records `n` deposits the server gave up waiting for.
+    fn miss(&self, n: u64, user: UserId, why: &'static str) {
+        self.missed.fetch_add(n, Ordering::Relaxed);
+        self.stats.missed_deposits.add(n);
+        self.stats
+            .tracer
+            .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail(why));
+    }
+
+    /// Serves the bootstrap manifest for the server's *current* snapshot,
+    /// (re)slicing when the snapshot has moved since the cache was built.
+    /// `None` when the inner server exposes no read snapshot (adversaries)
+    /// or its snapshot cannot be sliced.
+    fn serve_bootstrap_manifest(&mut self) -> Option<(Vec<u8>, Ctr)> {
+        // Publish pending writes first so the manifest reflects every
+        // acknowledged operation.
+        self.publisher.flush(self.inner.as_mut());
+        let snap = self.inner.read_snapshot()?;
+        let stale = self
+            .bootstrap
+            .as_ref()
+            .is_none_or(|(src, _)| src.manifest().anchor != snap.root_digest());
+        if stale {
+            let src = ChunkSource::new(snap.db(), self.opts.bootstrap_chunk_bytes).ok()?;
+            self.bootstrap = Some((src, snap.ctr()));
+        }
+        self.bootstrap
+            .as_ref()
+            .map(|(src, ctr)| (src.manifest().to_bytes(), *ctr))
+    }
+
+    /// Serves one chunk of the snapshot identified by `anchor`. The cached
+    /// slicing answers requests for *its* snapshot even after the live tree
+    /// has moved on (that is what makes an in-flight bootstrap resumable); a
+    /// request for any other anchor is answered only if the current
+    /// snapshot matches, otherwise declined so the client refetches the
+    /// manifest.
+    fn serve_bootstrap_chunk(&mut self, anchor: &Digest, index: u32) -> Option<Vec<u8>> {
+        let cached = self
+            .bootstrap
+            .as_ref()
+            .is_some_and(|(src, _)| src.manifest().anchor == *anchor);
+        if !cached {
+            let snap = self.inner.read_snapshot()?;
+            if snap.root_digest() != *anchor {
+                return None;
+            }
+            let src = ChunkSource::new(snap.db(), self.opts.bootstrap_chunk_bytes).ok()?;
+            self.bootstrap = Some((src, snap.ctr()));
+        }
+        self.bootstrap
+            .as_ref()
+            .and_then(|(src, _)| src.chunk(index))
+    }
+}
+
+/// The journal's shape table, for journal hits and fresh replies alike:
+/// sends `entry` into `body`'s reply slot in the shape the slot asked for,
+/// calling `before_send` first. A plain slot takes a blocking-path reply as
+/// it is and a pipelined reply's embedded response; a pipelined slot takes
+/// a pipelined reply as it is and a blocking-path one (a fallback, or the
+/// only shape a durable server recovers) wrapped as `Legacy`; a batch slot
+/// takes only a batch reply. Any other pairing sends nothing and returns
+/// `false`: the call is then executed, and the per-user sequence check in
+/// the inner server still guards against double execution.
+fn answer(body: &Body, entry: &JournaledReply, before_send: impl FnOnce()) -> bool {
+    match (body, entry) {
+        (Body::Op(_, reply), JournaledReply::Plain(r)) => deliver(reply, r.clone(), before_send),
+        (Body::Op(_, reply), JournaledReply::Pipelined(p)) => {
+            deliver(reply, p.resp.clone(), before_send)
+        }
+        (Body::Pipelined(_, reply), JournaledReply::Plain(r)) => {
+            deliver(reply, PipelinedReply::Legacy(r.clone()), before_send)
+        }
+        (Body::Pipelined(_, reply), JournaledReply::Pipelined(p)) => {
+            deliver(reply, PipelinedReply::Pipelined(p.clone()), before_send)
+        }
+        (Body::Batch(_, reply), JournaledReply::Batch(b)) => {
+            deliver(reply, Some(b.clone()), before_send)
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Sends `value` once `before_send` has run. The reply channel may be gone
+/// if the client detected deviation and bailed; that's fine.
+fn deliver<T>(reply: &Sender<T>, value: T, before_send: impl FnOnce()) {
+    before_send();
+    let _ = reply.send(value);
+}
+
+/// Performs one remote operation, with bounded retry (see [`round_trip`]).
+/// Every attempt resends `head` — the same `seq`, so the server's reply
+/// journal guarantees the operation executes at most once, and the same
+/// trace context, so a retry is a new span in the *same* trace — with a
+/// body built around that attempt's reply sender.
+pub(crate) fn remote_call<T>(
+    tx: &Sender<Request>,
+    head: Head,
+    policy: &RetryPolicy,
+    stats: &NetStats,
+    mut body: impl FnMut(Sender<T>) -> Body,
+) -> Result<T, NetError> {
+    round_trip(tx, head.user, head.seq, head.ctx, policy, stats, |reply| {
+        Call {
+            head,
+            body: body(reply),
+        }
+        .into()
     })
 }
 
-/// One pipelined Protocol I operation over the wire. The reply is either
-/// the anchored pipelined shape or a blocking-path response the server fell
-/// back to. Transport semantics match [`remote_op`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn remote_pipelined(
-    tx: &Sender<Request>,
-    user: UserId,
-    seq: u64,
-    op: &Op,
-    round: u64,
-    ctx: Option<SpanContext>,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-) -> Result<PipelinedReply, NetError> {
-    remote_roundtrip(tx, user, seq, ctx, policy, stats, |reply| {
-        Request::OpPipelined {
-            user,
-            seq,
-            op: op.clone(),
-            round,
-            ctx,
-            reply,
-        }
-    })
-}
-
-/// The shared bounded-retry round trip behind [`remote_op`] and friends:
-/// each attempt builds the request around a fresh one-shot reply sender.
-fn remote_roundtrip<T>(
-    tx: &Sender<Request>,
+/// The one bounded-retry round trip behind every client request: each
+/// attempt builds the request around a fresh one-shot reply sender and
+/// waits [`RetryPolicy::attempt_timeout`] for the reply. A failed *send*
+/// means the server thread (or the link to it) is gone — that is terminal.
+/// A disconnected reply channel means the request was consumed but no
+/// reply will come (a dropped request or reply in flight) — retry at once.
+/// A timeout backs off exponentially before the retry. `seq` seeds the
+/// backoff jitter and, with `user` and `ctx`, labels the retry events.
+pub(crate) fn round_trip<R, T>(
+    tx: &Sender<R>,
     user: UserId,
     seq: u64,
     ctx: Option<SpanContext>,
     policy: &RetryPolicy,
     stats: &NetStats,
-    mut make: impl FnMut(Sender<T>) -> Request,
+    mut make: impl FnMut(Sender<T>) -> R,
 ) -> Result<T, NetError> {
     let attempts = policy.max_attempts.max(1);
     for attempt in 0..attempts {
@@ -1431,79 +1047,13 @@ fn remote_roundtrip<T>(
     Err(NetError::Timeout { attempts })
 }
 
-/// A retried fetch round trip (Protocol III audit reads). Same transport
-/// semantics as [`remote_op`]; `make` builds the request around the
-/// attempt's fresh reply sender.
-/// One read over the concurrent snapshot path, with the same bounded-retry
-/// transport semantics as [`remote_op`]. Reads are idempotent, so retries
-/// need no server-side journal; `seq` only seeds the backoff jitter.
-pub(crate) fn remote_read(
-    tx: &Sender<ReadRequest>,
-    user: UserId,
-    seq: u64,
-    op: &Op,
-    ctx: Option<SpanContext>,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-) -> Result<ReadResponse, NetError> {
-    let attempts = policy.max_attempts.max(1);
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            stats.retries.inc();
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::Retry, user)
-                    .detail(format!("attempt={attempt}"))
-                    .span_opt(ctx.map(|c| c.child(stage::RETRY)))
-            });
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        tx.send(ReadRequest {
-            op: op.clone(),
-            ctx,
-            reply: reply_tx,
-        })
-        .map_err(|_| NetError::ServerGone)?;
-        match reply_rx.recv_timeout(policy.attempt_timeout(user, seq, attempt)) {
-            Ok(resp) => return Ok(resp),
-            Err(RecvTimeoutError::Disconnected) => continue,
-            Err(RecvTimeoutError::Timeout) => continue,
-        }
-    }
-    Err(NetError::Timeout { attempts })
-}
-
-pub(crate) fn remote_fetch<T>(
-    tx: &Sender<Request>,
-    user: UserId,
-    seq: u64,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-    mut make: impl FnMut(Sender<T>) -> Request,
-) -> Result<T, NetError> {
-    let attempts = policy.max_attempts.max(1);
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            stats.retries.inc();
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::Retry, user).detail(format!("attempt={attempt}"))
-            });
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        tx.send(make(reply_tx)).map_err(|_| NetError::ServerGone)?;
-        match reply_rx.recv_timeout(policy.attempt_timeout(user, seq, attempt)) {
-            Ok(v) => return Ok(v),
-            Err(RecvTimeoutError::Disconnected) => continue,
-            Err(RecvTimeoutError::Timeout) => continue,
-        }
-    }
-    Err(NetError::Timeout { attempts })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_core::ProtocolConfig;
-    use tcvs_merkle::u64_key;
+    use crate::NetClient1;
+    use tcvs_core::{HonestServer, ProtocolConfig};
+    use tcvs_crypto::setup_users;
+    use tcvs_merkle::{u64_key, ChunkManifest};
     use tcvs_storage::{
         response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
         MemMedium, StorageObs,
@@ -1525,18 +1075,55 @@ mod tests {
         .expect("open durable server")
     }
 
-    fn send_op(tx: &Sender<Request>, user: UserId, seq: u64, op: Op, round: u64) -> ServerResponse {
+    /// One request/reply exchange with the server thread, no retries.
+    fn ask<T>(tx: &Sender<Request>, make: impl FnOnce(Sender<T>) -> Request) -> T {
         let (reply_tx, reply_rx) = bounded(1);
-        tx.send(Request::Op {
-            user,
-            seq,
-            op,
-            round,
-            ctx: None,
-            reply: reply_tx,
-        })
-        .expect("server thread alive");
+        tx.send(make(reply_tx)).expect("server thread alive");
         reply_rx.recv().expect("reply delivered")
+    }
+
+    /// One call to the server thread, no retries.
+    fn call<T>(
+        tx: &Sender<Request>,
+        (user, seq, round): (UserId, u64, u64),
+        body: impl FnOnce(Sender<T>) -> Body,
+    ) -> T {
+        let head = Head::root(user, seq, round);
+        ask(tx, |reply| {
+            Call {
+                head,
+                body: body(reply),
+            }
+            .into()
+        })
+    }
+
+    fn send_op(tx: &Sender<Request>, user: UserId, seq: u64, op: Op, round: u64) -> ServerResponse {
+        call(tx, (user, seq, round), |reply| Body::Op(op, reply))
+    }
+
+    fn send_batch(
+        tx: &Sender<Request>,
+        user: UserId,
+        seq: u64,
+        ops: Vec<Op>,
+        round: u64,
+    ) -> Option<BatchResponse> {
+        call(tx, (user, seq, round), |reply| Body::Batch(ops, reply))
+    }
+
+    fn send_pipelined(
+        tx: &Sender<Request>,
+        user: UserId,
+        seq: u64,
+        op: Op,
+        round: u64,
+    ) -> PipelinedReply {
+        call(tx, (user, seq, round), |reply| Body::Pipelined(op, reply))
+    }
+
+    fn journal_hits(stats: &NetStats) -> Option<u64> {
+        stats.snapshot().counter("net.server.journal_hits")
     }
 
     /// The full durability wiring: operations flow through the transport to
@@ -1639,5 +1226,140 @@ mod tests {
         let replay = send_op(&tx, 3, 9, Op::Put(u64_key(5), b"x".to_vec()), 0);
         assert_eq!(response_bytes(&replay), response_bytes(&acked));
         assert_eq!(stats.snapshot().counter("net.server.journal_hits"), Some(1));
+    }
+
+    /// The journal's shape table: a retry is answered from the journal in
+    /// the shape it asks for when the journaled reply can take that shape,
+    /// and executed otherwise.
+    #[test]
+    fn journal_answers_retries_in_the_shape_they_ask_for() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+
+        // A plain retry of a pipelined reply gets the embedded response.
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions {
+                pipeline_depth: 4,
+                ..NetServerOptions::default()
+            },
+            stats.clone(),
+        );
+        let (rings, registry) = setup_users([0x5a; 32], 1, 4);
+        let ring = rings.into_iter().next().expect("one keyring");
+        let mut client = NetClient1::new(ring, registry, cfg, &server);
+        let root0 = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();
+        client.deposit_initial(&root0).expect("server alive");
+        let tx = server.wire().0;
+        let put = || Op::Put(u64_key(1), b"p".to_vec());
+        let PipelinedReply::Pipelined(served) = send_pipelined(&tx, 0, 1, put(), 0) else {
+            panic!("an anchored user is served on the pipelined path");
+        };
+        let retry = send_op(&tx, 0, 1, put(), 0);
+        assert_eq!(response_bytes(&retry), response_bytes(&served.resp));
+        drop(server);
+        assert_eq!(journal_hits(&stats), Some(1));
+
+        // A pipelined retry of a plain reply, fresh or durably recovered,
+        // gets the blocking-path shape.
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(open_durable(MemMedium::new())),
+            NetServerOptions::default(),
+            stats.clone(),
+        );
+        let tx = server.wire().0;
+        let recovered = send_op(&tx, 1, 1, put(), 0);
+        server.crash_restart().expect("restart");
+        let fresh = send_op(&tx, 2, 1, Op::Get(u64_key(1)), 1);
+        for (user, plain) in [(1, recovered), (2, fresh)] {
+            match send_pipelined(&tx, user, 1, Op::Get(u64_key(1)), 0) {
+                PipelinedReply::Legacy(r) => assert_eq!(response_bytes(&r), response_bytes(&plain)),
+                PipelinedReply::Pipelined(_) => panic!("a plain reply retried in the wrong shape"),
+            }
+        }
+        drop(server);
+        assert_eq!(journal_hits(&stats), Some(2));
+
+        // A batch reply answers only a batch retry; any other shape reusing
+        // the batch's `(user, seq)` is executed, as is a batch reusing a
+        // plain reply's.
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions::default(),
+            stats.clone(),
+        );
+        let tx = server.wire().0;
+        let window = || vec![put(), Op::Get(u64_key(1))];
+        let batch = send_batch(&tx, 3, 1, window(), 0).expect("honest servers batch");
+        let retry = send_batch(&tx, 3, 1, window(), 0).expect("journaled batch");
+        assert_eq!((retry.ctr, &retry.results), (batch.ctr, &batch.results));
+        assert_eq!(journal_hits(&stats), Some(1));
+        let plain = send_op(&tx, 3, 1, Op::Get(u64_key(1)), 1);
+        assert_eq!(plain.ctr, batch.ctr + 2, "executed after the window");
+        let plain = send_op(&tx, 4, 1, Op::Get(u64_key(1)), 2);
+        let batch = send_batch(&tx, 4, 1, window(), 3).expect("honest servers batch");
+        assert_eq!(batch.ctr, plain.ctr + 1, "executed after the plain op");
+        match send_pipelined(&tx, 4, 1, Op::Get(u64_key(1)), 4) {
+            PipelinedReply::Legacy(r) => assert_eq!(r.ctr, batch.ctr + 2, "executed"),
+            PipelinedReply::Pipelined(_) => panic!("pipelining is off"),
+        }
+        drop(server);
+        assert_eq!(journal_hits(&stats), Some(1));
+    }
+
+    /// A bootstrap chunk served by the shutdown drain is cut from the same
+    /// slicing as the manifest its client holds: the configured chunk budget
+    /// and the loop's cached source.
+    #[test]
+    fn drained_bootstrap_chunk_matches_the_configured_slicing() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+        let mut inner = HonestServer::new(&cfg);
+        for i in 0..64u64 {
+            inner.handle_op(0, &Op::Put(u64_key(i), vec![i as u8; 256]), i);
+        }
+        let server = NetServer::spawn_with(
+            Box::new(inner),
+            NetServerOptions {
+                blocking_signatures: true,
+                deposit_timeout: Duration::from_secs(30),
+                bootstrap_chunk_bytes: 4 * 1024,
+                ..NetServerOptions::default()
+            },
+        );
+        let tx = server.wire().0;
+        let (manifest, _) = ask(&tx, |reply| Request::BootstrapManifest { reply })
+            .expect("honest servers serve bootstrap");
+        let anchor = ChunkManifest::from_bytes(&manifest)
+            .expect("manifest decodes")
+            .anchor;
+        let index = 2;
+        let first = ask(&tx, |reply| Request::BootstrapChunk {
+            anchor,
+            index,
+            reply,
+        });
+        assert!(first.is_some(), "the snapshot spans several chunks");
+        // A plain op blocks the server on a deposit that never comes.
+        send_op(&tx, 1, 1, Op::Get(u64_key(0)), 64);
+        let (reply, drained) = bounded(1);
+        tx.send(Request::BootstrapChunk {
+            anchor,
+            index,
+            reply,
+        })
+        .expect("server thread alive");
+        server.shutdown();
+        let drained = drained.recv().expect("served by the drain");
+        assert!(drained == first, "the drain cut chunk {index} differently");
     }
 }

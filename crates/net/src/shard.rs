@@ -39,7 +39,9 @@ use crate::client::{NetClient2, NetClientTrusted};
 use crate::error::{NetError, RetryPolicy};
 use crate::fault::FaultLink;
 use crate::obs::NetStats;
-use crate::server::{remote_read, Endpoint, NetServer, NetServerOptions, ReadWireHandle};
+use crate::server::{
+    round_trip, Endpoint, NetServer, NetServerOptions, ReadRequest, ReadWireHandle,
+};
 
 /// One sampled grove epoch: every shard's published root and counter, and
 /// the grove root they fold into.
@@ -775,14 +777,18 @@ impl GroveReader {
         let attempts = self.policy.max_attempts.max(1);
         for _ in 0..attempts {
             self.seq += 1;
-            let resp = remote_read(
+            let resp = round_trip(
                 &self.reads[shard].tx,
                 self.user,
                 self.seq,
-                op,
                 None,
                 &self.policy,
                 &self.stats,
+                |reply| ReadRequest {
+                    op: op.clone(),
+                    ctx: None,
+                    reply,
+                },
             )?;
             // Sample every shard's published root. The grove root is only
             // meaningful for a consistent sample, so the owning shard's

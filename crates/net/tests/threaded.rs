@@ -314,13 +314,15 @@ fn drop_unblocks_a_server_stuck_in_signature_wait() {
 #[test]
 fn shutdown_drains_requests_backlogged_behind_a_block() {
     let cfg = config();
-    let server = NetServer::spawn_with(
+    let stats = NetStats::disabled();
+    let server = NetServer::spawn_observed(
         Box::new(HonestServer::new(&cfg)),
         NetServerOptions {
             blocking_signatures: true,
             deposit_timeout: Duration::from_secs(30),
             ..NetServerOptions::default()
         },
+        stats.clone(),
     );
     let r0 = root0(&cfg);
     // Client A blocks the server (no deposit will come).
@@ -335,6 +337,8 @@ fn shutdown_drains_requests_backlogged_behind_a_block() {
         .join()
         .unwrap()
         .expect("the graceful drain serves the backlogged op");
+    // The drained op is counted like any other served op.
+    assert_eq!(stats.snapshot().counter("net.server.ops_served"), Some(2));
 }
 
 #[test]
