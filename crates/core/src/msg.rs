@@ -26,7 +26,7 @@ pub struct SignedState {
 }
 
 impl SignedState {
-    /// Wire-size estimate in bytes.
+    /// Encoded size in bytes (what [`crate::wire::put_signed_state`] writes).
     pub fn encoded_size(&self) -> usize {
         4 + Digest::LEN + 8 + self.sig.size_bytes()
     }
@@ -209,9 +209,10 @@ impl SignedEpochState {
         ])
     }
 
-    /// Wire-size estimate in bytes.
+    /// Encoded size in bytes (what [`crate::wire::put_epoch_state`] writes).
     pub fn encoded_size(&self) -> usize {
-        4 + 8 + Digest::LEN + 1 + Digest::LEN + 8 + self.sig.size_bytes()
+        let last = self.last.map_or(0, |_| Digest::LEN);
+        4 + 8 + Digest::LEN + 1 + last + 8 + self.sig.size_bytes()
     }
 }
 
@@ -241,7 +242,7 @@ impl SignedCheckpoint {
         ])
     }
 
-    /// Wire-size estimate in bytes.
+    /// Encoded size in bytes (what [`crate::wire::put_audit_checkpoint`] writes).
     pub fn encoded_size(&self) -> usize {
         8 + 4 + Digest::LEN + self.sig.size_bytes()
     }

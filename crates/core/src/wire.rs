@@ -11,6 +11,9 @@
 //! enum tags reject unknown values, and all errors surface as typed
 //! [`DecodeError`]s with offsets.
 
+use std::sync::Arc;
+
+use tcvs_crypto::mss::MssCertificate;
 use tcvs_crypto::wots::WotsSignature;
 use tcvs_crypto::{Digest, MssPublicKey, MssSignature};
 use tcvs_obs::{Event, EventKind, SpanContext, SpanId, TraceId};
@@ -54,35 +57,52 @@ pub fn get_opt_digest(r: &mut Reader) -> Result<Option<Digest>, DecodeError> {
 
 // --- signatures and keys --------------------------------------------------
 
-/// Writes an MSS signature (leaf index, WOTS body, authentication path).
+/// Writes an MSS signature: the leaf index, the bottom and the top
+/// authentication path (each behind a u32 count), then the leaf's and the
+/// certificate's WOTS bodies (each behind a u64 length). The bodies go
+/// last, so a wrong count moves a length prefix and the decode fails.
 pub fn put_mss(w: &mut Writer, s: &MssSignature) {
     w.u64(s.leaf_index);
+    put_path(w, &s.auth_path);
+    put_path(w, &s.cert.auth_path);
     w.bytes(&s.wots.to_bytes());
-    w.u32(s.auth_path.len() as u32);
-    for d in &s.auth_path {
-        put_digest(w, d);
-    }
+    w.bytes(&s.cert.wots.to_bytes());
 }
 
 /// Reads an MSS signature written by [`put_mss`].
 pub fn get_mss(r: &mut Reader) -> Result<MssSignature, DecodeError> {
     let leaf_index = r.u64()?;
-    let wots =
-        WotsSignature::from_bytes(r.bytes()?).ok_or(DecodeError::Invalid("wots signature"))?;
+    let auth_path = get_path(r)?;
+    let cert_path = get_path(r)?;
+    Ok(MssSignature {
+        leaf_index,
+        wots: get_wots(r)?,
+        auth_path,
+        cert: Arc::new(MssCertificate {
+            wots: get_wots(r)?,
+            auth_path: cert_path,
+        }),
+    })
+}
+
+fn put_path(w: &mut Writer, path: &[Digest]) {
+    w.u32(path.len() as u32);
+    for d in path {
+        put_digest(w, d);
+    }
+}
+
+fn get_path(r: &mut Reader) -> Result<Vec<Digest>, DecodeError> {
     let n = r.u32()? as usize;
     // Auth paths are log₂(leaves) deep; a huge count is corruption.
     if n > 64 {
         return Err(DecodeError::Invalid("auth path too deep"));
     }
-    let mut auth_path = Vec::with_capacity(n);
-    for _ in 0..n {
-        auth_path.push(get_digest(r)?);
-    }
-    Ok(MssSignature {
-        leaf_index,
-        wots,
-        auth_path,
-    })
+    (0..n).map(|_| get_digest(r)).collect()
+}
+
+fn get_wots(r: &mut Reader) -> Result<WotsSignature, DecodeError> {
+    WotsSignature::from_bytes(r.bytes()?).ok_or(DecodeError::Invalid("wots signature"))
 }
 
 /// Writes an MSS public key (Merkle root + tree height).
@@ -311,26 +331,101 @@ mod tests {
     use super::*;
     use tcvs_obs::stage;
 
+    /// A signature from a height-6 key: both authentication paths are
+    /// non-empty (4 bottom digests, 2 top digests).
     fn sample_sig(seed: u8) -> MssSignature {
-        let (mut rings, _) = tcvs_crypto::setup_users([seed; 32], 1, 3);
+        let (mut rings, _) = tcvs_crypto::setup_users([seed; 32], 1, 6);
         rings[0].sign(&tcvs_crypto::sha256(&[seed])).unwrap()
+    }
+
+    fn encoded(put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        put(&mut w);
+        w.into_bytes()
     }
 
     #[test]
     fn signature_codec_round_trips_and_rejects_truncation() {
         let sig = sample_sig(5);
-        let mut w = Writer::new();
-        put_mss(&mut w, &sig);
-        let buf = w.into_bytes();
+        let buf = encoded(|w| put_mss(w, &sig));
+        assert_eq!(buf.len(), sig.size_bytes());
         let mut r = Reader::new(&buf);
-        let back = get_mss(&mut r).unwrap();
+        assert_eq!(get_mss(&mut r).unwrap(), sig);
         r.finish().unwrap();
-        assert_eq!(back.leaf_index, sig.leaf_index);
-        assert_eq!(back.auth_path, sig.auth_path);
-        assert_eq!(back.wots.to_bytes(), sig.wots.to_bytes());
 
         let mut r = Reader::new(&buf[..buf.len() - 1]);
         assert!(get_mss(&mut r).is_err());
+    }
+
+    /// Every strict prefix fails, and so does every single-byte change to
+    /// either path count or either WOTS length: a count that still parses
+    /// moves the next length prefix into digest bytes.
+    #[test]
+    fn signature_decoder_rejects_prefixes_and_changed_counts_and_lengths() {
+        let sig = sample_sig(6);
+        let buf = encoded(|w| put_mss(w, &sig));
+        for cut in 0..buf.len() {
+            assert!(
+                get_mss(&mut Reader::new(&buf[..cut])).is_err(),
+                "prefix {cut}"
+            );
+        }
+        let bottom_count = 8;
+        let top_count = bottom_count + 4 + 32 * sig.auth_path.len();
+        let leaf_len = top_count + 4 + 32 * sig.cert.auth_path.len();
+        let cert_len = leaf_len + 8 + sig.wots.size_bytes();
+        let fields = [
+            bottom_count..bottom_count + 4,
+            top_count..top_count + 4,
+            leaf_len..leaf_len + 8,
+            cert_len..cert_len + 8,
+        ];
+        for at in fields.into_iter().flatten() {
+            for delta in 1..=255u8 {
+                let mut bad = buf.clone();
+                bad[at] = bad[at].wrapping_add(delta);
+                assert!(
+                    get_mss(&mut Reader::new(&bad)).is_err(),
+                    "byte {at} + {delta}"
+                );
+            }
+        }
+    }
+
+    /// Each signed type's `encoded_size` is the number of bytes its
+    /// encoder writes.
+    #[test]
+    fn signed_types_encoded_size_matches_bytes_written() {
+        let state = SignedState {
+            signer: 1,
+            root: tcvs_crypto::sha256(b"root"),
+            ctr: 9,
+            sig: sample_sig(1),
+        };
+        let len = encoded(|w| put_signed_state(w, &state)).len();
+        assert_eq!(state.encoded_size(), len);
+
+        for last in [Some(tcvs_crypto::sha256(b"last")), None] {
+            let epoch = SignedEpochState {
+                user: 2,
+                epoch: 3,
+                sigma: tcvs_crypto::sha256(b"sigma"),
+                last,
+                ops: 4,
+                sig: sample_sig(2),
+            };
+            let len = encoded(|w| put_epoch_state(w, &epoch)).len();
+            assert_eq!(epoch.encoded_size(), len, "last = {last:?}");
+        }
+
+        let checkpoint = SignedCheckpoint {
+            epoch: 5,
+            checker: 0,
+            final_token: tcvs_crypto::sha256(b"final"),
+            sig: sample_sig(3),
+        };
+        let len = encoded(|w| put_audit_checkpoint(w, &checkpoint)).len();
+        assert_eq!(checkpoint.encoded_size(), len);
     }
 
     #[test]

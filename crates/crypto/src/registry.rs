@@ -8,9 +8,12 @@
 //! out of the paper's scope (it assumes a working PKI as a primitive).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::digest::Digest;
-use crate::mss::{mss_verify, MssError, MssPublicKey, MssSignature, MssSigner};
+use crate::mss::{
+    bottom_root, certifies, MssCertificate, MssError, MssPublicKey, MssSignature, MssSigner,
+};
 use crate::sha256::hash_parts;
 
 /// A user identifier. `u32::MAX` is reserved as the "no user" sentinel used
@@ -20,10 +23,32 @@ pub type UserId = u32;
 /// Sentinel user id tagging the initial database state (no previous writer).
 pub const NO_USER: UserId = u32::MAX;
 
-/// Immutable table of authentic public keys, shared by all honest users.
-#[derive(Clone, Default)]
+/// Table of authentic public keys, shared by all honest users.
+///
+/// It also remembers, per user, the last bottom tree whose certificate it
+/// checked, so verifying the next signature from that tree costs one WOTS
+/// walk instead of two. A clone starts with a copy of that memory.
+#[derive(Default)]
 pub struct KeyRegistry {
     keys: BTreeMap<UserId, MssPublicKey>,
+    certified: Mutex<BTreeMap<UserId, Certified>>,
+}
+
+/// A bottom tree whose root's certificate a registry has checked.
+#[derive(Clone)]
+struct Certified {
+    tree: u64,
+    root: Digest,
+    cert: Arc<MssCertificate>,
+}
+
+impl Clone for KeyRegistry {
+    fn clone(&self) -> KeyRegistry {
+        KeyRegistry {
+            keys: self.keys.clone(),
+            certified: Mutex::new(self.certified().clone()),
+        }
+    }
 }
 
 impl KeyRegistry {
@@ -47,12 +72,34 @@ impl KeyRegistry {
         self.keys.get(&user)
     }
 
-    /// Verifies that `sig` is `user`'s signature over `msg`.
+    /// Verifies that `sig` is `user`'s signature over `msg`. Decides
+    /// exactly as [`crate::mss_verify`] does; the top-level check is
+    /// skipped only for the bottom root, tree and certificate this
+    /// registry last checked for `user`, where it would pass again.
     pub fn verify(&self, user: UserId, msg: &Digest, sig: &MssSignature) -> bool {
-        match self.lookup(user) {
-            Some(pk) => mss_verify(pk, msg, sig),
-            None => false,
+        let Some(pk) = self.lookup(user) else {
+            return false;
+        };
+        let Some((tree, root)) = bottom_root(pk, msg, sig) else {
+            return false;
+        };
+        let known = |c: &Certified| c.tree == tree && c.root == root && c.cert == sig.cert;
+        if self.certified().get(&user).is_some_and(known) {
+            return true;
         }
+        if !certifies(pk, tree, &root, &sig.cert) {
+            return false;
+        }
+        let cert = sig.cert.clone();
+        self.certified()
+            .insert(user, Certified { tree, root, cert });
+        true
+    }
+
+    fn certified(&self) -> MutexGuard<'_, BTreeMap<UserId, Certified>> {
+        self.certified
+            .lock()
+            .expect("no thread panics while holding the certificate cache")
     }
 
     /// Number of registered users.
@@ -126,7 +173,9 @@ pub fn setup_users(setup_seed: [u8; 32], n: u32, height: u32) -> (Vec<Keyring>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mss::mss_verify;
     use crate::sha256::sha256;
+    use std::sync::Barrier;
 
     #[test]
     fn setup_and_cross_verification() {
@@ -180,5 +229,116 @@ mod tests {
         let (_, registry) = setup_users([2u8; 32], 5, 2);
         let ids: Vec<_> = registry.users().collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    fn signed(ring: &mut Keyring, i: u32) -> (Digest, MssSignature) {
+        let msg = sha256(&i.to_be_bytes());
+        let sig = ring.sign(&msg).unwrap();
+        (msg, sig)
+    }
+
+    /// Refused by the cold two-level check and by this (warm) registry.
+    fn refused(registry: &KeyRegistry, user: UserId, msg: &Digest, sig: &MssSignature) -> bool {
+        let pk = registry.lookup(user).unwrap();
+        !mss_verify(pk, msg, sig) && !registry.verify(user, msg, sig)
+    }
+
+    #[test]
+    fn forged_certificates_refused_cold_and_warm() {
+        // Height 6: four bottom trees of 16 leaves under a top tree of 4.
+        let (mut rings, registry) = setup_users([4u8; 32], 2, 6);
+        let tree0: Vec<_> = (0..16).map(|i| signed(&mut rings[0], i)).collect();
+        let (m16, s16) = signed(&mut rings[0], 16);
+        let (m_other, s_other) = signed(&mut rings[1], 0);
+        let (m, honest) = &tree0[5];
+        // Both users' tree-0 roots are in the cache from here on.
+        assert!(registry.verify(0, m, honest));
+        assert!(registry.verify(1, &m_other, &s_other));
+
+        // A certificate moved to another bottom tree of the same signer.
+        let mut moved = s16.clone();
+        moved.cert = honest.cert.clone();
+        assert!(refused(&registry, 0, &m16, &moved));
+        let mut moved = honest.clone();
+        moved.cert = s16.cert.clone();
+        assert!(refused(&registry, 0, m, &moved));
+
+        // A certificate moved to another signer.
+        let mut stolen = s_other.clone();
+        stolen.cert = honest.cert.clone();
+        assert!(refused(&registry, 1, &m_other, &stolen));
+        let mut stolen = honest.clone();
+        stolen.cert = s_other.cert.clone();
+        assert!(refused(&registry, 0, m, &stolen));
+
+        // One flipped byte in the top WOTS value, the top path, the bottom
+        // path.
+        for v in 0..honest.cert.wots.values.len() {
+            let mut flipped = honest.clone();
+            Arc::make_mut(&mut flipped.cert).wots.values[v].0[v % 32] ^= 1;
+            assert!(refused(&registry, 0, m, &flipped), "top wots value {v}");
+        }
+        for d in 0..honest.cert.auth_path.len() {
+            let mut flipped = honest.clone();
+            Arc::make_mut(&mut flipped.cert).auth_path[d].0[7] ^= 0x80;
+            assert!(refused(&registry, 0, m, &flipped), "top path digest {d}");
+        }
+        for d in 0..honest.auth_path.len() {
+            let mut flipped = honest.clone();
+            flipped.auth_path[d].0[31] ^= 1;
+            assert!(refused(&registry, 0, m, &flipped), "bottom path digest {d}");
+        }
+
+        // A bottom tree that recomputes to another root, or claims another
+        // tree, with the cached certificate: the top check still runs.
+        assert!(refused(&registry, 0, &sha256(b"never signed"), honest));
+        let mut other_leaf = honest.clone();
+        other_leaf.leaf_index ^= 1;
+        assert!(refused(&registry, 0, m, &other_leaf));
+        let mut other_tree = honest.clone();
+        other_tree.leaf_index += 16;
+        assert!(refused(&registry, 0, m, &other_tree));
+
+        // Nothing above evicted the honest roots.
+        let pk = registry.lookup(0).unwrap();
+        for (m, sig) in tree0.iter().chain([&(m16, s16)]) {
+            assert!(mss_verify(pk, m, sig) && registry.verify(0, m, sig));
+        }
+        assert!(registry.verify(1, &m_other, &s_other));
+    }
+
+    /// Two threads verify the same signatures (and a forgery of each)
+    /// through one shared registry and through clones of it, started
+    /// together; a clone starts from a copy of the checked roots.
+    #[test]
+    fn registry_clones_and_a_shared_registry_verify_across_threads() {
+        let (mut rings, registry) = setup_users([6u8; 32], 2, 6);
+        let sigs: Vec<_> = (0..48u32)
+            .map(|i| {
+                let user = i % 2;
+                let (msg, sig) = signed(&mut rings[user as usize], i);
+                (user, msg, sig)
+            })
+            .collect();
+        assert!(registry.verify(sigs[0].0, &sigs[0].1, &sigs[0].2));
+        assert_eq!(registry.clone().certified().len(), 1);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (shared, own, sigs, start) = (&registry, registry.clone(), &sigs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (user, msg, sig) in sigs {
+                        let mut forged = sig.clone();
+                        Arc::make_mut(&mut forged.cert).wots.values[0].0[0] ^= 1;
+                        for r in [shared, &own] {
+                            assert!(r.verify(*user, msg, sig));
+                            assert!(!r.verify(*user, msg, &forged));
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(registry.certified().len(), 2);
     }
 }

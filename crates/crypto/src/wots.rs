@@ -12,6 +12,8 @@
 //! end at position `W - 1`, so a chain starting at `p` joins in round `p`.
 //! A secret key *is* its chain table (~34 KB): building it is the walk key
 //! generation pays for the public key, and signing from it is 67 lookups.
+//! The chain starts are derived from a 32-byte key seed by one compression
+//! each, through the same lanes.
 
 use crate::digest::Digest;
 use crate::multilane::sha256_blocks;
@@ -126,14 +128,19 @@ fn walk(
     from: &[u8; LEN],
     mut each: impl FnMut(usize, usize, &Digest),
 ) {
-    // Latest starters last, so the chains active in a round are a prefix.
+    // Latest starters last, so the chains active in a round are a prefix;
+    // chains already at the end never join.
     let mut order: [usize; LEN] = std::array::from_fn(|i| i);
     order.sort_unstable_by_key(|&i| from[i]);
-    let mut blocks = order.map(|i| step_block(i, 0, &values[i]));
+    let live = order.partition_point(|&i| (from[i] as usize) < TOP);
+    let mut blocks = [[0u8; 64]; LEN];
+    for (b, &i) in blocks.iter_mut().zip(&order[..live]) {
+        *b = step_block(i, 0, &values[i]);
+    }
     let mut out = [Digest::ZERO; LEN];
     let mut active = 0;
     for pos in 0..TOP {
-        while active < LEN && from[order[active]] as usize <= pos {
+        while active < live && from[order[active]] as usize <= pos {
             active += 1;
         }
         for b in &mut blocks[..active] {
@@ -145,7 +152,7 @@ fn walk(
             each(i, pos + 1, v);
         }
     }
-    for (b, &i) in blocks.iter().zip(&order) {
+    for (b, &i) in blocks.iter().zip(&order[..live]) {
         values[i] = Digest::from_slice(&b[STEP_VALUE..STEP_LEN]).expect("32-byte field");
     }
 }
@@ -165,28 +172,79 @@ fn chunks_of(msg: &Digest) -> [u8; LEN] {
     out
 }
 
-/// The 67 chain starting points drawn from `rng`.
-fn secrets(rng: &mut SeedRng) -> [Digest; LEN] {
-    std::array::from_fn(|_| Digest(rng.next_block()))
-}
+/// Domain tag opening every chain-start message.
+const START_TAG: &[u8; 14] = b"tcvs-wots-seed";
+/// Byte offsets of the fields after the tag, and the message length.
+const START_IDX: usize = START_TAG.len();
+const START_SEED: usize = START_IDX + 4;
+const START_LEN: usize = START_SEED + 32;
 
-/// The generator for MSS leaf `index`'s chain starts, derived from a master
-/// seed so the signer need not store 2^H secret keys.
-fn leaf_rng(master_seed: &[u8; 32], index: u64) -> SeedRng {
-    let leaf_seed = hash_parts(&[b"tcvs-wots-leaf", master_seed, &index.to_be_bytes()]);
-    SeedRng::from_seed(leaf_seed.0)
-}
-
-fn secret_key(rng: &mut SeedRng) -> WotsSecretKey {
-    let mut values = secrets(rng);
-    let mut table = vec![[Digest::ZERO; W as usize]; LEN].into_boxed_slice();
-    for (row, v) in table.iter_mut().zip(&values) {
-        row[0] = *v;
-    }
-    walk(sha256_blocks, &mut values, &[0; LEN], |i, p, v| {
-        table[i][p] = *v
+/// The 67 secret chain starts of the key seeded by `key_seed`: start `i`
+/// is one compression over the 50-byte message `"tcvs-wots-seed" ‖ i (u32
+/// BE) ‖ key_seed`, all 67 through the lanes at once.
+fn secrets(key_seed: &[u8; 32]) -> [Digest; LEN] {
+    let blocks: [[u8; 64]; LEN] = std::array::from_fn(|i| {
+        let mut b = [0u8; 64];
+        b[..START_IDX].copy_from_slice(START_TAG);
+        b[START_IDX..START_SEED].copy_from_slice(&(i as u32).to_be_bytes());
+        b[START_SEED..START_LEN].copy_from_slice(key_seed);
+        b[START_LEN] = 0x80;
+        b[56..].copy_from_slice(&(START_LEN as u64 * 8).to_be_bytes());
+        b
     });
-    WotsSecretKey { table, used: false }
+    let mut starts = [Digest::ZERO; LEN];
+    sha256_blocks(&blocks, &mut starts);
+    starts
+}
+
+/// The seed of MSS leaf `index`'s key, derived from a master seed so the
+/// signer need not store 2^H secret keys.
+fn leaf_seed(master_seed: &[u8; 32], index: u64) -> [u8; 32] {
+    hash_parts(&[b"tcvs-wots-leaf", master_seed, &index.to_be_bytes()]).0
+}
+
+/// A one-time secret key whose chain table is walked a few chains at a
+/// time, so one walk can be spread over several calls.
+pub(crate) struct WotsKeyBuilder {
+    table: Box<[[Digest; W as usize]]>,
+    /// Chains `..built` are walked.
+    built: usize,
+}
+
+impl WotsKeyBuilder {
+    fn new(key_seed: &[u8; 32]) -> WotsKeyBuilder {
+        let mut table = vec![[Digest::ZERO; W as usize]; LEN].into_boxed_slice();
+        for (row, v) in table.iter_mut().zip(secrets(key_seed)) {
+            row[0] = v;
+        }
+        WotsKeyBuilder { table, built: 0 }
+    }
+
+    /// Starts MSS leaf `index`'s key: draws the chain starts, walks none.
+    pub(crate) fn at(master_seed: &[u8; 32], index: u64) -> WotsKeyBuilder {
+        WotsKeyBuilder::new(&leaf_seed(master_seed, index))
+    }
+
+    /// Walks the next `n` chains (the rest, if fewer are left).
+    pub(crate) fn build(&mut self, n: usize) {
+        let chains = self.built..(self.built + n).min(LEN);
+        let mut values = std::array::from_fn(|i| self.table[i][0]);
+        // Chains outside the slice start at the end, so the walk skips them.
+        let from = std::array::from_fn(|i| if chains.contains(&i) { 0 } else { TOP as u8 });
+        walk(sha256_blocks, &mut values, &from, |i, p, v| {
+            self.table[i][p] = *v
+        });
+        self.built = chains.end;
+    }
+
+    /// Walks the chains left, if any, and returns the finished key.
+    pub(crate) fn finish(mut self) -> WotsSecretKey {
+        self.build(LEN);
+        WotsSecretKey {
+            table: self.table,
+            used: false,
+        }
+    }
 }
 
 impl WotsSecretKey {
@@ -200,7 +258,7 @@ impl WotsSecretKey {
 
 /// Generates a WOTS key pair.
 pub fn wots_keygen(rng: &mut SeedRng) -> (WotsSecretKey, WotsPublicKey) {
-    let sk = secret_key(rng);
+    let sk = WotsKeyBuilder::new(&rng.next_block()).finish();
     let pk = sk.public_key();
     (sk, pk)
 }
@@ -208,13 +266,13 @@ pub fn wots_keygen(rng: &mut SeedRng) -> (WotsSecretKey, WotsPublicKey) {
 /// The secret key (chain table) of MSS leaf `index`: the *prepare* half of
 /// signing, independent of the message.
 pub fn wots_secret_key_at(master_seed: &[u8; 32], index: u64) -> WotsSecretKey {
-    secret_key(&mut leaf_rng(master_seed, index))
+    WotsKeyBuilder::at(master_seed, index).finish()
 }
 
 /// The public key of MSS leaf `index`, without materialising the chain
-/// table (MSS key generation walks 2^H leaves and keeps none of them).
+/// table (MSS key generation walks every top-tree leaf and keeps none).
 pub fn wots_public_key_at(master_seed: &[u8; 32], index: u64) -> WotsPublicKey {
-    let mut ends = secrets(&mut leaf_rng(master_seed, index));
+    let mut ends = secrets(&leaf_seed(master_seed, index));
     walk(sha256_blocks, &mut ends, &[0; LEN], |_, _, _| {});
     WotsPublicKey {
         ends: Box::new(ends),
@@ -317,7 +375,8 @@ mod tests {
 
     /// A chain-step message can never equal a `hash_parts`, `hash_pair` or
     /// MSS `node_hash` message, so a chain value is never also a protocol
-    /// token or a tree node:
+    /// token or a tree node (and a chain-start message is none of them
+    /// either):
     ///
     /// * it is exactly 55 bytes and opens with the tag byte `b't'`;
     /// * a `hash_parts` message opens with its part count as a 64-bit
@@ -348,6 +407,16 @@ mod tests {
         let pair = [a.0, b.0].concat();
         assert_eq!(hash_pair(&a, &b), sha256(&pair));
         assert_ne!(pair.len(), STEP_LEN);
+
+        // A chain start is the streaming hash of its 50-byte message, which
+        // also opens with `b't'` and is neither 55 nor 64 bytes long.
+        let seed = [9u8; 32];
+        for (i, start) in secrets(&seed).iter().enumerate() {
+            let msg = [&START_TAG[..], &(i as u32).to_be_bytes(), &seed].concat();
+            assert_eq!(*start, sha256(&msg));
+            assert_eq!((msg.len(), msg[0]), (START_LEN, b't'));
+        }
+        assert!(![STEP_LEN, pair.len()].contains(&START_LEN));
     }
 
     fn setup() -> (WotsSecretKey, WotsPublicKey) {
@@ -414,8 +483,18 @@ mod tests {
         let pk3 = wots_public_key_at(&seed, 10);
         assert_eq!(pk1.compress(), pk2.compress());
         assert_ne!(pk1.compress(), pk3.compress());
-        // The table-building and table-free derivations agree on the key.
+        // The table-building and table-free derivations agree on the key,
+        // and so does a table walked a few chains at a time.
         assert!(wots_secret_key_at(&seed, 9).public_key() == pk1);
+        let mut sliced = WotsKeyBuilder::at(&seed, 9);
+        for _ in 0..LEN.div_ceil(5) {
+            sliced.build(5);
+        }
+        let mut sliced = sliced.finish();
+        assert!(sliced.public_key() == pk1);
+        let mut whole = wots_secret_key_at(&seed, 9);
+        let msg = sha256(b"slices");
+        assert_eq!(wots_sign(&mut sliced, &msg), wots_sign(&mut whole, &msg));
     }
 
     #[test]

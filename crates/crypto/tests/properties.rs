@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use tcvs_crypto::{
-    hash_parts, mss::MssSigner, mss_verify, multilane, sha256, sha256_many, wots, Digest, SeedRng,
-    Sha256,
+    hash_parts, mss::MssSigner, mss_verify, multilane, sha256, sha256_many, wots, Digest,
+    KeyRegistry, MssError, SeedRng, Sha256,
 };
 
 proptest! {
@@ -131,5 +131,35 @@ proptest! {
         other_label.push(0xAA);
         let mut c = SeedRng::from_label(&other_label);
         prop_assert_ne!(b.next_block(), c.next_block());
+    }
+}
+
+proptest! {
+    // Each case signs and verifies 1,023 signatures.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// MSS at every height 0..=9 (single bottom trees below 4, up to 32
+    /// bottom trees at 9): all 2^h slots sign, every signature verifies
+    /// cold (both levels) and through a registry that has seen the signer's
+    /// earlier signatures, `remaining` counts down exactly, and signature
+    /// 2^h + 1 is refused.
+    #[test]
+    fn mss_every_slot_verifies_cold_and_warm(seed in any::<[u8; 32]>()) {
+        for height in 0..=9u32 {
+            let mut signer = MssSigner::generate(seed, height);
+            let pk = signer.public_key();
+            let mut registry = KeyRegistry::new();
+            registry.register(0, pk);
+            for i in 0..1u64 << height {
+                prop_assert_eq!(signer.remaining(), (1 << height) - i);
+                let msg = sha256(&[&seed[..], &i.to_le_bytes()].concat());
+                let sig = signer.sign(&msg).unwrap();
+                prop_assert_eq!(sig.leaf_index, i);
+                prop_assert!(mss_verify(&pk, &msg, &sig), "h={} i={} cold", height, i);
+                prop_assert!(registry.verify(0, &msg, &sig), "h={} i={} warm", height, i);
+            }
+            prop_assert_eq!(signer.remaining(), 0);
+            prop_assert_eq!(signer.sign(&sha256(b"one too many")), Err(MssError::KeyExhausted));
+        }
     }
 }

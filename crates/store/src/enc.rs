@@ -133,7 +133,9 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+        // `n` may come from input: compare against what is left, so no
+        // sum can overflow.
+        if n > self.remaining() {
             return Err(DecodeError::Truncated {
                 offset: self.pos,
                 needed: n,
@@ -239,6 +241,14 @@ mod tests {
             })
         );
         assert!(r.string().unwrap_err().is_truncated());
+    }
+
+    #[test]
+    fn huge_length_prefix_is_truncation_not_overflow() {
+        let mut w = Writer::new();
+        w.u64(u64::MAX);
+        let buf = w.into_bytes();
+        assert!(Reader::new(&buf).bytes().unwrap_err().is_truncated());
     }
 
     #[test]
