@@ -4,6 +4,7 @@
 
 use std::time::Instant;
 
+use tcvs_core::wire::{encoded_len, put_mss};
 use tcvs_crypto::{
     lamport::{lamport_keygen, lamport_sign, lamport_verify},
     mss::{mss_verify, MssSigner},
@@ -147,7 +148,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             f(sign_us),
             f(verify_us),
             f(cached_us),
-            sig.size_bytes().to_string(),
+            encoded_len(|c| put_mss(c, &sig)).to_string(),
         ]);
     }
     t3.note("A height-h key is a top tree of height h−4 whose one-time keys certify the roots of 16-leaf bottom trees: keygen walks 2^(h−4) one-time keys, not 2^h.");

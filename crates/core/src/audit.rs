@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 
 use tcvs_crypto::{mss_verify, Digest, MssPublicKey, UserId};
 use tcvs_merkle::{grove_root, VerificationObject};
+use tcvs_obs::json_escape;
 
 use crate::evidence::{EvidenceBundle, EvidenceError};
 use crate::forensics::{diagnose, TransitionLog, Verdict};
@@ -228,24 +229,6 @@ impl AuditReport {
         out.push_str("}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Decodes and audits raw bundle bytes. Framing-level tampering (bad
@@ -840,11 +823,5 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.name == "localization-consistent" && !c.passed));
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

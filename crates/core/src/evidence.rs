@@ -30,7 +30,7 @@ use std::fmt;
 
 use tcvs_crypto::{sha256, Digest, MssPublicKey, UserId};
 use tcvs_obs::{Event, MetricValue, MetricsSnapshot};
-use tcvs_store::enc::{DecodeError, Reader, Writer};
+use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 use crate::forensics::TransitionLog;
 use crate::msg::{SignedCheckpoint, SignedEpochState, SignedState, SyncShare};
@@ -313,34 +313,30 @@ impl EvidenceBundle {
 
         w.string(&self.trigger.deviation);
         w.string(&self.trigger.detail);
-        put_opt_u32(&mut w, self.trigger.user);
-        put_opt_u32(&mut w, self.trigger.shard);
-        put_opt_u64(&mut w, self.trigger.ctr);
+        w.opt(self.trigger.user, Sink::u32);
+        w.opt(self.trigger.shard, Sink::u32);
+        w.opt(self.trigger.ctr, Sink::u64);
 
         w.u32(self.initials.len() as u32);
         for d in &self.initials {
             wire::put_digest(&mut w, d);
         }
-        match &self.grove {
-            None => w.u8(0),
-            Some(g) => {
-                w.u8(1);
-                w.u64(g.epoch);
-                w.u32(g.shard_roots.len() as u32);
-                for d in &g.shard_roots {
-                    wire::put_digest(&mut w, d);
-                }
-                w.u32(g.shard_ctrs.len() as u32);
-                for c in &g.shard_ctrs {
-                    w.u64(*c);
-                }
-                w.u32(g.shard_last_users.len() as u32);
-                for u in &g.shard_last_users {
-                    w.u32(*u);
-                }
-                wire::put_digest(&mut w, &g.grove_root);
+        w.opt(self.grove.as_ref(), |w, g| {
+            w.u64(g.epoch);
+            w.u32(g.shard_roots.len() as u32);
+            for d in &g.shard_roots {
+                wire::put_digest(w, d);
             }
-        }
+            w.u32(g.shard_ctrs.len() as u32);
+            for c in &g.shard_ctrs {
+                w.u64(*c);
+            }
+            w.u32(g.shard_last_users.len() as u32);
+            for u in &g.shard_last_users {
+                w.u32(*u);
+            }
+            wire::put_digest(w, &g.grove_root);
+        });
         w.u32(self.claimed_deviating_shards.len() as u32);
         for s in &self.claimed_deviating_shards {
             w.u32(*s);
@@ -451,9 +447,9 @@ impl EvidenceBundle {
         let trigger = TriggerInfo {
             deviation: fld("trigger.deviation", r.string())?,
             detail: fld("trigger.detail", r.string())?,
-            user: get_opt_u32("trigger.user", &mut r)?,
-            shard: get_opt_u32("trigger.shard", &mut r)?,
-            ctr: get_opt_u64("trigger.ctr", &mut r)?,
+            user: fld("trigger.user", r.opt(Reader::u32))?,
+            shard: fld("trigger.shard", r.opt(Reader::u32))?,
+            ctr: fld("trigger.ctr", r.opt(Reader::u64))?,
         };
 
         let n = counted("initials", &mut r)?;
@@ -626,48 +622,6 @@ impl EvidenceBundle {
             flight_tail,
             metrics,
         })
-    }
-}
-
-fn put_opt_u32(w: &mut Writer, v: Option<u32>) {
-    match v {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            w.u32(v);
-        }
-    }
-}
-
-fn get_opt_u32(field: &str, r: &mut Reader) -> Result<Option<u32>, EvidenceError> {
-    match fld(field, r.u8())? {
-        0 => Ok(None),
-        1 => Ok(Some(fld(field, r.u32())?)),
-        t => Err(EvidenceError::Malformed {
-            field: field.into(),
-            err: DecodeError::BadTag(t),
-        }),
-    }
-}
-
-fn put_opt_u64(w: &mut Writer, v: Option<u64>) {
-    match v {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            w.u64(v);
-        }
-    }
-}
-
-fn get_opt_u64(field: &str, r: &mut Reader) -> Result<Option<u64>, EvidenceError> {
-    match fld(field, r.u8())? {
-        0 => Ok(None),
-        1 => Ok(Some(fld(field, r.u64())?)),
-        t => Err(EvidenceError::Malformed {
-            field: field.into(),
-            err: DecodeError::BadTag(t),
-        }),
     }
 }
 

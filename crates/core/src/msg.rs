@@ -11,6 +11,7 @@ use tcvs_crypto::{Digest, MssSignature, UserId};
 use tcvs_merkle::{BatchProof, Op, OpResult, VerificationObject};
 
 use crate::types::{Ctr, Epoch};
+use crate::wire::{self, encoded_len};
 
 /// A root digest + counter signed by a user: `sigⱼ(h(M(D) ‖ ctr))`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,9 +27,9 @@ pub struct SignedState {
 }
 
 impl SignedState {
-    /// Encoded size in bytes (what [`crate::wire::put_signed_state`] writes).
+    /// Encoded size in bytes: [`wire::put_signed_state`] counted.
     pub fn encoded_size(&self) -> usize {
-        4 + Digest::LEN + 8 + self.sig.size_bytes()
+        encoded_len(|c| wire::put_signed_state(c, self))
     }
 }
 
@@ -54,15 +55,9 @@ pub struct ServerResponse {
 }
 
 impl ServerResponse {
-    /// Wire-size estimate in bytes (for the overhead experiments).
+    /// Encoded size in bytes: [`wire::put_response`] counted.
     pub fn encoded_size(&self) -> usize {
-        self.result.encoded_size()
-            + self.vo.encoded_size()
-            + 8
-            + 4
-            + self.sig.as_ref().map_or(0, SignedState::encoded_size)
-            + 8
-            + 1
+        encoded_len(|c| wire::put_response(c, self))
     }
 }
 
@@ -100,29 +95,9 @@ impl BatchResponse {
         self.results.len()
     }
 
-    /// Wire-size estimate in bytes (for the overhead experiments).
+    /// Encoded size in bytes: [`wire::put_batch_response`] counted.
     pub fn encoded_size(&self) -> usize {
-        self.results
-            .iter()
-            .map(OpResult::encoded_size)
-            .sum::<usize>()
-            + self.proof.encoded_size()
-            + 8
-            + 4
-            + self.sig.as_ref().map_or(0, SignedState::encoded_size)
-            + 8
-            + 1
-    }
-}
-
-/// Wire-size estimate of one operation (request accounting).
-fn op_wire_size(op: &Op) -> usize {
-    match op {
-        Op::Get(k) | Op::Delete(k) => 1 + 8 + k.len(),
-        Op::Put(k, v) => 1 + 16 + k.len() + v.len(),
-        Op::Range(lo, hi) => {
-            1 + lo.as_ref().map_or(1, |k| 9 + k.len()) + hi.as_ref().map_or(1, |k| 9 + k.len())
-        }
+        encoded_len(|c| wire::put_batch_response(c, self))
     }
 }
 
@@ -154,17 +129,9 @@ pub struct PipelinedResponse {
 }
 
 impl PipelinedResponse {
-    /// Wire-size estimate in bytes. `resp.vo` is counted even though the
-    /// pipelined verifier replays from `base_proof`: the per-op proof is
-    /// still shipped so a client can fall back to blocking verification.
+    /// Encoded size in bytes: [`wire::put_pipelined_response`] counted.
     pub fn encoded_size(&self) -> usize {
-        self.resp.encoded_size()
-            + self.base_proof.encoded_size()
-            + self
-                .backfill
-                .iter()
-                .map(|(_, op)| 4 + op_wire_size(op))
-                .sum::<usize>()
+        encoded_len(|c| wire::put_pipelined_response(c, self))
     }
 }
 
@@ -209,10 +176,9 @@ impl SignedEpochState {
         ])
     }
 
-    /// Encoded size in bytes (what [`crate::wire::put_epoch_state`] writes).
+    /// Encoded size in bytes: [`wire::put_epoch_state`] counted.
     pub fn encoded_size(&self) -> usize {
-        let last = self.last.map_or(0, |_| Digest::LEN);
-        4 + 8 + Digest::LEN + 1 + last + 8 + self.sig.size_bytes()
+        encoded_len(|c| wire::put_epoch_state(c, self))
     }
 }
 
@@ -242,9 +208,9 @@ impl SignedCheckpoint {
         ])
     }
 
-    /// Encoded size in bytes (what [`crate::wire::put_audit_checkpoint`] writes).
+    /// Encoded size in bytes: [`wire::put_audit_checkpoint`] counted.
     pub fn encoded_size(&self) -> usize {
-        8 + 4 + Digest::LEN + self.sig.size_bytes()
+        encoded_len(|c| wire::put_audit_checkpoint(c, self))
     }
 }
 
@@ -264,9 +230,9 @@ pub struct SyncShare {
 }
 
 impl SyncShare {
-    /// Wire-size estimate in bytes.
+    /// Encoded size in bytes: [`wire::put_sync_share`] counted.
     pub fn encoded_size(&self) -> usize {
-        4 + 8 + 8 + Digest::LEN + 1 + Digest::LEN
+        encoded_len(|c| wire::put_sync_share(c, self))
     }
 }
 

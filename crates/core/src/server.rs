@@ -32,7 +32,7 @@ pub struct ServerMetrics {
     pub msgs_in: u64,
     /// Messages sent to users.
     pub msgs_out: u64,
-    /// Bytes sent to users (estimated wire size).
+    /// Bytes sent to users (encoded sizes).
     pub bytes_out: u64,
 }
 
@@ -116,14 +116,7 @@ impl ServerCore {
         Ok(ServerCore {
             db,
             ctr,
-            last_user: NO_USER,
-            last_sig: None,
-            epoch_len: config.epoch_len,
-            epoch_states: BTreeMap::new(),
-            checkpoints: BTreeMap::new(),
-            user_epochs: BTreeMap::new(),
-            metrics: ServerMetrics::default(),
-            recorder: None,
+            ..ServerCore::new(config)
         })
     }
 
@@ -145,49 +138,6 @@ impl ServerCore {
     /// The epoch the server is in at `round`.
     pub fn epoch_at(&self, round: u64) -> Epoch {
         round / self.epoch_len
-    }
-
-    /// Serializes the durable server state (database + counter + last
-    /// user) for backup/restart. Protocol deposit boxes (signatures, epoch
-    /// states) are session state and are *not* included: after a restart
-    /// the users re-establish them, exactly as after electing a signer at
-    /// setup.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"TCVS");
-        out.extend_from_slice(&self.ctr.to_le_bytes());
-        out.extend_from_slice(&self.last_user.to_le_bytes());
-        out.extend_from_slice(&self.epoch_len.to_le_bytes());
-        out.extend_from_slice(&self.db.to_bytes());
-        out
-    }
-
-    /// Restores a server from a [`ServerCore::snapshot`]. The database's
-    /// digests are fully re-verified during decode.
-    pub fn restore(bytes: &[u8]) -> Result<ServerCore, tcvs_merkle::CodecError> {
-        use tcvs_merkle::CodecError;
-        if bytes.len() < 24 || &bytes[..4] != b"TCVS" {
-            return Err(CodecError::Malformed("bad snapshot header"));
-        }
-        let ctr = Ctr::from_le_bytes(bytes[4..12].try_into().expect("8"));
-        let last_user = UserId::from_le_bytes(bytes[12..16].try_into().expect("4"));
-        let epoch_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
-        if epoch_len == 0 {
-            return Err(CodecError::Malformed("zero epoch length"));
-        }
-        let db = MerkleTree::from_bytes(&bytes[24..])?;
-        Ok(ServerCore {
-            db,
-            ctr,
-            last_user,
-            last_sig: None,
-            epoch_len,
-            epoch_states: BTreeMap::new(),
-            checkpoints: BTreeMap::new(),
-            user_epochs: BTreeMap::new(),
-            metrics: ServerMetrics::default(),
-            recorder: None,
-        })
     }
 
     /// Processes one operation honestly and produces the response tuple.
@@ -310,12 +260,10 @@ impl ServerCore {
     /// therefore cheap enough to run on every operation (the fault-injection
     /// harness does exactly that).
     ///
-    /// Unlike [`ServerCore::snapshot`] (a planned backup, after which users
-    /// re-establish session state), a crash must preserve the deposits:
-    /// Protocol I clients verify the stored `last_sig` on the very next
-    /// response, and Protocol III audits read epoch states deposited before
-    /// the crash. Losing either would make an honest restarted server look
-    /// like a deviating one.
+    /// A crash must preserve the deposits: Protocol I clients verify the
+    /// stored `last_sig` on the very next response, and Protocol III audits
+    /// read epoch states deposited before the crash. Losing either would
+    /// make an honest restarted server look like a deviating one.
     pub fn crash_snapshot(&self) -> ServerSnapshot {
         ServerSnapshot {
             db: self.db.clone(),
@@ -381,9 +329,9 @@ impl ServerCore {
 /// honest server must carry across a crash-restart to stay indistinguishable
 /// from one that never crashed.
 ///
-/// The database is held as a structurally shared tree (captured in O(1));
-/// [`ServerSnapshot::core_bytes`] reports what the byte-level persisted form
-/// would cost, for diagnostics.
+/// The database is held as a structurally shared tree (captured in O(1)).
+/// Its byte-level persisted form is the durable engine's checkpoint
+/// (`tcvs_storage::DurableState`).
 #[derive(Clone, Debug)]
 pub struct ServerSnapshot {
     /// The database at capture time (copy-on-write share of the live tree).
@@ -410,11 +358,6 @@ pub struct ServerSnapshot {
 }
 
 impl ServerSnapshot {
-    /// Estimated size of the byte-level persisted form (diagnostics).
-    pub fn core_bytes(&self) -> usize {
-        24 + self.db.encoded_size()
-    }
-
     /// Root digest of the captured database.
     pub fn root_digest(&self) -> Digest {
         self.db.root_digest()
@@ -1034,38 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trip() {
-        let mut s = ServerCore::new(&config());
-        for i in 0..50u64 {
-            s.process((i % 3) as u32, &Op::Put(u64_key(i), vec![i as u8]), i);
-        }
-        let snap = s.snapshot();
-        let mut restored = ServerCore::restore(&snap).unwrap();
-        assert_eq!(restored.root_digest(), s.root_digest());
-        assert_eq!(restored.ctr(), s.ctr());
-        assert_eq!(restored.last_user(), s.last_user());
-        // Restored server continues producing identical state transitions.
-        let op = Op::Put(u64_key(7), b"after restart".to_vec());
-        let ra = s.process(0, &op, 100);
-        let rb = restored.process(0, &op, 100);
-        assert_eq!(ra.ctr, rb.ctr);
-        assert_eq!(s.root_digest(), restored.root_digest());
-    }
-
-    #[test]
-    fn corrupted_snapshot_rejected() {
-        let mut s = ServerCore::new(&config());
-        s.process(0, &Op::Put(u64_key(1), vec![1]), 0);
-        let mut snap = s.snapshot();
-        assert!(ServerCore::restore(&snap[..10]).is_err());
-        // Flip a content byte: the digest re-verification must reject it.
-        let idx = snap.len() - 5;
-        snap[idx] ^= 0xFF;
-        assert!(ServerCore::restore(&snap).is_err());
-        assert!(ServerCore::restore(b"garbage").is_err());
-    }
-
-    #[test]
     fn crash_snapshot_preserves_deposits() {
         let (mut rings, _) = tcvs_crypto::setup_users([3; 32], 1, 4);
         let mut s = ServerCore::new(&config());
@@ -1133,8 +1044,6 @@ mod tests {
             ctr: 1,
             sig: rings[0].sign(&payload).unwrap(),
         });
-        let planned = ServerCore::restore(&s.snapshot()).unwrap();
-        assert!(planned.last_sig.is_none(), "planned backup re-elects");
         let crashed = ServerCore::crash_restore(&s.crash_snapshot()).unwrap();
         assert!(crashed.last_sig.is_some(), "crash recovery keeps deposits");
     }

@@ -1,31 +1,44 @@
-//! Shared byte codecs for the protocol vocabulary.
+//! The one encoder of every protocol message.
 //!
-//! Built on `tcvs_store::enc`'s length-prefixed little-endian framing.
-//! These encoders used to live inside `tcvs-storage`; they moved here when
-//! evidence bundles ([`crate::evidence`]) started needing the same
-//! vocabulary — the durable log, the checkpoint format, and the portable
-//! forensic artifact now share one explicit, auditable encoding for
-//! signatures, deposits, shares, and flight-recorder frames.
+//! Built on `tcvs_store::enc`'s length-prefixed little-endian framing and
+//! shared by everything that puts the protocol vocabulary into bytes: the
+//! durable log, the checkpoint format, the portable evidence bundle, and
+//! the traffic accounting. Every encoder is written once against
+//! [`Sink`], so a message's `encoded_size` is its encoder run over a
+//! [`ByteCount`] ([`encoded_len`]) and equals the bytes written by
+//! construction.
 //!
 //! Decoders validate everything: signatures re-verify their structure,
-//! enum tags reject unknown values, and all errors surface as typed
-//! [`DecodeError`]s with offsets.
+//! proofs re-verify their digests, enum tags reject unknown values, and all
+//! errors surface as typed [`DecodeError`]s with offsets.
 
 use std::sync::Arc;
 
 use tcvs_crypto::mss::MssCertificate;
 use tcvs_crypto::wots::WotsSignature;
 use tcvs_crypto::{Digest, MssPublicKey, MssSignature};
+use tcvs_merkle::{Op, OpResult, VerificationObject};
 use tcvs_obs::{Event, EventKind, SpanContext, SpanId, TraceId};
-use tcvs_store::enc::{DecodeError, Reader, Writer};
+use tcvs_store::enc::{ByteCount, DecodeError, Reader, Sink, Writer};
 
 use crate::forensics::LoggedTransition;
-use crate::msg::{SignedCheckpoint, SignedEpochState, SignedState, SyncShare};
+use crate::msg::{
+    BatchResponse, PipelinedResponse, ServerResponse, SignedCheckpoint, SignedEpochState,
+    SignedState, SyncShare,
+};
+
+/// The number of bytes `put` writes, counted without writing (or
+/// allocating) anything.
+pub fn encoded_len(put: impl FnOnce(&mut ByteCount)) -> usize {
+    let mut count = ByteCount::default();
+    put(&mut count);
+    count.len()
+}
 
 // --- primitives -----------------------------------------------------------
 
 /// Writes a raw 32-byte digest.
-pub fn put_digest(w: &mut Writer, d: &Digest) {
+pub fn put_digest(w: &mut impl Sink, d: &Digest) {
     w.raw(&d.0);
 }
 
@@ -35,38 +48,18 @@ pub fn get_digest(r: &mut Reader) -> Result<Digest, DecodeError> {
     Ok(Digest(raw.try_into().expect("fixed length")))
 }
 
-/// Writes an optional digest with a presence byte.
-pub fn put_opt_digest(w: &mut Writer, d: Option<&Digest>) {
-    match d {
-        None => w.u8(0),
-        Some(d) => {
-            w.u8(1);
-            put_digest(w, d);
-        }
-    }
-}
-
-/// Reads an optional digest written by [`put_opt_digest`].
-pub fn get_opt_digest(r: &mut Reader) -> Result<Option<Digest>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_digest(r)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
 // --- signatures and keys --------------------------------------------------
 
 /// Writes an MSS signature: the leaf index, the bottom and the top
 /// authentication path (each behind a u32 count), then the leaf's and the
 /// certificate's WOTS bodies (each behind a u64 length). The bodies go
 /// last, so a wrong count moves a length prefix and the decode fails.
-pub fn put_mss(w: &mut Writer, s: &MssSignature) {
+pub fn put_mss(w: &mut impl Sink, s: &MssSignature) {
     w.u64(s.leaf_index);
     put_path(w, &s.auth_path);
     put_path(w, &s.cert.auth_path);
-    w.bytes(&s.wots.to_bytes());
-    w.bytes(&s.cert.wots.to_bytes());
+    put_wots(w, &s.wots);
+    put_wots(w, &s.cert.wots);
 }
 
 /// Reads an MSS signature written by [`put_mss`].
@@ -85,7 +78,7 @@ pub fn get_mss(r: &mut Reader) -> Result<MssSignature, DecodeError> {
     })
 }
 
-fn put_path(w: &mut Writer, path: &[Digest]) {
+fn put_path(w: &mut impl Sink, path: &[Digest]) {
     w.u32(path.len() as u32);
     for d in path {
         put_digest(w, d);
@@ -101,12 +94,19 @@ fn get_path(r: &mut Reader) -> Result<Vec<Digest>, DecodeError> {
     (0..n).map(|_| get_digest(r)).collect()
 }
 
+fn put_wots(w: &mut impl Sink, s: &WotsSignature) {
+    w.u64(s.size_bytes() as u64);
+    for d in s.values() {
+        put_digest(w, d);
+    }
+}
+
 fn get_wots(r: &mut Reader) -> Result<WotsSignature, DecodeError> {
     WotsSignature::from_bytes(r.bytes()?).ok_or(DecodeError::Invalid("wots signature"))
 }
 
 /// Writes an MSS public key (Merkle root + tree height).
-pub fn put_mss_public_key(w: &mut Writer, pk: &MssPublicKey) {
+pub fn put_mss_public_key(w: &mut impl Sink, pk: &MssPublicKey) {
     put_digest(w, &pk.root);
     w.u32(pk.height);
 }
@@ -122,7 +122,7 @@ pub fn get_mss_public_key(r: &mut Reader) -> Result<MssPublicKey, DecodeError> {
 }
 
 /// Writes a Protocol I signed state deposit.
-pub fn put_signed_state(w: &mut Writer, s: &SignedState) {
+pub fn put_signed_state(w: &mut impl Sink, s: &SignedState) {
     w.u32(s.signer);
     put_digest(w, &s.root);
     w.u64(s.ctr);
@@ -140,11 +140,11 @@ pub fn get_signed_state(r: &mut Reader) -> Result<SignedState, DecodeError> {
 }
 
 /// Writes a Protocol III signed epoch state.
-pub fn put_epoch_state(w: &mut Writer, s: &SignedEpochState) {
+pub fn put_epoch_state(w: &mut impl Sink, s: &SignedEpochState) {
     w.u32(s.user);
     w.u64(s.epoch);
     put_digest(w, &s.sigma);
-    put_opt_digest(w, s.last.as_ref());
+    w.opt(s.last.as_ref(), put_digest);
     w.u64(s.ops);
     put_mss(w, &s.sig);
 }
@@ -155,14 +155,14 @@ pub fn get_epoch_state(r: &mut Reader) -> Result<SignedEpochState, DecodeError> 
         user: r.u32()?,
         epoch: r.u64()?,
         sigma: get_digest(r)?,
-        last: get_opt_digest(r)?,
+        last: r.opt(get_digest)?,
         ops: r.u64()?,
         sig: get_mss(r)?,
     })
 }
 
 /// Writes a Protocol III audited checkpoint.
-pub fn put_audit_checkpoint(w: &mut Writer, c: &SignedCheckpoint) {
+pub fn put_audit_checkpoint(w: &mut impl Sink, c: &SignedCheckpoint) {
     w.u64(c.epoch);
     w.u32(c.checker);
     put_digest(w, &c.final_token);
@@ -182,12 +182,12 @@ pub fn get_audit_checkpoint(r: &mut Reader) -> Result<SignedCheckpoint, DecodeEr
 // --- sync-up shares and transition logs -----------------------------------
 
 /// Writes one user's broadcast sync-up share.
-pub fn put_sync_share(w: &mut Writer, s: &SyncShare) {
+pub fn put_sync_share(w: &mut impl Sink, s: &SyncShare) {
     w.u32(s.user);
     w.u64(s.lctr);
     w.u64(s.gctr);
     put_digest(w, &s.sigma);
-    put_opt_digest(w, s.last.as_ref());
+    w.opt(s.last.as_ref(), put_digest);
 }
 
 /// Reads a share written by [`put_sync_share`].
@@ -197,12 +197,12 @@ pub fn get_sync_share(r: &mut Reader) -> Result<SyncShare, DecodeError> {
         lctr: r.u64()?,
         gctr: r.u64()?,
         sigma: get_digest(r)?,
-        last: get_opt_digest(r)?,
+        last: r.opt(get_digest)?,
     })
 }
 
 /// Writes one logged state transition (the forensics vocabulary).
-pub fn put_transition(w: &mut Writer, t: &LoggedTransition) {
+pub fn put_transition(w: &mut impl Sink, t: &LoggedTransition) {
     put_digest(w, &t.old_token);
     put_digest(w, &t.new_token);
     w.u64(t.ctr);
@@ -217,6 +217,160 @@ pub fn get_transition(r: &mut Reader) -> Result<LoggedTransition, DecodeError> {
         ctr: r.u64()?,
         user: r.u32()?,
     })
+}
+
+// --- operations, answers and responses ------------------------------------
+
+/// Writes an operation (a log record's input; a pipelined backfill entry).
+pub fn put_op(w: &mut impl Sink, op: &Op) {
+    match op {
+        Op::Get(k) => {
+            w.u8(0);
+            w.bytes(k);
+        }
+        Op::Range(lo, hi) => {
+            w.u8(1);
+            w.opt(lo.as_deref(), Sink::bytes);
+            w.opt(hi.as_deref(), Sink::bytes);
+        }
+        Op::Put(k, v) => {
+            w.u8(2);
+            w.bytes(k);
+            w.bytes(v);
+        }
+        Op::Delete(k) => {
+            w.u8(3);
+            w.bytes(k);
+        }
+    }
+}
+
+/// Reads an operation written by [`put_op`].
+pub fn get_op(r: &mut Reader) -> Result<Op, DecodeError> {
+    match r.u8()? {
+        0 => Ok(Op::Get(r.bytes()?.to_vec())),
+        1 => Ok(Op::Range(r.opt(get_vec)?, r.opt(get_vec)?)),
+        2 => Ok(Op::Put(r.bytes()?.to_vec(), r.bytes()?.to_vec())),
+        3 => Ok(Op::Delete(r.bytes()?.to_vec())),
+        t => Err(DecodeError::BadTag(t)),
+    }
+}
+
+fn get_vec(r: &mut Reader) -> Result<Vec<u8>, DecodeError> {
+    Ok(r.bytes()?.to_vec())
+}
+
+fn put_op_result(w: &mut impl Sink, res: &OpResult) {
+    match res {
+        OpResult::Value(v) => {
+            w.u8(0);
+            w.opt(v.as_deref(), Sink::bytes);
+        }
+        OpResult::Entries(entries) => {
+            w.u8(1);
+            w.u32(entries.len() as u32);
+            for (k, v) in entries {
+                w.bytes(k);
+                w.bytes(v);
+            }
+        }
+        OpResult::Replaced(v) => {
+            w.u8(2);
+            w.opt(v.as_deref(), Sink::bytes);
+        }
+        OpResult::Deleted(v) => {
+            w.u8(3);
+            w.opt(v.as_deref(), Sink::bytes);
+        }
+    }
+}
+
+fn get_op_result(r: &mut Reader) -> Result<OpResult, DecodeError> {
+    match r.u8()? {
+        0 => Ok(OpResult::Value(r.opt(get_vec)?)),
+        1 => (0..r.u32()?)
+            .map(|_| Ok((get_vec(r)?, get_vec(r)?)))
+            .collect::<Result<_, _>>()
+            .map(OpResult::Entries),
+        2 => Ok(OpResult::Replaced(r.opt(get_vec)?)),
+        3 => Ok(OpResult::Deleted(r.opt(get_vec)?)),
+        t => Err(DecodeError::BadTag(t)),
+    }
+}
+
+/// Writes a proof behind its u64 length, encoding the tree in place.
+fn put_proof(w: &mut impl Sink, vo: &VerificationObject) {
+    w.framed(vo.encoded_size(), |buf| vo.write_to(buf));
+}
+
+/// Writes a server response: the answer, the proof behind its length, the
+/// counter and last user before the op, the stored signature, and the
+/// epoch fields.
+pub fn put_response(w: &mut impl Sink, resp: &ServerResponse) {
+    put_op_result(w, &resp.result);
+    put_proof(w, &resp.vo);
+    w.u64(resp.ctr);
+    w.u32(resp.last_user);
+    w.opt(resp.sig.as_ref(), put_signed_state);
+    w.u64(resp.epoch);
+    w.u8(u8::from(resp.new_epoch));
+}
+
+/// Reads a [`put_response`] encoding; the verification object's digests
+/// re-verify during decode.
+pub fn get_response(r: &mut Reader) -> Result<ServerResponse, DecodeError> {
+    Ok(ServerResponse {
+        result: get_op_result(r)?,
+        vo: VerificationObject::from_bytes(r.bytes()?)
+            .map_err(|_| DecodeError::Invalid("verification object"))?,
+        ctr: r.u64()?,
+        last_user: r.u32()?,
+        sig: r.opt(get_signed_state)?,
+        epoch: r.u64()?,
+        new_epoch: match r.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(DecodeError::BadTag(t)),
+        },
+    })
+}
+
+/// Canonical bytes of a response — the unit the kill-anywhere property
+/// compares for "byte-identical journal" across a recovery.
+pub fn response_bytes(resp: &ServerResponse) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_response(&mut w, resp);
+    w.into_bytes()
+}
+
+/// Writes a batched response: the window's answers behind a u32 count,
+/// the shared proof, then the fields after the proof in [`put_response`]. Only
+/// its size is used, so it has no decoder.
+pub fn put_batch_response(w: &mut impl Sink, resp: &BatchResponse) {
+    w.u32(resp.results.len() as u32);
+    for res in &resp.results {
+        put_op_result(w, res);
+    }
+    put_proof(w, &resp.proof);
+    w.u64(resp.ctr);
+    w.u32(resp.last_user);
+    w.opt(resp.sig.as_ref(), put_signed_state);
+    w.u64(resp.epoch);
+    w.u8(u8::from(resp.new_epoch));
+}
+
+/// Writes a pipelined response: the plain response (its per-op proof
+/// still ships, so a client can fall back to blocking verification), the
+/// anchored proof, then the backfill behind a u32 count, each op with its
+/// user. Only its size is used, so it has no decoder.
+pub fn put_pipelined_response(w: &mut impl Sink, p: &PipelinedResponse) {
+    put_response(w, &p.resp);
+    put_proof(w, &p.base_proof);
+    w.u32(p.backfill.len() as u32);
+    for (user, op) in &p.backfill {
+        w.u32(*user);
+        put_op(w, op);
+    }
 }
 
 // --- events ---------------------------------------------------------------
@@ -275,26 +429,16 @@ pub fn event_kind_from_tag(tag: u8) -> Result<EventKind, DecodeError> {
 
 /// Writes a flight-recorder / tracer event (timestamp, kind, actor,
 /// detail, and the optional span context).
-pub fn put_event(w: &mut Writer, ev: &Event) {
+pub fn put_event(w: &mut impl Sink, ev: &Event) {
     w.u64(ev.t);
     w.u8(event_kind_tag(ev.kind));
     w.u32(ev.user);
     w.string(&ev.detail);
-    match &ev.span {
-        None => w.u8(0),
-        Some(ctx) => {
-            w.u8(1);
-            w.u64(ctx.trace.0);
-            w.u64(ctx.span.0);
-            match ctx.parent {
-                None => w.u8(0),
-                Some(p) => {
-                    w.u8(1);
-                    w.u64(p.0);
-                }
-            }
-        }
-    }
+    w.opt(ev.span.as_ref(), |w, ctx| {
+        w.u64(ctx.trace.0);
+        w.u64(ctx.span.0);
+        w.opt(ctx.parent, |w, p| w.u64(p.0));
+    });
 }
 
 /// Reads an event written by [`put_event`].
@@ -303,24 +447,13 @@ pub fn get_event(r: &mut Reader) -> Result<Event, DecodeError> {
     let kind = event_kind_from_tag(r.u8()?)?;
     let user = r.u32()?;
     let detail = r.string()?;
-    let span = match r.u8()? {
-        0 => None,
-        1 => {
-            let trace = TraceId(r.u64()?);
-            let span = SpanId(r.u64()?);
-            let parent = match r.u8()? {
-                0 => None,
-                1 => Some(SpanId(r.u64()?)),
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            Some(SpanContext {
-                trace,
-                span,
-                parent,
-            })
-        }
-        t => return Err(DecodeError::BadTag(t)),
-    };
+    let span = r.opt(|r| {
+        Ok(SpanContext {
+            trace: TraceId(r.u64()?),
+            span: SpanId(r.u64()?),
+            parent: r.opt(|r| Ok(SpanId(r.u64()?)))?,
+        })
+    })?;
     let mut ev = Event::new(t, kind, user).detail(detail);
     ev.span = span;
     Ok(ev)
@@ -329,7 +462,10 @@ pub fn get_event(r: &mut Reader) -> Result<Event, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcvs_merkle::{prune_for_ops, u64_key, BatchProof};
     use tcvs_obs::stage;
+
+    use crate::{HonestServer, ProtocolConfig, ServerApi};
 
     /// A signature from a height-6 key: both authentication paths are
     /// non-empty (4 bottom digests, 2 top digests).
@@ -348,7 +484,9 @@ mod tests {
     fn signature_codec_round_trips_and_rejects_truncation() {
         let sig = sample_sig(5);
         let buf = encoded(|w| put_mss(w, &sig));
-        assert_eq!(buf.len(), sig.size_bytes());
+        // Leaf index, two path counts, 4 + 2 path digests, two WOTS bodies.
+        assert_eq!(buf.len(), 8 + 2 * 4 + 6 * 32 + 2 * (8 + 67 * 32));
+        assert_eq!(encoded_len(|c| put_mss(c, &sig)), buf.len());
         let mut r = Reader::new(&buf);
         assert_eq!(get_mss(&mut r).unwrap(), sig);
         r.finish().unwrap();
@@ -426,6 +564,180 @@ mod tests {
         };
         let len = encoded(|w| put_audit_checkpoint(w, &checkpoint)).len();
         assert_eq!(checkpoint.encoded_size(), len);
+    }
+
+    /// Every op and answer kind: present and absent values, both range
+    /// bounds open and closed.
+    fn all_ops() -> Vec<Op> {
+        vec![
+            Op::Get(u64_key(3)),
+            Op::Get(u64_key(999)),
+            Op::Put(u64_key(5), b"five".to_vec()),
+            Op::Put(u64_key(500), b"new".to_vec()),
+            Op::Range(Some(u64_key(10)), Some(u64_key(20))),
+            Op::Range(None, Some(u64_key(2))),
+            Op::Range(Some(u64_key(38)), None),
+            Op::Delete(u64_key(7)),
+            Op::Delete(u64_key(999)),
+        ]
+    }
+
+    /// A server holding 40 keys, and a Protocol I deposit over its state.
+    fn server() -> (HonestServer, SignedState) {
+        let config = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 10,
+        };
+        let mut server = HonestServer::new(&config);
+        for i in 0..40u64 {
+            let value = vec![i as u8; 1 + (i % 7) as usize];
+            server.handle_op((i % 2) as u32, &Op::Put(u64_key(i), value), i);
+        }
+        let signed = SignedState {
+            signer: 0,
+            root: server.core().root_digest(),
+            ctr: server.core().ctr(),
+            sig: sample_sig(1),
+        };
+        (server, signed)
+    }
+
+    /// One table of every message shape: the size its `encoded_size`
+    /// reports against the length of the bytes its encoder writes.
+    #[test]
+    fn every_message_encoded_size_is_its_encoding_length() {
+        let (mut server, signed) = server();
+        let mut rows: Vec<(String, usize, usize)> = Vec::new();
+        let mut row = |name: String, size: usize, put: &dyn Fn(&mut Writer)| {
+            rows.push((name, size, encoded(put).len()));
+        };
+        for (i, op) in all_ops().iter().enumerate() {
+            row(
+                format!("op {i} {}", op.kind()),
+                encoded_len(|c| put_op(c, op)),
+                &|w| put_op(w, op),
+            );
+            let mut resp = server.handle_op(1, op, 40 + i as u64);
+            row(
+                format!("result {i} {:?}", std::mem::discriminant(&resp.result)),
+                encoded_len(|c| put_op_result(c, &resp.result)),
+                &|w| put_op_result(w, &resp.result),
+            );
+            for sig in [None, Some(signed.clone())] {
+                resp.sig = sig;
+                let name = format!("response {i} {} sig={}", op.kind(), resp.sig.is_some());
+                row(name, resp.encoded_size(), &|w| put_response(w, &resp));
+            }
+        }
+
+        let window = [
+            Op::Get(u64_key(1)),
+            Op::Put(u64_key(2), b"two".to_vec()),
+            Op::Get(u64_key(999)),
+        ];
+        let mut batch = server.handle_op_batch(0, 0, &window, 60).unwrap();
+        for sig in [None, Some(signed.clone())] {
+            batch.sig = sig;
+            let name = format!("batch sig={}", batch.sig.is_some());
+            row(name, batch.encoded_size(), &|w| {
+                put_batch_response(w, &batch)
+            });
+        }
+        let mut resp = server.handle_op(1, &Op::Get(u64_key(2)), 61);
+        resp.sig = Some(signed.clone());
+        let pipelined = PipelinedResponse {
+            base_proof: BatchProof::new(prune_for_ops(server.core().db(), &window)),
+            resp,
+            backfill: vec![(0, window[0].clone()), (1, window[1].clone())],
+        };
+        row(
+            "pipelined with backfill".into(),
+            pipelined.encoded_size(),
+            &|w| put_pipelined_response(w, &pipelined),
+        );
+
+        row("signed state".into(), signed.encoded_size(), &|w| {
+            put_signed_state(w, &signed)
+        });
+        for last in [Some(tcvs_crypto::sha256(b"last")), None] {
+            let state = SignedEpochState {
+                user: 2,
+                epoch: 3,
+                sigma: tcvs_crypto::sha256(b"sigma"),
+                last,
+                ops: 4,
+                sig: sample_sig(2),
+            };
+            let name = format!("epoch state last={}", last.is_some());
+            row(name, state.encoded_size(), &|w| put_epoch_state(w, &state));
+            let share = SyncShare {
+                user: 3,
+                lctr: 7,
+                gctr: 11,
+                sigma: tcvs_crypto::sha256(b"s"),
+                last,
+            };
+            let name = format!("sync share last={}", last.is_some());
+            row(name, share.encoded_size(), &|w| put_sync_share(w, &share));
+        }
+        let checkpoint = SignedCheckpoint {
+            epoch: 5,
+            checker: 0,
+            final_token: tcvs_crypto::sha256(b"final"),
+            sig: sample_sig(3),
+        };
+        row("audit checkpoint".into(), checkpoint.encoded_size(), &|w| {
+            put_audit_checkpoint(w, &checkpoint)
+        });
+
+        assert_eq!(rows.len(), 9 * 4 + 2 + 1 + 1 + 2 * 2 + 1);
+        let wrong: Vec<_> = rows.iter().filter(|(_, size, len)| size != len).collect();
+        assert!(
+            wrong.is_empty(),
+            "(message, encoded_size, bytes written): {wrong:#?}"
+        );
+    }
+
+    /// Every strict prefix of `buf` fails to decode, and no single-byte
+    /// change makes the decoder panic (the `store::enc` pattern).
+    fn assert_decoder_is_strict<T>(
+        buf: &[u8],
+        get: impl Fn(&mut Reader) -> Result<T, DecodeError>,
+    ) {
+        for cut in 0..buf.len() {
+            let got = get(&mut Reader::new(&buf[..cut]));
+            assert!(got.is_err(), "prefix {cut} of {} decoded", buf.len());
+        }
+        for at in 0..buf.len() {
+            for delta in [0x01, 0x80, 0xFF] {
+                let mut bad = buf.to_vec();
+                bad[at] = bad[at].wrapping_add(delta);
+                let _ = get(&mut Reader::new(&bad));
+            }
+        }
+    }
+
+    #[test]
+    fn op_and_response_decoders_reject_prefixes_and_survive_byte_changes() {
+        let (mut server, signed) = server();
+        for (i, op) in all_ops().iter().enumerate() {
+            let buf = encoded(|w| put_op(w, op));
+            let mut r = Reader::new(&buf);
+            assert_eq!(&get_op(&mut r).unwrap(), op);
+            r.finish().unwrap();
+            assert_decoder_is_strict(&buf, get_op);
+
+            let mut resp = server.handle_op(0, op, 40 + i as u64);
+            if i == 0 {
+                resp.sig = Some(signed.clone());
+            }
+            let buf = response_bytes(&resp);
+            let mut r = Reader::new(&buf);
+            assert_eq!(response_bytes(&get_response(&mut r).unwrap()), buf);
+            r.finish().unwrap();
+            assert_decoder_is_strict(&buf, get_response);
+        }
     }
 
     #[test]

@@ -58,16 +58,13 @@ impl WotsSignature {
         self.values.len() * Digest::LEN
     }
 
-    /// Flat byte encoding (used by the wire codec in `tcvs-core`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_bytes());
-        for v in self.values.iter() {
-            out.extend_from_slice(v.as_bytes());
-        }
-        out
+    /// The chain values, one per chunk. Written back to back they are the
+    /// flat encoding the wire codec in `tcvs-core` carries.
+    pub fn values(&self) -> &[Digest] {
+        &self.values
     }
 
-    /// Decodes the flat encoding produced by [`WotsSignature::to_bytes`].
+    /// Decodes the flat encoding: the [`WotsSignature::values`] back to back.
     pub fn from_bytes(bytes: &[u8]) -> Option<WotsSignature> {
         if bytes.len() != LEN * Digest::LEN {
             return None;
@@ -501,7 +498,7 @@ mod tests {
     fn signature_encoding_round_trip() {
         let (mut sk, _) = setup();
         let sig = wots_sign(&mut sk, &sha256(b"enc")).unwrap();
-        let bytes = sig.to_bytes();
+        let bytes: Vec<u8> = sig.values().iter().flat_map(|d| d.0).collect();
         assert_eq!(bytes.len(), LEN * 32);
         assert_eq!(WotsSignature::from_bytes(&bytes).unwrap(), sig);
         assert!(WotsSignature::from_bytes(&bytes[1..]).is_none());

@@ -94,7 +94,7 @@ proptest! {
         let sig = wots::wots_sign(&mut sk, &msg).unwrap();
         prop_assert!(wots::wots_verify(&pk, &msg, &sig));
         // Flip one bit of one chain value via the wire encoding.
-        let mut bytes = sig.to_bytes();
+        let mut bytes: Vec<u8> = sig.values().iter().flat_map(|d| d.0).collect();
         let v = flip_value.index(wots::LEN);
         bytes[v * 32 + flip_bit / 8] ^= 1 << (flip_bit % 8);
         let tampered = wots::WotsSignature::from_bytes(&bytes).unwrap();

@@ -17,7 +17,7 @@
 //! its own interval pruner, so both fall back to per-op proofs.
 //!
 //! Verification gives per-op granularity: [`replay_batch_unanchored`]
-//! returns every intermediate root (one [`BatchStep`] per op), so Protocol
+//! returns every intermediate root (one [`Verified`] step per op), so Protocol
 //! II's token algebra can telescope over the window while still checking
 //! each claimed answer against the replay. Forging, reordering, or
 //! dropping any single claimed result in the window makes the replay
@@ -31,6 +31,7 @@ use tcvs_crypto::Digest;
 use crate::error::VerifyError;
 use crate::op::{apply_op, Op, OpResult};
 use crate::tree::MerkleTree;
+use crate::verify::{VerificationObject, Verified};
 
 /// True iff `op` may be covered by a [`BatchProof`]: the point operations
 /// whose replay touches only their own root-to-leaf path.
@@ -57,60 +58,10 @@ pub fn prune_for_ops(tree: &MerkleTree, ops: &[Op]) -> MerkleTree {
 }
 
 /// A batched verification object: one pruned pre-state tree covering a
-/// window of point operations against a single root.
-#[derive(Clone, Debug)]
-pub struct BatchProof {
-    tree: MerkleTree,
-}
-
-impl BatchProof {
-    /// Wraps a pruned tree produced by [`prune_for_ops`].
-    pub fn new(pruned: MerkleTree) -> BatchProof {
-        BatchProof { tree: pruned }
-    }
-
-    /// Root digest the proof claims to be rooted at.
-    pub fn root_digest(&self) -> Digest {
-        self.tree.root_digest()
-    }
-
-    /// Proof size in materialized nodes.
-    pub fn materialized_nodes(&self) -> usize {
-        self.tree.materialized_nodes()
-    }
-
-    /// Proof size in bytes: exactly `to_bytes().len()`.
-    pub fn encoded_size(&self) -> usize {
-        self.tree.encoded_size()
-    }
-
-    /// The branching order the proof was built with.
-    pub fn order(&self) -> usize {
-        self.tree.order()
-    }
-
-    /// Serializes the proof (its pruned tree).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.tree.to_bytes()
-    }
-
-    /// Decodes a persisted proof; materialized digests are re-verified
-    /// during decode, so a corrupted proof is rejected rather than trusted.
-    pub fn from_bytes(bytes: &[u8]) -> Result<BatchProof, crate::CodecError> {
-        let mut tree = MerkleTree::from_bytes(bytes)?;
-        tree.forget_len();
-        Ok(BatchProof { tree })
-    }
-}
-
-/// One verified step of a batch replay.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchStep {
-    /// The (replayed, hence authenticated) answer to this op.
-    pub result: OpResult,
-    /// Root digest after this op.
-    pub new_root: Digest,
-}
+/// window of point operations against a single root. It is the same
+/// pruned-tree proof as a per-op [`VerificationObject`], built by
+/// [`prune_for_ops`] instead.
+pub type BatchProof = VerificationObject;
 
 /// The checks every batch verifier starts with: agreed order, one claimed
 /// result per op, and one read-only fold recomputing every materialized
@@ -138,7 +89,7 @@ fn replay_window(
     proof: &BatchProof,
     ops: &[Op],
     claimed: Option<&[OpResult]>,
-) -> Result<Vec<BatchStep>, VerifyError> {
+) -> Result<Vec<Verified>, VerifyError> {
     let mut replay = proof.tree.clone();
     let mut steps = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
@@ -146,7 +97,7 @@ fn replay_window(
         if claimed.is_some_and(|c| c[i] != result) {
             return Err(VerifyError::AnswerMismatch);
         }
-        steps.push(BatchStep {
+        steps.push(Verified {
             result,
             new_root: replay.root_digest(),
         });
@@ -163,13 +114,13 @@ fn replay_window(
 /// order; any dropped, reordered, or forged entry fails the replay.
 ///
 /// Returns `(old_root, steps)`: the pre-state root the proof commits to,
-/// and one [`BatchStep`] per op with its intermediate root.
+/// and one [`Verified`] step per op with its intermediate root.
 pub fn replay_batch_unanchored(
     expected_order: usize,
     proof: &BatchProof,
     ops: &[Op],
     claimed: Option<&[OpResult]>,
-) -> Result<(Digest, Vec<BatchStep>), VerifyError> {
+) -> Result<(Digest, Vec<Verified>), VerifyError> {
     let old_root = folded_root(expected_order, proof, ops, claimed)?;
     Ok((old_root, replay_window(proof, ops, claimed)?))
 }
@@ -183,7 +134,7 @@ pub fn verify_batch_response(
     ops: &[Op],
     claimed: Option<&[OpResult]>,
     claimed_new_root: Option<&Digest>,
-) -> Result<Vec<BatchStep>, VerifyError> {
+) -> Result<Vec<Verified>, VerifyError> {
     if folded_root(expected_order, proof, ops, claimed)? != *known_root {
         return Err(VerifyError::RootMismatch);
     }

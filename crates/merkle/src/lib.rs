@@ -49,7 +49,7 @@ mod tree;
 mod verify;
 
 pub use batch::{
-    batchable, prune_for_ops, replay_batch_unanchored, verify_batch_response, BatchProof, BatchStep,
+    batchable, prune_for_ops, replay_batch_unanchored, verify_batch_response, BatchProof,
 };
 pub use chunk::{AdmitOutcome, ChunkAssembler, ChunkError, ChunkManifest, ChunkRange, ChunkSource};
 pub use codec::CodecError;

@@ -53,23 +53,6 @@ pub enum OpResult {
     Deleted(Option<Value>),
 }
 
-impl OpResult {
-    /// Wire-size estimate in bytes.
-    pub fn encoded_size(&self) -> usize {
-        match self {
-            OpResult::Value(v) | OpResult::Replaced(v) | OpResult::Deleted(v) => {
-                1 + v.as_ref().map_or(0, |v| 8 + v.len())
-            }
-            OpResult::Entries(es) => {
-                1 + 8
-                    + es.iter()
-                        .map(|(k, v)| 16 + k.len() + v.len())
-                        .sum::<usize>()
-            }
-        }
-    }
-}
-
 /// Applies `op` to `tree`, returning the answer. Works identically on full
 /// trees (server side) and pruned trees (client replay); on a pruned tree an
 /// insufficient proof surfaces as `Err(IncompleteProof)`.

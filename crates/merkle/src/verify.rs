@@ -19,14 +19,16 @@ use crate::op::{apply_op, Op, OpResult};
 use crate::tree::MerkleTree;
 
 /// The verification object `v(Q, D)`: a pruned pre-state tree sufficient to
-/// replay `Q`.
+/// replay `Q` — one operation's ([`crate::op::prune_for_op`]) or a whole
+/// window's ([`crate::prune_for_ops`], as a [`crate::BatchProof`]).
 #[derive(Clone, Debug)]
 pub struct VerificationObject {
-    tree: MerkleTree,
+    pub(crate) tree: MerkleTree,
 }
 
 impl VerificationObject {
-    /// Wraps a pruned tree produced by [`crate::op::prune_for_op`].
+    /// Wraps a pruned tree produced by [`crate::op::prune_for_op`] or
+    /// [`crate::prune_for_ops`].
     pub fn new(pruned: MerkleTree) -> VerificationObject {
         VerificationObject { tree: pruned }
     }
@@ -58,6 +60,12 @@ impl VerificationObject {
         self.tree.to_bytes()
     }
 
+    /// Appends the [`VerificationObject::to_bytes`] encoding to `out`, so an
+    /// enclosing message embeds the proof without an intermediate copy.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        self.tree.write_to(out);
+    }
+
     /// Decodes a persisted proof; all materialized digests are re-verified
     /// during decode, so a corrupted proof is rejected rather than trusted.
     pub fn from_bytes(bytes: &[u8]) -> Result<VerificationObject, crate::CodecError> {
@@ -70,7 +78,8 @@ impl VerificationObject {
     }
 }
 
-/// Outcome of a successful verification.
+/// Outcome of a successful verification: of one operation, or of one step
+/// of a batch replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Verified {
     /// The (replayed, hence authenticated) answer to the operation.

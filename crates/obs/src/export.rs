@@ -82,14 +82,17 @@ pub fn render_openmetrics(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// JSON string escaping (the subset the exporters need).
-fn esc(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character (`\n`, `\r` and `\t` by name, the rest as
+/// `\u00XX`).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
@@ -114,7 +117,7 @@ fn chrome_event(ev: &Event) -> String {
     } else {
         u64::from(ev.user) + 1
     };
-    let mut args = format!("\"detail\": \"{}\"", esc(&ev.detail));
+    let mut args = format!("\"detail\": \"{}\"", json_escape(&ev.detail));
     if let Some(ctx) = &ev.span {
         let _ = write!(
             args,
@@ -194,6 +197,13 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::span::{stage, SpanContext};
+
+    #[test]
+    fn json_escape_handles_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t"), "\\r\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn openmetrics_names_are_sanitized_and_document_terminated() {

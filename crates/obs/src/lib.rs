@@ -54,7 +54,7 @@ mod trace;
 
 pub use event::{render_log, Event, EventKind, NO_ACTOR};
 pub use export::{
-    render_chrome_trace, render_chrome_trace_with_loss, render_openmetrics, TraceLoss,
+    json_escape, render_chrome_trace, render_chrome_trace_with_loss, render_openmetrics, TraceLoss,
 };
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, MetricEntry, MetricValue,

@@ -16,9 +16,10 @@
 
 use std::sync::Arc;
 use tcvs_core::strawman::NaiveXorClient;
+use tcvs_core::wire::{self, encoded_len};
 use tcvs_core::{
     Client1, Client2, Client3, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind,
-    FaultKind, FaultPlan, Op, ProtocolConfig, ProtocolKind, ServerApi, SyncShare, UserId,
+    FaultKind, FaultPlan, ProtocolConfig, ProtocolKind, ServerApi, SyncShare, UserId,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::MerkleTree;
@@ -84,19 +85,6 @@ enum ClientSet {
     Two(Vec<Client2>),
     Three(Vec<Client3>),
     NaiveXor(Vec<NaiveXorClient>),
-}
-
-/// Wire-size estimate of an operation request.
-pub fn op_request_size(op: &Op) -> usize {
-    let body = match op {
-        Op::Get(k) => k.len(),
-        Op::Range(lo, hi) => {
-            lo.as_ref().map_or(0, |k| k.len()) + hi.as_ref().map_or(0, |k| k.len())
-        }
-        Op::Put(k, v) => k.len() + v.len(),
-        Op::Delete(k) => k.len(),
-    };
-    1 + 8 + body
 }
 
 /// Runs `trace` through `server` with fresh clients per `spec`.
@@ -277,7 +265,7 @@ pub fn simulate_observed(
                 .span(ctx.child(stage::SERVER))
         });
         report.msgs += 2;
-        report.bytes += (op_request_size(&sop.op) + resp.encoded_size()) as u64;
+        report.bytes += (encoded_len(|c| wire::put_op(c, &sop.op)) + resp.encoded_size()) as u64;
         report.ops_executed += 1;
         ops_per_user[sop.user as usize] += 1;
         if let Some(v) = violation_op {

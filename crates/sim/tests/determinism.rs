@@ -3,8 +3,9 @@
 //! experiment in this repository reproducible.
 
 use tcvs_core::adversary::{ForkServer, Trigger};
+use tcvs_core::wire::{encoded_len, put_op};
 use tcvs_core::{HonestServer, Op, ProtocolConfig, ProtocolKind};
-use tcvs_sim::{initial_root, op_request_size, simulate, SimSpec};
+use tcvs_sim::{initial_root, simulate, SimSpec};
 use tcvs_workload::{generate, OpMix, WorkloadSpec};
 
 fn spec(protocol: ProtocolKind) -> SimSpec {
@@ -83,11 +84,12 @@ fn initial_root_is_order_dependent_constant() {
 
 #[test]
 fn request_size_accounts_for_payloads() {
-    let small = op_request_size(&Op::Get(vec![1, 2, 3]));
-    let big = op_request_size(&Op::Put(vec![1, 2, 3], vec![0; 500]));
-    assert!(big > small + 400);
-    let range = op_request_size(&Op::Range(Some(vec![1]), None));
-    assert!(range >= 10);
+    let size = |op: &Op| encoded_len(|c| put_op(c, op));
+    let small = size(&Op::Get(vec![1, 2, 3]));
+    let big = size(&Op::Put(vec![1, 2, 3], vec![0; 500]));
+    assert_eq!(big, small + 8 + 500);
+    let range = size(&Op::Range(Some(vec![1]), None));
+    assert_eq!(range, 1 + (1 + 8 + 1) + 1);
 }
 
 #[test]

@@ -1,186 +1,21 @@
-//! Byte codecs for everything the durable engine persists.
+//! The checkpoint format: [`DurableState`], the complete durable world at
+//! one LSN — a full [`ServerSnapshot`] plus the transport's reply journal.
 //!
-//! Built on `tcvs_store::enc`'s length-prefixed little-endian framing so
-//! the whole on-disk vocabulary shares one explicit, auditable format. Two
-//! kinds of value are encoded:
-//!
-//! * **log record bodies** ([`crate::record::Record`]) — op *inputs*, not
-//!   outputs: the server state machine is deterministic, so replaying the
-//!   inputs regenerates every response (and hence the reply journal)
-//!   byte-identically. Only checkpoints serialize responses.
-//! * **checkpoint states** ([`DurableState`]) — a full
-//!   [`ServerSnapshot`] plus the transport's reply journal, the complete
-//!   durable world at one LSN.
-//!
-//! Decoders validate everything: signatures and trees re-verify their
+//! Built on `tcvs_store::enc`'s length-prefixed little-endian framing, with
+//! every protocol value written by its one encoder in [`tcvs_core::wire`]
+//! (log record bodies use the same encoders; see [`crate::record`]).
+//! Decoding validates everything: signatures and trees re-verify their
 //! digests, enum tags reject unknown values, and all errors surface as
 //! typed [`DecodeError`]s with offsets (the recovery path needs to tell a
 //! torn tail from corruption).
 
-use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerResponse, ServerSnapshot, UserId};
-use tcvs_merkle::{MerkleTree, Op, OpResult, VerificationObject};
-use tcvs_store::enc::{DecodeError, Reader, Writer};
-
-// The protocol-vocabulary codecs (digests, signatures, deposits, events)
-// live in `tcvs_core::wire` — shared with the evidence-bundle format so
-// the durable log and the portable forensic artifact speak one encoding.
-pub(crate) use tcvs_core::wire::{
-    get_audit_checkpoint, get_epoch_state, get_event, get_signed_state, put_audit_checkpoint,
-    put_epoch_state, put_event, put_signed_state,
+use tcvs_core::wire::{
+    get_audit_checkpoint, get_epoch_state, get_event, get_response, get_signed_state,
+    put_audit_checkpoint, put_epoch_state, put_event, put_response, put_signed_state,
 };
-
-// --- operations and results ----------------------------------------------
-
-pub(crate) fn put_op(w: &mut Writer, op: &Op) {
-    match op {
-        Op::Get(k) => {
-            w.u8(0);
-            w.bytes(k);
-        }
-        Op::Range(lo, hi) => {
-            w.u8(1);
-            put_opt_bytes(w, lo.as_deref());
-            put_opt_bytes(w, hi.as_deref());
-        }
-        Op::Put(k, v) => {
-            w.u8(2);
-            w.bytes(k);
-            w.bytes(v);
-        }
-        Op::Delete(k) => {
-            w.u8(3);
-            w.bytes(k);
-        }
-    }
-}
-
-pub(crate) fn get_op(r: &mut Reader) -> Result<Op, DecodeError> {
-    match r.u8()? {
-        0 => Ok(Op::Get(r.bytes()?.to_vec())),
-        1 => Ok(Op::Range(get_opt_bytes(r)?, get_opt_bytes(r)?)),
-        2 => Ok(Op::Put(r.bytes()?.to_vec(), r.bytes()?.to_vec())),
-        3 => Ok(Op::Delete(r.bytes()?.to_vec())),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn put_opt_bytes(w: &mut Writer, v: Option<&[u8]>) {
-    match v {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            w.bytes(v);
-        }
-    }
-}
-
-fn get_opt_bytes(r: &mut Reader) -> Result<Option<Vec<u8>>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.bytes()?.to_vec())),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn put_op_result(w: &mut Writer, res: &OpResult) {
-    match res {
-        OpResult::Value(v) => {
-            w.u8(0);
-            put_opt_bytes(w, v.as_deref());
-        }
-        OpResult::Entries(entries) => {
-            w.u8(1);
-            w.u32(entries.len() as u32);
-            for (k, v) in entries {
-                w.bytes(k);
-                w.bytes(v);
-            }
-        }
-        OpResult::Replaced(v) => {
-            w.u8(2);
-            put_opt_bytes(w, v.as_deref());
-        }
-        OpResult::Deleted(v) => {
-            w.u8(3);
-            put_opt_bytes(w, v.as_deref());
-        }
-    }
-}
-
-fn get_op_result(r: &mut Reader) -> Result<OpResult, DecodeError> {
-    match r.u8()? {
-        0 => Ok(OpResult::Value(get_opt_bytes(r)?)),
-        1 => {
-            let n = r.u32()? as usize;
-            let mut entries = Vec::new();
-            for _ in 0..n {
-                entries.push((r.bytes()?.to_vec(), r.bytes()?.to_vec()));
-            }
-            Ok(OpResult::Entries(entries))
-        }
-        2 => Ok(OpResult::Replaced(get_opt_bytes(r)?)),
-        3 => Ok(OpResult::Deleted(get_opt_bytes(r)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-// --- responses ------------------------------------------------------------
-
-/// Encodes a full server response (checkpoint journal entries only; live
-/// op records persist inputs and regenerate responses by replay).
-pub fn put_response(w: &mut Writer, resp: &ServerResponse) {
-    put_op_result(w, &resp.result);
-    w.bytes(&resp.vo.to_bytes());
-    w.u64(resp.ctr);
-    w.u32(resp.last_user);
-    match &resp.sig {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            put_signed_state(w, s);
-        }
-    }
-    w.u64(resp.epoch);
-    w.u8(u8::from(resp.new_epoch));
-}
-
-/// Decodes a [`put_response`] encoding; the verification object's digests
-/// re-verify during decode.
-pub fn get_response(r: &mut Reader) -> Result<ServerResponse, DecodeError> {
-    let result = get_op_result(r)?;
-    let vo = VerificationObject::from_bytes(r.bytes()?)
-        .map_err(|_| DecodeError::Invalid("verification object"))?;
-    let ctr = r.u64()?;
-    let last_user = r.u32()?;
-    let sig = match r.u8()? {
-        0 => None,
-        1 => Some(get_signed_state(r)?),
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    Ok(ServerResponse {
-        result,
-        vo,
-        ctr,
-        last_user,
-        sig,
-        epoch: r.u64()?,
-        new_epoch: match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(DecodeError::BadTag(t)),
-        },
-    })
-}
-
-/// Canonical bytes of a response — the unit the kill-anywhere property
-/// compares for "byte-identical journal" across a recovery.
-pub fn response_bytes(resp: &ServerResponse) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_response(&mut w, resp);
-    w.into_bytes()
-}
-
-// --- the durable checkpoint state -----------------------------------------
+use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerResponse, ServerSnapshot, UserId};
+use tcvs_merkle::MerkleTree;
+use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 /// Magic prefix of an encoded [`DurableState`].
 const STATE_MAGIC: &[u8; 4] = b"TCKP";
@@ -213,13 +48,7 @@ impl DurableState {
         w.u64(self.snapshot.ctr());
         w.u32(self.snapshot.last_user());
         w.u64(self.snapshot.epoch_len());
-        match self.snapshot.last_sig() {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                put_signed_state(&mut w, s);
-            }
-        }
+        w.opt(self.snapshot.last_sig(), put_signed_state);
         w.u32(self.snapshot.epoch_states().len() as u32);
         for s in self.snapshot.epoch_states() {
             put_epoch_state(&mut w, s);
@@ -252,11 +81,9 @@ impl DurableState {
         for e in &self.evidence {
             w.bytes(e);
         }
-        // `Writer::bytes` framing, with the tree encoded in place.
         let db = self.snapshot.db();
-        w.u64(db.encoded_size() as u64);
+        w.framed(db.encoded_size(), |buf| db.write_to(buf));
         *buf = w.into_bytes();
-        db.write_to(buf);
     }
 
     /// Decodes a checkpoint file body; the database's digests are fully
@@ -272,11 +99,7 @@ impl DurableState {
         let ctr: Ctr = r.u64()?;
         let last_user: UserId = r.u32()?;
         let epoch_len = r.u64()?;
-        let last_sig = match r.u8()? {
-            0 => None,
-            1 => Some(get_signed_state(&mut r)?),
-            t => return Err(DecodeError::BadTag(t)),
-        };
+        let last_sig = r.opt(get_signed_state)?;
         let n = r.u32()? as usize;
         let mut epoch_states = Vec::new();
         for _ in 0..n {
@@ -342,10 +165,10 @@ impl DurableState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_core::wire::{get_mss, put_mss};
+    use tcvs_core::wire::{get_mss, get_op, put_mss, put_op, response_bytes};
     use tcvs_core::{HonestServer, ProtocolConfig, ServerApi, SignedState};
     use tcvs_crypto::MssSignature;
-    use tcvs_merkle::u64_key;
+    use tcvs_merkle::{u64_key, Op};
     use tcvs_obs::{Event, EventKind, SpanContext};
 
     fn sample_sig(seed: u8) -> MssSignature {
@@ -379,10 +202,7 @@ mod tests {
         put_mss(&mut w, &sig);
         let buf = w.into_bytes();
         let mut r = Reader::new(&buf);
-        let back = get_mss(&mut r).unwrap();
-        assert_eq!(back.leaf_index, sig.leaf_index);
-        assert_eq!(back.auth_path, sig.auth_path);
-        assert_eq!(back.wots.to_bytes(), sig.wots.to_bytes());
+        assert_eq!(get_mss(&mut r).unwrap(), sig);
 
         let mut r = Reader::new(&buf[..buf.len() - 1]);
         assert!(get_mss(&mut r).is_err());

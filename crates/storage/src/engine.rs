@@ -545,9 +545,9 @@ impl<S: Storage> ServerApi for DurableServer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::response_bytes;
     use crate::log::{scan_checkpoint, CheckpointScan};
     use crate::medium::{Medium, MemMedium};
+    use crate::response_bytes;
     use crate::storage::{DurableOptions, DurableStorage, MemStorage};
     use tcvs_merkle::u64_key;
 

@@ -59,7 +59,7 @@ pub mod medium;
 pub mod record;
 pub mod storage;
 
-pub use codec::{get_response, put_response, response_bytes, DurableState};
+pub use codec::DurableState;
 pub use engine::{DurabilityOptions, DurableServer, StorageObs};
 pub use error::StorageError;
 pub use fault::FaultMedium;
@@ -70,3 +70,4 @@ pub use storage::{
     DurableOptions, DurableStorage, MemStorage, Recovered, RecoveryReport, Storage, TornTail,
     WriteBatch,
 };
+pub use tcvs_core::wire::response_bytes;

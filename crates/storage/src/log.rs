@@ -28,7 +28,7 @@
 //! *interrupted* checkpoint, not a corrupt one ([`scan_checkpoint`]).
 
 use tcvs_crypto::{sha256, Sha256};
-use tcvs_store::enc::{Reader, Writer};
+use tcvs_store::enc::{Reader, Sink, Writer};
 
 /// Bytes of `sha256(payload)` stored per record.
 pub const CHECK_LEN: usize = 8;

@@ -7,12 +7,14 @@
 //! checkpoint. That keeps the per-op log write small: an op record costs
 //! tens of bytes where a response (with its Merkle proof) costs kilobytes.
 
+use tcvs_core::wire::{
+    get_audit_checkpoint, get_epoch_state, get_event, get_op, get_signed_state,
+    put_audit_checkpoint, put_epoch_state, put_event, put_op, put_signed_state,
+};
 use tcvs_core::{ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId};
 use tcvs_merkle::Op;
 use tcvs_obs::Event;
-use tcvs_store::enc::{DecodeError, Reader, Writer};
-
-use crate::codec;
+use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 /// The sentinel sequence number for ops that arrived without an
 /// exactly-once sequence (direct [`tcvs_core::ServerApi::handle_op`]
@@ -85,12 +87,12 @@ impl Record {
                 w.u32(*user);
                 w.u64(*seq);
                 w.u64(*round);
-                codec::put_op(&mut w, op);
+                put_op(&mut w, op);
             }
-            Record::Signature(s) => codec::put_signed_state(&mut w, s),
-            Record::EpochState(s) => codec::put_epoch_state(&mut w, s),
-            Record::AuditCheckpoint(c) => codec::put_audit_checkpoint(&mut w, c),
-            Record::Flight(ev) => codec::put_event(&mut w, ev),
+            Record::Signature(s) => put_signed_state(&mut w, s),
+            Record::EpochState(s) => put_epoch_state(&mut w, s),
+            Record::AuditCheckpoint(c) => put_audit_checkpoint(&mut w, c),
+            Record::Flight(ev) => put_event(&mut w, ev),
             Record::Evidence(bytes) => w.bytes(bytes),
         }
         w.into_bytes()
@@ -104,7 +106,7 @@ impl Record {
                 let user = r.u32()?;
                 let seq = r.u64()?;
                 let round = r.u64()?;
-                let op = codec::get_op(&mut r)?;
+                let op = get_op(&mut r)?;
                 Record::Op {
                     user,
                     seq,
@@ -112,10 +114,10 @@ impl Record {
                     round,
                 }
             }
-            TAG_SIGNATURE => Record::Signature(codec::get_signed_state(&mut r)?),
-            TAG_EPOCH_STATE => Record::EpochState(codec::get_epoch_state(&mut r)?),
-            TAG_AUDIT_CHECKPOINT => Record::AuditCheckpoint(codec::get_audit_checkpoint(&mut r)?),
-            TAG_FLIGHT => Record::Flight(codec::get_event(&mut r)?),
+            TAG_SIGNATURE => Record::Signature(get_signed_state(&mut r)?),
+            TAG_EPOCH_STATE => Record::EpochState(get_epoch_state(&mut r)?),
+            TAG_AUDIT_CHECKPOINT => Record::AuditCheckpoint(get_audit_checkpoint(&mut r)?),
+            TAG_FLIGHT => Record::Flight(get_event(&mut r)?),
             TAG_EVIDENCE => Record::Evidence(r.bytes()?.to_vec()),
             t => return Err(DecodeError::BadTag(t)),
         };

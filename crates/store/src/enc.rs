@@ -52,6 +52,58 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Where an encoder writes: a [`Writer`] keeps the bytes, a [`ByteCount`]
+/// only counts them. An encoder written once against `Sink` therefore
+/// yields both a message and its exact size, and the two cannot drift.
+pub trait Sink {
+    /// Writes raw bytes with no length prefix. The reader must know the
+    /// exact width (fixed-size fields like digests).
+    fn raw(&mut self, v: &[u8]);
+
+    /// Writes a length-prefixed value of `len` bytes that `write` appends
+    /// to a buffer in place, so an enclosing encoding embeds it without an
+    /// intermediate copy. A [`ByteCount`] never calls `write`.
+    fn framed(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>));
+
+    /// Writes one byte.
+    fn u8(&mut self, v: u8) {
+        self.raw(&[v]);
+    }
+
+    /// Writes a little-endian u32.
+    fn u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    /// Writes a little-endian u64.
+    fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+
+    /// Writes a length-prefixed byte string.
+    fn bytes(&mut self, v: &[u8]) {
+        self.u64(v.len() as u64);
+        self.raw(v);
+    }
+
+    /// Writes a length-prefixed UTF-8 string.
+    fn string(&mut self, v: &str) {
+        self.bytes(v.as_bytes());
+    }
+
+    /// Writes an optional value: tag 0 for `None`, or tag 1 followed by
+    /// what `put` writes. [`Reader::opt`] reads it back.
+    fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                put(self, v);
+            }
+        }
+    }
+}
+
 /// Append-only byte writer.
 #[derive(Default)]
 pub struct Writer {
@@ -69,38 +121,6 @@ impl Writer {
         self.buf
     }
 
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Writes raw bytes with no length prefix. The reader must know the
-    /// exact width (fixed-size fields like digests).
-    pub fn raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -112,11 +132,53 @@ impl Writer {
     }
 }
 
+impl Sink for Writer {
+    fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    fn framed(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        self.u64(len as u64);
+        let start = self.buf.len();
+        write(&mut self.buf);
+        assert_eq!(self.buf.len() - start, len, "framed length");
+    }
+}
+
 /// A writer that appends to `buf`: a buffer kept across encodings keeps
 /// its capacity.
 impl From<Vec<u8>> for Writer {
     fn from(buf: Vec<u8>) -> Writer {
         Writer { buf }
+    }
+}
+
+/// The counting writer: the number of bytes an encoding takes, found by
+/// running the encoder without storing anything (and without allocating).
+#[derive(Default)]
+pub struct ByteCount {
+    len: usize,
+}
+
+impl ByteCount {
+    /// Bytes counted so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing has been counted yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Sink for ByteCount {
+    fn raw(&mut self, v: &[u8]) {
+        self.len += v.len();
+    }
+
+    fn framed(&mut self, len: usize, _write: impl FnOnce(&mut Vec<u8>)) {
+        self.len += 8 + len;
     }
 }
 
@@ -192,6 +254,20 @@ impl<'a> Reader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
     }
 
+    /// Reads an optional value written by [`Sink::opt`]: tag 0 is `None`,
+    /// tag 1 is followed by what `get` reads, any other tag is
+    /// [`DecodeError::BadTag`].
+    pub fn opt<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, DecodeError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            t => Err(DecodeError::BadTag(t)),
+        }
+    }
+
     /// Asserts that the whole input has been consumed.
     pub fn finish(&self) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
@@ -223,6 +299,47 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"raw");
         assert_eq!(r.string().unwrap(), "héllo");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn byte_count_matches_the_bytes_written() {
+        fn put(w: &mut impl Sink) {
+            w.u8(1);
+            w.u32(2);
+            w.u64(3);
+            w.bytes(b"four");
+            w.string("five");
+            w.opt(Some(6u32), Sink::u32);
+            w.opt(None::<u32>, Sink::u32);
+            w.framed(3, |buf| buf.extend_from_slice(b"abc"));
+        }
+        let mut w = Writer::new();
+        put(&mut w);
+        let mut count = ByteCount::default();
+        put(&mut count);
+        assert_eq!(count.len(), w.len());
+        assert_eq!(
+            &w.into_bytes()[count.len() - 11..],
+            b"\x03\0\0\0\0\0\0\0abc"
+        );
+    }
+
+    #[test]
+    fn option_round_trips_and_rejects_unknown_tags() {
+        let mut w = Writer::new();
+        w.opt(Some(7u64), Sink::u64);
+        w.opt(None::<u64>, Sink::u64);
+        let mut buf = w.into_bytes();
+        assert_eq!(buf.len(), 1 + 8 + 1);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.opt(Reader::u64), Ok(Some(7)));
+        assert_eq!(r.opt(Reader::u64), Ok(None));
+        r.finish().unwrap();
+        buf[0] = 2;
+        assert_eq!(
+            Reader::new(&buf).opt(Reader::u64),
+            Err(DecodeError::BadTag(2))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deltas, matching how CVS/RCS store `,v` files.
 
 use crate::diff::{diff, EditScript};
-use crate::enc::{DecodeError, Reader, Writer};
+use crate::enc::{DecodeError, Reader, Sink, Writer};
 use crate::patch::{apply, PatchError};
 
 /// A revision number within one file's history. The first revision is 1

@@ -8,7 +8,7 @@
 //! silently wrong about where it stands in the buffer.
 
 use proptest::prelude::*;
-use tcvs_store::enc::{DecodeError, Reader, Writer};
+use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 /// A value script both sides agree on, so one buffer exercises every
 /// primitive in a round-trip.
