@@ -12,6 +12,7 @@
 //! | [`CounterSkipServer`] | Thm. 4.1 proof scenario | presents the same counter value for two operations |
 //! | [`LieServer`] | §4.1 | returns an answer inconsistent with the authenticated state |
 //! | [`StaleReadServer`] | freshness violation | serves reads from a frozen snapshot while applying writes |
+//! | [`HideKeyServer`] | §4.1 | answers "absent" for a present key, hiding its leaf behind pair digests |
 //!
 //! All implement [`ServerApi`], so the simulator can swap them in for the
 //! honest server without clients knowing.
@@ -19,6 +20,7 @@
 mod counter_skip;
 mod drop_op;
 mod fork;
+mod hide_key;
 mod lie;
 mod rollback;
 mod stale_read;
@@ -27,6 +29,7 @@ mod tamper;
 pub use counter_skip::CounterSkipServer;
 pub use drop_op::DropServer;
 pub use fork::ForkServer;
+pub use hide_key::HideKeyServer;
 pub use lie::LieServer;
 pub use rollback::RollbackServer;
 pub use stale_read::StaleReadServer;
@@ -78,6 +81,7 @@ pub fn all_adversaries(
             "stale-read",
             Box::new(StaleReadServer::new(config, trigger)),
         ),
+        ("hide-key", Box::new(HideKeyServer::new(config, trigger))),
     ]
 }
 
@@ -146,7 +150,8 @@ mod tests {
                 "tamper",
                 "counter-skip",
                 "lie",
-                "stale-read"
+                "stale-read",
+                "hide-key"
             ]
         );
     }

@@ -149,7 +149,7 @@ pub fn verify_batch_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{u64_key, Child};
+    use crate::node::u64_key;
 
     fn tree_with(n: u64, order: usize) -> MerkleTree {
         let mut t = MerkleTree::with_order(order);
@@ -291,10 +291,7 @@ mod tests {
 
         // A forged value under the honest pair digest.
         let mut proof = honest.clone();
-        proof.tree.root_mut().forge_leaf(key, |es, _| {
-            let i = es.iter().position(|e| &e.key == key).unwrap();
-            es[i] = Child::forged_entry(&es[i], b"evil");
-        });
+        proof.tree.root_mut().forge_value(key, b"evil");
         assert_eq!(proof.root_digest(), root0);
         assert_eq!(
             replay_batch_unanchored(8, &proof, &ops, None).unwrap_err(),
@@ -308,10 +305,7 @@ mod tests {
 
         // A forged node digest over honest content.
         let mut proof = honest.clone();
-        proof
-            .tree
-            .root_mut()
-            .forge_leaf(key, |_, digest| *digest = Digest::ZERO);
+        proof.tree.root_mut().forge_leaf_digest(key, Digest::ZERO);
         assert_eq!(
             replay_batch_unanchored(8, &proof, &ops, None).unwrap_err(),
             VerifyError::CachedDigestMismatch

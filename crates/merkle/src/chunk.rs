@@ -15,7 +15,9 @@
 //! 2. the recomputed root must equal the anchor (rejects forged values and
 //!    chunks spliced in from a different snapshot);
 //! 3. the materialized leaf entries must be exactly the manifest range for
-//!    that chunk index (rejects chunks delivered under the wrong index).
+//!    that chunk index, every one of them whole (rejects chunks delivered
+//!    under the wrong index, and proofs that hide a value behind its pair
+//!    digest — a restored server must hold every value it will serve).
 //!
 //! Admitted chunks are grafted together — every overlap digest-checked —
 //! into a single tree; [`ChunkAssembler::finish`] demands no stub remains
@@ -326,7 +328,7 @@ struct LeafSpan {
 
 fn collect_leaf_spans(child: &Child, out: &mut Vec<LeafSpan>) {
     match child.node() {
-        Err(_) => {}
+        Err(_) | Ok(Node::ProofLeaf { .. }) => {}
         Ok(Node::Leaf { entries, .. }) => {
             if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
                 let mut bytes = ByteCount::default();
@@ -431,7 +433,12 @@ impl ChunkAssembler {
         // *true* data; this pins them to the *right chunk index*, so a valid
         // chunk replayed under another index is rejected.
         let mut keys = Vec::with_capacity(range.entries as usize);
-        materialized_keys(chunk.root(), &mut keys);
+        if !materialized_keys(chunk.root(), &mut keys) {
+            return Err(ChunkError::RangeMismatch {
+                index,
+                reason: "chunk hides an entry behind its pair digest",
+            });
+        }
         if keys.len() != range.entries as usize {
             return Err(ChunkError::RangeMismatch {
                 index,
@@ -547,16 +554,17 @@ fn graft(a: &Child, b: &Child) -> Result<Child, ChunkError> {
     }
 }
 
-/// Collects the keys of all materialized leaf entries, in tree order.
-fn materialized_keys<'a>(child: &'a Child, out: &mut Vec<&'a [u8]>) {
+/// Collects the keys of all materialized leaf entries, in tree order;
+/// `false` if some materialized leaf hides an entry behind its digest.
+fn materialized_keys<'a>(child: &'a Child, out: &mut Vec<&'a [u8]>) -> bool {
     match child.node() {
-        Err(_) => {}
-        Ok(Node::Leaf { entries, .. }) => out.extend(entries.iter().map(|e| e.key.as_slice())),
-        Ok(Node::Internal { children, .. }) => {
-            for c in children {
-                materialized_keys(c, out);
-            }
+        Err(_) => true,
+        Ok(Node::Leaf { entries, .. }) => {
+            out.extend(entries.iter().map(|e| e.key.as_slice()));
+            true
         }
+        Ok(Node::ProofLeaf { .. }) => false,
+        Ok(Node::Internal { children, .. }) => children.iter().all(|c| materialized_keys(c, out)),
     }
 }
 
@@ -883,14 +891,8 @@ mod tests {
             t.to_bytes(),
             "the unforged assembly is the source tree"
         );
-        let forged_value = assembled(&|root| {
-            root.forge_leaf(&key, |es, _| {
-                let i = es.iter().position(|e| e.key == key).unwrap();
-                es[i] = Child::forged_entry(&es[i], b"evil");
-            })
-        });
-        let forged_digest =
-            assembled(&|root| root.forge_leaf(&key, |_, digest| *digest = Digest::ZERO));
+        let forged_value = assembled(&|root| root.forge_value(&key, b"evil"));
+        let forged_digest = assembled(&|root| root.forge_leaf_digest(&key, Digest::ZERO));
         for outcome in [forged_value, forged_digest] {
             assert!(matches!(outcome, Err(ChunkError::GraftConflict(_))));
         }

@@ -4,7 +4,10 @@
 //! across process boundaries. The encoding preserves the exact node
 //! structure (not just the entries), so digests — including the root digest
 //! the whole protocol hangs off — are bit-identical after a round trip.
-//! Stub nodes encode their digest, so pruned trees (proofs) serialize too.
+//! Stub nodes encode their digest, so pruned trees (proofs) serialize too,
+//! and a proof leaf writes a kind byte per entry: the entry whole, or only
+//! its pair digest. Full trees contain neither, so their bytes are the
+//! same whether or not proofs hide entries.
 //!
 //! Decoding recomputes and verifies every materialized digest: a corrupted
 //! or tampered byte stream is rejected rather than trusted.
@@ -13,7 +16,7 @@ use std::sync::Arc;
 
 use tcvs_crypto::Digest;
 
-use crate::node::{Child, LeafEntry, Node};
+use crate::node::{Child, LeafEntry, Node, ProofEntry};
 use crate::tree::MerkleTree;
 
 /// Errors from decoding a serialized tree.
@@ -49,6 +52,10 @@ impl std::error::Error for CodecError {}
 const TAG_STUB: u8 = 0;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
+const TAG_PROOF_LEAF: u8 = 3;
+/// Proof-leaf entry kinds: only the pair digest, or the entry whole.
+const KIND_HASH: u8 = 0;
+const KIND_KV: u8 = 1;
 const MAGIC: &[u8; 4] = b"TCVM";
 const VERSION: u8 = 1;
 /// Header sentinel for "entry count unknown" (pruned trees).
@@ -146,6 +153,23 @@ pub(crate) fn encode_node(child: &Child, out: &mut impl Sink) {
                     put_bytes(out, &e.value);
                 }
             }
+            Node::ProofLeaf { entries, .. } => {
+                out.put(&[TAG_PROOF_LEAF]);
+                out.put(&(entries.len() as u32).to_le_bytes());
+                for e in entries {
+                    match e {
+                        ProofEntry::Kv(e) => {
+                            out.put(&[KIND_KV]);
+                            put_bytes(out, &e.key);
+                            put_bytes(out, &e.value);
+                        }
+                        ProofEntry::Hash(d) => {
+                            out.put(&[KIND_HASH]);
+                            out.put(d.as_bytes());
+                        }
+                    }
+                }
+            }
             Node::Internal { keys, children, .. } => {
                 out.put(&[TAG_INTERNAL]);
                 out.put(&(keys.len() as u32).to_le_bytes());
@@ -180,6 +204,33 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, 
                 entries.push(LeafEntry::new(k, v));
             }
             Node::leaf(entries)
+        }
+        TAG_PROOF_LEAF => {
+            let n = c.u32()? as usize;
+            if n > order {
+                return Err(CodecError::Malformed("leaf overfull"));
+            }
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                entries.push(match c.u8()? {
+                    KIND_HASH => ProofEntry::Hash(c.digest()?),
+                    KIND_KV => {
+                        let k = c.bytes()?.to_vec();
+                        ProofEntry::Kv(LeafEntry::new(k, c.bytes()?.to_vec()))
+                    }
+                    _ => return Err(CodecError::Malformed("unknown proof entry kind")),
+                });
+            }
+            // One encoding per leaf: a leaf that hides nothing is TAG_LEAF.
+            if !entries.iter().any(|e| matches!(e, ProofEntry::Hash(_))) {
+                return Err(CodecError::Malformed("proof leaf hides no entry"));
+            }
+            let mut leaf = Node::ProofLeaf {
+                entries,
+                digest: Digest::ZERO,
+            };
+            leaf.recompute_digest();
+            leaf
         }
         TAG_INTERNAL => {
             let nk = c.u32()? as usize;
@@ -259,9 +310,14 @@ impl MerkleTree {
         if root.digest() != recorded_root {
             return Err(CodecError::DigestMismatch);
         }
-        // Pruned trees never report a length (it is unauthenticated); for
-        // full trees the header count must match the decoded content.
+        // Pruned trees (a stub or a hash-only entry anywhere) never report
+        // a length, and their header must not claim one: a proof carries
+        // no authenticated count. For full trees the header count must
+        // match the decoded content.
         let len = if root.contains_stub() {
+            if recorded_len != LEN_UNKNOWN {
+                return Err(CodecError::Malformed("pruned tree claims an entry count"));
+            }
             None
         } else {
             let counted = root.entry_count();

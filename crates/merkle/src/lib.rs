@@ -8,7 +8,10 @@
 //!
 //! A server operation is proven with a **verification object** `v(Q, D)`: a
 //! pruned copy of the pre-state tree containing every node the operation
-//! touches, with all other subtrees replaced by digest stubs. The client
+//! touches, with all other subtrees replaced by digest stubs — and, when a
+//! point operation's key is present, every other entry of its leaf replaced
+//! by that entry's pair digest, so the proof carries only the value it
+//! proves. The client
 //! checks the proof's root digest against its known `M(D)`, then *replays*
 //! the operation on the pruned tree to obtain the authenticated answer and —
 //! for updates — the new root digest `M(D')`. Proof sizes are `O(log n)`

@@ -20,7 +20,12 @@
 //! * each leaf entry caches its `kv_hash` (the digest of the key/value
 //!   pair), and the leaf digest hashes those fixed-width digests — so
 //!   updating one value rehashes that one pair plus 32-byte digests, not
-//!   every value in the leaf.
+//!   every value in the leaf;
+//! * a point proof's leaf is a [`Node::ProofLeaf`]: the entries the proof
+//!   is about stay whole, every other entry is only its `kv_hash`
+//!   ([`ProofEntry::Hash`], Merk's `KVHash` kind). The leaf digest is the
+//!   same function of the same pair digests, so hiding a value moves no
+//!   digest, and a client never hashes a value it did not ask for.
 //!
 //! Entries are immutable once built (replacing a value builds a new entry),
 //! so a cached digest can only disagree with its content if somebody forged
@@ -66,6 +71,11 @@ pub(crate) fn kv_hash(key: &[u8], value: &[u8]) -> Digest {
 }
 
 impl LeafEntry {
+    /// True iff the cached pair digest is the digest of the content.
+    fn pair_holds(&self) -> bool {
+        kv_hash(&self.key, &self.value) == self.kv_hash
+    }
+
     /// Builds a shareable entry, computing its pair digest.
     pub(crate) fn new(key: Key, value: Value) -> Arc<LeafEntry> {
         let kv_hash = kv_hash(&key, &value);
@@ -80,6 +90,36 @@ impl LeafEntry {
     /// last handle, copied when a snapshot or proof still shares the entry.
     pub(crate) fn into_value(entry: Arc<LeafEntry>) -> Value {
         Arc::try_unwrap(entry).map_or_else(|shared| shared.value.clone(), |e| e.value)
+    }
+}
+
+/// One entry of a [`Node::ProofLeaf`].
+#[derive(Clone, Debug)]
+pub(crate) enum ProofEntry {
+    /// The entry itself: the only kind a proof can prove anything with.
+    Kv(Arc<LeafEntry>),
+    /// An entry known only by its pair digest: its key and value are not
+    /// in the proof at all.
+    Hash(Digest),
+}
+
+impl ProofEntry {
+    /// The pair digest this entry contributes to its leaf's digest.
+    pub(crate) fn kv_hash(&self) -> &Digest {
+        match self {
+            ProofEntry::Kv(e) => &e.kv_hash,
+            ProofEntry::Hash(d) => d,
+        }
+    }
+}
+
+/// Hashes a leaf from its entries' pair digests — the one leaf digest,
+/// whether the leaf travels whole or as a [`Node::ProofLeaf`].
+fn hash_leaf<'a>(h: &mut Sha256, n: usize, pairs: impl Iterator<Item = &'a Digest>) {
+    h.update(b"tcvs-merkle-leaf");
+    h.update(&(n as u64).to_be_bytes());
+    for d in pairs {
+        h.update(d.as_bytes());
     }
 }
 
@@ -102,6 +142,15 @@ pub(crate) enum Node {
     /// A leaf holding sorted `(key, value)` entries.
     Leaf {
         entries: Vec<Arc<LeafEntry>>,
+        digest: Digest,
+    },
+    /// A proof's copy of a leaf in which at least one entry travels only as
+    /// its pair digest. It proves "key `k` holds value `v`" for its whole
+    /// entries and nothing else: no absence, no insert, no entry's
+    /// position, so any replay that needs more is `IncompleteProof`.
+    /// Appears only in proofs, never in a full tree.
+    ProofLeaf {
+        entries: Vec<ProofEntry>,
         digest: Digest,
     },
     /// An internal node with `keys.len() + 1` children; subtree `i` holds
@@ -138,7 +187,9 @@ impl Node {
     /// The cached digest of this node.
     pub(crate) fn digest(&self) -> Digest {
         match self {
-            Node::Leaf { digest, .. } | Node::Internal { digest, .. } => *digest,
+            Node::Leaf { digest, .. }
+            | Node::ProofLeaf { digest, .. }
+            | Node::Internal { digest, .. } => *digest,
         }
     }
 
@@ -148,12 +199,13 @@ impl Node {
         let mut h = Sha256::new();
         match self {
             Node::Leaf { entries, .. } => {
-                h.update(b"tcvs-merkle-leaf");
-                h.update(&(entries.len() as u64).to_be_bytes());
-                for e in entries.iter() {
-                    h.update(e.kv_hash.as_bytes());
-                }
+                hash_leaf(&mut h, entries.len(), entries.iter().map(|e| &e.kv_hash))
             }
+            Node::ProofLeaf { entries, .. } => hash_leaf(
+                &mut h,
+                entries.len(),
+                entries.iter().map(ProofEntry::kv_hash),
+            ),
             Node::Internal { keys, children, .. } => {
                 h.update(b"tcvs-merkle-int");
                 h.update(&(keys.len() as u64).to_be_bytes());
@@ -174,18 +226,23 @@ impl Node {
     pub(crate) fn recompute_digest(&mut self) {
         let fresh = self.compute_digest();
         match self {
-            Node::Leaf { digest, .. } | Node::Internal { digest, .. } => *digest = fresh,
+            Node::Leaf { digest, .. }
+            | Node::ProofLeaf { digest, .. }
+            | Node::Internal { digest, .. } => *digest = fresh,
         }
     }
 
-    /// Checks this node's own caches against its content: every entry's
-    /// pair digest, and the node digest over them (children's cached
-    /// digests are taken as given — [`Child::verified_digest`] recurses).
+    /// Checks this node's own caches against its content: every whole
+    /// entry's pair digest, and the node digest over them (a hash-only
+    /// entry's digest and children's cached digests are taken as given —
+    /// [`Child::verified_digest`] recurses).
     pub(crate) fn check_digest(&self) -> Result<(), VerifyError> {
         let pairs_hold = match self {
-            Node::Leaf { entries, .. } => entries
-                .iter()
-                .all(|e| kv_hash(&e.key, &e.value) == e.kv_hash),
+            Node::Leaf { entries, .. } => entries.iter().all(|e| e.pair_holds()),
+            Node::ProofLeaf { entries, .. } => entries.iter().all(|e| match e {
+                ProofEntry::Kv(e) => e.pair_holds(),
+                ProofEntry::Hash(_) => true,
+            }),
             Node::Internal { .. } => true,
         };
         if pairs_hold && self.compute_digest() == self.digest() {
@@ -229,10 +286,11 @@ impl Child {
         Child::Stub(self.digest())
     }
 
-    /// True iff this subtree contains a stub anywhere.
+    /// True iff this subtree contains a stub or a hash-only entry anywhere
+    /// (i.e. it is pruned).
     pub(crate) fn contains_stub(&self) -> bool {
         match self.node() {
-            Err(_) => true,
+            Err(_) | Ok(Node::ProofLeaf { .. }) => true,
             Ok(Node::Leaf { .. }) => false,
             Ok(Node::Internal { children, .. }) => children.iter().any(Child::contains_stub),
         }
@@ -243,6 +301,7 @@ impl Child {
         match self.node() {
             Err(_) => 0,
             Ok(Node::Leaf { entries, .. }) => entries.len(),
+            Ok(Node::ProofLeaf { entries, .. }) => entries.len(),
             Ok(Node::Internal { children, .. }) => children.iter().map(Child::entry_count).sum(),
         }
     }
@@ -251,7 +310,7 @@ impl Child {
     pub(crate) fn materialized_nodes(&self) -> usize {
         match self.node() {
             Err(_) => 0,
-            Ok(Node::Leaf { .. }) => 1,
+            Ok(Node::Leaf { .. } | Node::ProofLeaf { .. }) => 1,
             Ok(Node::Internal { children, .. }) => {
                 1 + children
                     .iter()
@@ -320,6 +379,22 @@ impl Child {
                     .map(|e| LeafEntry::new(e.key.clone(), e.value.clone()))
                     .collect(),
             ))),
+            Ok(Node::ProofLeaf { entries, .. }) => {
+                let mut leaf = Node::ProofLeaf {
+                    entries: entries
+                        .iter()
+                        .map(|e| match e {
+                            ProofEntry::Kv(e) => {
+                                ProofEntry::Kv(LeafEntry::new(e.key.clone(), e.value.clone()))
+                            }
+                            ProofEntry::Hash(d) => ProofEntry::Hash(*d),
+                        })
+                        .collect(),
+                    digest: Digest::ZERO,
+                };
+                leaf.recompute_digest();
+                Child::Node(Arc::new(leaf))
+            }
             Ok(Node::Internal { keys, children, .. }) => Child::Node(Arc::new(Node::internal(
                 Arc::clone(keys),
                 children.iter().map(Child::rebuilt).collect(),
@@ -330,33 +405,51 @@ impl Child {
 
 #[cfg(test)]
 impl Child {
-    /// Test-only forgery: hands the entries and the cached digest of the
-    /// leaf on `key`'s path to `f` for editing and rehashes *nothing* — what
-    /// a server does that ships content its cached digests do not commit
-    /// to. Copy-on-write like any edit, so trees sharing the path keep
-    /// their honest state.
-    pub(crate) fn forge_leaf(
-        &mut self,
-        key: &[u8],
-        f: impl FnOnce(&mut Vec<Arc<LeafEntry>>, &mut Digest),
-    ) {
+    /// The leaf on `key`'s path, un-shared for editing.
+    fn leaf_mut(&mut self, key: &[u8]) -> &mut Node {
         match self.node_mut().expect("path is materialized") {
-            Node::Leaf { entries, digest } => f(entries, digest),
             Node::Internal { keys, children, .. } => {
                 let idx = keys.partition_point(|k| k.as_slice() <= key);
-                children[idx].forge_leaf(key, f)
+                children[idx].leaf_mut(key)
             }
+            leaf => leaf,
         }
     }
 
-    /// Test-only forgery: a copy of `honest` carrying `value` under the
-    /// *honest* pair digest.
-    pub(crate) fn forged_entry(honest: &LeafEntry, value: &[u8]) -> Arc<LeafEntry> {
-        Arc::new(LeafEntry {
-            key: honest.key.clone(),
-            value: value.to_vec(),
-            kv_hash: honest.kv_hash,
-        })
+    /// Test-only forgery: the whole entry for `key` on its leaf now carries
+    /// `value` under the *honest* pair digest, and nothing is rehashed —
+    /// what a server does that ships content its cached digests do not
+    /// commit to. Copy-on-write like any edit, so trees sharing the path
+    /// keep their honest state.
+    pub(crate) fn forge_value(&mut self, key: &[u8], value: &[u8]) {
+        let forge = |e: &mut Arc<LeafEntry>| {
+            if e.key == key {
+                *e = Arc::new(LeafEntry {
+                    key: e.key.clone(),
+                    value: value.to_vec(),
+                    kv_hash: e.kv_hash,
+                });
+            }
+        };
+        match self.leaf_mut(key) {
+            Node::Leaf { entries, .. } => entries.iter_mut().for_each(forge),
+            Node::ProofLeaf { entries, .. } => entries
+                .iter_mut()
+                .filter_map(|e| match e {
+                    ProofEntry::Kv(e) => Some(e),
+                    ProofEntry::Hash(_) => None,
+                })
+                .for_each(forge),
+            Node::Internal { .. } => {}
+        }
+    }
+
+    /// Test-only forgery: the cached digest of the leaf on `key`'s path,
+    /// overwritten over honest content.
+    pub(crate) fn forge_leaf_digest(&mut self, key: &[u8], forged: Digest) {
+        if let Node::Leaf { digest, .. } | Node::ProofLeaf { digest, .. } = self.leaf_mut(key) {
+            *digest = forged;
+        }
     }
 }
 

@@ -27,7 +27,18 @@
 //! * pruning shares the materialized leaves and in-range subtrees with the
 //!   live tree, shares each spine node's separator keys, and writes pruned
 //!   siblings as inline stubs — proof construction allocates two blocks
-//!   per materialized internal node and nothing else.
+//!   per materialized internal node and per point-proof leaf, and nothing
+//!   else.
+//!
+//! ## What a point proof's leaf proves
+//!
+//! A point proof for a key that is **present** ships that entry whole and
+//! every other entry of its leaf as its pair digest only
+//! ([`Node::ProofLeaf`]). Such a leaf proves "`k` holds `v`" for its whole
+//! entries and nothing more; an absent-key `Get`, an inserting `Put`, a
+//! split, borrow or merge would need the hidden keys, so they keep the
+//! whole leaf, and a replay that reaches a hidden key anyway is
+//! `IncompleteProof`.
 //!
 //! Sharing is never observable through the API: any mutation of one tree
 //! first un-shares the affected nodes, so other handles keep their exact
@@ -38,7 +49,7 @@ use std::sync::Arc;
 use tcvs_crypto::Digest;
 
 use crate::error::{TreeError, VerifyError};
-use crate::node::{Child, Key, LeafEntry, Node, Value};
+use crate::node::{Child, Key, LeafEntry, Node, ProofEntry, Value};
 
 /// Minimum supported branching order.
 pub const MIN_ORDER: usize = 4;
@@ -66,6 +77,22 @@ fn child_index(keys: &[Key], key: &[u8]) -> usize {
 #[inline]
 fn entry_index(entries: &[Arc<LeafEntry>], key: &[u8]) -> Result<usize, usize> {
     entries.binary_search_by(|e| e.key.as_slice().cmp(key))
+}
+
+/// The whole entry for `key` in a proof leaf. A leaf that hides entries
+/// behind their digests proves nothing about a key it does not ship whole,
+/// present or absent: that is `IncompleteProof`, never `None`.
+fn proven_entry<'a>(
+    entries: &'a mut [ProofEntry],
+    key: &[u8],
+) -> Result<&'a mut Arc<LeafEntry>, TreeError> {
+    entries
+        .iter_mut()
+        .find_map(|e| match e {
+            ProofEntry::Kv(e) if e.key == key => Some(e),
+            _ => None,
+        })
+        .ok_or(TreeError::IncompleteProof)
 }
 
 impl MerkleTree {
@@ -107,7 +134,8 @@ impl MerkleTree {
         self.len == Some(0)
     }
 
-    /// True iff this tree contains a stub anywhere (i.e. it is pruned).
+    /// True iff this tree contains a stub or a hash-only leaf entry
+    /// anywhere (i.e. it is pruned).
     pub fn is_pruned(&self) -> bool {
         self.root.contains_stub()
     }
@@ -129,6 +157,15 @@ impl MerkleTree {
             match child.node()? {
                 Node::Leaf { entries, .. } => {
                     return Ok(entry_index(entries, key).ok().map(|i| &entries[i].value));
+                }
+                Node::ProofLeaf { entries, .. } => {
+                    return entries
+                        .iter()
+                        .find_map(|e| match e {
+                            ProofEntry::Kv(e) if e.key == key => Some(Some(&e.value)),
+                            _ => None,
+                        })
+                        .ok_or(TreeError::IncompleteProof);
                 }
                 Node::Internal { keys, children, .. } => {
                     child = &children[child_index(keys, key)];
@@ -214,6 +251,14 @@ impl MerkleTree {
         &mut self.root
     }
 
+    /// Hides every entry of the leaf `key` routes to behind its pair
+    /// digest (crate-internal, for [`crate::VerificationObject::withhold`]).
+    /// No digest moves; a stub on the path or an empty leaf leaves the
+    /// tree as it was.
+    pub(crate) fn withhold(&mut self, key: &[u8]) {
+        withhold_rec(&mut self.root, key);
+    }
+
     /// Erases the cached entry count (crate-internal). Proofs decode
     /// through [`crate::VerificationObject::from_bytes`], and a proof never
     /// authenticates a count — erasing it keeps decode→encode an identity
@@ -234,10 +279,12 @@ impl MerkleTree {
 
     /// Pruned tree sufficient to replay `get(key)` or `insert(key, _)`:
     /// the root-to-leaf path for `key` is materialized, everything else is
-    /// stubs. Zero-copy: the materialized leaf is shared with `self`.
+    /// stubs. When `key` is present its leaf ships only that entry whole
+    /// and every other entry as its pair digest; when it is absent the
+    /// whole leaf is shared with `self`.
     pub fn prune_for_point(&self, key: &[u8]) -> MerkleTree {
         MerkleTree {
-            root: prune_interval_rec(&self.root, Some(key), Some(key)),
+            root: prune_points_rec(&self.root, &[key]),
             order: self.order,
             len: None,
         }
@@ -269,15 +316,20 @@ impl MerkleTree {
     /// Pruned tree sufficient to replay **any sequence** of point
     /// operations (`get`/`insert`) on `keys`: the union of the
     /// root-to-leaf paths, with spine siblings shared once instead of once
-    /// per key. Zero-copy like [`MerkleTree::prune_for_point`].
+    /// per key. Each leaf is pruned as in [`MerkleTree::prune_for_point`]:
+    /// it ships only the window's keys whole when every one of them that
+    /// routes there is present, and whole otherwise.
     ///
     /// Replay-sufficiency of the union holds because point inserts split
     /// only nodes on their own root-to-leaf path: a split never destroys
     /// the materialization of another key's path (both halves of a split
     /// leaf stay materialized, and separator insertion shifts the other
-    /// keys' child indices exactly as on the full tree). Deletes rebalance
-    /// across *sibling* nodes and are therefore not covered — batch them
-    /// via [`MerkleTree::prune_for_delete`] per key instead.
+    /// keys' child indices exactly as on the full tree). A leaf that hides
+    /// entries takes no insert: every window key routed to it is present
+    /// before the window and a window never deletes, so each op there is
+    /// a `get` or a replace. Deletes rebalance across *sibling* nodes and
+    /// are therefore not covered — batch them via
+    /// [`MerkleTree::prune_for_delete`] per key instead.
     pub fn prune_for_points(&self, keys: &[&[u8]]) -> MerkleTree {
         let mut sorted: Vec<&[u8]> = keys.to_vec();
         sorted.sort_unstable();
@@ -355,6 +407,12 @@ fn insert_rec(
             });
             (old, split)
         }
+        // Only a replace: the entry count does not move, so nothing splits.
+        Node::ProofLeaf { entries, .. } => {
+            let slot = proven_entry(entries, &key)?;
+            let old = std::mem::replace(slot, LeafEntry::new(key, value));
+            (Some(LeafEntry::into_value(old)), None)
+        }
         Node::Internal { keys, children, .. } => {
             let idx = child_index(keys, &key);
             let (old, child_split) = insert_rec(&mut children[idx], key, value, order)?;
@@ -390,6 +448,9 @@ fn delete_rec(child: &mut Child, key: &[u8], order: usize) -> Result<Option<Valu
         Node::Leaf { entries, .. } => entry_index(entries, key)
             .ok()
             .map(|i| LeafEntry::into_value(entries.remove(i))),
+        // A delete may rebalance with the neighbours' keys; its proofs keep
+        // whole leaves.
+        Node::ProofLeaf { .. } => return Err(TreeError::IncompleteProof),
         Node::Internal { keys, children, .. } => {
             let idx = child_index(keys, key);
             let old = delete_rec(&mut children[idx], key, order)?;
@@ -427,6 +488,7 @@ fn min_fill(order: usize) -> usize {
 fn fill(node: &Node) -> usize {
     match node {
         Node::Leaf { entries, .. } => entries.len(),
+        Node::ProofLeaf { entries, .. } => entries.len(),
         Node::Internal { children, .. } => children.len(),
     }
 }
@@ -587,6 +649,8 @@ fn range_rec(
             }
             Ok(())
         }
+        // A hidden key may lie in the range; range proofs keep whole leaves.
+        Node::ProofLeaf { .. } => Err(TreeError::IncompleteProof),
         Node::Internal { keys, children, .. } => {
             let start = lo.map_or(0, |l| child_index(keys, l));
             // Children up to and including the first whose lower bound is
@@ -640,7 +704,8 @@ fn prune_interval_rec(child: &Child, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Ch
 /// Materializes the union of the root-to-leaf paths for a **sorted,
 /// deduplicated, non-empty** slice of keys. Each internal node partitions
 /// the sorted keys into contiguous per-child groups; children covering no
-/// key become stubs, the rest recurse with their group.
+/// key become stubs, the rest recurse with their group, down to
+/// [`prune_leaf`].
 fn prune_points_rec(child: &Child, keys: &[&[u8]]) -> Child {
     debug_assert!(!keys.is_empty());
     let Ok(Node::Internal {
@@ -649,21 +714,81 @@ fn prune_points_rec(child: &Child, keys: &[&[u8]]) -> Child {
         digest,
     }) = child.node()
     else {
-        return child.clone();
+        return prune_leaf(child, keys);
     };
-    let mut at = 0usize;
+    // Child `i` takes the keys below separator `i`, one merge pass: a
+    // child with no key left costs one comparison, or none.
+    let mut rest = keys;
     let slots = children.iter().enumerate().map(|(i, c)| {
-        let start = at;
-        while at < keys.len() && child_index(seps, keys[at]) == i {
-            at += 1;
-        }
-        if start == at {
+        let n = seps.get(i).map_or(rest.len(), |sep| {
+            rest.partition_point(|k| *k < sep.as_slice())
+        });
+        let (group, tail) = rest.split_at(n);
+        rest = tail;
+        if group.is_empty() {
             c.to_stub()
         } else {
-            prune_points_rec(c, &keys[start..at])
+            prune_points_rec(c, group)
         }
     });
     Child::spine(seps, slots.collect(), *digest)
+}
+
+/// A point proof's copy of the leaf the sorted `keys` route to: shared
+/// whole when some key is absent (an absence or an insert is proven
+/// against the whole neighbourhood) or when the keys are all it holds;
+/// otherwise a [`Node::ProofLeaf`] with the keys' entries whole and every
+/// other entry as its cached pair digest. Two allocations — the node and
+/// its entry vector; no key, value or digest is recomputed, and a hidden
+/// entry's key is never read.
+fn prune_leaf(child: &Child, keys: &[&[u8]]) -> Child {
+    let Ok(Node::Leaf { entries, digest }) = child.node() else {
+        return child.clone();
+    };
+    if entries.len() == keys.len() {
+        return child.clone();
+    }
+    let hash = |e: &Arc<LeafEntry>| ProofEntry::Hash(e.kv_hash);
+    let mut proof = Vec::with_capacity(entries.len());
+    let mut rest = entries.as_slice();
+    for k in keys {
+        let Ok(i) = entry_index(rest, k) else {
+            return child.clone();
+        };
+        proof.extend(rest[..i].iter().map(hash));
+        proof.push(ProofEntry::Kv(Arc::clone(&rest[i])));
+        rest = &rest[i + 1..];
+    }
+    proof.extend(rest.iter().map(hash));
+    Child::Node(Arc::new(Node::ProofLeaf {
+        entries: proof,
+        digest: *digest,
+    }))
+}
+
+/// Hides the leaf `key` routes to (see [`MerkleTree::withhold`]).
+fn withhold_rec(child: &mut Child, key: &[u8]) {
+    let hidden: Vec<ProofEntry> = match child.node_mut() {
+        Ok(Node::Internal { keys, children, .. }) => {
+            return withhold_rec(&mut children[child_index(keys, key)], key)
+        }
+        Ok(Node::Leaf { entries, .. }) => entries
+            .iter()
+            .map(|e| ProofEntry::Hash(e.kv_hash))
+            .collect(),
+        Ok(Node::ProofLeaf { entries, .. }) => entries
+            .iter()
+            .map(|e| ProofEntry::Hash(*e.kv_hash()))
+            .collect(),
+        Err(_) => return,
+    };
+    if !hidden.is_empty() {
+        let digest = child.digest();
+        *child = Child::Node(Arc::new(Node::ProofLeaf {
+            entries: hidden,
+            digest,
+        }));
+    }
 }
 
 fn prune_delete_rec(child: &Child, key: &[u8]) -> Child {
@@ -700,6 +825,7 @@ fn check_rec(
 ) -> Result<(), String> {
     let node = child.node().map_err(|_| "full tree contains a stub")?;
     match node {
+        Node::ProofLeaf { .. } => return Err("full tree contains a hash-only entry".into()),
         Node::Leaf { entries, .. } => {
             match leaf_depth {
                 Some(d) if *d != depth => {

@@ -66,6 +66,16 @@ impl VerificationObject {
         self.tree.write_to(out);
     }
 
+    /// Hides every entry of the leaf `key` routes to behind its pair
+    /// digest. The proof still commits to the same root but no longer
+    /// proves anything about that leaf, so replaying an operation on
+    /// `key` is [`VerifyError::IncompleteProof`]. This is what a server
+    /// that withholds an entry sends (`tcvs_core::adversary::HideKeyServer`);
+    /// a stub on the path or an empty leaf leaves the proof as it was.
+    pub fn withhold(&mut self, key: &[u8]) {
+        self.tree.withhold(key);
+    }
+
     /// Decodes a persisted proof; all materialized digests are re-verified
     /// during decode, so a corrupted proof is rejected rather than trusted.
     pub fn from_bytes(bytes: &[u8]) -> Result<VerificationObject, crate::CodecError> {
@@ -167,7 +177,7 @@ pub fn verify_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{u64_key, Child};
+    use crate::node::u64_key;
     use crate::op::prune_for_op;
 
     fn tree_with(n: u64, order: usize) -> MerkleTree {
@@ -294,10 +304,7 @@ mod tests {
             // digest up to the root still reads as the state the client
             // expects.
             let mut vo = honest.clone();
-            vo.tree.root_mut().forge_leaf(&key, |es, _| {
-                let i = es.iter().position(|e| e.key == key).unwrap();
-                es[i] = Child::forged_entry(&es[i], b"evil");
-            });
+            vo.tree.root_mut().forge_value(&key, b"evil");
             assert_eq!(vo.root_digest(), root0);
             assert_eq!(
                 verify_response(&root0, 8, &vo, &op, None, None).unwrap_err(),
@@ -310,9 +317,7 @@ mod tests {
 
             // A forged node digest over honest content.
             let mut vo = honest.clone();
-            vo.tree
-                .root_mut()
-                .forge_leaf(&key, |_, digest| *digest = Digest::ZERO);
+            vo.tree.root_mut().forge_leaf_digest(&key, Digest::ZERO);
             assert_eq!(
                 replay_unanchored(8, &vo, &op, None).unwrap_err(),
                 VerifyError::CachedDigestMismatch

@@ -6,6 +6,11 @@
 //! 126–127, 222 frees per point op; 43 + 73 allocations and 116 frees per
 //! batched op.
 //!
+//! Counted now, with a present key's proof leaf built fresh (node and
+//! entry vector) instead of shared: point prune 10, point verify 1 (`Get`)
+//! and 14 (`Put`), 11 / 24 frees per point op; per 32-op window, prune 226
+//! and verify 33 (`Get`) or 353 (`Put`), 259 / 579 frees.
+//!
 //! Own test binary with a counting `#[global_allocator]`, one `#[test]`, so
 //! no other thread allocates while a section is being counted. CI runs it
 //! `--release`: the budget is checked on the build the benchmark measures.

@@ -4,9 +4,9 @@
 
 use std::time::Duration;
 
-use tcvs_core::adversary::{LieServer, Trigger};
-use tcvs_core::{HonestServer, Op, OpResult, ProtocolConfig, SyncShare};
-use tcvs_merkle::{u64_key, MerkleTree};
+use tcvs_core::adversary::{HideKeyServer, LieServer, Trigger};
+use tcvs_core::{Deviation, HonestServer, Op, OpResult, ProtocolConfig, SyncShare};
+use tcvs_merkle::{u64_key, MerkleTree, VerifyError};
 use tcvs_net::{
     NetClient2, NetError, NetServer, NetServerOptions, NetSnapshotReader, NetStats, RetryPolicy,
 };
@@ -163,6 +163,38 @@ fn batching_does_not_mask_a_lying_server() {
         "expected a deviation, got {err:?}"
     );
     server.shutdown();
+}
+
+/// A server that hides a present key inside a batched window is caught on
+/// that window: the shared proof cannot prove the absence it claims.
+#[test]
+fn a_hidden_key_is_caught_inside_a_batched_window() {
+    let cfg = config();
+    let stats = NetStats::disabled();
+    let server = NetServer::spawn_observed(
+        Box::new(HideKeyServer::new(&cfg, Trigger::AtCtr(8))),
+        NetServerOptions::default(),
+        stats.clone(),
+    );
+    let r0 = root0(&cfg);
+    let mut c = NetClient2::new(0, &r0, cfg, &server);
+    let puts: Vec<Op> = (0..8u64)
+        .map(|k| Op::Put(u64_key(k), vec![k as u8]))
+        .collect();
+    c.execute_batch(&puts).expect("honest before the trigger");
+    let gets: Vec<Op> = (0..8u64).map(|k| Op::Get(u64_key(k))).collect();
+    let err = c
+        .execute_batch(&gets)
+        .expect_err("the hidden key must be detected");
+    assert!(
+        matches!(
+            err,
+            NetError::Deviation(Deviation::BadProof(VerifyError::IncompleteProof))
+        ),
+        "expected an incomplete proof, got {err:?}"
+    );
+    server.shutdown();
+    assert_eq!(stats.snapshot().counter("net.batch.windows"), Some(2));
 }
 
 /// Batched snapshot publication: with `publish_every_ops = W` the write

@@ -140,6 +140,11 @@ impl DurableState {
         }
         let db = MerkleTree::from_bytes(r.bytes()?)
             .map_err(|_| DecodeError::Invalid("checkpoint database"))?;
+        // A server serves every value it holds: a stub or a hash-only entry
+        // would leave it answering from content it does not have.
+        if db.is_pruned() {
+            return Err(DecodeError::Invalid("checkpoint database is pruned"));
+        }
         r.finish()?;
         let snapshot = ServerSnapshot::from_parts(
             db,
@@ -282,5 +287,41 @@ mod tests {
         let idx = bad.len() - 3;
         bad[idx] ^= 0x40;
         assert!(DurableState::from_bytes(&bad).is_err());
+    }
+
+    /// A checkpoint whose database hides an entry behind its pair digest
+    /// decodes as a tree, but never as a server's durable state.
+    #[test]
+    fn pruned_checkpoint_database_rejected() -> Result<(), tcvs_merkle::CodecError> {
+        let mut server = HonestServer::new(&ProtocolConfig::default());
+        for i in 0..40u64 {
+            server.handle_op(0, &Op::Put(u64_key(i), vec![i as u8]), i);
+        }
+        let snap = server.core().crash_snapshot();
+        let hidden = snap.db().prune_for_point(&u64_key(7));
+        let snapshot = ServerSnapshot::from_parts(
+            hidden,
+            snap.ctr(),
+            snap.last_user(),
+            snap.epoch_len(),
+            None,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            snap.snapshot_metrics(),
+            Vec::new(),
+        )?;
+        let state = DurableState {
+            snapshot,
+            journal: Vec::new(),
+            evidence: Vec::new(),
+        };
+        let mut bytes = Vec::new();
+        state.encode_into(&mut bytes);
+        assert!(matches!(
+            DurableState::from_bytes(&bytes),
+            Err(DecodeError::Invalid("checkpoint database is pruned"))
+        ));
+        Ok(())
     }
 }

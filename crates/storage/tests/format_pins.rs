@@ -6,6 +6,13 @@
 //! moved into `tcvs_core::wire`; a codec change must leave every one of them
 //! where it is. Trees and proofs (`TCVM`) are pinned by `tcvs-merkle`'s
 //! `layout_pins.rs`.
+//!
+//! Seven pins were re-recorded since, when a present key's point proof
+//! began to ship its leaf's other entries as pair digests only: the
+//! `reply-get` and `reply-put` replies (plain and signed) carry such a
+//! proof; the checkpoint journals those replies; and the evidence bundle,
+//! alone and as `record-evidence`'s payload, embeds the `reply-get` proof.
+//! No framing around a proof moved.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
@@ -18,19 +25,20 @@ use tcvs_merkle::{u64_key, ChunkSource, Op};
 use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
 use tcvs_storage::{response_bytes, DurableState, Record};
 
-/// Recorded before the codecs moved.
+/// Recorded before the codecs moved; the seven proof-bearing pins named
+/// above on the first build whose point proofs hide unproven entries.
 const PINS: &str = "\
-checkpoint 600915564286e4ab8564cba919fb0a828826075e39f6d4c92b559c0ef2c30669
-evidence 4bf2beb3fb510e2f132bb569a1817be62218c7409df8dc00d8351db9eeb52bed
+checkpoint 941e555f1d0bab03e28786c93b7e41259d034020448ad1ec916a82a3da329833
+evidence 0147dbcf214fe50ae52379ad7390d271dc315b17459d18bea7263b83289084ec
 manifest 86f419413a3018cd584471fd417a7f4bcb90250f35cf814f0559e9b8330cc359
-reply-get 3215d8f92313e6ff39f75a58355c874deeff9c9b15ff7173ef5f3d324d540c63
+reply-get aebe7b6758aa9209f64f80077358b07b73c3414ea5c1681302a13f3da48c85ee
 reply-get-absent 6d96bd561759395b21c11f751078ed5b4ecdf3ab355c0f86b04ca667fb6f3547
-reply-put bed88d344d96b47442162b375511b88bd1735d58a660b2dc2b989af741bf5c89
+reply-put 45918773c84ff997114e245a627851dc448a299953b5e6d8e6723b97165120db
 reply-range 2246d29ac9ff65952919dea916e4bd3d5338d8392af3add0bcc01791f00b2cbb
 reply-delete 4d6070c0ee619dcf459e8bcf4a43563b73bccce6e79656e0bb5dad87cc6c291f
-reply-get-signed 3de8e25b4058686b10a34def3382c6be8694d4fedf213b44279fb33d786285e7
+reply-get-signed 9e58fbaad3e3c21cabb7cbe769156ea0346bdcd0b7fd1870db9bf29c31bf1b6f
 reply-get-absent-signed ac686c23ede5c88d42dd807371adb0deb9dc2de4598c49e777f52c9c7321cf95
-reply-put-signed 9a218a60d67d9a751e6d73a7d53b4fb0e0ce9def1e416a410697046e48989af4
+reply-put-signed 587d6e6bbd62d2991121f2314bb43683f0f0dcbcf299796fc23605faa477e478
 reply-range-signed af6d6214fa2482b29eb24d34f47bc49a0d129d4437fb8c53d42088ccf157503b
 reply-delete-signed f5fbe15dcbf920082c292a79c47669a4fb0357b4b69d3fcea55733f2f08da03f
 record-op-get 105e15bb69a20c15c2272c28f785b3ed53d5a790120558be60b1b077fabd1637
@@ -43,7 +51,7 @@ record-epoch-state e09a2eb5a28f3d1e4092f2c042743f837f89adc1e6ba5abf6172f9c40b914
 record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee734087cf9
 record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
-record-evidence f9226c2e5cf0914a930d41ce7480d5e11751d3fd6e8c9fd06354fc2aabe179b3
+record-evidence 7b15470655b0629f178ad258a38e26f5ba0ef267a4d9b17453e67c83758ad993
 ";
 
 fn hex(d: Digest) -> String {

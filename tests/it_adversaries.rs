@@ -165,6 +165,29 @@ fn immediate_vs_deferred_detection_classes() {
     assert_eq!(ev.deviation, Deviation::SyncFailed);
 }
 
+/// The hide-key adversary is caught on the op it lies on, under every
+/// protocol: a leaf that ships only pair digests cannot prove an absence,
+/// so the replay stops with `IncompleteProof` before any sync-up.
+#[test]
+fn hidden_key_caught_on_the_hidden_op() {
+    use tcvs_core::adversary::{HideKeyServer, Trigger};
+    use tcvs_merkle::VerifyError;
+    for protocol in PROTOCOLS {
+        let s = spec(protocol, 4);
+        let trace = trace_for(protocol, 5, s.config.epoch_len);
+        let trigger = trace.len() as u64 / 3;
+        let mut server = HideKeyServer::new(&s.config, Trigger::AtCtr(trigger));
+        let r = simulate(&s, &mut server, &trace, Some(trigger));
+        let ev = r.detection.expect("detected");
+        assert_eq!(Some(ev.op_index), server.hidden_at(), "{protocol:?}");
+        assert_eq!(
+            ev.deviation,
+            Deviation::BadProof(VerifyError::IncompleteProof),
+            "{protocol:?}"
+        );
+    }
+}
+
 #[test]
 fn honest_control_never_detected() {
     // Trigger::Never controls: the adversary wrappers in honest mode.

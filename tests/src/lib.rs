@@ -29,8 +29,8 @@ pub fn spec(protocol: ProtocolKind, n: u32) -> SimSpec {
 pub const PROTOCOLS: [ProtocolKind; 3] =
     [ProtocolKind::One, ProtocolKind::Two, ProtocolKind::Three];
 
-/// The six adversary names used by `make_adversary`.
-pub const ADVERSARIES: [&str; 7] = [
+/// The adversary names used by `make_adversary`.
+pub const ADVERSARIES: [&str; 8] = [
     "fork",
     "drop",
     "rollback",
@@ -38,6 +38,7 @@ pub const ADVERSARIES: [&str; 7] = [
     "counter-skip",
     "lie",
     "stale-read",
+    "hide-key",
 ];
 
 /// Builds an adversary by name, triggered at `trigger` operations.
@@ -56,6 +57,7 @@ pub fn make_adversary(
         "counter-skip" => Box::new(CounterSkipServer::new(config, t)),
         "lie" => Box::new(LieServer::new(config, t)),
         "stale-read" => Box::new(StaleReadServer::new(config, t)),
+        "hide-key" => Box::new(HideKeyServer::new(config, t)),
         other => panic!("unknown adversary {other}"),
     }
 }
