@@ -64,11 +64,11 @@ pub use evidence::{
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultRates, StorageFault};
 pub use forensics::{diagnose, diagnose_with_timeline, DiagnosisReport, TransitionLog, Verdict};
 pub use msg::{
-    BatchResponse, PipelinedResponse, ServerResponse, SignedCheckpoint, SignedEpochState,
-    SignedState, SyncShare,
+    BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare,
 };
 pub use server::{
-    HonestServer, ReadSnapshot, ServerApi, ServerCore, ServerMetrics, ServerSnapshot,
+    HonestServer, PipelinedResponse, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
+    ServerSnapshot,
 };
 pub use shard::ShardRouter;
 pub use types::{Ctr, Deviation, Epoch, ProtocolConfig, ProtocolKind};

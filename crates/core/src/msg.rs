@@ -8,7 +8,7 @@
 //! the other protocols.
 
 use tcvs_crypto::{Digest, MssSignature, UserId};
-use tcvs_merkle::{BatchProof, Op, OpResult, VerificationObject};
+use tcvs_merkle::{BatchProof, OpResult, VerificationObject};
 
 use crate::types::{Ctr, Epoch};
 use crate::wire::{self, encoded_len};
@@ -98,40 +98,6 @@ impl BatchResponse {
     /// Encoded size in bytes: [`wire::put_batch_response`] counted.
     pub fn encoded_size(&self) -> usize {
         encoded_len(|c| wire::put_batch_response(c, self))
-    }
-}
-
-/// A Protocol I response whose stored signature may *lag* behind the
-/// served operation (the pipelined-deposit fast path).
-///
-/// The blocking variant guarantees `resp.sig.ctr == resp.ctr`: the server
-/// stalls until the previous operator's deposit lands. Under pipelining the
-/// server instead serves the op immediately and ships, alongside the lagging
-/// signature over the state at `sig.ctr`, the **backfill**: the operations
-/// at counters `sig.ctr .. resp.ctr` (each with its performing user) and a
-/// single union-pruned [`BatchProof`] anchored at the *signed* root. The
-/// client replays backfill + own op from the signed state, so the deposit it
-/// produces is still content-anchored to a legitimately signed root —
-/// forging any backfill op forks the signed-state chain and is caught at
-/// the next sync-up, within the same `k` bound as any Protocol I fork.
-#[derive(Clone, Debug)]
-pub struct PipelinedResponse {
-    /// The ordinary response tuple; `resp.sig` is over the state at some
-    /// `sig.ctr <= resp.ctr` rather than at `resp.ctr` itself.
-    pub resp: ServerResponse,
-    /// Union-pruned pre-state proof anchored at the signed root, sufficient
-    /// to replay `backfill` and then the client's own op.
-    pub base_proof: BatchProof,
-    /// The operations at counters `sig.ctr .. resp.ctr`, in order, with the
-    /// user who performed each. Empty when the deposit pipeline is caught
-    /// up (then this degenerates to the blocking variant).
-    pub backfill: Vec<(UserId, Op)>,
-}
-
-impl PipelinedResponse {
-    /// Encoded size in bytes: [`wire::put_pipelined_response`] counted.
-    pub fn encoded_size(&self) -> usize {
-        encoded_len(|c| wire::put_pipelined_response(c, self))
     }
 }
 

@@ -7,20 +7,16 @@
 //! interface the transports (simulator, threads) and the adversaries in
 //! [`crate::adversary`] implement.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tcvs_crypto::{Digest, UserId, NO_USER};
 use tcvs_merkle::{
-    apply_op, batchable, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op, OpResult,
-    VerificationObject,
+    apply_op, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op, OpResult, VerificationObject,
 };
 use tcvs_obs::{Event, FlightRecorder};
 
-use crate::msg::{
-    BatchResponse, PipelinedResponse, ServerResponse, SignedCheckpoint, SignedEpochState,
-    SignedState,
-};
+use crate::msg::{BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState};
 use crate::types::{Ctr, Epoch, ProtocolConfig};
 
 /// Cumulative server-side traffic accounting (for the overhead experiments).
@@ -519,6 +515,10 @@ impl ReadSnapshot {
     }
 }
 
+/// Uninhabited, so no server returns one; ROADMAP 1(a) deletes it with the benchmark's forward.
+#[doc(hidden)]
+pub enum PipelinedResponse {}
+
 /// The server interface as seen by clients and transports. Implemented by
 /// the honest server and by every adversary in [`crate::adversary`].
 pub trait ServerApi {
@@ -558,21 +558,8 @@ pub trait ServerApi {
         None
     }
 
-    /// Serves one Protocol I operation on the **pipelined-deposit** fast
-    /// path: the response may carry a *lagging* stored signature plus the
-    /// backfill that re-anchors the served state to it (see
-    /// [`PipelinedResponse`]), so the server need not stall on the previous
-    /// deposit. Returns `None` when this server cannot pipeline the request
-    /// — the depositing user has no anchor signature on file, the anchor has
-    /// fallen more than `depth` operations behind, the op (or an intervening
-    /// one) is not [`tcvs_merkle::batchable`] — in which case the transport
-    /// falls back to the blocking path. A `None` return has **no side
-    /// effects**: the operation has not been executed.
-    ///
-    /// The default is `None` — deliberately, and for the same reason as
-    /// [`ServerApi::read_snapshot`]: pipelining is a *performance* feature
-    /// of the honest server, and adversaries must exercise the ordinary
-    /// blocking detection path unless they opt in explicitly.
+    /// Inert stub that always returns `None`; ROADMAP 1(a) deletes it with the benchmark's forward.
+    #[doc(hidden)]
     fn handle_op_pipelined(
         &mut self,
         user: UserId,
@@ -585,13 +572,8 @@ pub trait ServerApi {
         None
     }
 
-    /// Number of served operations whose Protocol I signature deposit has
-    /// not yet arrived (`ctr` minus the stored signature's counter). The
-    /// transport uses this to drain the deposit pipeline before serving a
-    /// blocking-path response, whose signature must be exactly current.
-    ///
-    /// The default is 0: only servers that actually serve the pipelined
-    /// path report lag.
+    /// Inert stub that always returns 0; ROADMAP 1(a) deletes it with the benchmark's forward.
+    #[doc(hidden)]
     fn deposit_lag(&self) -> u64 {
         0
     }
@@ -648,31 +630,9 @@ pub trait ServerApi {
     }
 }
 
-/// How many recent operations the honest server retains (with their O(1)
-/// pre-state tree captures) to serve pipelined-deposit backfills. A user
-/// whose anchor falls further behind than this is served on the blocking
-/// path instead.
-const PIPELINE_HISTORY_CAP: usize = 1024;
-
 /// A server that follows the protocol exactly.
 pub struct HonestServer {
     core: ServerCore,
-    /// Each user's most recent deposited signature: the anchor a pipelined
-    /// response for that user is re-anchored to. A user's own deposits are
-    /// always at-or-behind its verified frontier, so the client accepts
-    /// them as anchors.
-    anchors: HashMap<UserId, SignedState>,
-    /// The operations at counters `hist_start .. ctr`, oldest first, each
-    /// with its performing user — the pool pipelined backfills are cut from.
-    history: VecDeque<(UserId, Op)>,
-    /// `pre_states[i]` is the database *before* the operation at counter
-    /// `hist_start + i` (an O(1) copy-on-write capture per op).
-    pre_states: VecDeque<MerkleTree>,
-    /// Counter of the oldest retained history entry.
-    hist_start: Ctr,
-    /// History is recorded only once the first signature deposit arrives:
-    /// a deployment that never deposits (Protocols II/III) pays nothing.
-    recording: bool,
 }
 
 impl HonestServer {
@@ -680,52 +640,14 @@ impl HonestServer {
     pub fn new(config: &ProtocolConfig) -> HonestServer {
         HonestServer {
             core: ServerCore::new(config),
-            anchors: HashMap::new(),
-            history: VecDeque::new(),
-            pre_states: VecDeque::new(),
-            hist_start: 0,
-            recording: false,
         }
     }
 
     /// Wraps an already-built core — the shard-rejoin path of chunked state
     /// sync: a restarted shard assembles a verified [`ServerCore`] from a
-    /// peer's chunks and resumes serving from it. Pipelining history and
-    /// deposit anchors start empty (users re-anchor on their next blocking
-    /// exchange, exactly as after a crash-restart).
+    /// peer's chunks and resumes serving from it.
     pub fn from_core(core: ServerCore) -> HonestServer {
-        let hist_start = core.ctr();
-        HonestServer {
-            core,
-            anchors: HashMap::new(),
-            history: VecDeque::new(),
-            pre_states: VecDeque::new(),
-            hist_start,
-            recording: false,
-        }
-    }
-
-    /// Captures the pre-op state and appends `op` to the pipelining
-    /// history, trimming to the retention cap.
-    fn record(&mut self, user: UserId, op: &Op) {
-        if !self.recording {
-            return;
-        }
-        self.pre_states.push_back(self.core.db().clone());
-        self.history.push_back((user, op.clone()));
-        while self.history.len() > PIPELINE_HISTORY_CAP {
-            self.history.pop_front();
-            self.pre_states.pop_front();
-            self.hist_start += 1;
-        }
-    }
-
-    /// Drops the pipelining history (anchors survive; a user whose anchor
-    /// now predates `hist_start` simply falls back to the blocking path).
-    fn reset_history(&mut self) {
-        self.history.clear();
-        self.pre_states.clear();
-        self.hist_start = self.core.ctr();
+        HonestServer { core }
     }
 
     /// Read access to the core (tests, oracles).
@@ -743,7 +665,6 @@ impl HonestServer {
 
 impl ServerApi for HonestServer {
     fn handle_op(&mut self, user: UserId, op: &Op, round: u64) -> ServerResponse {
-        self.record(user, op);
         self.core.process(user, op, round)
     }
 
@@ -754,90 +675,14 @@ impl ServerApi for HonestServer {
         ops: &[Op],
         round: u64,
     ) -> Option<BatchResponse> {
-        let resp = self.core.process_batch(user, ops, round);
-        // Batch windows are applied wholesale; rather than interleave
-        // per-op captures into the batch path, invalidate the pipelining
-        // history (stale anchors then fall back to the blocking path).
-        if self.recording {
-            self.reset_history();
-        }
-        Some(resp)
+        Some(self.core.process_batch(user, ops, round))
     }
 
-    fn handle_op_pipelined(
-        &mut self,
-        user: UserId,
-        _seq: u64,
-        op: &Op,
-        round: u64,
-        depth: usize,
-    ) -> Option<PipelinedResponse> {
-        if !batchable(op) {
-            return None;
-        }
-        let anchor = self.anchors.get(&user)?.clone();
-        // The anchor must still be inside the retained history and within
-        // the configured in-flight window.
-        if anchor.ctr < self.hist_start || anchor.ctr > self.core.ctr() {
-            return None;
-        }
-        let lag = (self.core.ctr() - anchor.ctr) as usize;
-        if lag > depth {
-            return None;
-        }
-        let from = (anchor.ctr - self.hist_start) as usize;
-        if self.history.iter().skip(from).any(|(_, o)| !batchable(o)) {
-            return None;
-        }
-        let backfill: Vec<(UserId, Op)> = self.history.iter().skip(from).cloned().collect();
-        let base = if lag == 0 {
-            self.core.db().clone()
-        } else {
-            self.pre_states[from].clone()
-        };
-        let window: Vec<Op> = backfill
-            .iter()
-            .map(|(_, o)| o.clone())
-            .chain(std::iter::once(op.clone()))
-            .collect();
-        let base_proof = BatchProof::new(prune_for_ops(&base, &window));
-        self.record(user, op);
-        let mut resp = self.core.process(user, op, round);
-        resp.sig = Some(anchor);
-        let presp = PipelinedResponse {
-            resp,
-            base_proof,
-            backfill,
-        };
-        // `process` accounted the plain response; add the pipelining extras
-        // (backfill + anchored proof) so the overhead experiments see them.
-        self.core.metrics.bytes_out += (presp.encoded_size() - presp.resp.encoded_size()) as u64;
-        Some(presp)
-    }
-
-    fn deposit_lag(&self) -> u64 {
-        if !self.recording {
-            return 0;
-        }
-        self.core
-            .last_sig
-            .as_ref()
-            .map_or(self.core.ctr(), |s| self.core.ctr().saturating_sub(s.ctr))
-    }
-
-    fn deposit_signature(&mut self, user: UserId, s: SignedState) {
-        if !self.recording {
-            // First deposit: pipelining history starts here.
-            self.recording = true;
-            self.reset_history();
-        }
-        self.anchors.insert(user, s.clone());
-        // Deposits can arrive out of counter order once the pipeline is
-        // deep; the honest server keeps the most advanced signature so the
-        // blocking path's `sig.ctr == resp.ctr` invariant can be restored
-        // by draining the pipeline.
-        let advances = self.core.last_sig.as_ref().is_none_or(|c| s.ctr >= c.ctr);
-        if advances {
+    fn deposit_signature(&mut self, _user: UserId, s: SignedState) {
+        // A duplicated or late deposit (a retried or reordered message) must
+        // never roll the stored signature back: keep the most advanced one,
+        // and count the stale message like any other.
+        if self.core.last_sig.as_ref().is_none_or(|c| s.ctr >= c.ctr) {
             self.core.store_signature(s);
         } else {
             self.core.metrics.msgs_in += 1;
@@ -874,11 +719,6 @@ impl ServerApi for HonestServer {
         if let Some(r) = recorder {
             self.core.attach_flight_recorder(r);
         }
-        // Pipelining state is volatile: users fall back to the blocking
-        // path until their next deposit re-establishes an anchor.
-        self.anchors.clear();
-        self.recording = false;
-        self.reset_history();
     }
 
     fn read_snapshot(&self) -> Option<ReadSnapshot> {
@@ -1082,156 +922,34 @@ mod tests {
         assert!(s.fetch_checkpoint(0, 0).is_none());
     }
 
-    mod pipelined {
-        use super::*;
-        use crate::Client1;
-
-        fn pipeline_setup(n: u32) -> (Vec<Client1>, HonestServer) {
-            let cfg = config();
-            let (rings, registry) = tcvs_crypto::setup_users([0x55; 32], n, 8);
-            let mut clients: Vec<Client1> = rings
-                .into_iter()
-                .map(|r| Client1::new(r, registry.clone(), cfg))
-                .collect();
-            let mut server = HonestServer::new(&cfg);
-            let root0 = server.core().root_digest();
-            let init = clients[0].sign_initial(&root0).unwrap();
-            server.deposit_signature(0, init);
-            (clients, server)
+    /// A duplicated or late deposit never rolls the stored signature back:
+    /// after the deposit at ctr 2, the ctr-1 deposit arriving again is
+    /// counted and dropped, and the next response carries the ctr-2
+    /// signature.
+    #[test]
+    fn stale_deposit_does_not_regress_the_stored_signature() {
+        let (mut rings, _) = tcvs_crypto::setup_users([6; 32], 1, 4);
+        let mut s = HonestServer::new(&config());
+        let mut deposits = Vec::new();
+        for i in 0..2u64 {
+            s.handle_op(0, &Op::Put(u64_key(i), vec![i as u8]), i);
+            let (root, ctr) = (s.core().root_digest(), s.core().ctr());
+            let payload = crate::state::signed_payload(&root, ctr);
+            deposits.push(SignedState {
+                signer: 0,
+                root,
+                ctr,
+                sig: rings[0].sign(&payload).unwrap(),
+            });
         }
-
-        /// The full pipelined loop: both users' ops are served without the
-        /// server ever waiting for a deposit; deposits are fed back with a
-        /// round of lag, the backfills re-anchor every response, and every
-        /// client verifies every answer.
-        #[test]
-        fn pipelined_serving_verifies_with_lagging_deposits() {
-            let (mut clients, mut server) = pipeline_setup(2);
-            // Each user's first op goes through the blocking path (no
-            // anchor on file yet for user 1).
-            assert!(server
-                .handle_op_pipelined(1, 0, &Op::Get(u64_key(0)), 0, 64)
-                .is_none());
-            let op = Op::Put(u64_key(100), vec![1]);
-            let resp = server.handle_op(1, &op, 0);
-            let (_, dep) = clients[1].handle_response(&op, &resp).unwrap();
-            server.deposit_signature(1, dep);
-
-            let mut pending: Vec<(UserId, SignedState)> = Vec::new();
-            for i in 0..20u64 {
-                let u = (i % 2) as usize;
-                let op = if i % 3 == 0 {
-                    Op::Put(u64_key(i % 8), vec![i as u8])
-                } else {
-                    Op::Get(u64_key(i % 8))
-                };
-                let presp = server
-                    .handle_op_pipelined(u as UserId, i, &op, i, 64)
-                    .expect("anchored, batchable, within depth");
-                let (_, dep) = clients[u]
-                    .handle_pipelined_response(&op, &presp)
-                    .expect("honest pipelined response verifies");
-                // Deposits land one op late: the pipeline never drains
-                // mid-run.
-                pending.push((u as UserId, dep));
-                if pending.len() > 1 {
-                    let (du, dep) = pending.remove(0);
-                    server.deposit_signature(du, dep);
-                }
-            }
-            for (du, dep) in pending {
-                server.deposit_signature(du, dep);
-            }
-            assert_eq!(server.deposit_lag(), 0, "drained pipeline catches up");
-            let shares: Vec<crate::SyncShare> = clients.iter().map(|c| c.sync_share()).collect();
-            assert!(clients.iter().any(|c| c.sync_succeeds(&shares)));
-        }
-
-        #[test]
-        fn pipelined_declines_without_side_effects() {
-            let (mut clients, mut server) = pipeline_setup(2);
-            let op = Op::Put(u64_key(1), vec![1]);
-            let resp = server.handle_op(0, &op, 0);
-            let (_, dep) = clients[0].handle_response(&op, &resp).unwrap();
-            server.deposit_signature(0, dep);
-            let ctr_before = server.core().ctr();
-
-            // A non-batchable op is declined.
-            assert!(server
-                .handle_op_pipelined(0, 1, &Op::Delete(u64_key(1)), 1, 64)
-                .is_none());
-            // A user without an anchor on file is declined.
-            assert!(server
-                .handle_op_pipelined(1, 0, &Op::Get(u64_key(1)), 1, 64)
-                .is_none());
-            // An anchor lagging beyond the depth budget is declined: user
-            // 0's anchor is 2 behind after two more ops by user 1.
-            server.handle_op(1, &Op::Get(u64_key(1)), 1);
-            server.handle_op(1, &Op::Get(u64_key(1)), 2);
-            assert!(server
-                .handle_op_pipelined(0, 2, &Op::Get(u64_key(1)), 3, 1)
-                .is_none());
-            assert_eq!(
-                server.core().ctr(),
-                ctr_before + 2,
-                "declines execute nothing"
-            );
-            // Within depth, the same request is served.
-            assert!(server
-                .handle_op_pipelined(0, 2, &Op::Get(u64_key(1)), 3, 2)
-                .is_some());
-        }
-
-        #[test]
-        fn crash_restart_resets_pipelining_to_the_blocking_path() {
-            let (mut clients, mut server) = pipeline_setup(1);
-            let op = Op::Put(u64_key(1), vec![1]);
-            let resp = server.handle_op(0, &op, 0);
-            let (_, dep) = clients[0].handle_response(&op, &resp).unwrap();
-            server.deposit_signature(0, dep);
-            let op = Op::Get(u64_key(1));
-            let presp = server
-                .handle_op_pipelined(0, 1, &op, 1, 8)
-                .expect("anchored");
-            let (_, dep) = clients[0].handle_pipelined_response(&op, &presp).unwrap();
-            // Drain the pipeline before the crash so the surviving stored
-            // signature is current.
-            server.deposit_signature(0, dep);
-            server.crash_restart();
-            assert_eq!(server.deposit_lag(), 0);
-            assert!(
-                server
-                    .handle_op_pipelined(0, 2, &Op::Get(u64_key(1)), 2, 8)
-                    .is_none(),
-                "anchors are volatile: fall back until the next deposit"
-            );
-            // The blocking path still verifies after the crash (the stored
-            // signature survived), and its deposit re-arms pipelining.
-            let op = Op::Get(u64_key(1));
-            let resp = server.handle_op(0, &op, 2);
-            let (_, dep) = clients[0].handle_response(&op, &resp).unwrap();
-            server.deposit_signature(0, dep);
-            assert!(server
-                .handle_op_pipelined(0, 3, &Op::Get(u64_key(1)), 3, 8)
-                .is_some());
-        }
-
-        /// A batch window invalidates the recorded history; pipelined users
-        /// fall back (their anchors predate `hist_start`) instead of being
-        /// served a hole-y backfill.
-        #[test]
-        fn batch_windows_invalidate_pipelining_history() {
-            let (mut clients, mut server) = pipeline_setup(1);
-            let op = Op::Put(u64_key(1), vec![1]);
-            let resp = server.handle_op(0, &op, 0);
-            let (_, dep) = clients[0].handle_response(&op, &resp).unwrap();
-            server.deposit_signature(0, dep);
-            server
-                .handle_op_batch(9, 0, &[Op::Put(u64_key(2), vec![2])], 1)
-                .unwrap();
-            assert!(server
-                .handle_op_pipelined(0, 1, &Op::Get(u64_key(2)), 2, 64)
-                .is_none());
-        }
+        let (at1, at2) = (deposits[0].clone(), deposits[1].clone());
+        assert_eq!((at1.ctr, at2.ctr), (1, 2));
+        s.deposit_signature(0, at1.clone());
+        s.deposit_signature(0, at2.clone());
+        let msgs_in = s.metrics().msgs_in;
+        s.deposit_signature(0, at1);
+        assert_eq!(s.metrics().msgs_in, msgs_in + 1, "the stale message counts");
+        let resp = s.handle_op(0, &Op::Get(u64_key(0)), 2);
+        assert_eq!(resp.sig, Some(at2), "the ctr-2 signature stays stored");
     }
 }

@@ -23,8 +23,7 @@ use tcvs_store::enc::{ByteCount, DecodeError, Reader, Sink, Writer};
 
 use crate::forensics::LoggedTransition;
 use crate::msg::{
-    BatchResponse, PipelinedResponse, ServerResponse, SignedCheckpoint, SignedEpochState,
-    SignedState, SyncShare,
+    BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare,
 };
 
 /// The number of bytes `put` writes, counted without writing (or
@@ -221,7 +220,7 @@ pub fn get_transition(r: &mut Reader) -> Result<LoggedTransition, DecodeError> {
 
 // --- operations, answers and responses ------------------------------------
 
-/// Writes an operation (a log record's input; a pipelined backfill entry).
+/// Writes an operation (a log record's input).
 pub fn put_op(w: &mut impl Sink, op: &Op) {
     match op {
         Op::Get(k) => {
@@ -359,20 +358,6 @@ pub fn put_batch_response(w: &mut impl Sink, resp: &BatchResponse) {
     w.u8(u8::from(resp.new_epoch));
 }
 
-/// Writes a pipelined response: the plain response (its per-op proof
-/// still ships, so a client can fall back to blocking verification), the
-/// anchored proof, then the backfill behind a u32 count, each op with its
-/// user. Only its size is used, so it has no decoder.
-pub fn put_pipelined_response(w: &mut impl Sink, p: &PipelinedResponse) {
-    put_response(w, &p.resp);
-    put_proof(w, &p.base_proof);
-    w.u32(p.backfill.len() as u32);
-    for (user, op) in &p.backfill {
-        w.u32(*user);
-        put_op(w, op);
-    }
-}
-
 // --- events ---------------------------------------------------------------
 
 /// Stable wire tag of an [`EventKind`] (the enum is `non_exhaustive`, so
@@ -462,7 +447,7 @@ pub fn get_event(r: &mut Reader) -> Result<Event, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_merkle::{prune_for_ops, u64_key, BatchProof};
+    use tcvs_merkle::u64_key;
     use tcvs_obs::stage;
 
     use crate::{HonestServer, ProtocolConfig, ServerApi};
@@ -644,19 +629,6 @@ mod tests {
                 put_batch_response(w, &batch)
             });
         }
-        let mut resp = server.handle_op(1, &Op::Get(u64_key(2)), 61);
-        resp.sig = Some(signed.clone());
-        let pipelined = PipelinedResponse {
-            base_proof: BatchProof::new(prune_for_ops(server.core().db(), &window)),
-            resp,
-            backfill: vec![(0, window[0].clone()), (1, window[1].clone())],
-        };
-        row(
-            "pipelined with backfill".into(),
-            pipelined.encoded_size(),
-            &|w| put_pipelined_response(w, &pipelined),
-        );
-
         row("signed state".into(), signed.encoded_size(), &|w| {
             put_signed_state(w, &signed)
         });
@@ -691,7 +663,7 @@ mod tests {
             put_audit_checkpoint(w, &checkpoint)
         });
 
-        assert_eq!(rows.len(), 9 * 4 + 2 + 1 + 1 + 2 * 2 + 1);
+        assert_eq!(rows.len(), 9 * 4 + 2 + 1 + 2 * 2 + 1);
         let wrong: Vec<_> = rows.iter().filter(|(_, size, len)| size != len).collect();
         assert!(
             wrong.is_empty(),

@@ -9,8 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use tcvs_core::{HonestServer, PipelinedResponse, ProtocolConfig, ServerApi, SignedState};
-use tcvs_merkle::{prune_for_ops, u64_key, BatchProof, Op};
+use tcvs_core::{HonestServer, ProtocolConfig, ServerApi, SignedState};
+use tcvs_merkle::{u64_key, Op};
 
 struct Counting;
 
@@ -66,26 +66,10 @@ fn encoded_size_allocates_nothing() {
         .map(|i| Op::Put(u64_key(i * 97), vec![1; 64]))
         .collect();
     let mut batch = server.handle_op_batch(1, 0, &window, 5_001).unwrap();
-    batch.sig = Some(signed.clone());
-    let mut resp = server.handle_op(1, &Op::Get(u64_key(9)), 5_002);
-    resp.sig = Some(signed);
-    let pipelined = PipelinedResponse {
-        base_proof: BatchProof::new(prune_for_ops(server.core().db(), &window[..2])),
-        resp,
-        backfill: vec![(0, window[0].clone()), (1, window[1].clone())],
-    };
+    batch.sig = Some(signed);
 
-    let (sizes, allocs) = counted(|| {
-        [
-            point.encoded_size(),
-            batch.encoded_size(),
-            pipelined.encoded_size(),
-        ]
-    });
-    println!(
-        "point {} B, batch {} B, pipelined {} B",
-        sizes[0], sizes[1], sizes[2]
-    );
+    let (sizes, allocs) = counted(|| [point.encoded_size(), batch.encoded_size()]);
+    println!("point {} B, batch {} B", sizes[0], sizes[1]);
     assert!(sizes.iter().all(|&s| s > 4_000), "{sizes:?}");
     assert_eq!(allocs, 0, "encoded_size allocated");
 }

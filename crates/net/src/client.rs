@@ -20,8 +20,7 @@ use crate::bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
 use crate::server::{
-    remote_call, round_trip, Body, Endpoint, Head, PipelinedReply, ReadRequest, Request,
-    SnapshotSlot,
+    remote_call, round_trip, Body, Endpoint, Head, ReadRequest, Request, SnapshotSlot,
 };
 use std::sync::Arc;
 
@@ -41,7 +40,6 @@ pub struct NetClient1 {
     seq: u64,
     policy: RetryPolicy,
     stats: NetStats,
-    pipelined: bool,
 }
 
 impl NetClient1 {
@@ -60,18 +58,7 @@ impl NetClient1 {
             seq: 0,
             policy: RetryPolicy::default(),
             stats: NetStats::disabled(),
-            pipelined: false,
         }
-    }
-
-    /// Opts into pipelined exchanges: requests go out in the pipelined
-    /// shape, and responses are verified against this client's own last
-    /// deposited signature (its frontier) when the server serves ahead of
-    /// the deposit stream. Safe against a server spawned with any
-    /// `pipeline_depth` (including 0 — it simply always answers in the
-    /// blocking-path shape).
-    pub fn set_pipelined(&mut self, pipelined: bool) {
-        self.pipelined = pipelined;
     }
 
     /// Attaches observability handles: transport retries feed the shared
@@ -109,24 +96,11 @@ impl NetClient1 {
         self.seq += 1;
         let head = Head::root(self.inner.user(), self.seq, self.ops);
         self.inner.set_current_span(head.ctx);
-        let (result, deposit) = if self.pipelined {
-            let reply = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
-                Body::Pipelined(op.clone(), reply)
-            })?;
-            self.ops += 1;
-            match reply {
-                PipelinedReply::Pipelined(presp) => {
-                    self.inner.handle_pipelined_response(op, &presp)?
-                }
-                PipelinedReply::Legacy(resp) => self.inner.handle_response(op, &resp)?,
-            }
-        } else {
-            let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
-                Body::Op(op.clone(), reply)
-            })?;
-            self.ops += 1;
-            self.inner.handle_response(op, &resp)?
-        };
+        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Op(op.clone(), reply)
+        })?;
+        self.ops += 1;
+        let (result, deposit) = self.inner.handle_response(op, &resp)?;
         send_deposit(
             &self.tx,
             Request::Signature {

@@ -25,9 +25,9 @@
 //!   the server and waits for the restart to complete.
 //!
 //! Deposits and fetches are never faulted: the plan's unit is the operation,
-//! matching [`FaultPlan`]'s simulator semantics. Every operation — plain,
-//! batched window or pipelined — travels as one call shape and is faulted
-//! the same way.
+//! matching [`FaultPlan`]'s simulator semantics. Every operation — plain
+//! or batched window — travels as one call shape and is faulted the same
+//! way.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -12,9 +12,9 @@
 //! systems with frequent updates"). Under faults the block is bounded by a
 //! deposit timeout instead of deadlocking.
 //!
-//! ## Batching and pipelining
+//! ## Batching
 //!
-//! Three levers close most of the gap between the verified paths and the
+//! Two levers close most of the gap between the verified paths and the
 //! trusted baseline (see DESIGN.md for the bounds):
 //!
 //! * **Batched Protocol II windows** — [`NetClient2::execute_batch`] sends
@@ -22,11 +22,6 @@
 //!   [`tcvs_core::BatchResponse`] whose spine siblings are shared across
 //!   the window and whose σ-token fold telescopes, and the client verifies
 //!   the whole window against one pre-state root.
-//! * **Pipelined Protocol I deposits** —
-//!   [`NetServerOptions::pipeline_depth`] lets the server serve up to `d`
-//!   operations ahead of the deposit stream; responses re-anchor each
-//!   client at its own last deposited signature, so detection stays
-//!   k-bounded (shifted by at most `d`).
 //! * **Batched snapshot publication** —
 //!   [`NetServerOptions::publish_every_ops`] /
 //!   [`NetServerOptions::publish_interval`] amortize the read-slot swap
@@ -37,8 +32,8 @@
 //! Clients return `Result<_, NetError>` on every request path and retry
 //! with exponential backoff and deterministic jitter ([`RetryPolicy`]),
 //! through one retry loop shared by every request kind. Every operation —
-//! plain, batched window or pipelined — travels in one call shape with the
-//! header `(user, seq, round, trace context)`. The server journals its last
+//! plain or batched window — travels in one call shape with the header
+//! `(user, seq, round, trace context)`. The server journals its last
 //! reply per user and answers a retry of the same `(user, seq)` from the
 //! journal, in the shape the retry asks for, without re-executing
 //! (exactly-once semantics). A [`FaultLink`] interposed between clients and

@@ -37,9 +37,6 @@ pub struct NetStats {
     pub(crate) batch_windows: Arc<Counter>,
     pub(crate) batch_ops: Arc<Counter>,
     pub(crate) batch_declined: Arc<Counter>,
-    pub(crate) pipelined_served: Arc<Counter>,
-    pub(crate) pipeline_fallbacks: Arc<Counter>,
-    pub(crate) pipeline_backfill: Arc<Histogram>,
     pub(crate) snapshot_publishes: Arc<Counter>,
     pub(crate) snapshot_lag_ops: Arc<Histogram>,
     pub(crate) crypto_lanes: Arc<Gauge>,
@@ -64,9 +61,6 @@ impl NetStats {
             batch_windows: registry.counter("net.batch.windows"),
             batch_ops: registry.counter("net.batch.ops"),
             batch_declined: registry.counter("net.batch.declined"),
-            pipelined_served: registry.counter("net.server.pipelined_served"),
-            pipeline_fallbacks: registry.counter("net.server.pipeline_fallbacks"),
-            pipeline_backfill: registry.histogram("net.server.pipeline_backfill"),
             snapshot_publishes: registry.counter("net.server.snapshot_publishes"),
             snapshot_lag_ops: registry.histogram("net.server.snapshot_lag_ops"),
             crypto_lanes,

@@ -2,13 +2,13 @@
 //! serving requests over crossbeam channels.
 //!
 //! Every operation travels in one request shape, a `Call`: the header
-//! `(user, seq, round, ctx)` and a body — a plain op, a Protocol II batch
-//! window, or a pipelined Protocol I op — whose reply slot is typed by that
-//! shape, so a client can only receive the reply shape it asked for. The
-//! thread's state (the inner server, the reply journal, the snapshot
-//! publisher, the backlog, the bootstrap cache, the missed-deposit count)
-//! lives in one `ServerLoop` with a single code path per request kind: one
-//! `serve` for calls, one deposit, one crash-restart and one deposit wait.
+//! `(user, seq, round, ctx)` and a body — a plain op or a Protocol II batch
+//! window — whose reply slot is typed by that shape, so a client can only
+//! receive the reply shape it asked for. The thread's state (the inner
+//! server, the reply journal, the snapshot publisher, the backlog, the
+//! bootstrap cache, the missed-deposit count) lives in one `ServerLoop`
+//! with a single code path per request kind: one `serve` for calls, one
+//! deposit, one crash-restart and one deposit wait.
 //!
 //! Protocol I's blocking step is *physically* reproduced: in blocking mode
 //! the server thread will not take the next operation until the previous
@@ -18,19 +18,11 @@
 //! counted in [`NetServer::missed_deposits`] and the server moves on instead
 //! of deadlocking.
 //!
-//! Two batching levers close most of the verified-read gap against the
-//! trusted baseline (see DESIGN.md §batching):
-//!
-//! * **Pipelined deposits** ([`NetServerOptions::pipeline_depth`]): a
-//!   pipelined Protocol I request is served immediately, re-anchored at the
-//!   client's own last deposited signature, instead of stalling on the
-//!   previous client's deposit. The blocking wait survives only as a
-//!   *catch-up* before any response whose signature must be current.
-//! * **Batched snapshot publication**
-//!   ([`NetServerOptions::publish_every_ops`]): the concurrent-read slot is
-//!   republished every `W` writes or `T` elapsed, and always before the
-//!   server goes idle, so staleness is bounded by `min(W ops, T)` under
-//!   load and zero at idle.
+//! **Batched snapshot publication**
+//! ([`NetServerOptions::publish_every_ops`]) amortizes the concurrent-read
+//! slot swap (see DESIGN.md §batching): the slot is republished every `W`
+//! writes or `T` elapsed, and always before the server goes idle, so
+//! staleness is bounded by `min(W ops, T)` under load and zero at idle.
 //!
 //! Every operation carries a per-user sequence number; the thread keeps the
 //! last reply per user in a *reply journal* so a retried request (after a
@@ -55,8 +47,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use tcvs_core::{
-    BatchResponse, Ctr, Digest, Epoch, Op, OpResult, PipelinedResponse, ReadSnapshot, ServerApi,
-    ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId,
+    BatchResponse, Ctr, Digest, Epoch, Op, OpResult, ReadSnapshot, ServerApi, ServerResponse,
+    SignedCheckpoint, SignedEpochState, SignedState, UserId,
 };
 use tcvs_merkle::{ChunkSource, VerificationObject};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, NO_ACTOR};
@@ -66,7 +58,7 @@ use crate::obs::NetStats;
 
 /// A request to the server thread.
 pub(crate) enum Request {
-    /// An operation, in any of its three shapes.
+    /// An operation, in either of its two shapes.
     Call(Call),
     Signature {
         user: UserId,
@@ -141,11 +133,6 @@ pub(crate) enum Body {
     /// not implement batching — in which case the client falls back to
     /// per-operation execution with fresh sequence numbers.
     Batch(Vec<Op>, Sender<Option<BatchResponse>>),
-    /// A Protocol I operation the client is willing to verify against its
-    /// own last *deposited* signature (its frontier) instead of a
-    /// signature over the immediately preceding state — letting the server
-    /// skip the blocking deposit wait when the pipeline is shallow enough.
-    Pipelined(Op, Sender<PipelinedReply>),
 }
 
 impl Head {
@@ -175,18 +162,9 @@ impl Call {
         match &mut self.body {
             Body::Op(_, reply) => *reply = bounded(1).0,
             Body::Batch(_, reply) => *reply = bounded(1).0,
-            Body::Pipelined(_, reply) => *reply = bounded(1).0,
         }
         self
     }
-}
-
-/// Reply to a pipelined Protocol I request: the anchored fast-path shape
-/// when the server could serve without waiting, or an ordinary blocking-path
-/// response (signature current as of the reply) when it fell back.
-pub(crate) enum PipelinedReply {
-    Pipelined(PipelinedResponse),
-    Legacy(ServerResponse),
 }
 
 /// A read-only request for the concurrent snapshot read path. Carries no
@@ -264,17 +242,6 @@ pub struct NetServerOptions {
     /// from the latest published snapshot (only spawned when the inner
     /// server opts in via [`ServerApi::read_snapshot`]). Clamped to ≥ 1.
     pub read_pool: usize,
-    /// Maximum number of operations the server may run ahead of a user's
-    /// last deposited signature before a pipelined request falls back to
-    /// the blocking path. `0` (the default) disables pipelining entirely:
-    /// pipelined requests are served exactly like blocking ones.
-    ///
-    /// With depth `d > 0` the server answers pipelined operations without
-    /// waiting for the preceding deposit; the reply re-anchors the client
-    /// at its own frontier, so detection stays k-bounded (the deposit lag
-    /// adds at most `d` undetected operations on top of Theorem 4.1's
-    /// bound — see DESIGN.md).
-    pub pipeline_depth: usize,
     /// Republish the concurrent-read snapshot every this many committed
     /// operations (write batching of the slot swap). `1` (the default)
     /// preserves strict read-your-writes across the two paths; `W > 1`
@@ -302,7 +269,6 @@ impl Default for NetServerOptions {
             blocking_signatures: false,
             deposit_timeout: Duration::from_secs(2),
             read_pool: 2,
-            pipeline_depth: 0,
             publish_every_ops: 1,
             publish_interval: Duration::from_millis(1),
             bootstrap_chunk_bytes: 64 * 1024,
@@ -318,10 +284,8 @@ pub(crate) type SnapshotSlot = Arc<Mutex<Arc<ReadSnapshot>>>;
 /// What the journal remembers about a served call: its reply in the shape
 /// it was produced in. `answer` maps it to the shape a request asks for.
 enum JournaledReply {
-    /// A blocking-path response: a plain op's, a pipelined op's that fell
-    /// back, or one a durable server recovered.
+    /// A plain op's response, served or recovered by a durable server.
     Plain(ServerResponse),
-    Pipelined(PipelinedResponse),
     Batch(BatchResponse),
 }
 
@@ -667,14 +631,11 @@ impl ServerLoop {
         let Some(entry) = self.execute(&call) else {
             return;
         };
-        let (ctr, ops, backfill) = match &entry {
-            JournaledReply::Plain(r) => (r.ctr, 1, None),
-            JournaledReply::Pipelined(p) => (p.resp.ctr, 1, Some(p.backfill.len() as u64)),
-            JournaledReply::Batch(b) => (b.ctr, b.window_len() as u64, None),
+        let (ctr, ops) = match &entry {
+            JournaledReply::Plain(r) => (r.ctr, 1),
+            JournaledReply::Batch(b) => (b.ctr, b.window_len() as u64),
         };
         let batch = matches!(entry, JournaledReply::Batch(_));
-        let fallback =
-            matches!(entry, JournaledReply::Plain(_)) && matches!(call.body, Body::Pipelined(..));
         let displaced = self.journal_insert(user, seq, entry);
         // Publish before replying: a client that sees its write acknowledged
         // must find it in the snapshot (read-your-writes across the two
@@ -693,16 +654,11 @@ impl ServerLoop {
             self.stats.batch_windows.inc();
             self.stats.batch_ops.add(ops);
         }
-        if let Some(lag) = backfill {
-            self.stats.pipelined_served.inc();
-            self.stats.pipeline_backfill.observe(lag);
-        }
         self.stats.tracer.emit(|| {
-            let shape = match backfill {
-                Some(lag) => format!(" backfill={lag}"),
-                None if batch => format!(" batch={ops}"),
-                None if fallback => " fallback".to_string(),
-                None => String::new(),
+            let shape = if batch {
+                format!(" batch={ops}")
+            } else {
+                String::new()
             };
             Event::new(ctr, EventKind::OpServed, user)
                 .detail(format!("seq={seq} round={round}{shape}"))
@@ -710,8 +666,8 @@ impl ServerLoop {
         });
         // Batch windows are a Protocol II path: deposits are asynchronous
         // state tokens there, so no wait.
-        if self.opts.blocking_signatures && self.opts.pipeline_depth == 0 && !batch {
-            self.wait(Some(user));
+        if self.opts.blocking_signatures && !batch {
+            self.wait(user);
         }
     }
 
@@ -724,36 +680,22 @@ impl ServerLoop {
         let Head {
             user, seq, round, ..
         } = call.head;
-        let depth = self.opts.pipeline_depth;
-        let op = match &call.body {
+        match &call.body {
             Body::Batch(ops, reply) => {
                 let resp = self.inner.handle_op_batch(user, seq, ops, round);
                 if resp.is_none() {
                     self.stats.batch_declined.inc();
                     let _ = reply.send(None);
                 }
-                return resp.map(JournaledReply::Batch);
+                resp.map(JournaledReply::Batch)
             }
-            Body::Pipelined(op, _) if depth > 0 => {
-                if let Some(resp) = self.inner.handle_op_pipelined(user, seq, op, round, depth) {
-                    return Some(JournaledReply::Pipelined(resp));
-                }
-                self.stats.pipeline_fallbacks.inc();
-                op
-            }
-            Body::Op(op, _) | Body::Pipelined(op, _) => op,
-        };
-        // A blocking-path reply carries a signature that must be current: in
-        // pipelined mode the deposit wait moves before the op and drains the
-        // outstanding deposits, instead of stalling after it.
-        if depth > 0 {
-            self.wait(None);
+            // The sequence number rides down to the inner server so a
+            // durable backend can log it and recover its own copy of the
+            // reply journal.
+            Body::Op(op, _) => Some(JournaledReply::Plain(
+                self.inner.handle_op_seq(user, seq, op, round),
+            )),
         }
-        // The sequence number rides down to the inner server so a durable
-        // backend can log it and recover its own copy of the reply journal.
-        Some(JournaledReply::Plain(
-            self.inner.handle_op_seq(user, seq, op, round),
-        ))
     }
 
     /// Answers a retry of an already-served call from the journal — never
@@ -838,44 +780,32 @@ impl ServerLoop {
             .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
     }
 
-    /// The deposit wait. `Some(user)` is Protocol I's blocking step: wait
-    /// for `user`'s deposit of the op just served, while other users'
-    /// requests queue up behind the block — that latency is the measured
-    /// cost. `None` is pipelined mode's catch-up before a blocking-path
-    /// reply: wait until no deposit is outstanding.
+    /// Protocol I's blocking step: wait for `user`'s deposit of the op just
+    /// served, while other users' requests queue up behind the block — that
+    /// latency is the measured cost.
     ///
-    /// Each leg is bounded by `deposit_timeout`; on timeout the owed
-    /// deposits are counted as missed and the server moves on rather than
-    /// deadlock — a stale signature then surfaces at the client. Retries of
-    /// served calls are answered in place (their clients may be the very
-    /// ones whose deposits are owed) and a crash is handled at once;
-    /// everything else queues in the backlog. A drain never waits.
-    fn wait(&mut self, owed: Option<UserId>) {
-        let mut settled = false;
-        loop {
-            let lag = match owed {
-                Some(_) => u64::from(!settled),
-                None => self.inner.deposit_lag(),
-            };
-            if lag == 0 || self.draining {
-                return;
-            }
+    /// The wait is bounded by `deposit_timeout`; on timeout the owed deposit
+    /// is counted as missed and the server moves on rather than deadlock — a
+    /// stale signature then surfaces at the client. Retries of served calls
+    /// are answered in place (their clients may be the very ones whose
+    /// deposits are owed) and a crash is handled at once, abandoning the
+    /// owed deposit (absorbed by the main loop if it arrives); everything
+    /// else queues in the backlog. A drain never waits.
+    fn wait(&mut self, user: UserId) {
+        while !self.draining {
             match self.rx.recv_timeout(self.opts.deposit_timeout) {
-                Ok(Request::Signature { user, signed, ctx })
-                    if owed.is_none_or(|owed| owed == user) =>
-                {
-                    self.deposit(user, signed, ctx);
-                    settled = true;
+                Ok(Request::Signature {
+                    user: from,
+                    signed,
+                    ctx,
+                }) if from == user => {
+                    self.deposit(from, signed, ctx);
+                    return;
                 }
                 Ok(Request::Crash { ack }) => {
-                    // The crash abandons the pipeline (the restarted server
-                    // re-arms on the next deposit) or the blocked op's
-                    // deposit (absorbed by the main loop if it arrives).
                     self.crash(ack);
-                    if let Some(user) = owed {
-                        self.miss(1, user, "crash");
-                        return;
-                    }
+                    self.miss(1, user, "crash");
+                    return;
                 }
                 Ok(Request::Call(call)) => {
                     if !self.replay(&call) {
@@ -887,7 +817,7 @@ impl ServerLoop {
                 }
                 Ok(other) => self.backlog.push_back(other),
                 Err(RecvTimeoutError::Timeout) => {
-                    self.miss(lag, owed.unwrap_or(NO_ACTOR), "timeout");
+                    self.miss(1, user, "timeout");
                     return;
                 }
             }
@@ -952,25 +882,14 @@ impl ServerLoop {
 
 /// The journal's shape table, for journal hits and fresh replies alike:
 /// sends `entry` into `body`'s reply slot in the shape the slot asked for,
-/// calling `before_send` first. A plain slot takes a blocking-path reply as
-/// it is and a pipelined reply's embedded response; a pipelined slot takes
-/// a pipelined reply as it is and a blocking-path one (a fallback, or the
-/// only shape a durable server recovers) wrapped as `Legacy`; a batch slot
-/// takes only a batch reply. Any other pairing sends nothing and returns
-/// `false`: the call is then executed, and the per-user sequence check in
-/// the inner server still guards against double execution.
+/// calling `before_send` first. A plain slot takes only a plain reply
+/// (fresh or durably recovered), and a batch slot only a batch reply. Any
+/// other pairing sends nothing and returns `false`: the call is then
+/// executed, and the per-user sequence check in the inner server still
+/// guards against double execution.
 fn answer(body: &Body, entry: &JournaledReply, before_send: impl FnOnce()) -> bool {
     match (body, entry) {
         (Body::Op(_, reply), JournaledReply::Plain(r)) => deliver(reply, r.clone(), before_send),
-        (Body::Op(_, reply), JournaledReply::Pipelined(p)) => {
-            deliver(reply, p.resp.clone(), before_send)
-        }
-        (Body::Pipelined(_, reply), JournaledReply::Plain(r)) => {
-            deliver(reply, PipelinedReply::Legacy(r.clone()), before_send)
-        }
-        (Body::Pipelined(_, reply), JournaledReply::Pipelined(p)) => {
-            deliver(reply, PipelinedReply::Pipelined(p.clone()), before_send)
-        }
         (Body::Batch(_, reply), JournaledReply::Batch(b)) => {
             deliver(reply, Some(b.clone()), before_send)
         }
@@ -1050,9 +969,7 @@ pub(crate) fn round_trip<R, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetClient1;
     use tcvs_core::{HonestServer, ProtocolConfig};
-    use tcvs_crypto::setup_users;
     use tcvs_merkle::{u64_key, ChunkManifest};
     use tcvs_storage::{
         response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
@@ -1110,16 +1027,6 @@ mod tests {
         round: u64,
     ) -> Option<BatchResponse> {
         call(tx, (user, seq, round), |reply| Body::Batch(ops, reply))
-    }
-
-    fn send_pipelined(
-        tx: &Sender<Request>,
-        user: UserId,
-        seq: u64,
-        op: Op,
-        round: u64,
-    ) -> PipelinedReply {
-        call(tx, (user, seq, round), |reply| Body::Pipelined(op, reply))
     }
 
     fn journal_hits(stats: &NetStats) -> Option<u64> {
@@ -1239,33 +1146,10 @@ mod tests {
             epoch_len: 64,
         };
 
-        // A plain retry of a pipelined reply gets the embedded response.
-        let stats = NetStats::disabled();
-        let server = NetServer::spawn_observed(
-            Box::new(HonestServer::new(&cfg)),
-            NetServerOptions {
-                pipeline_depth: 4,
-                ..NetServerOptions::default()
-            },
-            stats.clone(),
-        );
-        let (rings, registry) = setup_users([0x5a; 32], 1, 4);
-        let ring = rings.into_iter().next().expect("one keyring");
-        let mut client = NetClient1::new(ring, registry, cfg, &server);
-        let root0 = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();
-        client.deposit_initial(&root0).expect("server alive");
-        let tx = server.wire().0;
         let put = || Op::Put(u64_key(1), b"p".to_vec());
-        let PipelinedReply::Pipelined(served) = send_pipelined(&tx, 0, 1, put(), 0) else {
-            panic!("an anchored user is served on the pipelined path");
-        };
-        let retry = send_op(&tx, 0, 1, put(), 0);
-        assert_eq!(response_bytes(&retry), response_bytes(&served.resp));
-        drop(server);
-        assert_eq!(journal_hits(&stats), Some(1));
 
-        // A pipelined retry of a plain reply, fresh or durably recovered,
-        // gets the blocking-path shape.
+        // A plain retry of a plain reply, fresh or durably recovered, gets
+        // it byte-identical.
         let stats = NetStats::disabled();
         let server = NetServer::spawn_observed(
             Box::new(open_durable(MemMedium::new())),
@@ -1276,11 +1160,9 @@ mod tests {
         let recovered = send_op(&tx, 1, 1, put(), 0);
         server.crash_restart().expect("restart");
         let fresh = send_op(&tx, 2, 1, Op::Get(u64_key(1)), 1);
-        for (user, plain) in [(1, recovered), (2, fresh)] {
-            match send_pipelined(&tx, user, 1, Op::Get(u64_key(1)), 0) {
-                PipelinedReply::Legacy(r) => assert_eq!(response_bytes(&r), response_bytes(&plain)),
-                PipelinedReply::Pipelined(_) => panic!("a plain reply retried in the wrong shape"),
-            }
+        for (user, op, plain) in [(1, put(), recovered), (2, Op::Get(u64_key(1)), fresh)] {
+            let retry = send_op(&tx, user, 1, op, 0);
+            assert_eq!(response_bytes(&retry), response_bytes(&plain));
         }
         drop(server);
         assert_eq!(journal_hits(&stats), Some(2));
@@ -1305,10 +1187,6 @@ mod tests {
         let plain = send_op(&tx, 4, 1, Op::Get(u64_key(1)), 2);
         let batch = send_batch(&tx, 4, 1, window(), 3).expect("honest servers batch");
         assert_eq!(batch.ctr, plain.ctr + 1, "executed after the plain op");
-        match send_pipelined(&tx, 4, 1, Op::Get(u64_key(1)), 4) {
-            PipelinedReply::Legacy(r) => assert_eq!(r.ctr, batch.ctr + 2, "executed"),
-            PipelinedReply::Pipelined(_) => panic!("pipelining is off"),
-        }
         drop(server);
         assert_eq!(journal_hits(&stats), Some(1));
     }

@@ -1,14 +1,18 @@
 //! End-to-end tests of the batched verified paths: Protocol II windows
 //! over one exchange, transparent fallback when a server declines, batched
-//! snapshot publication bounds, and detection through the batched path.
+//! snapshot publication bounds, detection through the batched path, and
+//! seeded fault storms over batched windows.
 
 use std::time::Duration;
 
 use tcvs_core::adversary::{HideKeyServer, LieServer, Trigger};
-use tcvs_core::{Deviation, HonestServer, Op, OpResult, ProtocolConfig, SyncShare};
+use tcvs_core::{
+    Deviation, FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, SyncShare,
+};
 use tcvs_merkle::{u64_key, MerkleTree, VerifyError};
 use tcvs_net::{
-    NetClient2, NetError, NetServer, NetServerOptions, NetSnapshotReader, NetStats, RetryPolicy,
+    FaultLink, NetClient2, NetError, NetServer, NetServerOptions, NetSnapshotReader, NetStats,
+    RetryPolicy,
 };
 use tcvs_obs::MetricValue;
 use tcvs_storage::{
@@ -25,6 +29,14 @@ fn config() -> ProtocolConfig {
 
 fn root0(config: &ProtocolConfig) -> tcvs_core::Digest {
     MerkleTree::with_order(config.order).root_digest()
+}
+
+fn quick_retries() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 6,
+        base_timeout: Duration::from_millis(40),
+        max_jitter: Duration::from_millis(5),
+    }
 }
 
 /// A batched client and a per-op client interleave on one honest server;
@@ -256,5 +268,41 @@ fn snapshot_publication_staleness_is_bounded_by_the_window() {
             assert!(*sum >= 30, "all writes eventually published");
         }
         other => panic!("missing lag histogram: {other:?}"),
+    }
+}
+
+/// Seeded benign fault storms over **batched** Protocol II windows: dropped
+/// requests and replies, duplicates, and reorders of whole windows are
+/// absorbed by retries and the journal, with zero false alarms and a
+/// passing sync-up.
+#[test]
+fn seeded_fault_storms_over_batched_protocol2_zero_false_alarms() {
+    for seed in [0xfeed_u64, 0xdead] {
+        let cfg = config();
+        let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+        let plan = FaultPlan::seeded(seed, 30, &FaultRates::heavy());
+        let link = FaultLink::interpose(&server, plan);
+        let r0 = root0(&cfg);
+        let mut c = NetClient2::new(0, &r0, cfg, &link);
+        c.set_retry_policy(quick_retries());
+        for w in 0..15u64 {
+            let window: Vec<Op> = (0..4u64)
+                .map(|j| {
+                    let k = w * 4 + j;
+                    if j == 3 {
+                        Op::Get(u64_key(k - 1))
+                    } else {
+                        Op::Put(u64_key(k), vec![k as u8])
+                    }
+                })
+                .collect();
+            c.execute_batch(&window).unwrap_or_else(|e| {
+                panic!("benign fault alarmed at window {w} (seed {seed:#x}): {e}")
+            });
+        }
+        assert!(link.applied().total() > 0, "the storm actually hit");
+        let shares = vec![c.sync_share()];
+        assert!(c.sync_succeeds(&shares), "σ chain survives the storm");
+        server.shutdown();
     }
 }

@@ -459,6 +459,37 @@ fn faults_do_not_mask_a_lying_server() {
     server.shutdown();
 }
 
+/// Faults must not mask a deviating Protocol I server either: the storm
+/// plus a tampering server still ends in a deviation verdict, never a
+/// silent pass.
+#[test]
+fn faults_do_not_mask_a_tampering_protocol1_server() {
+    let cfg = config();
+    let server = NetServer::spawn(Box::new(TamperServer::new(&cfg, Trigger::AtCtr(3))), true);
+    let plan = FaultPlan::seeded(0xabcd, 20, &FaultRates::light());
+    let link = FaultLink::interpose(&server, plan);
+    let r0 = root0(&cfg);
+    let (rings, registry) = setup_users([0x88; 32], 1, 7);
+    let mut c = NetClient1::new(rings.into_iter().next().unwrap(), registry, cfg, &link);
+    c.set_retry_policy(quick_retries());
+    c.deposit_initial(&r0).unwrap();
+    let mut verdict = None;
+    for i in 0..12u64 {
+        if let Err(e) = c.execute(&Op::Put(u64_key(i), vec![i as u8])) {
+            verdict = Some(e);
+            break;
+        }
+    }
+    match verdict {
+        Some(NetError::Deviation(_)) => {}
+        // Exhausted retries against a deviating server is also a detection
+        // outcome, never a silent pass.
+        Some(NetError::Timeout { .. }) | Some(NetError::ServerGone) => {}
+        None => panic!("tampering server escaped detection under faults"),
+    }
+    server.shutdown();
+}
+
 #[test]
 fn faulty_link_to_a_dead_server_reports_gone_or_timeout() {
     let cfg = config();
