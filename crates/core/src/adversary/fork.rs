@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use tcvs_crypto::UserId;
 use tcvs_merkle::Op;
 
-use crate::msg::{ServerResponse, SignedCheckpoint, SignedEpochState, SignedState};
+use crate::msg::{BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState};
 use crate::server::{ServerApi, ServerCore, ServerMetrics};
 use crate::types::{Epoch, ProtocolConfig};
 
@@ -62,6 +62,20 @@ impl ServerApi for ForkServer {
     fn handle_op(&mut self, user: UserId, op: &Op, round: u64) -> ServerResponse {
         self.maybe_fork();
         self.branch_for(user).process(user, op, round)
+    }
+
+    /// Serves windows too, so the fork can split a window's pre-state. A
+    /// window is one exchange: the fork happens before the first request
+    /// whose pre-state counter has reached the trigger.
+    fn handle_op_batch(
+        &mut self,
+        user: UserId,
+        _seq: u64,
+        ops: &[Op],
+        round: u64,
+    ) -> Option<BatchResponse> {
+        self.maybe_fork();
+        self.branch_for(user).process_batch(user, ops, round)
     }
 
     fn deposit_signature(&mut self, user: UserId, s: SignedState) {

@@ -73,7 +73,7 @@ impl ServerApi for HideKeyServer {
         ops: &[Op],
         round: u64,
     ) -> Option<BatchResponse> {
-        let mut resp = self.core.process_batch(user, ops, round);
+        let mut resp = self.core.process_batch(user, ops, round)?;
         let target =
             ops.iter()
                 .zip(&resp.results)

@@ -235,9 +235,17 @@ impl Client2 {
     /// within the window every intermediate state is both created and
     /// consumed by this user at consecutive counters, so the intermediate
     /// tokens cancel in XOR and only the pre-window and post-window tokens
-    /// touch `σᵢ`. The result is bit-identical to calling
+    /// touch `σᵢ`. The replay therefore computes no intermediate root.
+    /// `σᵢ`, `lastᵢ` and the counters are bit-identical to calling
     /// [`Client2::handle_response`] once per op — experiment-visible state
-    /// (`σᵢ`, `lastᵢ`, counters) cannot tell the two paths apart.
+    /// cannot tell the two paths apart.
+    ///
+    /// The forensic log, when enabled, counts exchanges: one transition
+    /// per window, from the pre-window token at `ctr` to the post-window
+    /// token at `ctr + n`. No other user can consume an intermediate state
+    /// of the window, so [`crate::forensics::diagnose`] locates a fork or
+    /// an orphan exactly as on the per-op log; only
+    /// `CleanPath.length` differs.
     pub fn handle_batch_response(
         &mut self,
         ops: &[Op],
@@ -283,8 +291,8 @@ impl Client2 {
             });
         }
         // Step 5, windowed: one replay of the whole window yields M(D)
-        // before the window and every intermediate root after it.
-        let (old_root, steps) =
+        // before the window and M(D') after it.
+        let (old_root, verified) =
             replay_batch_unanchored(self.config.order, &resp.proof, ops, Some(&resp.results))
                 .map_err(Deviation::BadProof)?;
 
@@ -292,31 +300,22 @@ impl Client2 {
         // by this user at consecutive counters and cancel under XOR.
         let n = ops.len() as u64;
         let first_token = state_token(&old_root, resp.ctr, resp.last_user);
-        let final_root = steps.last().expect("non-empty window").new_root;
-        let last_token = state_token(&final_root, resp.ctr + n, self.user);
+        let last_token = state_token(&verified.new_root, resp.ctr + n, self.user);
         self.sigma ^= first_token;
         self.sigma ^= last_token;
         if let Some(log) = &mut self.log {
-            // The forensic log keeps per-op granularity: record every
-            // intermediate transition, not just the telescoped ends.
-            let mut old_token = first_token;
-            for (i, step) in steps.iter().enumerate() {
-                let ctr = resp.ctr + i as u64;
-                let new_token = state_token(&step.new_root, ctr + 1, self.user);
-                log.record(LoggedTransition {
-                    old_token,
-                    new_token,
-                    ctr,
-                    user: self.user,
-                });
-                old_token = new_token;
-            }
+            log.record(LoggedTransition {
+                old_token: first_token,
+                new_token: last_token,
+                ctr: resp.ctr,
+                user: self.user,
+            });
         }
         self.last = Some(last_token);
         self.gctr = resp.ctr + n;
         self.lctr += n;
         self.ops_since_sync += n;
-        Ok(steps.into_iter().map(|s| s.result).collect())
+        Ok(verified.results)
     }
 
     /// True iff this user should announce a sync-up (`k` ops completed since

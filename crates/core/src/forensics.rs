@@ -360,6 +360,111 @@ mod tests {
         assert!(text.contains("sync-up"));
     }
 
+    /// Runs `script` — `(user, window)` pairs — against `server` with
+    /// logging clients, as one batched exchange per window or one exchange
+    /// per op, and diagnoses the logs. `None` if any exchange failed.
+    fn diagnose_script(
+        mut server: impl crate::server::ServerApi,
+        script: &[(UserId, Vec<tcvs_merkle::Op>)],
+        batched: bool,
+    ) -> Option<Verdict> {
+        use crate::state::initial_token;
+        use crate::{Client2, ProtocolConfig};
+        let config = ProtocolConfig {
+            order: 4,
+            k: 64,
+            epoch_len: 100,
+        };
+        let root0 = tcvs_merkle::MerkleTree::with_order(config.order).root_digest();
+        let mut clients: Vec<Client2> = (0..2)
+            .map(|u| {
+                let mut c = Client2::new(u, &root0, config);
+                c.enable_logging();
+                c
+            })
+            .collect();
+        for (round, (user, window)) in script.iter().enumerate() {
+            let (c, round) = (&mut clients[*user as usize], round as u64);
+            if batched {
+                let resp = server.handle_op_batch(*user, 0, window, round)?;
+                c.handle_batch_response(window, &resp).ok()?;
+            } else {
+                for op in window {
+                    let resp = server.handle_op(*user, op, round);
+                    c.handle_response(op, &resp).ok()?;
+                }
+            }
+        }
+        let logs: Vec<TransitionLog> = clients
+            .iter()
+            .map(|c| c.transition_log().cloned().unwrap_or_default())
+            .collect();
+        Some(diagnose(&logs, &initial_token(&root0)))
+    }
+
+    /// Four windows of four ops, users alternating.
+    fn script() -> Vec<(UserId, Vec<tcvs_merkle::Op>)> {
+        use tcvs_merkle::{u64_key, Op};
+        (0..4u64)
+            .map(|w| {
+                let window = (0..4u64)
+                    .map(|i| match i % 2 {
+                        0 => Op::Put(u64_key(w * 3 + i), vec![w as u8; 4]),
+                        _ => Op::Get(u64_key(w + i)),
+                    })
+                    .collect();
+                ((w % 2) as UserId, window)
+            })
+            .collect()
+    }
+
+    /// A batched honest run logs one transition per exchange and still
+    /// diagnoses as a clean path, ending at the per-op run's final state.
+    #[test]
+    fn batched_honest_run_is_a_clean_path() {
+        let config = crate::ProtocolConfig {
+            order: 4,
+            k: 64,
+            epoch_len: 100,
+        };
+        let server = || crate::HonestServer::new(&config);
+        let per_op = diagnose_script(server(), &script(), false);
+        let final_token = match &per_op {
+            Some(Verdict::CleanPath { final_token, .. }) => *final_token,
+            _ => Digest::ZERO,
+        };
+        let clean = |length| {
+            Some(Verdict::CleanPath {
+                final_token,
+                length,
+            })
+        };
+        assert_eq!(per_op, clean(16));
+        assert_eq!(diagnose_script(server(), &script(), true), clean(4));
+    }
+
+    /// A fork of a window's pre-state is located at the same counter, with
+    /// the same users, whether the victims batched or not.
+    #[test]
+    fn a_fork_at_a_window_boundary_is_located_as_per_op() {
+        use crate::adversary::{ForkServer, Trigger};
+        let config = crate::ProtocolConfig {
+            order: 4,
+            k: 64,
+            epoch_len: 100,
+        };
+        // Windows start at counters 0, 4, 8 and 12: users 0 and 1 both
+        // consume the state at counter 8, each on its own branch.
+        let server = || ForkServer::new(&config, Trigger::AtCtr(8), &[0]);
+        let batched = diagnose_script(server(), &script(), true);
+        let per_op = diagnose_script(server(), &script(), false);
+        assert!(
+            matches!(&batched, Some(Verdict::Fork { at_ctr: 8, users, .. }) if users == &[0, 1]),
+            "{batched:?}"
+        );
+        assert_eq!(batched, per_op);
+    }
+
     #[test]
     fn single_transition_path() {
         let mut l = TransitionLog::new();

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use tcvs_crypto::{Digest, UserId, NO_USER};
 use tcvs_merkle::{
-    apply_op, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op, OpResult, VerificationObject,
+    apply_op, batchable, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op, OpResult,
+    VerificationObject,
 };
 use tcvs_obs::{Event, FlightRecorder};
 
@@ -164,18 +165,21 @@ impl ServerCore {
     /// honestly, sharing one union-pruned proof across the window (see
     /// [`tcvs_merkle::prune_for_ops`]). Semantically identical to calling
     /// [`ServerCore::process`] once per op, but the tree spine is pruned
-    /// (and the client re-hashes it) once instead of once per op.
+    /// (and the client re-hashes it) once instead of once per op, and the
+    /// window is applied with one rehash pass
+    /// ([`MerkleTree::apply_window`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if any op is not [`tcvs_merkle::batchable`] — transports gate
-    /// the batch path and fall back to per-op responses otherwise.
-    pub fn process_batch(&mut self, user: UserId, ops: &[Op], round: u64) -> BatchResponse {
+    /// Declines (`None`, nothing changed) a window holding an op that is
+    /// not [`batchable`]: the client then sends its ops one at a time.
+    pub fn process_batch(&mut self, user: UserId, ops: &[Op], round: u64) -> Option<BatchResponse> {
+        if !ops.iter().all(batchable) {
+            return None;
+        }
         let proof = BatchProof::new(prune_for_ops(&self.db, ops));
-        let results: Vec<OpResult> = ops
-            .iter()
-            .map(|op| apply_op(&mut self.db, op).expect("full tree never yields stubs"))
-            .collect();
+        let results = self
+            .db
+            .apply_window(ops)
+            .expect("full tree never yields stubs");
         let epoch = self.epoch_at(round);
         let prev_epoch = self.user_epochs.insert(user, epoch);
         let resp = BatchResponse {
@@ -195,7 +199,7 @@ impl ServerCore {
         self.metrics.msgs_in += 1;
         self.metrics.msgs_out += 1;
         self.metrics.bytes_out += resp.encoded_size() as u64;
-        resp
+        Some(resp)
     }
 
     /// Rewinds the counter/last-user bookkeeping without touching the
@@ -675,7 +679,7 @@ impl ServerApi for HonestServer {
         ops: &[Op],
         round: u64,
     ) -> Option<BatchResponse> {
-        Some(self.core.process_batch(user, ops, round))
+        self.core.process_batch(user, ops, round)
     }
 
     fn deposit_signature(&mut self, _user: UserId, s: SignedState) {

@@ -6,9 +6,9 @@
 //! O(log N) internal siblings are shipped (and re-hashed by the client) `n`
 //! times. A [`BatchProof`] prunes the pre-state **once** for the union of
 //! the window's key paths ([`MerkleTree::prune_for_points`]), so the spine
-//! is shared across the window, and the client replays the whole window
-//! sequentially on the single pruned tree — recomputing the materialized
-//! digests once instead of once per op.
+//! is shared across the window, and the client replays the whole window on
+//! the single pruned tree with [`MerkleTree::apply_window`]: each node the
+//! window touches is hashed once, as on the server.
 //!
 //! The batch is restricted to point operations ([`batchable`]): `Get` and
 //! `Put`. Point inserts split only nodes on their own root-to-leaf path,
@@ -16,12 +16,12 @@
 //! `Delete` rebalances across siblings outside the union and `Range` has
 //! its own interval pruner, so both fall back to per-op proofs.
 //!
-//! Verification gives per-op granularity: [`replay_batch_unanchored`]
-//! returns every intermediate root (one [`Verified`] step per op), so Protocol
-//! II's token algebra can telescope over the window while still checking
-//! each claimed answer against the replay. Forging, reordering, or
-//! dropping any single claimed result in the window makes the replay
-//! disagree ([`VerifyError::AnswerMismatch`] /
+//! Verification returns every op's answer and the root after the window
+//! ([`BatchVerified`]); no intermediate root is computed, because Protocol
+//! II's token algebra telescopes over the window and needs only the two
+//! ends. Each claimed answer is still checked against the replay: forging,
+//! reordering, or dropping any single claimed result in the window makes
+//! the replay disagree ([`VerifyError::AnswerMismatch`] /
 //! [`VerifyError::BatchLengthMismatch`]); tampering with the proof itself
 //! shifts the recomputed root ([`VerifyError::RootMismatch`] when
 //! anchored, a σ mismatch at sync-up otherwise).
@@ -29,9 +29,9 @@
 use tcvs_crypto::Digest;
 
 use crate::error::VerifyError;
-use crate::op::{apply_op, Op, OpResult};
+use crate::op::{Op, OpResult};
 use crate::tree::MerkleTree;
-use crate::verify::{VerificationObject, Verified};
+use crate::verify::VerificationObject;
 
 /// True iff `op` may be covered by a [`BatchProof`]: the point operations
 /// whose replay touches only their own root-to-leaf path.
@@ -63,6 +63,16 @@ pub fn prune_for_ops(tree: &MerkleTree, ops: &[Op]) -> MerkleTree {
 /// [`prune_for_ops`] instead.
 pub type BatchProof = VerificationObject;
 
+/// Outcome of a successful window verification.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BatchVerified {
+    /// The (replayed, hence authenticated) answers, one per op in window
+    /// order.
+    pub results: Vec<OpResult>,
+    /// Root digest after the whole window.
+    pub new_root: Digest,
+}
+
 /// The checks every batch verifier starts with: agreed order, one claimed
 /// result per op, and one read-only fold recomputing every materialized
 /// digest from the proof's content. Returns the root that content commits
@@ -82,45 +92,40 @@ fn folded_root(
     proof.tree.verified_root()
 }
 
-/// Replays the window sequentially on one copy-on-write handle of the
-/// folded proof (the proof itself is never written through; each node an
-/// update touches is copied once for the whole window).
+/// Replays the window on one copy-on-write handle of the folded proof (the
+/// proof itself is never written through; each node an update touches is
+/// copied and hashed once for the whole window).
 fn replay_window(
     proof: &BatchProof,
     ops: &[Op],
     claimed: Option<&[OpResult]>,
-) -> Result<Vec<Verified>, VerifyError> {
+) -> Result<BatchVerified, VerifyError> {
     let mut replay = proof.tree.clone();
-    let mut steps = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let result = apply_op(&mut replay, op)?;
-        if claimed.is_some_and(|c| c[i] != result) {
-            return Err(VerifyError::AnswerMismatch);
-        }
-        steps.push(Verified {
-            result,
-            new_root: replay.root_digest(),
-        });
+    let results = replay.apply_window(ops)?;
+    if claimed.is_some_and(|c| c != results) {
+        return Err(VerifyError::AnswerMismatch);
     }
-    Ok(steps)
+    Ok(BatchVerified {
+        results,
+        new_root: replay.root_digest(),
+    })
 }
 
 /// Replays the window `ops` against `proof` **without** an
 /// independently-known root digest (the Protocol II/III trust model; see
-/// [`crate::replay_unanchored`]). Materialized digests are recomputed once
-/// for the whole window.
+/// [`crate::replay_unanchored`]).
 ///
 /// `claimed`, when present, must hold exactly one result per op in window
 /// order; any dropped, reordered, or forged entry fails the replay.
 ///
-/// Returns `(old_root, steps)`: the pre-state root the proof commits to,
-/// and one [`Verified`] step per op with its intermediate root.
+/// Returns `(old_root, verified)`: the pre-state root the proof commits
+/// to, and the window's answers with the root after it.
 pub fn replay_batch_unanchored(
     expected_order: usize,
     proof: &BatchProof,
     ops: &[Op],
     claimed: Option<&[OpResult]>,
-) -> Result<(Digest, Vec<Verified>), VerifyError> {
+) -> Result<(Digest, BatchVerified), VerifyError> {
     let old_root = folded_root(expected_order, proof, ops, claimed)?;
     Ok((old_root, replay_window(proof, ops, claimed)?))
 }
@@ -134,16 +139,15 @@ pub fn verify_batch_response(
     ops: &[Op],
     claimed: Option<&[OpResult]>,
     claimed_new_root: Option<&Digest>,
-) -> Result<Vec<Verified>, VerifyError> {
+) -> Result<BatchVerified, VerifyError> {
     if folded_root(expected_order, proof, ops, claimed)? != *known_root {
         return Err(VerifyError::RootMismatch);
     }
-    let steps = replay_window(proof, ops, claimed)?;
-    let new_root = steps.last().map_or(*known_root, |s| s.new_root);
-    if claimed_new_root.is_some_and(|nr| *nr != new_root) {
+    let verified = replay_window(proof, ops, claimed)?;
+    if claimed_new_root.is_some_and(|nr| *nr != verified.new_root) {
         return Err(VerifyError::NewRootMismatch);
     }
-    Ok(steps)
+    Ok(verified)
 }
 
 #[cfg(test)]
@@ -174,10 +178,7 @@ mod tests {
 
     fn serve_batch(tree: &mut MerkleTree, ops: &[Op]) -> (BatchProof, Vec<OpResult>, Digest) {
         let proof = BatchProof::new(prune_for_ops(tree, ops));
-        let results: Vec<OpResult> = ops
-            .iter()
-            .map(|op| apply_op(tree, op).expect("full tree"))
-            .collect();
+        let results = tree.apply_window(ops).expect("full tree");
         (proof, results, tree.root_digest())
     }
 
@@ -188,15 +189,15 @@ mod tests {
             let root0 = server.root_digest();
             let ops = window(3, 24);
             let (proof, results, new_root) = serve_batch(&mut server, &ops);
-            let (old_root, steps) =
+            let (old_root, verified) =
                 replay_batch_unanchored(order, &proof, &ops, Some(&results)).unwrap();
             assert_eq!(old_root, root0);
-            assert_eq!(steps.len(), ops.len());
-            assert_eq!(steps.last().unwrap().new_root, new_root);
+            assert_eq!(verified.results, results);
+            assert_eq!(verified.new_root, new_root);
             let anchored =
                 verify_batch_response(&root0, order, &proof, &ops, Some(&results), Some(&new_root))
                     .unwrap();
-            assert_eq!(anchored, steps);
+            assert_eq!(anchored, verified);
         }
     }
 
@@ -210,9 +211,10 @@ mod tests {
             .map(|i| Op::Put(u64_key(100 + i), vec![i as u8; 20]))
             .collect();
         let (proof, results, new_root) = serve_batch(&mut server, &ops);
-        let (old_root, steps) = replay_batch_unanchored(4, &proof, &ops, Some(&results)).unwrap();
+        let (old_root, verified) =
+            replay_batch_unanchored(4, &proof, &ops, Some(&results)).unwrap();
         assert_eq!(old_root, root0);
-        assert_eq!(steps.last().unwrap().new_root, new_root);
+        assert_eq!(verified.new_root, new_root);
         server.check_invariants().unwrap();
     }
 
@@ -274,9 +276,10 @@ mod tests {
         let proof = BatchProof::new(prune_for_ops(&server, &[]));
         assert_eq!(proof.root_digest(), server.root_digest());
         assert_eq!(proof.materialized_nodes(), 0);
-        let (old_root, steps) = replay_batch_unanchored(8, &proof, &[], Some(&[])).unwrap();
+        let (old_root, verified) = replay_batch_unanchored(8, &proof, &[], Some(&[])).unwrap();
         assert_eq!(old_root, server.root_digest());
-        assert!(steps.is_empty());
+        assert!(verified.results.is_empty());
+        assert_eq!(verified.new_root, old_root);
     }
 
     #[test]

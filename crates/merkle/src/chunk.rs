@@ -523,8 +523,10 @@ fn graft(a: &Child, b: &Child) -> Result<Child, ChunkError> {
     let (x, y) = match (a, b) {
         (Child::Stub(_), _) => return Ok(b.clone()),
         (_, Child::Stub(_)) => return Ok(a.clone()),
-        (Child::Node(x), Child::Node(y)) if Arc::ptr_eq(x, y) => return Ok(a.clone()),
-        (Child::Node(x), Child::Node(y)) => (&**x, &**y),
+        (Child::Node { node: x, .. }, Child::Node { node: y, .. }) if Arc::ptr_eq(x, y) => {
+            return Ok(a.clone())
+        }
+        (Child::Node { node: x, .. }, Child::Node { node: y, .. }) => (&**x, &**y),
     };
     match (x, y) {
         (Node::Leaf { .. }, Node::Leaf { .. }) => Ok(a.clone()),

@@ -12,8 +12,6 @@
 //! Decoding recomputes and verifies every materialized digest: a corrupted
 //! or tampered byte stream is rejected rather than trusted.
 
-use std::sync::Arc;
-
 use tcvs_crypto::Digest;
 
 use crate::node::{Child, LeafEntry, Node, ProofEntry};
@@ -144,7 +142,7 @@ pub(crate) fn encode_node(child: &Child, out: &mut impl Sink) {
             out.put(&[TAG_STUB]);
             out.put(d.as_bytes());
         }
-        Child::Node(node) => match &**node {
+        Child::Node { node, .. } => match &**node {
             Node::Leaf { entries, .. } => {
                 out.put(&[TAG_LEAF]);
                 out.put(&(entries.len() as u32).to_le_bytes());
@@ -249,7 +247,7 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, 
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    Ok(Child::Node(Arc::new(node)))
+    Ok(Child::new(node))
 }
 
 impl MerkleTree {

@@ -53,6 +53,7 @@ mod verify;
 
 pub use batch::{
     batchable, prune_for_ops, replay_batch_unanchored, verify_batch_response, BatchProof,
+    BatchVerified,
 };
 pub use chunk::{AdmitOutcome, ChunkAssembler, ChunkError, ChunkManifest, ChunkRange, ChunkSource};
 pub use codec::CodecError;

@@ -31,6 +31,14 @@
 //! so a cached digest can only disagree with its content if somebody forged
 //! it: [`Child::verified_digest`] recomputes everything read-only and
 //! reports a disagreement instead of silently overwriting it.
+//!
+//! Edits do not hash. The slot of each node an update edits or creates is
+//! marked **stale**, and one bottom-up pass ([`Child::rehash`]) at the end of
+//! the update (or of a whole window of updates) recomputes every stale
+//! digest once. Staleness is a flag in the parent's slot, never a digest
+//! value, and a node is no larger for it. A stale slot sits under a stale
+//! slot, so the pass reads its children's flags from the child vector and
+//! descends only into stale ones. Outside an update no slot is stale.
 
 use std::sync::Arc;
 
@@ -132,8 +140,23 @@ fn hash_leaf<'a>(h: &mut Sha256, n: usize, pairs: impl Iterator<Item = &'a Diges
 pub(crate) enum Child {
     /// A pruned-away subtree, known only by its digest.
     Stub(Digest),
-    /// A materialized subtree, shared copy-on-write.
-    Node(Arc<Node>),
+    /// A materialized subtree, shared copy-on-write. `stale` is set from the
+    /// moment an update edits or creates the node until the rehash pass
+    /// that ends the update; while it is set, the node's cached digest is
+    /// out of date.
+    Node { node: Arc<Node>, stale: bool },
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Node digests computed by [`Node::recompute_digest`] on this thread.
+    static REHASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Node digests this thread has computed so far (tests count rehashes).
+#[cfg(test)]
+pub(crate) fn rehash_count() -> u64 {
+    REHASHES.with(|c| c.get())
 }
 
 /// A materialized node of the Merkle B+-tree.
@@ -224,6 +247,8 @@ impl Node {
 
     /// Recomputes and caches this node's digest after an edit.
     pub(crate) fn recompute_digest(&mut self) {
+        #[cfg(test)]
+        REHASHES.with(|c| c.set(c.get() + 1));
         let fresh = self.compute_digest();
         match self {
             Node::Leaf { digest, .. }
@@ -254,11 +279,28 @@ impl Node {
 }
 
 impl Child {
+    /// A slot holding `node`, its digest up to date.
+    pub(crate) fn new(node: Node) -> Child {
+        Child::Node {
+            node: Arc::new(node),
+            stale: false,
+        }
+    }
+
+    /// A slot holding a node an update just created: its digest waits for
+    /// the rehash pass.
+    pub(crate) fn edited(node: Node) -> Child {
+        Child::Node {
+            node: Arc::new(node),
+            stale: true,
+        }
+    }
+
     /// The digest of the subtree in this slot.
     pub(crate) fn digest(&self) -> Digest {
         match self {
             Child::Stub(d) => *d,
-            Child::Node(n) => n.digest(),
+            Child::Node { node, .. } => node.digest(),
         }
     }
 
@@ -266,7 +308,7 @@ impl Child {
     pub(crate) fn node(&self) -> Result<&Node, TreeError> {
         match self {
             Child::Stub(_) => Err(TreeError::IncompleteProof),
-            Child::Node(n) => Ok(n),
+            Child::Node { node, .. } => Ok(node),
         }
     }
 
@@ -277,8 +319,47 @@ impl Child {
     pub(crate) fn node_mut(&mut self) -> Result<&mut Node, TreeError> {
         match self {
             Child::Stub(_) => Err(TreeError::IncompleteProof),
-            Child::Node(n) => Ok(Arc::make_mut(n)),
+            Child::Node { node, .. } => Ok(Arc::make_mut(node)),
         }
+    }
+
+    /// [`Child::node_mut`] for an update: the slot is marked stale, so the
+    /// rehash pass that ends the update recomputes the node's digest.
+    pub(crate) fn edit(&mut self) -> Result<&mut Node, TreeError> {
+        match self {
+            Child::Stub(_) => Err(TreeError::IncompleteProof),
+            Child::Node { node, stale } => {
+                *stale = true;
+                Ok(Arc::make_mut(node))
+            }
+        }
+    }
+
+    /// True iff an update edited or created this slot's node since its
+    /// digest was computed.
+    pub(crate) fn is_stale(&self) -> bool {
+        matches!(self, Child::Node { stale: true, .. })
+    }
+
+    /// The rehash pass that ends every update: recomputes, bottom-up, the
+    /// digest of every stale node in this subtree, each exactly once.
+    /// Descends only into stale slots — an up-to-date node has no stale
+    /// descendant — so a window of updates hashes the union of the nodes
+    /// it touched, and a window of reads hashes nothing.
+    pub(crate) fn rehash(&mut self) {
+        let Child::Node { node, stale } = self else {
+            return;
+        };
+        if !*stale {
+            return;
+        }
+        // A stale node was un-shared when the update edited it.
+        let node = Arc::make_mut(node);
+        if let Node::Internal { children, .. } = node {
+            children.iter_mut().for_each(Child::rehash);
+        }
+        node.recompute_digest();
+        *stale = false;
     }
 
     /// This subtree pruned away: an inline stub carrying its digest.
@@ -324,11 +405,11 @@ impl Child {
     /// the source, the cached digest kept, `children` as the pruner chose
     /// them. Two allocations — the node and its child vector.
     pub(crate) fn spine(keys: &Arc<[Key]>, children: Vec<Child>, digest: Digest) -> Child {
-        Child::Node(Arc::new(Node::Internal {
+        Child::new(Node::Internal {
             keys: Arc::clone(keys),
             children,
             digest,
-        }))
+        })
     }
 
     /// Shallow copy for proof construction: a leaf is *shared*; an internal
@@ -356,7 +437,7 @@ impl Child {
     /// silently healed. Nothing is copied, so a proof that shares nodes
     /// with a live tree verifies without a single allocation.
     pub(crate) fn verified_digest(&self) -> Result<Digest, VerifyError> {
-        if let Child::Node(node) = self {
+        if let Child::Node { node, .. } = self {
             if let Node::Internal { children, .. } = &**node {
                 for c in children {
                     c.verified_digest()?;
@@ -373,12 +454,12 @@ impl Child {
     pub(crate) fn rebuilt(&self) -> Child {
         match self.node() {
             Err(_) => self.clone(),
-            Ok(Node::Leaf { entries, .. }) => Child::Node(Arc::new(Node::leaf(
+            Ok(Node::Leaf { entries, .. }) => Child::new(Node::leaf(
                 entries
                     .iter()
                     .map(|e| LeafEntry::new(e.key.clone(), e.value.clone()))
                     .collect(),
-            ))),
+            )),
             Ok(Node::ProofLeaf { entries, .. }) => {
                 let mut leaf = Node::ProofLeaf {
                     entries: entries
@@ -393,12 +474,12 @@ impl Child {
                     digest: Digest::ZERO,
                 };
                 leaf.recompute_digest();
-                Child::Node(Arc::new(leaf))
+                Child::new(leaf)
             }
-            Ok(Node::Internal { keys, children, .. }) => Child::Node(Arc::new(Node::internal(
+            Ok(Node::Internal { keys, children, .. }) => Child::new(Node::internal(
                 Arc::clone(keys),
                 children.iter().map(Child::rebuilt).collect(),
-            ))),
+            )),
         }
     }
 }
@@ -467,12 +548,9 @@ mod tests {
     }
 
     fn two_leaf_parent() -> Child {
-        let a = Child::Node(Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())])));
-        let b = Child::Node(Arc::new(leaf(vec![(b"m".to_vec(), b"2".to_vec())])));
-        Child::Node(Arc::new(Node::internal(
-            vec![b"m".to_vec()].into(),
-            vec![a, b],
-        )))
+        let a = Child::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())]));
+        let b = Child::new(leaf(vec![(b"m".to_vec(), b"2".to_vec())]));
+        Child::new(Node::internal(vec![b"m".to_vec()].into(), vec![a, b]))
     }
 
     #[test]
@@ -529,8 +607,8 @@ mod tests {
 
     #[test]
     fn internal_digest_binds_children_order() {
-        let a = Child::Node(Arc::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())])));
-        let b = Child::Node(Arc::new(leaf(vec![(b"b".to_vec(), b"2".to_vec())])));
+        let a = Child::new(leaf(vec![(b"a".to_vec(), b"1".to_vec())]));
+        let b = Child::new(leaf(vec![(b"b".to_vec(), b"2".to_vec())]));
         let keys: Arc<[Key]> = vec![b"b".to_vec()].into();
         let n1 = Node::internal(Arc::clone(&keys), vec![a.clone(), b.clone()]);
         let n2 = Node::internal(keys, vec![b, a]);
@@ -539,7 +617,7 @@ mod tests {
 
     #[test]
     fn stub_preserves_digest_inline() {
-        let l = Child::Node(Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())])));
+        let l = Child::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())]));
         let s = l.to_stub();
         assert_eq!(s.digest(), l.digest());
         assert!(matches!(s, Child::Stub(_)));
@@ -566,9 +644,9 @@ mod tests {
 
     #[test]
     fn shallow_copy_of_leaf_is_shared() {
-        let l = Child::Node(Arc::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())])));
+        let l = Child::new(leaf(vec![(b"k".to_vec(), b"v".to_vec())]));
         match (&l, &l.shallow_copy()) {
-            (Child::Node(a), Child::Node(b)) => {
+            (Child::Node { node: a, .. }, Child::Node { node: b, .. }) => {
                 assert!(Arc::ptr_eq(a, b), "leaf shallow copies share the Arc")
             }
             _ => panic!("leaves expected"),

@@ -56,13 +56,10 @@ pub enum OpResult {
 /// Applies `op` to `tree`, returning the answer. Works identically on full
 /// trees (server side) and pruned trees (client replay); on a pruned tree an
 /// insufficient proof surfaces as `Err(IncompleteProof)`.
+///
+/// The same as [`MerkleTree::apply_window`] over a window of one.
 pub fn apply_op(tree: &mut MerkleTree, op: &Op) -> Result<OpResult, TreeError> {
-    match op {
-        Op::Get(k) => Ok(OpResult::Value(tree.get(k)?.cloned())),
-        Op::Range(lo, hi) => Ok(OpResult::Entries(tree.range(lo.as_deref(), hi.as_deref())?)),
-        Op::Put(k, v) => Ok(OpResult::Replaced(tree.insert(k.clone(), v.clone())?)),
-        Op::Delete(k) => Ok(OpResult::Deleted(tree.delete(k)?)),
-    }
+    tree.apply(op)
 }
 
 /// Builds the pruned verification object sufficient to replay `op` against

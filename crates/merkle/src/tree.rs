@@ -50,6 +50,7 @@ use tcvs_crypto::Digest;
 
 use crate::error::{TreeError, VerifyError};
 use crate::node::{Child, Key, LeafEntry, Node, ProofEntry, Value};
+use crate::op::{Op, OpResult};
 
 /// Minimum supported branching order.
 pub const MIN_ORDER: usize = 4;
@@ -105,7 +106,7 @@ impl MerkleTree {
     pub fn with_order(order: usize) -> MerkleTree {
         assert!(order >= MIN_ORDER, "order {order} < minimum {MIN_ORDER}");
         MerkleTree {
-            root: Child::Node(Arc::new(Node::leaf(Vec::new()))),
+            root: Child::new(Node::leaf(Vec::new())),
             order,
             len: Some(0),
         }
@@ -196,13 +197,71 @@ impl MerkleTree {
     // Writes
     // ------------------------------------------------------------------
 
-    /// Inserts or replaces `key`; returns the previous value if any.
+    /// Inserts or replaces `key`; returns the previous value if any. A
+    /// window of one: the edit, then the rehash pass.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<Option<Value>, TreeError> {
+        let old = self.insert_unhashed(key, value);
+        self.root.rehash();
+        old
+    }
+
+    /// Deletes `key`; returns the removed value if it existed. A window of
+    /// one: the edit, then the rehash pass.
+    pub fn delete(&mut self, key: &[u8]) -> Result<Option<Value>, TreeError> {
+        let old = self.delete_unhashed(key);
+        self.root.rehash();
+        old
+    }
+
+    /// Applies `ops` in order and returns their answers, hashing once for
+    /// the whole window: each op edits without hashing, then one bottom-up
+    /// pass recomputes every node the window edited or created, each once.
+    /// The tree ends exactly as after [`crate::apply_op`] on each op in
+    /// turn; no intermediate root is computed.
+    ///
+    /// Any op may appear. On a pruned tree the first op that needs a
+    /// pruned-away subtree ends the window with `Err(IncompleteProof)`; the
+    /// tree is still fully hashed, holding the ops before it.
+    pub fn apply_window(&mut self, ops: &[Op]) -> Result<Vec<OpResult>, TreeError> {
+        let mut results = Vec::with_capacity(ops.len());
+        let applied = ops.iter().try_for_each(|op| {
+            results.push(self.apply_unhashed(op)?);
+            Ok(())
+        });
+        self.root.rehash();
+        applied.map(|()| results)
+    }
+
+    /// A window of one op, without the result vector (crate-internal, for
+    /// [`crate::apply_op`]).
+    pub(crate) fn apply(&mut self, op: &Op) -> Result<OpResult, TreeError> {
+        let result = self.apply_unhashed(op);
+        self.root.rehash();
+        result
+    }
+
+    /// One op of a window, its edits left stale for the pass.
+    fn apply_unhashed(&mut self, op: &Op) -> Result<OpResult, TreeError> {
+        match op {
+            Op::Get(k) => Ok(OpResult::Value(self.get(k)?.cloned())),
+            Op::Range(lo, hi) => Ok(OpResult::Entries(self.range(lo.as_deref(), hi.as_deref())?)),
+            Op::Put(k, v) => Ok(OpResult::Replaced(
+                self.insert_unhashed(k.clone(), v.clone())?,
+            )),
+            Op::Delete(k) => Ok(OpResult::Deleted(self.delete_unhashed(k)?)),
+        }
+    }
+
+    fn insert_unhashed(&mut self, key: Key, value: Value) -> Result<Option<Value>, TreeError> {
         let (old, split) = insert_rec(&mut self.root, key, value, self.order)?;
         if let Some((sep, right)) = split {
             let left = std::mem::replace(&mut self.root, Child::Stub(Digest::ZERO));
-            let root = Node::internal(vec![sep].into(), vec![left, right]);
-            self.root = Child::Node(Arc::new(root));
+            let root = Node::Internal {
+                keys: vec![sep].into(),
+                children: vec![left, right],
+                digest: Digest::ZERO,
+            };
+            self.root = Child::edited(root);
         }
         if old.is_none() {
             if let Some(len) = &mut self.len {
@@ -212,8 +271,7 @@ impl MerkleTree {
         Ok(old)
     }
 
-    /// Deletes `key`; returns the removed value if it existed.
-    pub fn delete(&mut self, key: &[u8]) -> Result<Option<Value>, TreeError> {
+    fn delete_unhashed(&mut self, key: &[u8]) -> Result<Option<Value>, TreeError> {
         let old = delete_rec(&mut self.root, key, self.order)?;
         // Collapse a root that shrank to a single child.
         let collapsed = match self.root.node() {
@@ -383,9 +441,11 @@ fn insert_rec(
     value: Value,
     order: usize,
 ) -> Result<(Option<Value>, SplitInfo), TreeError> {
-    // Copy-on-write: `node_mut` un-shares this node before it is edited, so
-    // snapshots and proofs holding the old version are unaffected.
-    let node = child.node_mut()?;
+    // Copy-on-write: `edit` un-shares this node before it is edited, so
+    // snapshots and proofs holding the old version are unaffected. It marks
+    // the slot stale before anything below it, so every stale slot sits
+    // under a stale slot.
+    let node = child.edit()?;
     let (old, split) = match node {
         Node::Leaf { entries, .. } => {
             let old = match entry_index(entries, &key) {
@@ -403,7 +463,12 @@ fn insert_rec(
             };
             let split = (entries.len() > order).then(|| {
                 let right = entries.split_off(entries.len() / 2);
-                (right[0].key.clone(), Node::leaf(right))
+                let sep = right[0].key.clone();
+                let right = Node::Leaf {
+                    entries: right,
+                    digest: Digest::ZERO,
+                };
+                (sep, Child::edited(right))
             });
             (old, split)
         }
@@ -428,22 +493,23 @@ fn insert_rec(
                     // `seps` now holds `seps[..mid]`; its last entry is
                     // promoted as the separator between the two halves.
                     let promote = seps.pop().expect("non-empty separator set");
-                    split = Some((promote, Node::internal(right_seps.into(), right_children)));
+                    let right = Node::Internal {
+                        keys: right_seps.into(),
+                        children: right_children,
+                        digest: Digest::ZERO,
+                    };
+                    split = Some((promote, Child::edited(right)));
                 }
                 *keys = seps.into();
             }
             (old, split)
         }
     };
-    node.recompute_digest();
-    Ok((
-        old,
-        split.map(|(sep, right)| (sep, Child::Node(Arc::new(right)))),
-    ))
+    Ok((old, split))
 }
 
 fn delete_rec(child: &mut Child, key: &[u8], order: usize) -> Result<Option<Value>, TreeError> {
-    let node = child.node_mut()?;
+    let node = child.edit()?;
     let old = match node {
         Node::Leaf { entries, .. } => entry_index(entries, key)
             .ok()
@@ -463,7 +529,6 @@ fn delete_rec(child: &mut Child, key: &[u8], order: usize) -> Result<Option<Valu
             old
         }
     };
-    node.recompute_digest();
     Ok(old)
 }
 
@@ -517,7 +582,7 @@ fn rebalance(
 
 fn borrow_from_left(keys: &mut [Key], children: &mut [Child], idx: usize) -> Result<(), TreeError> {
     let (l, r) = children.split_at_mut(idx);
-    let (left, cur) = (l[idx - 1].node_mut()?, r[0].node_mut()?);
+    let (left, cur) = (l[idx - 1].edit()?, r[0].edit()?);
     match (&mut *left, &mut *cur) {
         (Node::Leaf { entries: le, .. }, Node::Leaf { entries: ce, .. }) => {
             let moved = le.pop().ok_or(TreeError::IncompleteProof)?;
@@ -544,8 +609,6 @@ fn borrow_from_left(keys: &mut [Key], children: &mut [Child], idx: usize) -> Res
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    left.recompute_digest();
-    cur.recompute_digest();
     Ok(())
 }
 
@@ -555,7 +618,7 @@ fn borrow_from_right(
     idx: usize,
 ) -> Result<(), TreeError> {
     let (l, r) = children.split_at_mut(idx + 1);
-    let (cur, right) = (l[idx].node_mut()?, r[0].node_mut()?);
+    let (cur, right) = (l[idx].edit()?, r[0].edit()?);
     match (&mut *cur, &mut *right) {
         (Node::Leaf { entries: ce, .. }, Node::Leaf { entries: re, .. }) => {
             if re.len() < 2 {
@@ -587,8 +650,6 @@ fn borrow_from_right(
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    cur.recompute_digest();
-    right.recompute_digest();
     Ok(())
 }
 
@@ -599,14 +660,14 @@ fn merge_into_left(
     children: &mut Vec<Child>,
     li: usize,
 ) -> Result<(), TreeError> {
-    let Child::Node(right) = children.remove(li + 1) else {
+    let Child::Node { node: right, .. } = children.remove(li + 1) else {
         return Err(TreeError::IncompleteProof);
     };
     let sep = keys.remove(li);
     // Take the right node by value, copying only if a snapshot still
     // shares it.
     let right = Arc::try_unwrap(right).unwrap_or_else(|shared| (*shared).clone());
-    let left = children[li].node_mut()?;
+    let left = children[li].edit()?;
     match (&mut *left, right) {
         (Node::Leaf { entries: le, .. }, Node::Leaf { entries: re, .. }) => {
             le.extend(re);
@@ -628,7 +689,6 @@ fn merge_into_left(
         }
         _ => return Err(TreeError::IncompleteProof),
     }
-    left.recompute_digest();
     Ok(())
 }
 
@@ -760,10 +820,10 @@ fn prune_leaf(child: &Child, keys: &[&[u8]]) -> Child {
         rest = &rest[i + 1..];
     }
     proof.extend(rest.iter().map(hash));
-    Child::Node(Arc::new(Node::ProofLeaf {
+    Child::new(Node::ProofLeaf {
         entries: proof,
         digest: *digest,
-    }))
+    })
 }
 
 /// Hides the leaf `key` routes to (see [`MerkleTree::withhold`]).
@@ -784,10 +844,10 @@ fn withhold_rec(child: &mut Child, key: &[u8]) {
     };
     if !hidden.is_empty() {
         let digest = child.digest();
-        *child = Child::Node(Arc::new(Node::ProofLeaf {
+        *child = Child::new(Node::ProofLeaf {
             entries: hidden,
             digest,
-        }));
+        });
     }
 }
 
@@ -823,6 +883,9 @@ fn check_rec(
     depth: usize,
     leaf_depth: &mut Option<usize>,
 ) -> Result<(), String> {
+    if child.is_stale() {
+        return Err("node left stale after an update".into());
+    }
     let node = child.node().map_err(|_| "full tree contains a stub")?;
     match node {
         Node::ProofLeaf { .. } => return Err("full tree contains a hash-only entry".into()),
@@ -893,4 +956,118 @@ fn check_rec(
     // too) to catch a stale cache at either level.
     node.check_digest()
         .map_err(|_| "stale cached digest".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{rehash_count, u64_key};
+
+    fn tree_with(n: u64, order: usize) -> Result<MerkleTree, TreeError> {
+        let mut t = MerkleTree::with_order(order);
+        for i in 0..n {
+            t.insert(u64_key(2 * i), vec![i as u8; 8])?;
+        }
+        Ok(t)
+    }
+
+    /// Stale slots in `child`'s subtree, counted over every materialized
+    /// node.
+    fn stale_nodes(child: &Child) -> u64 {
+        let below = match child.node() {
+            Ok(Node::Internal { children, .. }) => children.iter().map(stale_nodes).sum(),
+            _ => 0,
+        };
+        u64::from(child.is_stale()) + below
+    }
+
+    /// Levels of internal nodes above the leaves.
+    fn depth(tree: &MerkleTree) -> u64 {
+        let mut child = &tree.root;
+        let mut depth = 0;
+        while let Ok(Node::Internal { children, .. }) = child.node() {
+            child = &children[0];
+            depth += 1;
+        }
+        depth
+    }
+
+    /// Node digests computed while `f` runs.
+    fn rehashes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = rehash_count();
+        let out = f();
+        (out, rehash_count() - before)
+    }
+
+    /// The pass of a window hashes exactly the nodes the window left
+    /// stale, once each, and leaves the tree where op-at-a-time leaves it.
+    #[test]
+    fn a_window_rehashes_each_stale_node_once() -> Result<(), TreeError> {
+        for order in [4, 8, 16] {
+            let tree = tree_with(300, order)?;
+            // Replaces, fresh inserts that split, and reads, over shared
+            // upper spine nodes.
+            let ops: Vec<Op> = (0..32u64)
+                .map(|i| match i % 4 {
+                    0 => Op::Put(u64_key((i * 37) % 600), vec![1; 8]),
+                    1 => Op::Put(u64_key(2 * ((i * 53) % 300) + 1), vec![2; 8]),
+                    2 => Op::Get(u64_key((i * 11) % 600)),
+                    _ => Op::Put(u64_key(601 + i), vec![3; 8]),
+                })
+                .collect();
+            let mut window = tree.clone();
+            let results = ops
+                .iter()
+                .map(|op| window.apply_unhashed(op))
+                .collect::<Result<Vec<_>, _>>()?;
+            let stale = stale_nodes(&window.root);
+            let ((), hashed) = rehashes(|| window.root.rehash());
+            assert_eq!(hashed, stale, "order {order}");
+            assert_eq!(stale_nodes(&window.root), 0);
+            assert_eq!(window.check_invariants(), Ok(()));
+
+            let mut per_op = tree.clone();
+            let (want, per_op_hashed) = rehashes(|| {
+                ops.iter()
+                    .map(|op| crate::apply_op(&mut per_op, op))
+                    .collect::<Result<Vec<_>, _>>()
+            });
+            assert_eq!(Ok(results), want);
+            assert_eq!(window.root_digest(), per_op.root_digest());
+            assert!(
+                hashed < per_op_hashed,
+                "order {order}: window {hashed} !< per-op {per_op_hashed}"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_get_only_window_rehashes_nothing() -> Result<(), TreeError> {
+        let mut tree = tree_with(300, 8)?;
+        let root = tree.root_digest();
+        let ops: Vec<Op> = (0..32u64).map(|i| Op::Get(u64_key(i * 19))).collect();
+        let (results, hashed) = rehashes(|| tree.apply_window(&ops));
+        assert_eq!(results?.len(), 32);
+        assert_eq!(hashed, 0);
+        assert_eq!(tree.root_digest(), root);
+        Ok(())
+    }
+
+    /// A single insert is a window of one: its path, root to leaf.
+    #[test]
+    fn a_single_insert_rehashes_its_path() -> Result<(), TreeError> {
+        for order in [4, 8, 16] {
+            let mut tree = tree_with(300, order)?;
+            let d = depth(&tree);
+            assert!(d >= 1, "order {order}: the tree has internal nodes");
+            for key in [u64_key(40), u64_key(0)] {
+                let (old, hashed) = rehashes(|| tree.insert(key, vec![9]));
+                assert!(old?.is_some(), "a replace: no split");
+                assert_eq!(hashed, d + 1, "order {order}");
+            }
+            assert_eq!(tree.check_invariants(), Ok(()));
+        }
+        Ok(())
+    }
 }

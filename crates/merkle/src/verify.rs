@@ -88,8 +88,8 @@ impl VerificationObject {
     }
 }
 
-/// Outcome of a successful verification: of one operation, or of one step
-/// of a batch replay.
+/// Outcome of a successful verification of one operation (a window's is a
+/// [`crate::BatchVerified`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Verified {
     /// The (replayed, hence authenticated) answer to the operation.

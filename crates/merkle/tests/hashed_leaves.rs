@@ -102,8 +102,9 @@ proptest! {
         }
     }
 
-    /// Batch proofs: every step of the window replays like the whole-leaf
-    /// proof of its key against the server state before that step.
+    /// Batch proofs: every op of the window answers like the whole-leaf
+    /// proof of its key against the server state before that op, and the
+    /// window ends at the root the last such replay ends at.
     #[test]
     fn batch_proofs_replay_like_whole_leaf_proofs(
         order in orders(),
@@ -115,15 +116,16 @@ proptest! {
         let proof = BatchProof::new(prune_for_ops(&server, &ops));
         let bytes = proof.to_bytes();
         prop_assert_eq!(proof.encoded_size(), bytes.len());
-        let (old_root, steps) = replay_batch_unanchored(order, &proof, &ops, None).unwrap();
+        let (old_root, verified) = replay_batch_unanchored(order, &proof, &ops, None).unwrap();
         prop_assert_eq!(old_root, server.root_digest());
-        for (op, step) in ops.iter().zip(&steps) {
-            prop_assert_eq!(
-                (step.result.clone(), step.new_root),
-                whole_leaf_replay(&server, op)
-            );
+        let mut new_root = old_root;
+        for (op, result) in ops.iter().zip(&verified.results) {
+            let (want, root) = whole_leaf_replay(&server, op);
+            prop_assert_eq!(result, &want);
+            new_root = root;
             apply_op(&mut server, op).unwrap();
         }
+        prop_assert_eq!(verified.new_root, new_root);
         let wire = BatchProof::from_bytes(&bytes).unwrap();
         prop_assert_eq!(
             replay_batch_unanchored(order, &wire, &ops, None),

@@ -1191,6 +1191,35 @@ mod tests {
         assert_eq!(journal_hits(&stats), Some(1));
     }
 
+    /// An honest server declines a window holding an op no batch proof
+    /// covers, as `Body::Batch` documents, and keeps serving: the next
+    /// plain op runs at the counter the declined window left untouched.
+    #[test]
+    fn a_non_batchable_window_is_declined_and_the_server_keeps_serving() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions::default(),
+            stats.clone(),
+        );
+        let tx = server.wire().0;
+        let first = send_op(&tx, 1, 1, Op::Put(u64_key(1), b"a".to_vec()), 0);
+        for (seq, op) in [(2, Op::Delete(u64_key(1))), (3, Op::Range(None, None))] {
+            let window = vec![Op::Get(u64_key(1)), op];
+            assert!(send_batch(&tx, 1, seq, window, 1).is_none());
+        }
+        let next = send_op(&tx, 1, 4, Op::Get(u64_key(1)), 2);
+        assert_eq!(next.ctr, first.ctr + 1);
+        assert_eq!(next.result, OpResult::Value(Some(b"a".to_vec())));
+        drop(server);
+        assert_eq!(stats.snapshot().counter("net.batch.declined"), Some(2));
+    }
+
     /// A bootstrap chunk served by the shutdown drain is cut from the same
     /// slicing as the manifest its client holds: the configured chunk budget
     /// and the loop's cached source.
