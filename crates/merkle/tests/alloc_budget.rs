@@ -11,6 +11,12 @@
 //! and 14 (`Put`), 11 / 24 frees per point op; per 32-op window, prune 226
 //! and verify 33 (`Get`) or 353 (`Put`), 259 / 579 frees.
 //!
+//! The server's own 32-`Put` replacing window through `apply_window`: on
+//! the unshared tree it copies no node, 97 allocations (3 per `Put` plus
+//! the result vector) and 64 frees; with a clone of the tree held, as a
+//! published snapshot holds it, it copies all 112 nodes the window
+//! touches, 353 allocations and no frees.
+//!
 //! Own test binary with a counting `#[global_allocator]`, one `#[test]`, so
 //! no other thread allocates while a section is being counted. CI runs it
 //! `--release`: the budget is checked on the build the benchmark measures.
@@ -159,6 +165,32 @@ fn proof_hot_path_stays_inside_its_allocation_budget() {
     println!("window get : {gets:?}");
     println!("window put : {puts:?}");
     println!("server put : {apply:?}");
+
+    // The server's window apply. With nothing else holding the tree, a
+    // replacing `Put` edits its nodes in place; with a clone held, which
+    // is what a published snapshot is, every touched node is copied.
+    drop(live);
+    let replace = |version: u8| -> Vec<Op> {
+        (0..WINDOW)
+            .map(|i| (i * 2039 + 13) % KEYS)
+            .map(|k| Op::Put(u64_key(k), value(k, version)))
+            .collect()
+    };
+    let (ops, again) = (replace(3), replace(4));
+    let touched = prune_for_ops(&tree, &ops).materialized_nodes() as u64;
+    let (_, in_place) = counted(|| tree.apply_window(&ops).unwrap());
+    let snapshot = tree.clone();
+    let (_, copying) = counted(|| tree.apply_window(&again).unwrap());
+    drop(snapshot);
+    println!("window apply, unshared: {in_place:?}");
+    println!("window apply, shared  : {copying:?} ({touched} nodes touched)");
+    // In place: a new entry, key and value per `Put`, and the results.
+    assert!(in_place.allocs <= 3 * WINDOW + 1, "unshared: {in_place:?}");
+    // Copied: at least a node and its child or entry vector per node.
+    assert!(
+        copying.allocs >= in_place.allocs + 2 * touched,
+        "shared: {copying:?}, {touched} nodes touched"
+    );
 
     for p in [get, put] {
         assert!(p.prune.allocs <= 16, "point prune: {p:?}");

@@ -516,8 +516,8 @@ impl NetClientTrusted {
                     self.ops += 1;
                     self.stats.reads_served.inc();
                     self.stats
-                        .read_micros
-                        .observe(started.elapsed().as_micros() as u64);
+                        .read_ns
+                        .observe(started.elapsed().as_nanos() as u64);
                     return Ok(result);
                 }
             }

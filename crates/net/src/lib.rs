@@ -58,6 +58,13 @@
 //! [`NetSnapshotReader`] adds replay verification against the snapshot root
 //! the server commits to.
 //!
+//! The path opens on the first bind (or [`ShardedServer::grove_epoch`]
+//! sample): until then the server keeps no slot or reader pool and
+//! publishes nothing, so a write edits the tree in place. The bind
+//! publishes behind every earlier request, so it sees every acknowledged
+//! write; from then on each publication shares the tree, and the next
+//! write copies the nodes it touches.
+//!
 //! ## Sharded grove
 //!
 //! [`ShardedServer`] partitions the keyspace over N independent shard

@@ -33,7 +33,7 @@ pub struct NetStats {
     pub(crate) crashes: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
     pub(crate) op_micros: Arc<Histogram>,
-    pub(crate) read_micros: Arc<Histogram>,
+    pub(crate) read_ns: Arc<Histogram>,
     pub(crate) batch_windows: Arc<Counter>,
     pub(crate) batch_ops: Arc<Counter>,
     pub(crate) batch_declined: Arc<Counter>,
@@ -57,7 +57,7 @@ impl NetStats {
             crashes: registry.counter("net.server.crashes"),
             retries: registry.counter("net.client.retries"),
             op_micros: registry.histogram("net.server.op_micros"),
-            read_micros: registry.histogram("net.server.read_micros"),
+            read_ns: registry.histogram("net.server.read_ns"),
             batch_windows: registry.counter("net.batch.windows"),
             batch_ops: registry.counter("net.batch.ops"),
             batch_declined: registry.counter("net.batch.declined"),

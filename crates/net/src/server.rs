@@ -23,6 +23,8 @@
 //! slot swap (see DESIGN.md §batching): the slot is republished every `W`
 //! writes or `T` elapsed, and always before the server goes idle, so
 //! staleness is bounded by `min(W ops, T)` under load and zero at idle.
+//! It starts at the first [`Endpoint::read_wire`]; until then nothing is
+//! published and the tree is edited in place.
 //!
 //! Every operation carries a per-user sequence number; the thread keeps the
 //! last reply per user in a *reply journal* so a retried request (after a
@@ -93,6 +95,10 @@ pub(crate) enum Request {
         anchor: Digest,
         index: u32,
         reply: Sender<Option<Vec<u8>>>,
+    },
+    /// Open the concurrent read path ([`SnapshotPublisher::open`]).
+    OpenReads {
+        reply: Sender<Option<SnapshotSlot>>,
     },
     /// Crash the inner server and restart it from persisted state.
     Crash {
@@ -202,6 +208,7 @@ pub struct WireHandle(pub(crate) Sender<Request>);
 /// the shared-memory fast path the trusted baseline uses) and the channel
 /// into the server's reader pool (proof-bearing reads for verifying
 /// clients).
+#[derive(Clone)]
 pub struct ReadWireHandle {
     pub(crate) slot: SnapshotSlot,
     pub(crate) tx: Sender<ReadRequest>,
@@ -239,22 +246,25 @@ pub struct NetServerOptions {
     /// when a client dies (or its deposit is lost) mid-exchange.
     pub deposit_timeout: Duration,
     /// Number of reader threads serving point/range queries concurrently
-    /// from the latest published snapshot (only spawned when the inner
-    /// server opts in via [`ServerApi::read_snapshot`]). Clamped to ≥ 1.
+    /// from the latest published snapshot. Spawned on the first read-path
+    /// bind, and only when the inner server opts in via
+    /// [`ServerApi::read_snapshot`]. Clamped to ≥ 1.
     pub read_pool: usize,
     /// Republish the concurrent-read snapshot every this many committed
     /// operations (write batching of the slot swap). `1` (the default)
     /// preserves strict read-your-writes across the two paths; `W > 1`
     /// relaxes it to bounded staleness: a reader may miss at most the last
     /// `W - 1` acknowledged writes, and never misses any once the server
-    /// goes idle or [`NetServerOptions::publish_interval`] elapses.
+    /// goes idle or [`NetServerOptions::publish_interval`] elapses. Both
+    /// bounds hold from the first read-path bind on; until then nothing is
+    /// published and the tree is edited in place.
     pub publish_every_ops: u64,
     /// Time bound on snapshot staleness under a sustained write load:
     /// whenever this much time has passed since the last publication, the
     /// next committed operation republishes regardless of the write count.
     /// (Checked at operation boundaries — an idle server publishes any
     /// pending writes before blocking on its queue, so idle staleness is
-    /// zero.)
+    /// zero.) Like the write window, it applies once the read path is open.
     pub publish_interval: Duration,
     /// Byte budget per bootstrap chunk (whole leaves are grouped under it;
     /// a single oversized leaf still ships as one chunk). Governs the
@@ -295,6 +305,7 @@ enum JournaledReply {
 /// behavior); with a wider window the slot swap and its lock traffic are
 /// amortized over `W` writes, bounded in staleness by the window and by
 /// `publish_interval`, and flushed whenever the server is about to go idle.
+/// None of it runs before the first read-path bind creates the slot.
 struct SnapshotPublisher {
     slot: Option<SnapshotSlot>,
     every_ops: u64,
@@ -306,9 +317,9 @@ struct SnapshotPublisher {
 }
 
 impl SnapshotPublisher {
-    fn new(slot: Option<SnapshotSlot>, opts: &NetServerOptions, stats: NetStats) -> Self {
+    fn new(opts: &NetServerOptions, stats: NetStats) -> Self {
         SnapshotPublisher {
-            slot,
+            slot: None,
             every_ops: opts.publish_every_ops.max(1),
             interval: opts.publish_interval,
             pending: 0,
@@ -350,12 +361,27 @@ impl SnapshotPublisher {
             self.last = Instant::now();
         }
     }
+
+    /// Opens the read path: creates the slot on the first call, publishes
+    /// the current state into it and returns it. Served in order behind
+    /// every earlier request, so a new reader sees every acknowledged write.
+    fn open(&mut self, inner: &mut dyn ServerApi) -> Option<SnapshotSlot> {
+        if self.slot.is_none() {
+            self.slot = Some(Arc::new(Mutex::new(Arc::new(inner.read_snapshot()?))));
+        }
+        self.force(inner);
+        self.slot.clone()
+    }
 }
 
 /// Handle to a running server thread.
 pub struct NetServer {
     tx: Sender<Request>,
-    read: Option<(SnapshotSlot, Sender<ReadRequest>)>,
+    /// `None` when the inner server serves no reads; else the read path's
+    /// handle, once the first [`Endpoint::read_wire`] has opened it.
+    read: Option<Mutex<Option<ReadWireHandle>>>,
+    read_pool: usize,
+    stats: NetStats,
     join: Option<JoinHandle<()>>,
     missed: Arc<AtomicU64>,
 }
@@ -367,11 +393,21 @@ impl Endpoint for NetServer {
         WireHandle(self.tx.clone())
     }
 
+    /// Opens the read path on the first call: the server thread publishes
+    /// its current state into a fresh slot, and the reader pool starts.
+    /// The lock is held across that round trip, so concurrent first binds
+    /// open it once. `None` once the server thread has exited.
     fn read_wire(&self) -> Option<ReadWireHandle> {
-        self.read.as_ref().map(|(slot, tx)| ReadWireHandle {
-            slot: Arc::clone(slot),
-            tx: tx.clone(),
-        })
+        let mut read = self.read.as_ref()?.lock();
+        if read.is_none() {
+            let (reply, opened) = bounded(1);
+            self.tx.send(Request::OpenReads { reply }).ok()?;
+            let slot = opened.recv().ok().flatten()?;
+            let (tx, rx) = unbounded();
+            spawn_readers(&slot, rx, self.read_pool, self.stats.clone());
+            *read = Some(ReadWireHandle { slot, tx });
+        }
+        read.clone()
     }
 }
 
@@ -408,20 +444,14 @@ impl NetServer {
         // Probe for a read path before `inner` moves into the write thread.
         // Adversaries keep the default `None` and never get reader threads:
         // every answer they give stays on the serialized, countered path.
-        let read = inner.read_snapshot().map(|snap| {
-            let slot: SnapshotSlot = Arc::new(Mutex::new(Arc::new(snap)));
-            let (read_tx, read_rx) = unbounded::<ReadRequest>();
-            spawn_readers(&slot, read_rx, opts.read_pool.max(1), stats.clone());
-            (slot, read_tx)
-        });
-        let slot = read.as_ref().map(|(slot, _)| Arc::clone(slot));
+        let read = inner.read_snapshot().map(|_| Mutex::new(None));
         let server = ServerLoop {
             inner,
             rx,
             opts,
             journal: HashMap::new(),
-            publisher: SnapshotPublisher::new(slot, &opts, stats.clone()),
-            stats,
+            publisher: SnapshotPublisher::new(&opts, stats.clone()),
+            stats: stats.clone(),
             backlog: VecDeque::new(),
             bootstrap: None,
             missed: Arc::clone(&missed),
@@ -430,6 +460,8 @@ impl NetServer {
         NetServer {
             tx,
             read,
+            read_pool: opts.read_pool.max(1),
+            stats,
             join: Some(std::thread::spawn(move || server.run())),
             missed,
         }
@@ -511,9 +543,7 @@ fn spawn_readers(
                         ctr,
                     });
                     stats.reads_served.inc();
-                    stats
-                        .read_micros
-                        .observe(started.elapsed().as_micros() as u64);
+                    stats.read_ns.observe(started.elapsed().as_nanos() as u64);
                     stats.tracer.emit(|| {
                         Event::new(ctr, EventKind::ReadServed, NO_ACTOR)
                             .span_opt(req.ctx.map(|c| c.child(stage::READ)))
@@ -607,6 +637,9 @@ impl ServerLoop {
                 reply,
             } => {
                 let _ = reply.send(self.serve_bootstrap_chunk(&anchor, index));
+            }
+            Request::OpenReads { reply } => {
+                let _ = reply.send(self.publisher.open(self.inner.as_mut()));
             }
             Request::Crash { ack } => self.crash(ack),
             Request::Shutdown => self.draining = true,
@@ -1218,6 +1251,25 @@ mod tests {
         assert_eq!(next.result, OpResult::Value(Some(b"a".to_vec())));
         drop(server);
         assert_eq!(stats.snapshot().counter("net.batch.declined"), Some(2));
+    }
+
+    /// Once the server thread has exited, nobody can open the read path:
+    /// `read_wire` returns `None` instead of waiting or panicking.
+    #[test]
+    fn read_wire_after_shutdown_is_none() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+        let mut server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+        server
+            .tx
+            .send(Request::Shutdown)
+            .expect("server thread alive");
+        let thread = server.join.take().expect("thread running");
+        thread.join().expect("clean exit");
+        assert!(server.read_wire().is_none());
     }
 
     /// A bootstrap chunk served by the shutdown drain is cut from the same

@@ -212,7 +212,8 @@ fn a_hidden_key_is_caught_inside_a_batched_window() {
 /// Batched snapshot publication: with `publish_every_ops = W` the write
 /// thread republishes at most every `W` writes while busy (the lag
 /// histogram never exceeds `W`) and always before going idle — an idle
-/// server's snapshot reflects every acknowledged write.
+/// server's snapshot reflects every acknowledged write. The reader binds
+/// before the writes: publication runs only while a reader exists.
 #[test]
 fn snapshot_publication_staleness_is_bounded_by_the_window() {
     const WINDOW: u64 = 8;
@@ -228,6 +229,12 @@ fn snapshot_publication_staleness_is_bounded_by_the_window() {
         },
         stats.clone(),
     );
+    let mut reader = NetSnapshotReader::bind(9, &cfg, &server).expect("honest read path");
+    reader.set_retry_policy(RetryPolicy {
+        max_attempts: 4,
+        base_timeout: Duration::from_millis(50),
+        max_jitter: Duration::from_millis(5),
+    });
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
     for i in 0..30u64 {
@@ -236,12 +243,6 @@ fn snapshot_publication_staleness_is_bounded_by_the_window() {
 
     // Idle flush: the published snapshot must converge on the final write
     // (the flush races with this check, so poll briefly).
-    let mut reader = NetSnapshotReader::bind(9, &cfg, &server).expect("honest read path");
-    reader.set_retry_policy(RetryPolicy {
-        max_attempts: 4,
-        base_timeout: Duration::from_millis(50),
-        max_jitter: Duration::from_millis(5),
-    });
     let mut fresh = false;
     for _ in 0..50 {
         if reader

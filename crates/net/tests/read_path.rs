@@ -1,18 +1,21 @@
 //! Tests of the concurrent snapshot read path: torn-root freedom under a
 //! write storm, read-your-writes across the two wires, crash-restart
-//! republication, and the security boundary (adversaries and fault links
-//! never expose a read wire; Protocol II detection is unaffected by
-//! concurrent readers).
+//! republication, opening the path on the first bind, and the security
+//! boundary (adversaries and fault links never expose a read wire;
+//! Protocol II detection is unaffected by concurrent readers).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use tcvs_core::adversary::{LieServer, Trigger};
 use tcvs_core::{HonestServer, Op, ProtocolConfig, SyncShare};
 use tcvs_merkle::{u64_key, MerkleTree, OpResult};
 use tcvs_net::{
     FaultLink, NetClient2, NetClientTrusted, NetServer, NetServerOptions, NetSnapshotReader,
+    NetStats,
 };
+use tcvs_obs::MetricValue;
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -199,5 +202,101 @@ fn protocol2_sync_up_succeeds_with_concurrent_snapshot_readers() {
         clients.iter().any(|c| c.sync_succeeds(&shares)),
         "sync-up must still succeed under reader noise"
     );
+    server.shutdown();
+}
+
+fn publishes(stats: &NetStats) -> Option<u64> {
+    stats.snapshot().counter("net.server.snapshot_publishes")
+}
+
+/// Until a reader binds, the server keeps no snapshot slot: acknowledged
+/// writes publish nothing. A reader bound after them opens the path at the
+/// state every one of them left (the bind is the one publication so far),
+/// and from then on, at `W = 1`, each acknowledged write is visible to the
+/// next read.
+#[test]
+fn a_reader_bound_after_writes_sees_every_acknowledged_one() {
+    let cfg = config();
+    let stats = NetStats::disabled();
+    let server = NetServer::spawn_observed(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+        stats.clone(),
+    );
+    let mut writer = NetClient2::new(0, &root0(&cfg), cfg, &server);
+    for i in 0..20u64 {
+        writer.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
+    }
+    assert_eq!(
+        publishes(&stats),
+        Some(0),
+        "no reader bound, nothing published"
+    );
+    let mut reader = NetSnapshotReader::bind(1, &cfg, &server).unwrap();
+    assert_eq!(publishes(&stats), Some(1), "the bind published once");
+    assert_eq!(
+        reader.execute(&Op::Get(u64_key(19))).unwrap(),
+        OpResult::Value(Some(vec![19]))
+    );
+    writer.execute(&Op::Put(u64_key(19), vec![0xee])).unwrap();
+    assert_eq!(
+        reader.execute(&Op::Get(u64_key(19))).unwrap(),
+        OpResult::Value(Some(vec![0xee])),
+        "a write after the bind is visible to the next read"
+    );
+    assert_eq!(publishes(&stats), Some(2));
+    server.shutdown();
+}
+
+/// A bind that reaches a blocking Protocol I server while it waits for a
+/// deposit is served once the wait ends, here by `deposit_timeout`: the
+/// open queues behind the wait like any other request.
+#[test]
+fn a_bind_during_a_deposit_wait_returns_when_the_wait_ends() {
+    let cfg = config();
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            deposit_timeout: Duration::from_millis(200),
+            ..NetServerOptions::default()
+        },
+    );
+    // A trusted client never deposits, so its write leaves the server
+    // waiting. Bound through a link, it opens no read path itself.
+    let link = FaultLink::interpose(&server, tcvs_core::FaultPlan::none());
+    let mut c = NetClientTrusted::new(0, &link);
+    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    let mut reader = NetSnapshotReader::bind(1, &cfg, &server).expect("opened after the wait");
+    assert_eq!(
+        server.missed_deposits(),
+        1,
+        "served after the wait timed out"
+    );
+    assert_eq!(
+        reader.execute(&Op::Get(u64_key(1))).unwrap(),
+        OpResult::Value(Some(vec![1]))
+    );
+    server.shutdown();
+}
+
+/// The trusted client's slot reads are timed in nanoseconds: one read is
+/// far under a microsecond, and must still record a non-zero sample.
+#[test]
+fn a_trusted_snapshot_read_records_a_nonzero_read_ns_sample() {
+    let cfg = config();
+    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let stats = NetStats::disabled();
+    let mut c = NetClientTrusted::new(0, &server);
+    c.set_stats(stats.clone());
+    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    c.execute(&Op::Get(u64_key(1))).unwrap();
+    match stats.snapshot().get("net.server.read_ns") {
+        Some(MetricValue::Histogram { count, sum, .. }) => {
+            assert_eq!(*count, 1, "one slot read");
+            assert!(*sum > 0, "the sample is not rounded to zero");
+        }
+        other => panic!("missing read_ns histogram: {other:?}"),
+    }
     server.shutdown();
 }

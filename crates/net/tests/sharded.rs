@@ -1,8 +1,10 @@
 //! End-to-end tests of the sharded grove: restart-stable routing across
 //! shard crash-restarts, single-shard deviation caught at its exact
 //! counter with zero false alarms on the honest shards, independently
-//! seeded per-shard fault storms, and the cross-shard sync-up rule.
+//! seeded per-shard fault storms, the cross-shard sync-up rule, and
+//! concurrent first binds of the shards' read paths.
 
+use std::sync::Barrier;
 use std::time::Duration;
 
 use tcvs_core::adversary::{LieServer, Trigger};
@@ -280,5 +282,62 @@ fn grove_reader_stays_consistent_under_concurrent_writes() {
             .execute(&Op::Get(u64_key(i)))
             .expect("quiescent grove-verified read");
     }
+    grove.shutdown();
+}
+
+/// Two threads opening a grove's read paths at once, one binding a reader
+/// and one sampling an epoch, open each shard exactly once (one
+/// publication per shard) and share its slot: a later write is seen by
+/// both.
+#[test]
+fn concurrent_first_binds_open_each_shard_once() {
+    let cfg = config();
+    let n = 3;
+    let stats = NetStats::disabled();
+    let grove = ShardedServer::spawn_observed(n, &cfg, NetServerOptions::default(), stats.clone());
+    let publishes = || {
+        stats
+            .snapshot()
+            .counter("net.server.snapshot_publishes")
+            .unwrap_or(0)
+    };
+    let r0 = root0s(n, &cfg);
+    let mut writer = ShardedClient2::new(0, &r0, cfg, &grove);
+    for i in 0..12u64 {
+        writer.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
+    }
+    assert_eq!(publishes(), 0, "no reader bound, nothing published");
+
+    let start = Barrier::new(2);
+    let (mut reader, epoch) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            start.wait();
+            GroveReader::bind(5, &cfg, &grove).expect("honest grove")
+        });
+        let epoch = s.spawn(|| {
+            start.wait();
+            grove.grove_epoch().expect("honest grove")
+        });
+        (reader.join().unwrap(), epoch.join().unwrap())
+    });
+    assert_eq!(publishes(), n as u64, "each shard opened exactly once");
+    assert_eq!(
+        reader.execute(&Op::Get(u64_key(11))).unwrap(),
+        OpResult::Value(Some(vec![11]))
+    );
+    let again = grove.grove_epoch().expect("honest grove");
+    assert_eq!(again.grove_root, epoch.grove_root, "no write in between");
+
+    writer.execute(&Op::Put(u64_key(11), vec![0xee])).unwrap();
+    assert_eq!(publishes(), n as u64 + 1);
+    assert_eq!(
+        reader.execute(&Op::Get(u64_key(11))).unwrap(),
+        OpResult::Value(Some(vec![0xee]))
+    );
+    let after = grove.grove_epoch().expect("honest grove");
+    assert_ne!(
+        after.grove_root, epoch.grove_root,
+        "the epoch sees the write"
+    );
     grove.shutdown();
 }
