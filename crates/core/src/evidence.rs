@@ -52,7 +52,8 @@ pub enum EvidenceKind {
     ProtocolVerdict,
     /// `verify_batch_response` rejected a batched window.
     BatchVerifyFailure,
-    /// `verify_grove_response` rejected a grove-verified read.
+    /// A grove snapshot reader rejected a read. Nothing captures it any
+    /// more; the tag stays so bundles that carry it still decode.
     GroveVerifyFailure,
     /// A grove sync-up failed and the deviating shard(s) were localized.
     ShardLocalization,
@@ -911,6 +912,23 @@ mod tests {
         // Histograms were dropped; counters and gauges kept.
         assert!(back.metrics.iter().all(|m| m.name() != "net.op_micros"));
         assert_eq!(back.metrics.len(), 2);
+        // Every kind's tag decodes, including `GroveVerifyFailure`, which
+        // no capture site produces any more: persisted bundles stay readable.
+        for kind in [
+            EvidenceKind::ProtocolVerdict,
+            EvidenceKind::BatchVerifyFailure,
+            EvidenceKind::GroveVerifyFailure,
+            EvidenceKind::ShardLocalization,
+            EvidenceKind::BootstrapForgery,
+            EvidenceKind::OracleDeviation,
+        ] {
+            let mut b = sample_bundle();
+            b.kind = kind;
+            assert_eq!(
+                EvidenceBundle::from_bytes(&b.to_bytes()).unwrap().kind,
+                kind
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use tcvs_crypto::{Digest, UserId, NO_USER};
 use tcvs_merkle::{
-    apply_op, batchable, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op, OpResult,
+    apply_op, batchable, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op,
     VerificationObject,
 };
 use tcvs_obs::{Event, FlightRecorder};
@@ -102,6 +102,9 @@ impl ServerCore {
     /// last signature start empty: bootstrap transfers the authenticated
     /// database, not peers' audit deposits — users re-deposit on their next
     /// exchange, exactly as with a fresh server that already holds data.
+    ///
+    /// A tree whose branching order differs from `config.order` is refused:
+    /// every proof the core served from it would fail its clients' replay.
     pub fn from_verified_state(
         db: MerkleTree,
         ctr: Ctr,
@@ -109,6 +112,11 @@ impl ServerCore {
     ) -> Result<ServerCore, tcvs_merkle::CodecError> {
         if config.epoch_len == 0 {
             return Err(tcvs_merkle::CodecError::Malformed("zero epoch length"));
+        }
+        if db.order() != config.order {
+            return Err(tcvs_merkle::CodecError::Malformed(
+                "tree order differs from the configured order",
+            ));
         }
         Ok(ServerCore {
             db,
@@ -312,10 +320,9 @@ impl ServerCore {
         })
     }
 
-    /// Publishes an O(1) read snapshot of the current state: a structurally
-    /// shared copy of the database plus the counter it is current as of.
-    /// Point and range queries served from it are identical to queries
-    /// served by the live tree at this instant.
+    /// An O(1) read snapshot of the current state: a structurally shared
+    /// copy of the database plus the counter and last user it is current
+    /// as of.
     pub fn read_snapshot(&self) -> ReadSnapshot {
         ReadSnapshot {
             db: self.db.clone(),
@@ -450,11 +457,12 @@ impl ServerSnapshot {
 }
 
 /// An immutable, structurally shared view of the server's database as of a
-/// particular operation counter, published for the concurrent read path.
+/// particular operation counter: what bootstrap chunks are cut from and
+/// what a grove epoch samples.
 ///
-/// Capturing one is O(1) (tree clone is a root-pointer copy), and serving
-/// queries from it never blocks — or is blocked by — the write path: later
-/// writes copy the spine they touch, leaving this snapshot's nodes intact.
+/// Capturing one is O(1) (tree clone is a root-pointer copy). While one is
+/// held, the next write copies the spine it touches, leaving this
+/// snapshot's nodes intact.
 #[derive(Clone, Debug)]
 pub struct ReadSnapshot {
     db: MerkleTree,
@@ -494,29 +502,6 @@ impl ReadSnapshot {
     pub fn db(&self) -> &MerkleTree {
         &self.db
     }
-
-    /// Serves a read-only operation from the snapshot, with its proof.
-    /// Returns `None` for updates: only the serialized write path may
-    /// transform state.
-    pub fn serve(&self, op: &Op) -> Option<(OpResult, VerificationObject)> {
-        if op.is_update() {
-            return None;
-        }
-        let vo = VerificationObject::new(prune_for_op(&self.db, op));
-        let result = self.serve_result(op)?;
-        Some((result, vo))
-    }
-
-    /// Serves a read-only operation without building a proof — for clients
-    /// that trust the server (the baseline) and skip verification anyway.
-    /// Returns `None` for updates.
-    pub fn serve_result(&self, op: &Op) -> Option<OpResult> {
-        if op.is_update() {
-            return None;
-        }
-        let mut replay = self.db.clone();
-        Some(apply_op(&mut replay, op).expect("full tree never yields stubs"))
-    }
 }
 
 /// Uninhabited, so no server returns one; ROADMAP 1(a) deletes it with the benchmark's forward.
@@ -546,11 +531,10 @@ pub trait ServerApi {
     /// Handles a whole window of batchable point operations with one shared
     /// proof, or returns `None` if this server does not serve batches.
     ///
-    /// The default is `None` — deliberately, and for the same reason as
-    /// [`ServerApi::read_snapshot`]: batching is a *performance* feature of
-    /// the honest server, and adversaries must exercise the ordinary
-    /// per-op detection path unless they opt in explicitly. Transports fall
-    /// back to per-op requests when the server declines.
+    /// The default is `None` — deliberately: batching is a *performance*
+    /// feature of the honest server, and adversaries must exercise the
+    /// ordinary per-op detection path unless they opt in explicitly.
+    /// Transports fall back to per-op requests when the server declines.
     fn handle_op_batch(
         &mut self,
         user: UserId,
@@ -609,14 +593,16 @@ pub trait ServerApi {
     /// volatile state and recovers only what it persisted.
     fn crash_restart(&mut self) {}
 
-    /// Publishes an O(1) snapshot for the concurrent read path, or `None`
-    /// if this server does not support snapshot reads.
+    /// An O(1) snapshot of the current state, or `None` if this server
+    /// exposes none. Transports serve two things from it, neither of them
+    /// trusted by the party that receives it: bootstrap chunks, which the
+    /// client verifies against a root it pins, and the `(root, ctr,
+    /// last_user)` sample behind a grove epoch, which a session joining at
+    /// it checks at its next sync-up. No user operation is ever answered
+    /// from it.
     ///
-    /// The default is `None` — deliberately. The parallel read path is a
-    /// *performance* feature of the honest server; an adversarial server
-    /// must never be handed a side channel that answers queries outside the
-    /// serialized, countered, detection-bearing request stream. Transports
-    /// only spin up reader threads when the server opts in.
+    /// The default is `None`, so a server that keeps it serves no
+    /// bootstrap and no grove epoch.
     fn read_snapshot(&self) -> Option<ReadSnapshot> {
         None
     }

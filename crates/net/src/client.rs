@@ -13,16 +13,10 @@ use tcvs_core::{
     OpResult, ProtocolConfig, ServerResponse, SyncShare, TransitionLog, UserId,
 };
 use tcvs_crypto::{KeyRegistry, Keyring};
-use tcvs_merkle::{replay_unanchored, VerifyError};
-use tcvs_obs::SpanContext;
 
-use crate::bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{
-    remote_call, round_trip, Body, Endpoint, Head, ReadRequest, Request, SnapshotSlot,
-};
-use std::sync::Arc;
+use crate::server::{remote_call, round_trip, Body, Endpoint, Head, Request};
 
 fn send_deposit(tx: &Sender<Request>, req: Request) -> Result<(), NetError> {
     tx.send(req).map_err(|_| NetError::ServerGone)
@@ -172,8 +166,7 @@ impl NetClient2 {
     /// Binds a client that joins mid-history at a published state
     /// `(root, ctr, last_user)` — see [`Client2::join`]. This is how a
     /// verified session starts on a server restored by chunked state sync,
-    /// or how a late joiner anchors at a published snapshot instead of
-    /// genesis.
+    /// or how a late joiner anchors at a sampled state instead of genesis.
     pub fn join(
         user: UserId,
         root: &Digest,
@@ -458,18 +451,12 @@ impl NetClient3 {
     }
 }
 
-/// An unverifying client: the trusted-server baseline.
-///
-/// When the endpoint exposes a concurrent read path, point and range
-/// queries are served directly from the latest published snapshot on the
-/// caller's own thread — no wire hop, no proof. Updates always take the
-/// serialized path. Trusting the server anyway, this client loses nothing
-/// by reading from a snapshot; it is the shared-memory analogue of hitting
-/// a read replica.
+/// An unverifying client: the trusted-server baseline. Every operation,
+/// read or update, takes the same serialized path as a verifying client's;
+/// only the proof check is skipped.
 pub struct NetClientTrusted {
     user: UserId,
     tx: Sender<Request>,
-    snapshots: Option<SnapshotSlot>,
     ops: u64,
     seq: u64,
     policy: RetryPolicy,
@@ -482,136 +469,11 @@ impl NetClientTrusted {
         NetClientTrusted {
             user,
             tx: server.wire().0,
-            snapshots: server.read_wire().map(|w| w.slot),
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
             stats: NetStats::disabled(),
         }
-    }
-
-    /// Attaches observability handles (transport retries, snapshot-read
-    /// counters). Metric updates happen outside the snapshot-slot lock.
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.stats = stats;
-    }
-
-    /// Replaces the retry policy (timeouts, attempts, jitter).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Executes one unverified operation.
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        self.seq += 1;
-        if !op.is_update() {
-            if let Some(slot) = &self.snapshots {
-                // Grab the current snapshot (O(1): one Arc clone under a
-                // briefly-held lock) and answer from it right here. The
-                // timestamp opens after the guard is gone: instrumentation
-                // must never lengthen the slot's critical section.
-                let snap = Arc::clone(&slot.lock());
-                let started = std::time::Instant::now();
-                if let Some(result) = snap.serve_result(op) {
-                    self.ops += 1;
-                    self.stats.reads_served.inc();
-                    self.stats
-                        .read_ns
-                        .observe(started.elapsed().as_nanos() as u64);
-                    return Ok(result);
-                }
-            }
-        }
-        let head = Head::root(self.user, self.seq, self.ops);
-        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
-            Body::Op(op.clone(), reply)
-        })?;
-        self.ops += 1;
-        Ok(resp.result)
-    }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
-    }
-}
-
-/// A verifying reader over the concurrent snapshot path.
-///
-/// Every answer is replay-verified: the proof must replay to the exact root
-/// digest the server committed to for the snapshot, and the claimed result
-/// must match the replayed result — a fabricated answer or tampered proof
-/// surfaces as [`NetError::Deviation`]. Snapshot counters must never move
-/// backwards across this reader's queries.
-///
-/// A snapshot reader performs **no server state transition** (no counter
-/// increment, no σ-token fold), so it adds nothing to — and, crucially,
-/// subtracts nothing from — the k-bounded fork detection carried by the
-/// serialized Protocol I/II/III clients. It buys read scalability for
-/// queries whose freshness requirement is "some committed state no older
-/// than my last read", which is exactly what a CVS checkout needs.
-pub struct NetSnapshotReader {
-    user: UserId,
-    order: usize,
-    read_tx: Sender<ReadRequest>,
-    last_ctr: Ctr,
-    ops: u64,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
-}
-
-impl NetSnapshotReader {
-    /// Binds a reader to `server`'s read path. Returns `None` when the
-    /// endpoint has no read path (adversarial servers never offer one, and
-    /// a [`crate::FaultLink`] deliberately hides its server's).
-    pub fn bind(user: UserId, config: &ProtocolConfig, server: &impl Endpoint) -> Option<Self> {
-        Some(NetSnapshotReader {
-            user,
-            order: config.order,
-            read_tx: server.read_wire()?.tx,
-            last_ctr: 0,
-            ops: 0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-        })
-    }
-
-    /// Cold-starts a reader via chunked verified state sync: fetches the
-    /// server's snapshot as root-anchored chunks, verifies and assembles it
-    /// (no history replay, no trusted snapshot), and returns the reader
-    /// already caught up to the snapshot's counter, alongside the verified
-    /// state itself.
-    ///
-    /// `expected_anchor` pins the root to bootstrap against (e.g. from a
-    /// published grove epoch); `None` follows the server's current
-    /// snapshot, in which case the caller must check
-    /// [`BootstrapReport::root`] against an independently learned root
-    /// before trusting the data.
-    pub fn bootstrap(
-        user: UserId,
-        config: &ProtocolConfig,
-        server: &impl Endpoint,
-        expected_anchor: Option<&Digest>,
-    ) -> Result<(NetSnapshotReader, BootstrapReport), BootstrapError> {
-        let mut reader =
-            NetSnapshotReader::bind(user, config, server).ok_or(BootstrapError::Unsupported)?;
-        let mut boot = BootstrapClient::new(user, server);
-        let report = boot.bootstrap(expected_anchor)?;
-        if report.tree.order() != config.order {
-            return Err(BootstrapError::Manifest(
-                tcvs_merkle::ChunkError::OrderMismatch {
-                    expected: config.order,
-                    got: report.tree.order(),
-                },
-            ));
-        }
-        // Future verified reads must be at least as fresh as the
-        // bootstrapped state: the snapshot counter becomes the reader's
-        // monotonicity floor.
-        reader.last_ctr = report.ctr;
-        Ok((reader, report))
     }
 
     /// Attaches observability handles (transport retry counters).
@@ -624,64 +486,19 @@ impl NetSnapshotReader {
         self.policy = policy;
     }
 
-    /// Executes one verified read (point or range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` is an update: state transitions belong to the
-    /// serialized path by construction.
+    /// Executes one unverified operation.
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        assert!(!op.is_update(), "snapshot readers serve reads only");
         self.seq += 1;
-        let ctx = Some(SpanContext::root(self.user, self.seq));
-        let resp = round_trip(
-            &self.read_tx,
-            self.user,
-            self.seq,
-            ctx,
-            &self.policy,
-            &self.stats,
-            |reply| ReadRequest {
-                op: op.clone(),
-                ctx,
-                reply,
-            },
-        )?;
-        // Replay the proof from scratch (every cached digest recomputed) and
-        // check the claimed answer against the replayed one.
-        let (proof_root, _) = replay_unanchored(self.order, &resp.vo, op, Some(&resp.result))
-            .map_err(|e| NetError::Deviation(Deviation::BadProof(e)))?;
-        // The proof must be against the very root the server committed to
-        // for this snapshot — not some other state it happens to have.
-        if proof_root != resp.root {
-            return Err(NetError::Deviation(Deviation::BadProof(
-                VerifyError::RootMismatch,
-            )));
-        }
-        // Snapshot time never runs backwards for one reader.
-        if resp.ctr < self.last_ctr {
-            return Err(NetError::Deviation(Deviation::CounterRegression {
-                seen: resp.ctr,
-                expected_at_least: self.last_ctr,
-            }));
-        }
-        self.last_ctr = resp.ctr;
+        let head = Head::root(self.user, self.seq, self.ops);
+        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+            Body::Op(op.clone(), reply)
+        })?;
         self.ops += 1;
         Ok(resp.result)
-    }
-
-    /// The snapshot counter of the most recent verified read.
-    pub fn last_ctr(&self) -> Ctr {
-        self.last_ctr
     }
 
     /// Operations completed.
     pub fn ops_done(&self) -> u64 {
         self.ops
-    }
-
-    /// User id.
-    pub fn user(&self) -> UserId {
-        self.user
     }
 }

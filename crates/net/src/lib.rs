@@ -14,18 +14,11 @@
 //!
 //! ## Batching
 //!
-//! Two levers close most of the gap between the verified paths and the
-//! trusted baseline (see DESIGN.md for the bounds):
-//!
-//! * **Batched Protocol II windows** — [`NetClient2::execute_batch`] sends
-//!   a window of ops as one exchange; the server answers with one
-//!   [`tcvs_core::BatchResponse`] whose spine siblings are shared across
-//!   the window and whose σ-token fold telescopes, and the client verifies
-//!   the whole window against one pre-state root.
-//! * **Batched snapshot publication** —
-//!   [`NetServerOptions::publish_every_ops`] /
-//!   [`NetServerOptions::publish_interval`] amortize the read-slot swap
-//!   over a bounded window of writes.
+//! [`NetClient2::execute_batch`] sends a window of ops as one exchange; the
+//! server answers with one [`tcvs_core::BatchResponse`] whose spine
+//! siblings are shared across the window and whose σ-token fold
+//! telescopes, and the client verifies the whole window against one
+//! pre-state root (see DESIGN.md for the bounds).
 //!
 //! ## Resilience
 //!
@@ -45,25 +38,11 @@
 //! queued crash-restart really performed — only without deposit waits, and
 //! then the thread exits.
 //!
-//! ## Concurrent read path
+//! ## One path for every operation
 //!
-//! Servers that opt in (the honest server does; adversaries cannot) expose
-//! a second wire serving point/range queries from the latest **published
-//! snapshot** — an O(1), structurally shared capture of the database that
-//! the write thread refreshes after every committed operation. Reads on
-//! this path run in a reader pool, in parallel with each other and with the
-//! serialized write path; state transitions (all updates, and every
-//! Protocol I/II/III exchange) remain strictly serialized on the original
-//! wire. [`NetClientTrusted`] routes reads over it automatically;
-//! [`NetSnapshotReader`] adds replay verification against the snapshot root
-//! the server commits to.
-//!
-//! The path opens on the first bind (or [`ShardedServer::grove_epoch`]
-//! sample): until then the server keeps no slot or reader pool and
-//! publishes nothing, so a write edits the tree in place. The bind
-//! publishes behind every earlier request, so it sees every acknowledged
-//! write; from then on each publication shares the tree, and the next
-//! write copies the nodes it touches.
+//! Reads and updates, verified or trusted, all take the serialized wire,
+//! where every answer is covered by its protocol's detection. There is no
+//! side channel that answers queries from a snapshot the server picks.
 //!
 //! ## Sharded grove
 //!
@@ -71,8 +50,8 @@
 //! servers via the restart-stable `tcvs_core::ShardRouter` and folds the
 //! shard roots into one top-level **grove root**, so every verified answer
 //! becomes shard proof + grove spine and clients still check a single
-//! digest. [`ShardedClient2`], [`ShardedClientTrusted`], and
-//! [`GroveReader`] route per key. See DESIGN.md §"Sharded grove".
+//! digest. [`ShardedClient2`] and [`ShardedClientTrusted`] route per key.
+//! See DESIGN.md §"Sharded grove".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -86,9 +65,9 @@ mod server;
 mod shard;
 
 pub use bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
-pub use client::{NetClient1, NetClient2, NetClient3, NetClientTrusted, NetSnapshotReader};
+pub use client::{NetClient1, NetClient2, NetClient3, NetClientTrusted};
 pub use error::{NetError, RetryPolicy};
 pub use fault::FaultLink;
 pub use obs::NetStats;
-pub use server::{Endpoint, NetServer, NetServerOptions, ReadWireHandle, WireHandle};
-pub use shard::{GroveEpoch, GroveReader, ShardedClient2, ShardedClientTrusted, ShardedServer};
+pub use server::{Endpoint, NetServer, NetServerOptions, WireHandle};
+pub use shard::{GroveEpoch, ShardedClient2, ShardedClientTrusted, ShardedServer};

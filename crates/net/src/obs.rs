@@ -1,16 +1,10 @@
 //! Network-layer observability: the metric handles and tracer shared by a
-//! server thread, its reader pool, and the clients bound to it.
+//! server thread and the clients bound to it.
 //!
 //! All counters and histograms are lock-free relaxed atomics; the tracer is
 //! an `Option` check per emit. The disabled default ([`NetStats::disabled`])
 //! makes every probe a no-op, so instrumented and dark builds run the same
 //! hot path.
-//!
-//! One rule is load-bearing for throughput: **nothing here is ever invoked
-//! while the snapshot-slot lock is held**. Wall-clock timestamps are taken
-//! and histograms fed strictly outside the serialized region — the
-//! `read_path` perf probe in `tcvs-bench` asserts the instrumented trusted
-//! read throughput stays within a few percent of the uninstrumented one.
 
 use std::sync::Arc;
 
@@ -26,19 +20,15 @@ pub struct NetStats {
     pub tracer: Tracer,
     registry: Arc<MetricsRegistry>,
     pub(crate) ops_served: Arc<Counter>,
-    pub(crate) reads_served: Arc<Counter>,
     pub(crate) journal_hits: Arc<Counter>,
     pub(crate) journal_evictions: Arc<Counter>,
     pub(crate) missed_deposits: Arc<Counter>,
     pub(crate) crashes: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
     pub(crate) op_micros: Arc<Histogram>,
-    pub(crate) read_ns: Arc<Histogram>,
     pub(crate) batch_windows: Arc<Counter>,
     pub(crate) batch_ops: Arc<Counter>,
     pub(crate) batch_declined: Arc<Counter>,
-    pub(crate) snapshot_publishes: Arc<Counter>,
-    pub(crate) snapshot_lag_ops: Arc<Histogram>,
     pub(crate) crypto_lanes: Arc<Gauge>,
 }
 
@@ -50,19 +40,15 @@ impl NetStats {
         NetStats {
             tracer,
             ops_served: registry.counter("net.server.ops_served"),
-            reads_served: registry.counter("net.server.reads_served"),
             journal_hits: registry.counter("net.server.journal_hits"),
             journal_evictions: registry.counter("net.server.journal_evictions"),
             missed_deposits: registry.counter("net.server.missed_deposits"),
             crashes: registry.counter("net.server.crashes"),
             retries: registry.counter("net.client.retries"),
             op_micros: registry.histogram("net.server.op_micros"),
-            read_ns: registry.histogram("net.server.read_ns"),
             batch_windows: registry.counter("net.batch.windows"),
             batch_ops: registry.counter("net.batch.ops"),
             batch_declined: registry.counter("net.batch.declined"),
-            snapshot_publishes: registry.counter("net.server.snapshot_publishes"),
-            snapshot_lag_ops: registry.histogram("net.server.snapshot_lag_ops"),
             crypto_lanes,
             registry,
         }
@@ -102,7 +88,6 @@ impl std::fmt::Debug for NetStats {
         f.debug_struct("NetStats")
             .field("tracer", &self.tracer)
             .field("ops_served", &self.ops_served.get())
-            .field("reads_served", &self.reads_served.get())
             .finish_non_exhaustive()
     }
 }

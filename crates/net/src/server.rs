@@ -5,10 +5,10 @@
 //! `(user, seq, round, ctx)` and a body — a plain op or a Protocol II batch
 //! window — whose reply slot is typed by that shape, so a client can only
 //! receive the reply shape it asked for. The thread's state (the inner
-//! server, the reply journal, the snapshot publisher, the backlog, the
-//! bootstrap cache, the missed-deposit count) lives in one `ServerLoop`
-//! with a single code path per request kind: one `serve` for calls, one
-//! deposit, one crash-restart and one deposit wait.
+//! server, the reply journal, the backlog, the bootstrap cache, the
+//! missed-deposit count) lives in one `ServerLoop` with a single code path
+//! per request kind: one `serve` for calls, one deposit, one crash-restart
+//! and one deposit wait.
 //!
 //! Protocol I's blocking step is *physically* reproduced: in blocking mode
 //! the server thread will not take the next operation until the previous
@@ -18,13 +18,11 @@
 //! counted in [`NetServer::missed_deposits`] and the server moves on instead
 //! of deadlocking.
 //!
-//! **Batched snapshot publication**
-//! ([`NetServerOptions::publish_every_ops`]) amortizes the concurrent-read
-//! slot swap (see DESIGN.md §batching): the slot is republished every `W`
-//! writes or `T` elapsed, and always before the server goes idle, so
-//! staleness is bounded by `min(W ops, T)` under load and zero at idle.
-//! It starts at the first [`Endpoint::read_wire`]; until then nothing is
-//! published and the tree is edited in place.
+//! Every read takes the same serialized path as a write, so every answer
+//! a client sees is covered by its protocol's detection. The only other
+//! views of the inner server's state are the bootstrap chunks and the
+//! `(root, ctr, last_user)` sample behind a grove epoch, both served in
+//! order on this thread and neither trusted by the party that receives it.
 //!
 //! Every operation carries a per-user sequence number; the thread keeps the
 //! last reply per user in a *reply journal* so a retried request (after a
@@ -47,12 +45,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use tcvs_core::{
-    BatchResponse, Ctr, Digest, Epoch, Op, OpResult, ReadSnapshot, ServerApi, ServerResponse,
-    SignedCheckpoint, SignedEpochState, SignedState, UserId,
+    BatchResponse, Ctr, Digest, Epoch, Op, ServerApi, ServerResponse, SignedCheckpoint,
+    SignedEpochState, SignedState, UserId,
 };
-use tcvs_merkle::{ChunkSource, VerificationObject};
+use tcvs_merkle::ChunkSource;
 use tcvs_obs::{stage, Event, EventKind, SpanContext, NO_ACTOR};
 
 use crate::error::{NetError, RetryPolicy};
@@ -96,9 +93,11 @@ pub(crate) enum Request {
         index: u32,
         reply: Sender<Option<Vec<u8>>>,
     },
-    /// Open the concurrent read path ([`SnapshotPublisher::open`]).
-    OpenReads {
-        reply: Sender<Option<SnapshotSlot>>,
+    /// Sample the current state as `(root, ctr, last_user)`, the per-shard
+    /// input of a grove epoch. `None` means the inner server exposes no
+    /// state to sample (an adversary).
+    Sample {
+        reply: Sender<Option<(Digest, Ctr, UserId)>>,
     },
     /// Crash the inner server and restart it from persisted state.
     Crash {
@@ -173,27 +172,6 @@ impl Call {
     }
 }
 
-/// A read-only request for the concurrent snapshot read path. Carries no
-/// user identity or sequence number: reads from a published snapshot are
-/// idempotent, so retries need no journal.
-pub(crate) struct ReadRequest {
-    pub(crate) op: Op,
-    /// Wire-propagated trace context for the reader's logical operation.
-    pub(crate) ctx: Option<SpanContext>,
-    pub(crate) reply: Sender<ReadResponse>,
-}
-
-/// Reply from the snapshot read path: the answer, its proof, and the
-/// snapshot root/counter the proof is against.
-pub(crate) struct ReadResponse {
-    pub(crate) result: OpResult,
-    pub(crate) vo: VerificationObject,
-    /// Root digest of the snapshot the server claims this answer reflects.
-    pub(crate) root: Digest,
-    /// Counter the snapshot was current as of.
-    pub(crate) ctr: Ctr,
-}
-
 pub(crate) mod sealed {
     pub trait Sealed {}
 }
@@ -201,18 +179,6 @@ pub(crate) mod sealed {
 /// An opaque handle onto a server thread's request channel. Only this
 /// crate can look inside; clients obtain one through [`Endpoint`].
 pub struct WireHandle(pub(crate) Sender<Request>);
-
-/// An opaque handle onto a server's concurrent read path (if it has one).
-/// Only this crate can look inside. It carries two ways in: the published
-/// snapshot slot itself (proof-free reads executed on the caller's thread —
-/// the shared-memory fast path the trusted baseline uses) and the channel
-/// into the server's reader pool (proof-bearing reads for verifying
-/// clients).
-#[derive(Clone)]
-pub struct ReadWireHandle {
-    pub(crate) slot: SnapshotSlot,
-    pub(crate) tx: Sender<ReadRequest>,
-}
 
 /// Something clients can bind to: a [`NetServer`] directly, or a
 /// [`crate::FaultLink`] interposed in front of one.
@@ -223,15 +189,6 @@ pub trait Endpoint: sealed::Sealed {
     /// The wire into this endpoint (crate-internal).
     #[doc(hidden)]
     fn wire(&self) -> WireHandle;
-
-    /// The concurrent read wire, if this endpoint exposes one. The default
-    /// is `None`: a [`crate::FaultLink`] deliberately inherits it, so faults
-    /// exercise the serialized, detection-bearing path — the read path is a
-    /// scalability side channel only honest deployments opt into.
-    #[doc(hidden)]
-    fn read_wire(&self) -> Option<ReadWireHandle> {
-        None
-    }
 }
 
 /// Tuning knobs for a server thread.
@@ -245,27 +202,6 @@ pub struct NetServerOptions {
     /// deposit, records a miss, and moves on. Bounds the Protocol I deadlock
     /// when a client dies (or its deposit is lost) mid-exchange.
     pub deposit_timeout: Duration,
-    /// Number of reader threads serving point/range queries concurrently
-    /// from the latest published snapshot. Spawned on the first read-path
-    /// bind, and only when the inner server opts in via
-    /// [`ServerApi::read_snapshot`]. Clamped to ≥ 1.
-    pub read_pool: usize,
-    /// Republish the concurrent-read snapshot every this many committed
-    /// operations (write batching of the slot swap). `1` (the default)
-    /// preserves strict read-your-writes across the two paths; `W > 1`
-    /// relaxes it to bounded staleness: a reader may miss at most the last
-    /// `W - 1` acknowledged writes, and never misses any once the server
-    /// goes idle or [`NetServerOptions::publish_interval`] elapses. Both
-    /// bounds hold from the first read-path bind on; until then nothing is
-    /// published and the tree is edited in place.
-    pub publish_every_ops: u64,
-    /// Time bound on snapshot staleness under a sustained write load:
-    /// whenever this much time has passed since the last publication, the
-    /// next committed operation republishes regardless of the write count.
-    /// (Checked at operation boundaries — an idle server publishes any
-    /// pending writes before blocking on its queue, so idle staleness is
-    /// zero.) Like the write window, it applies once the read path is open.
-    pub publish_interval: Duration,
     /// Byte budget per bootstrap chunk (whole leaves are grouped under it;
     /// a single oversized leaf still ships as one chunk). Governs the
     /// chunk-count / per-chunk-size trade-off the `bootstrap` bench suite
@@ -278,18 +214,10 @@ impl Default for NetServerOptions {
         NetServerOptions {
             blocking_signatures: false,
             deposit_timeout: Duration::from_secs(2),
-            read_pool: 2,
-            publish_every_ops: 1,
-            publish_interval: Duration::from_millis(1),
             bootstrap_chunk_bytes: 64 * 1024,
         }
     }
 }
-
-/// The slot the write thread publishes fresh snapshots into and readers
-/// load from. Swapping the inner `Arc` is O(1) and never torn: a reader
-/// either sees the tree before an update or after it, never a mix.
-pub(crate) type SnapshotSlot = Arc<Mutex<Arc<ReadSnapshot>>>;
 
 /// What the journal remembers about a served call: its reply in the shape
 /// it was produced in. `answer` maps it to the shape a request asks for.
@@ -299,89 +227,9 @@ enum JournaledReply {
     Batch(BatchResponse),
 }
 
-/// Write-batched publication of the concurrent-read snapshot. With the
-/// default `publish_every_ops = 1` every committed operation republishes
-/// before its reply is sent (strict read-your-writes, the pre-batching
-/// behavior); with a wider window the slot swap and its lock traffic are
-/// amortized over `W` writes, bounded in staleness by the window and by
-/// `publish_interval`, and flushed whenever the server is about to go idle.
-/// None of it runs before the first read-path bind creates the slot.
-struct SnapshotPublisher {
-    slot: Option<SnapshotSlot>,
-    every_ops: u64,
-    interval: Duration,
-    /// Committed operations not yet reflected in the published snapshot.
-    pending: u64,
-    last: Instant,
-    stats: NetStats,
-}
-
-impl SnapshotPublisher {
-    fn new(opts: &NetServerOptions, stats: NetStats) -> Self {
-        SnapshotPublisher {
-            slot: None,
-            every_ops: opts.publish_every_ops.max(1),
-            interval: opts.publish_interval,
-            pending: 0,
-            last: Instant::now(),
-            stats,
-        }
-    }
-
-    /// Accounts `ops` freshly committed operations and republishes if the
-    /// write window is full or the time bound has elapsed.
-    fn record(&mut self, inner: &mut dyn ServerApi, ops: u64) {
-        if self.slot.is_none() {
-            return;
-        }
-        self.pending += ops;
-        if self.pending >= self.every_ops || self.last.elapsed() >= self.interval {
-            self.force(inner);
-        }
-    }
-
-    /// Republishes if any committed operation is still unpublished. Called
-    /// before the server blocks idle on its queue, so snapshot staleness is
-    /// bounded by the window only *while the server is busy*.
-    fn flush(&mut self, inner: &mut dyn ServerApi) {
-        if self.pending > 0 {
-            self.force(inner);
-        }
-    }
-
-    /// Unconditional republication (crash recovery must make the restored
-    /// state visible even when nothing is pending).
-    fn force(&mut self, inner: &mut dyn ServerApi) {
-        let Some(slot) = &self.slot else { return };
-        if let Some(snap) = inner.read_snapshot() {
-            *slot.lock() = Arc::new(snap);
-            self.stats.snapshot_publishes.inc();
-            self.stats.snapshot_lag_ops.observe(self.pending);
-            self.pending = 0;
-            self.last = Instant::now();
-        }
-    }
-
-    /// Opens the read path: creates the slot on the first call, publishes
-    /// the current state into it and returns it. Served in order behind
-    /// every earlier request, so a new reader sees every acknowledged write.
-    fn open(&mut self, inner: &mut dyn ServerApi) -> Option<SnapshotSlot> {
-        if self.slot.is_none() {
-            self.slot = Some(Arc::new(Mutex::new(Arc::new(inner.read_snapshot()?))));
-        }
-        self.force(inner);
-        self.slot.clone()
-    }
-}
-
 /// Handle to a running server thread.
 pub struct NetServer {
     tx: Sender<Request>,
-    /// `None` when the inner server serves no reads; else the read path's
-    /// handle, once the first [`Endpoint::read_wire`] has opened it.
-    read: Option<Mutex<Option<ReadWireHandle>>>,
-    read_pool: usize,
-    stats: NetStats,
     join: Option<JoinHandle<()>>,
     missed: Arc<AtomicU64>,
 }
@@ -391,23 +239,6 @@ impl sealed::Sealed for NetServer {}
 impl Endpoint for NetServer {
     fn wire(&self) -> WireHandle {
         WireHandle(self.tx.clone())
-    }
-
-    /// Opens the read path on the first call: the server thread publishes
-    /// its current state into a fresh slot, and the reader pool starts.
-    /// The lock is held across that round trip, so concurrent first binds
-    /// open it once. `None` once the server thread has exited.
-    fn read_wire(&self) -> Option<ReadWireHandle> {
-        let mut read = self.read.as_ref()?.lock();
-        if read.is_none() {
-            let (reply, opened) = bounded(1);
-            self.tx.send(Request::OpenReads { reply }).ok()?;
-            let slot = opened.recv().ok().flatten()?;
-            let (tx, rx) = unbounded();
-            spawn_readers(&slot, rx, self.read_pool, self.stats.clone());
-            *read = Some(ReadWireHandle { slot, tx });
-        }
-        read.clone()
     }
 }
 
@@ -431,9 +262,7 @@ impl NetServer {
     }
 
     /// Spawns the server thread with metric/event instrumentation feeding
-    /// `stats`. Timestamps are taken and metrics recorded strictly outside
-    /// the snapshot-slot critical section, so attaching stats does not
-    /// lengthen the serialized region the concurrent readers contend on.
+    /// `stats`.
     pub fn spawn_observed(
         inner: Box<dyn ServerApi + Send>,
         opts: NetServerOptions,
@@ -441,17 +270,12 @@ impl NetServer {
     ) -> NetServer {
         let (tx, rx) = unbounded();
         let missed = Arc::new(AtomicU64::new(0));
-        // Probe for a read path before `inner` moves into the write thread.
-        // Adversaries keep the default `None` and never get reader threads:
-        // every answer they give stays on the serialized, countered path.
-        let read = inner.read_snapshot().map(|_| Mutex::new(None));
         let server = ServerLoop {
             inner,
             rx,
             opts,
             journal: HashMap::new(),
-            publisher: SnapshotPublisher::new(&opts, stats.clone()),
-            stats: stats.clone(),
+            stats,
             backlog: VecDeque::new(),
             bootstrap: None,
             missed: Arc::clone(&missed),
@@ -459,9 +283,6 @@ impl NetServer {
         };
         NetServer {
             tx,
-            read,
-            read_pool: opts.read_pool.max(1),
-            stats,
             join: Some(std::thread::spawn(move || server.run())),
             missed,
         }
@@ -483,6 +304,16 @@ impl NetServer {
         ack_rx.recv().map_err(|_| NetError::ServerGone)
     }
 
+    /// The inner server's current `(root, ctr, last_user)`, sampled in
+    /// order behind every request sent before it, so it reflects every
+    /// acknowledged write. `None` when the inner server exposes no state
+    /// (an adversary) or the server thread has exited.
+    pub(crate) fn sample(&self) -> Option<(Digest, Ctr, UserId)> {
+        let (reply, sampled) = bounded(1);
+        self.tx.send(Request::Sample { reply }).ok()?;
+        sampled.recv().ok().flatten()
+    }
+
     /// Stops the server thread gracefully: backlogged and queued requests
     /// are served (from the journal or by execution), then the thread exits.
     pub fn shutdown(mut self) {
@@ -502,62 +333,6 @@ impl Drop for NetServer {
     }
 }
 
-/// Spawns the reader pool: detached threads pulling read requests off a
-/// shared queue and answering them from the latest published snapshot.
-/// They exit when every read-wire sender is gone.
-fn spawn_readers(
-    slot: &SnapshotSlot,
-    read_rx: Receiver<ReadRequest>,
-    pool: usize,
-    stats: NetStats,
-) {
-    let read_rx = Arc::new(Mutex::new(read_rx));
-    for _ in 0..pool {
-        let slot = Arc::clone(slot);
-        let read_rx = Arc::clone(&read_rx);
-        let stats = stats.clone();
-        std::thread::spawn(move || loop {
-            // Hold the queue lock only to dequeue; serving (prune + replay)
-            // happens outside it, so readers overlap on multi-core hosts.
-            let dequeued = {
-                let guard = read_rx.lock();
-                guard.recv()
-            };
-            let req = match dequeued {
-                Ok(r) => r,
-                Err(_) => return,
-            };
-            // The timestamp opens *after* the slot lock has been taken and
-            // released (the clone is one refcount bump under the guard);
-            // nothing below touches the slot again, so instrumentation adds
-            // zero time to the critical section writers contend on.
-            let snap = Arc::clone(&slot.lock());
-            let started = Instant::now();
-            match snap.serve(&req.op) {
-                Some((result, vo)) => {
-                    let ctr = snap.ctr();
-                    let _ = req.reply.send(ReadResponse {
-                        result,
-                        vo,
-                        root: snap.root_digest(),
-                        ctr,
-                    });
-                    stats.reads_served.inc();
-                    stats.read_ns.observe(started.elapsed().as_nanos() as u64);
-                    stats.tracer.emit(|| {
-                        Event::new(ctr, EventKind::ReadServed, NO_ACTOR)
-                            .span_opt(req.ctx.map(|c| c.child(stage::READ)))
-                    });
-                }
-                // An update on the read wire is a client bug; dropping the
-                // reply sender disconnects the waiter rather than serving a
-                // state transition outside the serialized path.
-                None => drop(req.reply),
-            }
-        });
-    }
-}
-
 /// The server thread: everything it owns, and one code path per request
 /// kind, shared by the main loop and the shutdown drain.
 struct ServerLoop {
@@ -568,7 +343,6 @@ struct ServerLoop {
     /// The per-user reply journal: the last `(seq, reply)` served to each
     /// user.
     journal: HashMap<UserId, (u64, JournaledReply)>,
-    publisher: SnapshotPublisher,
     /// Requests that arrived while the server was blocked waiting for a
     /// deposit; replayed in arrival order.
     backlog: VecDeque<Request>,
@@ -592,9 +366,6 @@ impl ServerLoop {
         while let Some(req) = self.next() {
             self.dispatch(req);
         }
-        // Leave the final state visible to any reader that outlives the
-        // writer.
-        self.publisher.flush(self.inner.as_mut());
     }
 
     /// The next request to handle: the backlog first, then the queue.
@@ -605,13 +376,7 @@ impl ServerLoop {
         }
         match self.rx.try_recv() {
             Ok(req) => Some(req),
-            Err(TryRecvError::Empty) if !self.draining => {
-                // About to block idle: make every acknowledged write visible
-                // to readers first, so batched publication never leaves a
-                // stale snapshot standing while nothing else is happening.
-                self.publisher.flush(self.inner.as_mut());
-                self.rx.recv().ok()
-            }
+            Err(TryRecvError::Empty) if !self.draining => self.rx.recv().ok(),
             Err(_) => None,
         }
     }
@@ -638,8 +403,9 @@ impl ServerLoop {
             } => {
                 let _ = reply.send(self.serve_bootstrap_chunk(&anchor, index));
             }
-            Request::OpenReads { reply } => {
-                let _ = reply.send(self.publisher.open(self.inner.as_mut()));
+            Request::Sample { reply } => {
+                let snap = self.inner.read_snapshot();
+                let _ = reply.send(snap.map(|s| (s.root_digest(), s.ctr(), s.last_user())));
             }
             Request::Crash { ack } => self.crash(ack),
             Request::Shutdown => self.draining = true,
@@ -648,7 +414,7 @@ impl ServerLoop {
 
     /// Serves one call: from the journal if it retries a served one,
     /// otherwise by executing it. A fresh reply goes journal insert →
-    /// publish → reply → drop of the displaced reply → stats and tracer, and
+    /// reply → drop of the displaced reply → stats and tracer, and
     /// a blocking Protocol I deployment then waits for the op's deposit.
     fn serve(&mut self, call: Call) {
         if self.replay(&call) {
@@ -670,10 +436,6 @@ impl ServerLoop {
         };
         let batch = matches!(entry, JournaledReply::Batch(_));
         let displaced = self.journal_insert(user, seq, entry);
-        // Publish before replying: a client that sees its write acknowledged
-        // must find it in the snapshot (read-your-writes across the two
-        // paths, relaxed to a bounded window when `publish_every_ops > 1`).
-        self.publisher.record(self.inner.as_mut(), ops);
         if let Some((_, entry)) = self.journal.get(&user) {
             answer(&call.body, entry, || {});
         }
@@ -804,9 +566,6 @@ impl ServerLoop {
             .emit(|| Event::new(0, EventKind::Crash, NO_ACTOR));
         self.inner.crash_restart();
         self.seed_journal();
-        // Readers must see the restored state, not a pre-crash root the
-        // restarted server no longer has.
-        self.publisher.force(self.inner.as_mut());
         let _ = ack.send(());
         self.stats
             .tracer
@@ -871,9 +630,6 @@ impl ServerLoop {
     /// `None` when the inner server exposes no read snapshot (adversaries)
     /// or its snapshot cannot be sliced.
     fn serve_bootstrap_manifest(&mut self) -> Option<(Vec<u8>, Ctr)> {
-        // Publish pending writes first so the manifest reflects every
-        // acknowledged operation.
-        self.publisher.flush(self.inner.as_mut());
         let snap = self.inner.read_snapshot()?;
         let stale = self
             .bootstrap
@@ -1002,7 +758,7 @@ pub(crate) fn round_trip<R, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_core::{HonestServer, ProtocolConfig};
+    use tcvs_core::{HonestServer, OpResult, ProtocolConfig};
     use tcvs_merkle::{u64_key, ChunkManifest};
     use tcvs_storage::{
         response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
@@ -1253,10 +1009,10 @@ mod tests {
         assert_eq!(stats.snapshot().counter("net.batch.declined"), Some(2));
     }
 
-    /// Once the server thread has exited, nobody can open the read path:
-    /// `read_wire` returns `None` instead of waiting or panicking.
+    /// Once the server thread has exited, a state sample returns `None`
+    /// instead of waiting or panicking.
     #[test]
-    fn read_wire_after_shutdown_is_none() {
+    fn sample_after_shutdown_is_none() {
         let cfg = ProtocolConfig {
             order: 4,
             k: 4,
@@ -1269,7 +1025,7 @@ mod tests {
             .expect("server thread alive");
         let thread = server.join.take().expect("thread running");
         thread.join().expect("clean exit");
-        assert!(server.read_wire().is_none());
+        assert!(server.sample().is_none());
     }
 
     /// A bootstrap chunk served by the shutdown drain is cut from the same
@@ -1292,7 +1048,6 @@ mod tests {
                 blocking_signatures: true,
                 deposit_timeout: Duration::from_secs(30),
                 bootstrap_chunk_bytes: 4 * 1024,
-                ..NetServerOptions::default()
             },
         );
         let tx = server.wire().0;

@@ -2,11 +2,11 @@
 //!
 //! A [`ShardedServer`] partitions the keyspace across `N` [`NetServer`]s via
 //! the deterministic, restart-stable [`ShardRouter`] — each shard owns its
-//! own COW Merkle B+-tree, snapshot slot, and reply journal, and runs its
-//! own serialized write thread. The per-shard roots fold into a single
-//! top-level **grove root** (`tcvs_merkle::grove_root`, a fixed-fanout
-//! Merkle combine), so a verified read becomes *shard proof + grove spine*
-//! and the client still checks one digest, exactly as on a single server.
+//! own COW Merkle B+-tree and reply journal, and runs its own serialized
+//! thread. A verified client runs one protocol session per shard, checking
+//! each answer against that shard's root; the per-shard roots fold into a
+//! single top-level **grove root** (`tcvs_merkle::grove_root`, a
+//! fixed-fanout Merkle combine) that names the whole grove at one epoch.
 //!
 //! Detection composes per shard:
 //!
@@ -19,39 +19,36 @@
 //!   grove epoch ([`ShardedServer::grove_epoch`]); the epoch-consistency
 //!   rule is documented in DESIGN.md §"Sharded grove".
 //!
-//! Clients route per key: [`ShardedClientTrusted`] (baseline),
-//! [`ShardedClient2`] (verified, with per-shard batch windows), and
-//! [`GroveReader`] (snapshot reads verified against the grove root).
+//! Clients route per key: [`ShardedClientTrusted`] (baseline) and
+//! [`ShardedClient2`] (verified, with per-shard batch windows).
 //! Cross-shard `Range` queries scatter-gather and merge by key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tcvs_core::{
-    Ctr, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, FaultPlan, FaultRates,
+    Ctr, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, FaultPlan, FaultRates,
     GroveEvidence, Op, OpResult, ProtocolConfig, ServerApi, ShardRouter, SyncShare, TriggerInfo,
     UserId,
 };
-use tcvs_merkle::{grove_root, verify_grove_response, GroveSpine, Key, Value};
+use tcvs_merkle::{grove_root, Key, Value};
 use tcvs_obs::Counter;
 
 use crate::client::{NetClient2, NetClientTrusted};
 use crate::error::{NetError, RetryPolicy};
 use crate::fault::FaultLink;
 use crate::obs::NetStats;
-use crate::server::{
-    round_trip, Endpoint, NetServer, NetServerOptions, ReadRequest, ReadWireHandle,
-};
+use crate::server::{Endpoint, NetServer, NetServerOptions};
 
-/// One sampled grove epoch: every shard's published root and counter, and
-/// the grove root they fold into.
+/// One sampled grove epoch: every shard's root and counter, and the grove
+/// root they fold into.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroveEpoch {
     /// Monotone epoch number (per [`ShardedServer`], starting at 1).
     pub epoch: u64,
-    /// Each shard's published snapshot root, in shard order.
+    /// Each shard's root at the sample, in shard order.
     pub shard_roots: Vec<Digest>,
-    /// Each shard's snapshot counter at the sample.
+    /// Each shard's counter at the sample.
     pub shard_ctrs: Vec<Ctr>,
     /// Each shard's last-writer at the sample ([`tcvs_core::NO_USER`] for
     /// a shard that has seen no operation — including one freshly restored
@@ -92,8 +89,8 @@ pub struct ShardedServer {
 }
 
 impl ShardedServer {
-    /// Spawns `n_shards` honest shard servers, each with its own tree,
-    /// snapshot slot, and reply journal.
+    /// Spawns `n_shards` honest shard servers, each with its own tree and
+    /// reply journal.
     pub fn spawn(
         n_shards: usize,
         config: &ProtocolConfig,
@@ -242,21 +239,24 @@ impl ShardedServer {
             .collect()
     }
 
-    /// Samples every shard's published snapshot at one instant and folds
-    /// the roots into a grove root — one **grove epoch**, the anchor the
-    /// cross-shard sync-up rule is stated against. Returns `None` when any
-    /// shard exposes no read path (an adversarial shard never does; its
-    /// deviations surface on the serialized path instead).
+    /// Samples every shard's `(root, ctr, last_user)` and folds the roots
+    /// into a grove root — one **grove epoch**, the anchor the cross-shard
+    /// sync-up rule is stated against. Each shard answers one request on
+    /// its serialized wire, in order, so the epoch reflects every write
+    /// acknowledged before this call. The sample is the server's word, not
+    /// a verified fact: a session joining at it ([`ShardedClient2::join`])
+    /// finds out at its next sync-up whether the server told the truth.
+    /// Returns `None` when any shard exposes no state to sample (an
+    /// adversarial shard never does) or has exited.
     pub fn grove_epoch(&self) -> Option<GroveEpoch> {
         let mut shard_roots = Vec::with_capacity(self.shards.len());
         let mut shard_ctrs = Vec::with_capacity(self.shards.len());
         let mut shard_last_users = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let wire = shard.read_wire()?;
-            let snap = Arc::clone(&wire.slot.lock());
-            shard_roots.push(snap.root_digest());
-            shard_ctrs.push(snap.ctr());
-            shard_last_users.push(snap.last_user());
+            let (root, ctr, last_user) = shard.sample()?;
+            shard_roots.push(root);
+            shard_ctrs.push(ctr);
+            shard_last_users.push(last_user);
         }
         let root = grove_root(&shard_roots);
         let epoch = self.epochs.fetch_add(1, Ordering::Relaxed) + 1;
@@ -640,221 +640,6 @@ impl ShardedClient2 {
     }
 }
 
-/// A verifying snapshot reader over a grove: every answer is checked as
-/// *shard proof + grove spine* against the grove root of a consistent
-/// sample of all shard slots.
-///
-/// Per read, the reader (1) fetches a proof-bearing read from the owning
-/// shard, (2) samples every shard's published root, (3) requires the
-/// sampled root of the owning shard to match the root the proof is against
-/// (retrying the read on a publication race), then (4) replays the proof
-/// and resolves the grove spine — so the result is anchored to one grove
-/// root covering **all** shards at the sample. Per-shard snapshot counters
-/// must never regress across this reader's queries.
-pub struct GroveReader {
-    user: UserId,
-    order: usize,
-    router: ShardRouter,
-    reads: Vec<ReadWireHandle>,
-    last_ctrs: Vec<Ctr>,
-    seq: u64,
-    ops: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
-    evidence: Option<EvidenceBundle>,
-    evidence_seed: u64,
-}
-
-impl GroveReader {
-    /// Binds a reader to every shard's read path. Returns `None` when any
-    /// shard exposes none (adversarial shards never do — their answers stay
-    /// on the serialized, detection-bearing path).
-    pub fn bind(user: UserId, config: &ProtocolConfig, grove: &ShardedServer) -> Option<Self> {
-        let reads = grove
-            .shards()
-            .iter()
-            .map(NetServer::read_wire)
-            .collect::<Option<Vec<_>>>()?;
-        Some(GroveReader {
-            user,
-            order: config.order,
-            router: ShardRouter::new(reads.len()),
-            last_ctrs: vec![0; reads.len()],
-            reads,
-            seq: 0,
-            ops: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-            evidence: None,
-            evidence_seed: 0,
-        })
-    }
-
-    /// Attaches observability handles (transport retry counters).
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.stats = stats;
-    }
-
-    /// Replaces the retry policy (timeouts, attempts, jitter).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Stamps captured evidence bundles with the run seed that produced
-    /// them.
-    pub fn set_evidence_seed(&mut self, seed: u64) {
-        self.evidence_seed = seed;
-    }
-
-    /// Takes the evidence bundle captured at the most recent failed
-    /// grove-verified read, if any.
-    pub fn take_evidence(&mut self) -> Option<EvidenceBundle> {
-        self.evidence.take()
-    }
-
-    /// Builds and stashes an evidence bundle at a reader detection site:
-    /// the deviation verdict, the offending shard, the full consistent root
-    /// sample (as a pseudo grove epoch — epoch number 0, meaning "sampled
-    /// by the reader, not published"), and the offending VO bytes when the
-    /// failure was proof-shaped.
-    fn capture(&mut self, shard: usize, d: &Deviation, shard_roots: &[Digest], vo: Option<&[u8]>) {
-        if self.evidence.is_some() {
-            return;
-        }
-        let trigger = {
-            let mut t = TriggerInfo::from_deviation(d);
-            t.user = Some(self.user);
-            t.shard = Some(shard as u32);
-            t
-        };
-        let mut b = EvidenceBuilder::new(
-            EvidenceKind::GroveVerifyFailure,
-            self.evidence_seed,
-            "grove-reader",
-        )
-        .captured_at(self.ops)
-        .description(format!(
-            "reader {} rejected a grove-verified read on shard {shard}",
-            self.user
-        ))
-        .trigger(trigger)
-        .grove(GroveEvidence {
-            epoch: 0,
-            shard_roots: shard_roots.to_vec(),
-            shard_ctrs: self.last_ctrs.clone(),
-            shard_last_users: vec![tcvs_core::NO_USER; shard_roots.len()],
-            grove_root: grove_root(shard_roots),
-        });
-        if let Some(bytes) = vo {
-            b = b.vo(bytes.to_vec());
-        }
-        self.evidence = Some(b.build());
-    }
-
-    /// Executes one verified read (point or cross-shard range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` is an update: state transitions belong to the
-    /// serialized path by construction.
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        assert!(!op.is_update(), "grove readers serve reads only");
-        match self.router.route_op(op) {
-            Some(shard) => self.read_on(shard, op),
-            None => {
-                let per_shard = (0..self.reads.len())
-                    .map(|shard| self.read_on(shard, op))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.ops += 1;
-                return Ok(merge_entries(per_shard));
-            }
-        }
-        .inspect(|_| self.ops += 1)
-    }
-
-    /// One grove-verified read against `shard`.
-    fn read_on(&mut self, shard: usize, op: &Op) -> Result<OpResult, NetError> {
-        let attempts = self.policy.max_attempts.max(1);
-        for _ in 0..attempts {
-            self.seq += 1;
-            let resp = round_trip(
-                &self.reads[shard].tx,
-                self.user,
-                self.seq,
-                None,
-                &self.policy,
-                &self.stats,
-                |reply| ReadRequest {
-                    op: op.clone(),
-                    ctx: None,
-                    reply,
-                },
-            )?;
-            // Sample every shard's published root. The grove root is only
-            // meaningful for a consistent sample, so the owning shard's
-            // sampled root must be the very root the proof is against; a
-            // mismatch is a benign publication race (the slot advanced
-            // between serving and sampling) and the read retries.
-            let shard_roots: Vec<Digest> = self
-                .reads
-                .iter()
-                .map(|r| r.slot.lock().root_digest())
-                .collect();
-            if shard_roots[shard] != resp.root {
-                continue;
-            }
-            let known_grove = grove_root(&shard_roots);
-            let spine = GroveSpine::prove(&shard_roots, shard);
-            let verified = match verify_grove_response(
-                &known_grove,
-                self.order,
-                &spine,
-                &resp.vo,
-                op,
-                Some(&resp.result),
-                None,
-            ) {
-                Ok(v) => v,
-                Err(e) => {
-                    let d = Deviation::BadProof(e);
-                    self.capture(shard, &d, &shard_roots, Some(&resp.vo.to_bytes()));
-                    return Err(NetError::Deviation(d));
-                }
-            };
-            // A read transitions nothing: the resolved grove root must be
-            // the one we started from (the spine is bound to the sample).
-            debug_assert_eq!(verified.new_grove_root, known_grove);
-            // Per-shard snapshot time never runs backwards for one reader.
-            if resp.ctr < self.last_ctrs[shard] {
-                let d = Deviation::CounterRegression {
-                    seen: resp.ctr,
-                    expected_at_least: self.last_ctrs[shard],
-                };
-                self.capture(shard, &d, &shard_roots, None);
-                return Err(NetError::Deviation(d));
-            }
-            self.last_ctrs[shard] = resp.ctr;
-            return Ok(verified.result);
-        }
-        Err(NetError::Timeout { attempts })
-    }
-
-    /// The snapshot counter of the most recent verified read per shard.
-    pub fn last_ctrs(&self) -> &[Ctr] {
-        &self.last_ctrs
-    }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
-    }
-
-    /// User id.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,6 +705,9 @@ mod tests {
         grove.shutdown();
     }
 
+    /// An epoch folds the sampled roots, and each sample is served in order
+    /// behind the writes before it: one taken right after an acknowledged
+    /// write reflects it.
     #[test]
     fn grove_epoch_folds_the_sampled_roots() {
         let cfg = config();
@@ -928,7 +716,7 @@ mod tests {
         for i in 0..8u64 {
             c.execute(&Op::Put(u64_key(i), vec![1])).expect("write");
         }
-        let epoch = grove.grove_epoch().expect("honest shards publish");
+        let epoch = grove.grove_epoch().expect("honest shards are sampled");
         assert_eq!(epoch.epoch, 1);
         assert_eq!(epoch.shard_roots.len(), 2);
         assert_eq!(epoch.grove_root, grove_root(&epoch.shard_roots));
@@ -940,85 +728,18 @@ mod tests {
         let again = grove.grove_epoch().expect("sample again");
         assert_eq!(again.epoch, 2);
         assert_eq!(again.grove_root, epoch.grove_root, "quiescent grove");
-        grove.shutdown();
-    }
 
-    #[test]
-    fn grove_reader_verifies_reads_against_the_grove_root() {
-        let cfg = config();
-        let grove = ShardedServer::spawn(4, &cfg, NetServerOptions::default());
-        let mut writer = ShardedClientTrusted::new(0, &grove);
-        for i in 0..24u64 {
-            writer
-                .execute(&Op::Put(u64_key(i), vec![i as u8; 3]))
-                .expect("write");
+        let shard = grove.router().route_key(&u64_key(7));
+        c.execute(&Op::Put(u64_key(7), vec![2])).expect("write");
+        let after = grove.grove_epoch().expect("sample after the write");
+        let mut oracle = MerkleTree::with_order(cfg.order);
+        for i in (0..8u64).filter(|&i| grove.router().route_key(&u64_key(i)) == shard) {
+            let v = if i == 7 { 2 } else { 1 };
+            tcvs_merkle::apply_op(&mut oracle, &Op::Put(u64_key(i), vec![v])).expect("full tree");
         }
-        let mut reader = GroveReader::bind(1, &cfg, &grove).expect("honest grove has read paths");
-        for i in 0..24u64 {
-            let got = reader
-                .execute(&Op::Get(u64_key(i)))
-                .expect("grove-verified");
-            assert_eq!(got, OpResult::Value(Some(vec![i as u8; 3])));
-        }
-        let got = reader.execute(&Op::Range(None, None)).expect("grove range");
-        assert!(matches!(got, OpResult::Entries(es) if es.len() == 24));
-        assert_eq!(reader.ops_done(), 25);
-        grove.shutdown();
-    }
-
-    /// A grove-reader detection site seals an auditable bundle carrying
-    /// the deviation verdict, the offending shard, the consistent root
-    /// sample, and the offending VO bytes.
-    #[test]
-    fn grove_reader_capture_seals_an_auditable_bundle() {
-        let cfg = config();
-        let grove = ShardedServer::spawn(3, &cfg, NetServerOptions::default());
-        let mut w = ShardedClientTrusted::new(0, &grove);
-        for i in 0..12u64 {
-            w.execute(&Op::Put(u64_key(i), vec![1])).expect("write");
-        }
-        let mut reader = GroveReader::bind(5, &cfg, &grove).expect("read paths");
-        reader.set_evidence_seed(9);
-        let shard_roots: Vec<Digest> = (0..3)
-            .map(|i| {
-                grove
-                    .shard(i)
-                    .read_wire()
-                    .unwrap()
-                    .slot
-                    .lock()
-                    .root_digest()
-            })
-            .collect();
-        // Drive the capture path directly with a proof-shaped deviation
-        // and a counter regression (honest servers can't produce either
-        // over the wire, which is the point of the detection site).
-        let d = Deviation::BadProof(tcvs_merkle::VerifyError::RootMismatch);
-        reader.capture(1, &d, &shard_roots, Some(b"vo-bytes"));
-        let bundle = reader.take_evidence().expect("captured");
-        assert!(reader.take_evidence().is_none(), "stash holds one bundle");
-        assert_eq!(bundle.kind, EvidenceKind::GroveVerifyFailure);
-        assert_eq!(bundle.trigger.deviation, "bad-proof");
-        assert_eq!(bundle.trigger.shard, Some(1));
-        let grove_ev = bundle.grove.as_ref().expect("root sample rides");
-        assert_eq!(grove_ev.shard_roots, shard_roots);
-        assert_eq!(grove_ev.grove_root, grove_root(&shard_roots));
-        assert_eq!(bundle.vos, vec![b"vo-bytes".to_vec()]);
-        let report = tcvs_core::audit_bytes(&bundle.to_bytes());
-        assert!(report.accepted, "{:?}", report.rejection);
-        // The first capture wins until taken.
-        reader.capture(0, &d, &shard_roots, None);
-        reader.capture(
-            2,
-            &Deviation::CounterRegression {
-                seen: 0,
-                expected_at_least: 3,
-            },
-            &shard_roots,
-            None,
-        );
-        let first = reader.take_evidence().expect("captured again");
-        assert_eq!(first.trigger.shard, Some(0));
+        assert_eq!(after.shard_roots[shard], oracle.root_digest());
+        assert_eq!(after.shard_ctrs[shard], epoch.shard_ctrs[shard] + 1);
+        assert_eq!(after.shard_roots[1 - shard], epoch.shard_roots[1 - shard]);
         grove.shutdown();
     }
 

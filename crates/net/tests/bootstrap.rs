@@ -1,19 +1,24 @@
 //! End-to-end tests of chunked verified state sync: a cold client
-//! bootstrapping a verified reader from nothing, bootstrap traffic riding
-//! a seeded fault storm with zero false alarms, and a killed shard
-//! rejoining the grove from a peer's chunks with the Protocol II sync-up
-//! passing afterwards.
+//! bootstrapping verified state from nothing, a pin that catches a server
+//! whose snapshot differs from what it serves on the serialized path,
+//! bootstrap traffic riding a seeded fault storm with zero false alarms,
+//! and a killed shard rejoining the grove from a peer's chunks with the
+//! Protocol II sync-up passing afterwards.
+
+mod common;
 
 use std::time::Duration;
 
+use common::ShadowReadServer;
+use tcvs_core::state::state_token;
 use tcvs_core::{
-    FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerCore, SyncShare,
-    NO_USER,
+    FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerApi, ServerCore,
+    SyncShare, NO_USER,
 };
-use tcvs_merkle::u64_key;
+use tcvs_merkle::{apply_op, u64_key, ChunkError, CodecError, MerkleTree};
 use tcvs_net::{
     BootstrapClient, BootstrapError, FaultLink, NetClient2, NetClientTrusted, NetServer,
-    NetServerOptions, NetSnapshotReader, RetryPolicy, ShardedClient2, ShardedServer,
+    NetServerOptions, RetryPolicy, ShardedClient2, ShardedServer,
 };
 
 fn config() -> ProtocolConfig {
@@ -33,8 +38,8 @@ fn quick_retries() -> RetryPolicy {
 }
 
 /// A cold client reaches verified state through the chunk protocol alone:
-/// no history replay, no trusted snapshot — bootstrap, then serve verified
-/// reads that must agree with what was written.
+/// no history replay, no trusted snapshot — bootstrap, then answer reads
+/// from the verified tree, which must agree with what was written.
 #[test]
 fn cold_reader_bootstraps_and_serves_verified_reads() {
     let cfg = config();
@@ -53,8 +58,9 @@ fn cold_reader_bootstraps_and_serves_verified_reads() {
             .expect("honest server");
     }
 
-    let (mut reader, report) =
-        NetSnapshotReader::bootstrap(9, &cfg, &server, None).expect("cold bootstrap");
+    let report = BootstrapClient::new(9, &server)
+        .bootstrap(None)
+        .expect("cold bootstrap");
     assert_eq!(report.tree.len(), Some(64), "every written key arrived");
     assert_eq!(report.root, report.tree.root_digest());
     assert!(report.chunks_fetched > 1, "the transfer was chunked");
@@ -64,24 +70,71 @@ fn cold_reader_bootstraps_and_serves_verified_reads() {
             .find(|j| j % 64 == i)
             .map(|j| vec![(j % 97) as u8; 5]);
         assert_eq!(
-            reader.execute(&Op::Get(u64_key(i))).expect("verified read"),
-            OpResult::Value(expect),
-            "bootstrapped reader agrees with the written history at key {i}"
+            report.tree.get(&u64_key(i)).expect("a full tree").cloned(),
+            expect,
+            "bootstrapped state agrees with the written history at key {i}"
         );
     }
 
     // Pinning the root just learned must succeed on the quiescent server;
     // pinning a wrong root must fail before any state is admitted.
-    let (_, pinned) =
-        NetSnapshotReader::bootstrap(10, &cfg, &server, Some(&report.root)).expect("pinned");
+    let pinned = BootstrapClient::new(10, &server)
+        .bootstrap(Some(&report.root))
+        .expect("pinned");
     assert_eq!(pinned.root, report.root);
-    let wrong = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();
+    let wrong = MerkleTree::with_order(cfg.order).root_digest();
     assert!(
         matches!(
-            NetSnapshotReader::bootstrap(11, &cfg, &server, Some(&wrong)),
+            BootstrapClient::new(11, &server).bootstrap(Some(&wrong)),
             Err(BootstrapError::AnchorMismatch { .. })
         ),
         "a wrong pin is a loud mismatch, not silent acceptance"
+    );
+    server.shutdown();
+}
+
+/// A server honest on the serialized path but serving a forged snapshot
+/// cannot hand a pinned bootstrap its forgery: pinned to the root the
+/// verified writer last saw, the bootstrap fails before admitting a
+/// chunk. Unpinned, it assembles the forgery, and only the caller's check
+/// of `report.root` against that same root catches it.
+#[test]
+fn a_pinned_bootstrap_refuses_a_forged_snapshot() {
+    let cfg = config();
+    let server = NetServer::spawn(Box::new(ShadowReadServer::new(&cfg)), false);
+    let r0 = MerkleTree::with_order(cfg.order).root_digest();
+    let mut writer = NetClient2::new(0, &r0, cfg, &server);
+    let mut oracle = MerkleTree::with_order(cfg.order);
+    for i in 0..40u64 {
+        let op = Op::Put(u64_key(i % 16), vec![i as u8; 3]);
+        writer.execute(&op).expect("the serialized path is honest");
+        apply_op(&mut oracle, &op).expect("a full tree");
+    }
+    let seen = oracle.root_digest();
+    assert_eq!(
+        writer.sync_share().last,
+        Some(state_token(&seen, 40, 0)),
+        "the writer's last verified state has this root"
+    );
+
+    match BootstrapClient::new(9, &server).bootstrap(Some(&seen)) {
+        Err(BootstrapError::AnchorMismatch { expected, got }) => {
+            assert_eq!(expected, seen);
+            assert_ne!(got, seen);
+        }
+        other => panic!("a forged snapshot passed a pinned bootstrap: {other:?}"),
+    }
+    let unpinned = BootstrapClient::new(10, &server)
+        .bootstrap(None)
+        .expect("the forgery is internally consistent");
+    assert_ne!(unpinned.root, seen, "the caller's root check catches it");
+    assert_eq!(
+        unpinned
+            .tree
+            .get(&u64_key(0))
+            .expect("a full tree")
+            .cloned(),
+        Some(b"forged".to_vec())
     );
     server.shutdown();
 }
@@ -218,4 +271,34 @@ fn killed_shard_rejoins_the_grove_via_verified_chunk_sync() {
         "Protocol II sync-up passes on the rejoined grove"
     );
     grove.shutdown();
+}
+
+/// A peer whose tree has another branching order than the grove's verifies
+/// chunk by chunk, yet cannot become a shard: every proof the restored
+/// core served would fail its clients' replay. `bootstrap_restart` refuses
+/// it, and the shard it was to replace keeps serving.
+#[test]
+fn bootstrap_restart_refuses_a_tree_of_another_order() {
+    let cfg = config();
+    let mut inner = HonestServer::new(&ProtocolConfig { order: 8, ..cfg });
+    for i in 0..20u64 {
+        inner.handle_op(0, &Op::Put(u64_key(i), vec![i as u8]), i);
+    }
+    let peer = NetServer::spawn(Box::new(inner), false);
+    let root = BootstrapClient::new(NO_USER, &peer)
+        .bootstrap(None)
+        .expect("the peer serves its tree")
+        .root;
+    let mut grove = ShardedServer::spawn(2, &cfg, NetServerOptions::default());
+    let before = grove.grove_epoch().expect("honest grove");
+    assert!(matches!(
+        grove.bootstrap_restart(1, &peer, &root, &cfg),
+        Err(BootstrapError::Assembly(ChunkError::Codec(
+            CodecError::Malformed(_)
+        )))
+    ));
+    let after = grove.grove_epoch().expect("shard 1 still serves");
+    assert_eq!(after.grove_root, before.grove_root);
+    grove.shutdown();
+    peer.shutdown();
 }

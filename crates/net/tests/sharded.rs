@@ -1,21 +1,26 @@
 //! End-to-end tests of the sharded grove: restart-stable routing across
 //! shard crash-restarts, single-shard deviation caught at its exact
 //! counter with zero false alarms on the honest shards, independently
-//! seeded per-shard fault storms, the cross-shard sync-up rule, and
-//! concurrent first binds of the shards' read paths.
+//! seeded per-shard fault storms, the cross-shard sync-up rule, and grove
+//! epochs: served in order, transitioning nothing, and caught at the next
+//! sync-up when a shard forges one.
 
-use std::sync::Barrier;
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use common::ShadowReadServer;
 use tcvs_core::adversary::{LieServer, Trigger};
 use tcvs_core::state::initial_token;
 use tcvs_core::sync::{protocol2_deviating_shards, protocol2_grove_sync_ok};
 use tcvs_core::{
-    Deviation, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerApi, SyncShare,
+    Deviation, FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerApi,
+    SyncShare,
 };
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{
-    GroveReader, NetError, NetServerOptions, NetStats, RetryPolicy, ShardedClient2,
+    FaultLink, NetError, NetServerOptions, NetStats, RetryPolicy, ShardedClient2,
     ShardedClientTrusted, ShardedServer,
 };
 
@@ -63,20 +68,27 @@ fn routing_survives_grove_crash_restarts() {
             "key {i} re-homed after a shard restart"
         );
     }
+    let before = grove.grove_epoch().expect("honest grove");
     grove.crash_restart_all().expect("grove-wide restart");
-    // A *new* client binding (fresh router, fresh verified sessions over
-    // the restored roots... via replayed verified reads) sees every key on
-    // the same shard.
-    let mut reader = GroveReader::bind(7, &cfg, &grove).expect("honest grove publishes");
+    // The restarted shards are sampled at the state they restored.
+    let epoch = grove.grove_epoch().expect("honest grove");
+    assert_eq!(epoch.shard_roots, before.shard_roots);
+    assert_eq!(epoch.shard_ctrs, before.shard_ctrs);
+    // A *new* client (fresh router, fresh verified sessions joined at the
+    // restored epoch) sees every key on the same shard.
+    let mut reader = ShardedClient2::join(7, &epoch, cfg, &grove);
     for i in 0..48u64 {
         assert_eq!(
-            reader
-                .execute(&Op::Get(u64_key(i)))
-                .expect("grove-verified read"),
+            reader.execute(&Op::Get(u64_key(i))).expect("verified read"),
             OpResult::Value(Some(vec![i as u8; 4])),
             "key {i} re-homed after the grove restart"
         );
     }
+    let shares = per_shard_shares(std::slice::from_ref(&reader), n);
+    assert!(
+        reader.sync_succeeds(&shares),
+        "the restored epoch is honest"
+    );
     grove.shutdown();
 }
 
@@ -231,113 +243,167 @@ fn independently_seeded_fault_storms_across_shards_zero_false_alarms() {
     grove.shutdown();
 }
 
-/// The grove epoch anchors cross-shard reads: a reader bound over an
-/// actively written grove verifies every answer against a consistent
-/// sample of all shard roots, while trusted and verified writers advance
-/// the shards concurrently.
+/// Every user's shares, regrouped per shard: `per_shard[i]` holds every
+/// session's share for shard `i`.
+fn per_shard_shares(sessions: &[ShardedClient2], n: usize) -> Vec<Vec<SyncShare>> {
+    let shares: Vec<Vec<SyncShare>> = sessions.iter().map(ShardedClient2::sync_shares).collect();
+    (0..n)
+        .map(|i| shares.iter().map(|s| s[i].clone()).collect())
+        .collect()
+}
+
+/// A grove epoch requested while a blocking Protocol I shard waits for a
+/// deposit is served once that wait ends, here by `deposit_timeout`: the
+/// sample queues behind the wait like any other request, and reflects the
+/// write the wait followed.
 #[test]
-fn grove_reader_stays_consistent_under_concurrent_writes() {
+fn a_grove_epoch_during_a_deposit_wait_returns_when_the_wait_ends() {
     let cfg = config();
-    let n = 4;
-    let grove = ShardedServer::spawn(n, &cfg, NetServerOptions::default());
-    let mut seed_writer = ShardedClientTrusted::new(0, &grove);
-    for i in 0..32u64 {
-        seed_writer
-            .execute(&Op::Put(u64_key(i), vec![0xab]))
-            .expect("seed");
-    }
-    let mut reader = GroveReader::bind(9, &cfg, &grove).expect("read paths");
-    reader.set_retry_policy(RetryPolicy {
-        max_attempts: 12,
-        ..quick_retries()
-    });
-    let writer = {
-        let mut w = ShardedClientTrusted::new(1, &grove);
-        std::thread::spawn(move || {
-            for i in 0..200u64 {
-                w.execute(&Op::Put(u64_key(i % 32), vec![(i % 251) as u8]))
-                    .expect("concurrent writer");
-            }
-        })
-    };
-    let mut verified = 0u64;
-    for round in 0..20u64 {
-        for i in 0..8u64 {
-            match reader.execute(&Op::Get(u64_key((round * 8 + i) % 32))) {
-                Ok(OpResult::Value(Some(_))) => verified += 1,
-                Ok(other) => panic!("seeded key missing: {other:?}"),
-                // A saturated write stream can outrun the bounded retry
-                // loop's consistent-sample window; that is a liveness
-                // outcome, never a verification one.
-                Err(NetError::Timeout { .. }) => {}
-                Err(e) => panic!("grove reader alarmed under honest load: {e}"),
-            }
-        }
-    }
-    writer.join().expect("writer thread");
-    assert!(verified > 0, "the reader made verified progress under load");
-    // Quiescent now: every read verifies.
-    for i in 0..32u64 {
-        reader
-            .execute(&Op::Get(u64_key(i)))
-            .expect("quiescent grove-verified read");
-    }
+    let grove = ShardedServer::spawn(
+        2,
+        &cfg,
+        NetServerOptions {
+            blocking_signatures: true,
+            deposit_timeout: Duration::from_millis(200),
+            ..NetServerOptions::default()
+        },
+    );
+    // A trusted client never deposits, so its write leaves its shard
+    // waiting. It works through fault links like any client.
+    let links: Vec<FaultLink> = grove
+        .shards()
+        .iter()
+        .map(|s| FaultLink::interpose(s, FaultPlan::none()))
+        .collect();
+    let mut c = ShardedClientTrusted::bind(0, &links);
+    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    let epoch = grove.grove_epoch().expect("served after the wait");
+    let missed: u64 = grove.shards().iter().map(|s| s.missed_deposits()).sum();
+    assert_eq!(missed, 1, "served after the wait timed out");
+    assert_eq!(
+        epoch.shard_ctrs.iter().sum::<u64>(),
+        1,
+        "the write is in it"
+    );
     grove.shutdown();
 }
 
-/// Two threads opening a grove's read paths at once, one binding a reader
-/// and one sampling an epoch, open each shard exactly once (one
-/// publication per shard) and share its slot: a later write is seen by
-/// both.
+/// A grove epoch is a serialized request that transitions nothing:
+/// samples taken between and beside verifying writers' operations leave
+/// every shard's counter and σ chain as the writers alone would, so their
+/// grove sync-up passes.
 #[test]
-fn concurrent_first_binds_open_each_shard_once() {
+fn protocol2_grove_sync_up_succeeds_with_concurrent_epoch_samples() {
     let cfg = config();
     let n = 3;
-    let stats = NetStats::disabled();
-    let grove = ShardedServer::spawn_observed(n, &cfg, NetServerOptions::default(), stats.clone());
-    let publishes = || {
-        stats
-            .snapshot()
-            .counter("net.server.snapshot_publishes")
-            .unwrap_or(0)
-    };
+    let grove = ShardedServer::spawn(n, &cfg, NetServerOptions::default());
     let r0 = root0s(n, &cfg);
-    let mut writer = ShardedClient2::new(0, &r0, cfg, &grove);
-    for i in 0..12u64 {
-        writer.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
-    }
-    assert_eq!(publishes(), 0, "no reader bound, nothing published");
-
-    let start = Barrier::new(2);
-    let (mut reader, epoch) = std::thread::scope(|s| {
-        let reader = s.spawn(|| {
-            start.wait();
-            GroveReader::bind(5, &cfg, &grove).expect("honest grove")
+    let stop = AtomicBool::new(false);
+    let (sessions, samples) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut samples = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                grove.grove_epoch().expect("honest grove");
+                samples += 1;
+            }
+            samples
         });
-        let epoch = s.spawn(|| {
-            start.wait();
-            grove.grove_epoch().expect("honest grove")
-        });
-        (reader.join().unwrap(), epoch.join().unwrap())
+        let writers: Vec<_> = (0..3u32)
+            .map(|u| {
+                let (grove, r0) = (&grove, &r0);
+                s.spawn(move || {
+                    let mut c = ShardedClient2::new(u, r0, cfg, grove);
+                    for i in 0..60u64 {
+                        let key = u64_key(u as u64 * 100 + i / 2);
+                        let op = if i % 2 == 0 {
+                            Op::Put(key, vec![i as u8])
+                        } else {
+                            Op::Get(key)
+                        };
+                        c.execute(&op).expect("honest grove");
+                        if i % 10 == 0 {
+                            grove.grove_epoch().expect("honest grove");
+                        }
+                    }
+                    c
+                })
+            })
+            .collect();
+        let sessions: Vec<ShardedClient2> =
+            writers.into_iter().map(|h| h.join().unwrap()).collect();
+        stop.store(true, Ordering::Relaxed);
+        (sessions, sampler.join().unwrap())
     });
-    assert_eq!(publishes(), n as u64, "each shard opened exactly once");
+    assert!(samples > 0, "the sampler ran");
+    let per_shard = per_shard_shares(&sessions, n);
+    assert!(sessions.iter().all(|c| c.sync_succeeds(&per_shard)));
+    let epoch = grove.grove_epoch().expect("honest grove");
     assert_eq!(
-        reader.execute(&Op::Get(u64_key(11))).unwrap(),
-        OpResult::Value(Some(vec![11]))
-    );
-    let again = grove.grove_epoch().expect("honest grove");
-    assert_eq!(again.grove_root, epoch.grove_root, "no write in between");
-
-    writer.execute(&Op::Put(u64_key(11), vec![0xee])).unwrap();
-    assert_eq!(publishes(), n as u64 + 1);
-    assert_eq!(
-        reader.execute(&Op::Get(u64_key(11))).unwrap(),
-        OpResult::Value(Some(vec![0xee]))
-    );
-    let after = grove.grove_epoch().expect("honest grove");
-    assert_ne!(
-        after.grove_root, epoch.grove_root,
-        "the epoch sees the write"
+        epoch.shard_ctrs.iter().sum::<u64>(),
+        180,
+        "only the writers' operations advanced a counter"
     );
     grove.shutdown();
+}
+
+/// Joining at an epoch a shard forged surfaces at the next sync-up. Shard
+/// 1 is honest on its serialized wire but samples its epoch state from a
+/// forged shadow tree (same counter and last user, another root). Every
+/// pair of sessions joining at such an epoch works on every shard with no
+/// per-op alarm, and their grove sync-up then fails on shard 1 and only
+/// there. The same script over an all-honest grove passes.
+#[test]
+fn joining_at_a_forged_grove_epoch_fails_the_next_sync_up_on_that_shard() {
+    let cfg = config();
+    let n = 3;
+    for (shadowed, deviating) in [(false, vec![]), (true, vec![1])] {
+        let inners: Vec<Box<dyn ServerApi + Send>> = (0..n)
+            .map(|i| -> Box<dyn ServerApi + Send> {
+                if shadowed && i == 1 {
+                    Box::new(ShadowReadServer::new(&cfg))
+                } else {
+                    Box::new(HonestServer::new(&cfg))
+                }
+            })
+            .collect();
+        let grove = ShardedServer::spawn_with_servers(
+            inners,
+            NetServerOptions::default(),
+            NetStats::disabled(),
+        );
+        let router = grove.router();
+        let mut writer = ShardedClient2::new(0, &root0s(n, &cfg), cfg, &grove);
+        for i in 0..24u64 {
+            writer
+                .execute(&Op::Put(u64_key(i), vec![i as u8]))
+                .expect("the serialized path is honest");
+        }
+        for round in 0..3u8 {
+            let epoch = grove.grove_epoch().expect("every shard is sampled");
+            let mut sessions: Vec<ShardedClient2> = (1..3)
+                .map(|u| ShardedClient2::join(u, &epoch, cfg, &grove))
+                .collect();
+            let mut touched = vec![0u32; n];
+            for (u, session) in sessions.iter_mut().enumerate() {
+                for i in 0..24u64 {
+                    let op = if i % 2 == 0 {
+                        Op::Get(u64_key(i))
+                    } else {
+                        Op::Put(u64_key(i), vec![round, u as u8])
+                    };
+                    touched[router.route_op(&op).unwrap()] += 1;
+                    session.execute(&op).expect("no per-op alarm");
+                }
+            }
+            assert!(touched.iter().all(|&t| t > 0), "ops on every shard");
+            let per_shard = per_shard_shares(&sessions, n);
+            assert_eq!(
+                sessions[0].sync_succeeds(&per_shard),
+                !shadowed,
+                "round {round}"
+            );
+            assert_eq!(sessions[0].deviating_shards(&per_shard), deviating);
+        }
+        grove.shutdown();
+    }
 }

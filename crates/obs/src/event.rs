@@ -18,7 +18,8 @@ pub const NO_ACTOR: u32 = u32::MAX;
 pub enum EventKind {
     /// An operation was executed by the server (serialized write path).
     OpServed,
-    /// A read was served from a published snapshot (concurrent read path).
+    /// A read was served from a published snapshot. Nothing emits it any
+    /// more; the tag stays so traces that carry it still decode.
     ReadServed,
     /// A verification object was constructed for a response.
     ProofBuilt,

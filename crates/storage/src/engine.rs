@@ -1035,6 +1035,31 @@ mod tests {
         );
     }
 
+    /// Chunks that verify against their anchor but assemble a tree of
+    /// another branching order than the configured one are refused: every
+    /// proof the restored server served would fail its clients' replay.
+    #[test]
+    fn open_from_chunks_refuses_a_tree_of_another_order() {
+        let (_src, source, ctr) = chunk_stream(20);
+        let refused = DurableServer::open_from_chunks(
+            MemStorage::new(),
+            ProtocolConfig {
+                order: 8,
+                ..config()
+            },
+            DurabilityOptions::default(),
+            StorageObs::disabled(),
+            &source.manifest().anchor,
+            ctr,
+            &source.manifest().to_bytes(),
+            |i| source.chunk(i),
+        );
+        match refused.err() {
+            Some(StorageError::Bootstrap(why)) => assert!(why.contains("order"), "{why}"),
+            other => panic!("a tree of another order was restored: {other:?}"),
+        }
+    }
+
     #[test]
     fn open_from_chunks_refuses_nonempty_storage() {
         let (_src, source, ctr) = chunk_stream(20);

@@ -1,19 +1,20 @@
 //! Sharded grove: N shard servers behind one combined top-level root.
 //!
 //! Partitions the keyspace across `--shards N` independent shard servers
-//! (each with its own COW Merkle B+-tree, snapshot slot, and reply
-//! journal), folds the shard roots into a single grove root, and shows
-//! that the single-server guarantees survive the composition: verified
-//! reads against the grove root, a cross-shard sync-up that passes on an
-//! honest grove, and a lie confined to one shard that is caught on the
-//! very response that carries it — localized to exactly that shard.
+//! (each with its own COW Merkle B+-tree and reply journal), folds the
+//! shard roots into a single grove root, and shows that the single-server
+//! guarantees survive the composition: a cross-shard sync-up that passes
+//! on an honest grove, a late joiner that enters at a grove epoch and
+//! verifies its reads per shard, and a lie confined to one shard that is
+//! caught on the very response that carries it — localized to exactly
+//! that shard.
 //!
 //! Run with: `cargo run -p tcvs-bench --release --example sharded_grove -- --shards 8`
 
 use tcvs_core::adversary::{LieServer, Trigger};
 use tcvs_core::{Deviation, HonestServer, Op, ProtocolConfig, ServerApi, SyncShare};
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{GroveReader, NetError, NetServerOptions, NetStats, ShardedClient2, ShardedServer};
+use tcvs_net::{NetError, NetServerOptions, NetStats, ShardedClient2, ShardedServer};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,23 +49,6 @@ fn main() {
     }
     println!("128 keys routed restart-stably across shards: {per_shard:?}");
 
-    let epoch = grove.grove_epoch().expect("every shard publishes");
-    println!(
-        "grove epoch {}: {} shard roots folded into grove root {}",
-        epoch.epoch,
-        epoch.shard_roots.len(),
-        hex_prefix(epoch.grove_root.as_ref()),
-    );
-
-    // Every read is verified against the grove root: shard proof + spine.
-    let mut reader = GroveReader::bind(9, &config, &grove).expect("read paths");
-    for i in 0..128u64 {
-        reader
-            .execute(&Op::Get(u64_key(i)))
-            .expect("grove-verified read");
-    }
-    println!("128 reads verified against the grove root");
-
     // Cross-shard sync-up: per-shard Protocol II predicates, all shards
     // sampled at one grove epoch.
     let (a, b) = (alice.sync_shares(), bob.sync_shares());
@@ -72,7 +56,25 @@ fn main() {
         .map(|s| vec![a[s].clone(), b[s].clone()])
         .collect();
     assert!(alice.sync_succeeds(&shares) && bob.sync_succeeds(&shares));
-    println!("cross-shard sync-up: PASS on the honest grove\n");
+    println!("cross-shard sync-up: PASS on the honest grove");
+
+    let epoch = grove.grove_epoch().expect("every shard is sampled");
+    println!(
+        "grove epoch {}: {} shard roots folded into grove root {}",
+        epoch.epoch,
+        epoch.shard_roots.len(),
+        hex_prefix(epoch.grove_root.as_ref()),
+    );
+
+    // A late joiner enters at the epoch: every read is verified against
+    // its shard's root, and its own sync-up covers what it did since.
+    let mut dave = ShardedClient2::join(9, &epoch, config, &grove);
+    for i in 0..128u64 {
+        dave.execute(&Op::Get(u64_key(i))).expect("verified read");
+    }
+    let shares: Vec<Vec<SyncShare>> = dave.sync_shares().into_iter().map(|s| vec![s]).collect();
+    assert!(dave.sync_succeeds(&shares));
+    println!("late joiner: 128 verified reads, sync-up PASS from the epoch\n");
     grove.shutdown();
 
     // --- The same grove with exactly one lying shard ---------------------
