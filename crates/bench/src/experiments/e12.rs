@@ -14,7 +14,7 @@ use tcvs_obs::{
     render_chrome_trace_with_loss, render_openmetrics, EventKind, MetricsRegistry, TraceLoss,
     Tracer,
 };
-use tcvs_sim::{simulate_observed, simulate_with_flight_recorder, SimSpec};
+use tcvs_sim::{simulate_observed, SimSpec};
 use tcvs_workload::{generate, OpMix, WorkloadSpec};
 
 use crate::table::Table;
@@ -57,8 +57,9 @@ pub fn artifacts(quick: bool) -> (String, String, Option<String>, bool) {
     let n_ops = if quick { 60 } else { 120 };
     let t = workload(n_ops);
     let mut server = ForkServer::new(&s.config, Trigger::AtCtr(FORK_AT), &[0]);
-    let (report, dump, recorder) =
-        simulate_with_flight_recorder(&s, &mut server, &t, Some(FORK_AT), RING_CAP);
+    let (tracer, recorder) = Tracer::flight(RING_CAP);
+    let report = simulate_observed(&s, &mut server, &t, Some(FORK_AT), &tracer);
+    let dump = report.detected().then(|| recorder.render_log());
     let events = recorder.snapshot();
     let linked = events
         .iter()

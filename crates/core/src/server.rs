@@ -483,15 +483,6 @@ impl ReadSnapshot {
         self.last_user
     }
 
-    /// The Protocol II state token of this snapshot —
-    /// `state_token(root, ctr, last_user)`. A session joining mid-history
-    /// at this snapshot anchors its σ fold here
-    /// ([`crate::client2::Client2::join`]); the grove epoch rejoin rule is
-    /// this token sampled per shard at one epoch.
-    pub fn join_token(&self) -> Digest {
-        crate::state::state_token(&self.db.root_digest(), self.ctr, self.last_user)
-    }
-
     /// Root digest of the snapshot database.
     pub fn root_digest(&self) -> Digest {
         self.db.root_digest()

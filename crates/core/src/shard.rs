@@ -9,7 +9,7 @@
 //! input, nothing process-local. The same `(key, n_shards)` pair routes
 //! identically across crash-restarts, process restarts, and machines.
 
-use tcvs_merkle::{Key, Op};
+use tcvs_merkle::Op;
 
 use crate::fault::splitmix64;
 
@@ -74,11 +74,6 @@ impl ShardRouter {
         }
         Some(groups)
     }
-}
-
-/// Convenience: owned-key routing for callers holding [`Key`]s.
-pub fn route(n_shards: usize, key: &Key) -> usize {
-    ShardRouter::new(n_shards).route_key(key)
 }
 
 #[cfg(test)]

@@ -74,18 +74,6 @@ pub fn protocol2_deviating_shards(initials: &[Digest], per_shard: &[Vec<SyncShar
         .collect()
 }
 
-/// The grove's composed accumulator: XOR of the per-shard XOR-folded σ
-/// streams. Protocol II's accumulators compose across shards for free —
-/// this is the single σ an observer summarizing a whole-grove epoch would
-/// publish. (Used for reporting/fingerprinting a grove state; the success
-/// *predicate* stays per-shard, see [`protocol2_grove_sync_ok`].)
-pub fn grove_sigma(per_shard: &[Vec<SyncShare>]) -> Digest {
-    per_shard
-        .iter()
-        .flatten()
-        .fold(Digest::ZERO, |acc, s| acc ^ s.sigma)
-}
-
 /// Total broadcast traffic in bytes for one sync-up round with `n` users
 /// (everyone broadcasts one share to everyone).
 pub fn sync_traffic_bytes(shares: &[SyncShare]) -> usize {
@@ -235,19 +223,6 @@ mod tests {
         let init = sha256(b"init");
         assert!(!protocol2_grove_sync_ok(&[], &[]));
         assert!(!protocol2_grove_sync_ok(&[init], &[]));
-    }
-
-    #[test]
-    fn grove_sigma_is_the_xor_of_all_shares() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        let c = sha256(b"c");
-        let per_shard = vec![
-            vec![share(0, 1, 1, a, Some(a)), share(1, 1, 2, b, Some(b))],
-            vec![share(0, 1, 1, c, Some(c))],
-        ];
-        assert_eq!(grove_sigma(&per_shard), a ^ b ^ c);
-        assert_eq!(grove_sigma(&[]), Digest::ZERO);
     }
 
     #[test]

@@ -4,10 +4,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcvs_core::adversary::{DropServer, LieServer, RollbackServer, Trigger};
-use tcvs_core::HonestServer;
+use tcvs_core::{HonestServer, ProtocolConfig};
 use tcvs_cvs::{Cvs, CvsError, DirectSession};
-use tcvs_integration::small_config;
 use tcvs_store::{from_lines, to_lines, Repository};
+
+/// A compact config suitable for fast end-to-end runs.
+fn small_config() -> ProtocolConfig {
+    ProtocolConfig {
+        order: 8,
+        k: 8,
+        epoch_len: 16,
+    }
+}
 
 /// Drives the same randomized commit history through the plain repository
 /// and the verified CVS stack; every revision of every file must agree.

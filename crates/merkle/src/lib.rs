@@ -58,7 +58,7 @@ pub use batch::{
 pub use chunk::{AdmitOutcome, ChunkAssembler, ChunkError, ChunkManifest, ChunkRange, ChunkSource};
 pub use codec::CodecError;
 pub use error::{TreeError, VerifyError};
-pub use grove::{grove_root, verify_grove_response, GroveSpine, GroveVerified, GROVE_FANOUT};
+pub use grove::{grove_root, GROVE_FANOUT};
 pub use node::{u64_key, Key, Value};
 pub use op::{apply_op, prune_for_op, Op, OpResult};
 pub use tree::{MerkleTree, DEFAULT_ORDER, MIN_ORDER};

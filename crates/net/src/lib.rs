@@ -47,10 +47,11 @@
 //! ## Sharded grove
 //!
 //! [`ShardedServer`] partitions the keyspace over N independent shard
-//! servers via the restart-stable `tcvs_core::ShardRouter` and folds the
-//! shard roots into one top-level **grove root**, so every verified answer
-//! becomes shard proof + grove spine and clients still check a single
-//! digest. [`ShardedClient2`] and [`ShardedClientTrusted`] route per key.
+//! servers via the restart-stable `tcvs_core::ShardRouter`. Verification
+//! is per shard: [`ShardedClient2`] routes each key to its shard and checks
+//! the answer against that shard's root, in that shard's own Protocol II
+//! session. The **grove root** folds the shard roots sampled at one
+//! [`GroveEpoch`] and names that epoch; no answer is checked against it.
 //! See DESIGN.md §"Sharded grove".
 
 #![warn(missing_docs)]
@@ -70,4 +71,4 @@ pub use error::{NetError, RetryPolicy};
 pub use fault::FaultLink;
 pub use obs::NetStats;
 pub use server::{Endpoint, NetServer, NetServerOptions, WireHandle};
-pub use shard::{GroveEpoch, ShardedClient2, ShardedClientTrusted, ShardedServer};
+pub use shard::{GroveEpoch, ShardedClient2, ShardedServer};

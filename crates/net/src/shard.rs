@@ -1,27 +1,23 @@
-//! The sharded grove: N independent shard servers behind one combined root.
+//! The sharded grove: N independent shard servers, verified per shard.
 //!
 //! A [`ShardedServer`] partitions the keyspace across `N` [`NetServer`]s via
 //! the deterministic, restart-stable [`ShardRouter`] — each shard owns its
 //! own COW Merkle B+-tree and reply journal, and runs its own serialized
 //! thread. A verified client runs one protocol session per shard, checking
-//! each answer against that shard's root; the per-shard roots fold into a
-//! single top-level **grove root** (`tcvs_merkle::grove_root`, a
-//! fixed-fanout Merkle combine) that names the whole grove at one epoch.
+//! each answer against that shard's root. The per-shard roots sampled at
+//! one epoch fold into a top-level **grove root**
+//! (`tcvs_merkle::grove_root`, a fixed-fanout Merkle combine) that names
+//! the whole grove at that epoch; nothing is verified against it.
 //!
-//! Detection composes per shard:
+//! Detection composes per shard: the Protocol II sync-up predicate is
+//! evaluated per shard (`protocol2_grove_sync_ok`), so a lie confined to
+//! one shard is caught within the same Theorem 4.2 k-bound as on a single
+//! server — and is localized to the deviating shard for free. Sessions
+//! join the grove at a sampled epoch ([`ShardedServer::grove_epoch`]); the
+//! epoch-consistency rule is documented in DESIGN.md §"Sharded grove".
 //!
-//! * **Protocol II** accumulators XOR across shards for free
-//!   (`tcvs_core::sync::grove_sigma`), but the sync-up *predicate* is
-//!   evaluated per shard (`protocol2_grove_sync_ok`) so a lie confined to
-//!   one shard is caught within the same Theorem 4.2 k-bound as on a single
-//!   server — and is localized to the deviating shard for free.
-//! * **Protocol I/III** sync-ups sample all shard roots at a published
-//!   grove epoch ([`ShardedServer::grove_epoch`]); the epoch-consistency
-//!   rule is documented in DESIGN.md §"Sharded grove".
-//!
-//! Clients route per key: [`ShardedClientTrusted`] (baseline) and
-//! [`ShardedClient2`] (verified, with per-shard batch windows).
-//! Cross-shard `Range` queries scatter-gather and merge by key.
+//! [`ShardedClient2`] routes per key, splits batch windows per shard, and
+//! scatter-gathers cross-shard `Range` queries, merging them by key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,7 +30,7 @@ use tcvs_core::{
 use tcvs_merkle::{grove_root, Key, Value};
 use tcvs_obs::Counter;
 
-use crate::client::{NetClient2, NetClientTrusted};
+use crate::client::NetClient2;
 use crate::error::{NetError, RetryPolicy};
 use crate::fault::FaultLink;
 use crate::obs::NetStats;
@@ -96,27 +92,16 @@ impl ShardedServer {
         config: &ProtocolConfig,
         opts: NetServerOptions,
     ) -> ShardedServer {
-        ShardedServer::spawn_observed(n_shards, config, opts, NetStats::disabled())
-    }
-
-    /// [`ShardedServer::spawn`] with observability: all shards feed the
-    /// shared registry/tracer in `stats`, plus the grove-level
-    /// `net.shard.*` metrics.
-    pub fn spawn_observed(
-        n_shards: usize,
-        config: &ProtocolConfig,
-        opts: NetServerOptions,
-        stats: NetStats,
-    ) -> ShardedServer {
         let inners: Vec<Box<dyn ServerApi + Send>> = (0..n_shards)
             .map(|_| Box::new(tcvs_core::HonestServer::new(config)) as Box<dyn ServerApi + Send>)
             .collect();
-        ShardedServer::spawn_with_servers(inners, opts, stats)
+        ShardedServer::spawn_with_servers(inners, opts, NetStats::disabled())
     }
 
-    /// Spawns one shard per inner server, in order. This is how a test puts
-    /// an *adversarial* server on exactly one shard while the other N−1
-    /// stay honest.
+    /// Spawns one shard per inner server, in order, all feeding the shared
+    /// registry/tracer in `stats` plus the grove-level `net.shard.*`
+    /// metrics. This is how a test puts an *adversarial* server on exactly
+    /// one shard while the other N−1 stay honest.
     ///
     /// # Panics
     ///
@@ -297,75 +282,6 @@ fn shard_counters(stats: &NetStats, n: usize) -> Vec<Arc<Counter>> {
     (0..n)
         .map(|i| stats.registry().counter(&format!("net.shard.{i}.routed")))
         .collect()
-}
-
-/// The trusted baseline over a grove: routes each keyed operation to its
-/// owning shard's [`NetClientTrusted`]; cross-shard ranges scatter-gather.
-pub struct ShardedClientTrusted {
-    clients: Vec<NetClientTrusted>,
-    router: ShardRouter,
-    routed: Option<Vec<Arc<Counter>>>,
-}
-
-impl ShardedClientTrusted {
-    /// Binds one baseline client per shard of `grove`.
-    pub fn new(user: UserId, grove: &ShardedServer) -> ShardedClientTrusted {
-        ShardedClientTrusted::bind(user, grove.shards())
-    }
-
-    /// Binds over explicit per-shard endpoints (e.g. [`FaultLink`]s), in
-    /// shard order.
-    pub fn bind<E: Endpoint>(user: UserId, shards: &[E]) -> ShardedClientTrusted {
-        ShardedClientTrusted {
-            clients: shards
-                .iter()
-                .map(|s| NetClientTrusted::new(user, s))
-                .collect(),
-            router: ShardRouter::new(shards.len()),
-            routed: None,
-        }
-    }
-
-    /// Attaches observability: per-shard `net.shard.{i}.routed` counters
-    /// plus the usual transport counters on every inner client.
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.routed = Some(shard_counters(&stats, self.clients.len()));
-        for c in &mut self.clients {
-            c.set_stats(stats.clone());
-        }
-    }
-
-    /// Replaces the retry policy on every inner client.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        for c in &mut self.clients {
-            c.set_retry_policy(policy);
-        }
-    }
-
-    /// Executes one unverified operation, routed by key.
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        match self.router.route_op(op) {
-            Some(shard) => {
-                if let Some(routed) = &self.routed {
-                    routed[shard].inc();
-                }
-                self.clients[shard].execute(op)
-            }
-            None => {
-                let per_shard = self
-                    .clients
-                    .iter_mut()
-                    .map(|c| c.execute(op))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(merge_entries(per_shard))
-            }
-        }
-    }
-
-    /// Operations completed across all shards.
-    pub fn ops_done(&self) -> u64 {
-        self.clients.iter().map(NetClientTrusted::ops_done).sum()
-    }
 }
 
 /// A Protocol II client over a grove: each shard gets its own verified
@@ -657,11 +573,13 @@ mod tests {
         vec![MerkleTree::with_order(config.order).root_digest(); n]
     }
 
+    /// An honest grove routes every key to one shard and merges a
+    /// cross-shard range by key.
     #[test]
     fn trusted_grove_routes_and_range_merges() {
         let cfg = config();
         let grove = ShardedServer::spawn(4, &cfg, NetServerOptions::default());
-        let mut c = ShardedClientTrusted::new(0, &grove);
+        let mut c = ShardedClient2::new(0, &root0s(4, &cfg), cfg, &grove);
         for i in 0..32u64 {
             c.execute(&Op::Put(u64_key(i), vec![i as u8]))
                 .expect("honest grove");
@@ -712,7 +630,7 @@ mod tests {
     fn grove_epoch_folds_the_sampled_roots() {
         let cfg = config();
         let grove = ShardedServer::spawn(2, &cfg, NetServerOptions::default());
-        let mut c = ShardedClientTrusted::new(0, &grove);
+        let mut c = ShardedClient2::new(0, &root0s(2, &cfg), cfg, &grove);
         for i in 0..8u64 {
             c.execute(&Op::Put(u64_key(i), vec![1])).expect("write");
         }
@@ -747,9 +665,12 @@ mod tests {
     fn shard_metrics_count_grove_activity() {
         let cfg = config();
         let stats = NetStats::disabled();
+        let inners: Vec<Box<dyn ServerApi + Send>> = (0..2)
+            .map(|_| Box::new(tcvs_core::HonestServer::new(&cfg)) as Box<dyn ServerApi + Send>)
+            .collect();
         let grove =
-            ShardedServer::spawn_observed(2, &cfg, NetServerOptions::default(), stats.clone());
-        let mut c = ShardedClientTrusted::new(0, &grove);
+            ShardedServer::spawn_with_servers(inners, NetServerOptions::default(), stats.clone());
+        let mut c = ShardedClient2::new(0, &root0s(2, &cfg), cfg, &grove);
         c.set_stats(stats.clone());
         for i in 0..10u64 {
             c.execute(&Op::Put(u64_key(i), vec![1])).expect("write");

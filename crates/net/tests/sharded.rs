@@ -20,8 +20,8 @@ use tcvs_core::{
 };
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{
-    FaultLink, NetError, NetServerOptions, NetStats, RetryPolicy, ShardedClient2,
-    ShardedClientTrusted, ShardedServer,
+    FaultLink, NetClientTrusted, NetError, NetServerOptions, NetStats, RetryPolicy, ShardedClient2,
+    ShardedServer,
 };
 
 fn config() -> ProtocolConfig {
@@ -275,8 +275,9 @@ fn a_grove_epoch_during_a_deposit_wait_returns_when_the_wait_ends() {
         .iter()
         .map(|s| FaultLink::interpose(s, FaultPlan::none()))
         .collect();
-    let mut c = ShardedClientTrusted::bind(0, &links);
-    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    let key = u64_key(1);
+    let mut c = NetClientTrusted::new(0, &links[grove.router().route_key(&key)]);
+    c.execute(&Op::Put(key, vec![1])).unwrap();
     let epoch = grove.grove_epoch().expect("served after the wait");
     let missed: u64 = grove.shards().iter().map(|s| s.missed_deposits()).sum();
     assert_eq!(missed, 1, "served after the wait timed out");

@@ -1,8 +1,11 @@
 //! Integration: the full adversary × protocol detection matrix, plus the
 //! impossibility boundary (no external communication ⇒ forks invisible).
 
+#[path = "tests/common/mod.rs"]
+mod common;
+
+use common::{make_adversary, spec, ADVERSARIES, PROTOCOLS};
 use tcvs_core::{Deviation, ProtocolKind};
-use tcvs_integration::{make_adversary, spec, ADVERSARIES, PROTOCOLS};
 use tcvs_sim::simulate;
 use tcvs_workload::{generate, generate_epoch_workload, OpMix, WorkloadSpec};
 

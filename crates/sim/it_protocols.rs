@@ -1,8 +1,11 @@
 //! Integration: honest servers across all protocols and workload shapes —
 //! nothing may ever be (falsely) detected, and costs must order correctly.
 
+#[path = "tests/common/mod.rs"]
+mod common;
+
+use common::{small_config, spec};
 use tcvs_core::{HonestServer, ProtocolKind};
-use tcvs_integration::{small_config, spec};
 use tcvs_sim::simulate;
 use tcvs_workload::{generate, generate_epoch_workload, OpMix, WorkloadSpec};
 

@@ -1,9 +1,12 @@
 //! Integration: workload generators driving real protocol runs, plus
 //! property tests over trace structure.
 
+#[path = "tests/common/mod.rs"]
+mod common;
+
+use common::spec;
 use proptest::prelude::*;
 use tcvs_core::{HonestServer, ProtocolKind};
-use tcvs_integration::spec;
 use tcvs_sim::simulate;
 use tcvs_workload::{
     generate, generate_epoch_workload, partitionable, OpMix, PartitionSpec, WorkloadSpec,

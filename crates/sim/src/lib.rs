@@ -33,7 +33,4 @@ pub mod token_ring;
 pub use latency::{theoretical_bound, DetectionLatency, LatencyBound};
 pub use oracle::{run_with_oracle, run_with_oracle_evidence, OracleVerdict};
 pub use report::{DetectionEvent, RunReport};
-pub use runner::{
-    initial_root, simulate, simulate_observed, simulate_with_evidence,
-    simulate_with_flight_recorder, SimSpec,
-};
+pub use runner::{initial_root, simulate, simulate_observed, simulate_with_evidence, SimSpec};

@@ -19,7 +19,7 @@ use tcvs_core::strawman::NaiveXorClient;
 use tcvs_core::wire::{self, encoded_len};
 use tcvs_core::{
     Client1, Client2, Client3, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind,
-    FaultKind, FaultPlan, ProtocolConfig, ProtocolKind, ServerApi, SyncShare, UserId,
+    FaultKind, FaultPlan, ProtocolConfig, ProtocolKind, ServerApi, SyncShare,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::MerkleTree;
@@ -138,56 +138,9 @@ pub fn simulate_observed(
         detection_latency: None,
     };
     let mut busy_until = 0u64;
-    let mut ops_per_user = vec![0u64; spec.n_users as usize];
     // The round at which the violation delivery index was served (for the
     // rounds / epochs latency metrics).
     let mut violation_round: Option<u64> = None;
-
-    let config = spec.config;
-    let finish = |report: &mut RunReport,
-                  detection: Option<(u64, u64, UserId, Deviation)>,
-                  ops_per_user: &[u64],
-                  violation_op: Option<u64>,
-                  violation_round: Option<u64>| {
-        if let Some((op_index, round, by_user, deviation)) = detection {
-            let (after, max_user) = match violation_op {
-                Some(v) if op_index >= v => {
-                    // ops executed strictly after the violation point.
-                    let after = report.ops_executed.saturating_sub(v);
-                    // conservative per-user bound: recompute below.
-                    (
-                        Some(after),
-                        Some(ops_per_user.iter().copied().max().unwrap_or(0)),
-                    )
-                }
-                _ => (None, None),
-            };
-            if let Some(v) = violation_op {
-                if op_index >= v {
-                    let vr = violation_round.unwrap_or(round);
-                    let epochs = matches!(report.protocol, ProtocolKind::Three)
-                        .then(|| (round / config.epoch_len).saturating_sub(vr / config.epoch_len));
-                    report.detection_latency = Some(DetectionLatency {
-                        deviation_op: v,
-                        detection_op: op_index,
-                        ops: op_index - v,
-                        rounds: round.saturating_sub(vr),
-                        max_user_ops: None, // fixed up by the caller
-                        epochs,
-                        bound: theoretical_bound(report.protocol, &config),
-                    });
-                }
-            }
-            report.detection = Some(DetectionEvent {
-                op_index,
-                round,
-                by_user,
-                deviation,
-                ops_after_violation: after,
-                max_user_ops_after_violation: max_user,
-            });
-        }
-    };
 
     // Per-user op counts *after* the violation point (for the k metric).
     let mut ops_after_violation_per_user = vec![0u64; spec.n_users as usize];
@@ -199,6 +152,9 @@ pub fn simulate_observed(
     // other kinds add cost (retransmissions, delay rounds, restarts) at
     // their delivery index. None of them may trigger a detection.
     let order = spec.faults.effective_order(trace.len() as u64);
+    // The run's verdict, `(op index, round, user, deviation)`: the first
+    // detection stops the run.
+    let mut verdict = None;
     for (idx, &trace_idx) in order.iter().enumerate() {
         let sop = &trace.ops()[trace_idx as usize];
         let fault = spec.faults.fault_at(idx as u64);
@@ -267,7 +223,6 @@ pub fn simulate_observed(
         report.msgs += 2;
         report.bytes += (encoded_len(|c| wire::put_op(c, &sop.op)) + resp.encoded_size()) as u64;
         report.ops_executed += 1;
-        ops_per_user[sop.user as usize] += 1;
         if let Some(v) = violation_op {
             if idx as u64 >= v {
                 ops_after_violation_per_user[sop.user as usize] += 1;
@@ -354,21 +309,8 @@ pub fn simulate_observed(
                     .detail(format!("{dev} round={round}"))
                     .span(ctx.child(stage::VERDICT))
             });
-            let max_user = ops_after_violation_per_user.iter().copied().max();
-            finish(
-                &mut report,
-                Some((idx as u64, round, sop.user, dev)),
-                &ops_per_user,
-                violation_op,
-                violation_round,
-            );
-            if let (Some(ev), Some(m)) = (report.detection.as_mut(), max_user) {
-                ev.max_user_ops_after_violation = violation_op.map(|_| m);
-            }
-            if let (Some(lat), Some(m)) = (report.detection_latency.as_mut(), max_user) {
-                lat.max_user_ops = Some(m);
-            }
-            return report;
+            verdict = Some((idx as u64, round, sop.user, dev));
+            break;
         }
 
         busy_until = round + extra_rounds;
@@ -393,81 +335,64 @@ pub fn simulate_observed(
                     .detail(format!("{dev} round={busy_until}"))
                     .span(ctx.child(stage::SYNC))
             });
-            let max_user = ops_after_violation_per_user.iter().copied().max();
-            finish(
-                &mut report,
-                Some((idx as u64, busy_until, sop.user, dev)),
-                &ops_per_user,
-                violation_op,
-                violation_round,
-            );
-            if let (Some(ev), Some(m)) = (report.detection.as_mut(), max_user) {
-                ev.max_user_ops_after_violation = violation_op.map(|_| m);
-            }
-            if let (Some(lat), Some(m)) = (report.detection_latency.as_mut(), max_user) {
-                lat.max_user_ops = Some(m);
-            }
-            return report;
+            verdict = Some((idx as u64, busy_until, sop.user, dev));
+            break;
         }
     }
 
     // Trace exhausted: one final sync-up so short traces still settle.
-    if !spec.final_sync {
-        return report;
-    }
-    if let Some(dev) = force_sync(&mut clients, &mut report, &mut busy_until, tracer) {
-        tracer.emit(|| {
-            Event::new(trace.len() as u64, EventKind::Detection, 0)
-                .detail(format!("{dev} round={busy_until}"))
-        });
-        let max_user = ops_after_violation_per_user.iter().copied().max();
+    if verdict.is_none() && spec.final_sync {
         let n = trace.len() as u64;
-        finish(
-            &mut report,
-            Some((n, busy_until, 0, dev)),
-            &ops_per_user,
-            violation_op,
-            violation_round,
-        );
-        if let (Some(ev), Some(m)) = (report.detection.as_mut(), max_user) {
-            ev.max_user_ops_after_violation = violation_op.map(|_| m);
-        }
-        if let (Some(lat), Some(m)) = (report.detection_latency.as_mut(), max_user) {
-            lat.max_user_ops = Some(m);
-        }
+        verdict = force_sync(&mut clients, &mut report, &mut busy_until, tracer).map(|dev| {
+            tracer.emit(|| {
+                Event::new(n, EventKind::Detection, 0).detail(format!("{dev} round={busy_until}"))
+            });
+            (n, busy_until, 0, dev)
+        });
+    }
+
+    if let Some((op_index, round, by_user, deviation)) = verdict {
+        // The delay metrics measure a detection at or after the violation;
+        // one before it has no delay to report.
+        let after = violation_op.filter(|&v| op_index >= v);
+        let max_user = after.and_then(|_| ops_after_violation_per_user.iter().copied().max());
+        report.detection_latency = after.map(|v| {
+            let vr = violation_round.unwrap_or(round);
+            DetectionLatency {
+                deviation_op: v,
+                detection_op: op_index,
+                ops: op_index - v,
+                rounds: round.saturating_sub(vr),
+                max_user_ops: max_user,
+                epochs: matches!(spec.protocol, ProtocolKind::Three).then(|| {
+                    (round / spec.config.epoch_len).saturating_sub(vr / spec.config.epoch_len)
+                }),
+                bound: theoretical_bound(spec.protocol, &spec.config),
+            }
+        });
+        report.detection = Some(DetectionEvent {
+            op_index,
+            round,
+            by_user,
+            deviation,
+            // ops executed strictly after the violation point.
+            ops_after_violation: after.map(|v| report.ops_executed.saturating_sub(v)),
+            max_user_ops_after_violation: max_user,
+        });
     }
     report
 }
 
-/// [`simulate_observed`] with an always-on [`FlightRecorder`] as the sink:
-/// the bounded-memory deployment shape for long traces.
+/// [`simulate_observed`] with an always-on [`FlightRecorder`] as the sink —
+/// the bounded-memory deployment shape for long traces — that seals the
+/// run's verdict into a portable [`EvidenceBundle`] when detection fired.
 ///
 /// Every event of the run flows into a ring of `cap` slots (oldest
-/// overwritten), so memory stays constant however long the trace. When the
-/// run ends in a deviation verdict — a per-op detection, a failed sync-up,
-/// or anything the protocol surfaces as [`Deviation`] — the recorder's
-/// retained tail is rendered and returned alongside the report: the black
-/// box for the forensics that follow. Scheduled crash-restarts during the
-/// run land in the same ring, so a post-crash dump shows them too. Honest
-/// runs return `None`: nothing fired, nothing to dump.
-pub fn simulate_with_flight_recorder(
-    spec: &SimSpec,
-    server: &mut dyn ServerApi,
-    trace: &Trace,
-    violation_op: Option<u64>,
-    cap: usize,
-) -> (RunReport, Option<String>, Arc<FlightRecorder>) {
-    let (tracer, recorder) = Tracer::flight(cap);
-    let report = simulate_observed(spec, server, trace, violation_op, &tracer);
-    let dump = report.detected().then(|| recorder.render_log());
-    (report, dump, recorder)
-}
-
-/// [`simulate_with_flight_recorder`] that additionally seals the run's
-/// verdict into a portable [`EvidenceBundle`] when detection fired: the
+/// overwritten), so memory stays constant however long the trace;
+/// scheduled crash-restarts land in the same ring. The bundle carries the
 /// triggering deviation, the detecting user, the run seed, the genesis
-/// anchor token, and the flight recorder's retained tail. Honest runs
-/// return no bundle — capture must cost nothing on the honest path.
+/// anchor token, and the recorder's retained tail. Honest runs return no
+/// bundle — capture must cost nothing on the honest path.
 pub fn simulate_with_evidence(
     spec: &SimSpec,
     server: &mut dyn ServerApi,
@@ -475,8 +400,8 @@ pub fn simulate_with_evidence(
     violation_op: Option<u64>,
     cap: usize,
 ) -> (RunReport, Option<EvidenceBundle>, Arc<FlightRecorder>) {
-    let (report, _dump, recorder) =
-        simulate_with_flight_recorder(spec, server, trace, violation_op, cap);
+    let (tracer, recorder) = Tracer::flight(cap);
+    let report = simulate_observed(spec, server, trace, violation_op, &tracer);
     let bundle = report.detection.as_ref().map(|det| {
         let seed = u64::from_le_bytes(spec.setup_seed[..8].try_into().expect("8-byte prefix"));
         let root0 = initial_root(&spec.config);
@@ -576,49 +501,72 @@ fn force_sync(
     busy_until: &mut u64,
     tracer: &Tracer,
 ) -> Option<Deviation> {
-    if matches!(
-        clients,
-        ClientSet::One(_) | ClientSet::Two(_) | ClientSet::NaiveXor(_)
-    ) {
-        let t = *busy_until;
-        tracer.emit(|| Event::new(t, EventKind::SyncTriggered, NO_ACTOR));
-    }
     let ok = match clients {
-        ClientSet::One(cs) => {
-            let shares: Vec<SyncShare> = cs.iter().map(|c| c.sync_share()).collect();
-            report.sync_rounds += 1;
-            report.sync_bytes += tcvs_core::sync::sync_traffic_bytes(&shares) as u64;
-            *busy_until += 1;
-            let ok = cs.iter().any(|c| c.sync_succeeds(&shares));
-            for c in cs.iter_mut() {
-                c.sync_done();
-            }
-            ok
-        }
-        ClientSet::Two(cs) => {
-            let shares: Vec<SyncShare> = cs.iter().map(|c| c.sync_share()).collect();
-            report.sync_rounds += 1;
-            report.sync_bytes += tcvs_core::sync::sync_traffic_bytes(&shares) as u64;
-            *busy_until += 1;
-            let ok = cs.iter().any(|c| c.sync_succeeds(&shares));
-            for c in cs.iter_mut() {
-                c.sync_done();
-            }
-            ok
-        }
-        ClientSet::NaiveXor(cs) => {
-            let shares: Vec<SyncShare> = cs.iter().map(|c| c.sync_share()).collect();
-            report.sync_rounds += 1;
-            report.sync_bytes += tcvs_core::sync::sync_traffic_bytes(&shares) as u64;
-            *busy_until += 1;
-            cs.iter().any(|c| c.sync_succeeds(&shares))
-        }
-        _ => true,
+        ClientSet::One(cs) => sync_round(cs, report, busy_until, tracer),
+        ClientSet::Two(cs) => sync_round(cs, report, busy_until, tracer),
+        ClientSet::NaiveXor(cs) => sync_round(cs, report, busy_until, tracer),
+        ClientSet::Trusted | ClientSet::Three(_) => true,
     };
-    if ok {
-        None
-    } else {
-        Some(Deviation::SyncFailed)
+    (!ok).then_some(Deviation::SyncFailed)
+}
+
+/// One broadcast sync-up round of its own: every user's share reaches
+/// every user, and the round passes iff some user announces success.
+fn sync_round<C: SyncPeer>(
+    cs: &mut [C],
+    report: &mut RunReport,
+    busy_until: &mut u64,
+    tracer: &Tracer,
+) -> bool {
+    let t = *busy_until;
+    tracer.emit(|| Event::new(t, EventKind::SyncTriggered, NO_ACTOR));
+    let shares: Vec<SyncShare> = cs.iter().map(C::share).collect();
+    report.sync_rounds += 1;
+    report.sync_bytes += tcvs_core::sync::sync_traffic_bytes(&shares) as u64;
+    *busy_until += 1;
+    let ok = cs.iter().any(|c| c.succeeds(&shares));
+    cs.iter_mut().for_each(C::done);
+    ok
+}
+
+/// The sync-up surface shared by the clients that broadcast shares.
+trait SyncPeer {
+    fn share(&self) -> SyncShare;
+    fn succeeds(&self, shares: &[SyncShare]) -> bool;
+    /// Starts the next sync period (the strawman keeps none).
+    fn done(&mut self) {}
+}
+
+impl SyncPeer for Client1 {
+    fn share(&self) -> SyncShare {
+        self.sync_share()
+    }
+    fn succeeds(&self, shares: &[SyncShare]) -> bool {
+        self.sync_succeeds(shares)
+    }
+    fn done(&mut self) {
+        self.sync_done();
+    }
+}
+
+impl SyncPeer for Client2 {
+    fn share(&self) -> SyncShare {
+        self.sync_share()
+    }
+    fn succeeds(&self, shares: &[SyncShare]) -> bool {
+        self.sync_succeeds(shares)
+    }
+    fn done(&mut self) {
+        self.sync_done();
+    }
+}
+
+impl SyncPeer for NaiveXorClient {
+    fn share(&self) -> SyncShare {
+        self.sync_share()
+    }
+    fn succeeds(&self, shares: &[SyncShare]) -> bool {
+        self.sync_succeeds(shares)
     }
 }
 
@@ -745,6 +693,21 @@ mod tests {
         // k-bounded: no user did more than k ops after the violation
         // (sync triggers as soon as the first user reaches k).
         assert!(ev.max_user_ops_after_violation.unwrap() <= s.config.k + 1);
+    }
+
+    /// A detection that comes before the harness's violation point caught
+    /// something else: it has no delay, so neither k metric may report one.
+    #[test]
+    fn a_detection_before_the_violation_reports_no_k_metric() {
+        use tcvs_core::adversary::{LieServer, Trigger};
+        let s = spec(ProtocolKind::Two);
+        let mut server = LieServer::new(&s.config, Trigger::AtCtr(5));
+        let r = simulate(&s, &mut server, &trace(), Some(40));
+        let ev = r.detection.expect("the lie is caught on its op");
+        assert_eq!(ev.op_index, 5);
+        assert_eq!(ev.ops_after_violation, None);
+        assert_eq!(ev.max_user_ops_after_violation, None);
+        assert!(r.detection_latency.is_none());
     }
 
     #[test]

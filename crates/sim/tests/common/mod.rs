@@ -1,4 +1,7 @@
-//! Shared helpers for the cross-crate integration tests.
+//! Shared helpers for the simulator's protocol, adversary and workload
+//! suites. Each test binary compiles its own copy and uses a subset.
+
+#![allow(dead_code)]
 
 use tcvs_core::{ProtocolConfig, ProtocolKind};
 use tcvs_sim::SimSpec;

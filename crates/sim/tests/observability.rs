@@ -6,9 +6,7 @@
 use tcvs_core::adversary::{ForkServer, TamperServer, Trigger};
 use tcvs_core::{HonestServer, ProtocolConfig, ProtocolKind};
 use tcvs_obs::{EventKind, Tracer};
-use tcvs_sim::{
-    simulate_observed, simulate_with_flight_recorder, DetectionLatency, LatencyBound, SimSpec,
-};
+use tcvs_sim::{simulate_observed, DetectionLatency, LatencyBound, SimSpec};
 use tcvs_workload::{generate, generate_epoch_workload, OpMix, WorkloadSpec};
 
 fn spec(protocol: ProtocolKind, k: u64, epoch_len: u64) -> SimSpec {
@@ -168,7 +166,9 @@ fn fork_attack_flight_dump_causally_links_the_forked_operations() {
     let s = spec(ProtocolKind::Two, 8, 16);
     let t = trace(9);
     let mut server = ForkServer::new(&s.config, Trigger::AtCtr(20), &[0]);
-    let (report, dump, recorder) = simulate_with_flight_recorder(&s, &mut server, &t, Some(20), 64);
+    let (tracer, recorder) = Tracer::flight(64);
+    let report = simulate_observed(&s, &mut server, &t, Some(20), &tracer);
+    let dump = report.detected().then(|| recorder.render_log());
     assert!(report.detected());
     let dump = dump.expect("a detected run dumps the flight recorder");
     assert!(
@@ -205,8 +205,9 @@ fn fork_attack_flight_dump_causally_links_the_forked_operations() {
 fn honest_flight_runs_dump_nothing() {
     let s = spec(ProtocolKind::Two, 8, 16);
     let mut server = HonestServer::new(&s.config);
-    let (report, dump, recorder) =
-        simulate_with_flight_recorder(&s, &mut server, &trace(3), None, 32);
+    let (tracer, recorder) = Tracer::flight(32);
+    let report = simulate_observed(&s, &mut server, &trace(3), None, &tracer);
+    let dump = report.detected().then(|| recorder.render_log());
     assert!(!report.detected());
     assert!(dump.is_none(), "nothing fired, nothing to dump");
     assert!(recorder.recorded() > 0, "the ring was recording all along");

@@ -9,8 +9,8 @@
 //! Two backends:
 //!
 //! * [`MemStorage`] — the refactored in-memory maps: same trait, no
-//!   durability (a `recover` after drop starts empty). The simulator and
-//!   unit tests run on this.
+//!   durability (a `recover` after drop starts empty). Only
+//!   `DurableServer`'s unit tests run on it; the simulator never does.
 //! * [`DurableStorage`] — the real engine over a [`Medium`]: checksummed
 //!   length-prefixed append-only segments ([`crate::log`]), periodic
 //!   checkpoint files, segment rotation, and log truncation after

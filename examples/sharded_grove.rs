@@ -1,13 +1,13 @@
-//! Sharded grove: N shard servers behind one combined top-level root.
+//! Sharded grove: N shard servers, each verified in its own session.
 //!
 //! Partitions the keyspace across `--shards N` independent shard servers
-//! (each with its own COW Merkle B+-tree and reply journal), folds the
-//! shard roots into a single grove root, and shows that the single-server
-//! guarantees survive the composition: a cross-shard sync-up that passes
-//! on an honest grove, a late joiner that enters at a grove epoch and
-//! verifies its reads per shard, and a lie confined to one shard that is
-//! caught on the very response that carries it — localized to exactly
-//! that shard.
+//! (each with its own COW Merkle B+-tree and reply journal), names each
+//! sampled epoch by the grove root its shard roots fold into, and shows
+//! that the single-server guarantees survive the composition: a
+//! cross-shard sync-up that passes on an honest grove, a late joiner that
+//! enters at a grove epoch and verifies its reads per shard, and a lie
+//! confined to one shard that is caught on the very response that carries
+//! it — localized to exactly that shard.
 //!
 //! Run with: `cargo run -p tcvs-bench --release --example sharded_grove -- --shards 8`
 
