@@ -17,14 +17,12 @@
 //! check [`BootstrapReport::root`] against an independently learned root
 //! before acting on the data.
 
-use crossbeam::channel::Sender;
-
 use tcvs_core::{Ctr, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, TriggerInfo, UserId};
 use tcvs_merkle::{ChunkAssembler, ChunkError, ChunkManifest, MerkleTree};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{round_trip, Endpoint, Request};
+use crate::server::{round_trip, Endpoint, Request, Wire};
 
 /// Why a bootstrap attempt failed.
 #[derive(Debug)]
@@ -123,7 +121,7 @@ struct Session {
 /// Fetches, verifies, and assembles a chunked snapshot from an endpoint.
 pub struct BootstrapClient {
     user: UserId,
-    tx: Sender<Request>,
+    wire: Wire,
     seq: u64,
     policy: RetryPolicy,
     stats: NetStats,
@@ -138,7 +136,7 @@ impl BootstrapClient {
     pub fn new(user: UserId, server: &impl Endpoint) -> BootstrapClient {
         BootstrapClient {
             user,
-            tx: server.wire().0,
+            wire: server.wire().0,
             seq: 0,
             policy: RetryPolicy::default(),
             stats: NetStats::disabled(),
@@ -175,7 +173,7 @@ impl BootstrapClient {
     /// endpoint. Admitted chunks are kept: if the new peer serves the same
     /// snapshot, the bootstrap resumes with only the missing chunks.
     pub fn rebind(&mut self, server: &impl Endpoint) {
-        self.tx = server.wire().0;
+        self.wire = server.wire().0;
     }
 
     /// Discards any in-flight session.
@@ -353,7 +351,7 @@ impl BootstrapClient {
     fn fetch_manifest_raw(&mut self) -> Result<(Vec<u8>, Ctr), BootstrapError> {
         self.seq += 1;
         round_trip(
-            &self.tx,
+            &self.wire,
             self.user,
             self.seq,
             None,
@@ -398,7 +396,7 @@ impl BootstrapClient {
             for index in missing {
                 self.seq += 1;
                 let bytes = round_trip(
-                    &self.tx,
+                    &self.wire,
                     self.user,
                     self.seq,
                     None,
@@ -443,7 +441,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Sender};
     use tcvs_core::NO_USER;
     use tcvs_merkle::{u64_key, ChunkSource, MerkleTree};
 
@@ -469,7 +467,7 @@ mod tests {
     impl sealed::Sealed for FakePeer {}
     impl Endpoint for FakePeer {
         fn wire(&self) -> WireHandle {
-            WireHandle(self.tx.clone())
+            WireHandle(Wire::link(self.tx.clone()))
         }
     }
 

@@ -7,7 +7,6 @@
 //! path panics. Each handle numbers its requests with a per-user sequence
 //! so the server can deduplicate retries (exactly-once execution).
 
-use crossbeam::channel::Sender;
 use tcvs_core::{
     Client1, Client2, Ctr, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, Op,
     OpResult, ProtocolConfig, ServerResponse, SyncShare, TransitionLog, UserId,
@@ -16,11 +15,7 @@ use tcvs_crypto::{KeyRegistry, Keyring};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{remote_call, round_trip, Body, Endpoint, Head, Request};
-
-fn send_deposit(tx: &Sender<Request>, req: Request) -> Result<(), NetError> {
-    tx.send(req).map_err(|_| NetError::ServerGone)
-}
+use crate::server::{remote_call, round_trip, Body, Endpoint, Head, Request, Wire};
 
 /// A Protocol I client bound to a running server.
 ///
@@ -29,7 +24,7 @@ fn send_deposit(tx: &Sender<Request>, req: Request) -> Result<(), NetError> {
 /// server waits for).
 pub struct NetClient1 {
     inner: Client1,
-    tx: Sender<Request>,
+    wire: Wire,
     ops: u64,
     seq: u64,
     policy: RetryPolicy,
@@ -47,7 +42,7 @@ impl NetClient1 {
     ) -> NetClient1 {
         NetClient1 {
             inner: Client1::new(keyring, registry, config),
-            tx: server.wire().0,
+            wire: server.wire().0,
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
@@ -71,14 +66,11 @@ impl NetClient1 {
     /// before any operation).
     pub fn deposit_initial(&mut self, root0: &Digest) -> Result<(), NetError> {
         let init = self.inner.sign_initial(root0)?;
-        send_deposit(
-            &self.tx,
-            Request::Signature {
-                user: self.inner.user(),
-                signed: init,
-                ctx: None,
-            },
-        )?;
+        self.wire.send(Request::Signature {
+            user: self.inner.user(),
+            signed: init,
+            ctx: None,
+        })?;
         self.inner.prepare_signature();
         Ok(())
     }
@@ -90,19 +82,16 @@ impl NetClient1 {
         self.seq += 1;
         let head = Head::root(self.inner.user(), self.seq, self.ops);
         self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
             Body::Op(op.clone(), reply)
         })?;
         self.ops += 1;
         let (result, deposit) = self.inner.handle_response(op, &resp)?;
-        send_deposit(
-            &self.tx,
-            Request::Signature {
-                user: self.inner.user(),
-                signed: deposit,
-                ctx: head.ctx,
-            },
-        )?;
+        self.wire.send(Request::Signature {
+            user: self.inner.user(),
+            signed: deposit,
+            ctx: head.ctx,
+        })?;
         // The server is released; build the next one-time key while it
         // serves the other users.
         self.inner.prepare_signature();
@@ -134,7 +123,7 @@ impl NetClient1 {
 /// operation, no deposit.
 pub struct NetClient2 {
     inner: Client2,
-    tx: Sender<Request>,
+    wire: Wire,
     ops: u64,
     seq: u64,
     policy: RetryPolicy,
@@ -153,7 +142,7 @@ impl NetClient2 {
     ) -> NetClient2 {
         NetClient2 {
             inner: Client2::new(user, root0, config),
-            tx: server.wire().0,
+            wire: server.wire().0,
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
@@ -177,7 +166,7 @@ impl NetClient2 {
     ) -> NetClient2 {
         NetClient2 {
             inner: Client2::join(user, root, ctr, last_user, config),
-            tx: server.wire().0,
+            wire: server.wire().0,
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
@@ -263,7 +252,7 @@ impl NetClient2 {
         self.seq += 1;
         let head = Head::root(self.inner.user(), self.seq, self.ops);
         self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
             Body::Op(op.clone(), reply)
         })?;
         self.ops += 1;
@@ -295,7 +284,7 @@ impl NetClient2 {
         self.seq += 1;
         let head = Head::root(self.inner.user(), self.seq, self.ops);
         self.inner.set_current_span(head.ctx);
-        match remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+        match remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
             Body::Batch(ops.to_vec(), reply)
         })? {
             Some(resp) => {
@@ -345,7 +334,7 @@ impl NetClient2 {
 /// states and performs its audit duties over the same channel.
 pub struct NetClient3 {
     inner: tcvs_core::Client3,
-    tx: Sender<Request>,
+    wire: Wire,
     ops: u64,
     seq: u64,
     policy: RetryPolicy,
@@ -367,7 +356,7 @@ impl NetClient3 {
     ) -> NetClient3 {
         NetClient3 {
             inner: tcvs_core::Client3::new(keyring, registry, n_users, root0, config),
-            tx: server.wire().0,
+            wire: server.wire().0,
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
@@ -395,19 +384,19 @@ impl NetClient3 {
         self.seq += 1;
         let head = Head::root(self.inner.user(), self.seq, round);
         self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
             Body::Op(op.clone(), reply)
         })?;
         self.ops += 1;
         let (result, deposits) = self.inner.handle_response(op, &resp, round)?;
         for d in deposits {
-            send_deposit(&self.tx, Request::EpochState(d))?;
+            self.wire.send(Request::EpochState(d))?;
         }
         if let Some(epoch) = self.inner.pending_audit() {
             let user = self.inner.user();
             self.seq += 1;
             let states = round_trip(
-                &self.tx,
+                &self.wire,
                 user,
                 self.seq,
                 None,
@@ -420,7 +409,7 @@ impl NetClient3 {
             } else {
                 self.seq += 1;
                 round_trip(
-                    &self.tx,
+                    &self.wire,
                     user,
                     self.seq,
                     None,
@@ -434,7 +423,7 @@ impl NetClient3 {
                 )?
             };
             let cp = self.inner.audit(epoch, &states, prev.as_ref())?;
-            send_deposit(&self.tx, Request::Checkpoint(cp))?;
+            self.wire.send(Request::Checkpoint(cp))?;
         }
         self.inner.prepare_signature();
         Ok(result)
@@ -456,7 +445,7 @@ impl NetClient3 {
 /// only the proof check is skipped.
 pub struct NetClientTrusted {
     user: UserId,
-    tx: Sender<Request>,
+    wire: Wire,
     ops: u64,
     seq: u64,
     policy: RetryPolicy,
@@ -468,7 +457,7 @@ impl NetClientTrusted {
     pub fn new(user: UserId, server: &impl Endpoint) -> NetClientTrusted {
         NetClientTrusted {
             user,
-            tx: server.wire().0,
+            wire: server.wire().0,
             ops: 0,
             seq: 0,
             policy: RetryPolicy::default(),
@@ -490,7 +479,7 @@ impl NetClientTrusted {
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
         self.seq += 1;
         let head = Head::root(self.user, self.seq, self.ops);
-        let resp = remote_call(&self.tx, head, &self.policy, &self.stats, |reply| {
+        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
             Body::Op(op.clone(), reply)
         })?;
         self.ops += 1;

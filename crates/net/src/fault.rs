@@ -27,7 +27,9 @@
 //! Deposits and fetches are never faulted: the plan's unit is the operation,
 //! matching [`FaultPlan`]'s simulator semantics. Every operation — plain
 //! or batched window — travels as one call shape and is faulted the same
-//! way.
+//! way. A client bound to a link never runs a call inline on the server
+//! (that would bypass the plan): the link forwards everything into the
+//! server thread's queue, where it is counted like any other request.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -39,7 +41,7 @@ use tcvs_core::{FaultCounts, FaultKind, FaultPlan, UserId};
 use tcvs_obs::{stage, Event, EventKind};
 
 use crate::obs::NetStats;
-use crate::server::{sealed, Endpoint, Request, WireHandle};
+use crate::server::{sealed, Endpoint, Request, Wire, WireHandle};
 
 /// How long one simulated delay round lasts on the wire.
 const ROUND: Duration = Duration::from_millis(1);
@@ -55,7 +57,7 @@ impl sealed::Sealed for FaultLink {}
 
 impl Endpoint for FaultLink {
     fn wire(&self) -> WireHandle {
-        WireHandle(self.tx.clone())
+        WireHandle(Wire::link(self.tx.clone()))
     }
 }
 

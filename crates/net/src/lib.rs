@@ -1,8 +1,21 @@
 //! # tcvs-net
 //!
-//! A threaded deployment of the trusted-cvs protocols: one server thread
-//! serving crossbeam channels, client handles per user, and a
-//! deterministic fault-injection link.
+//! A threaded deployment of the trusted-cvs protocols: a server whose state
+//! sits behind one lock, served by a server thread over crossbeam channels
+//! and, while the server is idle, on the calling client's own thread;
+//! client handles per user; and a deterministic fault-injection link.
+//!
+//! ## Where a call runs
+//!
+//! A plain op from a client bound to the [`NetServer`] itself runs inline,
+//! on the client's thread, when nothing is queued or in flight to the
+//! server thread, shutdown has not started and the deployment is not
+//! Protocol I's blocking one. Batch windows, deposits, fetches, crashes,
+//! calls through a [`FaultLink`], every call of a blocking deployment and a
+//! plain op that finds the server busy queue for the thread. Both run the
+//! same serving code — journal, replay check, stats and events — so only
+//! the thread differs; an inline op saves the two thread wake-ups of a
+//! channel round trip. `net.server.inline_ops` counts the inline calls.
 //!
 //! Protocol I's blocking signature deposit is reproduced physically: the
 //! server thread refuses to take the next operation until the previous

@@ -1,5 +1,25 @@
 //! Network-layer observability: the metric handles and tracer shared by a
-//! server thread and the clients bound to it.
+//! server and the clients bound to it.
+//!
+//! Server-side metrics, recorded wherever a call is served:
+//!
+//! * `net.server.ops_served` — ops executed (a batch window counts its
+//!   ops; a journal hit counts nothing);
+//! * `net.server.op_ns` — histogram of the nanoseconds one executed call
+//!   spends being served: execution, journal insert, reply send and the
+//!   drop of the displaced reply. Nanosecond-grained because a point op
+//!   takes 3–4 µs, which a microsecond histogram's power-of-two buckets
+//!   split over two buckets;
+//! * `net.server.inline_ops` — calls served on the calling client's own
+//!   thread instead of the server thread (journal hits included; batch
+//!   windows never are). `inline_ops / ops_served` is a workload's inline
+//!   share;
+//! * `net.server.journal_hits`, `net.server.journal_evictions`,
+//!   `net.server.missed_deposits`, `net.server.crashes`, and
+//!   `net.batch.{windows,ops,declined}`.
+//!
+//! Client-side: `net.client.retries`. The `crypto.lanes` gauge mirrors the
+//! compiled SHA-256 lane width.
 //!
 //! All counters and histograms are lock-free relaxed atomics; the tracer is
 //! an `Option` check per emit. The disabled default ([`NetStats::disabled`])
@@ -25,7 +45,8 @@ pub struct NetStats {
     pub(crate) missed_deposits: Arc<Counter>,
     pub(crate) crashes: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
-    pub(crate) op_micros: Arc<Histogram>,
+    pub(crate) inline_ops: Arc<Counter>,
+    pub(crate) op_ns: Arc<Histogram>,
     pub(crate) batch_windows: Arc<Counter>,
     pub(crate) batch_ops: Arc<Counter>,
     pub(crate) batch_declined: Arc<Counter>,
@@ -45,7 +66,8 @@ impl NetStats {
             missed_deposits: registry.counter("net.server.missed_deposits"),
             crashes: registry.counter("net.server.crashes"),
             retries: registry.counter("net.client.retries"),
-            op_micros: registry.histogram("net.server.op_micros"),
+            inline_ops: registry.counter("net.server.inline_ops"),
+            op_ns: registry.histogram("net.server.op_ns"),
             batch_windows: registry.counter("net.batch.windows"),
             batch_ops: registry.counter("net.batch.ops"),
             batch_declined: registry.counter("net.batch.declined"),

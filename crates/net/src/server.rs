@@ -1,14 +1,40 @@
-//! The threaded server: one thread owning a [`ServerApi`] implementation,
-//! serving requests over crossbeam channels.
+//! The threaded server: a [`ServerApi`] implementation behind one lock,
+//! served by a server thread over crossbeam channels and, while the server
+//! is idle, by the clients bound to it directly.
 //!
 //! Every operation travels in one request shape, a `Call`: the header
 //! `(user, seq, round, ctx)` and a body — a plain op or a Protocol II batch
 //! window — whose reply slot is typed by that shape, so a client can only
-//! receive the reply shape it asked for. The thread's state (the inner
-//! server, the reply journal, the backlog, the bootstrap cache, the
-//! missed-deposit count) lives in one `ServerLoop` with a single code path
-//! per request kind: one `serve` for calls, one deposit, one crash-restart
-//! and one deposit wait.
+//! receive the reply shape it asked for. The serving state (the inner
+//! server, the reply journal, the bootstrap cache) lives in one
+//! `ServerState` with a single code path per request kind: one `dispatch`,
+//! one `serve` for calls, one deposit and one crash-restart. The thread
+//! (`ServerLoop`) adds only what queueing needs: the channel, the backlog,
+//! the deposit wait and the drain.
+//!
+//! # Where a call runs
+//!
+//! A plain op from a client bound to the [`NetServer`] itself runs on the
+//! client's own thread when, checked under the lock, nothing is queued or
+//! in flight to the thread, shutdown has not started, and the deployment is
+//! not Protocol I's blocking one. It runs the same `serve` the thread runs,
+//! so journal, replay check, stats and events do not depend on where it
+//! runs; what it saves is the two thread wake-ups of a channel round trip.
+//! Everything else queues for the thread: batch windows, deposits, fetches,
+//! bootstrap and sample requests, crashes, every call through a
+//! [`crate::FaultLink`] (its faults would otherwise be bypassed), every call
+//! of a blocking deployment (its deposit wait is a receive on the thread),
+//! and a plain op that found the server busy. Every request sent into the
+//! channel is counted until the thread has dispatched it, so an inline op
+//! never overtakes queued work, its caller's own deposits included. A
+//! caller that finds another inline call holding the lock spins briefly
+//! (`INLINE_SPIN`) before it queues.
+//!
+//! Both drivers run a request under one `fail_stop`: a panic inside the
+//! inner server — a durable server refusing to acknowledge an op whose
+//! commit failed — drops the serving state and starts shutdown, so the
+//! failing call and every later one get [`NetError::ServerGone`] whichever
+//! thread the op ran on, and no client is answered from that server again.
 //!
 //! Protocol I's blocking step is *physically* reproduced: in blocking mode
 //! the server thread will not take the next operation until the previous
@@ -22,29 +48,33 @@
 //! a client sees is covered by its protocol's detection. The only other
 //! views of the inner server's state are the bootstrap chunks and the
 //! `(root, ctr, last_user)` sample behind a grove epoch, both served in
-//! order on this thread and neither trusted by the party that receives it.
+//! order on the thread and neither trusted by the party that receives it.
 //!
-//! Every operation carries a per-user sequence number; the thread keeps the
+//! Every operation carries a per-user sequence number; the server keeps the
 //! last reply per user in a *reply journal* so a retried request (after a
 //! dropped reply) is answered from the journal instead of re-executing —
 //! exactly-once semantics over an at-least-once transport. One shape table
 //! (`answer`) decides which journaled reply may answer which request shape,
 //! for retries and fresh replies alike. The journal is part of the server's
-//! durable state: it survives [`NetServer::crash_restart`] along with
-//! whatever the inner [`ServerApi`] chooses to persist.
+//! durable state: it is seeded from the inner server's recovered replies
+//! before `spawn*` returns, and it survives [`NetServer::crash_restart`]
+//! along with whatever the inner [`ServerApi`] chooses to persist.
 //!
-//! Shutdown (and `Drop`) switches the loop into a *drain*: every backlogged
-//! and queued request is served exactly as in the main loop — counted and
-//! traced, a crash really restarting the inner server, bootstrap chunks cut
-//! from the configured slicing — except that no deposit wait runs.
+//! Shutdown (and `Drop`) switches the thread into a *drain*: every
+//! backlogged and queued request is served exactly as in the main loop —
+//! counted and traced, a crash really restarting the inner server,
+//! bootstrap chunks cut from the configured slicing — except that no
+//! deposit wait runs. The thread then drops the inner server.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::Mutex;
 use tcvs_core::{
     BatchResponse, Ctr, Digest, Epoch, Op, ServerApi, ServerResponse, SignedCheckpoint,
     SignedEpochState, SignedState, UserId,
@@ -54,6 +84,14 @@ use tcvs_obs::{stage, Event, EventKind, SpanContext, NO_ACTOR};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
+
+/// How long a plain op waits for another inline call to release the server
+/// before it queues for the thread instead: about two point-op critical
+/// sections (`core.server_get_us` ≈ 4 µs on `p2-point-read`). Parking on
+/// the lock costs a futex wake-up, longer than this on a 2-vCPU host; with
+/// no spin, `p2-point-read`'s `read_p50_us` gain was bimodal (−31…−59 %
+/// over 10 pairs against −52 % with it).
+const INLINE_SPIN: Duration = Duration::from_micros(8);
 
 /// A request to the server thread.
 pub(crate) enum Request {
@@ -176,9 +214,53 @@ pub(crate) mod sealed {
     pub trait Sealed {}
 }
 
-/// An opaque handle onto a server thread's request channel. Only this
-/// crate can look inside; clients obtain one through [`Endpoint`].
-pub struct WireHandle(pub(crate) Sender<Request>);
+/// An opaque handle onto a server's request channel. Only this crate can
+/// look inside; clients obtain one through [`Endpoint`].
+pub struct WireHandle(pub(crate) Wire);
+
+/// The inside of a [`WireHandle`].
+#[derive(Clone)]
+pub(crate) struct Wire {
+    tx: Sender<Request>,
+    /// The server behind the channel, when nothing is interposed: every
+    /// request sent is counted toward its queue, and a plain op may run
+    /// inline on it. `None` for a wire into a link thread.
+    direct: Option<Arc<Shared>>,
+}
+
+impl Wire {
+    /// A wire into a link thread (or a test double) rather than a server:
+    /// nothing sent on it is counted or run inline.
+    pub(crate) fn link(tx: Sender<Request>) -> Wire {
+        Wire { tx, direct: None }
+    }
+
+    /// Queues `req` for the thread behind this wire. Fails only once that
+    /// thread (or the link to it) is gone.
+    pub(crate) fn send(&self, req: Request) -> Result<(), NetError> {
+        if let Some(shared) = &self.direct {
+            shared.queued.fetch_add(1, Ordering::SeqCst);
+        }
+        self.tx.send(req).map_err(|_| NetError::ServerGone)
+    }
+
+    /// Sends `req` the way a client does: a plain op runs on the calling
+    /// thread when the server behind this wire is idle (see the module
+    /// docs); anything else, or a plain op that finds the server busy, is
+    /// queued.
+    pub(crate) fn submit(&self, req: Request) -> Result<(), NetError> {
+        match (&self.direct, req) {
+            (Some(shared), Request::Call(call)) => {
+                if shared.try_inline(&call)? {
+                    Ok(())
+                } else {
+                    self.send(call.into())
+                }
+            }
+            (_, req) => self.send(req),
+        }
+    }
+}
 
 /// Something clients can bind to: a [`NetServer`] directly, or a
 /// [`crate::FaultLink`] interposed in front of one.
@@ -227,23 +309,26 @@ enum JournaledReply {
     Batch(BatchResponse),
 }
 
-/// Handle to a running server thread.
+/// Handle to a running server: its thread, and the state that thread
+/// shares with directly bound clients.
 pub struct NetServer {
-    tx: Sender<Request>,
+    /// The one wire into the server's channel: every message sent on it is
+    /// counted, and [`Endpoint::wire`] hands out clones of it.
+    wire: Wire,
+    shared: Arc<Shared>,
     join: Option<JoinHandle<()>>,
-    missed: Arc<AtomicU64>,
 }
 
 impl sealed::Sealed for NetServer {}
 
 impl Endpoint for NetServer {
     fn wire(&self) -> WireHandle {
-        WireHandle(self.tx.clone())
+        WireHandle(self.wire.clone())
     }
 }
 
 impl NetServer {
-    /// Spawns the server thread over any (honest or adversarial) server
+    /// Spawns a server over any (honest or adversarial) server
     /// implementation. `blocking_signatures` reproduces Protocol I's extra
     /// blocking message; see [`NetServer::spawn_with`] for the full knobs.
     pub fn spawn(inner: Box<dyn ServerApi + Send>, blocking_signatures: bool) -> NetServer {
@@ -256,51 +341,65 @@ impl NetServer {
         )
     }
 
-    /// Spawns the server thread with explicit [`NetServerOptions`].
+    /// Spawns a server with explicit [`NetServerOptions`].
     pub fn spawn_with(inner: Box<dyn ServerApi + Send>, opts: NetServerOptions) -> NetServer {
         NetServer::spawn_observed(inner, opts, NetStats::disabled())
     }
 
-    /// Spawns the server thread with metric/event instrumentation feeding
-    /// `stats`.
+    /// Spawns a server with metric/event instrumentation feeding `stats`.
+    ///
+    /// Every `spawn*` starts the server thread and returns with the reply
+    /// journal already seeded from the inner server's recovered replies, so
+    /// the first call — inline or queued — that retries a recovered
+    /// operation is answered from the journal, not re-executed.
     pub fn spawn_observed(
         inner: Box<dyn ServerApi + Send>,
         opts: NetServerOptions,
         stats: NetStats,
     ) -> NetServer {
         let (tx, rx) = unbounded();
-        let missed = Arc::new(AtomicU64::new(0));
-        let server = ServerLoop {
+        let mut state = ServerState {
             inner,
-            rx,
             opts,
-            journal: HashMap::new(),
             stats,
-            backlog: VecDeque::new(),
+            journal: HashMap::new(),
             bootstrap: None,
-            missed: Arc::clone(&missed),
+        };
+        state.seed_journal();
+        let shared = Arc::new(Shared {
+            state: Mutex::new(Some(state)),
+            queued: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
+            blocking: opts.blocking_signatures,
+            missed: AtomicU64::new(0),
+        });
+        let server = ServerLoop {
+            rx,
+            shared: Arc::clone(&shared),
+            backlog: VecDeque::new(),
             draining: false,
         };
         NetServer {
-            tx,
+            wire: Wire {
+                tx,
+                direct: Some(Arc::clone(&shared)),
+            },
+            shared,
             join: Some(std::thread::spawn(move || server.run())),
-            missed,
         }
     }
 
     /// Signature deposits the blocking server gave up waiting for (always 0
     /// in non-blocking mode or on a fault-free network).
     pub fn missed_deposits(&self) -> u64 {
-        self.missed.load(Ordering::Relaxed)
+        self.shared.missed.load(Ordering::Relaxed)
     }
 
     /// Crashes the inner server and restarts it from its persisted state,
     /// synchronously: when this returns `Ok`, the restart has completed.
     pub fn crash_restart(&self) -> Result<(), NetError> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.tx
-            .send(Request::Crash { ack: ack_tx })
-            .map_err(|_| NetError::ServerGone)?;
+        self.wire.send(Request::Crash { ack: ack_tx })?;
         ack_rx.recv().map_err(|_| NetError::ServerGone)
     }
 
@@ -310,48 +409,134 @@ impl NetServer {
     /// (an adversary) or the server thread has exited.
     pub(crate) fn sample(&self) -> Option<(Digest, Ctr, UserId)> {
         let (reply, sampled) = bounded(1);
-        self.tx.send(Request::Sample { reply }).ok()?;
+        self.wire.send(Request::Sample { reply }).ok()?;
         sampled.recv().ok().flatten()
     }
 
-    /// Stops the server thread gracefully: backlogged and queued requests
-    /// are served (from the journal or by execution), then the thread exits.
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(Request::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+    /// Stops the server gracefully: no call runs inline from here on,
+    /// backlogged and queued requests are served (from the journal or by
+    /// execution), then the thread exits.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        let _ = self.tx.send(Request::Shutdown);
+        self.shared.closing.store(true, Ordering::SeqCst);
+        let _ = self.wire.send(Request::Shutdown);
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
     }
 }
 
-/// The server thread: everything it owns, and one code path per request
-/// kind, shared by the main loop and the shutdown drain.
-struct ServerLoop {
+/// What a server's thread shares with the clients bound to it directly.
+struct Shared {
+    /// The serving state, behind the one lock both drivers take. `None`
+    /// once the thread has exited: it drops the inner server itself.
+    state: Mutex<Option<ServerState>>,
+    /// Requests sent into the channel and not yet dispatched by the thread;
+    /// a plain op runs inline only when this is 0.
+    queued: AtomicUsize,
+    /// Set when shutdown starts; no call runs inline after that.
+    closing: AtomicBool,
+    /// A blocking Protocol I deployment: its deposit wait is a receive on
+    /// the thread, so nothing runs inline.
+    blocking: bool,
+    /// Deposits the blocking server gave up waiting for.
+    missed: AtomicU64,
+}
+
+impl Shared {
+    /// Serves `call` on the calling thread if it is a plain op and the
+    /// server is idle: `Ok(true)` when served, `Ok(false)` when it must be
+    /// queued instead, `ServerGone` once the server has stopped (an inline
+    /// op that panicked stops it, as one on the thread does). While another
+    /// inline call holds the lock and nothing is queued, spins up to
+    /// [`INLINE_SPIN`] for it.
+    fn try_inline(&self, call: &Call) -> Result<bool, NetError> {
+        if self.blocking || !matches!(call.body, Body::Op(..)) {
+            return Ok(false);
+        }
+        let mut spinning_since = None;
+        while self.queued.load(Ordering::SeqCst) == 0 {
+            if let Some(mut slot) = self.state.try_lock() {
+                // Re-checked under the lock: the thread dispatches (and
+                // uncounts) only while holding it.
+                let idle =
+                    self.queued.load(Ordering::SeqCst) == 0 && !self.closing.load(Ordering::SeqCst);
+                if slot.is_some() && !idle {
+                    return Ok(false);
+                }
+                return self
+                    .fail_stop(&mut slot, |state| {
+                        state.serve(call);
+                        state.stats.inline_ops.inc();
+                    })
+                    .map(|()| true)
+                    .ok_or(NetError::ServerGone);
+            }
+            let since = *spinning_since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= INLINE_SPIN {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        Ok(false)
+    }
+
+    /// Runs `f` on the serving state in `slot`, fail-stop. A panic in `f`
+    /// is how an inner server refuses to acknowledge an op it could not
+    /// make durable; it drops the state and starts shutdown, so no client
+    /// is answered from that server again, whichever thread ran the op.
+    /// `None` when the state is gone or `f` panicked.
+    fn fail_stop<R>(
+        &self,
+        slot: &mut Option<ServerState>,
+        f: impl FnOnce(&mut ServerState) -> R,
+    ) -> Option<R> {
+        let state = slot.as_mut()?;
+        let out = panic::catch_unwind(AssertUnwindSafe(|| f(state))).ok();
+        if out.is_none() {
+            self.closing.store(true, Ordering::SeqCst);
+            *slot = None;
+        }
+        out
+    }
+
+    /// Uncounts one request the thread has finished dispatching.
+    fn dispatched(&self) {
+        let before = self.queued.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before > 0, "a request reached the thread uncounted");
+    }
+}
+
+/// The serving state: everything a request needs, whichever thread serves
+/// it, and one code path per request kind.
+struct ServerState {
     inner: Box<dyn ServerApi + Send>,
-    rx: Receiver<Request>,
     opts: NetServerOptions,
     stats: NetStats,
     /// The per-user reply journal: the last `(seq, reply)` served to each
     /// user.
     journal: HashMap<UserId, (u64, JournaledReply)>,
-    /// Requests that arrived while the server was blocked waiting for a
-    /// deposit; replayed in arrival order.
-    backlog: VecDeque<Request>,
     /// Lazily-built chunk source for the bootstrap path: the slicing of one
     /// snapshot, with the counter that snapshot was current as of. Kept
     /// across crash/restart: serving a consistent *stale* snapshot is
     /// exactly what lets a client resume an interrupted bootstrap.
     bootstrap: Option<(ChunkSource, Ctr)>,
-    missed: Arc<AtomicU64>,
+}
+
+/// The server thread: the channel's receiving end and what only queueing
+/// needs, around the shared serving state.
+struct ServerLoop {
+    rx: Receiver<Request>,
+    shared: Arc<Shared>,
+    /// Requests that arrived while the server was blocked waiting for a
+    /// deposit; replayed in arrival order. Each stays counted in
+    /// `Shared::queued` until it is dispatched.
+    backlog: VecDeque<Request>,
     /// Set once shutdown is requested (or every sender is gone): serve what
     /// is already queued, with no deposit waits, then exit.
     draining: bool,
@@ -359,13 +544,32 @@ struct ServerLoop {
 
 impl ServerLoop {
     fn run(mut self) {
-        // A durable inner server may already hold recovered replies from a
-        // previous process; a retry arriving over the wire must hit them,
-        // not re-execute.
-        self.seed_journal();
+        let shared = Arc::clone(&self.shared);
         while let Some(req) = self.next() {
-            self.dispatch(req);
+            self.draining |= matches!(req, Request::Shutdown);
+            let mut slot = shared.state.lock();
+            if slot.is_none() {
+                // An inline op stopped the server. Disconnect the channel
+                // before `req` (and its reply slot) drops, so that its
+                // sender's retry finds the server gone.
+                drop(slot);
+                drop(self.rx);
+                return;
+            }
+            let served = shared.fail_stop(&mut slot, |state| {
+                if let Some(user) = state.dispatch(req) {
+                    self.wait(state, user);
+                }
+            });
+            shared.dispatched();
+            if served.is_none() {
+                break;
+            }
         }
+        // Drop the inner server here, on its own thread, not on whichever
+        // client happens to release the last handle.
+        let state = shared.state.lock().take();
+        drop(state);
     }
 
     /// The next request to handle: the backlog first, then the queue.
@@ -381,9 +585,67 @@ impl ServerLoop {
         }
     }
 
-    fn dispatch(&mut self, req: Request) {
+    /// Protocol I's blocking step: wait for `user`'s deposit of the op just
+    /// served, while other users' requests queue up behind the block — that
+    /// latency is the measured cost.
+    ///
+    /// The wait is bounded by `deposit_timeout`; on timeout the owed deposit
+    /// is counted as missed and the server moves on rather than deadlock — a
+    /// stale signature then surfaces at the client. Retries of served calls
+    /// are answered in place (their clients may be the very ones whose
+    /// deposits are owed) and a crash is handled at once, abandoning the
+    /// owed deposit (absorbed by the main loop if it arrives); everything
+    /// else queues in the backlog. A drain never waits.
+    fn wait(&mut self, state: &mut ServerState, user: UserId) {
+        while !self.draining {
+            match self.rx.recv_timeout(state.opts.deposit_timeout) {
+                Ok(Request::Signature {
+                    user: from,
+                    signed,
+                    ctx,
+                }) if from == user => {
+                    state.deposit(from, signed, ctx);
+                    self.shared.dispatched();
+                    return;
+                }
+                Ok(Request::Crash { ack }) => {
+                    state.crash(ack);
+                    self.miss(state, user, "crash");
+                    self.shared.dispatched();
+                    return;
+                }
+                Ok(Request::Call(call)) if state.replay(&call) => self.shared.dispatched(),
+                Ok(Request::Shutdown) => {
+                    self.draining = true;
+                    self.shared.dispatched();
+                }
+                Err(RecvTimeoutError::Disconnected) => self.draining = true,
+                Ok(other) => self.backlog.push_back(other),
+                Err(RecvTimeoutError::Timeout) => {
+                    self.miss(state, user, "timeout");
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Records a deposit the server gave up waiting for.
+    fn miss(&self, state: &ServerState, user: UserId, why: &'static str) {
+        self.shared.missed.fetch_add(1, Ordering::Relaxed);
+        state.stats.missed_deposits.inc();
+        state
+            .stats
+            .tracer
+            .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail(why));
+    }
+}
+
+impl ServerState {
+    /// Handles one request. Returns the user whose deposit a blocking
+    /// Protocol I deployment must now wait for, if any.
+    fn dispatch(&mut self, req: Request) -> Option<UserId> {
         match req {
-            Request::Call(call) => self.serve(call),
+            Request::Call(call) => return self.serve(&call),
             Request::Signature { user, signed, ctx } => self.deposit(user, signed, ctx),
             Request::EpochState(s) => self.inner.deposit_epoch_state(s),
             Request::FetchEpochStates { user, epoch, reply } => {
@@ -408,17 +670,19 @@ impl ServerLoop {
                 let _ = reply.send(snap.map(|s| (s.root_digest(), s.ctr(), s.last_user())));
             }
             Request::Crash { ack } => self.crash(ack),
-            Request::Shutdown => self.draining = true,
+            // The thread's drain; there is nothing to serve.
+            Request::Shutdown => {}
         }
+        None
     }
 
     /// Serves one call: from the journal if it retries a served one,
     /// otherwise by executing it. A fresh reply goes journal insert →
-    /// reply → drop of the displaced reply → stats and tracer, and
-    /// a blocking Protocol I deployment then waits for the op's deposit.
-    fn serve(&mut self, call: Call) {
-        if self.replay(&call) {
-            return;
+    /// reply → drop of the displaced reply → stats and tracer. Returns the
+    /// user a blocking Protocol I deployment now owes a deposit wait.
+    fn serve(&mut self, call: &Call) -> Option<UserId> {
+        if self.replay(call) {
+            return None;
         }
         let Head {
             user,
@@ -427,9 +691,7 @@ impl ServerLoop {
             ctx,
         } = call.head;
         let started = Instant::now();
-        let Some(entry) = self.execute(&call) else {
-            return;
-        };
+        let entry = self.execute(call)?;
         let (ctr, ops) = match &entry {
             JournaledReply::Plain(r) => (r.ctr, 1),
             JournaledReply::Batch(b) => (b.ctr, b.window_len() as u64),
@@ -439,12 +701,13 @@ impl ServerLoop {
         if let Some((_, entry)) = self.journal.get(&user) {
             answer(&call.body, entry, || {});
         }
-        // Freeing the displaced proof is work the client need not wait for.
+        // Freeing the displaced proof is work a queued call's client need
+        // not wait for (an inline caller does, on its own thread).
         drop(displaced);
         self.stats.ops_served.add(ops);
         self.stats
-            .op_micros
-            .observe(started.elapsed().as_micros() as u64);
+            .op_ns
+            .observe(started.elapsed().as_nanos() as u64);
         if batch {
             self.stats.batch_windows.inc();
             self.stats.batch_ops.add(ops);
@@ -461,9 +724,7 @@ impl ServerLoop {
         });
         // Batch windows are a Protocol II path: deposits are asynchronous
         // state tokens there, so no wait.
-        if self.opts.blocking_signatures && !batch {
-            self.wait(user);
-        }
+        (self.opts.blocking_signatures && !batch).then_some(user)
     }
 
     /// Executes `call` on the inner server and returns the reply to
@@ -572,59 +833,6 @@ impl ServerLoop {
             .emit(|| Event::new(0, EventKind::Restart, NO_ACTOR));
     }
 
-    /// Protocol I's blocking step: wait for `user`'s deposit of the op just
-    /// served, while other users' requests queue up behind the block — that
-    /// latency is the measured cost.
-    ///
-    /// The wait is bounded by `deposit_timeout`; on timeout the owed deposit
-    /// is counted as missed and the server moves on rather than deadlock — a
-    /// stale signature then surfaces at the client. Retries of served calls
-    /// are answered in place (their clients may be the very ones whose
-    /// deposits are owed) and a crash is handled at once, abandoning the
-    /// owed deposit (absorbed by the main loop if it arrives); everything
-    /// else queues in the backlog. A drain never waits.
-    fn wait(&mut self, user: UserId) {
-        while !self.draining {
-            match self.rx.recv_timeout(self.opts.deposit_timeout) {
-                Ok(Request::Signature {
-                    user: from,
-                    signed,
-                    ctx,
-                }) if from == user => {
-                    self.deposit(from, signed, ctx);
-                    return;
-                }
-                Ok(Request::Crash { ack }) => {
-                    self.crash(ack);
-                    self.miss(1, user, "crash");
-                    return;
-                }
-                Ok(Request::Call(call)) => {
-                    if !self.replay(&call) {
-                        self.backlog.push_back(call.into());
-                    }
-                }
-                Ok(Request::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                    self.draining = true;
-                }
-                Ok(other) => self.backlog.push_back(other),
-                Err(RecvTimeoutError::Timeout) => {
-                    self.miss(1, user, "timeout");
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Records `n` deposits the server gave up waiting for.
-    fn miss(&self, n: u64, user: UserId, why: &'static str) {
-        self.missed.fetch_add(n, Ordering::Relaxed);
-        self.stats.missed_deposits.add(n);
-        self.stats
-            .tracer
-            .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail(why));
-    }
-
     /// Serves the bootstrap manifest for the server's *current* snapshot,
     /// (re)slicing when the snapshot has moved since the cache was built.
     /// `None` when the inner server exposes no read snapshot (adversaries)
@@ -700,37 +908,47 @@ fn deliver<T>(reply: &Sender<T>, value: T, before_send: impl FnOnce()) {
 /// trace context, so a retry is a new span in the *same* trace — with a
 /// body built around that attempt's reply sender.
 pub(crate) fn remote_call<T>(
-    tx: &Sender<Request>,
+    wire: &Wire,
     head: Head,
     policy: &RetryPolicy,
     stats: &NetStats,
     mut body: impl FnMut(Sender<T>) -> Body,
 ) -> Result<T, NetError> {
-    round_trip(tx, head.user, head.seq, head.ctx, policy, stats, |reply| {
-        Call {
-            head,
-            body: body(reply),
-        }
-        .into()
-    })
+    round_trip(
+        wire,
+        head.user,
+        head.seq,
+        head.ctx,
+        policy,
+        stats,
+        |reply| {
+            Call {
+                head,
+                body: body(reply),
+            }
+            .into()
+        },
+    )
 }
 
 /// The one bounded-retry round trip behind every client request: each
-/// attempt builds the request around a fresh one-shot reply sender and
-/// waits [`RetryPolicy::attempt_timeout`] for the reply. A failed *send*
-/// means the server thread (or the link to it) is gone — that is terminal.
-/// A disconnected reply channel means the request was consumed but no
-/// reply will come (a dropped request or reply in flight) — retry at once.
-/// A timeout backs off exponentially before the retry. `seq` seeds the
-/// backoff jitter and, with `user` and `ctx`, labels the retry events.
-pub(crate) fn round_trip<R, T>(
-    tx: &Sender<R>,
+/// attempt builds the request around a fresh one-shot reply sender,
+/// submits it (a plain op may be served inline, its reply then already
+/// waiting) and waits [`RetryPolicy::attempt_timeout`] for the reply. A
+/// failed *send* means the server thread (or the link to it) is gone —
+/// that is terminal. A disconnected reply channel means the request was
+/// consumed but no reply will come (a dropped request or reply in flight)
+/// — retry at once. A timeout backs off exponentially before the retry.
+/// `seq` seeds the backoff jitter and, with `user` and `ctx`, labels the
+/// retry events.
+pub(crate) fn round_trip<T>(
+    wire: &Wire,
     user: UserId,
     seq: u64,
     ctx: Option<SpanContext>,
     policy: &RetryPolicy,
     stats: &NetStats,
-    mut make: impl FnMut(Sender<T>) -> R,
+    mut make: impl FnMut(Sender<T>) -> Request,
 ) -> Result<T, NetError> {
     let attempts = policy.max_attempts.max(1);
     for attempt in 0..attempts {
@@ -743,7 +961,7 @@ pub(crate) fn round_trip<R, T>(
             });
         }
         let (reply_tx, reply_rx) = bounded(1);
-        tx.send(make(reply_tx)).map_err(|_| NetError::ServerGone)?;
+        wire.submit(make(reply_tx))?;
         match reply_rx.recv_timeout(policy.attempt_timeout(user, seq, attempt)) {
             Ok(resp) => return Ok(resp),
             // The request or its reply was lost in flight; retry at once.
@@ -781,16 +999,17 @@ mod tests {
         .expect("open durable server")
     }
 
-    /// One request/reply exchange with the server thread, no retries.
-    fn ask<T>(tx: &Sender<Request>, make: impl FnOnce(Sender<T>) -> Request) -> T {
+    /// One request/reply exchange with the server, submitted as a client
+    /// submits it (a plain op may run inline), no retries.
+    fn ask<T>(tx: &Wire, make: impl FnOnce(Sender<T>) -> Request) -> T {
         let (reply_tx, reply_rx) = bounded(1);
-        tx.send(make(reply_tx)).expect("server thread alive");
+        tx.submit(make(reply_tx)).expect("server thread alive");
         reply_rx.recv().expect("reply delivered")
     }
 
-    /// One call to the server thread, no retries.
+    /// One call to the server, no retries.
     fn call<T>(
-        tx: &Sender<Request>,
+        tx: &Wire,
         (user, seq, round): (UserId, u64, u64),
         body: impl FnOnce(Sender<T>) -> Body,
     ) -> T {
@@ -804,12 +1023,12 @@ mod tests {
         })
     }
 
-    fn send_op(tx: &Sender<Request>, user: UserId, seq: u64, op: Op, round: u64) -> ServerResponse {
+    fn send_op(tx: &Wire, user: UserId, seq: u64, op: Op, round: u64) -> ServerResponse {
         call(tx, (user, seq, round), |reply| Body::Op(op, reply))
     }
 
     fn send_batch(
-        tx: &Sender<Request>,
+        tx: &Wire,
         user: UserId,
         seq: u64,
         ops: Vec<Op>,
@@ -1020,7 +1239,8 @@ mod tests {
         };
         let mut server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
         server
-            .tx
+            .wire()
+            .0
             .send(Request::Shutdown)
             .expect("server thread alive");
         let thread = server.join.take().expect("thread running");
@@ -1075,5 +1295,111 @@ mod tests {
         server.shutdown();
         let drained = drained.recv().expect("served by the drain");
         assert!(drained == first, "the drain cut chunk {index} differently");
+    }
+
+    /// An honest server that holds each batch window at a gate: it signals
+    /// `entered`, then waits for `release`.
+    struct GatedWindows {
+        inner: HonestServer,
+        entered: Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl ServerApi for GatedWindows {
+        fn handle_op(&mut self, user: UserId, op: &Op, round: u64) -> ServerResponse {
+            self.inner.handle_op(user, op, round)
+        }
+
+        fn handle_op_batch(
+            &mut self,
+            user: UserId,
+            seq: u64,
+            ops: &[Op],
+            round: u64,
+        ) -> Option<BatchResponse> {
+            // A test that stopped waiting leaves the gate open.
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            self.inner.handle_op_batch(user, seq, ops, round)
+        }
+
+        fn deposit_signature(&mut self, user: UserId, s: SignedState) {
+            self.inner.deposit_signature(user, s);
+        }
+
+        fn deposit_epoch_state(&mut self, s: SignedEpochState) {
+            self.inner.deposit_epoch_state(s);
+        }
+
+        fn fetch_epoch_states(&mut self, requester: UserId, epoch: Epoch) -> Vec<SignedEpochState> {
+            self.inner.fetch_epoch_states(requester, epoch)
+        }
+
+        fn deposit_checkpoint(&mut self, c: SignedCheckpoint) {
+            self.inner.deposit_checkpoint(c);
+        }
+
+        fn fetch_checkpoint(
+            &mut self,
+            requester: UserId,
+            epoch: Epoch,
+        ) -> Option<SignedCheckpoint> {
+            self.inner.fetch_checkpoint(requester, epoch)
+        }
+
+        fn metrics(&self) -> tcvs_core::ServerMetrics {
+            self.inner.metrics()
+        }
+    }
+
+    /// A plain op issued while another user's window is held on the server
+    /// thread queues behind it instead of running inline: it is served
+    /// after the window, with no deadlock, and once the server has shut
+    /// down a call fails with `ServerGone`.
+    #[test]
+    fn an_inline_call_never_overtakes_queued_work() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+        let root0 = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();
+        let (entered_tx, entered) = bounded(1);
+        let (release, release_rx) = bounded(1);
+        let gated = GatedWindows {
+            inner: HonestServer::new(&cfg),
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let stats = NetStats::disabled();
+        let server =
+            NetServer::spawn_observed(Box::new(gated), NetServerOptions::default(), stats.clone());
+
+        // User B's window is held on the server thread, still counted.
+        let mut b = crate::NetClient2::new(1, &root0, cfg, &server);
+        let held = std::thread::spawn(move || b.execute_batch(&[Op::Put(u64_key(7), vec![7])]));
+        assert_eq!(entered.recv(), Ok(()), "the window reached the gate");
+        // User A's plain op, issued meanwhile, is sent into the queue.
+        let mut a = crate::NetClient2::new(0, &root0, cfg, &server);
+        let waiting = std::thread::spawn(move || a.execute(&Op::Get(u64_key(7))));
+        while server.shared.queued.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(release.send(()), Ok(()), "the window is still held");
+
+        assert!(matches!(held.join(), Ok(Ok(_))), "B's window is served");
+        assert_eq!(
+            waiting.join().ok(),
+            Some(Ok(OpResult::Value(Some(vec![7])))),
+            "A is served after B's write"
+        );
+        assert_eq!(stats.snapshot().counter("net.server.inline_ops"), Some(0));
+
+        let mut late = crate::NetClient2::new(2, &root0, cfg, &server);
+        server.shutdown();
+        assert_eq!(
+            late.execute(&Op::Get(u64_key(7))),
+            Err(NetError::ServerGone)
+        );
     }
 }

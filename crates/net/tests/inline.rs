@@ -1,0 +1,283 @@
+//! Where a call runs: a directly bound client's plain op runs on its own
+//! thread while the server is idle, and what the selection rule excludes —
+//! batch windows, blocking Protocol I calls and calls through a fault link
+//! — runs on the server thread; and an op that panics stops the server
+//! for every client wherever it ran. That an op never overtakes queued work
+//! is checked inside the crate (`server::tests`), where the queue is
+//! visible.
+
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+use std::time::Duration;
+
+use tcvs_core::{
+    BatchResponse, Epoch, FaultKind, FaultPlan, HonestServer, Op, ProtocolConfig, ReadSnapshot,
+    ServerApi, ServerMetrics, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState,
+    UserId,
+};
+use tcvs_crypto::setup_users;
+use tcvs_merkle::{u64_key, MerkleTree};
+use tcvs_net::{
+    FaultLink, NetClient1, NetClient2, NetError, NetServer, NetServerOptions, NetStats, RetryPolicy,
+};
+use tcvs_obs::MetricValue;
+
+fn config() -> ProtocolConfig {
+    ProtocolConfig {
+        order: 8,
+        k: 16,
+        epoch_len: 10,
+    }
+}
+
+fn root0(config: &ProtocolConfig) -> tcvs_core::Digest {
+    MerkleTree::with_order(config.order).root_digest()
+}
+
+/// The thread each executed op or window ran on, in serving order.
+type Log = Arc<Mutex<Vec<ThreadId>>>;
+
+/// A value a [`Probe`] will not store: a `Put` of it panics, as a durable
+/// server's does when its commit fails.
+const REFUSED: &[u8] = b"refused";
+
+/// An honest server that logs the thread every op and window runs on.
+struct Probe {
+    inner: HonestServer,
+    log: Log,
+}
+
+impl Probe {
+    fn new(cfg: &ProtocolConfig) -> (Probe, Log) {
+        let log = Log::default();
+        let probe = Probe {
+            inner: HonestServer::new(cfg),
+            log: Arc::clone(&log),
+        };
+        (probe, log)
+    }
+
+    fn record(&self) {
+        self.log.lock().unwrap().push(thread::current().id());
+    }
+}
+
+impl ServerApi for Probe {
+    fn handle_op(&mut self, user: UserId, op: &Op, round: u64) -> ServerResponse {
+        self.inner.handle_op(user, op, round)
+    }
+
+    fn handle_op_seq(&mut self, user: UserId, seq: u64, op: &Op, round: u64) -> ServerResponse {
+        self.record();
+        if matches!(op, Op::Put(_, value) if value == REFUSED) {
+            panic!("commit failed; refusing to acknowledge");
+        }
+        self.inner.handle_op_seq(user, seq, op, round)
+    }
+
+    fn handle_op_batch(
+        &mut self,
+        user: UserId,
+        seq: u64,
+        ops: &[Op],
+        round: u64,
+    ) -> Option<BatchResponse> {
+        self.record();
+        self.inner.handle_op_batch(user, seq, ops, round)
+    }
+
+    fn deposit_signature(&mut self, user: UserId, s: SignedState) {
+        self.inner.deposit_signature(user, s);
+    }
+
+    fn deposit_epoch_state(&mut self, s: SignedEpochState) {
+        self.inner.deposit_epoch_state(s);
+    }
+
+    fn fetch_epoch_states(&mut self, requester: UserId, epoch: Epoch) -> Vec<SignedEpochState> {
+        self.inner.fetch_epoch_states(requester, epoch)
+    }
+
+    fn deposit_checkpoint(&mut self, c: SignedCheckpoint) {
+        self.inner.deposit_checkpoint(c);
+    }
+
+    fn fetch_checkpoint(&mut self, requester: UserId, epoch: Epoch) -> Option<SignedCheckpoint> {
+        self.inner.fetch_checkpoint(requester, epoch)
+    }
+
+    fn metrics(&self) -> ServerMetrics {
+        self.inner.metrics()
+    }
+
+    fn crash_restart(&mut self) {
+        self.inner.crash_restart();
+    }
+
+    fn read_snapshot(&self) -> Option<ReadSnapshot> {
+        self.inner.read_snapshot()
+    }
+}
+
+fn ran_on(log: &Log) -> Vec<ThreadId> {
+    log.lock().unwrap().clone()
+}
+
+fn inline_ops(stats: &NetStats) -> Option<u64> {
+    stats.snapshot().counter("net.server.inline_ops")
+}
+
+/// The selection rule, clause by clause: an idle server's plain op runs on
+/// the caller's thread; a batch window, a blocking Protocol I op, and an op
+/// through a fault link run on the server thread.
+#[test]
+fn an_idle_servers_plain_op_runs_on_the_callers_thread_and_nothing_else_does() {
+    let cfg = config();
+    let r0 = root0(&cfg);
+    let me = thread::current().id();
+
+    // Plain ops and a window from one Protocol II client.
+    let (probe, log) = Probe::new(&cfg);
+    let stats = NetStats::disabled();
+    let server =
+        NetServer::spawn_observed(Box::new(probe), NetServerOptions::default(), stats.clone());
+    let mut c = NetClient2::new(0, &r0, cfg, &server);
+    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    c.execute(&Op::Get(u64_key(1))).unwrap();
+    assert_eq!(ran_on(&log), [me, me], "plain ops run inline");
+    assert_eq!(inline_ops(&stats), Some(2));
+    let window = [Op::Put(u64_key(2), vec![2]), Op::Get(u64_key(1))];
+    c.execute_batch(&window).unwrap();
+    let window_thread = ran_on(&log)[2];
+    assert_ne!(
+        window_thread, me,
+        "a batch window runs on the server thread"
+    );
+    assert_eq!(inline_ops(&stats), Some(2), "a window is not an inline op");
+    server.shutdown();
+
+    // A blocking Protocol I deployment never runs a call inline.
+    let (probe, log) = Probe::new(&cfg);
+    let stats = NetStats::disabled();
+    let server = NetServer::spawn_observed(
+        Box::new(probe),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+        stats.clone(),
+    );
+    let (rings, registry) = setup_users([0x34; 32], 1, 5);
+    let mut c1 = NetClient1::new(rings.into_iter().next().unwrap(), registry, cfg, &server);
+    c1.deposit_initial(&r0).unwrap();
+    for i in 0..3u64 {
+        c1.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
+    }
+    let threads = ran_on(&log);
+    assert_eq!(threads.len(), 3);
+    assert!(threads.iter().all(|&t| t != me), "{threads:?}");
+    assert_eq!(inline_ops(&stats), Some(0));
+    server.shutdown();
+
+    // A client behind a fault link is served by the thread, faults and all.
+    let (probe, log) = Probe::new(&cfg);
+    let stats = NetStats::disabled();
+    let server =
+        NetServer::spawn_observed(Box::new(probe), NetServerOptions::default(), stats.clone());
+    let mut plan = FaultPlan::none();
+    plan.schedule(1, FaultKind::DropReply)
+        .schedule(3, FaultKind::Duplicate);
+    let scheduled = plan.len() as u64;
+    let link = FaultLink::interpose(&server, plan);
+    let mut c = NetClient2::new(0, &r0, cfg, &link);
+    c.set_retry_policy(RetryPolicy {
+        max_attempts: 6,
+        base_timeout: Duration::from_millis(40),
+        max_jitter: Duration::from_millis(5),
+    });
+    for i in 0..5u64 {
+        c.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
+    }
+    assert_eq!(link.applied().total(), scheduled, "every fault fired");
+    let threads = ran_on(&log);
+    assert_eq!(threads.len(), 5, "retries and duplicates hit the journal");
+    assert!(threads.iter().all(|&t| t != me), "{threads:?}");
+    assert_eq!(inline_ops(&stats), Some(0));
+    server.shutdown();
+}
+
+/// `net.server.op_ns` holds one nanosecond-grained sample per served call,
+/// inline or queued, and `net.server.inline_ops` counts only the inline
+/// ones.
+#[test]
+fn op_ns_samples_every_served_call_and_inline_ops_only_inline_ones() {
+    let cfg = config();
+    let r0 = root0(&cfg);
+    let stats = NetStats::disabled();
+    let server = NetServer::spawn_observed(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+        stats.clone(),
+    );
+    let mut c = NetClient2::new(0, &r0, cfg, &server);
+    c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    let op_ns = |stats: &NetStats| match stats.snapshot().get("net.server.op_ns") {
+        Some(&MetricValue::Histogram { count, sum, .. }) => (count, sum),
+        other => panic!("net.server.op_ns is a histogram: {other:?}"),
+    };
+    // An inline op is counted before its caller gets the reply.
+    let (count, sum) = op_ns(&stats);
+    assert_eq!(count, 1);
+    assert!(sum > 0, "a served op takes a nonzero number of nanoseconds");
+    assert_eq!(inline_ops(&stats), Some(1));
+
+    c.execute_batch(&[Op::Get(u64_key(1)), Op::Get(u64_key(2))])
+        .unwrap();
+    // The thread counts a call after replying to it: join it first.
+    server.shutdown();
+    assert_eq!(op_ns(&stats).0, 2, "a window is one served call");
+    assert_eq!(inline_ops(&stats), Some(1), "windows are never inline");
+}
+
+/// An op that panics inside the inner server stops the server for every
+/// client, whether it ran inline on its caller's thread or queued on the
+/// server thread: the failing call and the next call of another client
+/// both return `ServerGone`, and nothing is served after the failed op.
+#[test]
+fn a_panicking_op_stops_the_server_inline_or_queued() {
+    let cfg = config();
+    let r0 = root0(&cfg);
+    let me = thread::current().id();
+    for through_link in [false, true] {
+        let (probe, log) = Probe::new(&cfg);
+        let server = NetServer::spawn(Box::new(probe), false);
+        let link = FaultLink::interpose(&server, FaultPlan::none());
+        let mut failing = if through_link {
+            NetClient2::new(0, &r0, cfg, &link)
+        } else {
+            NetClient2::new(0, &r0, cfg, &server)
+        };
+        // A retry that races the server thread's exit may land in its
+        // channel once more before the send itself fails.
+        failing.set_retry_policy(RetryPolicy {
+            max_attempts: 8,
+            base_timeout: Duration::from_secs(2),
+            max_jitter: Duration::from_millis(5),
+        });
+        let mut other = NetClient2::new(1, &r0, cfg, &server);
+        other.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+
+        let refused = Op::Put(u64_key(2), REFUSED.to_vec());
+        assert_eq!(failing.execute(&refused), Err(NetError::ServerGone));
+        let ran = ran_on(&log);
+        assert_eq!(ran.len(), 2);
+        assert_eq!(ran[1] == me, !through_link, "inline only when direct");
+        assert_eq!(
+            other.execute(&Op::Get(u64_key(1))),
+            Err(NetError::ServerGone),
+            "no client is answered after a failed op"
+        );
+        assert_eq!(ran_on(&log).len(), 2, "nothing served after the failed op");
+        server.shutdown();
+    }
+}
