@@ -8,7 +8,7 @@
 //! starting from nothing but bundle bytes it re-verifies every embedded
 //! signature against the embedded public keys, re-decodes every
 //! verification object (which re-checks its internal hash chain),
-//! recomputes the grove spine from the per-shard roots, re-runs the
+//! recomputes `grove_root` over the per-shard roots, re-runs the
 //! broadcast sync-up predicates, re-localizes the deviating shards, and
 //! re-runs [`crate::forensics::diagnose`] over the opt-in transition logs
 //! to name the first bad counter — then cross-checks its own conclusions
@@ -400,8 +400,8 @@ fn check_vos(bundle: &EvidenceBundle) -> AuditCheck {
     }
 }
 
-/// Recomputes the grove spine from the embedded per-shard roots and
-/// compares it to the claimed combined root.
+/// Recomputes `grove_root` over the embedded per-shard roots and compares
+/// it to the claimed grove root.
 fn check_grove(bundle: &EvidenceBundle) -> Option<AuditCheck> {
     let g = bundle.grove.as_ref()?;
     if g.shard_roots.is_empty() {

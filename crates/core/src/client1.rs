@@ -22,6 +22,7 @@ use tcvs_merkle::{verify_response, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
 use crate::msg::{ServerResponse, SignedState, SyncShare};
+use crate::protocol::{Deposit, Port, Protocol};
 use crate::state::signed_payload;
 use crate::types::{Ctr, Deviation, ProtocolConfig};
 
@@ -36,7 +37,7 @@ pub struct Client1 {
     gctr: Ctr,
     /// Operations since the last sync-up (drives the sync trigger).
     ops_since_sync: u64,
-    /// Event tracer (disabled by default; see [`Client1::set_tracer`]).
+    /// Event tracer (disabled by default; see [`Protocol::set_tracer`]).
     tracer: Tracer,
     /// Trace context of the operation currently being verified (set by the
     /// transport layer before `handle_response`); emitted events link to it.
@@ -59,21 +60,6 @@ impl Client1 {
         }
     }
 
-    /// Attaches an event tracer: deposit, sync-up, and verdict events are
-    /// emitted with this client's counter values. Events carry logical time
-    /// (`gctr`), so traced runs stay deterministic.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Sets (or clears) the wire trace context subsequent verdict events
-    /// attach to. The transport handle calls this once per operation with
-    /// the same root context it put on the wire, so the client's deposit /
-    /// detection spans land in the same trace as the server's handling.
-    pub fn set_current_span(&mut self, ctx: Option<SpanContext>) {
-        self.current_span = ctx;
-    }
-
     /// This user's id.
     pub fn user(&self) -> tcvs_crypto::UserId {
         self.keyring.user
@@ -84,16 +70,11 @@ impl Client1 {
         self.lctr
     }
 
-    /// `gctrᵢ`: last seen counter + 1.
-    pub fn gctr(&self) -> Ctr {
-        self.gctr
-    }
-
     /// Does the message-independent half of the next signature now (see
     /// [`Keyring::prepare`]). The deposit holds every other user's request
-    /// at the server, so a transport calls this once the deposit is on its
-    /// way — never between receiving a response and depositing.
-    pub fn prepare_signature(&mut self) {
+    /// at the server, so this runs once the deposit is on its way — never
+    /// between receiving a response and depositing.
+    fn prepare_signature(&mut self) {
         self.keyring.prepare();
     }
 
@@ -199,12 +180,6 @@ impl Client1 {
         Ok((verified.result, deposit))
     }
 
-    /// True iff this user has completed `k` operations since the last
-    /// sync-up and should announce one on the broadcast channel.
-    pub fn wants_sync(&self) -> bool {
-        self.ops_since_sync >= self.config.k
-    }
-
     /// This user's broadcast share for a sync-up.
     pub fn sync_share(&self) -> SyncShare {
         SyncShare {
@@ -233,8 +208,64 @@ impl Client1 {
         ok
     }
 
-    /// Records that a sync-up round completed (resets the trigger).
-    pub fn sync_done(&mut self) {
+    /// Protocol I initialization: the elected user signs `h(M(D₀) ‖ 0)`,
+    /// deposits it before any operation, then prepares its next key.
+    pub fn deposit_initial<P: Port>(
+        &mut self,
+        root0: &Digest,
+        port: &mut P,
+    ) -> Result<(), P::Error> {
+        let init = self.sign_initial(root0)?;
+        port.deposit(Deposit::Signature(init))?;
+        self.prepare_signature();
+        Ok(())
+    }
+}
+
+impl Protocol for Client1 {
+    /// Verifies, deposits the signature over the new state (the deposit
+    /// the blocking server waits for), then prepares the next one-time key.
+    fn step<P: Port>(
+        &mut self,
+        op: &Op,
+        resp: &ServerResponse,
+        _round: u64,
+        port: &mut P,
+    ) -> Result<OpResult, P::Error> {
+        let (result, deposit) = self.handle_response(op, resp)?;
+        port.deposit(Deposit::Signature(deposit))?;
+        // The server is released; build the next one-time key while it
+        // serves the other users.
+        self.prepare_signature();
+        Ok(result)
+    }
+
+    /// Deposit, sync-up, and verdict events carry this client's counter
+    /// values (logical time, so traced runs stay deterministic).
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Deposit and detection spans land in the trace of `ctx`, the root
+    /// context the transport put on the wire for this operation.
+    fn set_current_span(&mut self, ctx: Option<SpanContext>) {
+        self.current_span = ctx;
+    }
+
+    /// True after `k` own operations since the last sync-up.
+    fn wants_sync(&self) -> bool {
+        self.ops_since_sync >= self.config.k
+    }
+
+    fn sync_share(&self) -> Option<SyncShare> {
+        Some(Client1::sync_share(self))
+    }
+
+    fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
+        Client1::sync_succeeds(self, shares)
+    }
+
+    fn sync_done(&mut self) {
         self.ops_since_sync = 0;
     }
 }
@@ -242,6 +273,7 @@ impl Client1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Direct;
     use crate::server::{HonestServer, ServerApi};
     use tcvs_crypto::setup_users;
     use tcvs_merkle::u64_key;
@@ -261,16 +293,15 @@ mod tests {
         // Elect user 0 to sign the initial state.
         let mut clients = clients;
         let root0 = server.core().root_digest();
-        let init = clients[0].sign_initial(&root0).unwrap();
-        server.deposit_signature(0, init);
+        clients[0]
+            .deposit_initial(&root0, &mut Direct(&mut server))
+            .unwrap();
         (clients, server, config)
     }
 
     fn run_op(c: &mut Client1, s: &mut HonestServer, op: Op, round: u64) -> OpResult {
         let resp = s.handle_op(c.user(), &op, round);
-        let (result, deposit) = c.handle_response(&op, &resp).unwrap();
-        s.deposit_signature(c.user(), deposit);
-        result
+        c.step(&op, &resp, round, &mut Direct(s)).unwrap()
     }
 
     #[test]

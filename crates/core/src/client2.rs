@@ -26,8 +26,10 @@ use tcvs_crypto::{Digest, UserId};
 use tcvs_merkle::{replay_batch_unanchored, replay_unanchored, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
+use crate::evidence::{EvidenceBuilder, EvidenceBundle, EvidenceKind};
 use crate::forensics::{LoggedTransition, TransitionLog};
 use crate::msg::{BatchResponse, ServerResponse, SyncShare};
+use crate::protocol::{Port, Protocol};
 use crate::state::{initial_token, state_token};
 use crate::types::{Ctr, Deviation, ProtocolConfig};
 
@@ -35,7 +37,8 @@ use crate::types::{Ctr, Deviation, ProtocolConfig};
 pub struct Client2 {
     user: UserId,
     config: ProtocolConfig,
-    /// Token of the initial database state (common knowledge).
+    /// The session's anchor token: the genesis token, or the join-point
+    /// token of a mid-history join (the `initial` of the sync-up predicate).
     initial: Digest,
     /// XOR accumulator `σᵢ`.
     sigma: Digest,
@@ -50,7 +53,7 @@ pub struct Client2 {
     /// future-work extension in [`crate::forensics`]). `None` keeps the
     /// paper's constant-memory guarantee (§2.2.5).
     log: Option<TransitionLog>,
-    /// Event tracer (disabled by default; see [`Client2::set_tracer`]).
+    /// Event tracer (disabled by default; see [`Protocol::set_tracer`]).
     tracer: Tracer,
     /// Trace context of the operation currently being verified (set by the
     /// transport layer before `handle_response`); emitted events link to it.
@@ -109,21 +112,6 @@ impl Client2 {
         }
     }
 
-    /// Attaches an event tracer: accumulation, sync-up, and verdict events
-    /// are emitted with this client's counter values. Events carry logical
-    /// time (`gctr`), so traced runs stay deterministic.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Sets (or clears) the wire trace context subsequent verdict events
-    /// attach to. The transport handle calls this once per operation with
-    /// the same root context it put on the wire, so the client's verdict
-    /// spans land in the same trace as the server's handling.
-    pub fn set_current_span(&mut self, ctx: Option<SpanContext>) {
-        self.current_span = ctx;
-    }
-
     /// Enables transition logging (trades constant memory for exact fault
     /// localization via [`crate::forensics::diagnose`]).
     pub fn enable_logging(&mut self) {
@@ -153,14 +141,6 @@ impl Client2 {
     /// Current accumulator (exposed for the simulator's diagnostics).
     pub fn sigma(&self) -> Digest {
         self.sigma
-    }
-
-    /// The session's anchor token — the genesis token for a from-genesis
-    /// session, the join-point token for a mid-history join. This is the
-    /// `initial` of the sync-up predicate, and what an evidence bundle
-    /// embeds so a cold audit can re-run it.
-    pub fn initial_token(&self) -> Digest {
-        self.initial
     }
 
     /// Processes the server's response to `op`, returning the authenticated
@@ -318,12 +298,6 @@ impl Client2 {
         Ok(verified.results)
     }
 
-    /// True iff this user should announce a sync-up (`k` ops completed since
-    /// the last one).
-    pub fn wants_sync(&self) -> bool {
-        self.ops_since_sync >= self.config.k
-    }
-
     /// This user's broadcast share.
     pub fn sync_share(&self) -> SyncShare {
         SyncShare {
@@ -360,10 +334,78 @@ impl Client2 {
         });
         ok
     }
+}
 
-    /// Records a completed sync-up round.
-    pub fn sync_done(&mut self) {
+impl Protocol for Client2 {
+    fn step<P: Port>(
+        &mut self,
+        op: &Op,
+        resp: &ServerResponse,
+        _round: u64,
+        _port: &mut P,
+    ) -> Result<OpResult, P::Error> {
+        Ok(self.handle_response(op, resp)?)
+    }
+
+    /// Accumulation, sync-up, and verdict events carry this client's
+    /// counter values (logical time, so traced runs stay deterministic).
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Verdict spans land in the trace of `ctx`, the root context the
+    /// transport put on the wire for this operation.
+    fn set_current_span(&mut self, ctx: Option<SpanContext>) {
+        self.current_span = ctx;
+    }
+
+    /// True after `k` own operations since the last sync-up.
+    fn wants_sync(&self) -> bool {
+        self.ops_since_sync >= self.config.k
+    }
+
+    fn sync_share(&self) -> Option<SyncShare> {
+        Some(Client2::sync_share(self))
+    }
+
+    fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
+        Client2::sync_succeeds(self, shares)
+    }
+
+    fn sync_done(&mut self) {
         self.ops_since_sync = 0;
+    }
+
+    /// Everything a cold auditor needs from this client's side: its anchor
+    /// token, its sync share, the offending proof and signed deposit (when
+    /// the reply carried them), and the transition log when logging is on.
+    fn evidence(
+        &self,
+        kind: EvidenceKind,
+        seed: u64,
+        captured_at: u64,
+        deviation: &Deviation,
+        resp: Option<&ServerResponse>,
+    ) -> Option<EvidenceBundle> {
+        let mut b = EvidenceBuilder::new(kind, seed, "protocol-2")
+            .captured_at(captured_at)
+            .description(format!(
+                "user {} rejected a server response at lctr {}",
+                self.user, self.lctr
+            ))
+            .deviation(deviation)
+            .initials(&[self.initial])
+            .shares(vec![vec![Client2::sync_share(self)]]);
+        if let Some(resp) = resp {
+            b = b.vo(resp.vo.to_bytes());
+            if let Some(sig) = &resp.sig {
+                b = b.signed_state(sig.clone());
+            }
+        }
+        if let Some(log) = &self.log {
+            b = b.transition_log(0, self.user, log);
+        }
+        Some(b.build())
     }
 }
 

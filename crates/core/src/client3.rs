@@ -31,6 +31,7 @@ use tcvs_merkle::{replay_unanchored, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
 use crate::msg::{ServerResponse, SignedCheckpoint, SignedEpochState};
+use crate::protocol::{Deposit, Port, Protocol};
 use crate::state::{initial_token, state_token};
 use crate::types::{Ctr, Deviation, Epoch, ProtocolConfig};
 
@@ -58,7 +59,7 @@ pub struct Client3 {
     pending_deposits: Vec<SignedEpochState>,
     /// The next epoch this user is the designated checker for.
     audit_cursor: Epoch,
-    /// Event tracer (disabled by default; see [`Client3::set_tracer`]).
+    /// Event tracer (disabled by default; see [`Protocol::set_tracer`]).
     tracer: Tracer,
     /// Trace context of the operation currently being verified (set by the
     /// transport layer before `handle_response`); emitted events link to it.
@@ -95,40 +96,15 @@ impl Client3 {
         }
     }
 
-    /// Attaches an event tracer: epoch-state deposits, audits, and verdict
-    /// events are emitted with counter / epoch values. Events carry logical
-    /// time (`gctr` or the audited epoch), so traced runs stay deterministic.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Sets (or clears) the wire trace context subsequent verdict events
-    /// attach to. The transport handle calls this once per operation with
-    /// the same root context it put on the wire, so the client's deposit /
-    /// detection spans land in the same trace as the server's handling.
-    pub fn set_current_span(&mut self, ctx: Option<SpanContext>) {
-        self.current_span = ctx;
-    }
-
     /// This user's id.
     pub fn user(&self) -> UserId {
         self.keyring.user
     }
 
-    /// Total operations performed.
-    pub fn lctr(&self) -> u64 {
-        self.lctr
-    }
-
-    /// The epoch this client is currently accumulating for.
-    pub fn cur_epoch(&self) -> Epoch {
-        self.cur_epoch
-    }
-
     /// Does the message-independent half of the next signature now (see
     /// [`Keyring::prepare`]), so the next epoch-state or checkpoint deposit
     /// signs from a ready key.
-    pub fn prepare_signature(&mut self) {
+    fn prepare_signature(&mut self) {
         self.keyring.prepare();
     }
 
@@ -380,9 +356,52 @@ impl Client3 {
     }
 }
 
+impl Protocol for Client3 {
+    /// Verifies, deposits any signed epoch states, runs the audit this user
+    /// owes (fetch the epoch's states and the previous checkpoint, audit,
+    /// deposit the new checkpoint), then prepares the next key.
+    fn step<P: Port>(
+        &mut self,
+        op: &Op,
+        resp: &ServerResponse,
+        round: u64,
+        port: &mut P,
+    ) -> Result<OpResult, P::Error> {
+        let (result, deposits) = self.handle_response(op, resp, round)?;
+        for d in deposits {
+            port.deposit(Deposit::EpochState(d))?;
+        }
+        if let Some(epoch) = self.pending_audit() {
+            let user = self.keyring.user;
+            let states = port.fetch_epoch_states(user, epoch)?;
+            let prev = match epoch {
+                0 => None,
+                _ => port.fetch_checkpoint(user, epoch - 1)?,
+            };
+            let checkpoint = self.audit(epoch, &states, prev.as_ref())?;
+            port.deposit(Deposit::Checkpoint(checkpoint))?;
+        }
+        self.prepare_signature();
+        Ok(result)
+    }
+
+    /// Epoch-state deposits, audits, and verdict events carry counter or
+    /// epoch values (logical time, so traced runs stay deterministic).
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Deposit and detection spans land in the trace of `ctx`, the root
+    /// context the transport put on the wire for this operation.
+    fn set_current_span(&mut self, ctx: Option<SpanContext>) {
+        self.current_span = ctx;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Direct;
     use crate::server::{HonestServer, ServerApi};
     use tcvs_crypto::setup_users;
     use tcvs_merkle::u64_key;
@@ -408,21 +427,7 @@ mod tests {
     /// Runs one op through server + client, forwarding deposits and audits.
     fn step(c: &mut Client3, s: &mut HonestServer, op: Op, round: u64) -> OpResult {
         let resp = s.handle_op(c.user(), &op, round);
-        let (result, deposits) = c.handle_response(&op, &resp, round).unwrap();
-        for d in deposits {
-            s.deposit_epoch_state(d);
-        }
-        if let Some(e) = c.pending_audit() {
-            let states = s.fetch_epoch_states(c.user(), e);
-            let prev = if e == 0 {
-                None
-            } else {
-                s.fetch_checkpoint(c.user(), e - 1)
-            };
-            let cp = c.audit(e, &states, prev.as_ref()).unwrap();
-            s.deposit_checkpoint(cp);
-        }
-        result
+        c.step(&op, &resp, round, &mut Direct(s)).unwrap()
     }
 
     /// Drives `epochs` epochs with every user doing `ops_per_epoch` ops.

@@ -11,7 +11,8 @@
 //! * the honest server state machine and the [`server::ServerApi`] surface,
 //! * six paper-motivated **adversaries** ([`adversary`]),
 //! * the three **protocol clients** ([`Client1`], [`Client2`], [`Client3`])
-//!   plus the two strawmen the paper argues against ([`strawman`]),
+//!   plus the two strawmen the paper argues against ([`strawman`]), and the
+//!   one client step every driver runs ([`Protocol`], through a [`Port`]),
 //! * the broadcast **sync-up** aggregation ([`sync`]), and
 //! * the state-token algebra ([`state`]).
 //!
@@ -45,6 +46,7 @@ pub mod evidence;
 pub mod fault;
 pub mod forensics;
 pub mod msg;
+mod protocol;
 pub mod server;
 pub mod shard;
 pub mod state;
@@ -66,6 +68,7 @@ pub use forensics::{diagnose, diagnose_with_timeline, DiagnosisReport, Transitio
 pub use msg::{
     BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare,
 };
+pub use protocol::{Deposit, Direct, Port, Protocol, TrustedClient};
 pub use server::{
     HonestServer, PipelinedResponse, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerSnapshot,

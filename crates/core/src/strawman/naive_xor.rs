@@ -11,6 +11,7 @@ use tcvs_crypto::{Digest, UserId};
 use tcvs_merkle::{replay_unanchored, Op, OpResult};
 
 use crate::msg::{ServerResponse, SyncShare};
+use crate::protocol::{Port, Protocol};
 use crate::state::untagged_token;
 use crate::types::{Ctr, Deviation, ProtocolConfig};
 
@@ -39,16 +40,6 @@ impl NaiveXorClient {
         }
     }
 
-    /// This user's id.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
-    /// Own operation count.
-    pub fn lctr(&self) -> u64 {
-        self.lctr
-    }
-
     /// Processes a server response (same per-op checks as Protocol II, but
     /// untagged accumulation).
     pub fn handle_response(
@@ -74,20 +65,31 @@ impl NaiveXorClient {
         self.lctr += 1;
         Ok(verified.result)
     }
+}
 
-    /// Broadcast share for the sync-up.
-    pub fn sync_share(&self) -> SyncShare {
-        SyncShare {
+impl Protocol for NaiveXorClient {
+    fn step<P: Port>(
+        &mut self,
+        op: &Op,
+        resp: &ServerResponse,
+        _round: u64,
+        _port: &mut P,
+    ) -> Result<OpResult, P::Error> {
+        Ok(self.handle_response(op, resp)?)
+    }
+
+    fn sync_share(&self) -> Option<SyncShare> {
+        Some(SyncShare {
             user: self.user,
             lctr: self.lctr,
             gctr: self.gctr,
             sigma: self.sigma,
             last: self.last,
-        }
+        })
     }
 
-    /// This user's sync-up success predicate (same shape as Protocol II).
-    pub fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
+    /// The same shape as Protocol II's predicate.
+    fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
         let x = shares.iter().fold(Digest::ZERO, |acc, s| acc ^ s.sigma);
         if shares.iter().all(|s| s.lctr == 0) {
             return x == Digest::ZERO;
@@ -128,7 +130,8 @@ mod tests {
             let resp = server.handle_op(u as u32, &op, i);
             clients[u].handle_response(&op, &resp).unwrap();
         }
-        let shares: Vec<SyncShare> = clients.iter().map(|c| c.sync_share()).collect();
+        let shares: Vec<SyncShare> = clients.iter().filter_map(|c| c.sync_share()).collect();
+        assert_eq!(shares.len(), 2, "the strawman has a sync-up");
         assert!(clients.iter().any(|c| c.sync_succeeds(&shares)));
     }
 

@@ -7,9 +7,9 @@
 //!
 //! Loads a captured [`tcvs_core::EvidenceBundle`] from disk with **no live
 //! server** and re-derives the verdict from the artifact alone: every
-//! signature, VO hash chain, grove spine, and sync-up predicate is
-//! re-verified, and the embedded transition logs are re-diagnosed to name
-//! which shard/user/counter first deviated. A tampered artifact — any
+//! signature, VO hash chain, grove root (recomputed over the shard roots),
+//! and sync-up predicate is re-verified, and the embedded transition logs
+//! are re-diagnosed to name which shard/user/counter first deviated. A tampered artifact — any
 //! single flipped byte — is rejected at the exact offending field and
 //! proves nothing.
 //!

@@ -38,5 +38,5 @@ mod wc;
 pub use client::{file_key, key_path, Cvs, WorkingFile};
 pub use error::CvsError;
 pub use repl::Repl;
-pub use session::{DirectSession, UnverifiedSession, VerifiedDb};
+pub use session::{DirectSession, Session, UnverifiedSession, VerifiedDb};
 pub use wc::{FileStatus, WorkingCopy};

@@ -24,7 +24,7 @@ use tcvs_core::adversary::{
     CounterSkipServer, DropServer, ForkServer, LieServer, RollbackServer, TamperServer, Trigger,
 };
 use tcvs_core::{
-    Client2, HonestServer, Op, OpResult, ProtocolConfig, ServerApi, SyncShare, UserId,
+    Client2, HonestServer, Op, OpResult, Protocol, ProtocolConfig, ServerApi, SyncShare, UserId,
 };
 use tcvs_merkle::MerkleTree;
 use tcvs_store::from_lines;

@@ -3,10 +3,14 @@
 //!
 //! CVS commands only need "execute this operation with verification". Any
 //! protocol client over any transport can provide that; [`VerifiedDb`] is
-//! the trait, and [`DirectSession`] is the batteries-included in-process
-//! implementation (Protocol II client + any [`ServerApi`]).
+//! the trait, and [`Session`] is the batteries-included in-process
+//! implementation: any protocol client over any [`ServerApi`], as a
+//! Protocol II [`DirectSession`] or an unverified [`UnverifiedSession`].
 
-use tcvs_core::{Client2, Op, OpResult, ProtocolConfig, ServerApi, SyncShare, UserId};
+use tcvs_core::{
+    Client2, Direct, Op, OpResult, Protocol, ProtocolConfig, ServerApi, SyncShare, TrustedClient,
+    UserId,
+};
 use tcvs_merkle::MerkleTree;
 
 use crate::error::CvsError;
@@ -31,24 +35,27 @@ where
     }
 }
 
-/// An in-process session: a Protocol II client talking straight to a
-/// boxed server (honest or adversarial). Rounds advance one per operation.
-pub struct DirectSession<S: ServerApi> {
+/// An in-process session: a protocol client `C` talking straight to a
+/// server (honest or adversarial). Rounds advance one per operation.
+pub struct Session<S, C> {
     server: S,
-    client: Client2,
+    user: UserId,
+    client: C,
     round: u64,
 }
+
+/// A Protocol II session.
+pub type DirectSession<S> = Session<S, Client2>;
+
+/// An unverified session: the trusted baseline for the macro-benchmarks.
+pub type UnverifiedSession<S> = Session<S, TrustedClient>;
 
 impl<S: ServerApi> DirectSession<S> {
     /// Creates a session for `user` over `server` (which must be freshly
     /// initialized — the client assumes the empty-database initial root).
     pub fn new(user: UserId, server: S, config: ProtocolConfig) -> DirectSession<S> {
         let root0 = MerkleTree::with_order(config.order).root_digest();
-        DirectSession {
-            server,
-            client: Client2::new(user, &root0, config),
-            round: 0,
-        }
+        Session::over(server, user, Client2::new(user, &root0, config))
     }
 
     /// This session's sync-up share (for out-of-band sync with other
@@ -60,6 +67,24 @@ impl<S: ServerApi> DirectSession<S> {
     /// Evaluates the Protocol II sync-up predicate.
     pub fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
         self.client.sync_succeeds(shares)
+    }
+}
+
+impl<S: ServerApi> UnverifiedSession<S> {
+    /// Creates a baseline session.
+    pub fn new(user: UserId, server: S) -> UnverifiedSession<S> {
+        Session::over(server, user, TrustedClient)
+    }
+}
+
+impl<S: ServerApi, C: Protocol> Session<S, C> {
+    fn over(server: S, user: UserId, client: C) -> Session<S, C> {
+        Session {
+            server,
+            user,
+            client,
+            round: 0,
+        }
     }
 
     /// Access to the underlying server (to share it across sessions in
@@ -74,38 +99,14 @@ impl<S: ServerApi> DirectSession<S> {
     }
 }
 
-impl<S: ServerApi> VerifiedDb for DirectSession<S> {
-    fn execute(&mut self, op: &Op) -> Result<OpResult, CvsError> {
-        let resp = self.server.handle_op(self.client.user(), op, self.round);
-        self.round += 1;
-        Ok(self.client.handle_response(op, &resp)?)
-    }
-}
-
-/// An unverified session over a server: the trusted baseline for the
-/// macro-benchmarks.
-pub struct UnverifiedSession<S: ServerApi> {
-    server: S,
-    user: UserId,
-    round: u64,
-}
-
-impl<S: ServerApi> UnverifiedSession<S> {
-    /// Creates a baseline session.
-    pub fn new(user: UserId, server: S) -> UnverifiedSession<S> {
-        UnverifiedSession {
-            server,
-            user,
-            round: 0,
-        }
-    }
-}
-
-impl<S: ServerApi> VerifiedDb for UnverifiedSession<S> {
+impl<S: ServerApi, C: Protocol> VerifiedDb for Session<S, C> {
     fn execute(&mut self, op: &Op) -> Result<OpResult, CvsError> {
         let resp = self.server.handle_op(self.user, op, self.round);
+        let out = self
+            .client
+            .step(op, &resp, self.round, &mut Direct(&mut self.server));
         self.round += 1;
-        Ok(resp.result)
+        Ok(out?)
     }
 }
 

@@ -20,9 +20,10 @@
 use tcvs_core::{Ctr, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, TriggerInfo, UserId};
 use tcvs_merkle::{ChunkAssembler, ChunkError, ChunkManifest, MerkleTree};
 
+use crate::client::Link;
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{round_trip, Endpoint, Request, Wire};
+use crate::server::{Endpoint, Request};
 
 /// Why a bootstrap attempt failed.
 #[derive(Debug)]
@@ -120,11 +121,7 @@ struct Session {
 
 /// Fetches, verifies, and assembles a chunked snapshot from an endpoint.
 pub struct BootstrapClient {
-    user: UserId,
-    wire: Wire,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
+    link: Link,
     session: Option<Session>,
     evidence: Option<EvidenceBundle>,
     evidence_seed: u64,
@@ -135,11 +132,7 @@ impl BootstrapClient {
     /// [`crate::NetServer`] or a [`crate::FaultLink`] in front of one).
     pub fn new(user: UserId, server: &impl Endpoint) -> BootstrapClient {
         BootstrapClient {
-            user,
-            wire: server.wire().0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
+            link: Link::new(user, server),
             session: None,
             evidence: None,
             evidence_seed: 0,
@@ -161,19 +154,19 @@ impl BootstrapClient {
 
     /// Replaces the retry policy (timeouts, attempts, jitter).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
+        self.link.policy = policy;
     }
 
     /// Attaches observability handles (transport retry counters).
     pub fn set_stats(&mut self, stats: NetStats) {
-        self.stats = stats;
+        self.link.stats = stats;
     }
 
     /// Moves this client (and its in-flight session, if any) to a different
     /// endpoint. Admitted chunks are kept: if the new peer serves the same
     /// snapshot, the bootstrap resumes with only the missing chunks.
     pub fn rebind(&mut self, server: &impl Endpoint) {
-        self.wire = server.wire().0;
+        self.link.wire = server.wire().0;
     }
 
     /// Discards any in-flight session.
@@ -217,32 +210,33 @@ impl BootstrapClient {
         if self.evidence.is_some() {
             return;
         }
+        let user = Some(self.link.user);
         let trigger = match e {
             BootstrapError::Chunk { index, error } => TriggerInfo {
                 deviation: "bootstrap-chunk-forged".to_string(),
                 detail: format!("chunk {index} rejected: {error}"),
-                user: Some(self.user),
+                user,
                 shard: None,
                 ctr: Some(u64::from(*index)),
             },
             BootstrapError::AnchorMismatch { expected, got } => TriggerInfo {
                 deviation: "bootstrap-anchor-mismatch".to_string(),
                 detail: format!("pinned {expected}, served manifest anchors {got}"),
-                user: Some(self.user),
+                user,
                 shard: None,
                 ctr: None,
             },
             BootstrapError::Assembly(err) => TriggerInfo {
                 deviation: "bootstrap-assembly-failed".to_string(),
                 detail: format!("assembly gate: {err}"),
-                user: Some(self.user),
+                user,
                 shard: None,
                 ctr: None,
             },
             BootstrapError::Manifest(err) => TriggerInfo {
                 deviation: "bootstrap-manifest-invalid".to_string(),
                 detail: format!("manifest rejected: {err}"),
-                user: Some(self.user),
+                user,
                 shard: None,
                 ctr: None,
             },
@@ -274,7 +268,7 @@ impl BootstrapClient {
         &mut self,
         expected_anchor: Option<&Digest>,
     ) -> Result<BootstrapReport, BootstrapError> {
-        let restarts = self.policy.max_attempts.max(1);
+        let restarts = self.link.policy.max_attempts.max(1);
         for _ in 0..restarts {
             self.ensure_session(expected_anchor)?;
             match self.fill_session() {
@@ -349,17 +343,9 @@ impl BootstrapClient {
     }
 
     fn fetch_manifest_raw(&mut self) -> Result<(Vec<u8>, Ctr), BootstrapError> {
-        self.seq += 1;
-        round_trip(
-            &self.wire,
-            self.user,
-            self.seq,
-            None,
-            &self.policy,
-            &self.stats,
-            |reply| Request::BootstrapManifest { reply },
-        )?
-        .ok_or(BootstrapError::Unsupported)
+        self.link
+            .call(|reply| Request::BootstrapManifest { reply })?
+            .ok_or(BootstrapError::Unsupported)
     }
 
     fn start_session(
@@ -394,21 +380,14 @@ impl BootstrapClient {
                 return Ok(());
             }
             for index in missing {
-                self.seq += 1;
-                let bytes = round_trip(
-                    &self.wire,
-                    self.user,
-                    self.seq,
-                    None,
-                    &self.policy,
-                    &self.stats,
-                    |reply| Request::BootstrapChunk {
+                let bytes = self
+                    .link
+                    .call(|reply| Request::BootstrapChunk {
                         anchor,
                         index,
                         reply,
-                    },
-                )?
-                .ok_or(BootstrapError::ChunkUnavailable { index })?;
+                    })?
+                    .ok_or(BootstrapError::ChunkUnavailable { index })?;
                 let sess = self.session.as_mut().expect("session in flight");
                 sess.chunks_fetched += 1;
                 sess.bytes_fetched += bytes.len() as u64;
@@ -445,7 +424,7 @@ mod tests {
     use tcvs_core::NO_USER;
     use tcvs_merkle::{u64_key, ChunkSource, MerkleTree};
 
-    use crate::server::{sealed, WireHandle};
+    use crate::server::{sealed, Wire, WireHandle};
 
     const BUDGET: usize = 200;
 

@@ -1,4 +1,5 @@
-//! Threaded client handles: protocol clients bound to a server channel.
+//! Threaded client handles: one [`NetClient<P>`] runs any protocol's
+//! client step ([`Protocol`]) over a server channel.
 //!
 //! Every request path returns `Result<_, NetError>`. Transport trouble —
 //! a dead server, an exhausted retry budget — surfaces as
@@ -7,46 +8,165 @@
 //! path panics. Each handle numbers its requests with a per-user sequence
 //! so the server can deduplicate retries (exactly-once execution).
 
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use tcvs_core::{
-    Client1, Client2, Ctr, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind, Op,
-    OpResult, ProtocolConfig, ServerResponse, SyncShare, TransitionLog, UserId,
+    Client1, Client2, Client3, Ctr, Deposit, Deviation, Digest, Epoch, EvidenceBundle,
+    EvidenceKind, Op, OpResult, Port, Protocol, ProtocolConfig, ServerResponse, SignedCheckpoint,
+    SignedEpochState, SyncShare, TransitionLog, TrustedClient, UserId,
 };
 use tcvs_crypto::{KeyRegistry, Keyring};
+use tcvs_obs::{stage, Event, EventKind, SpanContext};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{remote_call, round_trip, Body, Endpoint, Head, Request, Wire};
+use crate::server::{Body, Call, Endpoint, Head, Request, Wire};
 
-/// A Protocol I client bound to a running server.
-///
-/// Each `execute` is a full protocol exchange: request → response →
-/// verification → signature deposit (the deposit is what the blocking
-/// server waits for).
-pub struct NetClient1 {
-    inner: Client1,
-    wire: Wire,
-    ops: u64,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
+/// The transport state of one user's connection: the wire, the user's
+/// request numbering, the retry policy and the stats handles. Every client
+/// handle — [`NetClient`] and [`crate::BootstrapClient`] — holds one.
+pub(crate) struct Link {
+    pub(crate) wire: Wire,
+    pub(crate) user: UserId,
+    /// The last sequence number used; every request takes the next one.
+    pub(crate) seq: u64,
+    pub(crate) policy: RetryPolicy,
+    pub(crate) stats: NetStats,
 }
 
-impl NetClient1 {
-    /// Binds a client to `server` (a [`crate::NetServer`] or a
-    /// [`crate::FaultLink`] in front of one).
-    pub fn new(
-        keyring: Keyring,
-        registry: KeyRegistry,
-        config: ProtocolConfig,
-        server: &impl Endpoint,
-    ) -> NetClient1 {
-        NetClient1 {
-            inner: Client1::new(keyring, registry, config),
+impl Link {
+    pub(crate) fn new(user: UserId, server: &impl Endpoint) -> Link {
+        Link {
             wire: server.wire().0,
-            ops: 0,
+            user,
             seq: 0,
             policy: RetryPolicy::default(),
             stats: NetStats::disabled(),
+        }
+    }
+
+    /// One untraced request under the next sequence number.
+    pub(crate) fn call<T>(
+        &mut self,
+        make: impl FnMut(Sender<T>) -> Request,
+    ) -> Result<T, NetError> {
+        self.seq += 1;
+        self.round_trip(None, make)
+    }
+
+    /// The one bounded-retry round trip behind every client request, under
+    /// the current sequence number: each attempt builds the request around
+    /// a fresh one-shot reply sender, submits it (a plain op may be served
+    /// inline, its reply then already waiting) and waits
+    /// [`RetryPolicy::attempt_timeout`] for the reply. Every attempt carries
+    /// the same `seq`, so the server's reply journal guarantees the request
+    /// executes at most once, and the same trace context `ctx`, so a retry
+    /// is a new span in the *same* trace. A failed *send* means the server
+    /// thread (or the link to it) is gone — that is terminal. A
+    /// disconnected reply channel means the request was consumed but no
+    /// reply will come (a dropped request or reply in flight) — retry at
+    /// once. A timeout backs off exponentially before the retry.
+    fn round_trip<T>(
+        &self,
+        ctx: Option<SpanContext>,
+        mut make: impl FnMut(Sender<T>) -> Request,
+    ) -> Result<T, NetError> {
+        let (user, seq) = (self.user, self.seq);
+        let attempts = self.policy.max_attempts.max(1);
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                self.stats.retries.inc();
+                self.stats.tracer.emit(|| {
+                    Event::new(seq, EventKind::Retry, user)
+                        .detail(format!("attempt={attempt}"))
+                        .span_opt(ctx.map(|c| c.child(stage::RETRY)))
+                });
+            }
+            let (reply_tx, reply_rx) = bounded(1);
+            self.wire.submit(make(reply_tx))?;
+            match reply_rx.recv_timeout(self.policy.attempt_timeout(user, seq, attempt)) {
+                Ok(resp) => return Ok(resp),
+                // The request or its reply was lost in flight; retry at once.
+                Err(RecvTimeoutError::Disconnected) => continue,
+                // No verdict on this attempt; the backoff grows with `attempt`.
+                Err(RecvTimeoutError::Timeout) => continue,
+            }
+        }
+        Err(NetError::Timeout { attempts })
+    }
+}
+
+/// A client step's deposits travel as one-way messages, its fetches as
+/// retried round trips.
+impl Port for Link {
+    type Error = NetError;
+
+    fn deposit(&mut self, deposit: Deposit) -> Result<(), NetError> {
+        self.wire.send(match deposit {
+            // A signature settles the operation just answered, whose trace
+            // is rooted at this same sequence number.
+            Deposit::Signature(signed) => Request::Signature {
+                user: signed.signer,
+                ctx: Some(SpanContext::root(signed.signer, self.seq)),
+                signed,
+            },
+            Deposit::EpochState(state) => Request::EpochState(state),
+            Deposit::Checkpoint(checkpoint) => Request::Checkpoint(checkpoint),
+        })
+    }
+
+    fn fetch_epoch_states(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Vec<SignedEpochState>, NetError> {
+        self.call(|reply| Request::FetchEpochStates { user, epoch, reply })
+    }
+
+    fn fetch_checkpoint(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Option<SignedCheckpoint>, NetError> {
+        self.call(|reply| Request::FetchCheckpoint { user, epoch, reply })
+    }
+}
+
+/// A protocol client bound to a running server (a [`crate::NetServer`] or
+/// a [`crate::FaultLink`] in front of one).
+///
+/// Each `execute` is a full protocol exchange: request → response →
+/// the protocol's [`Protocol::step`] (verification, then Protocol I's
+/// signature deposit or Protocol III's epoch deposits and audit duty). The
+/// whole exchange shares one trace rooted at this client's `(user, seq)`.
+pub struct NetClient<P> {
+    inner: P,
+    link: Link,
+    ops: u64,
+    evidence: Option<EvidenceBundle>,
+    evidence_seed: u64,
+}
+
+/// A Protocol I client: each operation ends in the signature deposit the
+/// blocking server waits for.
+pub type NetClient1 = NetClient<Client1>;
+/// A Protocol II client: one round trip per operation, no deposit.
+pub type NetClient2 = NetClient<Client2>;
+/// A Protocol III client: deposits signed epoch states and performs its
+/// audit duties over the same channel.
+pub type NetClient3 = NetClient<Client3>;
+/// An unverifying client: the trusted-server baseline. Every operation
+/// takes the same serialized path as a verifying client's; only the proof
+/// check is skipped.
+pub type NetClientTrusted = NetClient<TrustedClient>;
+
+impl<P: Protocol> NetClient<P> {
+    fn bind(inner: P, user: UserId, server: &impl Endpoint) -> NetClient<P> {
+        NetClient {
+            inner,
+            link: Link::new(user, server),
+            ops: 0,
+            evidence: None,
+            evidence_seed: 0,
         }
     }
 
@@ -54,48 +174,92 @@ impl NetClient1 {
     /// counters, and the inner protocol client emits through the tracer.
     pub fn set_stats(&mut self, stats: NetStats) {
         self.inner.set_tracer(stats.tracer.clone());
-        self.stats = stats;
+        self.link.stats = stats;
     }
 
     /// Replaces the retry policy (timeouts, attempts, jitter).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
+        self.link.policy = policy;
+    }
+
+    /// Executes one verified operation; the client clock advances one round
+    /// per operation.
+    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
+        self.execute_at(op, self.ops)
+    }
+
+    /// Executes one verified operation at client clock `round` (Protocol
+    /// III reads its epoch from it). A failed verification stashes an
+    /// evidence bundle when the protocol seals one.
+    pub fn execute_at(&mut self, op: &Op, round: u64) -> Result<OpResult, NetError> {
+        let resp = self.call(round, |reply| Body::Op(op.clone(), reply))?;
+        self.ops += 1;
+        match self.inner.step(op, &resp, round, &mut self.link) {
+            Err(NetError::Deviation(d)) => {
+                self.capture(EvidenceKind::ProtocolVerdict, &d, Some(&resp));
+                Err(d.into())
+            }
+            out => out,
+        }
+    }
+
+    /// Sends one operation request under the next sequence number, traced
+    /// under that operation's root span. Retries resend the same header
+    /// with a fresh reply slot.
+    fn call<T>(
+        &mut self,
+        round: u64,
+        mut body: impl FnMut(Sender<T>) -> Body,
+    ) -> Result<T, NetError> {
+        self.link.seq += 1;
+        let head = Head::root(self.link.user, self.link.seq, round);
+        self.inner.set_current_span(head.ctx);
+        self.link.round_trip(head.ctx, |reply| {
+            Call {
+                head,
+                body: body(reply),
+            }
+            .into()
+        })
+    }
+
+    /// Stashes the evidence bundle of a rejection, keeping the first one
+    /// until it is taken.
+    fn capture(&mut self, kind: EvidenceKind, d: &Deviation, resp: Option<&ServerResponse>) {
+        if self.evidence.is_none() {
+            self.evidence = self
+                .inner
+                .evidence(kind, self.evidence_seed, self.ops, d, resp);
+        }
+    }
+
+    /// Operations completed.
+    pub fn ops_done(&self) -> u64 {
+        self.ops
+    }
+
+    /// User id.
+    pub fn user(&self) -> UserId {
+        self.link.user
+    }
+}
+
+impl NetClient<Client1> {
+    /// Binds a Protocol I client to `server`.
+    pub fn new(
+        keyring: Keyring,
+        registry: KeyRegistry,
+        config: ProtocolConfig,
+        server: &impl Endpoint,
+    ) -> NetClient1 {
+        let user = keyring.user;
+        NetClient::bind(Client1::new(keyring, registry, config), user, server)
     }
 
     /// Signs and deposits the initial state (run once, by the elected user,
     /// before any operation).
     pub fn deposit_initial(&mut self, root0: &Digest) -> Result<(), NetError> {
-        let init = self.inner.sign_initial(root0)?;
-        self.wire.send(Request::Signature {
-            user: self.inner.user(),
-            signed: init,
-            ctx: None,
-        })?;
-        self.inner.prepare_signature();
-        Ok(())
-    }
-
-    /// Executes one verified operation. The whole exchange — request,
-    /// server handling, verification verdict, signature deposit — shares
-    /// one trace rooted at this client's `(user, seq)`.
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        self.seq += 1;
-        let head = Head::root(self.inner.user(), self.seq, self.ops);
-        self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
-            Body::Op(op.clone(), reply)
-        })?;
-        self.ops += 1;
-        let (result, deposit) = self.inner.handle_response(op, &resp)?;
-        self.wire.send(Request::Signature {
-            user: self.inner.user(),
-            signed: deposit,
-            ctx: head.ctx,
-        })?;
-        // The server is released; build the next one-time key while it
-        // serves the other users.
-        self.inner.prepare_signature();
-        Ok(result)
+        self.inner.deposit_initial(root0, &mut self.link)
     }
 
     /// This user's broadcast share (for an out-of-band sync-up).
@@ -107,49 +271,17 @@ impl NetClient1 {
     pub fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
         self.inner.sync_succeeds(shares)
     }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
-    }
-
-    /// User id.
-    pub fn user(&self) -> UserId {
-        self.inner.user()
-    }
 }
 
-/// A Protocol II client bound to a running server: one round trip per
-/// operation, no deposit.
-pub struct NetClient2 {
-    inner: Client2,
-    wire: Wire,
-    ops: u64,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
-    evidence: Option<EvidenceBundle>,
-    evidence_seed: u64,
-}
-
-impl NetClient2 {
-    /// Binds a client to `server`.
+impl NetClient<Client2> {
+    /// Binds a Protocol II client to `server`.
     pub fn new(
         user: UserId,
         root0: &Digest,
         config: ProtocolConfig,
         server: &impl Endpoint,
     ) -> NetClient2 {
-        NetClient2 {
-            inner: Client2::new(user, root0, config),
-            wire: server.wire().0,
-            ops: 0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-            evidence: None,
-            evidence_seed: 0,
-        }
+        NetClient::bind(Client2::new(user, root0, config), user, server)
     }
 
     /// Binds a client that joins mid-history at a published state
@@ -164,28 +296,8 @@ impl NetClient2 {
         config: ProtocolConfig,
         server: &impl Endpoint,
     ) -> NetClient2 {
-        NetClient2 {
-            inner: Client2::join(user, root, ctr, last_user, config),
-            wire: server.wire().0,
-            ops: 0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-            evidence: None,
-            evidence_seed: 0,
-        }
-    }
-
-    /// Attaches observability handles: transport retries feed the shared
-    /// counters, and the inner protocol client emits through the tracer.
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.inner.set_tracer(stats.tracer.clone());
-        self.stats = stats;
-    }
-
-    /// Replaces the retry policy (timeouts, attempts, jitter).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
+        let inner = Client2::join(user, root, ctr, last_user, config);
+        NetClient::bind(inner, user, server)
     }
 
     /// Enables the forensic transition log on the inner protocol client, so
@@ -213,64 +325,12 @@ impl NetClient2 {
         self.evidence.take()
     }
 
-    /// Builds and stashes an evidence bundle at a detection site. The
-    /// bundle carries everything a cold auditor needs from this client's
-    /// side: its anchor token, its sync share, the offending verification
-    /// object and signed deposit (when the response carried them), and the
-    /// transition log when logging is on.
-    fn capture(&mut self, kind: EvidenceKind, d: &Deviation, resp: Option<&ServerResponse>) {
-        if self.evidence.is_some() {
-            return;
-        }
-        let mut b = EvidenceBuilder::new(kind, self.evidence_seed, "protocol-2")
-            .captured_at(self.ops)
-            .description(format!(
-                "user {} rejected a server response at lctr {}",
-                self.inner.user(),
-                self.inner.lctr()
-            ))
-            .deviation(d)
-            .initials(&[self.inner.initial_token()])
-            .shares(vec![vec![self.inner.sync_share()]]);
-        if let Some(resp) = resp {
-            b = b.vo(resp.vo.to_bytes());
-            if let Some(sig) = &resp.sig {
-                b = b.signed_state(sig.clone());
-            }
-        }
-        if let Some(log) = self.inner.transition_log() {
-            b = b.transition_log(0, self.inner.user(), log);
-        }
-        self.evidence = Some(b.build());
-    }
-
-    /// Executes one verified operation. Request, server handling, and the
-    /// verification verdict share one trace rooted at `(user, seq)`. A
-    /// failed verification stashes an evidence bundle retrievable with
-    /// [`NetClient2::take_evidence`].
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        self.seq += 1;
-        let head = Head::root(self.inner.user(), self.seq, self.ops);
-        self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
-            Body::Op(op.clone(), reply)
-        })?;
-        self.ops += 1;
-        match self.inner.handle_response(op, &resp) {
-            Ok(result) => Ok(result),
-            Err(d) => {
-                self.capture(EvidenceKind::ProtocolVerdict, &d, Some(&resp));
-                Err(d.into())
-            }
-        }
-    }
-
     /// Executes a window of operations as **one** verified exchange: one
     /// round trip, one [`tcvs_core::BatchResponse`] whose spine siblings
     /// are shared across the window, one σ-token fold telescoped over the
     /// whole window.
     ///
-    /// Falls back transparently to per-op [`NetClient2::execute`] when the
+    /// Falls back transparently to per-op [`NetClient::execute`] when the
     /// window contains a non-batchable operation or the server declines the
     /// batch (older deployments, durable backends) — the results are
     /// identical either way, only the wire cost differs.
@@ -281,23 +341,15 @@ impl NetClient2 {
         if !ops.iter().all(tcvs_merkle::batchable) {
             return self.execute_each(ops);
         }
-        self.seq += 1;
-        let head = Head::root(self.inner.user(), self.seq, self.ops);
-        self.inner.set_current_span(head.ctx);
-        match remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
-            Body::Batch(ops.to_vec(), reply)
-        })? {
+        match self.call(self.ops, |reply| Body::Batch(ops.to_vec(), reply))? {
             Some(resp) => {
                 self.ops += ops.len() as u64;
-                match self.inner.handle_batch_response(ops, &resp) {
-                    Ok(results) => Ok(results),
-                    Err(d) => {
-                        // Batch proofs are window-shaped (no standalone VO to
-                        // embed); the bundle still pins the client's view.
-                        self.capture(EvidenceKind::BatchVerifyFailure, &d, None);
-                        Err(d.into())
-                    }
-                }
+                self.inner.handle_batch_response(ops, &resp).map_err(|d| {
+                    // Batch proofs are window-shaped (no standalone VO to
+                    // embed); the bundle still pins the client's view.
+                    self.capture(EvidenceKind::BatchVerifyFailure, &d, None);
+                    d.into()
+                })
             }
             // Declined windows had no side effects; replay the ops one at a
             // time under fresh sequence numbers.
@@ -318,34 +370,12 @@ impl NetClient2 {
     pub fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
         self.inner.sync_succeeds(shares)
     }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
-    }
-
-    /// User id.
-    pub fn user(&self) -> UserId {
-        self.inner.user()
-    }
 }
 
-/// A Protocol III client bound to a running server: deposits signed epoch
-/// states and performs its audit duties over the same channel.
-pub struct NetClient3 {
-    inner: tcvs_core::Client3,
-    wire: Wire,
-    ops: u64,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
-    /// Client-side clock: rounds advance one per operation (the bench rig's
-    /// stand-in for wall time; epoch length is interpreted in ops).
-    round: u64,
-}
-
-impl NetClient3 {
-    /// Binds a client to `server`.
+impl NetClient<Client3> {
+    /// Binds a Protocol III client to `server`. Call
+    /// [`NetClient::execute_at`] with the client's clock reading: the epoch
+    /// length is interpreted in its rounds.
     pub fn new(
         keyring: Keyring,
         registry: KeyRegistry,
@@ -354,140 +384,15 @@ impl NetClient3 {
         config: ProtocolConfig,
         server: &impl Endpoint,
     ) -> NetClient3 {
-        NetClient3 {
-            inner: tcvs_core::Client3::new(keyring, registry, n_users, root0, config),
-            wire: server.wire().0,
-            ops: 0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-            round: 0,
-        }
-    }
-
-    /// Attaches observability handles: transport retries feed the shared
-    /// counters, and the inner protocol client emits through the tracer.
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.inner.set_tracer(stats.tracer.clone());
-        self.stats = stats;
-    }
-
-    /// Replaces the retry policy (timeouts, attempts, jitter).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Executes one verified operation at client clock `round`, forwarding
-    /// epoch-state deposits and running any due audit.
-    pub fn execute_at(&mut self, op: &Op, round: u64) -> Result<OpResult, NetError> {
-        self.round = round;
-        self.seq += 1;
-        let head = Head::root(self.inner.user(), self.seq, round);
-        self.inner.set_current_span(head.ctx);
-        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
-            Body::Op(op.clone(), reply)
-        })?;
-        self.ops += 1;
-        let (result, deposits) = self.inner.handle_response(op, &resp, round)?;
-        for d in deposits {
-            self.wire.send(Request::EpochState(d))?;
-        }
-        if let Some(epoch) = self.inner.pending_audit() {
-            let user = self.inner.user();
-            self.seq += 1;
-            let states = round_trip(
-                &self.wire,
-                user,
-                self.seq,
-                None,
-                &self.policy,
-                &self.stats,
-                |reply| Request::FetchEpochStates { user, epoch, reply },
-            )?;
-            let prev = if epoch == 0 {
-                None
-            } else {
-                self.seq += 1;
-                round_trip(
-                    &self.wire,
-                    user,
-                    self.seq,
-                    None,
-                    &self.policy,
-                    &self.stats,
-                    |reply| Request::FetchCheckpoint {
-                        user,
-                        epoch: epoch - 1,
-                        reply,
-                    },
-                )?
-            };
-            let cp = self.inner.audit(epoch, &states, prev.as_ref())?;
-            self.wire.send(Request::Checkpoint(cp))?;
-        }
-        self.inner.prepare_signature();
-        Ok(result)
-    }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
-    }
-
-    /// User id.
-    pub fn user(&self) -> UserId {
-        self.inner.user()
+        let user = keyring.user;
+        let inner = Client3::new(keyring, registry, n_users, root0, config);
+        NetClient::bind(inner, user, server)
     }
 }
 
-/// An unverifying client: the trusted-server baseline. Every operation,
-/// read or update, takes the same serialized path as a verifying client's;
-/// only the proof check is skipped.
-pub struct NetClientTrusted {
-    user: UserId,
-    wire: Wire,
-    ops: u64,
-    seq: u64,
-    policy: RetryPolicy,
-    stats: NetStats,
-}
-
-impl NetClientTrusted {
+impl NetClient<TrustedClient> {
     /// Binds a baseline client to `server`.
     pub fn new(user: UserId, server: &impl Endpoint) -> NetClientTrusted {
-        NetClientTrusted {
-            user,
-            wire: server.wire().0,
-            ops: 0,
-            seq: 0,
-            policy: RetryPolicy::default(),
-            stats: NetStats::disabled(),
-        }
-    }
-
-    /// Attaches observability handles (transport retry counters).
-    pub fn set_stats(&mut self, stats: NetStats) {
-        self.stats = stats;
-    }
-
-    /// Replaces the retry policy (timeouts, attempts, jitter).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Executes one unverified operation.
-    pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
-        self.seq += 1;
-        let head = Head::root(self.user, self.seq, self.ops);
-        let resp = remote_call(&self.wire, head, &self.policy, &self.stats, |reply| {
-            Body::Op(op.clone(), reply)
-        })?;
-        self.ops += 1;
-        Ok(resp.result)
-    }
-
-    /// Operations completed.
-    pub fn ops_done(&self) -> u64 {
-        self.ops
+        NetClient::bind(TrustedClient, user, server)
     }
 }

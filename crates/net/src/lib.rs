@@ -5,6 +5,16 @@
 //! and, while the server is idle, on the calling client's own thread;
 //! client handles per user; and a deterministic fault-injection link.
 //!
+//! ## Client handles
+//!
+//! One struct, [`NetClient<P>`], runs any protocol's client step
+//! ([`tcvs_core::Protocol`]) over the wire; [`NetClient1`], [`NetClient2`],
+//! [`NetClient3`] and [`NetClientTrusted`] are its aliases. The step is the
+//! one the simulator runs, so Protocol I's deposit and Protocol III's audit
+//! exchange exist once, in `tcvs-core`. Two more handles compose it or its
+//! transport state: [`ShardedClient2`] (one `NetClient2` per shard) and
+//! [`BootstrapClient`].
+//!
 //! ## Where a call runs
 //!
 //! A plain op from a client bound to the [`NetServer`] itself runs inline,
@@ -79,7 +89,7 @@ mod server;
 mod shard;
 
 pub use bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
-pub use client::{NetClient1, NetClient2, NetClient3, NetClientTrusted};
+pub use client::{NetClient, NetClient1, NetClient2, NetClient3, NetClientTrusted};
 pub use error::{NetError, RetryPolicy};
 pub use fault::FaultLink;
 pub use obs::NetStats;

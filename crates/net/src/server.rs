@@ -82,7 +82,7 @@ use tcvs_core::{
 use tcvs_merkle::ChunkSource;
 use tcvs_obs::{stage, Event, EventKind, SpanContext, NO_ACTOR};
 
-use crate::error::{NetError, RetryPolicy};
+use crate::error::NetError;
 use crate::obs::NetStats;
 
 /// How long a plain op waits for another inline call to release the server
@@ -900,77 +900,6 @@ fn answer(body: &Body, entry: &JournaledReply, before_send: impl FnOnce()) -> bo
 fn deliver<T>(reply: &Sender<T>, value: T, before_send: impl FnOnce()) {
     before_send();
     let _ = reply.send(value);
-}
-
-/// Performs one remote operation, with bounded retry (see [`round_trip`]).
-/// Every attempt resends `head` — the same `seq`, so the server's reply
-/// journal guarantees the operation executes at most once, and the same
-/// trace context, so a retry is a new span in the *same* trace — with a
-/// body built around that attempt's reply sender.
-pub(crate) fn remote_call<T>(
-    wire: &Wire,
-    head: Head,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-    mut body: impl FnMut(Sender<T>) -> Body,
-) -> Result<T, NetError> {
-    round_trip(
-        wire,
-        head.user,
-        head.seq,
-        head.ctx,
-        policy,
-        stats,
-        |reply| {
-            Call {
-                head,
-                body: body(reply),
-            }
-            .into()
-        },
-    )
-}
-
-/// The one bounded-retry round trip behind every client request: each
-/// attempt builds the request around a fresh one-shot reply sender,
-/// submits it (a plain op may be served inline, its reply then already
-/// waiting) and waits [`RetryPolicy::attempt_timeout`] for the reply. A
-/// failed *send* means the server thread (or the link to it) is gone —
-/// that is terminal. A disconnected reply channel means the request was
-/// consumed but no reply will come (a dropped request or reply in flight)
-/// — retry at once. A timeout backs off exponentially before the retry.
-/// `seq` seeds the backoff jitter and, with `user` and `ctx`, labels the
-/// retry events.
-pub(crate) fn round_trip<T>(
-    wire: &Wire,
-    user: UserId,
-    seq: u64,
-    ctx: Option<SpanContext>,
-    policy: &RetryPolicy,
-    stats: &NetStats,
-    mut make: impl FnMut(Sender<T>) -> Request,
-) -> Result<T, NetError> {
-    let attempts = policy.max_attempts.max(1);
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            stats.retries.inc();
-            stats.tracer.emit(|| {
-                Event::new(seq, EventKind::Retry, user)
-                    .detail(format!("attempt={attempt}"))
-                    .span_opt(ctx.map(|c| c.child(stage::RETRY)))
-            });
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        wire.submit(make(reply_tx))?;
-        match reply_rx.recv_timeout(policy.attempt_timeout(user, seq, attempt)) {
-            Ok(resp) => return Ok(resp),
-            // The request or its reply was lost in flight; retry at once.
-            Err(RecvTimeoutError::Disconnected) => continue,
-            // No verdict on this attempt; the backoff grows with `attempt`.
-            Err(RecvTimeoutError::Timeout) => continue,
-        }
-    }
-    Err(NetError::Timeout { attempts })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use tcvs_core::adversary::{LieServer, TamperServer, Trigger};
+use tcvs_core::adversary::{ForkServer, LieServer, TamperServer, Trigger};
 use tcvs_core::{
     Deviation, FaultKind, FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig,
     SyncShare,
@@ -16,7 +16,7 @@ use tcvs_net::{
     FaultLink, NetClient1, NetClient2, NetClient3, NetClientTrusted, NetError, NetServer,
     NetServerOptions, NetStats, RetryPolicy,
 };
-use tcvs_obs::{MetricsRegistry, Tracer};
+use tcvs_obs::{EventKind, MetricsRegistry, Tracer};
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -149,24 +149,86 @@ fn protocol3_runs_over_the_wire_with_audits() {
         epoch_len: 8,
     };
     let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
-    let r0 = root0(&cfg);
-    let (rings, registry) = setup_users([0x44; 32], 2, 7);
-    let mut clients: Vec<NetClient3> = rings
-        .into_iter()
-        .map(|r| NetClient3::new(r, registry.clone(), 2, &r0, cfg, &server))
-        .collect();
-    // Drive 6 epochs, 2 ops per user per epoch, sequentially (the round is
-    // the shared clock).
+    let (tracer, sink) = Tracer::memory();
+    let stats = NetStats::new(Arc::new(MetricsRegistry::new()), tracer);
+    let mut clients = protocol3_clients(&cfg, &server);
+    for c in &mut clients {
+        c.set_stats(stats.clone());
+    }
     for e in 0..6u64 {
-        for j in 0..2u64 {
-            for (u, c) in clients.iter_mut().enumerate() {
-                let round = e * cfg.epoch_len + j * 4 + u as u64;
-                c.execute_at(&Op::Put(u64_key((u as u64) * 10 + j), vec![e as u8]), round)
-                    .expect("honest epochs");
-            }
-        }
+        protocol3_epoch(&cfg, &mut clients, e).expect("honest epochs");
     }
     server.shutdown();
+    // Epochs 0..=3 are each audited two epochs later by their checker.
+    let audits = sink
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Audit)
+        .count();
+    assert!(audits >= 1, "no audit ran over the wire");
+}
+
+/// Two Protocol III clients bound to `server`.
+fn protocol3_clients(cfg: &ProtocolConfig, server: &NetServer) -> Vec<NetClient3> {
+    let r0 = root0(cfg);
+    let (rings, registry) = setup_users([0x44; 32], 2, 7);
+    rings
+        .into_iter()
+        .map(|r| NetClient3::new(r, registry.clone(), 2, &r0, *cfg, server))
+        .collect()
+}
+
+/// Epoch `e` of the Protocol III workload: 2 ops per user, sequentially
+/// (the round is the shared clock). The first failure ends the epoch.
+fn protocol3_epoch(
+    cfg: &ProtocolConfig,
+    clients: &mut [NetClient3],
+    e: u64,
+) -> Result<(), NetError> {
+    for j in 0..2u64 {
+        for (u, c) in clients.iter_mut().enumerate() {
+            let round = e * cfg.epoch_len + j * 4 + u as u64;
+            c.execute_at(&Op::Put(u64_key((u as u64) * 10 + j), vec![e as u8]), round)?;
+        }
+    }
+    Ok(())
+}
+
+/// A fork behind the threaded server is invisible to every per-op check,
+/// and the epoch audit exposes it within two epochs (Theorem 4.3).
+#[test]
+fn protocol3_audit_detects_a_fork_over_the_wire() {
+    let cfg = ProtocolConfig {
+        order: 8,
+        k: 16,
+        epoch_len: 8,
+    };
+    // Four ops per epoch: the fork splits the users at the start of epoch 2.
+    let fork_epoch = 2;
+    let fork = ForkServer::new(&cfg, Trigger::AtCtr(4 * fork_epoch), &[0]);
+    let server = NetServer::spawn(Box::new(fork), false);
+    let mut clients = protocol3_clients(&cfg, &server);
+    let (epoch, err) = (0..8u64)
+        .find_map(|e| {
+            protocol3_epoch(&cfg, &mut clients, e)
+                .err()
+                .map(|err| (e, err))
+        })
+        .expect("the fork went undetected");
+    server.shutdown();
+    assert!(
+        matches!(
+            err,
+            NetError::Deviation(
+                Deviation::MissingEpochState { .. }
+                    | Deviation::EpochCheckFailed(_)
+                    | Deviation::BadEpochSignature(_)
+            )
+        ),
+        "not an audit verdict: {err:?}"
+    );
+    assert!(epoch >= fork_epoch, "detected before the fork");
+    assert!(epoch <= fork_epoch + 2, "detected in epoch {epoch}");
 }
 
 /// Every instrumented trusted-client op, read or update, is served once on
@@ -526,8 +588,7 @@ fn faulty_link_to_a_dead_server_reports_gone_or_timeout() {
 
 #[test]
 fn wire_trace_links_client_and_server_spans_of_one_operation() {
-    use tcvs_net::{NetServerOptions, NetStats};
-    use tcvs_obs::{EventKind, MetricsRegistry, SpanContext, Tracer};
+    use tcvs_obs::SpanContext;
 
     let cfg = config();
     let (tracer, sink) = Tracer::memory();

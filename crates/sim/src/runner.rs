@@ -1,8 +1,10 @@
 //! The round-based multi-agent runner (§2.1's system model, executable).
 //!
 //! The runner drives a trace of query actions against any [`ServerApi`]
-//! implementation — honest or adversarial — through the protocol clients,
-//! honouring the model's timing rules:
+//! implementation — honest or adversarial — through the protocol clients'
+//! one core step ([`Protocol::step`], the same step `tcvs-net`'s
+//! `NetClient<P>` runs; `tests/parity.rs` holds the two drivers to the same
+//! verdicts), honouring the model's timing rules:
 //!
 //! * at most one query action per round;
 //! * messages delivered in one round;
@@ -18,8 +20,9 @@ use std::sync::Arc;
 use tcvs_core::strawman::NaiveXorClient;
 use tcvs_core::wire::{self, encoded_len};
 use tcvs_core::{
-    Client1, Client2, Client3, Deviation, Digest, EvidenceBuilder, EvidenceBundle, EvidenceKind,
-    FaultKind, FaultPlan, ProtocolConfig, ProtocolKind, ServerApi, SyncShare,
+    Client1, Client2, Client3, Deposit, Deviation, Digest, Direct, Epoch, EvidenceBuilder,
+    EvidenceBundle, EvidenceKind, FaultKind, FaultPlan, Port, Protocol, ProtocolConfig,
+    ProtocolKind, ServerApi, SignedCheckpoint, SignedEpochState, SyncShare, TrustedClient, UserId,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::MerkleTree;
@@ -79,14 +82,6 @@ pub fn initial_root(config: &ProtocolConfig) -> Digest {
     MerkleTree::with_order(config.order).root_digest()
 }
 
-enum ClientSet {
-    Trusted,
-    One(Vec<Client1>),
-    Two(Vec<Client2>),
-    Three(Vec<Client3>),
-    NaiveXor(Vec<NaiveXorClient>),
-}
-
 /// Runs `trace` through `server` with fresh clients per `spec`.
 ///
 /// `violation_op` is the harness's ground truth for when the server first
@@ -116,14 +111,63 @@ pub fn simulate_observed(
     tracer: &Tracer,
 ) -> RunReport {
     let root0 = initial_root(&spec.config);
-    let mut clients = build_clients(spec, &root0, tracer);
-
-    // Protocol I initialization: elected user 0 signs h(M(D0) || 0).
-    if let ClientSet::One(cs) = &mut clients {
-        let init = cs[0].sign_initial(&root0).expect("fresh key");
-        server.deposit_signature(cs[0].user(), init);
+    let users = 0..spec.n_users;
+    let keys = || setup_users(spec.setup_seed, spec.n_users, spec.mss_height);
+    match spec.protocol {
+        ProtocolKind::Trusted => {
+            let cs = users.map(|_| TrustedClient).collect();
+            drive(spec, server, trace, violation_op, tracer, cs)
+        }
+        ProtocolKind::One => {
+            let (rings, registry) = keys();
+            let mut cs: Vec<Client1> = rings
+                .into_iter()
+                .map(|r| Client1::new(r, registry.clone(), spec.config))
+                .collect();
+            // Protocol I initialization: elected user 0 signs h(M(D0) || 0).
+            cs[0]
+                .deposit_initial(&root0, &mut Direct(&mut *server))
+                .expect("fresh key");
+            drive(spec, server, trace, violation_op, tracer, cs)
+        }
+        ProtocolKind::Two => {
+            let cs = users
+                .map(|u| Client2::new(u, &root0, spec.config))
+                .collect();
+            drive(spec, server, trace, violation_op, tracer, cs)
+        }
+        ProtocolKind::Three => {
+            let (rings, registry) = keys();
+            let cs = rings
+                .into_iter()
+                .map(|r| Client3::new(r, registry.clone(), spec.n_users, &root0, spec.config))
+                .collect();
+            drive(spec, server, trace, violation_op, tracer, cs)
+        }
+        ProtocolKind::NaiveXor => {
+            let cs = users
+                .map(|u| NaiveXorClient::new(u, &root0, spec.config))
+                .collect();
+            drive(spec, server, trace, violation_op, tracer, cs)
+        }
+        ProtocolKind::TokenRing => {
+            panic!("token-ring uses the dedicated ring runner (tcvs_sim::token_ring)")
+        }
     }
+}
 
+/// [`simulate_observed`] with one protocol client per user.
+fn drive<C: Protocol>(
+    spec: &SimSpec,
+    server: &mut dyn ServerApi,
+    trace: &Trace,
+    violation_op: Option<u64>,
+    tracer: &Tracer,
+    mut clients: Vec<C>,
+) -> RunReport {
+    for c in &mut clients {
+        c.set_tracer(tracer.clone());
+    }
     let mut report = RunReport {
         protocol: spec.protocol,
         ops_executed: 0,
@@ -229,73 +273,15 @@ pub fn simulate_observed(
             }
         }
 
-        let mut detection: Option<Deviation> = None;
-        let mut extra_rounds = 1u64;
-
-        match &mut clients {
-            ClientSet::Trusted => {}
-            ClientSet::One(cs) => {
-                let c = &mut cs[sop.user as usize];
-                c.set_current_span(Some(ctx));
-                match c.handle_response(&sop.op, &resp) {
-                    Ok((_result, deposit)) => {
-                        report.msgs += 1;
-                        report.bytes += deposit.encoded_size() as u64;
-                        server.deposit_signature(sop.user, deposit);
-                        extra_rounds = 2; // the blocking deposit round
-                    }
-                    Err(d) => detection = Some(d),
-                }
-            }
-            ClientSet::Two(cs) => {
-                let c = &mut cs[sop.user as usize];
-                c.set_current_span(Some(ctx));
-                if let Err(d) = c.handle_response(&sop.op, &resp) {
-                    detection = Some(d);
-                }
-            }
-            ClientSet::NaiveXor(cs) => {
-                if let Err(d) = cs[sop.user as usize].handle_response(&sop.op, &resp) {
-                    detection = Some(d);
-                }
-            }
-            ClientSet::Three(cs) => {
-                cs[sop.user as usize].set_current_span(Some(ctx));
-                match cs[sop.user as usize].handle_response(&sop.op, &resp, round) {
-                    Ok((_result, deposits)) => {
-                        for d in deposits {
-                            report.msgs += 1;
-                            report.bytes += d.encoded_size() as u64;
-                            server.deposit_epoch_state(d);
-                        }
-                        // Audit duty, if due.
-                        let c = &mut cs[sop.user as usize];
-                        if let Some(epoch) = c.pending_audit() {
-                            let states = server.fetch_epoch_states(sop.user, epoch);
-                            report.msgs += 2;
-                            report.bytes +=
-                                states.iter().map(|s| s.encoded_size() as u64).sum::<u64>();
-                            let prev = if epoch == 0 {
-                                None
-                            } else {
-                                report.msgs += 2;
-                                server.fetch_checkpoint(sop.user, epoch - 1)
-                            };
-                            report.audits += 1;
-                            match c.audit(epoch, &states, prev.as_ref()) {
-                                Ok(cp) => {
-                                    report.msgs += 1;
-                                    report.bytes += cp.encoded_size() as u64;
-                                    server.deposit_checkpoint(cp);
-                                }
-                                Err(d) => detection = Some(d),
-                            }
-                        }
-                    }
-                    Err(d) => detection = Some(d),
-                }
-            }
-        }
+        let c = &mut clients[sop.user as usize];
+        c.set_current_span(Some(ctx));
+        let mut port = Counted {
+            server: &mut *server,
+            report: &mut report,
+            deposited: false,
+        };
+        let detection = c.step(&sop.op, &resp, round, &mut port).err();
+        let mut extra_rounds = if port.deposited { 2 } else { 1 };
 
         // A lost reply is retransmitted: the exchange costs one more round.
         if fault == Some(FaultKind::DropReply) {
@@ -329,7 +315,10 @@ pub fn simulate_observed(
         report.makespan_rounds = busy_until;
 
         // Broadcast sync-up when any user hits k ops since the last one.
-        if let Some(dev) = maybe_sync(&mut clients, &mut report, &mut busy_until, tracer) {
+        if !clients.iter().any(C::wants_sync) {
+            continue;
+        }
+        if let Some(dev) = sync_up(&mut clients, &mut report, &mut busy_until, tracer) {
             tracer.emit(|| {
                 Event::new(idx as u64, EventKind::Detection, sop.user)
                     .detail(format!("{dev} round={busy_until}"))
@@ -343,7 +332,7 @@ pub fn simulate_observed(
     // Trace exhausted: one final sync-up so short traces still settle.
     if verdict.is_none() && spec.final_sync {
         let n = trace.len() as u64;
-        verdict = force_sync(&mut clients, &mut report, &mut busy_until, tracer).map(|dev| {
+        verdict = sync_up(&mut clients, &mut report, &mut busy_until, tracer).map(|dev| {
             tracer.emit(|| {
                 Event::new(n, EventKind::Detection, 0).detail(format!("{dev} round={busy_until}"))
             });
@@ -425,148 +414,70 @@ pub fn simulate_with_evidence(
     (report, bundle, recorder)
 }
 
-fn build_clients(spec: &SimSpec, root0: &Digest, tracer: &Tracer) -> ClientSet {
-    match spec.protocol {
-        ProtocolKind::Trusted => ClientSet::Trusted,
-        ProtocolKind::One => {
-            let (rings, registry) = setup_users(spec.setup_seed, spec.n_users, spec.mss_height);
-            ClientSet::One(
-                rings
-                    .into_iter()
-                    .map(|r| {
-                        let mut c = Client1::new(r, registry.clone(), spec.config);
-                        c.set_tracer(tracer.clone());
-                        c
-                    })
-                    .collect(),
-            )
-        }
-        ProtocolKind::Two => ClientSet::Two(
-            (0..spec.n_users)
-                .map(|u| {
-                    let mut c = Client2::new(u, root0, spec.config);
-                    c.set_tracer(tracer.clone());
-                    c
-                })
-                .collect(),
-        ),
-        ProtocolKind::Three => {
-            let (rings, registry) = setup_users(spec.setup_seed, spec.n_users, spec.mss_height);
-            ClientSet::Three(
-                rings
-                    .into_iter()
-                    .map(|r| {
-                        let mut c =
-                            Client3::new(r, registry.clone(), spec.n_users, root0, spec.config);
-                        c.set_tracer(tracer.clone());
-                        c
-                    })
-                    .collect(),
-            )
-        }
-        ProtocolKind::NaiveXor => ClientSet::NaiveXor(
-            (0..spec.n_users)
-                .map(|u| NaiveXorClient::new(u, root0, spec.config))
-                .collect(),
-        ),
-        ProtocolKind::TokenRing => {
-            panic!("token-ring uses the dedicated ring runner (tcvs_sim::token_ring)")
-        }
-    }
-}
-
-/// Runs a sync-up if any client's trigger fired. Returns a deviation if the
-/// sync-up failed for every user.
-fn maybe_sync(
-    clients: &mut ClientSet,
-    report: &mut RunReport,
-    busy_until: &mut u64,
-    tracer: &Tracer,
-) -> Option<Deviation> {
-    let wants = match clients {
-        ClientSet::One(cs) => cs.iter().any(|c| c.wants_sync()),
-        ClientSet::Two(cs) => cs.iter().any(|c| c.wants_sync()),
-        _ => false,
-    };
-    if !wants {
-        return None;
-    }
-    force_sync(clients, report, busy_until, tracer)
-}
-
-/// Unconditionally performs a sync-up round for protocols that have one.
-fn force_sync(
-    clients: &mut ClientSet,
-    report: &mut RunReport,
-    busy_until: &mut u64,
-    tracer: &Tracer,
-) -> Option<Deviation> {
-    let ok = match clients {
-        ClientSet::One(cs) => sync_round(cs, report, busy_until, tracer),
-        ClientSet::Two(cs) => sync_round(cs, report, busy_until, tracer),
-        ClientSet::NaiveXor(cs) => sync_round(cs, report, busy_until, tracer),
-        ClientSet::Trusted | ClientSet::Three(_) => true,
-    };
-    (!ok).then_some(Deviation::SyncFailed)
-}
-
-/// One broadcast sync-up round of its own: every user's share reaches
-/// every user, and the round passes iff some user announces success.
-fn sync_round<C: SyncPeer>(
+/// One broadcast sync-up round of its own, for protocols that have one:
+/// every user's share reaches every user, and the round passes iff some
+/// user announces success. Returns the deviation if it failed.
+fn sync_up<C: Protocol>(
     cs: &mut [C],
     report: &mut RunReport,
     busy_until: &mut u64,
     tracer: &Tracer,
-) -> bool {
+) -> Option<Deviation> {
+    let shares: Vec<SyncShare> = cs.iter().map(C::sync_share).collect::<Option<_>>()?;
     let t = *busy_until;
     tracer.emit(|| Event::new(t, EventKind::SyncTriggered, NO_ACTOR));
-    let shares: Vec<SyncShare> = cs.iter().map(C::share).collect();
     report.sync_rounds += 1;
     report.sync_bytes += tcvs_core::sync::sync_traffic_bytes(&shares) as u64;
     *busy_until += 1;
-    let ok = cs.iter().any(|c| c.succeeds(&shares));
-    cs.iter_mut().for_each(C::done);
-    ok
+    let ok = cs.iter().any(|c| c.sync_succeeds(&shares));
+    cs.iter_mut().for_each(C::sync_done);
+    (!ok).then_some(Deviation::SyncFailed)
 }
 
-/// The sync-up surface shared by the clients that broadcast shares.
-trait SyncPeer {
-    fn share(&self) -> SyncShare;
-    fn succeeds(&self, shares: &[SyncShare]) -> bool;
-    /// Starts the next sync period (the strawman keeps none).
-    fn done(&mut self) {}
+/// The simulator's port: every deposit and fetch is a direct call on the
+/// server, counted in the report's messages and bytes.
+struct Counted<'a> {
+    server: &'a mut dyn ServerApi,
+    report: &'a mut RunReport,
+    /// Whether the step deposited a Protocol I signature, which blocks the
+    /// server for a round of its own.
+    deposited: bool,
 }
 
-impl SyncPeer for Client1 {
-    fn share(&self) -> SyncShare {
-        self.sync_share()
-    }
-    fn succeeds(&self, shares: &[SyncShare]) -> bool {
-        self.sync_succeeds(shares)
-    }
-    fn done(&mut self) {
-        self.sync_done();
-    }
-}
+impl Port for Counted<'_> {
+    type Error = Deviation;
 
-impl SyncPeer for Client2 {
-    fn share(&self) -> SyncShare {
-        self.sync_share()
+    fn deposit(&mut self, deposit: Deposit) -> Result<(), Deviation> {
+        self.report.msgs += 1;
+        self.report.bytes += match &deposit {
+            Deposit::Signature(s) => s.encoded_size(),
+            Deposit::EpochState(s) => s.encoded_size(),
+            Deposit::Checkpoint(c) => c.encoded_size(),
+        } as u64;
+        self.deposited |= matches!(deposit, Deposit::Signature(_));
+        Direct(&mut *self.server).deposit(deposit)
     }
-    fn succeeds(&self, shares: &[SyncShare]) -> bool {
-        self.sync_succeeds(shares)
-    }
-    fn done(&mut self) {
-        self.sync_done();
-    }
-}
 
-impl SyncPeer for NaiveXorClient {
-    fn share(&self) -> SyncShare {
-        self.sync_share()
+    /// Every audit starts with this fetch, so it counts the audit too.
+    fn fetch_epoch_states(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Vec<SignedEpochState>, Deviation> {
+        let states = self.server.fetch_epoch_states(user, epoch);
+        self.report.msgs += 2;
+        self.report.bytes += states.iter().map(|s| s.encoded_size() as u64).sum::<u64>();
+        self.report.audits += 1;
+        Ok(states)
     }
-    fn succeeds(&self, shares: &[SyncShare]) -> bool {
-        self.sync_succeeds(shares)
+
+    fn fetch_checkpoint(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Option<SignedCheckpoint>, Deviation> {
+        self.report.msgs += 2;
+        Ok(self.server.fetch_checkpoint(user, epoch))
     }
 }
 
