@@ -1,24 +1,26 @@
-//! Bootstrap smoke test: SIGKILL a live shard mid-run, restore it from a
-//! peer via verified chunk sync, and prove the grove is whole again.
+//! Bootstrap smoke test: SIGKILL a live durable server mid-run, restore it
+//! from a peer via verified chunk sync, and prove it serves verified
+//! clients again.
 //!
 //! Orchestrator mode (`bootstrap_smoke <dir> [rounds]`) spawns itself in
-//! worker mode: the worker is shard 1's durable process, appending that
-//! shard's slice of a deterministic global op stream to the real
-//! filesystem. The orchestrator SIGKILLs it at a different point every
-//! round, verifies the kill was survivable (recovered state matches an
-//! in-memory oracle replay), then declares the worker's disk lost and
-//! restores the shard the way a production operator would:
+//! worker mode: the worker is the server's durable process, appending a
+//! deterministic op stream to the real filesystem. The orchestrator
+//! SIGKILLs it at a different point every round, verifies the kill was
+//! survivable (recovered state matches an in-memory oracle replay), then
+//! declares the worker's disk lost and restores the server the way a
+//! production operator would:
 //!
-//! 1. A grove peer holding the full shard-1 state serves chunked verified
-//!    state sync over the wire ([`BootstrapClient`] pinned to the last
-//!    grove epoch's shard root).
+//! 1. A peer holding the full state serves chunked verified state sync
+//!    over the wire ([`BootstrapClient`] pinned to the root of the peer's
+//!    sample, taken behind a verified writer's last acknowledged op).
 //! 2. The verified tree is re-anchored to fresh durable storage via
 //!    [`DurableServer::open_from_chunks`], which checkpoints immediately
-//!    so the kill-anywhere discipline resumes.
-//! 3. The rebuilt shard rejoins the grove (`bootstrap_restart`); the next
-//!    grove epoch must fold the same grove root as before the kill.
-//! 4. A late-joining verified client re-enters at the post-rejoin epoch
-//!    and the Protocol II grove sync-up must pass.
+//!    so the kill-anywhere discipline resumes; a plain reopen must recover
+//!    it locally.
+//! 3. The reopened server serves again; its sample must hold the pinned
+//!    root and counter.
+//! 4. A late-joining verified client binds at that sample, reads what the
+//!    peer's history wrote, writes, and the Protocol II sync-up must pass.
 //!
 //! A final corruption round forges one chunk of the peer's stream and
 //! asserts the restore fails at exactly that chunk index. Any divergence,
@@ -27,17 +29,15 @@
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use tcvs_core::{HonestServer, ProtocolConfig, ServerCore, ShardRouter, SyncShare, NO_USER};
-use tcvs_merkle::{u64_key, ChunkAssembler, ChunkSource, Op, OpResult};
-use tcvs_net::{BootstrapClient, NetServer, NetServerOptions, ShardedClient2, ShardedServer};
+use tcvs_core::{HonestServer, ProtocolConfig, ServerCore, NO_USER};
+use tcvs_merkle::{u64_key, ChunkAssembler, ChunkSource, MerkleTree, Op, OpResult};
+use tcvs_net::{BootstrapClient, NetClient2, NetServer, NetServerOptions};
 use tcvs_storage::{
     DurabilityOptions, DurableOptions, DurableServer, DurableStorage, FileMedium, StorageObs,
 };
 
-const SHARDS: usize = 3;
-const KILLED: usize = 1;
-/// Global ops the surviving grove absorbs before serving the restore.
-const GROVE_OPS: u64 = 90;
+/// Ops of the stream the peer absorbs before serving the restore.
+const PEER_OPS: u64 = 90;
 const KEY_SPACE: u64 = 64;
 /// Small chunk budget so every restore is a genuinely multi-chunk sync.
 const CHUNK_BUDGET: usize = 256;
@@ -50,9 +50,9 @@ fn config() -> ProtocolConfig {
     }
 }
 
-/// The deterministic global op stream the whole smoke test is a function
-/// of: the worker replays its shard's slice, the grove absorbs the prefix,
-/// and the oracle reconstructs either from indices alone.
+/// The deterministic op stream the whole smoke test is a function of: the
+/// worker replays it, the peer absorbs its prefix, and the oracle
+/// reconstructs either from indices alone.
 fn scripted(j: u64) -> Op {
     Op::Put(u64_key(j % KEY_SPACE), vec![(j % 97) as u8; 6])
 }
@@ -78,44 +78,26 @@ fn open_durable(dir: &str) -> Result<DurableServer<DurableStorage<FileMedium>>, 
     .map_err(|e| format!("open server: {e}"))
 }
 
-/// Worker mode: shard `KILLED`'s durable process. Replays the global
-/// stream, applies only the ops that route to this shard, and keeps going
-/// until the orchestrator kills it.
+/// Worker mode: the server's durable process. Replays the stream from the
+/// first op its recovered state lacks, and keeps going until the
+/// orchestrator kills it.
 fn worker(dir: &str) -> Result<(), String> {
-    let router = ShardRouter::new(SHARDS);
     let mut server = open_durable(dir)?;
-    let already = server.core().ctr();
-    let mut seen = 0u64;
-    let mut j = 0u64;
+    let mut j = server.core().ctr();
     loop {
-        let op = scripted(j);
-        if router.route_op(&op) == Some(KILLED) {
-            if seen >= already {
-                server
-                    .apply(0, seen, &op, seen)
-                    .map_err(|e| format!("apply shard op {seen}: {e}"))?;
-            }
-            seen += 1;
-        }
+        server
+            .apply(0, j, &scripted(j), j)
+            .map_err(|e| format!("apply op {j}: {e}"))?;
         j += 1;
     }
 }
 
-/// Replays the first `n_shard_ops` shard-`KILLED` ops of the global
-/// stream on a pristine in-memory core — the oracle the killed worker's
-/// recovered state must match.
-fn shard_oracle(n_shard_ops: u64) -> ServerCore {
-    let router = ShardRouter::new(SHARDS);
+/// Replays the first `n_ops` ops of the stream on a pristine in-memory
+/// core — the oracle the killed worker's recovered state must match.
+fn oracle(n_ops: u64) -> ServerCore {
     let mut oracle = ServerCore::new(&config());
-    let mut seen = 0u64;
-    let mut j = 0u64;
-    while seen < n_shard_ops {
-        let op = scripted(j);
-        if router.route_op(&op) == Some(KILLED) {
-            oracle.process(0, &op, seen);
-            seen += 1;
-        }
-        j += 1;
+    for j in 0..n_ops {
+        oracle.process(0, &scripted(j), j);
     }
     oracle
 }
@@ -127,7 +109,7 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
     std::fs::create_dir_all(&worker_dir).map_err(|e| format!("mkdir: {e}"))?;
     std::fs::create_dir_all(&restored_dir).map_err(|e| format!("mkdir: {e}"))?;
 
-    // The live shard, as a real OS process, killed at a different point
+    // The live server, as a real OS process, killed at a different point
     // every round — before the first op, mid-append, mid-checkpoint, …
     let mut child = Command::new(exe)
         .arg("worker")
@@ -149,41 +131,39 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
         ));
     }
     let dead_ctr = dead.core().ctr();
-    if dead.core().root_digest() != shard_oracle(dead_ctr).root_digest() {
+    if dead.core().root_digest() != oracle(dead_ctr).root_digest() {
         return Err(format!(
             "round {round}: recovered worker root diverges from oracle at ctr {dead_ctr}"
         ));
     }
     drop(dead);
 
-    // The surviving grove: its shard `KILLED` is the peer that will serve
-    // the restore. The global stream prefix flows through a verified
-    // sharded client, so the peer's state is itself root-checked.
-    let mut grove = ShardedServer::spawn(
-        SHARDS,
-        &cfg,
+    // The peer that will serve the restore. The stream prefix flows
+    // through a verified client, so the peer's state is itself
+    // root-checked.
+    let peer = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
         NetServerOptions {
             bootstrap_chunk_bytes: CHUNK_BUDGET,
             ..NetServerOptions::default()
         },
     );
-    let r0 = vec![tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest(); SHARDS];
-    let mut writer = ShardedClient2::new(0, &r0, cfg, &grove);
-    for j in 0..GROVE_OPS {
+    let r0 = MerkleTree::with_order(cfg.order).root_digest();
+    let mut writer = NetClient2::new(0, &r0, cfg, &peer);
+    for j in 0..PEER_OPS {
         writer
             .execute(&scripted(j))
-            .map_err(|e| format!("round {round}: grove write {j} alarmed: {e}"))?;
+            .map_err(|e| format!("round {round}: peer write {j} alarmed: {e}"))?;
     }
-    let epoch1 = grove
-        .grove_epoch()
-        .ok_or_else(|| format!("round {round}: grove refuses to publish an epoch"))?;
-    let shard_root = epoch1.shard_roots[KILLED];
+    let (root, ctr, _) = peer
+        .sample()
+        .ok_or_else(|| format!("round {round}: the peer exposes no state"))?;
 
-    // Verified chunk sync from the peer, pinned to the epoch's shard root.
-    let mut boot = BootstrapClient::new(NO_USER, grove.shard(KILLED));
-    let report = boot
-        .bootstrap(Some(&shard_root))
+    // Verified chunk sync from the peer, pinned to the sampled root.
+    let report = BootstrapClient::new(NO_USER, &peer)
+        .bootstrap(Some(&root))
         .map_err(|e| format!("round {round}: chunk sync from peer failed: {e}"))?;
+    peer.shutdown();
     if report.chunks_fetched <= 1 {
         return Err(format!(
             "round {round}: transfer was not chunked ({} chunks)",
@@ -192,8 +172,8 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
     }
 
     // Re-anchor the verified tree to fresh durable storage; the restored
-    // server checkpoints immediately, so a later plain open recovers it
-    // locally without touching the network.
+    // server checkpoints immediately, so a plain open recovers it locally
+    // without touching the network.
     let source = ChunkSource::new(&report.tree, CHUNK_BUDGET)
         .map_err(|e| format!("round {round}: chunk source: {e}"))?;
     let medium = FileMedium::open(&restored_dir).map_err(|e| format!("open medium: {e}"))?;
@@ -208,41 +188,33 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
         |i| source.chunk(i),
     )
     .map_err(|e| format!("round {round}: durable restore: {e}"))?;
-    if restored.core().root_digest() != shard_root {
+    if restored.core().root_digest() != root {
         return Err(format!("round {round}: restored durable root diverges"));
     }
     drop(restored);
     let reopened = open_durable(&restored_dir)?;
-    if reopened.core().root_digest() != shard_root {
+    if reopened.core().root_digest() != root {
         return Err(format!(
-            "round {round}: restored shard did not checkpoint locally"
-        ));
-    }
-    drop(reopened);
-
-    // Rejoin: kill-and-replace the grove's shard with a server rebuilt
-    // from the verified chunks. The grove root must not move.
-    let core = ServerCore::from_verified_state(report.tree, report.ctr, &cfg)
-        .map_err(|e| format!("round {round}: verified state rejected: {e}"))?;
-    let replica = NetServer::spawn(Box::new(HonestServer::from_core(core)), false);
-    grove
-        .bootstrap_restart(KILLED, &replica, &shard_root, &cfg)
-        .map_err(|e| format!("round {round}: shard rejoin failed: {e}"))?;
-    replica.shutdown();
-    let epoch2 = grove
-        .grove_epoch()
-        .ok_or_else(|| format!("round {round}: rejoined grove refuses to publish"))?;
-    if epoch2.grove_root != epoch1.grove_root {
-        return Err(format!(
-            "round {round}: grove root moved across the restore"
+            "round {round}: restored server did not checkpoint locally"
         ));
     }
 
-    // A late joiner anchored at the post-rejoin epoch reads what the
-    // pre-kill history wrote and passes the Protocol II grove sync-up.
-    let mut carol = ShardedClient2::join(2, &epoch2, cfg, &grove);
+    // The restored server serves again, at the pinned state.
+    let server = NetServer::spawn(Box::new(reopened), false);
+    let (s_root, s_ctr, s_last) = server
+        .sample()
+        .ok_or_else(|| format!("round {round}: the restored server exposes no state"))?;
+    if (s_root, s_ctr) != (root, ctr) {
+        return Err(format!(
+            "round {round}: restored server samples ctr {s_ctr}, pinned ctr {ctr}"
+        ));
+    }
+
+    // A late joiner anchored at that sample reads what the peer's history
+    // wrote and passes the Protocol II sync-up.
+    let mut carol = NetClient2::join(2, &s_root, s_ctr, s_last, cfg, &server);
     for k in 0..KEY_SPACE {
-        let last = (0..GROVE_OPS).rev().find(|j| j % KEY_SPACE == k);
+        let last = (0..PEER_OPS).rev().find(|j| j % KEY_SPACE == k);
         let got = carol
             .execute(&Op::Get(u64_key(k)))
             .map_err(|e| format!("round {round}: verified read of key {k} alarmed: {e}"))?;
@@ -253,21 +225,20 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
             ));
         }
     }
-    for j in GROVE_OPS..GROVE_OPS + 12 {
+    for j in PEER_OPS..PEER_OPS + 12 {
         carol
             .execute(&scripted(j))
-            .map_err(|e| format!("round {round}: post-rejoin write {j} alarmed: {e}"))?;
+            .map_err(|e| format!("round {round}: post-restore write {j} alarmed: {e}"))?;
     }
-    let per_shard: Vec<Vec<SyncShare>> = carol.sync_shares().into_iter().map(|s| vec![s]).collect();
-    if !carol.sync_succeeds(&per_shard) {
+    if !carol.sync_succeeds(&[carol.sync_share()]) {
         return Err(format!(
-            "round {round}: Protocol II sync-up failed on the rejoined grove"
+            "round {round}: Protocol II sync-up failed on the restored server"
         ));
     }
-    grove.shutdown();
+    server.shutdown();
     println!(
         "round {round}: worker killed at ctr {dead_ctr}, restored via {} chunks, \
-         grove root held, sync-up passed — ok",
+         sample held, sync-up passed — ok",
         report.chunks_fetched
     );
     Ok(())
@@ -278,8 +249,8 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
 /// restore must fail at exactly the offending index every time.
 fn corruption_round() -> Result<(), String> {
     let cfg = config();
-    let mut tree = tcvs_merkle::MerkleTree::with_order(cfg.order);
-    for j in 0..GROVE_OPS {
+    let mut tree = MerkleTree::with_order(cfg.order);
+    for j in 0..PEER_OPS {
         if let Op::Put(k, v) = scripted(j) {
             tree.insert(k, v).map_err(|e| format!("insert: {e}"))?;
         }

@@ -7,12 +7,12 @@
 //! reporter or talking to the accused server. [`audit`] does exactly that:
 //! starting from nothing but bundle bytes it re-verifies every embedded
 //! signature against the embedded public keys, re-decodes every
-//! verification object (which re-checks its internal hash chain),
-//! recomputes `grove_root` over the per-shard roots, re-runs the
-//! broadcast sync-up predicates, re-localizes the deviating shards, and
-//! re-runs [`crate::forensics::diagnose`] over the opt-in transition logs
-//! to name the first bad counter — then cross-checks its own conclusions
-//! against what the reporter claimed.
+//! verification object (which re-checks its internal hash chain), re-runs
+//! the broadcast sync-up predicate on each share set, and re-runs
+//! [`crate::forensics::diagnose`] over the opt-in transition logs to name
+//! the first bad counter — then cross-checks its own conclusions against
+//! what the reporter claimed. The bundle's per-shard fields stay; a
+//! deployment runs one server, and that server is shard 0.
 //!
 //! Tampered or forged artifacts never reach the re-derivation: the framing
 //! layer ([`EvidenceBundle::from_bytes`]) rejects them at the exact
@@ -23,17 +23,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use tcvs_crypto::{mss_verify, Digest, MssPublicKey, UserId};
-use tcvs_merkle::{grove_root, VerificationObject};
+use tcvs_merkle::VerificationObject;
 use tcvs_obs::json_escape;
 
 use crate::evidence::{EvidenceBundle, EvidenceError};
 use crate::forensics::{diagnose, TransitionLog, Verdict};
 use crate::msg::{SignedCheckpoint, SignedEpochState};
 use crate::state::signed_payload;
-use crate::sync::{
-    protocol1_grove_sync_ok, protocol1_sync_ok, protocol2_deviating_shards,
-    protocol2_grove_sync_ok, protocol2_sync_ok,
-};
+use crate::sync::{protocol1_sync_ok, protocol2_sync_ok};
 use crate::types::Ctr;
 
 /// One named re-verification step. `passed` means the *honest-server
@@ -257,9 +254,6 @@ pub fn audit(bundle: &EvidenceBundle) -> AuditReport {
     if !bundle.vos.is_empty() {
         checks.push(check_vos(bundle));
     }
-    if let Some(c) = check_grove(bundle) {
-        checks.push(c);
-    }
 
     let mut deviating_shards: Vec<u32> = Vec::new();
     if !bundle.shares.is_empty() {
@@ -400,90 +394,37 @@ fn check_vos(bundle: &EvidenceBundle) -> AuditCheck {
     }
 }
 
-/// Recomputes `grove_root` over the embedded per-shard roots and compares
-/// it to the claimed grove root.
-fn check_grove(bundle: &EvidenceBundle) -> Option<AuditCheck> {
-    let g = bundle.grove.as_ref()?;
-    if g.shard_roots.is_empty() {
-        return Some(AuditCheck {
-            name: "grove-root",
-            passed: false,
-            detail: "grove evidence has zero shard roots".into(),
-        });
-    }
-    let recomputed = grove_root(&g.shard_roots);
-    if recomputed == g.grove_root {
-        Some(AuditCheck {
-            name: "grove-root",
-            passed: true,
-            detail: format!(
-                "recomputed root over {} shard roots matches (epoch {})",
-                g.shard_roots.len(),
-                g.epoch
-            ),
-        })
-    } else {
-        Some(AuditCheck {
-            name: "grove-root",
-            passed: false,
-            detail: format!(
-                "recomputed {} != claimed {} (epoch {})",
-                recomputed.short(),
-                g.grove_root.short(),
-                g.epoch
-            ),
-        })
-    }
-}
-
-/// Re-runs the broadcast sync-up predicate appropriate to the bundle's
-/// protocol, and (for XOR-accumulator protocols) re-localizes the
-/// deviating shards.
+/// Re-runs the broadcast sync-up predicate of the bundle's protocol on each
+/// share set (`shares[s]` pairs with `initials[s]` under Protocol II) and
+/// reports the indices of the sets that fail it.
 fn check_sync(bundle: &EvidenceBundle) -> (AuditCheck, Vec<u32>) {
     let protocol1 = bundle.protocol == "protocol-1";
-    let sharded = bundle.shares.len() > 1;
-    let (ok, shards): (bool, Vec<u32>) = if protocol1 {
-        let ok = if sharded {
-            protocol1_grove_sync_ok(&bundle.shares)
-        } else {
-            protocol1_sync_ok(&bundle.shares[0])
-        };
-        // Protocol I's counter predicate localizes too: a shard whose
-        // shares fail the per-shard predicate is deviating.
-        let shards = bundle
-            .shares
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !protocol1_sync_ok(s))
-            .map(|(i, _)| i as u32)
-            .collect();
-        (ok, shards)
-    } else if bundle.initials.len() == bundle.shares.len() {
-        let ok = if sharded {
-            protocol2_grove_sync_ok(&bundle.initials, &bundle.shares)
-        } else {
-            protocol2_sync_ok(&bundle.initials[0], &bundle.shares[0])
-        };
-        let shards = protocol2_deviating_shards(&bundle.initials, &bundle.shares)
-            .into_iter()
-            .map(|s| s as u32)
-            .collect();
-        (ok, shards)
-    } else {
+    if !protocol1 && bundle.initials.len() != bundle.shares.len() {
         return (
             AuditCheck {
                 name: "sync-predicate",
                 passed: false,
                 detail: format!(
-                    "{} initial tokens for {} shard share-sets",
+                    "{} initial tokens for {} share sets",
                     bundle.initials.len(),
                     bundle.shares.len()
                 ),
             },
             Vec::new(),
         );
+    }
+    let passes = |s: usize| {
+        if protocol1 {
+            protocol1_sync_ok(&bundle.shares[s])
+        } else {
+            protocol2_sync_ok(&bundle.initials[s], &bundle.shares[s])
+        }
     };
-    let check = if ok {
+    let failing: Vec<u32> = (0..bundle.shares.len())
+        .filter(|&s| !passes(s))
+        .map(|s| s as u32)
+        .collect();
+    let check = if failing.is_empty() {
         AuditCheck {
             name: "sync-predicate",
             passed: true,
@@ -493,10 +434,10 @@ fn check_sync(bundle: &EvidenceBundle) -> (AuditCheck, Vec<u32>) {
         AuditCheck {
             name: "sync-predicate",
             passed: false,
-            detail: format!("sync-up predicate fails; shards {shards:?} deviate"),
+            detail: format!("sync-up predicate fails; share sets {failing:?} deviate"),
         }
     };
-    (check, shards)
+    (check, failing)
 }
 
 /// Cross-checks the reporter's claimed deviating shards against the
@@ -594,7 +535,7 @@ mod tests {
     use tcvs_crypto::{setup_users, sha256};
     use tcvs_obs::MetricsRegistry;
 
-    use crate::evidence::{EvidenceBuilder, EvidenceKind, GroveEvidence};
+    use crate::evidence::{EvidenceBuilder, EvidenceKind};
     use crate::forensics::LoggedTransition;
     use crate::msg::{SignedState, SyncShare};
     use crate::state::{signed_payload, state_token};
@@ -676,18 +617,11 @@ mod tests {
         let metrics = MetricsRegistry::new();
         metrics.counter("sync.rounds").add(2);
 
-        EvidenceBuilder::new(EvidenceKind::ShardLocalization, 99, "protocol-2")
+        EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 99, "protocol-2")
             .captured_at(12)
-            .description("seeded 1-of-2 shard fork")
+            .description("seeded fork in share set 1 of 2")
             .deviation(&crate::types::Deviation::SyncFailed)
             .initials(&initials)
-            .grove(GroveEvidence {
-                epoch: 1,
-                shard_roots: vec![sha256(b"gr0"), sha256(b"gr1")],
-                shard_ctrs: vec![1, 3],
-                shard_last_users: vec![0, 2],
-                grove_root: grove_root(&[sha256(b"gr0"), sha256(b"gr1")]),
-            })
             .claimed_shards([1usize])
             .shares(vec![shard0, shard1])
             .signed_state(SignedState {
@@ -728,10 +662,6 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.name == "deposit-signatures" && c.passed));
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "grove-root" && c.passed));
         let text = report.render_text();
         assert!(text.contains("DEVIATION CONFIRMED"), "{text}");
         assert!(text.contains("shard 1"), "{text}");

@@ -26,11 +26,12 @@ use tcvs_crypto::{Digest, UserId};
 use tcvs_merkle::{replay_batch_unanchored, replay_unanchored, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
-use crate::evidence::{EvidenceBuilder, EvidenceBundle, EvidenceKind};
+use crate::evidence::{EvidenceBuilder, EvidenceBundle, EvidenceKind, TriggerInfo};
 use crate::forensics::{LoggedTransition, TransitionLog};
 use crate::msg::{BatchResponse, ServerResponse, SyncShare};
 use crate::protocol::{Port, Protocol};
 use crate::state::{initial_token, state_token};
+use crate::sync::protocol2_sync_ok;
 use crate::types::{Ctr, Deviation, ProtocolConfig};
 
 /// Protocol II client state machine. Constant-size state (§2.2.5).
@@ -79,16 +80,15 @@ impl Client2 {
     }
 
     /// A session that joins **mid-history**, anchored at a published state
-    /// `(root, ctr, last_user)` — e.g. a grove epoch, or a server restored
-    /// by verified state sync.
+    /// `(root, ctr, last_user)` — e.g. the server's sampled state, or the
+    /// state of a server restored by verified state sync.
     ///
     /// The σ fold telescopes from the join-point state token instead of
     /// the genesis token: at sync-up, `initial ⊕ lastᵢ` cancels exactly the
     /// transitions witnessed *since the join*, so a late joiner (or a
-    /// client rejoining a bootstrapped shard) evaluates the Protocol II
-    /// predicate over its own era without replaying history. The join
-    /// anchor must come from a trusted source (a published epoch the user
-    /// verified, or the anchor of a verified bootstrap); joining at a lie
+    /// client of a server restored from a peer's chunks) evaluates the
+    /// Protocol II predicate over its own era without replaying history.
+    /// The join anchor is the server's word until then: joining at a lie
     /// surfaces as a failed sync-up, same as any fork.
     pub fn join(
         user: UserId,
@@ -307,6 +307,40 @@ impl Client2 {
             sigma: self.sigma,
             last: self.last,
         }
+    }
+
+    /// The evidence of a failed sync-up, `None` when the shares pass.
+    ///
+    /// The builder holds this user's view: its anchor token, every user's
+    /// share, the claim that server 0 (the only one) deviated, and this
+    /// user's transition log when logging is on. It is returned unsealed so
+    /// the sync-up harness can graft in what one client cannot know — the
+    /// other users' logs, which fork diagnosis needs to name the fork
+    /// point — before `.build()`.
+    pub fn sync_evidence(
+        &self,
+        seed: u64,
+        captured_at: u64,
+        shares: &[SyncShare],
+    ) -> Option<EvidenceBuilder> {
+        if protocol2_sync_ok(&self.initial, shares) {
+            return None;
+        }
+        let mut b = EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, seed, "protocol-2")
+            .captured_at(captured_at)
+            .description(format!("user {} saw the sync-up fail", self.user))
+            .trigger(TriggerInfo {
+                user: Some(self.user),
+                shard: Some(0),
+                ..TriggerInfo::from_deviation(&Deviation::SyncFailed)
+            })
+            .initials(&[self.initial])
+            .shares(vec![shares.to_vec()])
+            .claimed_shards([0]);
+        if let Some(log) = &self.log {
+            b = b.transition_log(0, self.user, log);
+        }
+        Some(b)
     }
 
     /// This user's success predicate:

@@ -8,7 +8,7 @@
 //! an independent verifier (`tcvs-audit`, or the paper's "external
 //! mechanism, e.g. law enforcement") needs to re-derive the verdict cold —
 //! the triggering deviation, the offending signed deposits, the sync-up
-//! shares, the grove epoch, opt-in transition logs, the span-carrying
+//! shares, opt-in transition logs, the span-carrying
 //! trace tail, the flight-recorder tail, and a metrics snapshot, plus the
 //! public keys every embedded signature verifies against.
 //!
@@ -25,6 +25,16 @@
 //! digest makes any single-byte mutation detectable before field-level
 //! parsing even begins; field-level parsing then rejects structural
 //! tampering at the exact offending field ([`EvidenceError::Malformed`]).
+//!
+//! ## Per-shard fields and retired slots
+//!
+//! The per-shard collections (`initials`, `shares`, `transition_logs`,
+//! the claimed shard set, the trigger's shard) stay in the format; the one
+//! server a deployment runs is shard 0. Two slots are retired: the grove
+//! sample (always written absent) and the kind tags 2 and 3 of the grove
+//! reader and grove sync-up capture sites. A bundle that carries either
+//! is refused at that field ([`EvidenceError::Malformed`] naming `grove`
+//! or `kind`); every other bundle decodes as it always did.
 
 use std::fmt;
 
@@ -52,11 +62,6 @@ pub enum EvidenceKind {
     ProtocolVerdict,
     /// `verify_batch_response` rejected a batched window.
     BatchVerifyFailure,
-    /// A grove snapshot reader rejected a read. Nothing captures it any
-    /// more; the tag stays so bundles that carry it still decode.
-    GroveVerifyFailure,
-    /// A grove sync-up failed and the deviating shard(s) were localized.
-    ShardLocalization,
     /// A bootstrap chunk failed its root-anchored proof (forgery).
     BootstrapForgery,
     /// The simulation oracle observed a deviation.
@@ -69,8 +74,6 @@ impl EvidenceKind {
         match self {
             EvidenceKind::ProtocolVerdict => 0,
             EvidenceKind::BatchVerifyFailure => 1,
-            EvidenceKind::GroveVerifyFailure => 2,
-            EvidenceKind::ShardLocalization => 3,
             EvidenceKind::BootstrapForgery => 4,
             EvidenceKind::OracleDeviation => 5,
         }
@@ -80,10 +83,10 @@ impl EvidenceKind {
         Ok(match tag {
             0 => EvidenceKind::ProtocolVerdict,
             1 => EvidenceKind::BatchVerifyFailure,
-            2 => EvidenceKind::GroveVerifyFailure,
-            3 => EvidenceKind::ShardLocalization,
             4 => EvidenceKind::BootstrapForgery,
             5 => EvidenceKind::OracleDeviation,
+            // The retired grove snapshot reader and grove sync-up sites.
+            2 | 3 => return Err(DecodeError::Invalid("retired grove evidence kind")),
             t => return Err(DecodeError::BadTag(t)),
         })
     }
@@ -93,8 +96,6 @@ impl EvidenceKind {
         match self {
             EvidenceKind::ProtocolVerdict => "protocol-verdict",
             EvidenceKind::BatchVerifyFailure => "batch-verify-failure",
-            EvidenceKind::GroveVerifyFailure => "grove-verify-failure",
-            EvidenceKind::ShardLocalization => "shard-localization",
             EvidenceKind::BootstrapForgery => "bootstrap-forgery",
             EvidenceKind::OracleDeviation => "oracle-deviation",
         }
@@ -147,23 +148,6 @@ impl TriggerInfo {
     }
 }
 
-/// The grove epoch sample the incident happened under: the published
-/// per-shard roots/counters and the combined root they commit to.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroveEvidence {
-    /// The published grove epoch number.
-    pub epoch: u64,
-    /// Per-shard root digests at the epoch.
-    pub shard_roots: Vec<Digest>,
-    /// Per-shard operation counters at the epoch.
-    pub shard_ctrs: Vec<Ctr>,
-    /// Per-shard last operating users at the epoch.
-    pub shard_last_users: Vec<UserId>,
-    /// The combined grove root the shard roots claim to fold into
-    /// (re-derived and checked by the audit).
-    pub grove_root: Digest,
-}
-
 /// One counter or gauge from the capture-time metrics snapshot.
 /// Histograms measure wall-clock time and are deliberately excluded —
 /// they would break byte stability across re-runs of the same seed.
@@ -210,10 +194,8 @@ pub struct EvidenceBundle {
     pub description: String,
     /// The claimed trigger (cross-checked by the audit, not trusted).
     pub trigger: TriggerInfo,
-    /// Per-shard initial state tokens (one entry for unsharded runs).
+    /// Per-shard initial state tokens (one entry: the server is shard 0).
     pub initials: Vec<Digest>,
-    /// The grove epoch sample, when the incident involved a grove.
-    pub grove: Option<GroveEvidence>,
     /// Shards the reporter claims deviated (audit recomputes its own set).
     pub claimed_deviating_shards: Vec<u32>,
     /// Broadcast sync-up shares, grouped per shard (`shares[s]` pairs with
@@ -287,17 +269,51 @@ fn fld<T>(field: impl Into<String>, r: Result<T, DecodeError>) -> Result<T, Evid
     })
 }
 
-/// Reads a collection count, bounding it so a corrupt length prefix cannot
-/// request an absurd allocation.
-fn counted(field: &str, r: &mut Reader) -> Result<usize, EvidenceError> {
+/// Reads a collection count whose items each encode to at least
+/// `min_item` bytes, refusing one past [`MAX_ITEMS`] or one the remaining
+/// input cannot hold. The integrity digest is unkeyed, so anyone can seal a
+/// bundle with a forged count; this bound is what keeps the decoder's
+/// `with_capacity` proportional to the bytes it was actually given.
+fn counted(field: &str, r: &mut Reader, min_item: usize) -> Result<usize, EvidenceError> {
     let n = fld(field, r.u32())?;
-    if n > MAX_ITEMS {
-        return Err(EvidenceError::Malformed {
+    let refuse = |why| {
+        Err(EvidenceError::Malformed {
             field: field.into(),
-            err: DecodeError::Invalid("count too large"),
-        });
+            err: DecodeError::Invalid(why),
+        })
+    };
+    if n > MAX_ITEMS {
+        return refuse("count too large");
+    }
+    if (n as usize).saturating_mul(min_item) > r.remaining() {
+        return refuse("count exceeds the remaining input");
     }
     Ok(n as usize)
+}
+
+/// Least encoded sizes of the bundle's collection items: the fixed-width
+/// fields of each, with every string, byte string, signature and option
+/// taken at its smallest.
+mod min_len {
+    const DIGEST: usize = 32;
+    pub const INITIAL: usize = DIGEST;
+    pub const SHARD: usize = 4;
+    /// A share set: its item count.
+    pub const SHARE_SET: usize = 4;
+    pub const SHARE: usize = 4 + 8 + 8 + DIGEST + 1;
+    pub const SIGNED_STATE: usize = 4 + DIGEST + 8;
+    pub const EPOCH_STATE: usize = 4 + 8 + DIGEST + 1 + 8;
+    pub const CHECKPOINT: usize = 8 + 4 + DIGEST;
+    /// A VO: its length prefix.
+    pub const VO: usize = 8;
+    pub const KEY: usize = 4 + DIGEST + 4;
+    /// A shard's log set: the shard and its user count.
+    pub const LOG_SET: usize = 4 + 4;
+    /// One user's log: the user and its entry count.
+    pub const USER_LOG: usize = 4 + 4;
+    pub const TRANSITION: usize = DIGEST + DIGEST + 8 + 4;
+    pub const EVENT: usize = 8 + 1 + 4 + 8 + 1;
+    pub const METRIC: usize = 1 + 8 + 8;
 }
 
 impl EvidenceBundle {
@@ -322,22 +338,8 @@ impl EvidenceBundle {
         for d in &self.initials {
             wire::put_digest(&mut w, d);
         }
-        w.opt(self.grove.as_ref(), |w, g| {
-            w.u64(g.epoch);
-            w.u32(g.shard_roots.len() as u32);
-            for d in &g.shard_roots {
-                wire::put_digest(w, d);
-            }
-            w.u32(g.shard_ctrs.len() as u32);
-            for c in &g.shard_ctrs {
-                w.u64(*c);
-            }
-            w.u32(g.shard_last_users.len() as u32);
-            for u in &g.shard_last_users {
-                w.u32(*u);
-            }
-            wire::put_digest(w, &g.grove_root);
-        });
+        // The retired grove sample, always absent.
+        w.u8(0);
         w.u32(self.claimed_deviating_shards.len() as u32);
         for s in &self.claimed_deviating_shards {
             w.u32(*s);
@@ -453,58 +455,32 @@ impl EvidenceBundle {
             ctr: fld("trigger.ctr", r.opt(Reader::u64))?,
         };
 
-        let n = counted("initials", &mut r)?;
+        let n = counted("initials", &mut r, min_len::INITIAL)?;
         let mut initials = Vec::with_capacity(n);
         for i in 0..n {
             initials.push(fld(format!("initials[{i}]"), wire::get_digest(&mut r))?);
         }
-        let grove = match fld("grove", r.u8())? {
-            0 => None,
-            1 => {
-                let epoch = fld("grove.epoch", r.u64())?;
-                let n = counted("grove.shard_roots", &mut r)?;
-                let mut shard_roots = Vec::with_capacity(n);
-                for i in 0..n {
-                    shard_roots.push(fld(
-                        format!("grove.shard_roots[{i}]"),
-                        wire::get_digest(&mut r),
-                    )?);
-                }
-                let n = counted("grove.shard_ctrs", &mut r)?;
-                let mut shard_ctrs = Vec::with_capacity(n);
-                for i in 0..n {
-                    shard_ctrs.push(fld(format!("grove.shard_ctrs[{i}]"), r.u64())?);
-                }
-                let n = counted("grove.shard_last_users", &mut r)?;
-                let mut shard_last_users = Vec::with_capacity(n);
-                for i in 0..n {
-                    shard_last_users.push(fld(format!("grove.shard_last_users[{i}]"), r.u32())?);
-                }
-                let grove_root = fld("grove.grove_root", wire::get_digest(&mut r))?;
-                Some(GroveEvidence {
-                    epoch,
-                    shard_roots,
-                    shard_ctrs,
-                    shard_last_users,
-                    grove_root,
-                })
-            }
+        match fld("grove", r.u8())? {
+            0 => {}
             t => {
                 return Err(EvidenceError::Malformed {
                     field: "grove".into(),
-                    err: DecodeError::BadTag(t),
+                    err: match t {
+                        1 => DecodeError::Invalid("retired grove sample"),
+                        t => DecodeError::BadTag(t),
+                    },
                 })
             }
-        };
-        let n = counted("claimed_deviating_shards", &mut r)?;
+        }
+        let n = counted("claimed_deviating_shards", &mut r, min_len::SHARD)?;
         let mut claimed_deviating_shards = Vec::with_capacity(n);
         for i in 0..n {
             claimed_deviating_shards.push(fld(format!("claimed_deviating_shards[{i}]"), r.u32())?);
         }
-        let n = counted("shares", &mut r)?;
+        let n = counted("shares", &mut r, min_len::SHARE_SET)?;
         let mut shares = Vec::with_capacity(n);
         for s in 0..n {
-            let m = counted(&format!("shares[{s}]"), &mut r)?;
+            let m = counted(&format!("shares[{s}]"), &mut r, min_len::SHARE)?;
             let mut shard = Vec::with_capacity(m);
             for i in 0..m {
                 shard.push(fld(
@@ -514,7 +490,7 @@ impl EvidenceBundle {
             }
             shares.push(shard);
         }
-        let n = counted("signed_states", &mut r)?;
+        let n = counted("signed_states", &mut r, min_len::SIGNED_STATE)?;
         let mut signed_states = Vec::with_capacity(n);
         for i in 0..n {
             signed_states.push(fld(
@@ -522,7 +498,7 @@ impl EvidenceBundle {
                 wire::get_signed_state(&mut r),
             )?);
         }
-        let n = counted("epoch_states", &mut r)?;
+        let n = counted("epoch_states", &mut r, min_len::EPOCH_STATE)?;
         let mut epoch_states = Vec::with_capacity(n);
         for i in 0..n {
             epoch_states.push(fld(
@@ -530,7 +506,7 @@ impl EvidenceBundle {
                 wire::get_epoch_state(&mut r),
             )?);
         }
-        let n = counted("checkpoints", &mut r)?;
+        let n = counted("checkpoints", &mut r, min_len::CHECKPOINT)?;
         let mut checkpoints = Vec::with_capacity(n);
         for i in 0..n {
             checkpoints.push(fld(
@@ -538,27 +514,35 @@ impl EvidenceBundle {
                 wire::get_audit_checkpoint(&mut r),
             )?);
         }
-        let n = counted("vos", &mut r)?;
+        let n = counted("vos", &mut r, min_len::VO)?;
         let mut vos = Vec::with_capacity(n);
         for i in 0..n {
             vos.push(fld(format!("vos[{i}]"), r.bytes())?.to_vec());
         }
-        let n = counted("keys", &mut r)?;
+        let n = counted("keys", &mut r, min_len::KEY)?;
         let mut keys = Vec::with_capacity(n);
         for i in 0..n {
             let u = fld(format!("keys[{i}].user"), r.u32())?;
             let pk = fld(format!("keys[{i}].key"), wire::get_mss_public_key(&mut r))?;
             keys.push((u, pk));
         }
-        let n = counted("transition_logs", &mut r)?;
+        let n = counted("transition_logs", &mut r, min_len::LOG_SET)?;
         let mut transition_logs = Vec::with_capacity(n);
         for s in 0..n {
             let shard = fld(format!("transition_logs[{s}].shard"), r.u32())?;
-            let m = counted(&format!("transition_logs[{s}].users"), &mut r)?;
+            let m = counted(
+                &format!("transition_logs[{s}].users"),
+                &mut r,
+                min_len::USER_LOG,
+            )?;
             let mut users = Vec::with_capacity(m);
             for j in 0..m {
                 let u = fld(format!("transition_logs[{s}].users[{j}].user"), r.u32())?;
-                let len = counted(&format!("transition_logs[{s}].users[{j}].log"), &mut r)?;
+                let len = counted(
+                    &format!("transition_logs[{s}].users[{j}].log"),
+                    &mut r,
+                    min_len::TRANSITION,
+                )?;
                 let mut log = TransitionLog::new();
                 for i in 0..len {
                     log.record(fld(
@@ -570,17 +554,17 @@ impl EvidenceBundle {
             }
             transition_logs.push((shard, users));
         }
-        let n = counted("events", &mut r)?;
+        let n = counted("events", &mut r, min_len::EVENT)?;
         let mut events = Vec::with_capacity(n);
         for i in 0..n {
             events.push(fld(format!("events[{i}]"), wire::get_event(&mut r))?);
         }
-        let n = counted("flight_tail", &mut r)?;
+        let n = counted("flight_tail", &mut r, min_len::EVENT)?;
         let mut flight_tail = Vec::with_capacity(n);
         for i in 0..n {
             flight_tail.push(fld(format!("flight_tail[{i}]"), wire::get_event(&mut r))?);
         }
-        let n = counted("metrics", &mut r)?;
+        let n = counted("metrics", &mut r, min_len::METRIC)?;
         let mut metrics = Vec::with_capacity(n);
         for i in 0..n {
             let sample = match fld(format!("metrics[{i}].kind"), r.u8())? {
@@ -610,7 +594,6 @@ impl EvidenceBundle {
             description,
             trigger,
             initials,
-            grove,
             claimed_deviating_shards,
             shares,
             signed_states,
@@ -649,7 +632,6 @@ impl EvidenceBuilder {
                 description: String::new(),
                 trigger: TriggerInfo::default(),
                 initials: Vec::new(),
-                grove: None,
                 claimed_deviating_shards: Vec::new(),
                 shares: Vec::new(),
                 signed_states: Vec::new(),
@@ -696,12 +678,6 @@ impl EvidenceBuilder {
     /// Sets the per-shard initial state tokens.
     pub fn initials(mut self, initials: &[Digest]) -> Self {
         self.b().initials = initials.to_vec();
-        self
-    }
-
-    /// Attaches the grove epoch sample.
-    pub fn grove(mut self, g: GroveEvidence) -> Self {
-        self.b().grove = Some(g);
         self
     }
 
@@ -845,7 +821,7 @@ mod tests {
         let payload = signed_payload(&root, 5);
         let sig = rings[0].sign(&payload).unwrap();
         let registry_metrics = MetricsRegistry::new();
-        registry_metrics.counter("net.shard.0.routed").add(9);
+        registry_metrics.counter("net.retries").add(9);
         registry_metrics.gauge("net.depth").set(-3);
         registry_metrics.histogram("net.op_micros").observe(12);
         let mut log = TransitionLog::new();
@@ -855,18 +831,11 @@ mod tests {
             ctr: 1,
             user: 0,
         });
-        EvidenceBuilder::new(EvidenceKind::ShardLocalization, 42, "protocol-2")
+        EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 42, "protocol-2")
             .captured_at(17)
-            .description("1-of-4 shard fork")
+            .description("a fork caught at sync-up")
             .deviation(&Deviation::SyncFailed)
             .initials(&[sha256(b"i0"), sha256(b"i1")])
-            .grove(GroveEvidence {
-                epoch: 3,
-                shard_roots: vec![sha256(b"r0"), sha256(b"r1")],
-                shard_ctrs: vec![10, 12],
-                shard_last_users: vec![0, 1],
-                grove_root: sha256(b"g"),
-            })
             .claimed_shards([1usize])
             .shares(vec![
                 vec![SyncShare {
@@ -901,7 +870,7 @@ mod tests {
         let bytes = b.to_bytes();
         let back = EvidenceBundle::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes, "encode∘decode is identity");
-        assert_eq!(back.kind, EvidenceKind::ShardLocalization);
+        assert_eq!(back.kind, EvidenceKind::ProtocolVerdict);
         assert_eq!(back.seed, 42);
         assert_eq!(back.claimed_deviating_shards, vec![1]);
         assert_eq!(back.initials.len(), 2);
@@ -912,13 +881,10 @@ mod tests {
         // Histograms were dropped; counters and gauges kept.
         assert!(back.metrics.iter().all(|m| m.name() != "net.op_micros"));
         assert_eq!(back.metrics.len(), 2);
-        // Every kind's tag decodes, including `GroveVerifyFailure`, which
-        // no capture site produces any more: persisted bundles stay readable.
+        // Every kind's tag decodes.
         for kind in [
             EvidenceKind::ProtocolVerdict,
             EvidenceKind::BatchVerifyFailure,
-            EvidenceKind::GroveVerifyFailure,
-            EvidenceKind::ShardLocalization,
             EvidenceKind::BootstrapForgery,
             EvidenceKind::OracleDeviation,
         ] {
@@ -984,6 +950,52 @@ mod tests {
                 assert!(!field.is_empty(), "field path is present");
             }
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// Re-seals `payload` (magic included) under a valid digest, as anyone
+    /// can: the digest is unkeyed.
+    fn reseal(mut payload: Vec<u8>) -> Vec<u8> {
+        let digest = sha256(&payload);
+        payload.extend_from_slice(digest.as_bytes());
+        payload
+    }
+
+    /// A bundle sealed before the grove was deleted decodes unless it
+    /// carries a grove slot: a grove sample or a grove kind tag is refused
+    /// at that field, under a valid digest.
+    #[test]
+    fn retired_grove_slots_are_refused_by_field() {
+        let bytes = sample_bundle().to_bytes();
+        let payload = &bytes[..bytes.len() - Digest::LEN];
+        // magic 8, version 4: the kind tag is byte 12.
+        for tag in [2u8, 3] {
+            let mut old = payload.to_vec();
+            old[12] = tag;
+            match EvidenceBundle::from_bytes(&reseal(old)) {
+                Err(EvidenceError::Malformed { field, err }) => {
+                    assert_eq!(field, "kind");
+                    assert_eq!(err, DecodeError::Invalid("retired grove evidence kind"));
+                }
+                other => panic!("kind tag {tag} decoded: {other:?}"),
+            }
+        }
+        // The grove slot follows the initials; a present sample is tag 1.
+        let last_initial = sample_bundle().initials[1];
+        let at = payload
+            .windows(Digest::LEN)
+            .position(|w| w == last_initial.as_bytes())
+            .expect("the last initial is in the payload")
+            + Digest::LEN;
+        assert_eq!(payload[at], 0, "the grove sample is always absent");
+        let mut old = payload.to_vec();
+        old[at] = 1;
+        match EvidenceBundle::from_bytes(&reseal(old)) {
+            Err(EvidenceError::Malformed { field, err }) => {
+                assert_eq!(field, "grove");
+                assert_eq!(err, DecodeError::Invalid("retired grove sample"));
+            }
+            other => panic!("a grove sample decoded: {other:?}"),
         }
     }
 

@@ -14,17 +14,6 @@ use std::collections::BTreeMap;
 
 use tcvs_crypto::SeedRng;
 
-/// splitmix64's output mix (Steele et al.): a cheap, high-quality 64-bit
-/// finalizer. Used to derive independent per-link fault sub-seeds and to
-/// spread the shard router's key hash; must stay bit-identical forever —
-/// derived fault streams and key routing are pinned to it.
-pub(crate) const fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One benign fault, applied to the operation scheduled at some index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -251,27 +240,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Derives the sub-seed for link `link_id` of a multi-link deployment
-    /// seeded with `seed`.
-    ///
-    /// Interposing several `FaultLink`s from one top-level seed must not
-    /// produce *correlated* fault streams — a grove where every shard link
-    /// drops the same op indices in lockstep is not N independent flaky
-    /// links, it is one flaky link copied N times, and it under-exercises
-    /// the recovery paths. The sub-seed mixes the link id through
-    /// splitmix64 so adjacent link ids land far apart in seed space.
-    pub fn link_subseed(seed: u64, link_id: u64) -> u64 {
-        splitmix64(seed ^ splitmix64(link_id))
-    }
-
-    /// [`FaultPlan::seeded`], but for link `link_id` of a deployment seeded
-    /// with `seed`: each link gets its own independent pseudo-random
-    /// stream. `seeded_for_link(s, a, ..) == seeded(link_subseed(s, a), ..)`
-    /// by construction.
-    pub fn seeded_for_link(seed: u64, link_id: u64, n_ops: u64, rates: &FaultRates) -> FaultPlan {
-        FaultPlan::seeded(FaultPlan::link_subseed(seed, link_id), n_ops, rates)
-    }
-
     /// The fault scheduled at operation `op_index`, if any.
     pub fn fault_at(&self, op_index: u64) -> Option<FaultKind> {
         self.faults.get(&op_index).copied()
@@ -425,53 +393,6 @@ mod tests {
         }
         assert_eq!(kinds, [true; 4], "all four storage faults appear");
         assert_eq!(plan.counts().storage, 200);
-    }
-
-    /// The derived per-link seeds are pinned: changing `link_subseed` (or
-    /// `splitmix64`) would silently re-seed every multi-link experiment, so
-    /// the exact constants are frozen here.
-    #[test]
-    fn link_subseeds_are_pinned() {
-        assert_eq!(FaultPlan::link_subseed(0, 0), 0xa706_dd2f_4d19_7e6f);
-        assert_eq!(FaultPlan::link_subseed(0, 1), 0x5e41_ab08_7439_611e);
-        assert_eq!(FaultPlan::link_subseed(7, 0), 0x64bf_61b5_12ff_abe7);
-        assert_eq!(FaultPlan::link_subseed(7, 3), 0xe880_a903_bcff_6547);
-    }
-
-    #[test]
-    fn per_link_plans_are_independent_and_reproducible() {
-        let rates = FaultRates::heavy();
-        // Reproducible: the derived plan equals seeding with the sub-seed.
-        let a = FaultPlan::seeded_for_link(42, 0, 400, &rates);
-        assert_eq!(
-            a,
-            FaultPlan::seeded(FaultPlan::link_subseed(42, 0), 400, &rates)
-        );
-        assert_eq!(a, FaultPlan::seeded_for_link(42, 0, 400, &rates));
-        // Independent: links from the same top-level seed see different
-        // streams (the pre-fix behavior — every link replaying the identical
-        // plan — would make all of these equal).
-        let plans: Vec<FaultPlan> = (0..8)
-            .map(|link| FaultPlan::seeded_for_link(42, link, 400, &rates))
-            .collect();
-        for i in 0..plans.len() {
-            for j in i + 1..plans.len() {
-                assert_ne!(plans[i], plans[j], "links {i} and {j} correlated");
-            }
-        }
-        // And not just different as a whole: identical streams would share
-        // *all* their fault indices; independent ones share only the
-        // product of their densities (heavy ≈ 60%, so ≈ 60% of each).
-        let idx = |p: &FaultPlan| p.iter().map(|(op, _)| op).collect::<Vec<u64>>();
-        let a_idx = idx(&plans[0]);
-        let b_idx = idx(&plans[1]);
-        let shared = a_idx.iter().filter(|op| b_idx.contains(op)).count();
-        let min = a_idx.len().min(b_idx.len());
-        assert!(
-            shared * 10 < min * 8,
-            "links 0 and 1 share {shared} of {min} fault indices — \
-             lockstep streams, not independent ones"
-        );
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod forensics;
 pub mod msg;
 mod protocol;
 pub mod server;
-pub mod shard;
 pub mod state;
 pub mod strawman;
 pub mod sync;
@@ -60,8 +59,7 @@ pub use client1::Client1;
 pub use client2::Client2;
 pub use client3::Client3;
 pub use evidence::{
-    EvidenceBuilder, EvidenceBundle, EvidenceError, EvidenceKind, GroveEvidence, MetricSample,
-    TriggerInfo,
+    EvidenceBuilder, EvidenceBundle, EvidenceError, EvidenceKind, MetricSample, TriggerInfo,
 };
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultRates, StorageFault};
 pub use forensics::{diagnose, diagnose_with_timeline, DiagnosisReport, TransitionLog, Verdict};
@@ -73,7 +71,6 @@ pub use server::{
     HonestServer, PipelinedResponse, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerSnapshot,
 };
-pub use shard::ShardRouter;
 pub use types::{Ctr, Deviation, Epoch, ProtocolConfig, ProtocolKind};
 
 // Re-export the vocabulary types users of this crate always need.

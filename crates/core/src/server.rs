@@ -458,7 +458,7 @@ impl ServerSnapshot {
 
 /// An immutable, structurally shared view of the server's database as of a
 /// particular operation counter: what bootstrap chunks are cut from and
-/// what a grove epoch samples.
+/// what a state sample reads.
 ///
 /// Capturing one is O(1) (tree clone is a root-pointer copy). While one is
 /// held, the next write copies the spine it touches, leaving this
@@ -588,12 +588,12 @@ pub trait ServerApi {
     /// exposes none. Transports serve two things from it, neither of them
     /// trusted by the party that receives it: bootstrap chunks, which the
     /// client verifies against a root it pins, and the `(root, ctr,
-    /// last_user)` sample behind a grove epoch, which a session joining at
-    /// it checks at its next sync-up. No user operation is ever answered
+    /// last_user)` sample a late joiner anchors at, which a session joining
+    /// at it checks at its next sync-up. No user operation is ever answered
     /// from it.
     ///
     /// The default is `None`, so a server that keeps it serves no
-    /// bootstrap and no grove epoch.
+    /// bootstrap and no sample.
     fn read_snapshot(&self) -> Option<ReadSnapshot> {
         None
     }

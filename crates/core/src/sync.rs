@@ -30,50 +30,6 @@ pub fn protocol2_sync_ok(initial: &Digest, shares: &[SyncShare]) -> bool {
         .any(|last| *initial ^ last == x)
 }
 
-/// Protocol I aggregate outcome across a grove: every shard's sync-up must
-/// succeed independently.
-///
-/// The grove epoch rule (DESIGN.md "Sharded grove"): at a sync-up, all
-/// shard roots are sampled at one published grove epoch, users exchange one
-/// share *per shard*, and the grove passes iff each shard's share set
-/// passes [`protocol1_sync_ok`] on its own. There is no useful cross-shard
-/// cancellation for counters — summing lctrs across shards would let a
-/// shard that under-counts hide behind one that over-counts.
-pub fn protocol1_grove_sync_ok(per_shard: &[Vec<SyncShare>]) -> bool {
-    !per_shard.is_empty() && per_shard.iter().all(|shares| protocol1_sync_ok(shares))
-}
-
-/// Protocol II aggregate outcome across a grove: conjunction of the
-/// per-shard predicates, one initial state token per shard.
-///
-/// Deliberately *not* `⊕ᵢ initialᵢ ⊕ lastᵢ == ⊕ᵢ,ₖ σᵢₖ` (the single-XOR
-/// composition): XOR over shards would cancel a *pair* of compensating
-/// lies on two shards. Evaluating each shard independently keeps the
-/// paper's Theorem 4.2 k-bound per shard, so a lie confined to one shard
-/// is caught exactly as on a single server and is localized for free —
-/// see [`protocol2_deviating_shards`].
-pub fn protocol2_grove_sync_ok(initials: &[Digest], per_shard: &[Vec<SyncShare>]) -> bool {
-    initials.len() == per_shard.len()
-        && !per_shard.is_empty()
-        && initials
-            .iter()
-            .zip(per_shard)
-            .all(|(initial, shares)| protocol2_sync_ok(initial, shares))
-}
-
-/// The shards whose Protocol II sync-up failed — the grove's localization
-/// bonus: a failed grove sync-up names the deviating shard(s) instead of
-/// just the fact of deviation.
-pub fn protocol2_deviating_shards(initials: &[Digest], per_shard: &[Vec<SyncShare>]) -> Vec<usize> {
-    initials
-        .iter()
-        .zip(per_shard)
-        .enumerate()
-        .filter(|(_, (initial, shares))| !protocol2_sync_ok(initial, shares))
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Total broadcast traffic in bytes for one sync-up round with `n` users
 /// (everyone broadcasts one share to everyone).
 pub fn sync_traffic_bytes(shares: &[SyncShare]) -> usize {
@@ -155,74 +111,6 @@ mod tests {
         let initial = sha256(b"init");
         let shares = vec![share(0, 0, 0, sha256(b"garbage"), None)];
         assert!(!protocol2_sync_ok(&initial, &shares));
-    }
-
-    #[test]
-    fn grove_p1_requires_every_shard_to_pass() {
-        let ok = vec![
-            share(0, 3, 2, Digest::ZERO, None),
-            share(1, 2, 5, Digest::ZERO, None),
-        ];
-        let bad = vec![
-            share(0, 3, 2, Digest::ZERO, None),
-            share(1, 3, 5, Digest::ZERO, None),
-        ];
-        assert!(protocol1_grove_sync_ok(&[ok.clone(), ok.clone()]));
-        assert!(!protocol1_grove_sync_ok(&[ok, bad]));
-        assert!(!protocol1_grove_sync_ok(&[]));
-    }
-
-    #[test]
-    fn grove_p2_localizes_a_single_shard_fork() {
-        let init_a = sha256(b"init-a");
-        let init_b = sha256(b"init-b");
-        let t1 = sha256(b"t1");
-        let t2 = sha256(b"t2");
-        // Honest chain on a shard: init -> t1 (user 0) -> t2 (user 1).
-        let honest = |init: Digest| {
-            vec![
-                share(0, 1, 1, init ^ t1, Some(t1)),
-                share(1, 1, 2, t1 ^ t2, Some(t2)),
-            ]
-        };
-        // Forked shard: both users extend init independently.
-        let forked = |init: Digest| {
-            vec![
-                share(0, 1, 1, init ^ t1, Some(t1)),
-                share(1, 1, 1, init ^ t2, Some(t2)),
-            ]
-        };
-        let initials = [init_a, init_b];
-        assert!(protocol2_grove_sync_ok(
-            &initials,
-            &[honest(init_a), honest(init_b)]
-        ));
-        assert!(!protocol2_grove_sync_ok(
-            &initials,
-            &[honest(init_a), forked(init_b)]
-        ));
-        assert_eq!(
-            protocol2_deviating_shards(&initials, &[honest(init_a), forked(init_b)]),
-            vec![1],
-            "the fork is localized to shard 1"
-        );
-        assert_eq!(
-            protocol2_deviating_shards(&initials, &[honest(init_a), honest(init_b)]),
-            Vec::<usize>::new()
-        );
-        // A compensating pair of lies must NOT cancel across shards: both
-        // shards forked still fails (each fails independently).
-        assert!(!protocol2_grove_sync_ok(
-            &initials,
-            &[forked(init_a), forked(init_b)]
-        ));
-    }
-
-    #[test]
-    fn grove_p2_rejects_shape_mismatch_and_empty() {
-        let init = sha256(b"init");
-        assert!(!protocol2_grove_sync_ok(&[], &[]));
-        assert!(!protocol2_grove_sync_ok(&[init], &[]));
     }
 
     #[test]

@@ -251,34 +251,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Restart stability of the shard partitioner: the route is a pure
-    /// function of (key bytes, shard count). Two independently constructed
-    /// routers — a fresh process after a crash-restart — agree on every
-    /// key, the route never depends on query order, and every keyed op
-    /// follows its key. Changing the shard count is the only thing that
-    /// may move a key.
-    #[test]
-    fn shard_routes_are_restart_stable(
-        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..64),
-        n_shards in 1usize..=16,
-    ) {
-        use tcvs_core::ShardRouter;
-        let before = ShardRouter::new(n_shards);
-        let routed: Vec<usize> = keys.iter().map(|k| before.route_key(k)).collect();
-        prop_assert!(routed.iter().all(|&s| s < n_shards));
-        // "Restart": a brand-new router, queried in reverse order.
-        let after = ShardRouter::new(n_shards);
-        for (k, &expect) in keys.iter().zip(&routed).rev() {
-            prop_assert_eq!(after.route_key(k), expect, "route moved across a restart");
-        }
-        // Keyed ops follow their key; only a shard-count change may re-home.
-        for (k, &expect) in keys.iter().zip(&routed) {
-            let op = Op::Put(k.clone(), vec![1]);
-            prop_assert_eq!(after.route_op(&op), Some(expect));
-        }
-    }
-}

@@ -7,12 +7,12 @@
 //! channel), tolerates out-of-order and duplicate delivery (the assembler
 //! does), and is **resumable**: an interrupted bootstrap keeps its admitted
 //! chunks, and [`BootstrapClient::rebind`] can even move the session to a
-//! different peer serving the same snapshot — that is how a restarted shard
-//! catches up from whichever replica still holds its state.
+//! different peer serving the same snapshot — that is how a server that
+//! lost its disk catches up from whichever replica still holds its state.
 //!
 //! Trust model: the transport, the manifest, and every chunk are untrusted.
-//! The only trusted input is the anchor root the caller pins (from a grove
-//! epoch, a signed state, or out-of-band); with no pin, the client verifies
+//! The only trusted input is the anchor root the caller pins (from a
+//! signed state, a sync-up or out-of-band); with no pin, the client verifies
 //! internal consistency against the *served* anchor, and the caller must
 //! check [`BootstrapReport::root`] against an independently learned root
 //! before acting on the data.

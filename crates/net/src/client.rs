@@ -10,9 +10,9 @@
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use tcvs_core::{
-    Client1, Client2, Client3, Ctr, Deposit, Deviation, Digest, Epoch, EvidenceBundle,
-    EvidenceKind, Op, OpResult, Port, Protocol, ProtocolConfig, ServerResponse, SignedCheckpoint,
-    SignedEpochState, SyncShare, TransitionLog, TrustedClient, UserId,
+    Client1, Client2, Client3, Ctr, Deposit, Deviation, Digest, Epoch, EvidenceBuilder,
+    EvidenceBundle, EvidenceKind, Op, OpResult, Port, Protocol, ProtocolConfig, ServerResponse,
+    SignedCheckpoint, SignedEpochState, SyncShare, TransitionLog, TrustedClient, UserId,
 };
 use tcvs_crypto::{KeyRegistry, Keyring};
 use tcvs_obs::{stage, Event, EventKind, SpanContext};
@@ -287,7 +287,8 @@ impl NetClient<Client2> {
     /// Binds a client that joins mid-history at a published state
     /// `(root, ctr, last_user)` — see [`Client2::join`]. This is how a
     /// verified session starts on a server restored by chunked state sync,
-    /// or how a late joiner anchors at a sampled state instead of genesis.
+    /// or how a late joiner anchors at [`crate::NetServer::sample`] instead
+    /// of genesis.
     pub fn join(
         user: UserId,
         root: &Digest,
@@ -369,6 +370,17 @@ impl NetClient<Client2> {
     /// Evaluates the sync-up success predicate.
     pub fn sync_succeeds(&self, shares: &[SyncShare]) -> bool {
         self.inner.sync_succeeds(shares)
+    }
+
+    /// Captures a failed sync-up over everyone's `shares`: a
+    /// [`EvidenceKind::ProtocolVerdict`] builder with deviation
+    /// `sync-failed`, stamped with the evidence seed, holding this user's
+    /// view ([`Client2::sync_evidence`]). `None` when the sync-up passes.
+    /// The harness grafts the other users' transition logs in before it
+    /// seals the bundle.
+    pub fn sync_evidence(&self, shares: &[SyncShare]) -> Option<EvidenceBuilder> {
+        self.inner
+            .sync_evidence(self.evidence_seed, self.ops, shares)
     }
 }
 

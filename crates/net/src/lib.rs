@@ -11,9 +11,9 @@
 //! ([`tcvs_core::Protocol`]) over the wire; [`NetClient1`], [`NetClient2`],
 //! [`NetClient3`] and [`NetClientTrusted`] are its aliases. The step is the
 //! one the simulator runs, so Protocol I's deposit and Protocol III's audit
-//! exchange exist once, in `tcvs-core`. Two more handles compose it or its
-//! transport state: [`ShardedClient2`] (one `NetClient2` per shard) and
-//! [`BootstrapClient`].
+//! exchange exist once, in `tcvs-core`. The only other handle,
+//! [`BootstrapClient`], shares its transport state to fetch a verified copy
+//! of the server's tree.
 //!
 //! ## Where a call runs
 //!
@@ -66,16 +66,11 @@
 //! Reads and updates, verified or trusted, all take the serialized wire,
 //! where every answer is covered by its protocol's detection. There is no
 //! side channel that answers queries from a snapshot the server picks.
-//!
-//! ## Sharded grove
-//!
-//! [`ShardedServer`] partitions the keyspace over N independent shard
-//! servers via the restart-stable `tcvs_core::ShardRouter`. Verification
-//! is per shard: [`ShardedClient2`] routes each key to its shard and checks
-//! the answer against that shard's root, in that shard's own Protocol II
-//! session. The **grove root** folds the shard roots sampled at one
-//! [`GroveEpoch`] and names that epoch; no answer is checked against it.
-//! See DESIGN.md §"Sharded grove".
+//! The server's state is visible off that path twice, and neither view is
+//! trusted by its receiver: a [`BootstrapClient`] checks every chunk against
+//! a root it pins, and a late joiner that anchors at a
+//! [`NetServer::sample`] ([`NetClient2::join`]) learns at its next sync-up
+//! whether the sample was true.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -86,7 +81,6 @@ mod error;
 mod fault;
 mod obs;
 mod server;
-mod shard;
 
 pub use bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 pub use client::{NetClient, NetClient1, NetClient2, NetClient3, NetClientTrusted};
@@ -94,4 +88,3 @@ pub use error::{NetError, RetryPolicy};
 pub use fault::FaultLink;
 pub use obs::NetStats;
 pub use server::{Endpoint, NetServer, NetServerOptions, WireHandle};
-pub use shard::{GroveEpoch, ShardedClient2, ShardedServer};

@@ -47,7 +47,7 @@
 //! Every read takes the same serialized path as a write, so every answer
 //! a client sees is covered by its protocol's detection. The only other
 //! views of the inner server's state are the bootstrap chunks and the
-//! `(root, ctr, last_user)` sample behind a grove epoch, both served in
+//! `(root, ctr, last_user)` sample a late joiner anchors at, both served in
 //! order on the thread and neither trusted by the party that receives it.
 //!
 //! Every operation carries a per-user sequence number; the server keeps the
@@ -131,9 +131,9 @@ pub(crate) enum Request {
         index: u32,
         reply: Sender<Option<Vec<u8>>>,
     },
-    /// Sample the current state as `(root, ctr, last_user)`, the per-shard
-    /// input of a grove epoch. `None` means the inner server exposes no
-    /// state to sample (an adversary).
+    /// Sample the current state as `(root, ctr, last_user)`, the anchor a
+    /// late joiner folds its σ from. `None` means the inner server exposes
+    /// no state to sample (an adversary).
     Sample {
         reply: Sender<Option<(Digest, Ctr, UserId)>>,
     },
@@ -405,9 +405,12 @@ impl NetServer {
 
     /// The inner server's current `(root, ctr, last_user)`, sampled in
     /// order behind every request sent before it, so it reflects every
-    /// acknowledged write. `None` when the inner server exposes no state
-    /// (an adversary) or the server thread has exited.
-    pub(crate) fn sample(&self) -> Option<(Digest, Ctr, UserId)> {
+    /// acknowledged write. This is the anchor of
+    /// [`crate::NetClient2::join`]. The sample is the server's word, not a
+    /// verified fact: a session joined at a false one verifies every op,
+    /// and fails its next sync-up. `None` when the inner server exposes no
+    /// state (an adversary) or the server thread has exited.
+    pub fn sample(&self) -> Option<(Digest, Ctr, UserId)> {
         let (reply, sampled) = bounded(1);
         self.wire.send(Request::Sample { reply }).ok()?;
         sampled.recv().ok().flatten()

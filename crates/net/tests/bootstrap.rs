@@ -2,8 +2,8 @@
 //! bootstrapping verified state from nothing, a pin that catches a server
 //! whose snapshot differs from what it serves on the serialized path,
 //! bootstrap traffic riding a seeded fault storm with zero false alarms,
-//! and a killed shard rejoining the grove from a peer's chunks with the
-//! Protocol II sync-up passing afterwards.
+//! and a server that lost its state restored from a peer's chunks, with a
+//! late joiner's Protocol II sync-up passing afterwards.
 
 mod common;
 
@@ -12,13 +12,13 @@ use std::time::Duration;
 use common::ShadowReadServer;
 use tcvs_core::state::state_token;
 use tcvs_core::{
-    FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerApi, ServerCore,
-    SyncShare, NO_USER,
+    FaultPlan, FaultRates, HonestServer, Op, OpResult, ProtocolConfig, ServerCore, SyncShare,
+    NO_USER,
 };
-use tcvs_merkle::{apply_op, u64_key, ChunkError, CodecError, MerkleTree};
+use tcvs_merkle::{apply_op, u64_key, MerkleTree};
 use tcvs_net::{
     BootstrapClient, BootstrapError, FaultLink, NetClient2, NetClientTrusted, NetServer,
-    NetServerOptions, RetryPolicy, ShardedClient2, ShardedServer,
+    NetServerOptions, RetryPolicy,
 };
 
 fn config() -> ProtocolConfig {
@@ -192,69 +192,42 @@ fn bootstrap_under_fault_storm_zero_false_alarms() {
     }
 }
 
-/// The shard recovery path: a shard is lost (its process replaced
-/// wholesale), rebuilt from a replica's chunks pinned to the last grove
-/// epoch's shard root, and rejoins the grove — the next epoch folds the
-/// same grove root, fresh clients verify reads against it, and the
-/// Protocol II grove sync-up passes.
+/// The recovery path of a server that lost its state: it is rebuilt from
+/// a peer's chunks pinned to the peer's sampled root, serves at the
+/// bootstrapped counter, and a verified client joining at the restored
+/// server's sample reads the pre-loss history, writes, and passes the
+/// Protocol II sync-up over its own era.
 #[test]
-fn killed_shard_rejoins_the_grove_via_verified_chunk_sync() {
+fn a_restored_server_serves_a_late_joiner_that_passes_sync_up() {
     let cfg = config();
-    let n = 3;
-    let mut grove = ShardedServer::spawn(
-        n,
-        &cfg,
+    let peer = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
         NetServerOptions {
             bootstrap_chunk_bytes: 256,
             ..NetServerOptions::default()
         },
     );
-    let r0 = vec![tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest(); n];
-    let mut writer = ShardedClient2::new(0, &r0, cfg, &grove);
+    let r0 = MerkleTree::with_order(cfg.order).root_digest();
+    let mut writer = NetClient2::new(0, &r0, cfg, &peer);
     for i in 0..48u64 {
         writer
             .execute(&Op::Put(u64_key(i), vec![i as u8; 4]))
-            .expect("honest grove");
+            .expect("honest server");
     }
-    let epoch1 = grove.grove_epoch().expect("honest shards publish");
+    let (root, ctr, _) = peer.sample().expect("honest server");
 
-    // Stand up a replica of shard 1 by bootstrapping from it — the replica
-    // is itself a product of verified chunk sync, pinned to the epoch root.
-    let shard_root = epoch1.shard_roots[1];
-    let mut boot = BootstrapClient::new(NO_USER, grove.shard(1));
-    let replica_state = boot
-        .bootstrap(Some(&shard_root))
-        .expect("replica bootstrap");
-    let core = ServerCore::from_verified_state(replica_state.tree, replica_state.ctr, &cfg)
+    let report = BootstrapClient::new(NO_USER, &peer)
+        .bootstrap(Some(&root))
+        .expect("verified chunk sync");
+    assert!(report.chunks_fetched > 1, "the transfer was chunked");
+    peer.shutdown();
+    let core = ServerCore::from_verified_state(report.tree, report.ctr, &cfg)
         .expect("verified state makes a core");
-    let replica = NetServer::spawn(Box::new(HonestServer::from_core(core)), false);
+    let restored = NetServer::spawn(Box::new(HonestServer::from_core(core)), false);
+    let sample = restored.sample().expect("the restored server is sampled");
+    assert_eq!(sample, (root, ctr, NO_USER), "restored at the pinned state");
 
-    // A lying pin is refused up front and leaves the grove untouched.
-    let wrong = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();
-    assert!(matches!(
-        grove.bootstrap_restart(1, &replica, &wrong, &cfg),
-        Err(BootstrapError::AnchorMismatch { .. })
-    ));
-
-    // The real rejoin: kill-and-replace shard 1 from the replica's chunks.
-    let report = grove
-        .bootstrap_restart(1, &replica, &shard_root, &cfg)
-        .expect("shard rejoin");
-    assert_eq!(report.root, shard_root);
-
-    let epoch2 = grove.grove_epoch().expect("rejoined grove publishes");
-    assert_eq!(epoch2.shard_roots[1], epoch1.shard_roots[1]);
-    assert_eq!(
-        epoch2.grove_root, epoch1.grove_root,
-        "the rejoined shard folds the same grove root"
-    );
-
-    // A late-joining verified client re-enters at the post-rejoin epoch —
-    // the grove-epoch rejoin rule: its σ folds are anchored at the epoch's
-    // join tokens, so it works across every shard (including the restored
-    // one, whose chain restarted at the bootstrapped state) and passes the
-    // Protocol II grove sync-up over its own era.
-    let mut carol = ShardedClient2::join(2, &epoch2, cfg, &grove);
+    let mut carol = NetClient2::join(2, &sample.0, sample.1, sample.2, cfg, &restored);
     for i in 0..24u64 {
         let got = carol.execute(&Op::Get(u64_key(i))).expect("verified read");
         assert_eq!(got, OpResult::Value(Some(vec![i as u8; 4])));
@@ -262,43 +235,11 @@ fn killed_shard_rejoins_the_grove_via_verified_chunk_sync() {
     for i in 48..60u64 {
         carol
             .execute(&Op::Put(u64_key(i), vec![7]))
-            .expect("verified write on the rejoined grove");
+            .expect("verified write on the restored server");
     }
-    let shares = carol.sync_shares();
-    let per_shard: Vec<Vec<SyncShare>> = shares.into_iter().map(|s| vec![s]).collect();
     assert!(
-        carol.sync_succeeds(&per_shard),
-        "Protocol II sync-up passes on the rejoined grove"
+        carol.sync_succeeds(&[carol.sync_share()]),
+        "Protocol II sync-up passes on the restored server"
     );
-    grove.shutdown();
-}
-
-/// A peer whose tree has another branching order than the grove's verifies
-/// chunk by chunk, yet cannot become a shard: every proof the restored
-/// core served would fail its clients' replay. `bootstrap_restart` refuses
-/// it, and the shard it was to replace keeps serving.
-#[test]
-fn bootstrap_restart_refuses_a_tree_of_another_order() {
-    let cfg = config();
-    let mut inner = HonestServer::new(&ProtocolConfig { order: 8, ..cfg });
-    for i in 0..20u64 {
-        inner.handle_op(0, &Op::Put(u64_key(i), vec![i as u8]), i);
-    }
-    let peer = NetServer::spawn(Box::new(inner), false);
-    let root = BootstrapClient::new(NO_USER, &peer)
-        .bootstrap(None)
-        .expect("the peer serves its tree")
-        .root;
-    let mut grove = ShardedServer::spawn(2, &cfg, NetServerOptions::default());
-    let before = grove.grove_epoch().expect("honest grove");
-    assert!(matches!(
-        grove.bootstrap_restart(1, &peer, &root, &cfg),
-        Err(BootstrapError::Assembly(ChunkError::Codec(
-            CodecError::Malformed(_)
-        )))
-    ));
-    let after = grove.grove_epoch().expect("shard 1 still serves");
-    assert_eq!(after.grove_root, before.grove_root);
-    grove.shutdown();
-    peer.shutdown();
+    restored.shutdown();
 }

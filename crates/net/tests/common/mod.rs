@@ -1,7 +1,7 @@
 //! A server that is honest on the serialized path and lies everywhere it
 //! answers from `ServerApi::read_snapshot`, shared by the test binaries
-//! that check the two consumers of that snapshot: bootstrap and grove
-//! epochs.
+//! that check the two consumers of that snapshot: bootstrap and the state
+//! sample a late joiner anchors at.
 
 use tcvs_core::{
     Epoch, HonestServer, Op, ProtocolConfig, ReadSnapshot, ServerApi, ServerMetrics,

@@ -26,34 +26,14 @@ fn openmetrics_name(name: &str) -> String {
     out
 }
 
-/// Splits a per-shard routed counter name (`net.shard.{i}.routed`) into its
-/// shard index. These flat names stay the in-process registry keys; only
-/// the exposition folds them into one labeled series.
-fn shard_routed_index(name: &str) -> Option<&str> {
-    let idx = name.strip_prefix("net.shard.")?.strip_suffix(".routed")?;
-    (!idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit())).then_some(idx)
-}
-
 /// Renders a snapshot in OpenMetrics / Prometheus text exposition format.
 ///
 /// Counters expose a `_total` sample, gauges a bare sample, histograms a
 /// summary (`_count`, `_sum`, and the p50/p99 quantile upper bounds the
-/// snapshot carries). The per-shard `net.shard.{i}.routed` counters are
-/// folded into one `net_shard_routed` series labeled `{shard="i"}` —
-/// queryable across any shard count instead of N metric names. The output
-/// ends with the mandatory `# EOF` line.
+/// snapshot carries). The output ends with the mandatory `# EOF` line.
 pub fn render_openmetrics(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let mut routed_header = false;
     for e in &snapshot.entries {
-        if let (Some(shard), MetricValue::Counter(v)) = (shard_routed_index(&e.name), &e.value) {
-            if !routed_header {
-                let _ = writeln!(out, "# TYPE net_shard_routed counter");
-                routed_header = true;
-            }
-            let _ = writeln!(out, "net_shard_routed_total{{shard=\"{shard}\"}} {v}");
-            continue;
-        }
         let name = openmetrics_name(&e.name);
         match &e.value {
             MetricValue::Counter(v) => {
@@ -276,42 +256,6 @@ mod tests {
     fn empty_timeline_still_renders_a_valid_document() {
         let doc = render_chrome_trace(&[]);
         assert!(doc.contains("\"traceEvents\""));
-    }
-
-    #[test]
-    fn shard_routed_counters_fold_into_one_labeled_series() {
-        let r = MetricsRegistry::new();
-        r.counter("net.shard.0.routed").add(7);
-        r.counter("net.shard.1.routed").add(3);
-        r.counter("net.shard.11.routed").add(1);
-        r.gauge("net.shard.count").set(3);
-        r.counter("net.shard.grove_epochs").add(2);
-        let text = render_openmetrics(&r.snapshot());
-        assert!(text.contains("# TYPE net_shard_routed counter"), "{text}");
-        assert!(
-            text.contains("net_shard_routed_total{shard=\"0\"} 7"),
-            "{text}"
-        );
-        assert!(
-            text.contains("net_shard_routed_total{shard=\"1\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("net_shard_routed_total{shard=\"11\"} 1"),
-            "{text}"
-        );
-        assert_eq!(
-            text.matches("# TYPE net_shard_routed counter").count(),
-            1,
-            "one family header for the whole series: {text}"
-        );
-        // Unlabeled shard metrics keep their flat exposition names.
-        assert!(text.contains("net_shard_count 3"), "{text}");
-        assert!(text.contains("net_shard_grove_epochs_total 2"), "{text}");
-        // Non-index middles never fold.
-        assert_eq!(shard_routed_index("net.shard.x.routed"), None);
-        assert_eq!(shard_routed_index("net.shard..routed"), None);
-        assert_eq!(shard_routed_index("net.shard.3.routed"), Some("3"));
     }
 
     #[test]

@@ -202,3 +202,46 @@ fn honest_control_never_detected() {
     assert!(!r.detected());
     assert!(!server.forked());
 }
+
+/// Crashing is not an alibi: an adversary's crash-restart keeps its
+/// malicious state, so a lie under seeded benign crash-restarts is still
+/// caught on the op that carries it, while the same crashes on an honest
+/// server raise nothing.
+#[test]
+fn a_lie_is_caught_at_its_counter_under_crash_restarts() {
+    use tcvs_core::adversary::{LieServer, Trigger};
+    use tcvs_core::{FaultPlan, FaultRates, HonestServer};
+    const LIE_AT: u64 = 12;
+    let trace = generate(&WorkloadSpec {
+        n_users: 3,
+        n_ops: 240,
+        key_space: 128,
+        mix: OpMix::write_heavy(),
+        seed: 0x5a5a,
+        ..WorkloadSpec::default()
+    });
+    let rates = FaultRates {
+        drop_pct: 0,
+        delay_pct: 0,
+        dup_pct: 0,
+        reorder_pct: 0,
+        crash_pct: 12,
+        storage_pct: 0,
+        max_delay_rounds: 2,
+    };
+    let plan = FaultPlan::seeded(0xc4a5, trace.len() as u64, &rates);
+    let s = spec(ProtocolKind::Two, 3).with_faults(plan);
+
+    let mut honest = HonestServer::new(&s.config);
+    let report = simulate(&s, &mut honest, &trace, None);
+    assert!(!report.detected(), "{:?}", report.detection);
+    assert!(report.faults.crashes > 0, "the plan crashed the server");
+    assert_eq!(report.ops_executed, trace.len() as u64);
+
+    let mut liar = LieServer::new(&s.config, Trigger::AtCtr(LIE_AT));
+    let report = simulate(&s, &mut liar, &trace, Some(LIE_AT));
+    let det = report.detection.expect("crashes must not mask the lie");
+    assert_eq!(det.op_index, LIE_AT, "flagged at the deviating op");
+    assert_eq!(det.ops_after_violation, Some(1), "caught on the lying op");
+    assert!(report.faults.crashes > 0, "the liar was crashed too");
+}

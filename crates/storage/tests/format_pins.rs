@@ -13,12 +13,20 @@
 //! proof; the checkpoint journals those replies; and the evidence bundle,
 //! alone and as `record-evidence`'s payload, embeds the `reply-get` proof.
 //! No framing around a proof moved.
+//!
+//! Three pins were re-recorded again when the sharded grove was deleted:
+//! `evidence`, `record-evidence` (its payload) and `checkpoint` (which
+//! carries the bundle in its evidence section). The pinned bundle lost its
+//! grove sample — the slot is now always written absent, and a present one
+//! is refused — and its kind moved from the retired grove sync-up tag 3 to
+//! `protocol-verdict`, which the one server's sync-up capture uses. Every
+//! other field of the bundle, and every other pin, stayed where it was.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
-    Deviation, EvidenceBuilder, EvidenceKind, GroveEvidence, HonestServer, ProtocolConfig,
-    ServerApi, ServerMetrics, ServerResponse, ServerSnapshot, SignedCheckpoint, SignedEpochState,
-    SignedState, SyncShare, TransitionLog, TriggerInfo,
+    Deviation, EvidenceBuilder, EvidenceKind, HonestServer, ProtocolConfig, ServerApi,
+    ServerMetrics, ServerResponse, ServerSnapshot, SignedCheckpoint, SignedEpochState, SignedState,
+    SyncShare, TransitionLog, TriggerInfo,
 };
 use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
@@ -26,10 +34,11 @@ use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
 use tcvs_storage::{response_bytes, DurableState, Record};
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
-/// above on the first build whose point proofs hide unproven entries.
+/// above on the first build whose point proofs hide unproven entries, and
+/// the three bundle-bearing ones on the first build without the grove.
 const PINS: &str = "\
-checkpoint 941e555f1d0bab03e28786c93b7e41259d034020448ad1ec916a82a3da329833
-evidence 0147dbcf214fe50ae52379ad7390d271dc315b17459d18bea7263b83289084ec
+checkpoint 436f69634fde03e07f81c4be03f03807a08293dfe798ee66ad73e318816b99ea
+evidence d72c4562e702bf5de41cfa6ef69eec2a919267d5a5d91cb81c65eb4026fe771d
 manifest 86f419413a3018cd584471fd417a7f4bcb90250f35cf814f0559e9b8330cc359
 reply-get aebe7b6758aa9209f64f80077358b07b73c3414ea5c1681302a13f3da48c85ee
 reply-get-absent 6d96bd561759395b21c11f751078ed5b4ecdf3ab355c0f86b04ca667fb6f3547
@@ -51,7 +60,7 @@ record-epoch-state e09a2eb5a28f3d1e4092f2c042743f837f89adc1e6ba5abf6172f9c40b914
 record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee734087cf9
 record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
-record-evidence 7b15470655b0629f178ad258a38e26f5ba0ef267a4d9b17453e67c83758ad993
+record-evidence dad403b2b9b721b99a92e948116b5712b0c6c09cb5d59b0f1d6005f137f715b7
 ";
 
 fn hex(d: Digest) -> String {
@@ -163,7 +172,7 @@ fn every_persisted_encoding_is_pinned() {
         sigma: sha256(b"s"),
         last,
     };
-    let bundle = EvidenceBuilder::new(EvidenceKind::ShardLocalization, 7, "protocol-1")
+    let bundle = EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 7, "protocol-1")
         .captured_at(12)
         .description("pinned")
         .deviation(&Deviation::SyncFailed)
@@ -175,13 +184,6 @@ fn every_persisted_encoding_is_pinned() {
             ctr: Some(3),
         })
         .initials(&[sha256(b"i0")])
-        .grove(GroveEvidence {
-            epoch: 1,
-            shard_roots: vec![sha256(b"r0"), sha256(b"r1")],
-            shard_ctrs: vec![4, 5],
-            shard_last_users: vec![0, 1],
-            grove_root: sha256(b"g"),
-        })
         .claimed_shards([1usize])
         .shares(vec![vec![share(Some(sha256(b"l"))), share(None)]])
         .signed_state(deposit.clone())
