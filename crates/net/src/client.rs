@@ -55,7 +55,7 @@ impl Link {
 
     /// The one bounded-retry round trip behind every client request, under
     /// the current sequence number: each attempt builds the request around
-    /// a fresh one-shot reply sender, submits it (a plain op may be served
+    /// a fresh one-shot reply sender, submits it (a call may be served
     /// inline, its reply then already waiting) and waits
     /// [`RetryPolicy::attempt_timeout`] for the reply. Every attempt carries
     /// the same `seq`, so the server's reply journal guarantees the request

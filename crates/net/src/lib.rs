@@ -17,15 +17,17 @@
 //!
 //! ## Where a call runs
 //!
-//! A plain op from a client bound to the [`NetServer`] itself runs inline,
-//! on the client's thread, when nothing is queued or in flight to the
-//! server thread, shutdown has not started and the deployment is not
-//! Protocol I's blocking one. Batch windows, deposits, fetches, crashes,
+//! A plain op or a batch window from a client bound to the [`NetServer`]
+//! itself runs inline, on the client's thread, when nothing is queued or in
+//! flight to the server thread, shutdown has not started and the
+//! deployment is not Protocol I's blocking one. Deposits, fetches, crashes,
 //! calls through a [`FaultLink`], every call of a blocking deployment and a
-//! plain op that finds the server busy queue for the thread. Both run the
-//! same serving code — journal, replay check, stats and events — so only
-//! the thread differs; an inline op saves the two thread wake-ups of a
-//! channel round trip. `net.server.inline_ops` counts the inline calls.
+//! call that finds work queued go to the thread. A window that finds
+//! another inline call holding the server waits for it; a plain op spins
+//! briefly, then queues. Both drivers run the same serving code — journal,
+//! replay check, stats and events — so only the thread differs; an inline
+//! call saves the two thread wake-ups of a channel round trip.
+//! `net.server.inline_ops` counts the ops inline calls executed.
 //!
 //! Protocol I's blocking signature deposit is reproduced physically: the
 //! server thread refuses to take the next operation until the previous

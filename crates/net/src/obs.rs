@@ -10,10 +10,11 @@
 //!   drop of the displaced reply. Nanosecond-grained because a point op
 //!   takes 3–4 µs, which a microsecond histogram's power-of-two buckets
 //!   split over two buckets;
-//! * `net.server.inline_ops` — calls served on the calling client's own
-//!   thread instead of the server thread (journal hits included; batch
-//!   windows never are). `inline_ops / ops_served` is a workload's inline
-//!   share;
+//! * `net.server.inline_ops` — ops executed on the calling client's own
+//!   thread instead of the server thread, counted as `ops_served` counts
+//!   them (an inline window counts its ops; a journal hit counts nothing),
+//!   so `inline_ops ≤ ops_served` and `inline_ops / ops_served` is a
+//!   workload's inline share;
 //! * `net.server.journal_hits`, `net.server.journal_evictions`,
 //!   `net.server.missed_deposits`, `net.server.crashes`, and
 //!   `net.batch.{windows,ops,declined}`.

@@ -14,21 +14,25 @@
 //!
 //! # Where a call runs
 //!
-//! A plain op from a client bound to the [`NetServer`] itself runs on the
-//! client's own thread when, checked under the lock, nothing is queued or
-//! in flight to the thread, shutdown has not started, and the deployment is
-//! not Protocol I's blocking one. It runs the same `serve` the thread runs,
-//! so journal, replay check, stats and events do not depend on where it
-//! runs; what it saves is the two thread wake-ups of a channel round trip.
-//! Everything else queues for the thread: batch windows, deposits, fetches,
-//! bootstrap and sample requests, crashes, every call through a
-//! [`crate::FaultLink`] (its faults would otherwise be bypassed), every call
-//! of a blocking deployment (its deposit wait is a receive on the thread),
-//! and a plain op that found the server busy. Every request sent into the
-//! channel is counted until the thread has dispatched it, so an inline op
-//! never overtakes queued work, its caller's own deposits included. A
-//! caller that finds another inline call holding the lock spins briefly
-//! (`INLINE_SPIN`) before it queues.
+//! A call — a plain op or a batch window — from a client bound to the
+//! [`NetServer`] itself runs on the client's own thread when, checked
+//! before the lock and again under it, nothing is queued or in flight to
+//! the thread, shutdown has not started, and the deployment is not
+//! Protocol I's blocking one. It runs the same `serve` the thread runs, so
+//! journal, replay check, stats and events do not depend on where it runs;
+//! what it saves is the two thread wake-ups of a channel round trip, and
+//! for a window the server thread's preemption by the client it wakes.
+//! Everything else queues for the thread: deposits, fetches, bootstrap and
+//! sample requests, crashes, every call through a [`crate::FaultLink`] (its
+//! faults would otherwise be bypassed), every call of a blocking deployment
+//! (its deposit wait is a receive on the thread), and a call that found
+//! work queued. Every request sent into the channel is counted until the
+//! thread has dispatched it, so an inline call never overtakes queued work,
+//! its caller's own deposits included. A caller that finds another inline
+//! call holding the lock (with nothing queued) waits for it if it carries a
+//! window, which holds the lock for hundreds of µs of CPU that a hand-off
+//! to the thread would not shorten; a plain op spins briefly
+//! (`INLINE_SPIN`), then queues.
 //!
 //! Both drivers run a request under one `fail_stop`: a panic inside the
 //! inner server — a durable server refusing to acknowledge an op whose
@@ -223,8 +227,8 @@ pub struct WireHandle(pub(crate) Wire);
 pub(crate) struct Wire {
     tx: Sender<Request>,
     /// The server behind the channel, when nothing is interposed: every
-    /// request sent is counted toward its queue, and a plain op may run
-    /// inline on it. `None` for a wire into a link thread.
+    /// request sent is counted toward its queue, and a call may run inline
+    /// on it. `None` for a wire into a link thread.
     direct: Option<Arc<Shared>>,
 }
 
@@ -244,10 +248,10 @@ impl Wire {
         self.tx.send(req).map_err(|_| NetError::ServerGone)
     }
 
-    /// Sends `req` the way a client does: a plain op runs on the calling
-    /// thread when the server behind this wire is idle (see the module
-    /// docs); anything else, or a plain op that finds the server busy, is
-    /// queued.
+    /// Sends `req` the way a client does: a plain op or a window runs on
+    /// the calling thread when the server behind this wire is idle (see the
+    /// module docs); anything else, or a call that finds work queued (or a
+    /// plain op that finds the lock held past its spin), is queued.
     pub(crate) fn submit(&self, req: Request) -> Result<(), NetError> {
         match (&self.direct, req) {
             (Some(shared), Request::Call(call)) => {
@@ -440,7 +444,7 @@ struct Shared {
     /// once the thread has exited: it drops the inner server itself.
     state: Mutex<Option<ServerState>>,
     /// Requests sent into the channel and not yet dispatched by the thread;
-    /// a plain op runs inline only when this is 0.
+    /// a call runs inline only when this is 0.
     queued: AtomicUsize,
     /// Set when shutdown starts; no call runs inline after that.
     closing: AtomicBool,
@@ -452,19 +456,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// Serves `call` on the calling thread if it is a plain op and the
-    /// server is idle: `Ok(true)` when served, `Ok(false)` when it must be
-    /// queued instead, `ServerGone` once the server has stopped (an inline
-    /// op that panicked stops it, as one on the thread does). While another
-    /// inline call holds the lock and nothing is queued, spins up to
-    /// [`INLINE_SPIN`] for it.
+    /// Serves `call` on the calling thread if the server is idle: `Ok(true)`
+    /// when served, `Ok(false)` when it must be queued instead,
+    /// `ServerGone` once the server has stopped (an inline call that
+    /// panicked stops it, as one on the thread does). While another inline
+    /// call holds the lock and nothing is queued, a window waits for the
+    /// lock; a plain op spins up to [`INLINE_SPIN`] for it, then queues.
     fn try_inline(&self, call: &Call) -> Result<bool, NetError> {
-        if self.blocking || !matches!(call.body, Body::Op(..)) {
+        if self.blocking {
             return Ok(false);
         }
+        let window = matches!(call.body, Body::Batch(..));
         let mut spinning_since = None;
         while self.queued.load(Ordering::SeqCst) == 0 {
-            if let Some(mut slot) = self.state.try_lock() {
+            let locked = if window {
+                Some(self.state.lock())
+            } else {
+                self.state.try_lock()
+            };
+            if let Some(mut slot) = locked {
                 // Re-checked under the lock: the thread dispatches (and
                 // uncounts) only while holding it.
                 let idle =
@@ -473,11 +483,8 @@ impl Shared {
                     return Ok(false);
                 }
                 return self
-                    .fail_stop(&mut slot, |state| {
-                        state.serve(call);
-                        state.stats.inline_ops.inc();
-                    })
-                    .map(|()| true)
+                    .fail_stop(&mut slot, |state| state.serve(call, true))
+                    .map(|_| true)
                     .ok_or(NetError::ServerGone);
             }
             let since = *spinning_since.get_or_insert_with(Instant::now);
@@ -648,7 +655,7 @@ impl ServerState {
     /// Protocol I deployment must now wait for, if any.
     fn dispatch(&mut self, req: Request) -> Option<UserId> {
         match req {
-            Request::Call(call) => return self.serve(&call),
+            Request::Call(call) => return self.serve(&call, false),
             Request::Signature { user, signed, ctx } => self.deposit(user, signed, ctx),
             Request::EpochState(s) => self.inner.deposit_epoch_state(s),
             Request::FetchEpochStates { user, epoch, reply } => {
@@ -681,9 +688,10 @@ impl ServerState {
 
     /// Serves one call: from the journal if it retries a served one,
     /// otherwise by executing it. A fresh reply goes journal insert →
-    /// reply → drop of the displaced reply → stats and tracer. Returns the
-    /// user a blocking Protocol I deployment now owes a deposit wait.
-    fn serve(&mut self, call: &Call) -> Option<UserId> {
+    /// reply → drop of the displaced reply → stats and tracer; an `inline`
+    /// call's executed ops also count as inline. Returns the user a
+    /// blocking Protocol I deployment now owes a deposit wait.
+    fn serve(&mut self, call: &Call, inline: bool) -> Option<UserId> {
         if self.replay(call) {
             return None;
         }
@@ -708,6 +716,9 @@ impl ServerState {
         // not wait for (an inline caller does, on its own thread).
         drop(displaced);
         self.stats.ops_served.add(ops);
+        if inline {
+            self.stats.inline_ops.add(ops);
+        }
         self.stats
             .op_ns
             .observe(started.elapsed().as_nanos() as u64);
@@ -932,7 +943,7 @@ mod tests {
     }
 
     /// One request/reply exchange with the server, submitted as a client
-    /// submits it (a plain op may run inline), no retries.
+    /// submits it (a call may run inline), no retries.
     fn ask<T>(tx: &Wire, make: impl FnOnce(Sender<T>) -> Request) -> T {
         let (reply_tx, reply_rx) = bounded(1);
         tx.submit(make(reply_tx)).expect("server thread alive");
@@ -1284,10 +1295,10 @@ mod tests {
         }
     }
 
-    /// A plain op issued while another user's window is held on the server
-    /// thread queues behind it instead of running inline: it is served
-    /// after the window, with no deadlock, and once the server has shut
-    /// down a call fails with `ServerGone`.
+    /// Calls issued while another user's window is queued and held on the
+    /// server thread queue behind it instead of running inline: a plain op
+    /// and a window are both served after it, with no deadlock, and once
+    /// the server has shut down a call fails with `ServerGone`.
     #[test]
     fn an_inline_call_never_overtakes_queued_work() {
         let cfg = ProtocolConfig {
@@ -1307,31 +1318,81 @@ mod tests {
         let server =
             NetServer::spawn_observed(Box::new(gated), NetServerOptions::default(), stats.clone());
 
-        // User B's window is held on the server thread, still counted.
-        let mut b = crate::NetClient2::new(1, &root0, cfg, &server);
-        let held = std::thread::spawn(move || b.execute_batch(&[Op::Put(u64_key(7), vec![7])]));
+        // User B's window is sent into the queue (a client's idle window
+        // would run inline) and held on the server thread, still counted.
+        let (reply, held) = bounded(1);
+        let window = Call {
+            head: Head::root(1, 1, 0),
+            body: Body::Batch(vec![Op::Put(u64_key(7), vec![7])], reply),
+        };
+        assert!(
+            server.wire.send(window.into()).is_ok(),
+            "server thread alive"
+        );
         assert_eq!(entered.recv(), Ok(()), "the window reached the gate");
-        // User A's plain op, issued meanwhile, is sent into the queue.
+        // User A's plain op and user C's window, issued meanwhile, are sent
+        // into the queue.
         let mut a = crate::NetClient2::new(0, &root0, cfg, &server);
         let waiting = std::thread::spawn(move || a.execute(&Op::Get(u64_key(7))));
-        while server.shared.queued.load(Ordering::SeqCst) < 2 {
+        let mut c = crate::NetClient2::new(2, &root0, cfg, &server);
+        let windowed = std::thread::spawn(move || c.execute_batch(&[Op::Get(u64_key(7))]));
+        while server.shared.queued.load(Ordering::SeqCst) < 3 {
             std::thread::yield_now();
         }
         assert_eq!(release.send(()), Ok(()), "the window is still held");
+        // C's window meets the gate too; leave it open.
+        drop(release);
 
-        assert!(matches!(held.join(), Ok(Ok(_))), "B's window is served");
+        assert!(matches!(held.recv(), Ok(Some(_))), "B's window is served");
         assert_eq!(
             waiting.join().ok(),
             Some(Ok(OpResult::Value(Some(vec![7])))),
             "A is served after B's write"
         );
+        assert_eq!(
+            windowed.join().ok(),
+            Some(Ok(vec![OpResult::Value(Some(vec![7]))])),
+            "C's window is served after B's write"
+        );
         assert_eq!(stats.snapshot().counter("net.server.inline_ops"), Some(0));
 
-        let mut late = crate::NetClient2::new(2, &root0, cfg, &server);
+        let mut late = crate::NetClient2::new(3, &root0, cfg, &server);
         server.shutdown();
         assert_eq!(
             late.execute(&Op::Get(u64_key(7))),
             Err(NetError::ServerGone)
         );
+    }
+
+    /// `net.server.inline_ops` counts the ops an inline call executed — a
+    /// window its length, a journal hit nothing — so on an idle server,
+    /// where every call runs inline, it equals `ops_served`.
+    #[test]
+    fn inline_ops_count_the_ops_inline_calls_execute() {
+        let cfg = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 64,
+        };
+        let stats = NetStats::disabled();
+        let server = NetServer::spawn_observed(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions::default(),
+            stats.clone(),
+        );
+        let tx = server.wire().0;
+        let put = || Op::Put(u64_key(1), b"a".to_vec());
+        send_op(&tx, 1, 1, put(), 0);
+        let window = vec![Op::Put(u64_key(2), b"b".to_vec()), Op::Get(u64_key(1))];
+        assert!(send_batch(&tx, 1, 2, window.clone(), 1).is_some());
+        assert!(send_batch(&tx, 2, 1, window, 2).is_some());
+        send_op(&tx, 2, 2, Op::Get(u64_key(2)), 3);
+        // A retry is a journal hit: it executes nothing.
+        send_op(&tx, 2, 2, Op::Get(u64_key(2)), 3);
+        drop(server);
+        let snap = stats.snapshot();
+        assert_eq!(journal_hits(&stats), Some(1));
+        assert_eq!(snap.counter("net.server.ops_served"), Some(6));
+        assert_eq!(snap.counter("net.server.inline_ops"), Some(6));
     }
 }

@@ -1,19 +1,21 @@
-//! Where a call runs: a directly bound client's plain op runs on its own
-//! thread while the server is idle, and what the selection rule excludes —
-//! batch windows, blocking Protocol I calls and calls through a fault link
-//! — runs on the server thread; and an op that panics stops the server
-//! for every client wherever it ran. That an op never overtakes queued work
-//! is checked inside the crate (`server::tests`), where the queue is
-//! visible.
+//! Where a call runs: a directly bound client's plain op or batch window
+//! runs on its own thread while the server is idle, and what the selection
+//! rule excludes — blocking Protocol I calls and calls through a fault link
+//! — runs on the server thread; concurrent windows wait for each other's
+//! lock instead of queueing; and an op or window that panics stops the
+//! server for every client wherever it ran. That a call never overtakes
+//! queued work is checked inside the crate (`server::tests`), where the
+//! queue is visible.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use tcvs_core::{
-    BatchResponse, Epoch, FaultKind, FaultPlan, HonestServer, Op, ProtocolConfig, ReadSnapshot,
-    ServerApi, ServerMetrics, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState,
-    UserId,
+    BatchResponse, Epoch, FaultKind, FaultPlan, HonestServer, Op, OpResult, ProtocolConfig,
+    ReadSnapshot, ServerApi, ServerMetrics, ServerResponse, SignedCheckpoint, SignedEpochState,
+    SignedState, UserId,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::{u64_key, MerkleTree};
@@ -37,9 +39,13 @@ fn root0(config: &ProtocolConfig) -> tcvs_core::Digest {
 /// The thread each executed op or window ran on, in serving order.
 type Log = Arc<Mutex<Vec<ThreadId>>>;
 
-/// A value a [`Probe`] will not store: a `Put` of it panics, as a durable
-/// server's does when its commit fails.
+/// A value a [`Probe`] will not store: a `Put` of it, alone or in a
+/// window, panics, as a durable server's does when its commit fails.
 const REFUSED: &[u8] = b"refused";
+
+fn is_refused(op: &Op) -> bool {
+    matches!(op, Op::Put(_, value) if value == REFUSED)
+}
 
 /// An honest server that logs the thread every op and window runs on.
 struct Probe {
@@ -69,7 +75,7 @@ impl ServerApi for Probe {
 
     fn handle_op_seq(&mut self, user: UserId, seq: u64, op: &Op, round: u64) -> ServerResponse {
         self.record();
-        if matches!(op, Op::Put(_, value) if value == REFUSED) {
+        if is_refused(op) {
             panic!("commit failed; refusing to acknowledge");
         }
         self.inner.handle_op_seq(user, seq, op, round)
@@ -83,6 +89,9 @@ impl ServerApi for Probe {
         round: u64,
     ) -> Option<BatchResponse> {
         self.record();
+        if ops.iter().any(is_refused) {
+            panic!("commit failed; refusing to acknowledge");
+        }
         self.inner.handle_op_batch(user, seq, ops, round)
     }
 
@@ -127,11 +136,11 @@ fn inline_ops(stats: &NetStats) -> Option<u64> {
     stats.snapshot().counter("net.server.inline_ops")
 }
 
-/// The selection rule, clause by clause: an idle server's plain op runs on
-/// the caller's thread; a batch window, a blocking Protocol I op, and an op
-/// through a fault link run on the server thread.
+/// The selection rule, clause by clause: an idle server's plain op and
+/// batch window run on the caller's thread; a blocking Protocol I op and an
+/// op through a fault link run on the server thread.
 #[test]
-fn an_idle_servers_plain_op_runs_on_the_callers_thread_and_nothing_else_does() {
+fn an_idle_servers_op_or_window_runs_on_the_callers_thread_and_nothing_else_does() {
     let cfg = config();
     let r0 = root0(&cfg);
     let me = thread::current().id();
@@ -148,12 +157,8 @@ fn an_idle_servers_plain_op_runs_on_the_callers_thread_and_nothing_else_does() {
     assert_eq!(inline_ops(&stats), Some(2));
     let window = [Op::Put(u64_key(2), vec![2]), Op::Get(u64_key(1))];
     c.execute_batch(&window).unwrap();
-    let window_thread = ran_on(&log)[2];
-    assert_ne!(
-        window_thread, me,
-        "a batch window runs on the server thread"
-    );
-    assert_eq!(inline_ops(&stats), Some(2), "a window is not an inline op");
+    assert_eq!(ran_on(&log), [me, me, me], "a batch window runs inline");
+    assert_eq!(inline_ops(&stats), Some(4), "a window adds its ops");
     server.shutdown();
 
     // A blocking Protocol I deployment never runs a call inline.
@@ -207,8 +212,8 @@ fn an_idle_servers_plain_op_runs_on_the_callers_thread_and_nothing_else_does() {
 }
 
 /// `net.server.op_ns` holds one nanosecond-grained sample per served call,
-/// inline or queued, and `net.server.inline_ops` counts only the inline
-/// ones.
+/// inline or queued, and `net.server.inline_ops` counts only the ops of the
+/// inline ones.
 #[test]
 fn op_ns_samples_every_served_call_and_inline_ops_only_inline_ones() {
     let cfg = config();
@@ -233,22 +238,98 @@ fn op_ns_samples_every_served_call_and_inline_ops_only_inline_ones() {
 
     c.execute_batch(&[Op::Get(u64_key(1)), Op::Get(u64_key(2))])
         .unwrap();
+    assert_eq!(op_ns(&stats).0, 2, "a window is one served call");
+    assert_eq!(inline_ops(&stats), Some(3), "an inline window adds its ops");
+
+    // A call through a fault link is served by the thread.
+    let link = FaultLink::interpose(&server, FaultPlan::none());
+    NetClient2::new(1, &r0, cfg, &link)
+        .execute(&Op::Get(u64_key(1)))
+        .unwrap();
     // The thread counts a call after replying to it: join it first.
     server.shutdown();
-    assert_eq!(op_ns(&stats).0, 2, "a window is one served call");
-    assert_eq!(inline_ops(&stats), Some(1), "windows are never inline");
+    assert_eq!(op_ns(&stats).0, 3);
+    assert_eq!(inline_ops(&stats), Some(3), "a queued op is not inline");
 }
 
-/// An op that panics inside the inner server stops the server for every
-/// client, whether it ran inline on its caller's thread or queued on the
-/// server thread: the failing call and the next call of another client
-/// both return `ServerGone`, and nothing is served after the failed op.
+/// Two clients each send 200 windows of `Put`s and `Get`s to an idle
+/// server. Nothing is ever queued, so every window runs on its caller's
+/// thread, waiting for the lock whenever the other client's window holds
+/// it (a window that spun and then queued would run on the server thread);
+/// every answer matches a per-key model and the final sync-up passes.
+#[test]
+fn concurrent_windows_run_on_their_callers_threads() {
+    const WINDOWS: u64 = 200;
+    let cfg = config();
+    let r0 = root0(&cfg);
+    let (probe, log) = Probe::new(&cfg);
+    let stats = NetStats::disabled();
+    let server =
+        NetServer::spawn_observed(Box::new(probe), NetServerOptions::default(), stats.clone());
+    let workers: Vec<_> = (0..2)
+        .map(|user| {
+            let mut c = NetClient2::new(user, &r0, cfg, &server);
+            thread::spawn(move || {
+                // Each client writes its own keys, so its model is exact.
+                let mut model = HashMap::new();
+                for w in 0..WINDOWS {
+                    let window: Vec<(u64, Op)> = (0..32)
+                        .map(|i| {
+                            let key = u64::from(user) * 1000 + (w * 7 + i) % 64;
+                            let op = if (w + i) % 3 == 0 {
+                                Op::Put(u64_key(key), vec![user as u8, w as u8, i as u8])
+                            } else {
+                                Op::Get(u64_key(key))
+                            };
+                            (key, op)
+                        })
+                        .collect();
+                    let ops: Vec<Op> = window.iter().map(|(_, op)| op.clone()).collect();
+                    let results = c.execute_batch(&ops).unwrap();
+                    for ((key, op), result) in window.into_iter().zip(results) {
+                        let expected = match op {
+                            Op::Put(_, value) => OpResult::Replaced(model.insert(key, value)),
+                            _ => OpResult::Value(model.get(&key).cloned()),
+                        };
+                        assert_eq!(result, expected, "user {user} window {w} key {key}");
+                    }
+                }
+                (thread::current().id(), c)
+            })
+        })
+        .collect();
+    let (threads, clients): (Vec<ThreadId>, Vec<NetClient2>) =
+        workers.into_iter().map(|w| w.join().unwrap()).unzip();
+
+    let ran = ran_on(&log);
+    assert_eq!(ran.len(), 2 * WINDOWS as usize);
+    for t in &threads {
+        let n = ran.iter().filter(|&r| r == t).count();
+        assert_eq!(
+            n, WINDOWS as usize,
+            "every window ran on its caller's thread"
+        );
+    }
+    assert_eq!(
+        stats.snapshot().counter("net.batch.windows"),
+        Some(2 * WINDOWS)
+    );
+    let shares: Vec<_> = clients.iter().map(|c| c.sync_share()).collect();
+    assert!(clients.iter().any(|c| c.sync_succeeds(&shares)));
+    server.shutdown();
+}
+
+/// An op or a window that panics inside the inner server stops the server
+/// for every client, whether it ran inline on its caller's thread or queued
+/// on the server thread: the failing call and the next call of another
+/// client both return `ServerGone`, and nothing is served after the failed
+/// call.
 #[test]
 fn a_panicking_op_stops_the_server_inline_or_queued() {
     let cfg = config();
     let r0 = root0(&cfg);
     let me = thread::current().id();
-    for through_link in [false, true] {
+    for (through_link, window) in [(false, false), (true, false), (false, true), (true, true)] {
         let (probe, log) = Probe::new(&cfg);
         let server = NetServer::spawn(Box::new(probe), false);
         let link = FaultLink::interpose(&server, FaultPlan::none());
@@ -268,16 +349,27 @@ fn a_panicking_op_stops_the_server_inline_or_queued() {
         other.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
 
         let refused = Op::Put(u64_key(2), REFUSED.to_vec());
-        assert_eq!(failing.execute(&refused), Err(NetError::ServerGone));
+        let failed = if window {
+            failing
+                .execute_batch(&[Op::Get(u64_key(1)), refused])
+                .map(drop)
+        } else {
+            failing.execute(&refused).map(drop)
+        };
+        assert_eq!(failed, Err(NetError::ServerGone), "window: {window}");
         let ran = ran_on(&log);
         assert_eq!(ran.len(), 2);
         assert_eq!(ran[1] == me, !through_link, "inline only when direct");
         assert_eq!(
             other.execute(&Op::Get(u64_key(1))),
             Err(NetError::ServerGone),
-            "no client is answered after a failed op"
+            "no client is answered after a failed call"
         );
-        assert_eq!(ran_on(&log).len(), 2, "nothing served after the failed op");
+        assert_eq!(
+            ran_on(&log).len(),
+            2,
+            "nothing served after the failed call"
+        );
         server.shutdown();
     }
 }
