@@ -4,18 +4,21 @@
 //! user's transition log grafted in) and written to disk, the cold audit
 //! must re-derive the deviation and name `fork` at the exact counter, the
 //! sealed bytes must be identical across two same-seed captures, and a
-//! tampered copy (one flipped byte) must be rejected.
+//! tampered copy (one flipped byte) must be rejected. Then a lying server's
+//! per-op answer is caught by a Protocol II client, and the cold audit
+//! must confirm that bundle by failing the client's own check again.
 //!
 //! ```text
 //! audit_smoke [path]      # default path: BENCH_evidence.bin
 //! ```
 //!
-//! Writes `<path>` (the authentic bundle) and `<path>.tampered` (the same
-//! bytes with one bit flipped) so the job can then run the *actual*
-//! `tcvs-audit` binary against both and check its exit codes. Exit 0 iff
-//! every in-process assertion held; any failure exits 1 with a message.
+//! Writes `<path>` (the authentic sync-up bundle), `<path>.tampered` (the
+//! same bytes with one bit flipped) and `<path>.per-op` (the per-op lie's
+//! bundle) so the job can then run the *actual* `tcvs-audit` binary
+//! against them and check its verdicts and exit codes. Exit 0 iff every
+//! in-process assertion held; any failure exits 1 with a message.
 
-use tcvs_core::adversary::{ForkServer, Trigger};
+use tcvs_core::adversary::{ForkServer, LieServer, Trigger};
 use tcvs_core::{audit_bytes, EvidenceBundle, Op, ProtocolConfig, SyncShare};
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{NetClient2, NetServer};
@@ -79,8 +82,30 @@ impl ForkScenario {
             .sync_evidence(&self.shares)
             .expect("the failed sync-up is captured");
         let bob_log = self.bob.transition_log().expect("logging enabled");
-        builder.transition_log(0, self.bob.user(), bob_log).build()
+        builder.transition_log(self.bob.user(), bob_log).build()
     }
+}
+
+/// A lying server's answer caught on the op that carried it: the bundle
+/// the Protocol II client sealed over that exchange.
+fn per_op_lie() -> EvidenceBundle {
+    let cfg = ProtocolConfig {
+        order: 8,
+        k: 1 << 20,
+        epoch_len: 1 << 30,
+    };
+    let server = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))), false);
+    let r0 = MerkleTree::with_order(cfg.order).root_digest();
+    let mut carol = NetClient2::new(0, &r0, cfg, &server);
+    carol.set_evidence_seed(SEED);
+    let caught = (0..16u64).any(|i| carol.execute(&Op::Put(u64_key(i), vec![3])).is_err());
+    server.shutdown();
+    if !caught {
+        fail("the per-op lie went undetected");
+    }
+    carol
+        .take_evidence()
+        .unwrap_or_else(|| fail("the per-op rejection sealed no bundle"))
 }
 
 fn fail(msg: &str) -> ! {
@@ -99,11 +124,7 @@ fn main() {
     println!(
         "audit-smoke: sealed sync-up bundle ({} bytes, {} transition logs)",
         bytes.len(),
-        bundle
-            .transition_logs
-            .iter()
-            .map(|(_, users)| users.len())
-            .sum::<usize>()
+        bundle.transition_logs.len()
     );
 
     // Same capture, same seed → byte-identical artifact.
@@ -112,8 +133,7 @@ fn main() {
     }
     println!("audit-smoke: re-capture is byte-identical");
 
-    // The cold audit must confirm the deviation and name the counter; the
-    // one server is shard 0 of the bundle.
+    // The cold audit must confirm the deviation and name the counter.
     let report = audit_bytes(&bytes);
     if !report.accepted {
         fail(&format!(
@@ -124,25 +144,19 @@ fn main() {
     if !report.confirmed {
         fail("audit did not re-derive the deviation from the bundle");
     }
-    if report.deviating_shards != vec![0] {
-        fail(&format!(
-            "expected shard 0 deviating, got {:?}",
-            report.deviating_shards
-        ));
-    }
     let culprit = report
         .culprit
         .as_ref()
         .unwrap_or_else(|| fail("audit named no culprit"));
-    if culprit.shard != 0 || culprit.class != "fork" || culprit.at_ctr != scenario.fork_at {
+    if culprit.class != "fork" || culprit.at_ctr != scenario.fork_at {
         fail(&format!(
-            "expected shard 0 fork at ctr {}, got shard {} {} at ctr {}",
-            scenario.fork_at, culprit.shard, culprit.class, culprit.at_ctr
+            "expected fork at ctr {}, got {} at ctr {}",
+            scenario.fork_at, culprit.class, culprit.at_ctr
         ));
     }
     println!(
-        "audit-smoke: culprit shard={} ctr={} class={}",
-        culprit.shard, culprit.at_ctr, culprit.class
+        "audit-smoke: culprit ctr={} class={}",
+        culprit.at_ctr, culprit.class
     );
 
     // One flipped byte anywhere must be rejected; spot-check in-process
@@ -162,7 +176,34 @@ fn main() {
     if let Err(e) = std::fs::write(&tampered_path, &tampered) {
         fail(&format!("cannot write {tampered_path}: {e}"));
     }
-    println!("audit-smoke: wrote {path} and {tampered_path}");
     scenario.server.shutdown();
+    println!("audit-smoke: wrote {path} and {tampered_path}");
+
+    // The per-op lie: the audit re-runs the client's check on the sealed
+    // exchange, and the check must fail again with the same verdict.
+    let lie = per_op_lie().to_bytes();
+    if per_op_lie().to_bytes() != lie {
+        fail("same-seed per-op re-capture is not byte-identical");
+    }
+    let report = audit_bytes(&lie);
+    let rerun_failed = report
+        .checks
+        .iter()
+        .any(|c| c.name == "reply-check" && !c.passed);
+    let agrees = report
+        .checks
+        .iter()
+        .any(|c| c.name == "verdict-consistent" && c.passed);
+    if !report.accepted || !report.confirmed || !rerun_failed || !agrees {
+        fail(&format!(
+            "per-op bundle not confirmed cold:\n{}",
+            report.render_text()
+        ));
+    }
+    let lie_path = format!("{path}.per-op");
+    if let Err(e) = std::fs::write(&lie_path, &lie) {
+        fail(&format!("cannot write {lie_path}: {e}"));
+    }
+    println!("audit-smoke: per-op lie confirmed cold; wrote {lie_path}");
     println!("audit-smoke: OK");
 }

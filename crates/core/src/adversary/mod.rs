@@ -62,12 +62,12 @@ pub fn all_adversaries(
     config: &crate::types::ProtocolConfig,
     trigger: Trigger,
     n_users: u32,
-) -> Vec<(&'static str, Box<dyn ServerApi>)> {
+) -> Vec<(&'static str, Box<dyn ServerApi + Send>)> {
     let half: Vec<u32> = (0..n_users / 2).collect();
     vec![
         (
             "fork",
-            Box::new(ForkServer::new(config, trigger, &half)) as Box<dyn ServerApi>,
+            Box::new(ForkServer::new(config, trigger, &half)) as Box<dyn ServerApi + Send>,
         ),
         ("drop", Box::new(DropServer::new(config, trigger))),
         ("rollback", Box::new(RollbackServer::new(config, trigger))),

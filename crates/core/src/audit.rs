@@ -3,16 +3,23 @@
 //! The paper's detection guarantee ends with a client *knowing* the server
 //! deviated; convincing a third party (the other users, an operator, the
 //! paper's "external mechanism") requires that the third party re-derive
-//! the verdict from the signed materials alone, without trusting the
-//! reporter or talking to the accused server. [`audit`] does exactly that:
-//! starting from nothing but bundle bytes it re-verifies every embedded
-//! signature against the embedded public keys, re-decodes every
-//! verification object (which re-checks its internal hash chain), re-runs
-//! the broadcast sync-up predicate on each share set, and re-runs
+//! the verdict from the bundle alone, without talking to the accused
+//! server. [`audit`] has no verifier of its own: it re-runs the detecting
+//! client's own reply check on the sealed [`Exchange`] (Protocol II's
+//! counter rule and proof replay, the functions `Client2` itself calls),
+//! re-runs the broadcast sync-up predicate on the shares, re-verifies
+//! every embedded signature against the embedded keys, and re-runs
 //! [`crate::forensics::diagnose`] over the opt-in transition logs to name
-//! the first bad counter — then cross-checks its own conclusions against
-//! what the reporter claimed. The bundle's per-shard fields stay; a
-//! deployment runs one server, and that server is shard 0.
+//! the first bad counter — then cross-checks the verdict it re-derived
+//! against the one the reporter claimed.
+//!
+//! No reply is server-signed, so a per-op bundle is the reporter's record
+//! of the exchange: a confirmation convinces those who trust the reporter
+//! not to have forged the reply, which is the paper's model of mutually
+//! trusting users. Protocol I and III exchanges are not re-run yet (the
+//! first needs the signers' public keys in the bundle, the second replays
+//! after its epoch state moved); the report says so, and such a bundle is
+//! not confirmed by its exchange.
 //!
 //! Tampered or forged artifacts never reach the re-derivation: the framing
 //! layer ([`EvidenceBundle::from_bytes`]) rejects them at the exact
@@ -22,13 +29,15 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use tcvs_crypto::{mss_verify, Digest, MssPublicKey, UserId};
-use tcvs_merkle::VerificationObject;
+use tcvs_crypto::{mss_verify, Digest, MssPublicKey, MssSignature, UserId};
 use tcvs_obs::json_escape;
 
-use crate::evidence::{EvidenceBundle, EvidenceError};
+use crate::client1::Client1;
+use crate::client2::{check_reply, check_window, Client2};
+use crate::evidence::{deviation_label, EvidenceBundle, EvidenceError};
 use crate::forensics::{diagnose, TransitionLog, Verdict};
 use crate::msg::{SignedCheckpoint, SignedEpochState};
+use crate::protocol::{Exchange, Protocol};
 use crate::state::signed_payload;
 use crate::sync::{protocol1_sync_ok, protocol2_sync_ok};
 use crate::types::Ctr;
@@ -47,12 +56,20 @@ pub struct AuditCheck {
     pub detail: String,
 }
 
+impl AuditCheck {
+    fn new(name: &'static str, passed: bool, detail: String) -> AuditCheck {
+        AuditCheck {
+            name,
+            passed,
+            detail,
+        }
+    }
+}
+
 /// The first deviation the audit could localize from transition logs: the
-/// shard, counter, and users on the wrong side of history.
+/// counter and the users on the wrong side of history.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Culprit {
-    /// Shard whose logs contain the anomaly.
-    pub shard: u32,
     /// Counter at which history first went bad.
     pub at_ctr: Ctr,
     /// Users involved (both fork sides, or the orphan's victim).
@@ -80,15 +97,13 @@ pub struct AuditReport {
     pub protocol: String,
     /// The re-verification steps, in execution order.
     pub checks: Vec<AuditCheck>,
-    /// Shards the audit itself re-localized from the embedded shares.
-    pub deviating_shards: Vec<u32>,
-    /// Per-shard transition-log verdict summaries `(shard, summary)`.
-    pub shard_verdicts: Vec<(u32, String)>,
+    /// The transition-log verdict, when the bundle carries logs.
+    pub log_verdict: Option<String>,
     /// The first localized deviation, when transition logs pin one down.
     pub culprit: Option<Culprit>,
-    /// True iff the audit independently confirmed a deviation: some
-    /// honesty check failed, a shard's sync-up predicate failed, or a
-    /// transition-log verdict was non-clean.
+    /// True iff the audit independently confirmed a deviation: the
+    /// client's check failed again on the cold bytes, the sync-up
+    /// predicate failed, a signature failed, or the logs name a culprit.
     pub confirmed: bool,
 }
 
@@ -101,17 +116,10 @@ impl AuditReport {
             seed: 0,
             protocol: String::new(),
             checks: Vec::new(),
-            deviating_shards: Vec::new(),
-            shard_verdicts: Vec::new(),
+            log_verdict: None,
             culprit: None,
             confirmed: false,
         }
-    }
-
-    /// True iff every honesty check passed (only meaningful when
-    /// `accepted`).
-    pub fn all_checks_passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
     }
 
     /// Renders the report for a human operator.
@@ -136,21 +144,13 @@ impl AuditReport {
             let mark = if c.passed { "  ok " } else { "FAIL " };
             let _ = writeln!(out, "  [{mark}] {} — {}", c.name, c.detail);
         }
-        if !self.deviating_shards.is_empty() {
-            let _ = writeln!(
-                out,
-                "  deviating shards (re-localized): {:?}",
-                self.deviating_shards
-            );
-        }
-        for (shard, summary) in &self.shard_verdicts {
-            let _ = writeln!(out, "  shard {shard} logs: {summary}");
+        if let Some(summary) = &self.log_verdict {
+            let _ = writeln!(out, "  logs: {summary}");
         }
         if let Some(c) = &self.culprit {
             let _ = writeln!(
                 out,
-                "  culprit: shard {} {} at ctr {} involving users {:?} (state {})",
-                c.shard,
+                "  culprit: {} at ctr {} involving users {:?} (state {})",
                 c.class,
                 c.at_ctr,
                 c.users,
@@ -168,28 +168,20 @@ impl AuditReport {
     /// Renders the report as a stable JSON document (hand-rolled, like the
     /// bench results writer — no serde in the workspace).
     pub fn render_json(&self) -> String {
+        let string =
+            |s: Option<&str>| s.map_or("null".into(), |s| format!("\"{}\"", json_escape(s)));
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"tcvs-audit-report/v1\",");
+        let _ = writeln!(out, "  \"schema\": \"tcvs-audit-report/v2\",");
         let _ = writeln!(out, "  \"accepted\": {},", self.accepted);
-        match &self.rejection {
-            Some(r) => {
-                let _ = writeln!(out, "  \"rejection\": \"{}\",", json_escape(r));
-            }
-            None => {
-                let _ = writeln!(out, "  \"rejection\": null,");
-            }
-        }
-        match &self.kind {
-            Some(k) => {
-                let _ = writeln!(out, "  \"kind\": \"{}\",", json_escape(k));
-            }
-            None => {
-                let _ = writeln!(out, "  \"kind\": null,");
-            }
-        }
+        let _ = writeln!(
+            out,
+            "  \"rejection\": {},",
+            string(self.rejection.as_deref())
+        );
+        let _ = writeln!(out, "  \"kind\": {},", string(self.kind.as_deref()));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"protocol\": \"{}\",", json_escape(&self.protocol));
+        let _ = writeln!(out, "  \"protocol\": {},", string(Some(&self.protocol)));
         out.push_str("  \"checks\": [\n");
         for (i, c) in self.checks.iter().enumerate() {
             let comma = if i + 1 == self.checks.len() { "" } else { "," };
@@ -202,26 +194,17 @@ impl AuditReport {
             );
         }
         out.push_str("  ],\n");
-        let shards: Vec<String> = self.deviating_shards.iter().map(u32::to_string).collect();
-        let _ = writeln!(out, "  \"deviating_shards\": [{}],", shards.join(", "));
-        match &self.culprit {
-            Some(c) => {
-                let users: Vec<String> = c.users.iter().map(u32::to_string).collect();
-                let _ = writeln!(
-                    out,
-                    "  \"culprit\": {{\"shard\": {}, \"at_ctr\": {}, \"class\": \"{}\", \
-                     \"users\": [{}], \"token\": \"{}\"}},",
-                    c.shard,
-                    c.at_ctr,
-                    c.class,
-                    users.join(", "),
-                    c.token
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"culprit\": null,");
-            }
-        }
+        let culprit = self.culprit.as_ref().map_or("null".into(), |c| {
+            let users: Vec<String> = c.users.iter().map(u32::to_string).collect();
+            format!(
+                "{{\"at_ctr\": {}, \"class\": \"{}\", \"users\": [{}], \"token\": \"{}\"}}",
+                c.at_ctr,
+                c.class,
+                users.join(", "),
+                c.token
+            )
+        });
+        let _ = writeln!(out, "  \"culprit\": {culprit},");
         let _ = writeln!(out, "  \"confirmed\": {}", self.confirmed);
         out.push_str("}\n");
         out
@@ -241,34 +224,63 @@ pub fn audit_bytes(bytes: &[u8]) -> AuditReport {
 /// Re-derives the deviation verdict from an (already authenticated)
 /// bundle's embedded materials. See the module docs for the steps.
 pub fn audit(bundle: &EvidenceBundle) -> AuditReport {
-    let mut checks = Vec::new();
     let keys: BTreeMap<UserId, MssPublicKey> = bundle.keys.iter().copied().collect();
-
-    checks.push(check_deposit_signatures(bundle, &keys));
+    let mut checks = vec![check_signatures(
+        "deposit-signatures",
+        &bundle.signed_states,
+        &keys,
+        |s| {
+            let who = format!("signer {} ctr {}", s.signer, s.ctr);
+            (s.signer, signed_payload(&s.root, s.ctr), &s.sig, who)
+        },
+    )];
     if !bundle.epoch_states.is_empty() {
-        checks.push(check_epoch_signatures(bundle, &keys));
+        checks.push(check_signatures(
+            "epoch-signatures",
+            &bundle.epoch_states,
+            &keys,
+            |s| {
+                let payload =
+                    SignedEpochState::payload(s.user, s.epoch, &s.sigma, s.last.as_ref(), s.ops);
+                (
+                    s.user,
+                    payload,
+                    &s.sig,
+                    format!("user {} epoch {}", s.user, s.epoch),
+                )
+            },
+        ));
     }
     if !bundle.checkpoints.is_empty() {
-        checks.push(check_checkpoint_signatures(bundle, &keys));
-    }
-    if !bundle.vos.is_empty() {
-        checks.push(check_vos(bundle));
-    }
-
-    let mut deviating_shards: Vec<u32> = Vec::new();
-    if !bundle.shares.is_empty() {
-        let (check, shards) = check_sync(bundle);
-        checks.push(check);
-        deviating_shards = shards;
-        checks.push(check_localization(bundle, &deviating_shards));
+        checks.push(check_signatures(
+            "checkpoint-signatures",
+            &bundle.checkpoints,
+            &keys,
+            |c| {
+                let payload = SignedCheckpoint::payload(c.epoch, c.checker, &c.final_token);
+                let who = format!("checker {} epoch {}", c.checker, c.epoch);
+                (c.checker, payload, &c.sig, who)
+            },
+        ));
     }
 
-    let (shard_verdicts, culprit) = run_diagnosis(bundle);
+    let rederived = match &bundle.exchange {
+        Some(exchange) => check_exchange(bundle, exchange, &mut checks),
+        None => check_sync(bundle, &mut checks),
+    };
+    if let Some(label) = rederived {
+        let claimed = &bundle.trigger.deviation;
+        checks.push(AuditCheck::new(
+            "verdict-consistent",
+            claimed == label,
+            format!("reporter claimed {claimed}, audit re-derived {label}"),
+        ));
+    }
 
+    let (log_verdict, culprit) = run_diagnosis(bundle);
     let honesty_failed = checks
         .iter()
-        .any(|c| !c.passed && c.name != "localization-consistent");
-    let confirmed = honesty_failed || culprit.is_some();
+        .any(|c| !c.passed && c.name != "verdict-consistent");
 
     AuditReport {
         accepted: true,
@@ -277,298 +289,174 @@ pub fn audit(bundle: &EvidenceBundle) -> AuditReport {
         seed: bundle.seed,
         protocol: bundle.protocol.clone(),
         checks,
-        deviating_shards,
-        shard_verdicts,
+        log_verdict,
+        confirmed: honesty_failed || culprit.is_some(),
         culprit,
-        confirmed,
     }
 }
 
-/// Verifies every Protocol I signed deposit against the embedded keys.
-fn check_deposit_signatures(
-    bundle: &EvidenceBundle,
+/// Verifies every signed item against the embedded keys; `signed` names an
+/// item's signer, signed digest, signature and description.
+fn check_signatures<'a, T>(
+    name: &'static str,
+    items: &'a [T],
     keys: &BTreeMap<UserId, MssPublicKey>,
+    signed: impl Fn(&'a T) -> (UserId, Digest, &'a MssSignature, String),
 ) -> AuditCheck {
     let mut bad: Vec<String> = Vec::new();
-    for (i, s) in bundle.signed_states.iter().enumerate() {
-        match keys.get(&s.signer) {
-            None => bad.push(format!("[{i}] signer {} has no key", s.signer)),
-            Some(pk) => {
-                let payload = signed_payload(&s.root, s.ctr);
-                if !mss_verify(pk, &payload, &s.sig) {
-                    bad.push(format!("[{i}] signer {} ctr {} invalid", s.signer, s.ctr));
-                }
-            }
+    for (i, item) in items.iter().enumerate() {
+        let (signer, payload, sig, who) = signed(item);
+        match keys.get(&signer) {
+            None => bad.push(format!("[{i}] {who}: signer has no key")),
+            Some(pk) if !mss_verify(pk, &payload, sig) => bad.push(format!("[{i}] {who} invalid")),
+            Some(_) => {}
         }
     }
-    finish_sig_check("deposit-signatures", bundle.signed_states.len(), bad)
-}
-
-/// Verifies every Protocol III epoch state against the embedded keys.
-fn check_epoch_signatures(
-    bundle: &EvidenceBundle,
-    keys: &BTreeMap<UserId, MssPublicKey>,
-) -> AuditCheck {
-    let mut bad: Vec<String> = Vec::new();
-    for (i, s) in bundle.epoch_states.iter().enumerate() {
-        match keys.get(&s.user) {
-            None => bad.push(format!("[{i}] user {} has no key", s.user)),
-            Some(pk) => {
-                let payload =
-                    SignedEpochState::payload(s.user, s.epoch, &s.sigma, s.last.as_ref(), s.ops);
-                if !mss_verify(pk, &payload, &s.sig) {
-                    bad.push(format!("[{i}] user {} epoch {} invalid", s.user, s.epoch));
-                }
-            }
-        }
-    }
-    finish_sig_check("epoch-signatures", bundle.epoch_states.len(), bad)
-}
-
-/// Verifies every Protocol III audited checkpoint against the embedded keys.
-fn check_checkpoint_signatures(
-    bundle: &EvidenceBundle,
-    keys: &BTreeMap<UserId, MssPublicKey>,
-) -> AuditCheck {
-    let mut bad: Vec<String> = Vec::new();
-    for (i, c) in bundle.checkpoints.iter().enumerate() {
-        match keys.get(&c.checker) {
-            None => bad.push(format!("[{i}] checker {} has no key", c.checker)),
-            Some(pk) => {
-                let payload = SignedCheckpoint::payload(c.epoch, c.checker, &c.final_token);
-                if !mss_verify(pk, &payload, &c.sig) {
-                    bad.push(format!(
-                        "[{i}] checker {} epoch {} invalid",
-                        c.checker, c.epoch
-                    ));
-                }
-            }
-        }
-    }
-    finish_sig_check("checkpoint-signatures", bundle.checkpoints.len(), bad)
-}
-
-fn finish_sig_check(name: &'static str, total: usize, bad: Vec<String>) -> AuditCheck {
-    if bad.is_empty() {
-        AuditCheck {
-            name,
-            passed: true,
-            detail: format!("{total}/{total} signatures verify"),
-        }
+    let total = items.len();
+    let detail = if bad.is_empty() {
+        format!("{total}/{total} signatures verify")
     } else {
-        AuditCheck {
-            name,
-            passed: false,
-            detail: format!("{}/{total} invalid: {}", bad.len(), bad.join("; ")),
-        }
-    }
+        format!("{}/{total} invalid: {}", bad.len(), bad.join("; "))
+    };
+    AuditCheck::new(name, bad.is_empty(), detail)
 }
 
-/// Re-decodes every embedded verification object; `from_bytes` re-verifies
-/// the VO's internal digests, so a successful decode re-checks the proof's
-/// hash chain.
-fn check_vos(bundle: &EvidenceBundle) -> AuditCheck {
-    let mut bad: Vec<String> = Vec::new();
-    for (i, v) in bundle.vos.iter().enumerate() {
-        if let Err(e) = VerificationObject::from_bytes(v) {
-            bad.push(format!("[{i}] {e:?}"));
-        }
-    }
-    if bad.is_empty() {
-        AuditCheck {
-            name: "vo-hash-chains",
-            passed: true,
-            detail: format!("{0}/{0} verification objects re-verify", bundle.vos.len()),
-        }
-    } else {
-        AuditCheck {
-            name: "vo-hash-chains",
-            passed: false,
-            detail: format!(
-                "{}/{} invalid: {}",
-                bad.len(),
-                bundle.vos.len(),
-                bad.join("; ")
-            ),
-        }
-    }
-}
-
-/// Re-runs the broadcast sync-up predicate of the bundle's protocol on each
-/// share set (`shares[s]` pairs with `initials[s]` under Protocol II) and
-/// reports the indices of the sets that fail it.
-fn check_sync(bundle: &EvidenceBundle) -> (AuditCheck, Vec<u32>) {
-    let protocol1 = bundle.protocol == "protocol-1";
-    if !protocol1 && bundle.initials.len() != bundle.shares.len() {
-        return (
-            AuditCheck {
-                name: "sync-predicate",
-                passed: false,
-                detail: format!(
-                    "{} initial tokens for {} share sets",
-                    bundle.initials.len(),
-                    bundle.shares.len()
-                ),
-            },
-            Vec::new(),
+/// Re-runs the detecting client's reply check on the sealed exchange and
+/// returns the verdict label it re-derives (`"none"` when the reply
+/// passes), or `None` when this protocol's check is not re-run yet.
+fn check_exchange(
+    bundle: &EvidenceBundle,
+    exchange: &Exchange,
+    checks: &mut Vec<AuditCheck>,
+) -> Option<&'static str> {
+    if bundle.protocol != Client2::LABEL {
+        let detail = format!(
+            "not re-run: {} exchanges are not re-checked yet",
+            bundle.protocol
         );
+        checks.push(AuditCheck::new("reply-check", true, detail));
+        return None;
     }
-    let passes = |s: usize| {
-        if protocol1 {
-            protocol1_sync_ok(&bundle.shares[s])
-        } else {
-            protocol2_sync_ok(&bundle.initials[s], &bundle.shares[s])
-        }
+    let out = match exchange {
+        Exchange::Op { anchor, op, reply } => check_reply(*anchor, op, reply).map(drop),
+        Exchange::Window { anchor, ops, reply } => check_window(*anchor, ops, reply).map(drop),
     };
-    let failing: Vec<u32> = (0..bundle.shares.len())
-        .filter(|&s| !passes(s))
-        .map(|s| s as u32)
+    let detail = match &out {
+        Ok(()) => "the reply passes the client's check".to_string(),
+        Err(d) => format!("the client's check fails: {d}"),
+    };
+    checks.push(AuditCheck::new("reply-check", out.is_ok(), detail));
+    Some(out.err().map_or("none", |d| deviation_label(&d)))
+}
+
+/// Re-runs the broadcast sync-up predicate of the bundle's protocol on its
+/// shares and returns the verdict label it re-derives, or `None` when the
+/// bundle holds nothing the predicate can run on.
+fn check_sync(bundle: &EvidenceBundle, checks: &mut Vec<AuditCheck>) -> Option<&'static str> {
+    if bundle.shares.is_empty() {
+        return None;
+    }
+    let passes = match &bundle.initial {
+        _ if bundle.protocol == Client1::LABEL => protocol1_sync_ok(&bundle.shares),
+        Some(initial) if bundle.protocol == Client2::LABEL => {
+            protocol2_sync_ok(initial, &bundle.shares)
+        }
+        _ => return None,
+    };
+    let (holds, label) = if passes {
+        ("holds", "none")
+    } else {
+        ("fails", "sync-failed")
+    };
+    let detail = format!("{holds} on {} shares", bundle.shares.len());
+    checks.push(AuditCheck::new("sync-predicate", passes, detail));
+    Some(label)
+}
+
+/// Runs `diagnose` over the opt-in transition logs; a fork or an orphan
+/// state becomes the culprit.
+fn run_diagnosis(bundle: &EvidenceBundle) -> (Option<String>, Option<Culprit>) {
+    if bundle.transition_logs.is_empty() {
+        return (None, None);
+    }
+    let Some(initial) = &bundle.initial else {
+        return (Some("no initial token to diagnose from".into()), None);
+    };
+    let logs: Vec<TransitionLog> = bundle
+        .transition_logs
+        .iter()
+        .map(|(_, l)| l.clone())
         .collect();
-    let check = if failing.is_empty() {
-        AuditCheck {
-            name: "sync-predicate",
-            passed: true,
-            detail: "broadcast sync-up predicate holds on embedded shares".into(),
-        }
-    } else {
-        AuditCheck {
-            name: "sync-predicate",
-            passed: false,
-            detail: format!("sync-up predicate fails; share sets {failing:?} deviate"),
-        }
-    };
-    (check, failing)
-}
-
-/// Cross-checks the reporter's claimed deviating shards against the
-/// audit's own localization. A mismatch does not clear the server — the
-/// recomputed set is authoritative — but it flags a reporter whose claims
-/// overreach the evidence.
-fn check_localization(bundle: &EvidenceBundle, recomputed: &[u32]) -> AuditCheck {
-    if bundle.claimed_deviating_shards == recomputed {
-        AuditCheck {
-            name: "localization-consistent",
-            passed: true,
-            detail: format!("reporter and audit agree: {recomputed:?}"),
-        }
-    } else {
-        AuditCheck {
-            name: "localization-consistent",
-            passed: false,
-            detail: format!(
-                "reporter claimed {:?}, audit re-derived {:?}",
-                bundle.claimed_deviating_shards, recomputed
-            ),
-        }
-    }
-}
-
-/// Runs `diagnose` per shard over the opt-in transition logs; the first
-/// non-clean verdict (lowest shard index) becomes the culprit.
-fn run_diagnosis(bundle: &EvidenceBundle) -> (Vec<(u32, String)>, Option<Culprit>) {
-    let mut verdicts = Vec::new();
-    let mut culprit: Option<Culprit> = None;
-    for (shard, users) in &bundle.transition_logs {
-        let Some(initial) = bundle.initials.get(*shard as usize) else {
-            verdicts.push((*shard, "no initial token for shard".to_string()));
-            continue;
-        };
-        let logs: Vec<TransitionLog> = users.iter().map(|(_, l)| l.clone()).collect();
-        let verdict = diagnose(&logs, initial);
-        let summary = match &verdict {
-            Verdict::CleanPath { length, .. } => {
-                format!("clean path of {length} transitions")
-            }
-            Verdict::Fork {
-                at_ctr,
-                forked_state,
-                users,
-            } => format!(
+    let (summary, culprit) = match diagnose(&logs, initial) {
+        Verdict::CleanPath { length, .. } => (format!("clean path of {length} transitions"), None),
+        Verdict::Fork {
+            at_ctr,
+            forked_state,
+            users,
+        } => (
+            format!(
                 "FORK at ctr {at_ctr}: state {} served twice, users {users:?}",
                 forked_state.short()
             ),
-            Verdict::OrphanState {
+            Some(Culprit {
                 at_ctr,
-                victim,
-                token,
-            } => format!(
+                users,
+                class: "fork",
+                token: forked_state,
+            }),
+        ),
+        Verdict::OrphanState {
+            at_ctr,
+            victim,
+            token,
+        } => (
+            format!(
                 "ORPHAN at ctr {at_ctr}: user {victim} consumed fabricated state {}",
                 token.short()
             ),
-            Verdict::Empty => "no transitions logged".to_string(),
-        };
-        verdicts.push((*shard, summary));
-        if culprit.is_none() {
-            culprit = match verdict {
-                Verdict::Fork {
-                    at_ctr,
-                    forked_state,
-                    users,
-                } => Some(Culprit {
-                    shard: *shard,
-                    at_ctr,
-                    users,
-                    class: "fork",
-                    token: forked_state,
-                }),
-                Verdict::OrphanState {
-                    at_ctr,
-                    victim,
-                    token,
-                } => Some(Culprit {
-                    shard: *shard,
-                    at_ctr,
-                    users: vec![victim],
-                    class: "orphan-state",
-                    token,
-                }),
-                _ => None,
-            };
-        }
-    }
-    (verdicts, culprit)
+            Some(Culprit {
+                at_ctr,
+                users: vec![victim],
+                class: "orphan-state",
+                token,
+            }),
+        ),
+        Verdict::Empty => ("no transitions logged".to_string(), None),
+    };
+    (Some(summary), culprit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tcvs_crypto::{setup_users, sha256};
+    use tcvs_merkle::{u64_key, Op};
     use tcvs_obs::MetricsRegistry;
 
     use crate::evidence::{EvidenceBuilder, EvidenceKind};
     use crate::forensics::LoggedTransition;
     use crate::msg::{SignedState, SyncShare};
+    use crate::protocol::Anchor;
+    use crate::server::{HonestServer, ServerApi};
     use crate::state::{signed_payload, state_token};
+    use crate::types::{Deviation, ProtocolConfig};
 
-    /// A two-shard incident where shard 1's accumulator was corrupted by a
-    /// lying server: shares that XOR to garbage, plus transition logs that
-    /// contain a fork at ctr 3.
+    fn passed(report: &AuditReport, name: &str) -> Option<bool> {
+        report
+            .checks
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.passed)
+    }
+
+    /// An incident where the server equivocated: shares that XOR to
+    /// garbage, plus transition logs that contain a fork at ctr 3.
     fn forked_bundle() -> EvidenceBundle {
         let (mut rings, registry) = setup_users([9; 32], 3, 4);
-        let initials = [sha256(b"shard0-init"), sha256(b"shard1-init")];
+        let initial = sha256(b"init");
 
-        // Shard 0: one honest op by user 0 — σ telescopes to
-        // `initial ⊕ t1`, so the per-shard predicate holds.
-        let t1 = state_token(&sha256(b"r1"), 1, 0);
-        let shard0 = vec![
-            SyncShare {
-                user: 0,
-                lctr: 1,
-                gctr: 1,
-                sigma: initials[0] ^ t1,
-                last: Some(t1),
-            },
-            SyncShare {
-                user: 1,
-                lctr: 0,
-                gctr: 1,
-                sigma: Digest::ZERO,
-                last: None,
-            },
-        ];
-
-        // Shard 1: the server equivocated — the XOR of shares can't close.
-        let shard1 = vec![
+        // The server equivocated — the XOR of the shares can't close.
+        let shares = vec![
             SyncShare {
                 user: 0,
                 lctr: 1,
@@ -585,12 +473,12 @@ mod tests {
             },
         ];
 
-        // Transition logs for shard 1: both users were shown histories
-        // that consume the same parent state — a fork at ctr 3.
+        // Both users were shown histories that consume the same parent
+        // state — a fork at ctr 3.
         let forked = sha256(b"forked-parent");
         let mut log_a = TransitionLog::new();
         log_a.record(LoggedTransition {
-            old_token: initials[1],
+            old_token: initial,
             new_token: forked,
             ctr: 2,
             user: 0,
@@ -619,11 +507,10 @@ mod tests {
 
         EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 99, "protocol-2")
             .captured_at(12)
-            .description("seeded fork in share set 1 of 2")
-            .deviation(&crate::types::Deviation::SyncFailed)
-            .initials(&initials)
-            .claimed_shards([1usize])
-            .shares(vec![shard0, shard1])
+            .description("seeded fork")
+            .deviation(&Deviation::SyncFailed)
+            .initial(initial)
+            .shares(shares)
             .signed_state(SignedState {
                 signer: 0,
                 root,
@@ -631,41 +518,31 @@ mod tests {
                 sig,
             })
             .keys_from(&registry)
-            .transition_log(1, 0, &log_a)
-            .transition_log(1, 2, &log_b)
+            .transition_log(2, &log_b)
+            .transition_log(0, &log_a)
             .metrics(&metrics.snapshot())
             .build()
     }
 
     #[test]
-    fn confirms_fork_and_names_shard_and_counter() {
-        let bundle = forked_bundle();
-        let report = audit(&bundle);
+    fn confirms_fork_and_names_the_counter() {
+        let report = audit(&forked_bundle());
         assert!(report.accepted);
         assert!(report.confirmed, "deviation must be re-derived");
-        assert_eq!(report.deviating_shards, vec![1]);
-        let culprit = report
-            .culprit
-            .clone()
-            .expect("transition logs pin the culprit");
-        assert_eq!(culprit.shard, 1);
+        assert_eq!(passed(&report, "sync-predicate"), Some(false));
+        // Reporter and audit agree on the verdict.
+        assert_eq!(passed(&report, "verdict-consistent"), Some(true));
+        // The honest materials still verify.
+        assert_eq!(passed(&report, "deposit-signatures"), Some(true));
+        let culprit = report.culprit.clone().expect("the logs pin the culprit");
         assert_eq!(culprit.at_ctr, 3);
         assert_eq!(culprit.class, "fork");
         assert_eq!(culprit.users, vec![0, 2]);
-        // Reporter and audit agree on localization.
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "localization-consistent" && c.passed));
-        // The honest materials still verify.
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "deposit-signatures" && c.passed));
         let text = report.render_text();
         assert!(text.contains("DEVIATION CONFIRMED"), "{text}");
-        assert!(text.contains("shard 1"), "{text}");
+        assert!(text.contains("culprit: fork at ctr 3"), "{text}");
         let json = report.render_json();
+        assert!(json.contains("tcvs-audit-report/v2"), "{json}");
         assert!(json.contains("\"confirmed\": true"), "{json}");
         assert!(json.contains("\"at_ctr\": 3"), "{json}");
     }
@@ -673,10 +550,10 @@ mod tests {
     #[test]
     fn audit_bytes_round_trip_matches_in_memory_audit() {
         let bundle = forked_bundle();
-        let report = audit_bytes(&bundle.to_bytes());
-        assert!(report.accepted);
-        assert!(report.confirmed);
-        assert_eq!(report.deviating_shards, vec![1]);
+        let cold = audit_bytes(&bundle.to_bytes());
+        assert!(cold.accepted);
+        assert!(cold.confirmed);
+        assert_eq!(cold.checks, audit(&bundle).checks);
     }
 
     #[test]
@@ -700,10 +577,7 @@ mod tests {
         let mut bundle = forked_bundle();
         bundle.signed_states[0].ctr += 1; // payload no longer matches sig
         let report = audit(&bundle);
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "deposit-signatures" && !c.passed));
+        assert_eq!(passed(&report, "deposit-signatures"), Some(false));
         assert!(report.confirmed);
     }
 
@@ -730,28 +604,54 @@ mod tests {
         ];
         let bundle = EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 5, "protocol-2")
             .description("false alarm probe")
-            .initials(&[initial])
-            .shares(vec![shares])
+            .deviation(&Deviation::SyncFailed)
+            .initial(initial)
+            .shares(shares)
             .keys_from(&registry)
             .build();
         let report = audit(&bundle);
         assert!(report.accepted);
         assert!(!report.confirmed, "{}", report.render_text());
-        assert!(report.deviating_shards.is_empty());
+        assert_eq!(passed(&report, "sync-predicate"), Some(true));
+        assert_eq!(passed(&report, "verdict-consistent"), Some(false));
         assert!(report.render_text().contains("no deviation"));
     }
 
     #[test]
     fn overclaiming_reporter_is_flagged() {
         let mut bundle = forked_bundle();
-        bundle.claimed_deviating_shards = vec![0, 1]; // shard 0 was honest
+        bundle.trigger.deviation = "bad-proof".into(); // the sync-up failed
         let report = audit(&bundle);
-        // Still confirmed (shard 1 really deviated) but the claim mismatch
+        // Still confirmed (the sync-up really fails) but the claim mismatch
         // is surfaced.
         assert!(report.confirmed);
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "localization-consistent" && !c.passed));
+        assert_eq!(passed(&report, "verdict-consistent"), Some(false));
+    }
+
+    /// A Protocol I exchange is not re-run yet: the report says so, and the
+    /// exchange alone confirms nothing.
+    #[test]
+    fn a_protocol1_exchange_is_reported_not_re_run() {
+        let config = ProtocolConfig {
+            order: 4,
+            k: 4,
+            epoch_len: 10,
+        };
+        let mut server = HonestServer::new(&config);
+        let op = Op::Put(u64_key(1), vec![1]);
+        let reply = server.handle_op(0, &op, 0);
+        let bundle = EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, 5, "protocol-1")
+            .deviation(&Deviation::BadSignature)
+            .exchange(Some(Exchange::Op {
+                anchor: Anchor { order: 4, gctr: 0 },
+                op,
+                reply,
+            }))
+            .build();
+        let report = audit(&bundle);
+        assert!(!report.confirmed, "{}", report.render_text());
+        assert_eq!(passed(&report, "verdict-consistent"), None);
+        let rerun = report.checks.iter().find(|c| c.name == "reply-check");
+        assert!(rerun.is_some_and(|c| c.detail.starts_with("not re-run")));
     }
 }

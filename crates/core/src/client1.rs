@@ -22,7 +22,7 @@ use tcvs_merkle::{verify_response, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
 use crate::msg::{ServerResponse, SignedState, SyncShare};
-use crate::protocol::{Deposit, Port, Protocol};
+use crate::protocol::{Anchor, Deposit, Port, Protocol};
 use crate::state::signed_payload;
 use crate::types::{Ctr, Deviation, ProtocolConfig};
 
@@ -223,6 +223,8 @@ impl Client1 {
 }
 
 impl Protocol for Client1 {
+    const LABEL: &'static str = "protocol-1";
+
     /// Verifies, deposits the signature over the new state (the deposit
     /// the blocking server waits for), then prepares the next one-time key.
     fn step<P: Port>(
@@ -250,6 +252,13 @@ impl Protocol for Client1 {
     /// context the transport put on the wire for this operation.
     fn set_current_span(&mut self, ctx: Option<SpanContext>) {
         self.current_span = ctx;
+    }
+
+    fn anchor(&self) -> Option<Anchor> {
+        Some(Anchor {
+            order: self.config.order,
+            gctr: self.gctr,
+        })
     }
 
     /// True after `k` own operations since the last sync-up.

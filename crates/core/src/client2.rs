@@ -23,13 +23,15 @@
 //! `ctr < gctrᵢ` ⇒ error.
 
 use tcvs_crypto::{Digest, UserId};
-use tcvs_merkle::{replay_batch_unanchored, replay_unanchored, Op, OpResult};
+use tcvs_merkle::{
+    replay_batch_unanchored, replay_unanchored, BatchVerified, Op, OpResult, Verified,
+};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
-use crate::evidence::{EvidenceBuilder, EvidenceBundle, EvidenceKind, TriggerInfo};
+use crate::evidence::{EvidenceBuilder, EvidenceKind, TriggerInfo};
 use crate::forensics::{LoggedTransition, TransitionLog};
 use crate::msg::{BatchResponse, ServerResponse, SyncShare};
-use crate::protocol::{Port, Protocol};
+use crate::protocol::{Anchor, Exchange, Port, Protocol};
 use crate::state::{initial_token, state_token};
 use crate::sync::protocol2_sync_ok;
 use crate::types::{Ctr, Deviation, ProtocolConfig};
@@ -175,17 +177,7 @@ impl Client2 {
         op: &Op,
         resp: &ServerResponse,
     ) -> Result<OpResult, Deviation> {
-        // Step 4: counters this user sees must be strictly increasing.
-        if resp.ctr < self.gctr {
-            return Err(Deviation::CounterRegression {
-                seen: resp.ctr,
-                expected_at_least: self.gctr,
-            });
-        }
-        // Step 5: compute M(D) and M(D') by replaying the proof.
-        let (old_root, verified) =
-            replay_unanchored(self.config.order, &resp.vo, op, Some(&resp.result))
-                .map_err(Deviation::BadProof)?;
+        let (old_root, verified) = check_reply(self.anchor_now(), op, resp)?;
 
         // Step 6: accumulate the witnessed transition.
         let old_token = state_token(&old_root, resp.ctr, resp.last_user);
@@ -263,18 +255,7 @@ impl Client2 {
         if ops.is_empty() && resp.results.is_empty() {
             return Ok(Vec::new());
         }
-        // Step 4, windowed: the pre-window counter must not regress.
-        if resp.ctr < self.gctr {
-            return Err(Deviation::CounterRegression {
-                seen: resp.ctr,
-                expected_at_least: self.gctr,
-            });
-        }
-        // Step 5, windowed: one replay of the whole window yields M(D)
-        // before the window and M(D') after it.
-        let (old_root, verified) =
-            replay_batch_unanchored(self.config.order, &resp.proof, ops, Some(&resp.results))
-                .map_err(Deviation::BadProof)?;
+        let (old_root, verified) = check_window(self.anchor_now(), ops, resp)?;
 
         // Step 6, telescoped: intermediate tokens are created and consumed
         // by this user at consecutive counters and cancel under XOR.
@@ -298,6 +279,16 @@ impl Client2 {
         Ok(verified.results)
     }
 
+    /// The anchor the next reply is checked against. Nothing changes it
+    /// before a check fails, so at a rejection it is the anchor that reply
+    /// was checked against.
+    fn anchor_now(&self) -> Anchor {
+        Anchor {
+            order: self.config.order,
+            gctr: self.gctr,
+        }
+    }
+
     /// This user's broadcast share.
     pub fn sync_share(&self) -> SyncShare {
         SyncShare {
@@ -309,14 +300,11 @@ impl Client2 {
         }
     }
 
-    /// The evidence of a failed sync-up, `None` when the shares pass.
-    ///
-    /// The builder holds this user's view: its anchor token, every user's
-    /// share, the claim that server 0 (the only one) deviated, and this
-    /// user's transition log when logging is on. It is returned unsealed so
-    /// the sync-up harness can graft in what one client cannot know — the
-    /// other users' logs, which fork diagnosis needs to name the fork
-    /// point — before `.build()`.
+    /// The evidence of a failed sync-up, `None` when the shares pass: this
+    /// user's [`Protocol::evidence`] with every user's share in place of
+    /// its own. The sync-up harness grafts in what one client cannot know
+    /// — the other users' logs, which fork diagnosis needs to name the
+    /// fork point — before `.build()`.
     pub fn sync_evidence(
         &self,
         seed: u64,
@@ -326,21 +314,15 @@ impl Client2 {
         if protocol2_sync_ok(&self.initial, shares) {
             return None;
         }
-        let mut b = EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, seed, "protocol-2")
-            .captured_at(captured_at)
-            .description(format!("user {} saw the sync-up fail", self.user))
-            .trigger(TriggerInfo {
-                user: Some(self.user),
-                shard: Some(0),
-                ..TriggerInfo::from_deviation(&Deviation::SyncFailed)
-            })
-            .initials(&[self.initial])
-            .shares(vec![shares.to_vec()])
-            .claimed_shards([0]);
-        if let Some(log) = &self.log {
-            b = b.transition_log(0, self.user, log);
-        }
-        Some(b)
+        let b = self.evidence(
+            EvidenceKind::ProtocolVerdict,
+            seed,
+            captured_at,
+            &Deviation::SyncFailed,
+            None,
+        )?;
+        let b = b.description(format!("user {} saw the sync-up fail", self.user));
+        Some(b.shares(shares.to_vec()))
     }
 
     /// This user's success predicate:
@@ -370,7 +352,46 @@ impl Client2 {
     }
 }
 
+/// Protocol II's check of one reply, before any state changes: step 4
+/// (the counter this user sees must not regress) and step 5 (the proof
+/// replays `op` to the claimed answer, yielding `M(D)` and `M(D′)`). A pure
+/// function of the client's anchor, so a cold audit re-runs it on a sealed
+/// [`Exchange`] exactly as the client ran it.
+pub(crate) fn check_reply(
+    anchor: Anchor,
+    op: &Op,
+    resp: &ServerResponse,
+) -> Result<(Digest, Verified), Deviation> {
+    check_ctr(anchor, resp.ctr)?;
+    replay_unanchored(anchor.order, &resp.vo, op, Some(&resp.result)).map_err(Deviation::BadProof)
+}
+
+/// [`check_reply`] for a batched window: the pre-window counter must not
+/// regress, and one replay of the whole window yields `M(D)` before it and
+/// `M(D′)` after it.
+pub(crate) fn check_window(
+    anchor: Anchor,
+    ops: &[Op],
+    resp: &BatchResponse,
+) -> Result<(Digest, BatchVerified), Deviation> {
+    check_ctr(anchor, resp.ctr)?;
+    replay_batch_unanchored(anchor.order, &resp.proof, ops, Some(&resp.results))
+        .map_err(Deviation::BadProof)
+}
+
+fn check_ctr(anchor: Anchor, ctr: Ctr) -> Result<(), Deviation> {
+    if ctr < anchor.gctr {
+        return Err(Deviation::CounterRegression {
+            seen: ctr,
+            expected_at_least: anchor.gctr,
+        });
+    }
+    Ok(())
+}
+
 impl Protocol for Client2 {
+    const LABEL: &'static str = "protocol-2";
+
     fn step<P: Port>(
         &mut self,
         op: &Op,
@@ -410,36 +431,38 @@ impl Protocol for Client2 {
         self.ops_since_sync = 0;
     }
 
-    /// Everything a cold auditor needs from this client's side: its anchor
-    /// token, its sync share, the offending proof and signed deposit (when
-    /// the reply carried them), and the transition log when logging is on.
+    fn anchor(&self) -> Option<Anchor> {
+        Some(self.anchor_now())
+    }
+
+    /// The exchange, plus this client's side of the record: the detecting
+    /// user, its anchor token, its sync share, and its transition log when
+    /// logging is on.
     fn evidence(
         &self,
         kind: EvidenceKind,
         seed: u64,
         captured_at: u64,
         deviation: &Deviation,
-        resp: Option<&ServerResponse>,
-    ) -> Option<EvidenceBundle> {
-        let mut b = EvidenceBuilder::new(kind, seed, "protocol-2")
+        exchange: Option<Exchange>,
+    ) -> Option<EvidenceBuilder> {
+        let mut b = EvidenceBuilder::new(kind, seed, Self::LABEL)
             .captured_at(captured_at)
             .description(format!(
                 "user {} rejected a server response at lctr {}",
                 self.user, self.lctr
             ))
-            .deviation(deviation)
-            .initials(&[self.initial])
-            .shares(vec![vec![Client2::sync_share(self)]]);
-        if let Some(resp) = resp {
-            b = b.vo(resp.vo.to_bytes());
-            if let Some(sig) = &resp.sig {
-                b = b.signed_state(sig.clone());
-            }
-        }
+            .trigger(TriggerInfo {
+                user: Some(self.user),
+                ..TriggerInfo::from_deviation(deviation)
+            })
+            .exchange(exchange)
+            .initial(self.initial)
+            .shares(vec![Client2::sync_share(self)]);
         if let Some(log) = &self.log {
-            b = b.transition_log(0, self.user, log);
+            b = b.transition_log(self.user, log);
         }
-        Some(b.build())
+        Some(b)
     }
 }
 

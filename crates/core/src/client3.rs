@@ -31,7 +31,7 @@ use tcvs_merkle::{replay_unanchored, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
 use crate::msg::{ServerResponse, SignedCheckpoint, SignedEpochState};
-use crate::protocol::{Deposit, Port, Protocol};
+use crate::protocol::{Anchor, Deposit, Port, Protocol};
 use crate::state::{initial_token, state_token};
 use crate::types::{Ctr, Deviation, Epoch, ProtocolConfig};
 
@@ -357,6 +357,8 @@ impl Client3 {
 }
 
 impl Protocol for Client3 {
+    const LABEL: &'static str = "protocol-3";
+
     /// Verifies, deposits any signed epoch states, runs the audit this user
     /// owes (fetch the epoch's states and the previous checkpoint, audit,
     /// deposit the new checkpoint), then prepares the next key.
@@ -395,6 +397,12 @@ impl Protocol for Client3 {
     /// context the transport put on the wire for this operation.
     fn set_current_span(&mut self, ctx: Option<SpanContext>) {
         self.current_span = ctx;
+    }
+    fn anchor(&self) -> Option<Anchor> {
+        Some(Anchor {
+            order: self.config.order,
+            gctr: self.gctr,
+        })
     }
 }
 

@@ -66,7 +66,7 @@ pub use forensics::{diagnose, diagnose_with_timeline, DiagnosisReport, Transitio
 pub use msg::{
     BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare,
 };
-pub use protocol::{Deposit, Direct, Port, Protocol, TrustedClient};
+pub use protocol::{Anchor, Deposit, Direct, Exchange, Port, Protocol, TrustedClient};
 pub use server::{
     HonestServer, PipelinedResponse, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerSnapshot,

@@ -14,10 +14,48 @@ use tcvs_crypto::UserId;
 use tcvs_merkle::{Op, OpResult};
 use tcvs_obs::{SpanContext, Tracer};
 
-use crate::evidence::{EvidenceBundle, EvidenceKind};
-use crate::msg::{ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare};
+use crate::evidence::{EvidenceBuilder, EvidenceKind};
+use crate::msg::{
+    BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, SyncShare,
+};
 use crate::server::ServerApi;
-use crate::types::{Deviation, Epoch};
+use crate::types::{Ctr, Deviation, Epoch};
+
+/// What a client checks the next reply against: the tree order its proofs
+/// replay under and its `gctrᵢ`, the least counter that reply may carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Anchor {
+    /// The Merkle tree order.
+    pub order: usize,
+    /// The client's `gctrᵢ` before the request.
+    pub gctr: Ctr,
+}
+
+/// A request a client rejected, the whole reply it rejected, and the
+/// anchor it checked that reply against: what a cold audit re-runs the
+/// client's check on. Drivers build one only on rejection, so the honest
+/// path clones no op and no reply.
+#[derive(Clone, Debug)]
+pub enum Exchange {
+    /// One operation and its reply.
+    Op {
+        /// The client's anchor before the operation.
+        anchor: Anchor,
+        /// The operation sent.
+        op: Op,
+        /// The reply rejected.
+        reply: ServerResponse,
+    },
+    /// A batched window and its one reply.
+    Window {
+        /// The client's anchor before the window.
+        anchor: Anchor,
+        /// The window sent.
+        ops: Vec<Op>,
+        /// The reply rejected.
+        reply: BatchResponse,
+    },
+}
 
 /// A message a client step leaves at the server; nothing answers it.
 #[derive(Debug)]
@@ -89,6 +127,9 @@ impl<S: ServerApi + ?Sized> Port for Direct<'_, S> {
 /// The sync-up methods default to "this protocol has no sync-up": no
 /// trigger, no share, nothing to fail.
 pub trait Protocol {
+    /// The protocol's label in an evidence bundle (`"protocol-2"`, …).
+    const LABEL: &'static str;
+
     /// Verifies the server's reply `resp` to `op` at client clock `round`,
     /// then runs the protocol's follow-up through `port`. Returns the
     /// authenticated answer.
@@ -125,18 +166,34 @@ pub trait Protocol {
     /// Starts the next sync period.
     fn sync_done(&mut self) {}
 
-    /// The evidence bundle this client seals when it rejects a reply,
-    /// `None` for a protocol whose clients seal none. `resp` is the
-    /// rejected reply when it carried a standalone proof.
+    /// The anchor this client checks its next reply against; `None` for a
+    /// client that checks nothing.
+    fn anchor(&self) -> Option<Anchor> {
+        None
+    }
+
+    /// The evidence this client seals when it rejects `exchange`, or fails
+    /// a sync-up (`exchange` is `None`). It is returned unsealed, so the
+    /// driver can graft in what only it knows before `.build()`. A client
+    /// whose own signing key ran out seals nothing: that fault is its own,
+    /// and a bundle would accuse an honest server.
     fn evidence(
         &self,
-        _kind: EvidenceKind,
-        _seed: u64,
-        _captured_at: u64,
-        _deviation: &Deviation,
-        _resp: Option<&ServerResponse>,
-    ) -> Option<EvidenceBundle> {
-        None
+        kind: EvidenceKind,
+        seed: u64,
+        captured_at: u64,
+        deviation: &Deviation,
+        exchange: Option<Exchange>,
+    ) -> Option<EvidenceBuilder> {
+        if matches!(deviation, Deviation::KeyExhausted) {
+            return None;
+        }
+        let b = EvidenceBuilder::new(kind, seed, Self::LABEL)
+            .captured_at(captured_at)
+            .description(format!("a {} client rejected the server", Self::LABEL))
+            .deviation(deviation)
+            .exchange(exchange);
+        Some(b)
     }
 }
 
@@ -146,6 +203,8 @@ pub trait Protocol {
 pub struct TrustedClient;
 
 impl Protocol for TrustedClient {
+    const LABEL: &'static str = "trusted";
+
     fn step<P: Port>(
         &mut self,
         _op: &Op,

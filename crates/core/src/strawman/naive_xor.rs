@@ -68,6 +68,8 @@ impl NaiveXorClient {
 }
 
 impl Protocol for NaiveXorClient {
+    const LABEL: &'static str = "naive-xor";
+
     fn step<P: Port>(
         &mut self,
         op: &Op,

@@ -47,6 +47,48 @@ pub fn get_digest(r: &mut Reader) -> Result<Digest, DecodeError> {
     Ok(Digest(raw.try_into().expect("fixed length")))
 }
 
+/// Reads a u32 collection count whose items each encode to at least
+/// `min_item` bytes ([`min_len`]), refusing one the remaining input cannot
+/// hold: a forged count never sizes an allocation past the bytes given.
+pub(crate) fn get_count(r: &mut Reader, min_item: usize) -> Result<usize, DecodeError> {
+    let n = r.u32()? as usize;
+    if n.saturating_mul(min_item) > r.remaining() {
+        return Err(DecodeError::Invalid("count exceeds the remaining input"));
+    }
+    Ok(n)
+}
+
+/// Least encoded sizes of the collection items decoders count: the
+/// fixed-width fields of each, with every string, byte string, signature
+/// and option taken at its smallest.
+pub(crate) mod min_len {
+    const DIGEST: usize = 32;
+    /// A sync-up share.
+    pub const SHARE: usize = 4 + 8 + 8 + DIGEST + 1;
+    /// A Protocol I signed state.
+    pub const SIGNED_STATE: usize = 4 + DIGEST + 8;
+    /// A Protocol III epoch state.
+    pub const EPOCH_STATE: usize = 4 + 8 + DIGEST + 1 + 8;
+    /// A Protocol III audited checkpoint.
+    pub const CHECKPOINT: usize = 8 + 4 + DIGEST;
+    /// A user and its public key.
+    pub const KEY: usize = 4 + DIGEST + 4;
+    /// One user's log: the user and its entry count.
+    pub const USER_LOG: usize = 4 + 4;
+    /// A logged transition.
+    pub const TRANSITION: usize = DIGEST + DIGEST + 8 + 4;
+    /// A trace event.
+    pub const EVENT: usize = 8 + 1 + 4 + 8 + 1;
+    /// A metric sample.
+    pub const METRIC: usize = 1 + 8 + 8;
+    /// An operation: an unbounded range.
+    pub const OP: usize = 1 + 1 + 1;
+    /// An answer: an absent value.
+    pub const RESULT: usize = 1 + 1;
+    /// One `(key, value)` item of an `Entries` answer.
+    pub const ENTRY: usize = 8 + 8;
+}
+
 // --- signatures and keys --------------------------------------------------
 
 /// Writes an MSS signature: the leaf index, the bottom and the top
@@ -287,7 +329,7 @@ fn put_op_result(w: &mut impl Sink, res: &OpResult) {
 fn get_op_result(r: &mut Reader) -> Result<OpResult, DecodeError> {
     match r.u8()? {
         0 => Ok(OpResult::Value(r.opt(get_vec)?)),
-        1 => (0..r.u32()?)
+        1 => (0..get_count(r, min_len::ENTRY)?)
             .map(|_| Ok((get_vec(r)?, get_vec(r)?)))
             .collect::<Result<_, _>>()
             .map(OpResult::Entries),
@@ -315,22 +357,31 @@ pub fn put_response(w: &mut impl Sink, resp: &ServerResponse) {
     w.u8(u8::from(resp.new_epoch));
 }
 
+/// Reads a proof written by [`put_proof`]; its digests re-verify.
+fn get_proof(r: &mut Reader) -> Result<VerificationObject, DecodeError> {
+    VerificationObject::from_bytes(r.bytes()?)
+        .map_err(|_| DecodeError::Invalid("verification object"))
+}
+
+fn get_flag(r: &mut Reader) -> Result<bool, DecodeError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(DecodeError::BadTag(t)),
+    }
+}
+
 /// Reads a [`put_response`] encoding; the verification object's digests
 /// re-verify during decode.
 pub fn get_response(r: &mut Reader) -> Result<ServerResponse, DecodeError> {
     Ok(ServerResponse {
         result: get_op_result(r)?,
-        vo: VerificationObject::from_bytes(r.bytes()?)
-            .map_err(|_| DecodeError::Invalid("verification object"))?,
+        vo: get_proof(r)?,
         ctr: r.u64()?,
         last_user: r.u32()?,
         sig: r.opt(get_signed_state)?,
         epoch: r.u64()?,
-        new_epoch: match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(DecodeError::BadTag(t)),
-        },
+        new_epoch: get_flag(r)?,
     })
 }
 
@@ -343,8 +394,7 @@ pub fn response_bytes(resp: &ServerResponse) -> Vec<u8> {
 }
 
 /// Writes a batched response: the window's answers behind a u32 count,
-/// the shared proof, then the fields after the proof in [`put_response`]. Only
-/// its size is used, so it has no decoder.
+/// the shared proof, then the fields after the proof in [`put_response`].
 pub fn put_batch_response(w: &mut impl Sink, resp: &BatchResponse) {
     w.u32(resp.results.len() as u32);
     for res in &resp.results {
@@ -356,6 +406,22 @@ pub fn put_batch_response(w: &mut impl Sink, resp: &BatchResponse) {
     w.opt(resp.sig.as_ref(), put_signed_state);
     w.u64(resp.epoch);
     w.u8(u8::from(resp.new_epoch));
+}
+
+/// Reads a [`put_batch_response`] encoding; the shared proof's digests
+/// re-verify during decode, and the answer count is held to the input left.
+pub fn get_batch_response(r: &mut Reader) -> Result<BatchResponse, DecodeError> {
+    Ok(BatchResponse {
+        results: (0..get_count(r, min_len::RESULT)?)
+            .map(|_| get_op_result(r))
+            .collect::<Result<_, _>>()?,
+        proof: get_proof(r)?,
+        ctr: r.u64()?,
+        last_user: r.u32()?,
+        sig: r.opt(get_signed_state)?,
+        epoch: r.u64()?,
+        new_epoch: get_flag(r)?,
+    })
 }
 
 // --- events ---------------------------------------------------------------
@@ -709,6 +775,28 @@ mod tests {
             assert_eq!(response_bytes(&get_response(&mut r).unwrap()), buf);
             r.finish().unwrap();
             assert_decoder_is_strict(&buf, get_response);
+        }
+    }
+
+    /// A window's reply, plain and signed, decodes back to its own bytes,
+    /// and every truncation of it fails typed.
+    #[test]
+    fn batch_response_decoder_round_trips_and_rejects_every_prefix() {
+        let (mut server, signed) = server();
+        let window = [
+            Op::Get(u64_key(1)),
+            Op::Put(u64_key(2), b"two".to_vec()),
+            Op::Get(u64_key(999)),
+        ];
+        let mut batch = server.handle_op_batch(0, 0, &window, 60).unwrap();
+        for sig in [None, Some(signed)] {
+            batch.sig = sig;
+            let buf = encoded(|w| put_batch_response(w, &batch));
+            let mut r = Reader::new(&buf);
+            let back = get_batch_response(&mut r).unwrap();
+            assert_eq!(encoded(|w| put_batch_response(w, &back)), buf);
+            r.finish().unwrap();
+            assert_decoder_is_strict(&buf, get_batch_response);
         }
     }
 

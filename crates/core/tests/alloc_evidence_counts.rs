@@ -1,7 +1,9 @@
 //! A forged collection count cannot make the evidence decoder reserve
 //! memory for items the bundle does not hold. The integrity digest is an
 //! unkeyed sha256, so anyone can seal a bundle that passes it; a count is
-//! refused unless the remaining input can hold that many items.
+//! refused unless the remaining input can hold that many items — the
+//! bundle's own collections, and the counts inside a sealed exchange (a
+//! window's ops, an `Entries` answer's items).
 //!
 //! Own test binary with a counting `#[global_allocator]` that records the
 //! largest single request, and one `#[test]`, so no other thread allocates
@@ -45,13 +47,13 @@ fn largest<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST.load(Relaxed))
 }
 
-/// The fixed head of a bundle — version 1, kind `protocol-verdict`, empty
-/// strings, no trigger coordinates — followed by whatever `rest` writes,
-/// sealed under a valid digest.
+/// The fixed head of a bundle — version 2, kind `protocol-verdict`, empty
+/// strings, no trigger coordinates, no initial token — followed by
+/// whatever `rest` writes, sealed under a valid digest.
 fn forged(rest: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(EVIDENCE_MAGIC);
-    w.u32(1);
+    w.u32(2);
     w.u8(0);
     w.u64(0);
     w.string("");
@@ -73,24 +75,40 @@ fn forged(rest: impl FnOnce(&mut Writer)) -> Vec<u8> {
 fn forged_counts_are_refused_before_any_large_allocation() {
     const CLAIM: u32 = 1 << 20;
     const CEILING: usize = 64 * 1024;
-    // 2^20 initial tokens, none present.
-    let initials = forged(|w| w.u32(CLAIM));
-    // One share set of 2^20 shares, none present.
-    let shares = forged(|w| {
-        w.u32(0); // initials
-        w.u8(0); // no grove sample
-        w.u32(0); // claimed shards
-        w.u32(1); // share sets
-        w.u32(CLAIM); // shares in set 0
+    // 2^20 shares, none present.
+    let shares = forged(|w| w.u32(CLAIM));
+    // An exchange after the empty share, deposit, epoch-state and
+    // checkpoint lists: its shape tag and anchor, then what `rest` writes.
+    let exchange = |shape: u8, rest: &dyn Fn(&mut Writer)| {
+        forged(|w| {
+            (0..4).for_each(|_| w.u32(0));
+            w.u8(1); // present
+            w.u8(shape);
+            w.u32(8); // order
+            w.u64(0); // gctr
+            rest(w);
+        })
+    };
+    // A window of 2^20 ops, none present.
+    let window = exchange(1, &|w| w.u32(CLAIM));
+    // One unbounded range answered by 2^20 entries, none present.
+    let entries = exchange(0, &|w| {
+        w.raw(&[1, 0, 0]); // Range(None, None)
+        w.u8(1); // Entries
+        w.u32(CLAIM);
     });
 
-    for (bytes, field) in [(&initials, "initials"), (&shares, "shares[0]")] {
+    for (bytes, field) in [
+        (&shares, "shares"),
+        (&window, "exchange"),
+        (&entries, "exchange"),
+    ] {
         let (decoded, peak) = largest(|| EvidenceBundle::from_bytes(bytes));
         println!(
             "{field}: {} B bundle, largest allocation {peak} B",
             bytes.len()
         );
-        assert!(bytes.len() < 128, "{} B", bytes.len());
+        assert!(bytes.len() < 160, "{} B", bytes.len());
         match decoded {
             Err(EvidenceError::Malformed { field: f, err }) => {
                 assert_eq!(f, field);

@@ -6,13 +6,14 @@
 //! ```
 //!
 //! Loads a captured [`tcvs_core::EvidenceBundle`] from disk with **no live
-//! server** and re-derives the verdict from the artifact alone: every
-//! signature, VO hash chain and sync-up predicate is re-verified, and the
+//! server** and re-derives the verdict from the artifact alone: the
+//! detecting client's own reply check is re-run on the sealed exchange
+//! (Protocol II; Protocol I and III exchanges are reported "not re-run"),
+//! every signature and the sync-up predicate are re-verified, and the
 //! embedded transition logs are re-diagnosed to name which counter and
-//! users first deviated (the one server is shard 0 in the report). A
-//! tampered artifact — any single flipped byte — is rejected at the exact
-//! offending field and proves nothing; so is a bundle that carries a slot
-//! of the deleted grove (a grove sample, or kind tag 2 or 3).
+//! users first deviated. A tampered artifact — any single flipped byte — is
+//! rejected at the exact offending field and proves nothing; so is a
+//! version-1 bundle (`unsupported bundle version 1`).
 //!
 //! Exit status: `0` when the artifact is authentic (whatever the verdict),
 //! `1` when any artifact is rejected as forged/tampered, `2` on usage or

@@ -216,28 +216,24 @@ impl BootstrapClient {
                 deviation: "bootstrap-chunk-forged".to_string(),
                 detail: format!("chunk {index} rejected: {error}"),
                 user,
-                shard: None,
                 ctr: Some(u64::from(*index)),
             },
             BootstrapError::AnchorMismatch { expected, got } => TriggerInfo {
                 deviation: "bootstrap-anchor-mismatch".to_string(),
                 detail: format!("pinned {expected}, served manifest anchors {got}"),
                 user,
-                shard: None,
                 ctr: None,
             },
             BootstrapError::Assembly(err) => TriggerInfo {
                 deviation: "bootstrap-assembly-failed".to_string(),
                 detail: format!("assembly gate: {err}"),
                 user,
-                shard: None,
                 ctr: None,
             },
             BootstrapError::Manifest(err) => TriggerInfo {
                 deviation: "bootstrap-manifest-invalid".to_string(),
                 detail: format!("manifest rejected: {err}"),
                 user,
-                shard: None,
                 ctr: None,
             },
             BootstrapError::Net(_)
@@ -259,7 +255,7 @@ impl BootstrapClient {
         ))
         .trigger(trigger);
         if let Some(anchor) = expected_anchor {
-            b = b.initials(&[*anchor]);
+            b = b.initial(*anchor);
         }
         self.evidence = Some(b.build());
     }
@@ -581,7 +577,7 @@ mod tests {
         assert_eq!(bundle.seed, 42);
         assert_eq!(bundle.trigger.deviation, "bootstrap-chunk-forged");
         assert_eq!(bundle.trigger.ctr, Some(1), "the offending chunk index");
-        assert_eq!(bundle.initials, vec![anchor], "the pinned anchor rides");
+        assert_eq!(bundle.initial, Some(anchor), "the pinned anchor rides");
         let report = tcvs_core::audit_bytes(&bundle.to_bytes());
         assert!(report.accepted, "{:?}", report.rejection);
         assert_eq!(report.kind.as_deref(), Some("bootstrap-forgery"));

@@ -10,8 +10,8 @@
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use tcvs_core::{
-    Client1, Client2, Client3, Ctr, Deposit, Deviation, Digest, Epoch, EvidenceBuilder,
-    EvidenceBundle, EvidenceKind, Op, OpResult, Port, Protocol, ProtocolConfig, ServerResponse,
+    Anchor, Client1, Client2, Client3, Ctr, Deposit, Deviation, Digest, Epoch, EvidenceBuilder,
+    EvidenceBundle, EvidenceKind, Exchange, Op, OpResult, Port, Protocol, ProtocolConfig,
     SignedCheckpoint, SignedEpochState, SyncShare, TransitionLog, TrustedClient, UserId,
 };
 use tcvs_crypto::{KeyRegistry, Keyring};
@@ -189,14 +189,18 @@ impl<P: Protocol> NetClient<P> {
     }
 
     /// Executes one verified operation at client clock `round` (Protocol
-    /// III reads its epoch from it). A failed verification stashes an
-    /// evidence bundle when the protocol seals one.
+    /// III reads its epoch from it). A failed verification stashes the
+    /// evidence bundle the protocol seals over the exchange.
     pub fn execute_at(&mut self, op: &Op, round: u64) -> Result<OpResult, NetError> {
         let resp = self.call(round, |reply| Body::Op(op.clone(), reply))?;
         self.ops += 1;
         match self.inner.step(op, &resp, round, &mut self.link) {
             Err(NetError::Deviation(d)) => {
-                self.capture(EvidenceKind::ProtocolVerdict, &d, Some(&resp));
+                self.capture(EvidenceKind::ProtocolVerdict, &d, |anchor| Exchange::Op {
+                    anchor,
+                    op: op.clone(),
+                    reply: resp,
+                });
                 Err(d.into())
             }
             out => out,
@@ -223,14 +227,36 @@ impl<P: Protocol> NetClient<P> {
         })
     }
 
-    /// Stashes the evidence bundle of a rejection, keeping the first one
-    /// until it is taken.
-    fn capture(&mut self, kind: EvidenceKind, d: &Deviation, resp: Option<&ServerResponse>) {
+    /// Seals the evidence of a rejection over the exchange `exchange`
+    /// builds from the client's anchor, keeping the first bundle until it
+    /// is taken. Cold: it runs once per rejection, never per operation.
+    #[cold]
+    fn capture(
+        &mut self,
+        kind: EvidenceKind,
+        d: &Deviation,
+        exchange: impl FnOnce(Anchor) -> Exchange,
+    ) {
         if self.evidence.is_none() {
+            let exchange = self.inner.anchor().map(exchange);
             self.evidence = self
                 .inner
-                .evidence(kind, self.evidence_seed, self.ops, d, resp);
+                .evidence(kind, self.evidence_seed, self.ops, d, exchange)
+                .map(EvidenceBuilder::build);
         }
+    }
+
+    /// Stamps captured evidence bundles with the run seed that produced
+    /// them, tying an incident artifact back to a reproducible run.
+    pub fn set_evidence_seed(&mut self, seed: u64) {
+        self.evidence_seed = seed;
+    }
+
+    /// Takes the evidence bundle captured at the most recent failed
+    /// verification, if any. The stash holds one bundle — the first
+    /// deviation of an exchange — until taken.
+    pub fn take_evidence(&mut self) -> Option<EvidenceBundle> {
+        self.evidence.take()
     }
 
     /// Operations completed.
@@ -313,19 +339,6 @@ impl NetClient<Client2> {
         self.inner.transition_log()
     }
 
-    /// Stamps captured evidence bundles with the run seed that produced
-    /// them, tying an incident artifact back to a reproducible run.
-    pub fn set_evidence_seed(&mut self, seed: u64) {
-        self.evidence_seed = seed;
-    }
-
-    /// Takes the evidence bundle captured at the most recent failed
-    /// verification, if any. The stash holds one bundle — the first
-    /// deviation of an exchange — until taken.
-    pub fn take_evidence(&mut self) -> Option<EvidenceBundle> {
-        self.evidence.take()
-    }
-
     /// Executes a window of operations as **one** verified exchange: one
     /// round trip, one [`tcvs_core::BatchResponse`] whose spine siblings
     /// are shared across the window, one σ-token fold telescoped over the
@@ -346,9 +359,13 @@ impl NetClient<Client2> {
             Some(resp) => {
                 self.ops += ops.len() as u64;
                 self.inner.handle_batch_response(ops, &resp).map_err(|d| {
-                    // Batch proofs are window-shaped (no standalone VO to
-                    // embed); the bundle still pins the client's view.
-                    self.capture(EvidenceKind::BatchVerifyFailure, &d, None);
+                    self.capture(EvidenceKind::BatchVerifyFailure, &d, |anchor| {
+                        Exchange::Window {
+                            anchor,
+                            ops: ops.to_vec(),
+                            reply: resp,
+                        }
+                    });
                     d.into()
                 })
             }

@@ -108,7 +108,6 @@ pub fn run_with_oracle_evidence(
                     deviation: "oracle-divergence".to_string(),
                     detail: format!("got {got:?}, trusted run answers {expected:?}"),
                     user: Some(*user),
-                    shard: None,
                     ctr: Some(*op_index),
                 })
                 .build(),

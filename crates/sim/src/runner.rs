@@ -21,8 +21,9 @@ use tcvs_core::strawman::NaiveXorClient;
 use tcvs_core::wire::{self, encoded_len};
 use tcvs_core::{
     Client1, Client2, Client3, Deposit, Deviation, Digest, Direct, Epoch, EvidenceBuilder,
-    EvidenceBundle, EvidenceKind, FaultKind, FaultPlan, Port, Protocol, ProtocolConfig,
-    ProtocolKind, ServerApi, SignedCheckpoint, SignedEpochState, SyncShare, TrustedClient, UserId,
+    EvidenceBundle, EvidenceKind, Exchange, FaultKind, FaultPlan, Port, Protocol, ProtocolConfig,
+    ProtocolKind, ServerApi, SignedCheckpoint, SignedEpochState, SyncShare, TriggerInfo,
+    TrustedClient, UserId,
 };
 use tcvs_crypto::setup_users;
 use tcvs_merkle::MerkleTree;
@@ -110,6 +111,18 @@ pub fn simulate_observed(
     violation_op: Option<u64>,
     tracer: &Tracer,
 ) -> RunReport {
+    run(spec, server, trace, violation_op, tracer).0
+}
+
+/// [`simulate_observed`], returning also the evidence the detecting client
+/// sealed at its detection site.
+fn run(
+    spec: &SimSpec,
+    server: &mut dyn ServerApi,
+    trace: &Trace,
+    violation_op: Option<u64>,
+    tracer: &Tracer,
+) -> (RunReport, Option<EvidenceBuilder>) {
     let root0 = initial_root(&spec.config);
     let users = 0..spec.n_users;
     let keys = || setup_users(spec.setup_seed, spec.n_users, spec.mss_height);
@@ -156,7 +169,7 @@ pub fn simulate_observed(
     }
 }
 
-/// [`simulate_observed`] with one protocol client per user.
+/// [`run`] with one protocol client per user.
 fn drive<C: Protocol>(
     spec: &SimSpec,
     server: &mut dyn ServerApi,
@@ -164,7 +177,7 @@ fn drive<C: Protocol>(
     violation_op: Option<u64>,
     tracer: &Tracer,
     mut clients: Vec<C>,
-) -> RunReport {
+) -> (RunReport, Option<EvidenceBuilder>) {
     for c in &mut clients {
         c.set_tracer(tracer.clone());
     }
@@ -197,8 +210,13 @@ fn drive<C: Protocol>(
     // their delivery index. None of them may trigger a detection.
     let order = spec.faults.effective_order(trace.len() as u64);
     // The run's verdict, `(op index, round, user, deviation)`: the first
-    // detection stops the run.
+    // detection stops the run, and its client seals the evidence.
     let mut verdict = None;
+    let mut sealed = None;
+    let seed = u64::from_le_bytes(spec.setup_seed[..8].try_into().expect("8-byte prefix"));
+    let seal = |c: &C, at: u64, dev: &Deviation, exchange| {
+        c.evidence(EvidenceKind::ProtocolVerdict, seed, at, dev, exchange)
+    };
     for (idx, &trace_idx) in order.iter().enumerate() {
         let sop = &trace.ops()[trace_idx as usize];
         let fault = spec.faults.fault_at(idx as u64);
@@ -295,6 +313,12 @@ fn drive<C: Protocol>(
                     .detail(format!("{dev} round={round}"))
                     .span(ctx.child(stage::VERDICT))
             });
+            let exchange = c.anchor().map(|anchor| Exchange::Op {
+                anchor,
+                op: sop.op.clone(),
+                reply: resp,
+            });
+            sealed = seal(c, idx as u64, &dev, exchange);
             verdict = Some((idx as u64, round, sop.user, dev));
             break;
         }
@@ -318,12 +342,15 @@ fn drive<C: Protocol>(
         if !clients.iter().any(C::wants_sync) {
             continue;
         }
-        if let Some(dev) = sync_up(&mut clients, &mut report, &mut busy_until, tracer) {
+        if let Some(shares) = sync_up(&mut clients, &mut report, &mut busy_until, tracer) {
+            let dev = Deviation::SyncFailed;
             tracer.emit(|| {
                 Event::new(idx as u64, EventKind::Detection, sop.user)
                     .detail(format!("{dev} round={busy_until}"))
                     .span(ctx.child(stage::SYNC))
             });
+            let c = &clients[sop.user as usize];
+            sealed = seal(c, idx as u64, &dev, None).map(|b| b.shares(shares));
             verdict = Some((idx as u64, busy_until, sop.user, dev));
             break;
         }
@@ -332,12 +359,14 @@ fn drive<C: Protocol>(
     // Trace exhausted: one final sync-up so short traces still settle.
     if verdict.is_none() && spec.final_sync {
         let n = trace.len() as u64;
-        verdict = sync_up(&mut clients, &mut report, &mut busy_until, tracer).map(|dev| {
+        if let Some(shares) = sync_up(&mut clients, &mut report, &mut busy_until, tracer) {
+            let dev = Deviation::SyncFailed;
             tracer.emit(|| {
                 Event::new(n, EventKind::Detection, 0).detail(format!("{dev} round={busy_until}"))
             });
-            (n, busy_until, 0, dev)
-        });
+            sealed = seal(&clients[0], n, &dev, None).map(|b| b.shares(shares));
+            verdict = Some((n, busy_until, 0, dev));
+        }
     }
 
     if let Some((op_index, round, by_user, deviation)) = verdict {
@@ -369,7 +398,7 @@ fn drive<C: Protocol>(
             max_user_ops_after_violation: max_user,
         });
     }
-    report
+    (report, sealed)
 }
 
 /// [`simulate_observed`] with an always-on [`FlightRecorder`] as the sink —
@@ -378,10 +407,12 @@ fn drive<C: Protocol>(
 ///
 /// Every event of the run flows into a ring of `cap` slots (oldest
 /// overwritten), so memory stays constant however long the trace;
-/// scheduled crash-restarts land in the same ring. The bundle carries the
-/// triggering deviation, the detecting user, the run seed, the genesis
-/// anchor token, and the recorder's retained tail. Honest runs return no
-/// bundle — capture must cost nothing on the honest path.
+/// scheduled crash-restarts land in the same ring. The detecting client
+/// seals at its detection site (`Protocol::evidence`: the rejected
+/// exchange, or every user's share at a failed sync-up); the bundle then
+/// gains the detection's coordinates, the genesis anchor token, and the
+/// recorder's retained tail. Honest runs return no bundle — capture must
+/// cost nothing on the honest path.
 pub fn simulate_with_evidence(
     spec: &SimSpec,
     server: &mut dyn ServerApi,
@@ -390,39 +421,34 @@ pub fn simulate_with_evidence(
     cap: usize,
 ) -> (RunReport, Option<EvidenceBundle>, Arc<FlightRecorder>) {
     let (tracer, recorder) = Tracer::flight(cap);
-    let report = simulate_observed(spec, server, trace, violation_op, &tracer);
-    let bundle = report.detection.as_ref().map(|det| {
-        let seed = u64::from_le_bytes(spec.setup_seed[..8].try_into().expect("8-byte prefix"));
+    let (report, sealed) = run(spec, server, trace, violation_op, &tracer);
+    let bundle = report.detection.as_ref().zip(sealed).map(|(det, b)| {
         let root0 = initial_root(&spec.config);
-        let trigger = {
-            let mut t = tcvs_core::TriggerInfo::from_deviation(&det.deviation);
-            t.user = Some(det.by_user);
-            t.ctr = Some(det.op_index);
-            t
-        };
-        EvidenceBuilder::new(EvidenceKind::ProtocolVerdict, seed, spec.protocol.label())
-            .captured_at(det.op_index)
-            .description(format!(
-                "simulated run detected at op {} (round {}) by user {}",
-                det.op_index, det.round, det.by_user
-            ))
-            .trigger(trigger)
-            .initials(&[tcvs_core::state::initial_token(&root0)])
-            .flight_tail(recorder.snapshot())
-            .build()
+        b.description(format!(
+            "simulated run detected at op {} (round {}) by user {}",
+            det.op_index, det.round, det.by_user
+        ))
+        .trigger(TriggerInfo {
+            user: Some(det.by_user),
+            ctr: Some(det.op_index),
+            ..TriggerInfo::from_deviation(&det.deviation)
+        })
+        .initial(tcvs_core::state::initial_token(&root0))
+        .flight_tail(recorder.snapshot())
+        .build()
     });
     (report, bundle, recorder)
 }
 
 /// One broadcast sync-up round of its own, for protocols that have one:
 /// every user's share reaches every user, and the round passes iff some
-/// user announces success. Returns the deviation if it failed.
+/// user announces success. Returns the shares if it failed.
 fn sync_up<C: Protocol>(
     cs: &mut [C],
     report: &mut RunReport,
     busy_until: &mut u64,
     tracer: &Tracer,
-) -> Option<Deviation> {
+) -> Option<Vec<SyncShare>> {
     let shares: Vec<SyncShare> = cs.iter().map(C::sync_share).collect::<Option<_>>()?;
     let t = *busy_until;
     tracer.emit(|| Event::new(t, EventKind::SyncTriggered, NO_ACTOR));
@@ -431,7 +457,7 @@ fn sync_up<C: Protocol>(
     *busy_until += 1;
     let ok = cs.iter().any(|c| c.sync_succeeds(&shares));
     cs.iter_mut().for_each(C::sync_done);
-    (!ok).then_some(Deviation::SyncFailed)
+    (!ok).then_some(shares)
 }
 
 /// The simulator's port: every deposit and fetch is a direct call on the

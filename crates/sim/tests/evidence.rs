@@ -1,5 +1,5 @@
 //! Evidence capture at the simulator's detection sites: a detected run
-//! seals a portable bundle (auditable cold, byte-stable across same-seed
+//! seals a portable bundle (confirmed cold, byte-stable across same-seed
 //! re-runs), the trusted-replay oracle seals its divergence verdict, and
 //! honest runs capture nothing.
 
@@ -44,6 +44,11 @@ fn detected_run_seals_a_byte_stable_auditable_bundle() {
     let audit = audit_bytes(&bundle.to_bytes());
     assert!(audit.accepted, "{:?}", audit.rejection);
     assert_eq!(audit.kind.as_deref(), Some("protocol-verdict"));
+    assert!(
+        audit.confirmed,
+        "the client's check fails again on the sealed exchange:\n{}",
+        audit.render_text()
+    );
 
     // Same seed, same trace → byte-identical artifact.
     let (_, bundle2, _) = run(&spec);

@@ -1,16 +1,17 @@
 //! Cross-driver parity: the simulator and the threaded client run the same
 //! client step (`tcvs_core::Protocol`), so one trace against one deviating
 //! server is caught on the same operation, with the same deviation, by
-//! `simulate` and by sequentially driven `NetClient1`/`NetClient2`s.
+//! `simulate` and by sequentially driven `NetClient1`/`NetClient2`s — and
+//! both seal the same exchange through the same `Protocol::evidence`.
 
 mod common;
 
 use common::spec;
 use tcvs_core::adversary::{LieServer, TamperServer, Trigger};
-use tcvs_core::{Deviation, Protocol, ProtocolConfig, ProtocolKind, ServerApi};
+use tcvs_core::{audit_bytes, Deviation, Protocol, ProtocolConfig, ProtocolKind, ServerApi};
 use tcvs_crypto::setup_users;
 use tcvs_net::{NetClient, NetClient1, NetClient2, NetError, NetServer};
-use tcvs_sim::{initial_root, simulate, SimSpec};
+use tcvs_sim::{initial_root, simulate, simulate_with_evidence, SimSpec};
 use tcvs_workload::{generate, OpMix, Trace, WorkloadSpec};
 
 const USERS: u32 = 3;
@@ -108,4 +109,36 @@ fn a_tamper_is_caught_on_the_same_op_by_both_protocol1_drivers() {
     let (sim, net) = both_verdicts(ProtocolKind::One, tamper);
     assert!(sim.is_some(), "the simulator missed the tamper");
     assert_eq!(sim, net);
+}
+
+/// One lie, two drivers, one exchange: both seal the same anchor, op and
+/// whole reply, and the cold audit confirms both bundles.
+#[test]
+fn a_lie_seals_equal_exchanges_through_both_drivers() {
+    let mut s = parity_spec(ProtocolKind::Two);
+    // A reply's epoch fields read the driver's clock, which the two drivers
+    // keep differently; one endless epoch makes the replies comparable.
+    s.config.epoch_len = u64::MAX;
+    let t = trace();
+    let mut server = lie(&s.config);
+    let (_, sim, _) = simulate_with_evidence(&s, server.as_mut(), &t, None, 64);
+    let sim = sim.expect("the simulator seals the lie");
+
+    let root0 = initial_root(&s.config);
+    let server = NetServer::spawn(lie(&s.config), false);
+    let mut cs: Vec<NetClient2> = (0..USERS)
+        .map(|u| NetClient2::new(u, &root0, s.config, &server))
+        .collect();
+    let (at, _) = net_verdict(&mut cs, &t).expect("the threaded clients catch the lie");
+    let net = cs[t.ops()[at as usize].user as usize]
+        .take_evidence()
+        .expect("the threaded client seals the lie");
+    server.shutdown();
+
+    assert!(sim.exchange.is_some());
+    assert_eq!(sim.exchange, net.exchange);
+    for bundle in [&sim, &net] {
+        let report = audit_bytes(&bundle.to_bytes());
+        assert!(report.confirmed, "{}", report.render_text());
+    }
 }

@@ -21,12 +21,20 @@
 //! is refused — and its kind moved from the retired grove sync-up tag 3 to
 //! `protocol-verdict`, which the one server's sync-up capture uses. Every
 //! other field of the bundle, and every other pin, stayed where it was.
+//!
+//! The same three were re-recorded once more for bundle version 2, which
+//! the cold audit's re-run of the client's check needs: the payload
+//! carries the rejected exchange (the client's anchor, the op and the
+//! whole signed `get` reply) where it carried a bare proof, and the
+//! per-shard fields are flat (one initial token, one share set, one log
+//! set, no claimed shard set, no trigger shard, no grove slot). The
+//! replies, records, manifest and every other pin stayed where they were.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
-    Deviation, EvidenceBuilder, EvidenceKind, HonestServer, ProtocolConfig, ServerApi,
-    ServerMetrics, ServerResponse, ServerSnapshot, SignedCheckpoint, SignedEpochState, SignedState,
-    SyncShare, TransitionLog, TriggerInfo,
+    Anchor, Deviation, EvidenceBuilder, EvidenceKind, Exchange, HonestServer, ProtocolConfig,
+    ServerApi, ServerMetrics, ServerResponse, ServerSnapshot, SignedCheckpoint, SignedEpochState,
+    SignedState, SyncShare, TransitionLog, TriggerInfo,
 };
 use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
@@ -35,10 +43,10 @@ use tcvs_storage::{response_bytes, DurableState, Record};
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
 /// above on the first build whose point proofs hide unproven entries, and
-/// the three bundle-bearing ones on the first build without the grove.
+/// the three bundle-bearing ones on the first build of bundle version 2.
 const PINS: &str = "\
-checkpoint 436f69634fde03e07f81c4be03f03807a08293dfe798ee66ad73e318816b99ea
-evidence d72c4562e702bf5de41cfa6ef69eec2a919267d5a5d91cb81c65eb4026fe771d
+checkpoint 162f7ad8c3d109eb058f02655eb052e6cfa265f741f6dbfdad56ce24227764e8
+evidence 6950da9de2994eae2c5339802a13105f82abae9a182ae7ebd78948846fb7af34
 manifest 86f419413a3018cd584471fd417a7f4bcb90250f35cf814f0559e9b8330cc359
 reply-get aebe7b6758aa9209f64f80077358b07b73c3414ea5c1681302a13f3da48c85ee
 reply-get-absent 6d96bd561759395b21c11f751078ed5b4ecdf3ab355c0f86b04ca667fb6f3547
@@ -60,7 +68,7 @@ record-epoch-state e09a2eb5a28f3d1e4092f2c042743f837f89adc1e6ba5abf6172f9c40b914
 record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee734087cf9
 record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
-record-evidence dad403b2b9b721b99a92e948116b5712b0c6c09cb5d59b0f1d6005f137f715b7
+record-evidence 429142acca6802c81760da49f0cff80868d55237c0e4be3e917b3e2436fd22ab
 ";
 
 fn hex(d: Digest) -> String {
@@ -180,18 +188,23 @@ fn every_persisted_encoding_is_pinned() {
             deviation: "sync-failed".into(),
             detail: "detail".into(),
             user: Some(1),
-            shard: Some(2),
             ctr: Some(3),
         })
-        .initials(&[sha256(b"i0")])
-        .claimed_shards([1usize])
-        .shares(vec![vec![share(Some(sha256(b"l"))), share(None)]])
+        .initial(sha256(b"i0"))
+        .shares(vec![share(Some(sha256(b"l"))), share(None)])
         .signed_state(deposit.clone())
         .epoch_states([epoch_with.clone(), epoch_without])
         .checkpoints([checkpoint.clone()])
-        .vo(replies[0].1.vo.to_bytes())
+        .exchange(Some(Exchange::Op {
+            anchor: Anchor {
+                order: config.order,
+                gctr: 41,
+            },
+            op: ops()[0].1.clone(),
+            reply: replies[5].1.clone(),
+        }))
         .keys_from(&registry)
-        .transition_log(0, 1, &log)
+        .transition_log(1, &log)
         .events([spanned(2, EventKind::Detection, "event")])
         .flight_tail([Event::new(1, EventKind::Deposit, 0)])
         .metrics(&metrics.snapshot())
