@@ -224,6 +224,7 @@ impl Client1 {
 
 impl Protocol for Client1 {
     const LABEL: &'static str = "protocol-1";
+    const BLOCKING_DEPOSIT: bool = true;
 
     /// Verifies, deposits the signature over the new state (the deposit
     /// the blocking server waits for), then prepares the next one-time key.

@@ -30,8 +30,9 @@ use tcvs_crypto::{Digest, KeyRegistry, Keyring, UserId};
 use tcvs_merkle::{replay_unanchored, Op, OpResult};
 use tcvs_obs::{stage, Event, EventKind, SpanContext, Tracer};
 
+use crate::evidence::{EvidenceBuilder, EvidenceKind};
 use crate::msg::{ServerResponse, SignedCheckpoint, SignedEpochState};
-use crate::protocol::{Anchor, Deposit, Port, Protocol};
+use crate::protocol::{rejection, Anchor, Deposit, Exchange, Port, Protocol};
 use crate::state::{initial_token, state_token};
 use crate::types::{Ctr, Deviation, Epoch, ProtocolConfig};
 
@@ -398,11 +399,32 @@ impl Protocol for Client3 {
     fn set_current_span(&mut self, ctx: Option<SpanContext>) {
         self.current_span = ctx;
     }
+
     fn anchor(&self) -> Option<Anchor> {
         Some(Anchor {
             order: self.config.order,
             gctr: self.gctr,
         })
+    }
+
+    /// An audit verdict is raised after the op's reply passed its check, so
+    /// it is sealed with no exchange: that reply is not the rejected one.
+    fn evidence(
+        &self,
+        kind: EvidenceKind,
+        seed: u64,
+        captured_at: u64,
+        deviation: &Deviation,
+        exchange: Option<Exchange>,
+    ) -> Option<EvidenceBuilder> {
+        let audit = matches!(
+            deviation,
+            Deviation::EpochCheckFailed(_)
+                | Deviation::MissingEpochState { .. }
+                | Deviation::BadEpochSignature(_)
+        );
+        let exchange = exchange.filter(|_| !audit);
+        rejection::<Self>(kind, seed, captured_at, deviation, exchange)
     }
 }
 

@@ -130,6 +130,13 @@ pub trait Protocol {
     /// The protocol's label in an evidence bundle (`"protocol-2"`, …).
     const LABEL: &'static str;
 
+    /// Whether the step ends in the signature deposit a blocking server
+    /// waits for before it answers anyone else (Protocol I's extra
+    /// message). A driver that shares the server's process may then hold
+    /// the server from the reply to that deposit instead of passing both
+    /// through its queue.
+    const BLOCKING_DEPOSIT: bool = false;
+
     /// Verifies the server's reply `resp` to `op` at client clock `round`,
     /// then runs the protocol's follow-up through `port`. Returns the
     /// authenticated answer.
@@ -185,16 +192,28 @@ pub trait Protocol {
         deviation: &Deviation,
         exchange: Option<Exchange>,
     ) -> Option<EvidenceBuilder> {
-        if matches!(deviation, Deviation::KeyExhausted) {
-            return None;
-        }
-        let b = EvidenceBuilder::new(kind, seed, Self::LABEL)
-            .captured_at(captured_at)
-            .description(format!("a {} client rejected the server", Self::LABEL))
-            .deviation(deviation)
-            .exchange(exchange);
-        Some(b)
+        rejection::<Self>(kind, seed, captured_at, deviation, exchange)
     }
+}
+
+/// The default [`Protocol::evidence`]: the deviation and `exchange` under
+/// `P`'s label, and nothing for a client whose own key ran out.
+pub(crate) fn rejection<P: Protocol + ?Sized>(
+    kind: EvidenceKind,
+    seed: u64,
+    captured_at: u64,
+    deviation: &Deviation,
+    exchange: Option<Exchange>,
+) -> Option<EvidenceBuilder> {
+    if matches!(deviation, Deviation::KeyExhausted) {
+        return None;
+    }
+    let b = EvidenceBuilder::new(kind, seed, P::LABEL)
+        .captured_at(captured_at)
+        .description(format!("a {} client rejected the server", P::LABEL))
+        .deviation(deviation)
+        .exchange(exchange);
+    Some(b)
 }
 
 /// The unverifying client of the trusted-server baseline: it takes every

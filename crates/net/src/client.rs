@@ -19,7 +19,7 @@ use tcvs_obs::{stage, Event, EventKind, SpanContext};
 
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
-use crate::server::{Body, Call, Endpoint, Head, Request, Wire};
+use crate::server::{Body, Call, Endpoint, Head, Held, Request, Shared, Wire};
 
 /// The transport state of one user's connection: the wire, the user's
 /// request numbering, the retry policy and the stats handles. Every client
@@ -131,6 +131,50 @@ impl Port for Link {
     }
 }
 
+/// The port of a step held on the server ([`Shared::hold`]): the signature
+/// the step owes goes straight into the server and releases it; every
+/// other message travels as on the [`Link`], and a fetch releases the
+/// server before it waits for the thread.
+struct HeldPort<'a, 'b> {
+    link: &'a mut Link,
+    held: Option<Held<'b>>,
+}
+
+impl Port for HeldPort<'_, '_> {
+    type Error = NetError;
+
+    fn deposit(&mut self, deposit: Deposit) -> Result<(), NetError> {
+        match deposit {
+            Deposit::Signature(signed) => match self.held.take() {
+                Some(held) => {
+                    let ctx = Some(SpanContext::root(signed.signer, self.link.seq));
+                    held.deposit(signed, ctx)
+                }
+                None => self.link.deposit(Deposit::Signature(signed)),
+            },
+            other => self.link.deposit(other),
+        }
+    }
+
+    fn fetch_epoch_states(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Vec<SignedEpochState>, NetError> {
+        self.held = None;
+        self.link.fetch_epoch_states(user, epoch)
+    }
+
+    fn fetch_checkpoint(
+        &mut self,
+        user: UserId,
+        epoch: Epoch,
+    ) -> Result<Option<SignedCheckpoint>, NetError> {
+        self.held = None;
+        self.link.fetch_checkpoint(user, epoch)
+    }
+}
+
 /// A protocol client bound to a running server (a [`crate::NetServer`] or
 /// a [`crate::FaultLink`] in front of one).
 ///
@@ -192,9 +236,56 @@ impl<P: Protocol> NetClient<P> {
     /// III reads its epoch from it). A failed verification stashes the
     /// evidence bundle the protocol seals over the exchange.
     pub fn execute_at(&mut self, op: &Op, round: u64) -> Result<OpResult, NetError> {
+        if P::BLOCKING_DEPOSIT {
+            if let Some(server) = self.link.wire.blocking_server() {
+                return self.execute_held(&server, op, round);
+            }
+        }
         let resp = self.call(round, |reply| Body::Op(op.clone(), reply))?;
         self.ops += 1;
         match self.inner.step(op, &resp, round, &mut self.link) {
+            Err(NetError::Deviation(d)) => {
+                self.capture(EvidenceKind::ProtocolVerdict, &d, |anchor| Exchange::Op {
+                    anchor,
+                    op: op.clone(),
+                    reply: resp,
+                });
+                Err(d.into())
+            }
+            out => out,
+        }
+    }
+
+    /// [`NetClient::execute_at`] on a blocking server bound directly: the
+    /// client holds the server from its reply to its deposit, and runs the
+    /// step on its own thread in between ([`Shared::hold`]). A server with
+    /// work queued serves the call on its thread instead, and waits there
+    /// for the deposit.
+    fn execute_held(&mut self, server: &Shared, op: &Op, round: u64) -> Result<OpResult, NetError> {
+        self.link.seq += 1;
+        let head = Head::root(self.link.user, self.link.seq, round);
+        self.inner.set_current_span(head.ctx);
+        let call = |reply| Call {
+            head,
+            body: Body::Op(op.clone(), reply),
+        };
+        let (reply, answered) = bounded(1);
+        let (resp, held) = match server.hold(&call(reply))? {
+            // A served op is answered before `hold` returns.
+            Some(held) => (answered.try_recv().map_err(|_| NetError::ServerGone)?, held),
+            None => (
+                self.link.round_trip(head.ctx, |reply| call(reply).into())?,
+                None,
+            ),
+        };
+        self.ops += 1;
+        let mut port = HeldPort {
+            link: &mut self.link,
+            held,
+        };
+        let out = self.inner.step(op, &resp, round, &mut port);
+        drop(port);
+        match out {
             Err(NetError::Deviation(d)) => {
                 self.capture(EvidenceKind::ProtocolVerdict, &d, |anchor| Exchange::Op {
                     anchor,

@@ -17,34 +17,50 @@
 //! A call — a plain op or a batch window — from a client bound to the
 //! [`NetServer`] itself runs on the client's own thread when, checked
 //! before the lock and again under it, nothing is queued or in flight to
-//! the thread, shutdown has not started, and the deployment is not
-//! Protocol I's blocking one. It runs the same `serve` the thread runs, so
-//! journal, replay check, stats and events do not depend on where it runs;
-//! what it saves is the two thread wake-ups of a channel round trip, and
-//! for a window the server thread's preemption by the client it wakes.
-//! Everything else queues for the thread: deposits, fetches, bootstrap and
-//! sample requests, crashes, every call through a [`crate::FaultLink`] (its
-//! faults would otherwise be bypassed), every call of a blocking deployment
-//! (its deposit wait is a receive on the thread), and a call that found
-//! work queued. Every request sent into the channel is counted until the
-//! thread has dispatched it, so an inline call never overtakes queued work,
-//! its caller's own deposits included. A caller that finds another inline
-//! call holding the lock (with nothing queued) waits for it if it carries a
-//! window, which holds the lock for hundreds of µs of CPU that a hand-off
-//! to the thread would not shorten; a plain op spins briefly
-//! (`INLINE_SPIN`), then queues.
+//! the thread and shutdown has not started. It runs the same `serve` the
+//! thread runs, so journal, replay check, stats and events do not depend
+//! on where it runs; what it saves is the two thread wake-ups of a channel
+//! round trip, and for a window the server thread's preemption by the
+//! client it wakes. On a blocking Protocol I deployment the unit that runs
+//! inline is a Protocol I client's whole step (`Shared::hold`; the client
+//! type picks this route statically, by `Protocol::BLOCKING_DEPOSIT`): it
+//! takes the lock, is served, verifies the reply, signs the new state and
+//! deposits it straight into the serving state, and releases the lock at
+//! that deposit; it prepares its next one-time key after the release. A
+//! held step that deposits nothing — a caught lie, an exhausted key, a
+//! panic in the client's step — counts one missed deposit as it releases.
+//!
+//! Everything else queues for the thread: deposits outside a held step,
+//! fetches, bootstrap and sample requests, crashes, every call through a
+//! [`crate::FaultLink`] (its faults would otherwise be bypassed), every
+//! other call of a blocking deployment (a plain `Wire::submit` deposits
+//! nothing, so only a client that runs its own step may hold the server),
+//! and a call that found work queued. Every request sent into the channel
+//! is counted until the thread has dispatched it, so an inline call never
+//! overtakes queued work, its caller's own deposits included. A caller
+//! that finds another inline call holding the lock (with nothing queued)
+//! waits for it if it carries a window or a held step, which hold the lock
+//! for hundreds of µs or for a verify and a sign that a hand-off to the
+//! thread would not shorten; a plain op spins briefly (`INLINE_SPIN`), then
+//! queues.
 //!
 //! Both drivers run a request under one `fail_stop`: a panic inside the
 //! inner server — a durable server refusing to acknowledge an op whose
 //! commit failed — drops the serving state and starts shutdown, so the
 //! failing call and every later one get [`NetError::ServerGone`] whichever
 //! thread the op ran on, and no client is answered from that server again.
+//! A held step runs only the server's side under it: the client's verify
+//! and sign stay outside.
 //!
 //! Protocol I's blocking step is *physically* reproduced: in blocking mode
-//! the server thread will not take the next operation until the previous
-//! client's signature deposit has arrived — this is what experiment E6's
-//! wall-clock throughput numbers measure. Under faults the block is bounded
-//! by [`NetServerOptions::deposit_timeout`]: a lost or abandoned deposit is
+//! the server answers no other query between a user's op and that user's
+//! signature deposit — held on the client's thread, or on the server
+//! thread, which will not take the next request until the deposit has
+//! arrived. This is what experiment E6's wall-clock throughput numbers
+//! measure: in one process the step costs the client's verify and sign and
+//! one lock hand-off; the paper's deployment adds a network round trip.
+//! Under faults the thread's wait is bounded by
+//! [`NetServerOptions::deposit_timeout`]: a lost or abandoned deposit is
 //! counted in [`NetServer::missed_deposits`] and the server moves on instead
 //! of deadlocking.
 //!
@@ -73,7 +89,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -264,6 +280,16 @@ impl Wire {
             (_, req) => self.send(req),
         }
     }
+
+    /// The server behind this wire when it is bound directly and blocks on
+    /// Protocol I's deposits: a Protocol I client holds its step on it
+    /// ([`Shared::hold`]).
+    pub(crate) fn blocking_server(&self) -> Option<Arc<Shared>> {
+        self.direct
+            .as_ref()
+            .filter(|shared| shared.blocking)
+            .cloned()
+    }
 }
 
 /// Something clients can bind to: a [`NetServer`] directly, or a
@@ -284,9 +310,11 @@ pub struct NetServerOptions {
     /// operation the server waits for that client's deposit before serving
     /// the next request.
     pub blocking_signatures: bool,
-    /// How long a blocking wait may last before the server gives up on the
-    /// deposit, records a miss, and moves on. Bounds the Protocol I deadlock
-    /// when a client dies (or its deposit is lost) mid-exchange.
+    /// How long the server thread's blocking wait may last before it gives
+    /// up on the deposit, records a miss, and moves on. Bounds the Protocol
+    /// I deadlock when a client dies (or its deposit is lost) mid-exchange.
+    /// A step held on its client's thread needs no bound: it ends when the
+    /// client's step does.
     pub deposit_timeout: Duration,
     /// Byte budget per bootstrap chunk (whole leaves are grouped under it;
     /// a single oversized leaf still ships as one chunk). Governs the
@@ -439,7 +467,7 @@ impl Drop for NetServer {
 }
 
 /// What a server's thread shares with the clients bound to it directly.
-struct Shared {
+pub(crate) struct Shared {
     /// The serving state, behind the one lock both drivers take. `None`
     /// once the thread has exited: it drops the inner server itself.
     state: Mutex<Option<ServerState>>,
@@ -448,8 +476,10 @@ struct Shared {
     queued: AtomicUsize,
     /// Set when shutdown starts; no call runs inline after that.
     closing: AtomicBool,
-    /// A blocking Protocol I deployment: its deposit wait is a receive on
-    /// the thread, so nothing runs inline.
+    /// A blocking Protocol I deployment: no call runs inline through
+    /// [`Wire::submit`]; a direct Protocol I client holds its whole step
+    /// instead ([`Shared::hold`]), and the thread's deposit wait serves the
+    /// rest.
     blocking: bool,
     /// Deposits the blocking server gave up waiting for.
     missed: AtomicU64,
@@ -459,33 +489,61 @@ impl Shared {
     /// Serves `call` on the calling thread if the server is idle: `Ok(true)`
     /// when served, `Ok(false)` when it must be queued instead,
     /// `ServerGone` once the server has stopped (an inline call that
-    /// panicked stops it, as one on the thread does). While another inline
-    /// call holds the lock and nothing is queued, a window waits for the
-    /// lock; a plain op spins up to [`INLINE_SPIN`] for it, then queues.
+    /// panicked stops it, as one on the thread does). A window waits for
+    /// another inline call's lock; a plain op spins for it, then queues.
     fn try_inline(&self, call: &Call) -> Result<bool, NetError> {
         if self.blocking {
             return Ok(false);
         }
         let window = matches!(call.body, Body::Batch(..));
+        let Some(mut slot) = self.lock_idle(window) else {
+            return Ok(false);
+        };
+        self.fail_stop(&mut slot, |state| state.serve(call, true))
+            .map(|_| true)
+            .ok_or(NetError::ServerGone)
+    }
+
+    /// Protocol I's blocking step on its client's thread: serves `call`
+    /// under the lock, as [`Shared::try_inline`] does, and keeps the lock
+    /// until the deposit the reply owes. `None` when the call must be
+    /// queued instead; `Some(None)` when it was answered from the journal
+    /// and owes no deposit.
+    pub(crate) fn hold(&self, call: &Call) -> Result<Option<Option<Held<'_>>>, NetError> {
+        let Some(mut slot) = self.lock_idle(true) else {
+            return Ok(None);
+        };
+        let owed = self
+            .fail_stop(&mut slot, |state| state.serve(call, true))
+            .ok_or(NetError::ServerGone)?;
+        Ok(Some(owed.map(|user| Held {
+            shared: self,
+            slot,
+            user,
+            settled: false,
+        })))
+    }
+
+    /// The lock, for a call on its caller's thread, or `None` when the call
+    /// must queue: work is queued or in flight to the thread, or shutdown
+    /// has started. While another inline call holds the lock and nothing is
+    /// queued, `park` waits for it; otherwise the caller spins up to
+    /// [`INLINE_SPIN`] for it, then queues. A slot whose state is gone is
+    /// returned, so that the caller reports the server gone.
+    fn lock_idle(&self, park: bool) -> Option<MutexGuard<'_, Option<ServerState>>> {
         let mut spinning_since = None;
         while self.queued.load(Ordering::SeqCst) == 0 {
-            let locked = if window {
+            let locked = if park {
                 Some(self.state.lock())
             } else {
                 self.state.try_lock()
             };
-            if let Some(mut slot) = locked {
+            if let Some(slot) = locked {
                 // Re-checked under the lock: the thread dispatches (and
                 // uncounts) only while holding it.
                 let idle =
                     self.queued.load(Ordering::SeqCst) == 0 && !self.closing.load(Ordering::SeqCst);
-                if slot.is_some() && !idle {
-                    return Ok(false);
-                }
-                return self
-                    .fail_stop(&mut slot, |state| state.serve(call, true))
-                    .map(|_| true)
-                    .ok_or(NetError::ServerGone);
+                return (slot.is_none() || idle).then_some(slot);
             }
             let since = *spinning_since.get_or_insert_with(Instant::now);
             if since.elapsed() >= INLINE_SPIN {
@@ -493,7 +551,7 @@ impl Shared {
             }
             std::hint::spin_loop();
         }
-        Ok(false)
+        None
     }
 
     /// Runs `f` on the serving state in `slot`, fail-stop. A panic in `f`
@@ -519,6 +577,53 @@ impl Shared {
     fn dispatched(&self) {
         let before = self.queued.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(before > 0, "a request reached the thread uncounted");
+    }
+
+    /// Records a deposit the server gave up waiting for.
+    fn miss(&self, state: &ServerState, user: UserId, why: &'static str) {
+        self.missed.fetch_add(1, Ordering::Relaxed);
+        state.stats.missed_deposits.inc();
+        state
+            .stats
+            .tracer
+            .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail(why));
+    }
+}
+
+/// Protocol I's blocking step, held on its client's thread: the server
+/// lock, from the served reply until `user`'s signature deposit. Dropped
+/// without that deposit — a caught lie, an exhausted key, a panic in the
+/// client's step — it counts one missed deposit, as the thread's wait does
+/// on a timeout, and releases the lock.
+pub(crate) struct Held<'a> {
+    shared: &'a Shared,
+    slot: MutexGuard<'a, Option<ServerState>>,
+    user: UserId,
+    settled: bool,
+}
+
+impl Held<'_> {
+    /// Leaves the owed deposit at the server on this thread, fail-stop,
+    /// then releases the lock.
+    pub(crate) fn deposit(
+        mut self,
+        signed: SignedState,
+        ctx: Option<SpanContext>,
+    ) -> Result<(), NetError> {
+        self.settled = true;
+        self.shared
+            .fail_stop(&mut self.slot, |state| {
+                state.deposit(signed.signer, signed, ctx)
+            })
+            .ok_or(NetError::ServerGone)
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if let (false, Some(state)) = (self.settled, self.slot.as_ref()) {
+            self.shared.miss(state, self.user, "no deposit");
+        }
     }
 }
 
@@ -620,7 +725,7 @@ impl ServerLoop {
                 }
                 Ok(Request::Crash { ack }) => {
                     state.crash(ack);
-                    self.miss(state, user, "crash");
+                    self.shared.miss(state, user, "crash");
                     self.shared.dispatched();
                     return;
                 }
@@ -632,21 +737,11 @@ impl ServerLoop {
                 Err(RecvTimeoutError::Disconnected) => self.draining = true,
                 Ok(other) => self.backlog.push_back(other),
                 Err(RecvTimeoutError::Timeout) => {
-                    self.miss(state, user, "timeout");
+                    self.shared.miss(state, user, "timeout");
                     return;
                 }
             }
         }
-    }
-
-    /// Records a deposit the server gave up waiting for.
-    fn miss(&self, state: &ServerState, user: UserId, why: &'static str) {
-        self.shared.missed.fetch_add(1, Ordering::Relaxed);
-        state.stats.missed_deposits.inc();
-        state
-            .stats
-            .tracer
-            .emit(|| Event::new(0, EventKind::MissedDeposit, user).detail(why));
     }
 }
 

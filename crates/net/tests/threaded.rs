@@ -216,19 +216,22 @@ fn protocol3_audit_detects_a_fork_over_the_wire() {
         })
         .expect("the fork went undetected");
     server.shutdown();
-    assert!(
-        matches!(
-            err,
-            NetError::Deviation(
-                Deviation::MissingEpochState { .. }
-                    | Deviation::EpochCheckFailed(_)
-                    | Deviation::BadEpochSignature(_)
-            )
-        ),
-        "not an audit verdict: {err:?}"
-    );
+    let label = match err {
+        NetError::Deviation(Deviation::MissingEpochState { .. }) => "missing-epoch-state",
+        NetError::Deviation(Deviation::EpochCheckFailed(_)) => "epoch-check-failed",
+        NetError::Deviation(Deviation::BadEpochSignature(_)) => "bad-epoch-signature",
+        err => panic!("not an audit verdict: {err:?}"),
+    };
     assert!(epoch >= fork_epoch, "detected before the fork");
     assert!(epoch <= fork_epoch + 2, "detected in epoch {epoch}");
+    // The audit follows a reply that passed its check, so the bundle seals
+    // the audit's verdict and no exchange.
+    let bundle = clients
+        .iter_mut()
+        .find_map(NetClient3::take_evidence)
+        .expect("the auditor sealed a bundle");
+    assert_eq!(bundle.trigger.deviation, label);
+    assert!(bundle.exchange.is_none(), "{:?}", bundle.exchange);
 }
 
 /// Every instrumented trusted-client op, read or update, is served once on
