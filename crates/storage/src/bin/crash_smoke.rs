@@ -13,7 +13,11 @@
 //! from the recovered counter alone. Its puts are 4 KiB, so once the tree
 //! holds a few dozen keys every checkpoint streams out in several slices
 //! and a kill often lands mid-stream; each round reports whether recovery
-//! found such an interrupted checkpoint.
+//! found such an interrupted checkpoint. Each round also reports the zero
+//! tail recovery truncated (the unused rest of the last segment's
+//! zero-filled extent) and whether it found a torn record, and checks that
+//! no segment file grew past twice the segment size: extents grow by
+//! doubling, so a small segment stays a small file.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -21,8 +25,8 @@ use std::time::Duration;
 use tcvs_core::{ProtocolConfig, ServerApi, ServerCore};
 use tcvs_merkle::{u64_key, Op};
 use tcvs_storage::{
-    response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage, FileMedium,
-    StorageObs,
+    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
+    FileMedium, StorageObs,
 };
 
 fn config() -> ProtocolConfig {
@@ -48,10 +52,13 @@ fn scripted(j: u64) -> (u32, u64, Op, u64) {
     (user, j, op, j)
 }
 
+/// Bytes a segment holds before the log rotates to the next one.
+const SEGMENT_BYTES: usize = 8 << 10;
+
 fn open(dir: &str) -> Result<DurableServer<DurableStorage<FileMedium>>, String> {
     let medium = FileMedium::open(dir).map_err(|e| format!("open medium: {e}"))?;
     let opts = DurableOptions {
-        segment_bytes: 8 * 1024,
+        segment_bytes: SEGMENT_BYTES,
         retain_checkpoints: 2,
     };
     let store = DurableStorage::open(medium, opts);
@@ -86,6 +93,7 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut max_ctr = 0u64;
     let mut interrupted = 0u64;
+    let mut extent_tails = 0u64;
     for round in 0..rounds {
         let mut child = Command::new(&exe)
             .arg("worker")
@@ -143,17 +151,34 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
                 ));
             }
         }
+        for entry in std::fs::read_dir(dir).map_err(|e| format!("list {dir}: {e}"))? {
+            let entry = entry.map_err(|e| format!("list {dir}: {e}"))?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let len = entry
+                .metadata()
+                .map_err(|e| format!("stat {name}: {e}"))?
+                .len();
+            if log::parse_segment_name(&name).is_some() && len > 2 * SEGMENT_BYTES as u64 {
+                return Err(format!(
+                    "round {round}: segment {name} is {len} bytes, over twice the segment size"
+                ));
+            }
+        }
         interrupted += u64::from(report.interrupted_checkpoints > 0);
+        extent_tails += u64::from(report.zero_tail_bytes > 0 || report.torn_tail.is_some());
         println!(
-            "round {round}: recovered ctr={ctr} replayed={} torn_tail={} interrupted_ckpt={} — ok",
+            "round {round}: recovered ctr={ctr} replayed={} zero_tail={} torn_tail={} \
+             interrupted_ckpt={} — ok",
             report.records_replayed,
+            report.zero_tail_bytes,
             report.torn_tail.is_some(),
             report.interrupted_checkpoints > 0,
         );
     }
     println!(
         "crash-smoke: {rounds} kill -9 rounds survived, final ctr {max_ctr}, \
-         {interrupted} recoveries found an interrupted checkpoint"
+         {interrupted} recoveries found an interrupted checkpoint, \
+         {extent_tails} a zero tail or a tear in an extent"
     );
     Ok(())
 }

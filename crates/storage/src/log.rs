@@ -7,20 +7,29 @@
 //! ```
 //!
 //! where `check` is the first 8 bytes of `sha256(payload)` and the payload
-//! itself begins `[lsn: u64 LE] [tag: u8] [body…]`. The three integrity
-//! layers are deliberately distinct, because recovery must *classify*, not
-//! just reject:
+//! itself begins `[lsn: u64 LE] [tag: u8] [body…]`. A segment file on a
+//! real disk runs on past its last frame in zeros: [`crate::FileMedium`]
+//! writes each commit into a zero-filled extent. Recovery must *classify*,
+//! not just reject, so [`scan`] reads the end of a segment by three rules:
 //!
-//! * **insufficient bytes** (header or payload cut off) — a *torn tail*:
-//!   the expected shape of a crash mid-append. Recovery discards it and
-//!   continues; nothing acknowledged is lost, because acknowledgment
-//!   happens only after fsync.
-//! * **checksum mismatch** — *corruption* (bit rot, misdirected write).
-//!   Recovery stops at the corrupt record and reports it; replaying past a
-//!   lie would launder it into state.
-//! * **LSN discontinuity** — a *splice* (duplicated or dropped record,
-//!   e.g. a misdirected block landing twice). Also corruption: recovery
-//!   stops and reports.
+//! 1. **Zero tail** — at a frame boundary, a remainder that is all zero is
+//!    the clean end of the log. The length header is tested first, so a
+//!    scan stays linear.
+//! 2. **Torn tail** — a damaged frame (a zero or bad header, a frame that
+//!    runs past the buffer, a failed checksum) with no verifying frame
+//!    anywhere after it: the shape an unacknowledged commit leaves when a
+//!    crash lets only some of its sectors reach the disk. Recovery
+//!    discards it; nothing acknowledged is lost, because acknowledgment
+//!    happens only after fsync. Bit rot in only the last acknowledged
+//!    frame reads the same way, and so does a flipped length header there.
+//! 3. **Corruption** — anything else: a damaged frame below a frame that
+//!    verifies (bit rot, a misdirected write), a verified frame too short
+//!    for its LSN and tag, or an **LSN discontinuity** (a *splice*: a
+//!    duplicated or dropped record). Recovery stops at it and reports it;
+//!    replaying past a lie would launder it into state.
+//!
+//! A torn tail is benign only in the final segment; recovery treats one
+//! under a later segment as corruption.
 //!
 //! A checkpoint file is one frame whose payload is `[lsn: u64 LE]
 //! [state…]`, appended in slices across several commits
@@ -93,17 +102,26 @@ pub const MAX_BODY: usize = MAX_PAYLOAD - 9;
 pub enum TailStatus {
     /// Every byte belonged to a complete, valid record.
     Clean,
-    /// The final record is incomplete — a crash cut the append short.
-    /// `offset` is where the torn record starts; `dropped` how many bytes
-    /// after it are discarded.
+    /// The records end at `offset` and every byte after it is zero: the
+    /// unused rest of a zero-filled extent, the clean end of the log.
+    Zeros {
+        /// Byte offset where the zeros start.
+        offset: u64,
+        /// Zero bytes from `offset` to the end of the buffer.
+        len: u64,
+    },
+    /// A damaged frame with no verifying frame after it — a crash cut the
+    /// commit short. `offset` is where the torn record starts; `dropped`
+    /// how many bytes after it are discarded.
     Torn {
         /// Byte offset of the torn record's frame.
         offset: u64,
         /// Bytes discarded (from `offset` to the end of the buffer).
         dropped: u64,
     },
-    /// A record failed its checksum or LSN continuity check. `offset` is
-    /// where the bad frame starts.
+    /// A damaged frame below a verifying one, or a verified record that
+    /// fails its LSN continuity check. `offset` is where the bad frame
+    /// starts.
     Corrupt {
         /// Byte offset of the corrupt frame.
         offset: u64,
@@ -113,9 +131,10 @@ pub enum TailStatus {
 }
 
 impl TailStatus {
-    /// True when the scan consumed the whole buffer.
+    /// True when the scan found no damage: it consumed the whole buffer,
+    /// or the rest of it is zeros.
     pub fn is_clean(&self) -> bool {
-        *self == TailStatus::Clean
+        matches!(self, TailStatus::Clean | TailStatus::Zeros { .. })
     }
 }
 
@@ -127,89 +146,110 @@ pub struct SegmentScan {
     /// How the scan ended.
     pub tail: TailStatus,
     /// Bytes of valid prefix (frame-aligned); the segment can be truncated
-    /// here to shed a torn or corrupt tail.
+    /// here to shed a zero, torn or corrupt tail.
     pub valid_len: u64,
 }
 
+/// What the bytes at a frame boundary hold.
+enum Boundary<'a> {
+    /// A frame whose checksum verifies: its payload and its whole length.
+    Frame(&'a [u8], usize),
+    /// Nothing but zeros from here on.
+    Zeros,
+    /// Not a verifying frame, and why.
+    Damaged(&'static str),
+}
+
+fn boundary(rest: &[u8]) -> Boundary<'_> {
+    let mut r = Reader::new(rest);
+    let len = match r.u32() {
+        Ok(len) if len != 0 => len as usize,
+        // Only a zero (or cut-off) header sends the scan over the rest of
+        // the buffer, and it stops there either way: the scan stays linear.
+        _ if rest.iter().all(|&b| b == 0) => return Boundary::Zeros,
+        _ => return Boundary::Damaged("zeroed or short length header"),
+    };
+    if len > MAX_PAYLOAD {
+        return Boundary::Damaged("length header exceeds maximum payload");
+    }
+    let (Ok(payload), Ok(check)) = (r.raw(len), r.raw(CHECK_LEN)) else {
+        return Boundary::Damaged("frame runs past the end of the segment");
+    };
+    if &sha256(payload).0[..CHECK_LEN] != check {
+        return Boundary::Damaged("checksum mismatch");
+    }
+    Boundary::Frame(payload, HEADER_LEN + len + CHECK_LEN)
+}
+
+/// True when a frame that could carry a later record of this log — one
+/// past `expected_lsn`, at most as many past it as frames fit — verifies
+/// at some byte offset after `from`. The header and LSN are tested before
+/// the checksum, so only a plausible frame is hashed.
+fn verifies_after(buf: &[u8], from: usize, expected_lsn: u64) -> bool {
+    let fit = ((buf.len() - from) as u64) / frame_len(0);
+    (from + 1..buf.len()).any(|at| {
+        let mut r = Reader::new(&buf[at..]);
+        let (Ok(_), Ok(lsn)) = (r.u32(), r.u64()) else {
+            return false;
+        };
+        lsn > expected_lsn
+            && lsn - expected_lsn <= fit
+            && matches!(boundary(&buf[at..]), Boundary::Frame(..))
+    })
+}
+
 /// Scans a segment buffer, expecting the first record to carry
-/// `expected_lsn` and each subsequent record the next LSN. Stops at the
-/// first torn or corrupt frame; never panics on any input.
+/// `expected_lsn` and each subsequent record the next LSN. Stops at a zero
+/// tail or at the first damaged or corrupt frame, classified by the rules
+/// in the module docs; never panics on any input.
 pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
     let mut records = Vec::new();
-    let mut r = Reader::new(buf);
-    loop {
-        let frame_start = r.position() as u64;
-        if r.remaining() == 0 {
-            return SegmentScan {
-                records,
-                tail: TailStatus::Clean,
-                valid_len: frame_start,
-            };
+    let mut at = 0usize;
+    let tail = loop {
+        let rest = &buf[at..];
+        if rest.is_empty() {
+            break TailStatus::Clean;
         }
-        let torn = |records: Vec<(u64, u8, Vec<u8>)>| SegmentScan {
-            records,
-            tail: TailStatus::Torn {
-                offset: frame_start,
-                dropped: (buf.len() as u64) - frame_start,
-            },
-            valid_len: frame_start,
-        };
-        let len = match r.u32() {
-            Ok(len) => len as usize,
-            Err(_) => return torn(records),
-        };
-        if len > MAX_PAYLOAD {
-            return SegmentScan {
-                records,
-                tail: TailStatus::Corrupt {
-                    offset: frame_start,
-                    reason: "length header exceeds maximum payload",
-                },
-                valid_len: frame_start,
-            };
-        }
-        if r.remaining() < len + CHECK_LEN {
-            return torn(records);
-        }
-        let payload = r.raw(len).expect("length just checked");
-        let check = r.raw(CHECK_LEN).expect("length just checked");
-        if &sha256(payload).0[..CHECK_LEN] != check {
-            return SegmentScan {
-                records,
-                tail: TailStatus::Corrupt {
-                    offset: frame_start,
-                    reason: "checksum mismatch",
-                },
-                valid_len: frame_start,
-            };
-        }
-        let mut pr = Reader::new(payload);
-        let (lsn, tag) = match (pr.u64(), pr.u8()) {
-            (Ok(lsn), Ok(tag)) => (lsn, tag),
-            _ => {
-                return SegmentScan {
-                    records,
-                    tail: TailStatus::Corrupt {
-                        offset: frame_start,
-                        reason: "payload too short for lsn+tag",
-                    },
-                    valid_len: frame_start,
+        let offset = at as u64;
+        let (payload, len) = match boundary(rest) {
+            Boundary::Frame(payload, len) => (payload, len),
+            Boundary::Zeros => {
+                break TailStatus::Zeros {
+                    offset,
+                    len: rest.len() as u64,
+                }
+            }
+            Boundary::Damaged(reason) if verifies_after(buf, at, expected_lsn) => {
+                break TailStatus::Corrupt { offset, reason }
+            }
+            Boundary::Damaged(_) => {
+                break TailStatus::Torn {
+                    offset,
+                    dropped: rest.len() as u64,
                 }
             }
         };
+        let mut pr = Reader::new(payload);
+        let (Ok(lsn), Ok(tag)) = (pr.u64(), pr.u8()) else {
+            break TailStatus::Corrupt {
+                offset,
+                reason: "payload too short for lsn+tag",
+            };
+        };
         if lsn != expected_lsn {
-            return SegmentScan {
-                records,
-                tail: TailStatus::Corrupt {
-                    offset: frame_start,
-                    reason: "lsn discontinuity",
-                },
-                valid_len: frame_start,
+            break TailStatus::Corrupt {
+                offset,
+                reason: "lsn discontinuity",
             };
         }
-        let body = payload[pr.position()..].to_vec();
-        records.push((lsn, tag, body));
+        records.push((lsn, tag, payload[pr.position()..].to_vec()));
         expected_lsn += 1;
+        at += len;
+    };
+    SegmentScan {
+        records,
+        tail,
+        valid_len: at as u64,
     }
 }
 
@@ -422,13 +462,208 @@ mod tests {
         ));
     }
 
+    /// An absurd length header is classified, never allocated: corruption
+    /// below a record that verifies, a torn tail with nothing after it.
     #[test]
     fn absurd_length_header_is_corruption_not_allocation() {
         let mut w = Writer::new();
         w.u32(u32::MAX);
         w.raw(&[0u8; 16]);
-        let scan = scan(&w.into_bytes(), 0);
-        assert!(matches!(scan.tail, TailStatus::Corrupt { .. }));
+        let damaged = w.into_bytes();
+        let mut below = damaged.clone();
+        below.extend_from_slice(&record(1, 1, b"next"));
+        assert_eq!(
+            scan(&below, 0).tail,
+            TailStatus::Corrupt {
+                offset: 0,
+                reason: "length header exceeds maximum payload"
+            }
+        );
+        assert_eq!(
+            scan(&damaged, 0).tail,
+            TailStatus::Torn {
+                offset: 0,
+                dropped: damaged.len() as u64
+            }
+        );
+    }
+
+    /// Three records followed by `zeros` zero bytes, as a segment in a
+    /// zero-filled extent holds them; returns the buffer and the end of
+    /// the records.
+    fn in_extent(zeros: usize) -> (Vec<u8>, usize) {
+        let mut buf = Vec::new();
+        for i in 0..3u64 {
+            buf.extend_from_slice(&record(i, 1, &[i as u8 + 1; 40]));
+        }
+        let end = buf.len();
+        buf.resize(end + zeros, 0);
+        (buf, end)
+    }
+
+    /// Rule 1: at a frame boundary, an all-zero remainder — even one too
+    /// short for a header — is the clean end of the log.
+    #[test]
+    fn a_zero_remainder_at_a_frame_boundary_is_the_clean_end() {
+        for zeros in [1usize, 3, 4, 20, 21, 511, 4096] {
+            let (buf, end) = in_extent(zeros);
+            let scan = scan(&buf, 0);
+            assert_eq!(scan.records.len(), 3, "zeros={zeros}");
+            assert_eq!(
+                scan.tail,
+                TailStatus::Zeros {
+                    offset: end as u64,
+                    len: zeros as u64
+                },
+                "zeros={zeros}"
+            );
+            assert!(scan.tail.is_clean());
+            assert_eq!(scan.valid_len, end as u64);
+        }
+        let empty = scan(&[0u8; 600], 7);
+        assert!(empty.records.is_empty());
+        assert_eq!(
+            empty.tail,
+            TailStatus::Zeros {
+                offset: 0,
+                len: 600
+            }
+        );
+    }
+
+    /// Rule 2: a damaged last frame with no verifying frame after it is a
+    /// torn tail, whatever the damage — a zeroed header with a later
+    /// sector of the frame landed, a failed checksum, a frame cut short,
+    /// stray bytes in the zeros.
+    #[test]
+    fn a_damaged_last_frame_with_nothing_verifying_after_it_is_torn() {
+        let (mut buf, end) = in_extent(0);
+        let last = record(3, 1, &[9u8; 1200]);
+        buf.extend_from_slice(&last);
+        buf.resize(4096, 0);
+        let torn = |buf: &[u8]| TailStatus::Torn {
+            offset: end as u64,
+            dropped: (buf.len() - end) as u64,
+        };
+        let mut zeroed_header = buf.clone();
+        zeroed_header[end..end + HEADER_LEN].fill(0);
+        let mut first_sector_lost = buf.clone();
+        first_sector_lost[end..512].fill(0);
+        let mut flipped = buf.clone();
+        flipped[end + last.len() - 1] ^= 0x01;
+        let mut cut = buf.clone();
+        cut[end + last.len() - 600..].fill(0);
+        let mut stray = in_extent(100).0;
+        stray[end + 50] = 0xAB;
+        for (what, buf) in [
+            ("zeroed header", &zeroed_header),
+            ("first sector lost", &first_sector_lost),
+            ("flipped checksum", &flipped),
+            ("cut short", &cut),
+            ("stray byte in the zeros", &stray),
+        ] {
+            let scan = scan(buf, 0);
+            assert_eq!(scan.records.len(), 3, "{what}");
+            assert_eq!(scan.tail, torn(buf), "{what}");
+            assert_eq!(scan.valid_len, end as u64, "{what}");
+        }
+    }
+
+    /// Rule 2 at sector granularity: whichever 512-B sectors of an
+    /// unsynced commit reach the disk, the scan reads the commit as whole,
+    /// absent or torn — never as corruption.
+    #[test]
+    fn any_subset_of_a_commits_sectors_is_never_corruption() {
+        const SECTOR: usize = 512;
+        let (synced, end) = in_extent(0);
+        let mut full = synced.clone();
+        full.extend_from_slice(&record(3, 1, &[0x5A; 1700]));
+        let commit_end = full.len();
+        full.resize(commit_end.next_multiple_of(SECTOR) + SECTOR, 0);
+        let sectors: Vec<usize> = (end / SECTOR..commit_end.div_ceil(SECTOR)).collect();
+        assert!(sectors.len() >= 4, "the commit spans several sectors");
+        for mask in 0u32..1 << sectors.len() {
+            let mut buf = full.clone();
+            for (bit, &sector) in sectors.iter().enumerate() {
+                if mask & (1 << bit) == 0 {
+                    let from = (sector * SECTOR).max(end);
+                    buf[from..(sector + 1) * SECTOR].fill(0);
+                }
+            }
+            let scan = scan(&buf, 0);
+            let landed = mask.count_ones() as usize;
+            let (records, tail) = if landed == sectors.len() {
+                (
+                    4,
+                    TailStatus::Zeros {
+                        offset: commit_end as u64,
+                        len: (buf.len() - commit_end) as u64,
+                    },
+                )
+            } else if buf[end..].iter().all(|&b| b == 0) {
+                (
+                    3,
+                    TailStatus::Zeros {
+                        offset: end as u64,
+                        len: (buf.len() - end) as u64,
+                    },
+                )
+            } else {
+                (
+                    3,
+                    TailStatus::Torn {
+                        offset: end as u64,
+                        dropped: (buf.len() - end) as u64,
+                    },
+                )
+            };
+            assert_eq!(scan.records.len(), records, "mask={mask:b}");
+            assert_eq!(scan.tail, tail, "mask={mask:b}");
+        }
+    }
+
+    /// Rule 3: damage below a frame that verifies is corruption, whatever
+    /// the damage — a zeroed header, a failed checksum, a length that runs
+    /// past the records after it.
+    #[test]
+    fn a_damaged_frame_below_a_verifying_one_is_corruption() {
+        let mut buf = Vec::new();
+        for i in 0..4u64 {
+            buf.extend_from_slice(&record(i, 1, &[i as u8 + 1; 40]));
+        }
+        let frame = record(0, 1, &[1; 40]).len();
+        let at = frame; // the second record
+        buf.resize(buf.len() + 300, 0);
+        let mut zeroed_header = buf.clone();
+        zeroed_header[at..at + HEADER_LEN].fill(0);
+        let mut flipped = buf.clone();
+        flipped[at + frame - 1] ^= 0x01;
+        let mut long = buf.clone();
+        long[at..at + HEADER_LEN].copy_from_slice(&(100_000u32).to_le_bytes());
+        for (what, buf, reason) in [
+            (
+                "zeroed header",
+                &zeroed_header,
+                "zeroed or short length header",
+            ),
+            ("flipped checksum", &flipped, "checksum mismatch"),
+            (
+                "long length",
+                &long,
+                "frame runs past the end of the segment",
+            ),
+        ] {
+            let scan = scan(buf, 0);
+            assert_eq!(scan.records.len(), 1, "{what}");
+            assert_eq!(
+                scan.tail,
+                TailStatus::Corrupt {
+                    offset: at as u64,
+                    reason
+                },
+                "{what}"
+            );
+        }
     }
 
     /// Every slice ends at a prefix of the frame: the streamed file is

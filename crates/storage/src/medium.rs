@@ -4,10 +4,16 @@
 //! operations the log engine needs — append, fsync, atomic whole-file
 //! replace, delete — and nothing more. Two implementations:
 //!
-//! * [`FileMedium`] — a real directory. `sync` is `fsync`, plus a directory
-//!   `fsync` when a file was created or removed since the last one;
-//!   `write_atomic` is write-to-temp + `fsync` + `rename` + directory
-//!   `fsync`, so a replace is all-or-nothing across a crash.
+//! * [`FileMedium`] — a real directory. A log segment is held open and
+//!   written into a zero-filled extent: an append is one positional write
+//!   at the end of its records, and `sync` is one `fdatasync`, because
+//!   neither the file's size nor its block map changed. Only the append
+//!   that outgrows the extent grows it — the extent doubles, by at most
+//!   256 KiB — and its `sync` is a full `fsync`. Checkpoint files are
+//!   appended and `fsync`ed whole. Any `sync` adds a directory `fsync`
+//!   when a file was created or removed since the last one; `write_atomic`
+//!   is write-to-temp + `fsync` + `rename` + directory `fsync`, so a
+//!   replace is all-or-nothing across a crash.
 //! * [`MemMedium`] — an in-memory directory that *models fsync*: every
 //!   file tracks how many bytes a successful `sync` has made durable, and
 //!   [`MemMedium::crash`] discards everything after that point — the exact
@@ -16,14 +22,19 @@
 //!
 //! Reads return whatever has been written (durable or not), matching an OS
 //! page cache: a process that just wrote sees its own write; only a crash
-//! reveals what was actually on the platter.
+//! reveals what was actually on the platter. A [`FileMedium`] segment
+//! reads on past its records in zeros, which [`crate::log::scan`] takes
+//! for the clean end of the log.
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::PathBuf;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::error::StorageError;
+use crate::log;
 
 /// A directory of named byte files, as seen by the log engine.
 pub trait Medium: Send {
@@ -135,15 +146,94 @@ impl Medium for MemMedium {
     }
 }
 
+/// Largest step a segment's extent grows by: below it the extent doubles,
+/// so a small segment stays a small file.
+const EXTENT_STEP: u64 = 256 << 10;
+
+/// Smallest step, and the unit an extent is rounded up to.
+const PAGE: u64 = 4 << 10;
+
+/// The zeros an extent is filled with, written from here a slice at a time.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+
+/// The log segment being appended to, held open between commits.
+struct Extent {
+    name: String,
+    file: File,
+    /// End of the bytes appended: the next append lands here.
+    end: u64,
+    /// File length; the bytes from `end` to here are zeros.
+    cap: u64,
+    /// The length changed since the last sync, which must then commit the
+    /// inode too.
+    grown: bool,
+}
+
+impl Extent {
+    /// Holds `name` open for appends, creating it if absent (and then
+    /// marking the directory dirty). An existing file is appended to at its
+    /// end: recovery has truncated whatever zeros it held.
+    fn open(root: &Path, name: &str, dir_dirty: &mut bool) -> Result<Extent, StorageError> {
+        let path = root.join(name);
+        let file = match OpenOptions::new().write(true).open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                *dir_dirty = true;
+                OpenOptions::new()
+                    .write(true)
+                    .create_new(true)
+                    .open(&path)?
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let len = file.metadata()?.len();
+        Ok(Extent {
+            name: name.to_string(),
+            file,
+            end: len,
+            cap: len,
+            grown: false,
+        })
+    }
+
+    /// Writes `data` at the end; when it does not fit, zero-fills the file
+    /// past it to a grown capacity: by the capacity itself, between
+    /// [`PAGE`] and [`EXTENT_STEP`], and at least to the new end.
+    fn append(&mut self, data: &[u8]) -> Result<(), StorageError> {
+        let end = self.end + data.len() as u64;
+        self.file.write_all_at(data, self.end)?;
+        if end > self.cap {
+            let cap = end
+                .max(self.cap + self.cap.clamp(PAGE, EXTENT_STEP))
+                .next_multiple_of(PAGE);
+            let mut at = end;
+            while at < cap {
+                let n = (cap - at).min(ZEROS.len() as u64);
+                self.file.write_all_at(&ZEROS[..n as usize], at)?;
+                at += n;
+            }
+            self.cap = cap;
+            self.grown = true;
+        }
+        self.end = end;
+        Ok(())
+    }
+}
+
 /// A real directory on disk.
 pub struct FileMedium {
     root: PathBuf,
     /// A file was created or removed since the last directory fsync: the
     /// next `sync` must make the directory entry durable too.
     dir_dirty: bool,
+    /// The segment appends go to, if one is open.
+    held: Option<Extent>,
     /// Directory fsyncs issued (unit tests count them).
     #[cfg(test)]
     dir_syncs: u64,
+    /// Full file fsyncs issued by `sync` (unit tests count them).
+    #[cfg(test)]
+    full_syncs: u64,
 }
 
 impl FileMedium {
@@ -154,13 +244,32 @@ impl FileMedium {
         Ok(FileMedium {
             root,
             dir_dirty: false,
+            held: None,
             #[cfg(test)]
             dir_syncs: 0,
+            #[cfg(test)]
+            full_syncs: 0,
         })
+    }
+
+    /// Lets go of the held segment if it is `name`: the next append to
+    /// that name opens whatever file then holds it.
+    fn release(&mut self, name: &str) {
+        if self.held.as_ref().is_some_and(|x| x.name == name) {
+            self.held = None;
+        }
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
+    }
+
+    /// Counts a full file fsync (unit tests read the count).
+    fn count_full_sync(&mut self) {
+        #[cfg(test)]
+        {
+            self.full_syncs += 1;
+        }
     }
 
     /// fsync the directory itself so renames/creates/removals are durable.
@@ -200,6 +309,15 @@ impl Medium for FileMedium {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+        if log::parse_segment_name(name).is_some() {
+            let held = match &mut self.held {
+                Some(x) if x.name == name => x,
+                slot => slot.insert(Extent::open(&self.root, name, &mut self.dir_dirty)?),
+            };
+            return held.append(data);
+        }
+        // A checkpoint is read back by its length, so it is appended to
+        // exactly: no zeros after it.
         let path = self.path(name);
         let mut f = match std::fs::OpenOptions::new().append(true).open(&path) {
             Ok(f) => f,
@@ -217,10 +335,23 @@ impl Medium for FileMedium {
     }
 
     fn sync(&mut self, name: &str) -> Result<(), StorageError> {
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(self.path(name))?
-            .sync_all()?;
+        match &mut self.held {
+            // The records went into bytes the file already had: the data
+            // alone makes them durable.
+            Some(x) if x.name == name && !x.grown => x.file.sync_data()?,
+            Some(x) if x.name == name => {
+                x.file.sync_all()?;
+                x.grown = false;
+                self.count_full_sync();
+            }
+            _ => {
+                std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(self.path(name))?
+                    .sync_all()?;
+                self.count_full_sync();
+            }
+        }
         // A created file's directory entry must be durable too, and so must
         // a removal (a quarantined segment must not reappear after a crash
         // once new records reuse its LSNs). Only then is the directory
@@ -232,6 +363,7 @@ impl Medium for FileMedium {
     }
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.release(name);
         let tmp = self.path(&format!("{name}.tmp"));
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(data)?;
@@ -242,6 +374,7 @@ impl Medium for FileMedium {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+        self.release(name);
         match std::fs::remove_file(self.path(name)) {
             Ok(()) => {
                 self.dir_dirty = true;
@@ -327,5 +460,95 @@ mod tests {
         commits(&mut m, "seg-1");
         assert_eq!(m.dir_syncs, 3, "the next sync makes a removal durable");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tcvs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The held segment is let go when its name is replaced or removed:
+    /// an append then lands in the file the name now holds, not in the
+    /// unlinked one, which would silently lose acknowledged records.
+    #[test]
+    fn an_append_after_a_replace_or_remove_lands_in_the_new_file() -> Result<(), StorageError> {
+        let dir = fresh_dir("held");
+        let mut m = FileMedium::open(&dir)?;
+        let seg = log::segment_name(0);
+        let read = |m: &FileMedium| -> Result<Vec<u8>, StorageError> {
+            Ok(m.read(&seg)?.unwrap_or_default())
+        };
+        m.append(&seg, b"aaa")?;
+        m.append(&seg, b"xxx")?;
+        m.sync(&seg)?;
+        // Recovery's truncation: the name now holds a new, shorter file.
+        m.write_atomic(&seg, b"aaa")?;
+        m.append(&seg, b"bbb")?;
+        m.sync(&seg)?;
+        let bytes = read(&m)?;
+        assert_eq!(&bytes[..6], b"aaabbb");
+        assert!(bytes[6..].iter().all(|&b| b == 0), "a zero-filled extent");
+        m.remove(&seg)?;
+        m.append(&seg, b"ccc")?;
+        m.sync(&seg)?;
+        let bytes = read(&m)?;
+        assert_eq!(&bytes[..3], b"ccc");
+        assert!(bytes[3..].iter().all(|&b| b == 0));
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    /// A commit into bytes the segment already has syncs its data only;
+    /// just the commits that grow the extent sync the whole file. Growth
+    /// doubles the extent up to a fixed step. A checkpoint file is appended
+    /// to exactly and synced whole.
+    #[test]
+    fn only_a_commit_that_grows_the_extent_syncs_the_whole_file() -> Result<(), StorageError> {
+        let dir = fresh_dir("extent");
+        let mut m = FileMedium::open(&dir)?;
+        let seg = log::segment_name(0);
+        let record = [0x5Au8; 10_000];
+        let (mut growths, mut end) = (0u64, 0u64);
+        for _ in 0..100 {
+            let before = std::fs::metadata(dir.join(&seg)).map_or(0, |md| md.len());
+            m.append(&seg, &record)?;
+            m.sync(&seg)?;
+            end += record.len() as u64;
+            let after = std::fs::metadata(dir.join(&seg))?.len();
+            if after != before {
+                growths += 1;
+                assert!(
+                    after - before <= EXTENT_STEP.max(before),
+                    "{before} → {after}"
+                );
+                assert_eq!(after % PAGE, 0);
+            }
+            assert!(
+                after >= end && after - end < EXTENT_STEP,
+                "{end} in {after}"
+            );
+        }
+        assert_eq!(m.full_syncs, growths, "one full sync per growth");
+        assert!(growths <= 10, "{growths} growths for 1 MB");
+        assert_eq!(m.dir_syncs, 1, "one directory sync, for the creation");
+        let bytes = m.read(&seg)?.unwrap_or_default();
+        assert!(bytes[..end as usize].iter().all(|&b| b == 0x5A));
+        assert!(bytes[end as usize..].iter().all(|&b| b == 0));
+
+        let ckpt = log::checkpoint_name(0);
+        m.append(&ckpt, b"slice one")?;
+        m.sync(&ckpt)?;
+        m.append(&ckpt, b", two")?;
+        m.sync(&ckpt)?;
+        assert_eq!(m.full_syncs, growths + 2);
+        assert_eq!(m.read(&ckpt)?.unwrap_or_default(), b"slice one, two");
+        // The checkpoint's appends left the held segment where it was.
+        m.append(&seg, b"next")?;
+        m.sync(&seg)?;
+        let bytes = m.read(&seg)?.unwrap_or_default();
+        assert_eq!(&bytes[end as usize..end as usize + 4], b"next");
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
     }
 }

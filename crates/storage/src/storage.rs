@@ -36,14 +36,17 @@
 //!    are counted and skipped (that is why two are retained); an
 //!    interrupted one is counted apart and removed (unless recovery halts).
 //! 2. **Scan the log**: segments in LSN order, each record's checksum and
-//!    LSN continuity verified. A *torn* tail (incomplete frame) in the
-//!    last segment is the expected crash shape: discard it, note it,
-//!    continue. Torn or corrupt frames anywhere else stop the scan — no
-//!    record after a hole is trusted.
+//!    LSN continuity verified, by the three tail rules of [`crate::log`].
+//!    A run of zeros after a segment's last frame is the unused rest of
+//!    its extent. A *torn* tail (a damaged frame with nothing verifying
+//!    after it) in the last segment is the expected crash shape: discard
+//!    it, note it, continue. Torn or corrupt frames anywhere else stop the
+//!    scan — no record after a hole is trusted.
 //! 3. **Re-read on short read**: a scan that stops early retries the read
 //!    once; a transient short read heals, a real torn tail does not.
-//! 4. **Truncate the torn tail**: the last segment is atomically rewritten
-//!    to its valid prefix, so the discarded bytes can never resurface.
+//! 4. **Truncate the tail**: the last segment is atomically rewritten to
+//!    its valid prefix, so torn bytes can never resurface and the next
+//!    commit lands right after the last record, not after the zeros.
 
 use crate::error::StorageError;
 use crate::log::{self, CheckpointScan, SegmentScan, SlicedFrame, TailStatus};
@@ -93,6 +96,9 @@ pub struct RecoveryReport {
     pub interrupted_checkpoints: u64,
     /// A torn tail that was detected and discarded, if any.
     pub torn_tail: Option<TornTail>,
+    /// Zero bytes after the last record of the final segment — the unused
+    /// rest of its zero-filled extent — truncated away.
+    pub zero_tail_bytes: u64,
     /// Set when the scan stopped at interior corruption (checksum or LSN
     /// failure before the tail); everything after is discarded.
     pub corrupt_stop: Option<String>,
@@ -600,6 +606,11 @@ impl<M: Medium> DurableStorage<M> {
             if !stopped {
                 match &scan.tail {
                     TailStatus::Clean => {}
+                    TailStatus::Zeros { len, .. } => {
+                        if next_first.is_none() {
+                            report.zero_tail_bytes = *len;
+                        }
+                    }
                     TailStatus::Torn { offset, dropped } => {
                         // A torn tail is only benign where a crash can
                         // produce one: with no successor segment carrying
@@ -671,7 +682,8 @@ impl<M: Medium> DurableStorage<M> {
         // 5. Make the discard permanent: drop interrupted checkpoints, so no
         // stream appends to one and no retention count includes one;
         // truncate the last scanned segment to its valid prefix so torn
-        // bytes can never resurface, and point appends at it.
+        // bytes can never resurface and a zero tail does not sit between
+        // its records and the next commit, and point appends at it.
         for name in &interrupted {
             self.medium.remove(name)?;
         }
