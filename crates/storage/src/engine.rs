@@ -545,7 +545,7 @@ impl<S: Storage> ServerApi for DurableServer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scan_checkpoint, CheckpointScan};
+    use crate::log::{scan_checkpoint, CheckpointScan, TailStatus};
     use crate::medium::{Medium, MemMedium};
     use crate::response_bytes;
     use crate::storage::{DurableOptions, DurableStorage, MemStorage};
@@ -870,6 +870,105 @@ mod tests {
         .unwrap();
         assert!(s2.last_recovery().corrupt_stop.is_some());
         assert_eq!(s2.core().ctr(), 3, "exactly the prefix before the flip");
+    }
+
+    /// A medium the first frame format wrote — each frame checked by the
+    /// first 8 bytes of `sha256(payload)`, no format marker — is refused
+    /// with a typed error before recovery reads, repairs or salvages any of
+    /// it, with or without `salvage_corruption`. An empty medium still
+    /// opens fresh.
+    #[test]
+    fn a_medium_in_the_old_frame_format_is_refused_untouched() -> Result<(), StorageError> {
+        use crate::log;
+        fn old_frame(payload: &[u8]) -> Vec<u8> {
+            let check = &tcvs_crypto::sha256(payload).0[..8];
+            [&(payload.len() as u32).to_le_bytes()[..], payload, check].concat()
+        }
+        fn files(mem: &MemMedium) -> Result<Vec<(String, Vec<u8>)>, StorageError> {
+            let names = mem.list()?;
+            names
+                .into_iter()
+                .map(|n| Ok((n.clone(), mem.read(&n)?.unwrap_or_default())))
+                .collect()
+        }
+        // Write a log and checkpoints with this build, then re-frame every
+        // file the way the old framing wrote the same records and states.
+        let mem = MemMedium::new();
+        {
+            let mut s = durable(&mem, 4);
+            for i in 0..10 {
+                s.handle_op_seq(0, i, &op(i), i);
+            }
+        }
+        let mut raw = mem.clone();
+        raw.remove(log::FORMAT_MARKER)?;
+        for (name, buf) in files(&mem)? {
+            let old: Vec<u8> = match log::parse_segment_name(&name) {
+                Some(first) => log::scan(&buf, first)
+                    .records
+                    .iter()
+                    .flat_map(|(lsn, tag, body)| old_frame(&log::payload(*lsn, *tag, body)))
+                    .collect(),
+                None => {
+                    let CheckpointScan::Valid(lsn, state) = scan_checkpoint(&buf) else {
+                        return Err(StorageError::io(format!("{name} is no whole checkpoint")));
+                    };
+                    old_frame(&[&lsn.to_le_bytes()[..], &state].concat())
+                }
+            };
+            raw.write_atomic(&name, &old)?;
+        }
+        let before = files(&mem)?;
+        assert!(before
+            .iter()
+            .any(|(n, _)| log::parse_checkpoint_name(n).is_some()));
+        // Read with this build's check, an old segment looks torn: without
+        // the marker, recovery would drop its records as a crash's debris.
+        let segments: Vec<_> = before
+            .iter()
+            .filter_map(|(n, buf)| Some((log::parse_segment_name(n)?, buf)))
+            .collect();
+        assert!(!segments.is_empty());
+        for (first, buf) in segments {
+            assert!(matches!(
+                log::scan(buf, first).tail,
+                TailStatus::Torn { offset: 0, .. }
+            ));
+        }
+
+        for salvage_corruption in [false, true] {
+            let store = DurableStorage::open(mem.clone(), DurableOptions::default());
+            let opened = DurableServer::open(
+                store,
+                config(),
+                DurabilityOptions {
+                    checkpoint_every: 4,
+                    salvage_corruption,
+                },
+                StorageObs::disabled(),
+            );
+            let err = opened.err();
+            assert!(
+                matches!(&err, Some(StorageError::UnknownFormat { file }) if log::is_framed(file)),
+                "salvage_corruption={salvage_corruption}: {err:?}"
+            );
+            assert_eq!(
+                files(&mem)?,
+                before,
+                "salvage_corruption={salvage_corruption}"
+            );
+        }
+
+        // An empty medium opens fresh, marked as this format.
+        let fresh = MemMedium::new();
+        let mut s = durable(&fresh, 4);
+        s.handle_op_seq(0, 0, &op(0), 0);
+        let root = s.core().root_digest();
+        drop(s);
+        fresh.crash();
+        assert!(fresh.list()?.iter().any(|n| n == log::FORMAT_MARKER));
+        assert_eq!(durable(&fresh, 4).core().root_digest(), root);
+        Ok(())
     }
 
     #[test]

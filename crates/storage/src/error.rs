@@ -35,6 +35,15 @@ pub enum StorageError {
     /// opt into salvaging the surviving prefix: acknowledged operations may
     /// be lost, so serving must not resume without an operator decision.
     Unrecoverable(String),
+    /// The medium holds segments or checkpoints but no
+    /// [`crate::log::FORMAT_MARKER`]: they were written under another frame
+    /// format, so this build's check would fail every frame and read it as
+    /// corruption. Recovery refuses the medium before reading, repairing or
+    /// salvaging anything.
+    UnknownFormat {
+        /// The first such file found.
+        file: String,
+    },
     /// A verified-chunk restore ([`crate::DurableServer::open_from_chunks`])
     /// was refused: a chunk or manifest failed verification against the
     /// anchor, the stream was incomplete, or the target storage already
@@ -68,6 +77,12 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::Unrecoverable(msg) => write!(f, "unrecoverable: {msg}"),
+            StorageError::UnknownFormat { file } => write!(
+                f,
+                "{file} has no {} marker beside it: it was written under another frame \
+                 format, which this build refuses to read",
+                crate::log::FORMAT_MARKER
+            ),
             StorageError::Bootstrap(msg) => write!(f, "bootstrap: {msg}"),
         }
     }

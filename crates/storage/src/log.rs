@@ -3,14 +3,21 @@
 //! Wire format of one framed record:
 //!
 //! ```text
-//! [len: u32 LE] [payload: len bytes] [check: 8 bytes]
+//! [len: u32 LE] [payload: len bytes] [check: u32 LE]
 //! ```
 //!
-//! where `check` is the first 8 bytes of `sha256(payload)` and the payload
-//! itself begins `[lsn: u64 LE] [tag: u8] [body…]`. A segment file on a
-//! real disk runs on past its last frame in zeros: [`crate::FileMedium`]
-//! writes each commit into a zero-filled extent. Recovery must *classify*,
-//! not just reject, so [`scan`] reads the end of a segment by three rules:
+//! where `check` is `crc32c(payload)` and the payload itself begins
+//! `[lsn: u64 LE] [tag: u8] [body…]`. The check only has to tell an intact
+//! frame from a torn or rotted one: a CRC-32C catches every burst of up to
+//! 32 bits and misses random damage with probability 2⁻³². What the state
+//! means is authenticated elsewhere: a checkpoint's decode recomputes every
+//! Merkle digest against the recorded root, and the clients check every
+//! reply the recovered server gives (DESIGN.md, "Record framing").
+//!
+//! A segment file on a real disk runs on past its last frame in zeros:
+//! [`crate::FileMedium`] writes each commit into a zero-filled extent.
+//! Recovery must *classify*, not just reject, so [`scan`] reads the end of
+//! a segment by three rules:
 //!
 //! 1. **Zero tail** — at a frame boundary, a remainder that is all zero is
 //!    the clean end of the log. The length header is tested first, so a
@@ -35,12 +42,29 @@
 //! [state…]`, appended in slices across several commits
 //! (`SlicedFrame`). A file shorter than its length header announces is an
 //! *interrupted* checkpoint, not a corrupt one ([`scan_checkpoint`]).
+//!
+//! A medium holding this format carries a [`FORMAT_MARKER`] file, written
+//! when the engine first recovers on an empty medium. Files the engine
+//! writes without the marker beside them come from another frame format
+//! (the first one checked frames with a truncated SHA-256), and recovery
+//! refuses them before reading any.
 
-use tcvs_crypto::{sha256, Sha256};
+use tcvs_crypto::{crc32c, crc32c_append};
 use tcvs_store::enc::{Reader, Sink, Writer};
 
-/// Bytes of `sha256(payload)` stored per record.
-pub const CHECK_LEN: usize = 8;
+/// Bytes of `crc32c(payload)` stored per record.
+pub const CHECK_LEN: usize = 4;
+
+/// Name of the file that marks a medium as holding this frame format.
+pub const FORMAT_MARKER: &str = "format-crc32c";
+
+/// What the marker file holds, for a reader of the directory; recovery
+/// checks only that the file exists.
+pub(crate) const FORMAT_NOTE: &[u8] =
+    b"tcvs-storage frames: [len u32 LE][payload][crc32c(payload) u32 LE]\n";
+
+/// Prefix of a quarantined file's name.
+const QUARANTINE_PREFIX: &str = "quarantine-";
 
 /// Frame header size (the length prefix).
 pub const HEADER_LEN: usize = 4;
@@ -56,7 +80,12 @@ pub(crate) const MIN_SLICE: usize = 64 << 10;
 /// Most slices a checkpoint frame is written in.
 pub(crate) const MAX_SLICES: usize = 16;
 
-/// Frames a record payload: length prefix + payload + truncated checksum.
+/// The frame check of `payload`.
+fn check(payload: &[u8]) -> [u8; CHECK_LEN] {
+    crc32c(payload).to_le_bytes()
+}
+
+/// Frames a record payload: length prefix + payload + checksum.
 ///
 /// # Panics
 ///
@@ -74,7 +103,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
     w.u32(payload.len() as u32);
     w.raw(payload);
-    w.raw(&sha256(payload).0[..CHECK_LEN]);
+    w.raw(&check(payload));
     w.into_bytes()
 }
 
@@ -172,10 +201,10 @@ fn boundary(rest: &[u8]) -> Boundary<'_> {
     if len > MAX_PAYLOAD {
         return Boundary::Damaged("length header exceeds maximum payload");
     }
-    let (Ok(payload), Ok(check)) = (r.raw(len), r.raw(CHECK_LEN)) else {
+    let (Ok(payload), Ok(stored)) = (r.raw(len), r.raw(CHECK_LEN)) else {
         return Boundary::Damaged("frame runs past the end of the segment");
     };
-    if &sha256(payload).0[..CHECK_LEN] != check {
+    if check(payload) != stored {
         return Boundary::Damaged("checksum mismatch");
     }
     Boundary::Frame(payload, HEADER_LEN + len + CHECK_LEN)
@@ -184,7 +213,10 @@ fn boundary(rest: &[u8]) -> Boundary<'_> {
 /// True when a frame that could carry a later record of this log — one
 /// past `expected_lsn`, at most as many past it as frames fit — verifies
 /// at some byte offset after `from`. The header and LSN are tested before
-/// the checksum, so only a plausible frame is hashed.
+/// the checksum, so only a plausible frame is checked, and a candidate cut
+/// from damaged bytes passes its check with probability 2⁻³²: a torn tail
+/// reads as corruption (which halts, never replays) at most that often
+/// per plausible offset.
 fn verifies_after(buf: &[u8], from: usize, expected_lsn: u64) -> bool {
     let fit = ((buf.len() - from) as u64) / frame_len(0);
     (from + 1..buf.len()).any(|at| {
@@ -277,12 +309,10 @@ pub fn scan_checkpoint(buf: &[u8]) -> CheckpointScan {
     if len > MAX_PAYLOAD || r.remaining() > len + CHECK_LEN {
         return CheckpointScan::Corrupt;
     }
-    if r.remaining() < len + CHECK_LEN {
+    let (Ok(payload), Ok(stored)) = (r.raw(len), r.raw(CHECK_LEN)) else {
         return CheckpointScan::Interrupted;
-    }
-    let payload = r.raw(len).expect("length just checked");
-    let check = r.raw(CHECK_LEN).expect("length just checked");
-    if &sha256(payload).0[..CHECK_LEN] != check {
+    };
+    if check(payload) != stored {
         return CheckpointScan::Corrupt;
     }
     let mut pr = Reader::new(payload);
@@ -293,20 +323,22 @@ pub fn scan_checkpoint(buf: &[u8]) -> CheckpointScan {
 }
 
 /// A checkpoint [`frame`] handed out in slices for a streamed write,
-/// hashing the payload as the slices go; the last slice carries the
+/// checking the payload as the slices go; the last slice carries the
 /// checksum. The slices concatenate to exactly what [`frame`] builds for
 /// `[lsn][state]`. One buffer serves every checkpoint, so each reuses the
 /// pages of the last.
 #[derive(Default)]
 pub(crate) struct SlicedFrame {
+    /// LSN of the checkpoint the frame carries.
+    lsn: u64,
     /// Header and payload; the checksum is appended by the last slice.
     buf: Vec<u8>,
     /// End of the payload in `buf`.
     payload_end: usize,
     /// Bytes already handed out.
     cut: usize,
-    /// SHA-256 of the payload bytes handed out so far.
-    hasher: Sha256,
+    /// CRC-32C of the payload bytes handed out so far.
+    crc: u32,
 }
 
 impl SlicedFrame {
@@ -314,6 +346,7 @@ impl SlicedFrame {
     /// dropping whatever was left of the previous one. The caller has
     /// checked `8 + state.len()` against [`MAX_PAYLOAD`].
     pub(crate) fn start(&mut self, lsn: u64, state: &[u8]) {
+        self.lsn = lsn;
         self.buf.clear();
         self.buf
             .extend_from_slice(&((8 + state.len()) as u32).to_le_bytes());
@@ -321,12 +354,17 @@ impl SlicedFrame {
         self.buf.extend_from_slice(state);
         self.payload_end = self.buf.len();
         self.cut = 0;
-        self.hasher = Sha256::new();
+        self.crc = 0;
+    }
+
+    /// LSN of the checkpoint the frame carries.
+    pub(crate) fn lsn(&self) -> u64 {
+        self.lsn
     }
 
     /// The next slice: `max(MIN_SLICE, ⌈(header + payload) / MAX_SLICES⌉)`
     /// bytes, the last one shorter and followed by the checksum. `None` once
-    /// the whole frame is handed out.
+    /// the whole frame is handed out or the stream is abandoned.
     pub(crate) fn next_slice(&mut self) -> Option<&[u8]> {
         let from = self.cut;
         if from == self.buf.len() {
@@ -334,10 +372,9 @@ impl SlicedFrame {
         }
         let slice = MIN_SLICE.max(self.payload_end.div_ceil(MAX_SLICES));
         let to = self.payload_end.min(from + slice);
-        self.hasher.update(&self.buf[from.max(HEADER_LEN)..to]);
+        self.crc = crc32c_append(self.crc, &self.buf[from.max(HEADER_LEN)..to]);
         if to == self.payload_end {
-            let check = std::mem::take(&mut self.hasher).finalize();
-            self.buf.extend_from_slice(&check.0[..CHECK_LEN]);
+            self.buf.extend_from_slice(&self.crc.to_le_bytes());
             self.cut = self.buf.len();
         } else {
             self.cut = to;
@@ -345,9 +382,16 @@ impl SlicedFrame {
         Some(&self.buf[from..self.cut])
     }
 
-    /// True once the last slice (the one with the checksum) is handed out.
+    /// True once the last slice (the one with the checksum) is handed out,
+    /// or the stream is abandoned.
     pub(crate) fn is_done(&self) -> bool {
         self.cut == self.buf.len()
+    }
+
+    /// Ends the stream without its remaining slices; the buffer stays for
+    /// the next checkpoint.
+    pub(crate) fn abandon(&mut self) {
+        self.cut = self.buf.len();
     }
 }
 
@@ -367,7 +411,14 @@ pub fn checkpoint_name(lsn: u64) -> String {
 /// [`parse_checkpoint_name`] matches the prefixed name, so no scan or
 /// rotation will ever touch them again.
 pub fn quarantine_name(name: &str) -> String {
-    format!("quarantine-{name}")
+    format!("{QUARANTINE_PREFIX}{name}")
+}
+
+/// True for every name the engine writes a frame under: segments,
+/// checkpoints and their quarantined copies.
+pub(crate) fn is_framed(name: &str) -> bool {
+    let name = name.strip_prefix(QUARANTINE_PREFIX).unwrap_or(name);
+    parse_segment_name(name).is_some() || parse_checkpoint_name(name).is_some()
 }
 
 /// Parses a segment file name back to its first LSN.
@@ -663,6 +714,39 @@ mod tests {
                 },
                 "{what}"
             );
+        }
+    }
+
+    /// The 4-byte check catches every single-bit flip in a frame, header
+    /// and check included, and the scan classifies it by where the frame
+    /// sits: below a frame that verifies, corruption; the last frame before
+    /// the zeros, a torn tail.
+    #[test]
+    fn every_single_bit_flip_is_classified_by_where_it_sits() {
+        let (clean, end) = in_extent(300);
+        let frame = end / 3;
+        let middle = TailStatus::Corrupt {
+            offset: frame as u64,
+            reason: "",
+        };
+        let last = TailStatus::Torn {
+            offset: 2 * frame as u64,
+            dropped: (clean.len() - 2 * frame) as u64,
+        };
+        for (at, want) in [(frame, middle), (2 * frame, last)] {
+            for bit in 0..8 * frame {
+                let mut buf = clean.clone();
+                buf[at + bit / 8] ^= 1 << (bit % 8);
+                let scan = scan(&buf, 0);
+                assert_eq!(scan.records.len(), at / frame, "bit {bit} of {at}");
+                let tail = match scan.tail {
+                    TailStatus::Corrupt { offset, .. } => {
+                        TailStatus::Corrupt { offset, reason: "" }
+                    }
+                    tail => tail,
+                };
+                assert_eq!(tail, want, "bit {bit} of {at}");
+            }
         }
     }
 

@@ -31,6 +31,11 @@
 //!
 //! ## Recovery state machine ([`DurableStorage::recover`])
 //!
+//! 0. **Check the format**: a medium whose segments or checkpoints have
+//!    no `log::FORMAT_MARKER` beside them was written under another frame
+//!    format; recovery refuses it with [`StorageError::UnknownFormat`]
+//!    before reading anything, salvage included. An empty medium gets the
+//!    marker.
 //! 1. **Pick a checkpoint**: try checkpoint files newest-first; the first
 //!    one whose frame checksum and body decode verify wins. Corrupt ones
 //!    are counted and skipped (that is why two are retained); an
@@ -272,11 +277,9 @@ pub struct DurableStorage<M: Medium> {
     /// Set when the last recovery stopped at interior corruption without
     /// repairing it: commits stay refused until [`Storage::salvage`].
     halted: Option<String>,
-    /// Frame of the newest checkpoint, handed out one slice per commit.
+    /// Frame of the newest checkpoint, handed out one slice per commit
+    /// until its last slice is synced.
     frame: SlicedFrame,
-    /// LSN of the checkpoint that frame is streaming out, until its last
-    /// slice is synced.
-    streaming: Option<u64>,
     /// LSN of the newest checkpoint known to be complete on the medium.
     complete: Option<u64>,
     /// Files the newest complete checkpoint subsumes, removed one per
@@ -286,8 +289,9 @@ pub struct DurableStorage<M: Medium> {
 
 impl<M: Medium> DurableStorage<M> {
     /// Opens the store on `medium`. [`Storage::recover`] must run before
-    /// the first commit — it positions the append cursor and truncates any
-    /// torn tail; [`crate::DurableServer::open`] runs it for you.
+    /// the first commit — it checks the frame format, positions the append
+    /// cursor and truncates any torn tail; [`crate::DurableServer::open`]
+    /// runs it for you.
     pub fn open(medium: M, opts: DurableOptions) -> DurableStorage<M> {
         DurableStorage {
             medium,
@@ -301,7 +305,6 @@ impl<M: Medium> DurableStorage<M> {
             recovered: false,
             halted: None,
             frame: SlicedFrame::default(),
-            streaming: None,
             complete: None,
             doomed: Vec::new(),
         }
@@ -380,12 +383,9 @@ impl<M: Medium> DurableStorage<M> {
     /// One step of pending checkpoint work: the next slice of the streaming
     /// checkpoint, else one subsumed file. False when nothing was pending.
     fn step(&mut self) -> Result<bool, StorageError> {
-        if let Some(lsn) = self.streaming {
+        let lsn = self.frame.lsn();
+        if let Some(slice) = self.frame.next_slice() {
             let name = log::checkpoint_name(lsn);
-            let slice = self
-                .frame
-                .next_slice()
-                .expect("a streaming frame has a slice left");
             let written = self
                 .medium
                 .append(&name, slice)
@@ -393,13 +393,12 @@ impl<M: Medium> DurableStorage<M> {
             if let Err(e) = written {
                 // The partial file is dead: the next checkpoint at this LSN
                 // starts over, and recovery removes it.
-                self.streaming = None;
+                self.frame.abandon();
                 return Err(e);
             }
             if self.frame.is_done() {
                 // The checkpoint is durable; only now may what it subsumes go.
                 self.complete = Some(lsn);
-                self.streaming = None;
                 self.plan_prune()?;
             }
         } else if let Some(name) = self.doomed.pop() {
@@ -414,6 +413,23 @@ impl<M: Medium> DurableStorage<M> {
     fn flush(&mut self) -> Result<(), StorageError> {
         while self.step()? {}
         Ok(())
+    }
+
+    /// Refuses a medium whose framed files have no [`log::FORMAT_MARKER`]
+    /// beside them — written under another frame format, whose every frame
+    /// would fail this build's check and read as corruption — and marks a
+    /// medium holding none as this format. Recovery runs it before it
+    /// reads, repairs or salvages anything.
+    fn check_format(&mut self) -> Result<(), StorageError> {
+        let names = self.medium.list()?;
+        if names.iter().any(|n| n == log::FORMAT_MARKER) {
+            return Ok(());
+        }
+        if let Some(file) = names.into_iter().find(|n| log::is_framed(n)) {
+            return Err(StorageError::UnknownFormat { file });
+        }
+        self.medium
+            .write_atomic(log::FORMAT_MARKER, log::FORMAT_NOTE)
     }
 
     /// The refusal every write gets while a corrupt stop is unresolved or
@@ -489,7 +505,6 @@ impl<M: Medium> Storage for DurableStorage<M> {
         // stream or a corrupt checkpoint left under this name.
         self.medium.remove(&log::checkpoint_name(lsn))?;
         self.frame.start(lsn, state);
-        self.streaming = Some(lsn);
         // Rotate so the pre-checkpoint segment becomes prunable once the
         // *next* checkpoint completes.
         if self.seg_bytes > 0 {
@@ -519,11 +534,12 @@ impl<M: Medium> DurableStorage<M> {
     /// serve on from the surviving prefix; without it, interior corruption
     /// halts the store with the medium left exactly as found.
     fn recover_impl(&mut self, repair: bool) -> Result<Recovered, StorageError> {
+        self.check_format()?;
         let mut report = RecoveryReport::default();
         self.halted = None;
         // Whatever checkpoint work this incarnation had pending is void: the
         // medium is re-read from scratch.
-        self.streaming = None;
+        self.frame.abandon();
         self.doomed.clear();
 
         // 1. Newest checkpoint that verifies.
@@ -567,8 +583,8 @@ impl<M: Medium> DurableStorage<M> {
             // A segment entirely below the checkpoint whose records we will
             // never replay can be skipped wholesale (it survives only until
             // the next prune).
-            if next_first.is_some_and(|n| n <= base) {
-                expected = next_first.unwrap();
+            if let Some(next) = next_first.filter(|&n| n <= base) {
+                expected = next;
                 continue;
             }
             let name = log::segment_name(first_lsn);
