@@ -16,8 +16,11 @@
 //! found such an interrupted checkpoint. Each round also reports the zero
 //! tail recovery truncated (the unused rest of the last segment's
 //! zero-filled extent) and whether it found a torn record, and checks that
-//! no segment file grew past twice the segment size: extents grow by
-//! doubling, so a small segment stays a small file.
+//! no segment file grew past twice the segment size, or twice its records
+//! where one commit outgrew the segment: extents grow by doubling, so a
+//! small segment stays a small file. It reports the deltas
+//! recovery applied and the op records it replayed after the newest, and
+//! fails a round that replays more than two checkpoint intervals.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -55,6 +58,9 @@ fn scripted(j: u64) -> (u32, u64, Op, u64) {
 /// Bytes a segment holds before the log rotates to the next one.
 const SEGMENT_BYTES: usize = 8 << 10;
 
+/// Ops between checkpoints.
+const CHECKPOINT_EVERY: u64 = 16;
+
 fn open(dir: &str) -> Result<DurableServer<DurableStorage<FileMedium>>, String> {
     let medium = FileMedium::open(dir).map_err(|e| format!("open medium: {e}"))?;
     let opts = DurableOptions {
@@ -69,7 +75,7 @@ fn open(dir: &str) -> Result<DurableServer<DurableStorage<FileMedium>>, String> 
         // corrupt-stop refusal here is exactly the failure the smoke test
         // exists to catch.
         DurabilityOptions {
-            checkpoint_every: 16,
+            checkpoint_every: CHECKPOINT_EVERY,
             ..DurabilityOptions::default()
         },
         StorageObs::disabled(),
@@ -113,6 +119,14 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
         if let Some(stop) = &report.corrupt_stop {
             return Err(format!("round {round}: recovery hit corruption: {stop}"));
         }
+        // A kill can land before a due delta reaches the log, never two.
+        if report.records_replayed > 2 * CHECKPOINT_EVERY {
+            return Err(format!(
+                "round {round}: recovery replayed {} op records, over twice the {} \
+                 between checkpoints",
+                report.records_replayed, CHECKPOINT_EVERY
+            ));
+        }
         let ctr = server.core().ctr();
         if ctr < max_ctr {
             return Err(format!(
@@ -154,21 +168,25 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
         for entry in std::fs::read_dir(dir).map_err(|e| format!("list {dir}: {e}"))? {
             let entry = entry.map_err(|e| format!("list {dir}: {e}"))?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            let len = entry
-                .metadata()
-                .map_err(|e| format!("stat {name}: {e}"))?
-                .len();
-            if log::parse_segment_name(&name).is_some() && len > 2 * SEGMENT_BYTES as u64 {
+            let Some(first) = log::parse_segment_name(&name) else {
+                continue;
+            };
+            let buf = std::fs::read(entry.path()).map_err(|e| format!("read {name}: {e}"))?;
+            // A delta bigger than a segment fills one of its own.
+            let held = log::scan(&buf, first).valid_len.max(SEGMENT_BYTES as u64);
+            if buf.len() as u64 > 2 * held {
                 return Err(format!(
-                    "round {round}: segment {name} is {len} bytes, over twice the segment size"
+                    "round {round}: segment {name} is {} bytes, over twice the {held} it holds",
+                    buf.len()
                 ));
             }
         }
         interrupted += u64::from(report.interrupted_checkpoints > 0);
         extent_tails += u64::from(report.zero_tail_bytes > 0 || report.torn_tail.is_some());
         println!(
-            "round {round}: recovered ctr={ctr} replayed={} zero_tail={} torn_tail={} \
+            "round {round}: recovered ctr={ctr} deltas={} replayed={} zero_tail={} torn_tail={} \
              interrupted_ckpt={} — ok",
+            report.deltas,
             report.records_replayed,
             report.zero_tail_bytes,
             report.torn_tail.is_some(),

@@ -1,21 +1,28 @@
-//! The checkpoint format: [`DurableState`], the complete durable world at
-//! one LSN — a full [`ServerSnapshot`] plus the transport's reply journal.
+//! The checkpoint formats: [`DurableState`], the complete durable world at
+//! one LSN — a full [`ServerSnapshot`] plus the transport's reply journal —
+//! and [`DurableDelta`], the incremental checkpoint that carries the same
+//! world but only the database entries and evidence bundles that changed
+//! since the checkpoint or delta before it.
 //!
 //! Built on `tcvs_store::enc`'s length-prefixed little-endian framing, with
 //! every protocol value written by its one encoder in [`tcvs_core::wire`]
 //! (log record bodies use the same encoders; see [`crate::record`]).
-//! Decoding validates everything: signatures and trees re-verify their
-//! digests, enum tags reject unknown values, and all errors surface as
-//! typed [`DecodeError`]s with offsets (the recovery path needs to tell a
-//! torn tail from corruption).
+//! Both formats are written from borrowed parts (`encode_state`,
+//! `put_delta`), so a checkpoint copies nothing of the live server before
+//! it encodes it. Decoding validates everything: signatures and
+//! trees re-verify their digests, enum tags reject unknown values, and all
+//! errors surface as typed [`DecodeError`]s with offsets (the recovery path
+//! needs to tell a torn tail from corruption).
 
 use tcvs_core::wire::{
-    get_audit_checkpoint, get_epoch_state, get_event, get_response, get_signed_state,
-    put_audit_checkpoint, put_epoch_state, put_event, put_response, put_signed_state,
+    get_audit_checkpoint, get_digest, get_epoch_state, get_event, get_response, get_signed_state,
+    put_audit_checkpoint, put_digest, put_epoch_state, put_event, put_response, put_signed_state,
 };
-use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerResponse, ServerSnapshot, UserId};
-use tcvs_merkle::MerkleTree;
+use tcvs_core::{Ctr, Digest, Epoch, ServerMetrics, ServerSnapshot, UserId};
+use tcvs_merkle::{MerkleTree, Op};
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
+
+use crate::record::JournalEntry;
 
 /// Magic prefix of an encoded [`DurableState`].
 const STATE_MAGIC: &[u8; 4] = b"TCKP";
@@ -29,61 +36,211 @@ pub struct DurableState {
     pub snapshot: ServerSnapshot,
     /// The reply journal as `(user, seq, response)` — one live entry per
     /// user (older entries are below the acknowledgment watermark).
-    pub journal: Vec<(UserId, u64, ServerResponse)>,
+    pub journal: Vec<JournalEntry>,
     /// Persisted deviation evidence bundles, opaque canonical bytes
     /// (self-integrity-checked by the bundle format). Carried in the
     /// checkpoint so incident artifacts outlive log pruning.
     pub evidence: Vec<Vec<u8>>,
 }
 
+/// An incremental checkpoint: the durable world at its LSN, written as
+/// edits to the world at `base`, the LSN of the checkpoint or delta before
+/// it. Applying `edits` in order to the database at `base` yields the
+/// database whose root is `root`; every other part is carried whole.
+#[derive(Clone, Debug)]
+pub struct DurableDelta {
+    /// LSN of the checkpoint or delta this one applies on top of.
+    pub base: u64,
+    /// The server state apart from its database (counters, deposits,
+    /// metrics, flight tail); its database is an empty placeholder.
+    pub snapshot: ServerSnapshot,
+    /// The whole reply journal, as in [`DurableState::journal`].
+    pub journal: Vec<JournalEntry>,
+    /// Evidence bundles persisted since `base`.
+    pub evidence: Vec<Vec<u8>>,
+    /// One window of puts and deletes. The keys whose presence changed
+    /// come first, in the order they changed (a B+-tree's shape depends on
+    /// its insertion order, so this replays the live tree's splits and
+    /// merges); then every changed key's final value or tombstone, in key
+    /// order. Reads change nothing and are not written.
+    pub edits: Vec<Op>,
+    /// Root digest of the database after the edits.
+    pub root: Digest,
+    /// Length of the record body the delta was decoded from (0 for one
+    /// built in memory); not part of the encoding.
+    pub body_len: usize,
+}
+
+/// Writes what every checkpoint and delta carries whole: the server state
+/// apart from its database, then the reply journal.
+fn put_world(w: &mut impl Sink, snapshot: &ServerSnapshot, journal: &[JournalEntry]) {
+    w.u64(snapshot.ctr());
+    w.u32(snapshot.last_user());
+    w.u64(snapshot.epoch_len());
+    w.opt(snapshot.last_sig(), put_signed_state);
+    w.u32(snapshot.epoch_states().len() as u32);
+    for s in snapshot.epoch_states() {
+        put_epoch_state(w, s);
+    }
+    w.u32(snapshot.checkpoints().len() as u32);
+    for c in snapshot.checkpoints() {
+        put_audit_checkpoint(w, c);
+    }
+    w.u32(snapshot.user_epochs().len() as u32);
+    for (u, e) in snapshot.user_epochs() {
+        w.u32(*u);
+        w.u64(*e);
+    }
+    let m = snapshot.snapshot_metrics();
+    w.u64(m.ops);
+    w.u64(m.msgs_in);
+    w.u64(m.msgs_out);
+    w.u64(m.bytes_out);
+    w.u32(snapshot.flight_events().len() as u32);
+    for ev in snapshot.flight_events() {
+        put_event(w, ev);
+    }
+    w.u32(journal.len() as u32);
+    for (user, seq, resp) in journal {
+        w.u32(*user);
+        w.u64(*seq);
+        put_response(w, resp);
+    }
+}
+
+fn put_evidence(w: &mut impl Sink, evidence: &[Vec<u8>]) {
+    w.u32(evidence.len() as u32);
+    for e in evidence {
+        w.bytes(e);
+    }
+}
+
+/// Reads what [`put_world`] wrote; the snapshot gets `db`.
+fn get_world(
+    r: &mut Reader,
+    db: MerkleTree,
+) -> Result<(ServerSnapshot, Vec<JournalEntry>), DecodeError> {
+    let ctr: Ctr = r.u64()?;
+    let last_user: UserId = r.u32()?;
+    let epoch_len = r.u64()?;
+    let last_sig = r.opt(get_signed_state)?;
+    let n = r.u32()? as usize;
+    let mut epoch_states = Vec::new();
+    for _ in 0..n {
+        epoch_states.push(get_epoch_state(r)?);
+    }
+    let n = r.u32()? as usize;
+    let mut checkpoints = Vec::new();
+    for _ in 0..n {
+        checkpoints.push(get_audit_checkpoint(r)?);
+    }
+    let n = r.u32()? as usize;
+    let mut user_epochs: Vec<(UserId, Epoch)> = Vec::new();
+    for _ in 0..n {
+        user_epochs.push((r.u32()?, r.u64()?));
+    }
+    let metrics = ServerMetrics {
+        ops: r.u64()?,
+        msgs_in: r.u64()?,
+        msgs_out: r.u64()?,
+        bytes_out: r.u64()?,
+    };
+    let n = r.u32()? as usize;
+    let mut flight = Vec::new();
+    for _ in 0..n {
+        flight.push(get_event(r)?);
+    }
+    let n = r.u32()? as usize;
+    let mut journal = Vec::new();
+    for _ in 0..n {
+        let user = r.u32()?;
+        let seq = r.u64()?;
+        journal.push((user, seq, get_response(r)?));
+    }
+    let snapshot = ServerSnapshot::from_parts(
+        db,
+        ctr,
+        last_user,
+        epoch_len,
+        last_sig,
+        epoch_states,
+        checkpoints,
+        user_epochs,
+        metrics,
+        flight,
+    )
+    .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
+    Ok((snapshot, journal))
+}
+
+fn get_evidence(r: &mut Reader) -> Result<Vec<Vec<u8>>, DecodeError> {
+    let n = r.u32()? as usize;
+    let mut evidence = Vec::new();
+    for _ in 0..n {
+        evidence.push(r.bytes()?.to_vec());
+    }
+    Ok(evidence)
+}
+
+/// Encodes a full checkpoint of `snapshot`, `journal` and `evidence` into
+/// `buf`, replacing its contents. A buffer kept from one checkpoint to the
+/// next reuses its pages instead of growing a fresh multi-megabyte
+/// allocation each time.
+pub(crate) fn encode_state(
+    buf: &mut Vec<u8>,
+    snapshot: &ServerSnapshot,
+    journal: &[JournalEntry],
+    evidence: &[Vec<u8>],
+) {
+    buf.clear();
+    let mut w = Writer::from(std::mem::take(buf));
+    w.raw(STATE_MAGIC);
+    w.u32(STATE_VERSION);
+    put_world(&mut w, snapshot, journal);
+    put_evidence(&mut w, evidence);
+    let db = snapshot.db();
+    w.framed(db.encoded_size(), |buf| db.write_to(buf));
+    *buf = w.into_bytes();
+}
+
+/// Writes a delta record body: the world of `snapshot` and `journal` as
+/// edits to the world at `base` (see [`DurableDelta`]). `root` is the
+/// database's root after the edits.
+pub(crate) fn put_delta(
+    w: &mut impl Sink,
+    base: u64,
+    snapshot: &ServerSnapshot,
+    journal: &[JournalEntry],
+    evidence: &[Vec<u8>],
+    edits: &[(&[u8], Option<&[u8]>)],
+    root: &Digest,
+) {
+    w.u64(base);
+    put_world(w, snapshot, journal);
+    put_evidence(w, evidence);
+    w.u32(edits.len() as u32);
+    for (key, value) in edits {
+        w.bytes(key);
+        w.opt(*value, |w, v| w.bytes(v));
+    }
+    put_digest(w, root);
+}
+
+/// A put or delete as a delta writes it: the key, and the value or `None`.
+/// Reads change nothing and have no edit.
+pub(crate) fn edit(op: &Op) -> Option<(&[u8], Option<&[u8]>)> {
+    match op {
+        Op::Put(key, value) => Some((key, Some(value))),
+        Op::Delete(key) => Some((key, None)),
+        Op::Get(_) | Op::Range(..) => None,
+    }
+}
+
 impl DurableState {
     /// Encodes the state for a checkpoint file into `buf`, replacing its
-    /// contents. A buffer kept from one checkpoint to the next reuses its
-    /// pages instead of growing a fresh multi-megabyte allocation each time.
+    /// contents (`encode_state` over the state's parts).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        let mut w = Writer::from(std::mem::take(buf));
-        w.raw(STATE_MAGIC);
-        w.u32(STATE_VERSION);
-        w.u64(self.snapshot.ctr());
-        w.u32(self.snapshot.last_user());
-        w.u64(self.snapshot.epoch_len());
-        w.opt(self.snapshot.last_sig(), put_signed_state);
-        w.u32(self.snapshot.epoch_states().len() as u32);
-        for s in self.snapshot.epoch_states() {
-            put_epoch_state(&mut w, s);
-        }
-        w.u32(self.snapshot.checkpoints().len() as u32);
-        for c in self.snapshot.checkpoints() {
-            put_audit_checkpoint(&mut w, c);
-        }
-        w.u32(self.snapshot.user_epochs().len() as u32);
-        for (u, e) in self.snapshot.user_epochs() {
-            w.u32(*u);
-            w.u64(*e);
-        }
-        let m = self.snapshot.snapshot_metrics();
-        w.u64(m.ops);
-        w.u64(m.msgs_in);
-        w.u64(m.msgs_out);
-        w.u64(m.bytes_out);
-        w.u32(self.snapshot.flight_events().len() as u32);
-        for ev in self.snapshot.flight_events() {
-            put_event(&mut w, ev);
-        }
-        w.u32(self.journal.len() as u32);
-        for (user, seq, resp) in &self.journal {
-            w.u32(*user);
-            w.u64(*seq);
-            put_response(&mut w, resp);
-        }
-        w.u32(self.evidence.len() as u32);
-        for e in &self.evidence {
-            w.bytes(e);
-        }
-        let db = self.snapshot.db();
-        w.framed(db.encoded_size(), |buf| db.write_to(buf));
-        *buf = w.into_bytes();
+        encode_state(buf, &self.snapshot, &self.journal, &self.evidence);
     }
 
     /// Decodes a checkpoint file body; the database's digests are fully
@@ -96,48 +253,8 @@ impl DurableState {
         if r.u32()? != STATE_VERSION {
             return Err(DecodeError::Invalid("unknown checkpoint version"));
         }
-        let ctr: Ctr = r.u64()?;
-        let last_user: UserId = r.u32()?;
-        let epoch_len = r.u64()?;
-        let last_sig = r.opt(get_signed_state)?;
-        let n = r.u32()? as usize;
-        let mut epoch_states = Vec::new();
-        for _ in 0..n {
-            epoch_states.push(get_epoch_state(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut checkpoints = Vec::new();
-        for _ in 0..n {
-            checkpoints.push(get_audit_checkpoint(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut user_epochs: Vec<(UserId, Epoch)> = Vec::new();
-        for _ in 0..n {
-            user_epochs.push((r.u32()?, r.u64()?));
-        }
-        let metrics = ServerMetrics {
-            ops: r.u64()?,
-            msgs_in: r.u64()?,
-            msgs_out: r.u64()?,
-            bytes_out: r.u64()?,
-        };
-        let n = r.u32()? as usize;
-        let mut flight = Vec::new();
-        for _ in 0..n {
-            flight.push(get_event(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut journal = Vec::new();
-        for _ in 0..n {
-            let user = r.u32()?;
-            let seq = r.u64()?;
-            journal.push((user, seq, get_response(&mut r)?));
-        }
-        let n = r.u32()? as usize;
-        let mut evidence = Vec::new();
-        for _ in 0..n {
-            evidence.push(r.bytes()?.to_vec());
-        }
+        let (snapshot, journal) = get_world(&mut r, MerkleTree::new())?;
+        let evidence = get_evidence(&mut r)?;
         let db = MerkleTree::from_bytes(r.bytes()?)
             .map_err(|_| DecodeError::Invalid("checkpoint database"))?;
         // A server serves every value it holds: a stub or a hash-only entry
@@ -146,23 +263,54 @@ impl DurableState {
             return Err(DecodeError::Invalid("checkpoint database is pruned"));
         }
         r.finish()?;
-        let snapshot = ServerSnapshot::from_parts(
-            db,
-            ctr,
-            last_user,
-            epoch_len,
-            last_sig,
-            epoch_states,
-            checkpoints,
-            user_epochs,
-            metrics,
-            flight,
-        )
-        .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
         Ok(DurableState {
+            snapshot: snapshot.with_db(db),
+            journal,
+            evidence,
+        })
+    }
+}
+
+impl DurableDelta {
+    /// Writes the delta's record body (`put_delta` over its parts).
+    pub fn put(&self, w: &mut impl Sink) {
+        let edits: Vec<_> = self.edits.iter().filter_map(edit).collect();
+        put_delta(
+            w,
+            self.base,
+            &self.snapshot,
+            &self.journal,
+            &self.evidence,
+            &edits,
+            &self.root,
+        );
+    }
+
+    /// Decodes a delta record body.
+    pub fn from_bytes(bytes: &[u8]) -> Result<DurableDelta, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let base = r.u64()?;
+        let (snapshot, journal) = get_world(&mut r, MerkleTree::new())?;
+        let evidence = get_evidence(&mut r)?;
+        let n = r.u32()? as usize;
+        let mut edits = Vec::new();
+        for _ in 0..n {
+            let key = r.bytes()?.to_vec();
+            edits.push(match r.opt(|r| Ok(r.bytes()?.to_vec()))? {
+                Some(value) => Op::Put(key, value),
+                None => Op::Delete(key),
+            });
+        }
+        let root = get_digest(&mut r)?;
+        r.finish()?;
+        Ok(DurableDelta {
+            base,
             snapshot,
             journal,
             evidence,
+            edits,
+            root,
+            body_len: bytes.len(),
         })
     }
 }
@@ -173,7 +321,7 @@ mod tests {
     use tcvs_core::wire::{get_mss, get_op, put_mss, put_op, response_bytes};
     use tcvs_core::{HonestServer, ProtocolConfig, ServerApi, SignedState};
     use tcvs_crypto::MssSignature;
-    use tcvs_merkle::{u64_key, Op};
+    use tcvs_merkle::u64_key;
     use tcvs_obs::{Event, EventKind, SpanContext};
 
     fn sample_sig(seed: u8) -> MssSignature {
@@ -287,6 +435,38 @@ mod tests {
         let idx = bad.len() - 3;
         bad[idx] ^= 0x40;
         assert!(DurableState::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn durable_delta_round_trips() -> Result<(), DecodeError> {
+        let mut server = HonestServer::new(&ProtocolConfig::default());
+        let mut journal = Vec::new();
+        for i in 0..4u64 {
+            let resp = server.handle_op((i % 2) as u32, &Op::Put(u64_key(i), vec![i as u8]), i);
+            journal.push(((i % 2) as u32, i, resp));
+        }
+        let delta = DurableDelta {
+            base: 9,
+            snapshot: server.core().crash_snapshot(),
+            journal,
+            evidence: vec![b"TCVSEVB1-bundle-bytes".to_vec()],
+            edits: vec![Op::Put(u64_key(5), b"v".to_vec()), Op::Delete(u64_key(2))],
+            root: server.core().root_digest(),
+            body_len: 0,
+        };
+        let mut w = Writer::new();
+        delta.put(&mut w);
+        let bytes = w.into_bytes();
+        let back = DurableDelta::from_bytes(&bytes)?;
+        assert_eq!((back.base, back.root), (delta.base, delta.root));
+        assert_eq!(back.body_len, bytes.len());
+        assert_eq!(back.snapshot.ctr(), 4);
+        assert_eq!((back.edits, back.evidence), (delta.edits, delta.evidence));
+        let mut again = Writer::new();
+        DurableDelta::from_bytes(&bytes)?.put(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "encode∘decode is identity");
+        assert!(DurableDelta::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        Ok(())
     }
 
     /// A checkpoint whose database hides an entry behind its pair digest

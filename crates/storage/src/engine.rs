@@ -8,42 +8,71 @@
 //! response leaves the process. A crash at any instant therefore loses at
 //! most work that was never acknowledged.
 //!
-//! Every [`DurabilityOptions::checkpoint_every`] operations the op that
-//! reaches the count also encodes the durable world and hands it to
+//! ## Incremental checkpoints
+//!
+//! Every [`DurabilityOptions::checkpoint_every`] operations the engine
+//! checkpoints incrementally. It tracks the keys its ops change, and the
+//! next commit is preceded by a commit of one [`Record::Delta`]. A delta
+//! holds the counters, deposits, metrics, flight tail and reply journal
+//! whole, the evidence bundles persisted since the checkpoint or delta
+//! before it, and each changed key's value or tombstone with the
+//! resulting root: what changed, not the whole tree. Once the delta bytes
+//! logged since the last full checkpoint reach that checkpoint's size, the
+//! engine also encodes the whole world and hands it to
 //! [`Storage::checkpoint`]; a streaming storage writes it out across the
-//! commits that follow, so no single request waits for a whole-tree write.
+//! commits that follow, and prunes the log behind it only then.
 //!
 //! Because the core is deterministic, the log carries only inputs (see
-//! [`Record`]): recovery restores the newest checkpoint and replays the
-//! tail through the same [`ServerCore::process`] path, regenerating every
-//! response — including the reply-journal entries the transport
-//! acknowledged — byte-identically.
+//! [`Record`]): recovery restores the newest full checkpoint, applies the
+//! deltas after it in LSN order, checking each recorded root, and replays
+//! the records after the newest delta through the same
+//! [`ServerCore::process`] path, regenerating every response — including
+//! the reply-journal entries the transport acknowledged — byte-identically.
+//! A delta summarises records the log still holds, so one that is torn,
+//! missing or undecodable costs a longer replay, never an op. Before a
+//! delta is logged its edits are replayed on the database at its base; a
+//! delta that misses the live root (a change the tracking missed) gives
+//! way to a full checkpoint, so recovery never meets one written wrong.
 //!
 //! Commit failures are crash-stop: the [`tcvs_core::ServerApi`] entry
 //! points panic rather than acknowledge an op that was never made durable.
 //! The fallible [`DurableServer::apply`] exists for harnesses that inject
 //! storage faults and want the error back instead.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use tcvs_core::wire::{
+    encoded_len, put_audit_checkpoint, put_epoch_state, put_event, put_signed_state,
+};
 use tcvs_core::{
     Ctr, Digest, Epoch, ProtocolConfig, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId,
 };
-use tcvs_merkle::{ChunkAssembler, ChunkManifest, Op};
+use tcvs_merkle::{ChunkAssembler, ChunkManifest, Key, MerkleTree, Op, OpResult};
 use tcvs_obs::{Counter, Event, EventKind, MetricsRegistry, Tracer};
+use tcvs_store::enc::{Sink, Writer};
 
-use crate::codec::DurableState;
+use crate::codec::{edit, encode_state, put_delta, DurableDelta, DurableState};
 use crate::error::StorageError;
-use crate::record::{JournalEntry, Record, NO_SEQ};
-use crate::storage::{RecoveryReport, Storage, WriteBatch};
+use crate::record::{
+    put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_DELTA, TAG_EPOCH_STATE,
+    TAG_EVIDENCE, TAG_FLIGHT, TAG_OP, TAG_SIGNATURE,
+};
+use crate::storage::{Recovered, RecoveryReport, Storage, WriteBatch};
 
 /// Tuning knobs for [`DurableServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptions {
-    /// Take a checkpoint after this many committed operations (0 disables
-    /// automatic checkpoints; [`DurableServer::checkpoint_now`] still works).
+    /// Checkpoint after this many committed operations (0 disables
+    /// automatic checkpoints, and the tracking of changed keys that deltas
+    /// need; [`DurableServer::checkpoint_now`] still works). Each
+    /// checkpoint logs a delta of what changed since the last one, in a
+    /// commit of its own ahead of the next; a full checkpoint of
+    /// the whole world is streamed out only once the deltas since the last
+    /// full one outweigh it. Recovery replays the op records after the
+    /// newest delta it can use: at most this many, unless a delta does
+    /// not decode or a crash cut the first full checkpoint short.
     pub checkpoint_every: u64,
     /// Serve even when recovery stopped at interior log corruption
     /// ([`RecoveryReport::corrupt_stop`]). Off by default: a corrupt stop
@@ -114,46 +143,115 @@ pub struct DurableServer<S: Storage> {
     opts: DurabilityOptions,
     obs: StorageObs,
     /// Mirror of the transport's exactly-once journal: the latest
-    /// `(seq, response)` per user, regenerated on recovery.
-    journal: HashMap<UserId, (u64, ServerResponse)>,
+    /// `(user, seq, response)` per user, in user order, regenerated on
+    /// recovery.
+    journal: Vec<JournalEntry>,
     /// High-water mark of flight events already committed to the log.
     flight_drained: u64,
+    /// Ops since the newest checkpoint or delta: the countdown to the next.
     ops_since_checkpoint: u64,
     last_report: RecoveryReport,
-    /// Flight events recovered from the log tail (the checkpoint's own
-    /// tail lives in the snapshot).
+    /// Flight events recovered from the log tail (older ones live in the
+    /// flight tail of the newest checkpoint or delta).
     recovered_flight: Vec<Event>,
-    /// Every persisted deviation evidence bundle (checkpoint + log tail +
-    /// bundles persisted this incarnation), opaque canonical bytes.
+    /// Every persisted deviation evidence bundle (checkpoint, deltas, log
+    /// tail and bundles persisted this incarnation), opaque canonical
+    /// bytes.
     evidence: Vec<Vec<u8>>,
-    /// The last checkpoint's encoding, kept so the next one encodes into
-    /// pages already resident instead of growing a fresh buffer.
+    /// The last full checkpoint's encoding, kept so the next one encodes
+    /// into pages already resident instead of growing a fresh buffer.
     ckpt_buf: Vec<u8>,
+    chain: Chain,
+}
+
+/// What the next delta is written against. Nothing is tracked while
+/// automatic checkpoints are off: no delta would ever read it.
+#[derive(Default)]
+struct Chain {
+    /// LSN of the newest full checkpoint or delta: the next delta's base.
+    anchor: u64,
+    /// The database at the anchor, a copy-on-write clone: a delta's edits
+    /// must reproduce the live root on it before the delta is logged.
+    base_db: Option<MerkleTree>,
+    /// Keys whose presence changed since the anchor, in the order they
+    /// changed: a put of an empty value or a delete.
+    flips: Vec<Op>,
+    /// Every key an op changed since the anchor.
+    dirty: BTreeSet<Key>,
+    /// Evidence bundles held at the anchor; the delta carries the rest.
+    evidence_at: usize,
+    /// The next commit carries a delta.
+    due: bool,
+    /// Bytes of the newest full checkpoint.
+    full_bytes: usize,
+    /// Bytes of the deltas logged since it.
+    delta_bytes: usize,
+}
+
+/// Makes `entry` its user's journal entry, keeping the journal in user
+/// order.
+fn journal_insert(journal: &mut Vec<JournalEntry>, entry: JournalEntry) {
+    match journal.binary_search_by_key(&entry.0, |e| e.0) {
+        Ok(i) => journal[i] = entry,
+        Err(i) => journal.insert(i, entry),
+    }
+}
+
+/// `base` with a window of edits applied, if they apply.
+fn replay(base: &MerkleTree, edits: &[Op]) -> Option<MerkleTree> {
+    let mut db = base.clone();
+    db.apply_window(edits).ok()?;
+    Some(db)
+}
+
+/// Whether `flips`, then `live`'s entries for the `dirty` keys, turn
+/// `base` into `live`: what a delta's edits do, without copying or hashing
+/// a value.
+fn reproduces<'k>(
+    base: &MerkleTree,
+    flips: &[Op],
+    live: &MerkleTree,
+    dirty: impl IntoIterator<Item = &'k [u8]>,
+) -> bool {
+    replay(base, flips).is_some_and(|mut db| {
+        db.copy_entries(live, dirty).is_ok() && db.root_digest() == live.root_digest()
+    })
 }
 
 impl<S: Storage> DurableServer<S> {
-    /// Opens the engine: recovers from `storage` (checkpoint + replay) or
-    /// starts fresh from `config` when the storage is empty.
-    pub fn open(
+    fn new(
         storage: S,
+        core: ServerCore,
         config: ProtocolConfig,
         opts: DurabilityOptions,
         obs: StorageObs,
-    ) -> Result<DurableServer<S>, StorageError> {
-        let mut server = DurableServer {
+    ) -> DurableServer<S> {
+        DurableServer {
             storage,
-            core: ServerCore::new(&config),
+            core,
             config,
             opts,
             obs,
-            journal: HashMap::new(),
+            journal: Vec::new(),
             flight_drained: 0,
             ops_since_checkpoint: 0,
             last_report: RecoveryReport::default(),
             recovered_flight: Vec::new(),
             evidence: Vec::new(),
             ckpt_buf: Vec::new(),
-        };
+            chain: Chain::default(),
+        }
+    }
+
+    /// Opens the engine: recovers from `storage` (checkpoint, deltas and
+    /// replay) or starts fresh from `config` when the storage is empty.
+    pub fn open(
+        storage: S,
+        config: ProtocolConfig,
+        opts: DurabilityOptions,
+        obs: StorageObs,
+    ) -> Result<DurableServer<S>, StorageError> {
+        let mut server = DurableServer::new(storage, ServerCore::new(&config), config, opts, obs);
         server.recover()?;
         Ok(server)
     }
@@ -206,20 +304,7 @@ impl<S: Storage> DurableServer<S> {
         let core = ServerCore::from_verified_state(tree, ctr, &config)
             .map_err(|e| StorageError::Bootstrap(format!("verified state rejected: {e}")))?;
 
-        let mut server = DurableServer {
-            storage,
-            core,
-            config,
-            opts,
-            obs,
-            journal: HashMap::new(),
-            flight_drained: 0,
-            ops_since_checkpoint: 0,
-            last_report: RecoveryReport::default(),
-            recovered_flight: Vec::new(),
-            evidence: Vec::new(),
-            ckpt_buf: Vec::new(),
-        };
+        let mut server = DurableServer::new(storage, core, config, opts, obs);
         let found = server.storage.recover()?;
         if found.checkpoint.is_some()
             || !found.tail.is_empty()
@@ -244,8 +329,9 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Runs recovery against the storage, replacing the in-memory world
-    /// with what was durable. Keeps the attached flight recorder (the live
-    /// ring is host-side infrastructure, not server state).
+    /// with what was durable: the checkpoint, the deltas after it, then the
+    /// records after the newest delta. Keeps the attached flight recorder
+    /// (the live ring is host-side infrastructure, not server state).
     fn recover(&mut self) -> Result<(), StorageError> {
         let recorder = self.core.flight_recorder();
         let mut recovered = self.storage.recover()?;
@@ -267,14 +353,21 @@ impl<S: Storage> DurableServer<S> {
             // and rebuild from the salvaged log.
             recovered = self.storage.salvage()?;
         }
+        let Recovered {
+            checkpoint,
+            tail,
+            report,
+        } = recovered;
         self.journal.clear();
         self.recovered_flight.clear();
         self.evidence.clear();
-        self.core = match &recovered.checkpoint {
-            Some((_, state)) => {
-                let ds = DurableState::from_bytes(state)?;
-                for (user, seq, resp) in ds.journal {
-                    self.journal.insert(user, (seq, resp));
+        let (mut anchor, mut full_bytes) = (0, 0);
+        self.core = match checkpoint {
+            Some((lsn, state)) => {
+                let ds = DurableState::from_bytes(&state)?;
+                (anchor, full_bytes) = (lsn, state.len());
+                for entry in ds.journal {
+                    journal_insert(&mut self.journal, entry);
                 }
                 self.evidence = ds.evidence;
                 ServerCore::crash_restore(&ds.snapshot)
@@ -282,8 +375,14 @@ impl<S: Storage> DurableServer<S> {
             }
             None => ServerCore::new(&self.config),
         };
-        for (_lsn, rec) in recovered.tail {
+        self.chain = Chain {
+            full_bytes,
+            ..Chain::default()
+        };
+        self.rebase(anchor);
+        for (lsn, rec) in tail {
             match rec {
+                Record::Delta(delta) => self.apply_delta(lsn, *delta)?,
                 Record::Op {
                     user,
                     seq,
@@ -291,9 +390,13 @@ impl<S: Storage> DurableServer<S> {
                     round,
                 } => {
                     let resp = self.core.process(user, &op, round);
+                    self.track(&op, &resp.result);
                     if seq != NO_SEQ {
-                        self.journal.insert(user, (seq, resp));
+                        journal_insert(&mut self.journal, (user, seq, resp));
                     }
+                    // No delta covers it: the countdown goes on from
+                    // where the crash stopped it.
+                    self.ops_since_checkpoint += 1;
                 }
                 Record::Signature(s) => self.core.store_signature(s),
                 Record::EpochState(s) => self.core.store_epoch_state(s),
@@ -302,14 +405,16 @@ impl<S: Storage> DurableServer<S> {
                 Record::Evidence(bytes) => self.evidence.push(bytes),
             }
         }
+        // The countdown ran out but the crash came before its delta
+        // reached the log: the next commit carries one first.
+        self.chain.due = self.opts.checkpoint_every > 0
+            && self.ops_since_checkpoint >= self.opts.checkpoint_every;
         if let Some(r) = recorder {
             self.core.attach_flight_recorder(Arc::clone(&r));
             self.flight_drained = r.recorded();
         } else {
             self.flight_drained = 0;
         }
-        self.ops_since_checkpoint = 0;
-        let report = recovered.report;
         self.obs.recoveries.inc();
         self.obs.recovery_replayed.add(report.records_replayed);
         if let Some(tt) = &report.torn_tail {
@@ -320,7 +425,8 @@ impl<S: Storage> DurableServer<S> {
             .add(report.stale_segments_quarantined);
         self.obs.tracer.emit(|| {
             Event::new(self.core.ctr(), EventKind::Recovery, self.core.last_user()).detail(format!(
-                "replayed={} torn={} corrupt_ckpts={} interrupted_ckpts={}",
+                "deltas={} replayed={} torn={} corrupt_ckpts={} interrupted_ckpts={}",
+                report.deltas,
                 report.records_replayed,
                 report.torn_tail.is_some(),
                 report.corrupt_checkpoints,
@@ -355,8 +461,9 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Flight-recorder frames recovered from the log tail at the last
-    /// recovery (oldest first). Frames older than the last checkpoint live
-    /// in the snapshot instead ([`tcvs_core::ServerSnapshot::flight_events`]).
+    /// recovery (oldest first). Frames older than the newest checkpoint or
+    /// delta live in its flight tail instead
+    /// ([`tcvs_core::ServerSnapshot::flight_events`]).
     pub fn recovered_flight(&self) -> &[Event] {
         &self.recovered_flight
     }
@@ -373,14 +480,14 @@ impl<S: Storage> DurableServer<S> {
     /// are stored opaquely — the bundle's own integrity digest, not the
     /// engine, vouches for them.
     pub fn persist_evidence(&mut self, bundle: Vec<u8>) -> Result<(), StorageError> {
-        self.commit(Record::Evidence(bundle.clone()))?;
+        self.commit(TAG_EVIDENCE, |w| w.bytes(&bundle))?;
         self.evidence.push(bundle);
         Ok(())
     }
 
     /// Every evidence bundle this durable world holds (recovered from the
-    /// checkpoint and log tail, plus any persisted this incarnation),
-    /// oldest first.
+    /// checkpoint, deltas and log tail, plus any persisted this
+    /// incarnation), oldest first.
     pub fn evidence_bundles(&self) -> &[Vec<u8>] {
         &self.evidence
     }
@@ -401,18 +508,137 @@ impl<S: Storage> DurableServer<S> {
         let fresh = (total - self.flight_drained) as usize;
         let start = tail.len().saturating_sub(fresh);
         for ev in &tail[start..] {
-            batch.push(Record::Flight(ev.clone()));
+            batch.push_with(TAG_FLIGHT, |w| put_event(w, ev));
         }
         self.flight_drained = total;
     }
 
-    /// Commits `rec` (plus pending flight frames) durably.
-    fn commit(&mut self, rec: Record) -> Result<(), StorageError> {
+    /// Commits the record with log tag `tag`, whose body `put` writes,
+    /// durably, with pending flight frames after it. A delta the chain has
+    /// due commits first, alone: a commit of one frame that a power loss
+    /// lands only some sectors of reads back as a torn tail, whereas a
+    /// damaged delta below an op record that landed whole would read as
+    /// interior corruption.
+    fn commit(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> Result<(), StorageError> {
+        if self.chain.due {
+            let lsn = self.storage.next_lsn();
+            if let Some((batch, bytes)) = self.delta()? {
+                self.storage.commit(batch)?;
+                self.rebase(lsn);
+                self.chain.delta_bytes += bytes;
+            } else {
+                // The edits missed a change, and recovery would refuse the
+                // delta: a full checkpoint takes its place.
+                self.obs.tracer.emit(|| {
+                    Event::new(
+                        self.core.ctr(),
+                        EventKind::Checkpoint,
+                        self.core.last_user(),
+                    )
+                    .detail(format!(
+                        "delta at lsn {lsn} misses a change; full checkpoint"
+                    ))
+                });
+                let lsn = self.start_checkpoint()?;
+                self.rebase(lsn);
+            }
+        }
         let mut batch = WriteBatch::new();
-        batch.push(rec);
+        batch.push_with(tag, put);
         self.drain_flight(&mut batch);
         self.storage.commit(batch)?;
         self.obs.commits.inc();
+        Ok(())
+    }
+
+    /// The delta from the anchor to the current world, as a batch of its
+    /// own, and its body's size; `None` if its edits, applied to the
+    /// database at the anchor, do not reproduce the live one.
+    fn delta(&self) -> Result<Option<(WriteBatch, usize)>, StorageError> {
+        let (db, chain) = (self.core.db(), &self.chain);
+        let dirty = || chain.dirty.iter().map(Vec::as_slice);
+        let base = chain.base_db.as_ref();
+        if !base.is_some_and(|base| reproduces(base, &chain.flips, db, dirty())) {
+            return Ok(None);
+        }
+        let mut edits: Vec<_> = chain.flips.iter().filter_map(edit).collect();
+        for key in dirty() {
+            let value = db.get(key).map_err(|e| {
+                StorageError::Unrecoverable(format!("the server's own tree refused a lookup: {e}"))
+            })?;
+            edits.push((key, value.map(Vec::as_slice)));
+        }
+        let snapshot = self.core.crash_snapshot();
+        let (journal, evidence) = (&self.journal, &self.evidence[chain.evidence_at..]);
+        let (anchor, root) = (chain.anchor, db.root_digest());
+        let bytes =
+            encoded_len(|w| put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root));
+        let mut batch = WriteBatch::new();
+        batch.reserve(bytes);
+        batch.push_with(TAG_DELTA, |w| {
+            put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root)
+        });
+        Ok(Some((batch, bytes)))
+    }
+
+    /// Makes the checkpoint or delta at `anchor` the one the next delta
+    /// extends: nothing has changed since it.
+    fn rebase(&mut self, anchor: u64) {
+        let chain = &mut self.chain;
+        chain.anchor = anchor;
+        chain.base_db = (self.opts.checkpoint_every > 0).then(|| self.core.db().clone());
+        chain.flips.clear();
+        chain.dirty.clear();
+        chain.evidence_at = self.evidence.len();
+        chain.due = false;
+        self.ops_since_checkpoint = 0;
+    }
+
+    /// Notes the key `op` changed, as its result tells, and whether its
+    /// presence flipped.
+    fn track(&mut self, op: &Op, result: &OpResult) {
+        if self.opts.checkpoint_every == 0 {
+            return;
+        }
+        let (key, flip) = match (op, result) {
+            (Op::Put(key, _), OpResult::Replaced(old)) => {
+                (key, old.is_none().then(|| Op::Put(key.clone(), Vec::new())))
+            }
+            (Op::Delete(key), OpResult::Deleted(Some(_))) => (key, Some(Op::Delete(key.clone()))),
+            _ => return,
+        };
+        self.chain.flips.extend(flip);
+        self.chain.dirty.insert(key.clone());
+    }
+
+    /// Applies the delta at `lsn` from the recovered chain: its edits to
+    /// the database at the anchor, checked against its recorded root, and
+    /// its other parts whole. The storage has already dropped the records
+    /// it summarises, so a delta that fails here stops recovery; its edits
+    /// reproduced its root when it was written, so only damage that its
+    /// frame check missed can fail it.
+    fn apply_delta(&mut self, lsn: u64, delta: DurableDelta) -> Result<(), StorageError> {
+        let refused = |why: &str| {
+            StorageError::Unrecoverable(format!(
+                "the delta at lsn {lsn} {why}; the log still holds the records it summarises"
+            ))
+        };
+        if delta.base != self.chain.anchor {
+            return Err(refused("is based on a state recovery does not hold"));
+        }
+        let db = replay(self.core.db(), &delta.edits).ok_or_else(|| refused("does not apply"))?;
+        if db.root_digest() != delta.root {
+            return Err(refused("does not reproduce its recorded root"));
+        }
+        self.core = ServerCore::crash_restore(&delta.snapshot.with_db(db))
+            .map_err(|_| refused("holds a state the server rejects"))?;
+        self.journal.clear();
+        for entry in delta.journal {
+            journal_insert(&mut self.journal, entry);
+        }
+        self.evidence.extend(delta.evidence);
+        self.rebase(lsn);
+        self.chain.delta_bytes += delta.body_len;
         Ok(())
     }
 
@@ -426,53 +652,60 @@ impl<S: Storage> DurableServer<S> {
         op: &Op,
         round: u64,
     ) -> Result<ServerResponse, StorageError> {
-        self.commit(Record::Op {
-            user,
-            seq,
-            op: op.clone(),
-            round,
-        })?;
+        self.commit(TAG_OP, |w| put_op_body(w, user, seq, op, round))?;
         let resp = self.core.process(user, op, round);
+        self.track(op, &resp.result);
         if seq != NO_SEQ {
-            self.journal.insert(user, (seq, resp.clone()));
+            journal_insert(&mut self.journal, (user, seq, resp.clone()));
         }
         self.ops_since_checkpoint += 1;
         if self.opts.checkpoint_every > 0 && self.ops_since_checkpoint >= self.opts.checkpoint_every
         {
-            // Streams: the next commits carry it to the medium.
-            self.start_checkpoint()?;
+            self.checkpoint_due()?;
         }
         Ok(resp)
     }
 
-    /// Takes a checkpoint immediately: persists the full durable world
-    /// (server snapshot + reply journal) before returning, and lets the
-    /// storage prune the log behind it.
+    /// The countdown ran out: a delta commits ahead of the next commit,
+    /// and a full checkpoint starts as well once the deltas logged since
+    /// the last one outweigh it. That delta still extends the chain, so
+    /// recovery can cross a full checkpoint that never completed.
+    fn checkpoint_due(&mut self) -> Result<(), StorageError> {
+        self.ops_since_checkpoint = 0;
+        self.obs.checkpoints.inc();
+        self.chain.due = true;
+        if self.chain.delta_bytes >= self.chain.full_bytes {
+            let chained = self.chain.delta_bytes > 0;
+            let lsn = self.start_checkpoint()?;
+            if !chained {
+                // No delta to extend: the chain starts at this checkpoint.
+                self.rebase(lsn);
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes a full checkpoint immediately: persists the whole durable
+    /// world (server snapshot + reply journal + evidence) before returning,
+    /// and lets the storage prune the log behind it.
     pub fn checkpoint_now(&mut self) -> Result<u64, StorageError> {
         let lsn = self.start_checkpoint()?;
+        self.obs.checkpoints.inc();
+        self.rebase(lsn);
         // An empty commit finishes the stream.
         self.storage.commit(WriteBatch::new())?;
         Ok(lsn)
     }
 
-    /// Encodes the durable world and hands it to the storage, which copies
-    /// it and streams it out across the following commits.
+    /// Encodes the whole durable world, from borrowed parts, and hands it
+    /// to the storage, which copies it and streams it out across the
+    /// following commits.
     fn start_checkpoint(&mut self) -> Result<u64, StorageError> {
-        let mut journal: Vec<JournalEntry> = self
-            .journal
-            .iter()
-            .map(|(u, (s, r))| (*u, *s, r.clone()))
-            .collect();
-        journal.sort_by_key(|(u, _, _)| *u);
-        let state = DurableState {
-            snapshot: self.core.crash_snapshot(),
-            journal,
-            evidence: self.evidence.clone(),
-        };
-        state.encode_into(&mut self.ckpt_buf);
+        let snapshot = self.core.crash_snapshot();
+        encode_state(&mut self.ckpt_buf, &snapshot, &self.journal, &self.evidence);
         let lsn = self.storage.checkpoint(&self.ckpt_buf)?;
-        self.obs.checkpoints.inc();
-        self.ops_since_checkpoint = 0;
+        self.chain.full_bytes = self.ckpt_buf.len();
+        self.chain.delta_bytes = 0;
         Ok(lsn)
     }
 }
@@ -490,13 +723,13 @@ impl<S: Storage> ServerApi for DurableServer<S> {
     }
 
     fn deposit_signature(&mut self, _user: UserId, s: SignedState) {
-        self.commit(Record::Signature(s.clone()))
+        self.commit(TAG_SIGNATURE, |w| put_signed_state(w, &s))
             .expect("durable commit failed; refusing to acknowledge");
         self.core.store_signature(s);
     }
 
     fn deposit_epoch_state(&mut self, s: SignedEpochState) {
-        self.commit(Record::EpochState(s.clone()))
+        self.commit(TAG_EPOCH_STATE, |w| put_epoch_state(w, &s))
             .expect("durable commit failed; refusing to acknowledge");
         self.core.store_epoch_state(s);
     }
@@ -506,7 +739,7 @@ impl<S: Storage> ServerApi for DurableServer<S> {
     }
 
     fn deposit_checkpoint(&mut self, c: SignedCheckpoint) {
-        self.commit(Record::AuditCheckpoint(c.clone()))
+        self.commit(TAG_AUDIT_CHECKPOINT, |w| put_audit_checkpoint(w, &c))
             .expect("durable commit failed; refusing to acknowledge");
         self.core.store_checkpoint(c);
     }
@@ -532,13 +765,7 @@ impl<S: Storage> ServerApi for DurableServer<S> {
     }
 
     fn recovered_journal(&self) -> Option<Vec<JournalEntry>> {
-        let mut out: Vec<JournalEntry> = self
-            .journal
-            .iter()
-            .map(|(u, (s, r))| (*u, *s, r.clone()))
-            .collect();
-        out.sort_by_key(|(u, _, _)| *u);
-        Some(out)
+        Some(self.journal.clone())
     }
 }
 
@@ -731,6 +958,227 @@ mod tests {
             "checkpoint bounds the tail: {:?}",
             s2.last_recovery()
         );
+    }
+
+    /// Recovery applies the deltas after the full checkpoint and replays
+    /// only the op records after the newest: none a delta covers.
+    #[test]
+    fn recovery_replays_no_op_a_later_delta_covers() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 5);
+        let mut honest = tcvs_core::HonestServer::new(&config());
+        for i in 0..23 {
+            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+            honest.handle_op((i % 3) as u32, &op(i), i);
+        }
+        drop(s);
+        mem.crash();
+        let s = durable(&mem, 5);
+        let report = s.last_recovery();
+        // Deltas ride ahead of ops 10, 15 and 20; ops 20..23 follow the
+        // newest.
+        assert!(report.deltas > 0, "{report:?}");
+        assert_eq!(report.records_replayed, 3, "{report:?}");
+        assert_eq!(s.core().root_digest(), honest.core().root_digest());
+        assert_eq!(s.core().ctr(), 23);
+    }
+
+    /// A server that crashes more often than it checkpoints still
+    /// checkpoints: recovery resumes the countdown at the ops it replayed,
+    /// so no restart replays more than two checkpoint intervals.
+    #[test]
+    fn frequent_crashes_still_checkpoint_and_bound_replay() {
+        const EVERY: u64 = 16;
+        let mem = MemMedium::new();
+        let mut honest = tcvs_core::HonestServer::new(&config());
+        let mut i = 0;
+        for restart in 0..10 {
+            let mut s = durable(&mem, EVERY);
+            let report = s.last_recovery();
+            assert!(
+                report.records_replayed <= 2 * EVERY,
+                "restart {restart}: {report:?}"
+            );
+            assert_eq!(s.core().root_digest(), honest.core().root_digest());
+            for _ in 0..15 {
+                s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+                honest.handle_op((i % 3) as u32, &op(i), i);
+                i += 1;
+            }
+            drop(s);
+            mem.crash();
+        }
+    }
+
+    /// A delta whose edits miss a change never reaches the log: replayed
+    /// on the database at its anchor before it commits, it misses the live
+    /// root and a full checkpoint takes its place, so recovery (which
+    /// would refuse such a delta) lands on the live world.
+    #[test]
+    fn a_delta_that_misses_a_change_gives_way_to_a_full_checkpoint() {
+        let mem = MemMedium::new();
+        let mut honest = tcvs_core::HonestServer::new(&config());
+        let mut s = durable(&mem, 5);
+        let mut i = 0;
+        while !s.chain.due || s.chain.dirty.is_empty() {
+            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+            honest.handle_op((i % 3) as u32, &op(i), i);
+            i += 1;
+        }
+        assert!(s.chain.delta_bytes < s.chain.full_bytes, "a delta is due");
+        // A tracking bug: the delta would leave out every change since its
+        // anchor.
+        s.chain.flips.clear();
+        s.chain.dirty.clear();
+        let lsn = s.storage.next_lsn();
+        s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+        honest.handle_op((i % 3) as u32, &op(i), i);
+        assert_eq!(s.chain.anchor, lsn, "rebased on what replaced the delta");
+        assert_eq!(s.chain.delta_bytes, 0, "a full checkpoint, not a delta");
+        for i in i + 1..i + 4 {
+            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+            honest.handle_op((i % 3) as u32, &op(i), i);
+        }
+        drop(s);
+        mem.crash();
+        let s = durable(&mem, 5);
+        assert_eq!(s.core().root_digest(), honest.core().root_digest());
+        assert_eq!(s.core().ctr(), i + 4);
+    }
+
+    /// With automatic checkpoints off no delta is ever logged, so neither
+    /// the ops served nor the ops replayed are tracked for one.
+    #[test]
+    fn no_automatic_checkpoints_track_no_changes() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 0);
+        for i in 0..30 {
+            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+        }
+        let untracked = |s: &DurableServer<_>| {
+            s.chain.flips.is_empty() && s.chain.dirty.is_empty() && s.chain.base_db.is_none()
+        };
+        assert!(untracked(&s));
+        drop(s);
+        mem.crash();
+        let s = durable(&mem, 0);
+        assert_eq!(s.last_recovery().records_replayed, 30);
+        assert!(untracked(&s));
+    }
+
+    /// The segment holding the newest delta, and the delta frame's byte
+    /// offset and length in it.
+    fn newest_delta(mem: &MemMedium) -> Result<(String, usize, usize), StorageError> {
+        let mut found = None;
+        for name in mem.list()? {
+            let Some(first) = crate::log::parse_segment_name(&name) else {
+                continue;
+            };
+            let scan = crate::log::scan(&mem.read(&name)?.unwrap_or_default(), first);
+            let mut offset = 0;
+            for (lsn, tag, body) in &scan.records {
+                let len = crate::log::frame_len(body.len()) as usize;
+                if *tag == crate::record::TAG_DELTA
+                    && found.as_ref().is_none_or(|f: &(u64, _, _, _)| f.0 < *lsn)
+                {
+                    found = Some((*lsn, name.clone(), offset, len));
+                }
+                offset += len;
+            }
+        }
+        let (_, name, offset, len) = found.ok_or_else(|| StorageError::io("no delta logged"))?;
+        Ok((name, offset, len))
+    }
+
+    /// A power loss that tears the newest delta's commit loses no
+    /// acknowledged op: the records it summarises are still in the log,
+    /// and recovery replays them on top of the delta before it.
+    #[test]
+    fn a_torn_newest_delta_falls_back_to_the_ops_it_summarised() -> Result<(), StorageError> {
+        // 4 KiB puts over 17 keys: five of them weigh far less than all.
+        let put = |i: u64| Op::Put(u64_key(i % 17), vec![i as u8; 4 << 10]);
+        let mem = MemMedium::new();
+        let mut acked = Vec::new();
+        let mut s = durable(&mem, 0);
+        for i in 0..17 {
+            acked.push(response_bytes(&s.handle_op_seq(
+                (i % 3) as u32,
+                i,
+                &put(i),
+                i,
+            )));
+        }
+        s.checkpoint_now()?;
+        drop(s);
+        // Deltas ahead of ops 22 and 27.
+        let mut s = durable(&mem, 5);
+        for i in 17..28 {
+            acked.push(response_bytes(&s.handle_op_seq(
+                (i % 3) as u32,
+                i,
+                &put(i),
+                i,
+            )));
+        }
+        drop(s);
+        // Op 27 is unacknowledged after all: the power failed while its
+        // delta's commit was landing, half of the frame on disk.
+        let (name, offset, len) = newest_delta(&mem)?;
+        let buf = mem.read(&name)?.unwrap_or_default();
+        let mut raw = mem.clone();
+        raw.write_atomic(&name, &buf[..offset + len / 2])?;
+        mem.crash();
+        let s = durable(&mem, 5);
+        let report = s.last_recovery();
+        assert!(report.torn_tail.is_some(), "{report:?}");
+        assert_eq!(report.deltas, 1, "the delta ahead of op 22: {report:?}");
+        assert_eq!(report.records_replayed, 5, "ops 22..27: {report:?}");
+        let mut oracle = tcvs_core::HonestServer::new(&config());
+        for i in 0..27 {
+            oracle.handle_op((i % 3) as u32, &put(i), i);
+        }
+        assert_eq!(s.core().root_digest(), oracle.core().root_digest());
+        assert_eq!(s.core().ctr(), 27);
+        for (user, seq, resp) in s.recovered_journal().unwrap_or_default() {
+            assert_eq!(seq, 24 + user as u64);
+            assert_eq!(response_bytes(&resp), acked[seq as usize]);
+        }
+        Ok(())
+    }
+
+    /// A log of op records and full checkpoints only — what a build
+    /// without incremental checkpoints wrote, byte for byte — opens,
+    /// serves on with deltas, and recovers again. The second recovery
+    /// needs the deltas: the log's first full checkpoints covered 6 and 12
+    /// ops.
+    #[test]
+    fn a_log_without_deltas_opens_and_serves_on() -> Result<(), StorageError> {
+        let mem = MemMedium::new();
+        let mut honest = tcvs_core::HonestServer::new(&config());
+        let mut s = durable(&mem, 0);
+        for i in 0..14 {
+            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+            honest.handle_op((i % 3) as u32, &op(i), i);
+            if i % 6 == 5 {
+                s.checkpoint_now()?;
+            }
+        }
+        drop(s);
+        mem.crash();
+        let mut s = durable(&mem, 4);
+        assert_eq!(s.last_recovery().deltas, 0);
+        assert_eq!(s.last_recovery().records_replayed, 2);
+        for i in 14..30 {
+            let a = s.handle_op_seq((i % 3) as u32, i, &op(i), i);
+            let b = honest.handle_op((i % 3) as u32, &op(i), i);
+            assert_eq!(response_bytes(&a), response_bytes(&b));
+        }
+        drop(s);
+        mem.crash();
+        let s = durable(&mem, 4);
+        assert!(s.last_recovery().records_replayed <= 8);
+        assert_eq!(s.core().root_digest(), honest.core().root_digest());
+        Ok(())
     }
 
     /// 20 KiB puts over 17 keys: a checkpoint of them spans several slices.

@@ -116,6 +116,57 @@ pub fn payload(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Bytes of an unsealed frame before its body: length header, LSN, tag.
+const OPEN_HEAD: usize = HEADER_LEN + 8 + 1;
+
+/// Appends to `buf` the frame of a record whose LSN is not known yet: the
+/// length header, a zero LSN, `tag`, the body `put` writes, a zero check.
+/// Returns the body's length. [`seal`] fills in LSNs and checks once the
+/// first LSN is known; the frame then equals
+/// `frame(&payload(lsn, tag, body))`. A body over [`MAX_BODY`] leaves a
+/// frame that must never be sealed.
+pub(crate) fn open_frame(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writer)) -> usize {
+    let start = buf.len();
+    let mut w = Writer::from(std::mem::take(buf));
+    w.raw(&[0; OPEN_HEAD - 1]);
+    w.u8(tag);
+    put(&mut w);
+    *buf = w.into_bytes();
+    let body = buf.len() - start - OPEN_HEAD;
+    let len = (OPEN_HEAD - HEADER_LEN + body) as u32;
+    buf[start..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(&[0; CHECK_LEN]);
+    body
+}
+
+/// The `(tag, body)` of each frame [`open_frame`] appended to `buf`.
+pub(crate) fn open_frames(buf: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let head = buf.get(at..at + HEADER_LEN)?;
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let payload = buf.get(at + HEADER_LEN..at + HEADER_LEN + len)?;
+        at += HEADER_LEN + len + CHECK_LEN;
+        Some((payload[8], &payload[9..]))
+    })
+}
+
+/// Gives the frames [`open_frame`] appended to `buf` their LSNs, from
+/// `first` on, and their checks. Returns the LSN after the last.
+pub(crate) fn seal(buf: &mut [u8], first: u64) -> u64 {
+    let (mut at, mut lsn) = (0, first);
+    while let Some(head) = buf.get(at..at + HEADER_LEN) {
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let payload = at + HEADER_LEN..at + HEADER_LEN + len;
+        buf[payload.start..payload.start + 8].copy_from_slice(&lsn.to_le_bytes());
+        let crc = check(&buf[payload.clone()]);
+        buf[payload.end..payload.end + CHECK_LEN].copy_from_slice(&crc);
+        at = payload.end + CHECK_LEN;
+        lsn += 1;
+    }
+    lsn
+}
+
 /// On-disk bytes of one framed record whose body is `body_len` bytes:
 /// header + (lsn + tag + body) + checksum.
 pub fn frame_len(body_len: usize) -> u64 {
@@ -439,6 +490,29 @@ mod tests {
 
     fn record(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
         frame(&payload(lsn, tag, body))
+    }
+
+    /// Frames opened at push and sealed at commit are the frames
+    /// `frame(payload(..))` builds, byte for byte, and read back whole.
+    #[test]
+    fn sealed_frames_equal_framed_payloads() {
+        let bodies: [&[u8]; 3] = [b"", b"x", &[7; 300]];
+        let mut open = Vec::new();
+        let mut framed = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let tag = i as u8 + 1;
+            assert_eq!(open_frame(&mut open, tag, |w| w.raw(body)), body.len());
+            framed.extend_from_slice(&record(40 + i as u64, tag, body));
+        }
+        let read: Vec<(u8, Vec<u8>)> = open_frames(&open).map(|(t, b)| (t, b.to_vec())).collect();
+        assert_eq!(read.len(), 3);
+        assert_eq!(seal(&mut open, 40), 43);
+        assert_eq!(open, framed);
+        let scan = scan(&open, 40);
+        assert!(scan.tail.is_clean());
+        let scanned: Vec<(u8, Vec<u8>)> =
+            scan.records.into_iter().map(|(_, t, b)| (t, b)).collect();
+        assert_eq!(scanned, read);
     }
 
     #[test]

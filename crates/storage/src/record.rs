@@ -16,6 +16,8 @@ use tcvs_merkle::Op;
 use tcvs_obs::Event;
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
+use crate::codec::DurableDelta;
+
 /// The sentinel sequence number for ops that arrived without an
 /// exactly-once sequence (direct [`tcvs_core::ServerApi::handle_op`]
 /// calls); such ops replay into state but never into the reply journal.
@@ -51,14 +53,28 @@ pub enum Record {
     /// the log neither re-encodes nor trusts its contents — incident
     /// artifacts survive crashes exactly as captured.
     Evidence(Vec<u8>),
+    /// An incremental checkpoint: the durable world as edits to the world
+    /// at the checkpoint or delta before it. It summarises the records
+    /// between the two, which stay in the log: recovery that cannot use
+    /// it replays them instead.
+    Delta(Box<DurableDelta>),
 }
 
-const TAG_OP: u8 = 1;
-const TAG_SIGNATURE: u8 = 2;
-const TAG_EPOCH_STATE: u8 = 3;
-const TAG_AUDIT_CHECKPOINT: u8 = 4;
-const TAG_FLIGHT: u8 = 5;
-const TAG_EVIDENCE: u8 = 6;
+pub(crate) const TAG_OP: u8 = 1;
+pub(crate) const TAG_SIGNATURE: u8 = 2;
+pub(crate) const TAG_EPOCH_STATE: u8 = 3;
+pub(crate) const TAG_AUDIT_CHECKPOINT: u8 = 4;
+pub(crate) const TAG_FLIGHT: u8 = 5;
+pub(crate) const TAG_EVIDENCE: u8 = 6;
+pub(crate) const TAG_DELTA: u8 = 7;
+
+/// Writes an op record's body from borrowed parts.
+pub(crate) fn put_op_body(w: &mut impl Sink, user: UserId, seq: u64, op: &Op, round: u64) {
+    w.u32(user);
+    w.u64(seq);
+    w.u64(round);
+    put_op(w, op);
+}
 
 impl Record {
     /// The record's log tag byte.
@@ -70,31 +86,33 @@ impl Record {
             Record::AuditCheckpoint(_) => TAG_AUDIT_CHECKPOINT,
             Record::Flight(_) => TAG_FLIGHT,
             Record::Evidence(_) => TAG_EVIDENCE,
+            Record::Delta(_) => TAG_DELTA,
         }
     }
 
-    /// Encodes the record body (everything after the log framing's
+    /// Writes the record body (everything after the log framing's
     /// `[lsn][tag]` prefix).
-    pub fn body(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    pub fn put_body(&self, w: &mut impl Sink) {
         match self {
             Record::Op {
                 user,
                 seq,
                 op,
                 round,
-            } => {
-                w.u32(*user);
-                w.u64(*seq);
-                w.u64(*round);
-                put_op(&mut w, op);
-            }
-            Record::Signature(s) => put_signed_state(&mut w, s),
-            Record::EpochState(s) => put_epoch_state(&mut w, s),
-            Record::AuditCheckpoint(c) => put_audit_checkpoint(&mut w, c),
-            Record::Flight(ev) => put_event(&mut w, ev),
+            } => put_op_body(w, *user, *seq, op, *round),
+            Record::Signature(s) => put_signed_state(w, s),
+            Record::EpochState(s) => put_epoch_state(w, s),
+            Record::AuditCheckpoint(c) => put_audit_checkpoint(w, c),
+            Record::Flight(ev) => put_event(w, ev),
             Record::Evidence(bytes) => w.bytes(bytes),
+            Record::Delta(d) => d.put(w),
         }
+    }
+
+    /// Encodes the record body.
+    pub fn body(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put_body(&mut w);
         w.into_bytes()
     }
 
@@ -119,6 +137,7 @@ impl Record {
             TAG_AUDIT_CHECKPOINT => Record::AuditCheckpoint(get_audit_checkpoint(&mut r)?),
             TAG_FLIGHT => Record::Flight(get_event(&mut r)?),
             TAG_EVIDENCE => Record::Evidence(r.bytes()?.to_vec()),
+            TAG_DELTA => return Ok(Record::Delta(Box::new(DurableDelta::from_bytes(body)?))),
             t => return Err(DecodeError::BadTag(t)),
         };
         r.finish()?;

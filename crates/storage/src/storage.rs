@@ -29,6 +29,18 @@
 //! *interrupted* checkpoint file that recovery skips and removes; the
 //! previous checkpoint and the log behind it are still there.
 //!
+//! ## Deltas
+//!
+//! Between full checkpoints the engine logs [`Record::Delta`]s, each based
+//! on the checkpoint or delta before it. Recovery keeps a delta based on
+//! the *anchor* — the checkpoint it loaded, then each delta it kept — and
+//! drops the records since the anchor, which the delta summarises; any
+//! other delta, and a delta frame that verifies but does not decode, it
+//! leaves out, so the records stay and replay. The tail it hands back is
+//! the chain of deltas, then the records after the newest. Pruning is
+//! unchanged: the log goes only behind full checkpoints, so every record
+//! a delta summarises is still on the medium.
+//!
 //! ## Recovery state machine ([`DurableStorage::recover`])
 //!
 //! 0. **Check the format**: a medium whose segments or checkpoints have
@@ -41,7 +53,8 @@
 //!    are counted and skipped (that is why two are retained); an
 //!    interrupted one is counted apart and removed (unless recovery halts).
 //! 2. **Scan the log**: segments in LSN order, each record's checksum and
-//!    LSN continuity verified, by the three tail rules of [`crate::log`].
+//!    LSN continuity verified, by the three tail rules of [`crate::log`];
+//!    deltas on the chain replace the records they summarise.
 //!    A run of zeros after a segment's last frame is the unused rest of
 //!    its extent. A *torn* tail (a damaged frame with nothing verifying
 //!    after it) in the last segment is the expected crash shape: discard
@@ -53,15 +66,24 @@
 //!    its valid prefix, so torn bytes can never resurface and the next
 //!    commit lands right after the last record, not after the zeros.
 
+use tcvs_store::enc::Writer;
+
 use crate::error::StorageError;
 use crate::log::{self, CheckpointScan, SegmentScan, SlicedFrame, TailStatus};
 use crate::medium::Medium;
-use crate::record::Record;
+use crate::record::{Record, TAG_DELTA};
 
-/// Records staged for one atomic commit.
+/// Records staged for one atomic commit, each encoded once, straight into
+/// its log frame: the commit only fills in LSNs and checks
+/// (`log::seal`) and appends the batch's bytes as they are.
 #[derive(Default)]
 pub struct WriteBatch {
-    records: Vec<Record>,
+    /// Unsealed frames back to back ([`log::open_frame`]).
+    frames: Vec<u8>,
+    records: usize,
+    /// Size of the first body over [`log::MAX_BODY`]: such a batch is
+    /// refused whole at commit.
+    oversized: Option<usize>,
 }
 
 impl WriteBatch {
@@ -72,18 +94,90 @@ impl WriteBatch {
 
     /// Stages a record.
     pub fn push(&mut self, rec: Record) -> &mut WriteBatch {
-        self.records.push(rec);
+        self.push_with(rec.tag(), |w| rec.put_body(w))
+    }
+
+    /// Stages the record with log tag `tag` whose body `put` writes, from
+    /// whatever the caller borrows.
+    pub(crate) fn push_with(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> &mut WriteBatch {
+        let body = log::open_frame(&mut self.frames, tag, put);
+        if body > log::MAX_BODY {
+            self.oversized.get_or_insert(body);
+        }
+        self.records += 1;
         self
+    }
+
+    /// Makes room for one more record of a `body`-byte body, so that a
+    /// large record is written into one allocation rather than grown into
+    /// it.
+    pub(crate) fn reserve(&mut self, body: usize) {
+        self.frames.reserve(log::frame_len(body) as usize);
     }
 
     /// Number of staged records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records
     }
 
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records == 0
+    }
+
+    /// The staged frames, refused whole when a body is too large: an
+    /// oversized frame would be written fine and then classified as
+    /// corruption on every recovery.
+    fn into_frames(self) -> Result<Vec<u8>, StorageError> {
+        match self.oversized {
+            Some(bytes) => Err(StorageError::TooLarge {
+                what: "record",
+                bytes,
+            }),
+            None => Ok(self.frames),
+        }
+    }
+}
+
+/// The replay tail as recovery assembles it, record by record in LSN
+/// order. A delta whose base is the anchor — the newest checkpoint or
+/// delta on the chain — summarises every record since the anchor, so those
+/// records leave the tail and the delta becomes the anchor. A delta off
+/// the chain (its base is a checkpoint recovery did not load) is left out,
+/// and the records it would have summarised stay. The tail therefore holds
+/// the deltas since the checkpoint, then the records after the newest.
+struct Tail {
+    records: Vec<(u64, Record)>,
+    anchor: u64,
+    deltas: u64,
+}
+
+impl Tail {
+    fn new(base: u64) -> Tail {
+        Tail {
+            records: Vec::new(),
+            anchor: base,
+            deltas: 0,
+        }
+    }
+
+    fn push(&mut self, lsn: u64, rec: Record) {
+        if let Record::Delta(delta) = &rec {
+            if delta.base != self.anchor {
+                return;
+            }
+            self.records.retain(|(_, r)| matches!(r, Record::Delta(_)));
+            self.anchor = lsn;
+            self.deltas += 1;
+        }
+        self.records.push((lsn, rec));
+    }
+
+    /// The tail, with its counts entered in `report`.
+    fn finish(self, report: &mut RecoveryReport) -> Vec<(u64, Record)> {
+        report.deltas = self.deltas;
+        report.records_replayed = self.records.len() as u64 - self.deltas;
+        self.records
     }
 }
 
@@ -92,8 +186,12 @@ impl WriteBatch {
 pub struct RecoveryReport {
     /// Segments scanned.
     pub segments_scanned: u64,
-    /// Records handed back for replay.
+    /// Records handed back for replay after the newest delta (deltas not
+    /// counted).
     pub records_replayed: u64,
+    /// Deltas handed back to be applied, in order, on top of the
+    /// checkpoint (see [`Recovered::tail`]).
+    pub deltas: u64,
     /// Checkpoint files that failed verification and were skipped.
     pub corrupt_checkpoints: u64,
     /// Checkpoint files shorter than their length header — streams a crash
@@ -132,8 +230,11 @@ pub struct Recovered {
     /// `(lsn, state bytes)` of the newest valid checkpoint, if any. Every
     /// record below `lsn` is subsumed by it.
     pub checkpoint: Option<(u64, Vec<u8>)>,
-    /// Log records at or after the checkpoint LSN, in order, with their
-    /// LSNs — the replay tail.
+    /// The log at and after the checkpoint LSN, in order, with LSNs: first
+    /// the chain of [`Record::Delta`]s, each based on the checkpoint or the
+    /// delta before it, then the records after the newest delta — the
+    /// replay tail. The records a delta summarises are left out; a delta
+    /// that is torn, missing or does not decode leaves them in.
     pub tail: Vec<(u64, Record)>,
     /// What the scan saw.
     pub report: RecoveryReport,
@@ -205,8 +306,10 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError> {
-        for rec in batch.records {
-            self.records.push((self.next_lsn, rec));
+        let frames = batch.into_frames()?;
+        for (tag, body) in log::open_frames(&frames) {
+            self.records
+                .push((self.next_lsn, Record::decode(tag, body)?));
             self.next_lsn += 1;
         }
         Ok(self.next_lsn)
@@ -221,19 +324,15 @@ impl Storage for MemStorage {
 
     fn recover(&mut self) -> Result<Recovered, StorageError> {
         let base = self.checkpoint.as_ref().map_or(0, |(lsn, _)| *lsn);
-        let tail: Vec<(u64, Record)> = self
-            .records
-            .iter()
-            .filter(|(l, _)| *l >= base)
-            .cloned()
-            .collect();
+        let mut tail = Tail::new(base);
+        for (lsn, rec) in self.records.iter().filter(|(l, _)| *l >= base) {
+            tail.push(*lsn, rec.clone());
+        }
+        let mut report = RecoveryReport::default();
         Ok(Recovered {
             checkpoint: self.checkpoint.clone(),
-            report: RecoveryReport {
-                records_replayed: tail.len() as u64,
-                ..RecoveryReport::default()
-            },
-            tail,
+            tail: tail.finish(&mut report),
+            report,
         })
     }
 
@@ -455,21 +554,8 @@ impl<M: Medium> Storage for DurableStorage<M> {
             self.flush()?;
             return Ok(self.next_lsn);
         }
-        let mut buf = Vec::new();
-        let mut lsn = self.next_lsn;
-        for rec in &batch.records {
-            let body = rec.body();
-            // Reject before framing: an oversized frame would be written
-            // fine and then classified as corruption on every recovery.
-            if body.len() > log::MAX_BODY {
-                return Err(StorageError::TooLarge {
-                    what: "record",
-                    bytes: body.len(),
-                });
-            }
-            buf.extend_from_slice(&log::frame(&log::payload(lsn, rec.tag(), &body)));
-            lsn += 1;
-        }
+        let mut buf = batch.into_frames()?;
+        let lsn = log::seal(&mut buf, self.next_lsn);
         // Pending checkpoint work rides along, ahead of the records: if it
         // fails, the commit fails with nothing of the batch on the medium.
         self.step()?;
@@ -568,7 +654,7 @@ impl<M: Medium> DurableStorage<M> {
         // 2. Scan segments in LSN order. The scan starts at the base at the
         // latest: a log that begins above it has lost the records between.
         let segs = self.segment_lsns()?;
-        let mut tail: Vec<(u64, Record)> = Vec::new();
+        let mut tail = Tail::new(base);
         let mut expected = segs.first().map_or(0, |&first| first.min(base));
         let mut last_valid: Option<(String, u64)> = None; // (name, valid_len)
         let mut stopped = false;
@@ -602,7 +688,11 @@ impl<M: Medium> DurableStorage<M> {
             for (lsn, tag, body) in &scan.records {
                 if *lsn >= base {
                     match Record::decode(*tag, body) {
-                        Ok(rec) => tail.push((*lsn, rec)),
+                        Ok(rec) => tail.push(*lsn, rec),
+                        // A delta only summarises records the log still
+                        // holds: one that does not decode is left out, and
+                        // they replay instead.
+                        Err(_) if *tag == TAG_DELTA => {}
                         Err(e) => {
                             // The frame verified but the record does not
                             // decode: stop *at* this record — `expected`
@@ -655,7 +745,7 @@ impl<M: Medium> DurableStorage<M> {
             }
             last_valid = Some((name, valid_len));
         }
-        report.records_replayed = tail.len() as u64;
+        let tail = tail.finish(&mut report);
 
         // 3. Interior corruption means acknowledged records past the stop
         // point are lost. Outside salvage mode, leave the medium exactly as
@@ -1129,6 +1219,35 @@ mod tests {
             .unwrap();
         assert!(rec2.report.corrupt_stop.is_none(), "{:?}", rec2.report);
         assert_eq!(rec2.tail.len(), 4);
+    }
+
+    /// A delta that verifies but does not decode is left out of the tail,
+    /// not taken for corruption: the records it would summarise replay
+    /// instead.
+    #[test]
+    fn a_delta_that_does_not_decode_leaves_its_records_in() -> Result<(), StorageError> {
+        let mem = MemMedium::new();
+        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
+        s.recover()?;
+        for i in 0..3 {
+            commit_one(&mut s, i);
+        }
+        let mut raw = mem.clone();
+        let junk = log::frame(&log::payload(3, TAG_DELTA, b"junk"));
+        raw.append(&log::segment_name(0), &junk)?;
+        raw.sync(&log::segment_name(0))?;
+        drop(s);
+        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
+        let rec = s.recover()?;
+        assert!(rec.report.corrupt_stop.is_none(), "{:?}", rec.report);
+        assert_eq!((rec.report.deltas, rec.report.records_replayed), (0, 3));
+        for i in 3..5 {
+            commit_one(&mut s, i);
+        }
+        let rec = s.recover()?;
+        assert_eq!(rec.tail.len(), 5);
+        assert!(rec.tail.iter().all(|(_, r)| matches!(r, Record::Op { .. })));
+        Ok(())
     }
 
     /// Oversized payloads are rejected when written, not discovered as

@@ -29,6 +29,9 @@
 //! per-shard fields are flat (one initial token, one share set, one log
 //! set, no claimed shard set, no trigger shard, no grove slot). The
 //! replies, records, manifest and every other pin stayed where they were.
+//!
+//! `record-delta`, an incremental checkpoint's record body, was added with
+//! it; no other pin moved.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
@@ -39,11 +42,12 @@ use tcvs_core::{
 use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
 use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
-use tcvs_storage::{response_bytes, DurableState, Record};
+use tcvs_storage::{response_bytes, DurableDelta, DurableState, Record};
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
-/// above on the first build whose point proofs hide unproven entries, and
-/// the three bundle-bearing ones on the first build of bundle version 2.
+/// above on the first build whose point proofs hide unproven entries, the
+/// three bundle-bearing ones on the first build of bundle version 2, and
+/// `record-delta` on the first build with incremental checkpoints.
 const PINS: &str = "\
 checkpoint 162f7ad8c3d109eb058f02655eb052e6cfa265f741f6dbfdad56ce24227764e8
 evidence 6950da9de2994eae2c5339802a13105f82abae9a182ae7ebd78948846fb7af34
@@ -69,6 +73,7 @@ record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee7
 record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
 record-evidence 429142acca6802c81760da49f0cff80868d55237c0e4be3e917b3e2436fd22ab
+record-delta a85bbd4cfe50633248cddc656fc8bc736062613be5226dfd70b3119638800b4d
 ";
 
 fn hex(d: Digest) -> String {
@@ -242,6 +247,19 @@ fn every_persisted_encoding_is_pinned() {
     };
     let mut checkpoint_bytes = Vec::new();
     state.encode_into(&mut checkpoint_bytes);
+    let delta = DurableDelta {
+        base: 17,
+        snapshot: state.snapshot.clone(),
+        journal: state.journal.clone(),
+        evidence: vec![bundle.clone()],
+        edits: vec![
+            Op::Put(u64_key(41), Vec::new()),
+            Op::Delete(u64_key(7)),
+            Op::Put(u64_key(41), b"forty-one".to_vec()),
+        ],
+        root: state.snapshot.root_digest(),
+        body_len: 0,
+    };
 
     let mut records: Vec<(String, Record)> = ops()
         .into_iter()
@@ -271,6 +289,7 @@ fn every_persisted_encoding_is_pinned() {
             Record::Flight(Event::new(6, EventKind::Retry, 2).span(SpanContext::root(5, 7))),
         ),
         ("record-evidence".into(), Record::Evidence(bundle.clone())),
+        ("record-delta".into(), Record::Delta(Box::new(delta))),
     ]);
 
     let manifest = ChunkSource::new(server.core().db(), 512)

@@ -9,6 +9,11 @@
 //! reply journal are byte-identical to those of an oracle that replayed
 //! exactly the acknowledged prefix — nothing acknowledged is lost, and
 //! nothing unacknowledged is half-applied.
+//!
+//! The sweeps checkpoint as the engine does: a delta every few ops, in a
+//! commit of its own ahead of the next op's, and a full checkpoint once
+//! the deltas outweigh the last one. Their worlds are small, so a delta
+//! weighs about as much as a full checkpoint and the two alternate.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,8 +23,8 @@ use tcvs_core::{
 };
 use tcvs_merkle::{u64_key, Op};
 use tcvs_storage::{
-    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
-    FaultMedium, Medium, MemMedium, Storage, StorageError, StorageObs,
+    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableState,
+    DurableStorage, FaultMedium, Medium, MemMedium, Storage, StorageError, StorageObs,
 };
 
 const USERS: u64 = 3;
@@ -60,8 +65,17 @@ fn oracle(script: Script, n: u64) -> (ServerCore, Vec<Vec<u8>>) {
 }
 
 fn open<M: Medium>(medium: M, checkpoint_every: u64) -> DurableServer<DurableStorage<M>> {
+    // Tiny segments: crashes land across many segments.
+    open_segments(medium, checkpoint_every, 256)
+}
+
+fn open_segments<M: Medium>(
+    medium: M,
+    checkpoint_every: u64,
+    segment_bytes: usize,
+) -> DurableServer<DurableStorage<M>> {
     let opts = DurableOptions {
-        segment_bytes: 256, // tiny: crashes land across many segments
+        segment_bytes,
         retain_checkpoints: 2,
     };
     let store = DurableStorage::open(medium, opts);
@@ -113,10 +127,14 @@ fn assert_recovered_equals_oracle<M: Medium>(
 }
 
 /// Crash (power loss) after every acknowledged op index: the recovered
-/// state must be exactly the acknowledged prefix.
+/// state must be exactly the acknowledged prefix. The run takes full
+/// checkpoints after 7, 21 and 35 ops and logs deltas before ops 14, 21,
+/// 28 and 35, so the swept crashes recover from no checkpoint, from a full
+/// one alone, and from a full one plus a delta.
 #[test]
 fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
     const N: u64 = 40;
+    let mut deltas_applied = 0;
     for crash_at in 0..=N {
         let mem = MemMedium::new();
         let mut server = open(mem.clone(), 7);
@@ -132,6 +150,7 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
             "crash_at={crash_at}: {:?}",
             server.last_recovery()
         );
+        deltas_applied += server.last_recovery().deltas;
         assert_recovered_equals_oracle(
             &server,
             scripted,
@@ -139,13 +158,15 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
             &format!("crash_at={crash_at}"),
         );
     }
+    assert!(deltas_applied > 0, "some recovery applied a delta");
 }
 
-/// A torn write at every append — each op's records, and each slice of the
-/// checkpoints streaming behind them: the op whose commit it tears is never
-/// acknowledged, and recovery lands exactly on the prefix before it —
-/// whether the torn bytes survived in the page cache (process restart) or
-/// not (power loss).
+/// A torn write at every append — each op's records, each delta, and each
+/// slice of the full checkpoints streaming behind them: the op whose commit
+/// it tears is never acknowledged, and recovery lands exactly on the prefix
+/// before it — whether the torn bytes survived in the page cache (process
+/// restart) or not (power loss). The run takes full checkpoints after 7
+/// and 21 ops and logs deltas before ops 14 and 21.
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
     const N: u64 = 24;
@@ -197,9 +218,10 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
         }
         torn_at += 1;
     }
-    // One append per op, plus one slice for each of the (small)
-    // checkpoints at 7, 14 and 21.
-    assert_eq!(torn_at, N + 3, "every append of the run was torn once");
+    // One append per op, plus one for each of the deltas before ops 14 and
+    // 21, plus one slice for each of the (small) full checkpoints after 7
+    // and 21 ops.
+    assert_eq!(torn_at, N + 4, "every append of the run was torn once");
 }
 
 /// A lying fsync at every op index, with the power failing right after:
@@ -242,46 +264,66 @@ fn lost_fsync_then_power_loss_recovers_a_clean_prefix() {
     }
 }
 
-/// A flipped bit at every op index: recovery stops exactly at the flip,
-/// reports it, and replays the intact prefix. A flip below a frame that
-/// verifies is classified as corruption; a flip in the last frame has
-/// nothing verifying after it and is indistinguishable from a tear, so it
-/// is reported as a torn tail — either way the stop point and the
-/// recovered prefix are exact.
+/// A flipped bit in every op record, swept twice. With checkpoints off,
+/// the log is every op record and nothing else, so a flip at every op
+/// index from the first record on stops recovery exactly at the flip. With
+/// a checkpoint every 7 ops, the run takes full checkpoints after 7 and 21
+/// ops and logs deltas before ops 14 and 21, and every delta is flipped
+/// too: a flip in what the newest complete full checkpoint subsumes costs
+/// nothing; any other stops recovery exactly at the flip, reports it, and
+/// replays the intact prefix — a flipped delta is not skipped for the ops
+/// it summarises, because nothing after a damaged frame is trusted. A flip
+/// below a frame that verifies is classified as corruption; a flip in the
+/// last frame has nothing verifying after it and is indistinguishable from
+/// a tear, so it is reported as a torn tail — either way the stop point
+/// and the recovered prefix are exact. Flipped checkpoint slices are
+/// swept by `faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle`.
 #[test]
 fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
     const N: u64 = 24;
-    for flip_at in 0..N {
-        let mem = MemMedium::new();
-        let mut fm = FaultMedium::new(mem.clone());
-        fm.schedule(flip_at, StorageFault::BitFlip);
-        let opts = DurableOptions {
-            segment_bytes: 1 << 20, // one segment: the flip is interior
-            retain_checkpoints: 2,
-        };
-        let store = DurableStorage::open(fm, opts);
-        let mut server = DurableServer::open(
-            store,
-            config(),
-            DurabilityOptions {
-                checkpoint_every: 0,
-                ..DurabilityOptions::default()
-            },
-            StorageObs::disabled(),
-        )
-        .expect("open");
-        for j in 0..N {
-            let (user, seq, op, round) = scripted(j);
-            server.apply(user, seq, &op, round).expect("acked");
+    const SEGMENT: usize = 1 << 20; // the flips are interior to a segment
+    for every in [0, 7] {
+        let run = DryRun::new(scripted, every, N, SEGMENT);
+        let (mut flipped, mut deltas) = (0, 0);
+        for (a, m) in run.appends() {
+            if run.is_ckpt(m) {
+                continue;
+            }
+            let j = run.op_of(m);
+            flipped += 1;
+            deltas += u64::from(run.is_delta(m));
+            let mem = MemMedium::new();
+            let mut fm = FaultMedium::new(mem.clone());
+            fm.schedule(a, StorageFault::BitFlip);
+            let mut server = open_segments(fm, every, SEGMENT);
+            for j in 0..N {
+                let (user, seq, op, round) = scripted(j);
+                server.apply(user, seq, &op, round).expect("acked");
+            }
+            drop(server);
+            let server = open(mem, every);
+            let expected = if j < run.subsumed { N } else { j };
+            let report = server.last_recovery();
+            assert!(
+                expected == N || report.corrupt_stop.is_some() || report.torn_tail.is_some(),
+                "every={every} append {a} of op {j}: the flip must be reported: {report:?}"
+            );
+            assert_recovered_equals_oracle(
+                &server,
+                scripted,
+                expected,
+                &format!("every={every} append {a}"),
+            );
         }
-        drop(server);
-        let server = open(mem, 0);
-        let report = server.last_recovery();
-        assert!(
-            report.corrupt_stop.is_some() || report.torn_tail.is_some(),
-            "flip_at={flip_at}: the flip must be reported: {report:?}"
-        );
-        assert_recovered_equals_oracle(&server, scripted, flip_at, &format!("flip_at={flip_at}"));
+        if every == 0 {
+            assert_eq!(
+                (flipped, run.subsumed),
+                (N, 0),
+                "one flip per op, none subsumed"
+            );
+        } else {
+            assert!(deltas > 0 && run.subsumed > 0, "{deltas} deltas flipped");
+        }
     }
 }
 
@@ -467,64 +509,126 @@ fn run_large<M: Medium>(server: &mut DurableServer<DurableStorage<M>>, n: u64) -
         .unwrap_or(n)
 }
 
-/// A checkpoint streams out in slices across the commits after it, and
-/// its pruning follows one file per commit. Power loss, a torn write, a
-/// lost fsync (then power loss) and a bit flip, each injected at every
-/// medium operation from the stream's start to the end of the run: the
-/// recovered world is always the oracle's, at exactly the prefix the fault
-/// allows.
-#[test]
-fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
-    const N: u64 = 50;
-    const EVERY: u64 = 10;
-    // The third checkpoint: its completion prunes the first one and the
-    // log below the second, the fallback a damaged third one needs.
-    const STREAMED: u64 = 30;
+/// A fault-free run of ops `0..n` of `script` over a medium that logs its
+/// mutating operations: what each op writes, in order.
+struct DryRun {
+    /// Every mutating medium operation of the run.
+    ops: Vec<(&'static str, String)>,
+    /// Index in `ops` of each op's first one, then `ops.len()`.
+    op_start: Vec<usize>,
+    /// Ops the newest full checkpoint complete at the end covers.
+    subsumed: u64,
+}
 
-    // A fault-free run maps every medium operation to the op issuing it.
-    let log = OpLog::default();
-    let dry = MemMedium::new();
-    let mut server = open(
-        PowerCut {
+impl DryRun {
+    fn new(script: Script, every: u64, n: u64, segment_bytes: usize) -> DryRun {
+        let log = OpLog::default();
+        let dry = MemMedium::new();
+        let medium = PowerCut {
             inner: dry.clone(),
             log: Arc::clone(&log),
             cut: usize::MAX,
-        },
-        EVERY,
-    );
-    let mut op_start = Vec::new();
-    for j in 0..N {
-        op_start.push(log.lock().unwrap().len());
-        let (user, seq, op, round) = scripted_large(j);
-        server.apply(user, seq, &op, round).expect("fault-free run");
+        };
+        let mut server = open_segments(medium, every, segment_bytes);
+        let mut op_start = Vec::new();
+        for j in 0..n {
+            op_start.push(log.lock().unwrap().len());
+            let (user, seq, op, round) = script(j);
+            server.apply(user, seq, &op, round).expect("fault-free run");
+        }
+        drop(server);
+        let ops = log.lock().unwrap().clone();
+        op_start.push(ops.len());
+        let newest = DurableStorage::open(dry, DurableOptions::default())
+            .recover()
+            .unwrap()
+            .checkpoint;
+        let subsumed = newest.map_or(0, |(_, state)| {
+            DurableState::from_bytes(&state).unwrap().snapshot.ctr()
+        });
+        DryRun {
+            ops,
+            op_start,
+            subsumed,
+        }
     }
-    drop(server);
-    // The newest checkpoint complete when the run ends subsumes every
+
+    /// `(append index, medium operation index)` of every append.
+    fn appends(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        (0..self.ops.len())
+            .filter(|&m| self.ops[m].0 == "append")
+            .enumerate()
+            .map(|(a, m)| (a as u64, m))
+    }
+
+    /// The op issuing medium operation `m`.
+    fn op_of(&self, m: usize) -> u64 {
+        (self.op_start.partition_point(|&s| s <= m) - 1) as u64
+    }
+
+    /// Medium operations `m` of op `j` of `kind` on a log segment.
+    fn segment_ops(&self, j: u64, kind: &str) -> impl Iterator<Item = usize> + '_ {
+        let kind = kind.to_string();
+        (self.op_start[j as usize]..self.op_start[j as usize + 1]).filter(move |&m| {
+            self.ops[m].0 == kind && log::parse_segment_name(&self.ops[m].1).is_some()
+        })
+    }
+
+    fn is_ckpt(&self, m: usize) -> bool {
+        log::parse_checkpoint_name(&self.ops[m].1).is_some()
+    }
+
+    /// Whether `m` appends a delta: an op's last segment append is its
+    /// record's, an earlier one the delta committed ahead of it.
+    fn is_delta(&self, m: usize) -> bool {
+        let last = self.segment_ops(self.op_of(m), "append").last();
+        !self.is_ckpt(m) && last.is_some_and(|record| record > m)
+    }
+
+    /// Ops durable when medium operation `m` fails: those before its op,
+    /// and its op too once its record was synced (a failure in the
+    /// checkpoint work after that fails an op that is already durable).
+    fn durable_before(&self, m: usize) -> u64 {
+        let j = self.op_of(m);
+        let synced = self.segment_ops(j, "sync").last();
+        j + u64::from(synced.is_some_and(|sync| sync < m))
+    }
+}
+
+/// A full checkpoint streams out in slices across the commits after it,
+/// and its pruning follows one file per commit. Power loss, a torn write, a
+/// lost fsync (then power loss) and a bit flip, each injected at every
+/// medium operation from the third full checkpoint's stream to the end of
+/// the run, which logs deltas before ops 50, 60, 70 and 80 and starts a
+/// fourth full checkpoint after 70 ops: the recovered world is always the
+/// oracle's, at exactly the prefix the fault allows.
+#[test]
+fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
+    // Long enough for the fourth full checkpoint to complete.
+    const N: u64 = 82;
+    const EVERY: u64 = 10;
+
+    // A fault-free run maps every medium operation to the op issuing it.
+    let run = DryRun::new(scripted_large, EVERY, N, 256);
+    let ops = &run.ops;
+    // The third full checkpoint: its completion prunes the first one and
+    // the log below the second, the fallback a damaged third one needs.
+    let mut fulls: Vec<&String> = ops
+        .iter()
+        .filter(|(kind, f)| *kind == "append" && log::parse_checkpoint_name(f).is_some())
+        .map(|(_, f)| f)
+        .collect();
+    fulls.dedup();
+    assert!(fulls.len() >= 4, "{fulls:?}");
+    let streamed = fulls[2];
+    // The newest full checkpoint complete when the run ends subsumes every
     // record below it, damaged or not.
-    let (last_complete, _) = DurableStorage::open(dry, DurableOptions::default())
-        .recover()
-        .unwrap()
-        .checkpoint
-        .unwrap();
-    assert!(last_complete > STREAMED);
-    let ops = log.lock().unwrap().clone();
-    op_start.push(ops.len());
-    let op_of = |m: usize| (op_start.partition_point(|&s| s <= m) - 1) as u64;
-    // Ops durable when medium operation m fails: those before its op, and
-    // its op too once its records were synced (a failure in the checkpoint
-    // work after that fails an op that is already durable).
-    let durable_before = |m: usize| {
-        let j = op_of(m);
-        let synced = (op_start[j as usize]..m)
-            .any(|i| ops[i].0 == "sync" && log::parse_segment_name(&ops[i].1).is_some());
-        j + u64::from(synced)
-    };
-    let is_ckpt = |m: usize| log::parse_checkpoint_name(&ops[m].1).is_some();
-    let streamed = log::checkpoint_name(STREAMED);
-    let first = ops.iter().position(|(_, f)| *f == streamed).unwrap();
+    let subsumed = run.subsumed;
+    assert!(subsumed > run.op_of(ops.iter().position(|(_, f)| f == streamed).unwrap()));
+    let first = ops.iter().position(|(_, f)| f == streamed).unwrap();
     let slices = ops
         .iter()
-        .filter(|(kind, f)| *kind == "append" && *f == streamed)
+        .filter(|(kind, f)| *kind == "append" && f == streamed)
         .count();
     assert!(slices >= 4, "{slices} slices");
     let removed: Vec<&String> = ops[first..]
@@ -533,20 +637,17 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
         .map(|(_, f)| f)
         .collect();
     assert!(
-        removed.contains(&&log::checkpoint_name(EVERY))
-            && removed.iter().any(|f| log::parse_segment_name(f).is_some()),
+        removed.contains(&fulls[0]) && removed.iter().any(|f| log::parse_segment_name(f).is_some()),
         "the stream's pruning lies inside the run: {removed:?}"
     );
-    // Medium operation index of every append; the first one at or after
-    // the stream's start.
-    let appends: Vec<usize> = (0..ops.len()).filter(|&m| ops[m].0 == "append").collect();
-    let first_append = appends.iter().position(|&m| m >= first).unwrap();
+    let deltas = (first..ops.len()).filter(|&m| run.is_delta(m)).count();
+    assert!(deltas > 0, "the swept range logs a delta");
 
     // Power lost just before medium operation m: the op issuing it is
     // unacknowledged.
     let mut interrupted = 0;
     for m in first..ops.len() {
-        let j = op_of(m);
+        let j = run.op_of(m);
         let mem = MemMedium::new();
         let mut server = open(
             PowerCut {
@@ -563,13 +664,13 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
         let report = server.last_recovery();
         assert!(report.corrupt_stop.is_none(), "m={m}: {report:?}");
         interrupted += u64::from(report.interrupted_checkpoints > 0);
-        let expected = durable_before(m);
+        let expected = run.durable_before(m);
         assert_recovered_equals_oracle(&server, scripted_large, expected, &format!("m={m}"));
     }
     assert!(interrupted > 0, "some power cut interrupted a stream");
 
-    for (a, &m) in appends.iter().enumerate().skip(first_append) {
-        let j = op_of(m);
+    for (a, m) in run.appends().filter(|&(_, m)| m >= first) {
+        let j = run.op_of(m);
         for fault in [
             StorageFault::TornWrite,
             StorageFault::FsyncLost,
@@ -578,30 +679,37 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
             let what = format!("{fault:?} at append {a} ({} of op {j})", ops[m].1);
             let mem = MemMedium::new();
             let mut fm = FaultMedium::new(mem.clone());
-            fm.schedule(a as u64, fault);
+            fm.schedule(a, fault);
             let mut server = open(fm, EVERY);
+            // A delta whose sync was lost, below the op's record synced
+            // into the next segment, is a hole the power loss leaves.
+            let hole = fault == StorageFault::FsyncLost && run.is_delta(m);
             // (ops run, ops acknowledged, ops recovered)
-            let (run, acked, expected) = match fault {
+            let (run_to, acked, expected) = match fault {
                 // The torn append fails its op.
-                StorageFault::TornWrite => (N, j, durable_before(m)),
+                StorageFault::TornWrite => (N, j, run.durable_before(m)),
                 // Power fails right after the op whose sync was lost: a
-                // slice's loss costs nothing, a record's costs its op.
-                StorageFault::FsyncLost => (j + 1, j + 1, j + u64::from(is_ckpt(m))),
+                // slice's loss costs nothing, a record's or a delta's
+                // costs its op.
+                StorageFault::FsyncLost => (j + 1, j + 1, j + u64::from(run.is_ckpt(m))),
                 // A flipped slice spoils its checkpoint, and recovery falls
-                // back to the previous one. A flipped record stops replay
-                // at it, unless a complete checkpoint subsumes it.
-                _ if is_ckpt(m) || j < last_complete => (N, N, N),
+                // back to the previous one. A flipped record or delta stops
+                // replay at it, unless a complete checkpoint subsumes it.
+                _ if run.is_ckpt(m) || j < subsumed => (N, N, N),
                 _ => (N, N, j),
             };
-            assert_eq!(run_large(&mut server, run), acked, "{what}");
+            assert_eq!(run_large(&mut server, run_to), acked, "{what}");
             drop(server);
             if fault != StorageFault::BitFlip {
                 mem.crash();
             }
             let server = open(mem, EVERY);
-            // Only a flipped record replay depends on is interior damage.
-            if fault != StorageFault::BitFlip || expected == N {
-                let report = server.last_recovery();
+            // Only a flipped record replay depends on, or a hole, is
+            // interior damage.
+            let report = server.last_recovery();
+            if hole {
+                assert!(report.corrupt_stop.is_some(), "{what}: {report:?}");
+            } else if fault != StorageFault::BitFlip || expected == N {
                 assert!(report.corrupt_stop.is_none(), "{what}: {report:?}");
             }
             assert_recovered_equals_oracle(&server, scripted_large, expected, &what);
@@ -811,13 +919,15 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The power fails at the sync of every op's commit, on a medium with
-/// `FileMedium`'s zero extents, and lands a chosen subset of the commit's
-/// sectors. Recovery returns exactly the prefix the disk holds: the
-/// acknowledged ops, plus the interrupted one only when every byte of it
-/// landed. It reports a torn tail exactly when part of the commit landed
-/// (a commit spanning two sectors or more always tears under some subset)
-/// and never stops at corruption.
+/// The power fails at the sync of every commit — each op's, and the delta
+/// committed ahead of op 20 — on a medium with `FileMedium`'s zero
+/// extents, and lands a chosen subset of the commit's sectors. The run
+/// takes a full checkpoint after 10 ops. Recovery
+/// returns exactly the prefix the disk holds: the acknowledged ops, plus
+/// the interrupted op only when every byte of its record landed (a delta
+/// holds no op). It reports a torn tail exactly when part of the commit
+/// landed (a commit spanning two sectors or more always tears under some
+/// subset) and never stops at corruption.
 #[test]
 fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     const N: u64 = 30;
@@ -848,13 +958,28 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
         ("seed 2", Box::new(seeded(2))),
         ("seed 3", Box::new(seeded(3))),
     ];
-    let mut torn_ops = 0;
+    // The segment syncs of each op: a delta's, then its record's.
+    let dry = ZeroExtents::default();
+    let mut server = open(dry.clone()).expect("open");
+    let mut sync_start = Vec::new();
     for j in 0..N {
+        sync_start.push(dry.state.lock().unwrap().syncs);
+        let (user, seq, op, round) = scripted_large(j);
+        server.apply(user, seq, &op, round).expect("fault-free run");
+    }
+    drop(server);
+    sync_start.push(dry.state.lock().unwrap().syncs);
+    let mut torn_commits = 0;
+    let mut deltas = 0;
+    for cut in 0..sync_start[N as usize] {
+        let j = (sync_start.partition_point(|&s| s <= cut) - 1) as u64;
+        let delta = cut + 1 < sync_start[j as usize + 1];
+        deltas += u64::from(delta);
         let mut tore = false;
         let mut spans = 0;
         for (subset, keep) in &subsets {
-            let what = format!("power lost in op {j}'s sync, {subset}");
-            let medium = ZeroExtents::cut_at(j);
+            let what = format!("power lost in sync {cut} of op {j}, {subset}");
+            let medium = ZeroExtents::cut_at(cut);
             let mut server = open(medium.clone()).expect("open");
             assert_eq!(run_large(&mut server, N), j, "{what}");
             drop(server);
@@ -871,7 +996,7 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
                 shape == Shape::Torn,
                 "{what}: {shape:?} {report:?}"
             );
-            let expected = j + u64::from(shape == Shape::Whole);
+            let expected = j + u64::from(shape == Shape::Whole && !delta);
             assert_recovered_equals_oracle(&server, scripted_large, expected, &what);
             // Recovery truncated the zero or torn tail: the next commit
             // lands right after the last record, and a clean restart
@@ -886,12 +1011,13 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
             tore |= shape == Shape::Torn;
             spans = sectors;
         }
-        assert!(tore || spans < 2, "op {j}: {spans} sectors, never torn");
-        torn_ops += u64::from(tore);
+        assert!(tore || spans < 2, "sync {cut}: {spans} sectors, never torn");
+        torn_commits += u64::from(tore);
     }
+    assert_eq!(deltas, 1, "a delta ahead of op 20");
     // The puts' commits span dozens of sectors; those that open a segment
     // vanish with it instead.
-    assert!(torn_ops >= N / 3, "{torn_ops} of {N} commits torn");
+    assert!(torn_commits >= N / 3, "{torn_commits} of {N} commits torn");
 }
 
 proptest! {
