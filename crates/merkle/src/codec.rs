@@ -285,6 +285,26 @@ impl MerkleTree {
         self.encode(out);
     }
 
+    /// `prefix` then the [`MerkleTree::to_bytes`] bytes, handed out a piece
+    /// at a time ([`EncodeStream::fill`]) from this tree's nodes, shared
+    /// copy-on-write: later updates to the tree leave the stream alone.
+    pub fn encode_stream(&self, prefix: Vec<u8>) -> EncodeStream {
+        let mut buf = prefix;
+        let remaining = buf.len() + self.encoded_size();
+        buf.put(MAGIC);
+        buf.put(&[VERSION]);
+        buf.put(&(self.order() as u32).to_le_bytes());
+        buf.put(&self.len().map_or(LEN_UNKNOWN, |l| l as u64).to_le_bytes());
+        buf.put(self.root_digest().as_bytes());
+        let todo = vec![self.root().clone()];
+        EncodeStream {
+            buf,
+            at: 0,
+            todo,
+            remaining,
+        }
+    }
+
     /// Decodes a tree serialized by [`MerkleTree::to_bytes`], recomputing
     /// every materialized digest and verifying the recorded root digest.
     pub fn from_bytes(bytes: &[u8]) -> Result<MerkleTree, CodecError> {
@@ -325,6 +345,59 @@ impl MerkleTree {
             Some(counted)
         };
         Ok(MerkleTree::from_parts(root, order, len))
+    }
+}
+
+/// A tree's encoding ([`MerkleTree::encode_stream`]), encoded leaf by leaf
+/// as the pieces handed out need it: it holds one leaf's bytes at most.
+pub struct EncodeStream {
+    /// Encoded bytes, handed out up to `at`.
+    buf: Vec<u8>,
+    at: usize,
+    /// Subtrees still to encode, the next one last.
+    todo: Vec<Child>,
+    remaining: usize,
+}
+
+impl EncodeStream {
+    /// Bytes not handed out yet.
+    pub fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Appends the next `n` bytes of the encoding to `out` (fewer only at
+    /// its end).
+    pub fn fill(&mut self, out: &mut Vec<u8>, n: usize) {
+        let mut n = n.min(self.remaining);
+        self.remaining -= n;
+        while n > 0 && (self.at < self.buf.len() || self.next()) {
+            let k = n.min(self.buf.len() - self.at);
+            out.extend_from_slice(&self.buf[self.at..self.at + k]);
+            self.at += k;
+            n -= k;
+        }
+    }
+
+    /// Encodes the next node into the buffer: an internal node's own fields
+    /// (its children follow), or a whole leaf. False at the tree's end.
+    fn next(&mut self) -> bool {
+        let Some(child) = self.todo.pop() else {
+            return false;
+        };
+        self.buf.clear();
+        self.at = 0;
+        match child.node() {
+            Ok(Node::Internal { keys, children, .. }) => {
+                self.buf.put(&[TAG_INTERNAL]);
+                self.buf.put(&(keys.len() as u32).to_le_bytes());
+                for k in keys.iter() {
+                    put_bytes(&mut self.buf, k);
+                }
+                self.todo.extend(children.iter().rev().cloned());
+            }
+            _ => encode_node(&child, &mut self.buf),
+        }
+        true
     }
 }
 
@@ -407,6 +480,26 @@ mod tests {
             MerkleTree::from_bytes(&long),
             Err(CodecError::TrailingBytes)
         ));
+    }
+
+    /// The stream's pieces, whatever their sizes, concatenate to the
+    /// prefix and `to_bytes`, and updates after it starts leave it alone.
+    #[test]
+    fn a_stream_hands_out_exactly_the_encoding() {
+        for (n, order, piece) in [(0u64, 4, 1), (300, 4, 7), (300, 16, 4096), (50, 8, 1 << 20)] {
+            let mut t = tree(n, order);
+            let want = [&b"prefix"[..], &t.to_bytes()].concat();
+            let mut stream = t.encode_stream(b"prefix".to_vec());
+            t.insert(u64_key(1), b"after the start".to_vec()).unwrap();
+            let mut got = Vec::new();
+            while stream.remaining() > 0 {
+                let before = got.len();
+                stream.fill(&mut got, piece);
+                assert_eq!(got.len() - before, piece.min(want.len() - before));
+            }
+            stream.fill(&mut got, piece);
+            assert_eq!(got, want, "n={n} order={order} piece={piece}");
+        }
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //! Worker mode (`crash_smoke worker <dir>`) recovers the store, then
 //! applies ops `f(ctr), f(ctr+1), …` forever — the op stream is a pure
 //! function of the op index, so the oracle can reconstruct the full history
-//! from the recovered counter alone. Its puts are 4 KiB, so once the tree
-//! holds a few dozen keys every checkpoint streams out in several slices
-//! and a kill often lands mid-stream; each round reports whether recovery
-//! found such an interrupted checkpoint. Each round also reports the zero
-//! tail recovery truncated (the unused rest of the last segment's
-//! zero-filled extent) and whether it found a torn record, and checks that
-//! no segment file grew past twice the segment size, or twice its records
-//! where one commit outgrew the segment: extents grow by doubling, so a
-//! small segment stays a small file. It reports the deltas
-//! recovery applied and the op records it replayed after the newest, and
-//! fails a round that replays more than two checkpoint intervals.
+//! from the recovered counter alone. Its puts are 4 KiB, so every full
+//! checkpoint streams out in many pieces, one per commit, and a kill often
+//! lands mid-stream. Each round reports the newest stream recovery found
+//! (`stream=<pieces>/<count>`, or `none`) and fails if its count exceeds
+//! 4 × the checkpoint interval (the stream could not complete within that
+//! many commits of its start); reports the deltas applied and the op
+//! records replayed after the newest, and fails past two intervals; and
+//! reports the zero tail truncated and any torn record, and fails if a
+//! segment file grew past twice the larger of the segment size and its
+//! records (extents grow by doubling).
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -40,7 +39,7 @@ fn config() -> ProtocolConfig {
     }
 }
 
-/// Bytes of a put's value: enough that a checkpoint spans several slices.
+/// Bytes of a put's value: enough that a checkpoint spans several pieces.
 const VALUE_BYTES: usize = 4 << 10;
 
 /// The deterministic op stream: op index → (user, seq, op, round).
@@ -127,6 +126,16 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
                 report.records_replayed, CHECKPOINT_EVERY
             ));
         }
+        // A piece rides each commit: a stream takes its count of commits.
+        if report
+            .stream
+            .is_some_and(|(_, n)| u64::from(n) > 4 * CHECKPOINT_EVERY)
+        {
+            return Err(format!(
+                "round {round}: stream {:?} cannot complete within 4 × {CHECKPOINT_EVERY} commits",
+                report.stream
+            ));
+        }
         let ctr = server.core().ctr();
         if ctr < max_ctr {
             return Err(format!(
@@ -181,21 +190,23 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
                 ));
             }
         }
-        interrupted += u64::from(report.interrupted_checkpoints > 0);
+        interrupted += u64::from(report.stream.is_some_and(|(met, n)| met < n));
+        let stream = report
+            .stream
+            .map_or("none".into(), |(met, n)| format!("{met}/{n}"));
         extent_tails += u64::from(report.zero_tail_bytes > 0 || report.torn_tail.is_some());
         println!(
             "round {round}: recovered ctr={ctr} deltas={} replayed={} zero_tail={} torn_tail={} \
-             interrupted_ckpt={} — ok",
+             stream={stream} — ok",
             report.deltas,
             report.records_replayed,
             report.zero_tail_bytes,
             report.torn_tail.is_some(),
-            report.interrupted_checkpoints > 0,
         );
     }
     println!(
         "crash-smoke: {rounds} kill -9 rounds survived, final ctr {max_ctr}, \
-         {interrupted} recoveries found an interrupted checkpoint, \
+         {interrupted} recoveries found a stream cut short, \
          {extent_tails} a zero tail or a tear in an extent"
     );
     Ok(())

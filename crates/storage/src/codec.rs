@@ -7,19 +7,20 @@
 //! Built on `tcvs_store::enc`'s length-prefixed little-endian framing, with
 //! every protocol value written by its one encoder in [`tcvs_core::wire`]
 //! (log record bodies use the same encoders; see [`crate::record`]).
-//! Both formats are written from borrowed parts (`encode_state`,
+//! Both formats are written from borrowed parts (`stream_state`,
 //! `put_delta`), so a checkpoint copies nothing of the live server before
-//! it encodes it. Decoding validates everything: signatures and
-//! trees re-verify their digests, enum tags reject unknown values, and all
-//! errors surface as typed [`DecodeError`]s with offsets (the recovery path
-//! needs to tell a torn tail from corruption).
+//! it encodes it, and a full one is encoded a piece at a time, as the
+//! commits that carry it need the pieces. Decoding validates everything:
+//! signatures and trees re-verify their digests, enum tags reject unknown
+//! values, and all errors surface as typed [`DecodeError`]s with offsets
+//! (the recovery path needs to tell a torn tail from corruption).
 
 use tcvs_core::wire::{
     get_audit_checkpoint, get_digest, get_epoch_state, get_event, get_response, get_signed_state,
     put_audit_checkpoint, put_digest, put_epoch_state, put_event, put_response, put_signed_state,
 };
 use tcvs_core::{Ctr, Digest, Epoch, ServerMetrics, ServerSnapshot, UserId};
-use tcvs_merkle::{MerkleTree, Op};
+use tcvs_merkle::{EncodeStream, MerkleTree, Op};
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 use crate::record::JournalEntry;
@@ -182,25 +183,23 @@ fn get_evidence(r: &mut Reader) -> Result<Vec<Vec<u8>>, DecodeError> {
     Ok(evidence)
 }
 
-/// Encodes a full checkpoint of `snapshot`, `journal` and `evidence` into
-/// `buf`, replacing its contents. A buffer kept from one checkpoint to the
-/// next reuses its pages instead of growing a fresh multi-megabyte
-/// allocation each time.
-pub(crate) fn encode_state(
-    buf: &mut Vec<u8>,
+/// A full checkpoint of `snapshot`, `journal` and `evidence`, its bytes
+/// handed out a piece at a time: the database is encoded leaf by leaf as
+/// the stream reaches it, from the copy-on-write snapshot's nodes, so no
+/// buffer ever holds the whole state.
+pub(crate) fn stream_state(
     snapshot: &ServerSnapshot,
     journal: &[JournalEntry],
     evidence: &[Vec<u8>],
-) {
-    buf.clear();
-    let mut w = Writer::from(std::mem::take(buf));
+) -> EncodeStream {
+    let mut w = Writer::new();
     w.raw(STATE_MAGIC);
     w.u32(STATE_VERSION);
     put_world(&mut w, snapshot, journal);
     put_evidence(&mut w, evidence);
     let db = snapshot.db();
-    w.framed(db.encoded_size(), |buf| db.write_to(buf));
-    *buf = w.into_bytes();
+    w.u64(db.encoded_size() as u64);
+    db.encode_stream(w.into_bytes())
 }
 
 /// Writes a delta record body: the world of `snapshot` and `journal` as
@@ -237,14 +236,20 @@ pub(crate) fn edit(op: &Op) -> Option<(&[u8], Option<&[u8]>)> {
 }
 
 impl DurableState {
-    /// Encodes the state for a checkpoint file into `buf`, replacing its
-    /// contents (`encode_state` over the state's parts).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        encode_state(buf, &self.snapshot, &self.journal, &self.evidence);
+    /// The state's encoding as a stream ([`EncodeStream::fill`]).
+    pub fn stream(&self) -> EncodeStream {
+        stream_state(&self.snapshot, &self.journal, &self.evidence)
     }
 
-    /// Decodes a checkpoint file body; the database's digests are fully
-    /// re-verified during decode.
+    /// Encodes the state for a checkpoint into `buf`, replacing its
+    /// contents.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        self.stream().fill(buf, usize::MAX);
+    }
+
+    /// Decodes a checkpoint; the database's digests are fully re-verified
+    /// during decode, its root against the one its encoding records.
     pub fn from_bytes(bytes: &[u8]) -> Result<DurableState, DecodeError> {
         let mut r = Reader::new(bytes);
         if r.raw(4)? != STATE_MAGIC {

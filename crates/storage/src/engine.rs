@@ -8,19 +8,18 @@
 //! response leaves the process. A crash at any instant therefore loses at
 //! most work that was never acknowledged.
 //!
-//! ## Incremental checkpoints
+//! ## Checkpoints ride the log
 //!
 //! Every [`DurabilityOptions::checkpoint_every`] operations the engine
-//! checkpoints incrementally. It tracks the keys its ops change, and the
-//! next commit is preceded by a commit of one [`Record::Delta`]. A delta
-//! holds the counters, deposits, metrics, flight tail and reply journal
-//! whole, the evidence bundles persisted since the checkpoint or delta
-//! before it, and each changed key's value or tombstone with the
-//! resulting root: what changed, not the whole tree. Once the delta bytes
-//! logged since the last full checkpoint reach that checkpoint's size, the
-//! engine also encodes the whole world and hands it to
-//! [`Storage::checkpoint`]; a streaming storage writes it out across the
-//! commits that follow, and prunes the log behind it only then.
+//! checkpoints incrementally: the next commit carries one [`Record::Delta`]
+//! ahead of its own records — the counters, deposits, metrics, flight tail
+//! and reply journal whole, the evidence persisted since the checkpoint or
+//! delta before it, and each changed key's value or tombstone with the
+//! resulting root. Once the deltas logged since the last full checkpoint
+//! outweigh it, a full one starts: a copy-on-write snapshot of the world,
+//! encoded a piece at a time into [`Record::Chunk`]s, one riding each
+//! commit inside its one fsync, sized to complete within `checkpoint_every`
+//! commits, before the next can fall due; none starts while one streams.
 //!
 //! Because the core is deterministic, the log carries only inputs (see
 //! [`Record`]): recovery restores the newest full checkpoint, applies the
@@ -49,11 +48,11 @@ use tcvs_core::{
     Ctr, Digest, Epoch, ProtocolConfig, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId,
 };
-use tcvs_merkle::{ChunkAssembler, ChunkManifest, Key, MerkleTree, Op, OpResult};
+use tcvs_merkle::{ChunkAssembler, ChunkManifest, EncodeStream, Key, MerkleTree, Op, OpResult};
 use tcvs_obs::{Counter, Event, EventKind, MetricsRegistry, Tracer};
 use tcvs_store::enc::{Sink, Writer};
 
-use crate::codec::{edit, encode_state, put_delta, DurableDelta, DurableState};
+use crate::codec::{edit, put_delta, stream_state, DurableDelta};
 use crate::error::StorageError;
 use crate::record::{
     put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_DELTA, TAG_EPOCH_STATE,
@@ -67,10 +66,10 @@ pub struct DurabilityOptions {
     /// Checkpoint after this many committed operations (0 disables
     /// automatic checkpoints, and the tracking of changed keys that deltas
     /// need; [`DurableServer::checkpoint_now`] still works). Each
-    /// checkpoint logs a delta of what changed since the last one, in a
-    /// commit of its own ahead of the next; a full checkpoint of
-    /// the whole world is streamed out only once the deltas since the last
-    /// full one outweigh it. Recovery replays the op records after the
+    /// checkpoint logs a delta of what changed since the last one, riding
+    /// the next commit; a full checkpoint of the whole world is streamed
+    /// out, a piece per commit, only once the deltas since the last full
+    /// one outweigh it. Recovery replays the op records after the
     /// newest delta it can use: at most this many, unless a delta does
     /// not decode or a crash cut the first full checkpoint short.
     pub checkpoint_every: u64,
@@ -158,10 +157,18 @@ pub struct DurableServer<S: Storage> {
     /// tail and bundles persisted this incarnation), opaque canonical
     /// bytes.
     evidence: Vec<Vec<u8>>,
-    /// The last full checkpoint's encoding, kept so the next one encodes
-    /// into pages already resident instead of growing a fresh buffer.
-    ckpt_buf: Vec<u8>,
+    /// The full checkpoint streaming out, if one is.
+    stream: Option<Stream>,
     chain: Chain,
+}
+
+/// A full checkpoint streaming out: the next commit carries piece `index`.
+struct Stream {
+    lsn: u64,
+    bytes: EncodeStream,
+    index: u32,
+    count: u32,
+    piece: usize,
 }
 
 /// What the next delta is written against. Nothing is tracked while
@@ -238,7 +245,7 @@ impl<S: Storage> DurableServer<S> {
             last_report: RecoveryReport::default(),
             recovered_flight: Vec::new(),
             evidence: Vec::new(),
-            ckpt_buf: Vec::new(),
+            stream: None,
             chain: Chain::default(),
         }
     }
@@ -361,11 +368,11 @@ impl<S: Storage> DurableServer<S> {
         self.journal.clear();
         self.recovered_flight.clear();
         self.evidence.clear();
+        self.stream = None;
         let (mut anchor, mut full_bytes) = (0, 0);
         self.core = match checkpoint {
-            Some((lsn, state)) => {
-                let ds = DurableState::from_bytes(&state)?;
-                (anchor, full_bytes) = (lsn, state.len());
+            Some((lsn, ds)) => {
+                (anchor, full_bytes) = (lsn, ds.stream().remaining());
                 for entry in ds.journal {
                     journal_insert(&mut self.journal, entry);
                 }
@@ -403,6 +410,7 @@ impl<S: Storage> DurableServer<S> {
                 Record::AuditCheckpoint(c) => self.core.store_checkpoint(c),
                 Record::Flight(ev) => self.recovered_flight.push(ev),
                 Record::Evidence(bytes) => self.evidence.push(bytes),
+                Record::Chunk(..) => {} // the storage leaves pieces out
             }
         }
         // The countdown ran out but the crash came before its delta
@@ -425,12 +433,12 @@ impl<S: Storage> DurableServer<S> {
             .add(report.stale_segments_quarantined);
         self.obs.tracer.emit(|| {
             Event::new(self.core.ctr(), EventKind::Recovery, self.core.last_user()).detail(format!(
-                "deltas={} replayed={} torn={} corrupt_ckpts={} interrupted_ckpts={}",
+                "deltas={} replayed={} torn={} corrupt_ckpts={} stream={:?}",
                 report.deltas,
                 report.records_replayed,
                 report.torn_tail.is_some(),
                 report.corrupt_checkpoints,
-                report.interrupted_checkpoints
+                report.stream
             ))
         });
         self.last_report = report;
@@ -514,47 +522,60 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Commits the record with log tag `tag`, whose body `put` writes,
-    /// durably, with pending flight frames after it. A delta the chain has
-    /// due commits first, alone: a commit of one frame that a power loss
-    /// lands only some sectors of reads back as a torn tail, whereas a
-    /// damaged delta below an op record that landed whole would read as
-    /// interior corruption.
+    /// durably, in one frame with what rides along: a delta the chain has
+    /// due ahead of it, pending flight frames and the next piece of a
+    /// streaming checkpoint after it.
     fn commit(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> Result<(), StorageError> {
-        if self.chain.due {
-            let lsn = self.storage.next_lsn();
-            if let Some((batch, bytes)) = self.delta()? {
-                self.storage.commit(batch)?;
-                self.rebase(lsn);
-                self.chain.delta_bytes += bytes;
-            } else {
-                // The edits missed a change, and recovery would refuse the
-                // delta: a full checkpoint takes its place.
-                self.obs.tracer.emit(|| {
-                    Event::new(
-                        self.core.ctr(),
-                        EventKind::Checkpoint,
-                        self.core.last_user(),
-                    )
-                    .detail(format!(
-                        "delta at lsn {lsn} misses a change; full checkpoint"
-                    ))
-                });
-                let lsn = self.start_checkpoint()?;
-                self.rebase(lsn);
-            }
-        }
+        let lsn = self.storage.next_lsn();
         let mut batch = WriteBatch::new();
+        let delta = match self.chain.due {
+            true => self.delta(&mut batch)?,
+            false => None,
+        };
+        if self.chain.due && delta.is_none() {
+            // The edits missed a change, and recovery would refuse the
+            // delta: a full checkpoint takes its place, and one streaming
+            // gives way to it.
+            self.obs.tracer.emit(|| {
+                Event::new(
+                    self.core.ctr(),
+                    EventKind::Checkpoint,
+                    self.core.last_user(),
+                )
+                .detail(format!(
+                    "delta at lsn {lsn} misses a change; full checkpoint"
+                ))
+            });
+            self.start_stream();
+            self.rebase(lsn);
+        }
         batch.push_with(tag, put);
         self.drain_flight(&mut batch);
+        self.push_piece(&mut batch);
         self.storage.commit(batch)?;
+        if let Some(bytes) = delta {
+            self.rebase(lsn);
+            self.chain.delta_bytes += bytes;
+        }
         self.obs.commits.inc();
         Ok(())
     }
 
-    /// The delta from the anchor to the current world, as a batch of its
-    /// own, and its body's size; `None` if its edits, applied to the
-    /// database at the anchor, do not reproduce the live one.
-    fn delta(&self) -> Result<Option<(WriteBatch, usize)>, StorageError> {
+    /// Stages the next piece of the streaming checkpoint, if one streams;
+    /// after its last piece none does.
+    fn push_piece(&mut self, batch: &mut WriteBatch) {
+        if let Some(s) = &mut self.stream {
+            let len = s.piece.min(s.bytes.remaining());
+            batch.push_chunk((s.lsn, s.index, s.count), len, |buf| s.bytes.fill(buf, len));
+            s.index += 1;
+        }
+        self.stream = self.stream.take().filter(|s| s.index < s.count);
+    }
+
+    /// Stages the delta from the anchor to the current world and returns
+    /// its body's size; `None` if its edits, applied to the database at
+    /// the anchor, do not reproduce the live one.
+    fn delta(&self, batch: &mut WriteBatch) -> Result<Option<usize>, StorageError> {
         let (db, chain) = (self.core.db(), &self.chain);
         let dirty = || chain.dirty.iter().map(Vec::as_slice);
         let base = chain.base_db.as_ref();
@@ -573,12 +594,11 @@ impl<S: Storage> DurableServer<S> {
         let (anchor, root) = (chain.anchor, db.root_digest());
         let bytes =
             encoded_len(|w| put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root));
-        let mut batch = WriteBatch::new();
         batch.reserve(bytes);
         batch.push_with(TAG_DELTA, |w| {
             put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root)
         });
-        Ok(Some((batch, bytes)))
+        Ok(Some(bytes))
     }
 
     /// Makes the checkpoint or delta at `anchor` the one the next delta
@@ -661,51 +681,69 @@ impl<S: Storage> DurableServer<S> {
         self.ops_since_checkpoint += 1;
         if self.opts.checkpoint_every > 0 && self.ops_since_checkpoint >= self.opts.checkpoint_every
         {
-            self.checkpoint_due()?;
+            self.checkpoint_due();
         }
         Ok(resp)
     }
 
-    /// The countdown ran out: a delta commits ahead of the next commit,
-    /// and a full checkpoint starts as well once the deltas logged since
-    /// the last one outweigh it. That delta still extends the chain, so
-    /// recovery can cross a full checkpoint that never completed.
-    fn checkpoint_due(&mut self) -> Result<(), StorageError> {
+    /// The countdown ran out: a delta rides the next commit, and a full
+    /// checkpoint starts streaming too once the deltas since the last one
+    /// outweigh it and none streams. That delta still extends the chain,
+    /// so recovery can cross a stream that never completed.
+    fn checkpoint_due(&mut self) {
         self.ops_since_checkpoint = 0;
         self.obs.checkpoints.inc();
         self.chain.due = true;
-        if self.chain.delta_bytes >= self.chain.full_bytes {
+        if self.stream.is_none() && self.chain.delta_bytes >= self.chain.full_bytes {
             let chained = self.chain.delta_bytes > 0;
-            let lsn = self.start_checkpoint()?;
+            let lsn = self.start_stream();
             if !chained {
                 // No delta to extend: the chain starts at this checkpoint.
                 self.rebase(lsn);
             }
         }
-        Ok(())
     }
 
-    /// Takes a full checkpoint immediately: persists the whole durable
-    /// world (server snapshot + reply journal + evidence) before returning,
-    /// and lets the storage prune the log behind it.
-    pub fn checkpoint_now(&mut self) -> Result<u64, StorageError> {
-        let lsn = self.start_checkpoint()?;
-        self.obs.checkpoints.inc();
-        self.rebase(lsn);
-        // An empty commit finishes the stream.
-        self.storage.commit(WriteBatch::new())?;
-        Ok(lsn)
-    }
-
-    /// Encodes the whole durable world, from borrowed parts, and hands it
-    /// to the storage, which copies it and streams it out across the
-    /// following commits.
-    fn start_checkpoint(&mut self) -> Result<u64, StorageError> {
+    /// Starts streaming a full checkpoint of the world as it stands, which
+    /// covers every committed record, and returns its LSN; its pieces (4
+    /// KiB at least) are sized to complete it within `checkpoint_every`
+    /// commits.
+    fn start_stream(&mut self) -> u64 {
         let snapshot = self.core.crash_snapshot();
-        encode_state(&mut self.ckpt_buf, &snapshot, &self.journal, &self.evidence);
-        let lsn = self.storage.checkpoint(&self.ckpt_buf)?;
-        self.chain.full_bytes = self.ckpt_buf.len();
-        self.chain.delta_bytes = 0;
+        let bytes = stream_state(&snapshot, &self.journal, &self.evidence);
+        let total = bytes.remaining();
+        let every = self.opts.checkpoint_every.max(1) as usize;
+        let piece = total.div_ceil(every).max(4 << 10);
+        let lsn = self.storage.next_lsn();
+        self.stream = Some(Stream {
+            lsn,
+            bytes,
+            index: 0,
+            count: total.div_ceil(piece) as u32,
+            piece,
+        });
+        (self.chain.full_bytes, self.chain.delta_bytes) = (total, 0);
+        lsn
+    }
+
+    /// Takes a full checkpoint of the whole durable world in one commit
+    /// before returning, and lets the storage prune the log behind it. A
+    /// checkpoint still streaming completes first, in a commit of its own.
+    pub fn checkpoint_now(&mut self) -> Result<u64, StorageError> {
+        let mut batch = WriteBatch::new();
+        while self.stream.is_some() {
+            self.push_piece(&mut batch);
+        }
+        self.storage.commit(batch)?;
+        let mut state = Vec::new();
+        let snapshot = self.core.crash_snapshot();
+        stream_state(&snapshot, &self.journal, &self.evidence).fill(&mut state, usize::MAX);
+        let lsn = self.storage.checkpoint(&state)?;
+        self.obs.checkpoints.inc();
+        (self.chain.full_bytes, self.chain.delta_bytes) = (state.len(), 0);
+        self.rebase(lsn);
+        // An empty commit finishes the pruning behind it.
+        self.storage.commit(WriteBatch::new())?;
         Ok(lsn)
     }
 }
@@ -772,8 +810,9 @@ impl<S: Storage> ServerApi for DurableServer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scan_checkpoint, CheckpointScan, TailStatus};
+    use crate::codec::DurableState;
     use crate::medium::{Medium, MemMedium};
+    use crate::record::{chunk_view, TAG_CHUNK};
     use crate::response_bytes;
     use crate::storage::{DurableOptions, DurableStorage, MemStorage};
     use tcvs_merkle::u64_key;
@@ -811,7 +850,7 @@ mod tests {
     #[test]
     fn mem_backend_behaves_like_honest_server() {
         let mut durable = DurableServer::open(
-            MemStorage::new(),
+            MemStorage::default(),
             config(),
             DurabilityOptions::default(),
             StorageObs::disabled(),
@@ -975,7 +1014,7 @@ mod tests {
         mem.crash();
         let s = durable(&mem, 5);
         let report = s.last_recovery();
-        // Deltas ride ahead of ops 10, 15 and 20; ops 20..23 follow the
+        // Deltas ride with ops 10, 15 and 20; ops 20..23 follow the
         // newest.
         assert!(report.deltas > 0, "{report:?}");
         assert_eq!(report.records_replayed, 3, "{report:?}");
@@ -1066,8 +1105,8 @@ mod tests {
         assert!(untracked(&s));
     }
 
-    /// The segment holding the newest delta, and the delta frame's byte
-    /// offset and length in it.
+    /// The segment holding the newest delta, and the byte offset and
+    /// length of the commit frame that holds it.
     fn newest_delta(mem: &MemMedium) -> Result<(String, usize, usize), StorageError> {
         let mut found = None;
         for name in mem.list()? {
@@ -1075,15 +1114,18 @@ mod tests {
                 continue;
             };
             let scan = crate::log::scan(&mem.read(&name)?.unwrap_or_default(), first);
-            let mut offset = 0;
-            for (lsn, tag, body) in &scan.records {
-                let len = crate::log::frame_len(body.len()) as usize;
-                if *tag == crate::record::TAG_DELTA
-                    && found.as_ref().is_none_or(|f: &(u64, _, _, _)| f.0 < *lsn)
+            for (k, (offset, commit)) in scan.commits.iter().enumerate() {
+                let end = scan.commits.get(k + 1).map_or(scan.valid_len, |c| c.0);
+                let offset = *offset;
+                for (lsn, ..) in scan.records[commit.clone()]
+                    .iter()
+                    .filter(|r| r.1 == TAG_DELTA)
                 {
-                    found = Some((*lsn, name.clone(), offset, len));
+                    if found.as_ref().is_none_or(|f: &(u64, _, _, _)| f.0 < *lsn) {
+                        let len = (end - offset) as usize;
+                        found = Some((*lsn, name.clone(), offset as usize, len));
+                    }
                 }
-                offset += len;
             }
         }
         let (_, name, offset, len) = found.ok_or_else(|| StorageError::io("no delta logged"))?;
@@ -1110,7 +1152,7 @@ mod tests {
         }
         s.checkpoint_now()?;
         drop(s);
-        // Deltas ahead of ops 22 and 27.
+        // Deltas with ops 22 and 27.
         let mut s = durable(&mem, 5);
         for i in 17..28 {
             acked.push(response_bytes(&s.handle_op_seq(
@@ -1121,8 +1163,9 @@ mod tests {
             )));
         }
         drop(s);
-        // Op 27 is unacknowledged after all: the power failed while its
-        // delta's commit was landing, half of the frame on disk.
+        // Op 27 is unacknowledged after all: the power failed while the
+        // commit it shares with its delta was landing, half of the frame
+        // on disk.
         let (name, offset, len) = newest_delta(&mem)?;
         let buf = mem.read(&name)?.unwrap_or_default();
         let mut raw = mem.clone();
@@ -1131,7 +1174,7 @@ mod tests {
         let s = durable(&mem, 5);
         let report = s.last_recovery();
         assert!(report.torn_tail.is_some(), "{report:?}");
-        assert_eq!(report.deltas, 1, "the delta ahead of op 22: {report:?}");
+        assert_eq!(report.deltas, 1, "the delta with op 22: {report:?}");
         assert_eq!(report.records_replayed, 5, "ops 22..27: {report:?}");
         let mut oracle = tcvs_core::HonestServer::new(&config());
         for i in 0..27 {
@@ -1181,7 +1224,7 @@ mod tests {
         Ok(())
     }
 
-    /// 20 KiB puts over 17 keys: a checkpoint of them spans several slices.
+    /// 20 KiB puts over 17 keys: a checkpoint of them spans many pieces.
     fn big_puts(s: &mut DurableServer<DurableStorage<MemMedium>>, ops: std::ops::Range<u64>) {
         for i in ops {
             let put = Op::Put(u64_key(i % 17), vec![i as u8; 20 << 10]);
@@ -1189,79 +1232,129 @@ mod tests {
         }
     }
 
-    fn ckpt_file(mem: &MemMedium, lsn: u64) -> Option<Vec<u8>> {
-        mem.read(&crate::log::checkpoint_name(lsn)).unwrap()
+    /// Every checkpoint piece in the log, in LSN order: its LSN, its
+    /// stream, index and count, and its bytes.
+    fn pieces(mem: &MemMedium) -> Vec<(u64, crate::record::ChunkHead, Vec<u8>)> {
+        let mut out = Vec::new();
+        for name in mem.list().unwrap() {
+            let Some(first) = crate::log::parse_segment_name(&name) else {
+                continue;
+            };
+            let buf = mem.read(&name).unwrap().unwrap_or_default();
+            for (lsn, tag, body) in crate::log::scan(&buf, first).records {
+                if let (TAG_CHUNK, Ok((head, data))) = (tag, chunk_view(&buf[body])) {
+                    out.push((lsn, head, data.to_vec()));
+                }
+            }
+        }
+        out.sort_by_key(|p| p.0);
+        out
     }
 
+    /// A full checkpoint streams out a piece per commit, beside each op,
+    /// completes within `checkpoint_every` commits, and its pieces
+    /// concatenate to the state's encoding at its start, byte for byte.
     #[test]
-    fn empty_commit_finishes_a_stream_byte_identical_to_one_frame() {
+    fn a_streamed_checkpoint_is_byte_identical_to_the_state_encoding() {
         let mem = MemMedium::new();
         let mut s = durable(&mem, 17);
-        big_puts(&mut s, 0..17); // the 17th op starts a checkpoint at lsn 17
-        assert_eq!(ckpt_file(&mem, 17), None, "starting one writes nothing");
-        big_puts(&mut s, 17..19); // two commits carry two slices
-        let partial = ckpt_file(&mem, 17).unwrap();
-        assert_eq!(scan_checkpoint(&partial), CheckpointScan::Interrupted);
-        s.storage.commit(WriteBatch::new()).unwrap();
-        let file = ckpt_file(&mem, 17).unwrap();
-        let mut payload = 17u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(&s.ckpt_buf);
-        assert_eq!(
-            file,
-            crate::log::frame(&payload),
-            "one `log::frame`, byte for byte"
-        );
-        assert_eq!(partial, file[..2 * crate::log::MIN_SLICE], "two slices");
-        assert!(
-            file.len() > 4 * crate::log::MIN_SLICE,
-            "at least five slices"
-        );
+        big_puts(&mut s, 0..17); // the 17th op starts a stream at lsn 17
+        assert_eq!(s.stream.as_ref().map(|st| st.lsn), Some(17));
+        let mut want = Vec::new();
+        let state = DurableState {
+            snapshot: s.core.crash_snapshot(),
+            journal: s.journal.clone(),
+            evidence: s.evidence.clone(),
+        };
+        state.encode_into(&mut want);
+        assert!(pieces(&mem).is_empty(), "starting one writes nothing");
+        big_puts(&mut s, 17..34);
+        assert!(s.stream.is_none(), "complete within 17 commits");
+        let got = pieces(&mem);
+        let count = got.len() as u32;
+        assert!((3..=17).contains(&count), "{count} pieces");
+        for (i, (lsn, head, _)) in got.iter().enumerate() {
+            assert_eq!(*head, (17, i as u32, count));
+            assert_eq!(
+                *lsn,
+                18 + 2 * i as u64,
+                "one piece per commit, after its op"
+            );
+        }
+        let data: Vec<u8> = got.into_iter().flat_map(|p| p.2).collect();
+        assert_eq!(data, want);
     }
 
     #[test]
     fn a_checkpoint_requested_mid_stream_completes_the_first() {
         let mem = MemMedium::new();
-        let mut s = durable(&mem, 0);
-        big_puts(&mut s, 0..17);
-        let first = s.start_checkpoint().unwrap();
-        big_puts(&mut s, 17..18); // one slice out
-        let partial = ckpt_file(&mem, first).unwrap();
-        assert_eq!(scan_checkpoint(&partial), CheckpointScan::Interrupted);
-        let second = s.start_checkpoint().unwrap();
-        assert!(matches!(
-            scan_checkpoint(&ckpt_file(&mem, first).unwrap()),
-            CheckpointScan::Valid(lsn, _) if lsn == first
-        ));
-        assert_eq!(ckpt_file(&mem, second), None, "the second has only started");
+        let mut s = durable(&mem, 17);
+        big_puts(&mut s, 0..16);
+        let first = s.start_stream();
+        big_puts(&mut s, 16..17); // one piece out
+        let count = s.stream.as_ref().map_or(0, |st| st.count);
+        assert!(count > 2, "{count} pieces");
+        let second = s.checkpoint_now().unwrap();
+        let got = pieces(&mem);
+        let of = |stream| -> Vec<u32> {
+            let mine = got.iter().filter(|p| p.1 .0 == stream);
+            mine.map(|p| p.1 .1).collect()
+        };
+        assert_eq!(
+            of(first),
+            (0..count).collect::<Vec<_>>(),
+            "the first completed"
+        );
+        assert_eq!(of(second), vec![0], "the second in one piece");
+        s.crash_restart();
+        assert_eq!(s.last_recovery().stream, Some((1, 1)));
+        assert_eq!(s.last_recovery().records_replayed, 0);
+    }
+
+    /// A full checkpoint that falls due while another streams waits: the
+    /// stream in flight goes on to complete.
+    #[test]
+    fn a_full_checkpoint_never_starts_while_one_streams() {
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, 5);
+        big_puts(&mut s, 0..4);
+        let first = s.start_stream();
+        // The deltas outweigh it: a full checkpoint is due at the countdown.
+        s.chain.delta_bytes = s.chain.full_bytes;
+        big_puts(&mut s, 4..5); // the countdown runs out mid-stream
+        assert_eq!(
+            s.stream.as_ref().map(|st| (st.lsn, st.index)),
+            Some((first, 1))
+        );
+        while s.stream.is_some() {
+            big_puts(&mut s, 5..6);
+        }
+        let got = pieces(&mem);
+        assert!(got.iter().all(|p| p.1 .0 == first), "one stream only");
     }
 
     #[test]
     fn crash_restart_mid_stream_recovers_from_the_previous_checkpoint() {
         let mem = MemMedium::new();
-        let mut s = durable(&mem, 0);
-        big_puts(&mut s, 0..17);
+        let mut s = durable(&mem, 17);
+        big_puts(&mut s, 0..16);
         let previous = s.checkpoint_now().unwrap();
-        big_puts(&mut s, 17..20);
-        let streaming = s.start_checkpoint().unwrap();
-        big_puts(&mut s, 20..22); // two slices of it out
-        assert!(ckpt_file(&mem, streaming).is_some());
+        big_puts(&mut s, 16..19);
+        s.start_stream();
+        big_puts(&mut s, 19..21); // two pieces of it out
+        let count = s.stream.as_ref().map_or(0, |st| st.count);
         let root = s.core().root_digest();
         s.crash_restart();
         let report = s.last_recovery();
-        assert_eq!(report.interrupted_checkpoints, 1, "{report:?}");
+        assert_eq!(report.stream, Some((2, count)), "{report:?}");
+        assert!(count > 2);
         assert_eq!(report.corrupt_checkpoints, 0);
         assert_eq!(
-            report.records_replayed,
-            22 - previous,
-            "replayed from lsn {previous}"
-        );
-        assert_eq!(
-            ckpt_file(&mem, streaming),
-            None,
-            "the partial file is removed"
+            report.records_replayed, 5,
+            "ops 16..21, replayed from lsn {previous}"
         );
         assert_eq!(s.core().root_digest(), root);
-        assert_eq!(s.core().ctr(), 22);
+        assert_eq!(s.core().ctr(), 21);
     }
 
     #[test]
@@ -1320,17 +1413,24 @@ mod tests {
         assert_eq!(s2.core().ctr(), 3, "exactly the prefix before the flip");
     }
 
-    /// A medium the first frame format wrote — each frame checked by the
-    /// first 8 bytes of `sha256(payload)`, no format marker — is refused
-    /// with a typed error before recovery reads, repairs or salvages any of
-    /// it, with or without `salvage_corruption`. An empty medium still
-    /// opens fresh.
+    /// A medium an earlier format wrote is refused with a typed error
+    /// before recovery reads, repairs or salvages any of it, with or
+    /// without `salvage_corruption`: the first format (each record its own
+    /// frame, checked by the first 8 bytes of `sha256(payload)`, no marker)
+    /// and the one before commit frames (each record its own CRC-32C frame,
+    /// full checkpoints in `ckpt-` files, a `format-crc32c` marker). An
+    /// empty medium still opens fresh.
     #[test]
     fn a_medium_in_the_old_frame_format_is_refused_untouched() -> Result<(), StorageError> {
         use crate::log;
-        fn old_frame(payload: &[u8]) -> Vec<u8> {
+        type Framing = fn(&[u8]) -> Vec<u8>;
+        fn sha_frame(payload: &[u8]) -> Vec<u8> {
             let check = &tcvs_crypto::sha256(payload).0[..8];
             [&(payload.len() as u32).to_le_bytes()[..], payload, check].concat()
+        }
+        fn crc_frame(payload: &[u8]) -> Vec<u8> {
+            let check = tcvs_crypto::crc32c(payload).to_le_bytes();
+            [&(payload.len() as u32).to_le_bytes()[..], payload, &check].concat()
         }
         fn files(mem: &MemMedium) -> Result<Vec<(String, Vec<u8>)>, StorageError> {
             let names = mem.list()?;
@@ -1339,72 +1439,79 @@ mod tests {
                 .map(|n| Ok((n.clone(), mem.read(&n)?.unwrap_or_default())))
                 .collect()
         }
-        // Write a log and checkpoints with this build, then re-frame every
-        // file the way the old framing wrote the same records and states.
+        // Write a log with this build, then write its records and states
+        // again the way each earlier format framed and filed them.
         let mem = MemMedium::new();
         {
             let mut s = durable(&mem, 4);
             for i in 0..10 {
                 s.handle_op_seq(0, i, &op(i), i);
             }
+            s.checkpoint_now()?;
         }
-        let mut raw = mem.clone();
-        raw.remove(log::FORMAT_MARKER)?;
-        for (name, buf) in files(&mem)? {
-            let old: Vec<u8> = match log::parse_segment_name(&name) {
-                Some(first) => log::scan(&buf, first)
-                    .records
-                    .iter()
-                    .flat_map(|(lsn, tag, body)| old_frame(&log::payload(*lsn, *tag, body)))
-                    .collect(),
-                None => {
-                    let CheckpointScan::Valid(lsn, state) = scan_checkpoint(&buf) else {
-                        return Err(StorageError::io(format!("{name} is no whole checkpoint")));
-                    };
-                    old_frame(&[&lsn.to_le_bytes()[..], &state].concat())
+        let earlier = |frame: Framing, marker: Option<&str>| -> Result<_, StorageError> {
+            let old = MemMedium::new();
+            let mut raw = old.clone();
+            for (name, buf) in files(&mem)? {
+                let Some(first) = log::parse_segment_name(&name) else {
+                    continue;
+                };
+                let mut segment = Vec::new();
+                for (lsn, tag, body) in log::scan(&buf, first).records {
+                    let body = &buf[body];
+                    if let (TAG_CHUNK, Ok(((at, ..), state))) = (tag, chunk_view(body)) {
+                        let payload = [&at.to_le_bytes()[..], state].concat();
+                        raw.write_atomic(&format!("ckpt-{at:016x}.ckp"), &frame(&payload))?;
+                    } else {
+                        let payload = [&lsn.to_le_bytes()[..], &[tag], body].concat();
+                        segment.extend(frame(&payload));
+                    }
                 }
-            };
-            raw.write_atomic(&name, &old)?;
-        }
-        let before = files(&mem)?;
-        assert!(before
-            .iter()
-            .any(|(n, _)| log::parse_checkpoint_name(n).is_some()));
-        // Read with this build's check, an old segment looks torn: without
-        // the marker, recovery would drop its records as a crash's debris.
-        let segments: Vec<_> = before
-            .iter()
-            .filter_map(|(n, buf)| Some((log::parse_segment_name(n)?, buf)))
-            .collect();
-        assert!(!segments.is_empty());
-        for (first, buf) in segments {
-            assert!(matches!(
-                log::scan(buf, first).tail,
-                TailStatus::Torn { offset: 0, .. }
-            ));
-        }
-
-        for salvage_corruption in [false, true] {
-            let store = DurableStorage::open(mem.clone(), DurableOptions::default());
-            let opened = DurableServer::open(
-                store,
-                config(),
-                DurabilityOptions {
-                    checkpoint_every: 4,
-                    salvage_corruption,
-                },
-                StorageObs::disabled(),
-            );
-            let err = opened.err();
-            assert!(
-                matches!(&err, Some(StorageError::UnknownFormat { file }) if log::is_framed(file)),
-                "salvage_corruption={salvage_corruption}: {err:?}"
-            );
-            assert_eq!(
-                files(&mem)?,
-                before,
-                "salvage_corruption={salvage_corruption}"
-            );
+                raw.write_atomic(&name, &segment)?;
+            }
+            if let Some(marker) = marker {
+                raw.write_atomic(marker, b"an earlier format\n")?;
+            }
+            Ok(old)
+        };
+        let sha = earlier(sha_frame, None)?;
+        let crc = earlier(crc_frame, Some("format-crc32c"))?;
+        for (what, old) in [("sha-256/8", sha), ("crc-32c per record", crc)] {
+            let before = files(&old)?;
+            let ckpts = before
+                .iter()
+                .filter(|(n, _)| n.starts_with("ckpt-"))
+                .count();
+            assert!(ckpts > 0, "{what}: {before:?}");
+            // Read with this build's framing, an old segment reads as
+            // damaged: without the marker, recovery would drop its records
+            // as a crash's debris or halt on them.
+            let segments: Vec<_> = before
+                .iter()
+                .filter_map(|(n, buf)| Some((log::parse_segment_name(n)?, buf)))
+                .collect();
+            assert!(!segments.is_empty());
+            for (first, buf) in segments {
+                assert!(!log::scan(buf, first).tail.is_clean(), "{what}");
+            }
+            for salvage_corruption in [false, true] {
+                let store = DurableStorage::open(old.clone(), DurableOptions::default());
+                let opened = DurableServer::open(
+                    store,
+                    config(),
+                    DurabilityOptions {
+                        checkpoint_every: 4,
+                        salvage_corruption,
+                    },
+                    StorageObs::disabled(),
+                );
+                let err = opened.err();
+                assert!(
+                    matches!(&err, Some(StorageError::UnknownFormat { file }) if log::is_framed(file)),
+                    "{what}, salvage_corruption={salvage_corruption}: {err:?}"
+                );
+                assert_eq!(files(&old)?, before, "{what}, {salvage_corruption}");
+            }
         }
 
         // An empty medium opens fresh, marked as this format.
@@ -1446,7 +1553,7 @@ mod tests {
     /// A populated source server, plus the chunk stream a peer would serve.
     fn chunk_stream(n_ops: u64) -> (DurableServer<MemStorage>, tcvs_merkle::ChunkSource, Ctr) {
         let mut src = DurableServer::open(
-            MemStorage::new(),
+            MemStorage::default(),
             config(),
             DurabilityOptions::default(),
             StorageObs::disabled(),
@@ -1520,7 +1627,7 @@ mod tests {
         // content-neutral codec slack; the assembler decides — here we only
         // require that a *detected* forgery surfaces as Bootstrap).
         let forged = DurableServer::open_from_chunks(
-            MemStorage::new(),
+            MemStorage::default(),
             config(),
             DurabilityOptions::default(),
             StorageObs::disabled(),
@@ -1543,7 +1650,7 @@ mod tests {
 
         // A peer that stops serving mid-stream fails cleanly.
         let cut = DurableServer::open_from_chunks(
-            MemStorage::new(),
+            MemStorage::default(),
             config(),
             DurabilityOptions::default(),
             StorageObs::disabled(),
@@ -1566,7 +1673,7 @@ mod tests {
 
         // An anchor mismatch is refused before any chunk is fetched.
         let wrong = DurableServer::open_from_chunks(
-            MemStorage::new(),
+            MemStorage::default(),
             config(),
             DurabilityOptions::default(),
             StorageObs::disabled(),
@@ -1589,7 +1696,7 @@ mod tests {
     fn open_from_chunks_refuses_a_tree_of_another_order() {
         let (_src, source, ctr) = chunk_stream(20);
         let refused = DurableServer::open_from_chunks(
-            MemStorage::new(),
+            MemStorage::default(),
             ProtocolConfig {
                 order: 8,
                 ..config()

@@ -9,24 +9,13 @@ use tcvs_store::enc::DecodeError;
 pub enum StorageError {
     /// The medium failed (I/O error, injected torn write, dead medium).
     Io(String),
-    /// A persisted structure failed its integrity checks. `file` names the
-    /// segment or checkpoint, `offset` the byte the problem was detected
-    /// at, and `reason` what check failed.
-    Corrupt {
-        /// File the corruption was found in.
-        file: String,
-        /// Byte offset of the failed check.
-        offset: u64,
-        /// Which check failed.
-        reason: &'static str,
-    },
     /// A record or checkpoint body failed to decode.
     Decode(DecodeError),
     /// A payload offered for writing exceeds the maximum frame size
     /// ([`crate::log::MAX_PAYLOAD`]); writing it would produce a frame the
     /// next recovery classifies as corruption, so it is rejected up front.
     TooLarge {
-        /// What was being written ("record" or "checkpoint").
+        /// What was being written ("commit" or "checkpoint").
         what: &'static str,
         /// Payload size in bytes.
         bytes: usize,
@@ -35,8 +24,8 @@ pub enum StorageError {
     /// opt into salvaging the surviving prefix: acknowledged operations may
     /// be lost, so serving must not resume without an operator decision.
     Unrecoverable(String),
-    /// The medium holds segments or checkpoints but no
-    /// [`crate::log::FORMAT_MARKER`]: they were written under another frame
+    /// The medium holds segments or checkpoint files but no
+    /// [`crate::log::FORMAT_MARKER`]: they were written under another
     /// format, so this build's check would fail every frame and read it as
     /// corruption. Recovery refuses the medium before reading, repairing or
     /// salvaging anything.
@@ -62,13 +51,6 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Io(msg) => write!(f, "storage i/o: {msg}"),
-            StorageError::Corrupt {
-                file,
-                offset,
-                reason,
-            } => {
-                write!(f, "corrupt {file} at byte {offset}: {reason}")
-            }
             StorageError::Decode(e) => write!(f, "storage decode: {e}"),
             StorageError::TooLarge { what, bytes } => {
                 write!(
@@ -79,7 +61,7 @@ impl fmt::Display for StorageError {
             StorageError::Unrecoverable(msg) => write!(f, "unrecoverable: {msg}"),
             StorageError::UnknownFormat { file } => write!(
                 f,
-                "{file} has no {} marker beside it: it was written under another frame \
+                "{file} has no {} marker beside it: it was written under another \
                  format, which this build refuses to read",
                 crate::log::FORMAT_MARKER
             ),

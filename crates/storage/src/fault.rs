@@ -2,21 +2,21 @@
 //!
 //! [`FaultMedium`] sits between the engine and a real medium and applies
 //! [`StorageFault`]s from a [`tcvs_core::FaultPlan`]-style schedule, keyed
-//! by *append index* (the n-th `append` call — one per committed batch plus
-//! one per slice of a streaming checkpoint, which rides in front of a
-//! commit's records; so under a pure op workload without checkpoints,
-//! append index = op index):
+//! by *append index* (the n-th `append` call — one per commit, whose one
+//! frame carries any delta or checkpoint piece riding along; so under a
+//! pure op workload, append index = op index, and a `checkpoint_now`
+//! appends one or two commits of its own):
 //!
-//! * `TornWrite` — only a prefix of the batch or slice reaches the medium,
-//!   then the medium goes dead (the process would have lost power
-//!   mid-write). The engine sees an error; recovery must detect and discard
-//!   the torn tail, or skip the interrupted checkpoint.
+//! * `TornWrite` — only a prefix of the commit reaches the medium, then
+//!   the medium goes dead (the process would have lost power mid-write).
+//!   The engine sees an error; recovery must detect and discard the torn
+//!   tail, and fall back to the previous checkpoint if it held a piece.
 //! * `FsyncLost` — the sync after the faulted append silently succeeds
 //!   without making anything durable: the classic lying-fsync. Harmless
 //!   unless a crash follows before the next real sync.
-//! * `BitFlip` — one bit of the appended batch or slice flips on the way
-//!   down (latent sector corruption). The record or checkpoint checksum must
-//!   catch it at recovery; until then reads return the corrupted bytes.
+//! * `BitFlip` — one bit of the appended commit flips on the way down
+//!   (latent sector corruption). The commit's checksum must catch it at
+//!   recovery; until then reads return the corrupted bytes.
 //! * `ShortRead` — the next `read` of each file returns a prefix; a retry
 //!   sees the full contents. Recovery must re-read rather than mistake the
 //!   transient truncation for a torn tail.
@@ -80,11 +80,6 @@ impl<M: Medium> FaultMedium<M> {
     /// Faults applied so far.
     pub fn applied(&self) -> u64 {
         self.applied
-    }
-
-    /// The wrapped medium.
-    pub fn inner(&self) -> &M {
-        &self.inner
     }
 
     fn check_dead(&self) -> Result<(), StorageError> {

@@ -1,7 +1,7 @@
 //! # tcvs-storage
 //!
 //! The durable storage engine beneath the trusted-CVS server: a
-//! checksummed append-only op log, periodic checkpoint snapshots, and
+//! checksummed append-only op log that carries the checkpoints too, and
 //! kill-anywhere crash recovery.
 //!
 //! The layering, bottom up:
@@ -13,12 +13,12 @@
 //! * [`fault`] — [`FaultMedium`], a shim that injects
 //!   [`tcvs_core::StorageFault`]s (torn writes, lost fsyncs, bit flips,
 //!   short reads) between the engine and any medium.
-//! * [`log`] — record framing (`[len][payload][checksum]`, payload
-//!   `[lsn][tag][body]`) and the segment scanner that classifies damage:
-//!   torn tail vs. corruption vs. splice.
+//! * [`log`] — commit framing (`[len][payload][checksum]`, one frame per
+//!   commit, payload `[lsn]([tag][len][body])+`) and the segment scanner
+//!   that classifies damage: torn tail vs. corruption vs. splice.
 //! * [`storage`] — the [`Storage`] trait (batch → atomic commit →
 //!   recover) with the [`MemStorage`] and [`DurableStorage`] backends:
-//!   segment rotation, checkpoint retention, log truncation.
+//!   segment rotation, checkpoints streamed through the log, pruning.
 //! * [`engine`] — [`DurableServer`], the [`tcvs_core::ServerApi`]
 //!   implementation with write-ahead discipline: log → fsync → apply →
 //!   reply, and real recovery on [`tcvs_core::ServerApi::crash_restart`].

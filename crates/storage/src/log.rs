@@ -1,18 +1,22 @@
-//! Record framing and segment scanning for the append-only op log.
+//! Commit framing and segment scanning for the append-only log.
 //!
-//! Wire format of one framed record:
+//! Every commit is one frame:
 //!
 //! ```text
 //! [len: u32 LE] [payload: len bytes] [check: u32 LE]
 //! ```
 //!
-//! where `check` is `crc32c(payload)` and the payload itself begins
-//! `[lsn: u64 LE] [tag: u8] [body…]`. The check only has to tell an intact
-//! frame from a torn or rotted one: a CRC-32C catches every burst of up to
-//! 32 bits and misses random damage with probability 2⁻³². What the state
-//! means is authenticated elsewhere: a checkpoint's decode recomputes every
-//! Merkle digest against the recorded root, and the clients check every
-//! reply the recovered server gives (DESIGN.md, "Record framing").
+//! where `check` is `crc32c(payload)` and the payload is `[lsn: u64 LE]`
+//! followed by the commit's records, each `[tag: u8] [body_len: u32 LE]
+//! [body…]`; they carry LSNs `lsn`, `lsn + 1`, …. One check covers the
+//! whole commit, so whichever of its sectors a power loss lets reach the
+//! disk, the commit reads back whole or not at all. The check only has to
+//! tell an intact frame from a torn or rotted one: a CRC-32C catches every
+//! burst of up to 32 bits and misses random damage with probability 2⁻³².
+//! What the state means is authenticated elsewhere: a checkpoint's decode
+//! recomputes every Merkle digest against the recorded root, and the
+//! clients check every reply the recovered server gives (DESIGN.md,
+//! "Record framing").
 //!
 //! A segment file on a real disk runs on past its last frame in zeros:
 //! [`crate::FileMedium`] writes each commit into a zero-filled extent.
@@ -30,38 +34,34 @@
 //!    happens only after fsync. Bit rot in only the last acknowledged
 //!    frame reads the same way, and so does a flipped length header there.
 //! 3. **Corruption** — anything else: a damaged frame below a frame that
-//!    verifies (bit rot, a misdirected write), a verified frame too short
-//!    for its LSN and tag, or an **LSN discontinuity** (a *splice*: a
-//!    duplicated or dropped record). Recovery stops at it and reports it;
+//!    verifies (bit rot, a misdirected write), a verified frame whose
+//!    records do not parse, or an **LSN discontinuity** (a *splice*: a
+//!    duplicated or dropped commit). Recovery stops at it and reports it;
 //!    replaying past a lie would launder it into state.
 //!
 //! A torn tail is benign only in the final segment; recovery treats one
 //! under a later segment as corruption.
 //!
-//! A checkpoint file is one frame whose payload is `[lsn: u64 LE]
-//! [state…]`, appended in slices across several commits
-//! (`SlicedFrame`). A file shorter than its length header announces is an
-//! *interrupted* checkpoint, not a corrupt one ([`scan_checkpoint`]).
-//!
-//! A medium holding this format carries a [`FORMAT_MARKER`] file, written
-//! when the engine first recovers on an empty medium. Files the engine
-//! writes without the marker beside them come from another frame format
-//! (the first one checked frames with a truncated SHA-256), and recovery
-//! refuses them before reading any.
+//! A medium in this format holds a [`FORMAT_MARKER`] file, written when the
+//! engine first recovers on an empty medium; framed files without it come
+//! from another format (earlier ones framed each record on its own and kept
+//! checkpoints in files of their own), and recovery refuses them unread.
 
-use tcvs_crypto::{crc32c, crc32c_append};
+use std::ops::Range;
+
+use tcvs_crypto::crc32c;
 use tcvs_store::enc::{Reader, Sink, Writer};
 
-/// Bytes of `crc32c(payload)` stored per record.
+/// Bytes of `crc32c(payload)` stored per commit.
 pub const CHECK_LEN: usize = 4;
 
-/// Name of the file that marks a medium as holding this frame format.
-pub const FORMAT_MARKER: &str = "format-crc32c";
+/// Name of the file that marks a medium as holding this format.
+pub const FORMAT_MARKER: &str = "format-commit-frames";
 
 /// What the marker file holds, for a reader of the directory; recovery
 /// checks only that the file exists.
-pub(crate) const FORMAT_NOTE: &[u8] =
-    b"tcvs-storage frames: [len u32 LE][payload][crc32c(payload) u32 LE]\n";
+pub(crate) const FORMAT_NOTE: &[u8] = b"tcvs-storage commits: [len u32 LE][lsn u64 LE \
+    ([tag u8][len u32 LE][body])+][crc32c(payload) u32 LE]\n";
 
 /// Prefix of a quarantined file's name.
 const QUARANTINE_PREFIX: &str = "quarantine-";
@@ -69,120 +69,81 @@ const QUARANTINE_PREFIX: &str = "quarantine-";
 /// Frame header size (the length prefix).
 pub const HEADER_LEN: usize = 4;
 
+/// Bytes ahead of a record's body in a commit: its tag and body length.
+const RECORD_HEAD: usize = 1 + 4;
+
+/// Bytes of a commit frame ahead of its first record: header and LSN.
+const OPEN_HEAD: usize = HEADER_LEN + 8;
+
 /// Largest payload a frame may carry (1 GiB): anything bigger in a length
 /// header is treated as corruption, not an allocation request.
 pub const MAX_PAYLOAD: usize = 1 << 30;
 
-/// Smallest slice a checkpoint frame is written in: each slice costs its
-/// commit one more append and fsync, not worth paying for fewer bytes.
-pub(crate) const MIN_SLICE: usize = 64 << 10;
-
-/// Most slices a checkpoint frame is written in.
-pub(crate) const MAX_SLICES: usize = 16;
+/// Largest record *body* that still frames within [`MAX_PAYLOAD`] (the
+/// payload wraps the body in an LSN and a record head).
+pub const MAX_BODY: usize = MAX_PAYLOAD - 8 - RECORD_HEAD;
 
 /// The frame check of `payload`.
 fn check(payload: &[u8]) -> [u8; CHECK_LEN] {
     crc32c(payload).to_le_bytes()
 }
 
-/// Frames a record payload: length prefix + payload + checksum.
-///
-/// # Panics
-///
-/// Panics when `payload` exceeds [`MAX_PAYLOAD`]: such a frame would be
-/// classified as corruption on every subsequent scan (and past `u32::MAX`
-/// the length prefix would silently wrap), so it must never reach disk.
-/// [`crate::DurableStorage`] rejects oversized payloads with a typed
-/// [`crate::StorageError::TooLarge`] before calling this.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "payload of {} bytes exceeds the maximum frame size",
-        payload.len()
-    );
-    let mut w = Writer::new();
-    w.u32(payload.len() as u32);
-    w.raw(payload);
-    w.raw(&check(payload));
-    w.into_bytes()
-}
-
-/// Builds a record payload: `[lsn][tag][body]`.
-pub fn payload(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(lsn);
-    w.u8(tag);
-    w.raw(body);
-    w.into_bytes()
-}
-
-/// Bytes of an unsealed frame before its body: length header, LSN, tag.
-const OPEN_HEAD: usize = HEADER_LEN + 8 + 1;
-
-/// Appends to `buf` the frame of a record whose LSN is not known yet: the
-/// length header, a zero LSN, `tag`, the body `put` writes, a zero check.
-/// Returns the body's length. [`seal`] fills in LSNs and checks once the
-/// first LSN is known; the frame then equals
-/// `frame(&payload(lsn, tag, body))`. A body over [`MAX_BODY`] leaves a
-/// frame that must never be sealed.
-pub(crate) fn open_frame(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writer)) -> usize {
-    let start = buf.len();
+/// Appends to the unsealed commit frame in `buf` (started if `buf` is
+/// empty) a record with tag `tag` and the body `put` writes. [`seal`]
+/// fills in the header, LSN and check.
+pub(crate) fn push_record(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writer)) {
+    if buf.is_empty() {
+        buf.resize(OPEN_HEAD, 0);
+    }
+    let start = buf.len() + RECORD_HEAD;
     let mut w = Writer::from(std::mem::take(buf));
-    w.raw(&[0; OPEN_HEAD - 1]);
     w.u8(tag);
+    w.u32(0);
     put(&mut w);
     *buf = w.into_bytes();
-    let body = buf.len() - start - OPEN_HEAD;
-    let len = (OPEN_HEAD - HEADER_LEN + body) as u32;
-    buf[start..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&[0; CHECK_LEN]);
-    body
+    let body = (buf.len() - start) as u32;
+    buf[start - 4..start].copy_from_slice(&body.to_le_bytes());
 }
 
-/// The `(tag, body)` of each frame [`open_frame`] appended to `buf`.
-pub(crate) fn open_frames(buf: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        let head = buf.get(at..at + HEADER_LEN)?;
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let payload = buf.get(at + HEADER_LEN..at + HEADER_LEN + len)?;
-        at += HEADER_LEN + len + CHECK_LEN;
-        Some((payload[8], &payload[9..]))
-    })
-}
-
-/// Gives the frames [`open_frame`] appended to `buf` their LSNs, from
-/// `first` on, and their checks. Returns the LSN after the last.
-pub(crate) fn seal(buf: &mut [u8], first: u64) -> u64 {
-    let (mut at, mut lsn) = (0, first);
-    while let Some(head) = buf.get(at..at + HEADER_LEN) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let payload = at + HEADER_LEN..at + HEADER_LEN + len;
-        buf[payload.start..payload.start + 8].copy_from_slice(&lsn.to_le_bytes());
-        let crc = check(&buf[payload.clone()]);
-        buf[payload.end..payload.end + CHECK_LEN].copy_from_slice(&crc);
-        at = payload.end + CHECK_LEN;
-        lsn += 1;
+/// The tag and body range of each record of the commit payload `payload`,
+/// or `None` when its records do not parse: one runs past the end, or
+/// there are none.
+fn records(payload: &[u8]) -> Option<Vec<(u8, Range<usize>)>> {
+    let (mut out, mut at) = (Vec::new(), 8);
+    while at < payload.len() {
+        let mut r = Reader::new(&payload[at..]);
+        let (Ok(tag), Ok(len)) = (r.u8(), r.u32()) else {
+            return None;
+        };
+        let body = at + RECORD_HEAD..at + RECORD_HEAD + len as usize;
+        at = body.end;
+        out.push((tag, body));
     }
-    lsn
+    (at == payload.len() && !out.is_empty()).then_some(out)
 }
 
-/// On-disk bytes of one framed record whose body is `body_len` bytes:
-/// header + (lsn + tag + body) + checksum.
+/// Seals the commit frame [`push_record`] built in `buf`, its first record
+/// at `lsn`: writes its header and LSN and appends its check.
+pub(crate) fn seal(buf: &mut Vec<u8>, lsn: u64) {
+    let len = (buf.len() - HEADER_LEN) as u32;
+    buf[..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    buf[HEADER_LEN..OPEN_HEAD].copy_from_slice(&lsn.to_le_bytes());
+    let crc = check(&buf[HEADER_LEN..]);
+    buf.extend_from_slice(&crc);
+}
+
+/// On-disk bytes of a commit of one record whose body is `body_len` bytes:
+/// header + (lsn + record head + body) + checksum.
 pub fn frame_len(body_len: usize) -> u64 {
-    (HEADER_LEN + 8 + 1 + body_len + CHECK_LEN) as u64
+    (OPEN_HEAD + RECORD_HEAD + body_len + CHECK_LEN) as u64
 }
-
-/// Largest record *body* that still frames within [`MAX_PAYLOAD`] (the
-/// payload wraps the body in an lsn and a tag byte).
-pub const MAX_BODY: usize = MAX_PAYLOAD - 9;
 
 /// Why a segment scan stopped before the end of the buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TailStatus {
-    /// Every byte belonged to a complete, valid record.
+    /// Every byte belonged to a complete, valid commit.
     Clean,
-    /// The records end at `offset` and every byte after it is zero: the
+    /// The commits end at `offset` and every byte after it is zero: the
     /// unused rest of a zero-filled extent, the clean end of the log.
     Zeros {
         /// Byte offset where the zeros start.
@@ -191,17 +152,17 @@ pub enum TailStatus {
         len: u64,
     },
     /// A damaged frame with no verifying frame after it — a crash cut the
-    /// commit short. `offset` is where the torn record starts; `dropped`
+    /// commit short. `offset` is where the torn frame starts; `dropped`
     /// how many bytes after it are discarded.
     Torn {
-        /// Byte offset of the torn record's frame.
+        /// Byte offset of the torn frame.
         offset: u64,
         /// Bytes discarded (from `offset` to the end of the buffer).
         dropped: u64,
     },
-    /// A damaged frame below a verifying one, or a verified record that
-    /// fails its LSN continuity check. `offset` is where the bad frame
-    /// starts.
+    /// A damaged frame below a verifying one, or a verified commit that
+    /// fails its LSN continuity check or does not parse. `offset` is where
+    /// the bad frame starts.
     Corrupt {
         /// Byte offset of the corrupt frame.
         offset: u64,
@@ -221,8 +182,12 @@ impl TailStatus {
 /// Result of scanning one segment buffer.
 #[derive(Clone, Debug)]
 pub struct SegmentScan {
-    /// Valid records, in order: `(lsn, tag, body)`.
-    pub records: Vec<(u64, u8, Vec<u8>)>,
+    /// Valid records, in order: `(lsn, tag, body)`, the body a range of
+    /// the scanned buffer.
+    pub records: Vec<(u64, u8, Range<usize>)>,
+    /// Each valid commit: its frame's byte offset and the indices of its
+    /// records in `records`.
+    pub commits: Vec<(u64, Range<usize>)>,
     /// How the scan ended.
     pub tail: TailStatus,
     /// Bytes of valid prefix (frame-aligned); the segment can be truncated
@@ -261,32 +226,31 @@ fn boundary(rest: &[u8]) -> Boundary<'_> {
     Boundary::Frame(payload, HEADER_LEN + len + CHECK_LEN)
 }
 
-/// True when a frame that could carry a later record of this log — one
-/// past `expected_lsn`, at most as many past it as frames fit — verifies
-/// at some byte offset after `from`. The header and LSN are tested before
-/// the checksum, so only a plausible frame is checked, and a candidate cut
-/// from damaged bytes passes its check with probability 2⁻³²: a torn tail
-/// reads as corruption (which halts, never replays) at most that often
-/// per plausible offset.
-fn verifies_after(buf: &[u8], from: usize, expected_lsn: u64) -> bool {
-    let fit = ((buf.len() - from) as u64) / frame_len(0);
-    (from + 1..buf.len()).any(|at| {
+/// The first frame after byte `from` that could carry a later commit of
+/// this log — one past `expected_lsn`, at most as many past it as records
+/// fit — and verifies: its offset and LSN. The header and LSN are tested
+/// before the checksum, so only a plausible frame is checked, and a
+/// candidate cut from damaged bytes passes its check with probability
+/// 2⁻³²: a torn tail reads as corruption (which halts, never replays) at
+/// most that often per plausible offset.
+pub(crate) fn resync(buf: &[u8], from: usize, expected_lsn: u64) -> Option<(usize, u64)> {
+    let fit = ((buf.len() - from) / RECORD_HEAD) as u64;
+    (from + 1..buf.len()).find_map(|at| {
         let mut r = Reader::new(&buf[at..]);
         let (Ok(_), Ok(lsn)) = (r.u32(), r.u64()) else {
-            return false;
+            return None;
         };
-        lsn > expected_lsn
-            && lsn - expected_lsn <= fit
-            && matches!(boundary(&buf[at..]), Boundary::Frame(..))
+        let plausible = lsn > expected_lsn && lsn - expected_lsn <= fit;
+        (plausible && matches!(boundary(&buf[at..]), Boundary::Frame(..))).then_some((at, lsn))
     })
 }
 
-/// Scans a segment buffer, expecting the first record to carry
-/// `expected_lsn` and each subsequent record the next LSN. Stops at a zero
-/// tail or at the first damaged or corrupt frame, classified by the rules
-/// in the module docs; never panics on any input.
+/// Scans a segment buffer, expecting its first commit to start at
+/// `expected_lsn` and each later one where the one before ends. Stops at a
+/// zero tail or at the first damaged or corrupt frame, classified by the
+/// rules in the module docs; never panics on any input.
 pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
-    let mut records = Vec::new();
+    let (mut records, mut commits) = (Vec::new(), Vec::new());
     let mut at = 0usize;
     let tail = loop {
         let rest = &buf[at..];
@@ -302,7 +266,7 @@ pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
                     len: rest.len() as u64,
                 }
             }
-            Boundary::Damaged(reason) if verifies_after(buf, at, expected_lsn) => {
+            Boundary::Damaged(reason) if resync(buf, at, expected_lsn).is_some() => {
                 break TailStatus::Corrupt { offset, reason }
             }
             Boundary::Damaged(_) => {
@@ -312,11 +276,10 @@ pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
                 }
             }
         };
-        let mut pr = Reader::new(payload);
-        let (Ok(lsn), Ok(tag)) = (pr.u64(), pr.u8()) else {
+        let Ok(lsn) = Reader::new(payload).u64() else {
             break TailStatus::Corrupt {
                 offset,
-                reason: "payload too short for lsn+tag",
+                reason: "payload too short for an lsn",
             };
         };
         if lsn != expected_lsn {
@@ -325,124 +288,25 @@ pub fn scan(buf: &[u8], mut expected_lsn: u64) -> SegmentScan {
                 reason: "lsn discontinuity",
             };
         }
-        records.push((lsn, tag, payload[pr.position()..].to_vec()));
-        expected_lsn += 1;
+        let Some(commit) = self::records(payload) else {
+            break TailStatus::Corrupt {
+                offset,
+                reason: "commit records do not parse",
+            };
+        };
+        commits.push((offset, records.len()..records.len() + commit.len()));
+        for (tag, body) in commit {
+            let body = at + HEADER_LEN + body.start..at + HEADER_LEN + body.end;
+            records.push((expected_lsn, tag, body));
+            expected_lsn += 1;
+        }
         at += len;
     };
     SegmentScan {
         records,
+        commits,
         tail,
         valid_len: at as u64,
-    }
-}
-
-/// What a checkpoint file holds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CheckpointScan {
-    /// A verified frame: the checkpoint's LSN and state bytes.
-    Valid(u64, Vec<u8>),
-    /// Fewer bytes than the length header announces: a checkpoint whose
-    /// streaming a crash cut short. Nothing was pruned on its account.
-    Interrupted,
-    /// Any other damage: too long, a failed checksum, a bad payload.
-    Corrupt,
-}
-
-/// Verifies and unpacks a checkpoint file: a single [`frame`] whose payload
-/// is `[lsn: u64 LE][state bytes]`. On anything but [`CheckpointScan::Valid`]
-/// the caller falls back to an older checkpoint.
-pub fn scan_checkpoint(buf: &[u8]) -> CheckpointScan {
-    let mut r = Reader::new(buf);
-    let Ok(len) = r.u32() else {
-        return CheckpointScan::Interrupted;
-    };
-    let len = len as usize;
-    if len > MAX_PAYLOAD || r.remaining() > len + CHECK_LEN {
-        return CheckpointScan::Corrupt;
-    }
-    let (Ok(payload), Ok(stored)) = (r.raw(len), r.raw(CHECK_LEN)) else {
-        return CheckpointScan::Interrupted;
-    };
-    if check(payload) != stored {
-        return CheckpointScan::Corrupt;
-    }
-    let mut pr = Reader::new(payload);
-    match pr.u64() {
-        Ok(lsn) => CheckpointScan::Valid(lsn, payload[pr.position()..].to_vec()),
-        Err(_) => CheckpointScan::Corrupt,
-    }
-}
-
-/// A checkpoint [`frame`] handed out in slices for a streamed write,
-/// checking the payload as the slices go; the last slice carries the
-/// checksum. The slices concatenate to exactly what [`frame`] builds for
-/// `[lsn][state]`. One buffer serves every checkpoint, so each reuses the
-/// pages of the last.
-#[derive(Default)]
-pub(crate) struct SlicedFrame {
-    /// LSN of the checkpoint the frame carries.
-    lsn: u64,
-    /// Header and payload; the checksum is appended by the last slice.
-    buf: Vec<u8>,
-    /// End of the payload in `buf`.
-    payload_end: usize,
-    /// Bytes already handed out.
-    cut: usize,
-    /// CRC-32C of the payload bytes handed out so far.
-    crc: u32,
-}
-
-impl SlicedFrame {
-    /// Starts the frame of a checkpoint at `lsn` holding `state` (copied),
-    /// dropping whatever was left of the previous one. The caller has
-    /// checked `8 + state.len()` against [`MAX_PAYLOAD`].
-    pub(crate) fn start(&mut self, lsn: u64, state: &[u8]) {
-        self.lsn = lsn;
-        self.buf.clear();
-        self.buf
-            .extend_from_slice(&((8 + state.len()) as u32).to_le_bytes());
-        self.buf.extend_from_slice(&lsn.to_le_bytes());
-        self.buf.extend_from_slice(state);
-        self.payload_end = self.buf.len();
-        self.cut = 0;
-        self.crc = 0;
-    }
-
-    /// LSN of the checkpoint the frame carries.
-    pub(crate) fn lsn(&self) -> u64 {
-        self.lsn
-    }
-
-    /// The next slice: `max(MIN_SLICE, ⌈(header + payload) / MAX_SLICES⌉)`
-    /// bytes, the last one shorter and followed by the checksum. `None` once
-    /// the whole frame is handed out or the stream is abandoned.
-    pub(crate) fn next_slice(&mut self) -> Option<&[u8]> {
-        let from = self.cut;
-        if from == self.buf.len() {
-            return None;
-        }
-        let slice = MIN_SLICE.max(self.payload_end.div_ceil(MAX_SLICES));
-        let to = self.payload_end.min(from + slice);
-        self.crc = crc32c_append(self.crc, &self.buf[from.max(HEADER_LEN)..to]);
-        if to == self.payload_end {
-            self.buf.extend_from_slice(&self.crc.to_le_bytes());
-            self.cut = self.buf.len();
-        } else {
-            self.cut = to;
-        }
-        Some(&self.buf[from..self.cut])
-    }
-
-    /// True once the last slice (the one with the checksum) is handed out,
-    /// or the stream is abandoned.
-    pub(crate) fn is_done(&self) -> bool {
-        self.cut == self.buf.len()
-    }
-
-    /// Ends the stream without its remaining slices; the buffer stays for
-    /// the next checkpoint.
-    pub(crate) fn abandon(&mut self) {
-        self.cut = self.buf.len();
     }
 }
 
@@ -451,25 +315,19 @@ pub fn segment_name(lsn: u64) -> String {
     format!("seg-{lsn:016x}.log")
 }
 
-/// Checkpoint file name for a checkpoint taken at `lsn` (covering every
-/// record below it).
-pub fn checkpoint_name(lsn: u64) -> String {
-    format!("ckpt-{lsn:016x}.ckp")
-}
-
 /// Quarantine name for a file recovery has discarded: the bytes are kept
-/// for manual salvage, but neither [`parse_segment_name`] nor
-/// [`parse_checkpoint_name`] matches the prefixed name, so no scan or
-/// rotation will ever touch them again.
+/// for manual salvage, but [`parse_segment_name`] does not match the
+/// prefixed name, so no scan or rotation will ever touch them again.
 pub fn quarantine_name(name: &str) -> String {
     format!("{QUARANTINE_PREFIX}{name}")
 }
 
-/// True for every name the engine writes a frame under: segments,
-/// checkpoints and their quarantined copies.
+/// True for every name the engine writes a frame under, and every name an
+/// earlier format did: segments, the checkpoint files (`ckpt-…`) earlier
+/// builds kept, and quarantined copies of either.
 pub(crate) fn is_framed(name: &str) -> bool {
     let name = name.strip_prefix(QUARANTINE_PREFIX).unwrap_or(name);
-    parse_segment_name(name).is_some() || parse_checkpoint_name(name).is_some()
+    parse_segment_name(name).is_some() || name.starts_with("ckpt-")
 }
 
 /// Parses a segment file name back to its first LSN.
@@ -478,10 +336,25 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Parses a checkpoint file name back to its LSN.
-pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ckp")?;
-    u64::from_str_radix(hex, 16).ok()
+/// Frames a commit payload by hand: length prefix + payload + checksum.
+#[cfg(test)]
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(payload.len() as u32);
+    w.raw(payload);
+    w.raw(&check(payload));
+    w.into_bytes()
+}
+
+/// The payload of a commit of one record: `[lsn][tag][body_len][body]`.
+#[cfg(test)]
+pub(crate) fn payload(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(lsn);
+    w.u8(tag);
+    w.u32(body.len() as u32);
+    w.raw(body);
+    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -492,27 +365,40 @@ mod tests {
         frame(&payload(lsn, tag, body))
     }
 
-    /// Frames opened at push and sealed at commit are the frames
-    /// `frame(payload(..))` builds, byte for byte, and read back whole.
+    /// A commit's records, pushed into its frame one by one and sealed
+    /// once the LSN is known, are the frame `frame` builds of the commit's
+    /// payload, byte for byte, and scan back as one commit.
     #[test]
     fn sealed_frames_equal_framed_payloads() {
         let bodies: [&[u8]; 3] = [b"", b"x", &[7; 300]];
         let mut open = Vec::new();
-        let mut framed = Vec::new();
+        let mut payload = 40u64.to_le_bytes().to_vec();
         for (i, body) in bodies.iter().enumerate() {
             let tag = i as u8 + 1;
-            assert_eq!(open_frame(&mut open, tag, |w| w.raw(body)), body.len());
-            framed.extend_from_slice(&record(40 + i as u64, tag, body));
+            push_record(&mut open, tag, |w| w.raw(body));
+            payload.extend_from_slice(&self::payload(0, tag, body)[8..]);
         }
-        let read: Vec<(u8, Vec<u8>)> = open_frames(&open).map(|(t, b)| (t, b.to_vec())).collect();
-        assert_eq!(read.len(), 3);
-        assert_eq!(seal(&mut open, 40), 43);
-        assert_eq!(open, framed);
+        seal(&mut open, 40);
+        assert_eq!(open, frame(&payload));
         let scan = scan(&open, 40);
         assert!(scan.tail.is_clean());
-        let scanned: Vec<(u8, Vec<u8>)> =
-            scan.records.into_iter().map(|(_, t, b)| (t, b)).collect();
-        assert_eq!(scanned, read);
+        assert_eq!(scan.commits, vec![(0, 0..3)]);
+        let scanned: Vec<(u64, u8, &[u8])> = (scan.records.iter())
+            .map(|(l, t, b)| (*l, *t, &open[b.clone()]))
+            .collect();
+        assert_eq!(
+            scanned,
+            vec![(40, 1, bodies[0]), (41, 2, bodies[1]), (42, 3, bodies[2])]
+        );
+        // A commit whose records do not parse is corruption, though its
+        // frame verifies.
+        for bad in [&payload[..8], &payload[..payload.len() - 1]] {
+            let tail = super::scan(&frame(bad), 40).tail;
+            assert!(
+                matches!(tail, TailStatus::Corrupt { offset: 0, .. }),
+                "{tail:?}"
+            );
+        }
     }
 
     #[test]
@@ -525,7 +411,8 @@ mod tests {
         assert_eq!(scan.records.len(), 5);
         assert!(scan.tail.is_clean());
         assert_eq!(scan.valid_len, buf.len() as u64);
-        assert_eq!(scan.records[3], (3, 1, vec![3u8; 3]));
+        let (lsn, tag, body) = scan.records[3].clone();
+        assert_eq!((lsn, tag, &buf[body]), (3, 1, &[3u8; 3][..]));
     }
 
     #[test]
@@ -702,7 +589,14 @@ mod tests {
         const SECTOR: usize = 512;
         let (synced, end) = in_extent(0);
         let mut full = synced.clone();
-        full.extend_from_slice(&record(3, 1, &[0x5A; 1700]));
+        // One commit of three records, as an op, a delta and a piece of a
+        // checkpoint share one.
+        let mut commit = Vec::new();
+        for (tag, len) in [(1, 40), (7, 1700), (8, 900)] {
+            push_record(&mut commit, tag, |w| w.raw(&vec![tag; len]));
+        }
+        seal(&mut commit, 3);
+        full.extend_from_slice(&commit);
         let commit_end = full.len();
         full.resize(commit_end.next_multiple_of(SECTOR) + SECTOR, 0);
         let sectors: Vec<usize> = (end / SECTOR..commit_end.div_ceil(SECTOR)).collect();
@@ -719,7 +613,7 @@ mod tests {
             let landed = mask.count_ones() as usize;
             let (records, tail) = if landed == sectors.len() {
                 (
-                    4,
+                    6,
                     TailStatus::Zeros {
                         offset: commit_end as u64,
                         len: (buf.len() - commit_end) as u64,
@@ -824,68 +718,9 @@ mod tests {
         }
     }
 
-    /// Every slice ends at a prefix of the frame: the streamed file is
-    /// byte-identical to `frame`, and each prefix scans as interrupted.
-    #[test]
-    fn sliced_frame_streams_exactly_the_frame() {
-        let mut sliced = SlicedFrame::default();
-        assert!(sliced.is_done() && sliced.next_slice().is_none());
-        for state_len in [
-            0usize,
-            5,
-            MIN_SLICE - 12,
-            MIN_SLICE,
-            3 * MIN_SLICE + 1,
-            2 << 20,
-        ] {
-            let state: Vec<u8> = (0..state_len).map(|i| (i * 7 % 251) as u8).collect();
-            let mut payload = 42u64.to_le_bytes().to_vec();
-            payload.extend_from_slice(&state);
-            let whole = frame(&payload);
-            sliced.start(42, &state);
-            let mut streamed = Vec::new();
-            let mut slices = 0;
-            while let Some(slice) = sliced.next_slice() {
-                streamed.extend_from_slice(slice);
-                slices += 1;
-                if !sliced.is_done() {
-                    assert_eq!(scan_checkpoint(&streamed), CheckpointScan::Interrupted);
-                }
-            }
-            assert_eq!(streamed, whole, "state_len={state_len}");
-            let body = whole.len() - CHECK_LEN;
-            let expected = body.div_ceil(MIN_SLICE.max(body.div_ceil(MAX_SLICES)));
-            assert_eq!(slices, expected, "state_len={state_len}");
-            assert!(slices <= MAX_SLICES);
-            assert_eq!(scan_checkpoint(&streamed), CheckpointScan::Valid(42, state));
-        }
-    }
-
-    #[test]
-    fn checkpoint_scan_tells_interrupted_from_corrupt() {
-        let mut payload = 9u64.to_le_bytes().to_vec();
-        payload.extend_from_slice(b"state");
-        let whole = frame(&payload);
-        for cut in 0..whole.len() {
-            assert_eq!(
-                scan_checkpoint(&whole[..cut]),
-                CheckpointScan::Interrupted,
-                "cut={cut}"
-            );
-        }
-        let mut longer = whole.clone();
-        longer.push(0);
-        assert_eq!(scan_checkpoint(&longer), CheckpointScan::Corrupt);
-        let mut flipped = whole.clone();
-        flipped[HEADER_LEN + 9] ^= 0x01;
-        assert_eq!(scan_checkpoint(&flipped), CheckpointScan::Corrupt);
-        assert_eq!(scan_checkpoint(&frame(b"short")), CheckpointScan::Corrupt);
-    }
-
     #[test]
     fn names_round_trip() {
         assert_eq!(parse_segment_name(&segment_name(42)), Some(42));
-        assert_eq!(parse_checkpoint_name(&checkpoint_name(7)), Some(7));
         assert_eq!(parse_segment_name("ckpt-0000000000000007.ckp"), None);
         assert_eq!(parse_segment_name("seg-zz.log"), None);
         let quar = quarantine_name(&segment_name(42));
@@ -894,10 +729,10 @@ mod tests {
             None,
             "quarantined: never scanned"
         );
-        assert_eq!(
-            parse_checkpoint_name(&quarantine_name(&checkpoint_name(7))),
-            None
-        );
+        for name in [segment_name(7), "ckpt-0000000000000007.ckp".into(), quar] {
+            assert!(is_framed(&name), "{name}");
+        }
+        assert!(!is_framed(FORMAT_MARKER));
     }
 
     #[test]

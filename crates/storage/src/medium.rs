@@ -4,14 +4,15 @@
 //! operations the log engine needs — append, fsync, atomic whole-file
 //! replace, delete — and nothing more. Two implementations:
 //!
-//! * [`FileMedium`] — a real directory. A log segment is held open and
-//!   written into a zero-filled extent: an append is one positional write
-//!   at the end of its records, and `sync` is one `fdatasync`, because
-//!   neither the file's size nor its block map changed. Only the append
-//!   that outgrows the extent grows it — the extent doubles, by at most
-//!   256 KiB — and its `sync` is a full `fsync`. Checkpoint files are
-//!   appended and `fsync`ed whole. Any `sync` adds a directory `fsync`
-//!   when a file was created or removed since the last one; `write_atomic`
+//! * [`FileMedium`] — a real directory. The file appended to (a log
+//!   segment: the engine appends to nothing else) is held open and written
+//!   into a zero-filled extent: an append is one positional write at the
+//!   end of its records, and `sync` is one `fdatasync`, because neither
+//!   the file's size nor its block map changed. Only the append that
+//!   outgrows the extent grows it — the extent doubles, by at most
+//!   256 KiB — and its `sync` is a full `fsync`. Any `sync` adds a
+//!   directory `fsync` when a file was created or removed since the last
+//!   one; `write_atomic`
 //!   is write-to-temp + `fsync` + `rename` + directory `fsync`, so a
 //!   replace is all-or-nothing across a crash.
 //! * [`MemMedium`] — an in-memory directory that *models fsync*: every
@@ -24,7 +25,7 @@
 //! page cache: a process that just wrote sees its own write; only a crash
 //! reveals what was actually on the platter. A [`FileMedium`] segment
 //! reads on past its records in zeros, which [`crate::log::scan`] takes
-//! for the clean end of the log.
+//! for the clean end of the log; so does any file appended to.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -34,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::error::StorageError;
-use crate::log;
 
 /// A directory of named byte files, as seen by the log engine.
 pub trait Medium: Send {
@@ -94,12 +94,6 @@ impl MemMedium {
             f.synced > 0
         });
     }
-
-    /// Total durable bytes across all files (diagnostics).
-    pub fn durable_bytes(&self) -> u64 {
-        let st = self.state.lock().expect("medium poisoned");
-        st.files.values().map(|f| f.synced as u64).sum()
-    }
 }
 
 impl Medium for MemMedium {
@@ -156,7 +150,7 @@ const PAGE: u64 = 4 << 10;
 /// The zeros an extent is filled with, written from here a slice at a time.
 static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 
-/// The log segment being appended to, held open between commits.
+/// The file being appended to, held open between commits.
 struct Extent {
     name: String,
     file: File,
@@ -226,7 +220,7 @@ pub struct FileMedium {
     /// A file was created or removed since the last directory fsync: the
     /// next `sync` must make the directory entry durable too.
     dir_dirty: bool,
-    /// The segment appends go to, if one is open.
+    /// The file appends go to, if one is open.
     held: Option<Extent>,
     /// Directory fsyncs issued (unit tests count them).
     #[cfg(test)]
@@ -252,7 +246,7 @@ impl FileMedium {
         })
     }
 
-    /// Lets go of the held segment if it is `name`: the next append to
+    /// Lets go of the held file if it is `name`: the next append to
     /// that name opens whatever file then holds it.
     fn release(&mut self, name: &str) {
         if self.held.as_ref().is_some_and(|x| x.name == name) {
@@ -309,29 +303,11 @@ impl Medium for FileMedium {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        if log::parse_segment_name(name).is_some() {
-            let held = match &mut self.held {
-                Some(x) if x.name == name => x,
-                slot => slot.insert(Extent::open(&self.root, name, &mut self.dir_dirty)?),
-            };
-            return held.append(data);
-        }
-        // A checkpoint is read back by its length, so it is appended to
-        // exactly: no zeros after it.
-        let path = self.path(name);
-        let mut f = match std::fs::OpenOptions::new().append(true).open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.dir_dirty = true;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)?
-            }
-            Err(e) => return Err(e.into()),
+        let held = match &mut self.held {
+            Some(x) if x.name == name => x,
+            slot => slot.insert(Extent::open(&self.root, name, &mut self.dir_dirty)?),
         };
-        f.write_all(data)?;
-        Ok(())
+        held.append(data)
     }
 
     fn sync(&mut self, name: &str) -> Result<(), StorageError> {
@@ -389,6 +365,7 @@ impl Medium for FileMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log;
 
     #[test]
     fn mem_crash_drops_unsynced_tail() {
@@ -427,7 +404,12 @@ mod tests {
         m.append("seg", b"def").unwrap();
         m.sync("seg").unwrap();
         m.write_atomic("ckpt", b"state").unwrap();
-        assert_eq!(m.read("seg").unwrap().unwrap(), b"abcdef");
+        let seg = m.read("seg").unwrap().unwrap();
+        assert_eq!(&seg[..6], b"abcdef");
+        assert!(
+            seg[6..].iter().all(|&b| b == 0),
+            "an append runs on in zeros"
+        );
         assert_eq!(m.read("ckpt").unwrap().unwrap(), b"state");
         let mut names = m.list().unwrap();
         names.sort();
@@ -501,8 +483,7 @@ mod tests {
 
     /// A commit into bytes the segment already has syncs its data only;
     /// just the commits that grow the extent sync the whole file. Growth
-    /// doubles the extent up to a fixed step. A checkpoint file is appended
-    /// to exactly and synced whole.
+    /// doubles the extent up to a fixed step.
     #[test]
     fn only_a_commit_that_grows_the_extent_syncs_the_whole_file() -> Result<(), StorageError> {
         let dir = fresh_dir("extent");
@@ -536,18 +517,6 @@ mod tests {
         assert!(bytes[..end as usize].iter().all(|&b| b == 0x5A));
         assert!(bytes[end as usize..].iter().all(|&b| b == 0));
 
-        let ckpt = log::checkpoint_name(0);
-        m.append(&ckpt, b"slice one")?;
-        m.sync(&ckpt)?;
-        m.append(&ckpt, b", two")?;
-        m.sync(&ckpt)?;
-        assert_eq!(m.full_syncs, growths + 2);
-        assert_eq!(m.read(&ckpt)?.unwrap_or_default(), b"slice one, two");
-        // The checkpoint's appends left the held segment where it was.
-        m.append(&seg, b"next")?;
-        m.sync(&seg)?;
-        let bytes = m.read(&seg)?.unwrap_or_default();
-        assert_eq!(&bytes[end as usize..end as usize + 4], b"next");
         let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }

@@ -6,6 +6,8 @@
 //! the transport acknowledged) by replaying inputs on top of the last
 //! checkpoint. That keeps the per-op log write small: an op record costs
 //! tens of bytes where a response (with its Merkle proof) costs kilobytes.
+//! Checkpoints ride the same log: a full one as a run of
+//! [`Record::Chunk`]s, an incremental one as a [`Record::Delta`].
 
 use tcvs_core::wire::{
     get_audit_checkpoint, get_epoch_state, get_event, get_op, get_signed_state,
@@ -58,6 +60,11 @@ pub enum Record {
     /// between the two, which stay in the log: recovery that cannot use
     /// it replays them instead.
     Delta(Box<DurableDelta>),
+    /// `((stream, index, count), bytes)`: piece `index` of `count` of a
+    /// full checkpoint ([`crate::DurableState`]) covering every record
+    /// below LSN `stream`. It changes nothing and never replays; recovery
+    /// concatenates a stream's pieces into the state.
+    Chunk((u64, u32, u32), Vec<u8>),
 }
 
 pub(crate) const TAG_OP: u8 = 1;
@@ -67,6 +74,34 @@ pub(crate) const TAG_AUDIT_CHECKPOINT: u8 = 4;
 pub(crate) const TAG_FLIGHT: u8 = 5;
 pub(crate) const TAG_EVIDENCE: u8 = 6;
 pub(crate) const TAG_DELTA: u8 = 7;
+pub(crate) const TAG_CHUNK: u8 = 8;
+
+/// A chunk's stream, index and count.
+pub(crate) type ChunkHead = (u64, u32, u32);
+
+/// Writes a chunk record's body: its stream, index and count, then `len`
+/// bytes of data that `fill` appends in place.
+pub(crate) fn put_chunk(
+    w: &mut impl Sink,
+    (stream, index, count): (u64, u32, u32),
+    len: usize,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    w.u64(stream);
+    w.u32(index);
+    w.u32(count);
+    w.framed(len, fill);
+}
+
+/// Reads a chunk record's body, `((stream, index, count), data)`, without
+/// copying its data.
+pub(crate) fn chunk_view(body: &[u8]) -> Result<(ChunkHead, &[u8]), DecodeError> {
+    let mut r = Reader::new(body);
+    let head = (r.u64()?, r.u32()?, r.u32()?);
+    let data = r.bytes()?;
+    r.finish()?;
+    Ok((head, data))
+}
 
 /// Writes an op record's body from borrowed parts.
 pub(crate) fn put_op_body(w: &mut impl Sink, user: UserId, seq: u64, op: &Op, round: u64) {
@@ -87,6 +122,7 @@ impl Record {
             Record::Flight(_) => TAG_FLIGHT,
             Record::Evidence(_) => TAG_EVIDENCE,
             Record::Delta(_) => TAG_DELTA,
+            Record::Chunk(..) => TAG_CHUNK,
         }
     }
 
@@ -106,6 +142,9 @@ impl Record {
             Record::Flight(ev) => put_event(w, ev),
             Record::Evidence(bytes) => w.bytes(bytes),
             Record::Delta(d) => d.put(w),
+            Record::Chunk(head, data) => {
+                put_chunk(w, *head, data.len(), |buf| buf.extend_from_slice(data))
+            }
         }
     }
 
@@ -138,6 +177,10 @@ impl Record {
             TAG_FLIGHT => Record::Flight(get_event(&mut r)?),
             TAG_EVIDENCE => Record::Evidence(r.bytes()?.to_vec()),
             TAG_DELTA => return Ok(Record::Delta(Box::new(DurableDelta::from_bytes(body)?))),
+            TAG_CHUNK => {
+                let (head, data) = chunk_view(body)?;
+                return Ok(Record::Chunk(head, data.to_vec()));
+            }
             t => return Err(DecodeError::BadTag(t)),
         };
         r.finish()?;

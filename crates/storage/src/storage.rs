@@ -2,88 +2,85 @@
 //!
 //! [`Storage`] is the boundary between the server engine and persistence,
 //! in the shape of grovedb's storage layer: the engine stages [`Record`]s
-//! into a [`WriteBatch`], commits the batch atomically (one append + one
-//! fsync), and on restart calls [`Storage::recover`] to get back the
-//! newest valid checkpoint plus the log tail after it.
+//! into a [`WriteBatch`], commits the batch atomically (one frame, one
+//! append, one fsync), and on restart calls [`Storage::recover`] to get
+//! back the newest valid checkpoint plus the log tail after it.
 //!
 //! Two backends:
 //!
-//! * [`MemStorage`] — the refactored in-memory maps: same trait, no
-//!   durability (a `recover` after drop starts empty). Only
-//!   `DurableServer`'s unit tests run on it; the simulator never does.
-//! * [`DurableStorage`] — the real engine over a [`Medium`]: checksummed
-//!   length-prefixed append-only segments ([`crate::log`]), periodic
-//!   checkpoint files, segment rotation, and log truncation after
-//!   checkpoint.
+//! * [`DurableStorage`] — the real engine over a [`Medium`]: one
+//!   checksummed frame per commit in append-only segments ([`crate::log`]),
+//!   segment rotation, and pruning behind the checkpoints. The log is the
+//!   only kind of file it writes.
+//! * [`MemStorage`] — the same engine over a [`MemMedium`] of its own:
+//!   dropping it loses everything. Only `DurableServer`'s unit tests run on
+//!   it; the simulator never does.
 //!
-//! ## Streamed checkpoints
+//! ## Checkpoints ride the log
 //!
-//! [`Storage::checkpoint`] on [`DurableStorage`] only copies the state.
-//! Each following commit appends and fsyncs one more slice of the
-//! checkpoint's frame (at most `log::MAX_SLICES` of them) before
-//! its own records, so no single request writes the whole tree. The last
-//! slice carries the checksum; only once it is synced are the log segments
-//! and old checkpoints the new one subsumes removed, again one per commit.
-//! A commit with an empty batch finishes all of it, and a new checkpoint
-//! finishes the previous one first. A crash mid-stream leaves an
-//! *interrupted* checkpoint file that recovery skips and removes; the
-//! previous checkpoint and the log behind it are still there.
-//!
-//! ## Deltas
+//! A full checkpoint is a *stream* of [`Record::Chunk`]s: the state that
+//! covers every record below LSN `L`, in pieces that ride the commits from
+//! `L` on, one per commit, inside their one fsync ([`Storage::checkpoint`]
+//! writes one in a single commit). Once its last piece is durable, the
+//! segments wholly behind the oldest of the newest
+//! [`DurableOptions::retain_checkpoints`] complete streams are removed, one
+//! per commit, oldest first.
 //!
 //! Between full checkpoints the engine logs [`Record::Delta`]s, each based
 //! on the checkpoint or delta before it. Recovery keeps a delta based on
 //! the *anchor* — the checkpoint it loaded, then each delta it kept — and
 //! drops the records since the anchor, which the delta summarises; any
-//! other delta, and a delta frame that verifies but does not decode, it
-//! leaves out, so the records stay and replay. The tail it hands back is
-//! the chain of deltas, then the records after the newest. Pruning is
-//! unchanged: the log goes only behind full checkpoints, so every record
-//! a delta summarises is still on the medium.
+//! other delta, and one that verifies but does not decode, it leaves out,
+//! so the records stay and replay. Those records are still on the medium:
+//! the log goes only behind complete streams.
 //!
 //! ## Recovery state machine ([`DurableStorage::recover`])
 //!
-//! 0. **Check the format**: a medium whose segments or checkpoints have
-//!    no `log::FORMAT_MARKER` beside them was written under another frame
+//! 0. **Check the format**: a medium whose segments or checkpoint files
+//!    have no `log::FORMAT_MARKER` beside them was written under another
 //!    format; recovery refuses it with [`StorageError::UnknownFormat`]
 //!    before reading anything, salvage included. An empty medium gets the
 //!    marker.
-//! 1. **Pick a checkpoint**: try checkpoint files newest-first; the first
-//!    one whose frame checksum and body decode verify wins. Corrupt ones
-//!    are counted and skipped (that is why two are retained); an
-//!    interrupted one is counted apart and removed (unless recovery halts).
-//! 2. **Scan the log**: segments in LSN order, each record's checksum and
-//!    LSN continuity verified, by the three tail rules of [`crate::log`];
-//!    deltas on the chain replace the records they summarise.
-//!    A run of zeros after a segment's last frame is the unused rest of
-//!    its extent. A *torn* tail (a damaged frame with nothing verifying
-//!    after it) in the last segment is the expected crash shape: discard
-//!    it, note it, continue. Torn or corrupt frames anywhere else stop the
-//!    scan — no record after a hole is trusted.
-//! 3. **Re-read on short read**: a scan that stops early retries the read
+//! 1. **Find the streams**: a stream is complete when its pieces, met in
+//!    LSN order with no damage or gap between them, reach its count.
+//! 2. **Pick a checkpoint**: complete streams newest-first; the first whose
+//!    pieces concatenate to a state that decodes, its root checked, wins.
+//!    The others are counted and skipped (that is why two are retained).
+//! 3. **Scan the log from it**: commits in LSN order, each checksum and
+//!    LSN verified, by the three tail rules of [`crate::log`]; deltas on
+//!    the chain replace the records they summarise, and pieces are left
+//!    out. Zeros after a segment's last frame are the unused rest of its
+//!    extent. A *torn* tail (a damaged frame with nothing verifying after
+//!    it) in the last segment is the expected crash shape: discard it,
+//!    note it, continue. Damage anywhere else stops the scan — no record
+//!    after a hole is trusted — and damage below the checkpoint is never
+//!    read.
+//! 4. **Re-read on short read**: a scan that stops early retries the read
 //!    once; a transient short read heals, a real torn tail does not.
-//! 4. **Truncate the tail**: the last segment is atomically rewritten to
+//! 5. **Truncate the tail**: the last segment is atomically rewritten to
 //!    its valid prefix, so torn bytes can never resurface and the next
 //!    commit lands right after the last record, not after the zeros.
 
-use tcvs_store::enc::Writer;
+use std::ops::Range;
 
+use tcvs_store::enc::{DecodeError, Writer};
+
+use crate::codec::DurableState;
 use crate::error::StorageError;
-use crate::log::{self, CheckpointScan, SegmentScan, SlicedFrame, TailStatus};
-use crate::medium::Medium;
-use crate::record::{Record, TAG_DELTA};
+use crate::log::{self, SegmentScan, TailStatus};
+use crate::medium::{Medium, MemMedium};
+use crate::record::{chunk_view, put_chunk, Record, TAG_CHUNK, TAG_DELTA};
 
 /// Records staged for one atomic commit, each encoded once, straight into
-/// its log frame: the commit only fills in LSNs and checks
-/// (`log::seal`) and appends the batch's bytes as they are.
+/// the commit's frame: the commit only fills in the LSN and the check
+/// (`log::seal`) and appends the frame as it is.
 #[derive(Default)]
 pub struct WriteBatch {
-    /// Unsealed frames back to back ([`log::open_frame`]).
-    frames: Vec<u8>,
+    /// The unsealed commit frame ([`log::push_record`]).
+    frame: Vec<u8>,
     records: usize,
-    /// Size of the first body over [`log::MAX_BODY`]: such a batch is
-    /// refused whole at commit.
-    oversized: Option<usize>,
+    /// LSN of the checkpoint stream whose last piece the batch carries.
+    completes: Option<u64>,
 }
 
 impl WriteBatch {
@@ -100,19 +97,32 @@ impl WriteBatch {
     /// Stages the record with log tag `tag` whose body `put` writes, from
     /// whatever the caller borrows.
     pub(crate) fn push_with(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> &mut WriteBatch {
-        let body = log::open_frame(&mut self.frames, tag, put);
-        if body > log::MAX_BODY {
-            self.oversized.get_or_insert(body);
-        }
+        log::push_record(&mut self.frame, tag, put);
         self.records += 1;
         self
+    }
+
+    /// Stages piece `index` of the `count` pieces of the checkpoint stream
+    /// at LSN `stream`: `len` bytes that `fill` appends in place.
+    pub(crate) fn push_chunk(
+        &mut self,
+        (stream, index, count): (u64, u32, u32),
+        len: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> &mut WriteBatch {
+        if index + 1 == count {
+            self.completes = Some(stream);
+        }
+        self.push_with(TAG_CHUNK, |w| {
+            put_chunk(w, (stream, index, count), len, fill)
+        })
     }
 
     /// Makes room for one more record of a `body`-byte body, so that a
     /// large record is written into one allocation rather than grown into
     /// it.
     pub(crate) fn reserve(&mut self, body: usize) {
-        self.frames.reserve(log::frame_len(body) as usize);
+        self.frame.reserve(log::frame_len(body) as usize);
     }
 
     /// Number of staged records.
@@ -125,17 +135,17 @@ impl WriteBatch {
         self.records == 0
     }
 
-    /// The staged frames, refused whole when a body is too large: an
-    /// oversized frame would be written fine and then classified as
-    /// corruption on every recovery.
-    fn into_frames(self) -> Result<Vec<u8>, StorageError> {
-        match self.oversized {
-            Some(bytes) => Err(StorageError::TooLarge {
-                what: "record",
+    /// The unsealed frame, refused when too large: it would be written
+    /// fine, then read as corruption by every recovery.
+    fn into_frame(self) -> Result<Vec<u8>, StorageError> {
+        let bytes = self.frame.len() - log::HEADER_LEN;
+        if bytes > log::MAX_PAYLOAD {
+            return Err(StorageError::TooLarge {
+                what: "commit",
                 bytes,
-            }),
-            None => Ok(self.frames),
+            });
         }
+        Ok(self.frame)
     }
 }
 
@@ -181,10 +191,75 @@ impl Tail {
     }
 }
 
+/// Where a commit starts: a segment's index and a byte offset in it.
+type At = (usize, u64);
+
+/// The checkpoint streams a scan meets, in LSN order: each complete one's
+/// LSN and where its first piece's commit (which starts at that LSN) is,
+/// and the newest begun's LSN, pieces met, count and first piece.
+#[derive(Default)]
+struct Streams {
+    complete: Vec<(u64, At)>,
+    newest: Option<(u64, u32, u32, At)>,
+}
+
+impl Streams {
+    /// Notes a piece in the commit at `at`, which starts at LSN `commit`;
+    /// one that continues no stream is skipped, unless it starts its own.
+    fn note(&mut self, (stream, index, count): (u64, u32, u32), at: At, commit: u64) {
+        match &mut self.newest {
+            Some((s, met, c, _)) if (*s, *met, *c) == (stream, index, count) => *met += 1,
+            _ if index == 0 && commit == stream => self.newest = Some((stream, 1, count, at)),
+            _ => return,
+        }
+        if let Some((stream, _, _, at)) = self.newest.filter(|n| n.1 == n.2) {
+            self.complete.push((stream, at));
+        }
+    }
+}
+
+/// The records of one commit of the segment `buf` as recovery reads them:
+/// the pieces of the checkpoint at `base` appended to `state`, other pieces
+/// checked and left out, a delta that does not decode left out (the
+/// records it would summarise stay and replay), and anything else decoded.
+fn read_commit(
+    buf: &[u8],
+    commit: &[(u64, u8, Range<usize>)],
+    base: u64,
+    state: &mut Vec<u8>,
+) -> Result<Vec<(u64, Record)>, DecodeError> {
+    let mut records = Vec::new();
+    for (lsn, tag, body) in commit {
+        let body = &buf[body.clone()];
+        match *tag {
+            TAG_CHUNK => match chunk_view(body)? {
+                ((stream, ..), data) if stream == base => state.extend_from_slice(data),
+                _ => {}
+            },
+            TAG_DELTA => records.extend(Record::decode(TAG_DELTA, body).ok().map(|r| (*lsn, r))),
+            tag => records.push((*lsn, Record::decode(tag, body)?)),
+        }
+    }
+    Ok(records)
+}
+
+/// What a pass over the log from a checkpoint's commit found: the
+/// checkpoint's pieces concatenated, the tail, the LSN after the last
+/// record kept, the last segment scanned and the length of its valid
+/// prefix, and the first segment the pass never reached (everything from
+/// it on is quarantined when the pass stopped at corruption).
+struct Replay {
+    state: Vec<u8>,
+    tail: Tail,
+    end: u64,
+    last_valid: Option<(String, u64)>,
+    stale_from: usize,
+}
+
 /// What happened during the tail scan of a recovery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Segments scanned.
+    /// Segments scanned for the tail.
     pub segments_scanned: u64,
     /// Records handed back for replay after the newest delta (deltas not
     /// counted).
@@ -192,11 +267,12 @@ pub struct RecoveryReport {
     /// Deltas handed back to be applied, in order, on top of the
     /// checkpoint (see [`Recovered::tail`]).
     pub deltas: u64,
-    /// Checkpoint files that failed verification and were skipped.
+    /// Complete checkpoint streams whose state did not decode, skipped.
     pub corrupt_checkpoints: u64,
-    /// Checkpoint files shorter than their length header — streams a crash
-    /// cut short — skipped and (unless recovery halts) removed.
-    pub interrupted_checkpoints: u64,
+    /// The newest checkpoint stream the log holds: its pieces found, in
+    /// order, and its piece count. Fewer pieces than the count is a stream
+    /// a crash cut short; nothing was pruned on its account.
+    pub stream: Option<(u32, u32)>,
     /// A torn tail that was detected and discarded, if any.
     pub torn_tail: Option<TornTail>,
     /// Zero bytes after the last record of the final segment — the unused
@@ -227,14 +303,16 @@ pub struct TornTail {
 
 /// Everything [`Storage::recover`] hands back.
 pub struct Recovered {
-    /// `(lsn, state bytes)` of the newest valid checkpoint, if any. Every
-    /// record below `lsn` is subsumed by it.
-    pub checkpoint: Option<(u64, Vec<u8>)>,
+    /// The LSN and decoded state of the newest checkpoint whose stream is
+    /// complete and decodes, if any. Every record below the LSN is
+    /// subsumed by it.
+    pub checkpoint: Option<(u64, DurableState)>,
     /// The log at and after the checkpoint LSN, in order, with LSNs: first
     /// the chain of [`Record::Delta`]s, each based on the checkpoint or the
     /// delta before it, then the records after the newest delta — the
-    /// replay tail. The records a delta summarises are left out; a delta
-    /// that is torn, missing or does not decode leaves them in.
+    /// replay tail. The records a delta summarises are left out, and so
+    /// are checkpoint pieces; a delta that is torn, missing or does not
+    /// decode leaves its records in.
     pub tail: Vec<(u64, Record)>,
     /// What the scan saw.
     pub report: RecoveryReport,
@@ -245,24 +323,19 @@ pub trait Storage: Send {
     /// Commits a batch atomically: all records become durable (one fsync)
     /// or none do. Returns the LSN after the last committed record.
     ///
-    /// A backend that streams checkpoints ([`DurableStorage`]) first does
-    /// one step of the pending checkpoint work — one appended and fsynced
-    /// slice, or one removed file the finished checkpoint subsumes — and an
-    /// error there fails the commit before any of its records is written.
-    /// An **empty batch** does all of the pending work: on return the last
-    /// checkpoint is durable and pruning is done.
+    /// [`DurableStorage`] first removes one segment its checkpoints made
+    /// disposable; an error there fails the commit before any of its
+    /// records is written. An **empty batch** removes all of them.
     fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError>;
 
-    /// Starts a checkpoint covering every committed record and returns its
-    /// LSN. The state is copied; it need not outlive the call.
-    ///
-    /// A streaming backend ([`DurableStorage`]) writes nothing here beyond
-    /// what a previous checkpoint still had pending, which it finishes
-    /// first. The new checkpoint reaches the medium in slices carried by
-    /// the following commits, and the log segments and old checkpoints it
-    /// subsumes are pruned only after its last slice is synced — until then
-    /// a crash recovers from the previous checkpoint plus the log. Commit an
-    /// empty batch to make it durable at once.
+    /// Checkpoints `state`, which covers every committed record, in one
+    /// commit of its own, and returns its LSN. A checkpoint the engine
+    /// takes on its own schedule instead streams out a piece per commit
+    /// inside the commits it makes anyway; this form stays for the state
+    /// that must be durable at once — one restored from a verified chunk
+    /// stream, or one an operator asks for ([`crate::DurableServer::
+    /// checkpoint_now`]). A checkpoint taken with nothing committed since
+    /// the last one taken this way is that one.
     fn checkpoint(&mut self, state: &[u8]) -> Result<u64, StorageError>;
 
     /// Re-reads durable state: newest valid checkpoint + replay tail.
@@ -287,57 +360,17 @@ pub trait Storage: Send {
     fn next_lsn(&self) -> u64;
 }
 
-/// The in-memory backend: the trait over plain vectors. `recover` returns
-/// what was committed in this process lifetime — dropping it loses
-/// everything, exactly as the pre-durability server did.
-#[derive(Default)]
-pub struct MemStorage {
-    checkpoint: Option<(u64, Vec<u8>)>,
-    records: Vec<(u64, Record)>,
-    next_lsn: u64,
-}
+/// The in-memory backend: a [`DurableStorage`] over a [`MemMedium`] only
+/// it holds, so dropping it loses everything, exactly as the
+/// pre-durability server did.
+pub type MemStorage = DurableStorage<MemMedium>;
 
-impl MemStorage {
-    /// An empty in-memory store.
-    pub fn new() -> MemStorage {
-        MemStorage::default()
-    }
-}
-
-impl Storage for MemStorage {
-    fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError> {
-        let frames = batch.into_frames()?;
-        for (tag, body) in log::open_frames(&frames) {
-            self.records
-                .push((self.next_lsn, Record::decode(tag, body)?));
-            self.next_lsn += 1;
-        }
-        Ok(self.next_lsn)
-    }
-
-    fn checkpoint(&mut self, state: &[u8]) -> Result<u64, StorageError> {
-        let lsn = self.next_lsn;
-        self.checkpoint = Some((lsn, state.to_vec()));
-        self.records.retain(|(l, _)| *l >= lsn);
-        Ok(lsn)
-    }
-
-    fn recover(&mut self) -> Result<Recovered, StorageError> {
-        let base = self.checkpoint.as_ref().map_or(0, |(lsn, _)| *lsn);
-        let mut tail = Tail::new(base);
-        for (lsn, rec) in self.records.iter().filter(|(l, _)| *l >= base) {
-            tail.push(*lsn, rec.clone());
-        }
-        let mut report = RecoveryReport::default();
-        Ok(Recovered {
-            checkpoint: self.checkpoint.clone(),
-            tail: tail.finish(&mut report),
-            report,
-        })
-    }
-
-    fn next_lsn(&self) -> u64 {
-        self.next_lsn
+impl Default for MemStorage {
+    /// An empty in-memory store, recovered and ready for commits.
+    fn default() -> MemStorage {
+        let mut store = DurableStorage::open(MemMedium::new(), DurableOptions::default());
+        let _ = store.recover(); // or every commit is refused
+        store
     }
 }
 
@@ -346,16 +379,16 @@ impl Storage for MemStorage {
 pub struct DurableOptions {
     /// Rotate to a new segment once the active one exceeds this many bytes.
     pub segment_bytes: usize,
-    /// Checkpoint files retained (≥ 1). Two by default: if the newest is
-    /// corrupt, recovery falls back to the previous one plus the log tail
-    /// kept alive since it.
+    /// Complete checkpoint streams retained (≥ 1). Two by default: if the
+    /// newest does not decode, recovery falls back to the previous one
+    /// plus the log kept alive since it.
     pub retain_checkpoints: usize,
 }
 
 impl Default for DurableOptions {
     fn default() -> DurableOptions {
         DurableOptions {
-            segment_bytes: 1 << 20,
+            segment_bytes: 2 << 20,
             retain_checkpoints: 2,
         }
     }
@@ -376,19 +409,20 @@ pub struct DurableStorage<M: Medium> {
     /// Set when the last recovery stopped at interior corruption without
     /// repairing it: commits stay refused until [`Storage::salvage`].
     halted: Option<String>,
-    /// Frame of the newest checkpoint, handed out one slice per commit
-    /// until its last slice is synced.
-    frame: SlicedFrame,
-    /// LSN of the newest checkpoint known to be complete on the medium.
-    complete: Option<u64>,
-    /// Files the newest complete checkpoint subsumes, removed one per
-    /// commit.
+    /// LSNs of the complete checkpoint streams retained, oldest first.
+    streams: Vec<u64>,
+    /// The newest checkpoint when nothing but its own one commit came
+    /// after it: its LSN, and the LSN after that commit.
+    covered: Option<(u64, u64)>,
+    /// Segments wholly behind the retained streams, removed one per
+    /// commit, the oldest (last) first: no crash leaves a gap below a
+    /// segment still held.
     doomed: Vec<String>,
 }
 
 impl<M: Medium> DurableStorage<M> {
     /// Opens the store on `medium`. [`Storage::recover`] must run before
-    /// the first commit — it checks the frame format, positions the append
+    /// the first commit — it checks the format, positions the append
     /// cursor and truncates any torn tail; [`crate::DurableServer::open`]
     /// runs it for you.
     pub fn open(medium: M, opts: DurableOptions) -> DurableStorage<M> {
@@ -403,26 +437,10 @@ impl<M: Medium> DurableStorage<M> {
             seg_bytes: 0,
             recovered: false,
             halted: None,
-            frame: SlicedFrame::default(),
-            complete: None,
+            streams: Vec::new(),
+            covered: None,
             doomed: Vec::new(),
         }
-    }
-
-    /// The medium (tests inspect durable bytes through it).
-    pub fn medium(&self) -> &M {
-        &self.medium
-    }
-
-    fn checkpoint_lsns(&self) -> Result<Vec<u64>, StorageError> {
-        let mut lsns: Vec<u64> = self
-            .medium
-            .list()?
-            .iter()
-            .filter_map(|n| log::parse_checkpoint_name(n))
-            .collect();
-        lsns.sort_unstable();
-        Ok(lsns)
     }
 
     fn segment_lsns(&self) -> Result<Vec<u64>, StorageError> {
@@ -436,89 +454,57 @@ impl<M: Medium> DurableStorage<M> {
         Ok(lsns)
     }
 
-    /// Reads and scans one segment, retrying once if the tail looks torn
-    /// but a re-read returns more bytes (transient short read).
-    fn scan_segment(
+    /// Reads one segment and scans it from byte `from`, whose commit
+    /// starts at `lsn`; reads it once more when the scan stops early but a
+    /// re-read returns more bytes (a transient short read).
+    fn read_segment(
         &self,
         name: &str,
-        expected_lsn: u64,
+        (from, lsn): (usize, u64),
         report: &mut RecoveryReport,
-    ) -> Result<SegmentScan, StorageError> {
+    ) -> Result<(Vec<u8>, SegmentScan), StorageError> {
         let buf = self.medium.read(name)?.unwrap_or_default();
-        let scan = log::scan(&buf, expected_lsn);
-        if scan.tail.is_clean() {
-            return Ok(scan);
+        let scan = log::scan(buf.get(from..).unwrap_or_default(), lsn);
+        if !scan.tail.is_clean() {
+            let again = self.medium.read(name)?.unwrap_or_default();
+            if again.len() > buf.len() {
+                report.short_reads_retried += 1;
+                let scan = log::scan(again.get(from..).unwrap_or_default(), lsn);
+                return Ok((again, scan));
+            }
         }
-        let again = self.medium.read(name)?.unwrap_or_default();
-        if again.len() > buf.len() {
-            report.short_reads_retried += 1;
-            return Ok(log::scan(&again, expected_lsn));
-        }
-        Ok(scan)
+        Ok((buf, scan))
     }
 
-    /// Queues for removal the checkpoints beyond the retention count and the
-    /// log segments fully covered by the oldest retained checkpoint.
-    fn plan_prune(&mut self) -> Result<(), StorageError> {
-        let mut ckpts = self.checkpoint_lsns()?;
-        let excess = ckpts.len().saturating_sub(self.opts.retain_checkpoints);
-        self.doomed
-            .extend(ckpts.drain(..excess).map(log::checkpoint_name));
-        let Some(&cutoff) = ckpts.first() else {
+    /// Notes that the stream at `stream` is complete, and queues for
+    /// removal the segments wholly behind the oldest stream retained.
+    fn prune_behind(&mut self, stream: u64) -> Result<(), StorageError> {
+        self.streams.push(stream);
+        while self.streams.len() > self.opts.retain_checkpoints {
+            self.streams.remove(0);
+        }
+        let Some(&cutoff) = self.streams.first() else {
             return Ok(());
         };
-        let segs = self.segment_lsns()?;
         // Segment i covers [segs[i], segs[i+1]); it is disposable when the
         // whole range sits below the cutoff. The active segment (last) is
         // never removed.
-        for pair in segs.windows(2) {
-            if pair[1] <= cutoff && log::segment_name(pair[0]) != self.seg_name {
-                self.doomed.push(log::segment_name(pair[0]));
-            }
-        }
-        Ok(())
-    }
-
-    /// One step of pending checkpoint work: the next slice of the streaming
-    /// checkpoint, else one subsumed file. False when nothing was pending.
-    fn step(&mut self) -> Result<bool, StorageError> {
-        let lsn = self.frame.lsn();
-        if let Some(slice) = self.frame.next_slice() {
-            let name = log::checkpoint_name(lsn);
-            let written = self
-                .medium
-                .append(&name, slice)
-                .and_then(|()| self.medium.sync(&name));
-            if let Err(e) = written {
-                // The partial file is dead: the next checkpoint at this LSN
-                // starts over, and recovery removes it.
-                self.frame.abandon();
-                return Err(e);
-            }
-            if self.frame.is_done() {
-                // The checkpoint is durable; only now may what it subsumes go.
-                self.complete = Some(lsn);
-                self.plan_prune()?;
-            }
-        } else if let Some(name) = self.doomed.pop() {
-            self.medium.remove(&name)?;
-        } else {
-            return Ok(false);
-        }
-        Ok(true)
-    }
-
-    /// Does all pending checkpoint work.
-    fn flush(&mut self) -> Result<(), StorageError> {
-        while self.step()? {}
+        let segs = self.segment_lsns()?;
+        self.doomed = segs
+            .windows(2)
+            .rev()
+            .filter(|pair| pair[1] <= cutoff)
+            .map(|pair| log::segment_name(pair[0]))
+            .filter(|name| *name != self.seg_name)
+            .collect();
         Ok(())
     }
 
     /// Refuses a medium whose framed files have no [`log::FORMAT_MARKER`]
-    /// beside them — written under another frame format, whose every frame
-    /// would fail this build's check and read as corruption — and marks a
-    /// medium holding none as this format. Recovery runs it before it
-    /// reads, repairs or salvages anything.
+    /// beside them — written under another format, whose every frame would
+    /// fail this build's check and read as corruption — and marks a medium
+    /// holding none as this format. Recovery runs it before it reads,
+    /// repairs or salvages anything.
     fn check_format(&mut self) -> Result<(), StorageError> {
         let names = self.medium.list()?;
         if names.iter().any(|n| n == log::FORMAT_MARKER) {
@@ -551,52 +537,54 @@ impl<M: Medium> Storage for DurableStorage<M> {
     fn commit(&mut self, batch: WriteBatch) -> Result<u64, StorageError> {
         self.check_writable("commit")?;
         if batch.is_empty() {
-            self.flush()?;
+            while let Some(name) = self.doomed.pop() {
+                self.medium.remove(&name)?;
+            }
             return Ok(self.next_lsn);
         }
-        let mut buf = batch.into_frames()?;
-        let lsn = log::seal(&mut buf, self.next_lsn);
-        // Pending checkpoint work rides along, ahead of the records: if it
+        let (records, completes) = (batch.records as u64, batch.completes);
+        let mut buf = batch.into_frame()?;
+        log::seal(&mut buf, self.next_lsn);
+        // One disposable segment goes ahead of the records: if removing it
         // fails, the commit fails with nothing of the batch on the medium.
-        self.step()?;
+        if let Some(name) = self.doomed.pop() {
+            self.medium.remove(&name)?;
+        }
         if self.seg_bytes > 0 && self.seg_bytes + buf.len() > self.opts.segment_bytes {
             self.seg_name = log::segment_name(self.next_lsn);
             self.seg_bytes = 0;
         }
-        // One append + one fsync per batch: a crash either keeps the whole
-        // suffix out (torn tail, discarded at recovery) or lands it all.
+        // One frame, one append, one fsync: a crash either keeps the whole
+        // commit out (torn tail, discarded at recovery) or lands it all.
         self.medium.append(&self.seg_name, &buf)?;
         self.medium.sync(&self.seg_name)?;
         self.seg_bytes += buf.len();
-        self.next_lsn = lsn;
-        Ok(lsn)
+        self.next_lsn += records;
+        if let Some(stream) = completes {
+            self.prune_behind(stream)?;
+        }
+        Ok(self.next_lsn)
     }
 
     fn checkpoint(&mut self, state: &[u8]) -> Result<u64, StorageError> {
         self.check_writable("checkpoint")?;
-        if 8 + state.len() > log::MAX_PAYLOAD {
+        // The commit refuses a frame too large all the same, but only once
+        // the state is copied into it.
+        if state.len() > log::MAX_BODY {
             return Err(StorageError::TooLarge {
                 what: "checkpoint",
                 bytes: state.len(),
             });
         }
-        self.flush()?;
-        let lsn = self.next_lsn;
-        if self.complete == Some(lsn) {
-            // Already on the medium, covering every committed record. A
-            // second stream under the same name could only destroy it.
+        if let Some((lsn, _)) = self.covered.filter(|c| c.1 == self.next_lsn) {
+            // Already on the medium, covering every committed record.
             return Ok(lsn);
         }
-        // A stream appends from an empty file; clear whatever a failed
-        // stream or a corrupt checkpoint left under this name.
-        self.medium.remove(&log::checkpoint_name(lsn))?;
-        self.frame.start(lsn, state);
-        // Rotate so the pre-checkpoint segment becomes prunable once the
-        // *next* checkpoint completes.
-        if self.seg_bytes > 0 {
-            self.seg_name = log::segment_name(lsn);
-            self.seg_bytes = 0;
-        }
+        let lsn = self.next_lsn;
+        let mut batch = WriteBatch::new();
+        batch.push_chunk((lsn, 0, 1), state.len(), |buf| buf.extend_from_slice(state));
+        self.commit(batch)?;
+        self.covered = Some((lsn, self.next_lsn));
         Ok(lsn)
     }
 
@@ -614,6 +602,140 @@ impl<M: Medium> Storage for DurableStorage<M> {
 }
 
 impl<M: Medium> DurableStorage<M> {
+    /// Step 1 of recovery: the streams whose pieces meet in order within
+    /// one stretch of log with no damage or gap in it. Past damage the scan
+    /// picks up at the next frame that verifies.
+    fn find_streams(
+        &self,
+        segs: &[u64],
+        report: &mut RecoveryReport,
+    ) -> Result<Streams, StorageError> {
+        let mut streams = Streams::default();
+        let mut next = None;
+        for (i, &first) in segs.iter().enumerate() {
+            if next != Some(first) {
+                streams.newest = None;
+            }
+            let (buf, mut scan) =
+                self.read_segment(&log::segment_name(first), (0, first), report)?;
+            let (mut from, mut lsn) = (0, first);
+            loop {
+                for (offset, commit) in &scan.commits {
+                    let (at, commit) = ((i, from as u64 + offset), &scan.records[commit.clone()]);
+                    for (_, _, body) in commit.iter().filter(|r| r.1 == TAG_CHUNK) {
+                        if let Ok((head, _)) = chunk_view(&buf[from..][body.clone()]) {
+                            streams.note(head, at, commit[0].0);
+                        }
+                    }
+                }
+                lsn += scan.records.len() as u64;
+                next = scan.tail.is_clean().then_some(lsn);
+                let TailStatus::Corrupt { offset, .. } = scan.tail else {
+                    break;
+                };
+                let Some((at, at_lsn)) = log::resync(&buf, from + offset as usize, lsn) else {
+                    break;
+                };
+                streams.newest = None;
+                (from, lsn) = (at, at_lsn);
+                scan = log::scan(&buf[from..], lsn);
+            }
+        }
+        Ok(streams)
+    }
+
+    /// Step 3 of recovery: the log in LSN order from the commit at `at`,
+    /// which starts at `base` — a checkpoint's first piece, or the start
+    /// of a log that must then begin at LSN 0 — by the tail rules.
+    fn replay(
+        &self,
+        segs: &[u64],
+        (base, (seg, offset)): (u64, At),
+        report: &mut RecoveryReport,
+    ) -> Result<Replay, StorageError> {
+        let mut r = Replay {
+            state: Vec::new(),
+            tail: Tail::new(base),
+            end: base,
+            last_valid: None,
+            stale_from: segs.len(),
+        };
+        for (i, &first_lsn) in segs.iter().enumerate().skip(seg) {
+            let next_first = segs.get(i + 1).copied();
+            let name = log::segment_name(first_lsn);
+            let from = if i == seg { offset } else { 0 };
+            if from == 0 && first_lsn != r.end {
+                report.corrupt_stop = Some(format!(
+                    "segment {name} starts at lsn {first_lsn}, expected {}",
+                    r.end
+                ));
+                r.stale_from = i;
+                break;
+            }
+            report.segments_scanned += 1;
+            let (buf, scan) = self.read_segment(&name, (from as usize, r.end), report)?;
+            let mut valid_len = from + scan.valid_len;
+            let mut stopped = false;
+            for (offset, commit) in &scan.commits {
+                let commit = &scan.records[commit.clone()];
+                match read_commit(&buf[from as usize..], commit, base, &mut r.state) {
+                    Ok(records) => {
+                        for (lsn, rec) in records {
+                            r.tail.push(lsn, rec);
+                        }
+                        r.end += commit.len() as u64;
+                    }
+                    Err(e) => {
+                        // The frame verified but a record does not decode:
+                        // stop *at* its commit, which is shed with all
+                        // after it, so it is never rescanned.
+                        report.corrupt_stop =
+                            Some(format!("commit at lsn {} in {name}: {e}", r.end));
+                        valid_len = from + offset;
+                        stopped = true;
+                        break;
+                    }
+                }
+            }
+            let stop = stopped || !scan.tail.is_clean();
+            match scan.tail {
+                _ if stopped => {}
+                TailStatus::Clean => {}
+                TailStatus::Zeros { len, .. } => {
+                    if next_first.is_none() {
+                        report.zero_tail_bytes = len;
+                    }
+                }
+                // A torn tail is only benign where a crash can produce one:
+                // with no successor segment carrying on. A tear *under* a
+                // later segment is a hole.
+                TailStatus::Torn { offset, dropped } if next_first.is_none() => {
+                    report.torn_tail = Some(TornTail {
+                        segment: name.clone(),
+                        offset: from + offset,
+                        dropped_bytes: dropped,
+                    });
+                }
+                TailStatus::Torn { offset, .. } => {
+                    let at = from + offset;
+                    report.corrupt_stop = Some(format!(
+                        "torn record at byte {at} of {name} below a later segment"
+                    ));
+                }
+                TailStatus::Corrupt { offset, reason } => {
+                    let at = from + offset;
+                    report.corrupt_stop = Some(format!("{reason} at byte {at} of {name}"));
+                }
+            }
+            r.last_valid = Some((name, valid_len));
+            if stop {
+                r.stale_from = i + 1;
+                break;
+            }
+        }
+        Ok(r)
+    }
+
     /// The recovery state machine (see module docs). `repair` is the
     /// [`Storage::salvage`] mode: with it, a corrupt stop quarantines the
     /// stale suffix and truncates the stopped segment so the store can
@@ -623,138 +745,48 @@ impl<M: Medium> DurableStorage<M> {
         self.check_format()?;
         let mut report = RecoveryReport::default();
         self.halted = None;
-        // Whatever checkpoint work this incarnation had pending is void: the
-        // medium is re-read from scratch.
-        self.frame.abandon();
+        // Whatever pruning this incarnation had pending is void: the medium
+        // is re-read from scratch.
         self.doomed.clear();
+        let segs = self.segment_lsns()?;
 
-        // 1. Newest checkpoint that verifies.
-        let mut checkpoint: Option<(u64, Vec<u8>)> = None;
-        let mut interrupted = Vec::new();
-        for lsn in self.checkpoint_lsns()?.into_iter().rev() {
-            let name = log::checkpoint_name(lsn);
-            let Some(buf) = self.medium.read(&name)? else {
-                continue;
-            };
-            match log::scan_checkpoint(&buf) {
-                CheckpointScan::Valid(stored_lsn, state) if stored_lsn == lsn => {
-                    checkpoint = Some((lsn, state));
+        // 1-3. The log from the newest complete stream whose state decodes,
+        // or from the start.
+        let streams = self.find_streams(&segs, &mut report)?;
+        report.stream = streams.newest.map(|(_, met, count, _)| (met, count));
+        let (mut checkpoint, mut pass) = (None, None);
+        for &(lsn, at) in streams.complete.iter().rev() {
+            let mut attempt = report.clone();
+            let mut r = self.replay(&segs, (lsn, at), &mut attempt)?;
+            match DurableState::from_bytes(&std::mem::take(&mut r.state)) {
+                Ok(state) => {
+                    (checkpoint, pass, report) = (Some((lsn, state)), Some(r), attempt);
                     break;
                 }
-                CheckpointScan::Interrupted => {
-                    report.interrupted_checkpoints += 1;
-                    interrupted.push(name);
-                }
-                _ => report.corrupt_checkpoints += 1,
+                Err(_) => report.corrupt_checkpoints += 1,
             }
         }
-        self.complete = checkpoint.as_ref().map(|(lsn, _)| *lsn);
-        let base = self.complete.unwrap_or(0);
-
-        // 2. Scan segments in LSN order. The scan starts at the base at the
-        // latest: a log that begins above it has lost the records between.
-        let segs = self.segment_lsns()?;
-        let mut tail = Tail::new(base);
-        let mut expected = segs.first().map_or(0, |&first| first.min(base));
-        let mut last_valid: Option<(String, u64)> = None; // (name, valid_len)
-        let mut stopped = false;
-        // First segment index the scan never reached; everything from here
-        // on is quarantined when the scan stopped at corruption.
-        let mut stale_from = segs.len();
-        for (i, &first_lsn) in segs.iter().enumerate() {
-            if stopped {
-                break;
-            }
-            let next_first = segs.get(i + 1).copied();
-            // A segment entirely below the checkpoint whose records we will
-            // never replay can be skipped wholesale (it survives only until
-            // the next prune).
-            if let Some(next) = next_first.filter(|&n| n <= base) {
-                expected = next;
-                continue;
-            }
-            let name = log::segment_name(first_lsn);
-            if first_lsn != expected {
-                report.corrupt_stop = Some(format!(
-                    "segment {name} starts at lsn {first_lsn}, expected {expected}"
-                ));
-                stale_from = i;
-                break;
-            }
-            report.segments_scanned += 1;
-            let scan = self.scan_segment(&name, expected, &mut report)?;
-            let mut valid_len = scan.valid_len;
-            let mut offset = 0u64; // byte offset of the record under examination
-            for (lsn, tag, body) in &scan.records {
-                if *lsn >= base {
-                    match Record::decode(*tag, body) {
-                        Ok(rec) => tail.push(*lsn, rec),
-                        // A delta only summarises records the log still
-                        // holds: one that does not decode is left out, and
-                        // they replay instead.
-                        Err(_) if *tag == TAG_DELTA => {}
-                        Err(e) => {
-                            // The frame verified but the record does not
-                            // decode: stop *at* this record — `expected`
-                            // stays rolled back to its LSN and the frame is
-                            // shed from the segment with everything after
-                            // it, so it can never be rescanned.
-                            report.corrupt_stop = Some(format!("record {lsn} in {name}: {e}"));
-                            valid_len = offset;
-                            stopped = true;
-                            break;
-                        }
-                    }
-                }
-                offset += log::frame_len(body.len());
-                expected = lsn + 1;
-            }
-            if !stopped {
-                match &scan.tail {
-                    TailStatus::Clean => {}
-                    TailStatus::Zeros { len, .. } => {
-                        if next_first.is_none() {
-                            report.zero_tail_bytes = *len;
-                        }
-                    }
-                    TailStatus::Torn { offset, dropped } => {
-                        // A torn tail is only benign where a crash can
-                        // produce one: with no successor segment carrying
-                        // on. A tear *under* a later segment is a hole.
-                        if next_first.is_some() {
-                            report.corrupt_stop = Some(format!(
-                                "torn record at byte {offset} of {name} below a later segment"
-                            ));
-                        } else {
-                            report.torn_tail = Some(TornTail {
-                                segment: name.clone(),
-                                offset: *offset,
-                                dropped_bytes: *dropped,
-                            });
-                        }
-                        stopped = true;
-                    }
-                    TailStatus::Corrupt { offset, reason } => {
-                        report.corrupt_stop = Some(format!("{reason} at byte {offset} of {name}"));
-                        stopped = true;
-                    }
-                }
-            }
-            if stopped {
-                stale_from = i + 1;
-            }
-            last_valid = Some((name, valid_len));
-        }
-        let tail = tail.finish(&mut report);
-
-        // 3. Interior corruption means acknowledged records past the stop
+        let r = match pass {
+            Some(r) => r,
+            None => self.replay(&segs, (0, (0, 0)), &mut report)?,
+        };
+        let base = checkpoint.as_ref().map_or(0, |(lsn, _)| *lsn);
+        let loaded = checkpoint.is_some();
+        // Streams that did not decode are no fallback: pruning counts only
+        // the loaded one and those below it.
+        self.streams = (streams.complete.iter())
+            .map(|&(lsn, _)| lsn)
+            .filter(|&lsn| loaded && lsn <= base)
+            .collect();
+        let tail = r.tail.finish(&mut report);
+        self.next_lsn = r.end;
+        // 4. Interior corruption means acknowledged records past the stop
         // point are lost. Outside salvage mode, leave the medium exactly as
         // found — the damaged bytes are evidence for the operator — and
         // halt: commits are refused until `salvage` makes the discard
         // explicit. (A benign torn tail never takes this path.)
         if let Some(stop) = &report.corrupt_stop {
             if !repair {
-                self.next_lsn = expected.max(base);
                 self.halted = Some(stop.clone());
                 self.recovered = false;
                 return Ok(Recovered {
@@ -765,7 +797,7 @@ impl<M: Medium> DurableStorage<M> {
             }
         }
 
-        // 4. (Salvage only.) A corrupt stop poisons everything after it:
+        // 5. (Salvage only.) A corrupt stop poisons everything after it:
         // records beyond the stop point are never replayed ("no record
         // after a hole"), so leaving their segments on disk would let the
         // *next* recovery scan straight past the repaired prefix into the
@@ -774,7 +806,7 @@ impl<M: Medium> DurableStorage<M> {
         // old contents. Move them aside under names no scan or rotation
         // ever touches.
         if report.corrupt_stop.is_some() {
-            for &first_lsn in &segs[stale_from..] {
+            for &first_lsn in &segs[r.stale_from..] {
                 let name = log::segment_name(first_lsn);
                 if let Some(buf) = self.medium.read(&name)? {
                     self.medium
@@ -785,37 +817,29 @@ impl<M: Medium> DurableStorage<M> {
             }
         }
 
-        // 5. Make the discard permanent: drop interrupted checkpoints, so no
-        // stream appends to one and no retention count includes one;
-        // truncate the last scanned segment to its valid prefix so torn
-        // bytes can never resurface and a zero tail does not sit between
-        // its records and the next commit, and point appends at it.
-        for name in &interrupted {
-            self.medium.remove(name)?;
-        }
-        self.next_lsn = expected.max(base);
-        if let Some((name, valid_len)) = &last_valid {
+        // 6. Make the discard permanent: truncate the last scanned segment
+        // to its valid prefix so torn bytes can never resurface and a zero
+        // tail does not sit between its records and the next commit, and
+        // point appends at it.
+        if let Some((name, valid_len)) = &r.last_valid {
             let buf = self.medium.read(name)?.unwrap_or_default();
             if (buf.len() as u64) > *valid_len {
                 self.medium
                     .write_atomic(name, &buf[..*valid_len as usize])?;
             }
         }
-        match last_valid {
-            // Resume appending to the scanned segment only when the next
-            // commit continues its LSN run; if the checkpoint sits past the
-            // end of the scanned log (`base > expected`, e.g. corruption
-            // below a checkpoint that subsumes it), appending there would
-            // put an LSN gap *inside* the segment, so start a fresh one.
-            Some((name, valid_len)) if self.next_lsn == expected => {
-                self.seg_name = name;
-                self.seg_bytes = valid_len as usize;
-            }
-            _ => {
-                self.seg_name = log::segment_name(self.next_lsn);
-                self.seg_bytes = 0;
-            }
-        }
+        // The loaded checkpoint covers every record when nothing but its
+        // own pieces follow it.
+        self.covered = streams.newest.and_then(|(lsn, met, count, _)| {
+            let only = loaded && lsn == base && self.next_lsn == lsn + u64::from(count);
+            (only && met == count).then_some((lsn, self.next_lsn))
+        });
+        // Resume appending to the scanned segment; after a hole at the
+        // start of the log nothing was scanned, so start a fresh one.
+        (self.seg_name, self.seg_bytes) = match r.last_valid {
+            Some((name, valid_len)) => (name, valid_len as usize),
+            None => (log::segment_name(self.next_lsn), 0),
+        };
         self.recovered = true;
         Ok(Recovered {
             checkpoint,
@@ -829,9 +853,29 @@ impl<M: Medium> DurableStorage<M> {
 mod tests {
     use super::*;
     use crate::fault::FaultMedium;
-    use crate::medium::MemMedium;
-    use tcvs_core::StorageFault;
+    use tcvs_core::{ProtocolConfig, ServerCore, StorageFault};
     use tcvs_merkle::{u64_key, Op};
+
+    /// A checkpoint's state that names itself: `tag` is its one evidence
+    /// bundle.
+    fn state(tag: &str) -> Vec<u8> {
+        let snapshot = ServerCore::new(&ProtocolConfig::default()).crash_snapshot();
+        let evidence = vec![tag.as_bytes().to_vec()];
+        let mut bytes = Vec::new();
+        DurableState {
+            snapshot,
+            journal: Vec::new(),
+            evidence,
+        }
+        .encode_into(&mut bytes);
+        bytes
+    }
+
+    /// The LSN and tag of the checkpoint a recovery loaded.
+    fn loaded(rec: &Recovered) -> Option<(u64, &[u8])> {
+        let (lsn, state) = rec.checkpoint.as_ref()?;
+        Some((*lsn, &state.evidence[0][..]))
+    }
 
     fn op_record(i: u64) -> Record {
         Record::Op {
@@ -850,18 +894,18 @@ mod tests {
 
     #[test]
     fn mem_storage_round_trips() {
-        let mut s = MemStorage::new();
+        let mut s = MemStorage::default();
         for i in 0..5 {
             commit_one(&mut s, i);
         }
-        s.checkpoint(b"state@5").unwrap();
+        assert_eq!(s.checkpoint(&state("@5")).unwrap(), 5);
         for i in 5..8 {
             commit_one(&mut s, i);
         }
         let rec = s.recover().unwrap();
-        assert_eq!(rec.checkpoint, Some((5, b"state@5".to_vec())));
+        assert_eq!(loaded(&rec), Some((5, &b"@5"[..])));
         assert_eq!(rec.tail.len(), 3);
-        assert_eq!(rec.tail[0].0, 5);
+        assert_eq!(rec.tail[0].0, 6, "the checkpoint's own commit holds lsn 5");
     }
 
     #[test]
@@ -937,128 +981,175 @@ mod tests {
         assert_eq!(rec2.tail.len(), 3);
     }
 
+    /// Segments wholly behind the older of the two newest complete streams
+    /// go; a newest stream that does not decode falls back to the one
+    /// before and the records since it.
     #[test]
-    fn checkpoint_prunes_segments_and_keeps_fallback() {
+    fn checkpoint_prunes_segments_and_keeps_fallback() -> Result<(), StorageError> {
         let mem = MemMedium::new();
         let opts = DurableOptions {
             segment_bytes: 128,
             retain_checkpoints: 2,
         };
         let mut s = DurableStorage::open(mem.clone(), opts);
-        s.recover().unwrap();
-        for i in 0..6 {
-            commit_one(&mut s, i);
+        s.recover()?;
+        let mut lsns = Vec::new();
+        for (ops, tag) in [(0..6, "@6"), (6..12, "@12"), (12..15, "@15")] {
+            for i in ops {
+                commit_one(&mut s, i);
+            }
+            lsns.push(s.checkpoint(&state(tag))?);
         }
-        s.checkpoint(b"state@6").unwrap();
-        for i in 6..12 {
-            commit_one(&mut s, i);
-        }
-        s.checkpoint(b"state@12").unwrap();
-        for i in 12..15 {
-            commit_one(&mut s, i);
-        }
-        s.checkpoint(b"state@15").unwrap();
-        // The earlier checkpoints streamed out in the commits after them;
-        // an empty commit finishes the last one and the pruning behind it.
-        s.commit(WriteBatch::new()).unwrap();
-        let names = mem.list().unwrap();
-        let ckpts: Vec<_> = names
-            .iter()
-            .filter(|n| log::parse_checkpoint_name(n).is_some())
-            .collect();
-        assert_eq!(ckpts.len(), 2, "retention bound holds: {names:?}");
-        let rec = DurableStorage::open(mem.clone(), opts).recover().unwrap();
-        assert_eq!(rec.checkpoint, Some((15, b"state@15".to_vec())));
+        // The last stream's pruning rides the commits after it; an empty
+        // commit finishes it.
+        s.commit(WriteBatch::new())?;
+        let segs = s.segment_lsns()?;
+        assert!(segs[0] <= lsns[1], "the fallback's log is kept: {segs:?}");
+        assert!(segs[1] > lsns[1], "the log behind it is pruned: {segs:?}");
+        let rec = DurableStorage::open(mem.clone(), opts).recover()?;
+        assert_eq!(loaded(&rec), Some((lsns[2], &b"@15"[..])));
         assert!(rec.tail.is_empty());
 
-        // Newest checkpoint corrupt → fall back to the previous one and
-        // replay the tail records since it.
-        let name = log::checkpoint_name(15);
-        let mut buf = mem.read(&name).unwrap().unwrap();
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
-        let mut raw = mem.clone();
-        raw.write_atomic(&name, &buf).unwrap();
-        let rec = DurableStorage::open(mem, opts).recover().unwrap();
+        let mut s = DurableStorage::open(mem.clone(), opts);
+        s.recover()?;
+        for i in 15..17 {
+            commit_one(&mut s, i);
+        }
+        s.checkpoint(b"no state at all")?;
+        let rec = DurableStorage::open(mem, opts).recover()?;
         assert_eq!(rec.report.corrupt_checkpoints, 1);
-        assert_eq!(rec.checkpoint.as_ref().unwrap().0, 12);
-        assert_eq!(rec.tail.len(), 3, "records 12..15 replay from the log");
+        assert_eq!(loaded(&rec), Some((lsns[2], &b"@15"[..])));
+        assert_eq!(rec.tail.len(), 2, "records 15 and 16 replay from the log");
+        Ok(())
     }
 
-    /// A checkpoint at the LSN of the newest complete one, in the same
-    /// incarnation or after a recovery, leaves that file alone: a second
-    /// stream under its name could only destroy it.
+    /// A checkpoint with nothing committed since the last one, in the same
+    /// incarnation or after a recovery, is that one: nothing is written.
     #[test]
-    fn checkpoint_at_a_completed_lsn_keeps_the_complete_file() {
+    fn checkpoint_at_a_completed_lsn_keeps_the_complete_file() -> Result<(), StorageError> {
         let mem = MemMedium::new();
         let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
-        s.recover().unwrap();
+        s.recover()?;
         commit_one(&mut s, 0);
-        s.checkpoint(b"state@1").unwrap();
-        s.commit(WriteBatch::new()).unwrap();
-        assert_eq!(s.checkpoint(b"again@1").unwrap(), 1);
-        s.commit(WriteBatch::new()).unwrap();
+        assert_eq!(s.checkpoint(&state("@1"))?, 1);
+        s.commit(WriteBatch::new())?;
+        assert_eq!(s.checkpoint(&state("again"))?, 1);
         let mut s2 = DurableStorage::open(mem.clone(), DurableOptions::default());
-        s2.recover().unwrap();
-        assert_eq!(s2.checkpoint(b"reopened@1").unwrap(), 1);
-        s2.commit(WriteBatch::new()).unwrap();
-        let rec = DurableStorage::open(mem, DurableOptions::default())
-            .recover()
-            .unwrap();
-        assert_eq!(rec.checkpoint, Some((1, b"state@1".to_vec())));
+        s2.recover()?;
+        assert_eq!(s2.checkpoint(&state("reopened"))?, 1);
+        assert_eq!(s2.next_lsn(), 2, "nothing written");
+        commit_one(&mut s2, 1);
+        assert_eq!(s2.checkpoint(&state("@3"))?, 3, "a record since: a new one");
+        let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
+        assert_eq!(loaded(&rec), Some((3, &b"@3"[..])));
+        Ok(())
     }
 
-    /// A failed stream leaves a partial file behind; the next checkpoint
-    /// under the same name starts from an empty file, not after the debris.
+    /// A power loss that tears a checkpoint's commit leaves it out: the
+    /// torn frame is the log's tail, and recovery replays the records
+    /// before it from the previous checkpoint.
     #[test]
-    fn a_failed_stream_restarts_from_an_empty_file() {
+    fn a_torn_checkpoint_commit_recovers_without_it() -> Result<(), StorageError> {
         let mem = MemMedium::new();
         let mut fm = FaultMedium::new(mem.clone());
-        fm.schedule(1, StorageFault::TornWrite); // the first slice
+        fm.schedule(3, StorageFault::TornWrite); // the second checkpoint
         let mut s = DurableStorage::open(fm, DurableOptions::default());
-        s.recover().unwrap();
+        s.recover()?;
         commit_one(&mut s, 0);
-        s.checkpoint(b"state@1").unwrap();
-        assert!(s.commit(WriteBatch::new()).is_err());
-        assert!(mem.read(&log::checkpoint_name(1)).unwrap().is_some());
-        s.medium.heal();
-        s.checkpoint(b"state@1").unwrap();
-        s.commit(WriteBatch::new()).unwrap();
-        let rec = DurableStorage::open(mem, DurableOptions::default())
-            .recover()
-            .unwrap();
-        assert_eq!(rec.checkpoint, Some((1, b"state@1".to_vec())));
+        s.checkpoint(&state("@1"))?;
+        commit_one(&mut s, 1);
+        assert!(s.checkpoint(&state("@3")).is_err());
+        drop(s);
+        mem.crash();
+        let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
+        assert!(rec.report.corrupt_stop.is_none(), "{:?}", rec.report);
+        assert_eq!(loaded(&rec), Some((1, &b"@1"[..])));
+        assert_eq!(rec.tail.len(), 1);
+        Ok(())
     }
 
-    /// With every checkpoint damaged, a log pruned below them is not
-    /// replayed onto an empty state: the pruned records are a hole.
+    /// A stream's pieces ride commits that carry records of their own.
+    /// Until its last piece lands the stream is skipped and recovery takes
+    /// the one before; a stream missing a piece never completes; a
+    /// complete one that does not decode is counted and skipped.
     #[test]
-    fn log_pruned_below_damaged_checkpoints_is_a_hole() {
+    fn a_stream_counts_only_once_every_piece_is_in() -> Result<(), StorageError> {
         let mem = MemMedium::new();
         let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
-        s.recover().unwrap();
+        s.recover()?;
+        let first = s.checkpoint(&state("@a"))?;
+        let streamed = state("@b");
+        let pieces: Vec<&[u8]> = streamed.chunks(streamed.len().div_ceil(3)).collect();
+        let at = s.next_lsn();
+        let mut recovered = Vec::new();
+        for (i, piece) in pieces.iter().enumerate() {
+            let mut b = WriteBatch::new();
+            b.push(op_record(i as u64));
+            b.push_chunk((at, i as u32, 3), piece.len(), |buf| {
+                buf.extend_from_slice(piece)
+            });
+            s.commit(b)?;
+            let rec = DurableStorage::open(mem.clone(), DurableOptions::default()).recover()?;
+            recovered.push((
+                loaded(&rec).map(|(lsn, _)| lsn),
+                rec.report.stream,
+                rec.tail.len(),
+            ));
+        }
+        let want = [
+            (Some(first), Some((1, 3)), 1),
+            (Some(first), Some((2, 3)), 2),
+            (Some(at), Some((3, 3)), 3),
+        ];
+        assert_eq!(
+            recovered, want,
+            "pieces never replay; the ops riding them do"
+        );
+
+        // Piece 1 of 3 is lost: the stream stays one piece in.
+        let gap = s.next_lsn();
+        for i in [0u32, 2] {
+            let mut b = WriteBatch::new();
+            b.push_chunk((gap, i, 3), 1, |buf| buf.push(0));
+            s.commit(b)?;
+        }
+        let rec = DurableStorage::open(mem.clone(), DurableOptions::default()).recover()?;
+        assert_eq!(
+            (rec.report.stream, loaded(&rec)),
+            (Some((1, 3)), Some((at, &b"@b"[..])))
+        );
+        s.checkpoint(b"no state at all")?;
+        let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
+        assert_eq!(rec.report.stream, Some((1, 1)));
+        assert_eq!(rec.report.corrupt_checkpoints, 1);
+        assert_eq!(loaded(&rec), Some((at, &b"@b"[..])));
+        Ok(())
+    }
+
+    /// With every checkpoint undecodable, a log pruned below them is not
+    /// replayed onto an empty state: the pruned records are a hole.
+    #[test]
+    fn log_pruned_below_damaged_checkpoints_is_a_hole() -> Result<(), StorageError> {
+        let mem = MemMedium::new();
+        let opts = DurableOptions {
+            segment_bytes: 1,
+            retain_checkpoints: 2,
+        };
+        let mut s = DurableStorage::open(mem.clone(), opts);
+        s.recover()?;
         for i in 0..6 {
             commit_one(&mut s, i);
             if i == 2 || i == 4 {
-                s.checkpoint(b"state").unwrap();
-                s.commit(WriteBatch::new()).unwrap();
+                s.checkpoint(b"damaged")?;
+                s.commit(WriteBatch::new())?;
             }
         }
-        assert_eq!(s.segment_lsns().unwrap(), vec![3, 5], "pruned below 3");
-        let mut raw = mem.clone();
-        for lsn in [3, 5] {
-            let name = log::checkpoint_name(lsn);
-            let mut buf = mem.read(&name).unwrap().unwrap();
-            let last = buf.len() - 1;
-            buf[last] ^= 0x01;
-            raw.write_atomic(&name, &buf).unwrap();
-        }
-        let rec = DurableStorage::open(mem, DurableOptions::default())
-            .recover()
-            .unwrap();
+        assert_eq!(s.segment_lsns()?, vec![3, 4, 5, 6, 7], "pruned below 3");
+        let rec = DurableStorage::open(mem, opts).recover()?;
         assert_eq!(rec.report.corrupt_checkpoints, 2);
         assert!(rec.report.corrupt_stop.is_some(), "{:?}", rec.report);
         assert!(rec.tail.is_empty());
+        Ok(())
     }
 
     #[test]

@@ -32,6 +32,12 @@
 //!
 //! `record-delta`, an incremental checkpoint's record body, was added with
 //! it; no other pin moved.
+//!
+//! When checkpoints moved into the log, `record-chunk` (a piece of a full
+//! checkpoint) and `commit` (a whole commit frame as a segment holds it:
+//! one frame, one check, several records) were added. No other pin moved:
+//! a full checkpoint is now written a piece at a time, and `checkpoint`,
+//! encoded by that stream, still pins the bytes the pieces concatenate to.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
@@ -42,14 +48,20 @@ use tcvs_core::{
 use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
 use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
-use tcvs_storage::{response_bytes, DurableDelta, DurableState, Record};
+use tcvs_storage::{
+    response_bytes, DurableDelta, DurableOptions, DurableState, DurableStorage, Medium, MemMedium,
+    Record, Storage, WriteBatch,
+};
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
 /// above on the first build whose point proofs hide unproven entries, the
-/// three bundle-bearing ones on the first build of bundle version 2, and
-/// `record-delta` on the first build with incremental checkpoints.
+/// three bundle-bearing ones on the first build of bundle version 2,
+/// `record-delta` on the first build with incremental checkpoints, and
+/// `record-chunk` and `commit` on the first build whose checkpoints ride
+/// the log.
 const PINS: &str = "\
 checkpoint 162f7ad8c3d109eb058f02655eb052e6cfa265f741f6dbfdad56ce24227764e8
+commit 118e811263ac55e069f3c6eacf4849429904b53c73a1a82e5e8adfe1363d1b0e
 evidence 6950da9de2994eae2c5339802a13105f82abae9a182ae7ebd78948846fb7af34
 manifest 86f419413a3018cd584471fd417a7f4bcb90250f35cf814f0559e9b8330cc359
 reply-get aebe7b6758aa9209f64f80077358b07b73c3414ea5c1681302a13f3da48c85ee
@@ -74,6 +86,7 @@ record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
 record-evidence 429142acca6802c81760da49f0cff80868d55237c0e4be3e917b3e2436fd22ab
 record-delta a85bbd4cfe50633248cddc656fc8bc736062613be5226dfd70b3119638800b4d
+record-chunk 6fc05e4d1e2750254f933ba5f4f4634086c93dcce868ce2696ebd0fee8ee3360
 ";
 
 fn hex(d: Digest) -> String {
@@ -290,7 +303,24 @@ fn every_persisted_encoding_is_pinned() {
         ),
         ("record-evidence".into(), Record::Evidence(bundle.clone())),
         ("record-delta".into(), Record::Delta(Box::new(delta))),
+        (
+            "record-chunk".into(),
+            Record::Chunk((17, 1, 3), checkpoint_bytes[100..160].to_vec()),
+        ),
     ]);
+    // A commit of three records as the first frame of a segment: an op,
+    // a flight frame and a piece, one frame and one check.
+    let medium = MemMedium::new();
+    let mut store = DurableStorage::open(medium.clone(), DurableOptions::default());
+    store.recover().unwrap();
+    let mut batch = WriteBatch::new();
+    for (name, rec) in &records {
+        if ["record-op-put", "record-flight", "record-chunk"].contains(&name.as_str()) {
+            batch.push(rec.clone());
+        }
+    }
+    assert_eq!(store.commit(batch).unwrap(), 3);
+    let commit = medium.read("seg-0000000000000000.log").unwrap().unwrap();
 
     let manifest = ChunkSource::new(server.core().db(), 512)
         .unwrap()
@@ -299,6 +329,7 @@ fn every_persisted_encoding_is_pinned() {
 
     let mut got = vec![
         ("checkpoint".to_string(), checkpoint_bytes),
+        ("commit".to_string(), commit),
         ("evidence".to_string(), bundle),
         ("manifest".to_string(), manifest),
     ];

@@ -10,10 +10,11 @@
 //! exactly the acknowledged prefix — nothing acknowledged is lost, and
 //! nothing unacknowledged is half-applied.
 //!
-//! The sweeps checkpoint as the engine does: a delta every few ops, in a
-//! commit of its own ahead of the next op's, and a full checkpoint once
-//! the deltas outweigh the last one. Their worlds are small, so a delta
-//! weighs about as much as a full checkpoint and the two alternate.
+//! The sweeps checkpoint as the engine does: a delta every few ops, riding
+//! the next op's commit, and a full checkpoint once the deltas outweigh the
+//! last one, streamed a piece per commit in the commits after it. Their
+//! worlds are small, so a delta weighs about as much as a full checkpoint
+//! and the two alternate.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,9 +23,10 @@ use tcvs_core::{
     FaultKind, FaultPlan, FaultRates, ProtocolConfig, ServerApi, ServerCore, StorageFault,
 };
 use tcvs_merkle::{u64_key, Op};
+use tcvs_obs::{Event, EventKind, Tracer};
 use tcvs_storage::{
-    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableState,
-    DurableStorage, FaultMedium, Medium, MemMedium, Storage, StorageError, StorageObs,
+    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
+    FaultMedium, Medium, MemMedium, Record, Storage, StorageError, StorageObs,
 };
 
 const USERS: u64 = 3;
@@ -128,7 +130,7 @@ fn assert_recovered_equals_oracle<M: Medium>(
 
 /// Crash (power loss) after every acknowledged op index: the recovered
 /// state must be exactly the acknowledged prefix. The run takes full
-/// checkpoints after 7, 21 and 35 ops and logs deltas before ops 14, 21,
+/// checkpoints after 7, 21 and 35 ops and logs deltas with ops 14, 21,
 /// 28 and 35, so the swept crashes recover from no checkpoint, from a full
 /// one alone, and from a full one plus a delta.
 #[test]
@@ -161,12 +163,12 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
     assert!(deltas_applied > 0, "some recovery applied a delta");
 }
 
-/// A torn write at every append — each op's records, each delta, and each
-/// slice of the full checkpoints streaming behind them: the op whose commit
-/// it tears is never acknowledged, and recovery lands exactly on the prefix
-/// before it — whether the torn bytes survived in the page cache (process
-/// restart) or not (power loss). The run takes full checkpoints after 7
-/// and 21 ops and logs deltas before ops 14 and 21.
+/// A torn write at every append — each op's commit, with the deltas and
+/// checkpoint pieces riding along: the op whose commit it tears is never
+/// acknowledged, and recovery lands exactly on the prefix before it —
+/// whether the torn bytes survived in the page cache (process restart) or
+/// not (power loss). The run takes full checkpoints after 7 and 21 ops
+/// and logs deltas with ops 14 and 21.
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
     const N: u64 = 24;
@@ -218,10 +220,8 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
         }
         torn_at += 1;
     }
-    // One append per op, plus one for each of the deltas before ops 14 and
-    // 21, plus one slice for each of the (small) full checkpoints after 7
-    // and 21 ops.
-    assert_eq!(torn_at, N + 4, "every append of the run was torn once");
+    // One append per op: deltas and pieces ride the op's commit.
+    assert_eq!(torn_at, N, "every append of the run was torn once");
 }
 
 /// A lying fsync at every op index, with the power failing right after:
@@ -264,20 +264,20 @@ fn lost_fsync_then_power_loss_recovers_a_clean_prefix() {
     }
 }
 
-/// A flipped bit in every op record, swept twice. With checkpoints off,
-/// the log is every op record and nothing else, so a flip at every op
-/// index from the first record on stops recovery exactly at the flip. With
-/// a checkpoint every 7 ops, the run takes full checkpoints after 7 and 21
-/// ops and logs deltas before ops 14 and 21, and every delta is flipped
-/// too: a flip in what the newest complete full checkpoint subsumes costs
-/// nothing; any other stops recovery exactly at the flip, reports it, and
-/// replays the intact prefix — a flipped delta is not skipped for the ops
-/// it summarises, because nothing after a damaged frame is trusted. A flip
-/// below a frame that verifies is classified as corruption; a flip in the
-/// last frame has nothing verifying after it and is indistinguishable from
-/// a tear, so it is reported as a torn tail — either way the stop point
-/// and the recovered prefix are exact. Flipped checkpoint slices are
-/// swept by `faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle`.
+/// A flipped bit in every commit, swept twice. With checkpoints off, the
+/// log is every op record and nothing else, so a flip at every op index
+/// from the first record on stops recovery exactly at the flip. With a
+/// checkpoint every 7 ops, the run takes full checkpoints after 7 and 21
+/// ops and logs deltas with ops 14 and 21, so commits that carry a delta or
+/// a checkpoint piece are flipped too: a flip in what the newest complete
+/// full checkpoint subsumes costs nothing, although it sits in the segment
+/// the checkpoint's pieces are in; any other stops recovery exactly at the
+/// flip, reports it, and replays the intact prefix — a flipped delta is
+/// not skipped for the ops it summarises, because nothing after a damaged
+/// frame is trusted. A flip below a frame that verifies is classified as
+/// corruption; a flip in the last frame has nothing verifying after it and
+/// is indistinguishable from a tear, so it is reported as a torn tail —
+/// either way the stop point and the recovered prefix are exact.
 #[test]
 fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
     const N: u64 = 24;
@@ -286,12 +286,9 @@ fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
         let run = DryRun::new(scripted, every, N, SEGMENT);
         let (mut flipped, mut deltas) = (0, 0);
         for (a, m) in run.appends() {
-            if run.is_ckpt(m) {
-                continue;
-            }
             let j = run.op_of(m);
             flipped += 1;
-            deltas += u64::from(run.is_delta(m));
+            deltas += u64::from(run.holds(m, DELTA));
             let mem = MemMedium::new();
             let mut fm = FaultMedium::new(mem.clone());
             fm.schedule(a, StorageFault::BitFlip);
@@ -436,7 +433,7 @@ fn seeded_fault_plans_drive_storage_faults_end_to_end() {
 }
 
 /// `scripted` with every put's value blown up to 24 KiB, so that a
-/// checkpoint of its world streams out in several slices.
+/// checkpoint of its world streams out in many pieces.
 fn scripted_large(j: u64) -> (u32, u64, Op, u64) {
     let (user, seq, op, round) = scripted(j);
     let op = match op {
@@ -446,8 +443,31 @@ fn scripted_large(j: u64) -> (u32, u64, Op, u64) {
     (user, seq, op, round)
 }
 
-/// Every mutating medium operation of a run, in order: `(kind, file)`.
-type OpLog = Arc<Mutex<Vec<(&'static str, String)>>>;
+/// What one commit frame holds: each record's tag, with a checkpoint
+/// piece's stream, index and count.
+type Commit = Vec<(u8, Option<(u64, u32, u32)>)>;
+
+/// The records of the commit frame `data`, as [`Commit`] tells them.
+fn commit_of(data: &[u8]) -> Commit {
+    let lsn = data
+        .get(4..12)
+        .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+    let records = log::scan(data, lsn).records.into_iter();
+    records
+        .map(|(_, tag, body)| match Record::decode(tag, &data[body]) {
+            Ok(Record::Chunk(head, _)) => (tag, Some(head)),
+            _ => (tag, None),
+        })
+        .collect()
+}
+
+/// Log tags of a delta and of a checkpoint piece.
+const DELTA: u8 = 7;
+const PIECE: u8 = 8;
+
+/// Every mutating medium operation of a run, in order: `(kind, file)`, and
+/// for an append the commit it carries.
+type OpLog = Arc<Mutex<Vec<(&'static str, String, Commit)>>>;
 
 /// A medium that logs its mutating operations and loses power at the
 /// `cut`-th: that operation and every later one fail.
@@ -458,12 +478,12 @@ struct PowerCut<M> {
 }
 
 impl<M: Medium> PowerCut<M> {
-    fn op(&self, kind: &'static str, name: &str) -> Result<(), StorageError> {
+    fn op(&self, kind: &'static str, name: &str, commit: Commit) -> Result<(), StorageError> {
         let mut log = self.log.lock().unwrap();
         if log.len() >= self.cut {
             return Err(StorageError::io("power lost"));
         }
-        log.push((kind, name.to_string()));
+        log.push((kind, name.to_string(), commit));
         Ok(())
     }
 }
@@ -478,22 +498,22 @@ impl<M: Medium> Medium for PowerCut<M> {
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.op("append", name)?;
+        self.op("append", name, commit_of(data))?;
         self.inner.append(name, data)
     }
 
     fn sync(&mut self, name: &str) -> Result<(), StorageError> {
-        self.op("sync", name)?;
+        self.op("sync", name, Vec::new())?;
         self.inner.sync(name)
     }
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.op("write_atomic", name)?;
+        self.op("write_atomic", name, Vec::new())?;
         self.inner.write_atomic(name, data)
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
-        self.op("remove", name)?;
+        self.op("remove", name, Vec::new())?;
         self.inner.remove(name)
     }
 }
@@ -513,7 +533,7 @@ fn run_large<M: Medium>(server: &mut DurableServer<DurableStorage<M>>, n: u64) -
 /// mutating operations: what each op writes, in order.
 struct DryRun {
     /// Every mutating medium operation of the run.
-    ops: Vec<(&'static str, String)>,
+    ops: Vec<(&'static str, String, Commit)>,
     /// Index in `ops` of each op's first one, then `ops.len()`.
     op_start: Vec<usize>,
     /// Ops the newest full checkpoint complete at the end covers.
@@ -543,9 +563,7 @@ impl DryRun {
             .recover()
             .unwrap()
             .checkpoint;
-        let subsumed = newest.map_or(0, |(_, state)| {
-            DurableState::from_bytes(&state).unwrap().snapshot.ctr()
-        });
+        let subsumed = newest.map_or(0, |(_, state)| state.snapshot.ctr());
         DryRun {
             ops,
             op_start,
@@ -574,15 +592,20 @@ impl DryRun {
         })
     }
 
-    fn is_ckpt(&self, m: usize) -> bool {
-        log::parse_checkpoint_name(&self.ops[m].1).is_some()
+    /// Whether medium operation `m` appends a commit holding a record
+    /// with log tag `tag`.
+    fn holds(&self, m: usize, tag: u8) -> bool {
+        self.ops[m].2.iter().any(|r| r.0 == tag)
     }
 
-    /// Whether `m` appends a delta: an op's last segment append is its
-    /// record's, an earlier one the delta committed ahead of it.
-    fn is_delta(&self, m: usize) -> bool {
-        let last = self.segment_ops(self.op_of(m), "append").last();
-        !self.is_ckpt(m) && last.is_some_and(|record| record > m)
+    /// The first piece of each checkpoint stream of the run: the medium
+    /// operation appending it, its stream and its count.
+    fn streams(&self) -> Vec<(usize, u64, u32)> {
+        let firsts = self.ops.iter().enumerate().flat_map(|(m, (_, _, commit))| {
+            let pieces = commit.iter().filter_map(|r| r.1);
+            pieces.filter(|p| p.1 == 0).map(move |p| (m, p.0, p.2))
+        });
+        firsts.collect()
     }
 
     /// Ops durable when medium operation `m` fails: those before its op,
@@ -595,13 +618,15 @@ impl DryRun {
     }
 }
 
-/// A full checkpoint streams out in slices across the commits after it,
-/// and its pruning follows one file per commit. Power loss, a torn write, a
-/// lost fsync (then power loss) and a bit flip, each injected at every
-/// medium operation from the third full checkpoint's stream to the end of
-/// the run, which logs deltas before ops 50, 60, 70 and 80 and starts a
-/// fourth full checkpoint after 70 ops: the recovered world is always the
-/// oracle's, at exactly the prefix the fault allows.
+/// A full checkpoint streams out a piece per commit across the commits
+/// after it, and the pruning behind it follows one segment per commit.
+/// Power loss, a torn write, a lost fsync (then power loss) and a bit
+/// flip, each injected at every medium operation from the third full
+/// checkpoint's first piece to the end of the run, which logs deltas with
+/// ops 50, 60, 70 and 80 and starts a fourth full checkpoint after 70 ops:
+/// the recovered world is always the oracle's, at exactly the prefix the
+/// fault allows, and only a flip in an acknowledged commit that no complete
+/// checkpoint covers stops recovery.
 #[test]
 fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
     // Long enough for the fourth full checkpoint to complete.
@@ -611,36 +636,22 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
     // A fault-free run maps every medium operation to the op issuing it.
     let run = DryRun::new(scripted_large, EVERY, N, 256);
     let ops = &run.ops;
-    // The third full checkpoint: its completion prunes the first one and
-    // the log below the second, the fallback a damaged third one needs.
-    let mut fulls: Vec<&String> = ops
-        .iter()
-        .filter(|(kind, f)| *kind == "append" && log::parse_checkpoint_name(f).is_some())
-        .map(|(_, f)| f)
-        .collect();
-    fulls.dedup();
-    assert!(fulls.len() >= 4, "{fulls:?}");
-    let streamed = fulls[2];
+    // The third full checkpoint: its completion prunes the log below the
+    // second, the fallback a damaged third one needs.
+    let streams = run.streams();
+    assert!(streams.len() >= 4, "{streams:?}");
+    let (first, _, pieces) = streams[2];
+    assert!(pieces >= 3, "the stream spans {pieces} commits");
     // The newest full checkpoint complete when the run ends subsumes every
     // record below it, damaged or not.
     let subsumed = run.subsumed;
-    assert!(subsumed > run.op_of(ops.iter().position(|(_, f)| f == streamed).unwrap()));
-    let first = ops.iter().position(|(_, f)| f == streamed).unwrap();
-    let slices = ops
-        .iter()
-        .filter(|(kind, f)| *kind == "append" && f == streamed)
-        .count();
-    assert!(slices >= 4, "{slices} slices");
-    let removed: Vec<&String> = ops[first..]
-        .iter()
-        .filter(|(kind, _)| *kind == "remove")
-        .map(|(_, f)| f)
-        .collect();
+    assert!(subsumed > run.op_of(first));
+    let removed = ops[first..].iter().filter(|(kind, ..)| *kind == "remove");
     assert!(
-        removed.contains(&fulls[0]) && removed.iter().any(|f| log::parse_segment_name(f).is_some()),
-        "the stream's pruning lies inside the run: {removed:?}"
+        removed.count() > 0,
+        "the stream's pruning lies inside the run"
     );
-    let deltas = (first..ops.len()).filter(|&m| run.is_delta(m)).count();
+    let deltas = (first..ops.len()).filter(|&m| run.holds(m, DELTA)).count();
     assert!(deltas > 0, "the swept range logs a delta");
 
     // Power lost just before medium operation m: the op issuing it is
@@ -663,7 +674,7 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
         let server = open(mem, EVERY);
         let report = server.last_recovery();
         assert!(report.corrupt_stop.is_none(), "m={m}: {report:?}");
-        interrupted += u64::from(report.interrupted_checkpoints > 0);
+        interrupted += u64::from(report.stream.is_some_and(|(met, count)| met < count));
         let expected = run.durable_before(m);
         assert_recovered_equals_oracle(&server, scripted_large, expected, &format!("m={m}"));
     }
@@ -681,21 +692,17 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
             let mut fm = FaultMedium::new(mem.clone());
             fm.schedule(a, fault);
             let mut server = open(fm, EVERY);
-            // A delta whose sync was lost, below the op's record synced
-            // into the next segment, is a hole the power loss leaves.
-            let hole = fault == StorageFault::FsyncLost && run.is_delta(m);
             // (ops run, ops acknowledged, ops recovered)
             let (run_to, acked, expected) = match fault {
                 // The torn append fails its op.
                 StorageFault::TornWrite => (N, j, run.durable_before(m)),
-                // Power fails right after the op whose sync was lost: a
-                // slice's loss costs nothing, a record's or a delta's
-                // costs its op.
-                StorageFault::FsyncLost => (j + 1, j + 1, j + u64::from(run.is_ckpt(m))),
-                // A flipped slice spoils its checkpoint, and recovery falls
-                // back to the previous one. A flipped record or delta stops
-                // replay at it, unless a complete checkpoint subsumes it.
-                _ if run.is_ckpt(m) || j < subsumed => (N, N, N),
+                // Power fails right after the op whose sync was lost, and
+                // the op is lost with whatever rode its commit.
+                StorageFault::FsyncLost => (j + 1, j + 1, j),
+                // A flipped commit stops replay at it, unless a complete
+                // checkpoint subsumes it; one holding a piece spoils its
+                // stream, and recovery falls back to the previous one.
+                _ if j < subsumed => (N, N, N),
                 _ => (N, N, j),
             };
             assert_eq!(run_large(&mut server, run_to), acked, "{what}");
@@ -704,12 +711,9 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
                 mem.crash();
             }
             let server = open(mem, EVERY);
-            // Only a flipped record replay depends on, or a hole, is
-            // interior damage.
+            // Only a flipped commit replay depends on is interior damage.
             let report = server.last_recovery();
-            if hole {
-                assert!(report.corrupt_stop.is_some(), "{what}: {report:?}");
-            } else if fault != StorageFault::BitFlip || expected == N {
+            if fault != StorageFault::BitFlip || expected == N {
                 assert!(report.corrupt_stop.is_none(), "{what}: {report:?}");
             }
             assert_recovered_equals_oracle(&server, scripted_large, expected, &what);
@@ -747,6 +751,8 @@ struct Segment {
 #[derive(Default)]
 struct ExtentState {
     segments: std::collections::BTreeMap<String, Segment>,
+    /// Every commit appended to a segment, in order.
+    commits: Vec<Commit>,
     /// Segment syncs so far, and the one the power fails at.
     syncs: u64,
     cut_at: Option<u64>,
@@ -755,7 +761,7 @@ struct ExtentState {
 
 /// A `MemMedium` given `FileMedium`'s zero extents: log segments are
 /// written into zero-filled capacity, grown by doubling, at most 256 KiB a
-/// step; checkpoints go to the `MemMedium` as they are. The power fails at
+/// step; other files go to the `MemMedium` as they are. The power fails at
 /// a chosen segment sync, and [`ZeroExtents::crash`] keeps each segment's
 /// synced prefix plus a chosen subset of its unsynced 512-B sectors,
 /// zeroing the rest.
@@ -782,7 +788,7 @@ impl ZeroExtents {
         Ok(st)
     }
 
-    /// The power loss: checkpoints lose their unsynced bytes, a segment
+    /// The power loss: other files lose their unsynced bytes, a segment
     /// keeps its synced prefix and the unsynced sectors `keep` picks
     /// (indexed from its first unsynced one), a grown file keeps its new
     /// length only if `keep` picks the sector after the commit, and a
@@ -853,6 +859,7 @@ impl Medium for ZeroExtents {
             drop(st);
             return self.inner.append(name, data);
         }
+        st.commits.push(commit_of(data));
         let seg = st.segments.entry(name.to_string()).or_default();
         let end = seg.end + data.len();
         if end > seg.data.len() {
@@ -919,19 +926,21 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The power fails at the sync of every commit — each op's, and the delta
-/// committed ahead of op 20 — on a medium with `FileMedium`'s zero
-/// extents, and lands a chosen subset of the commit's sectors. The run
-/// takes a full checkpoint after 10 ops. Recovery
-/// returns exactly the prefix the disk holds: the acknowledged ops, plus
-/// the interrupted op only when every byte of its record landed (a delta
-/// holds no op). It reports a torn tail exactly when part of the commit
+/// The power fails at the sync of every commit, on a medium with
+/// `FileMedium`'s zero extents, and lands a chosen subset of the commit's
+/// sectors. A flight recorder is attached, so every commit holds its op and
+/// the flight frame the op emitted; deltas ride the ops after 10, 15, 20
+/// and 25 ops, and full checkpoints stream a piece per commit after 5, 15
+/// and 25 ops, so a commit can hold an op, a flight frame, a delta and a
+/// piece at once. Recovery returns exactly the prefix the disk holds: the
+/// acknowledged ops, plus the interrupted op only when every byte of its
+/// commit landed. It reports a torn tail exactly when part of the commit
 /// landed (a commit spanning two sectors or more always tears under some
 /// subset) and never stops at corruption.
 #[test]
 fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     const N: u64 = 30;
-    const EVERY: u64 = 10;
+    const EVERY: u64 = 5;
     let open = |medium: ZeroExtents| {
         let opts = DurableOptions {
             segment_bytes: 1 << 20,
@@ -947,6 +956,19 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
             StorageObs::disabled(),
         )
     };
+    // Ops 0..N, each emitting a flight frame first; how many were
+    // acknowledged.
+    let traced = |server: &mut DurableServer<DurableStorage<ZeroExtents>>| {
+        let (tracer, recorder) = Tracer::flight(4);
+        server.attach_flight_recorder(recorder);
+        (0..N)
+            .find(|&j| {
+                tracer.emit(|| Event::new(j, EventKind::OpServed, 0).detail("served"));
+                let (user, seq, op, round) = scripted_large(j);
+                server.apply(user, seq, &op, round).is_err()
+            })
+            .unwrap_or(N)
+    };
     let seeded = |seed: u64| move |k: usize| mix(seed << 32 ^ k as u64) & 1 == 1;
     type Keep = Box<dyn Fn(usize) -> bool>;
     let subsets: [(&str, Keep); 7] = [
@@ -958,30 +980,37 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
         ("seed 2", Box::new(seeded(2))),
         ("seed 3", Box::new(seeded(3))),
     ];
-    // The segment syncs of each op: a delta's, then its record's.
+    // One commit, one segment sync, per op.
     let dry = ZeroExtents::default();
     let mut server = open(dry.clone()).expect("open");
-    let mut sync_start = Vec::new();
-    for j in 0..N {
-        sync_start.push(dry.state.lock().unwrap().syncs);
-        let (user, seq, op, round) = scripted_large(j);
-        server.apply(user, seq, &op, round).expect("fault-free run");
-    }
+    assert_eq!(traced(&mut server), N, "fault-free run");
     drop(server);
-    sync_start.push(dry.state.lock().unwrap().syncs);
+    let commits = dry.state.lock().unwrap().commits.clone();
+    assert_eq!(commits.len() as u64, N);
+    let holds =
+        |commit: &Commit, tags: &[u8]| tags.iter().all(|t| commit.iter().any(|r| r.0 == *t));
+    let full = commits
+        .iter()
+        .filter(|c| holds(c, &[1, 5, DELTA, PIECE]))
+        .count();
+    assert!(
+        full > 0,
+        "a commit holds an op, a flight frame, a delta and a piece"
+    );
+    let pieces = commits.iter().flatten().filter_map(|r| r.1);
+    assert!(
+        pieces.map(|p| p.2).max() >= Some(3),
+        "a stream spans 3 commits"
+    );
     let mut torn_commits = 0;
-    let mut deltas = 0;
-    for cut in 0..sync_start[N as usize] {
-        let j = (sync_start.partition_point(|&s| s <= cut) - 1) as u64;
-        let delta = cut + 1 < sync_start[j as usize + 1];
-        deltas += u64::from(delta);
+    for j in 0..N {
         let mut tore = false;
         let mut spans = 0;
         for (subset, keep) in &subsets {
-            let what = format!("power lost in sync {cut} of op {j}, {subset}");
-            let medium = ZeroExtents::cut_at(cut);
+            let what = format!("power lost in the sync of op {j}, {subset}");
+            let medium = ZeroExtents::cut_at(j);
             let mut server = open(medium.clone()).expect("open");
-            assert_eq!(run_large(&mut server, N), j, "{what}");
+            assert_eq!(traced(&mut server), j, "{what}");
             drop(server);
             let (shape, sectors) = medium.crash(keep);
             let server_medium = medium.clone();
@@ -996,7 +1025,7 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
                 shape == Shape::Torn,
                 "{what}: {shape:?} {report:?}"
             );
-            let expected = j + u64::from(shape == Shape::Whole && !delta);
+            let expected = j + u64::from(shape == Shape::Whole);
             assert_recovered_equals_oracle(&server, scripted_large, expected, &what);
             // Recovery truncated the zero or torn tail: the next commit
             // lands right after the last record, and a clean restart
@@ -1011,10 +1040,9 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
             tore |= shape == Shape::Torn;
             spans = sectors;
         }
-        assert!(tore || spans < 2, "sync {cut}: {spans} sectors, never torn");
+        assert!(tore || spans < 2, "op {j}: {spans} sectors, never torn");
         torn_commits += u64::from(tore);
     }
-    assert_eq!(deltas, 1, "a delta ahead of op 20");
     // The puts' commits span dozens of sectors; those that open a segment
     // vanish with it instead.
     assert!(torn_commits >= N / 3, "{torn_commits} of {N} commits torn");
