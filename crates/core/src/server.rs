@@ -415,13 +415,6 @@ impl ServerSnapshot {
         &self.db
     }
 
-    /// The same snapshot over another database: how a storage engine that
-    /// persists the database apart from the rest (an incremental
-    /// checkpoint's edits) puts the two back together.
-    pub fn with_db(self, db: MerkleTree) -> ServerSnapshot {
-        ServerSnapshot { db, ..self }
-    }
-
     /// Operation counter at capture time.
     pub fn ctr(&self) -> Ctr {
         self.ctr

@@ -153,22 +153,17 @@ impl MerkleTree {
 
     /// Point lookup. `Err(IncompleteProof)` if the search hits a stub.
     pub fn get(&self, key: &[u8]) -> Result<Option<&Value>, TreeError> {
-        Ok(self.entry(key)?.map(|e| &e.value))
-    }
-
-    /// The entry holding `key`, as [`Self::get`] finds it.
-    fn entry(&self, key: &[u8]) -> Result<Option<&Arc<LeafEntry>>, TreeError> {
         let mut child = &self.root;
         loop {
             match child.node()? {
                 Node::Leaf { entries, .. } => {
-                    return Ok(entry_index(entries, key).ok().map(|i| &entries[i]));
+                    return Ok(entry_index(entries, key).ok().map(|i| &entries[i].value));
                 }
                 Node::ProofLeaf { entries, .. } => {
                     return entries
                         .iter()
                         .find_map(|e| match e {
-                            ProofEntry::Kv(e) if e.key == key => Some(Some(e)),
+                            ProofEntry::Kv(e) if e.key == key => Some(Some(&e.value)),
                             _ => None,
                         })
                         .ok_or(TreeError::IncompleteProof);
@@ -235,26 +230,6 @@ impl MerkleTree {
         });
         self.root.rehash();
         applied.map(|()| results)
-    }
-
-    /// Makes each of `keys` hold what `from` holds for it, as one window:
-    /// `from`'s own entry, shared (its value is neither copied nor hashed
-    /// again), or no entry. With `from` a later version of this tree, the
-    /// result's root is `from`'s exactly when `keys` covers every entry
-    /// that differs and the edits before it rebuilt `from`'s shape: how a
-    /// store that keeps an older version checks a list of changed keys
-    /// without copying their values.
-    pub fn copy_entries<'k>(
-        &mut self,
-        from: &MerkleTree,
-        keys: impl IntoIterator<Item = &'k [u8]>,
-    ) -> Result<(), TreeError> {
-        let copied = keys.into_iter().try_for_each(|key| match from.entry(key)? {
-            Some(entry) => self.insert_entry_unhashed(Arc::clone(entry)).map(drop),
-            None => self.delete_unhashed(key).map(drop),
-        });
-        self.root.rehash();
-        copied
     }
 
     /// A window of one op, without the result vector (crate-internal, for
@@ -1065,56 +1040,6 @@ mod tests {
                 hashed < per_op_hashed,
                 "order {order}: window {hashed} !< per-op {per_op_hashed}"
             );
-        }
-        Ok(())
-    }
-
-    /// Copying the changed keys' entries from a later version, after
-    /// replaying the order keys came and went, rebuilds that version: the
-    /// same root, its values shared rather than copied. A key left out
-    /// leaves the root different.
-    #[test]
-    fn copy_entries_rebuilds_a_later_version_sharing_its_values() -> Result<(), TreeError> {
-        for order in [4, 16] {
-            let base = tree_with(300, order)?;
-            let mut later = base.clone();
-            // Replaces, inserts that split, and deletes that merge.
-            let mut flips = Vec::new();
-            let mut changed = Vec::new();
-            for i in 0..60u64 {
-                let (op, flip) = match i % 3 {
-                    0 => (Op::Put(u64_key(2 * (i * 7 % 300)), vec![9; 40]), None),
-                    1 => {
-                        let key = u64_key(2 * i + 1);
-                        let flip = Op::Put(key.clone(), Vec::new());
-                        (Op::Put(key, vec![7; 40]), Some(flip))
-                    }
-                    _ => {
-                        let key = u64_key(2 * (i * 13 % 300));
-                        let flip = later.get(&key)?.map(|_| Op::Delete(key.clone()));
-                        (Op::Delete(key), flip)
-                    }
-                };
-                crate::apply_op(&mut later, &op)?;
-                flips.extend(flip);
-                if let Op::Put(key, _) | Op::Delete(key) = op {
-                    changed.push(key);
-                }
-            }
-            let mut rebuilt = base.clone();
-            rebuilt.apply_window(&flips)?;
-            rebuilt.copy_entries(&later, changed.iter().map(Vec::as_slice))?;
-            assert_eq!(rebuilt.root_digest(), later.root_digest(), "order {order}");
-            assert_eq!(rebuilt.check_invariants(), Ok(()));
-            for key in &changed {
-                let (a, b) = (rebuilt.get(key)?, later.get(key)?);
-                assert_eq!(a.map(|v| v.as_ptr()), b.map(|v| v.as_ptr()), "shared");
-            }
-
-            let mut missed = base.clone();
-            missed.apply_window(&flips)?;
-            missed.copy_entries(&later, changed[1..].iter().map(Vec::as_slice))?;
-            assert_ne!(missed.root_digest(), later.root_digest(), "order {order}");
         }
         Ok(())
     }

@@ -15,9 +15,10 @@
 //! lands mid-stream. Each round reports the newest stream recovery found
 //! (`stream=<pieces>/<count>`, or `none`) and fails if its count exceeds
 //! 4 × the checkpoint interval (the stream could not complete within that
-//! many commits of its start); reports the deltas applied and the op
-//! records replayed after the newest, and fails past two intervals; and
-//! reports the zero tail truncated and any torn record, and fails if a
+//! many commits of its start); reports the records replayed after the
+//! newest complete stream and their bytes (`bytes=<n>/<bound>`), and
+//! fails if those bytes exceed the bound: two full checkpoints of the
+//! recovered world plus one interval's records; and reports the zero tail truncated and any torn record, and fails if a
 //! segment file grew past twice the larger of the segment size and its
 //! records (extents grow by doubling).
 
@@ -27,8 +28,8 @@ use std::time::Duration;
 use tcvs_core::{ProtocolConfig, ServerApi, ServerCore};
 use tcvs_merkle::{u64_key, Op};
 use tcvs_storage::{
-    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
-    FileMedium, StorageObs,
+    log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableState,
+    DurableStorage, FileMedium, Record, StorageObs,
 };
 
 fn config() -> ProtocolConfig {
@@ -82,6 +83,32 @@ fn open(dir: &str) -> Result<DurableServer<DurableStorage<FileMedium>>, String> 
     .map_err(|e| format!("open server: {e}"))
 }
 
+/// Bytes of a full checkpoint of `server`'s world as it stands.
+fn full_bytes(server: &DurableServer<DurableStorage<FileMedium>>) -> u64 {
+    let state = DurableState {
+        snapshot: server.core().crash_snapshot(),
+        journal: server.recovered_journal().unwrap_or_default(),
+        evidence: server.evidence_bundles().to_vec(),
+    };
+    state.stream().remaining() as u64
+}
+
+/// Body bytes of one interval's op records, each as large as the largest.
+fn interval_bytes() -> u64 {
+    let body = |j| {
+        let (user, seq, op, round) = scripted(j);
+        Record::Op {
+            user,
+            seq,
+            op,
+            round,
+        }
+        .body()
+        .len() as u64
+    };
+    CHECKPOINT_EVERY * (0..4).map(body).max().unwrap_or(0)
+}
+
 fn worker(dir: &str) -> Result<(), String> {
     let mut server = open(dir)?;
     let mut j = server.core().ctr();
@@ -118,12 +145,15 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
         if let Some(stop) = &report.corrupt_stop {
             return Err(format!("round {round}: recovery hit corruption: {stop}"));
         }
-        // A kill can land before a due delta reaches the log, never two.
-        if report.records_replayed > 2 * CHECKPOINT_EVERY {
+        // A checkpoint starts once the records since the last one outweigh
+        // it, and completes within an interval: the replay holds about one
+        // checkpoint's weight, two where kills cut streams short.
+        let bound = 2 * full_bytes(&server) + interval_bytes();
+        if report.bytes_replayed > bound {
             return Err(format!(
-                "round {round}: recovery replayed {} op records, over twice the {} \
-                 between checkpoints",
-                report.records_replayed, CHECKPOINT_EVERY
+                "round {round}: recovery replayed {} bytes of records, over the {bound} of \
+                 two full checkpoints and one interval",
+                report.bytes_replayed
             ));
         }
         // A piece rides each commit: a stream takes its count of commits.
@@ -181,7 +211,7 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
                 continue;
             };
             let buf = std::fs::read(entry.path()).map_err(|e| format!("read {name}: {e}"))?;
-            // A delta bigger than a segment fills one of its own.
+            // A commit bigger than a segment fills one of its own.
             let held = log::scan(&buf, first).valid_len.max(SEGMENT_BYTES as u64);
             if buf.len() as u64 > 2 * held {
                 return Err(format!(
@@ -196,10 +226,10 @@ fn orchestrate(dir: &str, rounds: u64) -> Result<(), String> {
             .map_or("none".into(), |(met, n)| format!("{met}/{n}"));
         extent_tails += u64::from(report.zero_tail_bytes > 0 || report.torn_tail.is_some());
         println!(
-            "round {round}: recovered ctr={ctr} deltas={} replayed={} zero_tail={} torn_tail={} \
+            "round {round}: recovered ctr={ctr} replayed={} bytes={}/{bound} zero_tail={} torn_tail={} \
              stream={stream} — ok",
-            report.deltas,
             report.records_replayed,
+            report.bytes_replayed,
             report.zero_tail_bytes,
             report.torn_tail.is_some(),
         );

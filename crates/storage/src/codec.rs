@@ -1,26 +1,23 @@
-//! The checkpoint formats: [`DurableState`], the complete durable world at
-//! one LSN — a full [`ServerSnapshot`] plus the transport's reply journal —
-//! and [`DurableDelta`], the incremental checkpoint that carries the same
-//! world but only the database entries and evidence bundles that changed
-//! since the checkpoint or delta before it.
+//! The checkpoint format: [`DurableState`], the complete durable world at
+//! one LSN — a full [`ServerSnapshot`] plus the transport's reply journal.
 //!
 //! Built on `tcvs_store::enc`'s length-prefixed little-endian framing, with
 //! every protocol value written by its one encoder in [`tcvs_core::wire`]
 //! (log record bodies use the same encoders; see [`crate::record`]).
-//! Both formats are written from borrowed parts (`stream_state`,
-//! `put_delta`), so a checkpoint copies nothing of the live server before
-//! it encodes it, and a full one is encoded a piece at a time, as the
-//! commits that carry it need the pieces. Decoding validates everything:
-//! signatures and trees re-verify their digests, enum tags reject unknown
-//! values, and all errors surface as typed [`DecodeError`]s with offsets
-//! (the recovery path needs to tell a torn tail from corruption).
+//! The state is written from borrowed parts (`stream_state`), so a
+//! checkpoint copies nothing of the live server before it encodes it, and
+//! it is encoded a piece at a time, as the commits that carry it need the
+//! pieces. Decoding validates everything: signatures and trees re-verify
+//! their digests, enum tags reject unknown values, and all errors surface
+//! as typed [`DecodeError`]s with offsets (the recovery path needs to tell
+//! a torn tail from corruption).
 
 use tcvs_core::wire::{
-    get_audit_checkpoint, get_digest, get_epoch_state, get_event, get_response, get_signed_state,
-    put_audit_checkpoint, put_digest, put_epoch_state, put_event, put_response, put_signed_state,
+    get_audit_checkpoint, get_epoch_state, get_event, get_response, get_signed_state,
+    put_audit_checkpoint, put_epoch_state, put_event, put_response, put_signed_state,
 };
-use tcvs_core::{Ctr, Digest, Epoch, ServerMetrics, ServerSnapshot, UserId};
-use tcvs_merkle::{EncodeStream, MerkleTree, Op};
+use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerSnapshot, UserId};
+use tcvs_merkle::{EncodeStream, MerkleTree};
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 use crate::record::JournalEntry;
@@ -44,48 +41,29 @@ pub struct DurableState {
     pub evidence: Vec<Vec<u8>>,
 }
 
-/// An incremental checkpoint: the durable world at its LSN, written as
-/// edits to the world at `base`, the LSN of the checkpoint or delta before
-/// it. Applying `edits` in order to the database at `base` yields the
-/// database whose root is `root`; every other part is carried whole.
-#[derive(Clone, Debug)]
-pub struct DurableDelta {
-    /// LSN of the checkpoint or delta this one applies on top of.
-    pub base: u64,
-    /// The server state apart from its database (counters, deposits,
-    /// metrics, flight tail); its database is an empty placeholder.
-    pub snapshot: ServerSnapshot,
-    /// The whole reply journal, as in [`DurableState::journal`].
-    pub journal: Vec<JournalEntry>,
-    /// Evidence bundles persisted since `base`.
-    pub evidence: Vec<Vec<u8>>,
-    /// One window of puts and deletes. The keys whose presence changed
-    /// come first, in the order they changed (a B+-tree's shape depends on
-    /// its insertion order, so this replays the live tree's splits and
-    /// merges); then every changed key's final value or tombstone, in key
-    /// order. Reads change nothing and are not written.
-    pub edits: Vec<Op>,
-    /// Root digest of the database after the edits.
-    pub root: Digest,
-    /// Length of the record body the delta was decoded from (0 for one
-    /// built in memory); not part of the encoding.
-    pub body_len: usize,
-}
-
-/// Writes what every checkpoint and delta carries whole: the server state
-/// apart from its database, then the reply journal.
-fn put_world(w: &mut impl Sink, snapshot: &ServerSnapshot, journal: &[JournalEntry]) {
+/// A full checkpoint of `snapshot`, `journal` and `evidence`, its bytes
+/// handed out a piece at a time: the database is encoded leaf by leaf as
+/// the stream reaches it, from the copy-on-write snapshot's nodes, so no
+/// buffer ever holds the whole state.
+pub(crate) fn stream_state(
+    snapshot: &ServerSnapshot,
+    journal: &[JournalEntry],
+    evidence: &[Vec<u8>],
+) -> EncodeStream {
+    let mut w = Writer::new();
+    w.raw(STATE_MAGIC);
+    w.u32(STATE_VERSION);
     w.u64(snapshot.ctr());
     w.u32(snapshot.last_user());
     w.u64(snapshot.epoch_len());
     w.opt(snapshot.last_sig(), put_signed_state);
     w.u32(snapshot.epoch_states().len() as u32);
     for s in snapshot.epoch_states() {
-        put_epoch_state(w, s);
+        put_epoch_state(&mut w, s);
     }
     w.u32(snapshot.checkpoints().len() as u32);
     for c in snapshot.checkpoints() {
-        put_audit_checkpoint(w, c);
+        put_audit_checkpoint(&mut w, c);
     }
     w.u32(snapshot.user_epochs().len() as u32);
     for (u, e) in snapshot.user_epochs() {
@@ -99,140 +77,21 @@ fn put_world(w: &mut impl Sink, snapshot: &ServerSnapshot, journal: &[JournalEnt
     w.u64(m.bytes_out);
     w.u32(snapshot.flight_events().len() as u32);
     for ev in snapshot.flight_events() {
-        put_event(w, ev);
+        put_event(&mut w, ev);
     }
     w.u32(journal.len() as u32);
     for (user, seq, resp) in journal {
         w.u32(*user);
         w.u64(*seq);
-        put_response(w, resp);
+        put_response(&mut w, resp);
     }
-}
-
-fn put_evidence(w: &mut impl Sink, evidence: &[Vec<u8>]) {
     w.u32(evidence.len() as u32);
     for e in evidence {
         w.bytes(e);
     }
-}
-
-/// Reads what [`put_world`] wrote; the snapshot gets `db`.
-fn get_world(
-    r: &mut Reader,
-    db: MerkleTree,
-) -> Result<(ServerSnapshot, Vec<JournalEntry>), DecodeError> {
-    let ctr: Ctr = r.u64()?;
-    let last_user: UserId = r.u32()?;
-    let epoch_len = r.u64()?;
-    let last_sig = r.opt(get_signed_state)?;
-    let n = r.u32()? as usize;
-    let mut epoch_states = Vec::new();
-    for _ in 0..n {
-        epoch_states.push(get_epoch_state(r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut checkpoints = Vec::new();
-    for _ in 0..n {
-        checkpoints.push(get_audit_checkpoint(r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut user_epochs: Vec<(UserId, Epoch)> = Vec::new();
-    for _ in 0..n {
-        user_epochs.push((r.u32()?, r.u64()?));
-    }
-    let metrics = ServerMetrics {
-        ops: r.u64()?,
-        msgs_in: r.u64()?,
-        msgs_out: r.u64()?,
-        bytes_out: r.u64()?,
-    };
-    let n = r.u32()? as usize;
-    let mut flight = Vec::new();
-    for _ in 0..n {
-        flight.push(get_event(r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut journal = Vec::new();
-    for _ in 0..n {
-        let user = r.u32()?;
-        let seq = r.u64()?;
-        journal.push((user, seq, get_response(r)?));
-    }
-    let snapshot = ServerSnapshot::from_parts(
-        db,
-        ctr,
-        last_user,
-        epoch_len,
-        last_sig,
-        epoch_states,
-        checkpoints,
-        user_epochs,
-        metrics,
-        flight,
-    )
-    .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
-    Ok((snapshot, journal))
-}
-
-fn get_evidence(r: &mut Reader) -> Result<Vec<Vec<u8>>, DecodeError> {
-    let n = r.u32()? as usize;
-    let mut evidence = Vec::new();
-    for _ in 0..n {
-        evidence.push(r.bytes()?.to_vec());
-    }
-    Ok(evidence)
-}
-
-/// A full checkpoint of `snapshot`, `journal` and `evidence`, its bytes
-/// handed out a piece at a time: the database is encoded leaf by leaf as
-/// the stream reaches it, from the copy-on-write snapshot's nodes, so no
-/// buffer ever holds the whole state.
-pub(crate) fn stream_state(
-    snapshot: &ServerSnapshot,
-    journal: &[JournalEntry],
-    evidence: &[Vec<u8>],
-) -> EncodeStream {
-    let mut w = Writer::new();
-    w.raw(STATE_MAGIC);
-    w.u32(STATE_VERSION);
-    put_world(&mut w, snapshot, journal);
-    put_evidence(&mut w, evidence);
     let db = snapshot.db();
     w.u64(db.encoded_size() as u64);
     db.encode_stream(w.into_bytes())
-}
-
-/// Writes a delta record body: the world of `snapshot` and `journal` as
-/// edits to the world at `base` (see [`DurableDelta`]). `root` is the
-/// database's root after the edits.
-pub(crate) fn put_delta(
-    w: &mut impl Sink,
-    base: u64,
-    snapshot: &ServerSnapshot,
-    journal: &[JournalEntry],
-    evidence: &[Vec<u8>],
-    edits: &[(&[u8], Option<&[u8]>)],
-    root: &Digest,
-) {
-    w.u64(base);
-    put_world(w, snapshot, journal);
-    put_evidence(w, evidence);
-    w.u32(edits.len() as u32);
-    for (key, value) in edits {
-        w.bytes(key);
-        w.opt(*value, |w, v| w.bytes(v));
-    }
-    put_digest(w, root);
-}
-
-/// A put or delete as a delta writes it: the key, and the value or `None`.
-/// Reads change nothing and have no edit.
-pub(crate) fn edit(op: &Op) -> Option<(&[u8], Option<&[u8]>)> {
-    match op {
-        Op::Put(key, value) => Some((key, Some(value))),
-        Op::Delete(key) => Some((key, None)),
-        Op::Get(_) | Op::Range(..) => None,
-    }
 }
 
 impl DurableState {
@@ -258,8 +117,48 @@ impl DurableState {
         if r.u32()? != STATE_VERSION {
             return Err(DecodeError::Invalid("unknown checkpoint version"));
         }
-        let (snapshot, journal) = get_world(&mut r, MerkleTree::new())?;
-        let evidence = get_evidence(&mut r)?;
+        let ctr: Ctr = r.u64()?;
+        let last_user: UserId = r.u32()?;
+        let epoch_len = r.u64()?;
+        let last_sig = r.opt(get_signed_state)?;
+        let n = r.u32()? as usize;
+        let mut epoch_states = Vec::new();
+        for _ in 0..n {
+            epoch_states.push(get_epoch_state(&mut r)?);
+        }
+        let n = r.u32()? as usize;
+        let mut checkpoints = Vec::new();
+        for _ in 0..n {
+            checkpoints.push(get_audit_checkpoint(&mut r)?);
+        }
+        let n = r.u32()? as usize;
+        let mut user_epochs: Vec<(UserId, Epoch)> = Vec::new();
+        for _ in 0..n {
+            user_epochs.push((r.u32()?, r.u64()?));
+        }
+        let metrics = ServerMetrics {
+            ops: r.u64()?,
+            msgs_in: r.u64()?,
+            msgs_out: r.u64()?,
+            bytes_out: r.u64()?,
+        };
+        let n = r.u32()? as usize;
+        let mut flight = Vec::new();
+        for _ in 0..n {
+            flight.push(get_event(&mut r)?);
+        }
+        let n = r.u32()? as usize;
+        let mut journal = Vec::new();
+        for _ in 0..n {
+            let user = r.u32()?;
+            let seq = r.u64()?;
+            journal.push((user, seq, get_response(&mut r)?));
+        }
+        let n = r.u32()? as usize;
+        let mut evidence = Vec::new();
+        for _ in 0..n {
+            evidence.push(r.bytes()?.to_vec());
+        }
         let db = MerkleTree::from_bytes(r.bytes()?)
             .map_err(|_| DecodeError::Invalid("checkpoint database"))?;
         // A server serves every value it holds: a stub or a hash-only entry
@@ -268,54 +167,23 @@ impl DurableState {
             return Err(DecodeError::Invalid("checkpoint database is pruned"));
         }
         r.finish()?;
+        let snapshot = ServerSnapshot::from_parts(
+            db,
+            ctr,
+            last_user,
+            epoch_len,
+            last_sig,
+            epoch_states,
+            checkpoints,
+            user_epochs,
+            metrics,
+            flight,
+        )
+        .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
         Ok(DurableState {
-            snapshot: snapshot.with_db(db),
-            journal,
-            evidence,
-        })
-    }
-}
-
-impl DurableDelta {
-    /// Writes the delta's record body (`put_delta` over its parts).
-    pub fn put(&self, w: &mut impl Sink) {
-        let edits: Vec<_> = self.edits.iter().filter_map(edit).collect();
-        put_delta(
-            w,
-            self.base,
-            &self.snapshot,
-            &self.journal,
-            &self.evidence,
-            &edits,
-            &self.root,
-        );
-    }
-
-    /// Decodes a delta record body.
-    pub fn from_bytes(bytes: &[u8]) -> Result<DurableDelta, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let base = r.u64()?;
-        let (snapshot, journal) = get_world(&mut r, MerkleTree::new())?;
-        let evidence = get_evidence(&mut r)?;
-        let n = r.u32()? as usize;
-        let mut edits = Vec::new();
-        for _ in 0..n {
-            let key = r.bytes()?.to_vec();
-            edits.push(match r.opt(|r| Ok(r.bytes()?.to_vec()))? {
-                Some(value) => Op::Put(key, value),
-                None => Op::Delete(key),
-            });
-        }
-        let root = get_digest(&mut r)?;
-        r.finish()?;
-        Ok(DurableDelta {
-            base,
             snapshot,
             journal,
             evidence,
-            edits,
-            root,
-            body_len: bytes.len(),
         })
     }
 }
@@ -326,7 +194,7 @@ mod tests {
     use tcvs_core::wire::{get_mss, get_op, put_mss, put_op, response_bytes};
     use tcvs_core::{HonestServer, ProtocolConfig, ServerApi, SignedState};
     use tcvs_crypto::MssSignature;
-    use tcvs_merkle::u64_key;
+    use tcvs_merkle::{u64_key, Op};
     use tcvs_obs::{Event, EventKind, SpanContext};
 
     fn sample_sig(seed: u8) -> MssSignature {
@@ -440,38 +308,6 @@ mod tests {
         let idx = bad.len() - 3;
         bad[idx] ^= 0x40;
         assert!(DurableState::from_bytes(&bad).is_err());
-    }
-
-    #[test]
-    fn durable_delta_round_trips() -> Result<(), DecodeError> {
-        let mut server = HonestServer::new(&ProtocolConfig::default());
-        let mut journal = Vec::new();
-        for i in 0..4u64 {
-            let resp = server.handle_op((i % 2) as u32, &Op::Put(u64_key(i), vec![i as u8]), i);
-            journal.push(((i % 2) as u32, i, resp));
-        }
-        let delta = DurableDelta {
-            base: 9,
-            snapshot: server.core().crash_snapshot(),
-            journal,
-            evidence: vec![b"TCVSEVB1-bundle-bytes".to_vec()],
-            edits: vec![Op::Put(u64_key(5), b"v".to_vec()), Op::Delete(u64_key(2))],
-            root: server.core().root_digest(),
-            body_len: 0,
-        };
-        let mut w = Writer::new();
-        delta.put(&mut w);
-        let bytes = w.into_bytes();
-        let back = DurableDelta::from_bytes(&bytes)?;
-        assert_eq!((back.base, back.root), (delta.base, delta.root));
-        assert_eq!(back.body_len, bytes.len());
-        assert_eq!(back.snapshot.ctr(), 4);
-        assert_eq!((back.edits, back.evidence), (delta.edits, delta.evidence));
-        let mut again = Writer::new();
-        DurableDelta::from_bytes(&bytes)?.put(&mut again);
-        assert_eq!(again.into_bytes(), bytes, "encode∘decode is identity");
-        assert!(DurableDelta::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        Ok(())
     }
 
     /// A checkpoint whose database hides an entry behind its pair digest

@@ -10,68 +10,62 @@
 //!
 //! ## Checkpoints ride the log
 //!
-//! Every [`DurabilityOptions::checkpoint_every`] operations the engine
-//! checkpoints incrementally: the next commit carries one [`Record::Delta`]
-//! ahead of its own records — the counters, deposits, metrics, flight tail
-//! and reply journal whole, the evidence persisted since the checkpoint or
-//! delta before it, and each changed key's value or tombstone with the
-//! resulting root. Once the deltas logged since the last full checkpoint
-//! outweigh it, a full one starts: a copy-on-write snapshot of the world,
-//! encoded a piece at a time into [`Record::Chunk`]s, one riding each
-//! commit inside its one fsync, sized to complete within `checkpoint_every`
-//! commits, before the next can fall due; none starts while one streams.
-//!
 //! Because the core is deterministic, the log carries only inputs (see
-//! [`Record`]): recovery restores the newest full checkpoint, applies the
-//! deltas after it in LSN order, checking each recorded root, and replays
-//! the records after the newest delta through the same
-//! [`ServerCore::process`] path, regenerating every response — including
-//! the reply-journal entries the transport acknowledged — byte-identically.
-//! A delta summarises records the log still holds, so one that is torn,
-//! missing or undecodable costs a longer replay, never an op. Before a
-//! delta is logged its edits are replayed on the database at its base; a
-//! delta that misses the live root (a change the tracking missed) gives
-//! way to a full checkpoint, so recovery never meets one written wrong.
+//! [`Record`]), and the log alone rebuilds the server. A full checkpoint
+//! bounds how much of it recovery replays. Every
+//! [`DurabilityOptions::checkpoint_every`] operations the countdown runs
+//! out; if no checkpoint is streaming and the records committed since the
+//! last one started outweigh it (its own pieces not counted), a new one
+//! starts: a copy-on-write snapshot of the world, encoded a piece at a time
+//! into [`Record::Chunk`]s, one riding each commit inside its one fsync,
+//! sized to complete within `checkpoint_every` commits.
+//!
+//! Recovery restores the newest complete checkpoint and replays every
+//! record after its first piece through the same [`ServerCore::process`]
+//! path, regenerating every response — including the reply-journal entries
+//! the transport acknowledged — byte-identically. The replay holds at most
+//! the checkpoint's own weight in record bytes plus two countdowns' worth,
+//! and one countdown more for each stream a crash cut short. The byte
+//! count and the countdown resume from the records replayed, so a server
+//! that crashes often still checkpoints; one that crashes before its
+//! streams can complete takes a checkpoint when it reopens, once the
+//! replay outweighs two, so no recovery replays much more than that.
 //!
 //! Commit failures are crash-stop: the [`tcvs_core::ServerApi`] entry
 //! points panic rather than acknowledge an op that was never made durable.
 //! The fallible [`DurableServer::apply`] exists for harnesses that inject
 //! storage faults and want the error back instead.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use tcvs_core::wire::{
-    encoded_len, put_audit_checkpoint, put_epoch_state, put_event, put_signed_state,
-};
+use tcvs_core::wire::{put_audit_checkpoint, put_epoch_state, put_event, put_signed_state};
 use tcvs_core::{
     Ctr, Digest, Epoch, ProtocolConfig, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId,
 };
-use tcvs_merkle::{ChunkAssembler, ChunkManifest, EncodeStream, Key, MerkleTree, Op, OpResult};
+use tcvs_merkle::{ChunkAssembler, ChunkManifest, EncodeStream, Op};
 use tcvs_obs::{Counter, Event, EventKind, MetricsRegistry, Tracer};
 use tcvs_store::enc::{Sink, Writer};
 
-use crate::codec::{edit, put_delta, stream_state, DurableDelta};
+use crate::codec::stream_state;
 use crate::error::StorageError;
 use crate::record::{
-    put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_DELTA, TAG_EPOCH_STATE,
-    TAG_EVIDENCE, TAG_FLIGHT, TAG_OP, TAG_SIGNATURE,
+    put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_EPOCH_STATE, TAG_EVIDENCE,
+    TAG_FLIGHT, TAG_OP, TAG_SIGNATURE,
 };
 use crate::storage::{Recovered, RecoveryReport, Storage, WriteBatch};
 
 /// Tuning knobs for [`DurableServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptions {
-    /// Checkpoint after this many committed operations (0 disables
-    /// automatic checkpoints, and the tracking of changed keys that deltas
-    /// need; [`DurableServer::checkpoint_now`] still works). Each
-    /// checkpoint logs a delta of what changed since the last one, riding
-    /// the next commit; a full checkpoint of the whole world is streamed
-    /// out, a piece per commit, only once the deltas since the last full
-    /// one outweigh it. Recovery replays the op records after the
-    /// newest delta it can use: at most this many, unless a delta does
-    /// not decode or a crash cut the first full checkpoint short.
+    /// Consider a checkpoint after this many committed operations (0
+    /// disables automatic checkpoints; [`DurableServer::checkpoint_now`]
+    /// still works). A full checkpoint of the whole world starts only once
+    /// the records committed since the last one started outweigh it, and
+    /// none is streaming; it streams out a piece per commit and completes
+    /// within this many commits. Recovery replays every record after the
+    /// newest complete checkpoint's first piece: about that checkpoint's
+    /// weight in record bytes (see the module docs for the bound).
     pub checkpoint_every: u64,
     /// Serve even when recovery stopped at interior log corruption
     /// ([`RecoveryReport::corrupt_stop`]). Off by default: a corrupt stop
@@ -147,19 +141,22 @@ pub struct DurableServer<S: Storage> {
     journal: Vec<JournalEntry>,
     /// High-water mark of flight events already committed to the log.
     flight_drained: u64,
-    /// Ops since the newest checkpoint or delta: the countdown to the next.
+    /// Ops since the countdown last ran out.
     ops_since_checkpoint: u64,
     last_report: RecoveryReport,
     /// Flight events recovered from the log tail (older ones live in the
-    /// flight tail of the newest checkpoint or delta).
+    /// flight tail of the newest checkpoint).
     recovered_flight: Vec<Event>,
-    /// Every persisted deviation evidence bundle (checkpoint, deltas, log
-    /// tail and bundles persisted this incarnation), opaque canonical
-    /// bytes.
+    /// Every persisted deviation evidence bundle (checkpoint, log tail and
+    /// bundles persisted this incarnation), opaque canonical bytes.
     evidence: Vec<Vec<u8>>,
     /// The full checkpoint streaming out, if one is.
     stream: Option<Stream>,
-    chain: Chain,
+    /// Bytes of the newest full checkpoint started.
+    full_bytes: u64,
+    /// Body bytes of the records committed since it started, its pieces
+    /// left out: what the next one would summarise.
+    logged: u64,
 }
 
 /// A full checkpoint streaming out: the next commit carries piece `index`.
@@ -171,30 +168,6 @@ struct Stream {
     piece: usize,
 }
 
-/// What the next delta is written against. Nothing is tracked while
-/// automatic checkpoints are off: no delta would ever read it.
-#[derive(Default)]
-struct Chain {
-    /// LSN of the newest full checkpoint or delta: the next delta's base.
-    anchor: u64,
-    /// The database at the anchor, a copy-on-write clone: a delta's edits
-    /// must reproduce the live root on it before the delta is logged.
-    base_db: Option<MerkleTree>,
-    /// Keys whose presence changed since the anchor, in the order they
-    /// changed: a put of an empty value or a delete.
-    flips: Vec<Op>,
-    /// Every key an op changed since the anchor.
-    dirty: BTreeSet<Key>,
-    /// Evidence bundles held at the anchor; the delta carries the rest.
-    evidence_at: usize,
-    /// The next commit carries a delta.
-    due: bool,
-    /// Bytes of the newest full checkpoint.
-    full_bytes: usize,
-    /// Bytes of the deltas logged since it.
-    delta_bytes: usize,
-}
-
 /// Makes `entry` its user's journal entry, keeping the journal in user
 /// order.
 fn journal_insert(journal: &mut Vec<JournalEntry>, entry: JournalEntry) {
@@ -202,27 +175,6 @@ fn journal_insert(journal: &mut Vec<JournalEntry>, entry: JournalEntry) {
         Ok(i) => journal[i] = entry,
         Err(i) => journal.insert(i, entry),
     }
-}
-
-/// `base` with a window of edits applied, if they apply.
-fn replay(base: &MerkleTree, edits: &[Op]) -> Option<MerkleTree> {
-    let mut db = base.clone();
-    db.apply_window(edits).ok()?;
-    Some(db)
-}
-
-/// Whether `flips`, then `live`'s entries for the `dirty` keys, turn
-/// `base` into `live`: what a delta's edits do, without copying or hashing
-/// a value.
-fn reproduces<'k>(
-    base: &MerkleTree,
-    flips: &[Op],
-    live: &MerkleTree,
-    dirty: impl IntoIterator<Item = &'k [u8]>,
-) -> bool {
-    replay(base, flips).is_some_and(|mut db| {
-        db.copy_entries(live, dirty).is_ok() && db.root_digest() == live.root_digest()
-    })
 }
 
 impl<S: Storage> DurableServer<S> {
@@ -246,12 +198,13 @@ impl<S: Storage> DurableServer<S> {
             recovered_flight: Vec::new(),
             evidence: Vec::new(),
             stream: None,
-            chain: Chain::default(),
+            full_bytes: 0,
+            logged: 0,
         }
     }
 
-    /// Opens the engine: recovers from `storage` (checkpoint, deltas and
-    /// replay) or starts fresh from `config` when the storage is empty.
+    /// Opens the engine: recovers from `storage` (checkpoint and replay)
+    /// or starts fresh from `config` when the storage is empty.
     pub fn open(
         storage: S,
         config: ProtocolConfig,
@@ -336,9 +289,9 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Runs recovery against the storage, replacing the in-memory world
-    /// with what was durable: the checkpoint, the deltas after it, then the
-    /// records after the newest delta. Keeps the attached flight recorder
-    /// (the live ring is host-side infrastructure, not server state).
+    /// with what was durable: the checkpoint, then every record after it.
+    /// Keeps the attached flight recorder (the live ring is host-side
+    /// infrastructure, not server state).
     fn recover(&mut self) -> Result<(), StorageError> {
         let recorder = self.core.flight_recorder();
         let mut recovered = self.storage.recover()?;
@@ -369,10 +322,10 @@ impl<S: Storage> DurableServer<S> {
         self.recovered_flight.clear();
         self.evidence.clear();
         self.stream = None;
-        let (mut anchor, mut full_bytes) = (0, 0);
+        self.full_bytes = 0;
         self.core = match checkpoint {
-            Some((lsn, ds)) => {
-                (anchor, full_bytes) = (lsn, ds.stream().remaining());
+            Some((_, ds)) => {
+                self.full_bytes = ds.stream().remaining() as u64;
                 for entry in ds.journal {
                     journal_insert(&mut self.journal, entry);
                 }
@@ -382,14 +335,11 @@ impl<S: Storage> DurableServer<S> {
             }
             None => ServerCore::new(&self.config),
         };
-        self.chain = Chain {
-            full_bytes,
-            ..Chain::default()
-        };
-        self.rebase(anchor);
-        for (lsn, rec) in tail {
+        // The countdown and the byte count go on from where the crash
+        // stopped them: the next checkpoint would summarise the tail.
+        (self.ops_since_checkpoint, self.logged) = (0, report.bytes_replayed);
+        for (_, rec) in tail {
             match rec {
-                Record::Delta(delta) => self.apply_delta(lsn, *delta)?,
                 Record::Op {
                     user,
                     seq,
@@ -397,12 +347,9 @@ impl<S: Storage> DurableServer<S> {
                     round,
                 } => {
                     let resp = self.core.process(user, &op, round);
-                    self.track(&op, &resp.result);
                     if seq != NO_SEQ {
                         journal_insert(&mut self.journal, (user, seq, resp));
                     }
-                    // No delta covers it: the countdown goes on from
-                    // where the crash stopped it.
                     self.ops_since_checkpoint += 1;
                 }
                 Record::Signature(s) => self.core.store_signature(s),
@@ -413,10 +360,6 @@ impl<S: Storage> DurableServer<S> {
                 Record::Chunk(..) => {} // the storage leaves pieces out
             }
         }
-        // The countdown ran out but the crash came before its delta
-        // reached the log: the next commit carries one first.
-        self.chain.due = self.opts.checkpoint_every > 0
-            && self.ops_since_checkpoint >= self.opts.checkpoint_every;
         if let Some(r) = recorder {
             self.core.attach_flight_recorder(Arc::clone(&r));
             self.flight_drained = r.recorded();
@@ -433,16 +376,28 @@ impl<S: Storage> DurableServer<S> {
             .add(report.stale_segments_quarantined);
         self.obs.tracer.emit(|| {
             Event::new(self.core.ctr(), EventKind::Recovery, self.core.last_user()).detail(format!(
-                "deltas={} replayed={} torn={} corrupt_ckpts={} stream={:?}",
-                report.deltas,
+                "replayed={} bytes={} torn={} corrupt_ckpts={} stream={:?}",
                 report.records_replayed,
+                report.bytes_replayed,
                 report.torn_tail.is_some(),
                 report.corrupt_checkpoints,
                 report.stream
             ))
         });
         self.last_report = report;
+        // A server that crashes before its streams complete replays more
+        // at every restart: once the tail outweighs two checkpoints of the
+        // world, it takes one before it serves.
+        if self.opts.checkpoint_every > 0 && self.logged > 2 * self.checkpoint_size() {
+            self.checkpoint_now()?;
+        }
         Ok(())
+    }
+
+    /// Bytes of a full checkpoint of the world as it stands.
+    fn checkpoint_size(&self) -> u64 {
+        let snapshot = self.core.crash_snapshot();
+        stream_state(&snapshot, &self.journal, &self.evidence).remaining() as u64
     }
 
     /// Attaches an always-on flight recorder; frames it captures are
@@ -469,8 +424,8 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Flight-recorder frames recovered from the log tail at the last
-    /// recovery (oldest first). Frames older than the newest checkpoint or
-    /// delta live in its flight tail instead
+    /// recovery (oldest first). Frames older than the newest checkpoint
+    /// live in its flight tail instead
     /// ([`tcvs_core::ServerSnapshot::flight_events`]).
     pub fn recovered_flight(&self) -> &[Event] {
         &self.recovered_flight
@@ -494,7 +449,7 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Every evidence bundle this durable world holds (recovered from the
-    /// checkpoint, deltas and log tail, plus any persisted this
+    /// checkpoint and log tail, plus any persisted this
     /// incarnation), oldest first.
     pub fn evidence_bundles(&self) -> &[Vec<u8>] {
         &self.evidence
@@ -522,41 +477,16 @@ impl<S: Storage> DurableServer<S> {
     }
 
     /// Commits the record with log tag `tag`, whose body `put` writes,
-    /// durably, in one frame with what rides along: a delta the chain has
-    /// due ahead of it, pending flight frames and the next piece of a
-    /// streaming checkpoint after it.
+    /// durably, in one frame with what rides along: pending flight frames
+    /// and the next piece of a streaming checkpoint.
     fn commit(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> Result<(), StorageError> {
-        let lsn = self.storage.next_lsn();
         let mut batch = WriteBatch::new();
-        let delta = match self.chain.due {
-            true => self.delta(&mut batch)?,
-            false => None,
-        };
-        if self.chain.due && delta.is_none() {
-            // The edits missed a change, and recovery would refuse the
-            // delta: a full checkpoint takes its place, and one streaming
-            // gives way to it.
-            self.obs.tracer.emit(|| {
-                Event::new(
-                    self.core.ctr(),
-                    EventKind::Checkpoint,
-                    self.core.last_user(),
-                )
-                .detail(format!(
-                    "delta at lsn {lsn} misses a change; full checkpoint"
-                ))
-            });
-            self.start_stream();
-            self.rebase(lsn);
-        }
         batch.push_with(tag, put);
         self.drain_flight(&mut batch);
         self.push_piece(&mut batch);
+        let logged = batch.logged();
         self.storage.commit(batch)?;
-        if let Some(bytes) = delta {
-            self.rebase(lsn);
-            self.chain.delta_bytes += bytes;
-        }
+        self.logged += logged;
         self.obs.commits.inc();
         Ok(())
     }
@@ -572,96 +502,6 @@ impl<S: Storage> DurableServer<S> {
         self.stream = self.stream.take().filter(|s| s.index < s.count);
     }
 
-    /// Stages the delta from the anchor to the current world and returns
-    /// its body's size; `None` if its edits, applied to the database at
-    /// the anchor, do not reproduce the live one.
-    fn delta(&self, batch: &mut WriteBatch) -> Result<Option<usize>, StorageError> {
-        let (db, chain) = (self.core.db(), &self.chain);
-        let dirty = || chain.dirty.iter().map(Vec::as_slice);
-        let base = chain.base_db.as_ref();
-        if !base.is_some_and(|base| reproduces(base, &chain.flips, db, dirty())) {
-            return Ok(None);
-        }
-        let mut edits: Vec<_> = chain.flips.iter().filter_map(edit).collect();
-        for key in dirty() {
-            let value = db.get(key).map_err(|e| {
-                StorageError::Unrecoverable(format!("the server's own tree refused a lookup: {e}"))
-            })?;
-            edits.push((key, value.map(Vec::as_slice)));
-        }
-        let snapshot = self.core.crash_snapshot();
-        let (journal, evidence) = (&self.journal, &self.evidence[chain.evidence_at..]);
-        let (anchor, root) = (chain.anchor, db.root_digest());
-        let bytes =
-            encoded_len(|w| put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root));
-        batch.reserve(bytes);
-        batch.push_with(TAG_DELTA, |w| {
-            put_delta(w, anchor, &snapshot, journal, evidence, &edits, &root)
-        });
-        Ok(Some(bytes))
-    }
-
-    /// Makes the checkpoint or delta at `anchor` the one the next delta
-    /// extends: nothing has changed since it.
-    fn rebase(&mut self, anchor: u64) {
-        let chain = &mut self.chain;
-        chain.anchor = anchor;
-        chain.base_db = (self.opts.checkpoint_every > 0).then(|| self.core.db().clone());
-        chain.flips.clear();
-        chain.dirty.clear();
-        chain.evidence_at = self.evidence.len();
-        chain.due = false;
-        self.ops_since_checkpoint = 0;
-    }
-
-    /// Notes the key `op` changed, as its result tells, and whether its
-    /// presence flipped.
-    fn track(&mut self, op: &Op, result: &OpResult) {
-        if self.opts.checkpoint_every == 0 {
-            return;
-        }
-        let (key, flip) = match (op, result) {
-            (Op::Put(key, _), OpResult::Replaced(old)) => {
-                (key, old.is_none().then(|| Op::Put(key.clone(), Vec::new())))
-            }
-            (Op::Delete(key), OpResult::Deleted(Some(_))) => (key, Some(Op::Delete(key.clone()))),
-            _ => return,
-        };
-        self.chain.flips.extend(flip);
-        self.chain.dirty.insert(key.clone());
-    }
-
-    /// Applies the delta at `lsn` from the recovered chain: its edits to
-    /// the database at the anchor, checked against its recorded root, and
-    /// its other parts whole. The storage has already dropped the records
-    /// it summarises, so a delta that fails here stops recovery; its edits
-    /// reproduced its root when it was written, so only damage that its
-    /// frame check missed can fail it.
-    fn apply_delta(&mut self, lsn: u64, delta: DurableDelta) -> Result<(), StorageError> {
-        let refused = |why: &str| {
-            StorageError::Unrecoverable(format!(
-                "the delta at lsn {lsn} {why}; the log still holds the records it summarises"
-            ))
-        };
-        if delta.base != self.chain.anchor {
-            return Err(refused("is based on a state recovery does not hold"));
-        }
-        let db = replay(self.core.db(), &delta.edits).ok_or_else(|| refused("does not apply"))?;
-        if db.root_digest() != delta.root {
-            return Err(refused("does not reproduce its recorded root"));
-        }
-        self.core = ServerCore::crash_restore(&delta.snapshot.with_db(db))
-            .map_err(|_| refused("holds a state the server rejects"))?;
-        self.journal.clear();
-        for entry in delta.journal {
-            journal_insert(&mut self.journal, entry);
-        }
-        self.evidence.extend(delta.evidence);
-        self.rebase(lsn);
-        self.chain.delta_bytes += delta.body_len;
-        Ok(())
-    }
-
     /// The fallible op path: log → sync → apply → journal. This is
     /// [`tcvs_core::ServerApi::handle_op_seq`] with the storage error
     /// surfaced instead of panicking — for fault-injection harnesses.
@@ -674,7 +514,6 @@ impl<S: Storage> DurableServer<S> {
     ) -> Result<ServerResponse, StorageError> {
         self.commit(TAG_OP, |w| put_op_body(w, user, seq, op, round))?;
         let resp = self.core.process(user, op, round);
-        self.track(op, &resp.result);
         if seq != NO_SEQ {
             journal_insert(&mut self.journal, (user, seq, resp.clone()));
         }
@@ -686,44 +525,34 @@ impl<S: Storage> DurableServer<S> {
         Ok(resp)
     }
 
-    /// The countdown ran out: a delta rides the next commit, and a full
-    /// checkpoint starts streaming too once the deltas since the last one
-    /// outweigh it and none streams. That delta still extends the chain,
-    /// so recovery can cross a stream that never completed.
+    /// The countdown ran out: a full checkpoint starts streaming if none
+    /// is and the records committed since the last one started outweigh
+    /// it.
     fn checkpoint_due(&mut self) {
         self.ops_since_checkpoint = 0;
-        self.obs.checkpoints.inc();
-        self.chain.due = true;
-        if self.stream.is_none() && self.chain.delta_bytes >= self.chain.full_bytes {
-            let chained = self.chain.delta_bytes > 0;
-            let lsn = self.start_stream();
-            if !chained {
-                // No delta to extend: the chain starts at this checkpoint.
-                self.rebase(lsn);
-            }
+        if self.stream.is_none() && self.logged > self.full_bytes {
+            self.start_stream();
+            self.obs.checkpoints.inc();
         }
     }
 
     /// Starts streaming a full checkpoint of the world as it stands, which
-    /// covers every committed record, and returns its LSN; its pieces (4
-    /// KiB at least) are sized to complete it within `checkpoint_every`
-    /// commits.
-    fn start_stream(&mut self) -> u64 {
+    /// covers every committed record; its pieces (4 KiB at least) are sized
+    /// to complete it within `checkpoint_every` commits.
+    fn start_stream(&mut self) {
         let snapshot = self.core.crash_snapshot();
         let bytes = stream_state(&snapshot, &self.journal, &self.evidence);
         let total = bytes.remaining();
         let every = self.opts.checkpoint_every.max(1) as usize;
         let piece = total.div_ceil(every).max(4 << 10);
-        let lsn = self.storage.next_lsn();
         self.stream = Some(Stream {
-            lsn,
+            lsn: self.storage.next_lsn(),
             bytes,
             index: 0,
             count: total.div_ceil(piece) as u32,
             piece,
         });
-        (self.chain.full_bytes, self.chain.delta_bytes) = (total, 0);
-        lsn
+        (self.full_bytes, self.logged) = (total as u64, 0);
     }
 
     /// Takes a full checkpoint of the whole durable world in one commit
@@ -740,8 +569,7 @@ impl<S: Storage> DurableServer<S> {
         stream_state(&snapshot, &self.journal, &self.evidence).fill(&mut state, usize::MAX);
         let lsn = self.storage.checkpoint(&state)?;
         self.obs.checkpoints.inc();
-        (self.chain.full_bytes, self.chain.delta_bytes) = (state.len(), 0);
-        self.rebase(lsn);
+        (self.full_bytes, self.logged, self.ops_since_checkpoint) = (state.len() as u64, 0, 0);
         // An empty commit finishes the pruning behind it.
         self.storage.commit(WriteBatch::new())?;
         Ok(lsn)
@@ -815,6 +643,7 @@ mod tests {
     use crate::record::{chunk_view, TAG_CHUNK};
     use crate::response_bytes;
     use crate::storage::{DurableOptions, DurableStorage, MemStorage};
+    use std::collections::BTreeSet;
     use tcvs_merkle::u64_key;
 
     fn config() -> ProtocolConfig {
@@ -981,64 +810,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoints_bound_replay() {
-        let mem = MemMedium::new();
-        let mut s = durable(&mem, 5);
-        for i in 0..23 {
-            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-        }
-        drop(s);
-        mem.crash();
-        let s2 = durable(&mem, 5);
-        assert_eq!(s2.core().ctr(), 23);
-        assert!(
-            s2.last_recovery().records_replayed <= 5,
-            "checkpoint bounds the tail: {:?}",
-            s2.last_recovery()
-        );
+    /// Body bytes of `every` op records, each as large as the largest of
+    /// `op(0..n)`: what one countdown can log at most.
+    fn countdown_bytes(every: u64, n: u64) -> u64 {
+        let body = |i: u64| {
+            let mut batch = WriteBatch::new();
+            batch.push_with(TAG_OP, |w| put_op_body(w, 2, i, &op(i), i));
+            batch.logged()
+        };
+        every * (0..n).map(body).max().unwrap_or(0)
     }
 
-    /// Recovery applies the deltas after the full checkpoint and replays
-    /// only the op records after the newest: none a delta covers.
+    /// A restart after any op replays at most the loaded checkpoint's
+    /// weight in record bytes plus one countdown's worth: the records
+    /// logged before the countdown that starts the next checkpoint. (Two
+    /// in general, with those riding the next one until it completes; this
+    /// world's checkpoints fit one piece, which the next commit carries.)
     #[test]
-    fn recovery_replays_no_op_a_later_delta_covers() {
+    fn checkpoints_bound_replay() {
+        const N: u64 = 200;
         let mem = MemMedium::new();
         let mut s = durable(&mem, 5);
-        let mut honest = tcvs_core::HonestServer::new(&config());
-        for i in 0..23 {
+        let mut loaded = BTreeSet::new();
+        for i in 0..N {
             s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-            honest.handle_op((i % 3) as u32, &op(i), i);
+            let restarted = durable(&mem, 5);
+            let report = restarted.last_recovery();
+            assert_eq!(restarted.core().ctr(), i + 1);
+            assert!(
+                report.bytes_replayed <= restarted.full_bytes + countdown_bytes(5, N),
+                "after op {i}: {report:?}"
+            );
+            loaded.insert(restarted.full_bytes);
         }
         drop(s);
         mem.crash();
         let s = durable(&mem, 5);
-        let report = s.last_recovery();
-        // Deltas ride with ops 10, 15 and 20; ops 20..23 follow the
-        // newest.
-        assert!(report.deltas > 0, "{report:?}");
-        assert_eq!(report.records_replayed, 3, "{report:?}");
-        assert_eq!(s.core().root_digest(), honest.core().root_digest());
-        assert_eq!(s.core().ctr(), 23);
+        assert_eq!(s.core().ctr(), N);
+        assert!(loaded.len() > 3, "several checkpoints loaded: {loaded:?}");
     }
 
     /// A server that crashes more often than it checkpoints still
-    /// checkpoints: recovery resumes the countdown at the ops it replayed,
-    /// so no restart replays more than two checkpoint intervals.
+    /// checkpoints: recovery resumes the countdown and the byte count at
+    /// the records it replayed, so no restart replays more than the
+    /// loaded checkpoint's weight and a countdown (its checkpoints fit one
+    /// piece).
     #[test]
     fn frequent_crashes_still_checkpoint_and_bound_replay() {
         const EVERY: u64 = 16;
         let mem = MemMedium::new();
         let mut honest = tcvs_core::HonestServer::new(&config());
         let mut i = 0;
-        for restart in 0..10 {
+        let mut loaded = BTreeSet::new();
+        for restart in 0..40 {
             let mut s = durable(&mem, EVERY);
             let report = s.last_recovery();
             assert!(
-                report.records_replayed <= 2 * EVERY,
+                report.bytes_replayed <= s.full_bytes + countdown_bytes(EVERY, 600),
                 "restart {restart}: {report:?}"
             );
             assert_eq!(s.core().root_digest(), honest.core().root_digest());
+            loaded.insert(s.full_bytes);
             for _ in 0..15 {
                 s.handle_op_seq((i % 3) as u32, i, &op(i), i);
                 honest.handle_op((i % 3) as u32, &op(i), i);
@@ -1047,155 +879,169 @@ mod tests {
             drop(s);
             mem.crash();
         }
+        assert!(loaded.len() > 3, "several checkpoints loaded: {loaded:?}");
     }
 
-    /// A delta whose edits miss a change never reaches the log: replayed
-    /// on the database at its anchor before it commits, it misses the live
-    /// root and a full checkpoint takes its place, so recovery (which
-    /// would refuse such a delta) lands on the live world.
+    /// A server that crashes every 10 ops never completes a stream of 17
+    /// pieces, so its tail grows at every restart until it outweighs two
+    /// checkpoints of the world; then the restart takes one before it
+    /// serves, and no restart replays more than that plus a countdown.
     #[test]
-    fn a_delta_that_misses_a_change_gives_way_to_a_full_checkpoint() {
+    fn crashes_that_cut_every_stream_short_still_bound_replay() {
         let mem = MemMedium::new();
-        let mut honest = tcvs_core::HonestServer::new(&config());
-        let mut s = durable(&mem, 5);
-        let mut i = 0;
-        while !s.chain.due || s.chain.dirty.is_empty() {
-            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-            honest.handle_op((i % 3) as u32, &op(i), i);
-            i += 1;
+        let countdown = {
+            let put = Op::Put(u64_key(0), vec![0; 20 << 10]);
+            let mut batch = WriteBatch::new();
+            batch.push_with(TAG_OP, |w| put_op_body(w, 2, 0, &put, 0));
+            17 * batch.logged()
+        };
+        let mut taken = 0;
+        for restart in 0..12 {
+            let mut s = durable(&mem, 17);
+            let report = s.last_recovery();
+            assert!(
+                report.bytes_replayed <= 2 * s.checkpoint_size() + countdown,
+                "restart {restart}: {report:?}"
+            );
+            let checkpoints = s.obs().registry().snapshot().counter("storage.checkpoints");
+            taken += checkpoints.unwrap_or(0);
+            big_puts(&mut s, 10 * restart..10 * restart + 10);
+            drop(s);
+            mem.crash();
         }
-        assert!(s.chain.delta_bytes < s.chain.full_bytes, "a delta is due");
-        // A tracking bug: the delta would leave out every change since its
-        // anchor.
-        s.chain.flips.clear();
-        s.chain.dirty.clear();
-        let lsn = s.storage.next_lsn();
-        s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-        honest.handle_op((i % 3) as u32, &op(i), i);
-        assert_eq!(s.chain.anchor, lsn, "rebased on what replaced the delta");
-        assert_eq!(s.chain.delta_bytes, 0, "a full checkpoint, not a delta");
-        for i in i + 1..i + 4 {
-            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-            honest.handle_op((i % 3) as u32, &op(i), i);
-        }
-        drop(s);
-        mem.crash();
-        let s = durable(&mem, 5);
-        assert_eq!(s.core().root_digest(), honest.core().root_digest());
-        assert_eq!(s.core().ctr(), i + 4);
+        assert!(taken >= 2, "{taken} checkpoints taken at a restart");
     }
 
-    /// With automatic checkpoints off no delta is ever logged, so neither
-    /// the ops served nor the ops replayed are tracked for one.
+    /// With automatic checkpoints off nothing streams, and recovery
+    /// replays the whole log.
     #[test]
-    fn no_automatic_checkpoints_track_no_changes() {
+    fn no_automatic_checkpoints_stream_nothing() {
         let mem = MemMedium::new();
         let mut s = durable(&mem, 0);
         for i in 0..30 {
             s.handle_op_seq((i % 3) as u32, i, &op(i), i);
         }
-        let untracked = |s: &DurableServer<_>| {
-            s.chain.flips.is_empty() && s.chain.dirty.is_empty() && s.chain.base_db.is_none()
-        };
-        assert!(untracked(&s));
+        assert!(s.stream.is_none());
         drop(s);
         mem.crash();
         let s = durable(&mem, 0);
+        assert!(pieces(&mem).is_empty());
         assert_eq!(s.last_recovery().records_replayed, 30);
-        assert!(untracked(&s));
+        assert_eq!(s.last_recovery().stream, None);
     }
 
-    /// The segment holding the newest delta, and the byte offset and
-    /// length of the commit frame that holds it.
-    fn newest_delta(mem: &MemMedium) -> Result<(String, usize, usize), StorageError> {
-        let mut found = None;
+    /// When every countdown rewrites every key, the records since a full
+    /// checkpoint soon outweigh it, and nothing else rides the commits:
+    /// each full-checkpoint cycle appends at most its op records, each in
+    /// a frame of its own, and one stream's pieces.
+    #[test]
+    fn a_high_churn_log_holds_only_ops_and_checkpoint_pieces() -> Result<(), StorageError> {
+        const KEYS: u64 = 16;
+        let mem = MemMedium::new();
+        let mut s = durable(&mem, KEYS);
+        for i in 0..12 * KEYS {
+            let put = Op::Put(u64_key(i % KEYS), vec![i as u8; 1 << 10]);
+            s.handle_op_seq((i % 3) as u32, i, &put, i);
+        }
+        drop(s);
+        let (mut appended, mut ops, mut pieces) = (0, 0, 0);
+        let mut streams = BTreeSet::new();
+        for name in mem.list()? {
+            let Some(first) = crate::log::parse_segment_name(&name) else {
+                continue;
+            };
+            let buf = mem.read(&name)?.unwrap_or_default();
+            let scan = crate::log::scan(&buf, first);
+            appended += scan.valid_len;
+            for (_, tag, body) in scan.records {
+                if tag == TAG_OP {
+                    ops += crate::log::frame_len(body.len());
+                } else if tag == TAG_CHUNK {
+                    let ((stream, ..), _) = chunk_view(&buf[body.clone()])?;
+                    streams.insert(stream);
+                    // A piece's record head and body, inside its op's frame.
+                    pieces += (1 + 4 + body.len()) as u64;
+                }
+            }
+        }
+        assert!(streams.len() >= 4, "{streams:?}");
+        assert!(
+            appended <= ops + pieces,
+            "{appended} bytes appended for {ops} of op commits and {pieces} of pieces"
+        );
+        Ok(())
+    }
+
+    /// The segment holding the commit whose first record is at `lsn`, and
+    /// the byte offset and length of its frame.
+    fn commit_at(mem: &MemMedium, lsn: u64) -> Result<(String, usize, usize), StorageError> {
         for name in mem.list()? {
             let Some(first) = crate::log::parse_segment_name(&name) else {
                 continue;
             };
             let scan = crate::log::scan(&mem.read(&name)?.unwrap_or_default(), first);
             for (k, (offset, commit)) in scan.commits.iter().enumerate() {
-                let end = scan.commits.get(k + 1).map_or(scan.valid_len, |c| c.0);
-                let offset = *offset;
-                for (lsn, ..) in scan.records[commit.clone()]
-                    .iter()
-                    .filter(|r| r.1 == TAG_DELTA)
-                {
-                    if found.as_ref().is_none_or(|f: &(u64, _, _, _)| f.0 < *lsn) {
-                        let len = (end - offset) as usize;
-                        found = Some((*lsn, name.clone(), offset as usize, len));
-                    }
+                if scan.records[commit.start].0 == lsn {
+                    let end = scan.commits.get(k + 1).map_or(scan.valid_len, |c| c.0);
+                    return Ok((name, *offset as usize, (end - offset) as usize));
                 }
             }
         }
-        let (_, name, offset, len) = found.ok_or_else(|| StorageError::io("no delta logged"))?;
-        Ok((name, offset, len))
+        Err(StorageError::io(format!("no commit at lsn {lsn}")))
     }
 
-    /// A power loss that tears the newest delta's commit loses no
-    /// acknowledged op: the records it summarises are still in the log,
-    /// and recovery replays them on top of the delta before it.
+    /// A power loss that tears the commit carrying a stream's last piece
+    /// loses no acknowledged op: the stream stays incomplete, and recovery
+    /// replays every record after the checkpoint before it.
     #[test]
-    fn a_torn_newest_delta_falls_back_to_the_ops_it_summarised() -> Result<(), StorageError> {
-        // 4 KiB puts over 17 keys: five of them weigh far less than all.
-        let put = |i: u64| Op::Put(u64_key(i % 17), vec![i as u8; 4 << 10]);
+    fn a_torn_last_piece_falls_back_to_the_checkpoint_before() -> Result<(), StorageError> {
         let mem = MemMedium::new();
-        let mut acked = Vec::new();
-        let mut s = durable(&mem, 0);
-        for i in 0..17 {
-            acked.push(response_bytes(&s.handle_op_seq(
-                (i % 3) as u32,
-                i,
-                &put(i),
-                i,
-            )));
-        }
+        let mut s = durable(&mem, 17);
+        big_puts(&mut s, 0..16);
         s.checkpoint_now()?;
-        drop(s);
-        // Deltas with ops 22 and 27.
-        let mut s = durable(&mem, 5);
-        for i in 17..28 {
-            acked.push(response_bytes(&s.handle_op_seq(
-                (i % 3) as u32,
-                i,
-                &put(i),
-                i,
-            )));
+        big_puts(&mut s, 16..19);
+        s.start_stream();
+        let count = s.stream.as_ref().map_or(0, |st| st.count);
+        assert!(count > 2, "{count} pieces");
+        let mut end = 19;
+        while s.stream.is_some() {
+            big_puts(&mut s, end..end + 1);
+            end += 1;
         }
         drop(s);
-        // Op 27 is unacknowledged after all: the power failed while the
-        // commit it shares with its delta was landing, half of the frame
+        // The op that carried the last piece is unacknowledged after all:
+        // the power failed while its commit was landing, half of the frame
         // on disk.
-        let (name, offset, len) = newest_delta(&mem)?;
+        let last = pieces(&mem).last().map_or(0, |p| p.0);
+        let (name, offset, len) = commit_at(&mem, last - 1)?;
         let buf = mem.read(&name)?.unwrap_or_default();
         let mut raw = mem.clone();
         raw.write_atomic(&name, &buf[..offset + len / 2])?;
         mem.crash();
-        let s = durable(&mem, 5);
+        let s = durable(&mem, 17);
         let report = s.last_recovery();
         assert!(report.torn_tail.is_some(), "{report:?}");
-        assert_eq!(report.deltas, 1, "the delta with op 22: {report:?}");
-        assert_eq!(report.records_replayed, 5, "ops 22..27: {report:?}");
+        assert_eq!(report.stream, Some((count - 1, count)), "{report:?}");
+        assert_eq!(report.records_replayed, end - 1 - 16, "{report:?}");
         let mut oracle = tcvs_core::HonestServer::new(&config());
-        for i in 0..27 {
-            oracle.handle_op((i % 3) as u32, &put(i), i);
+        let mut replies = Vec::new();
+        for i in 0..end - 1 {
+            let put = Op::Put(u64_key(i % 17), vec![i as u8; 20 << 10]);
+            replies.push(response_bytes(&oracle.handle_op((i % 3) as u32, &put, i)));
         }
         assert_eq!(s.core().root_digest(), oracle.core().root_digest());
-        assert_eq!(s.core().ctr(), 27);
-        for (user, seq, resp) in s.recovered_journal().unwrap_or_default() {
-            assert_eq!(seq, 24 + user as u64);
-            assert_eq!(response_bytes(&resp), acked[seq as usize]);
+        assert_eq!(s.core().ctr(), end - 1);
+        for (_, seq, resp) in s.recovered_journal().unwrap_or_default() {
+            assert_eq!(response_bytes(&resp), replies[seq as usize]);
         }
         Ok(())
     }
 
-    /// A log of op records and full checkpoints only — what a build
-    /// without incremental checkpoints wrote, byte for byte — opens,
-    /// serves on with deltas, and recovers again. The second recovery
-    /// needs the deltas: the log's first full checkpoints covered 6 and 12
-    /// ops.
+    /// A log of op records and checkpoints taken on request only — what
+    /// `checkpoint_every` 0 writes — opens with automatic checkpoints,
+    /// serves on, and recovers again from a checkpoint of its own.
     #[test]
-    fn a_log_without_deltas_opens_and_serves_on() -> Result<(), StorageError> {
+    fn manual_checkpoints_then_automatic_ones_recover() -> Result<(), StorageError> {
         let mem = MemMedium::new();
         let mut honest = tcvs_core::HonestServer::new(&config());
         let mut s = durable(&mem, 0);
@@ -1209,9 +1055,9 @@ mod tests {
         drop(s);
         mem.crash();
         let mut s = durable(&mem, 4);
-        assert_eq!(s.last_recovery().deltas, 0);
         assert_eq!(s.last_recovery().records_replayed, 2);
-        for i in 14..30 {
+        let first = s.full_bytes;
+        for i in 14..200 {
             let a = s.handle_op_seq((i % 3) as u32, i, &op(i), i);
             let b = honest.handle_op((i % 3) as u32, &op(i), i);
             assert_eq!(response_bytes(&a), response_bytes(&b));
@@ -1219,7 +1065,8 @@ mod tests {
         drop(s);
         mem.crash();
         let s = durable(&mem, 4);
-        assert!(s.last_recovery().records_replayed <= 8);
+        assert_ne!(s.full_bytes, first, "a streamed checkpoint loaded");
+        assert!(s.last_recovery().bytes_replayed <= s.full_bytes + countdown_bytes(4, 200));
         assert_eq!(s.core().root_digest(), honest.core().root_digest());
         Ok(())
     }
@@ -1290,7 +1137,8 @@ mod tests {
         let mem = MemMedium::new();
         let mut s = durable(&mem, 17);
         big_puts(&mut s, 0..16);
-        let first = s.start_stream();
+        let first = s.storage.next_lsn();
+        s.start_stream();
         big_puts(&mut s, 16..17); // one piece out
         let count = s.stream.as_ref().map_or(0, |st| st.count);
         assert!(count > 2, "{count} pieces");
@@ -1318,9 +1166,11 @@ mod tests {
         let mem = MemMedium::new();
         let mut s = durable(&mem, 5);
         big_puts(&mut s, 0..4);
-        let first = s.start_stream();
-        // The deltas outweigh it: a full checkpoint is due at the countdown.
-        s.chain.delta_bytes = s.chain.full_bytes;
+        let first = s.storage.next_lsn();
+        s.start_stream();
+        // The records since it outweigh it: a full checkpoint is due at
+        // the countdown.
+        s.logged = s.full_bytes + 1;
         big_puts(&mut s, 4..5); // the countdown runs out mid-stream
         assert_eq!(
             s.stream.as_ref().map(|st| (st.lsn, st.index)),
@@ -1416,10 +1266,12 @@ mod tests {
     /// A medium an earlier format wrote is refused with a typed error
     /// before recovery reads, repairs or salvages any of it, with or
     /// without `salvage_corruption`: the first format (each record its own
-    /// frame, checked by the first 8 bytes of `sha256(payload)`, no marker)
-    /// and the one before commit frames (each record its own CRC-32C frame,
-    /// full checkpoints in `ckpt-` files, a `format-crc32c` marker). An
-    /// empty medium still opens fresh.
+    /// frame, checked by the first 8 bytes of `sha256(payload)`, no marker),
+    /// the one before commit frames (each record its own CRC-32C frame,
+    /// full checkpoints in `ckpt-` files, a `format-crc32c` marker) and the
+    /// one with incremental checkpoints (commit frames holding records of
+    /// tag 7, a `format-commit-frames` marker). An empty medium still opens
+    /// fresh.
     #[test]
     fn a_medium_in_the_old_frame_format_is_refused_untouched() -> Result<(), StorageError> {
         use crate::log;
@@ -1476,8 +1328,8 @@ mod tests {
         };
         let sha = earlier(sha_frame, None)?;
         let crc = earlier(crc_frame, Some("format-crc32c"))?;
-        for (what, old) in [("sha-256/8", sha), ("crc-32c per record", crc)] {
-            let before = files(&old)?;
+        for (what, old) in [("sha-256/8", &sha), ("crc-32c per record", &crc)] {
+            let before = files(old)?;
             let ckpts = before
                 .iter()
                 .filter(|(n, _)| n.starts_with("ckpt-"))
@@ -1494,6 +1346,35 @@ mod tests {
             for (first, buf) in segments {
                 assert!(!log::scan(buf, first).tail.is_clean(), "{what}");
             }
+        }
+        // The same segments with an incremental checkpoint committed after
+        // their last record: its frame verifies, but this build decodes no
+        // record of tag 7, so without the marker recovery would halt on it
+        // as interior corruption.
+        let deltas = MemMedium::new();
+        let mut raw = deltas.clone();
+        let mut last = (0, String::new());
+        for (name, buf) in files(&mem)? {
+            if let Some(first) = log::parse_segment_name(&name) {
+                raw.write_atomic(&name, &buf)?;
+                last = last.max((first + log::scan(&buf, first).records.len() as u64, name));
+            }
+        }
+        let (next, name) = last;
+        let delta = b"an incremental checkpoint";
+        raw.append(&name, &log::frame(&log::payload(next, 7, delta)))?;
+        raw.sync(&name)?;
+        raw.write_atomic("format-commit-frames", b"an earlier format\n")?;
+        assert!(Record::decode(7, delta).is_err());
+        let segment = deltas.read(&name)?.unwrap_or_default();
+        let scan = log::scan(&segment, log::parse_segment_name(&name).unwrap_or(0));
+        assert!(scan.tail.is_clean() && scan.records.iter().any(|r| r.1 == 7));
+        for (what, old) in [
+            ("sha-256/8", sha),
+            ("crc-32c per record", crc),
+            ("tag-7 deltas", deltas),
+        ] {
+            let before = files(&old)?;
             for salvage_corruption in [false, true] {
                 let store = DurableStorage::open(old.clone(), DurableOptions::default());
                 let opened = DurableServer::open(
@@ -1546,7 +1427,9 @@ mod tests {
         s.crash_restart();
         let snap = s.obs().registry().snapshot();
         assert_eq!(snap.counter("storage.commits"), Some(9));
-        assert_eq!(snap.counter("storage.checkpoints"), Some(2));
+        // One full checkpoint streams at the first countdown; at the
+        // second, the records since it weigh less than it.
+        assert_eq!(snap.counter("storage.checkpoints"), Some(1));
         assert_eq!(snap.counter("storage.recoveries"), Some(2), "open + crash");
     }
 

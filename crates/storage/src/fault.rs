@@ -3,7 +3,7 @@
 //! [`FaultMedium`] sits between the engine and a real medium and applies
 //! [`StorageFault`]s from a [`tcvs_core::FaultPlan`]-style schedule, keyed
 //! by *append index* (the n-th `append` call — one per commit, whose one
-//! frame carries any delta or checkpoint piece riding along; so under a
+//! frame carries any checkpoint piece riding along; so under a
 //! pure op workload, append index = op index, and a `checkpoint_now`
 //! appends one or two commits of its own):
 //!

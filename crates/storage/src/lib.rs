@@ -59,7 +59,7 @@ pub mod medium;
 pub mod record;
 pub mod storage;
 
-pub use codec::{DurableDelta, DurableState};
+pub use codec::DurableState;
 pub use engine::{DurabilityOptions, DurableServer, StorageObs};
 pub use error::StorageError;
 pub use fault::FaultMedium;

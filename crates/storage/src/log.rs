@@ -45,7 +45,8 @@
 //! A medium in this format holds a [`FORMAT_MARKER`] file, written when the
 //! engine first recovers on an empty medium; framed files without it come
 //! from another format (earlier ones framed each record on its own and kept
-//! checkpoints in files of their own), and recovery refuses them unread.
+//! checkpoints in files of their own, or logged incremental checkpoints as
+//! records of tag 7), and recovery refuses them unread.
 
 use std::ops::Range;
 
@@ -56,12 +57,13 @@ use tcvs_store::enc::{Reader, Sink, Writer};
 pub const CHECK_LEN: usize = 4;
 
 /// Name of the file that marks a medium as holding this format.
-pub const FORMAT_MARKER: &str = "format-commit-frames";
+pub const FORMAT_MARKER: &str = "format-full-checkpoints";
 
 /// What the marker file holds, for a reader of the directory; recovery
 /// checks only that the file exists.
 pub(crate) const FORMAT_NOTE: &[u8] = b"tcvs-storage commits: [len u32 LE][lsn u64 LE \
-    ([tag u8][len u32 LE][body])+][crc32c(payload) u32 LE]\n";
+    ([tag u8][len u32 LE][body])+][crc32c(payload) u32 LE]; checkpoints only whole, as \
+    tag-8 pieces\n";
 
 /// Prefix of a quarantined file's name.
 const QUARANTINE_PREFIX: &str = "quarantine-";
@@ -89,9 +91,9 @@ fn check(payload: &[u8]) -> [u8; CHECK_LEN] {
 }
 
 /// Appends to the unsealed commit frame in `buf` (started if `buf` is
-/// empty) a record with tag `tag` and the body `put` writes. [`seal`]
-/// fills in the header, LSN and check.
-pub(crate) fn push_record(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writer)) {
+/// empty) a record with tag `tag` and the body `put` writes, and returns
+/// the body's length. [`seal`] fills in the header, LSN and check.
+pub(crate) fn push_record(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writer)) -> usize {
     if buf.is_empty() {
         buf.resize(OPEN_HEAD, 0);
     }
@@ -101,8 +103,9 @@ pub(crate) fn push_record(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Writ
     w.u32(0);
     put(&mut w);
     *buf = w.into_bytes();
-    let body = (buf.len() - start) as u32;
-    buf[start - 4..start].copy_from_slice(&body.to_le_bytes());
+    let body = buf.len() - start;
+    buf[start - 4..start].copy_from_slice(&(body as u32).to_le_bytes());
+    body
 }
 
 /// The tag and body range of each record of the commit payload `payload`,
@@ -589,10 +592,10 @@ mod tests {
         const SECTOR: usize = 512;
         let (synced, end) = in_extent(0);
         let mut full = synced.clone();
-        // One commit of three records, as an op, a delta and a piece of a
-        // checkpoint share one.
+        // One commit of three records, as an op, a burst of flight frames
+        // and a piece of a checkpoint share one.
         let mut commit = Vec::new();
-        for (tag, len) in [(1, 40), (7, 1700), (8, 900)] {
+        for (tag, len) in [(1, 40), (5, 1700), (8, 900)] {
             push_record(&mut commit, tag, |w| w.raw(&vec![tag; len]));
         }
         seal(&mut commit, 3);

@@ -6,8 +6,7 @@
 //! the transport acknowledged) by replaying inputs on top of the last
 //! checkpoint. That keeps the per-op log write small: an op record costs
 //! tens of bytes where a response (with its Merkle proof) costs kilobytes.
-//! Checkpoints ride the same log: a full one as a run of
-//! [`Record::Chunk`]s, an incremental one as a [`Record::Delta`].
+//! Checkpoints ride the same log, each as a run of [`Record::Chunk`]s.
 
 use tcvs_core::wire::{
     get_audit_checkpoint, get_epoch_state, get_event, get_op, get_signed_state,
@@ -17,8 +16,6 @@ use tcvs_core::{ServerResponse, SignedCheckpoint, SignedEpochState, SignedState,
 use tcvs_merkle::Op;
 use tcvs_obs::Event;
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
-
-use crate::codec::DurableDelta;
 
 /// The sentinel sequence number for ops that arrived without an
 /// exactly-once sequence (direct [`tcvs_core::ServerApi::handle_op`]
@@ -55,11 +52,6 @@ pub enum Record {
     /// the log neither re-encodes nor trusts its contents — incident
     /// artifacts survive crashes exactly as captured.
     Evidence(Vec<u8>),
-    /// An incremental checkpoint: the durable world as edits to the world
-    /// at the checkpoint or delta before it. It summarises the records
-    /// between the two, which stay in the log: recovery that cannot use
-    /// it replays them instead.
-    Delta(Box<DurableDelta>),
     /// `((stream, index, count), bytes)`: piece `index` of `count` of a
     /// full checkpoint ([`crate::DurableState`]) covering every record
     /// below LSN `stream`. It changes nothing and never replays; recovery
@@ -73,7 +65,8 @@ pub(crate) const TAG_EPOCH_STATE: u8 = 3;
 pub(crate) const TAG_AUDIT_CHECKPOINT: u8 = 4;
 pub(crate) const TAG_FLIGHT: u8 = 5;
 pub(crate) const TAG_EVIDENCE: u8 = 6;
-pub(crate) const TAG_DELTA: u8 = 7;
+// Tag 7 carried an incremental checkpoint in an earlier format; it stays
+// unassigned.
 pub(crate) const TAG_CHUNK: u8 = 8;
 
 /// A chunk's stream, index and count.
@@ -121,7 +114,6 @@ impl Record {
             Record::AuditCheckpoint(_) => TAG_AUDIT_CHECKPOINT,
             Record::Flight(_) => TAG_FLIGHT,
             Record::Evidence(_) => TAG_EVIDENCE,
-            Record::Delta(_) => TAG_DELTA,
             Record::Chunk(..) => TAG_CHUNK,
         }
     }
@@ -141,7 +133,6 @@ impl Record {
             Record::AuditCheckpoint(c) => put_audit_checkpoint(w, c),
             Record::Flight(ev) => put_event(w, ev),
             Record::Evidence(bytes) => w.bytes(bytes),
-            Record::Delta(d) => d.put(w),
             Record::Chunk(head, data) => {
                 put_chunk(w, *head, data.len(), |buf| buf.extend_from_slice(data))
             }
@@ -176,7 +167,6 @@ impl Record {
             TAG_AUDIT_CHECKPOINT => Record::AuditCheckpoint(get_audit_checkpoint(&mut r)?),
             TAG_FLIGHT => Record::Flight(get_event(&mut r)?),
             TAG_EVIDENCE => Record::Evidence(r.bytes()?.to_vec()),
-            TAG_DELTA => return Ok(Record::Delta(Box::new(DurableDelta::from_bytes(body)?))),
             TAG_CHUNK => {
                 let (head, data) = chunk_view(body)?;
                 return Ok(Record::Chunk(head, data.to_vec()));

@@ -24,15 +24,8 @@
 //! writes one in a single commit). Once its last piece is durable, the
 //! segments wholly behind the oldest of the newest
 //! [`DurableOptions::retain_checkpoints`] complete streams are removed, one
-//! per commit, oldest first.
-//!
-//! Between full checkpoints the engine logs [`Record::Delta`]s, each based
-//! on the checkpoint or delta before it. Recovery keeps a delta based on
-//! the *anchor* — the checkpoint it loaded, then each delta it kept — and
-//! drops the records since the anchor, which the delta summarises; any
-//! other delta, and one that verifies but does not decode, it leaves out,
-//! so the records stay and replay. Those records are still on the medium:
-//! the log goes only behind complete streams.
+//! per commit, oldest first. Every record after a retained stream's first
+//! piece therefore stays on the medium, and recovery replays all of them.
 //!
 //! ## Recovery state machine ([`DurableStorage::recover`])
 //!
@@ -47,10 +40,10 @@
 //!    pieces concatenate to a state that decodes, its root checked, wins.
 //!    The others are counted and skipped (that is why two are retained).
 //! 3. **Scan the log from it**: commits in LSN order, each checksum and
-//!    LSN verified, by the three tail rules of [`crate::log`]; deltas on
-//!    the chain replace the records they summarise, and pieces are left
-//!    out. Zeros after a segment's last frame are the unused rest of its
-//!    extent. A *torn* tail (a damaged frame with nothing verifying after
+//!    LSN verified, by the three tail rules of [`crate::log`]; every record
+//!    after the checkpoint's first piece is handed back for replay, pieces
+//!    left out. Zeros after a segment's last frame are the unused rest of
+//!    its extent. A *torn* tail (a damaged frame with nothing verifying after
 //!    it) in the last segment is the expected crash shape: discard it,
 //!    note it, continue. Damage anywhere else stops the scan — no record
 //!    after a hole is trusted — and damage below the checkpoint is never
@@ -69,7 +62,7 @@ use crate::codec::DurableState;
 use crate::error::StorageError;
 use crate::log::{self, SegmentScan, TailStatus};
 use crate::medium::{Medium, MemMedium};
-use crate::record::{chunk_view, put_chunk, Record, TAG_CHUNK, TAG_DELTA};
+use crate::record::{chunk_view, put_chunk, Record, TAG_CHUNK};
 
 /// Records staged for one atomic commit, each encoded once, straight into
 /// the commit's frame: the commit only fills in the LSN and the check
@@ -79,6 +72,8 @@ pub struct WriteBatch {
     /// The unsealed commit frame ([`log::push_record`]).
     frame: Vec<u8>,
     records: usize,
+    /// Body bytes of the records staged, checkpoint pieces left out.
+    logged: u64,
     /// LSN of the checkpoint stream whose last piece the batch carries.
     completes: Option<u64>,
 }
@@ -97,8 +92,11 @@ impl WriteBatch {
     /// Stages the record with log tag `tag` whose body `put` writes, from
     /// whatever the caller borrows.
     pub(crate) fn push_with(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> &mut WriteBatch {
-        log::push_record(&mut self.frame, tag, put);
+        let body = log::push_record(&mut self.frame, tag, put);
         self.records += 1;
+        if tag != TAG_CHUNK {
+            self.logged += body as u64;
+        }
         self
     }
 
@@ -118,11 +116,10 @@ impl WriteBatch {
         })
     }
 
-    /// Makes room for one more record of a `body`-byte body, so that a
-    /// large record is written into one allocation rather than grown into
-    /// it.
-    pub(crate) fn reserve(&mut self, body: usize) {
-        self.frame.reserve(log::frame_len(body) as usize);
+    /// Body bytes of the records staged, checkpoint pieces left out: what
+    /// the batch adds to the log that a checkpoint would summarise.
+    pub(crate) fn logged(&self) -> u64 {
+        self.logged
     }
 
     /// Number of staged records.
@@ -146,48 +143,6 @@ impl WriteBatch {
             });
         }
         Ok(self.frame)
-    }
-}
-
-/// The replay tail as recovery assembles it, record by record in LSN
-/// order. A delta whose base is the anchor — the newest checkpoint or
-/// delta on the chain — summarises every record since the anchor, so those
-/// records leave the tail and the delta becomes the anchor. A delta off
-/// the chain (its base is a checkpoint recovery did not load) is left out,
-/// and the records it would have summarised stay. The tail therefore holds
-/// the deltas since the checkpoint, then the records after the newest.
-struct Tail {
-    records: Vec<(u64, Record)>,
-    anchor: u64,
-    deltas: u64,
-}
-
-impl Tail {
-    fn new(base: u64) -> Tail {
-        Tail {
-            records: Vec::new(),
-            anchor: base,
-            deltas: 0,
-        }
-    }
-
-    fn push(&mut self, lsn: u64, rec: Record) {
-        if let Record::Delta(delta) = &rec {
-            if delta.base != self.anchor {
-                return;
-            }
-            self.records.retain(|(_, r)| matches!(r, Record::Delta(_)));
-            self.anchor = lsn;
-            self.deltas += 1;
-        }
-        self.records.push((lsn, rec));
-    }
-
-    /// The tail, with its counts entered in `report`.
-    fn finish(self, report: &mut RecoveryReport) -> Vec<(u64, Record)> {
-        report.deltas = self.deltas;
-        report.records_replayed = self.records.len() as u64 - self.deltas;
-        self.records
     }
 }
 
@@ -218,17 +173,16 @@ impl Streams {
     }
 }
 
-/// The records of one commit of the segment `buf` as recovery reads them:
-/// the pieces of the checkpoint at `base` appended to `state`, other pieces
-/// checked and left out, a delta that does not decode left out (the
-/// records it would summarise stay and replay), and anything else decoded.
+/// The records of one commit of the segment `buf` as recovery reads them,
+/// and their body bytes: the pieces of the checkpoint at `base` appended to
+/// `state`, other pieces checked and left out, and anything else decoded.
 fn read_commit(
     buf: &[u8],
     commit: &[(u64, u8, Range<usize>)],
     base: u64,
     state: &mut Vec<u8>,
-) -> Result<Vec<(u64, Record)>, DecodeError> {
-    let mut records = Vec::new();
+) -> Result<(Vec<(u64, Record)>, u64), DecodeError> {
+    let (mut records, mut bytes) = (Vec::new(), 0);
     for (lsn, tag, body) in commit {
         let body = &buf[body.clone()];
         match *tag {
@@ -236,21 +190,24 @@ fn read_commit(
                 ((stream, ..), data) if stream == base => state.extend_from_slice(data),
                 _ => {}
             },
-            TAG_DELTA => records.extend(Record::decode(TAG_DELTA, body).ok().map(|r| (*lsn, r))),
-            tag => records.push((*lsn, Record::decode(tag, body)?)),
+            tag => {
+                records.push((*lsn, Record::decode(tag, body)?));
+                bytes += body.len() as u64;
+            }
         }
     }
-    Ok(records)
+    Ok((records, bytes))
 }
 
 /// What a pass over the log from a checkpoint's commit found: the
-/// checkpoint's pieces concatenated, the tail, the LSN after the last
-/// record kept, the last segment scanned and the length of its valid
+/// checkpoint's pieces concatenated, the tail and its body bytes, the LSN
+/// after the last record kept, the last segment scanned and the length of its valid
 /// prefix, and the first segment the pass never reached (everything from
 /// it on is quarantined when the pass stopped at corruption).
 struct Replay {
     state: Vec<u8>,
-    tail: Tail,
+    tail: Vec<(u64, Record)>,
+    bytes: u64,
     end: u64,
     last_valid: Option<(String, u64)>,
     stale_from: usize,
@@ -261,12 +218,11 @@ struct Replay {
 pub struct RecoveryReport {
     /// Segments scanned for the tail.
     pub segments_scanned: u64,
-    /// Records handed back for replay after the newest delta (deltas not
-    /// counted).
+    /// Records handed back for replay (see [`Recovered::tail`]).
     pub records_replayed: u64,
-    /// Deltas handed back to be applied, in order, on top of the
-    /// checkpoint (see [`Recovered::tail`]).
-    pub deltas: u64,
+    /// Body bytes of those records: what the log holds past the checkpoint
+    /// that the next one would summarise.
+    pub bytes_replayed: u64,
     /// Complete checkpoint streams whose state did not decode, skipped.
     pub corrupt_checkpoints: u64,
     /// The newest checkpoint stream the log holds: its pieces found, in
@@ -307,12 +263,8 @@ pub struct Recovered {
     /// complete and decodes, if any. Every record below the LSN is
     /// subsumed by it.
     pub checkpoint: Option<(u64, DurableState)>,
-    /// The log at and after the checkpoint LSN, in order, with LSNs: first
-    /// the chain of [`Record::Delta`]s, each based on the checkpoint or the
-    /// delta before it, then the records after the newest delta — the
-    /// replay tail. The records a delta summarises are left out, and so
-    /// are checkpoint pieces; a delta that is torn, missing or does not
-    /// decode leaves its records in.
+    /// The replay tail: every record at and after the checkpoint LSN, in
+    /// order, with LSNs, checkpoint pieces left out.
     pub tail: Vec<(u64, Record)>,
     /// What the scan saw.
     pub report: RecoveryReport,
@@ -655,7 +607,8 @@ impl<M: Medium> DurableStorage<M> {
     ) -> Result<Replay, StorageError> {
         let mut r = Replay {
             state: Vec::new(),
-            tail: Tail::new(base),
+            tail: Vec::new(),
+            bytes: 0,
             end: base,
             last_valid: None,
             stale_from: segs.len(),
@@ -679,10 +632,9 @@ impl<M: Medium> DurableStorage<M> {
             for (offset, commit) in &scan.commits {
                 let commit = &scan.records[commit.clone()];
                 match read_commit(&buf[from as usize..], commit, base, &mut r.state) {
-                    Ok(records) => {
-                        for (lsn, rec) in records {
-                            r.tail.push(lsn, rec);
-                        }
+                    Ok((records, bytes)) => {
+                        r.tail.extend(records);
+                        r.bytes += bytes;
                         r.end += commit.len() as u64;
                     }
                     Err(e) => {
@@ -778,7 +730,8 @@ impl<M: Medium> DurableStorage<M> {
             .map(|&(lsn, _)| lsn)
             .filter(|&lsn| loaded && lsn <= base)
             .collect();
-        let tail = r.tail.finish(&mut report);
+        (report.records_replayed, report.bytes_replayed) = (r.tail.len() as u64, r.bytes);
+        let tail = r.tail;
         self.next_lsn = r.end;
         // 4. Interior corruption means acknowledged records past the stop
         // point are lost. Outside salvage mode, leave the medium exactly as
@@ -1310,35 +1263,6 @@ mod tests {
             .unwrap();
         assert!(rec2.report.corrupt_stop.is_none(), "{:?}", rec2.report);
         assert_eq!(rec2.tail.len(), 4);
-    }
-
-    /// A delta that verifies but does not decode is left out of the tail,
-    /// not taken for corruption: the records it would summarise replay
-    /// instead.
-    #[test]
-    fn a_delta_that_does_not_decode_leaves_its_records_in() -> Result<(), StorageError> {
-        let mem = MemMedium::new();
-        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
-        s.recover()?;
-        for i in 0..3 {
-            commit_one(&mut s, i);
-        }
-        let mut raw = mem.clone();
-        let junk = log::frame(&log::payload(3, TAG_DELTA, b"junk"));
-        raw.append(&log::segment_name(0), &junk)?;
-        raw.sync(&log::segment_name(0))?;
-        drop(s);
-        let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
-        let rec = s.recover()?;
-        assert!(rec.report.corrupt_stop.is_none(), "{:?}", rec.report);
-        assert_eq!((rec.report.deltas, rec.report.records_replayed), (0, 3));
-        for i in 3..5 {
-            commit_one(&mut s, i);
-        }
-        let rec = s.recover()?;
-        assert_eq!(rec.tail.len(), 5);
-        assert!(rec.tail.iter().all(|(_, r)| matches!(r, Record::Op { .. })));
-        Ok(())
     }
 
     /// Oversized payloads are rejected when written, not discovered as

@@ -30,8 +30,9 @@
 //! set, no claimed shard set, no trigger shard, no grove slot). The
 //! replies, records, manifest and every other pin stayed where they were.
 //!
-//! `record-delta`, an incremental checkpoint's record body, was added with
-//! it; no other pin moved.
+//! `record-delta`, an incremental checkpoint's record body (tag 7), was
+//! added with incremental checkpoints and deleted with them; no other pin
+//! moved either time.
 //!
 //! When checkpoints moved into the log, `record-chunk` (a piece of a full
 //! checkpoint) and `commit` (a whole commit frame as a segment holds it:
@@ -49,14 +50,13 @@ use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
 use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
 use tcvs_storage::{
-    response_bytes, DurableDelta, DurableOptions, DurableState, DurableStorage, Medium, MemMedium,
-    Record, Storage, WriteBatch,
+    response_bytes, DurableOptions, DurableState, DurableStorage, Medium, MemMedium, Record,
+    Storage, WriteBatch,
 };
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
 /// above on the first build whose point proofs hide unproven entries, the
-/// three bundle-bearing ones on the first build of bundle version 2,
-/// `record-delta` on the first build with incremental checkpoints, and
+/// three bundle-bearing ones on the first build of bundle version 2, and
 /// `record-chunk` and `commit` on the first build whose checkpoints ride
 /// the log.
 const PINS: &str = "\
@@ -85,7 +85,6 @@ record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee7
 record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
 record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
 record-evidence 429142acca6802c81760da49f0cff80868d55237c0e4be3e917b3e2436fd22ab
-record-delta a85bbd4cfe50633248cddc656fc8bc736062613be5226dfd70b3119638800b4d
 record-chunk 6fc05e4d1e2750254f933ba5f4f4634086c93dcce868ce2696ebd0fee8ee3360
 ";
 
@@ -260,19 +259,6 @@ fn every_persisted_encoding_is_pinned() {
     };
     let mut checkpoint_bytes = Vec::new();
     state.encode_into(&mut checkpoint_bytes);
-    let delta = DurableDelta {
-        base: 17,
-        snapshot: state.snapshot.clone(),
-        journal: state.journal.clone(),
-        evidence: vec![bundle.clone()],
-        edits: vec![
-            Op::Put(u64_key(41), Vec::new()),
-            Op::Delete(u64_key(7)),
-            Op::Put(u64_key(41), b"forty-one".to_vec()),
-        ],
-        root: state.snapshot.root_digest(),
-        body_len: 0,
-    };
 
     let mut records: Vec<(String, Record)> = ops()
         .into_iter()
@@ -302,7 +288,6 @@ fn every_persisted_encoding_is_pinned() {
             Record::Flight(Event::new(6, EventKind::Retry, 2).span(SpanContext::root(5, 7))),
         ),
         ("record-evidence".into(), Record::Evidence(bundle.clone())),
-        ("record-delta".into(), Record::Delta(Box::new(delta))),
         (
             "record-chunk".into(),
             Record::Chunk((17, 1, 3), checkpoint_bytes[100..160].to_vec()),

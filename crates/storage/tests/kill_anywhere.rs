@@ -10,11 +10,10 @@
 //! exactly the acknowledged prefix — nothing acknowledged is lost, and
 //! nothing unacknowledged is half-applied.
 //!
-//! The sweeps checkpoint as the engine does: a delta every few ops, riding
-//! the next op's commit, and a full checkpoint once the deltas outweigh the
-//! last one, streamed a piece per commit in the commits after it. Their
-//! worlds are small, so a delta weighs about as much as a full checkpoint
-//! and the two alternate.
+//! The sweeps checkpoint as the engine does: every few ops the countdown
+//! runs out, and once the records logged since the last full checkpoint
+//! outweigh it a new one starts, streamed a piece per commit in the commits
+//! after it. Their worlds are small, so a few dozen ops outweigh one.
 
 use std::sync::{Arc, Mutex};
 
@@ -130,13 +129,12 @@ fn assert_recovered_equals_oracle<M: Medium>(
 
 /// Crash (power loss) after every acknowledged op index: the recovered
 /// state must be exactly the acknowledged prefix. The run takes full
-/// checkpoints after 7, 21 and 35 ops and logs deltas with ops 14, 21,
-/// 28 and 35, so the swept crashes recover from no checkpoint, from a full
-/// one alone, and from a full one plus a delta.
+/// checkpoints after 7 and 28 ops, so the swept crashes recover from no
+/// checkpoint and from each of the two, replaying the ops after it.
 #[test]
 fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
     const N: u64 = 40;
-    let mut deltas_applied = 0;
+    let mut from_checkpoint = 0;
     for crash_at in 0..=N {
         let mem = MemMedium::new();
         let mut server = open(mem.clone(), 7);
@@ -152,7 +150,7 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
             "crash_at={crash_at}: {:?}",
             server.last_recovery()
         );
-        deltas_applied += server.last_recovery().deltas;
+        from_checkpoint += u64::from(server.last_recovery().records_replayed < crash_at);
         assert_recovered_equals_oracle(
             &server,
             scripted,
@@ -160,15 +158,14 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
             &format!("crash_at={crash_at}"),
         );
     }
-    assert!(deltas_applied > 0, "some recovery applied a delta");
+    assert!(from_checkpoint > 0, "some recovery loaded a checkpoint");
 }
 
-/// A torn write at every append — each op's commit, with the deltas and
-/// checkpoint pieces riding along: the op whose commit it tears is never
+/// A torn write at every append — each op's commit, with the checkpoint
+/// piece riding along: the op whose commit it tears is never
 /// acknowledged, and recovery lands exactly on the prefix before it —
 /// whether the torn bytes survived in the page cache (process restart) or
-/// not (power loss). The run takes full checkpoints after 7 and 21 ops
-/// and logs deltas with ops 14 and 21.
+/// not (power loss). The run takes a full checkpoint after 7 ops.
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
     const N: u64 = 24;
@@ -220,7 +217,7 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
         }
         torn_at += 1;
     }
-    // One append per op: deltas and pieces ride the op's commit.
+    // One append per op: pieces ride the op's commit.
     assert_eq!(torn_at, N, "every append of the run was torn once");
 }
 
@@ -267,14 +264,14 @@ fn lost_fsync_then_power_loss_recovers_a_clean_prefix() {
 /// A flipped bit in every commit, swept twice. With checkpoints off, the
 /// log is every op record and nothing else, so a flip at every op index
 /// from the first record on stops recovery exactly at the flip. With a
-/// checkpoint every 7 ops, the run takes full checkpoints after 7 and 21
-/// ops and logs deltas with ops 14 and 21, so commits that carry a delta or
-/// a checkpoint piece are flipped too: a flip in what the newest complete
-/// full checkpoint subsumes costs nothing, although it sits in the segment
-/// the checkpoint's pieces are in; any other stops recovery exactly at the
-/// flip, reports it, and replays the intact prefix — a flipped delta is
-/// not skipped for the ops it summarises, because nothing after a damaged
-/// frame is trusted. A flip below a frame that verifies is classified as
+/// checkpoint countdown of 7 ops, the run takes a full checkpoint after 7
+/// ops, so the commit that carries its piece is flipped too: a flip in what
+/// the newest complete full checkpoint subsumes costs nothing, although it
+/// sits in the segment the checkpoint's pieces are in; any other stops
+/// recovery exactly at the flip, reports it, and replays the intact
+/// prefix, because nothing after a damaged frame is trusted — a flipped
+/// piece spoils its checkpoint, and recovery falls back to the log before
+/// it. A flip below a frame that verifies is classified as
 /// corruption; a flip in the last frame has nothing verifying after it and
 /// is indistinguishable from a tear, so it is reported as a torn tail —
 /// either way the stop point and the recovered prefix are exact.
@@ -284,11 +281,11 @@ fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
     const SEGMENT: usize = 1 << 20; // the flips are interior to a segment
     for every in [0, 7] {
         let run = DryRun::new(scripted, every, N, SEGMENT);
-        let (mut flipped, mut deltas) = (0, 0);
+        let (mut flipped, mut pieces) = (0, 0);
         for (a, m) in run.appends() {
             let j = run.op_of(m);
             flipped += 1;
-            deltas += u64::from(run.holds(m, DELTA));
+            pieces += u64::from(run.holds(m, PIECE));
             let mem = MemMedium::new();
             let mut fm = FaultMedium::new(mem.clone());
             fm.schedule(a, StorageFault::BitFlip);
@@ -319,7 +316,7 @@ fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
                 "one flip per op, none subsumed"
             );
         } else {
-            assert!(deltas > 0 && run.subsumed > 0, "{deltas} deltas flipped");
+            assert!(pieces > 0 && run.subsumed > 0, "{pieces} pieces flipped");
         }
     }
 }
@@ -461,8 +458,7 @@ fn commit_of(data: &[u8]) -> Commit {
         .collect()
 }
 
-/// Log tags of a delta and of a checkpoint piece.
-const DELTA: u8 = 7;
+/// Log tag of a checkpoint piece.
 const PIECE: u8 = 8;
 
 /// Every mutating medium operation of a run, in order: `(kind, file)`, and
@@ -621,27 +617,39 @@ impl DryRun {
 /// A full checkpoint streams out a piece per commit across the commits
 /// after it, and the pruning behind it follows one segment per commit.
 /// Power loss, a torn write, a lost fsync (then power loss) and a bit
-/// flip, each injected at every medium operation from the third full
-/// checkpoint's first piece to the end of the run, which logs deltas with
-/// ops 50, 60, 70 and 80 and starts a fourth full checkpoint after 70 ops:
-/// the recovered world is always the oracle's, at exactly the prefix the
-/// fault allows, and only a flip in an acknowledged commit that no complete
-/// checkpoint covers stops recovery.
+/// flip, each injected at every medium operation from the second full
+/// checkpoint's first piece (after 50 ops) to the end of the run, which
+/// holds every piece of it and of a third (after 120 ops), and the pruning
+/// below the second that the third's completion starts: the recovered
+/// world is always the oracle's, at exactly the prefix the fault allows,
+/// and only a flip in an acknowledged commit that no complete checkpoint
+/// covers stops recovery.
 #[test]
 fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
-    // Long enough for the fourth full checkpoint to complete.
-    const N: u64 = 82;
+    // Long enough for the third full checkpoint to complete and prune.
+    const N: u64 = 136;
     const EVERY: u64 = 10;
 
     // A fault-free run maps every medium operation to the op issuing it.
     let run = DryRun::new(scripted_large, EVERY, N, 256);
     let ops = &run.ops;
-    // The third full checkpoint: its completion prunes the log below the
-    // second, the fallback a damaged third one needs.
+    // The second full checkpoint: a damaged one falls back to the first,
+    // and the third's completion prunes the log below it.
     let streams = run.streams();
-    assert!(streams.len() >= 4, "{streams:?}");
-    let (first, _, pieces) = streams[2];
-    assert!(pieces >= 3, "the stream spans {pieces} commits");
+    assert!(streams.len() >= 3, "{streams:?}");
+    let (first, stream, count) = streams[1];
+    assert!(count >= 3, "the stream spans {count} commits");
+    let swept: Vec<u32> = ops[first..]
+        .iter()
+        .flat_map(|(_, _, commit)| commit.iter().filter_map(|r| r.1))
+        .filter(|p| p.0 == stream)
+        .map(|p| p.1)
+        .collect();
+    assert_eq!(
+        swept,
+        (0..count).collect::<Vec<_>>(),
+        "the swept range holds the stream's first, middle and last pieces"
+    );
     // The newest full checkpoint complete when the run ends subsumes every
     // record below it, damaged or not.
     let subsumed = run.subsumed;
@@ -651,8 +659,6 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
         removed.count() > 0,
         "the stream's pruning lies inside the run"
     );
-    let deltas = (first..ops.len()).filter(|&m| run.holds(m, DELTA)).count();
-    assert!(deltas > 0, "the swept range logs a delta");
 
     // Power lost just before medium operation m: the op issuing it is
     // unacknowledged.
@@ -929,10 +935,9 @@ fn mix(mut x: u64) -> u64 {
 /// The power fails at the sync of every commit, on a medium with
 /// `FileMedium`'s zero extents, and lands a chosen subset of the commit's
 /// sectors. A flight recorder is attached, so every commit holds its op and
-/// the flight frame the op emitted; deltas ride the ops after 10, 15, 20
-/// and 25 ops, and full checkpoints stream a piece per commit after 5, 15
-/// and 25 ops, so a commit can hold an op, a flight frame, a delta and a
-/// piece at once. Recovery returns exactly the prefix the disk holds: the
+/// the flight frame the op emitted; full checkpoints stream a piece per
+/// commit after 5 and 25 ops, so a commit can hold an op, a flight frame
+/// and a piece at once. Recovery returns exactly the prefix the disk holds: the
 /// acknowledged ops, plus the interrupted op only when every byte of its
 /// commit landed. It reports a torn tail exactly when part of the commit
 /// landed (a commit spanning two sectors or more always tears under some
@@ -989,14 +994,8 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     assert_eq!(commits.len() as u64, N);
     let holds =
         |commit: &Commit, tags: &[u8]| tags.iter().all(|t| commit.iter().any(|r| r.0 == *t));
-    let full = commits
-        .iter()
-        .filter(|c| holds(c, &[1, 5, DELTA, PIECE]))
-        .count();
-    assert!(
-        full > 0,
-        "a commit holds an op, a flight frame, a delta and a piece"
-    );
+    let full = commits.iter().filter(|c| holds(c, &[1, 5, PIECE])).count();
+    assert!(full > 0, "a commit holds an op, a flight frame and a piece");
     let pieces = commits.iter().flatten().filter_map(|r| r.1);
     assert!(
         pieces.map(|p| p.2).max() >= Some(3),
