@@ -8,14 +8,12 @@
 //! [`crate::adversary`] implement.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use tcvs_crypto::{Digest, UserId, NO_USER};
 use tcvs_merkle::{
     apply_op, batchable, prune_for_op, prune_for_ops, BatchProof, MerkleTree, Op,
     VerificationObject,
 };
-use tcvs_obs::{Event, FlightRecorder};
 
 use crate::msg::{BatchResponse, ServerResponse, SignedCheckpoint, SignedEpochState, SignedState};
 use crate::types::{Ctr, Epoch, ProtocolConfig};
@@ -51,10 +49,6 @@ pub struct ServerCore {
     /// `new_epoch` flag).
     user_epochs: BTreeMap<UserId, Epoch>,
     metrics: ServerMetrics,
-    /// Always-on flight recorder, when one is attached: its retained tail
-    /// is captured into every [`ServerCore::crash_snapshot`], so the last
-    /// moments before a crash survive it.
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl ServerCore {
@@ -70,20 +64,7 @@ impl ServerCore {
             checkpoints: BTreeMap::new(),
             user_epochs: BTreeMap::new(),
             metrics: ServerMetrics::default(),
-            recorder: None,
         }
-    }
-
-    /// Attaches an always-on flight recorder. [`ServerCore::crash_snapshot`]
-    /// captures its retained timeline, and the recorder itself (the live
-    /// ring) survives crash-restarts of the owning server.
-    pub fn attach_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.recorder.clone()
     }
 
     /// Current root digest `M(D)`.
@@ -283,11 +264,6 @@ impl ServerCore {
             checkpoints: self.checkpoints.values().cloned().collect(),
             user_epochs: self.user_epochs.iter().map(|(u, e)| (*u, *e)).collect(),
             metrics: self.metrics,
-            flight: self
-                .recorder
-                .as_ref()
-                .map(|r| r.snapshot())
-                .unwrap_or_default(),
         }
     }
 
@@ -316,7 +292,6 @@ impl ServerCore {
                 .collect(),
             user_epochs: snap.user_epochs.iter().copied().collect(),
             metrics: snap.metrics,
-            recorder: None,
         })
     }
 
@@ -359,21 +334,12 @@ pub struct ServerSnapshot {
     user_epochs: Vec<(UserId, Epoch)>,
     /// Traffic accounting continues across restarts.
     metrics: ServerMetrics,
-    /// The flight recorder's retained timeline at capture time (empty when
-    /// no recorder was attached): the crash-surviving black box.
-    flight: Vec<Event>,
 }
 
 impl ServerSnapshot {
     /// Root digest of the captured database.
     pub fn root_digest(&self) -> Digest {
         self.db.root_digest()
-    }
-
-    /// The flight-recorder timeline captured with this snapshot (oldest
-    /// first; empty when no recorder was attached).
-    pub fn flight_events(&self) -> &[Event] {
-        &self.flight
     }
 
     /// Assembles a snapshot from its parts — the inverse of the accessors
@@ -391,7 +357,6 @@ impl ServerSnapshot {
         checkpoints: Vec<SignedCheckpoint>,
         user_epochs: Vec<(UserId, Epoch)>,
         metrics: ServerMetrics,
-        flight: Vec<Event>,
     ) -> Result<ServerSnapshot, tcvs_merkle::CodecError> {
         if epoch_len == 0 {
             return Err(tcvs_merkle::CodecError::Malformed("zero epoch length"));
@@ -406,7 +371,6 @@ impl ServerSnapshot {
             checkpoints,
             user_epochs,
             metrics,
-            flight,
         })
     }
 
@@ -635,13 +599,6 @@ impl HonestServer {
     pub fn core(&self) -> &ServerCore {
         &self.core
     }
-
-    /// Attaches an always-on flight recorder to the core (see
-    /// [`ServerCore::attach_flight_recorder`]). The live ring survives
-    /// crash-restarts; each crash snapshot freezes its tail at that moment.
-    pub fn attach_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.core.attach_flight_recorder(recorder);
-    }
 }
 
 impl ServerApi for HonestServer {
@@ -692,14 +649,8 @@ impl ServerApi for HonestServer {
 
     fn crash_restart(&mut self) {
         let snap = self.core.crash_snapshot();
-        let recorder = self.core.flight_recorder();
         self.core = ServerCore::crash_restore(&snap)
             .expect("a snapshot the server itself produced decodes");
-        // The live ring is host-side infrastructure, not server state: it
-        // keeps recording across the crash (that is the whole point).
-        if let Some(r) = recorder {
-            self.core.attach_flight_recorder(r);
-        }
     }
 
     fn read_snapshot(&self) -> Option<ReadSnapshot> {
@@ -867,31 +818,6 @@ mod tests {
         });
         let crashed = ServerCore::crash_restore(&s.crash_snapshot()).unwrap();
         assert!(crashed.last_sig.is_some(), "crash recovery keeps deposits");
-    }
-
-    #[test]
-    fn crash_snapshot_freezes_the_flight_recorder_tail() {
-        use tcvs_obs::{EventKind, Tracer};
-        let mut s = HonestServer::new(&config());
-        let (tracer, recorder) = Tracer::flight(4);
-        s.attach_flight_recorder(Arc::clone(&recorder));
-        for i in 0..10u64 {
-            s.handle_op(0, &Op::Put(u64_key(i), vec![i as u8]), i);
-            tracer.emit(|| Event::new(i, EventKind::OpServed, 0));
-        }
-        // The snapshot holds the ring's tail — the last `capacity` events.
-        let snap = s.core().crash_snapshot();
-        let ts: Vec<u64> = snap.flight_events().iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![6, 7, 8, 9]);
-        // The live ring keeps recording across a crash-restart.
-        s.crash_restart();
-        tracer.emit(|| Event::new(99, EventKind::OpServed, 0));
-        let after = s.core().crash_snapshot();
-        assert_eq!(after.flight_events().last().unwrap().t, 99);
-        assert!(s.core().flight_recorder().is_some());
-        // Without a recorder the capture is empty, not an error.
-        let bare = ServerCore::new(&config());
-        assert!(bare.crash_snapshot().flight_events().is_empty());
     }
 
     #[test]

@@ -88,7 +88,6 @@ fn full_bytes(server: &DurableServer<DurableStorage<FileMedium>>) -> u64 {
     let state = DurableState {
         snapshot: server.core().crash_snapshot(),
         journal: server.recovered_journal().unwrap_or_default(),
-        evidence: server.evidence_bundles().to_vec(),
     };
     state.stream().remaining() as u64
 }

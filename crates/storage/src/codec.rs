@@ -13,8 +13,8 @@
 //! a torn tail from corruption).
 
 use tcvs_core::wire::{
-    get_audit_checkpoint, get_epoch_state, get_event, get_response, get_signed_state,
-    put_audit_checkpoint, put_epoch_state, put_event, put_response, put_signed_state,
+    get_audit_checkpoint, get_epoch_state, get_response, get_signed_state, put_audit_checkpoint,
+    put_epoch_state, put_response, put_signed_state,
 };
 use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerSnapshot, UserId};
 use tcvs_merkle::{EncodeStream, MerkleTree};
@@ -24,32 +24,27 @@ use crate::record::JournalEntry;
 
 /// Magic prefix of an encoded [`DurableState`].
 const STATE_MAGIC: &[u8; 4] = b"TCKP";
-/// Format version of the checkpoint encoding.
-const STATE_VERSION: u32 = 2;
+/// Format version of the checkpoint encoding. Version 2 also carried the
+/// server's flight-recorder tail and evidence bundles.
+const STATE_VERSION: u32 = 3;
 
 /// The complete durable world at one LSN: the server's crash snapshot plus
-/// the transport's exactly-once reply journal.
+/// the transport's exactly-once reply journal. It holds the protocol's
+/// state and nothing else: evidence of a deviation is kept by the users
+/// who caught it, never by the server under suspicion.
 pub struct DurableState {
-    /// The server state (database, counters, deposits, flight tail).
+    /// The server state (database, counters, deposits).
     pub snapshot: ServerSnapshot,
     /// The reply journal as `(user, seq, response)` — one live entry per
     /// user (older entries are below the acknowledgment watermark).
     pub journal: Vec<JournalEntry>,
-    /// Persisted deviation evidence bundles, opaque canonical bytes
-    /// (self-integrity-checked by the bundle format). Carried in the
-    /// checkpoint so incident artifacts outlive log pruning.
-    pub evidence: Vec<Vec<u8>>,
 }
 
-/// A full checkpoint of `snapshot`, `journal` and `evidence`, its bytes
-/// handed out a piece at a time: the database is encoded leaf by leaf as
-/// the stream reaches it, from the copy-on-write snapshot's nodes, so no
-/// buffer ever holds the whole state.
-pub(crate) fn stream_state(
-    snapshot: &ServerSnapshot,
-    journal: &[JournalEntry],
-    evidence: &[Vec<u8>],
-) -> EncodeStream {
+/// A full checkpoint of `snapshot` and `journal`, its bytes handed out a
+/// piece at a time: the database is encoded leaf by leaf as the stream
+/// reaches it, from the copy-on-write snapshot's nodes, so no buffer ever
+/// holds the whole state.
+pub(crate) fn stream_state(snapshot: &ServerSnapshot, journal: &[JournalEntry]) -> EncodeStream {
     let mut w = Writer::new();
     w.raw(STATE_MAGIC);
     w.u32(STATE_VERSION);
@@ -75,19 +70,11 @@ pub(crate) fn stream_state(
     w.u64(m.msgs_in);
     w.u64(m.msgs_out);
     w.u64(m.bytes_out);
-    w.u32(snapshot.flight_events().len() as u32);
-    for ev in snapshot.flight_events() {
-        put_event(&mut w, ev);
-    }
     w.u32(journal.len() as u32);
     for (user, seq, resp) in journal {
         w.u32(*user);
         w.u64(*seq);
         put_response(&mut w, resp);
-    }
-    w.u32(evidence.len() as u32);
-    for e in evidence {
-        w.bytes(e);
     }
     let db = snapshot.db();
     w.u64(db.encoded_size() as u64);
@@ -97,7 +84,7 @@ pub(crate) fn stream_state(
 impl DurableState {
     /// The state's encoding as a stream ([`EncodeStream::fill`]).
     pub fn stream(&self) -> EncodeStream {
-        stream_state(&self.snapshot, &self.journal, &self.evidence)
+        stream_state(&self.snapshot, &self.journal)
     }
 
     /// Encodes the state for a checkpoint into `buf`, replacing its
@@ -143,21 +130,11 @@ impl DurableState {
             bytes_out: r.u64()?,
         };
         let n = r.u32()? as usize;
-        let mut flight = Vec::new();
-        for _ in 0..n {
-            flight.push(get_event(&mut r)?);
-        }
-        let n = r.u32()? as usize;
         let mut journal = Vec::new();
         for _ in 0..n {
             let user = r.u32()?;
             let seq = r.u64()?;
             journal.push((user, seq, get_response(&mut r)?));
-        }
-        let n = r.u32()? as usize;
-        let mut evidence = Vec::new();
-        for _ in 0..n {
-            evidence.push(r.bytes()?.to_vec());
         }
         let db = MerkleTree::from_bytes(r.bytes()?)
             .map_err(|_| DecodeError::Invalid("checkpoint database"))?;
@@ -177,21 +154,16 @@ impl DurableState {
             checkpoints,
             user_epochs,
             metrics,
-            flight,
         )
         .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
-        Ok(DurableState {
-            snapshot,
-            journal,
-            evidence,
-        })
+        Ok(DurableState { snapshot, journal })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcvs_core::wire::{get_mss, get_op, put_mss, put_op, response_bytes};
+    use tcvs_core::wire::{get_event, get_mss, get_op, put_event, put_mss, put_op, response_bytes};
     use tcvs_core::{HonestServer, ProtocolConfig, ServerApi, SignedState};
     use tcvs_crypto::MssSignature;
     use tcvs_merkle::{u64_key, Op};
@@ -284,7 +256,6 @@ mod tests {
         let state = DurableState {
             snapshot: server.core().crash_snapshot(),
             journal,
-            evidence: vec![b"TCVSEVB1-bundle-bytes".to_vec()],
         };
         let mut bytes = Vec::new();
         state.encode_into(&mut bytes);
@@ -296,7 +267,6 @@ mod tests {
         assert_eq!(back.snapshot.root_digest(), state.snapshot.root_digest());
         assert_eq!(back.snapshot.ctr(), state.snapshot.ctr());
         assert!(back.snapshot.last_sig().is_some());
-        assert_eq!(back.evidence, state.evidence);
         assert_eq!(back.journal.len(), 10);
         for ((u1, s1, r1), (u2, s2, r2)) in back.journal.iter().zip(state.journal.iter()) {
             assert_eq!((u1, s1), (u2, s2));
@@ -330,12 +300,10 @@ mod tests {
             Vec::new(),
             Vec::new(),
             snap.snapshot_metrics(),
-            Vec::new(),
         )?;
         let state = DurableState {
             snapshot,
             journal: Vec::new(),
-            evidence: Vec::new(),
         };
         let mut bytes = Vec::new();
         state.encode_into(&mut bytes);

@@ -2,11 +2,12 @@
 //!
 //! [`DurableServer`] wraps the deterministic [`ServerCore`] with
 //! write-ahead discipline: every state-changing message — operation,
-//! signature deposit, epoch-state deposit, audited checkpoint, plus any
-//! flight-recorder frames emitted since the previous commit — is committed
-//! to the log (one append, one fsync) *before* the core applies it and the
-//! response leaves the process. A crash at any instant therefore loses at
-//! most work that was never acknowledged.
+//! signature deposit, epoch-state deposit, audited checkpoint — is
+//! committed to the log (one append, one fsync) *before* the core applies
+//! it and the response leaves the process. A crash at any instant therefore
+//! loses at most work that was never acknowledged. The log holds the
+//! protocol's state and nothing else: no black box and no evidence, which
+//! the users who verify the server keep on their side.
 //!
 //! ## Checkpoints ride the log
 //!
@@ -38,20 +39,20 @@
 
 use std::sync::Arc;
 
-use tcvs_core::wire::{put_audit_checkpoint, put_epoch_state, put_event, put_signed_state};
+use tcvs_core::wire::{put_audit_checkpoint, put_epoch_state, put_signed_state};
 use tcvs_core::{
     Ctr, Digest, Epoch, ProtocolConfig, ReadSnapshot, ServerApi, ServerCore, ServerMetrics,
     ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId,
 };
 use tcvs_merkle::{ChunkAssembler, ChunkManifest, EncodeStream, Op};
 use tcvs_obs::{Counter, Event, EventKind, MetricsRegistry, Tracer};
-use tcvs_store::enc::{Sink, Writer};
+use tcvs_store::enc::Writer;
 
 use crate::codec::stream_state;
 use crate::error::StorageError;
 use crate::record::{
-    put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_EPOCH_STATE, TAG_EVIDENCE,
-    TAG_FLIGHT, TAG_OP, TAG_SIGNATURE,
+    put_op_body, JournalEntry, Record, NO_SEQ, TAG_AUDIT_CHECKPOINT, TAG_EPOCH_STATE, TAG_OP,
+    TAG_SIGNATURE,
 };
 use crate::storage::{Recovered, RecoveryReport, Storage, WriteBatch};
 
@@ -139,17 +140,9 @@ pub struct DurableServer<S: Storage> {
     /// `(user, seq, response)` per user, in user order, regenerated on
     /// recovery.
     journal: Vec<JournalEntry>,
-    /// High-water mark of flight events already committed to the log.
-    flight_drained: u64,
     /// Ops since the countdown last ran out.
     ops_since_checkpoint: u64,
     last_report: RecoveryReport,
-    /// Flight events recovered from the log tail (older ones live in the
-    /// flight tail of the newest checkpoint).
-    recovered_flight: Vec<Event>,
-    /// Every persisted deviation evidence bundle (checkpoint, log tail and
-    /// bundles persisted this incarnation), opaque canonical bytes.
-    evidence: Vec<Vec<u8>>,
     /// The full checkpoint streaming out, if one is.
     stream: Option<Stream>,
     /// Bytes of the newest full checkpoint started.
@@ -192,11 +185,8 @@ impl<S: Storage> DurableServer<S> {
             opts,
             obs,
             journal: Vec::new(),
-            flight_drained: 0,
             ops_since_checkpoint: 0,
             last_report: RecoveryReport::default(),
-            recovered_flight: Vec::new(),
-            evidence: Vec::new(),
             stream: None,
             full_bytes: 0,
             logged: 0,
@@ -290,10 +280,7 @@ impl<S: Storage> DurableServer<S> {
 
     /// Runs recovery against the storage, replacing the in-memory world
     /// with what was durable: the checkpoint, then every record after it.
-    /// Keeps the attached flight recorder (the live ring is host-side
-    /// infrastructure, not server state).
     fn recover(&mut self) -> Result<(), StorageError> {
-        let recorder = self.core.flight_recorder();
         let mut recovered = self.storage.recover()?;
         if let Some(stop) = &recovered.report.corrupt_stop {
             if !self.opts.salvage_corruption {
@@ -319,8 +306,6 @@ impl<S: Storage> DurableServer<S> {
             report,
         } = recovered;
         self.journal.clear();
-        self.recovered_flight.clear();
-        self.evidence.clear();
         self.stream = None;
         self.full_bytes = 0;
         self.core = match checkpoint {
@@ -329,7 +314,6 @@ impl<S: Storage> DurableServer<S> {
                 for entry in ds.journal {
                     journal_insert(&mut self.journal, entry);
                 }
-                self.evidence = ds.evidence;
                 ServerCore::crash_restore(&ds.snapshot)
                     .map_err(|_| StorageError::io("checkpoint snapshot rejected"))?
             }
@@ -355,16 +339,8 @@ impl<S: Storage> DurableServer<S> {
                 Record::Signature(s) => self.core.store_signature(s),
                 Record::EpochState(s) => self.core.store_epoch_state(s),
                 Record::AuditCheckpoint(c) => self.core.store_checkpoint(c),
-                Record::Flight(ev) => self.recovered_flight.push(ev),
-                Record::Evidence(bytes) => self.evidence.push(bytes),
                 Record::Chunk(..) => {} // the storage leaves pieces out
             }
-        }
-        if let Some(r) = recorder {
-            self.core.attach_flight_recorder(Arc::clone(&r));
-            self.flight_drained = r.recorded();
-        } else {
-            self.flight_drained = 0;
         }
         self.obs.recoveries.inc();
         self.obs.recovery_replayed.add(report.records_replayed);
@@ -397,15 +373,7 @@ impl<S: Storage> DurableServer<S> {
     /// Bytes of a full checkpoint of the world as it stands.
     fn checkpoint_size(&self) -> u64 {
         let snapshot = self.core.crash_snapshot();
-        stream_state(&snapshot, &self.journal, &self.evidence).remaining() as u64
-    }
-
-    /// Attaches an always-on flight recorder; frames it captures are
-    /// committed to the log alongside the ops that caused them, so the
-    /// black box survives real (process-death) crashes.
-    pub fn attach_flight_recorder(&mut self, recorder: Arc<tcvs_obs::FlightRecorder>) {
-        self.flight_drained = recorder.recorded();
-        self.core.attach_flight_recorder(recorder);
+        stream_state(&snapshot, &self.journal).remaining() as u64
     }
 
     /// Read access to the core (tests, oracles).
@@ -423,66 +391,17 @@ impl<S: Storage> DurableServer<S> {
         &self.last_report
     }
 
-    /// Flight-recorder frames recovered from the log tail at the last
-    /// recovery (oldest first). Frames older than the newest checkpoint
-    /// live in its flight tail instead
-    /// ([`tcvs_core::ServerSnapshot::flight_events`]).
-    pub fn recovered_flight(&self) -> &[Event] {
-        &self.recovered_flight
-    }
-
     /// Storage observability (metrics registry, tracer).
     pub fn obs(&self) -> &StorageObs {
         &self.obs
     }
 
-    /// Persists a captured deviation evidence bundle through the same
-    /// atomic-commit path as operations: logged and fsynced before the call
-    /// returns, carried forward by every subsequent checkpoint, so the
-    /// incident artifact survives crashes and log pruning alike. The bytes
-    /// are stored opaquely — the bundle's own integrity digest, not the
-    /// engine, vouches for them.
-    pub fn persist_evidence(&mut self, bundle: Vec<u8>) -> Result<(), StorageError> {
-        self.commit(TAG_EVIDENCE, |w| w.bytes(&bundle))?;
-        self.evidence.push(bundle);
-        Ok(())
-    }
-
-    /// Every evidence bundle this durable world holds (recovered from the
-    /// checkpoint and log tail, plus any persisted this
-    /// incarnation), oldest first.
-    pub fn evidence_bundles(&self) -> &[Vec<u8>] {
-        &self.evidence
-    }
-
-    /// Stages flight frames recorded since the last commit. The ring holds
-    /// the newest `capacity` frames, so a burst larger than the ring between
-    /// two commits loses its oldest frames — same contract as the ring
-    /// itself.
-    fn drain_flight(&mut self, batch: &mut WriteBatch) {
-        let Some(r) = self.core.flight_recorder() else {
-            return;
-        };
-        let total = r.recorded();
-        if total <= self.flight_drained {
-            return;
-        }
-        let tail = r.snapshot();
-        let fresh = (total - self.flight_drained) as usize;
-        let start = tail.len().saturating_sub(fresh);
-        for ev in &tail[start..] {
-            batch.push_with(TAG_FLIGHT, |w| put_event(w, ev));
-        }
-        self.flight_drained = total;
-    }
-
     /// Commits the record with log tag `tag`, whose body `put` writes,
-    /// durably, in one frame with what rides along: pending flight frames
-    /// and the next piece of a streaming checkpoint.
+    /// durably, in one frame with the next piece of a streaming checkpoint,
+    /// if one streams.
     fn commit(&mut self, tag: u8, put: impl FnOnce(&mut Writer)) -> Result<(), StorageError> {
         let mut batch = WriteBatch::new();
         batch.push_with(tag, put);
-        self.drain_flight(&mut batch);
         self.push_piece(&mut batch);
         let logged = batch.logged();
         self.storage.commit(batch)?;
@@ -541,7 +460,7 @@ impl<S: Storage> DurableServer<S> {
     /// to complete it within `checkpoint_every` commits.
     fn start_stream(&mut self) {
         let snapshot = self.core.crash_snapshot();
-        let bytes = stream_state(&snapshot, &self.journal, &self.evidence);
+        let bytes = stream_state(&snapshot, &self.journal);
         let total = bytes.remaining();
         let every = self.opts.checkpoint_every.max(1) as usize;
         let piece = total.div_ceil(every).max(4 << 10);
@@ -566,7 +485,7 @@ impl<S: Storage> DurableServer<S> {
         self.storage.commit(batch)?;
         let mut state = Vec::new();
         let snapshot = self.core.crash_snapshot();
-        stream_state(&snapshot, &self.journal, &self.evidence).fill(&mut state, usize::MAX);
+        stream_state(&snapshot, &self.journal).fill(&mut state, usize::MAX);
         let lsn = self.storage.checkpoint(&state)?;
         self.obs.checkpoints.inc();
         (self.full_bytes, self.logged, self.ops_since_checkpoint) = (state.len() as u64, 0, 0);
@@ -765,49 +684,6 @@ mod tests {
         let r = s2.handle_op_seq(1, 1, &op(1), 1);
         assert!(r.sig.is_some(), "Protocol I deposit survived the crash");
         assert_eq!(r.sig.unwrap().root, root);
-    }
-
-    #[test]
-    fn flight_frames_survive_a_real_crash() {
-        let mem = MemMedium::new();
-        let mut s = durable(&mem, 100);
-        let (tracer, recorder) = Tracer::flight(8);
-        s.attach_flight_recorder(Arc::clone(&recorder));
-        for i in 0..6 {
-            tracer.emit(|| Event::new(i, EventKind::OpServed, 0).detail(format!("op {i}")));
-            s.handle_op_seq(0, i, &op(i), i);
-        }
-        drop(s);
-        mem.crash();
-        let s2 = durable(&mem, 100);
-        let ts: Vec<u64> = s2.recovered_flight().iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![0, 1, 2, 3, 4, 5], "black box survived the crash");
-    }
-
-    #[test]
-    fn evidence_survives_a_real_crash_and_checkpoint_pruning() {
-        let mem = MemMedium::new();
-        let mut s = durable(&mem, 5);
-        s.handle_op_seq(0, 0, &op(0), 0);
-        s.persist_evidence(b"TCVSEVB1-incident-one".to_vec())
-            .unwrap();
-        // Push enough ops to force checkpoints (log pruned behind them).
-        for i in 1..20 {
-            s.handle_op_seq((i % 3) as u32, i, &op(i), i);
-        }
-        s.persist_evidence(b"TCVSEVB1-incident-two".to_vec())
-            .unwrap();
-        drop(s);
-        mem.crash();
-        let s2 = durable(&mem, 5);
-        assert_eq!(
-            s2.evidence_bundles(),
-            &[
-                b"TCVSEVB1-incident-one".to_vec(),
-                b"TCVSEVB1-incident-two".to_vec()
-            ],
-            "both bundles survived crash + pruning, oldest first"
-        );
     }
 
     /// Body bytes of `every` op records, each as large as the largest of
@@ -1111,7 +987,6 @@ mod tests {
         let state = DurableState {
             snapshot: s.core.crash_snapshot(),
             journal: s.journal.clone(),
-            evidence: s.evidence.clone(),
         };
         state.encode_into(&mut want);
         assert!(pieces(&mem).is_empty(), "starting one writes nothing");
@@ -1268,10 +1143,12 @@ mod tests {
     /// without `salvage_corruption`: the first format (each record its own
     /// frame, checked by the first 8 bytes of `sha256(payload)`, no marker),
     /// the one before commit frames (each record its own CRC-32C frame,
-    /// full checkpoints in `ckpt-` files, a `format-crc32c` marker) and the
+    /// full checkpoints in `ckpt-` files, a `format-crc32c` marker), the
     /// one with incremental checkpoints (commit frames holding records of
-    /// tag 7, a `format-commit-frames` marker). An empty medium still opens
-    /// fresh.
+    /// tag 7, a `format-commit-frames` marker) and the one that logged the
+    /// server's flight-recorder frames and evidence bundles (records of
+    /// tags 5 and 6, a `format-full-checkpoints` marker). An empty medium
+    /// still opens fresh.
     #[test]
     fn a_medium_in_the_old_frame_format_is_refused_untouched() -> Result<(), StorageError> {
         use crate::log;
@@ -1347,32 +1224,38 @@ mod tests {
                 assert!(!log::scan(buf, first).tail.is_clean(), "{what}");
             }
         }
-        // The same segments with an incremental checkpoint committed after
-        // their last record: its frame verifies, but this build decodes no
-        // record of tag 7, so without the marker recovery would halt on it
-        // as interior corruption.
-        let deltas = MemMedium::new();
-        let mut raw = deltas.clone();
-        let mut last = (0, String::new());
-        for (name, buf) in files(&mem)? {
-            if let Some(first) = log::parse_segment_name(&name) {
-                raw.write_atomic(&name, &buf)?;
-                last = last.max((first + log::scan(&buf, first).records.len() as u64, name));
+        // The same segments with a record of a retired tag committed after
+        // their last record, under the marker of the format that wrote it:
+        // its frame verifies, but this build decodes no record of that tag,
+        // so without the marker recovery would halt on it as interior
+        // corruption.
+        let retired = |tag: u8, body: &[u8], marker: &str| -> Result<_, StorageError> {
+            let old = MemMedium::new();
+            let mut raw = old.clone();
+            let mut last = (0, String::new());
+            for (name, buf) in files(&mem)? {
+                if let Some(first) = log::parse_segment_name(&name) {
+                    raw.write_atomic(&name, &buf)?;
+                    last = last.max((first + log::scan(&buf, first).records.len() as u64, name));
+                }
             }
-        }
-        let (next, name) = last;
-        let delta = b"an incremental checkpoint";
-        raw.append(&name, &log::frame(&log::payload(next, 7, delta)))?;
-        raw.sync(&name)?;
-        raw.write_atomic("format-commit-frames", b"an earlier format\n")?;
-        assert!(Record::decode(7, delta).is_err());
-        let segment = deltas.read(&name)?.unwrap_or_default();
-        let scan = log::scan(&segment, log::parse_segment_name(&name).unwrap_or(0));
-        assert!(scan.tail.is_clean() && scan.records.iter().any(|r| r.1 == 7));
+            let (next, name) = last;
+            raw.append(&name, &log::frame(&log::payload(next, tag, body)))?;
+            raw.sync(&name)?;
+            raw.write_atomic(marker, b"an earlier format\n")?;
+            assert!(Record::decode(tag, body).is_err());
+            let segment = old.read(&name)?.unwrap_or_default();
+            let scan = log::scan(&segment, log::parse_segment_name(&name).unwrap_or(0));
+            assert!(scan.tail.is_clean() && scan.records.iter().any(|r| r.1 == tag));
+            Ok(old)
+        };
+        let deltas = retired(7, b"an incremental checkpoint", "format-commit-frames")?;
+        let flight = retired(5, b"a flight-recorder frame", "format-full-checkpoints")?;
         for (what, old) in [
             ("sha-256/8", sha),
             ("crc-32c per record", crc),
             ("tag-7 deltas", deltas),
+            ("tag-5 flight frames", flight),
         ] {
             let before = files(&old)?;
             for salvage_corruption in [false, true] {

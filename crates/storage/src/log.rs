@@ -44,9 +44,14 @@
 //!
 //! A medium in this format holds a [`FORMAT_MARKER`] file, written when the
 //! engine first recovers on an empty medium; framed files without it come
-//! from another format (earlier ones framed each record on its own and kept
-//! checkpoints in files of their own, or logged incremental checkpoints as
-//! records of tag 7), and recovery refuses them unread.
+//! from another format, and recovery refuses them unread. The earlier
+//! formats, oldest first: each record framed on its own and checked by
+//! eight bytes of its SHA-256 (no marker); each record its own CRC-32C
+//! frame, checkpoints in files of their own (`format-crc32c`); commit
+//! frames that also logged incremental checkpoints as records of tag 7
+//! (`format-commit-frames`); and full checkpoints only, with the server's
+//! flight-recorder frames and evidence bundles logged as records of tags 5
+//! and 6 and carried in every checkpoint (`format-full-checkpoints`).
 
 use std::ops::Range;
 
@@ -57,13 +62,13 @@ use tcvs_store::enc::{Reader, Sink, Writer};
 pub const CHECK_LEN: usize = 4;
 
 /// Name of the file that marks a medium as holding this format.
-pub const FORMAT_MARKER: &str = "format-full-checkpoints";
+pub const FORMAT_MARKER: &str = "format-protocol-state";
 
 /// What the marker file holds, for a reader of the directory; recovery
 /// checks only that the file exists.
 pub(crate) const FORMAT_NOTE: &[u8] = b"tcvs-storage commits: [len u32 LE][lsn u64 LE \
-    ([tag u8][len u32 LE][body])+][crc32c(payload) u32 LE]; checkpoints only whole, as \
-    tag-8 pieces\n";
+    ([tag u8][len u32 LE][body])+][crc32c(payload) u32 LE]; record tags 1-4 and 8 only; \
+    checkpoints only whole, as tag-8 pieces\n";
 
 /// Prefix of a quarantined file's name.
 const QUARANTINE_PREFIX: &str = "quarantine-";
@@ -592,10 +597,12 @@ mod tests {
         const SECTOR: usize = 512;
         let (synced, end) = in_extent(0);
         let mut full = synced.clone();
-        // One commit of three records, as an op, a burst of flight frames
-        // and a piece of a checkpoint share one.
+        // One commit of three records of tags in use: an op, a signature
+        // deposit and a checkpoint piece. The scan checks frames, not
+        // record bodies, so only their sizes matter: together they span
+        // several sectors.
         let mut commit = Vec::new();
-        for (tag, len) in [(1, 40), (5, 1700), (8, 900)] {
+        for (tag, len) in [(1, 40), (2, 1700), (8, 900)] {
             push_record(&mut commit, tag, |w| w.raw(&vec![tag; len]));
         }
         seal(&mut commit, 3);

@@ -9,12 +9,11 @@
 //! Checkpoints ride the same log, each as a run of [`Record::Chunk`]s.
 
 use tcvs_core::wire::{
-    get_audit_checkpoint, get_epoch_state, get_event, get_op, get_signed_state,
-    put_audit_checkpoint, put_epoch_state, put_event, put_op, put_signed_state,
+    get_audit_checkpoint, get_epoch_state, get_op, get_signed_state, put_audit_checkpoint,
+    put_epoch_state, put_op, put_signed_state,
 };
 use tcvs_core::{ServerResponse, SignedCheckpoint, SignedEpochState, SignedState, UserId};
 use tcvs_merkle::Op;
-use tcvs_obs::Event;
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 /// The sentinel sequence number for ops that arrived without an
@@ -43,15 +42,6 @@ pub enum Record {
     EpochState(SignedEpochState),
     /// A Protocol III audited checkpoint deposit.
     AuditCheckpoint(SignedCheckpoint),
-    /// A flight-recorder frame (the crash-surviving black box rides the
-    /// same log as the state it narrates).
-    Flight(Event),
-    /// A captured deviation evidence bundle, stored as its canonical
-    /// encoded bytes (`tcvs_core::EvidenceBundle::to_bytes`). Opaque to the
-    /// engine on purpose: the bundle format is self-integrity-checked, so
-    /// the log neither re-encodes nor trusts its contents — incident
-    /// artifacts survive crashes exactly as captured.
-    Evidence(Vec<u8>),
     /// `((stream, index, count), bytes)`: piece `index` of `count` of a
     /// full checkpoint ([`crate::DurableState`]) covering every record
     /// below LSN `stream`. It changes nothing and never replays; recovery
@@ -63,10 +53,9 @@ pub(crate) const TAG_OP: u8 = 1;
 pub(crate) const TAG_SIGNATURE: u8 = 2;
 pub(crate) const TAG_EPOCH_STATE: u8 = 3;
 pub(crate) const TAG_AUDIT_CHECKPOINT: u8 = 4;
-pub(crate) const TAG_FLIGHT: u8 = 5;
-pub(crate) const TAG_EVIDENCE: u8 = 6;
-// Tag 7 carried an incremental checkpoint in an earlier format; it stays
-// unassigned.
+// Tags 5 and 6 carried the server's flight-recorder frames and evidence
+// bundles, and tag 7 an incremental checkpoint, in earlier formats; all
+// three stay unassigned.
 pub(crate) const TAG_CHUNK: u8 = 8;
 
 /// A chunk's stream, index and count.
@@ -112,8 +101,6 @@ impl Record {
             Record::Signature(_) => TAG_SIGNATURE,
             Record::EpochState(_) => TAG_EPOCH_STATE,
             Record::AuditCheckpoint(_) => TAG_AUDIT_CHECKPOINT,
-            Record::Flight(_) => TAG_FLIGHT,
-            Record::Evidence(_) => TAG_EVIDENCE,
             Record::Chunk(..) => TAG_CHUNK,
         }
     }
@@ -131,8 +118,6 @@ impl Record {
             Record::Signature(s) => put_signed_state(w, s),
             Record::EpochState(s) => put_epoch_state(w, s),
             Record::AuditCheckpoint(c) => put_audit_checkpoint(w, c),
-            Record::Flight(ev) => put_event(w, ev),
-            Record::Evidence(bytes) => w.bytes(bytes),
             Record::Chunk(head, data) => {
                 put_chunk(w, *head, data.len(), |buf| buf.extend_from_slice(data))
             }
@@ -165,8 +150,6 @@ impl Record {
             TAG_SIGNATURE => Record::Signature(get_signed_state(&mut r)?),
             TAG_EPOCH_STATE => Record::EpochState(get_epoch_state(&mut r)?),
             TAG_AUDIT_CHECKPOINT => Record::AuditCheckpoint(get_audit_checkpoint(&mut r)?),
-            TAG_FLIGHT => Record::Flight(get_event(&mut r)?),
-            TAG_EVIDENCE => Record::Evidence(r.bytes()?.to_vec()),
             TAG_CHUNK => {
                 let (head, data) = chunk_view(body)?;
                 return Ok(Record::Chunk(head, data.to_vec()));
@@ -186,7 +169,6 @@ pub type JournalEntry = (UserId, u64, ServerResponse);
 mod tests {
     use super::*;
     use tcvs_merkle::u64_key;
-    use tcvs_obs::EventKind;
 
     #[test]
     fn op_record_round_trips() {
@@ -211,32 +193,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flight_record_round_trips() {
-        let rec = Record::Flight(Event::new(3, EventKind::OpServed, 1).detail("ctr=3"));
-        let back = Record::decode(rec.tag(), &rec.body()).unwrap();
-        match back {
-            Record::Flight(ev) => assert_eq!(ev.detail, "ctr=3"),
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn evidence_record_round_trips_opaquely() {
-        let rec = Record::Evidence(b"TCVSEVB1-opaque-payload".to_vec());
-        let back = Record::decode(rec.tag(), &rec.body()).unwrap();
-        match back {
-            Record::Evidence(bytes) => assert_eq!(bytes, b"TCVSEVB1-opaque-payload"),
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
+    /// Tags no record holds, the retired 5, 6 and 7 among them, fail
+    /// typed.
     #[test]
     fn unknown_tag_rejected() {
-        assert!(matches!(
-            Record::decode(99, &[]),
-            Err(DecodeError::BadTag(99))
-        ));
+        for tag in [5, 6, 7, 99] {
+            assert!(
+                matches!(Record::decode(tag, &[]), Err(DecodeError::BadTag(t)) if t == tag),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

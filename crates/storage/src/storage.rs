@@ -809,25 +809,25 @@ mod tests {
     use tcvs_core::{ProtocolConfig, ServerCore, StorageFault};
     use tcvs_merkle::{u64_key, Op};
 
-    /// A checkpoint's state that names itself: `tag` is its one evidence
-    /// bundle.
-    fn state(tag: &str) -> Vec<u8> {
-        let snapshot = ServerCore::new(&ProtocolConfig::default()).crash_snapshot();
-        let evidence = vec![tag.as_bytes().to_vec()];
+    /// A checkpoint's state that names itself: `tag` is the `seq` of its
+    /// one journal entry.
+    fn state(tag: u64) -> Vec<u8> {
+        let mut core = ServerCore::new(&ProtocolConfig::default());
+        let snapshot = core.crash_snapshot();
+        let reply = core.process(0, &Op::Get(u64_key(0)), 0);
         let mut bytes = Vec::new();
         DurableState {
             snapshot,
-            journal: Vec::new(),
-            evidence,
+            journal: vec![(0, tag, reply)],
         }
         .encode_into(&mut bytes);
         bytes
     }
 
     /// The LSN and tag of the checkpoint a recovery loaded.
-    fn loaded(rec: &Recovered) -> Option<(u64, &[u8])> {
+    fn loaded(rec: &Recovered) -> Option<(u64, u64)> {
         let (lsn, state) = rec.checkpoint.as_ref()?;
-        Some((*lsn, &state.evidence[0][..]))
+        Some((*lsn, state.journal[0].1))
     }
 
     fn op_record(i: u64) -> Record {
@@ -851,12 +851,12 @@ mod tests {
         for i in 0..5 {
             commit_one(&mut s, i);
         }
-        assert_eq!(s.checkpoint(&state("@5")).unwrap(), 5);
+        assert_eq!(s.checkpoint(&state(5)).unwrap(), 5);
         for i in 5..8 {
             commit_one(&mut s, i);
         }
         let rec = s.recover().unwrap();
-        assert_eq!(loaded(&rec), Some((5, &b"@5"[..])));
+        assert_eq!(loaded(&rec), Some((5, 5)));
         assert_eq!(rec.tail.len(), 3);
         assert_eq!(rec.tail[0].0, 6, "the checkpoint's own commit holds lsn 5");
     }
@@ -947,7 +947,7 @@ mod tests {
         let mut s = DurableStorage::open(mem.clone(), opts);
         s.recover()?;
         let mut lsns = Vec::new();
-        for (ops, tag) in [(0..6, "@6"), (6..12, "@12"), (12..15, "@15")] {
+        for (ops, tag) in [(0..6, 6), (6..12, 12), (12..15, 15)] {
             for i in ops {
                 commit_one(&mut s, i);
             }
@@ -960,7 +960,7 @@ mod tests {
         assert!(segs[0] <= lsns[1], "the fallback's log is kept: {segs:?}");
         assert!(segs[1] > lsns[1], "the log behind it is pruned: {segs:?}");
         let rec = DurableStorage::open(mem.clone(), opts).recover()?;
-        assert_eq!(loaded(&rec), Some((lsns[2], &b"@15"[..])));
+        assert_eq!(loaded(&rec), Some((lsns[2], 15)));
         assert!(rec.tail.is_empty());
 
         let mut s = DurableStorage::open(mem.clone(), opts);
@@ -971,7 +971,7 @@ mod tests {
         s.checkpoint(b"no state at all")?;
         let rec = DurableStorage::open(mem, opts).recover()?;
         assert_eq!(rec.report.corrupt_checkpoints, 1);
-        assert_eq!(loaded(&rec), Some((lsns[2], &b"@15"[..])));
+        assert_eq!(loaded(&rec), Some((lsns[2], 15)));
         assert_eq!(rec.tail.len(), 2, "records 15 and 16 replay from the log");
         Ok(())
     }
@@ -984,17 +984,17 @@ mod tests {
         let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
         s.recover()?;
         commit_one(&mut s, 0);
-        assert_eq!(s.checkpoint(&state("@1"))?, 1);
+        assert_eq!(s.checkpoint(&state(1))?, 1);
         s.commit(WriteBatch::new())?;
-        assert_eq!(s.checkpoint(&state("again"))?, 1);
+        assert_eq!(s.checkpoint(&state(1001))?, 1);
         let mut s2 = DurableStorage::open(mem.clone(), DurableOptions::default());
         s2.recover()?;
-        assert_eq!(s2.checkpoint(&state("reopened"))?, 1);
+        assert_eq!(s2.checkpoint(&state(1002))?, 1);
         assert_eq!(s2.next_lsn(), 2, "nothing written");
         commit_one(&mut s2, 1);
-        assert_eq!(s2.checkpoint(&state("@3"))?, 3, "a record since: a new one");
+        assert_eq!(s2.checkpoint(&state(3))?, 3, "a record since: a new one");
         let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
-        assert_eq!(loaded(&rec), Some((3, &b"@3"[..])));
+        assert_eq!(loaded(&rec), Some((3, 3)));
         Ok(())
     }
 
@@ -1009,14 +1009,14 @@ mod tests {
         let mut s = DurableStorage::open(fm, DurableOptions::default());
         s.recover()?;
         commit_one(&mut s, 0);
-        s.checkpoint(&state("@1"))?;
+        s.checkpoint(&state(1))?;
         commit_one(&mut s, 1);
-        assert!(s.checkpoint(&state("@3")).is_err());
+        assert!(s.checkpoint(&state(3)).is_err());
         drop(s);
         mem.crash();
         let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
         assert!(rec.report.corrupt_stop.is_none(), "{:?}", rec.report);
-        assert_eq!(loaded(&rec), Some((1, &b"@1"[..])));
+        assert_eq!(loaded(&rec), Some((1, 1)));
         assert_eq!(rec.tail.len(), 1);
         Ok(())
     }
@@ -1030,8 +1030,8 @@ mod tests {
         let mem = MemMedium::new();
         let mut s = DurableStorage::open(mem.clone(), DurableOptions::default());
         s.recover()?;
-        let first = s.checkpoint(&state("@a"))?;
-        let streamed = state("@b");
+        let first = s.checkpoint(&state(0xa))?;
+        let streamed = state(0xb);
         let pieces: Vec<&[u8]> = streamed.chunks(streamed.len().div_ceil(3)).collect();
         let at = s.next_lsn();
         let mut recovered = Vec::new();
@@ -1069,13 +1069,13 @@ mod tests {
         let rec = DurableStorage::open(mem.clone(), DurableOptions::default()).recover()?;
         assert_eq!(
             (rec.report.stream, loaded(&rec)),
-            (Some((1, 3)), Some((at, &b"@b"[..])))
+            (Some((1, 3)), Some((at, 0xb)))
         );
         s.checkpoint(b"no state at all")?;
         let rec = DurableStorage::open(mem, DurableOptions::default()).recover()?;
         assert_eq!(rec.report.stream, Some((1, 1)));
         assert_eq!(rec.report.corrupt_checkpoints, 1);
-        assert_eq!(loaded(&rec), Some((at, &b"@b"[..])));
+        assert_eq!(loaded(&rec), Some((at, 0xb)));
         Ok(())
     }
 

@@ -39,6 +39,14 @@
 //! one frame, one check, several records) were added. No other pin moved:
 //! a full checkpoint is now written a piece at a time, and `checkpoint`,
 //! encoded by that stream, still pins the bytes the pieces concatenate to.
+//!
+//! When the server's flight-recorder frames and evidence bundles left the
+//! log, `record-flight`, `record-flight-root-span` and `record-evidence`
+//! (tags 5 and 6) were deleted, and two pins were re-recorded: `checkpoint`
+//! (state version 3, without the flight-tail and evidence sections) and
+//! `commit` (an op and a piece, where it held an op, a flight frame and a
+//! piece). The `evidence` bundle, every reply, every remaining record and
+//! the manifest stayed where they were.
 
 use tcvs_core::forensics::LoggedTransition;
 use tcvs_core::{
@@ -48,7 +56,7 @@ use tcvs_core::{
 };
 use tcvs_crypto::{setup_users, sha256, Digest, Keyring};
 use tcvs_merkle::{u64_key, ChunkSource, Op};
-use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext, Tracer};
+use tcvs_obs::{Event, EventKind, MetricsRegistry, SpanContext};
 use tcvs_storage::{
     response_bytes, DurableOptions, DurableState, DurableStorage, Medium, MemMedium, Record,
     Storage, WriteBatch,
@@ -56,12 +64,13 @@ use tcvs_storage::{
 
 /// Recorded before the codecs moved; the seven proof-bearing pins named
 /// above on the first build whose point proofs hide unproven entries, the
-/// three bundle-bearing ones on the first build of bundle version 2, and
-/// `record-chunk` and `commit` on the first build whose checkpoints ride
-/// the log.
+/// three bundle-bearing ones on the first build of bundle version 2,
+/// `record-chunk` on the first build whose checkpoints ride the log, and
+/// `checkpoint` and `commit` on the first build whose log holds no flight
+/// frames or evidence.
 const PINS: &str = "\
-checkpoint 162f7ad8c3d109eb058f02655eb052e6cfa265f741f6dbfdad56ce24227764e8
-commit 118e811263ac55e069f3c6eacf4849429904b53c73a1a82e5e8adfe1363d1b0e
+checkpoint 6fa824dd8487d6f03d3922137defb4ae7bf48a1987f7f535d8e01e6a71d057e0
+commit bd575d7907cf111a5f0524bcc72794c39ade0047d78ad61c0bc9348424d23995
 evidence 6950da9de2994eae2c5339802a13105f82abae9a182ae7ebd78948846fb7af34
 manifest 86f419413a3018cd584471fd417a7f4bcb90250f35cf814f0559e9b8330cc359
 reply-get aebe7b6758aa9209f64f80077358b07b73c3414ea5c1681302a13f3da48c85ee
@@ -82,9 +91,6 @@ record-op-delete 25ad1daa1c4044bedee6a1ee9426b4452e81fb33e6b962dff52b66cf4c76ebf
 record-signature 9a9746176f0c8266d21d6746fedcd10bb3b6c2739cbc1a2fbd49e7f4a201d109
 record-epoch-state e09a2eb5a28f3d1e4092f2c042743f837f89adc1e6ba5abf6172f9c40b914872
 record-audit-checkpoint dd673da6370ffe6bff81c8f098779c22739c3f474e606276a9ec3ee734087cf9
-record-flight 45c156fcc2b5f7d0e76f2030260a5ed8e54f9fe04d88caac5b3c78841ad906e0
-record-flight-root-span 1266304db55318b796c58df24eb98dd1c209b793f11061547f165a8a03a6cdcd
-record-evidence 429142acca6802c81760da49f0cff80868d55237c0e4be3e917b3e2436fd22ab
 record-chunk 6fc05e4d1e2750254f933ba5f4f4634086c93dcce868ce2696ebd0fee8ee3360
 ";
 
@@ -141,15 +147,11 @@ fn every_persisted_encoding_is_pinned() {
         epoch_len: 10,
     };
     let (mut rings, registry) = setup_users([0x25; 32], 2, 6);
-    let (tracer, recorder) = Tracer::flight(4);
     let mut server = HonestServer::new(&config);
-    server.attach_flight_recorder(recorder);
     for i in 0..40u64 {
         let value = vec![i as u8; 1 + (i % 7) as usize];
         server.handle_op((i % 2) as u32, &Op::Put(u64_key(i), value), i);
-        tracer.emit(|| Event::new(i, EventKind::OpServed, (i % 2) as u32).detail("served"));
     }
-    tracer.emit(|| spanned(40, EventKind::Deposit, "spanned"));
 
     // Every op kind, first without and then with a stored signature.
     let mut replies: Vec<(String, ServerResponse)> = Vec::new();
@@ -231,7 +233,7 @@ fn every_persisted_encoding_is_pinned() {
     // `bytes_out` is a computed size, not a persisted fact of the run: fix
     // it so the checkpoint pin holds every other byte still.
     let snap = server.core().crash_snapshot();
-    assert!(snap.last_sig().is_some() && snap.flight_events().len() == 4);
+    assert!(snap.last_sig().is_some());
     let snapshot = ServerSnapshot::from_parts(
         snap.db().clone(),
         snap.ctr(),
@@ -245,7 +247,6 @@ fn every_persisted_encoding_is_pinned() {
             bytes_out: 123_456,
             ..snap.snapshot_metrics()
         },
-        snap.flight_events().to_vec(),
     )
     .unwrap();
     let state = DurableState {
@@ -255,7 +256,6 @@ fn every_persisted_encoding_is_pinned() {
             .enumerate()
             .map(|(seq, (_, r))| ((seq % 2) as u32, seq as u64, r.clone()))
             .collect(),
-        evidence: vec![bundle.clone()],
     };
     let mut checkpoint_bytes = Vec::new();
     state.encode_into(&mut checkpoint_bytes);
@@ -280,31 +280,22 @@ fn every_persisted_encoding_is_pinned() {
             Record::AuditCheckpoint(checkpoint),
         ),
         (
-            "record-flight".into(),
-            Record::Flight(spanned(5, EventKind::Recovery, "flight")),
-        ),
-        (
-            "record-flight-root-span".into(),
-            Record::Flight(Event::new(6, EventKind::Retry, 2).span(SpanContext::root(5, 7))),
-        ),
-        ("record-evidence".into(), Record::Evidence(bundle.clone())),
-        (
             "record-chunk".into(),
             Record::Chunk((17, 1, 3), checkpoint_bytes[100..160].to_vec()),
         ),
     ]);
-    // A commit of three records as the first frame of a segment: an op,
-    // a flight frame and a piece, one frame and one check.
+    // A commit of two records as the first frame of a segment: an op and
+    // a piece, one frame and one check.
     let medium = MemMedium::new();
     let mut store = DurableStorage::open(medium.clone(), DurableOptions::default());
     store.recover().unwrap();
     let mut batch = WriteBatch::new();
     for (name, rec) in &records {
-        if ["record-op-put", "record-flight", "record-chunk"].contains(&name.as_str()) {
+        if ["record-op-put", "record-chunk"].contains(&name.as_str()) {
             batch.push(rec.clone());
         }
     }
-    assert_eq!(store.commit(batch).unwrap(), 3);
+    assert_eq!(store.commit(batch).unwrap(), 2);
     let commit = medium.read("seg-0000000000000000.log").unwrap().unwrap();
 
     let manifest = ChunkSource::new(server.core().db(), 512)

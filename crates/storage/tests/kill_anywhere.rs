@@ -22,7 +22,6 @@ use tcvs_core::{
     FaultKind, FaultPlan, FaultRates, ProtocolConfig, ServerApi, ServerCore, StorageFault,
 };
 use tcvs_merkle::{u64_key, Op};
-use tcvs_obs::{Event, EventKind, Tracer};
 use tcvs_storage::{
     log, response_bytes, DurabilityOptions, DurableOptions, DurableServer, DurableStorage,
     FaultMedium, Medium, MemMedium, Record, Storage, StorageError, StorageObs,
@@ -127,30 +126,55 @@ fn assert_recovered_equals_oracle<M: Medium>(
     }
 }
 
+/// How many ops of `script` a crash sweep runs, at checkpoint cadence
+/// `every` and segment size `segment_bytes`: a dry run finds where the
+/// second full checkpoint's stream completes, and the sweep runs one
+/// countdown past it. Asserts that those ops hold every piece of both
+/// streams, first, middle and last.
+fn two_streams(script: Script, every: u64, segment_bytes: usize) -> u64 {
+    const STREAMS: usize = 2;
+    let run = DryRun::new(script, every, 16 * every, segment_bytes);
+    let streams = run.streams();
+    assert!(streams.len() >= STREAMS, "{streams:?}");
+    let last = |stream| run.pieces_of(stream).last().map_or(0, |p| p.0);
+    let n = last(streams[STREAMS - 1].1) + 1 + every;
+    for &(_, stream, count) in &streams[..STREAMS] {
+        let held: Vec<u32> = run.pieces_of(stream).iter().map(|p| p.1).collect();
+        assert_eq!(held, (0..count).collect::<Vec<_>>(), "stream {stream}");
+        assert!(last(stream) < n, "stream {stream} completes within {n} ops");
+    }
+    n
+}
+
 /// Crash (power loss) after every acknowledged op index: the recovered
-/// state must be exactly the acknowledged prefix. The run takes full
-/// checkpoints after 7 and 28 ops, so the swept crashes recover from no
-/// checkpoint and from each of the two, replaying the ops after it.
+/// state must be exactly the acknowledged prefix. The swept ops hold two
+/// complete full-checkpoint streams and a countdown after them, so the
+/// swept crashes recover from no checkpoint and from each of the two,
+/// replaying the ops after it.
 #[test]
 fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
-    const N: u64 = 40;
+    const EVERY: u64 = 7;
+    let n = two_streams(scripted, EVERY, 256);
     let mut from_checkpoint = 0;
-    for crash_at in 0..=N {
+    // Ops each loaded checkpoint covers, 0 for none.
+    let mut loaded = std::collections::BTreeSet::new();
+    for crash_at in 0..=n {
         let mem = MemMedium::new();
-        let mut server = open(mem.clone(), 7);
+        let mut server = open(mem.clone(), EVERY);
         for j in 0..crash_at {
             let (user, seq, op, round) = scripted(j);
             server.handle_op_seq(user, seq, &op, round);
         }
         drop(server); // process death
         mem.crash(); // and the page cache with it
-        let server = open(mem, 7);
+        let server = open(mem, EVERY);
         assert!(
             server.last_recovery().corrupt_stop.is_none(),
             "crash_at={crash_at}: {:?}",
             server.last_recovery()
         );
         from_checkpoint += u64::from(server.last_recovery().records_replayed < crash_at);
+        loaded.insert(crash_at - server.last_recovery().records_replayed);
         assert_recovered_equals_oracle(
             &server,
             scripted,
@@ -159,16 +183,19 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
         );
     }
     assert!(from_checkpoint > 0, "some recovery loaded a checkpoint");
+    assert!(loaded.len() > 2, "none and each of two loaded: {loaded:?}");
 }
 
 /// A torn write at every append — each op's commit, with the checkpoint
 /// piece riding along: the op whose commit it tears is never
 /// acknowledged, and recovery lands exactly on the prefix before it —
 /// whether the torn bytes survived in the page cache (process restart) or
-/// not (power loss). The run takes a full checkpoint after 7 ops.
+/// not (power loss). The swept ops hold two complete full-checkpoint
+/// streams, so the commits carrying their pieces are torn too.
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
-    const N: u64 = 24;
+    const EVERY: u64 = 7;
+    let n = two_streams(scripted, EVERY, 256);
     let mut torn_at = 0;
     loop {
         let mut tore = false;
@@ -185,14 +212,14 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
                 store,
                 config(),
                 DurabilityOptions {
-                    checkpoint_every: 7,
+                    checkpoint_every: EVERY,
                     ..DurabilityOptions::default()
                 },
                 StorageObs::disabled(),
             )
             .expect("open");
             // The torn write fails the op whose commit issued it.
-            let unacked = (0..N).find(|&j| {
+            let unacked = (0..n).find(|&j| {
                 let (user, seq, op, round) = scripted(j);
                 server.apply(user, seq, &op, round).is_err()
             });
@@ -204,7 +231,7 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
             if power_loss {
                 mem.crash();
             }
-            let server = open(mem, 7);
+            let server = open(mem, EVERY);
             assert_recovered_equals_oracle(
                 &server,
                 scripted,
@@ -218,7 +245,7 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
         torn_at += 1;
     }
     // One append per op: pieces ride the op's commit.
-    assert_eq!(torn_at, N, "every append of the run was torn once");
+    assert_eq!(torn_at, n, "every append of the run was torn once");
 }
 
 /// A lying fsync at every op index, with the power failing right after:
@@ -594,6 +621,19 @@ impl DryRun {
         self.ops[m].2.iter().any(|r| r.0 == tag)
     }
 
+    /// The pieces of checkpoint stream `stream` in the order the run
+    /// appends them: the op whose commit carries each, and its index.
+    fn pieces_of(&self, stream: u64) -> Vec<(u64, u32)> {
+        let pieces = self.ops.iter().enumerate().flat_map(|(m, (_, _, commit))| {
+            let mine = commit
+                .iter()
+                .filter_map(|r| r.1)
+                .filter(move |p| p.0 == stream);
+            mine.map(move |p| (m, p.1))
+        });
+        pieces.map(|(m, index)| (self.op_of(m), index)).collect()
+    }
+
     /// The first piece of each checkpoint stream of the run: the medium
     /// operation appending it, its stream and its count.
     fn streams(&self) -> Vec<(usize, u64, u32)> {
@@ -757,8 +797,9 @@ struct Segment {
 #[derive(Default)]
 struct ExtentState {
     segments: std::collections::BTreeMap<String, Segment>,
-    /// Every commit appended to a segment, in order.
-    commits: Vec<Commit>,
+    /// Every commit appended to a segment, in order, with the sectors it
+    /// spans.
+    commits: Vec<(Commit, usize)>,
     /// Segment syncs so far, and the one the power fails at.
     syncs: u64,
     cut_at: Option<u64>,
@@ -865,9 +906,9 @@ impl Medium for ZeroExtents {
             drop(st);
             return self.inner.append(name, data);
         }
-        st.commits.push(commit_of(data));
         let seg = st.segments.entry(name.to_string()).or_default();
         let end = seg.end + data.len();
+        let sectors = end.div_ceil(SECTOR) - seg.end / SECTOR;
         if end > seg.data.len() {
             let cap = seg.data.len();
             let grown = end
@@ -877,6 +918,7 @@ impl Medium for ZeroExtents {
         }
         seg.data[seg.end..end].copy_from_slice(data);
         seg.end = end;
+        st.commits.push((commit_of(data), sectors));
         Ok(())
     }
 
@@ -934,10 +976,9 @@ fn mix(mut x: u64) -> u64 {
 
 /// The power fails at the sync of every commit, on a medium with
 /// `FileMedium`'s zero extents, and lands a chosen subset of the commit's
-/// sectors. A flight recorder is attached, so every commit holds its op and
-/// the flight frame the op emitted; full checkpoints stream a piece per
-/// commit after 5 and 25 ops, so a commit can hold an op, a flight frame
-/// and a piece at once. Recovery returns exactly the prefix the disk holds: the
+/// sectors. Every commit holds its op, and while a full checkpoint streams
+/// a piece of it too, so the sweep holds commits of several records across
+/// several sectors. Recovery returns exactly the prefix the disk holds: the
 /// acknowledged ops, plus the interrupted op only when every byte of its
 /// commit landed. It reports a torn tail exactly when part of the commit
 /// landed (a commit spanning two sectors or more always tears under some
@@ -961,19 +1002,6 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
             StorageObs::disabled(),
         )
     };
-    // Ops 0..N, each emitting a flight frame first; how many were
-    // acknowledged.
-    let traced = |server: &mut DurableServer<DurableStorage<ZeroExtents>>| {
-        let (tracer, recorder) = Tracer::flight(4);
-        server.attach_flight_recorder(recorder);
-        (0..N)
-            .find(|&j| {
-                tracer.emit(|| Event::new(j, EventKind::OpServed, 0).detail("served"));
-                let (user, seq, op, round) = scripted_large(j);
-                server.apply(user, seq, &op, round).is_err()
-            })
-            .unwrap_or(N)
-    };
     let seeded = |seed: u64| move |k: usize| mix(seed << 32 ^ k as u64) & 1 == 1;
     type Keep = Box<dyn Fn(usize) -> bool>;
     let subsets: [(&str, Keep); 7] = [
@@ -988,15 +1016,20 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     // One commit, one segment sync, per op.
     let dry = ZeroExtents::default();
     let mut server = open(dry.clone()).expect("open");
-    assert_eq!(traced(&mut server), N, "fault-free run");
+    assert_eq!(run_large(&mut server, N), N, "fault-free run");
     drop(server);
     let commits = dry.state.lock().unwrap().commits.clone();
     assert_eq!(commits.len() as u64, N);
     let holds =
         |commit: &Commit, tags: &[u8]| tags.iter().all(|t| commit.iter().any(|r| r.0 == *t));
-    let full = commits.iter().filter(|c| holds(c, &[1, 5, PIECE])).count();
-    assert!(full > 0, "a commit holds an op, a flight frame and a piece");
-    let pieces = commits.iter().flatten().filter_map(|r| r.1);
+    let full = commits
+        .iter()
+        .filter(|(c, sectors)| holds(c, &[1, PIECE]) && *sectors >= 3);
+    assert!(
+        full.count() > 0,
+        "a commit holds an op and a piece, and spans 3 sectors or more"
+    );
+    let pieces = commits.iter().flat_map(|c| &c.0).filter_map(|r| r.1);
     assert!(
         pieces.map(|p| p.2).max() >= Some(3),
         "a stream spans 3 commits"
@@ -1009,7 +1042,7 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
             let what = format!("power lost in the sync of op {j}, {subset}");
             let medium = ZeroExtents::cut_at(j);
             let mut server = open(medium.clone()).expect("open");
-            assert_eq!(traced(&mut server), j, "{what}");
+            assert_eq!(run_large(&mut server, N), j, "{what}");
             drop(server);
             let (shape, sectors) = medium.crash(keep);
             let server_medium = medium.clone();
