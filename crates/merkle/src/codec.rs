@@ -10,11 +10,14 @@
 //! same whether or not proofs hide entries.
 //!
 //! Decoding recomputes and verifies every materialized digest: a corrupted
-//! or tampered byte stream is rejected rather than trusted.
+//! or tampered byte stream is rejected rather than trusted. A tree's bytes
+//! can also be handed out ([`EncodeStream`]) and taken back
+//! ([`DecodeStream`]) a piece at a time, node by node, so neither side
+//! holds the whole encoding.
 
 use tcvs_crypto::Digest;
 
-use crate::node::{Child, LeafEntry, Node, ProofEntry};
+use crate::node::{Child, Key, LeafEntry, Node, ProofEntry};
 use crate::tree::MerkleTree;
 
 /// Errors from decoding a serialized tree.
@@ -106,6 +109,11 @@ impl<'a> Cursor<'a> {
     pub(crate) fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Input bytes not consumed yet.
+    pub(crate) fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 /// Where the encoder writes: real bytes, or only their count. Both run the
@@ -182,18 +190,29 @@ pub(crate) fn encode_node(child: &Child, out: &mut impl Sink) {
     }
 }
 
-fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, CodecError> {
-    if depth > 64 {
-        return Err(CodecError::Malformed("tree too deep"));
-    }
+/// Deepest node a decoder accepts: the root is at depth 0.
+const MAX_DEPTH: usize = 64;
+
+/// A node's own encoding, decoded: a stub or leaf whole, or an internal
+/// node's separators, its children still to come.
+enum Head {
+    Whole(Child),
+    Internal(Vec<Key>),
+}
+
+/// Decodes a node's own encoding. Every count is held to `order`, and a
+/// vector is sized by the input left, never by a count alone. Inlined into
+/// `decode_node`: every client decodes a proof per reply through it.
+#[inline(always)]
+fn decode_head(c: &mut Cursor<'_>, order: usize) -> Result<Head, CodecError> {
     let node = match c.u8()? {
-        TAG_STUB => return Ok(Child::Stub(c.digest()?)),
+        TAG_STUB => return Ok(Head::Whole(Child::Stub(c.digest()?))),
         TAG_LEAF => {
             let n = c.u32()? as usize;
             if n > order {
                 return Err(CodecError::Malformed("leaf overfull"));
             }
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = Vec::with_capacity(n.min(c.left()));
             for _ in 0..n {
                 let k = c.bytes()?.to_vec();
                 let v = c.bytes()?.to_vec();
@@ -208,7 +227,7 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, 
             if n > order {
                 return Err(CodecError::Malformed("leaf overfull"));
             }
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = Vec::with_capacity(n.min(c.left()));
             for _ in 0..n {
                 entries.push(match c.u8()? {
                     KIND_HASH => ProofEntry::Hash(c.digest()?),
@@ -235,19 +254,82 @@ fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, 
             if nk + 1 > order || nk == 0 {
                 return Err(CodecError::Malformed("bad separator count"));
             }
-            let mut keys = Vec::with_capacity(nk);
+            let mut keys = Vec::with_capacity(nk.min(c.left()));
             for _ in 0..nk {
                 keys.push(c.bytes()?.to_vec());
             }
-            let mut children = Vec::with_capacity(nk + 1);
-            for _ in 0..=nk {
-                children.push(decode_node(c, order, depth + 1)?);
-            }
-            Node::internal(keys.into(), children)
+            return Ok(Head::Internal(keys));
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    Ok(Child::new(node))
+    Ok(Head::Whole(Child::new(node)))
+}
+
+fn decode_node(c: &mut Cursor<'_>, order: usize, depth: usize) -> Result<Child, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::Malformed("tree too deep"));
+    }
+    match decode_head(c, order)? {
+        Head::Whole(child) => Ok(child),
+        Head::Internal(keys) => {
+            let mut children = Vec::with_capacity(keys.len() + 1);
+            for _ in 0..=keys.len() {
+                children.push(decode_node(c, order, depth + 1)?);
+            }
+            Ok(Child::new(Node::internal(keys.into(), children)))
+        }
+    }
+}
+
+/// What a tree's encoding records ahead of its root node.
+#[derive(Clone, Copy)]
+struct Header {
+    order: usize,
+    len: u64,
+    root: Digest,
+}
+
+fn decode_header(c: &mut Cursor<'_>) -> Result<Header, CodecError> {
+    if c.take(4)? != MAGIC {
+        return Err(CodecError::Malformed("bad magic"));
+    }
+    if c.u8()? != VERSION {
+        return Err(CodecError::Malformed("unsupported version"));
+    }
+    let order = c.u32()? as usize;
+    if order < crate::tree::MIN_ORDER {
+        return Err(CodecError::Malformed("order below minimum"));
+    }
+    Ok(Header {
+        order,
+        len: c.u64()?,
+        root: c.digest()?,
+    })
+}
+
+/// The tree whose decoded root is `root`, once it matches what `header`
+/// records.
+fn finish_tree(header: Header, root: Child) -> Result<MerkleTree, CodecError> {
+    if root.digest() != header.root {
+        return Err(CodecError::DigestMismatch);
+    }
+    // Pruned trees (a stub or a hash-only entry anywhere) never report a
+    // length, and their header must not claim one: a proof carries no
+    // authenticated count. For full trees the header count must match the
+    // decoded content.
+    let len = if root.contains_stub() {
+        if header.len != LEN_UNKNOWN {
+            return Err(CodecError::Malformed("pruned tree claims an entry count"));
+        }
+        None
+    } else {
+        let counted = root.entry_count();
+        if header.len != LEN_UNKNOWN && header.len != counted as u64 {
+            return Err(CodecError::Malformed("entry count mismatch"));
+        }
+        Some(counted)
+    };
+    Ok(MerkleTree::from_parts(root, header.order, len))
 }
 
 impl MerkleTree {
@@ -308,43 +390,19 @@ impl MerkleTree {
     /// Decodes a tree serialized by [`MerkleTree::to_bytes`], recomputing
     /// every materialized digest and verifying the recorded root digest.
     pub fn from_bytes(bytes: &[u8]) -> Result<MerkleTree, CodecError> {
-        let mut c = Cursor { buf: bytes, pos: 0 };
-        if c.take(4)? != MAGIC {
-            return Err(CodecError::Malformed("bad magic"));
-        }
-        if c.u8()? != VERSION {
-            return Err(CodecError::Malformed("unsupported version"));
-        }
-        let order = c.u32()? as usize;
-        if order < crate::tree::MIN_ORDER {
-            return Err(CodecError::Malformed("order below minimum"));
-        }
-        let recorded_len = u64::from_le_bytes(c.take(8)?.try_into().expect("8"));
-        let recorded_root = c.digest()?;
-        let root = decode_node(&mut c, order, 0)?;
-        if c.pos != bytes.len() {
+        let mut c = Cursor::new(bytes);
+        let header = decode_header(&mut c)?;
+        let root = decode_node(&mut c, header.order, 0)?;
+        if !c.at_end() {
             return Err(CodecError::TrailingBytes);
         }
-        if root.digest() != recorded_root {
-            return Err(CodecError::DigestMismatch);
-        }
-        // Pruned trees (a stub or a hash-only entry anywhere) never report
-        // a length, and their header must not claim one: a proof carries
-        // no authenticated count. For full trees the header count must
-        // match the decoded content.
-        let len = if root.contains_stub() {
-            if recorded_len != LEN_UNKNOWN {
-                return Err(CodecError::Malformed("pruned tree claims an entry count"));
-            }
-            None
-        } else {
-            let counted = root.entry_count();
-            if recorded_len != LEN_UNKNOWN && recorded_len != counted as u64 {
-                return Err(CodecError::Malformed("entry count mismatch"));
-            }
-            Some(counted)
-        };
-        Ok(MerkleTree::from_parts(root, order, len))
+        finish_tree(header, root)
+    }
+
+    /// A decoder of a [`MerkleTree::to_bytes`] encoding fed in pieces
+    /// split anywhere ([`DecodeStream::feed`]).
+    pub fn decode_stream() -> DecodeStream {
+        DecodeStream::default()
     }
 }
 
@@ -398,6 +456,125 @@ impl EncodeStream {
             _ => encode_node(&child, &mut self.buf),
         }
         true
+    }
+}
+
+/// A tree's encoding decoded from pieces split anywhere
+/// ([`MerkleTree::decode_stream`]). Each node goes to the one node decoder
+/// as soon as its own encoding is in — an internal node's fields, or a
+/// whole leaf — so the stream buffers only the node a piece boundary cuts.
+/// The tree is built on a stack of the internal nodes still open, and its
+/// root checked against the recorded one at the end.
+#[derive(Default)]
+pub struct DecodeStream {
+    /// The start of the header or node a piece boundary cut.
+    buf: Vec<u8>,
+    /// Bytes `buf` must hold before it is worth decoding again.
+    want: usize,
+    header: Option<Header>,
+    /// Internal nodes whose children are still coming, the root's first:
+    /// each one's separators and the children decoded so far.
+    open: Vec<(Vec<Key>, Vec<Child>)>,
+    root: Option<Child>,
+}
+
+impl DecodeStream {
+    /// Decodes the next `bytes` of the encoding.
+    pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), CodecError> {
+        while !bytes.is_empty() {
+            let held = self.buf.len();
+            if held == 0 {
+                let mut c = Cursor::new(bytes);
+                match self.step(&mut c) {
+                    Ok(()) => bytes = &bytes[c.pos..],
+                    Err(CodecError::Truncated) => {
+                        self.buf.extend_from_slice(bytes);
+                        self.want = 2 * bytes.len();
+                        return Ok(());
+                    }
+                    Err(e) => return Err(e),
+                }
+                continue;
+            }
+            // A cut node: decoded again only once its buffered start has
+            // doubled, or the piece ends, so a node split into many pieces
+            // costs twice its decode at most.
+            let k = (self.want - held).min(bytes.len());
+            self.buf.extend_from_slice(&bytes[..k]);
+            if self.buf.len() < self.want {
+                return Ok(());
+            }
+            let buf = std::mem::take(&mut self.buf);
+            let mut c = Cursor::new(&buf);
+            let step = self.step(&mut c);
+            let used = c.pos;
+            self.buf = buf;
+            match step {
+                // The node ended in this piece: the rest of it is decoded
+                // in place.
+                Ok(()) if used >= held => {
+                    bytes = &bytes[used - held..];
+                    self.buf.clear();
+                }
+                // It ended in what was held: the next node starts there.
+                Ok(()) => {
+                    self.buf.drain(..used);
+                    self.want = self.buf.len();
+                    bytes = &bytes[k..];
+                }
+                Err(CodecError::Truncated) => {
+                    bytes = &bytes[k..];
+                    self.want = 2 * self.buf.len();
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes the header, or the next node and closes every internal node
+    /// it completes.
+    fn step(&mut self, c: &mut Cursor<'_>) -> Result<(), CodecError> {
+        let Some(header) = self.header else {
+            self.header = Some(decode_header(c)?);
+            return Ok(());
+        };
+        if self.root.is_some() {
+            return Err(CodecError::TrailingBytes);
+        }
+        if self.open.len() > MAX_DEPTH {
+            return Err(CodecError::Malformed("tree too deep"));
+        }
+        let mut child = match decode_head(c, header.order)? {
+            Head::Whole(child) => child,
+            Head::Internal(keys) => {
+                let children = Vec::with_capacity(keys.len() + 1);
+                self.open.push((keys, children));
+                return Ok(());
+            }
+        };
+        while let Some((keys, mut children)) = self.open.pop() {
+            children.push(child);
+            if children.len() <= keys.len() {
+                self.open.push((keys, children));
+                return Ok(());
+            }
+            child = Child::new(Node::internal(keys.into(), children));
+        }
+        self.root = Some(child);
+        Ok(())
+    }
+
+    /// The tree, once the whole encoding is in and its root is the one
+    /// recorded: [`MerkleTree::from_bytes`] of the bytes fed.
+    pub fn finish(mut self) -> Result<MerkleTree, CodecError> {
+        // Whatever is held is all there is of the nodes it starts.
+        let held = std::mem::take(&mut self.buf);
+        self.feed(&held)?;
+        match (self.header, self.root) {
+            (Some(header), Some(root)) if self.buf.is_empty() => finish_tree(header, root),
+            _ => Err(CodecError::Truncated),
+        }
     }
 }
 

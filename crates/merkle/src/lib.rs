@@ -55,7 +55,7 @@ pub use batch::{
     BatchVerified,
 };
 pub use chunk::{AdmitOutcome, ChunkAssembler, ChunkError, ChunkManifest, ChunkRange, ChunkSource};
-pub use codec::{CodecError, EncodeStream};
+pub use codec::{CodecError, DecodeStream, EncodeStream};
 pub use error::{TreeError, VerifyError};
 pub use node::{u64_key, Key, Value};
 pub use op::{apply_op, prune_for_op, Op, OpResult};

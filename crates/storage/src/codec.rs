@@ -7,7 +7,8 @@
 //! The state is written from borrowed parts (`stream_state`), so a
 //! checkpoint copies nothing of the live server before it encodes it, and
 //! it is encoded a piece at a time, as the commits that carry it need the
-//! pieces. Decoding validates everything: signatures and trees re-verify
+//! pieces, and decoded the same way (`StateDecoder`), as recovery reads
+//! them. Decoding validates everything: signatures and trees re-verify
 //! their digests, enum tags reject unknown values, and all errors surface
 //! as typed [`DecodeError`]s with offsets (the recovery path needs to tell
 //! a torn tail from corruption).
@@ -16,8 +17,11 @@ use tcvs_core::wire::{
     get_audit_checkpoint, get_epoch_state, get_response, get_signed_state, put_audit_checkpoint,
     put_epoch_state, put_response, put_signed_state,
 };
-use tcvs_core::{Ctr, Epoch, ServerMetrics, ServerSnapshot, UserId};
-use tcvs_merkle::{EncodeStream, MerkleTree};
+use tcvs_core::{
+    Ctr, Epoch, ServerMetrics, ServerSnapshot, SignedCheckpoint, SignedEpochState, SignedState,
+    UserId,
+};
+use tcvs_merkle::{DecodeStream, EncodeStream, MerkleTree};
 use tcvs_store::enc::{DecodeError, Reader, Sink, Writer};
 
 use crate::record::JournalEntry;
@@ -97,66 +101,160 @@ impl DurableState {
     /// Decodes a checkpoint; the database's digests are fully re-verified
     /// during decode, its root against the one its encoding records.
     pub fn from_bytes(bytes: &[u8]) -> Result<DurableState, DecodeError> {
-        let mut r = Reader::new(bytes);
-        if r.raw(4)? != STATE_MAGIC {
-            return Err(DecodeError::Invalid("bad checkpoint magic"));
-        }
-        if r.u32()? != STATE_VERSION {
-            return Err(DecodeError::Invalid("unknown checkpoint version"));
-        }
-        let ctr: Ctr = r.u64()?;
-        let last_user: UserId = r.u32()?;
-        let epoch_len = r.u64()?;
-        let last_sig = r.opt(get_signed_state)?;
-        let n = r.u32()? as usize;
-        let mut epoch_states = Vec::new();
-        for _ in 0..n {
-            epoch_states.push(get_epoch_state(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut checkpoints = Vec::new();
-        for _ in 0..n {
-            checkpoints.push(get_audit_checkpoint(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut user_epochs: Vec<(UserId, Epoch)> = Vec::new();
-        for _ in 0..n {
-            user_epochs.push((r.u32()?, r.u64()?));
-        }
-        let metrics = ServerMetrics {
-            ops: r.u64()?,
-            msgs_in: r.u64()?,
-            msgs_out: r.u64()?,
-            bytes_out: r.u64()?,
+        let mut state = StateDecoder::default();
+        state.feed(bytes)?;
+        state.finish()
+    }
+}
+
+/// The fields of a checkpoint ahead of its database.
+struct Head {
+    ctr: Ctr,
+    last_user: UserId,
+    epoch_len: u64,
+    last_sig: Option<SignedState>,
+    epoch_states: Vec<SignedEpochState>,
+    checkpoints: Vec<SignedCheckpoint>,
+    user_epochs: Vec<(UserId, Epoch)>,
+    metrics: ServerMetrics,
+    journal: Vec<JournalEntry>,
+    /// Bytes of the database's encoding, which follows.
+    db_len: u64,
+}
+
+fn get_head(r: &mut Reader) -> Result<Head, DecodeError> {
+    if r.raw(4)? != STATE_MAGIC {
+        return Err(DecodeError::Invalid("bad checkpoint magic"));
+    }
+    if r.u32()? != STATE_VERSION {
+        return Err(DecodeError::Invalid("unknown checkpoint version"));
+    }
+    let (ctr, last_user, epoch_len) = (r.u64()?, r.u32()?, r.u64()?);
+    let last_sig = r.opt(get_signed_state)?;
+    let n = r.u32()?;
+    let epoch_states = (0..n)
+        .map(|_| get_epoch_state(r))
+        .collect::<Result<_, _>>()?;
+    let n = r.u32()?;
+    let checkpoints = (0..n)
+        .map(|_| get_audit_checkpoint(r))
+        .collect::<Result<_, _>>()?;
+    let n = r.u32()?;
+    let user_epochs = (0..n)
+        .map(|_| Ok((r.u32()?, r.u64()?)))
+        .collect::<Result<_, _>>()?;
+    let metrics = ServerMetrics {
+        ops: r.u64()?,
+        msgs_in: r.u64()?,
+        msgs_out: r.u64()?,
+        bytes_out: r.u64()?,
+    };
+    let n = r.u32()?;
+    let journal = (0..n)
+        .map(|_| Ok((r.u32()?, r.u64()?, get_response(r)?)))
+        .collect::<Result<_, _>>()?;
+    Ok(Head {
+        ctr,
+        last_user,
+        epoch_len,
+        last_sig,
+        epoch_states,
+        checkpoints,
+        user_epochs,
+        metrics,
+        journal,
+        db_len: r.u64()?,
+    })
+}
+
+/// A checkpoint decoded from its pieces as they arrive, split anywhere:
+/// the fields ahead of the database once their bytes are in, then the
+/// database node by node ([`tcvs_merkle::DecodeStream`]). It holds the
+/// fields' bytes until they decode and one node's bytes after that, never
+/// the state's whole encoding.
+#[derive(Default)]
+pub(crate) struct StateDecoder {
+    /// The bytes ahead of the database, while they do not decode yet.
+    head: Vec<u8>,
+    /// `head`'s length at which to decode it again: a field the bytes so
+    /// far cut short (a count held to the input left included) fails only
+    /// until the rest arrive, so it is retried as `head` doubles.
+    retry: usize,
+    /// The fields, the database's decoder and its bytes still to come.
+    db: Option<(Head, DecodeStream, u64)>,
+}
+
+impl StateDecoder {
+    /// Decodes the next piece of the state.
+    pub(crate) fn feed(&mut self, piece: &[u8]) -> Result<(), DecodeError> {
+        let Some((_, db, left)) = &mut self.db else {
+            self.head.extend_from_slice(piece);
+            return self.decode_head(false);
         };
-        let n = r.u32()? as usize;
-        let mut journal = Vec::new();
-        for _ in 0..n {
-            let user = r.u32()?;
-            let seq = r.u64()?;
-            journal.push((user, seq, get_response(&mut r)?));
+        if piece.len() as u64 > *left {
+            return Err(DecodeError::TrailingBytes);
         }
-        let db = MerkleTree::from_bytes(r.bytes()?)
-            .map_err(|_| DecodeError::Invalid("checkpoint database"))?;
+        *left -= piece.len() as u64;
+        db.feed(piece)
+            .map_err(|_| DecodeError::Invalid("checkpoint database"))
+    }
+
+    /// Decodes the fields ahead of the database if their bytes are in, and
+    /// feeds the bytes after them to the database. An error is final only
+    /// once no more bytes come (`last`).
+    fn decode_head(&mut self, last: bool) -> Result<(), DecodeError> {
+        if self.head.len() < self.retry && !last {
+            return Ok(());
+        }
+        let mut r = Reader::new(&self.head);
+        match get_head(&mut r) {
+            Ok(head) => {
+                let at = r.position();
+                let bytes = std::mem::take(&mut self.head);
+                let left = head.db_len;
+                self.db = Some((head, MerkleTree::decode_stream(), left));
+                self.feed(&bytes[at..])
+            }
+            Err(e) if last => Err(e),
+            Err(_) => {
+                self.retry = 2 * self.head.len();
+                Ok(())
+            }
+        }
+    }
+
+    /// The state, once every piece is in.
+    pub(crate) fn finish(mut self) -> Result<DurableState, DecodeError> {
+        if self.db.is_none() {
+            self.decode_head(true)?;
+        }
+        let Some((h, db, left)) = self.db else {
+            return Err(DecodeError::Invalid("checkpoint fields"));
+        };
+        let db = (db.finish().ok())
+            .filter(|_| left == 0)
+            .ok_or(DecodeError::Invalid("checkpoint database"))?;
         // A server serves every value it holds: a stub or a hash-only entry
         // would leave it answering from content it does not have.
         if db.is_pruned() {
             return Err(DecodeError::Invalid("checkpoint database is pruned"));
         }
-        r.finish()?;
         let snapshot = ServerSnapshot::from_parts(
             db,
-            ctr,
-            last_user,
-            epoch_len,
-            last_sig,
-            epoch_states,
-            checkpoints,
-            user_epochs,
-            metrics,
+            h.ctr,
+            h.last_user,
+            h.epoch_len,
+            h.last_sig,
+            h.epoch_states,
+            h.checkpoints,
+            h.user_epochs,
+            h.metrics,
         )
         .map_err(|_| DecodeError::Invalid("snapshot parts"))?;
-        Ok(DurableState { snapshot, journal })
+        Ok(DurableState {
+            snapshot,
+            journal: h.journal,
+        })
     }
 }
 
@@ -235,28 +333,60 @@ mod tests {
         r.finish().unwrap();
     }
 
-    #[test]
-    fn durable_state_round_trips() {
-        let config = ProtocolConfig::default();
-        let mut server = HonestServer::new(&config);
+    /// A state of `n` puts, a journal entry per op and a deposited
+    /// signature.
+    fn sample_state(n: u64) -> DurableState {
+        let mut server = HonestServer::new(&ProtocolConfig::default());
         let mut journal = Vec::new();
-        for i in 0..10u64 {
+        for i in 0..n {
             let resp = server.handle_op((i % 2) as u32, &Op::Put(u64_key(i), vec![i as u8]), i);
             journal.push(((i % 2) as u32, i, resp));
         }
-        server.deposit_signature(
-            0,
-            SignedState {
-                signer: 0,
-                root: server.core().root_digest(),
-                ctr: 10,
-                sig: sample_sig(1),
-            },
-        );
-        let state = DurableState {
+        let sig = SignedState {
+            signer: 0,
+            root: server.core().root_digest(),
+            ctr: n,
+            sig: sample_sig(1),
+        };
+        server.deposit_signature(0, sig);
+        DurableState {
             snapshot: server.core().crash_snapshot(),
             journal,
+        }
+    }
+
+    /// Pieces split anywhere, one byte each included, decode to the state;
+    /// any prefix of its bytes, or one byte more, is refused.
+    #[test]
+    fn a_state_decodes_from_pieces_split_anywhere() {
+        let mut bytes = Vec::new();
+        sample_state(300).encode_into(&mut bytes);
+        let decode = |bytes: &[u8], piece: usize| {
+            let mut state = StateDecoder::default();
+            bytes.chunks(piece).try_for_each(|p| state.feed(p))?;
+            state.finish()
         };
+        let whole = DurableState::from_bytes(&bytes).unwrap();
+        for piece in [1, 7, 100, 4096] {
+            let back = decode(&bytes, piece).unwrap();
+            assert_eq!(back.snapshot.root_digest(), whole.snapshot.root_digest());
+            assert_eq!(back.snapshot.ctr(), 300);
+            let (a, b) = (&back.journal, &whole.journal);
+            assert!(a
+                .iter()
+                .zip(b)
+                .all(|(a, b)| response_bytes(&a.2) == response_bytes(&b.2)));
+            for cut in [3, 60, bytes.len() / 2, bytes.len() - 1] {
+                assert!(decode(&bytes[..cut], piece).is_err(), "{cut} of {piece}");
+            }
+            let long = [&bytes[..], &[0]].concat();
+            assert!(decode(&long, piece).is_err(), "{piece}");
+        }
+    }
+
+    #[test]
+    fn durable_state_round_trips() {
+        let state = sample_state(10);
         let mut bytes = Vec::new();
         state.encode_into(&mut bytes);
         // A reused buffer's old contents leave no trace in the encoding.

@@ -164,6 +164,11 @@ impl<M: Medium> Medium for FaultMedium<M> {
         self.check_dead()?;
         self.inner.remove(name)
     }
+
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), StorageError> {
+        self.check_dead()?;
+        self.inner.truncate(name, len)
+    }
 }
 
 #[cfg(test)]

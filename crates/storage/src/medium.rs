@@ -2,7 +2,8 @@
 //!
 //! A [`Medium`] is a directory of named byte files with exactly the
 //! operations the log engine needs — append, fsync, atomic whole-file
-//! replace, delete — and nothing more. Two implementations:
+//! replace, delete, and for recovery a read of a byte range and a cut to a
+//! prefix — and nothing more. Two implementations:
 //!
 //! * [`FileMedium`] — a real directory. The file appended to (a log
 //!   segment: the engine appends to nothing else) is held open and written
@@ -14,7 +15,8 @@
 //!   directory `fsync` when a file was created or removed since the last
 //!   one; `write_atomic`
 //!   is write-to-temp + `fsync` + `rename` + directory `fsync`, so a
-//!   replace is all-or-nothing across a crash.
+//!   replace is all-or-nothing across a crash. `read_at` is `pread`, and
+//!   `truncate` is `set_len` + `fsync` in place.
 //! * [`MemMedium`] — an in-memory directory that *models fsync*: every
 //!   file tracks how many bytes a successful `sync` has made durable, and
 //!   [`MemMedium::crash`] discards everything after that point — the exact
@@ -44,6 +46,17 @@ pub trait Medium: Send {
     /// Full contents of `name`, or `None` if it does not exist.
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError>;
 
+    /// Copies the bytes of `name` from `offset` on into `buf`, and returns
+    /// how many: fewer than `buf` holds only where the file ends, none for
+    /// a file that does not exist.
+    fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        let data = self.read(name)?.unwrap_or_default();
+        let from = data.len().min(offset as usize);
+        let n = buf.len().min(data.len() - from);
+        buf[..n].copy_from_slice(&data[from..from + n]);
+        Ok(n)
+    }
+
     /// Appends `data` to `name`, creating it if absent. Not durable until
     /// the next successful [`Medium::sync`] of the same file.
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError>;
@@ -57,6 +70,15 @@ pub trait Medium: Send {
 
     /// Deletes `name` (no-op if absent).
     fn remove(&mut self, name: &str) -> Result<(), StorageError>;
+
+    /// Cuts `name` to its first `len` bytes, durably, if it is longer: a
+    /// crash leaves the old length or the new.
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), StorageError> {
+        match self.read(name)? {
+            Some(data) if data.len() as u64 > len => self.write_atomic(name, &data[..len as usize]),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -85,10 +107,15 @@ impl MemMedium {
         MemMedium::default()
     }
 
+    /// The directory, locked.
+    fn files(&self) -> std::sync::MutexGuard<'_, MemState> {
+        self.state.lock().expect("medium poisoned")
+    }
+
     /// Simulates `kill -9`: every file loses the bytes not yet covered by a
     /// successful sync. Files never synced vanish entirely.
     pub fn crash(&self) {
-        let mut st = self.state.lock().expect("medium poisoned");
+        let mut st = self.files();
         st.files.retain(|_, f| {
             f.data.truncate(f.synced);
             f.synced > 0
@@ -98,17 +125,26 @@ impl MemMedium {
 
 impl Medium for MemMedium {
     fn list(&self) -> Result<Vec<String>, StorageError> {
-        let st = self.state.lock().expect("medium poisoned");
+        let st = self.files();
         Ok(st.files.keys().cloned().collect())
     }
 
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
-        let st = self.state.lock().expect("medium poisoned");
+        let st = self.files();
         Ok(st.files.get(name).map(|f| f.data.clone()))
     }
 
+    fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        let st = self.files();
+        let data = st.files.get(name).map_or(&[][..], |f| &f.data);
+        let data = &data[data.len().min(offset as usize)..];
+        let n = buf.len().min(data.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        Ok(n)
+    }
+
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        let mut st = self.state.lock().expect("medium poisoned");
+        let mut st = self.files();
         st.files
             .entry(name.to_string())
             .or_default()
@@ -118,7 +154,7 @@ impl Medium for MemMedium {
     }
 
     fn sync(&mut self, name: &str) -> Result<(), StorageError> {
-        let mut st = self.state.lock().expect("medium poisoned");
+        let mut st = self.files();
         if let Some(f) = st.files.get_mut(name) {
             f.synced = f.data.len();
         }
@@ -126,7 +162,7 @@ impl Medium for MemMedium {
     }
 
     fn write_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
-        let mut st = self.state.lock().expect("medium poisoned");
+        let mut st = self.files();
         let f = st.files.entry(name.to_string()).or_default();
         f.data = data.to_vec();
         f.synced = f.data.len();
@@ -134,8 +170,18 @@ impl Medium for MemMedium {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
-        let mut st = self.state.lock().expect("medium poisoned");
+        let mut st = self.files();
         st.files.remove(name);
+        Ok(())
+    }
+
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), StorageError> {
+        let mut st = self.files();
+        if let Some(f) = st.files.get_mut(name) {
+            let len = f.data.len().min(len as usize);
+            f.data.truncate(len);
+            f.synced = f.synced.min(len);
+        }
         Ok(())
     }
 }
@@ -302,6 +348,22 @@ impl Medium for FileMedium {
         }
     }
 
+    fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        let file = match File::open(self.path(name)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+            Err(e) => return Err(e.into()),
+        };
+        let mut n = 0;
+        while n < buf.len() {
+            match file.read_at(&mut buf[n..], offset + n as u64)? {
+                0 => break,
+                k => n += k,
+            }
+        }
+        Ok(n)
+    }
+
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), StorageError> {
         let held = match &mut self.held {
             Some(x) if x.name == name => x,
@@ -359,6 +421,17 @@ impl Medium for FileMedium {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// In place: the file keeps its inode, and no temporary is written.
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), StorageError> {
+        self.release(name);
+        let file = OpenOptions::new().write(true).open(self.path(name))?;
+        if file.metadata()?.len() > len {
+            file.set_len(len)?;
+            file.sync_all()?;
+        }
+        Ok(())
     }
 }
 
@@ -450,9 +523,10 @@ mod tests {
         dir
     }
 
-    /// The held segment is let go when its name is replaced or removed:
-    /// an append then lands in the file the name now holds, not in the
-    /// unlinked one, which would silently lose acknowledged records.
+    /// The held segment is let go when its name is replaced, cut or
+    /// removed: an append then lands in the file the name now holds, at its
+    /// end, not in the unlinked one (which would silently lose acknowledged
+    /// records) or past the cut.
     #[test]
     fn an_append_after_a_replace_or_remove_lands_in_the_new_file() -> Result<(), StorageError> {
         let dir = fresh_dir("held");
@@ -464,13 +538,21 @@ mod tests {
         m.append(&seg, b"aaa")?;
         m.append(&seg, b"xxx")?;
         m.sync(&seg)?;
-        // Recovery's truncation: the name now holds a new, shorter file.
+        // A replace: the name now holds a new, shorter file.
         m.write_atomic(&seg, b"aaa")?;
         m.append(&seg, b"bbb")?;
         m.sync(&seg)?;
         let bytes = read(&m)?;
         assert_eq!(&bytes[..6], b"aaabbb");
         assert!(bytes[6..].iter().all(|&b| b == 0), "a zero-filled extent");
+        // Recovery's cut, in place: the next append lands at the new end.
+        m.truncate(&seg, 4)?;
+        assert_eq!(read(&m)?, b"aaab");
+        m.append(&seg, b"ddd")?;
+        m.sync(&seg)?;
+        let bytes = read(&m)?;
+        assert_eq!(&bytes[..7], b"aaabddd");
+        assert!(bytes[7..].iter().all(|&b| b == 0));
         m.remove(&seg)?;
         m.append(&seg, b"ccc")?;
         m.sync(&seg)?;

@@ -37,8 +37,10 @@
 //! 1. **Find the streams**: a stream is complete when its pieces, met in
 //!    LSN order with no damage or gap between them, reach its count.
 //! 2. **Pick a checkpoint**: complete streams newest-first; the first whose
-//!    pieces concatenate to a state that decodes, its root checked, wins.
-//!    The others are counted and skipped (that is why two are retained).
+//!    pieces decode to a state, its root checked, wins. The pieces are
+//!    decoded as step 3 meets them, straight into the tree, so no buffer
+//!    ever holds the state's encoding. The others are counted and skipped
+//!    (that is why two are retained).
 //! 3. **Scan the log from it**: commits in LSN order, each checksum and
 //!    LSN verified, by the three tail rules of [`crate::log`]; every record
 //!    after the checkpoint's first piece is handed back for replay, pieces
@@ -47,18 +49,23 @@
 //!    it) in the last segment is the expected crash shape: discard it,
 //!    note it, continue. Damage anywhere else stops the scan — no record
 //!    after a hole is trusted — and damage below the checkpoint is never
-//!    read.
-//! 4. **Re-read on short read**: a scan that stops early retries the read
-//!    once; a transient short read heals, a real torn tail does not.
-//! 5. **Truncate the tail**: the last segment is atomically rewritten to
-//!    its valid prefix, so torn bytes can never resurface and the next
-//!    commit lands right after the last record, not after the zeros.
+//!    read. Steps 1 and 3 read through one window ([`Medium::read_at`])
+//!    kept across reads: it holds a frame at least, and the rest of a
+//!    segment only to classify damage, never a whole segment otherwise.
+//! 4. **Re-read on short read**: a scan that stops early at damage goes
+//!    on once where it stopped if the segment has since grown; a transient
+//!    short read heals, a real torn tail does not.
+//! 5. **Truncate the tail**: the last segment is cut back to its valid
+//!    prefix in place ([`Medium::truncate`]), so torn bytes can never
+//!    resurface and the next commit lands right after the last record,
+//!    not after the zeros. Only bytes past the prefix go, so a crash that
+//!    keeps the old length recovers the same prefix.
 
 use std::ops::Range;
 
 use tcvs_store::enc::{DecodeError, Writer};
 
-use crate::codec::DurableState;
+use crate::codec::{DurableState, StateDecoder};
 use crate::error::StorageError;
 use crate::log::{self, SegmentScan, TailStatus};
 use crate::medium::{Medium, MemMedium};
@@ -173,44 +180,123 @@ impl Streams {
     }
 }
 
-/// The records of one commit of the segment `buf` as recovery reads them,
-/// and their body bytes: the pieces of the checkpoint at `base` appended to
-/// `state`, other pieces checked and left out, and anything else decoded.
+/// The records of one commit as recovery reads them, and their body bytes:
+/// the pieces of the checkpoint at `base` fed to `state` (dropped when one
+/// does not decode), other pieces checked and left out, and anything else
+/// decoded. `records` are the commit's, their bodies ranges of `frame`.
 fn read_commit(
-    buf: &[u8],
-    commit: &[(u64, u8, Range<usize>)],
+    frame: &[u8],
+    records: &[(u64, u8, Range<usize>)],
     base: u64,
-    state: &mut Vec<u8>,
+    state: &mut Option<StateDecoder>,
 ) -> Result<(Vec<(u64, Record)>, u64), DecodeError> {
-    let (mut records, mut bytes) = (Vec::new(), 0);
-    for (lsn, tag, body) in commit {
-        let body = &buf[body.clone()];
+    let (mut out, mut bytes) = (Vec::new(), 0);
+    for (lsn, tag, body) in records {
+        let body = &frame[body.clone()];
         match *tag {
             TAG_CHUNK => match chunk_view(body)? {
-                ((stream, ..), data) if stream == base => state.extend_from_slice(data),
+                ((stream, ..), data) if stream == base => {
+                    *state = state
+                        .take()
+                        .and_then(|mut s| s.feed(data).is_ok().then_some(s));
+                }
                 _ => {}
             },
             tag => {
-                records.push((*lsn, Record::decode(tag, body)?));
+                out.push((*lsn, Record::decode(tag, body)?));
                 bytes += body.len() as u64;
             }
         }
     }
-    Ok((records, bytes))
+    Ok((out, bytes))
 }
 
-/// What a pass over the log from a checkpoint's commit found: the
-/// checkpoint's pieces concatenated, the tail and its body bytes, the LSN
-/// after the last record kept, the last segment scanned and the length of its valid
-/// prefix, and the first segment the pass never reached (everything from
-/// it on is quarantined when the pass stopped at corruption).
+/// What a pass over the log from a checkpoint's commit found: the tail and
+/// its body bytes, the LSN after the last record kept, the last segment
+/// scanned and the length of its valid prefix, and the first segment the
+/// pass never reached (everything from it on is quarantined when the pass
+/// stopped at corruption). The checkpoint's pieces went to its decoder.
 struct Replay {
-    state: Vec<u8>,
     tail: Vec<(u64, Record)>,
     bytes: u64,
     end: u64,
     last_valid: Option<(String, u64)>,
     stale_from: usize,
+}
+
+/// Bytes recovery reads a segment through at a time.
+const WINDOW: usize = 256 << 10;
+
+/// A segment read through one buffer that recovery keeps across reads and
+/// segments: it holds bytes `at..at + len` of segment `name`. A read moves
+/// it forward, carrying over the bytes still wanted (a frame it cut); it
+/// grows only to hold a frame larger than it, or the rest of a segment
+/// whose damage must be classified (`n` = `usize::MAX`).
+#[derive(Default)]
+struct Window {
+    name: String,
+    buf: Vec<u8>,
+    at: u64,
+    len: usize,
+    /// A read came back short: the segment ends at `at + len`.
+    end: bool,
+}
+
+impl Window {
+    /// Points the window at segment `name`, holding none of it.
+    fn open(&mut self, name: &str) {
+        self.name.clear();
+        self.name.push_str(name);
+        (self.at, self.len, self.end) = (0, 0, false);
+    }
+
+    /// Bytes `pos..pos + n` of the segment, fewer only where it ends. The
+    /// window moves to `pos`, keeping what it holds from there on, and
+    /// reads on, doubling only while `n` is more than it can hold: it never
+    /// holds much more than the segment has.
+    fn get(&mut self, medium: &impl Medium, pos: u64, n: usize) -> Result<&[u8], StorageError> {
+        if pos < self.at || pos > self.at + self.len as u64 {
+            (self.at, self.len, self.end) = (pos, 0, false);
+        }
+        let mut from = (pos - self.at) as usize;
+        if from.saturating_add(n) > self.len && !self.end {
+            self.buf.copy_within(from..self.len, 0);
+            (self.at, self.len, from) = (pos, self.len - from, 0);
+            while n > self.len && !self.end {
+                if self.len == self.buf.len() {
+                    self.buf.resize((2 * self.len).max(WINDOW), 0);
+                }
+                let (at, room) = (self.at + self.len as u64, self.buf.len() - self.len);
+                let got = medium.read_at(&self.name, at, &mut self.buf[self.len..])?;
+                (self.len, self.end) = (self.len + got, got < room);
+            }
+        }
+        Ok(&self.buf[from.min(self.len)..from.saturating_add(n).min(self.len)])
+    }
+
+    /// How many bytes from `pos` to the segment's end, if all are zero.
+    fn zeros(&mut self, medium: &impl Medium, pos: u64) -> Result<Option<u64>, StorageError> {
+        let mut at = pos;
+        loop {
+            let bytes = self.get(medium, at, WINDOW)?;
+            if bytes.iter().any(|&b| b != 0) {
+                return Ok(None);
+            }
+            at += bytes.len() as u64;
+            if bytes.len() < WINDOW {
+                return Ok(Some(at - pos));
+            }
+        }
+    }
+}
+
+/// How a segment scan through the window ended: by the tail rules of
+/// [`log::scan`], offsets in the segment; the end of its valid prefix; and
+/// the LSN after its last commit.
+struct Scanned {
+    tail: TailStatus,
+    valid_len: u64,
+    lsn: u64,
 }
 
 /// What happened during the tail scan of a recovery.
@@ -406,26 +492,72 @@ impl<M: Medium> DurableStorage<M> {
         Ok(lsns)
     }
 
-    /// Reads one segment and scans it from byte `from`, whose commit
-    /// starts at `lsn`; reads it once more when the scan stops early but a
-    /// re-read returns more bytes (a transient short read).
-    fn read_segment(
+    /// Scans the segment in `win` from byte `from`, whose commit starts at
+    /// `lsn`, by the rules of [`log::scan`], a frame at a time, handing
+    /// each commit that verifies to `each` with its offset, its frame and
+    /// its scan; `each` returning false stops the scan at that commit. A
+    /// scan stopped by damage goes on once from where it stopped if the
+    /// segment has grown since (a transient short read).
+    fn scan_segment(
         &self,
-        name: &str,
-        (from, lsn): (usize, u64),
+        win: &mut Window,
+        (mut pos, mut lsn): (u64, u64),
         report: &mut RecoveryReport,
-    ) -> Result<(Vec<u8>, SegmentScan), StorageError> {
-        let buf = self.medium.read(name)?.unwrap_or_default();
-        let scan = log::scan(buf.get(from..).unwrap_or_default(), lsn);
-        if !scan.tail.is_clean() {
-            let again = self.medium.read(name)?.unwrap_or_default();
-            if again.len() > buf.len() {
-                report.short_reads_retried += 1;
-                let scan = log::scan(again.get(from..).unwrap_or_default(), lsn);
-                return Ok((again, scan));
+        mut each: impl FnMut(u64, &[u8], &SegmentScan) -> bool,
+    ) -> Result<Scanned, StorageError> {
+        let mut retried = false;
+        let tail = loop {
+            let head = win.get(&self.medium, pos, log::HEADER_LEN)?;
+            if head.is_empty() {
+                break TailStatus::Clean;
             }
-        }
-        Ok((buf, scan))
+            let len = <[u8; 4]>::try_from(head).map_or(0, u32::from_le_bytes) as usize;
+            if len == 0 {
+                if let Some(len) = win.zeros(&self.medium, pos)? {
+                    break TailStatus::Zeros { offset: pos, len };
+                }
+            } else if len <= log::MAX_PAYLOAD {
+                let frame = win.get(&self.medium, pos, log::HEADER_LEN + len + log::CHECK_LEN)?;
+                let scan = log::scan(frame, lsn);
+                if scan.tail == TailStatus::Clean && !scan.commits.is_empty() {
+                    if !each(pos, frame, &scan) {
+                        let reason = "a record does not decode";
+                        break TailStatus::Corrupt {
+                            offset: pos,
+                            reason,
+                        };
+                    }
+                    (pos, lsn) = (pos + frame.len() as u64, lsn + scan.records.len() as u64);
+                    continue;
+                }
+            }
+            // Damage, or a frame that breaks the log: classified over the
+            // rest of the segment, which tells a torn tail from corruption
+            // below a frame that verifies.
+            let tail = match log::scan(win.get(&self.medium, pos, usize::MAX)?, lsn).tail {
+                TailStatus::Torn { dropped, .. } => TailStatus::Torn {
+                    offset: pos,
+                    dropped,
+                },
+                TailStatus::Corrupt { reason, .. } => TailStatus::Corrupt {
+                    offset: pos,
+                    reason,
+                },
+                tail => tail,
+            };
+            let end = win.at + win.len as u64;
+            if retried || self.medium.read_at(&win.name, end, &mut [0])? == 0 {
+                break tail;
+            }
+            report.short_reads_retried += 1;
+            (retried, win.end) = (true, false);
+        };
+        let valid_len = pos;
+        Ok(Scanned {
+            tail,
+            valid_len,
+            lsn,
+        })
     }
 
     /// Notes that the stream at `stream` is complete, and queues for
@@ -559,6 +691,7 @@ impl<M: Medium> DurableStorage<M> {
     /// picks up at the next frame that verifies.
     fn find_streams(
         &self,
+        win: &mut Window,
         segs: &[u64],
         report: &mut RecoveryReport,
     ) -> Result<Streams, StorageError> {
@@ -568,45 +701,47 @@ impl<M: Medium> DurableStorage<M> {
             if next != Some(first) {
                 streams.newest = None;
             }
-            let (buf, mut scan) =
-                self.read_segment(&log::segment_name(first), (0, first), report)?;
-            let (mut from, mut lsn) = (0, first);
+            win.open(&log::segment_name(first));
+            let mut from = (0, first);
             loop {
-                for (offset, commit) in &scan.commits {
-                    let (at, commit) = ((i, from as u64 + offset), &scan.records[commit.clone()]);
-                    for (_, _, body) in commit.iter().filter(|r| r.1 == TAG_CHUNK) {
-                        if let Ok((head, _)) = chunk_view(&buf[from..][body.clone()]) {
-                            streams.note(head, at, commit[0].0);
+                let scan = self.scan_segment(win, from, report, |offset, frame, scan| {
+                    let commit = scan.records[0].0;
+                    for (_, _, body) in scan.records.iter().filter(|r| r.1 == TAG_CHUNK) {
+                        if let Ok((head, _)) = chunk_view(&frame[body.clone()]) {
+                            streams.note(head, (i, offset), commit);
                         }
                     }
-                }
-                lsn += scan.records.len() as u64;
-                next = scan.tail.is_clean().then_some(lsn);
+                    true
+                })?;
+                next = scan.tail.is_clean().then_some(scan.lsn);
                 let TailStatus::Corrupt { offset, .. } = scan.tail else {
                     break;
                 };
-                let Some((at, at_lsn)) = log::resync(&buf, from + offset as usize, lsn) else {
+                let Some((at, lsn)) =
+                    log::resync(win.get(&self.medium, offset, usize::MAX)?, 0, scan.lsn)
+                else {
                     break;
                 };
                 streams.newest = None;
-                (from, lsn) = (at, at_lsn);
-                scan = log::scan(&buf[from..], lsn);
+                from = (offset + at as u64, lsn);
             }
         }
         Ok(streams)
     }
 
     /// Step 3 of recovery: the log in LSN order from the commit at `at`,
-    /// which starts at `base` — a checkpoint's first piece, or the start
-    /// of a log that must then begin at LSN 0 — by the tail rules.
+    /// which starts at `base` — a checkpoint's first piece, fed to `state`,
+    /// or the start of a log that must then begin at LSN 0 — by the tail
+    /// rules.
     fn replay(
         &self,
+        win: &mut Window,
         segs: &[u64],
         (base, (seg, offset)): (u64, At),
+        state: &mut Option<StateDecoder>,
         report: &mut RecoveryReport,
     ) -> Result<Replay, StorageError> {
         let mut r = Replay {
-            state: Vec::new(),
             tail: Vec::new(),
             bytes: 0,
             end: base,
@@ -626,32 +761,27 @@ impl<M: Medium> DurableStorage<M> {
                 break;
             }
             report.segments_scanned += 1;
-            let (buf, scan) = self.read_segment(&name, (from as usize, r.end), report)?;
-            let mut valid_len = from + scan.valid_len;
-            let mut stopped = false;
-            for (offset, commit) in &scan.commits {
-                let commit = &scan.records[commit.clone()];
-                match read_commit(&buf[from as usize..], commit, base, &mut r.state) {
+            win.open(&name);
+            let mut failed = None;
+            let scan = self.scan_segment(win, (from, r.end), report, |_, frame, scan| {
+                match read_commit(frame, &scan.records, base, state) {
                     Ok((records, bytes)) => {
                         r.tail.extend(records);
                         r.bytes += bytes;
-                        r.end += commit.len() as u64;
+                        r.end += scan.records.len() as u64;
+                        true
                     }
+                    // The frame verified but a record does not decode: stop
+                    // *at* its commit, which is shed with all after it, so
+                    // it is never rescanned.
                     Err(e) => {
-                        // The frame verified but a record does not decode:
-                        // stop *at* its commit, which is shed with all
-                        // after it, so it is never rescanned.
-                        report.corrupt_stop =
-                            Some(format!("commit at lsn {} in {name}: {e}", r.end));
-                        valid_len = from + offset;
-                        stopped = true;
-                        break;
+                        failed = Some(format!("commit at lsn {} in {name}: {e}", r.end));
+                        false
                     }
                 }
-            }
-            let stop = stopped || !scan.tail.is_clean();
+            })?;
             match scan.tail {
-                _ if stopped => {}
+                _ if failed.is_some() => report.corrupt_stop = failed,
                 TailStatus::Clean => {}
                 TailStatus::Zeros { len, .. } => {
                     if next_first.is_none() {
@@ -664,23 +794,21 @@ impl<M: Medium> DurableStorage<M> {
                 TailStatus::Torn { offset, dropped } if next_first.is_none() => {
                     report.torn_tail = Some(TornTail {
                         segment: name.clone(),
-                        offset: from + offset,
+                        offset,
                         dropped_bytes: dropped,
                     });
                 }
                 TailStatus::Torn { offset, .. } => {
-                    let at = from + offset;
                     report.corrupt_stop = Some(format!(
-                        "torn record at byte {at} of {name} below a later segment"
+                        "torn record at byte {offset} of {name} below a later segment"
                     ));
                 }
                 TailStatus::Corrupt { offset, reason } => {
-                    let at = from + offset;
-                    report.corrupt_stop = Some(format!("{reason} at byte {at} of {name}"));
+                    report.corrupt_stop = Some(format!("{reason} at byte {offset} of {name}"));
                 }
             }
-            r.last_valid = Some((name, valid_len));
-            if stop {
+            r.last_valid = Some((name, scan.valid_len));
+            if !scan.tail.is_clean() {
                 r.stale_from = i + 1;
                 break;
             }
@@ -703,25 +831,28 @@ impl<M: Medium> DurableStorage<M> {
         let segs = self.segment_lsns()?;
 
         // 1-3. The log from the newest complete stream whose state decodes,
-        // or from the start.
-        let streams = self.find_streams(&segs, &mut report)?;
+        // or from the start, read through one window.
+        let mut win = Window::default();
+        let streams = self.find_streams(&mut win, &segs, &mut report)?;
         report.stream = streams.newest.map(|(_, met, count, _)| (met, count));
         let (mut checkpoint, mut pass) = (None, None);
         for &(lsn, at) in streams.complete.iter().rev() {
             let mut attempt = report.clone();
-            let mut r = self.replay(&segs, (lsn, at), &mut attempt)?;
-            match DurableState::from_bytes(&std::mem::take(&mut r.state)) {
-                Ok(state) => {
+            let mut state = Some(StateDecoder::default());
+            let r = self.replay(&mut win, &segs, (lsn, at), &mut state, &mut attempt)?;
+            match state.map(StateDecoder::finish) {
+                Some(Ok(state)) => {
                     (checkpoint, pass, report) = (Some((lsn, state)), Some(r), attempt);
                     break;
                 }
-                Err(_) => report.corrupt_checkpoints += 1,
+                _ => report.corrupt_checkpoints += 1,
             }
         }
         let r = match pass {
             Some(r) => r,
-            None => self.replay(&segs, (0, (0, 0)), &mut report)?,
+            None => self.replay(&mut win, &segs, (0, (0, 0)), &mut None, &mut report)?,
         };
+        drop(win);
         let base = checkpoint.as_ref().map_or(0, |(lsn, _)| *lsn);
         let loaded = checkpoint.is_some();
         // Streams that did not decode are no fallback: pruning counts only
@@ -775,11 +906,7 @@ impl<M: Medium> DurableStorage<M> {
         // tail does not sit between its records and the next commit, and
         // point appends at it.
         if let Some((name, valid_len)) = &r.last_valid {
-            let buf = self.medium.read(name)?.unwrap_or_default();
-            if (buf.len() as u64) > *valid_len {
-                self.medium
-                    .write_atomic(name, &buf[..*valid_len as usize])?;
-            }
+            self.medium.truncate(name, *valid_len)?;
         }
         // The loaded checkpoint covers every record when nothing but its
         // own pieces follow it.
@@ -1286,6 +1413,42 @@ mod tests {
             .unwrap();
         assert!(rec.checkpoint.is_none());
         assert_eq!(rec.tail.len(), 1);
+    }
+
+    /// Commits that straddle the read window's edge are carried over, and
+    /// one larger than the window grows it: every record reads back.
+    #[test]
+    fn commits_across_and_beyond_the_window_read_back() -> Result<(), StorageError> {
+        let mem = MemMedium::new();
+        let opts = DurableOptions {
+            segment_bytes: 4 << 20,
+            retain_checkpoints: 2,
+        };
+        let mut s = DurableStorage::open(mem.clone(), opts);
+        s.recover()?;
+        let sizes = [100_000, 200_000, WINDOW + 1000, 7, 3 * WINDOW];
+        for (i, &len) in sizes.iter().enumerate() {
+            let mut b = WriteBatch::new();
+            b.push(Record::Op {
+                user: 0,
+                seq: i as u64,
+                op: Op::Put(u64_key(i as u64), vec![i as u8; len]),
+                round: 0,
+            });
+            s.commit(b)?;
+        }
+        let rec = DurableStorage::open(mem, opts).recover()?;
+        let read: Vec<usize> = (rec.tail.iter())
+            .map(|(_, r)| match r {
+                Record::Op {
+                    op: Op::Put(_, v), ..
+                } => v.len(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(read, sizes);
+        assert!(rec.report.corrupt_stop.is_none() && rec.report.torn_tail.is_none());
+        Ok(())
     }
 
     #[test]

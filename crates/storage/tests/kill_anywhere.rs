@@ -126,14 +126,12 @@ fn assert_recovered_equals_oracle<M: Medium>(
     }
 }
 
-/// How many ops of `script` a crash sweep runs, at checkpoint cadence
-/// `every` and segment size `segment_bytes`: a dry run finds where the
-/// second full checkpoint's stream completes, and the sweep runs one
-/// countdown past it. Asserts that those ops hold every piece of both
-/// streams, first, middle and last.
-fn two_streams(script: Script, every: u64, segment_bytes: usize) -> u64 {
+/// How many ops a crash sweep runs, from a dry run of its script at
+/// checkpoint cadence `every`: where the second full checkpoint's stream
+/// completes, and one countdown past it. Asserts that those ops hold every
+/// piece of both streams, first, middle and last.
+fn two_streams(run: &DryRun, every: u64) -> u64 {
     const STREAMS: usize = 2;
-    let run = DryRun::new(script, every, 16 * every, segment_bytes);
     let streams = run.streams();
     assert!(streams.len() >= STREAMS, "{streams:?}");
     let last = |stream| run.pieces_of(stream).last().map_or(0, |p| p.0);
@@ -154,7 +152,7 @@ fn two_streams(script: Script, every: u64, segment_bytes: usize) -> u64 {
 #[test]
 fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
     const EVERY: u64 = 7;
-    let n = two_streams(scripted, EVERY, 256);
+    let n = two_streams(&DryRun::new(scripted, EVERY, 16 * EVERY, 256, false), EVERY);
     let mut from_checkpoint = 0;
     // Ops each loaded checkpoint covers, 0 for none.
     let mut loaded = std::collections::BTreeSet::new();
@@ -195,7 +193,7 @@ fn power_loss_at_every_op_index_recovers_the_acked_prefix() {
 #[test]
 fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
     const EVERY: u64 = 7;
-    let n = two_streams(scripted, EVERY, 256);
+    let n = two_streams(&DryRun::new(scripted, EVERY, 16 * EVERY, 256, false), EVERY);
     let mut torn_at = 0;
     loop {
         let mut tore = false;
@@ -250,41 +248,32 @@ fn torn_write_at_every_op_index_loses_only_the_unacked_op() {
 
 /// A lying fsync at every op index, with the power failing right after:
 /// the op whose sync was dropped is the modeled hazard — recovery must
-/// still land on a *clean consistent prefix* (everything before it).
+/// still land on a *clean consistent prefix* (everything before it). Swept
+/// twice over the same ops, which a dry run at a countdown of 7 finds to
+/// hold two complete full-checkpoint streams: with that countdown, so a
+/// lost sync drops the commit carrying a stream's first, middle or last
+/// piece; and with checkpoints off, a pure log.
 #[test]
 fn lost_fsync_then_power_loss_recovers_a_clean_prefix() {
-    const N: u64 = 24;
-    for lost_at in 0..N {
-        let mem = MemMedium::new();
-        let mut fm = FaultMedium::new(mem.clone());
-        fm.schedule(lost_at, StorageFault::FsyncLost);
-        let opts = DurableOptions {
-            segment_bytes: 256,
-            retain_checkpoints: 2,
-        };
-        let store = DurableStorage::open(fm, opts);
-        let mut server = DurableServer::open(
-            store,
-            config(),
-            DurabilityOptions {
-                checkpoint_every: 0,
-                ..DurabilityOptions::default()
-            }, // no checkpoints: pure log
-            StorageObs::disabled(),
-        )
-        .expect("open");
-        for j in 0..=lost_at {
-            let (user, seq, op, round) = scripted(j);
-            server.apply(user, seq, &op, round).expect("acked");
+    const EVERY: u64 = 7;
+    let n = two_streams(&DryRun::new(scripted, EVERY, 16 * EVERY, 256, false), EVERY);
+    for every in [EVERY, 0] {
+        for lost_at in 0..n {
+            let mem = MemMedium::new();
+            let mut fm = FaultMedium::new(mem.clone());
+            fm.schedule(lost_at, StorageFault::FsyncLost);
+            let mut server = open(fm, every);
+            for j in 0..=lost_at {
+                let (user, seq, op, round) = scripted(j);
+                server.apply(user, seq, &op, round).expect("acked");
+            }
+            drop(server);
+            mem.crash(); // power loss before any later sync could repair it
+            let server = open(mem, EVERY);
+            let what = format!("every={every} lost_at={lost_at}");
+            assert!(server.last_recovery().corrupt_stop.is_none(), "{what}");
+            assert_recovered_equals_oracle(&server, scripted, lost_at, &what);
         }
-        drop(server);
-        mem.crash(); // power loss before any later sync could repair it
-        let server = open(mem, 7);
-        assert!(
-            server.last_recovery().corrupt_stop.is_none(),
-            "lost_at={lost_at}"
-        );
-        assert_recovered_equals_oracle(&server, scripted, lost_at, &format!("lost_at={lost_at}"));
     }
 }
 
@@ -307,7 +296,7 @@ fn bit_flip_at_every_op_index_stops_replay_at_the_flip() {
     const N: u64 = 24;
     const SEGMENT: usize = 1 << 20; // the flips are interior to a segment
     for every in [0, 7] {
-        let run = DryRun::new(scripted, every, N, SEGMENT);
+        let run = DryRun::new(scripted, every, N, SEGMENT, false);
         let (mut flipped, mut pieces) = (0, 0);
         for (a, m) in run.appends() {
             let j = run.op_of(m);
@@ -377,14 +366,21 @@ fn short_read_during_recovery_retries_and_recovers_everything() {
 }
 
 /// Crash-restart through the [`ServerApi`] surface at every index: the
-/// in-process equivalent of the kill loop, checkpoints enabled.
+/// in-process equivalent of the kill loop, checkpoints enabled. A dry run
+/// that restarts after every op as well sets the range. A restart drops
+/// the stream its op started, so there a checkpoint completes only when a
+/// reopen's replay outweighs two and it takes one in a commit of its own;
+/// the range holds two and a countdown after them, so the restarts load
+/// no checkpoint and each of the two.
 #[test]
 fn crash_restart_at_every_op_index_is_transparent() {
-    const N: u64 = 30;
+    const EVERY: u64 = 5;
+    let n = two_streams(&DryRun::new(scripted, EVERY, 400, 256, true), EVERY);
     let mem = MemMedium::new();
-    let mut server = open(mem, 5);
-    let (_, replies) = oracle(scripted, N);
-    for j in 0..N {
+    let mut server = open(mem, EVERY);
+    let (_, replies) = oracle(scripted, n);
+    let mut loaded = std::collections::BTreeSet::new();
+    for j in 0..n {
         let (user, seq, op, round) = scripted(j);
         let resp = server.handle_op_seq(user, seq, &op, round);
         assert_eq!(
@@ -393,8 +389,10 @@ fn crash_restart_at_every_op_index_is_transparent() {
             "op {j}: live reply matches oracle"
         );
         server.crash_restart(); // crash after *every* op
+        loaded.insert(j + 1 - server.last_recovery().records_replayed);
         assert_recovered_equals_oracle(&server, scripted, j + 1, &format!("after op {j}"));
     }
+    assert!(loaded.len() > 2, "none and each of two loaded: {loaded:?}");
 }
 
 /// Ties the seeded fault plans into storage: every storage fault kind a
@@ -564,7 +562,8 @@ struct DryRun {
 }
 
 impl DryRun {
-    fn new(script: Script, every: u64, n: u64, segment_bytes: usize) -> DryRun {
+    /// The run; with `restart`, the server crash-restarts after every op.
+    fn new(script: Script, every: u64, n: u64, segment_bytes: usize, restart: bool) -> DryRun {
         let log = OpLog::default();
         let dry = MemMedium::new();
         let medium = PowerCut {
@@ -578,6 +577,9 @@ impl DryRun {
             op_start.push(log.lock().unwrap().len());
             let (user, seq, op, round) = script(j);
             server.apply(user, seq, &op, round).expect("fault-free run");
+            if restart {
+                server.crash_restart();
+            }
         }
         drop(server);
         let ops = log.lock().unwrap().clone();
@@ -671,7 +673,7 @@ fn faults_anywhere_in_a_streamed_checkpoint_recover_the_oracle() {
     const EVERY: u64 = 10;
 
     // A fault-free run maps every medium operation to the op issuing it.
-    let run = DryRun::new(scripted_large, EVERY, N, 256);
+    let run = DryRun::new(scripted_large, EVERY, N, 256, false);
     let ops = &run.ops;
     // The second full checkpoint: a damaged one falls back to the first,
     // and the third's completion prunes the log below it.
@@ -982,14 +984,20 @@ fn mix(mut x: u64) -> u64 {
 /// acknowledged ops, plus the interrupted op only when every byte of its
 /// commit landed. It reports a torn tail exactly when part of the commit
 /// landed (a commit spanning two sectors or more always tears under some
-/// subset) and never stops at corruption.
+/// subset) and never stops at corruption. A dry run sets the range: two
+/// complete full-checkpoint streams and a countdown after them, so the
+/// sweep cuts the commits carrying their first, middle and last pieces.
 #[test]
 fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
-    const N: u64 = 30;
     const EVERY: u64 = 5;
+    const SEGMENT: usize = 1 << 20;
+    let n = two_streams(
+        &DryRun::new(scripted_large, EVERY, 16 * EVERY, SEGMENT, false),
+        EVERY,
+    );
     let open = |medium: ZeroExtents| {
         let opts = DurableOptions {
-            segment_bytes: 1 << 20,
+            segment_bytes: SEGMENT,
             retain_checkpoints: 2,
         };
         DurableServer::open(
@@ -1016,10 +1024,10 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     // One commit, one segment sync, per op.
     let dry = ZeroExtents::default();
     let mut server = open(dry.clone()).expect("open");
-    assert_eq!(run_large(&mut server, N), N, "fault-free run");
+    assert_eq!(run_large(&mut server, n), n, "fault-free run");
     drop(server);
     let commits = dry.state.lock().unwrap().commits.clone();
-    assert_eq!(commits.len() as u64, N);
+    assert_eq!(commits.len() as u64, n);
     let holds =
         |commit: &Commit, tags: &[u8]| tags.iter().all(|t| commit.iter().any(|r| r.0 == *t));
     let full = commits
@@ -1035,14 +1043,14 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
         "a stream spans 3 commits"
     );
     let mut torn_commits = 0;
-    for j in 0..N {
+    for j in 0..n {
         let mut tore = false;
         let mut spans = 0;
         for (subset, keep) in &subsets {
             let what = format!("power lost in the sync of op {j}, {subset}");
             let medium = ZeroExtents::cut_at(j);
             let mut server = open(medium.clone()).expect("open");
-            assert_eq!(run_large(&mut server, N), j, "{what}");
+            assert_eq!(run_large(&mut server, n), j, "{what}");
             drop(server);
             let (shape, sectors) = medium.crash(keep);
             let server_medium = medium.clone();
@@ -1077,7 +1085,7 @@ fn power_loss_landing_any_sectors_of_a_commit_recovers_the_acked_prefix() {
     }
     // The puts' commits span dozens of sectors; those that open a segment
     // vanish with it instead.
-    assert!(torn_commits >= N / 3, "{torn_commits} of {N} commits torn");
+    assert!(torn_commits >= n / 3, "{torn_commits} of {n} commits torn");
 }
 
 proptest! {
